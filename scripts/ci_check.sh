@@ -26,11 +26,14 @@
 # JSON comparison with a verdict.  Finally gates the kernel-backend
 # sweep (BENCH_kernels.json from the fig5 bench): the compiled f32
 # kernel must beat the interpreted f64 reference by 5x (self-skips
-# where numba is unavailable) and f32 must beat f64 by 1.5x on the
+# where numba is unavailable) and f32 must beat f64 by 1.2x on the
 # numpy path.  Lane 10 gates the measured roofline: 'report --roofline'
 # on a ledgered run must place the shortrange/cic/fft phases against
 # the calibrated host peak, and check_regression.py --check-roofline
-# holds the counters wired, %peak sane, and f32 pair AI >= f64.
+# holds the counters wired, %peak sane, and f32 pair AI >= f64.  Lane 12
+# runs the end-to-end benchmark's traced treepm-f64-32 workload
+# unmodified: its own checks (force error against a KD-tree-found direct
+# sum, momentum drift, finite wrapped positions) must all pass.
 set -euo pipefail
 
 REPO_ROOT="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
@@ -40,26 +43,28 @@ PYTHON="${PYTHON:-python}"
 export REPRO_CHAOS_SEED="${REPRO_CHAOS_SEED:-2012}"
 export REPRO_CHAOS_WORKERS="${REPRO_CHAOS_WORKERS:-2}"
 
-echo "== 1/11 smoke tests (pytest -m 'not slow') =="
+echo "== 1/12 smoke tests (pytest -m 'not slow') =="
 PYTHONPATH=src "$PYTHON" -m pytest tests -q -m "not slow"
 
-echo "== 2/11 parallel smoke (demo --workers 2) =="
+echo "== 2/12 parallel smoke (demo --workers 2) =="
 PYTHONPATH=src "$PYTHON" -m repro demo --steps 2 --n-per-dim 12 --workers 2
 
-echo "== 3/11 overlapped execution smoke (run --overlap, 2 workers) =="
-PYTHONPATH=src "$PYTHON" -m repro run --steps 2 --n-per-dim 12 --workers 2 \
-    --overlap --decomposition 2,1,1 --overload-depth 8
+echo "== 3/12 overlapped execution smoke (run --overlap, 2 workers) =="
+# 24^3 with the default overload depth (rcut + one cell = 10.7 Mpc/h):
+# rcut = 8 <= depth < 16 = half the domain width, the only valid order
+PYTHONPATH=src "$PYTHON" -m repro run --steps 1 --n-per-dim 24 --workers 2 \
+    --overlap --decomposition 2,1,1
 
-echo "== 4/11 chaos lane (pytest -m chaos, seed $REPRO_CHAOS_SEED) =="
+echo "== 4/12 chaos lane (pytest -m chaos, seed $REPRO_CHAOS_SEED) =="
 PYTHONPATH=src "$PYTHON" -m pytest tests -q -m chaos
 
-echo "== 5/11 chaos lane under $REPRO_CHAOS_WORKERS workers =="
+echo "== 5/12 chaos lane under $REPRO_CHAOS_WORKERS workers =="
 PYTHONPATH=src "$PYTHON" -m pytest tests/test_parallel_executor.py -q -m chaos
 
-echo "== 6/11 fig5 kernel + executor scaling benchmarks =="
+echo "== 6/12 fig5 kernel + executor scaling benchmarks =="
 (cd benchmarks && PYTHONPATH=../src "$PYTHON" -m pytest bench_fig5_kernel_threading.py bench_executor_scaling.py -q)
 
-echo "== 7/11 regression + health + speedup gate =="
+echo "== 7/12 regression + health + speedup gate =="
 if [ ! -d benchmarks/records/baseline ] || \
    ! ls benchmarks/records/baseline/BENCH_*.json >/dev/null 2>&1; then
     echo "no baseline found -- bootstrapping from this run"
@@ -67,7 +72,7 @@ if [ ! -d benchmarks/records/baseline ] || \
 fi
 "$PYTHON" benchmarks/check_regression.py --check-health --check-speedup
 
-echo "== 8/11 run ledger + critical-path report lane =="
+echo "== 8/12 run ledger + critical-path report lane =="
 CI_OBS_DIR="$(mktemp -d)"
 trap 'rm -rf "$CI_OBS_DIR"' EXIT
 PYTHONPATH=src "$PYTHON" -m repro profile --steps 2 --n-per-dim 8 \
@@ -90,10 +95,10 @@ print(f"report lane: verdict {rep['verdict']}, "
       f"{len(rep['phases'])} phases compared")
 PYEOF
 
-echo "== 9/11 kernel-backend speedup gate =="
+echo "== 9/12 kernel-backend speedup gate =="
 "$PYTHON" benchmarks/check_regression.py --check-kernel-speedup
 
-echo "== 10/11 measured roofline gate =="
+echo "== 10/12 measured roofline gate =="
 # the ledgered run from lane 7 already carries a registry.json; place
 # it on the calibrated host roofline (calibration caches in the ledger)
 PYTHONPATH=src "$PYTHON" -m repro report \
@@ -115,7 +120,7 @@ PYEOF
 (cd benchmarks && PYTHONPATH=../src "$PYTHON" -m pytest bench_roofline_measured.py -q)
 "$PYTHON" benchmarks/check_regression.py --check-roofline
 
-echo "== 11/11 campaign supervisor chaos lane =="
+echo "== 11/12 campaign supervisor chaos lane =="
 # A tiny 4-config campaign (one config injects a rank death that the
 # overload-replica recovery absorbs).  Mid-flight, SIGKILL both the
 # supervisor and its child -- a simulated node death -- then 'campaign
@@ -137,6 +142,7 @@ extra_args = ["--inject-slowdown", "shortrange:0.3"]
 [base]
 box_size = 64.0
 n_per_dim = 8
+grid_size = 16
 n_steps = 4
 n_subcycles = 1
 backend = "treepm"
@@ -214,6 +220,19 @@ bad = [e["run_id"] for e in entries
 assert not bad, f"campaign runs with bad verdicts: {bad}"
 print(f"campaign lane: 4/4 DONE, attempts {attempts}, "
       f"{len(campaign_runs)} ledger entries (exactly once)")
+PYEOF
+
+echo "== 12/12 end-to-end benchmark checks (traced treepm-f64-32) =="
+"$PYTHON" benchmarks/e2e/run.py --workload treepm-f64-32 --seed 1 \
+    --seconds 12 --trace 1 | tail -n 1 > "$CI_OBS_DIR/e2e.json"
+"$PYTHON" - "$CI_OBS_DIR/e2e.json" <<'PYEOF'
+import json, sys
+line = json.load(open(sys.argv[1]))
+assert line["failed"] == 0, \
+    f"{line['failed']} of {line['attempted']} benchmark children failed a check"
+err = line["metrics"]["shortrange.force_err_p99"]["value"]
+print(f"e2e lane: {line['attempted']} children, 0 failed, "
+      f"force_err_p99 {err:.2e}")
 PYEOF
 
 echo "ci_check: all gates passed"

@@ -469,6 +469,15 @@ def _cmd_run(args: argparse.Namespace) -> int:
                 max_attempts=args.retry_max_attempts
             )
 
+    def construct(build):
+        """A shape the driver rejects (overload depth below the cutoff,
+        shell wider than half a domain) is a one-line exit before the
+        first step, not a traceback."""
+        try:
+            return build()
+        except ValueError as exc:
+            raise SystemExit(f"run: {exc}")
+
     sim = None
     if args.resume:
         latest = find_latest_valid(args.resume)
@@ -477,7 +486,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
                 "no valid checkpoint under %s; starting fresh", args.resume
             )
         else:
-            sim = load_checkpoint(latest, **sim_kwargs)
+            sim = construct(lambda: load_checkpoint(latest, **sim_kwargs))
             logger.info(
                 "resuming from %s (step %d/%d, z = %.3f)",
                 latest, sim._step_index, sim.config.n_steps, sim.redshift,
@@ -492,8 +501,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
                 args.health_energy_warn = None
                 args.health_energy_crit = None
     if sim is None:
-        config = _demo_config(args)
-        sim = HACCSimulation(config, **sim_kwargs)
+        sim = construct(
+            lambda: HACCSimulation(_demo_config(args), **sim_kwargs)
+        )
 
     outdir = args.outdir or args.resume
     checkpointer = None

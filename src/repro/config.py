@@ -57,9 +57,6 @@ class SimulationConfig:
         Pair-block size of the batched short-range engine (bounds peak
         workspace memory; the batch analogue of sizing the working set
         to cache).
-    shortrange_naive:
-        Use the per-leaf / per-cell evaluation loops instead of the
-        batched engine — slower, retained for equivalence checking.
     eps_cells:
         Short-range force softening (cells^2).
     lpt_order:
@@ -121,7 +118,6 @@ class SimulationConfig:
     rcut_cells: float = 3.0
     leaf_size: int = 128
     chunk_pairs: int = 1 << 18
-    shortrange_naive: bool = False
     eps_cells: float = 0.0
     laplacian_order: int = 6
     gradient_order: int = 4

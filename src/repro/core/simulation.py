@@ -74,18 +74,20 @@ def _solve_domain(solver, rank, positions, masses, active):
 
     Mirrors the serial loop exactly (same actives-first stable ordering,
     same float operations) so results are bit-identical regardless of
-    where it runs.  Returns ``(rank, accelerations, pair_count,
-    tree_depth)``; the pair count is the worker kernel's private delta,
-    charged to the authoritative counters by the driver in rank order.
+    where it runs.  Returns ``(rank, accelerations, (streamed, inside),
+    tree_depth)``; the pair counts are the worker kernel's private
+    deltas, charged to the authoritative counters by the driver in rank
+    order.
     """
     get_fault_plan().sleep("shortrange.domain")
     if positions.shape[0] == 0:
-        return rank, np.zeros((0, 3), dtype=np.float64), 0, None
+        return rank, np.zeros((0, 3), dtype=np.float64), (0, 0), None
     order = np.argsort(~active, kind="stable")  # actives first
     n_act = int(np.count_nonzero(active))
-    k0 = solver.kernel.interaction_count
+    kern = solver.kernel
+    k0, i0 = kern.interaction_count, kern.inside_count
     local = solver.accelerations_cloud(positions[order], masses[order], n_act)
-    pairs = int(solver.kernel.interaction_count - k0)
+    pairs = (int(kern.interaction_count - k0), int(kern.inside_count - i0))
     depth = getattr(solver, "last_tree_depth", None)
     return rank, local, pairs, depth
 
@@ -146,7 +148,9 @@ class HACCSimulation:
         an overload refresh after every full step.
     overload_depth:
         Overload shell depth in Mpc/h; defaults to the short-range cutoff
-        plus one grid cell of drift margin.
+        plus one grid cell of drift margin.  With a short-range backend
+        a depth below the cutoff is a ``ValueError``: ghosts inside the
+        cutoff would be missing.
     retry_policy:
         Optional :class:`repro.resilience.retry.RetryPolicy`; when given
         (and the run is decomposed), the overload exchange communicates
@@ -241,7 +245,6 @@ class HACCSimulation:
                 config.backend,
                 self.kernel,
                 leaf_size=config.leaf_size,
-                naive=config.shortrange_naive,
                 chunk_pairs=config.chunk_pairs,
                 kernel_backend=self.kernel_backend,
             )
@@ -249,7 +252,6 @@ class HACCSimulation:
                 config.backend,
                 self.kernel,
                 leaf_size=config.leaf_size,
-                naive=config.shortrange_naive,
                 chunk_pairs=config.chunk_pairs,
                 kernel_backend=self.kernel_backend,
             )
@@ -277,6 +279,12 @@ class HACCSimulation:
                 if overload_depth is not None
                 else config.rcut() + config.spacing()
             )
+            if self.short_solver is not None and depth < config.rcut():
+                raise ValueError(
+                    f"overload depth {depth:g} Mpc/h is below the "
+                    f"short-range cutoff rcut = {config.rcut():g} Mpc/h: "
+                    f"sources across domain boundaries would be missing"
+                )
             comm = None
             if retry_policy is not None:
                 from repro.resilience.retry import ResilientComm
@@ -458,7 +466,7 @@ class HACCSimulation:
         """
         acc = np.zeros_like(positions)
         for dom, res in zip(domains, results):
-            rank, local, pairs, depth = res
+            rank, local, (pairs, inside), depth = res
             if tel.enabled:
                 tel.gauge("particles", dom.rank, dom.n_active)
                 tel.gauge("ghosts", dom.rank, dom.n_passive)
@@ -468,7 +476,7 @@ class HACCSimulation:
             if pairs:
                 # charge the authoritative counters here, in rank order:
                 # worker kernels tally privately (mirror_counters=False)
-                self.kernel.record_interactions(pairs)
+                self.kernel.record_interactions(pairs, inside)
             if tel.enabled:
                 tel.add_gauge("interactions", dom.rank, pairs)
                 if depth is not None:

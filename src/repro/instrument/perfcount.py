@@ -25,9 +25,15 @@ phase       per-unit flops / bytes
 ========== =============================================================
 shortrange  ``PAIR_FLOPS`` = 21 flops per pair interaction (Section III:
             168 flops per 26-instruction unrolled iteration covering 8
-            interactions); 4 streamed operands per pair (neighbor x, y,
-            z, m) × itemsize bytes — targets and accumulators stay in
-            registers, as in the QPX kernel.
+            interactions), split as the backends execute it:
+            ``PAIR_SEPARATION_FLOPS`` = 8 on every *streamed* pair (three
+            subtracts, three squares, two adds) and
+            ``PAIR_KERNEL_FLOPS`` = 13 on every pair *inside the cutoff*
+            (softening add, reciprocal square-root cube, degree-5
+            Horner, mass and three component multiply-accumulates); 4
+            streamed operands per streamed pair (neighbor x, y, z, m) ×
+            itemsize bytes — targets and accumulators stay in registers,
+            as in the QPX kernel.
 cic         47 flops per particle per pass: 12 coordinate preparation
             (scale/wrap/floor/frac × 3 dims) + 3 complement weights +
             16 corner-weight products (8 corners × 2 multiplies) + 16
@@ -51,7 +57,12 @@ from dataclasses import dataclass
 
 __all__ = [
     "PAIR_FLOPS",
+    "PAIR_SEPARATION_FLOPS",
+    "PAIR_KERNEL_FLOPS",
     "PAIR_STREAMED_OPERANDS",
+    "pair_flops",
+    "list_efficiency",
+    "list_efficiency_line",
     "CIC_FLOPS_PER_PARTICLE",
     "CIC_INDEX_BYTES",
     "FILTER_FLOPS_PER_POINT",
@@ -75,6 +86,11 @@ __all__ = [
 #: ``repro.shortrange.kernel`` imports this — one constant, two users.
 PAIR_FLOPS = 21.0
 
+#: the part of ``PAIR_FLOPS`` spent on every streamed pair (squared
+#: separation) and the part spent only inside the cutoff (the force)
+PAIR_SEPARATION_FLOPS = 8.0
+PAIR_KERNEL_FLOPS = PAIR_FLOPS - PAIR_SEPARATION_FLOPS
+
 #: values streamed per pair: neighbor x, y, z and mass (the target
 #: coordinates and the force accumulator live in registers)
 PAIR_STREAMED_OPERANDS = 4
@@ -93,6 +109,13 @@ FILTER_FLOPS_PER_POINT = 6.0
 #: complex operands touched per filtered point: field in, kernel in,
 #: field out
 FILTER_OPERANDS_PER_POINT = 3
+
+
+def pair_flops(n_streamed: float, n_inside: float) -> float:
+    """Flops of ``n_streamed`` listed pairs, ``n_inside`` within cutoff."""
+    return PAIR_SEPARATION_FLOPS * float(n_streamed) + (
+        PAIR_KERNEL_FLOPS * float(n_inside)
+    )
 
 
 def pair_bytes(n_pairs: float, itemsize: int) -> float:
@@ -242,6 +265,32 @@ def work_summary(source) -> list[PhaseWork]:
     return out
 
 
+def list_efficiency(counters: dict) -> float | None:
+    """In-cutoff share of the pairs the batched engine streamed.
+
+    ``pp.batch.inside_pairs`` ÷ ``pp.interactions`` of a counters dict;
+    ``None`` when no batched evaluation ran (``pm`` / ``direct``).
+    """
+    inside = float(counters.get("pp.batch.inside_pairs", 0.0))
+    streamed = float(counters.get("pp.interactions", 0.0))
+    if inside <= 0 or streamed <= 0:
+        return None
+    return inside / streamed
+
+
+def list_efficiency_line(counters: dict) -> str | None:
+    """The ``list efficiency`` line of ``report --roofline`` / ``profile``."""
+    efficiency = list_efficiency(counters)
+    if efficiency is None:
+        return None
+    return (
+        f"list efficiency: {100 * efficiency:.1f}% "
+        f"({float(counters['pp.batch.inside_pairs']):.3e} of "
+        f"{float(counters['pp.interactions']):.3e} streamed pairs "
+        f"inside the cutoff)"
+    )
+
+
 def achieved_gflops(source) -> float | None:
     """Whole-run achieved GFLOP/s: total charged flops over stepped time.
 
@@ -363,6 +412,13 @@ def roofline_table(
     if counters:
         from repro.instrument.overlap import overlap_efficiency
 
+        listed = list_efficiency(counters)
+        if listed is not None:
+            table["list_efficiency"] = {
+                "pp.batch.inside_pairs": counters["pp.batch.inside_pairs"],
+                "pp.interactions": counters["pp.interactions"],
+                "efficiency": listed,
+            }
         efficiency = overlap_efficiency(counters)
         if efficiency is not None:
             table["overlap"] = {
@@ -417,6 +473,8 @@ def render_roofline(table: dict) -> str:
             f"{100 * row['frac_peak']:6.2f}% {row['bound_by']:>8s} "
             f"{model_pct}"
         )
+    if "list_efficiency" in table:
+        lines.append(list_efficiency_line(table["list_efficiency"]))
     overlap = table.get("overlap")
     if overlap:
         lines.append(

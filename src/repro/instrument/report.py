@@ -36,6 +36,7 @@ import os
 from dataclasses import dataclass
 from pathlib import Path
 
+from repro.instrument.perfcount import list_efficiency_line
 from repro.instrument.registry import NullRegistry, Registry
 
 __all__ = [
@@ -217,6 +218,9 @@ def render_profile(
             f"  comm    {_fmt_count(comm_bytes)} bytes in "
             f"{_fmt_count(registry.counter('comm.messages'))} messages"
         )
+    listed = list_efficiency_line(registry.counters)
+    if listed:
+        lines.append(f"  {listed}")
     return "\n".join(lines)
 
 

@@ -23,16 +23,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.instrument import Counter, get_registry
-from repro.instrument.perfcount import PAIR_FLOPS, pair_bytes
+from repro.instrument.perfcount import pair_bytes, pair_flops
 from repro.shortrange.grid_force import GridForceFit
 
 __all__ = ["ShortRangeKernel"]
-
-#: pair-interaction flop count of the BG/Q kernel (Section III: 168 flops
-#: per 26-instruction unrolled iteration covering 8 interactions); the
-#: constant lives in ``repro.instrument.perfcount`` with the rest of the
-#: analytic work model and is re-exported here for backward compatibility
-FLOPS_PER_INTERACTION = PAIR_FLOPS
 
 
 @dataclass
@@ -82,6 +76,8 @@ class ShortRangeKernel:
         #: cumulative pair evaluations (perf model); an instrument Counter
         #: so the profiler and the simulation report the same number
         self._interactions = Counter("pp.interactions")
+        #: how many of those ran the force polynomial (inside the cutoff)
+        self._inside = 0
 
     # ------------------------------------------------------------------
     def f_sr_cells(self, s_cells) -> np.ndarray:
@@ -192,18 +188,23 @@ class ShortRangeKernel:
         self.record_interactions(nt * nsrc)
         return out
 
-    def record_interactions(self, n: int) -> None:
-        """Charge ``n`` pair evaluations to the interaction/flop counters.
+    def record_interactions(self, n: int, inside: int | None = None) -> None:
+        """Charge ``n`` streamed pairs, ``inside`` of them within cutoff.
 
-        Shared by the per-leaf path and the batched engine so both report
-        the identical ``pp.interactions`` number for the same lists.
+        ``pp.interactions`` and ``pp.bytes`` count streamed pairs; the
+        separation flops are charged per streamed pair and the force
+        flops per inside pair.  :meth:`accumulate` evaluates the masked
+        force on every pair it is given, so it leaves ``inside`` at
+        ``n``; the batched engine passes the backend's in-cutoff count.
         """
+        inside = n if inside is None else inside
+        self._inside += inside
         if not self.mirror_counters:
             self._interactions.value += n  # private tally, no registry
             return
         self._interactions.add(n)
         reg = get_registry()
-        reg.count("pp.flops", FLOPS_PER_INTERACTION * n)
+        reg.count("pp.flops", pair_flops(n, inside))
         # streamed traffic of the same pairs in the kernel's precision —
         # the f32 path charges half the bytes of f64 for identical flops
         reg.count("pp.bytes", pair_bytes(n, np.dtype(self.dtype).itemsize))
@@ -211,13 +212,19 @@ class ShortRangeKernel:
     # ------------------------------------------------------------------
     @property
     def interaction_count(self) -> int:
-        """Cumulative pair evaluations (backed by the ``pp.interactions``
+        """Cumulative streamed pairs (backed by the ``pp.interactions``
         instrument counter)."""
         return self._interactions.value
 
+    @property
+    def inside_count(self) -> int:
+        """Cumulative pairs that ran the force (inside the cutoff)."""
+        return self._inside
+
     def flops(self) -> float:
         """Flops represented by the interactions evaluated so far."""
-        return FLOPS_PER_INTERACTION * self.interaction_count
+        return pair_flops(self.interaction_count, self.inside_count)
 
     def reset_counters(self) -> None:
         self._interactions.reset()
+        self._inside = 0

@@ -11,7 +11,7 @@ single-thread work item.
 center-of-mass rule as the tree itself, so blocks carry near-equal
 *particle counts* even for clustered data), builds one RCB tree per
 block, and evaluates each leaf against the union of the interaction
-lists gathered from *all* trees.  The result is identical to the
+lists gathered from *all* trees.  The result agrees with the
 single-tree solver — asserted by tests — while
 :meth:`last_balance_report` quantifies the threading win: max/mean
 block size (build balance) and per-block kernel work.
@@ -26,11 +26,10 @@ import numpy as np
 from repro.shortrange.batch import (
     DEFAULT_CHUNK_PAIRS,
     BatchedPairEngine,
-    InteractionBatch,
-    batch_box_query,
+    pack_forest,
 )
 from repro.shortrange.kernel import ShortRangeKernel
-from repro.shortrange.rcb_tree import RCBTree, ranges_to_indices
+from repro.shortrange.rcb_tree import RCBTree
 from repro.shortrange.solvers import ShortRangeSolver
 
 __all__ = ["MultiTreeShortRange", "rcb_blocks"]
@@ -90,14 +89,13 @@ class MultiTreeShortRange(ShortRangeSolver):
     n_trees:
         Number of trees (power of two; 1 reduces to the single-tree
         path).
-    naive:
-        ``False`` (default) concatenates every tree into one combined
-        index space, packs all cross-tree interaction lists into a
-        single :class:`~repro.shortrange.batch.InteractionBatch`, and
-        evaluates it with the batched engine.  ``True`` keeps the
-        original per-leaf, per-source-tree loop for equivalence tests.
     chunk_pairs:
         Pair-block size of the batched engine.
+
+    Every tree is concatenated into one combined index space, all
+    cross-tree interaction lists are packed into a single
+    :class:`~repro.shortrange.batch.InteractionBatch`, and the batched
+    engine evaluates it.
     """
 
     def __init__(
@@ -105,7 +103,6 @@ class MultiTreeShortRange(ShortRangeSolver):
         kernel: ShortRangeKernel,
         leaf_size: int = 128,
         n_trees: int = 4,
-        naive: bool = False,
         chunk_pairs: int = DEFAULT_CHUNK_PAIRS,
     ) -> None:
         super().__init__(kernel)
@@ -117,196 +114,55 @@ class MultiTreeShortRange(ShortRangeSolver):
             )
         self.leaf_size = int(leaf_size)
         self.n_trees = int(n_trees)
-        self.naive = bool(naive)
         self.engine = BatchedPairEngine(kernel, chunk_pairs=chunk_pairs)
         self._report: list[_BlockReport] = []
 
     # ------------------------------------------------------------------
     def accelerations_cloud(self, positions, masses, n_targets):
-        blocks = rcb_blocks(positions, masses, self.n_trees)
-        trees: list[RCBTree | None] = []
-        for b in blocks:
-            trees.append(
-                RCBTree(positions[b], masses[b], leaf_size=self.leaf_size)
-                if b.size
-                else None
-            )
-        if not self.naive:
-            return self._accelerations_batched(
-                positions, blocks, trees, n_targets
-            )
-        acc = np.zeros((positions.shape[0], 3), dtype=np.float64)
-        self._report = []
-        rcut = self.kernel.rcut
-        for b, tree in zip(blocks, trees):
-            if tree is None:
-                self._report.append(_BlockReport(0, 0, 0))
-                continue
-            before = self.kernel.interaction_count
-            n_leaves = 0
-            for leaf in tree.leaves():
-                node = tree.node(leaf)
-                seg = slice(node.start, node.start + node.count)
-                orig = b[tree.perm[seg]]
-                if not np.any(orig < n_targets):
-                    continue
-                n_leaves += 1
-                # gather the shared interaction list across ALL trees:
-                # any block can contribute sources within rcut of this
-                # leaf's bounding box
-                contrib = np.zeros((node.count, 3))
-                for b2, t2 in zip(blocks, trees):
-                    if t2 is None:
-                        continue
-                    ilist = self._box_query(t2, node.lo, node.hi, rcut)
-                    if ilist.size == 0:
-                        continue
-                    contrib += self.kernel.accumulate(
-                        tree.positions[seg],
-                        t2.positions[ilist],
-                        t2.masses[ilist],
-                    )
-                acc[orig] = contrib
-            self._report.append(
-                _BlockReport(
-                    n_particles=int(b.size),
-                    n_leaves=n_leaves,
-                    interactions=int(
-                        self.kernel.interaction_count - before
-                    ),
-                )
-            )
-        return acc[:n_targets]
-
-    def _accelerations_batched(self, positions, blocks, trees, n_targets):
         """Pack all trees' cross-tree lists into one batch and evaluate.
 
         Every tree's particle arrays are concatenated into one combined
-        index space (per-tree base offsets); each query leaf's neighbor
-        list is the union of its :func:`batch_box_query` hits over all
-        trees, so the batch encodes exactly the per-source-tree sums of
-        the naive loop — same pairs, same ``pp.interactions``.
+        index space, which :func:`~repro.shortrange.batch.pack_forest`
+        packs: each leaf's list gathers sources from *all* trees.
         """
+        blocks = rcb_blocks(positions, masses, self.n_trees)
         live = [
-            (bi, b, t)
-            for bi, (b, t) in enumerate(zip(blocks, trees))
-            if t is not None
+            (bi, b, RCBTree(positions[b], masses[b], leaf_size=self.leaf_size))
+            for bi, b in enumerate(blocks)
+            if b.size
         ]
         acc = np.zeros((positions.shape[0], 3), dtype=np.float64)
-        rcut = self.kernel.rcut
         self._report = [_BlockReport(0, 0, 0) for _ in blocks]
         if not live:
             return acc[:n_targets]
-        base = np.cumsum([0] + [t.n_particles for _, _, t in live])
-        cat_pos = np.concatenate([t.positions for _, _, t in live], axis=0)
-        cat_m = np.concatenate([t.masses for _, _, t in live])
+        trees = [t for _, _, t in live]
+        cat_pos = np.concatenate([t.positions for t in trees], axis=0)
+        cat_m = np.concatenate([t.masses for t in trees])
         # combined-index -> caller-index map for the final scatter
         cat_orig = np.concatenate([b[t.perm] for _, b, t in live])
-
-        # query leaves (those holding at least one real target), per tree
-        q_lo: list[np.ndarray] = []
-        q_hi: list[np.ndarray] = []
-        t_start: list[np.ndarray] = []
-        t_count: list[np.ndarray] = []
-        q_block: list[np.ndarray] = []
-        for ti, (_, b, t) in enumerate(live):
-            leaf = t.leaf_ids()
-            real = b[t.perm] < n_targets
-            if not real.all():
-                has_target = np.logical_or.reduceat(
-                    real, t.node_start[leaf]
-                )
-                leaf = leaf[has_target]
-            if leaf.size == 0:
-                continue
-            q_lo.append(t.node_lo[leaf])
-            q_hi.append(t.node_hi[leaf])
-            t_start.append(base[ti] + t.node_start[leaf])
-            t_count.append(t.node_count[leaf])
-            q_block.append(np.full(leaf.size, ti, dtype=np.int64))
-        if not q_lo:
-            return acc[:n_targets]
-        qlo = np.concatenate(q_lo, axis=0) - rcut
-        qhi = np.concatenate(q_hi, axis=0) + rcut
-        tstarts = np.concatenate(t_start)
-        tcounts = np.concatenate(t_count)
-        qblock = np.concatenate(q_block)
-        nq = tstarts.size
-
-        # one multi-query walk per source tree; concatenating in tree
-        # order then stable-sorting by query reproduces the naive loop's
-        # per-source-tree neighbor ordering within each group
-        all_q: list[np.ndarray] = []
-        all_start: list[np.ndarray] = []
-        all_count: list[np.ndarray] = []
-        for ti, (_, _, t) in enumerate(live):
-            hq, hn = batch_box_query(t, qlo, qhi)
-            if hq.size == 0:
-                continue
-            all_q.append(hq)
-            all_start.append(base[ti] + t.node_start[hn])
-            all_count.append(t.node_count[hn])
-        targets = ranges_to_indices(tstarts, tcounts)
-        target_offsets = np.zeros(nq + 1, dtype=np.int64)
-        np.cumsum(tcounts, out=target_offsets[1:])
-        if all_q:
-            hq = np.concatenate(all_q)
-            hstart = np.concatenate(all_start)
-            hcount = np.concatenate(all_count)
-            order = np.argsort(hq, kind="stable")
-            neighbor_indices = ranges_to_indices(
-                hstart[order], hcount[order]
-            )
-            per_query = np.bincount(
-                hq, weights=hcount.astype(np.float64), minlength=nq
-            ).astype(np.int64)
-        else:
-            neighbor_indices = np.empty(0, dtype=np.int64)
-            per_query = np.zeros(nq, dtype=np.int64)
-        neighbor_offsets = np.zeros(nq + 1, dtype=np.int64)
-        np.cumsum(per_query, out=neighbor_offsets[1:])
-        batch = InteractionBatch(
-            targets, target_offsets, neighbor_indices, neighbor_offsets
+        batch = pack_forest(
+            trees, cat_orig < n_targets, cat_pos, self.kernel.rcut
         )
-        acc_cat = self.engine.evaluate(batch, cat_pos, cat_m)
-        acc[cat_orig] = acc_cat
+        acc[cat_orig] = self.engine.evaluate(batch, cat_pos, cat_m)
 
-        # per-block balance metrics, identical in meaning to the naive path
+        # per-block balance metrics; a group belongs to the tree that
+        # holds its targets
+        base = np.cumsum([0] + [t.n_particles for t in trees])
+        group_tree = (
+            np.searchsorted(
+                base, batch.targets[batch.target_offsets[:-1]], side="right"
+            )
+            - 1
+        )
         pair_counts = batch.group_pair_counts()
-        for ti, (bi, b, t) in enumerate(live):
-            mine = qblock == ti
+        for ti, (bi, b, _) in enumerate(live):
+            mine = group_tree == ti
             self._report[bi] = _BlockReport(
                 n_particles=int(b.size),
                 n_leaves=int(np.count_nonzero(mine)),
                 interactions=int(pair_counts[mine].sum()),
             )
         return acc[:n_targets]
-
-    @staticmethod
-    def _box_query(
-        tree: RCBTree, lo: np.ndarray, hi: np.ndarray, rcut: float
-    ) -> np.ndarray:
-        """Tree-order indices of particles within rcut of box [lo, hi]."""
-        qlo, qhi = lo - rcut, hi + rcut
-        out: list[np.ndarray] = []
-        stack = [0] if tree.n_nodes else []
-        while stack:
-            i = stack.pop()
-            node = tree.node(i)
-            if np.any(node.lo > qhi) or np.any(node.hi < qlo):
-                continue
-            if node.is_leaf:
-                out.append(
-                    np.arange(
-                        node.start, node.start + node.count, dtype=np.int64
-                    )
-                )
-            else:
-                stack.append(node.left)
-                stack.append(node.right)
-        if not out:
-            return np.empty(0, dtype=np.int64)
-        return np.concatenate(out)
 
     # ------------------------------------------------------------------
     def last_balance_report(self) -> dict:

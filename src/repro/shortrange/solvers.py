@@ -104,7 +104,6 @@ def build_solver(
     kernel: ShortRangeKernel,
     *,
     leaf_size: int = 128,
-    naive: bool = False,
     chunk_pairs: int = DEFAULT_CHUNK_PAIRS,
     kernel_backend: str | None = None,
 ) -> "ShortRangeSolver":
@@ -120,14 +119,12 @@ def build_solver(
         return TreePMShortRange(
             kernel,
             leaf_size=leaf_size,
-            naive=naive,
             chunk_pairs=chunk_pairs,
             kernel_backend=kernel_backend,
         )
     if backend == "p3m":
         return P3MShortRange(
             kernel,
-            naive=naive,
             chunk_pairs=chunk_pairs,
             kernel_backend=kernel_backend,
         )
@@ -176,7 +173,6 @@ def solver_from_spec(spec: dict) -> "ShortRangeSolver":
         spec["backend"],
         kernel,
         leaf_size=spec.get("leaf_size", 128),
-        naive=spec.get("naive", False),
         chunk_pairs=spec.get("chunk_pairs", DEFAULT_CHUNK_PAIRS),
         kernel_backend=spec.get("kernel_backend"),
     )
@@ -242,19 +238,17 @@ class DirectShortRange(ShortRangeSolver):
 class TreePMShortRange(ShortRangeSolver):
     """The BG/Q backend: RCB tree + shared-leaf interaction lists.
 
+    Every leaf's list is packed into one
+    :class:`~repro.shortrange.batch.InteractionBatch` and streamed
+    through the chunked :class:`~repro.shortrange.batch.BatchedPairEngine`
+    — the paper's list-then-stream structure.
+
     Parameters
     ----------
     kernel:
         The fitted short-range kernel.
     leaf_size:
         Fat-leaf capacity (the walk/kernel crossover knob of Section III).
-    naive:
-        ``False`` (default) packs every leaf's list into one
-        :class:`~repro.shortrange.batch.InteractionBatch` and streams it
-        through the chunked :class:`~repro.shortrange.batch.BatchedPairEngine`
-        — the paper's list-then-stream structure.  ``True`` keeps the
-        original walk-evaluate-per-leaf loop; it computes the identical
-        force and exists for the equivalence suite and A/B benchmarks.
     chunk_pairs:
         Pair-block size of the batched engine (peak-workspace knob).
     kernel_backend:
@@ -266,7 +260,6 @@ class TreePMShortRange(ShortRangeSolver):
         self,
         kernel: ShortRangeKernel,
         leaf_size: int = 128,
-        naive: bool = False,
         chunk_pairs: int = DEFAULT_CHUNK_PAIRS,
         kernel_backend: str | None = None,
     ) -> None:
@@ -274,11 +267,10 @@ class TreePMShortRange(ShortRangeSolver):
         if leaf_size < 1:
             raise ValueError(f"leaf_size must be >= 1: {leaf_size}")
         self.leaf_size = int(leaf_size)
-        self.naive = bool(naive)
         self.engine = BatchedPairEngine(
             kernel, chunk_pairs=chunk_pairs, backend=kernel_backend
         )
-        #: populated after each evaluation: interaction-list sizes per leaf
+        #: populated after each evaluation: streamed list size per leaf
         self.last_list_sizes: np.ndarray | None = None
         #: populated after each evaluation: RCB tree depth (telemetry gauge)
         self.last_tree_depth: int = 0
@@ -289,8 +281,6 @@ class TreePMShortRange(ShortRangeSolver):
             tree = RCBTree(positions, masses, leaf_size=self.leaf_size)
         self.last_tree_depth = tree.depth()
         reg.count("tree.build_particles", positions.shape[0])
-        if self.naive:
-            return self._accelerations_naive(tree, n_targets)
         with reg.span("tree.walk"):
             batch = pack_tree(tree, self.kernel.rcut, n_targets)
         sizes = batch.group_neighbor_counts()
@@ -299,32 +289,6 @@ class TreePMShortRange(ShortRangeSolver):
         acc_tree = self.engine.evaluate(batch, tree.positions, tree.masses)
         acc = np.zeros((positions.shape[0], 3), dtype=acc_tree.dtype)
         acc[tree.perm] = acc_tree
-        return acc[:n_targets]
-
-    def _accelerations_naive(self, tree: RCBTree, n_targets: int):
-        """The original per-leaf walk + evaluate loop (``naive=True``)."""
-        reg = get_registry()
-        acc = np.zeros((tree.n_particles, 3), dtype=self.kernel.dtype)
-        rcut = self.kernel.rcut
-        sizes = []
-        for leaf in tree.leaves():
-            node = tree.node(leaf)
-            seg = slice(node.start, node.start + node.count)
-            # skip leaves that contain no real targets (pure ghosts)
-            tgt_orig = tree.perm[seg]
-            if not np.any(tgt_orig < n_targets):
-                continue
-            with reg.span("tree.walk"):
-                ilist = tree.interaction_list(leaf, rcut)
-            sizes.append(ilist.size)
-            contrib = self.kernel.accumulate(
-                tree.positions[seg],
-                tree.positions[ilist],
-                tree.masses[ilist],
-            )
-            acc[tgt_orig] = contrib
-        reg.count("tree.list_length", int(sum(sizes)))
-        self.last_list_sizes = np.asarray(sizes, dtype=np.int64)
         return acc[:n_targets]
 
 
@@ -336,22 +300,19 @@ class P3MShortRange(ShortRangeSolver):
     the "no mediating tree" limit where leaf populations reach ~1e5 on
     accelerated hardware.
 
-    ``naive=False`` (default) builds the whole chaining-mesh neighborhood
-    as one :class:`~repro.shortrange.batch.InteractionBatch` (a single
-    vectorized 27-offset computation over all occupied cells) and streams
-    it through the batched engine; ``naive=True`` keeps the original
-    per-cell Python loop for the equivalence suite.
+    The whole chaining-mesh neighborhood is built as one
+    :class:`~repro.shortrange.batch.InteractionBatch` (a single
+    vectorized 27-offset computation over all occupied cells), tightened
+    like every other packer's, and streamed through the batched engine.
     """
 
     def __init__(
         self,
         kernel: ShortRangeKernel,
-        naive: bool = False,
         chunk_pairs: int = DEFAULT_CHUNK_PAIRS,
         kernel_backend: str | None = None,
     ) -> None:
         super().__init__(kernel)
-        self.naive = bool(naive)
         self.engine = BatchedPairEngine(
             kernel, chunk_pairs=chunk_pairs, backend=kernel_backend
         )
@@ -377,9 +338,9 @@ class P3MShortRange(ShortRangeSolver):
     def _pack_cells(self, ncell, uniq, starts, order) -> InteractionBatch:
         """All 27-neighborhoods of all occupied cells as one CSR batch.
 
-        Offsets enumerate in the same row-major (ox, oy, oz) order —
-        self cell included — as the naive triple loop, so the per-cell
-        neighbor concatenation is identical.
+        Offsets enumerate in row-major (ox, oy, oz) order, self cell
+        included; every cell member is a target here, the caller
+        tightens the batch.
         """
         n_occ = uniq.size
         czi = uniq % ncell[2]
@@ -430,47 +391,9 @@ class P3MShortRange(ShortRangeSolver):
             return np.zeros((0, 3), dtype=self.kernel.dtype)
         with get_registry().span("p3m.binning"):
             ncell, uniq, starts, order = self._bin(pos)
-        if self.naive:
-            return self._accelerations_naive(
-                pos, masses, n_targets, ncell, uniq, starts, order
-            )
         with get_registry().span("p3m.pack"):
-            batch = self._pack_cells(ncell, uniq, starts, order)
-        acc = self.engine.evaluate(batch, pos, masses)
-        return acc[:n_targets]
-
-    def _accelerations_naive(
-        self, pos, masses, n_targets, ncell, uniq, starts, order
-    ):
-        """The original per-cell walk + evaluate loop (``naive=True``)."""
-        n_cloud = pos.shape[0]
-        acc = np.zeros((n_cloud, 3), dtype=self.kernel.dtype)
-        members = {
-            int(u): order[starts[i] : starts[i + 1]]
-            for i, u in enumerate(uniq)
-        }
-
-        def cell_id(cx, cy, cz):
-            if not (
-                0 <= cx < ncell[0] and 0 <= cy < ncell[1] and 0 <= cz < ncell[2]
-            ):
-                return None  # open boundaries: the cloud includes ghosts
-            return int((cx * ncell[1] + cy) * ncell[2] + cz)
-
-        for u in uniq:
-            tgt = members[int(u)]
-            cz = int(u % ncell[2])
-            cy = int((u // ncell[2]) % ncell[1])
-            cx = int(u // (ncell[1] * ncell[2]))
-            neigh = []
-            for ox in (-1, 0, 1):
-                for oy in (-1, 0, 1):
-                    for oz in (-1, 0, 1):
-                        cid = cell_id(cx + ox, cy + oy, cz + oz)
-                        if cid is not None and cid in members:
-                            neigh.append(members[cid])
-            src = np.concatenate(neigh)
-            acc[tgt] = self.kernel.accumulate(
-                pos[tgt], pos[src], masses[src]
+            batch = self._pack_cells(ncell, uniq, starts, order).tightened(
+                order < n_targets, pos, self.kernel.rcut
             )
+        acc = self.engine.evaluate(batch, pos, masses)
         return acc[:n_targets]

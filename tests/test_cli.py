@@ -71,6 +71,18 @@ class TestRunCommand:
         with pytest.raises(SystemExit):
             main(self._base(tmp_path) + ["--decomposition", "2,2"])
 
+    def test_overload_depth_below_cutoff_rejected(self, tmp_path, capsys):
+        """Depth 0.5 Mpc/h under a 24 Mpc/h cutoff: one line naming
+        both, non-zero exit, nothing stepped or written."""
+        out = tmp_path / "shallow"
+        with pytest.raises(SystemExit) as exc:
+            main(self._base(out) + ["--decomposition", "2,1,1",
+                                    "--overload-depth", "0.5"])
+        message = str(exc.value.code)
+        assert "0.5" in message and "24" in message and "rcut" in message
+        assert "\n" not in message
+        assert not out.exists()
+
     def test_bad_rank_death_spec_rejected(self, tmp_path):
         with pytest.raises(SystemExit):
             main(self._base(tmp_path) + ["--inject-rank-death", "nope"])
@@ -79,7 +91,8 @@ class TestRunCommand:
     def test_recovered_rank_death_exits_zero(self, tmp_path):
         out = tmp_path / "chaos"
         argv = self._base(out) + [
-            "--decomposition", "2,1,1", "--overload-depth", "14",
+            "--n-per-dim", "16", "--decomposition", "2,1,1",
+            "--overload-depth", "14",
             "--inject-rank-death", "1:1", "--fault-seed", "2012",
         ]
         assert main(argv) == 0
@@ -92,7 +105,8 @@ class TestRunCommand:
     def test_unrecovered_rank_death_exits_two(self, tmp_path):
         out = tmp_path / "chaos2"
         argv = self._base(out) + [
-            "--decomposition", "2,1,1", "--overload-depth", "14",
+            "--n-per-dim", "16", "--decomposition", "2,1,1",
+            "--overload-depth", "14",
             "--inject-rank-death", "1:0", "--no-recovery", "--health",
             "--fault-seed", "2012",
         ]
@@ -102,7 +116,8 @@ class TestRunCommand:
     def test_retry_absorbs_comm_faults(self, tmp_path):
         out = tmp_path / "chaos3"
         argv = self._base(out) + [
-            "--decomposition", "2,1,1", "--overload-depth", "14",
+            "--n-per-dim", "16", "--decomposition", "2,1,1",
+            "--overload-depth", "14",
             "--retry", "--inject-comm-failures", "1.0",
             "--inject-comm-max", "2", "--fault-seed", "2012",
         ]

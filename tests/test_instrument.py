@@ -441,8 +441,11 @@ class TestSimulationIntegration:
         sim.run()
         assert sim.interaction_count() > 0
         assert reg.counter("pp.interactions") == sim.interaction_count()
-        assert reg.counter("pp.flops") == pytest.approx(
-            21.0 * sim.interaction_count()
+        # 8 separation flops per streamed pair, 13 more inside the cutoff
+        inside = reg.counter("pp.batch.inside_pairs")
+        assert 0 < inside < sim.interaction_count()
+        assert reg.counter("pp.flops") == (
+            8.0 * sim.interaction_count() + 13.0 * inside
         )
 
     def test_pm_run_records_no_shortrange(self):
@@ -537,8 +540,8 @@ class TestReport:
         assert rec["instrument"]["counters"]["pp.interactions"] == (
             sim.interaction_count()
         )
-        # the batched engine charges PP time to pp.batch (the naive
-        # per-leaf path would charge pp.kernel; both feed the same row)
+        # the batched engine charges PP time to pp.batch (the direct
+        # solver charges pp.kernel; both feed the same row)
         assert rec["instrument"]["sections"]["pp.batch"]["seconds"] > 0
 
 

@@ -40,10 +40,13 @@ from repro.shortrange.backends.numba_backend import (
     _pair_accumulate_impl,
 )
 from repro.shortrange.backends.numpy_backend import NumpyBackend
+from repro.shortrange.batch import pack_tree
 from repro.shortrange.kernel import ShortRangeKernel
+from repro.shortrange.rcb_tree import RCBTree
 from repro.shortrange.solvers import (
     TreePMShortRange,
     build_solver,
+    periodic_ghosts,
     solver_from_spec,
     solver_spec,
 )
@@ -191,6 +194,16 @@ class TestInterpretedNumbaEquivalence:
         nb_solver.accelerations(pos, None, BOX)
         nb_pairs = kernel.interaction_count - before
         assert ref_pairs == nb_pairs > 0
+        # ... and both are the pairs the packed batch streams
+        cloud, cloud_m = periodic_ghosts(pos, np.ones(120), BOX, kernel.rcut)
+        batch = pack_tree(
+            RCBTree(cloud, cloud_m, leaf_size=16), kernel.rcut, 120
+        )
+        assert ref_pairs == batch.n_pairs
+        assert (
+            ref_solver.engine.last_inside_pairs
+            == nb_solver.engine.last_inside_pairs
+        )
 
     def test_cic_gather_bitwise(self, interpreted_numba, rng):
         n = 8

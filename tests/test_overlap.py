@@ -54,6 +54,9 @@ def tiny_config(workers: int = 1, executor: str = "serial",
     base = dict(
         box_size=BOX,
         n_per_dim=8,
+        # a 16^3 PM grid puts the cutoff at 12 Mpc/h, inside the overload
+        # shell: rcut <= DEPTH < half the 32 Mpc/h domain width
+        grid_size=16,
         z_initial=20.0,
         z_final=5.0,
         n_steps=2,

@@ -224,7 +224,11 @@ class TestWorkInvariance:
     def test_precision_halves_pair_bytes_only(self):
         f64 = self._run_counters()
         f32 = self._run_counters(dtype="f32")
-        assert f32["pp.flops"] == f64["pp.flops"]
+        # separation flops follow the streamed pairs (equal); the force
+        # flops follow the pairs each precision finds inside the cutoff,
+        # which differ by the few lattice pairs sitting on it
+        assert f32["pp.flops"] == pytest.approx(f64["pp.flops"], rel=1e-5)
+        assert f32["pp.interactions"] == f64["pp.interactions"]
         assert f32["pp.bytes"] == f64["pp.bytes"] / 2
         assert f32["cic.flops"] == f64["cic.flops"]
 

@@ -1,15 +1,18 @@
 """Tests for the batched pair engine, packing, and hot-path caches.
 
-The equivalence suite is the contract of the PR that introduced the
-batched engine: the CSR-packed, chunked evaluation must match both the
-O(N^2) direct reference and the original per-leaf / per-cell loops
-(``naive=True``) on clustered, uniform and near-boundary particle sets —
-with the identical ``pp.interactions`` count, since the batch encodes
-exactly the same lists.
+The equivalence suite is the contract of the batched engine: the
+CSR-packed, chunked evaluation must match the naive O(N^2) direct sum
+(``DirectShortRange``, the one oracle) on clustered, uniform and
+near-boundary particle sets, and ``pp.interactions`` must be the pairs
+the batch streams.  The tight-list suite pins what
+``InteractionBatch.tightened`` promises: only real targets, only
+sources that can matter, and never a changed bit.
 """
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.fft.local import (
     clear_plan_caches,
@@ -119,19 +122,58 @@ class TestInteractionBatch:
         assert b.n_pairs == 8
 
 
+def group_slices(batch, g):
+    """``(targets, sources)`` index arrays of group ``g``."""
+    return (
+        batch.targets[batch.target_offsets[g] : batch.target_offsets[g + 1]],
+        batch.neighbor_indices[
+            batch.neighbor_offsets[g] : batch.neighbor_offsets[g + 1]
+        ],
+    )
+
+
+def uncut_batch(tree, rcut, n_targets):
+    """Hand-built reference: real targets only, whole hit leaves listed."""
+    real = tree.perm < n_targets
+    targets, sources = [], []
+    for leaf in tree.leaf_ids():
+        node = tree.node(int(leaf))
+        members = np.arange(node.start, node.start + node.count)
+        members = members[real[members]]
+        if members.size:
+            targets.append(members)
+            sources.append(tree.interaction_list(int(leaf), rcut))
+    offsets = lambda parts: np.concatenate(  # noqa: E731
+        ([0], np.cumsum([p.size for p in parts]))
+    ).astype(np.int64)
+    return InteractionBatch(
+        np.concatenate(targets), offsets(targets),
+        np.concatenate(sources), offsets(sources),
+    )
+
+
 class TestPackTree:
     def test_matches_per_leaf_interaction_lists(self, rng):
+        """Each list is the leaf's walk list, in order, less the sources
+        farther than rcut from every target of the leaf."""
         pos = clustered_cloud(rng, 400)
         tree = RCBTree(pos, leaf_size=16)
         batch = pack_tree(tree, rcut=3.0)
         leaf_ids = tree.leaf_ids()
         assert batch.n_groups == leaf_ids.size
+        culled = 0
         for g, leaf in enumerate(leaf_ids):
-            expect = tree.interaction_list(int(leaf), 3.0)
-            got = batch.neighbor_indices[
-                batch.neighbor_offsets[g] : batch.neighbor_offsets[g + 1]
-            ]
-            np.testing.assert_array_equal(got, expect)
+            walk = tree.interaction_list(int(leaf), 3.0)
+            tgt, got = group_slices(batch, g)
+            np.testing.assert_array_equal(got, walk[np.isin(walk, got)])
+            sep = np.linalg.norm(
+                tree.positions[tgt][:, None] - tree.positions[walk][None],
+                axis=2,
+            )
+            must_keep = walk[(sep <= 3.0).any(axis=0)]
+            assert np.isin(must_keep, got).all()
+            culled += walk.size - got.size
+        assert culled > 0
 
     def test_targets_partition_particles(self, rng):
         pos = uniform_cloud(rng, 300)
@@ -171,7 +213,7 @@ class TestWorkspace:
 # the equivalence suite
 # ----------------------------------------------------------------------
 class TestEquivalence:
-    """Batched engine vs direct O(N^2) vs the old per-leaf/per-cell path."""
+    """Batched engine vs the naive O(N^2) direct sum, the one oracle."""
 
     @pytest.mark.parametrize("cloud", sorted(CLOUDS))
     def test_treepm_batched_vs_direct_and_naive_f64(
@@ -183,11 +225,7 @@ class TestEquivalence:
         batched = TreePMShortRange(kernel, leaf_size=16).accelerations(
             pos, m, box_size=BOX
         )
-        naive = TreePMShortRange(
-            kernel, leaf_size=16, naive=True
-        ).accelerations(pos, m, box_size=BOX)
         assert_forces_close(batched, ref, 1e-6)
-        assert_forces_close(batched, naive, 1e-6)
 
     @pytest.mark.parametrize("cloud", sorted(CLOUDS))
     def test_treepm_batched_vs_naive_f32(self, kernel32, rng, cloud):
@@ -196,20 +234,17 @@ class TestEquivalence:
         batched = TreePMShortRange(kernel32, leaf_size=16).accelerations(
             pos, m, box_size=BOX
         )
-        naive = TreePMShortRange(
-            kernel32, leaf_size=16, naive=True
-        ).accelerations(pos, m, box_size=BOX)
-        assert_forces_close(batched, naive, 1e-4)
+        ref = DirectShortRange(kernel32).accelerations(pos, m, box_size=BOX)
+        assert batched.dtype == np.float32
+        assert_forces_close(batched, ref, 1e-4)
 
     @pytest.mark.parametrize("cloud", sorted(CLOUDS))
     def test_p3m_batched_vs_naive(self, kernel, rng, cloud):
         pos = CLOUDS[cloud](rng, 500)
         m = rng.uniform(0.5, 1.5, 500)
         batched = P3MShortRange(kernel).accelerations(pos, m, box_size=BOX)
-        naive = P3MShortRange(kernel, naive=True).accelerations(
-            pos, m, box_size=BOX
-        )
-        assert_forces_close(batched, naive, 1e-6)
+        ref = DirectShortRange(kernel).accelerations(pos, m, box_size=BOX)
+        assert_forces_close(batched, ref, 1e-6)
 
     def test_multitree_batched_vs_naive(self, kernel, rng):
         pos = clustered_cloud(rng, 500)
@@ -217,52 +252,57 @@ class TestEquivalence:
         batched = MultiTreeShortRange(
             kernel, leaf_size=16, n_trees=4
         ).accelerations(pos, m, box_size=BOX)
-        naive = MultiTreeShortRange(
-            kernel, leaf_size=16, n_trees=4, naive=True
-        ).accelerations(pos, m, box_size=BOX)
-        assert_forces_close(batched, naive, 1e-6)
+        ref = DirectShortRange(kernel).accelerations(pos, m, box_size=BOX)
+        assert_forces_close(batched, ref, 1e-6)
 
     def test_interaction_counts_identical(self, kernel, rng):
-        """The batch encodes the same pairs the naive loops evaluate."""
+        """``pp.interactions`` is the pairs the packed batch streams."""
         pos = clustered_cloud(rng, 400)
         m = np.ones(400)
         kernel.reset_counters()
-        TreePMShortRange(kernel, leaf_size=16).accelerations(
-            pos, m, box_size=BOX
+        solver = TreePMShortRange(kernel, leaf_size=16)
+        solver.accelerations(pos, m, box_size=BOX)
+        cloud, cloud_m = periodic_ghosts(pos, m, BOX, kernel.rcut)
+        batch = pack_tree(
+            RCBTree(cloud, cloud_m, leaf_size=16), kernel.rcut, 400
         )
-        batched_count = kernel.interaction_count
-        kernel.reset_counters()
-        TreePMShortRange(kernel, leaf_size=16, naive=True).accelerations(
-            pos, m, box_size=BOX
-        )
-        naive_count = kernel.interaction_count
-        assert batched_count == naive_count > 0
+        assert kernel.interaction_count == batch.n_pairs > 0
+        assert solver.engine.last_pairs == batch.n_pairs
+        assert solver.last_list_sizes.sum() == batch.neighbor_indices.size
+        # every in-cutoff pair of a real target, and nothing else
+        sep = np.linalg.norm(pos[:, None] - cloud[None], axis=2)
+        inside = np.count_nonzero((sep > 0) & (sep < kernel.rcut))
+        assert solver.engine.last_inside_pairs == kernel.inside_count == inside
 
     def test_p3m_interaction_counts_identical(self, kernel, rng):
         pos = uniform_cloud(rng, 300)
         m = np.ones(300)
         kernel.reset_counters()
-        P3MShortRange(kernel).accelerations(pos, m, box_size=BOX)
-        batched_count = kernel.interaction_count
-        kernel.reset_counters()
-        P3MShortRange(kernel, naive=True).accelerations(
-            pos, m, box_size=BOX
-        )
-        assert batched_count == kernel.interaction_count > 0
+        solver = P3MShortRange(kernel)
+        solver.accelerations(pos, m, box_size=BOX)
+        cloud, _ = periodic_ghosts(pos, m, BOX, kernel.rcut)
+        sep = np.linalg.norm(pos[:, None] - cloud[None], axis=2)
+        inside = np.count_nonzero((sep > 0) & (sep < kernel.rcut))
+        assert solver.engine.last_inside_pairs == inside
+        # the cull leaves fewer pairs than whole 27-cell neighborhoods
+        assert inside < kernel.interaction_count < 300 * cloud.shape[0]
+        assert kernel.interaction_count == solver.engine.last_pairs
 
     def test_multitree_balance_report_consistent(self, kernel, rng):
         pos = clustered_cloud(rng, 400)
         m = np.ones(400)
-        solver_b = MultiTreeShortRange(kernel, leaf_size=16, n_trees=4)
-        solver_n = MultiTreeShortRange(
-            kernel, leaf_size=16, n_trees=4, naive=True
+        kernel.reset_counters()
+        solver = MultiTreeShortRange(kernel, leaf_size=16, n_trees=4)
+        solver.accelerations(pos, m, box_size=BOX)
+        report = solver.last_balance_report()
+        cloud, _ = periodic_ghosts(pos, m, BOX, kernel.rcut)
+        assert report["blocks"] == 4
+        assert sum(report["particles_per_block"]) == cloud.shape[0]
+        assert report["build_imbalance"] < 1.01
+        assert (
+            sum(r.interactions for r in solver._report)
+            == kernel.interaction_count
         )
-        solver_b.accelerations(pos, m, box_size=BOX)
-        rb = solver_b.last_balance_report()
-        solver_n.accelerations(pos, m, box_size=BOX)
-        rn = solver_n.last_balance_report()
-        assert rb["blocks"] == rn["blocks"]
-        assert rb["particles_per_block"] == rn["particles_per_block"]
 
     # -------------------------- edge cases --------------------------
     def test_single_particle(self, kernel):
@@ -296,11 +336,11 @@ class TestEquivalence:
         masses = np.ones(80)
         solver = TreePMShortRange(kernel, leaf_size=8)
         acc = solver.accelerations_cloud(cloud, masses, n_targets=40)
-        naive = TreePMShortRange(
-            kernel, leaf_size=8, naive=True
-        ).accelerations_cloud(cloud, masses, n_targets=40)
+        ref = DirectShortRange(kernel).accelerations_cloud(
+            cloud, masses, n_targets=40
+        )
         assert acc.shape == (40, 3)
-        assert_forces_close(acc, naive, 1e-12)
+        assert_forces_close(acc, ref, 1e-12)
 
     def test_chunking_invariance(self, kernel, rng):
         """Tiny chunk_pairs exercises the tiling without changing results."""
@@ -313,6 +353,178 @@ class TestEquivalence:
             kernel, leaf_size=16, chunk_pairs=64
         ).accelerations(pos, m, box_size=BOX)
         assert_forces_close(tiny, big, 1e-12)
+
+
+# ----------------------------------------------------------------------
+# tight lists: real targets, culled sources, unchanged bits
+# ----------------------------------------------------------------------
+SOLVERS = {
+    "treepm": lambda kern, leaf: TreePMShortRange(kern, leaf_size=leaf),
+    "p3m": lambda kern, leaf: P3MShortRange(kern),
+    "multitree": lambda kern, leaf: MultiTreeShortRange(
+        kern, leaf_size=leaf, n_trees=2
+    ),
+}
+
+
+@st.composite
+def ghosted_clouds(draw):
+    """Clustered cloud in a 10-cube, its first ``n_targets`` rows real."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(2, 160))
+    centers = rng.uniform(2.0, 8.0, (draw(st.integers(1, 5)), 3))
+    width = draw(st.sampled_from([0.05, 0.4, 2.0]))
+    pos = centers[rng.integers(0, centers.shape[0], n)] + rng.normal(
+        0.0, width, (n, 3)
+    )
+    masses = rng.uniform(0.5, 1.5, n)
+    return pos, masses, draw(st.integers(0, n))
+
+
+class TestTightListProperty:
+    @pytest.mark.parametrize("dtype,rtol", [(np.float64, 1e-12),
+                                            (np.float32, 1e-4)])
+    @pytest.mark.parametrize("solver", sorted(SOLVERS))
+    @settings(
+        max_examples=25,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(
+        cloud=ghosted_clouds(),
+        spacing=st.sampled_from([0.2, 0.5, 1.0, 2.5]),
+        leaf_size=st.sampled_from([1, 4, 16, 128]),
+    )
+    def test_forces_equal_direct_sum(
+        self, grid_force_fit, solver, dtype, rtol, cloud, spacing, leaf_size
+    ):
+        """Whatever the cloud, ghost count, cutoff (3 x spacing) and leaf
+        size: every solver's forces on the real rows are the direct sum."""
+        pos, masses, n_targets = cloud
+        kern = ShortRangeKernel(
+            grid_force_fit, spacing=spacing, eps_cells=0.01, dtype=dtype
+        )
+        pos, masses = pos.astype(dtype), masses.astype(dtype)
+        ref = DirectShortRange(kern).accelerations_cloud(
+            pos, masses, n_targets
+        )
+        got = SOLVERS[solver](kern, leaf_size).accelerations_cloud(
+            pos, masses, n_targets
+        )
+        assert got.shape == (n_targets, 3)
+        scale = np.abs(ref).max() if ref.size else 0.0
+        np.testing.assert_allclose(got, ref, atol=rtol * scale, rtol=rtol)
+
+
+class TestCullNeverChangesABit:
+    @pytest.mark.parametrize("cloud", sorted(CLOUDS))
+    def test_packed_equals_uncut_batch_bitwise(self, kernel, rng, cloud):
+        pos = CLOUDS[cloud](rng, 400)
+        m = rng.uniform(0.5, 1.5, 400)
+        gpos, gm = periodic_ghosts(pos, m, BOX, kernel.rcut)
+        tree = RCBTree(gpos, gm, leaf_size=16)
+        packed = pack_tree(tree, kernel.rcut, 400)
+        uncut = uncut_batch(tree, kernel.rcut, 400)
+        np.testing.assert_array_equal(packed.targets, uncut.targets)
+        assert packed.n_pairs < uncut.n_pairs
+        engine = BatchedPairEngine(kernel)
+        a = engine.evaluate(packed, tree.positions, tree.masses)
+        inside = engine.last_inside_pairs
+        b = engine.evaluate(uncut, tree.positions, tree.masses)
+        assert np.array_equal(a, b)
+        assert engine.last_inside_pairs == inside
+        assert np.abs(a[packed.targets]).max() > 0
+        assert not a[tree.perm >= 400].any()
+
+
+class TestTightListEdges:
+    RCUT = 3.0
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_source_exactly_at_rcut_of_a_face_target_is_kept(self, dtype):
+        # targets span the unit box, one sits on its x = 1 face; ghost
+        # sources lie on that target's axis at rcut and just beyond it
+        cloud = np.array(
+            [[0.0, 0.0, 0.0], [1.0, 1.0, 1.0], [1.0, 0.5, 0.5],
+             [1.0 + self.RCUT, 0.5, 0.5],
+             [1.0 + 1.001 * self.RCUT, 0.5, 0.5]],
+            dtype=dtype,
+        )
+        tree = RCBTree(cloud, leaf_size=8)
+        batch = pack_tree(tree, self.RCUT, n_targets=3)
+        assert batch.n_groups == 1
+        tgt, src = group_slices(batch, 0)
+        assert sorted(tree.perm[tgt]) == [0, 1, 2]
+        assert sorted(tree.perm[src]) == [0, 1, 2, 3]
+
+    def test_single_and_coincident_particle_leaves(self, kernel):
+        # leaf_size=1: every box has zero extent; two pairs coincide
+        pos = np.array(
+            [[4.0, 5.0, 5.0], [4.0, 5.0, 5.0], [6.0, 5.0, 5.0],
+             [6.0, 5.0, 5.0], [5.0, 7.5, 5.0]]
+        )
+        m = np.array([1.0, 2.0, 0.5, 1.5, 1.0])
+        for n_targets in (5, 3):
+            got = TreePMShortRange(kernel, leaf_size=1).accelerations_cloud(
+                pos, m, n_targets
+            )
+            ref = DirectShortRange(kernel).accelerations_cloud(
+                pos, m, n_targets
+            )
+            assert np.abs(ref).max() > 0
+            assert_forces_close(got, ref, 1e-12)
+
+    def test_only_real_target_interior_to_ghosts(self, kernel, rng):
+        # one leaf: a real particle in the middle of 80 ghosts, 30 of
+        # them farther than rcut from it
+        near = rng.normal(0.0, 0.8, (50, 3))
+        shell = rng.normal(0.0, 1.0, (30, 3))
+        shell *= (kernel.rcut * 1.2 / np.linalg.norm(shell, axis=1))[:, None]
+        cloud = 5.0 + np.concatenate([np.zeros((1, 3)), near, shell])
+        masses = rng.uniform(0.5, 1.5, cloud.shape[0])
+        tree = RCBTree(cloud, masses, leaf_size=128)
+        batch = pack_tree(tree, kernel.rcut, n_targets=1)
+        assert tree.perm[batch.targets].tolist() == [0]
+        src = tree.perm[batch.neighbor_indices]
+        assert np.isin(np.arange(51), src).all()
+        assert src.max() <= 50
+        got = TreePMShortRange(kernel).accelerations_cloud(cloud, masses, 1)
+        ref = DirectShortRange(kernel).accelerations_cloud(cloud, masses, 1)
+        assert_forces_close(got, ref, 1e-12)
+
+    def test_no_ghosts_means_every_particle_is_a_target(self, rng):
+        tree = RCBTree(clustered_cloud(rng, 300), leaf_size=16)
+        a = pack_tree(tree, self.RCUT, n_targets=300)
+        b = pack_tree(tree, self.RCUT)
+        np.testing.assert_array_equal(a.targets, np.arange(300))
+        for name in ("targets", "target_offsets", "neighbor_indices",
+                     "neighbor_offsets"):
+            np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
+
+    @pytest.mark.parametrize("solver", sorted(SOLVERS))
+    def test_no_targets_and_empty_cloud(self, kernel, rng, solver):
+        pos = clustered_cloud(rng, 60)
+        built = SOLVERS[solver](kernel, 16)
+        kernel.reset_counters()
+        assert built.accelerations_cloud(pos, np.ones(60), 0).shape == (0, 3)
+        assert built.accelerations_cloud(
+            np.zeros((0, 3)), np.zeros(0), 0
+        ).shape == (0, 3)
+        assert kernel.interaction_count == 0
+        assert pack_tree(RCBTree(pos, leaf_size=16), 3.0, 0).n_groups == 0
+
+    def test_empty_candidate_groups_are_dropped(self):
+        # groups: {0 real, 1 ghost}, {} (no members), {2 ghost}
+        pos = np.array([[0.0, 0, 0], [1.0, 0, 0], [2.0, 0, 0], [9.0, 0, 0]])
+        cand = InteractionBatch(
+            np.array([0, 1, 2]), np.array([0, 2, 2, 3]),
+            np.array([0, 1, 2, 3, 0, 1, 2, 3]), np.array([0, 4, 4, 8]),
+        )
+        tight = cand.tightened(np.array([True, False, False]), pos, 3.0)
+        assert tight.targets.tolist() == [0]
+        assert tight.target_offsets.tolist() == [0, 1]
+        assert tight.neighbor_indices.tolist() == [0, 1, 2]
+        assert tight.n_pairs == 3
 
 
 # ----------------------------------------------------------------------

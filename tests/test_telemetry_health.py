@@ -362,8 +362,10 @@ class TestSimulationHealth:
 
 class TestDriverTelemetry:
     def _run_overloaded(self, stream=None):
+        # grid_size=16: rcut = 12 Mpc/h, inside the 14 Mpc/h overload shell
         cfg = tiny_config(
-            backend="treepm", n_steps=2, n_subcycles=2, leaf_size=16
+            backend="treepm", n_steps=2, n_subcycles=2, leaf_size=16,
+            grid_size=16,
         )
         sim = HACCSimulation(
             cfg, decomposition_dims=(2, 1, 1), overload_depth=14.0
