@@ -126,7 +126,7 @@ class TestKernelBackendSweep:
     gated speedups: compiled-f32 vs the interpreted-f64 reference (the
     paper's mixed-precision compiled kernel; gated at 5x when numba is
     importable) and f32 vs f64 on the numpy path alone (the pure
-    bandwidth half of mixed precision; gated at 1.2x always).
+    bandwidth half of mixed precision; gated at 1.5x always).
     """
 
     N = 20000

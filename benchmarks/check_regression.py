@@ -521,11 +521,9 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument(
         "--min-f32-speedup",
         type=float,
-        default=1.2,
+        default=1.5,
         help="minimum accepted f32 vs f64 speedup on the numpy path "
-             "(default 1.2: with tight interaction lists the "
-             "bandwidth-bound O(streamed) passes f32 halves are a "
-             "quarter of what they were; measured 1.36x)",
+             "(default 1.5)",
     )
     ap.add_argument(
         "--kernel-record",

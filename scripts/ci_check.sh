@@ -26,7 +26,7 @@
 # JSON comparison with a verdict.  Finally gates the kernel-backend
 # sweep (BENCH_kernels.json from the fig5 bench): the compiled f32
 # kernel must beat the interpreted f64 reference by 5x (self-skips
-# where numba is unavailable) and f32 must beat f64 by 1.2x on the
+# where numba is unavailable) and f32 must beat f64 by 1.5x on the
 # numpy path.  Lane 10 gates the measured roofline: 'report --roofline'
 # on a ledgered run must place the shortrange/cic/fft phases against
 # the calibrated host peak, and check_regression.py --check-roofline
@@ -96,7 +96,10 @@ print(f"report lane: verdict {rep['verdict']}, "
 PYEOF
 
 echo "== 9/12 kernel-backend speedup gate =="
-"$PYTHON" benchmarks/check_regression.py --check-kernel-speedup
+# deferred: the later lanes do not depend on this one, so a miss here is
+# reported at the end (exit 1) instead of hiding their results
+KERNEL_GATE=0
+"$PYTHON" benchmarks/check_regression.py --check-kernel-speedup || KERNEL_GATE=$?
 
 echo "== 10/12 measured roofline gate =="
 # the ledgered run from lane 7 already carries a registry.json; place
@@ -235,5 +238,9 @@ print(f"e2e lane: {line['attempted']} children, 0 failed, "
       f"force_err_p99 {err:.2e}")
 PYEOF
 
+if [ "$KERNEL_GATE" -ne 0 ]; then
+    echo "ci_check: FAILED -- lane 9 (kernel-backend speedup gate), see above"
+    exit 1
+fi
 echo "ci_check: all gates passed"
 

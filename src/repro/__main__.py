@@ -450,6 +450,7 @@ def _build_fault_plan(args: argparse.Namespace):
 def _cmd_run(args: argparse.Namespace) -> int:
     """Checkpointed, fault-tolerant run with auto-resume."""
     from repro import HACCSimulation
+    from repro.config import ConfigError
     from repro.io import (
         Checkpointer,
         CheckpointSchedule,
@@ -470,12 +471,12 @@ def _cmd_run(args: argparse.Namespace) -> int:
             )
 
     def construct(build):
-        """A shape the driver rejects (overload depth below the cutoff,
-        shell wider than half a domain) is a one-line exit before the
-        first step, not a traceback."""
+        """A shape the config or driver rejects (overload depth below
+        the cutoff, zero steps) is a one-line exit before the first
+        step; any other error keeps its traceback."""
         try:
             return build()
-        except ValueError as exc:
+        except ConfigError as exc:
             raise SystemExit(f"run: {exc}")
 
     sim = None

@@ -16,12 +16,18 @@ import numpy as np
 
 from repro.cosmology.background import WMAP7, Cosmology
 
-__all__ = ["SimulationConfig"]
+__all__ = ["ConfigError", "SimulationConfig"]
 
 _BACKENDS = ("treepm", "p3m", "direct", "pm")
 _EXECUTORS = ("serial", "thread", "process")
 _KERNEL_BACKENDS = ("auto", "numpy", "numba", "cupy")
 _PRECISIONS = ("f32", "f64")
+
+
+class ConfigError(ValueError):
+    """A run shape rejected at construction: raised by the field
+    validation below and by the driver's overload-depth check.  The CLI
+    reports exactly these as one line; other errors keep a traceback."""
 
 
 @dataclass(frozen=True)
@@ -134,69 +140,71 @@ class SimulationConfig:
 
     def __post_init__(self) -> None:
         if self.box_size <= 0:
-            raise ValueError(f"box_size must be positive: {self.box_size}")
+            raise ConfigError(f"box_size must be positive: {self.box_size}")
         if self.n_per_dim < 2:
-            raise ValueError(f"n_per_dim must be >= 2: {self.n_per_dim}")
+            raise ConfigError(f"n_per_dim must be >= 2: {self.n_per_dim}")
         if self.grid() < 4:
-            raise ValueError(f"grid_size must be >= 4: {self.grid()}")
+            raise ConfigError(f"grid_size must be >= 4: {self.grid()}")
         if self.z_initial <= self.z_final:
-            raise ValueError(
+            raise ConfigError(
                 f"z_initial ({self.z_initial}) must exceed z_final "
                 f"({self.z_final})"
             )
         if self.z_final < 0:
-            raise ValueError(f"z_final must be >= 0: {self.z_final}")
+            raise ConfigError(f"z_final must be >= 0: {self.z_final}")
         if self.n_steps < 1:
-            raise ValueError(f"n_steps must be >= 1: {self.n_steps}")
+            raise ConfigError(f"n_steps must be >= 1: {self.n_steps}")
         if self.n_subcycles < 1:
-            raise ValueError(f"n_subcycles must be >= 1: {self.n_subcycles}")
+            raise ConfigError(f"n_subcycles must be >= 1: {self.n_subcycles}")
         if self.backend not in _BACKENDS:
-            raise ValueError(
+            raise ConfigError(
                 f"backend must be one of {_BACKENDS}, got {self.backend!r}"
             )
         if self.step_spacing not in ("a", "loga"):
-            raise ValueError(
+            raise ConfigError(
                 f"step_spacing must be 'a' or 'loga': {self.step_spacing!r}"
             )
         if self.rcut_cells <= 0:
-            raise ValueError(f"rcut_cells must be positive: {self.rcut_cells}")
+            raise ConfigError(
+                f"rcut_cells must be positive: {self.rcut_cells}"
+            )
         if self.chunk_pairs < 1:
-            raise ValueError(
+            raise ConfigError(
                 f"chunk_pairs must be >= 1: {self.chunk_pairs}"
             )
         if self.rcut() >= self.box_size / 2:
-            raise ValueError(
+            raise ConfigError(
                 "short-range cutoff exceeds half the box; increase the "
                 "grid or the box"
             )
         if self.lpt_order not in (1, 2):
-            raise ValueError(f"lpt_order must be 1 or 2: {self.lpt_order}")
+            raise ConfigError(f"lpt_order must be 1 or 2: {self.lpt_order}")
         if self.workers < 1:
-            raise ValueError(f"workers must be >= 1: {self.workers}")
+            raise ConfigError(f"workers must be >= 1: {self.workers}")
         if self.executor not in _EXECUTORS:
-            raise ValueError(
+            raise ConfigError(
                 f"executor must be one of {_EXECUTORS}, "
                 f"got {self.executor!r}"
             )
         if self.worker_groups < 1:
-            raise ValueError(
+            raise ConfigError(
                 f"worker_groups must be >= 1: {self.worker_groups}"
             )
         if (
             self.worker_groups > self.workers
             or self.workers % self.worker_groups
         ):
-            raise ValueError(
+            raise ConfigError(
                 f"worker_groups ({self.worker_groups}) must evenly "
                 f"divide workers ({self.workers})"
             )
         if self.kernel_backend not in _KERNEL_BACKENDS:
-            raise ValueError(
+            raise ConfigError(
                 f"kernel_backend must be one of {_KERNEL_BACKENDS}, "
                 f"got {self.kernel_backend!r}"
             )
         if self.dtype not in _PRECISIONS:
-            raise ValueError(
+            raise ConfigError(
                 f"dtype must be one of {_PRECISIONS}, got {self.dtype!r}"
             )
 
@@ -268,9 +276,14 @@ class SimulationConfig:
         hash); the nested cosmology mapping becomes a
         :class:`~repro.cosmology.background.Cosmology`.  Unknown keys
         raise ``TypeError`` so a stale or foreign payload fails loudly
-        instead of silently dropping a knob.
+        instead of silently dropping a knob.  The one exception is the
+        retired ``shortrange_naive`` switch: every earlier checkpoint and
+        ``--config`` file carries it, and ``False`` asked for what is now
+        the only path, so it is dropped (``True`` still fails).
         """
         payload = dict(data)
+        if payload.get("shortrange_naive") is False:
+            del payload["shortrange_naive"]
         cosmo = payload.get("cosmology")
         if isinstance(cosmo, dict):
             payload["cosmology"] = Cosmology(**cosmo)

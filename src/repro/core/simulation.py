@@ -29,7 +29,7 @@ from typing import Callable
 
 import numpy as np
 
-from repro.config import SimulationConfig
+from repro.config import ConfigError, SimulationConfig
 from repro.instrument import get_registry, get_telemetry
 from repro.core.particles import Particles
 from repro.core.timestepper import SubcycledStepper
@@ -149,8 +149,8 @@ class HACCSimulation:
     overload_depth:
         Overload shell depth in Mpc/h; defaults to the short-range cutoff
         plus one grid cell of drift margin.  With a short-range backend
-        a depth below the cutoff is a ``ValueError``: ghosts inside the
-        cutoff would be missing.
+        a depth below the cutoff is a :class:`~repro.config.ConfigError`:
+        ghosts inside the cutoff would be missing.
     retry_policy:
         Optional :class:`repro.resilience.retry.RetryPolicy`; when given
         (and the run is decomposed), the overload exchange communicates
@@ -280,7 +280,7 @@ class HACCSimulation:
                 else config.rcut() + config.spacing()
             )
             if self.short_solver is not None and depth < config.rcut():
-                raise ValueError(
+                raise ConfigError(
                     f"overload depth {depth:g} Mpc/h is below the "
                     f"short-range cutoff rcut = {config.rcut():g} Mpc/h: "
                     f"sources across domain boundaries would be missing"

@@ -83,6 +83,21 @@ class TestRunCommand:
         assert "\n" not in message
         assert not out.exists()
 
+    def test_internal_value_error_keeps_its_traceback(
+        self, tmp_path, monkeypatch
+    ):
+        """Only a rejected shape (ConfigError) becomes the one-line
+        exit; a ValueError from inside construction is a bug and
+        propagates."""
+        import repro
+
+        def broken(*args, **kwargs):
+            raise ValueError("internal")
+
+        monkeypatch.setattr(repro, "HACCSimulation", broken)
+        with pytest.raises(ValueError, match="internal"):
+            main(self._base(tmp_path / "bug"))
+
     def test_bad_rank_death_spec_rejected(self, tmp_path):
         with pytest.raises(SystemExit):
             main(self._base(tmp_path) + ["--inject-rank-death", "nope"])

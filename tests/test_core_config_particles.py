@@ -69,6 +69,17 @@ class TestSimulationConfig:
         with pytest.raises(ValueError):
             SimulationConfig(**{**base, **kwargs})
 
+    def test_from_dict_accepts_the_retired_naive_switch(self):
+        """Checkpoints and --config files written before the per-leaf
+        path was retired carry ``shortrange_naive: false``; they load
+        (and hash) as the same run.  ``true`` asked for a path that no
+        longer exists and fails like any unknown key."""
+        cfg = SimulationConfig(box_size=100.0, n_per_dim=16)
+        old = {**cfg.to_dict(), "shortrange_naive": False}
+        assert SimulationConfig.from_dict(old) == cfg
+        with pytest.raises(TypeError):
+            SimulationConfig.from_dict({**old, "shortrange_naive": True})
+
 
 class TestParticles:
     def test_from_ics(self):
