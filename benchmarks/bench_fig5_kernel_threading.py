@@ -121,12 +121,10 @@ class TestKernelBackendSweep:
     Times the same end-to-end TreePM evaluation (tree + lists + kernel)
     through every available kernel backend at both precisions, asserts
     the seam's correctness contract (identical pair counts everywhere;
-    f64 numba bitwise equal to f64 numpy), and leaves a repo-root
-    ``BENCH_kernels.json`` with per-configuration timings and the two
-    gated speedups: compiled-f32 vs the interpreted-f64 reference (the
-    paper's mixed-precision compiled kernel; gated at 5x when numba is
-    importable) and f32 vs f64 on the numpy path alone (the pure
-    bandwidth half of mixed precision; gated at 1.5x always).
+    the C backend bitwise equal to numpy at each precision; f32 within
+    1e-4 of f64), and leaves a repo-root ``BENCH_kernels.json`` with the
+    backends that ran and, per configuration, seconds and ns per
+    streamed pair — the numbers the gate holds under absolute ceilings.
     """
 
     N = 20000
@@ -135,8 +133,7 @@ class TestKernelBackendSweep:
 
     def test_backend_precision_sweep(self, benchmark, rng):
         fit = default_grid_force_fit()
-        backends = [b for b in available_backends() if b != "cupy"]
-        numba_available = "numba" in backends
+        backends = list(available_backends())
         pos = rng.uniform(0, self.BOX, (self.N, 3))
         masses = rng.uniform(0.5, 1.5, self.N)
 
@@ -152,8 +149,7 @@ class TestKernelBackendSweep:
                     solver = TreePMShortRange(
                         kernel, leaf_size=128, kernel_backend=backend
                     )
-                    # warm-up: numba JIT-compiles on first call, numpy
-                    # grows its workspace buffers
+                    # warm-up: numpy grows its workspace buffers
                     solver.accelerations(pos, masses, box_size=self.BOX)
                     best = np.inf
                     for _ in range(self.REPS):
@@ -188,11 +184,11 @@ class TestKernelBackendSweep:
                 f"{e['interactions']} pairs != numpy/f64 "
                 f"{ref['interactions']}"
             )
-        # contract: strict-IEEE compiled f64 is bitwise the reference
-        if numba_available:
+        # contract: the compiled kernel is bitwise the reference, f64 and f32
+        for e in entries:
             assert np.array_equal(
-                by_key[("numba", "f64")]["acc"], ref["acc"]
-            ), "f64 numba must be bitwise identical to f64 numpy"
+                e["acc"], by_key[("numpy", e["precision"])]["acc"]
+            ), f"{e['backend']}/{e['precision']} differs from numpy"
         # f32 tracks f64 at the documented tolerance
         scale = np.abs(ref["acc"]).max()
         for e in entries:
@@ -218,19 +214,6 @@ class TestKernelBackendSweep:
             table,
         )
 
-        speedups = {
-            "f32_vs_f64_numpy": (
-                ref["seconds"] / by_key[("numpy", "f32")]["seconds"]
-            ),
-        }
-        if numba_available:
-            speedups["numba_f64_vs_numpy_f64"] = (
-                ref["seconds"] / by_key[("numba", "f64")]["seconds"]
-            )
-            speedups["numba_f32_vs_numpy_f64"] = (
-                ref["seconds"] / by_key[("numba", "f32")]["seconds"]
-            )
-
         payload = {
             "nodeid": "bench_fig5_kernel_threading.py::kernel_backends",
             "duration_s": sum(e["seconds"] for e in entries),
@@ -240,12 +223,11 @@ class TestKernelBackendSweep:
                 "leaf_size": 128,
                 "reps": self.REPS,
             },
-            "numba_available": numba_available,
+            "backends": backends,
             "entries": [
                 {k: v for k, v in e.items() if k != "acc"}
                 for e in entries
             ],
-            "speedups": speedups,
         }
         path = write_bench_record("kernels", payload, directory=REPO_ROOT)
         print(f"record -> {path}")

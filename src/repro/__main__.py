@@ -228,9 +228,18 @@ def _setup_observability(sim, args: argparse.Namespace) -> None:
 
 def _kernel_extra(sim) -> dict:
     """Manifest extras naming the *resolved* kernel backend (never
-    ``"auto"``), so ledger queries filter on what actually ran."""
+    ``"auto"``), so ledger queries filter on what actually ran, plus
+    how a compiled kernel was built."""
+    from repro.shortrange.backends import get_backend
+
     resolved = getattr(sim, "kernel_backend", None)
-    return {} if resolved is None else {"kernel_backend": resolved}
+    if resolved is None:
+        return {}
+    extra = {"kernel_backend": resolved}
+    build = get_backend(resolved).build_info
+    if build:
+        extra["kernel_build"] = dict(build)
+    return extra
 
 
 def _finish_observability(sim, args=None, registry=None) -> int:
@@ -1015,10 +1024,11 @@ def _add_run_options(sub: argparse.ArgumentParser) -> None:
                           "CIC gathers (bit-identical to the sync "
                           "schedule at equal --workers)")
     sub.add_argument("--kernel-backend", default="auto",
-                     choices=("auto", "numpy", "numba", "cupy"),
+                     choices=("auto", "numpy", "c"),
                      help="short-range kernel implementation (default "
-                          "auto: numba when importable, else numpy; "
-                          "explicit unavailable choices fail loudly)")
+                          "auto: the compiled C kernel, else numpy "
+                          "when it cannot be built; an explicit c "
+                          "that cannot be built fails loudly)")
     sub.add_argument("--precision", default="f64",
                      choices=("f32", "f64"),
                      help="particle/kernel floating-point precision "
@@ -1227,7 +1237,7 @@ def build_parser() -> argparse.ArgumentParser:
     runs.add_argument("--workers", type=int, help="filter by workers")
     runs.add_argument("--kernel-backend", dest="kernel_backend",
                       help="filter by short-range kernel backend "
-                           "(numpy/numba/cupy)")
+                           "(numpy/c)")
     runs.add_argument("--precision", help="filter by precision (f32/f64)")
     runs.add_argument("--git-rev", metavar="REV",
                       help="filter by git revision")

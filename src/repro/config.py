@@ -20,7 +20,7 @@ __all__ = ["ConfigError", "SimulationConfig"]
 
 _BACKENDS = ("treepm", "p3m", "direct", "pm")
 _EXECUTORS = ("serial", "thread", "process")
-_KERNEL_BACKENDS = ("auto", "numpy", "numba", "cupy")
+_KERNEL_BACKENDS = ("auto", "numpy", "c")
 _PRECISIONS = ("f32", "f64")
 
 
@@ -95,10 +95,10 @@ class SimulationConfig:
         at equal ``workers`` (a test pins this).
     kernel_backend:
         Short-range inner-loop implementation: ``"auto"`` (default;
-        numba when importable, else numpy), ``"numpy"`` (vectorized
-        reference), ``"numba"`` (JIT-compiled parallel loops) or
-        ``"cupy"`` (CUDA).  Explicitly requesting an unavailable
-        backend fails loudly at solver construction.
+        the compiled C kernel, else numpy when it cannot be built or
+        loaded), ``"numpy"`` (vectorized reference) or ``"c"`` (fused C
+        loop, bitwise the numpy result).  Explicitly requesting ``"c"``
+        where it cannot be built fails loudly at construction.
     dtype:
         Floating-point precision of the particle state and force
         kernels: ``"f64"`` (default) or ``"f32"`` (the paper's

@@ -186,8 +186,8 @@ class HACCSimulation:
         self.cosmology = config.cosmology
         self.prefactor = 1.5 * self.cosmology.omega_m
 
-        # resolve the kernel backend ONCE (auto -> numba when importable,
-        # else numpy; explicit unavailable names fail loudly here) and
+        # resolve the kernel backend ONCE (auto -> c, else numpy when it
+        # cannot be built; an explicit unavailable name fails here) and
         # carry the resolved *name* everywhere — including into picklable
         # solver specs, so process workers rebuild the same choice
         self.kernel_backend: str = resolve_backend(config.kernel_backend).name

@@ -225,34 +225,35 @@ def render_profile(
 
 
 def bench_provenance_notes(records: dict) -> list[str]:
-    """Loud warnings for bench records whose backend availability flags
-    differ from the current host.
+    """Loud warnings for bench records measured with a different set of
+    kernel backends than this host can run.
 
-    ``BENCH_kernels.json`` (and any record carrying a
-    ``numba_available`` flag) encodes which kernel backends existed when
-    it was measured.  Comparing such a record against a host where the
-    availability differs is apples to oranges — a record timed without
-    numba says nothing about this host's compiled kernel, and vice
-    versa.  Every consumer (``report``, ``check_regression.py``) prints
-    these notes instead of silently comparing.
+    ``BENCH_kernels.json`` (and any record carrying a ``backends``
+    list) names the kernel backends that existed where it was measured.
+    A record timed without the compiled kernel says nothing about a
+    host that has it, and vice versa.  Every consumer (``report``,
+    ``check_regression.py``) prints these notes instead of silently
+    comparing.
     """
-    import importlib.util
+    from repro.shortrange.backends import available_backends
 
-    host_numba = importlib.util.find_spec("numba") is not None
+    host = None
     notes = []
     for name, rec in sorted((records or {}).items()):
         payload = rec.get("payload", rec) if isinstance(rec, dict) else {}
-        if not isinstance(payload, dict):
+        recorded = payload.get("backends") if isinstance(payload, dict) \
+            else None
+        if not isinstance(recorded, list):
             continue
-        flag = payload.get("numba_available")
-        if flag is None or bool(flag) == host_numba:
+        if host is None:
+            host = sorted(available_backends())
+        if sorted(recorded) == host:
             continue
         notes.append(
             f"PROVENANCE MISMATCH [SKIPPED/UNAVAILABLE]: bench record "
-            f"{name!r} was measured with numba_available={bool(flag)} "
-            f"but numba is "
-            f"{'importable' if host_numba else 'NOT importable'} on this "
-            f"host — its backend timings are not comparable here."
+            f"{name!r} was measured with kernel backends "
+            f"{sorted(recorded)} but this host runs {host} — its backend "
+            f"timings are not comparable here."
         )
     return notes
 

@@ -19,27 +19,23 @@ reproduction.  A backend supplies four primitives:
     The particle-mesh scatter/gather pair over precomputed CIC corner
     indices and trilinear weights (four passes per PM half-kick).
 
-Three implementations ride the seam:
+Two implementations ride the seam:
 
 * ``numpy`` — the vectorized reference (always available); exactly the
   tiled, workspace-reusing evaluation of the batched-engine PR.
-* ``numba`` — ``@njit(parallel=True)`` compiled loops, lazily compiled
-  on first use.  The float32 variant compiles with ``fastmath=True``
-  (the paper's mixed-precision kernel); the float64 variant compiles
-  strict-IEEE so its results are **bitwise identical** to the numpy
-  reference.  Automatically unavailable when numba is not importable.
-* ``cupy`` — the same contract on a CUDA device, available only when
-  cupy imports *and* sees a GPU.
+* ``c`` — ``pair_accumulate`` as one fused, GIL-free C loop
+  (``pair_kernel.c``), built on first use with ``$CC``/``cc``/``gcc``
+  and cached per user; **bitwise identical** to the numpy reference in
+  float64 and float32.  The other three primitives are the numpy ones.
 
-Selection goes through :func:`resolve_backend`; ``"auto"`` picks the
-fastest available CPU backend (numba, else numpy), never silently a
-GPU.  Unavailable explicit requests raise :class:`BackendUnavailable`
-instead of degrading quietly.
+Selection goes through :func:`resolve_backend`; ``"auto"`` picks ``c``
+and degrades silently to ``numpy`` when there is no compiler, the build
+fails or the cached library cannot be loaded.  An explicit name that
+cannot run raises :class:`BackendUnavailable` instead.
 """
 
 from __future__ import annotations
 
-import importlib.util
 from abc import ABC, abstractmethod
 
 import numpy as np
@@ -53,9 +49,7 @@ __all__ = [
     "resolve_backend",
 ]
 
-#: registry order is the ``auto`` preference order (CPU-only)
-_BACKEND_NAMES = ("numpy", "numba", "cupy")
-_AUTO_ORDER = ("numba", "numpy")
+_BACKEND_NAMES = ("numpy", "c")
 
 
 class BackendUnavailable(RuntimeError):
@@ -74,6 +68,9 @@ class KernelBackend(ABC):
 
     #: registry key; also what run manifests record
     name: str = "?"
+    #: how the kernel was built (compiler, flags, source hash), recorded
+    #: in run manifests next to ``name``; empty for interpreted backends
+    build_info: dict = {}
 
     # ------------------------------------------------------------------
     @abstractmethod
@@ -153,12 +150,6 @@ class KernelBackend(ABC):
         from a flattened grid.  Returns an ``(N,)`` array in the
         ``corner_weights`` dtype."""
 
-    # ------------------------------------------------------------------
-    @classmethod
-    def available(cls) -> bool:
-        """Whether this backend can run in the current environment."""
-        return True
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"<KernelBackend {self.name}>"
 
@@ -180,24 +171,10 @@ def _make(name: str) -> KernelBackend:
         from repro.shortrange.backends.numpy_backend import NumpyBackend
 
         return NumpyBackend()
-    if name == "numba":
-        from repro.shortrange.backends.numba_backend import NumbaBackend
+    if name == "c":
+        from repro.shortrange.backends.c_backend import CBackend
 
-        if not NumbaBackend.available():
-            raise BackendUnavailable(
-                "kernel backend 'numba' requested but numba is not "
-                "importable in this environment"
-            )
-        return NumbaBackend()
-    if name == "cupy":
-        from repro.shortrange.backends.cupy_backend import CupyBackend
-
-        if not CupyBackend.available():
-            raise BackendUnavailable(
-                "kernel backend 'cupy' requested but cupy (with a "
-                "visible CUDA device) is not available"
-            )
-        return CupyBackend()
+        return CBackend()
     raise ValueError(
         f"unknown kernel backend {name!r}; choose from "
         f"{('auto',) + _BACKEND_NAMES}"
@@ -234,25 +211,19 @@ def resolve_backend(choice) -> KernelBackend:
     """Resolve a user/config selection to a live backend instance.
 
     ``choice`` may be a :class:`KernelBackend` (returned as-is), one of
-    the registered names, ``"auto"`` or ``None`` (both meaning "fastest
-    available CPU backend": numba when importable, else numpy).
-    Explicit names that cannot run raise :class:`BackendUnavailable` —
-    a requested accelerator silently falling back to the interpreter is
-    exactly the failure mode the seam exists to make loud.
+    the registered names, ``"auto"`` or ``None`` (both meaning "c, else
+    numpy").  Explicit names that cannot run raise
+    :class:`BackendUnavailable` — a requested compiled kernel silently
+    falling back to the interpreter is exactly the failure mode the
+    seam exists to make loud.
     """
     if isinstance(choice, KernelBackend):
         return choice
     if choice is None or choice == "auto":
-        for name in _AUTO_ORDER:
-            # probe cheaply before importing: find_spec never executes
-            # the package, so a missing numba costs ~nothing per call
-            if name != "numpy" and importlib.util.find_spec(name) is None:
-                continue
-            try:
-                return get_backend(name)
-            except BackendUnavailable:
-                continue
-        return get_backend("numpy")
+        try:
+            return get_backend("c")
+        except BackendUnavailable:
+            return get_backend("numpy")
     if not isinstance(choice, str):
         raise TypeError(
             f"kernel backend must be a name or KernelBackend, got "

@@ -4,8 +4,8 @@ This is the batched-engine PR's tiled evaluation, moved behind the
 backend seam: fixed-size (targets x sources) tiles bound the temporary
 footprint, out-of-cutoff pairs are compressed away before the expensive
 kernel math, and per-target accumulation goes through ``np.bincount``.
-Every other backend is validated against this one — bitwise in float64
-for the numba backend, tolerance-pinned in float32.
+The C backend is validated against this one, bitwise in float64 and
+float32.
 
 The implementation is deliberately allocation-free in steady state: all
 tile temporaries live in the engine's grow-only

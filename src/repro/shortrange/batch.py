@@ -46,10 +46,9 @@ HACC backend funnels into the same force kernel.
 The evaluation itself dispatches through the pluggable kernel-backend
 seam (:mod:`repro.shortrange.backends`): the engine prepares the SOA
 coordinate/mass streams once per batch, then hands the CSR arrays to the
-selected backend's ``pair_accumulate`` — the vectorized NumPy reference,
-the numba-compiled loops, or the CuPy device kernels, all charging the
-identical ``pp.interactions`` count: the pairs streamed,
-``batch.n_pairs``.
+selected backend's ``pair_accumulate`` — the vectorized NumPy reference
+or the fused C loop, both charging the identical ``pp.interactions``
+count: the pairs streamed, ``batch.n_pairs``.
 """
 
 from __future__ import annotations
@@ -403,12 +402,13 @@ class BatchedPairEngine:
         Upper bound on pairs materialized at once.  Each (targets x
         sources) tile is sized so ``tile_targets * tile_sources <=
         chunk_pairs``; all tile temporaries live in reused workspaces.
-        (Loop-based backends evaluate pair-by-pair and ignore it.)
+        (The C loop materializes nothing; it uses ``chunk_pairs`` only
+        to reproduce the numpy path's per-chunk summation order.)
     backend:
         Kernel backend executing the pair loop: a
         :class:`~repro.shortrange.backends.KernelBackend` instance, a
-        registered name (``"numpy"``, ``"numba"``, ``"cupy"``),
-        ``"auto"`` (fastest available CPU backend), or ``None`` for the
+        registered name (``"numpy"``, ``"c"``), ``"auto"`` (c, else
+        numpy), or ``None`` for the
         NumPy reference — the engine's historical behavior and the
         default, so direct constructions stay deterministic across
         environments; ``"auto"`` is opted into via the simulation

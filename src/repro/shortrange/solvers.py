@@ -112,7 +112,7 @@ def build_solver(
     The single construction switch shared by the simulation driver and
     by executor worker initialization, so both always build the same
     solver for the same configuration.  ``kernel_backend`` selects the
-    inner-loop implementation (numpy/numba/cupy seam); ``None`` keeps
+    inner-loop implementation (numpy/c seam); ``None`` keeps
     the deterministic NumPy reference.
     """
     if backend == "treepm":
@@ -142,7 +142,7 @@ def solver_spec(backend: str, kernel: ShortRangeKernel, **kwargs) -> dict:
     :class:`~repro.shortrange.batch.Workspace`; engine buffers are
     grow-only and not safe to share between concurrent evaluations.
     The kernel *backend* travels by name (picklable), so process workers
-    reconstruct the same numpy/numba choice the driver resolved.
+    reconstruct the same numpy/c choice the driver resolved.
     """
     return {
         "backend": backend,

@@ -1,28 +1,30 @@
 """Tests for the pluggable short-range kernel-backend seam.
 
-Covers the registry contract (resolution, auto fallback, loud failure
-for unavailable accelerators), the equivalence guarantees the seam
-promises — float64 numba results **bitwise identical** to the numpy
-reference, float32 within 1e-4 of float64 — and the plumbing that
-carries the backend/precision choice through config, solver specs, run
-manifests, the ledger and the CLI.
-
-The numba loop bodies are plain Python functions compiled lazily, so
-even in environments *without* numba we pin their semantics against the
-NumPy backend by monkeypatching the compilation step to return the raw
-interpreted implementations.  Where numba is importable, a second class
-repeats the checks through the real JIT.
+Covers the registry contract (resolution, auto fallback to numpy when
+the C kernel cannot be built, loud failure for an explicit request), the
+equivalence the seam promises — the compiled C ``pair_accumulate`` is
+**bitwise identical** to the numpy reference in float64 *and* float32,
+whatever ``chunk_pairs`` — the build cache (garbage or truncated entry,
+unwritable directory, two processes racing a cold cache), the argument
+guard in front of the raw pointers, thread safety of the GIL-free call,
+and the plumbing that carries the backend/precision choice through
+config, solver specs, run manifests, the ledger and the CLI.
 """
 
 import json
+import os
+import subprocess
+import sys
+import threading
 
 import numpy as np
 import pytest
 
-from repro.config import SimulationConfig
+from repro.config import ConfigError, SimulationConfig
 from repro.core.particles import Particles
 from repro.core.simulation import HACCSimulation
 from repro.grid.cic import ParticleGridCoords, cic_deposit, cic_interpolate
+from repro.shortrange import backends as backends_mod
 from repro.shortrange.backends import (
     BackendUnavailable,
     KernelBackend,
@@ -31,19 +33,13 @@ from repro.shortrange.backends import (
     get_backend,
     resolve_backend,
 )
-from repro.shortrange.backends import numba_backend as nb_mod
-from repro.shortrange.backends.numba_backend import (
-    NumbaBackend,
-    _cic_deposit_impl,
-    _cic_gather_impl,
-    _f_sr_pairs_impl,
-    _pair_accumulate_impl,
-)
 from repro.shortrange.backends.numpy_backend import NumpyBackend
-from repro.shortrange.batch import pack_tree
+from repro.shortrange.batch import BatchedPairEngine, InteractionBatch, pack_tree
 from repro.shortrange.kernel import ShortRangeKernel
+from repro.shortrange.multitree import MultiTreeShortRange
 from repro.shortrange.rcb_tree import RCBTree
 from repro.shortrange.solvers import (
+    P3MShortRange,
     TreePMShortRange,
     build_solver,
     periodic_ghosts,
@@ -52,8 +48,19 @@ from repro.shortrange.solvers import (
 )
 
 BOX = 10.0
+SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
 
-HAVE_NUMBA = NumbaBackend.available()
+
+def _have_c() -> bool:
+    try:
+        get_backend("c")
+    except BackendUnavailable:
+        return False
+    return True
+
+
+HAVE_C = _have_c()
+needs_c = pytest.mark.skipif(not HAVE_C, reason="no working C compiler")
 
 
 @pytest.fixture()
@@ -75,17 +82,34 @@ def clustered_cloud(rng, n):
 
 
 @pytest.fixture()
-def interpreted_numba(monkeypatch):
-    """A NumbaBackend whose 'compiled' functions are the raw Python
-    loop bodies — semantics of the numba path without requiring numba."""
-    fns = {
-        "f_sr_pairs": _f_sr_pairs_impl,
-        "pair_accumulate": _pair_accumulate_impl,
-        "cic_deposit": _cic_deposit_impl,
-        "cic_gather": _cic_gather_impl,
-    }
-    monkeypatch.setattr(nb_mod, "_compiled", lambda fastmath: fns)
-    return NumbaBackend()
+def cbackend():
+    if not HAVE_C:
+        pytest.skip("no working C compiler")
+    return get_backend("c")
+
+
+@pytest.fixture()
+def no_compiler(monkeypatch, tmp_path):
+    """An environment where the C kernel cannot be built: ``$CC`` names
+    a program that fails, the cache is empty, nothing is memoized."""
+    monkeypatch.setenv("CC", "/bin/false")
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+    monkeypatch.setattr(backends_mod, "_INSTANCES", {})
+
+
+def make_solver(name, kern, backend, leaf_size=16, chunk_pairs=1 << 18):
+    if name == "treepm":
+        return TreePMShortRange(kern, leaf_size=leaf_size,
+                                chunk_pairs=chunk_pairs,
+                                kernel_backend=backend)
+    if name == "p3m":
+        return P3MShortRange(kern, chunk_pairs=chunk_pairs,
+                             kernel_backend=backend)
+    solver = MultiTreeShortRange(kern, leaf_size=leaf_size, n_trees=2)
+    solver.engine = BatchedPairEngine(
+        kern, chunk_pairs=chunk_pairs, backend=backend
+    )
+    return solver
 
 
 # ----------------------------------------------------------------------
@@ -93,7 +117,7 @@ def interpreted_numba(monkeypatch):
 # ----------------------------------------------------------------------
 class TestRegistry:
     def test_backend_names_registered(self):
-        assert backend_names() == ("numpy", "numba", "cupy")
+        assert backend_names() == ("numpy", "c")
 
     def test_numpy_always_available(self):
         assert "numpy" in available_backends()
@@ -109,7 +133,7 @@ class TestRegistry:
             resolve_backend("fortran")
 
     def test_resolve_none_and_auto_pick_cpu_backend(self):
-        expected = "numba" if HAVE_NUMBA else "numpy"
+        expected = "c" if HAVE_C else "numpy"
         assert resolve_backend(None).name == expected
         assert resolve_backend("auto").name == expected
 
@@ -122,23 +146,30 @@ class TestRegistry:
             resolve_backend(42)
 
     def test_cupy_unavailable_is_loud(self):
-        # explicit requests for a missing accelerator must not degrade
-        from repro.shortrange.backends.cupy_backend import CupyBackend
+        self._retired_name_is_loud("cupy")
 
-        if CupyBackend.available():
-            pytest.skip("cupy with a CUDA device present")
-        with pytest.raises(BackendUnavailable):
-            get_backend("cupy")
-
-    @pytest.mark.skipif(HAVE_NUMBA, reason="numba importable here")
     def test_numba_unavailable_is_loud(self):
-        with pytest.raises(BackendUnavailable):
-            get_backend("numba")
+        self._retired_name_is_loud("numba")
 
-    @pytest.mark.skipif(HAVE_NUMBA, reason="numba importable here")
-    def test_auto_falls_back_to_numpy_without_numba(self):
-        assert "numba" not in available_backends()
+    @staticmethod
+    def _retired_name_is_loud(name):
+        """The pruned backends are unknown names: a config naming one
+        fails at the boundary, the registry does not know it."""
+        with pytest.raises(ConfigError, match="kernel_backend"):
+            SimulationConfig(
+                box_size=64.0, n_per_dim=8, kernel_backend=name
+            )
+        with pytest.raises(ValueError, match="unknown kernel backend"):
+            get_backend(name)
+
+    def test_auto_falls_back_to_numpy_without_numba(self, no_compiler):
+        """(Historical id.)  Without a usable compiler ``auto`` degrades
+        silently to numpy and an explicit ``c`` is loud."""
+        assert available_backends() == ("numpy",)
         assert resolve_backend("auto").name == "numpy"
+        assert resolve_backend(None).name == "numpy"
+        with pytest.raises(BackendUnavailable, match="C compiler"):
+            get_backend("c")
 
     def test_contract_is_abstract(self):
         with pytest.raises(TypeError):
@@ -146,14 +177,15 @@ class TestRegistry:
 
 
 # ----------------------------------------------------------------------
-# interpreted-numba equivalence (runs everywhere, numba or not)
+# C-vs-numpy equivalence on the primitives
 # ----------------------------------------------------------------------
 class TestInterpretedNumbaEquivalence:
-    """The numba loop bodies, run as plain Python, must be *bitwise*
-    equal to the NumPy backend in float64 — the strict-IEEE ordering
-    contract the compiled f64 variant inherits."""
+    """(Historical class id: these were the interpreted-numba checks.)
+    The compiled C backend must be *bitwise* equal to the NumPy backend
+    — the strict-IEEE ordering contract PR 7 set for numba f64, which C
+    also keeps in f32."""
 
-    def test_f_sr_pairs_bitwise(self, kernel, interpreted_numba, rng):
+    def test_f_sr_pairs_bitwise(self, kernel, cbackend, rng):
         s = rng.uniform(1e-3, kernel.fit.rcut_cells**2, 512)
         coeffs = np.ascontiguousarray(
             kernel.fit.coefficients, dtype=np.float64
@@ -163,37 +195,32 @@ class TestInterpretedNumbaEquivalence:
         got = np.empty_like(s)
         scratch = np.empty_like(s)
         get_backend("numpy").f_sr_pairs(s, coeffs, eps, ref, scratch)
-        interpreted_numba.f_sr_pairs(s, coeffs, eps, got, scratch)
+        cbackend.f_sr_pairs(s, coeffs, eps, got, scratch)
         assert np.array_equal(ref, got)
 
-    def test_treepm_forces_bitwise_f64(self, kernel, interpreted_numba, rng):
+    def test_treepm_forces_bitwise_f64(self, kernel, cbackend, rng):
         pos = clustered_cloud(rng, 160)
         masses = rng.uniform(0.5, 1.5, 160)
-        ref_solver = TreePMShortRange(
-            kernel, leaf_size=16, kernel_backend="numpy"
+        ref = make_solver("treepm", kernel, "numpy").accelerations(
+            pos, masses, BOX
         )
-        nb_solver = TreePMShortRange(
-            kernel, leaf_size=16, kernel_backend=interpreted_numba
+        got = make_solver("treepm", kernel, cbackend).accelerations(
+            pos, masses, BOX
         )
-        ref = ref_solver.accelerations(pos, masses, BOX)
-        got = nb_solver.accelerations(pos, masses, BOX)
+        assert np.abs(ref).max() > 0
         assert np.array_equal(ref, got)
 
-    def test_interaction_counts_match(self, kernel, interpreted_numba, rng):
+    def test_interaction_counts_match(self, kernel, cbackend, rng):
         pos = clustered_cloud(rng, 120)
-        ref_solver = TreePMShortRange(
-            kernel, leaf_size=16, kernel_backend="numpy"
-        )
-        nb_solver = TreePMShortRange(
-            kernel, leaf_size=16, kernel_backend=interpreted_numba
-        )
+        ref_solver = make_solver("treepm", kernel, "numpy")
+        c_solver = make_solver("treepm", kernel, cbackend)
         before = kernel.interaction_count
         ref_solver.accelerations(pos, None, BOX)
         ref_pairs = kernel.interaction_count - before
         before = kernel.interaction_count
-        nb_solver.accelerations(pos, None, BOX)
-        nb_pairs = kernel.interaction_count - before
-        assert ref_pairs == nb_pairs > 0
+        c_solver.accelerations(pos, None, BOX)
+        c_pairs = kernel.interaction_count - before
+        assert ref_pairs == c_pairs > 0
         # ... and both are the pairs the packed batch streams
         cloud, cloud_m = periodic_ghosts(pos, np.ones(120), BOX, kernel.rcut)
         batch = pack_tree(
@@ -202,84 +229,105 @@ class TestInterpretedNumbaEquivalence:
         assert ref_pairs == batch.n_pairs
         assert (
             ref_solver.engine.last_inside_pairs
-            == nb_solver.engine.last_inside_pairs
+            == c_solver.engine.last_inside_pairs
+            > 0
         )
 
-    def test_cic_gather_bitwise(self, interpreted_numba, rng):
+    def test_cic_gather_bitwise(self, cbackend, rng):
         n = 8
         pos = rng.uniform(0.0, BOX, (300, 3))
         grid = rng.normal(size=(n, n, n))
         ref = cic_interpolate(grid, pos, BOX, backend="numpy")
-        got = cic_interpolate(grid, pos, BOX, backend=interpreted_numba)
+        got = cic_interpolate(grid, pos, BOX, backend=cbackend)
         assert np.array_equal(ref, got)
 
-    def test_cic_deposit_close(self, interpreted_numba, rng):
-        # deposit summation order differs between backends (bincount vs
-        # serial scatter): tight tolerance, not bitwise
+    def test_cic_deposit_close(self, cbackend, rng):
+        # the C backend inherits the numpy deposit: same bits, same dtype
         n = 8
         pos = rng.uniform(0.0, BOX, (300, 3))
         w = rng.uniform(0.5, 1.5, 300)
         ref = cic_deposit(pos, n, BOX, weights=w, backend="numpy")
-        got = cic_deposit(pos, n, BOX, weights=w, backend=interpreted_numba)
-        np.testing.assert_allclose(got, ref, rtol=1e-13, atol=1e-13)
+        got = cic_deposit(pos, n, BOX, weights=w, backend=cbackend)
+        assert np.array_equal(ref, got)
         assert got.dtype == ref.dtype == np.float64
 
-    def test_f32_tracks_f64(self, kernel, kernel32, interpreted_numba, rng):
+    def test_f32_tracks_f64(self, kernel, kernel32, cbackend, rng):
         pos = clustered_cloud(rng, 160)
         masses = rng.uniform(0.5, 1.5, 160)
-        ref = TreePMShortRange(
-            kernel, leaf_size=16, kernel_backend="numpy"
-        ).accelerations(pos, masses, BOX)
-        got = TreePMShortRange(
-            kernel32, leaf_size=16, kernel_backend=interpreted_numba
-        ).accelerations(pos, masses, BOX)
+        ref = make_solver("treepm", kernel, "numpy").accelerations(
+            pos, masses, BOX
+        )
+        got = make_solver("treepm", kernel32, cbackend).accelerations(
+            pos, masses, BOX
+        )
         assert got.dtype == np.float32
         scale = np.abs(ref).max()
         assert np.max(np.abs(got - ref)) < 1e-4 * scale
 
 
 # ----------------------------------------------------------------------
-# compiled-numba equivalence (skipped when numba is absent)
+# C-vs-numpy equivalence through the solvers
 # ----------------------------------------------------------------------
-class TestCompiledNumbaEquivalence:
-    @pytest.fixture(autouse=True)
-    def _need_numba(self):
-        pytest.importorskip("numba")
+@needs_c
+class TestCBackendEquivalence:
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("solver", ["treepm", "p3m", "multitree"])
+    @pytest.mark.parametrize("chunk_pairs", [1 << 18, 7])
+    def test_forces_and_counters_bitwise(
+        self, grid_force_fit, rng, solver, dtype, chunk_pairs
+    ):
+        """Same bits and same counters in both precisions — also when
+        ``chunk_pairs`` is far below a group's source list, so every
+        group sums several source chunks."""
+        pos = clustered_cloud(rng, 240)
+        masses = rng.uniform(0.5, 1.5, 240)
+        out = {}
+        for backend in ("numpy", "c"):
+            kern = ShortRangeKernel(
+                grid_force_fit, spacing=1.0, eps_cells=0.01, dtype=dtype
+            )
+            built = make_solver(solver, kern, backend,
+                                chunk_pairs=chunk_pairs)
+            acc = built.accelerations(pos, masses, BOX)
+            out[backend] = (
+                acc, kern.interaction_count, built.engine.last_inside_pairs
+            )
+        ref, got = out["numpy"], out["c"]
+        assert np.abs(ref[0]).max() > 0
+        assert got[0].dtype == ref[0].dtype
+        assert np.array_equal(ref[0], got[0])
+        assert ref[1] == got[1] > 0
+        assert ref[2] == got[2] > 0
+        if chunk_pairs == 7:
+            assert ref[1] > 7 * 240  # lists really are several chunks
 
-    def test_treepm_forces_bitwise_f64(self, kernel, rng):
-        pos = clustered_cloud(rng, 200)
-        masses = rng.uniform(0.5, 1.5, 200)
-        ref = TreePMShortRange(
-            kernel, leaf_size=16, kernel_backend="numpy"
-        ).accelerations(pos, masses, BOX)
-        got = TreePMShortRange(
-            kernel, leaf_size=16, kernel_backend="numba"
-        ).accelerations(pos, masses, BOX)
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_empty_groups_and_no_targets(self, grid_force_fit, rng, dtype):
+        kern = ShortRangeKernel(
+            grid_force_fit, spacing=1.0, eps_cells=0.01, dtype=dtype
+        )
+        pos = rng.uniform(0.0, 3.0, (12, 3))
+        # groups: {0,1} x 6 sources, {} x 3 sources, {2} x no sources,
+        # {3,4} x 5 sources
+        batch = InteractionBatch(
+            np.array([0, 1, 2, 3, 4]), np.array([0, 2, 2, 3, 5]),
+            np.array([0, 1, 2, 3, 4, 5, 6, 7, 8, 3, 4, 9, 10, 11]),
+            np.array([0, 6, 9, 9, 14]),
+        )
+        engines = [BatchedPairEngine(kern, backend=b) for b in ("numpy", "c")]
+        ref, got = (e.evaluate(batch, pos, np.ones(12)) for e in engines)
+        assert np.abs(ref[[0, 1, 3, 4]]).min() > 0 and not ref[2].any()
         assert np.array_equal(ref, got)
-
-    def test_treepm_forces_f32_within_tolerance(self, kernel, kernel32, rng):
-        pos = clustered_cloud(rng, 200)
-        masses = rng.uniform(0.5, 1.5, 200)
-        ref = TreePMShortRange(
-            kernel, leaf_size=16, kernel_backend="numpy"
-        ).accelerations(pos, masses, BOX)
-        got = TreePMShortRange(
-            kernel32, leaf_size=16, kernel_backend="numba"
-        ).accelerations(pos, masses, BOX)
-        assert got.dtype == np.float32
-        scale = np.abs(ref).max()
-        assert np.max(np.abs(got - ref)) < 1e-4 * scale
-
-    def test_cic_roundtrip_bitwise_f64(self, rng):
-        n = 8
-        pos = rng.uniform(0.0, BOX, (400, 3))
-        grid = rng.normal(size=(n, n, n))
-        ref = cic_interpolate(grid, pos, BOX, backend="numpy")
-        got = cic_interpolate(grid, pos, BOX, backend="numba")
-        assert np.array_equal(ref, got)
+        assert engines[0].last_inside_pairs == engines[1].last_inside_pairs
+        for solver in ("treepm", "p3m", "multitree"):
+            built = make_solver(solver, kern, "c")
+            assert built.accelerations_cloud(pos, np.ones(12), 0).shape \
+                == (0, 3)
+        empty = engines[1].evaluate(InteractionBatch.empty(), pos, np.ones(12))
+        assert not empty.any()
 
     @pytest.mark.chaos
-    def test_chaos_lane_simulation_runs_on_numba(self):
+    def test_chaos_lane_simulation_runs_on_c(self):
         cfg = SimulationConfig(
             box_size=64.0,
             n_per_dim=8,
@@ -287,13 +335,298 @@ class TestCompiledNumbaEquivalence:
             z_final=10.0,
             n_steps=2,
             backend="treepm",
-            kernel_backend="numba",
+            kernel_backend="c",
             seed=11,
         )
         sim = HACCSimulation(cfg)
-        assert sim.kernel_backend == "numba"
+        assert sim.kernel_backend == "c"
         sim.run()
-        assert np.all(np.isfinite(sim.particles.positions))
+        ref = HACCSimulation(cfg.with_(kernel_backend="numpy"))
+        ref.run()
+        assert np.array_equal(sim.particles.positions, ref.particles.positions)
+        assert np.array_equal(sim.particles.momenta, ref.particles.momenta)
+
+    def test_two_threads_on_disjoint_domains_match_serial(
+        self, kernel, rng
+    ):
+        """The call drops the GIL; two domains evaluated concurrently,
+        each by its own solver, reproduce the serial bits."""
+        domains = [
+            (clustered_cloud(rng, 400), rng.uniform(0.5, 1.5, 400))
+            for _ in range(2)
+        ]
+        serial = [
+            make_solver("treepm", kernel, "c").accelerations(p, m, BOX)
+            for p, m in domains
+        ]
+        got = [None, None]
+
+        def work(k):
+            solver = make_solver("treepm", kernel, "c")
+            for _ in range(5):
+                got[k] = solver.accelerations(*domains[k], BOX)
+
+        threads = [threading.Thread(target=work, args=(k,)) for k in (0, 1)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        for k in (0, 1):
+            assert np.array_equal(got[k], serial[k])
+
+
+# ----------------------------------------------------------------------
+# the argument guard in front of the raw pointers
+# ----------------------------------------------------------------------
+@needs_c
+class TestCArgumentGuard:
+    @pytest.fixture()
+    def call(self, kernel, rng):
+        """``call(**overrides)`` runs one raw ``pair_accumulate`` on a
+        small packed batch and returns ``(acc, inside)``."""
+        pos = clustered_cloud(rng, 90)
+        tree = RCBTree(pos, rng.uniform(0.5, 1.5, 90), leaf_size=16)
+        batch = pack_tree(tree, kernel.rcut)
+        base = dict(
+            targets=batch.targets,
+            target_offsets=batch.target_offsets,
+            neighbor_indices=batch.neighbor_indices,
+            neighbor_offsets=batch.neighbor_offsets,
+            px=np.ascontiguousarray(tree.positions[:, 0]),
+            py=np.ascontiguousarray(tree.positions[:, 1]),
+            pz=np.ascontiguousarray(tree.positions[:, 2]),
+            msc=tree.masses.copy(),
+            coeffs=np.asarray(kernel.fit.coefficients, dtype=np.float64),
+            eps=np.float64(kernel.eps_cells),
+            rc2_cells=np.float64(kernel.fit.rcut_cells**2),
+            inv_sp2=np.float64(1.0),
+            chunk_pairs=1 << 18,
+            workspace=None,
+        )
+
+        def run(backend="c", **overrides):
+            args = {**base, **overrides}
+            args.setdefault("acc", np.zeros((90, 3)))
+            inside = get_backend(backend).pair_accumulate(**args)
+            return args["acc"], inside
+
+        run.base = base
+        return run
+
+    def test_copies_what_it_cannot_point_at(self, call):
+        from repro.shortrange.batch import Workspace
+
+        ref, ref_inside = call("numpy", workspace=Workspace())
+        assert ref_inside > 0
+        strided = np.zeros((90, 2))
+        strided[:, 0] = call.base["px"]
+        for overrides in (
+            {},
+            {"px": strided[:, 0]},                        # non-contiguous
+            {"msc": call.base["msc"][::-1].copy()[::-1]},  # negative stride
+            {"targets": call.base["targets"].astype(np.int32)},
+            {"neighbor_indices": list(call.base["neighbor_indices"])},
+            {"coeffs": list(call.base["coeffs"])},
+        ):
+            got, inside = call(**overrides)
+            assert np.array_equal(got, ref), sorted(overrides)
+            assert inside == ref_inside
+        # float32 streams handed to a float64 accumulator are widened,
+        # not reinterpreted
+        px32 = call.base["px"].astype(np.float32)
+        got, _ = call(px=px32)
+        ref32, _ = call("numpy", px=px32.astype(np.float64),
+                        workspace=Workspace())
+        assert np.array_equal(got, ref32)
+
+    def test_rejects_what_it_cannot_write_or_trust(self, call):
+        n = call.base["targets"].size
+        with pytest.raises(ValueError, match="acc"):
+            call(acc=np.zeros((90, 6))[:, ::2])            # non-contiguous
+        with pytest.raises(ValueError, match="acc"):
+            call(acc=np.zeros((90, 3), dtype=np.int64))    # wrong dtype
+        with pytest.raises(ValueError, match="acc"):
+            call(acc=np.zeros(270))                        # wrong shape
+        with pytest.raises(ValueError, match="px"):
+            call(px=call.base["px"][:50])                  # too short
+        with pytest.raises(IndexError):
+            call(neighbor_indices=call.base["neighbor_indices"] + 90)
+        with pytest.raises(IndexError):
+            call(targets=call.base["targets"] - 1)
+        with pytest.raises(ValueError, match="offsets"):
+            call(target_offsets=call.base["target_offsets"] + n)
+        with pytest.raises(ValueError, match="offsets"):
+            call(neighbor_offsets=call.base["neighbor_offsets"][::-1])
+        with pytest.raises(ValueError, match="neighbor_offsets"):
+            call(neighbor_offsets=call.base["neighbor_offsets"][:-1])
+
+
+# ----------------------------------------------------------------------
+# the build cache
+# ----------------------------------------------------------------------
+_PROBE = """
+import hashlib, numpy as np
+from repro.shortrange.backends import get_backend
+from repro.shortrange.grid_force import default_grid_force_fit
+from repro.shortrange.kernel import ShortRangeKernel
+from repro.shortrange.solvers import TreePMShortRange
+rng = np.random.default_rng(5)
+pos = rng.uniform(0.0, 10.0, (300, 3))
+kern = ShortRangeKernel(default_grid_force_fit(), spacing=1.0)
+acc = TreePMShortRange(kern, leaf_size=16, kernel_backend="c").accelerations(
+    pos, np.ones(300), 10.0)
+print(get_backend("c").name, hashlib.sha256(acc.tobytes()).hexdigest())
+"""
+
+
+@needs_c
+class TestCBuildCache:
+    @staticmethod
+    def fresh(monkeypatch, cache):
+        """A new CBackend whose cache root is ``cache``."""
+        from repro.shortrange.backends.c_backend import CBackend
+
+        monkeypatch.setenv("XDG_CACHE_HOME", str(cache))
+        return CBackend()
+
+    @staticmethod
+    def forces(backend, kernel):
+        pos = clustered_cloud(np.random.default_rng(3), 200)
+        return make_solver("treepm", kernel, backend).accelerations(
+            pos, np.ones(200), BOX
+        )
+
+    def test_cold_build_publishes_one_library(
+        self, monkeypatch, tmp_path, kernel
+    ):
+        backend = self.fresh(monkeypatch, tmp_path)
+        libs = list((tmp_path / "repro" / "kernels").iterdir())
+        assert [p.suffix for p in libs] == [".so"]  # no temp file left
+        assert len(libs[0].stem) == 64
+        assert set(backend.build_info) == {
+            "compiler", "flags", "source_sha256"
+        }
+        assert "-ffp-contract=off" in backend.build_info["flags"]
+        ref = self.forces("numpy", kernel)
+        assert np.array_equal(self.forces(backend, kernel), ref)
+
+    @pytest.mark.parametrize("damage", ["garbage", "truncated", "empty"])
+    def test_damaged_cache_entry_is_rebuilt(
+        self, monkeypatch, tmp_path, kernel, damage
+    ):
+        good = tmp_path / "good"
+        self.fresh(monkeypatch, good)
+        (lib,) = (good / "repro" / "kernels").iterdir()
+        # the damaged copy lives in a cache nothing has loaded from
+        bad_dir = tmp_path / "bad" / "repro" / "kernels"
+        bad_dir.mkdir(parents=True)
+        blob = lib.read_bytes()
+        (bad_dir / lib.name).write_bytes(
+            {"garbage": b"not an ELF file" * 64,
+             "truncated": blob[: len(blob) // 2],
+             "empty": b""}[damage]
+        )
+        backend = self.fresh(monkeypatch, tmp_path / "bad")
+        assert (bad_dir / lib.name).stat().st_size > len(blob) // 2
+        ref = self.forces("numpy", kernel)
+        assert np.array_equal(self.forces(backend, kernel), ref)
+
+    def test_unwritable_cache_dir_falls_back_to_a_temp_dir(
+        self, monkeypatch, tmp_path, kernel
+    ):
+        blocker = tmp_path / "file"
+        blocker.write_text("not a directory")
+        backend = self.fresh(monkeypatch, blocker / "cache")
+        assert blocker.read_text() == "not a directory"
+        ref = self.forces("numpy", kernel)
+        assert np.array_equal(self.forces(backend, kernel), ref)
+
+    def test_failed_build_is_backend_unavailable(
+        self, monkeypatch, tmp_path
+    ):
+        from repro.shortrange.backends import c_backend
+
+        monkeypatch.setattr(
+            c_backend, "_FLAGS", c_backend._FLAGS + ("--no-such-flag",)
+        )
+        with pytest.raises(BackendUnavailable, match="failed"):
+            self.fresh(monkeypatch, tmp_path)
+        assert not list((tmp_path / "repro" / "kernels").iterdir())
+
+    def test_two_processes_racing_a_cold_cache(self, tmp_path):
+        env = {**os.environ, "PYTHONPATH": os.path.abspath(SRC),
+               "XDG_CACHE_HOME": str(tmp_path)}
+        procs = [
+            subprocess.Popen(
+                [sys.executable, "-c", _PROBE], env=env,
+                stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            )
+            for _ in range(2)
+        ]
+        outs = [p.communicate(timeout=300) for p in procs]
+        for p, (out, err) in zip(procs, outs):
+            assert p.returncode == 0, err
+            assert out.startswith("c ")
+        assert outs[0][0] == outs[1][0]
+        libs = list((tmp_path / "repro" / "kernels").iterdir())
+        assert [p.suffix for p in libs] == [".so"]
+
+
+# ----------------------------------------------------------------------
+# CI lane 9: absolute ns-per-streamed-pair ceilings
+# ----------------------------------------------------------------------
+class TestKernelCeilingGate:
+    @pytest.fixture()
+    def gate(self):
+        import importlib.util
+
+        path = os.path.join(SRC, os.pardir, "benchmarks",
+                            "check_regression.py")
+        spec = importlib.util.spec_from_file_location("check_regression",
+                                                      path)
+        mod = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(mod)
+
+        def run(readings, backends=("numpy", "c")):
+            entries = [
+                {"backend": b, "precision": p, "ns_per_pair": ns}
+                for (b, p), ns in readings.items()
+            ]
+            rec = {"payload": {"backends": list(backends),
+                               "entries": entries}}
+            return mod.check_kernel_speedup({"kernels": rec}, None)
+
+        run.ceilings = mod.KERNEL_NS_PER_PAIR_CEILINGS
+        return run
+
+    def test_every_measured_configuration_is_held_to_its_ceiling(self, gate):
+        under = {k: 0.5 * v for k, v in gate.ceilings.items()}
+        failures, rows = gate(under)
+        assert failures == []
+        assert sum("ns/pair ok" in r[-1] for r in rows) == len(under)
+        over = dict(under)
+        over[("c", "f32")] = 1.01 * gate.ceilings[("c", "f32")]
+        failures, _ = gate(over)
+        assert len(failures) == 1 and "c/f32" in failures[0]
+
+    def test_unknown_configuration_and_missing_backend(self, gate, capsys):
+        failures, _ = gate({("fortran", "f64"): 1.0}, backends=["fortran"])
+        assert any("fortran/f64" in f for f in failures)
+        numpy_only = {k: 1.0 for k in gate.ceilings if k[0] == "numpy"}
+        failures, rows = gate(numpy_only, backends=["numpy"])
+        assert failures == []
+        assert sum("skipped" in r[-1] for r in rows) == 2
+        assert "PROVENANCE MISMATCH" in capsys.readouterr().out
+
+    def test_committed_record_passes(self, gate):
+        path = os.path.join(SRC, os.pardir, "BENCH_kernels.json")
+        payload = json.load(open(path))["payload"]
+        assert set(payload["backends"]) == {"numpy", "c"}
+        failures, _ = gate({
+            (e["backend"], e["precision"]): e["ns_per_pair"]
+            for e in payload["entries"]
+        })
+        assert failures == []
 
 
 # ----------------------------------------------------------------------
@@ -377,7 +710,7 @@ class TestConfigPlumbing:
         sim = HACCSimulation(tiny_config(kernel_backend="numpy"))
         assert sim.kernel_backend == "numpy"
         auto = HACCSimulation(tiny_config())
-        assert auto.kernel_backend in ("numpy", "numba")
+        assert auto.kernel_backend == ("c" if HAVE_C else "numpy")
 
     def test_simulation_casts_particles_to_f32(self):
         sim = HACCSimulation(tiny_config(dtype="f32"))
@@ -386,10 +719,13 @@ class TestConfigPlumbing:
         assert sim.particles.masses.dtype == np.float32
         assert sim.particles.ids.dtype == np.int64
 
-    @pytest.mark.skipif(HAVE_NUMBA, reason="numba importable here")
-    def test_explicit_unavailable_backend_fails_at_construction(self):
+    def test_explicit_unavailable_backend_fails_at_construction(
+        self, no_compiler
+    ):
         with pytest.raises(BackendUnavailable):
-            HACCSimulation(tiny_config(kernel_backend="numba"))
+            HACCSimulation(tiny_config(kernel_backend="c"))
+        # ... while the default degrades to numpy, same trajectory shape
+        assert HACCSimulation(tiny_config()).kernel_backend == "numpy"
 
     def test_f32_trajectory_tracks_f64(self):
         s64 = HACCSimulation(tiny_config(kernel_backend="numpy"))
@@ -451,6 +787,20 @@ class TestManifestAndLedger:
         # "auto" from the config replaced by the driver's resolved name
         assert m["kernel_backend"] == "numpy"
 
+    def test_manifest_records_how_the_kernel_was_built(self):
+        from repro.__main__ import _kernel_extra
+        from repro.instrument.telemetry import run_manifest
+
+        sim = HACCSimulation(tiny_config())
+        m = run_manifest(sim.config, extra=_kernel_extra(sim))
+        assert m["kernel_backend"] == sim.kernel_backend != "auto"
+        if sim.kernel_backend == "c":
+            assert set(m["kernel_build"]) == {
+                "compiler", "flags", "source_sha256"
+            }
+        numpy_sim = HACCSimulation(tiny_config(kernel_backend="numpy"))
+        assert "kernel_build" not in _kernel_extra(numpy_sim)
+
     def test_ledger_records_and_filters(self, tmp_path):
         from repro.instrument.store import RunLedger
         from repro.instrument.telemetry import run_manifest
@@ -465,7 +815,7 @@ class TestManifestAndLedger:
         only32 = ledger.query(precision="f32")
         assert [e.run_id for e in only32] == [e32.run_id]
         assert len(ledger.query(kernel_backend="numpy")) == 2
-        assert ledger.query(kernel_backend="cupy") == []
+        assert ledger.query(kernel_backend="c") == []
 
     def test_entry_roundtrips_through_json(self, tmp_path):
         from repro.instrument.store import RunEntry, RunLedger
@@ -507,7 +857,7 @@ class TestCLI:
         from repro.__main__ import build_parser
 
         args = build_parser().parse_args(
-            ["runs", "--kernel-backend", "numba", "--precision", "f32"]
+            ["runs", "--kernel-backend", "c", "--precision", "f32"]
         )
-        assert args.kernel_backend == "numba"
+        assert args.kernel_backend == "c"
         assert args.precision == "f32"

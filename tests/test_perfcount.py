@@ -9,7 +9,6 @@ what the disabled instrumentation can possibly cost a production run.
 
 from __future__ import annotations
 
-import importlib.util
 import json
 import time
 
@@ -48,10 +47,9 @@ from repro.machine.calibrate import (
     calibrate,
     host_fingerprint,
 )
+from repro.shortrange.backends import available_backends
 from repro.shortrange.grid_force import default_grid_force_fit
 from repro.shortrange.kernel import ShortRangeKernel
-
-HAVE_NUMBA = importlib.util.find_spec("numba") is not None
 
 
 def tiny_sim(**kwargs) -> HACCSimulation:
@@ -215,11 +213,13 @@ class TestWorkInvariance:
         assert serial == parallel
         assert serial["pp.flops"] > 0
 
-    @pytest.mark.skipif(not HAVE_NUMBA, reason="numba not importable")
+    @pytest.mark.skipif(
+        "c" not in available_backends(), reason="no working C compiler"
+    )
     def test_kernel_backends_count_identical_work(self):
         numpy_run = self._run_counters(kernel_backend="numpy")
-        numba_run = self._run_counters(kernel_backend="numba")
-        assert numpy_run == numba_run
+        c_run = self._run_counters(kernel_backend="c")
+        assert numpy_run == c_run
 
     def test_precision_halves_pair_bytes_only(self):
         f64 = self._run_counters()
@@ -461,14 +461,16 @@ class TestWiring:
         assert "numpy" not in text
 
     def test_bench_provenance_notes(self):
+        here = list(available_backends())
         mismatched = {
-            "kernels": {"payload": {"numba_available": not HAVE_NUMBA}}
+            "kernels": {"payload": {"backends": here + ["fortran"]}}
         }
         notes = bench_provenance_notes(mismatched)
         assert len(notes) == 1
         assert "PROVENANCE MISMATCH" in notes[0]
+        assert "fortran" in notes[0]
         matched = {
-            "kernels": {"payload": {"numba_available": HAVE_NUMBA}},
+            "kernels": {"payload": {"backends": here}},
             "flagless": {"payload": {"duration_s": 1.0}},
         }
         assert bench_provenance_notes(matched) == []

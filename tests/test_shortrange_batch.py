@@ -22,6 +22,7 @@ from repro.fft.local import (
 )
 from repro.fft.pencil import PencilFFT
 from repro.grid.cic import ParticleGridCoords, cic_deposit, cic_interpolate
+from repro.shortrange.backends import BackendUnavailable, get_backend
 from repro.shortrange.batch import (
     BatchedPairEngine,
     InteractionBatch,
@@ -358,12 +359,21 @@ class TestEquivalence:
 # ----------------------------------------------------------------------
 # tight lists: real targets, culled sources, unchanged bits
 # ----------------------------------------------------------------------
+def _multitree(kern, leaf, backend):
+    solver = MultiTreeShortRange(kern, leaf_size=leaf, n_trees=2)
+    solver.engine = BatchedPairEngine(kern, backend=backend)
+    return solver
+
+
+#: solver factories ``(kernel, leaf_size, kernel_backend)``
 SOLVERS = {
-    "treepm": lambda kern, leaf: TreePMShortRange(kern, leaf_size=leaf),
-    "p3m": lambda kern, leaf: P3MShortRange(kern),
-    "multitree": lambda kern, leaf: MultiTreeShortRange(
-        kern, leaf_size=leaf, n_trees=2
+    "treepm": lambda kern, leaf, backend: TreePMShortRange(
+        kern, leaf_size=leaf, kernel_backend=backend
     ),
+    "p3m": lambda kern, leaf, backend: P3MShortRange(
+        kern, kernel_backend=backend
+    ),
+    "multitree": _multitree,
 }
 
 
@@ -382,6 +392,10 @@ def ghosted_clouds(draw):
 
 
 class TestTightListProperty:
+    #: kernel backend under test; the ``...OnC`` subclasses below re-run
+    #: every test of this section through the compiled kernel
+    BACKEND = "numpy"
+
     @pytest.mark.parametrize("dtype,rtol", [(np.float64, 1e-12),
                                             (np.float32, 1e-4)])
     @pytest.mark.parametrize("solver", sorted(SOLVERS))
@@ -408,15 +422,17 @@ class TestTightListProperty:
         ref = DirectShortRange(kern).accelerations_cloud(
             pos, masses, n_targets
         )
-        got = SOLVERS[solver](kern, leaf_size).accelerations_cloud(
-            pos, masses, n_targets
-        )
+        got = SOLVERS[solver](
+            kern, leaf_size, self.BACKEND
+        ).accelerations_cloud(pos, masses, n_targets)
         assert got.shape == (n_targets, 3)
         scale = np.abs(ref).max() if ref.size else 0.0
         np.testing.assert_allclose(got, ref, atol=rtol * scale, rtol=rtol)
 
 
 class TestCullNeverChangesABit:
+    BACKEND = "numpy"
+
     @pytest.mark.parametrize("cloud", sorted(CLOUDS))
     def test_packed_equals_uncut_batch_bitwise(self, kernel, rng, cloud):
         pos = CLOUDS[cloud](rng, 400)
@@ -427,7 +443,7 @@ class TestCullNeverChangesABit:
         uncut = uncut_batch(tree, kernel.rcut, 400)
         np.testing.assert_array_equal(packed.targets, uncut.targets)
         assert packed.n_pairs < uncut.n_pairs
-        engine = BatchedPairEngine(kernel)
+        engine = BatchedPairEngine(kernel, backend=self.BACKEND)
         a = engine.evaluate(packed, tree.positions, tree.masses)
         inside = engine.last_inside_pairs
         b = engine.evaluate(uncut, tree.positions, tree.masses)
@@ -439,6 +455,7 @@ class TestCullNeverChangesABit:
 
 class TestTightListEdges:
     RCUT = 3.0
+    BACKEND = "numpy"
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     def test_source_exactly_at_rcut_of_a_face_target_is_kept(self, dtype):
@@ -465,9 +482,9 @@ class TestTightListEdges:
         )
         m = np.array([1.0, 2.0, 0.5, 1.5, 1.0])
         for n_targets in (5, 3):
-            got = TreePMShortRange(kernel, leaf_size=1).accelerations_cloud(
-                pos, m, n_targets
-            )
+            got = TreePMShortRange(
+                kernel, leaf_size=1, kernel_backend=self.BACKEND
+            ).accelerations_cloud(pos, m, n_targets)
             ref = DirectShortRange(kernel).accelerations_cloud(
                 pos, m, n_targets
             )
@@ -488,7 +505,9 @@ class TestTightListEdges:
         src = tree.perm[batch.neighbor_indices]
         assert np.isin(np.arange(51), src).all()
         assert src.max() <= 50
-        got = TreePMShortRange(kernel).accelerations_cloud(cloud, masses, 1)
+        got = TreePMShortRange(
+            kernel, kernel_backend=self.BACKEND
+        ).accelerations_cloud(cloud, masses, 1)
         ref = DirectShortRange(kernel).accelerations_cloud(cloud, masses, 1)
         assert_forces_close(got, ref, 1e-12)
 
@@ -504,7 +523,7 @@ class TestTightListEdges:
     @pytest.mark.parametrize("solver", sorted(SOLVERS))
     def test_no_targets_and_empty_cloud(self, kernel, rng, solver):
         pos = clustered_cloud(rng, 60)
-        built = SOLVERS[solver](kernel, 16)
+        built = SOLVERS[solver](kernel, 16, self.BACKEND)
         kernel.reset_counters()
         assert built.accelerations_cloud(pos, np.ones(60), 0).shape == (0, 3)
         assert built.accelerations_cloud(
@@ -525,6 +544,29 @@ class TestTightListEdges:
         assert tight.target_offsets.tolist() == [0, 1]
         assert tight.neighbor_indices.tolist() == [0, 1, 2]
         assert tight.n_pairs == 3
+
+
+@pytest.fixture()
+def _need_c_backend():
+    try:
+        get_backend("c")
+    except BackendUnavailable as exc:
+        pytest.skip(str(exc))
+
+
+@pytest.mark.usefixtures("_need_c_backend")
+class TestTightListPropertyOnC(TestTightListProperty):
+    BACKEND = "c"
+
+
+@pytest.mark.usefixtures("_need_c_backend")
+class TestCullNeverChangesABitOnC(TestCullNeverChangesABit):
+    BACKEND = "c"
+
+
+@pytest.mark.usefixtures("_need_c_backend")
+class TestTightListEdgesOnC(TestTightListEdges):
+    BACKEND = "c"
 
 
 # ----------------------------------------------------------------------
