@@ -28,8 +28,10 @@
 # every measured backend x precision must cost no more ns per streamed
 # pair than check_regression.py's KERNEL_NS_PER_PAIR_CEILINGS; then it
 # forces the numpy fallback (CC=/bin/false, empty kernel cache): the
-# kernel-backend tests and a 16^3 run must pass on numpy, the manifest
-# must say so, and the final state must equal the C run's bit for bit.
+# kernel-backend tests and three 16^3 runs (treepm f64, treepm f32, pm)
+# must pass on numpy, each manifest must say so, and each final state
+# must equal its C twin's bit for bit -- so the pair kernel and both
+# precisions of the C CIC loops are checked against numpy on every run.
 # Lane 10 gates the measured roofline: 'report --roofline'
 # on a ledgered run must place the shortrange/cic/fft phases against
 # the calibrated host peak, and check_regression.py --check-roofline
@@ -106,27 +108,37 @@ FB_DIR="$CI_OBS_DIR/fallback"
 mkdir -p "$FB_DIR/cache"
 CC=/bin/false XDG_CACHE_HOME="$FB_DIR/cache" PYTHONPATH=src \
     "$PYTHON" -m pytest tests/test_kernel_backends.py -q
-PYTHONPATH=src "$PYTHON" -m repro -q run --steps 1 --n-per-dim 16 \
-    --outdir "$FB_DIR/c" --telemetry "$FB_DIR/c.jsonl"
-CC=/bin/false XDG_CACHE_HOME="$FB_DIR/cache" PYTHONPATH=src \
-    "$PYTHON" -m repro -q run --steps 1 --n-per-dim 16 \
-    --outdir "$FB_DIR/numpy" --telemetry "$FB_DIR/numpy.jsonl"
+fallback_twin() {  # NAME RUN-FLAGS...: the same run on C and on numpy
+    local name=$1
+    shift
+    PYTHONPATH=src "$PYTHON" -m repro -q run --steps 1 --n-per-dim 16 "$@" \
+        --outdir "$FB_DIR/$name-c" --telemetry "$FB_DIR/$name-c.jsonl"
+    CC=/bin/false XDG_CACHE_HOME="$FB_DIR/cache" PYTHONPATH=src \
+        "$PYTHON" -m repro -q run --steps 1 --n-per-dim 16 "$@" \
+        --outdir "$FB_DIR/$name-numpy" --telemetry "$FB_DIR/$name-numpy.jsonl"
+}
+fallback_twin treepm-f64
+fallback_twin treepm-f32 --precision f32
+fallback_twin pm-f64 --backend pm
 PYTHONPATH=src "$PYTHON" - "$FB_DIR" <<'PYEOF'
 import json, pathlib, sys
-import numpy as np
 from repro.io import find_latest_valid, load_checkpoint
 root = pathlib.Path(sys.argv[1])
-state = {}
-for name in ("c", "numpy"):
-    manifest = json.loads(open(root / f"{name}.jsonl").readline())
-    assert manifest["kernel_backend"] == name, \
-        f"{name} run recorded kernel backend {manifest['kernel_backend']!r}"
-    state[name] = load_checkpoint(find_latest_valid(root / name)).particles
-assert "kernel_build" not in manifest, "numpy run claims a compiled kernel"
-assert np.array_equal(state["c"].positions, state["numpy"].positions)
-assert np.array_equal(state["c"].momenta, state["numpy"].momenta)
-print("fallback lane: CC=/bin/false ran on numpy, final state bitwise "
-      "equal to the C run")
+for twin in ("treepm-f64", "treepm-f32", "pm-f64"):
+    state = {}
+    for name in ("c", "numpy"):
+        run = f"{twin}-{name}"
+        manifest = json.loads(open(root / f"{run}.jsonl").readline())
+        assert manifest["kernel_backend"] == name, \
+            f"{run} recorded kernel backend {manifest['kernel_backend']!r}"
+        state[name] = load_checkpoint(find_latest_valid(root / run)).particles
+    assert "kernel_build" not in manifest, f"{run} claims a compiled kernel"
+    for field in ("positions", "momenta"):
+        a, b = getattr(state["c"], field), getattr(state["numpy"], field)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), \
+            f"{twin}: {field} differ between the C and numpy runs"
+    print(f"fallback lane: {twin} ran on numpy under CC=/bin/false, final "
+          f"state bitwise equal to the C run ({state['c'].positions.dtype})")
 PYEOF
 
 echo "== 10/12 measured roofline gate =="

@@ -316,9 +316,10 @@ class HACCSimulation:
     def _long_range(self, positions: np.ndarray) -> np.ndarray:
         t0 = time.perf_counter()
         with get_registry().span("longrange"):
-            acc = self.prefactor * self.poisson.accelerations(
+            acc = self.poisson.accelerations(
                 positions, weights=self.particles.masses
             )
+            acc *= self.prefactor  # the solver's fresh array: no temporary
         self.timings["long_range"] += time.perf_counter() - t0
         return acc
 

@@ -3,9 +3,12 @@
 CIC assigns each particle's mass to the 8 grid points surrounding it with
 trilinear weights (Hockney & Eastwood 1988); interpolation is the adjoint
 gather with the same weights — the momentum-conserving pairing HACC uses
-for the PM force.  Both operations are fully vectorized: the scatter is a
-single ``np.bincount`` over flattened corner indices, which profiling shows
-is ~10x faster than ``np.add.at`` for large particle counts.
+for the PM force.  Both run through the kernel-backend seam: the compiled
+``c`` backend computes each particle's corners on the fly, the ``numpy``
+fallback builds :class:`ParticleGridCoords` tables and scatters them with
+one ``np.bincount`` per corner (~10x faster than ``np.add.at``).  The two
+are bitwise equal; :class:`ParticleGridCoords` is the definition of the
+arithmetic both follow.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ __all__ = [
     "density_contrast",
     "cic_window",
     "ParticleGridCoords",
+    "non_finite_positions",
 ]
 
 
@@ -31,28 +35,48 @@ def _float_dtype(a) -> np.dtype:
 
 
 def _cic_backend(backend):
-    """Resolve the kernel backend for a CIC call (default: numpy).
+    """Resolve the kernel backend for a CIC call; ``None`` means
+    ``auto`` (c, else numpy), as a simulation run resolves it.
 
     Imported lazily: ``repro.shortrange`` pulls in ``grid_force`` which
     imports this module, so a top-level import would be circular.
     """
-    from repro.shortrange.backends import get_backend, resolve_backend
+    from repro.shortrange.backends import resolve_backend
 
-    if backend is None:
-        return get_backend("numpy")
     return resolve_backend(backend)
+
+
+def non_finite_positions(count: int) -> ValueError:
+    """The one error every backend raises for NaN/inf coordinates (a
+    particle with one has no cell to deposit into or gather from)."""
+    return ValueError(
+        f"cic: {count} particle position(s) are not finite"
+    )
+
+
+def _check_positions(positions, dt) -> np.ndarray:
+    """``positions`` as a C-contiguous ``(N, 3)`` array of ``dt``."""
+    pos = np.ascontiguousarray(positions, dtype=dt)
+    if pos.ndim != 2 or pos.shape[1] != 3:
+        raise ValueError(f"positions must be (N, 3), got {pos.shape}")
+    return pos
+
+
+def _check_grid(n: int, box_size: float) -> None:
+    if box_size <= 0:
+        raise ValueError(f"box_size must be positive, got {box_size}")
+    if n < 2:
+        raise ValueError(f"grid size must be >= 2, got {n}")
 
 
 def _corner_data(positions: np.ndarray, n: int, box_size: float, dtype=None):
     """Base cell indices and fractional offsets for each particle."""
     dt = _float_dtype(positions) if dtype is None else np.dtype(dtype)
-    pos = np.asarray(positions, dtype=dt)
-    if pos.ndim != 2 or pos.shape[1] != 3:
-        raise ValueError(f"positions must be (N, 3), got {pos.shape}")
-    if box_size <= 0:
-        raise ValueError(f"box_size must be positive, got {box_size}")
-    if n < 2:
-        raise ValueError(f"grid size must be >= 2, got {n}")
+    pos = _check_positions(positions, dt)
+    _check_grid(n, box_size)
+    bad = pos.shape[0] - int(np.count_nonzero(np.isfinite(pos).all(axis=1)))
+    if bad:
+        raise non_finite_positions(bad)
     scaled = np.mod(pos, dt.type(box_size)) * dt.type(n / box_size)
     # mod can return box_size for inputs just below it after scaling
     scaled = np.where(scaled >= n, scaled - dt.type(n), scaled)
@@ -63,16 +87,15 @@ def _corner_data(positions: np.ndarray, n: int, box_size: float, dtype=None):
 
 
 class ParticleGridCoords:
-    """Precomputed CIC corner indices and trilinear weights.
+    """CIC corner indices and trilinear weights as ``(8, N)`` tables.
 
-    One PM half-kick runs *four* CIC passes over the same positions
-    (one deposit + three force-component gathers); each pass repeats
-    the wrap/scale/floor index arithmetic.  Computing the 8 flattened
-    corner indices and weight products once and passing the object to
-    :func:`cic_deposit` / :func:`cic_interpolate` via ``coords=`` does
-    that work a single time.  Corners are enumerated in the same
-    ``(dx, dy, dz)`` order as the inline loops, so results match the
-    uncached path.
+    The numpy backend's implementation of both CIC passes, and the
+    oracle the compiled backend is held to bitwise: wrap with
+    ``np.mod``, scale, fold, floor and clip to a base cell; corners
+    enumerated in ``(dx, dy, dz)`` order with weight ``(wx*wy)*wz``.
+    Nothing outside :class:`~repro.shortrange.backends.numpy_backend.
+    NumpyBackend` builds one on a solver path (the tables are ~115 MB
+    at 96^3).
 
     ``dtype`` fixes the precision of the trilinear weights; by default
     it follows the positions (float32 positions keep float32 weights —
@@ -110,22 +133,15 @@ class ParticleGridCoords:
         #: (8, N) trilinear weights (each column sums to 1)
         self.weights = np.stack(wts, axis=0)
 
-    def check(self, n: int, box_size: float) -> None:
-        if n != self.n or box_size != self.box_size:
-            raise ValueError(
-                f"coords built for grid ({self.n}, {self.box_size}), "
-                f"requested ({n}, {box_size})"
-            )
-
 
 def cic_deposit(
     positions: np.ndarray,
     n: int,
     box_size: float,
     weights: np.ndarray | None = None,
-    coords: ParticleGridCoords | None = None,
     dtype=None,
     backend=None,
+    workspace=None,
 ) -> np.ndarray:
     """Deposit particle mass onto an ``n^3`` periodic grid.
 
@@ -139,54 +155,48 @@ def cic_deposit(
         Periodic box side length.
     weights:
         Optional per-particle masses (default 1).
-    coords:
-        Optional precomputed :class:`ParticleGridCoords` for these
-        positions — reuses the corner index/weight computation across
-        the deposit and the force gathers of one PM solve.
     dtype:
         Grid precision; ``None`` keeps float64 (the historical default,
         even for float32 positions — pass ``np.float32`` explicitly for
-        a mixed-precision PM grid).
+        a mixed-precision PM grid).  Positions and weights are cast to
+        it before the deposit.
     backend:
         Kernel backend (name or instance) performing the scatter;
-        ``None`` uses the NumPy reference.
+        ``None`` resolves ``auto`` (c, else numpy) as a simulation run
+        does.
+    workspace:
+        Optional :class:`~repro.shortrange.backends.Workspace` holding
+        the backend's scratch across calls (the PM solver passes its
+        own); ``None`` uses a fresh one.
 
     Returns
     -------
     (n, n, n) array in ``dtype`` whose sum equals the total deposited
     mass (exact mass conservation — a property test pins this down).
+    Non-finite positions raise :class:`ValueError`.
     """
     reg = get_registry()
     dt = np.dtype(np.float64) if dtype is None else np.dtype(dtype)
     with reg.span("cic.deposit"):
-        if coords is None:
-            coords = ParticleGridCoords(positions, n, box_size, dtype=dt)
-        else:
-            coords.check(n, box_size)
-        npart = coords.n_particles
-        w = (
-            np.ones(npart, dtype=dt)
-            if weights is None
-            else np.asarray(weights, dtype=dt)
-        )
-        if w.shape != (npart,):
+        pos = _check_positions(positions, dt)
+        _check_grid(n, box_size)
+        npart = pos.shape[0]
+        w = None if weights is None else np.asarray(weights, dtype=dt)
+        if w is not None and w.shape != (npart,):
             raise ValueError(f"weights shape {w.shape} != ({npart},)")
-
-        cw = coords.weights.astype(dt, copy=False)
         grid = _cic_backend(backend).cic_deposit(
-            coords.flat, cw, w, n * n * n
+            pos, w, int(n), float(box_size), workspace
         )
         reg.count("cic.deposit_particles", npart)
         reg.count("cic.flops", CIC_FLOPS_PER_PARTICLE * npart)
         reg.count("cic.bytes", cic_bytes(npart, dt.itemsize))
-    return grid.reshape(n, n, n)
+    return grid
 
 
 def cic_interpolate(
-    grid: np.ndarray,
+    grid,
     positions: np.ndarray,
     box_size: float,
-    coords: ParticleGridCoords | None = None,
     dtype=None,
     backend=None,
 ) -> np.ndarray:
@@ -195,28 +205,32 @@ def cic_interpolate(
     The adjoint of :func:`cic_deposit` — using the identical weights makes
     the PM force momentum conserving (no self-force), which the force
     tests check by measuring the net force on isolated particles.
-    ``coords`` reuses a precomputed :class:`ParticleGridCoords`;
-    ``dtype`` fixes the output precision (default float64) and
-    ``backend`` selects the gather implementation (default NumPy).
+    ``grid`` is one ``(n, n, n)`` array (returns ``(N,)``) or a list /
+    tuple of ``k`` of them, gathered in one pass over the particles
+    (returns ``(N, k)``; the PM force's three components).  ``dtype``
+    fixes the output precision (default float64) and ``backend``
+    selects the gather implementation (``None``: ``auto``, as for
+    :func:`cic_deposit`).
     """
     reg = get_registry()
     dt = np.dtype(np.float64) if dtype is None else np.dtype(dtype)
     with reg.span("cic.interpolate"):
-        grid = np.asarray(grid)
-        n = grid.shape[0]
-        if grid.shape != (n, n, n):
-            raise ValueError(f"grid must be cubic, got shape {grid.shape}")
-        if coords is None:
-            coords = ParticleGridCoords(positions, n, box_size, dtype=dt)
-        else:
-            coords.check(n, box_size)
-        flat_grid = grid.reshape(-1).astype(dt, copy=False)
-        cw = coords.weights.astype(dt, copy=False)
-        out = _cic_backend(backend).cic_gather(flat_grid, coords.flat, cw)
-        reg.count("cic.interp_particles", coords.n_particles)
-        reg.count("cic.flops", CIC_FLOPS_PER_PARTICLE * coords.n_particles)
-        reg.count("cic.bytes", cic_bytes(coords.n_particles, dt.itemsize))
-    return out
+        single = not isinstance(grid, (list, tuple))
+        grids = [np.asarray(g, dtype=dt) for g in ([grid] if single
+                                                   else grid)]
+        n = grids[0].shape[0] if grids and grids[0].ndim else 0
+        if not grids or any(g.shape != (n, n, n) for g in grids):
+            raise ValueError("grids must be one or more equal cubic "
+                             f"arrays, got {[g.shape for g in grids]}")
+        _check_grid(n, box_size)
+        pos = _check_positions(positions, dt)
+        out = _cic_backend(backend).cic_gather(grids, pos, float(box_size))
+        # one gather per grid, as the work model counts it
+        work = pos.shape[0] * len(grids)
+        reg.count("cic.interp_particles", work)
+        reg.count("cic.flops", CIC_FLOPS_PER_PARTICLE * work)
+        reg.count("cic.bytes", cic_bytes(work, dt.itemsize))
+    return out.reshape(-1) if single else out
 
 
 def density_contrast(

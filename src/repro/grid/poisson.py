@@ -28,7 +28,7 @@ import numpy as np
 
 from repro.cosmology.gaussian_field import fourier_grid
 from repro.fft.pencil import PencilFFT
-from repro.grid.cic import ParticleGridCoords, cic_deposit, cic_interpolate
+from repro.grid.cic import cic_deposit, cic_interpolate
 from repro.instrument import get_registry
 from repro.instrument import perfcount
 from repro.grid.filters import (
@@ -76,7 +76,7 @@ class SpectralPoissonSolver:
         upcasts.
     kernel_backend:
         Kernel backend *name* for the CIC scatter/gather passes
-        (``None`` = NumPy reference).
+        (``None`` = ``auto``: c, else numpy).
     overlap:
         Pipeline the three gradient inverse FFTs against the per-axis
         CIC gathers (axis-x gathers while axis-y transforms) instead of
@@ -143,6 +143,12 @@ class SpectralPoissonSolver:
             for kc in (kx, ky, kz)
         )
         self._threaded_cic = None
+        # lazily imported: repro.shortrange imports this module
+        from repro.shortrange.backends import Workspace
+
+        #: grow-only CIC scratch of the serial path (the backends are
+        #: process-wide singletons, so the solver owns it)
+        self._cic_workspace = Workspace()
 
     def _parallel(self) -> bool:
         ex = self.executor
@@ -279,21 +285,20 @@ class SpectralPoissonSolver:
         ``-grad phi`` with ``del^2 phi = delta``; multiply by the
         cosmological prefactor to get physical accelerations.
 
-        The CIC corner indices/weights are computed once and shared by
-        the deposit and the three force gathers (four passes, one index
-        computation).
+        Neither pass builds a per-particle corner table: the backend
+        finds each particle's eight corners from its position, the
+        deposit's scratch lives in the solver's grow-only workspace, and
+        the serial path gathers all three force components in one pass
+        straight into the returned array.
         """
         dt = self._dtype
-        coords = ParticleGridCoords(
-            positions, self.n, self.box_size, dtype=dt
-        )
         if self._parallel():
             counts = self._deposit_parallel(positions, weights)
         else:
             counts = cic_deposit(
                 positions, self.n, self.box_size, weights,
-                coords=coords,
                 dtype=dt, backend=self.kernel_backend,
+                workspace=self._cic_workspace,
             )
         # the mean reduces ~n^3 values: accumulate it in float64 even on
         # the float32 path (a scalar, so this is not an array upcast)
@@ -301,30 +306,27 @@ class SpectralPoissonSolver:
         if mean <= 0:
             raise ValueError("empty particle distribution")
         delta = counts / counts.dtype.type(mean) - counts.dtype.type(1.0)
-        if self._parallel() and self.overlap:
-            comps = self._pipelined_force(delta, positions, coords)
+        if not self._parallel():
+            acc = cic_interpolate(
+                list(self.force_grids(delta)), positions, self.box_size,
+                dtype=dt, backend=self.kernel_backend,
+            )
+        elif self.overlap:
+            acc = np.stack(self._pipelined_force(delta, positions), axis=1)
         else:
-            forces = self.force_grids(delta)
-            if self._parallel():
-                comps = self.executor.map_inprocess(
+            acc = np.stack(
+                self.executor.map_inprocess(
                     self._gather_component,
-                    [(f, positions, coords) for f in forces],
+                    [(f, positions) for f in self.force_grids(delta)],
                     label="cic.gather",
-                )
-            else:
-                comps = [
-                    cic_interpolate(
-                        f, positions, self.box_size, coords=coords,
-                        dtype=dt, backend=self.kernel_backend,
-                    )
-                    for f in forces
-                ]
-        acc = np.stack(comps, axis=1)
+                ),
+                axis=1,
+            )
         if return_delta:
             return acc, delta
         return acc
 
-    def _pipelined_force(self, delta, positions, coords) -> list:
+    def _pipelined_force(self, delta, positions) -> list:
         """Gradient FFTs pipelined against the per-axis CIC gathers.
 
         The barriered path finishes all three inverse transforms before
@@ -350,17 +352,18 @@ class SpectralPoissonSolver:
                 force = handle.result()
                 gathers.append(
                     wave.submit(
-                        self._gather_component, (force, positions, coords),
+                        self._gather_component, (force, positions),
                         rank=axis, label="cic.gather", inprocess=True,
                     )
                 )
             return [h.result() for h in gathers]
 
     def _gather_component(self, payload) -> np.ndarray:
-        """One CIC force gather (reads the shared precomputed coords)."""
-        force, positions, coords = payload
+        """One axis's CIC force gather: the same backend primitive as
+        the serial path's three-grid call, with one grid."""
+        force, positions = payload
         return cic_interpolate(
-            force, positions, self.box_size, coords=coords,
+            force, positions, self.box_size,
             dtype=self._dtype, backend=self.kernel_backend,
         )
 

@@ -87,8 +87,9 @@ class ThreadedCIC:
         Grid precision (default float64; pass ``np.float32`` for the
         mixed-precision PM path).
     kernel_backend:
-        Kernel backend *name* performing the per-chunk scatters
-        (``None`` = NumPy reference).  A name rather than an instance so
+        Kernel backend *name* performing the per-chunk scatters through
+        the same ``cic_deposit`` primitive as the serial path (``None``
+        = ``auto``: c, else numpy).  A name rather than an instance so
         executor payloads stay picklable.
     """
 

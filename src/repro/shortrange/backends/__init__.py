@@ -16,17 +16,21 @@ reproduction.  A backend supplies four primitives:
     test, coefficient, per-target accumulation — the hot loop of the
     short-range phase.
 ``cic_deposit`` / ``cic_gather``
-    The particle-mesh scatter/gather pair over precomputed CIC corner
-    indices and trilinear weights (four passes per PM half-kick).
+    The particle-mesh scatter/gather pair: positions in, grid (or
+    per-particle values for one or more grids) out.  How the eight
+    corners of each particle are found is the backend's business.
 
 Two implementations ride the seam:
 
-* ``numpy`` — the vectorized reference (always available); exactly the
-  tiled, workspace-reusing evaluation of the batched-engine PR.
-* ``c`` — ``pair_accumulate`` as one fused, GIL-free C loop
-  (``pair_kernel.c``), built on first use with ``$CC``/``cc``/``gcc``
-  and cached per user; **bitwise identical** to the numpy reference in
-  float64 and float32.  The other three primitives are the numpy ones.
+* ``numpy`` — the vectorized reference (always available); the batched
+  engine's tiled, workspace-reusing pair evaluation, and CIC through
+  :class:`~repro.grid.cic.ParticleGridCoords` corner tables.
+* ``c`` — ``pair_accumulate``, ``cic_deposit`` and ``cic_gather`` as
+  fused, GIL-free C loops (``pair_kernel.c``, ``cic_kernel.c``; CIC
+  computes each particle's corners on the fly, no tables), built on
+  first use with ``$CC``/``cc``/``gcc`` and cached per user;
+  **bitwise identical** to the numpy reference in float64 and float32.
+  ``f_sr_pairs`` is the numpy one.
 
 Selection goes through :func:`resolve_backend`; ``"auto"`` picks ``c``
 and degrades silently to ``numpy`` when there is no compiler, the build
@@ -42,6 +46,7 @@ import numpy as np
 
 __all__ = [
     "KernelBackend",
+    "Workspace",
     "BackendUnavailable",
     "available_backends",
     "backend_names",
@@ -54,6 +59,37 @@ _BACKEND_NAMES = ("numpy", "c")
 
 class BackendUnavailable(RuntimeError):
     """An explicitly requested backend cannot run in this environment."""
+
+
+class Workspace:
+    """Named, grow-only scratch buffers.
+
+    ``get(name, size, dtype)`` returns a length-``size`` view of a cached
+    buffer, reallocating only when a request outgrows (or re-types) the
+    existing one — so steady-state evaluation performs zero large
+    allocations, the Python stand-in for the paper's preallocated
+    interaction-list stream buffers.  Backends are process-wide
+    singletons shared by threads, so the *caller* owns the workspace:
+    one per engine or solver, never shared by concurrent calls.
+    """
+
+    def __init__(self) -> None:
+        self._bufs: dict[str, np.ndarray] = {}
+
+    def get(self, name: str, size: int, dtype) -> np.ndarray:
+        buf = self._bufs.get(name)
+        if buf is None or buf.size < size or buf.dtype != np.dtype(dtype):
+            buf = np.empty(max(int(size), 1), dtype=dtype)
+            self._bufs[name] = buf
+        return buf[:size]
+
+    @property
+    def nbytes(self) -> int:
+        """Total bytes currently held across all buffers."""
+        return sum(b.nbytes for b in self._bufs.values())
+
+    def clear(self) -> None:
+        self._bufs.clear()
 
 
 class KernelBackend(ABC):
@@ -119,36 +155,43 @@ class KernelBackend(ABC):
         scaled by ``1/spacing^3`` — all in the kernel dtype.  ``acc`` is
         an ``(N, 3)`` kernel-dtype array accumulated in place with the
         attractive sign.  ``workspace`` is the engine's grow-only
-        :class:`~repro.shortrange.batch.Workspace`; backends that do not
-        tile through scratch buffers may ignore it.
+        :class:`Workspace`; backends that do not tile through scratch
+        buffers may ignore it.
         """
 
     @abstractmethod
     def cic_deposit(
         self,
-        flat: np.ndarray,
-        corner_weights: np.ndarray,
-        values: np.ndarray,
-        ncells: int,
+        positions: np.ndarray,
+        values: np.ndarray | None,
+        n: int,
+        box_size: float,
+        workspace: Workspace | None = None,
     ) -> np.ndarray:
-        """Scatter ``values`` onto a flattened grid of ``ncells`` points.
+        """CIC-deposit ``values`` at ``positions`` onto a periodic ``n^3``
+        grid of side ``box_size``.
 
-        ``flat`` is the ``(8, N)`` int64 array of flattened corner
-        indices and ``corner_weights`` the matching ``(8, N)`` trilinear
-        weights (kernel dtype).  Returns the ``(ncells,)`` grid in the
-        ``corner_weights`` dtype.
+        ``positions`` is a C-contiguous ``(N, 3)`` array in the kernel
+        dtype (coordinates outside the box wrap); ``values`` the
+        ``(N,)`` masses in the same dtype, or ``None`` for unit mass.
+        Returns the ``(n, n, n)`` grid in the kernel dtype.  Scratch
+        comes from ``workspace`` (a fresh one when ``None``).  A
+        non-finite coordinate raises :class:`ValueError` naming how many
+        particles have one.
         """
 
     @abstractmethod
     def cic_gather(
         self,
-        grid_flat: np.ndarray,
-        flat: np.ndarray,
-        corner_weights: np.ndarray,
+        grids,
+        positions: np.ndarray,
+        box_size: float,
     ) -> np.ndarray:
-        """Adjoint of :meth:`cic_deposit`: per-particle trilinear gather
-        from a flattened grid.  Returns an ``(N,)`` array in the
-        ``corner_weights`` dtype."""
+        """Adjoint of :meth:`cic_deposit`: the trilinear interpolation
+        of each of the ``k`` ``(n, n, n)`` ``grids`` (kernel dtype) at
+        ``positions``, computed in one pass over the particles.
+        Returns an ``(N, k)`` array in the kernel dtype; non-finite
+        coordinates raise like :meth:`cic_deposit`."""
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"<KernelBackend {self.name}>"

@@ -1,13 +1,15 @@
-"""Compiled C pair kernel, built on first use and loaded with ctypes.
+"""Compiled C kernels, built on first use and loaded with ctypes.
 
-``pair_kernel.c`` is one fused loop per precision (see its header for
-the bitwise contract with the NumPy reference).  It is compiled once per
-(source, flags, compiler, machine) with ``$CC``, else ``cc``, else
-``gcc``, published atomically into a per-user cache and loaded through
+``pair_kernel.c`` (``pair_accumulate``) and ``cic_kernel.c``
+(``cic_deposit``, ``cic_gather``) are fused loops, one macro body per
+precision (see each file's header for its bitwise contract with the
+NumPy reference).  Both are compiled into one library per (sources,
+flags, compiler, machine) with ``$CC``, else ``cc``, else ``gcc``,
+published atomically into a per-user cache and loaded through
 :class:`ctypes.CDLL`, which releases the GIL for the duration of every
-call.  The other three primitives are inherited from
-:class:`NumpyBackend`.  No compiler, a failed build or an unloadable
-file raise :class:`BackendUnavailable` at construction.
+call.  ``f_sr_pairs`` is inherited from :class:`NumpyBackend`.  No
+compiler, a failed build or an unloadable file raise
+:class:`BackendUnavailable` at construction.
 """
 
 from __future__ import annotations
@@ -25,19 +27,25 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.shortrange.backends import BackendUnavailable
+from repro.grid.cic import non_finite_positions
+from repro.shortrange.backends import BackendUnavailable, Workspace
 from repro.shortrange.backends.numpy_backend import NumpyBackend
 
 __all__ = ["CBackend"]
 
-_SOURCE = Path(__file__).with_name("pair_kernel.c")
+_SOURCES = tuple(
+    Path(__file__).with_name(name)
+    for name in ("pair_kernel.c", "cic_kernel.c")
+)
 #: one flag set for both precisions: strict IEEE, no FMA contraction, no
 #: host-specific code (``-O3 -march=native`` measured no gain on this
 #: scalar-gather loop)
 _FLAGS = ("-O2", "-ffp-contract=off", "-fno-math-errno", "-shared", "-fPIC")
-_SYMBOLS = {np.dtype(np.float64): "pair_accumulate_f64",
-            np.dtype(np.float32): "pair_accumulate_f32"}
+_SUFFIX = {np.dtype(np.float64): "f64", np.dtype(np.float32): "f32"}
+_I64 = ctypes.c_int64
 _I64P = ctypes.POINTER(ctypes.c_int64)
+_I32P = ctypes.POINTER(ctypes.c_int32)
+_F64P = ctypes.POINTER(ctypes.c_double)
 
 
 def _compiler() -> tuple[list[str], str]:
@@ -94,7 +102,7 @@ def _build(cc: list[str], lib: Path) -> None:
     os.close(fd)
     try:
         proc = subprocess.run(
-            cc + list(_FLAGS) + ["-o", tmp, str(_SOURCE), "-lm"],
+            cc + list(_FLAGS) + ["-o", tmp, *map(str, _SOURCES), "-lm"],
             capture_output=True, text=True, timeout=300,
         )
         if proc.returncode != 0:
@@ -114,19 +122,27 @@ def _build(cc: list[str], lib: Path) -> None:
 
 
 def _load(lib: Path) -> dict:
-    """The two typed entry points of ``lib``, keyed by dtype."""
+    """``{dtype: ({entry point: typed function}, pointer type)}``."""
     dll = ctypes.CDLL(str(lib))
     fns = {}
-    for dt, symbol in _SYMBOLS.items():
+    for dt, suffix in _SUFFIX.items():
         real = ctypes.c_double if dt.itemsize == 8 else ctypes.c_float
         rp = ctypes.POINTER(real)
-        fn = getattr(dll, symbol)
-        fn.restype = ctypes.c_int64
-        fn.argtypes = (
-            [_I64P] * 4 + [ctypes.c_int64] + [rp] * 5 + [ctypes.c_int64]
-            + [real] * 3 + [ctypes.c_int64, rp]
-        )
-        fns[dt] = (fn, rp)
+        signatures = {
+            "pair_accumulate": [_I64P] * 4 + [_I64] + [rp] * 5 + [_I64]
+            + [real] * 3 + [_I64, rp],
+            "cic_deposit": [rp, rp, _I64, _I64, real, real, _I32P, rp,
+                            _F64P, rp],
+            "cic_gather": [rp, _I64, _I64, real, real, ctypes.POINTER(rp),
+                           _I64, rp],
+        }
+        table = {}
+        for name, argtypes in signatures.items():
+            fn = getattr(dll, f"{name}_{suffix}")
+            fn.restype = _I64
+            fn.argtypes = argtypes
+            table[name] = fn
+        fns[dt] = (table, rp)
     return fns
 
 
@@ -142,7 +158,8 @@ def _checked(a, dtype, name: str, n: int | None = None) -> np.ndarray:
 
 
 class CBackend(NumpyBackend):
-    """``pair_accumulate`` in compiled C; everything else is numpy."""
+    """``pair_accumulate`` and the CIC pair in compiled C;
+    ``f_sr_pairs`` is numpy."""
 
     name = "c"
 
@@ -152,7 +169,9 @@ class CBackend(NumpyBackend):
         self.build_info = {
             "compiler": version,
             "flags": " ".join(_FLAGS),
-            "source_sha256": hashlib.sha256(_SOURCE.read_bytes()).hexdigest(),
+            "source_sha256": hashlib.sha256(b"\0".join(
+                p.name.encode() + b"\0" + p.read_bytes() for p in _SOURCES
+            )).hexdigest(),
         }
         key = hashlib.sha256("\0".join(
             [*self.build_info.values(), platform.machine()]
@@ -193,7 +212,7 @@ class CBackend(NumpyBackend):
                 f"float64 array, got {acc.dtype} {acc.shape}"
             )
         n = acc.shape[0]
-        fn, rp = self._fns[dt]
+        fns, rp = self._fns[dt]
         to = _checked(target_offsets, np.int64, "target_offsets")
         no = _checked(neighbor_offsets, np.int64, "neighbor_offsets", to.size)
         tg = _checked(targets, np.int64, "targets")
@@ -213,7 +232,7 @@ class CBackend(NumpyBackend):
         co = _checked(coeffs, dt, "coeffs")
         if co.size < 1 or chunk_pairs < 1:
             raise ValueError("coeffs must be non-empty and chunk_pairs >= 1")
-        return int(fn(
+        return int(fns["pair_accumulate"](
             tg.ctypes.data_as(_I64P), to.ctypes.data_as(_I64P),
             ni.ctypes.data_as(_I64P), no.ctypes.data_as(_I64P), ngroups,
             *(a.ctypes.data_as(rp) for a in soa),
@@ -221,3 +240,61 @@ class CBackend(NumpyBackend):
             float(eps), float(rc2_cells), float(inv_sp2),
             int(chunk_pairs), acc.ctypes.data_as(rp),
         ))
+
+    # ------------------------------------------------------------------
+    def _cic_positions(self, positions):
+        """The C-contiguous ``(N, 3)`` positions, their dtype's entry
+        points and pointer type."""
+        pos = np.ascontiguousarray(positions)
+        if pos.dtype not in self._fns or pos.ndim != 2 or pos.shape[1] != 3:
+            raise ValueError(
+                "positions must be an (N, 3) float32/float64 array, got "
+                f"{pos.dtype} {pos.shape}"
+            )
+        return pos, *self._fns[pos.dtype]
+
+    def cic_deposit(self, positions, values, n, box_size, workspace=None):
+        pos, fns, rp = self._cic_positions(positions)
+        dt, npart = pos.dtype, pos.shape[0]
+        if n < 1 or box_size <= 0:
+            raise ValueError(f"bad grid: n={n}, box_size={box_size}")
+        mass = None if values is None else _checked(values, dt, "values",
+                                                     npart)
+        ws = Workspace() if workspace is None else workspace
+        # per-particle corner data and one double corner-pass grid
+        base = ws.get("cic.base", 3 * npart, np.int32)
+        frac = ws.get("cic.frac", 3 * npart, dt)
+        scratch = ws.get("cic.scratch", n**3, np.float64)
+        grid = np.empty((n, n, n), dtype=dt)
+        bad = fns["cic_deposit"](
+            pos.ctypes.data_as(rp),
+            None if mass is None else mass.ctypes.data_as(rp),
+            npart, n, float(dt.type(box_size)), float(dt.type(n / box_size)),
+            base.ctypes.data_as(_I32P), frac.ctypes.data_as(rp),
+            scratch.ctypes.data_as(_F64P), grid.ctypes.data_as(rp),
+        )
+        if bad:
+            raise non_finite_positions(bad)
+        return grid
+
+    def cic_gather(self, grids, positions, box_size):
+        pos, fns, rp = self._cic_positions(positions)
+        dt = pos.dtype
+        grids = [np.ascontiguousarray(g, dtype=dt) for g in grids]
+        n = grids[0].shape[0] if grids and grids[0].ndim == 3 else 0
+        if n < 1 or box_size <= 0 or any(g.shape != (n,) * 3 for g in grids):
+            raise ValueError(
+                "grids must be one or more equal (n, n, n) arrays and "
+                f"box_size positive, got {[g.shape for g in grids]}, "
+                f"{box_size}"
+            )
+        out = np.empty((pos.shape[0], len(grids)), dtype=dt)
+        ptrs = (rp * len(grids))(*(g.ctypes.data_as(rp) for g in grids))
+        bad = fns["cic_gather"](
+            pos.ctypes.data_as(rp), pos.shape[0], n,
+            float(dt.type(box_size)), float(dt.type(n / box_size)),
+            ptrs, len(grids), out.ctypes.data_as(rp),
+        )
+        if bad:
+            raise non_finite_positions(bad)
+        return out

@@ -7,15 +7,19 @@ kernel math, and per-target accumulation goes through ``np.bincount``.
 The C backend is validated against this one, bitwise in float64 and
 float32.
 
-The implementation is deliberately allocation-free in steady state: all
-tile temporaries live in the engine's grow-only
-:class:`~repro.shortrange.batch.Workspace`, which the engine passes in.
+The pair evaluation is deliberately allocation-free in steady state:
+all tile temporaries live in the engine's grow-only
+:class:`~repro.shortrange.backends.Workspace`, which the engine passes
+in.  The CIC pair is not: it materialises
+:class:`~repro.grid.cic.ParticleGridCoords` tables per call, which is
+what makes it the readable oracle of the compiled, table-free loops.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from repro.grid.cic import ParticleGridCoords
 from repro.shortrange.backends import KernelBackend
 
 __all__ = ["NumpyBackend"]
@@ -164,19 +168,29 @@ class NumpyBackend(KernelBackend):
         return k
 
     # ------------------------------------------------------------------
-    def cic_deposit(self, flat, corner_weights, values, ncells):
-        dt = corner_weights.dtype
+    # CIC through (8, N) corner tables: one bincount (deposit) or one
+    # fancy-index gather per corner, in (dx, dy, dz) order
+    def cic_deposit(self, positions, values, n, box_size, workspace=None):
+        coords = ParticleGridCoords(positions, n, box_size)
+        dt = coords.weights.dtype
+        ncells = n * n * n
         grid = np.zeros(ncells, dtype=dt)
         for c in range(8):
+            w = coords.weights[c]
             grid += np.bincount(
-                flat[c],
-                weights=values * corner_weights[c],
+                coords.flat[c],
+                weights=w if values is None else values * w,
                 minlength=ncells,
             ).astype(dt, copy=False)
-        return grid
+        return grid.reshape(n, n, n)
 
-    def cic_gather(self, grid_flat, flat, corner_weights):
-        out = np.zeros(flat.shape[1], dtype=corner_weights.dtype)
-        for c in range(8):
-            out += grid_flat[flat[c]] * corner_weights[c]
+    def cic_gather(self, grids, positions, box_size):
+        coords = ParticleGridCoords(positions, grids[0].shape[0], box_size)
+        out = np.zeros(
+            (coords.n_particles, len(grids)), dtype=coords.weights.dtype
+        )
+        for k, grid in enumerate(grids):
+            flat = grid.reshape(-1)
+            for c in range(8):
+                out[:, k] += flat[coords.flat[c]] * coords.weights[c]
         return out

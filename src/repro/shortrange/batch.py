@@ -58,7 +58,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.instrument import get_registry
-from repro.shortrange.backends import get_backend, resolve_backend
+from repro.shortrange.backends import (
+    Workspace,
+    get_backend,
+    resolve_backend,
+)
 from repro.shortrange.kernel import ShortRangeKernel
 from repro.shortrange.rcb_tree import RCBTree, ranges_to_indices
 
@@ -75,35 +79,6 @@ __all__ = [
 #: default pair-block size: 2^18 pairs keep every float64 workspace at
 #: 2 MiB — resident in L2/L3 across the whole evaluation loop
 DEFAULT_CHUNK_PAIRS = 1 << 18
-
-
-class Workspace:
-    """Named, grow-only scratch buffers.
-
-    ``get(name, size, dtype)`` returns a length-``size`` view of a cached
-    buffer, reallocating only when a request outgrows (or re-types) the
-    existing one — so steady-state evaluation performs zero large
-    allocations, the Python stand-in for the paper's preallocated
-    interaction-list stream buffers.
-    """
-
-    def __init__(self) -> None:
-        self._bufs: dict[str, np.ndarray] = {}
-
-    def get(self, name: str, size: int, dtype) -> np.ndarray:
-        buf = self._bufs.get(name)
-        if buf is None or buf.size < size or buf.dtype != np.dtype(dtype):
-            buf = np.empty(max(int(size), 1), dtype=dtype)
-            self._bufs[name] = buf
-        return buf[:size]
-
-    @property
-    def nbytes(self) -> int:
-        """Total bytes currently held across all buffers."""
-        return sum(b.nbytes for b in self._bufs.values())
-
-    def clear(self) -> None:
-        self._bufs.clear()
 
 
 @dataclass(frozen=True)

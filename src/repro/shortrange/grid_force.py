@@ -110,9 +110,7 @@ def measure_grid_force(
         dirs = rng.standard_normal((n_samples_per_source, 3))
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
         pts = np.mod(src[None, :] + radii[:, None] * dirs, box)
-        fvec = np.stack(
-            [cic_interpolate(g, pts, box) for g in fgrids], axis=1
-        ) / norm
+        fvec = cic_interpolate(list(fgrids), pts, box) / norm
         # attractive force points along -rhat; f(s) multiplies +r_vec with
         # a minus sign in the solvers, so flip here for a positive profile.
         f_rad = -np.einsum("ij,ij->i", fvec, dirs) / radii

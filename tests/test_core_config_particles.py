@@ -102,6 +102,29 @@ class TestParticles:
         p.wrap()
         assert np.allclose(p.positions[0], [2.0, 7.0, 5.0])
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("box", [10.0, 0.3, 25.0])
+    def test_wrap_is_bitwise_np_mod(self, dtype, box):
+        """Only coordinates outside (0, box) take the remainder; the
+        result is np.mod's bits, signed zeros and NaN/inf included."""
+        t = np.dtype(dtype).type
+        b = t(box)
+        edges = np.array(
+            [0.0, -0.0, b, -b, np.nextafter(b, t(0)), 2 * b, -1e-30,
+             np.nextafter(t(0), t(1)), np.nan, np.inf, -np.inf],
+            dtype=dtype,
+        )
+        rng = np.random.default_rng(3)
+        x = rng.uniform(-3 * box, 4 * box, (400, 3)).astype(dtype)
+        x[rng.random(x.shape) < 0.3] = rng.choice(edges, 1)[0]
+        x[:len(edges), 0] = edges
+        with np.errstate(invalid="ignore"):
+            ref = np.mod(x, box)
+            p = Particles(x, np.zeros_like(x), np.ones(400, dtype),
+                          np.arange(400), box)
+            p.wrap()
+        assert p.positions.tobytes() == ref.tobytes()
+
     def test_kinetic_energy_scaling(self):
         p = Particles.uniform_random(10, 5.0, seed=0)
         p.momenta[:] = 1.0

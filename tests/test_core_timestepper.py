@@ -79,6 +79,32 @@ class TestStepperMaps:
         k = kick_coefficient(WMAP7, 0.5, 0.6)
         assert np.allclose(p.momenta - 2.0 * k, free_particles().momenta)
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_maps_are_bitwise_the_plain_expressions(self, dtype):
+        """Blocked in-place updates round exactly like ``p += acc * k``
+        and ``x = mod(x + p * d, box)`` across block boundaries, and the
+        force callback's array is not modified."""
+        rng = np.random.default_rng(7)
+        n = 40_000  # three row blocks, the last one partial
+        p = Particles(
+            rng.uniform(0.0, 100.0, (n, 3)).astype(dtype),
+            rng.normal(0.0, 5.0, (n, 3)).astype(dtype),
+            np.ones(n, dtype), np.arange(n), 100.0,
+        )
+        acc = rng.normal(0.0, 50.0, (n, 3)).astype(dtype)
+        acc_before = acc.copy()
+        st = SubcycledStepper(WMAP7, lambda x: acc, None)
+        mom = p.momenta + acc * kick_coefficient(WMAP7, 0.5, 0.6)
+        st.kick_long(p, 0.5, 0.6)
+        assert p.momenta.tobytes() == mom.tobytes()
+        assert np.array_equal(acc, acc_before)
+        pos = np.mod(
+            p.positions + p.momenta * drift_coefficient(WMAP7, 0.5, 0.6),
+            100.0,
+        )
+        st.stream(p, 0.5, 0.6)
+        assert p.positions.tobytes() == pos.tobytes()
+
     def test_free_particle_constant_velocity(self):
         """With zero force the full step is exactly ballistic."""
         p = free_particles()

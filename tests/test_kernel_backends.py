@@ -4,7 +4,9 @@ Covers the registry contract (resolution, auto fallback to numpy when
 the C kernel cannot be built, loud failure for an explicit request), the
 equivalence the seam promises — the compiled C ``pair_accumulate`` is
 **bitwise identical** to the numpy reference in float64 *and* float32,
-whatever ``chunk_pairs`` — the build cache (garbage or truncated entry,
+whatever ``chunk_pairs``, and so are the table-free C ``cic_deposit`` /
+``cic_gather`` to the numpy corner tables, edge positions included — the
+build cache (garbage or truncated entry,
 unwritable directory, two processes racing a cold cache), the argument
 guard in front of the raw pointers, thread safety of the GIL-free call,
 and the plumbing that carries the backend/precision choice through
@@ -19,15 +21,21 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.config import ConfigError, SimulationConfig
 from repro.core.particles import Particles
 from repro.core.simulation import HACCSimulation
 from repro.grid.cic import ParticleGridCoords, cic_deposit, cic_interpolate
+from repro.grid.poisson import SpectralPoissonSolver
+from repro.grid.threaded_cic import ThreadedCIC
+from repro.parallel.executor import RankExecutor
 from repro.shortrange import backends as backends_mod
 from repro.shortrange.backends import (
     BackendUnavailable,
     KernelBackend,
+    Workspace,
     available_backends,
     backend_names,
     get_backend,
@@ -662,6 +670,216 @@ class TestCICDtypes:
             weights=w.astype(np.float32), dtype=np.float32,
         )
         np.testing.assert_allclose(g32, g64, rtol=2e-4, atol=2e-4)
+
+
+# ----------------------------------------------------------------------
+# CIC: the table-free C loops against the numpy corner tables
+# ----------------------------------------------------------------------
+def edge_values(box, dtype):
+    """Coordinates where wrap/scale/fold/clip take their rare branches."""
+    t = np.dtype(dtype).type
+    b = t(box)
+    return np.array(
+        [0.0, b, -0.0, np.nextafter(b, t(0)), -b, 2 * b, -1e-30, -2.5 * b,
+         np.nextafter(t(0), t(1)), 3.75 * b, 0.5 * b, -np.nextafter(b, t(0))],
+        dtype=dtype,
+    )
+
+
+def assert_same_bits(ref, got):
+    assert got.dtype == ref.dtype and got.shape == ref.shape
+    assert ref.tobytes() == got.tobytes()  # signed zeros included
+
+
+def assert_cic_bitwise(cbackend, pos, masses, n, box, ngrids=3, seed=0):
+    """C deposit and gather are the numpy backend's bits."""
+    ref_backend = get_backend("numpy")
+    assert_same_bits(
+        ref_backend.cic_deposit(pos, masses, n, box),
+        cbackend.cic_deposit(pos, masses, n, box),
+    )
+    rng = np.random.default_rng(seed)
+    grids = [rng.normal(size=(n, n, n)).astype(pos.dtype)
+             for _ in range(ngrids)]
+    assert_same_bits(
+        ref_backend.cic_gather(grids, pos, box),
+        cbackend.cic_gather(grids, pos, box),
+    )
+
+
+@st.composite
+def cic_clouds(draw):
+    """(positions, masses or None, n, box) — uniform in and far outside
+    the box, a share of the coordinates replaced by edge values."""
+    dtype = draw(st.sampled_from([np.float64, np.float32]))
+    n = draw(st.sampled_from([2, 3, 5, 8]))
+    box = draw(st.sampled_from([0.3, 7.0, 25.0, 64.0]))
+    npart = draw(st.integers(0, 50))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pos = rng.uniform(-2.0 * box, 3.0 * box, (npart, 3)).astype(dtype)
+    edge = rng.random((npart, 3)) < draw(st.sampled_from([0.0, 0.3, 1.0]))
+    pos[edge] = rng.choice(edge_values(box, dtype), int(edge.sum()))
+    masses = (rng.uniform(0.5, 1.5, npart).astype(dtype)
+              if draw(st.booleans()) else None)
+    return pos, masses, n, box
+
+
+@needs_c
+class TestCICBitwise:
+    """``cic_deposit`` / ``cic_gather`` in C equal the numpy corner
+    tables bit for bit: same wrap, same weights, same summation order."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(cloud=cic_clouds())
+    def test_property_c_equals_numpy(self, cloud):
+        pos, masses, n, box = cloud
+        assert_cic_bitwise(get_backend("c"), pos, masses, n, box)
+
+    @pytest.mark.parametrize("dtype,box,n", [
+        (np.float64, 25.0, 5),   # nextafter(box, 0) scales to exactly n
+        (np.float32, 7.0, 2),    # ... and in float32
+        (np.float64, 64.0, 16),
+        (np.float32, 0.3, 3),
+    ])
+    def test_every_edge_combination(self, cbackend, rng, dtype, box, n):
+        edges = edge_values(box, dtype)
+        pos = np.stack(np.meshgrid(edges, edges, edges, indexing="ij"),
+                       axis=-1).reshape(-1, 3)
+        t = np.dtype(dtype).type
+        just_below = np.nextafter(t(box), t(0))
+        folds = np.mod(just_below, t(box)) * t(n / box) >= n
+        assert bool(folds) == ((box, n) in ((25.0, 5), (7.0, 2)))
+        for masses in (None, rng.uniform(0.5, 1.5, len(pos)).astype(dtype)):
+            assert_cic_bitwise(cbackend, pos, masses, n, box)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_lattice_ordered_cloud(self, cbackend, rng, dtype):
+        """A simulation's shape: a jittered IC lattice, 32^3 grid."""
+        x = (np.arange(32) + 0.5) * 2.0
+        pos = np.stack(np.meshgrid(x, x, x, indexing="ij"),
+                       axis=-1).reshape(-1, 3)
+        pos = (pos + rng.normal(0.0, 0.7, pos.shape)).astype(dtype)
+        masses = np.ones(len(pos), dtype=dtype)
+        assert_cic_bitwise(cbackend, pos, masses, 32, 64.0)
+
+    def test_empty_cloud(self, cbackend):
+        for dtype in (np.float64, np.float32):
+            pos = np.zeros((0, 3), dtype=dtype)
+            assert_cic_bitwise(cbackend, pos, None, 4, 10.0)
+            assert not cbackend.cic_deposit(pos, None, 4, 10.0).any()
+
+    def test_public_functions_default_to_auto(self, cbackend, monkeypatch):
+        """``backend=None`` resolves ``auto`` as a simulation run does,
+        so timing the public functions times the path runs take."""
+        seen = []
+        for name in ("cic_deposit", "cic_gather"):
+            real = getattr(cbackend, name)
+            monkeypatch.setattr(
+                cbackend, name,
+                lambda *a, _real=real, _name=name, **kw:
+                    seen.append(_name) or _real(*a, **kw),
+            )
+        pos = np.random.default_rng(1).uniform(0.0, BOX, (40, 3))
+        grid = cic_deposit(pos, 8, BOX)
+        cic_interpolate(grid, pos, BOX)
+        assert seen == ["cic_deposit", "cic_gather"]
+
+    def test_threaded_cic_on_c_equals_numpy(self, rng):
+        pos = rng.uniform(-BOX, 2 * BOX, (3000, 3))
+        w = rng.uniform(0.5, 1.5, 3000)
+        for dtype in (None, np.float32):
+            grids = {}
+            for backend in ("numpy", "c"):
+                with RankExecutor(backend="thread", workers=2) as ex:
+                    grids[backend] = ThreadedCIC(
+                        2, executor=ex, dtype=dtype, kernel_backend=backend
+                    ).deposit(pos, 16, BOX, w)
+            assert_same_bits(grids["numpy"], grids["c"])
+
+    def test_concurrent_deposits_with_own_workspaces(self, cbackend, rng):
+        """The calls drop the GIL; two threads, each with its own
+        workspace, reproduce the serial grids."""
+        clouds = [(rng.uniform(0.0, BOX, (60_000, 3)),
+                   rng.uniform(0.5, 1.5, 60_000)) for _ in range(2)]
+        serial = [cbackend.cic_deposit(p, m, 32, BOX) for p, m in clouds]
+        got = [None, None]
+
+        def work(k):
+            ws = Workspace()
+            for _ in range(4):
+                got[k] = cbackend.cic_deposit(*clouds[k], 32, BOX, ws)
+
+        threads = [threading.Thread(target=work, args=(k,)) for k in (0, 1)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        for k in (0, 1):
+            assert_same_bits(serial[k], got[k])
+
+    def test_steady_state_pm_force_allocates_no_cic_temporary(
+        self, monkeypatch
+    ):
+        """The second 32^3 evaluation's CIC calls allocate nothing above
+        1 MB beyond the arrays they return (the corner tables they
+        replaced were 2 MB each at this size)."""
+        import tracemalloc
+
+        from repro.grid import poisson as poisson_mod
+
+        x = (np.arange(32) + 0.5) * 2.0
+        pos = np.stack(np.meshgrid(x, x, x, indexing="ij"),
+                       axis=-1).reshape(-1, 3)
+        pos += np.random.default_rng(2).normal(0.0, 0.5, pos.shape)
+        masses = np.ones(len(pos))
+        solver = SpectralPoissonSolver(32, 64.0, kernel_backend="c")
+        solver.accelerations(pos, masses)  # grows the workspace
+        extra = {}
+
+        def measured(fn):
+            def call(*args, **kwargs):
+                tracemalloc.reset_peak()
+                before = tracemalloc.get_traced_memory()[0]
+                out = fn(*args, **kwargs)
+                peak = tracemalloc.get_traced_memory()[1]
+                extra[fn.__name__] = peak - before - out.nbytes
+                return out
+            return call
+
+        for name in ("cic_deposit", "cic_interpolate"):
+            monkeypatch.setattr(
+                poisson_mod, name, measured(getattr(poisson_mod, name))
+            )
+        tracemalloc.start()
+        try:
+            solver.accelerations(pos, masses)
+        finally:
+            tracemalloc.stop()
+        assert set(extra) == {"cic_deposit", "cic_interpolate"}
+        assert max(extra.values()) < 1 << 20, extra
+
+
+class TestCICNonFinite:
+    """A NaN/inf coordinate has no cell: both backends refuse it with
+    one message naming how many particles are affected (numpy used to
+    clip NaN to cell 0 and deposit a NaN grid)."""
+
+    @pytest.mark.parametrize("backend", ["numpy", "c"])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_raises_with_the_count(self, rng, backend, dtype):
+        if backend == "c" and not HAVE_C:
+            pytest.skip("no working C compiler")
+        pos = rng.uniform(0.0, BOX, (20, 3)).astype(dtype)
+        pos[3, 1] = np.nan
+        pos[7, 0] = np.inf
+        pos[7, 2] = -np.inf
+        pos[9, 2] = np.nan
+        msg = r"cic: 3 particle position\(s\) are not finite"
+        with pytest.raises(ValueError, match=msg):
+            cic_deposit(pos, 8, BOX, dtype=dtype, backend=backend)
+        grid = np.ones((8, 8, 8), dtype=dtype)
+        with pytest.raises(ValueError, match=msg):
+            cic_interpolate(grid, pos, BOX, dtype=dtype, backend=backend)
 
 
 # ----------------------------------------------------------------------
