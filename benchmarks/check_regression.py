@@ -150,12 +150,13 @@ def check_speedup(
 
     * the legacy ``payload.speedup`` block (thread @ 4 workers) gated
       against ``min_speedup``;
-    * every entry of ``payload.speedup_gates`` (added with the
-      overlapped-execution bench: the 8-process-worker >= 3.0x scale-out
-      gate and the compute-only dispatch-overhead gate) against its own
+    * every entry of ``payload.speedup_gates`` (the emulated-latency
+      thread @ 4 workers >= 1.7x orchestration gate and the compute-only
+      thread @ 4 workers >= 1.0x dispatch-overhead gate) against its own
       ``min_required`` — **self-skipping** when this host has fewer than
-      the gate's ``min_cores`` cores, so a laptop or single-core CI
-      runner reports the gate as skipped instead of lying either way.
+      the gate's ``min_cores`` cores, so a laptop or 2-core CI runner
+      reports the compute-only gate as skipped instead of lying either
+      way.
     """
     rec = fresh.get("executor")
     if rec is None and record_path.is_file():

@@ -14,10 +14,9 @@
 # baseline with benchmarks/check_regression.py --check-health
 # --check-speedup (fails on >20% slowdown of a gated bench, a CRIT
 # physics-health verdict, a short-range executor speedup below 1.7x
-# at 4 workers, or any failing speedup_gates entry — the 8-process-
-# worker >= 3.0x scale-out gate self-skips below 8 cores, the
-# compute-only dispatch-overhead gate below 4; an unrecovered rank
-# death exits 2).  Lane 11 kills a
+# at 4 workers, or any failing speedup_gates entry — the compute-only
+# thread @ 4 workers dispatch-overhead gate self-skips below 4 cores;
+# an unrecovered rank death exits 2).  Lane 11 kills a
 # live campaign supervisor and its child mid-run (SIGKILL, a simulated
 # node death) and requires 'campaign resume' to finish the suite with
 # exactly-once ledger entries and correct attempt counts.  Exercises

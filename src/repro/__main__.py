@@ -129,7 +129,6 @@ def _demo_config(args: argparse.Namespace):
         step_spacing="loga",
         workers=workers,
         executor=executor,
-        worker_groups=getattr(args, "worker_groups", 1),
         overlap=getattr(args, "overlap", False),
         kernel_backend=getattr(args, "kernel_backend", "auto"),
         dtype=getattr(args, "precision", "f64"),
@@ -1010,13 +1009,9 @@ def _add_run_options(sub: argparse.ArgumentParser) -> None:
                      help="rank-executor workers (default 1: serial; "
                           "see README 'Running in parallel')")
     sub.add_argument("--executor", default=None,
-                     choices=("serial", "thread", "process"),
+                     choices=("serial", "thread"),
                      help="rank-executor backend (default: thread when "
                           "--workers > 1, else serial)")
-    sub.add_argument("--worker-groups", type=int, default=1, metavar="G",
-                     help="shard the process backend into G rank groups "
-                          "(independent pools of workers/G processes; "
-                          "must divide --workers evenly; default 1)")
     sub.add_argument("--overlap", action="store_true",
                      help="overlapped execution: stream the ghost "
                           "exchange into in-flight short-range solves "

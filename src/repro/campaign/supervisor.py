@@ -33,7 +33,6 @@ its checkpoint with a bit-identical trajectory.
 
 from __future__ import annotations
 
-import glob
 import json
 import logging
 import os
@@ -102,29 +101,6 @@ def _default_launcher(cmd: list[str], log_path: Path, env: dict):
         return subprocess.Popen(
             cmd, stdout=log, stderr=subprocess.STDOUT, env=env
         )
-
-
-def _sweep_child_shm(pid: int) -> int:
-    """Unlink /dev/shm segments a hard-killed child left behind.
-
-    The executor names its POSIX shared-memory segments
-    ``repro-<pid>-...`` and guards them with close()/atexit, but SIGKILL
-    defeats any in-process cleanup — so after a hard kill the supervisor
-    sweeps the victim's segments by name.  Returns the count removed.
-    """
-    removed = 0
-    for path in glob.glob(f"/dev/shm/repro-{pid}-*"):
-        try:
-            os.unlink(path)
-            removed += 1
-        except OSError:  # pragma: no cover - raced another cleanup
-            pass
-    if removed:
-        logger.warning(
-            "swept %d leaked shared-memory segment(s) of pid %d",
-            removed, pid,
-        )
-    return removed
 
 
 class CampaignSupervisor:
@@ -298,9 +274,7 @@ class CampaignSupervisor:
                 proc.kill()
             except OSError:  # pragma: no cover - already gone
                 pass
-            code = proc.wait()
-            _sweep_child_shm(proc.pid)
-            return code
+            return proc.wait()
 
     def _interrupt_child(self, proc, run: RunSpec) -> None:
         """Supervisor shutdown: let the in-flight child checkpoint."""

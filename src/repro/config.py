@@ -19,9 +19,15 @@ from repro.cosmology.background import WMAP7, Cosmology
 __all__ = ["ConfigError", "SimulationConfig"]
 
 _BACKENDS = ("treepm", "p3m", "direct", "pm")
-_EXECUTORS = ("serial", "thread", "process")
+_EXECUTORS = ("serial", "thread")
 _KERNEL_BACKENDS = ("auto", "numpy", "c")
 _PRECISIONS = ("f32", "f64")
+
+
+_PROCESS_RETIRED = (
+    "the process executor and its rank groups were removed; use "
+    "executor 'thread', which runs the same work partition bit-identically"
+)
 
 
 class ConfigError(ValueError):
@@ -77,16 +83,8 @@ class SimulationConfig:
         keyed on this value alone, so runs at equal ``workers`` are
         bit-identical across executor backends.
     executor:
-        Rank-executor backend: ``"serial"`` (default), ``"thread"``
-        (NumPy-GIL-release thread pool) or ``"process"``
-        (shared-memory fork pool).
-    worker_groups:
-        Shard the process backend's workers into this many rank groups
-        (independent pools of ``workers // worker_groups`` processes —
-        the paper's 5-D torus partitioning; see
-        :class:`repro.machine.mapping.RankGroupLayout`).  Must divide
-        ``workers`` evenly.  Placement only: trajectories are identical
-        for any group count at equal ``workers``.
+        Rank-executor backend: ``"serial"`` (default) or ``"thread"``
+        (a thread pool; the compiled kernels release the GIL).
     overlap:
         Enable overlapped execution: the ghost exchange streams domains
         into in-flight short-range solves, and the gradient inverse
@@ -131,7 +129,6 @@ class SimulationConfig:
     step_spacing: str = "a"
     workers: int = 1
     executor: str = "serial"
-    worker_groups: int = 1
     overlap: bool = False
     kernel_backend: str = "auto"
     dtype: str = "f64"
@@ -181,22 +178,12 @@ class SimulationConfig:
             raise ConfigError(f"lpt_order must be 1 or 2: {self.lpt_order}")
         if self.workers < 1:
             raise ConfigError(f"workers must be >= 1: {self.workers}")
+        if self.executor == "process":
+            raise ConfigError(_PROCESS_RETIRED)
         if self.executor not in _EXECUTORS:
             raise ConfigError(
                 f"executor must be one of {_EXECUTORS}, "
                 f"got {self.executor!r}"
-            )
-        if self.worker_groups < 1:
-            raise ConfigError(
-                f"worker_groups must be >= 1: {self.worker_groups}"
-            )
-        if (
-            self.worker_groups > self.workers
-            or self.workers % self.worker_groups
-        ):
-            raise ConfigError(
-                f"worker_groups ({self.worker_groups}) must evenly "
-                f"divide workers ({self.workers})"
             )
         if self.kernel_backend not in _KERNEL_BACKENDS:
             raise ConfigError(
@@ -276,14 +263,18 @@ class SimulationConfig:
         hash); the nested cosmology mapping becomes a
         :class:`~repro.cosmology.background.Cosmology`.  Unknown keys
         raise ``TypeError`` so a stale or foreign payload fails loudly
-        instead of silently dropping a knob.  The one exception is the
-        retired ``shortrange_naive`` switch: every earlier checkpoint and
-        ``--config`` file carries it, and ``False`` asked for what is now
-        the only path, so it is dropped (``True`` still fails).
+        instead of silently dropping a knob.  The exceptions are retired
+        fields that every earlier checkpoint and ``--config`` file
+        carries: ``shortrange_naive: false`` and ``worker_groups: 1``
+        asked for what is now the only path, so they are dropped;
+        ``shortrange_naive: true`` still fails, and any other
+        ``worker_groups`` is a :class:`ConfigError` naming ``thread``.
         """
         payload = dict(data)
         if payload.get("shortrange_naive") is False:
             del payload["shortrange_naive"]
+        if payload.pop("worker_groups", 1) != 1:
+            raise ConfigError(_PROCESS_RETIRED)
         cosmo = payload.get("cosmology")
         if isinstance(cosmo, dict):
             payload["cosmology"] = Cosmology(**cosmo)

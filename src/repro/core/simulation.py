@@ -24,7 +24,6 @@ from __future__ import annotations
 import logging
 import threading
 import time
-from collections import defaultdict
 from typing import Callable
 
 import numpy as np
@@ -36,7 +35,7 @@ from repro.core.timestepper import SubcycledStepper
 from repro.cosmology.initial_conditions import make_initial_conditions
 from repro.grid.poisson import SpectralPoissonSolver
 from repro.parallel.decomposition import DomainDecomposition
-from repro.parallel.executor import RankExecutor, resolve_shared
+from repro.parallel.executor import RankExecutor
 from repro.parallel.overload import OverloadExchange
 from repro.resilience.faults import get_fault_plan
 from repro.shortrange.grid_force import (
@@ -54,19 +53,6 @@ from repro.shortrange.solvers import (
 __all__ = ["HACCSimulation"]
 
 logger = logging.getLogger(__name__)
-
-
-# ----------------------------------------------------------------------
-# executor worker plumbing (module-level: process tasks pickle by
-# reference and the worker solver lives in the child's module globals)
-# ----------------------------------------------------------------------
-_WORKER_SOLVER = None
-
-
-def _init_worker_solver(spec) -> None:
-    """Process-pool initializer: build the worker's private solver."""
-    global _WORKER_SOLVER
-    _WORKER_SOLVER = solver_from_spec(spec) if spec is not None else None
 
 
 def _solve_domain(solver, rank, positions, masses, active):
@@ -90,46 +76,6 @@ def _solve_domain(solver, rank, positions, masses, active):
     pairs = (int(kern.interaction_count - k0), int(kern.inside_count - i0))
     depth = getattr(solver, "last_tree_depth", None)
     return rank, local, pairs, depth
-
-
-def _solve_domain_shared(payload):
-    """Process-backend task: reconstruct the domain cloud from indices.
-
-    ``positions``/``masses`` arrive as shared-memory handles; the domain
-    ships only global ids plus per-axis periodic wrap codes (int8 in
-    {-1, 0, 1}).  ``ids_indexed + codes * box`` repeats the identical
-    floating-point addition (in the state dtype) the overload exchange
-    performed, so the reconstructed cloud is bitwise equal to the one
-    the serial path saw (the dispatcher verifies this before choosing
-    index shipping).
-    """
-    rank, pos_ref, mas_ref, ids, codes, active, box = payload
-    gpos = resolve_shared(pos_ref)
-    gmas = resolve_shared(mas_ref)
-    base = gpos[ids]
-    positions = base + codes.astype(base.dtype) * base.dtype.type(box)
-    return _solve_domain(_WORKER_SOLVER, rank, positions, gmas[ids], active)
-
-
-def _solve_domain_arrays(payload):
-    """Process-backend fallback task: the domain arrays travel whole.
-
-    Used when index reconstruction would not be exact — e.g. domains
-    rebuilt by rank-death recovery, whose positions are not simple
-    wrapped copies of the global array.
-    """
-    rank, positions, masses, active = payload
-    return _solve_domain(_WORKER_SOLVER, rank, positions, masses, active)
-
-
-def _dispatch_domain_task(item):
-    """Uniform process-task envelope: ``(task_fn, payload)`` pairs.
-
-    Lets one ``map`` call mix index-shipped and whole-array domains
-    while keeping result order aligned with the domain list.
-    """
-    fn, payload = item
-    return fn(payload)
 
 
 class HACCSimulation:
@@ -188,8 +134,8 @@ class HACCSimulation:
 
         # resolve the kernel backend ONCE (auto -> c, else numpy when it
         # cannot be built; an explicit unavailable name fails here) and
-        # carry the resolved *name* everywhere — including into picklable
-        # solver specs, so process workers rebuild the same choice
+        # carry the resolved *name* everywhere — including into the solver
+        # spec each worker thread rebuilds its private clone from
         self.kernel_backend: str = resolve_backend(config.kernel_backend).name
 
         self.poisson = SpectralPoissonSolver(
@@ -259,11 +205,7 @@ class HACCSimulation:
         #: rank executor running the bulk-synchronous parallel sections
         #: (see :mod:`repro.parallel.executor`); the Poisson solver
         #: shares it for the CIC deposit, gathers and gradient FFTs
-        self.executor = RankExecutor.from_config(
-            config,
-            initializer=_init_worker_solver,
-            initargs=(self._solver_spec,),
-        )
+        self.executor = RankExecutor.from_config(config)
         self.poisson.executor = self.executor
         self.poisson.overlap = config.overlap
         self._worker_local = threading.local()
@@ -305,7 +247,6 @@ class HACCSimulation:
         self.a = config.a_initial
         self._edges = config.step_edges()
         self._step_index = 0
-        self.timings: dict[str, float] = defaultdict(float)
         #: optional physics health monitor (see :meth:`attach_health`)
         self.health = None
         self._comm_bytes_prev: np.ndarray | None = None
@@ -314,17 +255,14 @@ class HACCSimulation:
     # force callbacks
     # ------------------------------------------------------------------
     def _long_range(self, positions: np.ndarray) -> np.ndarray:
-        t0 = time.perf_counter()
         with get_registry().span("longrange"):
             acc = self.poisson.accelerations(
                 positions, weights=self.particles.masses
             )
             acc *= self.prefactor  # the solver's fresh array: no temporary
-        self.timings["long_range"] += time.perf_counter() - t0
         return acc
 
     def _short_range(self, positions: np.ndarray) -> np.ndarray:
-        t0 = time.perf_counter()
         get_fault_plan().sleep("shortrange")
         with get_registry().span("shortrange"):
             scale = self.prefactor * self.pair_norm
@@ -336,7 +274,6 @@ class HACCSimulation:
                 )
             else:
                 acc = scale * self._short_range_overloaded(positions)
-        self.timings["short_range"] += time.perf_counter() - t0
         return acc
 
     def _short_range_overloaded(self, positions: np.ndarray) -> np.ndarray:
@@ -408,55 +345,6 @@ class HACCSimulation:
             self._worker_local.solver = solver
         return solver
 
-    def _share_particles(self, positions):
-        """Publish the global particle state for process workers.
-
-        Returns the ``(pos_mod, pos_ref, mas_ref, box)`` tuple
-        :meth:`_domain_task` needs to ship index payloads, or ``None``
-        for the in-process backends (which see the caller's arrays
-        directly).
-        """
-        if self.executor.backend != "process":
-            return None
-        box = self.config.box_size
-        pos_mod = np.mod(positions, box)
-        pos_ref = self.executor.share("shortrange.positions", pos_mod)
-        mas_ref = self.executor.share(
-            "shortrange.masses", self.particles.masses
-        )
-        return pos_mod, pos_ref, mas_ref, box
-
-    def _domain_task(self, dom, shared):
-        """``(task_fn, payload)`` for one domain's solve.
-
-        The single source of payload construction for the synchronous
-        and overlapped dispatch paths — both ship the identical floats,
-        which is half of the bit-identity argument (the other half is
-        the shared reduction in :meth:`_reduce_domain_results`).
-        """
-        if shared is None:
-            return self._solve_domain_local, (
-                dom.rank, dom.positions, dom.masses, dom.active,
-            )
-        pos_mod, pos_ref, mas_ref, box = shared
-        if dom.n_total:
-            base = pos_mod[dom.ids]
-            codes = np.rint(
-                (dom.positions - base) / box
-            ).astype(np.int8)
-            # same dtype arithmetic as the worker-side recon
-            recon = (
-                base + codes.astype(base.dtype) * base.dtype.type(box)
-            )
-            if np.array_equal(recon, dom.positions):
-                return _solve_domain_shared, (
-                    dom.rank, pos_ref, mas_ref,
-                    dom.ids, codes, dom.active, box,
-                )
-        return _solve_domain_arrays, (
-            dom.rank, dom.positions, dom.masses, dom.active,
-        )
-
     def _reduce_domain_results(self, positions, domains, results, tel):
         """Scatter solves into the global acceleration, in rank order.
 
@@ -498,24 +386,12 @@ class HACCSimulation:
         the next one waits for ``map`` to join all ranks, so the
         bulk-synchronous structure is preserved.
         """
-        ex = self.executor
-        ranks = [dom.rank for dom in domains]
-        shared = self._share_particles(positions)
-        tasks = [self._domain_task(dom, shared) for dom in domains]
-        if shared is not None:
-            results = ex.map(
-                _dispatch_domain_task,
-                tasks,
-                ranks=ranks,
-                label="shortrange.domain",
-            )
-        else:
-            results = ex.map(
-                self._solve_domain_local,
-                [payload for _, payload in tasks],
-                ranks=ranks,
-                label="shortrange.domain",
-            )
+        results = self.executor.map(
+            self._solve_domain_local,
+            domains,
+            ranks=[dom.rank for dom in domains],
+            label="shortrange.domain",
+        )
         return self._reduce_domain_results(positions, domains, results, tel)
 
     def _short_range_overlapped(self, positions, plan, tel):
@@ -547,7 +423,6 @@ class HACCSimulation:
 
         ex = self.executor
         meter = OverlapMeter()
-        shared = self._share_particles(positions)
         stream = self.exchange.distribute_stream(
             positions,
             self.particles.momenta,
@@ -557,22 +432,12 @@ class HACCSimulation:
         domains: list = []
         with ex.wave("shortrange.overlap") as wave:
             def submit_domain(dom):
-                fn, payload = self._domain_task(dom, shared)
-                if shared is not None:
-                    wave.submit(
-                        _dispatch_domain_task,
-                        (fn, payload),
-                        rank=dom.rank,
-                        label="shortrange.domain",
-                    )
-                else:
-                    wave.submit(
-                        fn,
-                        payload,
-                        rank=dom.rank,
-                        label="shortrange.domain",
-                        inprocess=True,
-                    )
+                wave.submit(
+                    self._solve_domain_local,
+                    dom,
+                    rank=dom.rank,
+                    label="shortrange.domain",
+                )
 
             if plan.enabled and plan.deaths_pending():
                 with meter.comm(hidden=False):
@@ -592,14 +457,19 @@ class HACCSimulation:
             results = wave.results()
         return self._reduce_domain_results(positions, domains, results, tel)
 
-    def _solve_domain_local(self, payload):
-        """In-process task body (serial/thread backends)."""
-        rank, positions, masses, active = payload
-        return _solve_domain(self._local_solver(), rank, positions,
-                             masses, active)
+    def _solve_domain_local(self, dom):
+        """The per-domain task body of both executor backends.
+
+        The synchronous and overlapped dispatch paths hand it the same
+        domain objects, which is half of the bit-identity argument (the
+        other half is the shared reduction in
+        :meth:`_reduce_domain_results`).
+        """
+        return _solve_domain(self._local_solver(), dom.rank,
+                             dom.positions, dom.masses, dom.active)
 
     def close(self) -> None:
-        """Release executor pools and shared memory (idempotent)."""
+        """Release the executor's thread pool (idempotent)."""
         self.executor.close()
 
     def __enter__(self) -> "HACCSimulation":

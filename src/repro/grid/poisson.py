@@ -187,11 +187,10 @@ class SpectralPoissonSolver:
         phi_k = self.potential_k(self._forward(delta))
         if self._parallel():
             # the three components are independent inverse transforms;
-            # map_inprocess runs them concurrently under the thread
-            # backend and falls back to the ordered loop otherwise
-            # (grids are too heavy to ship across processes)
+            # the thread backend runs them concurrently, the serial one
+            # as the ordered loop
             return tuple(
-                self.executor.map_inprocess(
+                self.executor.map(
                     self._grad_component,
                     [(k, phi_k) for k in self._neg_grad_kernels],
                     label="fft.gradient",
@@ -315,7 +314,7 @@ class SpectralPoissonSolver:
             acc = np.stack(self._pipelined_force(delta, positions), axis=1)
         else:
             acc = np.stack(
-                self.executor.map_inprocess(
+                self.executor.map(
                     self._gather_component,
                     [(f, positions) for f in self.force_grids(delta)],
                     label="cic.gather",
@@ -343,7 +342,7 @@ class SpectralPoissonSolver:
             grads = [
                 wave.submit(
                     self._grad_component, (kernel, phi_k),
-                    rank=axis, label="fft.gradient", inprocess=True,
+                    rank=axis, label="fft.gradient",
                 )
                 for axis, kernel in enumerate(self._neg_grad_kernels)
             ]
@@ -353,7 +352,7 @@ class SpectralPoissonSolver:
                 gathers.append(
                     wave.submit(
                         self._gather_component, (force, positions),
-                        rank=axis, label="cic.gather", inprocess=True,
+                        rank=axis, label="cic.gather",
                     )
                 )
             return [h.result() for h in gathers]

@@ -32,24 +32,6 @@ from repro.grid.cic import cic_deposit
 __all__ = ["ThreadedCIC", "DepositReport"]
 
 
-def _deposit_chunk(payload) -> np.ndarray:
-    """One worker's private-grid deposit (module-level: picklable).
-
-    The kernel backend travels by *name* in the payload so process
-    workers re-resolve it locally (backend instances are not picklable).
-    """
-    pos_ref, w_ref, start, stop, n, box, dtype, backend = payload
-    if stop <= start:
-        return np.zeros((n, n, n), dtype=np.float64 if dtype is None else dtype)
-    from repro.parallel.executor import resolve_shared
-
-    pos = resolve_shared(pos_ref)
-    w = resolve_shared(w_ref)
-    return cic_deposit(
-        pos[start:stop], n, box, w[start:stop], dtype=dtype, backend=backend
-    )
-
-
 @dataclass(frozen=True)
 class DepositReport:
     """Work distribution of one threaded deposit."""
@@ -89,8 +71,7 @@ class ThreadedCIC:
     kernel_backend:
         Kernel backend *name* performing the per-chunk scatters through
         the same ``cic_deposit`` primitive as the serial path (``None``
-        = ``auto``: c, else numpy).  A name rather than an instance so
-        executor payloads stay picklable.
+        = ``auto``: c, else numpy).
     """
 
     STRATEGIES = ("privatize", "slab")
@@ -136,38 +117,30 @@ class ThreadedCIC:
         return self._slab(pos, n, box_size, w)
 
     def _privatize(self, pos, n, box, w) -> np.ndarray:
-        # np.array_split of a range yields contiguous chunks: the same
-        # partition whether expressed as index arrays (sequential path)
-        # or as [start, stop) slices (executor payloads)
+        # np.array_split of a range yields contiguous chunks, so each
+        # worker deposits one [start, stop) slice of the particle arrays
         chunks = np.array_split(np.arange(pos.shape[0]), self.n_workers)
-        ex = self.executor
-        if ex is not None:
-            pos_ref = ex.share("cic.positions", pos)
-            w_ref = ex.share("cic.weights", w)
-            payloads, start = [], 0
-            dt_name = None if self.dtype is None else self.dtype.name
-            for c in chunks:
-                payloads.append(
-                    (
-                        pos_ref, w_ref, start, start + c.size, n, box,
-                        dt_name, self.kernel_backend,
-                    )
-                )
-                start += c.size
-            grids = ex.map(_deposit_chunk, payloads, label="cic.deposit")
-        else:
-            grids = [
-                cic_deposit(
-                    pos[c], n, box, w[c],
-                    dtype=self.dtype, backend=self.kernel_backend,
-                )
-                if c.size
-                else np.zeros(
+        bounds = np.cumsum([0] + [c.size for c in chunks])
+
+        def deposit_chunk(k: int) -> np.ndarray:
+            a, b = bounds[k], bounds[k + 1]
+            if b <= a:
+                return np.zeros(
                     (n, n, n),
                     dtype=np.float64 if self.dtype is None else self.dtype,
                 )
-                for c in chunks
-            ]
+            return cic_deposit(
+                pos[a:b], n, box, w[a:b],
+                dtype=self.dtype, backend=self.kernel_backend,
+            )
+
+        workers = range(self.n_workers)
+        if self.executor is not None:
+            grids = self.executor.map(
+                deposit_chunk, workers, label="cic.deposit"
+            )
+        else:
+            grids = [deposit_chunk(k) for k in workers]
         self.last_report = DepositReport(
             n_workers=self.n_workers,
             particles_per_worker=tuple(int(c.size) for c in chunks),

@@ -334,14 +334,11 @@ class Registry:
     ) -> None:
         """Record a span measured outside this registry's span stack.
 
-        Used for work timed in executor worker *processes*: the child
-        measures ``[start, end]`` against the shared monotonic clock and
-        the parent deposits the interval here, attributed to the
-        worker's trace lane.  ``path`` preserves the nesting the child
-        observed (prefixed by the dispatch label, so worker span trees
-        hang under the task envelope); it defaults to ``name``, a
-        root-level span.  Either way the event feeds the same section
-        aggregates as :meth:`span`.
+        Used for intervals that do not nest in one thread's span stack,
+        such as an executor wave's ``[open, close]`` envelope, measured
+        against the same monotonic clock and attributed to a trace
+        lane.  ``path`` defaults to ``name``, a root-level span.  Either
+        way the event feeds the same section aggregates as :meth:`span`.
         """
         if end < start:
             raise ValueError(f"span ends before it starts: {start}..{end}")

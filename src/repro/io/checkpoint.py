@@ -47,7 +47,7 @@ from typing import Callable
 
 import numpy as np
 
-from repro.config import SimulationConfig
+from repro.config import ConfigError, SimulationConfig
 from repro.core.particles import Particles
 from repro.core.simulation import HACCSimulation
 from repro.resilience.faults import get_fault_plan
@@ -311,6 +311,8 @@ def load_checkpoint(path: str | Path, **sim_kwargs) -> HACCSimulation:
     meta, arrays = _load_verified(path)
     try:
         config = SimulationConfig.from_dict(meta["config"])
+    except ConfigError:
+        raise  # an intact file asking for a retired or invalid shape
     except (KeyError, TypeError, ValueError) as exc:
         raise CheckpointError(
             path, f"invalid config payload: {exc}"

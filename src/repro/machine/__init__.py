@@ -29,7 +29,7 @@ from repro.machine.architectures import ARCHITECTURES, ArchSpec
 from repro.machine.perfmodel import FullCodeModel, ScalingRow
 from repro.machine.roofline import InstructionMixModel, RooflinePoint
 from repro.machine.calibrate import HostCalibration, calibrate
-from repro.machine.mapping import MappingAnalysis, RankGroupLayout
+from repro.machine.mapping import MappingAnalysis
 
 __all__ = [
     "HostCalibration",
@@ -46,5 +46,4 @@ __all__ = [
     "InstructionMixModel",
     "RooflinePoint",
     "MappingAnalysis",
-    "RankGroupLayout",
 ]

@@ -30,93 +30,7 @@ import numpy as np
 from repro.parallel.decomposition import balanced_dims
 from repro.parallel.topology import TorusTopology
 
-__all__ = ["MappingAnalysis", "RankGroupLayout"]
-
-
-@dataclass(frozen=True)
-class RankGroupLayout:
-    """Sharded worker layout: ``n_groups`` rank groups x workers-per-group.
-
-    The paper partitions the 5-D torus into compact sub-blocks and keeps
-    each rank's collectives inside its block (Sec. IV.A); the process
-    executor mirrors that by sharding its worker fleet into independent
-    pools.  This class is the *map* from work items to groups — blocked
-    and contiguous, so a group always owns a compact slab of the domain
-    list, exactly like a torus sub-block owns a compact slab of ranks —
-    plus the hop-distance analysis of how well those groups land on the
-    torus.
-
-    The layout never affects results: grouping changes which pool runs a
-    task, not what it computes or the order results are reduced.
-    """
-
-    n_workers: int
-    n_groups: int = 1
-    ranks_per_node: int = 8
-
-    def __post_init__(self) -> None:
-        if self.n_workers < 1:
-            raise ValueError(f"n_workers must be >= 1: {self.n_workers}")
-        if self.n_groups < 1:
-            raise ValueError(f"n_groups must be >= 1: {self.n_groups}")
-        if self.n_groups > self.n_workers:
-            raise ValueError(
-                f"{self.n_groups} groups need at least that many "
-                f"workers, got {self.n_workers}"
-            )
-        if self.n_workers % self.n_groups:
-            raise ValueError(
-                f"workers ({self.n_workers}) must divide evenly into "
-                f"groups ({self.n_groups})"
-            )
-
-    @property
-    def workers_per_group(self) -> int:
-        return self.n_workers // self.n_groups
-
-    # ------------------------------------------------------------------
-    def group_of(self, index: int, n_items: int) -> int:
-        """Group owning item ``index`` of ``n_items`` (blocked layout).
-
-        Contiguous blocks: items ``[g*n/G, (g+1)*n/G)`` belong to group
-        ``g`` — the same formula the executor uses to route chunks, kept
-        here as the single documented definition.
-        """
-        if n_items < 1:
-            raise ValueError(f"n_items must be >= 1: {n_items}")
-        index = int(index) % n_items
-        return min(index * self.n_groups // n_items, self.n_groups - 1)
-
-    def group_slices(self, n_items: int) -> list[tuple[int, int]]:
-        """Half-open ``[start, stop)`` item ranges per group."""
-        bounds = [
-            n_items * g // self.n_groups for g in range(self.n_groups + 1)
-        ]
-        return list(zip(bounds[:-1], bounds[1:]))
-
-    # ------------------------------------------------------------------
-    def describe(self) -> dict:
-        """Layout summary plus torus locality of the grouped fleet.
-
-        Treats each group as a row of a ``n_groups x workers_per_group``
-        rank grid and reuses :class:`MappingAnalysis`: ``row_mean_hops``
-        under the blocked mapping is the mean intra-group hop distance —
-        the paper's criterion for a good torus partition.
-        """
-        analysis = MappingAnalysis(
-            pr=self.n_groups,
-            pc=self.workers_per_group,
-            ranks_per_node=self.ranks_per_node,
-        )
-        hops = analysis.subset_hops("blocked")
-        return {
-            "n_workers": self.n_workers,
-            "n_groups": self.n_groups,
-            "workers_per_group": self.workers_per_group,
-            "intra_group_mean_hops": hops["row_mean_hops"],
-            "cross_group_mean_hops": hops["col_mean_hops"],
-            "machine_mean_hops": hops["machine_mean_hops"],
-        }
+__all__ = ["MappingAnalysis"]
 
 
 @dataclass(frozen=True)

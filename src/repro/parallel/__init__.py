@@ -12,12 +12,7 @@ feeds the BG/Q network model in :mod:`repro.machine`.
 
 from repro.parallel.comm import CommStats, SimulatedComm
 from repro.parallel.decomposition import DomainDecomposition
-from repro.parallel.executor import (
-    RankExecutor,
-    SharedArrayHandle,
-    WorkerError,
-    resolve_shared,
-)
+from repro.parallel.executor import RankExecutor, WorkerError
 from repro.parallel.overload import OverloadedDomain, OverloadExchange
 from repro.parallel.topology import TorusTopology
 
@@ -28,8 +23,6 @@ __all__ = [
     "OverloadedDomain",
     "OverloadExchange",
     "RankExecutor",
-    "SharedArrayHandle",
     "WorkerError",
-    "resolve_shared",
     "TorusTopology",
 ]

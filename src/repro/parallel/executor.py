@@ -1,4 +1,4 @@
-"""Shared-memory rank executor: run the simulated rank fleet concurrently.
+"""Rank executor: run the simulated rank fleet concurrently.
 
 The paper's evaluation is built on hybrid parallelism — MPI ranks across
 nodes plus OpenMP threads within a node (Section IV, Fig. 5).  In this
@@ -6,69 +6,52 @@ reproduction the ranks are simulated in one process, but the *structure*
 is the same: between bulk-synchronous :class:`~repro.parallel.comm.
 SimulatedComm` collectives, each rank's short-range solve (and each
 gradient component's inverse FFT) is independent work.  The
-:class:`RankExecutor` maps that work onto one of three interchangeable
+:class:`RankExecutor` maps that work onto one of two interchangeable
 backends:
 
 ``serial``
-    An ordered in-thread loop over the *same work partition* the other
-    backends use.  The default, and the reference every other backend
+    An ordered in-thread loop over the *same work partition* the thread
+    backend uses.  The default, and the reference the thread backend
     must match bit-for-bit.
 ``thread``
-    A persistent :class:`~concurrent.futures.ThreadPoolExecutor`.  NumPy
-    releases the GIL inside the batched pair engine's large array ops and
-    inside pocketfft, so rank solves genuinely overlap (the analogue of
-    the paper's OpenMP threads within a node).
-``process``
-    A persistent :mod:`multiprocessing` fork pool.  Particle arrays are
-    published once per step into POSIX shared memory
-    (:meth:`RankExecutor.share`), so per-rank dispatch ships *indices*
-    into those arrays, not copies — the analogue of ranks addressing a
-    node's memory directly.
+    A persistent :class:`~concurrent.futures.ThreadPoolExecutor`.  The
+    compiled pair and CIC kernels and pocketfft release the GIL, so rank
+    solves genuinely overlap (the analogue of the paper's OpenMP threads
+    within a node).
 
 Determinism contract: the executor changes **where** tasks run, never
 **what** they compute or the order results are consumed.  Work is
 *partitioned* by the worker count alone — the serial backend at
-``workers=4`` walks the exact 4-way partition the thread and process
-backends dispatch, just in order.  ``map`` returns
-results in payload order, the caller performs all reductions in that
-fixed order, and every backend runs the identical per-task float
-operations — so trajectories are bit-identical across backends (a test
-pins this).  Collectives stay atomic: the executor joins all ranks
-before any :class:`SimulatedComm` call, exactly the bulk-synchronous
-structure of the paper's code.
+``workers=4`` walks the exact 4-way partition the thread backend
+dispatches, just in order.  ``map`` returns results in payload order,
+the caller performs all reductions in that fixed order, and both
+backends run the identical per-task float operations — so trajectories
+are bit-identical across backends (a test pins this).  Collectives stay
+atomic: the executor joins all ranks before any :class:`SimulatedComm`
+call, exactly the bulk-synchronous structure of the paper's code.
 """
 
 from __future__ import annotations
 
-import atexit
-import itertools
-import os
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 from typing import Callable, Sequence
-
-import numpy as np
 
 from repro.instrument import get_registry
 
 __all__ = [
     "EXECUTOR_BACKENDS",
-    "SHM_PREFIX",
     "WORKER_LANE_BASE",
     "WAVE_LANE_BASE",
     "WorkerError",
-    "UnpicklableTaskError",
-    "SharedArrayHandle",
     "TaskHandle",
     "Wave",
     "RankExecutor",
-    "resolve_shared",
 ]
 
 #: the interchangeable execution backends, in "distance from serial" order
-EXECUTOR_BACKENDS = ("serial", "thread", "process")
+EXECUTOR_BACKENDS = ("serial", "thread")
 
 #: Chrome-trace lane offset: worker lanes live at ``pid >= 1000`` so they
 #: never collide with simulated-rank lanes (``pid = rank``)
@@ -78,8 +61,6 @@ WORKER_LANE_BASE = 1000
 #: gets a stable lane at ``pid >= 2000`` so overlapping waves render as
 #: parallel tracks above the worker lanes
 WAVE_LANE_BASE = 2000
-
-_HANDLE_COUNTER = itertools.count()
 
 
 class WorkerError(RuntimeError):
@@ -99,253 +80,24 @@ class WorkerError(RuntimeError):
         self.original = original
 
 
-class UnpicklableTaskError(TypeError):
-    """A task function cannot cross the process boundary.
-
-    Raised by the process backend's cross-process dispatch paths instead
-    of letting the pool die on an opaque pickling traceback — names the
-    offending phase so the caller knows which dispatch to fix (use a
-    module-level function, or keep the phase in-process via
-    :meth:`RankExecutor.map_inprocess` / ``submit_inprocess``).
-    """
-
-    def __init__(self, label: str, original: BaseException) -> None:
-        super().__init__(
-            f"phase {label!r} cannot be dispatched to process workers: "
-            f"its task function is not picklable "
-            f"({type(original).__name__}: {original}).  Use a "
-            f"module-level function, or dispatch with map_inprocess / "
-            f"submit_inprocess to stay in the parent process."
-        )
-        self.label = label
-        self.original = original
-
-
-@dataclass(frozen=True)
-class SharedArrayHandle:
-    """Picklable reference to a shared-memory NumPy array.
-
-    Shipped to process workers instead of the array itself; resolve with
-    :func:`resolve_shared`.
-    """
-
-    name: str
-    shape: tuple
-    dtype: str
-
-
-# ----------------------------------------------------------------------
-# creator-side leak guard: every segment this process creates is tracked
-# here and swept at interpreter exit.  ``close()`` is the normal unlink
-# path, but a run torn down mid-step — a timeout SIGTERM from the
-# campaign supervisor, an exception that skips ``sim.close()``, a test
-# that forgot the context manager — must not leave /dev/shm segments
-# behind (they survive the process and eat a machine's shm quota).
-# SIGKILL still defeats any in-process guard; the supervisor sweeps the
-# victim's segments by pid-prefixed name after a hard kill.
-# ----------------------------------------------------------------------
-_LIVE_SEGMENTS: dict[str, "object"] = {}
-_LIVE_LOCK = threading.Lock()
-
-#: /dev/shm name prefix of segments created by this process — the
-#: supervisor's post-SIGKILL sweep matches on this
-SHM_PREFIX = "repro-"
-
-
-def _track_segment(shm) -> None:
-    with _LIVE_LOCK:
-        _LIVE_SEGMENTS[shm.name] = shm
-
-
-def _untrack_segment(name: str) -> None:
-    with _LIVE_LOCK:
-        _LIVE_SEGMENTS.pop(name, None)
-
-
-@atexit.register
-def _sweep_segments() -> None:
-    """Unlink any still-live shared segments at interpreter exit."""
-    with _LIVE_LOCK:
-        leftovers = list(_LIVE_SEGMENTS.values())
-        _LIVE_SEGMENTS.clear()
-    for shm in leftovers:
-        try:
-            shm.close()
-            shm.unlink()
-        except Exception:  # pragma: no cover - already gone is fine
-            pass
-
-
-# ----------------------------------------------------------------------
-# worker-side shared-memory attachment (module-level: used in children)
-# ----------------------------------------------------------------------
-_ATTACHED: dict[str, "object"] = {}
-
-
-def resolve_shared(ref) -> np.ndarray:
-    """Materialize an array shipped through :meth:`RankExecutor.share`.
-
-    Plain arrays (serial/thread backends share by reference) pass
-    through; a :class:`SharedArrayHandle` is attached by name — cached
-    per process, so repeated per-step dispatches reuse the mapping.
-    """
-    if isinstance(ref, np.ndarray):
-        return ref
-    if not isinstance(ref, SharedArrayHandle):
-        raise TypeError(f"not a shareable array reference: {ref!r}")
-    shm = _ATTACHED.get(ref.name)
-    if shm is None:
-        from multiprocessing import resource_tracker, shared_memory
-
-        # Attaching registers the name with the resource tracker, which
-        # pool children *share* with the creator (the tracker cache is a
-        # set, so the re-register is idempotent).  Do not unregister
-        # here: the creator's unlink performs the one removal, and a
-        # second would make the tracker process raise KeyError.
-        shm = shared_memory.SharedMemory(name=ref.name)
-        _ATTACHED[ref.name] = shm
-    count = int(np.prod(ref.shape, dtype=np.int64)) if ref.shape else 1
-    arr = np.frombuffer(shm.buf, dtype=np.dtype(ref.dtype), count=count)
-    return arr.reshape(ref.shape)
-
-
-# ----------------------------------------------------------------------
-# process-pool plumbing (module-level so it pickles by reference)
-# ----------------------------------------------------------------------
-def _pool_init(initializer, initargs) -> None:
-    if initializer is not None:
-        initializer(*initargs)
-
-
-#: cap on span records shipped back per process task (a runaway nested
-#: section must not make every result message huge)
-_WORKER_SPAN_CAP = 4096
-
-
-def _process_call(item):
-    """Run one task in a pool worker; never raises.
-
-    Returns ``(pid, t0, t1, ok, result_or_exc, spans, counters)``: the
-    parent re-raises failures in payload order (deterministic
-    attribution) and records the ``[t0, t1]`` interval as an external
-    span on the worker's trace lane — ``time.perf_counter`` is
-    CLOCK_MONOTONIC on Linux, shared across processes, so child
-    timestamps land on the parent timeline.
-
-    When the parent dispatched with instrumentation enabled (``capture``
-    set), the task runs against a private child-side
-    :class:`~repro.instrument.registry.Registry`, and the *real* spans
-    the task opened (tree build/walk, PP batches, ...) ship back as
-    ``(name, path, start, end)`` tuples — so process-backend traces and
-    section aggregates carry the same interior structure the thread
-    backend records directly, not just one opaque lane rectangle.  The
-    task's registry *counters* (tree sizes, batch pair tallies, CIC/FFT
-    work counts) ship back the same way and are merged by the parent in
-    payload order, so counted work is invariant across executor
-    backends.  Worker kernels run with ``mirror_counters=False`` and the
-    driver charges ``pp.*`` from task results, so those never appear
-    here twice.
-    """
-    fn, payload, capture = item
-    spans: tuple = ()
-    counters: tuple = ()
-    t0 = time.perf_counter()
-    try:
-        if capture:
-            from repro.instrument.registry import Registry, use
-
-            reg = Registry(max_events=_WORKER_SPAN_CAP)
-            with use(reg):
-                result = fn(payload)
-            spans = tuple(
-                (ev.name, ev.path, ev.start, ev.end) for ev in reg.events
-            )
-            counters = tuple(reg.counters.items())
-        else:
-            result = fn(payload)
-        return (
-            os.getpid(), t0, time.perf_counter(), True, result, spans,
-            counters,
-        )
-    except Exception as exc:
-        return (
-            os.getpid(), t0, time.perf_counter(), False, exc, spans,
-            counters,
-        )
-
-
-def _chunk_call(item):
-    """Run a contiguous chunk of payloads in one pool task; never raises.
-
-    The chunked envelope is the dispatch-overhead fix: one pickled
-    ``(fn, payloads, capture)`` message and one result message per chunk
-    instead of per payload.  Returns ``(pid, t0, t1, results, spans,
-    counters)`` where ``results`` is a per-payload ``(ok, value_or_exc)``
-    tuple in payload order; instrumentation aggregates over the whole
-    chunk (payload execution order is preserved inside it, so merged
-    counter totals match the per-payload dispatch exactly).
-    """
-    fn, payloads, capture = item
-    spans: tuple = ()
-    counters: tuple = ()
-    t0 = time.perf_counter()
-
-    def run_all():
-        out = []
-        for payload in payloads:
-            try:
-                out.append((True, fn(payload)))
-            except Exception as exc:
-                out.append((False, exc))
-        return tuple(out)
-
-    if capture:
-        from repro.instrument.registry import Registry, use
-
-        reg = Registry(max_events=_WORKER_SPAN_CAP)
-        with use(reg):
-            results = run_all()
-        spans = tuple(
-            (ev.name, ev.path, ev.start, ev.end) for ev in reg.events
-        )
-        counters = tuple(reg.counters.items())
-    else:
-        results = run_all()
-    return (os.getpid(), t0, time.perf_counter(), results, spans, counters)
-
-
 class TaskHandle:
     """Deferred result of :meth:`RankExecutor.submit`.
 
-    ``result()`` blocks until the task finishes, merges the task's
-    instrumentation into the parent registry (process backend — exactly
-    once, on first consume, so trace lanes and counter totals follow
-    *consumption* order just like ``map``), and re-raises failures as
-    :class:`WorkerError` attributed to the submitting rank.  Handles are
-    single-task futures; consume them in a deterministic order and the
-    executor's bit-identity contract carries over unchanged.
+    ``result()`` blocks until the task finishes and re-raises failures
+    as :class:`WorkerError` attributed to the submitting rank.  Handles
+    are single-task futures; consume them in a deterministic order and
+    the executor's bit-identity contract carries over unchanged.
     """
 
-    __slots__ = (
-        "_executor", "_rank", "_label", "_kind", "_obj",
-        "_done", "_ok", "_value",
-    )
+    __slots__ = ("_rank", "_label", "_future", "_done", "_ok", "_value")
 
-    def __init__(self, executor, rank, label, kind, obj=None) -> None:
-        self._executor = executor
+    def __init__(self, rank, label, *, future=None, ok=True,
+                 value=None) -> None:
         self._rank = int(rank)
         self._label = label
-        self._kind = kind  # "value" | "error" | "future" | "pool"
-        self._obj = obj
-        self._done = kind in ("value", "error")
-        if kind == "value":
-            self._ok, self._value = True, obj
-            self._obj = None
-        elif kind == "error":
-            self._ok, self._value = False, obj
-            self._obj = None
-        else:
-            self._ok, self._value = False, None
+        self._future = future
+        self._done = future is None
+        self._ok, self._value = ok, value
 
     @property
     def rank(self) -> int:
@@ -357,38 +109,24 @@ class TaskHandle:
 
     def done(self) -> bool:
         """True when the task has finished (without blocking)."""
-        if self._done:
-            return True
-        if self._kind == "future":
-            return self._obj.done()
-        return self._obj.ready()
+        return self._done or self._future.done()
 
     def result(self):
-        """Block for, merge, and return the task's result (idempotent)."""
+        """Block for and return the task's result (idempotent)."""
         if not self._done:
-            self._resolve()
+            exc = self._future.exception()
+            if exc is not None:
+                self._ok, self._value = False, exc
+            else:
+                self._ok, self._value = True, self._future.result()
+            self._done = True
+            self._future = None
         if self._ok:
             return self._value
         exc = self._value
         if isinstance(exc, WorkerError):
             raise exc
         raise WorkerError(self._rank, exc) from exc
-
-    def _resolve(self) -> None:
-        if self._kind == "future":
-            exc = self._obj.exception()
-            if exc is not None:
-                self._ok, self._value = False, exc
-            else:
-                self._ok, self._value = True, self._obj.result()
-        else:  # "pool": a _process_call envelope from a process worker
-            pid, t0, t1, ok, value, spans, counters = self._obj.get()
-            self._executor._merge_worker_record(
-                self._label, pid, t0, t1, spans, counters
-            )
-            self._ok, self._value = ok, value
-        self._done = True
-        self._obj = None
 
 
 class Wave:
@@ -410,18 +148,13 @@ class Wave:
         self._t0 = time.perf_counter()
         self._closed = False
 
-    def submit(
-        self, fn, payload, *, rank=None, label=None, inprocess=False
-    ) -> TaskHandle:
+    def submit(self, fn, payload, *, rank=None, label=None) -> TaskHandle:
         """Submit one task into the wave; defaults rank to wave position."""
         if rank is None:
             rank = len(self._handles)
-        submit = (
-            self._executor.submit_inprocess
-            if inprocess
-            else self._executor.submit
+        handle = self._executor.submit(
+            fn, payload, rank=rank, label=label or self.label
         )
-        handle = submit(fn, payload, rank=rank, label=label or self.label)
         self._handles.append(handle)
         return handle
 
@@ -460,41 +193,21 @@ class RankExecutor:
     Parameters
     ----------
     backend:
-        ``"serial"``, ``"thread"`` or ``"process"``.
+        ``"serial"`` or ``"thread"``.
     workers:
         Worker count (must be >= 1).  Sets the work *partition* for
-        every backend; the serial backend runs that same partition as
+        both backends; the serial backend runs that same partition as
         an ordered loop, so ``workers`` alone determines the float
         reassociation and the backends agree bitwise.
-    initializer, initargs:
-        Run once in every process-pool worker after fork (e.g. to build
-        the worker's private short-range solver).  Ignored by the other
-        backends, whose tasks can see the caller's objects directly.
-    groups:
-        Shard the process backend into ``groups`` independent pools of
-        ``workers // groups`` processes each — the multi-node-style rank
-        groups of the paper's 5-D torus partitioning (see
-        :class:`repro.machine.mapping.RankGroupLayout`).  Work is routed
-        to groups in contiguous blocks; results are still consumed in
-        payload order, so grouping changes placement only, never values.
-        Ignored by the serial and thread backends.
 
     Notes
     -----
-    Pools are created lazily on first dispatch and persist until
-    :meth:`close` — per-step dispatch reuses warm workers, warm shared
-    memory and (in-process) warm NumPy buffers.  The executor is also a
-    context manager.
+    The thread pool is created lazily on first dispatch and persists
+    until :meth:`close` — per-step dispatch reuses warm workers and warm
+    NumPy buffers.  The executor is also a context manager.
     """
 
-    def __init__(
-        self,
-        backend: str = "serial",
-        workers: int = 1,
-        initializer: Callable | None = None,
-        initargs: tuple = (),
-        groups: int = 1,
-    ) -> None:
+    def __init__(self, backend: str = "serial", workers: int = 1) -> None:
         if backend not in EXECUTOR_BACKENDS:
             raise ValueError(
                 f"backend must be one of {EXECUTOR_BACKENDS}, "
@@ -502,42 +215,21 @@ class RankExecutor:
             )
         if workers < 1:
             raise ValueError(f"workers must be >= 1: {workers}")
-        if groups < 1:
-            raise ValueError(f"groups must be >= 1: {groups}")
-        if groups > workers or workers % groups:
-            raise ValueError(
-                f"groups ({groups}) must evenly divide workers "
-                f"({workers})"
-            )
         self.backend = backend
         self.workers = int(workers)
-        self.groups = int(groups)
-        self._initializer = initializer
-        self._initargs = tuple(initargs)
         self._threads: ThreadPoolExecutor | None = None
-        self._pools: dict[int, object] = {}  # group -> mp pool
-        self._shared: dict[str, tuple] = {}  # key -> (shm, handle)
-        self._lanes: dict[int, int] = {}  # thread ident / pid -> lane
+        self._lanes: dict[int, int] = {}  # thread ident -> lane
         self._wave_lanes: dict[str, int] = {}  # wave label -> lane
-        self._picklable: dict[int, bool] = {}  # id(fn) -> preflight ok
         self._lane_lock = threading.Lock()
         self._closed = False
 
     # ------------------------------------------------------------------
     @classmethod
-    def from_config(
-        cls,
-        config,
-        initializer: Callable | None = None,
-        initargs: tuple = (),
-    ) -> "RankExecutor":
+    def from_config(cls, config) -> "RankExecutor":
         """Build from ``config.executor`` / ``config.workers``."""
         return cls(
             backend=getattr(config, "executor", "serial"),
             workers=getattr(config, "workers", 1),
-            initializer=initializer,
-            initargs=initargs,
-            groups=getattr(config, "worker_groups", 1),
         )
 
     @property
@@ -550,11 +242,15 @@ class RankExecutor:
         """True when dispatch should fan work out (workers > 1)."""
         return self.n_workers > 1
 
+    @property
+    def _threaded(self) -> bool:
+        return self.backend == "thread" and self.workers > 1
+
     # ------------------------------------------------------------------
     # lanes
     # ------------------------------------------------------------------
     def _lane(self, key: int) -> int:
-        """Stable worker-lane id for a thread ident or child pid."""
+        """Stable worker-lane id for a thread ident."""
         with self._lane_lock:
             lane = self._lanes.get(key)
             if lane is None:
@@ -571,28 +267,17 @@ class RankExecutor:
                 self._wave_lanes[label] = lane
             return lane
 
+    def _on_lane(self, label: str, fn: Callable):
+        """Run ``fn()`` under a span on the calling thread's worker lane."""
+        reg = get_registry()
+        if reg.enabled:
+            with reg.span(label, rank=self._lane(threading.get_ident())):
+                return fn()
+        return fn()
+
     # ------------------------------------------------------------------
     # dispatch bookkeeping
     # ------------------------------------------------------------------
-    def _check_picklable(self, fn: Callable, label: str) -> None:
-        """Preflight-pickle ``fn`` before it reaches a process pool.
-
-        A closure or bound method shipped to the pool used to surface as
-        an opaque mid-dispatch pickling traceback; fail fast with the
-        phase name instead.  Cached per function object so warm per-step
-        dispatch pays one dict lookup, not a pickle.
-        """
-        key = id(fn)
-        if self._picklable.get(key):
-            return
-        import pickle
-
-        try:
-            pickle.dumps(fn)
-        except Exception as exc:
-            raise UnpicklableTaskError(label, exc) from exc
-        self._picklable[key] = True
-
     def _charge_dispatch(self, n_tasks: int, n_envelopes: int,
                          seconds: float) -> None:
         """Record dispatch overhead honestly on the parent registry."""
@@ -606,41 +291,15 @@ class RankExecutor:
     def _chunk_bounds(self, n: int) -> list[tuple[int, int]]:
         """Contiguous chunk boundaries for an ``n``-payload dispatch.
 
-        One chunk per worker when payloads outnumber workers (the
-        envelope-reuse fix: per-dispatch cost scales with workers, not
-        domains), one payload per chunk otherwise.  Chunks are a pure
-        scheduling decision — results are flattened back to payload
-        order, so values are identical to per-payload dispatch.
+        One chunk per worker when payloads outnumber workers (per-dispatch
+        cost scales with workers, not domains), one payload per chunk
+        otherwise.  Chunks are a pure scheduling decision — results are
+        flattened back to payload order, so values are identical to
+        per-payload dispatch.
         """
         k = min(self.workers, n)
         bounds = [n * i // k for i in range(k + 1)]
         return [(a, b) for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
-
-    def _group_of(self, index: int, n_items: int) -> int:
-        """Blocked chunk->group routing (see RankGroupLayout.group_of)."""
-        if self.groups == 1 or n_items < 1:
-            return 0
-        return min(index * self.groups // n_items, self.groups - 1)
-
-    def _merge_worker_record(
-        self, label, pid, t0, t1, spans, counters
-    ) -> None:
-        """Fold one process-worker envelope into the parent registry."""
-        reg = get_registry()
-        if not reg.enabled:
-            return
-        lane = self._lane(pid)
-        reg.record_external(label, t0, t1, rank=lane)
-        # worker-side interior spans, re-rooted under the task envelope
-        # so the lane renders (and nests) as a real tree
-        for name, path, s0, s1 in spans:
-            reg.record_external(
-                name, s0, s1, rank=lane, path=f"{label}/{path}"
-            )
-        # worker-side counters, merged in consumption order so the
-        # totals are deterministic and identical to serial/thread
-        for name, value_ in counters:
-            reg.count(name, value_)
 
     # ------------------------------------------------------------------
     # dispatch
@@ -656,11 +315,8 @@ class RankExecutor:
         """Run ``fn(payload)`` for every payload; results in input order.
 
         ``ranks`` names the simulated rank behind each payload for error
-        attribution and defaults to the payload index.  For the process
-        backend ``fn`` must be a module-level (picklable) function and
-        payload arrays should go through :meth:`share`.  The first
-        failing task *in payload order* is re-raised as
-        :class:`WorkerError`.
+        attribution and defaults to the payload index.  The first failing
+        task *in payload order* is re-raised as :class:`WorkerError`.
         """
         payloads = list(payloads)
         if ranks is None:
@@ -672,42 +328,10 @@ class RankExecutor:
             )
         if not payloads:
             return []
-        if self.backend == "process":
-            return self._map_process(fn, payloads, ranks, label)
-        if self.backend == "thread" and self.workers > 1:
+        if self._threaded:
             return self._map_thread(fn, payloads, ranks, label)
-        return self._map_serial(fn, payloads, ranks, label)
+        return self._map_serial(fn, payloads, ranks)
 
-    def map_inprocess(
-        self,
-        fn: Callable,
-        payloads: Sequence,
-        *,
-        ranks: Sequence[int] | None = None,
-        label: str = "executor.task",
-    ) -> list:
-        """Like :meth:`map` but never crosses a process boundary.
-
-        For sections whose operands are large in-process arrays that are
-        cheap to compute but expensive to ship (the three gradient
-        inverse FFTs, the CIC gathers): the thread *and* process
-        backends run them concurrently on the parent's side thread pool
-        — closures and bound methods are fine here, nothing is pickled.
-        (The process backend used to fall back to an ordered serial loop
-        silently; it now gets the same thread-pool concurrency the
-        thread backend always had.)
-        """
-        payloads = list(payloads)
-        if ranks is None:
-            ranks = range(len(payloads))
-        ranks = [int(r) for r in ranks]
-        if not payloads:
-            return []
-        if self.workers > 1 and self.backend in ("thread", "process"):
-            return self._map_thread(fn, payloads, ranks, label)
-        return self._map_serial(fn, payloads, ranks, label)
-
-    # -- futures --------------------------------------------------------
     def submit(
         self,
         fn: Callable,
@@ -726,58 +350,23 @@ class RankExecutor:
         makes it the bit-identical reference for the overlapped paths.
         """
         rank = int(rank)
-        if self.backend == "process" and self.workers > 1:
-            return self._submit_process(fn, payload, rank, label)
-        if self.backend == "thread" and self.workers > 1:
-            return self._submit_thread(fn, payload, rank, label)
-        return self._submit_eager(fn, payload, rank, label)
-
-    def submit_inprocess(
-        self,
-        fn: Callable,
-        payload,
-        *,
-        rank: int = 0,
-        label: str = "executor.task",
-    ) -> TaskHandle:
-        """Like :meth:`submit` but never crosses a process boundary."""
-        rank = int(rank)
-        if self.workers > 1 and self.backend in ("thread", "process"):
-            return self._submit_thread(fn, payload, rank, label)
-        return self._submit_eager(fn, payload, rank, label)
+        if self._threaded:
+            future = self._ensure_threads().submit(
+                self._on_lane, label, lambda: fn(payload)
+            )
+            return TaskHandle(rank, label, future=future)
+        try:
+            return TaskHandle(rank, label, value=fn(payload))
+        except Exception as exc:
+            return TaskHandle(rank, label, ok=False, value=exc)
 
     def wave(self, label: str) -> Wave:
         """Open an overlap :class:`Wave` (use as a context manager)."""
         return Wave(self, label)
 
-    def _submit_eager(self, fn, payload, rank, label) -> TaskHandle:
-        try:
-            return TaskHandle(self, rank, label, "value", fn(payload))
-        except Exception as exc:
-            return TaskHandle(self, rank, label, "error", exc)
-
-    def _submit_thread(self, fn, payload, rank, label) -> TaskHandle:
-        pool = self._ensure_threads()
-
-        def task():
-            reg = get_registry()
-            if reg.enabled:
-                lane = self._lane(threading.get_ident())
-                with reg.span(label, rank=lane):
-                    return fn(payload)
-            return fn(payload)
-
-        return TaskHandle(self, rank, label, "future", pool.submit(task))
-
-    def _submit_process(self, fn, payload, rank, label) -> TaskHandle:
-        self._check_picklable(fn, label)
-        pool = self._ensure_pool(rank % self.groups)
-        capture = get_registry().enabled
-        res = pool.apply_async(_process_call, ((fn, payload, capture),))
-        return TaskHandle(self, rank, label, "pool", res)
-
     # -- serial ---------------------------------------------------------
-    def _map_serial(self, fn, payloads, ranks, label) -> list:
+    @staticmethod
+    def _map_serial(fn, payloads, ranks) -> list:
         out = []
         for rank, payload in zip(ranks, payloads):
             try:
@@ -805,24 +394,20 @@ class RankExecutor:
         chunks = self._chunk_bounds(len(payloads))
 
         def run_chunk(chunk_payloads):
-            def run_all():
-                results = []
-                for payload in chunk_payloads:
-                    try:
-                        results.append((True, fn(payload)))
-                    except Exception as exc:
-                        results.append((False, exc))
-                return results
-
-            reg = get_registry()
-            if reg.enabled:
-                lane = self._lane(threading.get_ident())
-                with reg.span(label, rank=lane):
-                    return run_all()
-            return run_all()
+            results = []
+            for payload in chunk_payloads:
+                try:
+                    results.append((True, fn(payload)))
+                except Exception as exc:
+                    results.append((False, exc))
+            return results
 
         futures = [
-            pool.submit(run_chunk, payloads[a:b]) for a, b in chunks
+            pool.submit(
+                self._on_lane, label,
+                lambda part=payloads[a:b]: run_chunk(part),
+            )
+            for a, b in chunks
         ]
         self._charge_dispatch(
             len(payloads), len(chunks), time.perf_counter() - t0
@@ -840,145 +425,15 @@ class RankExecutor:
             raise WorkerError(rank, exc) from exc
         return out
 
-    # -- process --------------------------------------------------------
-    def _ensure_pool(self, group: int = 0):
-        pool = self._pools.get(group)
-        if pool is None:
-            if self._closed:
-                raise RuntimeError("executor is closed")
-            import multiprocessing as mp
-
-            try:
-                ctx = mp.get_context("fork")
-            except ValueError:  # pragma: no cover - non-POSIX fallback
-                ctx = mp.get_context("spawn")
-            pool = ctx.Pool(
-                processes=self.workers // self.groups,
-                initializer=_pool_init,
-                initargs=(self._initializer, self._initargs),
-            )
-            self._pools[group] = pool
-        return pool
-
-    def _map_process(self, fn, payloads, ranks, label) -> list:
-        self._check_picklable(fn, label)
-        capture = get_registry().enabled
-        t0 = time.perf_counter()
-        chunks = self._chunk_bounds(len(payloads))
-        pending = []
-        for i, (a, b) in enumerate(chunks):
-            pool = self._ensure_pool(self._group_of(i, len(chunks)))
-            pending.append(
-                pool.apply_async(
-                    _chunk_call, ((fn, tuple(payloads[a:b]), capture),)
-                )
-            )
-        self._charge_dispatch(
-            len(payloads), len(chunks), time.perf_counter() - t0
-        )
-        out, failure = [], None
-        for (a, b), res in zip(chunks, pending):
-            pid, ct0, ct1, results, spans, counters = res.get()
-            self._merge_worker_record(label, pid, ct0, ct1, spans, counters)
-            for rank, (ok, value) in zip(ranks[a:b], results):
-                if not ok and failure is None:
-                    failure = (rank, value)
-                out.append(value if ok else None)
-        if failure is not None:
-            rank, exc = failure
-            if isinstance(exc, WorkerError):
-                raise exc
-            raise WorkerError(rank, exc) from exc
-        return out
-
-    # ------------------------------------------------------------------
-    # shared arrays
-    # ------------------------------------------------------------------
-    def share(self, key: str, array: np.ndarray):
-        """Publish an array to the workers under ``key``.
-
-        Serial/thread backends share the caller's memory directly (the
-        return value *is* the array).  The process backend copies into a
-        named shared-memory block — reused across steps while the shape
-        and dtype are stable, reallocated otherwise — and returns a
-        picklable :class:`SharedArrayHandle`.  Only call between
-        dispatches: workers read the block while tasks are in flight.
-        """
-        array = np.ascontiguousarray(array)
-        if self.backend != "process":
-            return array
-        entry = self._shared.get(key)
-        if entry is not None:
-            shm, handle = entry
-            if (
-                handle.shape == array.shape
-                and np.dtype(handle.dtype) == array.dtype
-            ):
-                np.frombuffer(shm.buf, dtype=array.dtype)[
-                    :
-                ] = array.ravel()
-                return handle
-            self._release_shared(key)
-        from multiprocessing import shared_memory
-
-        shm = shared_memory.SharedMemory(
-            create=True,
-            size=max(int(array.nbytes), 1),
-            name=(
-                f"{SHM_PREFIX}{os.getpid()}-{key.replace('/', '_')}-"
-                f"{next(_HANDLE_COUNTER)}"
-            ),
-        )
-        _track_segment(shm)
-        np.frombuffer(shm.buf, dtype=array.dtype, count=array.size)[
-            :
-        ] = array.ravel()
-        handle = SharedArrayHandle(
-            name=shm.name, shape=tuple(array.shape), dtype=str(array.dtype)
-        )
-        self._shared[key] = (shm, handle)
-        return handle
-
-    def _release_shared(self, key: str) -> None:
-        shm, _ = self._shared.pop(key)
-        _untrack_segment(shm.name)
-        try:
-            shm.close()
-            shm.unlink()
-        except Exception:
-            pass
-
-    def shared_nbytes(self) -> int:
-        """Bytes currently resident in this executor's shared segments.
-
-        The f32 SOA residency measurement: the bench records this so the
-        "128^3 fits" claim is a number, not a promise.
-        """
-        total = 0
-        for _, handle in self._shared.values():
-            count = (
-                int(np.prod(handle.shape, dtype=np.int64))
-                if handle.shape
-                else 1
-            )
-            total += count * np.dtype(handle.dtype).itemsize
-        return total
-
     # ------------------------------------------------------------------
     # lifecycle
     # ------------------------------------------------------------------
     def close(self) -> None:
-        """Tear down pools and release shared-memory blocks (idempotent)."""
+        """Shut the thread pool down (idempotent)."""
         self._closed = True
         if self._threads is not None:
             self._threads.shutdown(wait=True)
             self._threads = None
-        for pool in self._pools.values():
-            pool.terminate()
-            pool.join()
-        self._pools.clear()
-        for key in list(self._shared):
-            self._release_shared(key)
 
     def __enter__(self) -> "RankExecutor":
         return self

@@ -134,15 +134,15 @@ def build_solver(
 
 
 def solver_spec(backend: str, kernel: ShortRangeKernel, **kwargs) -> dict:
-    """Picklable recipe for rebuilding a solver in an executor worker.
+    """Plain-data recipe for rebuilding a solver in an executor worker.
 
     Captures the kernel's *parameters* (fit, spacing, softening, dtype)
     rather than the kernel object, so every worker builds a private
     kernel — and with it private counters and a private
     :class:`~repro.shortrange.batch.Workspace`; engine buffers are
     grow-only and not safe to share between concurrent evaluations.
-    The kernel *backend* travels by name (picklable), so process workers
-    reconstruct the same numpy/c choice the driver resolved.
+    The kernel *backend* travels by name, so every worker clone uses
+    the same numpy/c choice the driver resolved.
     """
     return {
         "backend": backend,

@@ -83,6 +83,29 @@ class TestRunCommand:
         assert "\n" not in message
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "retired", [{"worker_groups": 2}, {"executor": "process"}]
+    )
+    def test_retired_executor_config_is_a_one_line_exit(
+        self, tmp_path, retired
+    ):
+        import json
+
+        from repro.config import SimulationConfig
+
+        cfg = SimulationConfig(box_size=64.0, n_per_dim=8, n_steps=1,
+                               workers=2)
+        path = tmp_path / "old.json"
+        path.write_text(json.dumps({**cfg.to_dict(), **retired}))
+        with pytest.raises(SystemExit) as exc:
+            main(self._base(tmp_path / "out") + ["--config", str(path)])
+        message = str(exc.value.code)
+        assert "'thread'" in message and "\n" not in message
+        # the CLI offers the two remaining backends only
+        with pytest.raises(SystemExit) as exc:
+            main(self._base(tmp_path / "out") + ["--executor", "process"])
+        assert exc.value.code == 2
+
     def test_internal_value_error_keeps_its_traceback(
         self, tmp_path, monkeypatch
     ):

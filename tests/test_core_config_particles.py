@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.config import SimulationConfig
+from repro.config import ConfigError, SimulationConfig
 from repro.core.particles import Particles
 from repro.cosmology import WMAP7, make_initial_conditions
 
@@ -79,6 +79,26 @@ class TestSimulationConfig:
         assert SimulationConfig.from_dict(old) == cfg
         with pytest.raises(TypeError):
             SimulationConfig.from_dict({**old, "shortrange_naive": True})
+
+    def test_from_dict_accepts_the_retired_worker_groups(self):
+        """Every earlier checkpoint and --config file carries
+        ``worker_groups: 1``; it loads as the same config."""
+        cfg = SimulationConfig(
+            box_size=100.0, n_per_dim=16, workers=2, executor="thread"
+        )
+        old = {**cfg.to_dict(), "worker_groups": 1}
+        assert SimulationConfig.from_dict(old) == cfg
+        assert "worker_groups" not in cfg.to_dict()
+
+    @pytest.mark.parametrize(
+        "retired", [{"worker_groups": 2}, {"executor": "process"}]
+    )
+    def test_retired_process_fields_name_the_thread_replacement(
+        self, retired
+    ):
+        cfg = SimulationConfig(box_size=100.0, n_per_dim=16, workers=4)
+        with pytest.raises(ConfigError, match="'thread'"):
+            SimulationConfig.from_dict({**cfg.to_dict(), **retired})
 
 
 class TestParticles:

@@ -86,9 +86,15 @@ class TestEvolution:
         assert v1 > 2.0 * v0
 
     def test_timings_populated(self):
+        """Per-force timings live in the registry's spans only."""
+        from repro.instrument.registry import Registry, use
+
         sim = HACCSimulation(small_config())
-        sim.run()
-        assert sim.timings["long_range"] > 0
+        reg = Registry()
+        with use(reg):
+            sim.run()
+        assert reg.section_seconds("longrange") > 0
+        assert not hasattr(sim, "timings")
 
     def test_interaction_count_pm_zero(self):
         sim = HACCSimulation(small_config())

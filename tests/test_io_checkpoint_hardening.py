@@ -347,6 +347,52 @@ class TestCheckpointerDriver:
         )
         assert resumed.a == ref.a
 
+    def _write_with_config(self, tmp_path, monkeypatch, sim, **fields):
+        """Checkpoint ``sim`` with extra keys in its stored config, the
+        way files written before a field was retired look."""
+        import repro.io.checkpoint as ckmod
+
+        real = ckmod._checkpoint_metadata
+
+        def with_fields(sim_, checksums):
+            meta = real(sim_, checksums)
+            meta["config"].update(fields)
+            return meta
+
+        monkeypatch.setattr(ckmod, "_checkpoint_metadata", with_fields)
+        return save_checkpoint(tmp_path / "old", sim)
+
+    def test_checkpoint_with_retired_worker_groups_resumes(
+        self, tmp_path, monkeypatch
+    ):
+        ref = tiny_sim(n_steps=3, workers=2, executor="thread")
+        ref.run()
+        sim = tiny_sim(n_steps=3, workers=2, executor="thread")
+        sim.step()
+        path = self._write_with_config(
+            tmp_path, monkeypatch, sim, worker_groups=1
+        )
+        resumed = load_checkpoint(path)
+        resumed.run()
+        assert resumed.config == ref.config
+        assert np.array_equal(
+            resumed.particles.positions, ref.particles.positions
+        )
+        assert np.array_equal(
+            resumed.particles.momenta, ref.particles.momenta
+        )
+
+    def test_checkpoint_asking_for_process_is_a_config_error(
+        self, tmp_path, monkeypatch
+    ):
+        from repro.config import ConfigError
+
+        path = self._write_with_config(
+            tmp_path, monkeypatch, tiny_sim(), executor="process"
+        )
+        with pytest.raises(ConfigError, match="'thread'"):
+            load_checkpoint(path)
+
     def test_keep_last_validation(self, tmp_path):
         with pytest.raises(ValueError):
             Checkpointer(tmp_path, keep_last=0)

@@ -1,13 +1,13 @@
 """Tests for overlapped execution (``overlap=True``).
 
 The async phase pipeline — futures-based ``submit``/``Wave`` dispatch,
-the ghost exchange streamed into in-flight short-range solves, the
-gradient-FFT / CIC-gather pipeline, and rank-group sharding — changes
-*scheduling only*.  The headline contract pinned here: **overlapped
-trajectories are bit-identical to the synchronous schedule at equal
-worker counts, across the serial, thread and process backends**, because
-work partitioning depends only on the worker count and every reduction
-happens in the parent in fixed rank order.
+the ghost exchange streamed into in-flight short-range solves, and the
+gradient-FFT / CIC-gather pipeline — changes *scheduling only*.  The
+headline contract pinned here: **overlapped trajectories are
+bit-identical to the synchronous schedule at equal worker counts, on the
+serial and thread backends**, because work partitioning depends only on
+the worker count and every reduction happens in the caller in fixed
+rank order.
 
 Under the ``chaos`` marker a rank dies mid-overlap: recovery must drain
 the in-flight exchange, rebuild the lost domains, and still match the
@@ -33,12 +33,7 @@ from repro.instrument.overlap import (
 )
 from repro.instrument.registry import disable as disable_registry
 from repro.instrument.registry import enable as enable_registry
-from repro.machine.mapping import RankGroupLayout
-from repro.parallel.executor import (
-    RankExecutor,
-    UnpicklableTaskError,
-    WorkerError,
-)
+from repro.parallel.executor import RankExecutor, WorkerError
 from repro.resilience import FaultPlan, use_faults
 
 CHAOS_SEED = int(os.environ.get("REPRO_CHAOS_SEED", "2012"))
@@ -93,7 +88,6 @@ def run_sim(workers: int, executor: str, plan=None, **overrides):
     return out
 
 
-# module-level task functions: the process backend pickles by reference
 def _square(x):
     return x * x
 
@@ -122,7 +116,7 @@ class TestSubmitWave:
             assert all(h.done() for h in handles)
             assert [h.result() for h in handles] == [None] * 4
 
-    @pytest.mark.parametrize("backend", ["thread", "process"])
+    @pytest.mark.parametrize("backend", ["thread"])
     def test_wave_results_follow_submission_order(self, backend):
         with RankExecutor(backend, 4) as ex:
             with ex.wave("test.wave") as wave:
@@ -151,21 +145,6 @@ class TestSubmitWave:
             assert handle.result() == 36
             assert handle.result() == 36
 
-    def test_unpicklable_task_raises_typed_error(self):
-        with RankExecutor("process", 2) as ex:
-            with pytest.raises(UnpicklableTaskError) as err:
-                ex.submit(lambda x: x, 1, label="phase.lambda")
-            assert "phase.lambda" in str(err.value)
-            with pytest.raises(UnpicklableTaskError, match="map.phase"):
-                ex.map(lambda x: x, [1, 2], label="map.phase")
-
-    def test_map_inprocess_is_parallel_on_process_backend(self):
-        # the old behavior silently fell back to a serial loop; now the
-        # process backend runs in-process maps on a thread pool
-        with RankExecutor("process", 2) as ex:
-            out = ex.map_inprocess(lambda x: x + 1, [1, 2, 3])
-            assert out == [2, 3, 4]
-
     def test_dispatch_overhead_counters(self):
         reg = enable_registry()
         try:
@@ -179,50 +158,6 @@ class TestSubmitWave:
             assert counters.get("executor.dispatch_s", 0) > 0
         finally:
             disable_registry()
-
-
-# ----------------------------------------------------------------------
-# rank groups
-# ----------------------------------------------------------------------
-class TestRankGroups:
-    def test_layout_validation(self):
-        with pytest.raises(ValueError, match="divide"):
-            RankGroupLayout(n_workers=8, n_groups=3)
-        with pytest.raises(ValueError, match="n_groups"):
-            RankGroupLayout(n_workers=8, n_groups=0)
-
-    def test_blocked_routing(self):
-        layout = RankGroupLayout(n_workers=8, n_groups=2)
-        assert layout.workers_per_group == 4
-        groups = [layout.group_of(i, 16) for i in range(16)]
-        assert groups == [0] * 8 + [1] * 8
-        assert layout.group_slices(16) == [(0, 8), (8, 16)]
-
-    def test_executor_group_routing_matches_layout(self):
-        layout = RankGroupLayout(n_workers=8, n_groups=2)
-        with RankExecutor("serial", 8, groups=2) as ex:
-            for i in range(16):
-                assert ex._group_of(i, 16) == layout.group_of(i, 16)
-
-    def test_describe_reports_topology(self):
-        desc = RankGroupLayout(n_workers=16, n_groups=4).describe()
-        assert desc["n_groups"] == 4
-        assert desc["workers_per_group"] == 4
-
-    def test_config_rejects_non_dividing_groups(self):
-        with pytest.raises(ValueError, match="worker_groups"):
-            tiny_config(workers=4, executor="process", worker_groups=3)
-
-    def test_executor_rejects_non_dividing_groups(self):
-        with pytest.raises(ValueError, match="groups"):
-            RankExecutor("process", 4, groups=3)
-
-    def test_grouped_fleet_is_bitwise_equal_to_ungrouped(self):
-        pos1, mom1, n1 = run_sim(4, "process", worker_groups=1)
-        pos2, mom2, n2 = run_sim(4, "process", worker_groups=2)
-        assert np.array_equal(pos1, pos2)
-        assert np.array_equal(mom1, mom2)
-        assert n1 == n2
 
 
 # ----------------------------------------------------------------------
@@ -275,18 +210,17 @@ class TestOverlappedBitIdentity:
 
     @pytest.mark.parametrize("workers", [2, 4, 8])
     def test_async_matches_sync_across_backends(self, workers):
-        """At equal ``workers``: sync == async, thread == process."""
+        """At equal ``workers``: sync == async on the thread backend."""
         ref_pos, ref_mom, ref_n = run_sim(workers, "thread", overlap=False)
-        for executor in ("thread", "process"):
-            pos, mom, n = run_sim(workers, executor, overlap=True)
-            assert np.array_equal(pos, ref_pos), (workers, executor)
-            assert np.array_equal(mom, ref_mom), (workers, executor)
-            assert n == ref_n, (workers, executor)
+        pos, mom, n = run_sim(workers, "thread", overlap=True)
+        assert np.array_equal(pos, ref_pos), workers
+        assert np.array_equal(mom, ref_mom), workers
+        assert n == ref_n, workers
 
     def test_poisson_pipeline_is_bitwise_identical(self):
         rng = np.random.default_rng(3)
         positions = rng.uniform(0, BOX, size=(400, 3))
-        for backend, workers in (("thread", 4), ("process", 2)):
+        for backend, workers in (("thread", 4), ("thread", 2)):
             with RankExecutor(backend, workers) as ex_a, \
                     RankExecutor(backend, workers) as ex_b:
                 sync = SpectralPoissonSolver(16, BOX)

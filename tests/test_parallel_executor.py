@@ -1,12 +1,11 @@
-"""Tests for the shared-memory rank executor (``repro.parallel.executor``).
+"""Tests for the rank executor (``repro.parallel.executor``).
 
-Covers the executor unit surface (backends, ordered results, shared
-arrays, failure attribution, lifecycle), the wiring into the threaded
-CIC deposit and the Poisson solver, and the headline guarantee of the
-parallel-executor PR: **equal-``workers`` runs are bit-identical across
-the serial, thread and process backends**, because the work partition
-depends only on the worker count and every reduction happens in the
-parent in fixed order.
+Covers the executor unit surface (backends, ordered results, failure
+attribution, lifecycle), the wiring into the threaded CIC deposit and
+the Poisson solver, and the executor's headline guarantee:
+**equal-``workers`` runs are bit-identical across the serial and thread
+backends**, because the work partition depends only on the worker count
+and every reduction happens in the caller in fixed order.
 
 Under the ``chaos`` marker the rank-death recovery story is re-run with
 the fleet dispatched on ``REPRO_CHAOS_WORKERS`` workers (default 4),
@@ -34,9 +33,7 @@ from repro.parallel.executor import (
     EXECUTOR_BACKENDS,
     WORKER_LANE_BASE,
     RankExecutor,
-    SharedArrayHandle,
     WorkerError,
-    resolve_shared,
 )
 from repro.resilience import FaultPlan, use_faults
 
@@ -94,7 +91,6 @@ def run_sim(workers: int, executor: str, plan=None, **overrides):
     return out
 
 
-# module-level task functions: the process backend pickles by reference
 def _double(x):
     return 2 * x
 
@@ -105,11 +101,6 @@ def _fail_on_three(x):
     return x
 
 
-def _read_shared(payload):
-    ref, i = payload
-    return float(resolve_shared(ref)[i])
-
-
 # ----------------------------------------------------------------------
 # executor unit surface
 # ----------------------------------------------------------------------
@@ -117,6 +108,10 @@ class TestRankExecutor:
     def test_backend_validation(self):
         with pytest.raises(ValueError, match="backend"):
             RankExecutor(backend="gpu")
+        # the fork-pool backend is gone: serial and thread only
+        assert EXECUTOR_BACKENDS == ("serial", "thread")
+        with pytest.raises(ValueError, match="backend"):
+            RankExecutor(backend="process", workers=2)
         with pytest.raises(ValueError, match="workers"):
             RankExecutor(workers=0)
 
@@ -162,42 +157,6 @@ class TestRankExecutor:
             with pytest.raises(ValueError, match="ranks"):
                 ex.map(_double, [1, 2], ranks=[0])
 
-    def test_map_inprocess_orders_and_raises(self):
-        with RankExecutor(backend="thread", workers=2) as ex:
-            assert ex.map_inprocess(_double, [1, 2, 3]) == [2, 4, 6]
-            with pytest.raises(WorkerError) as err:
-                ex.map_inprocess(_fail_on_three, [0, 3])
-            assert err.value.rank == 1
-
-    def test_share_inprocess_returns_the_array(self):
-        arr = np.arange(5, dtype=np.float64)
-        for backend in ("serial", "thread"):
-            with RankExecutor(backend=backend, workers=2) as ex:
-                out = ex.share("k", arr)
-                assert isinstance(out, np.ndarray)
-                assert np.shares_memory(out, arr)
-
-    def test_share_process_roundtrip(self):
-        arr = np.linspace(0.0, 1.0, 9)
-        with RankExecutor(backend="process", workers=2) as ex:
-            ref = ex.share("k", arr)
-            assert isinstance(ref, SharedArrayHandle)
-            assert ref.shape == (9,)
-            # parent-side resolve sees the published values
-            assert np.array_equal(resolve_shared(ref), arr)
-            # child-side resolve too
-            out = ex.map(_read_shared, [(ref, i) for i in range(9)])
-            assert out == list(arr)
-
-    def test_share_reuses_block_until_shape_changes(self):
-        with RankExecutor(backend="process", workers=2) as ex:
-            a = ex.share("k", np.zeros(4))
-            b = ex.share("k", np.ones(4))
-            assert a.name == b.name  # rewritten in place
-            assert np.array_equal(resolve_shared(b), np.ones(4))
-            c = ex.share("k", np.ones(6))
-            assert c.name != a.name  # reallocated
-
     def test_close_is_idempotent(self):
         ex = RankExecutor(backend="thread", workers=2)
         ex.map(_double, [1])
@@ -205,41 +164,6 @@ class TestRankExecutor:
         ex.close()
         with pytest.raises(RuntimeError, match="closed"):
             ex.map(_double, [1])
-
-    def test_shared_segments_tracked_and_released(self):
-        """The leak guard tracks live segments and close() clears them."""
-        import os
-
-        from repro.parallel.executor import (
-            _LIVE_SEGMENTS,
-            _sweep_segments,
-            SHM_PREFIX,
-        )
-
-        with RankExecutor(backend="process", workers=2) as ex:
-            ref = ex.share("k", np.zeros(8))
-            assert ref.name in _LIVE_SEGMENTS
-            # pid-prefixed name: the supervisor's post-SIGKILL sweep key
-            assert ref.name.startswith(f"{SHM_PREFIX}{os.getpid()}-")
-        assert ref.name not in _LIVE_SEGMENTS
-
-    def test_atexit_sweep_unlinks_leaked_segments(self):
-        """A segment leaked past close() is unlinked by the sweep."""
-        from multiprocessing import shared_memory
-
-        from repro.parallel.executor import (
-            _LIVE_SEGMENTS,
-            _sweep_segments,
-            _track_segment,
-        )
-
-        shm = shared_memory.SharedMemory(create=True, size=64)
-        _track_segment(shm)
-        name = shm.name
-        _sweep_segments()
-        assert name not in _LIVE_SEGMENTS
-        with pytest.raises(FileNotFoundError):
-            shared_memory.SharedMemory(name=name)
 
 
 # ----------------------------------------------------------------------
@@ -288,7 +212,7 @@ class TestPoissonParallel:
         rng = np.random.default_rng(2)
         delta = rng.standard_normal((8, 8, 8))
         plain = SpectralPoissonSolver(8, BOX).force_grids(delta)
-        for backend in ("thread", "process"):
+        for backend in EXECUTOR_BACKENDS:
             with RankExecutor(backend=backend, workers=3) as ex:
                 s = SpectralPoissonSolver(8, BOX, executor=ex)
                 got = s.force_grids(delta)
@@ -306,7 +230,6 @@ class TestPoissonParallel:
                 s = SpectralPoissonSolver(8, BOX, executor=ex)
                 outs[backend] = s.accelerations(pos)
         assert np.array_equal(outs["serial"], outs["thread"])
-        assert np.array_equal(outs["serial"], outs["process"])
 
     def test_accelerations_close_to_unpartitioned(self):
         pos = self._cloud()
@@ -334,11 +257,10 @@ class TestPoissonParallel:
 class TestSimulationDeterminism:
     def test_backends_bit_identical_at_equal_workers(self):
         ref_pos, ref_mom, ref_int = run_sim(4, "serial")
-        for backend in ("thread", "process"):
-            pos, mom, n_int = run_sim(4, backend)
-            assert np.array_equal(pos, ref_pos), backend
-            assert np.array_equal(mom, ref_mom), backend
-            assert n_int == ref_int, backend
+        pos, mom, n_int = run_sim(4, "thread")
+        assert np.array_equal(pos, ref_pos)
+        assert np.array_equal(mom, ref_mom)
+        assert n_int == ref_int
 
     def test_worker_count_changes_only_roundoff(self):
         p1, _, i1 = run_sim(1, "serial")
@@ -462,7 +384,6 @@ class TestChaosParallel:
             )
 
         ref_pos, ref_mom, _ = chaotic("serial")
-        for backend in ("thread", "process"):
-            pos, mom, _ = chaotic(backend)
-            assert np.array_equal(pos, ref_pos), backend
-            assert np.array_equal(mom, ref_mom), backend
+        pos, mom, _ = chaotic("thread")
+        assert np.array_equal(pos, ref_pos)
+        assert np.array_equal(mom, ref_mom)
