@@ -12,10 +12,9 @@ once the compiled kernels release the GIL.
 
 Footnote, labelled ``emulated`` in the record: the same sweep with a
 calibrated per-domain stall injected through the fault plan
-(``FaultPlan.with_slowdown("shortrange.domain", s)``) and the parallel
-rows on the overlapped schedule (``overlap=True``).  ``time.sleep``
+(``FaultPlan.with_slowdown("shortrange.domain", s)``).  ``time.sleep``
 releases the GIL and overlaps across threads regardless of core count,
-so this curve measures the orchestration (dispatch, overlap, ordered
+so this curve measures the orchestration (chunked dispatch, ordered
 reduction) the way the BG/Q kernel's latency overlaps across hardware
 threads — not arithmetic throughput.
 
@@ -65,9 +64,7 @@ GATE_WORKERS, MIN_SPEEDUP = 4, 1.7
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
 
-def _make_sim(
-    workers: int, executor: str, overlap: bool = False
-) -> HACCSimulation:
+def _make_sim(workers: int, executor: str) -> HACCSimulation:
     cfg = SimulationConfig(
         box_size=BOX,
         n_per_dim=N,
@@ -80,7 +77,6 @@ def _make_sim(
         seed=2012,
         workers=workers,
         executor=executor,
-        overlap=overlap,
     )
     return HACCSimulation(
         cfg, decomposition_dims=DIMS, overload_depth=cfg.rcut() + 0.5
@@ -101,11 +97,10 @@ def _time_phase(sim: HACCSimulation, reps: int = REPS, reduce=None) -> float:
     return sum(samples) / len(samples)
 
 
-def _sweep(plan=None, overlap: bool = False, reduce=None) -> list[dict]:
+def _sweep(plan=None, reduce=None) -> list[dict]:
     rows = []
     for workers, backend in CONFIGS:
-        use_overlap = overlap and backend != "serial"
-        sim = _make_sim(workers, backend, use_overlap)
+        sim = _make_sim(workers, backend)
         try:
             if plan is not None:
                 with use_faults(plan):
@@ -118,7 +113,6 @@ def _sweep(plan=None, overlap: bool = False, reduce=None) -> list[dict]:
             {
                 "workers": workers,
                 "backend": backend,
-                "overlap": use_overlap,
                 "duration_s": t,
             }
         )
@@ -151,11 +145,10 @@ class TestExecutorScaling:
             plan = FaultPlan(seed=2012).with_slowdown(
                 "shortrange.domain", latency
             )
-            # the emulated sweep runs the overlapped schedule on the
-            # parallel rows (the path the 1.7x gate holds); compute-only runs
-            # the sync schedule and min-of-reps timing, isolating pure
-            # dispatch overhead for the >= 1.0x gate
-            emulated = _sweep(plan, overlap=True)
+            # the emulated sweep holds the 1.7x gate; compute-only runs
+            # min-of-reps timing, isolating pure dispatch overhead for
+            # the >= 1.0x gate
+            emulated = _sweep(plan)
             compute_only = _sweep(reduce=min)
 
             # modeled curve: per-domain compute c cannot overlap on one

@@ -4,9 +4,10 @@
 # Usage: scripts/ci_check.sh
 #
 # Runs the fast ("not slow") test suite, a parallel-executor smoke run
-# (the demo CLI under --workers 2), an overlapped-execution smoke run
-# (the run CLI under --overlap at 2 workers, ghost exchange streamed
-# into in-flight solves), the deterministic chaos lane twice
+# (the demo CLI under --workers 2), a serial/thread twin (the same
+# decomposed run CLI at 2 workers on each executor backend; the final
+# checkpoints' positions and momenta must be byte-identical), the
+# deterministic chaos lane twice
 # (fault-injection tests under a fixed seed, REPRO_CHAOS_SEED — once on
 # the default serial fleet, once dispatched over REPRO_CHAOS_WORKERS
 # thread workers), the gated Fig. 5 kernel benchmarks plus the
@@ -53,11 +54,28 @@ PYTHONPATH=src "$PYTHON" -m pytest tests -q -m "not slow"
 echo "== 2/12 parallel smoke (demo --workers 2) =="
 PYTHONPATH=src "$PYTHON" -m repro demo --steps 2 --n-per-dim 12 --workers 2
 
-echo "== 3/12 overlapped execution smoke (run --overlap, 2 workers) =="
+echo "== 3/12 executor twin (run, 2 workers, serial vs thread, bitwise) =="
 # 24^3 with the default overload depth (rcut + one cell = 10.7 Mpc/h):
 # rcut = 8 <= depth < 16 = half the domain width, the only valid order
-PYTHONPATH=src "$PYTHON" -m repro run --steps 1 --n-per-dim 24 --workers 2 \
-    --overlap --decomposition 2,1,1
+CI_OBS_DIR="$(mktemp -d)"
+trap 'rm -rf "$CI_OBS_DIR"' EXIT
+for backend in serial thread; do
+    PYTHONPATH=src "$PYTHON" -m repro -q run --steps 1 --n-per-dim 24 \
+        --workers 2 --decomposition 2,1,1 --executor "$backend" \
+        --outdir "$CI_OBS_DIR/twin-$backend"
+done
+PYTHONPATH=src "$PYTHON" - "$CI_OBS_DIR" <<'PYEOF'
+import pathlib, sys
+from repro.io import find_latest_valid, load_checkpoint
+root = pathlib.Path(sys.argv[1])
+state = {b: load_checkpoint(find_latest_valid(root / f"twin-{b}")).particles
+         for b in ("serial", "thread")}
+for field in ("positions", "momenta"):
+    a, b = getattr(state["serial"], field), getattr(state["thread"], field)
+    assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), \
+        f"executor twin: {field} differ between serial@2 and thread@2"
+print("executor twin: serial@2 and thread@2 final states bitwise equal")
+PYEOF
 
 echo "== 4/12 chaos lane (pytest -m chaos, seed $REPRO_CHAOS_SEED) =="
 PYTHONPATH=src "$PYTHON" -m pytest tests -q -m chaos
@@ -77,8 +95,6 @@ fi
 "$PYTHON" benchmarks/check_regression.py --check-health --check-speedup
 
 echo "== 8/12 run ledger + critical-path report lane =="
-CI_OBS_DIR="$(mktemp -d)"
-trap 'rm -rf "$CI_OBS_DIR"' EXIT
 PYTHONPATH=src "$PYTHON" -m repro profile --steps 2 --n-per-dim 8 \
     --telemetry "$CI_OBS_DIR/a.jsonl" --ledger "$CI_OBS_DIR/ledger" \
     > /dev/null

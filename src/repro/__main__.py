@@ -129,7 +129,6 @@ def _demo_config(args: argparse.Namespace):
         step_spacing="loga",
         workers=workers,
         executor=executor,
-        overlap=getattr(args, "overlap", False),
         kernel_backend=getattr(args, "kernel_backend", "auto"),
         dtype=getattr(args, "precision", "f64"),
         seed=1,
@@ -537,8 +536,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
         set_fault_plan(plan)
         logger.info("fault injection active (seed %d)", args.fault_seed)
     # the export flags imply instrumentation; enabling the registry also
-    # feeds per-step perf blocks (ns/pair, overlap efficiency) into the
-    # telemetry stream for the monitor dashboard
+    # feeds per-step perf blocks (ns/pair) into the telemetry stream for
+    # the monitor dashboard
     registry = None
     if any(getattr(args, a, None) for a in ("trace", "jsonl", "csv")):
         from repro.instrument import enable
@@ -1012,12 +1011,6 @@ def _add_run_options(sub: argparse.ArgumentParser) -> None:
                      choices=("serial", "thread"),
                      help="rank-executor backend (default: thread when "
                           "--workers > 1, else serial)")
-    sub.add_argument("--overlap", action="store_true",
-                     help="overlapped execution: stream the ghost "
-                          "exchange into in-flight short-range solves "
-                          "and pipeline the gradient FFTs against the "
-                          "CIC gathers (bit-identical to the sync "
-                          "schedule at equal --workers)")
     sub.add_argument("--kernel-backend", default="auto",
                      choices=("auto", "numpy", "c"),
                      help="short-range kernel implementation (default "

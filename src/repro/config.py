@@ -85,12 +85,6 @@ class SimulationConfig:
     executor:
         Rank-executor backend: ``"serial"`` (default) or ``"thread"``
         (a thread pool; the compiled kernels release the GIL).
-    overlap:
-        Enable overlapped execution: the ghost exchange streams domains
-        into in-flight short-range solves, and the gradient inverse
-        FFTs pipeline against the CIC gathers.  Scheduling only — the
-        overlapped trajectory is bit-identical to the synchronous one
-        at equal ``workers`` (a test pins this).
     kernel_backend:
         Short-range inner-loop implementation: ``"auto"`` (default;
         the compiled C kernel, else numpy when it cannot be built or
@@ -129,7 +123,6 @@ class SimulationConfig:
     step_spacing: str = "a"
     workers: int = 1
     executor: str = "serial"
-    overlap: bool = False
     kernel_backend: str = "auto"
     dtype: str = "f64"
     seed: int = 0
@@ -269,8 +262,11 @@ class SimulationConfig:
         asked for what is now the only path, so they are dropped;
         ``shortrange_naive: true`` still fails, and any other
         ``worker_groups`` is a :class:`ConfigError` naming ``thread``.
+        ``overlap`` is dropped whatever its value: the overlapped
+        schedule produced the synchronous trajectory bit for bit.
         """
         payload = dict(data)
+        payload.pop("overlap", None)
         if payload.get("shortrange_naive") is False:
             del payload["shortrange_naive"]
         if payload.pop("worker_groups", 1) != 1:

@@ -207,7 +207,6 @@ class HACCSimulation:
         #: shares it for the CIC deposit, gathers and gradient FFTs
         self.executor = RankExecutor.from_config(config)
         self.poisson.executor = self.executor
-        self.poisson.overlap = config.overlap
         self._worker_local = threading.local()
 
         self.exchange: OverloadExchange | None = None
@@ -286,8 +285,6 @@ class HACCSimulation:
         """
         plan = get_fault_plan()
         tel = get_telemetry()
-        if self.config.overlap and self.executor.parallel:
-            return self._short_range_overlapped(positions, plan, tel)
         domains = self.exchange.distribute(
             positions,
             self.particles.momenta,
@@ -345,14 +342,23 @@ class HACCSimulation:
             self._worker_local.solver = solver
         return solver
 
-    def _reduce_domain_results(self, positions, domains, results, tel):
-        """Scatter solves into the global acceleration, in rank order.
+    def _short_range_parallel(self, positions, domains, tel):
+        """Fan the per-domain solves out over the rank executor.
 
-        All reductions (acceleration scatter, counter charging,
-        telemetry gauges) happen here in rank order — which is what
-        makes the result bit-identical to the serial loop for every
-        backend and for the sync and overlapped dispatch paths alike.
+        Work is *partitioned* per domain regardless of backend, and all
+        reductions (acceleration scatter, counter charging, telemetry
+        gauges) happen here in rank order — which is what makes the
+        result bit-identical to the serial loop for every backend.
+        Collectives already happened (``distribute``) and the next one
+        waits for ``map`` to join all ranks, so the bulk-synchronous
+        structure is preserved.
         """
+        results = self.executor.map(
+            self._solve_domain_local,
+            domains,
+            ranks=[dom.rank for dom in domains],
+            label="shortrange.domain",
+        )
         acc = np.zeros_like(positions)
         for dom, res in zip(domains, results):
             rank, local, (pairs, inside), depth = res
@@ -377,94 +383,8 @@ class HACCSimulation:
             acc[dom.ids[dom.active]] = local
         return acc
 
-    def _short_range_parallel(self, positions, domains, tel):
-        """Fan the per-domain solves out over the rank executor.
-
-        Work is *partitioned* per domain regardless of backend and all
-        reductions happen in :meth:`_reduce_domain_results` in rank
-        order.  Collectives already happened (``distribute`` above) and
-        the next one waits for ``map`` to join all ranks, so the
-        bulk-synchronous structure is preserved.
-        """
-        results = self.executor.map(
-            self._solve_domain_local,
-            domains,
-            ranks=[dom.rank for dom in domains],
-            label="shortrange.domain",
-        )
-        return self._reduce_domain_results(positions, domains, results, tel)
-
-    def _short_range_overlapped(self, positions, plan, tel):
-        """Comm/compute-overlapped variant of the per-domain dispatch.
-
-        The exchange streams domains out one rank at a time
-        (:meth:`~repro.parallel.overload.OverloadExchange.
-        distribute_stream`); each domain's solve is submitted the moment
-        it is assembled, so later ranks' assembly runs while earlier
-        solves are in flight — the paper's Sec. IV comm-hiding at domain
-        granularity.  An :class:`~repro.instrument.OverlapMeter` times
-        every exchange segment and classifies it hidden when at least
-        one solve was genuinely in flight, which is what the overlap-
-        efficiency column reports.
-
-        Determinism: the stream yields bitwise-identical domains in the
-        same rank order as ``distribute``, payload construction and the
-        reduction are the exact code the sync path runs, and handles are
-        consumed in submission (= rank) order — so trajectories are
-        bit-identical sync vs overlapped at equal worker counts.
-
-        A step with a scheduled rank death drains the stream first: the
-        recovery protocol needs the global domain view (survivor
-        replicas rebuild the dead rank), so its exchange is exposed comm
-        by construction, and the recovered set is then dispatched
-        asynchronously as usual.
-        """
-        from repro.instrument import OverlapMeter
-
-        ex = self.executor
-        meter = OverlapMeter()
-        stream = self.exchange.distribute_stream(
-            positions,
-            self.particles.momenta,
-            self.particles.masses,
-            self.particles.ids,
-        )
-        domains: list = []
-        with ex.wave("shortrange.overlap") as wave:
-            def submit_domain(dom):
-                wave.submit(
-                    self._solve_domain_local,
-                    dom,
-                    rank=dom.rank,
-                    label="shortrange.domain",
-                )
-
-            if plan.enabled and plan.deaths_pending():
-                with meter.comm(hidden=False):
-                    domains = list(stream)
-                domains = self._handle_rank_death(domains, plan)
-                for dom in domains:
-                    submit_domain(dom)
-            else:
-                while True:
-                    hidden = any(not h.done() for h in wave.handles)
-                    with meter.comm(hidden=hidden):
-                        dom = next(stream, None)
-                    if dom is None:
-                        break
-                    domains.append(dom)
-                    submit_domain(dom)
-            results = wave.results()
-        return self._reduce_domain_results(positions, domains, results, tel)
-
     def _solve_domain_local(self, dom):
-        """The per-domain task body of both executor backends.
-
-        The synchronous and overlapped dispatch paths hand it the same
-        domain objects, which is half of the bit-identity argument (the
-        other half is the shared reduction in
-        :meth:`_reduce_domain_results`).
-        """
+        """The per-domain task body of both executor backends."""
         return _solve_domain(self._local_solver(), dom.rank,
                              dom.positions, dom.masses, dom.active)
 

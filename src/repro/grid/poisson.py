@@ -77,12 +77,6 @@ class SpectralPoissonSolver:
     kernel_backend:
         Kernel backend *name* for the CIC scatter/gather passes
         (``None`` = ``auto``: c, else numpy).
-    overlap:
-        Pipeline the three gradient inverse FFTs against the per-axis
-        CIC gathers (axis-x gathers while axis-y transforms) instead of
-        barriering between the two phases.  Needs a parallel executor;
-        scheduling only — components are independent and consumed in
-        axis order, so the result is bitwise identical either way.
 
     Examples
     --------
@@ -108,7 +102,6 @@ class SpectralPoissonSolver:
     executor: object | None = field(default=None, repr=False, compare=False)
     dtype: object = None
     kernel_backend: str | None = None
-    overlap: bool = False
 
     def __post_init__(self) -> None:
         if self.n < 2:
@@ -310,8 +303,6 @@ class SpectralPoissonSolver:
                 list(self.force_grids(delta)), positions, self.box_size,
                 dtype=dt, backend=self.kernel_backend,
             )
-        elif self.overlap:
-            acc = np.stack(self._pipelined_force(delta, positions), axis=1)
         else:
             acc = np.stack(
                 self.executor.map(
@@ -324,38 +315,6 @@ class SpectralPoissonSolver:
         if return_delta:
             return acc, delta
         return acc
-
-    def _pipelined_force(self, delta, positions) -> list:
-        """Gradient FFTs pipelined against the per-axis CIC gathers.
-
-        The barriered path finishes all three inverse transforms before
-        the first gather starts.  Here all three transforms are
-        submitted at once and each axis's gather is dispatched the
-        moment its force grid lands, so axis-x gathers while axis-y is
-        still transforming (overlap path 3 of the async pipeline).
-        Handles are consumed in axis order and the axes are independent,
-        so the stacked result is bitwise identical to the sync path.
-        """
-        ex = self.executor
-        phi_k = self.potential_k(self._forward(delta))
-        with ex.wave("pm.pipeline") as wave:
-            grads = [
-                wave.submit(
-                    self._grad_component, (kernel, phi_k),
-                    rank=axis, label="fft.gradient",
-                )
-                for axis, kernel in enumerate(self._neg_grad_kernels)
-            ]
-            gathers = []
-            for axis, handle in enumerate(grads):
-                force = handle.result()
-                gathers.append(
-                    wave.submit(
-                        self._gather_component, (force, positions),
-                        rank=axis, label="cic.gather",
-                    )
-                )
-            return [h.result() for h in gathers]
 
     def _gather_component(self, payload) -> np.ndarray:
         """One axis's CIC force gather: the same backend primitive as

@@ -84,7 +84,6 @@ from repro.instrument.analysis import (
     render_analysis,
     render_comparison,
 )
-from repro.instrument.overlap import OverlapMeter, overlap_efficiency
 from repro.instrument.perfcount import (
     PhaseWork,
     achieved_gflops,
@@ -102,7 +101,6 @@ __all__ = [
     "HealthThresholds",
     "NullRegistry",
     "NullTelemetry",
-    "OverlapMeter",
     "PhaseWork",
     "Registry",
     "RunAnalysis",
@@ -133,7 +131,6 @@ __all__ = [
     "get_telemetry",
     "imbalance_factor",
     "logging_setup",
-    "overlap_efficiency",
     "read_stream",
     "render_roofline",
     "roofline_table",

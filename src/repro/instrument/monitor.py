@@ -226,14 +226,6 @@ def _run_row(name: str, data: dict) -> tuple[str, ...]:
         if perf.get("pair_ns") is not None:
             pair_ns = f"{float(perf['pair_ns']):.0f}"
             break
-    # overlap efficiency (hidden-comm / total-comm seconds) from the
-    # latest step that ran an overlapped section; "-" for sync runs
-    ovl = "-"
-    for step in reversed(steps):
-        perf = step.get("perf") or {}
-        if perf.get("overlap") is not None:
-            ovl = f"{100.0 * float(perf['overlap']):.0f}%"
-            break
     return (
         name,
         ident or "-",
@@ -242,7 +234,6 @@ def _run_row(name: str, data: dict) -> tuple[str, ...]:
         z,
         elapsed,
         pair_ns,
-        ovl,
         imbal,
         f"{n_warn}W/{n_crit}C",
         status,
@@ -257,7 +248,7 @@ def render_dashboard(runs: list[tuple[str, dict]]) -> str:
     dashboard ROADMAP item 1 aggregates over.
     """
     header = ("run", "config", "kernel", "step", "z", "elapsed",
-              "ns/pair", "ovl", "imbal", "alerts", "status")
+              "ns/pair", "imbal", "alerts", "status")
     rows = [_run_row(name, data) for name, data in runs]
     widths = [
         max(len(header[i]), *(len(r[i]) for r in rows)) if rows

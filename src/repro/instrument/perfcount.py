@@ -337,11 +337,6 @@ def step_perf(step_record) -> dict | None:
     )
     if pairs > 0 and pair_s > 0:
         perf["pair_ns"] = 1e9 * pair_s / pairs
-    from repro.instrument.overlap import overlap_efficiency
-
-    overlap = overlap_efficiency(counters)
-    if overlap is not None:
-        perf["overlap"] = overlap
     return perf
 
 
@@ -378,8 +373,7 @@ def roofline_table(
     balance point ``peak / bandwidth`` classifies each phase as compute-
     or memory-bound.  The ``model`` block carries the paper's numbers for
     the measured-vs-model column.  Pass the run's ``counters`` dict to
-    attach an ``overlap`` block (hidden vs total comm seconds from the
-    overlapped execution paths) when the run recorded one.
+    attach a ``list_efficiency`` block when the run listed pairs.
     """
     balance = calibration.balance()
     rows = []
@@ -410,21 +404,12 @@ def roofline_table(
         "model": _model_point(),
     }
     if counters:
-        from repro.instrument.overlap import overlap_efficiency
-
         listed = list_efficiency(counters)
         if listed is not None:
             table["list_efficiency"] = {
                 "pp.batch.inside_pairs": counters["pp.batch.inside_pairs"],
                 "pp.interactions": counters["pp.interactions"],
                 "efficiency": listed,
-            }
-        efficiency = overlap_efficiency(counters)
-        if efficiency is not None:
-            table["overlap"] = {
-                "hidden_s": float(counters.get("overlap.hidden_s", 0.0)),
-                "total_s": float(counters.get("overlap.total_s", 0.0)),
-                "efficiency": efficiency,
             }
     return table
 
@@ -475,13 +460,6 @@ def render_roofline(table: dict) -> str:
         )
     if "list_efficiency" in table:
         lines.append(list_efficiency_line(table["list_efficiency"]))
-    overlap = table.get("overlap")
-    if overlap:
-        lines.append(
-            f"overlap efficiency: {100 * overlap['efficiency']:.1f}% "
-            f"({overlap['hidden_s']:.4f}s of {overlap['total_s']:.4f}s "
-            f"comm hidden behind compute)"
-        )
     lines.append(
         "AI and traffic are the analytic work model (see "
         "repro.instrument.perfcount); %peak is measured time against "

@@ -192,16 +192,6 @@ class NullRegistry:
     def count(self, name: str, value: float = 1) -> None:
         return None
 
-    def record_external(
-        self,
-        name: str,
-        start: float,
-        end: float,
-        rank: int = 0,
-        path: str | None = None,
-    ) -> None:
-        return None
-
     @contextmanager
     def step(self, index: int) -> Iterator[None]:
         yield None
@@ -323,51 +313,6 @@ class Registry:
         """Accumulate ``value`` into counter ``name``."""
         with self._lock:
             self._counters[name] = self._counters.get(name, 0) + value
-
-    def record_external(
-        self,
-        name: str,
-        start: float,
-        end: float,
-        rank: int = 0,
-        path: str | None = None,
-    ) -> None:
-        """Record a span measured outside this registry's span stack.
-
-        Used for intervals that do not nest in one thread's span stack,
-        such as an executor wave's ``[open, close]`` envelope, measured
-        against the same monotonic clock and attributed to a trace
-        lane.  ``path`` defaults to ``name``, a root-level span.  Either
-        way the event feeds the same section aggregates as :meth:`span`.
-        """
-        if end < start:
-            raise ValueError(f"span ends before it starts: {start}..{end}")
-        duration = end - start
-        path = name if path is None else path
-        with self._lock:
-            if len(self._events) < self.max_events:
-                self._events.append(
-                    SpanEvent(
-                        name=name,
-                        path=path,
-                        start=start,
-                        end=end,
-                        thread=threading.get_ident(),
-                        rank=rank,
-                    )
-                )
-            else:
-                self.dropped_events += 1
-            for key, table in (
-                (name, self._sections),
-                (path, self._paths),
-            ):
-                entry = table.get(key)
-                if entry is None:
-                    table[key] = [1, duration]
-                else:
-                    entry[0] += 1
-                    entry[1] += duration
 
     @contextmanager
     def step(self, index: int) -> Iterator[None]:

@@ -43,10 +43,7 @@ from repro.instrument import get_registry
 __all__ = [
     "EXECUTOR_BACKENDS",
     "WORKER_LANE_BASE",
-    "WAVE_LANE_BASE",
     "WorkerError",
-    "TaskHandle",
-    "Wave",
     "RankExecutor",
 ]
 
@@ -56,11 +53,6 @@ EXECUTOR_BACKENDS = ("serial", "thread")
 #: Chrome-trace lane offset: worker lanes live at ``pid >= 1000`` so they
 #: never collide with simulated-rank lanes (``pid = rank``)
 WORKER_LANE_BASE = 1000
-
-#: Chrome-trace lane offset for wave envelopes: each :class:`Wave` label
-#: gets a stable lane at ``pid >= 2000`` so overlapping waves render as
-#: parallel tracks above the worker lanes
-WAVE_LANE_BASE = 2000
 
 
 class WorkerError(RuntimeError):
@@ -78,113 +70,6 @@ class WorkerError(RuntimeError):
         )
         self.rank = int(rank)
         self.original = original
-
-
-class TaskHandle:
-    """Deferred result of :meth:`RankExecutor.submit`.
-
-    ``result()`` blocks until the task finishes and re-raises failures
-    as :class:`WorkerError` attributed to the submitting rank.  Handles
-    are single-task futures; consume them in a deterministic order and
-    the executor's bit-identity contract carries over unchanged.
-    """
-
-    __slots__ = ("_rank", "_label", "_future", "_done", "_ok", "_value")
-
-    def __init__(self, rank, label, *, future=None, ok=True,
-                 value=None) -> None:
-        self._rank = int(rank)
-        self._label = label
-        self._future = future
-        self._done = future is None
-        self._ok, self._value = ok, value
-
-    @property
-    def rank(self) -> int:
-        return self._rank
-
-    @property
-    def label(self) -> str:
-        return self._label
-
-    def done(self) -> bool:
-        """True when the task has finished (without blocking)."""
-        return self._done or self._future.done()
-
-    def result(self):
-        """Block for and return the task's result (idempotent)."""
-        if not self._done:
-            exc = self._future.exception()
-            if exc is not None:
-                self._ok, self._value = False, exc
-            else:
-                self._ok, self._value = True, self._future.result()
-            self._done = True
-            self._future = None
-        if self._ok:
-            return self._value
-        exc = self._value
-        if isinstance(exc, WorkerError):
-            raise exc
-        raise WorkerError(self._rank, exc) from exc
-
-
-class Wave:
-    """A group of in-flight tasks forming one overlap wave.
-
-    Tasks submitted through a wave share a Chrome-trace envelope: on
-    ``close()`` (or context-manager exit) the wave's ``[open, close]``
-    interval is recorded as ``wave.<label>`` on a stable per-label lane
-    at :data:`WAVE_LANE_BASE`, so concurrent waves (ghost exchange vs
-    interior solves, gradient FFTs vs CIC gathers) render as overlapping
-    tracks.  ``results()`` consumes every handle in submission order —
-    the deterministic reduction order the bit-identity contract needs.
-    """
-
-    def __init__(self, executor: "RankExecutor", label: str) -> None:
-        self._executor = executor
-        self.label = str(label)
-        self._handles: list[TaskHandle] = []
-        self._t0 = time.perf_counter()
-        self._closed = False
-
-    def submit(self, fn, payload, *, rank=None, label=None) -> TaskHandle:
-        """Submit one task into the wave; defaults rank to wave position."""
-        if rank is None:
-            rank = len(self._handles)
-        handle = self._executor.submit(
-            fn, payload, rank=rank, label=label or self.label
-        )
-        self._handles.append(handle)
-        return handle
-
-    @property
-    def handles(self) -> list[TaskHandle]:
-        return list(self._handles)
-
-    def results(self) -> list:
-        """Consume all handles in submission order."""
-        return [h.result() for h in self._handles]
-
-    def close(self) -> None:
-        if self._closed:
-            return
-        self._closed = True
-        reg = get_registry()
-        if reg.enabled:
-            reg.record_external(
-                f"wave.{self.label}",
-                self._t0,
-                time.perf_counter(),
-                rank=self._executor._wave_lane(self.label),
-            )
-
-    def __enter__(self) -> "Wave":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        self.close()
-        return False
 
 
 class RankExecutor:
@@ -219,7 +104,6 @@ class RankExecutor:
         self.workers = int(workers)
         self._threads: ThreadPoolExecutor | None = None
         self._lanes: dict[int, int] = {}  # thread ident -> lane
-        self._wave_lanes: dict[str, int] = {}  # wave label -> lane
         self._lane_lock = threading.Lock()
         self._closed = False
 
@@ -256,15 +140,6 @@ class RankExecutor:
             if lane is None:
                 lane = WORKER_LANE_BASE + len(self._lanes)
                 self._lanes[key] = lane
-            return lane
-
-    def _wave_lane(self, label: str) -> int:
-        """Stable wave-envelope lane id for a wave label."""
-        with self._lane_lock:
-            lane = self._wave_lanes.get(label)
-            if lane is None:
-                lane = WAVE_LANE_BASE + len(self._wave_lanes)
-                self._wave_lanes[label] = lane
             return lane
 
     def _on_lane(self, label: str, fn: Callable):
@@ -331,38 +206,6 @@ class RankExecutor:
         if self._threaded:
             return self._map_thread(fn, payloads, ranks, label)
         return self._map_serial(fn, payloads, ranks)
-
-    def submit(
-        self,
-        fn: Callable,
-        payload,
-        *,
-        rank: int = 0,
-        label: str = "executor.task",
-    ) -> TaskHandle:
-        """Start ``fn(payload)`` without waiting; returns a TaskHandle.
-
-        The asynchronous counterpart of :meth:`map` — phases submit work
-        the moment its inputs exist and consume handles in a fixed order
-        later, so communication and independent compute overlap.  The
-        serial backend (and any single-worker executor) executes eagerly
-        at submit time: submission order *is* execution order, which
-        makes it the bit-identical reference for the overlapped paths.
-        """
-        rank = int(rank)
-        if self._threaded:
-            future = self._ensure_threads().submit(
-                self._on_lane, label, lambda: fn(payload)
-            )
-            return TaskHandle(rank, label, future=future)
-        try:
-            return TaskHandle(rank, label, value=fn(payload))
-        except Exception as exc:
-            return TaskHandle(rank, label, ok=False, value=exc)
-
-    def wave(self, label: str) -> Wave:
-        """Open an overlap :class:`Wave` (use as a context manager)."""
-        return Wave(self, label)
 
     # -- serial ---------------------------------------------------------
     @staticmethod

@@ -194,63 +194,6 @@ class OverloadExchange:
         sends = self._route(pos, mom, mas, pid, home)
         return self._deliver(sends, tag)
 
-    def distribute_stream(
-        self,
-        positions: np.ndarray,
-        momenta: np.ndarray,
-        masses: np.ndarray | None = None,
-        ids: np.ndarray | None = None,
-        tag: str = "overload.distribute",
-    ):
-        """Streaming :meth:`distribute`: yield domains one rank at a time.
-
-        The comm/compute-overlap entry point: routing and the alltoallv
-        run on the first ``next()`` (so the whole exchange is still one
-        collective with identical traffic accounting), but per-rank
-        *assembly* — the concatenation of received fragments into an
-        :class:`OverloadedDomain` — is lazy.  The caller dispatches each
-        domain's short-range solve as soon as it is assembled, while the
-        remaining ranks' assembly is still pending.
-
-        Per-rank assembly is the exact code :meth:`distribute` runs, in
-        the same source-rank order, so the yielded domains are bitwise
-        identical to the synchronous list — overlap changes *when* a
-        domain materializes, never its contents.
-        """
-        dt = np.asarray(positions).dtype
-        if dt not in (np.float32, np.float64):
-            dt = np.dtype(np.float64)
-        pos = np.mod(
-            np.asarray(positions, dtype=dt),
-            dt.type(self.decomposition.box_size),
-        )
-        mom = np.asarray(momenta, dtype=dt)
-        n = pos.shape[0]
-        if mom.shape != pos.shape:
-            raise ValueError(
-                f"momenta shape {mom.shape} != positions shape {pos.shape}"
-            )
-        mas = (
-            np.ones(n, dtype=dt)
-            if masses is None
-            else np.asarray(masses, dtype=dt)
-        )
-        pid = (
-            np.arange(n, dtype=np.int64)
-            if ids is None
-            else np.asarray(ids, dtype=np.int64)
-        )
-
-        home = self.decomposition.assign(pos)
-        sends = self._route(pos, mom, mas, pid, home)
-        nr = self.decomposition.n_ranks
-        payloads = [
-            [self._pack(sends[i][j]) for j in range(nr)] for i in range(nr)
-        ]
-        recv = self.comm.alltoallv(payloads, tag=tag)
-        for r in range(nr):
-            yield self._assemble(recv[r], r)
-
     def refresh(
         self,
         domains: list[OverloadedDomain],

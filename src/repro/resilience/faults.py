@@ -78,9 +78,6 @@ class NullFaultPlan:
     def comm_fault(self, tag: str) -> None:  # pragma: no cover - trivial
         pass
 
-    def deaths_pending(self) -> bool:
-        return False
-
     def ranks_to_kill(self) -> frozenset[int]:
         return frozenset()
 
@@ -230,16 +227,6 @@ class FaultPlan:
                     spec["remaining"] -= 1
                 self._note_injection("comm")
                 raise TransientCommError(tag)
-
-    def deaths_pending(self) -> bool:
-        """True when a rank death is scheduled for the current step.
-
-        Non-consuming peek: lets the overlapped dispatch path decide
-        *before* submitting work whether this step needs the synchronous
-        recovery protocol, without spending the one-shot schedule entry
-        that :meth:`ranks_to_kill` consumes.
-        """
-        return bool(self._deaths.get(self._step))
 
     def ranks_to_kill(self) -> frozenset[int]:
         """Ranks scheduled to die at the current step; one-shot.

@@ -106,6 +106,15 @@ class TestRunCommand:
             main(self._base(tmp_path / "out") + ["--executor", "process"])
         assert exc.value.code == 2
 
+    def test_retired_overlap_flag_is_a_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "ovl"
+        with pytest.raises(SystemExit) as exc:
+            main(self._base(out) + ["--overlap"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "--overlap" in err and "Traceback" not in err
+        assert not out.exists()
+
     def test_internal_value_error_keeps_its_traceback(
         self, tmp_path, monkeypatch
     ):

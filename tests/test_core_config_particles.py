@@ -90,6 +90,20 @@ class TestSimulationConfig:
         assert SimulationConfig.from_dict(old) == cfg
         assert "worker_groups" not in cfg.to_dict()
 
+    @pytest.mark.parametrize("value", [False, True])
+    def test_from_dict_drops_the_retired_overlap_switch(self, value):
+        """Checkpoints and --config files written while overlapped
+        execution existed carry ``overlap``; either value produced the
+        synchronous trajectory, so both load (and hash) as the same run."""
+        cfg = SimulationConfig(
+            box_size=100.0, n_per_dim=16, workers=2, executor="thread"
+        )
+        old = SimulationConfig.from_dict({**cfg.to_dict(), "overlap": value})
+        assert old == cfg
+        assert hash(old) == hash(cfg)
+        assert old.config_hash() == cfg.config_hash()
+        assert "overlap" not in cfg.to_dict()
+
     @pytest.mark.parametrize(
         "retired", [{"worker_groups": 2}, {"executor": "process"}]
     )

@@ -382,6 +382,36 @@ class TestCheckpointerDriver:
             resumed.particles.momenta, ref.particles.momenta
         )
 
+    def test_checkpoint_with_retired_overlap_resumes(
+        self, tmp_path, monkeypatch
+    ):
+        """A decomposed thread@2 run checkpointed with ``overlap: true``
+        in its stored config (as overlapped runs wrote it) resumes on
+        the one dispatch schedule, bitwise."""
+        shape = dict(
+            n_steps=2, n_per_dim=24, z_initial=25.0, z_final=0.0,
+            backend="treepm", step_spacing="loga", seed=1,
+            workers=2, executor="thread",
+        )
+        dims = (2, 1, 1)
+        config = SimulationConfig(box_size=64.0, **shape)
+        with HACCSimulation(config, decomposition_dims=dims) as ref:
+            ref.run()
+        with HACCSimulation(config, decomposition_dims=dims) as sim:
+            sim.step()
+            path = self._write_with_config(
+                tmp_path, monkeypatch, sim, overlap=True
+            )
+        with load_checkpoint(path, decomposition_dims=dims) as resumed:
+            resumed.run()
+            assert resumed.config == ref.config
+            assert np.array_equal(
+                resumed.particles.positions, ref.particles.positions
+            )
+            assert np.array_equal(
+                resumed.particles.momenta, ref.particles.momenta
+            )
+
     def test_checkpoint_asking_for_process_is_a_config_error(
         self, tmp_path, monkeypatch
     ):

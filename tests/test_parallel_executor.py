@@ -165,6 +165,20 @@ class TestRankExecutor:
         with pytest.raises(RuntimeError, match="closed"):
             ex.map(_double, [1])
 
+    def test_dispatch_overhead_counters(self):
+        reg = enable_registry()
+        try:
+            with RankExecutor("thread", 2) as ex:
+                ex.map(_double, list(range(8)), label="test.phase")
+            counters = reg.counters
+            assert counters.get("executor.dispatches", 0) == 1
+            assert counters.get("executor.tasks", 0) == 8
+            # chunked dispatch: one envelope per worker, not per task
+            assert counters.get("executor.envelopes", 0) == 2
+            assert counters.get("executor.dispatch_s", 0) > 0
+        finally:
+            disable_registry()
+
 
 # ----------------------------------------------------------------------
 # threaded CIC through the executor (satellite: Section VI wiring)
@@ -339,18 +353,6 @@ class TestWorkerTraceLanes:
             if e.get("name") == "shortrange.domain"
         }
         assert lanes and all(l >= WORKER_LANE_BASE for l in lanes)
-
-    def test_record_external_lands_in_aggregates(self):
-        reg = enable_registry()
-        try:
-            reg.record_external("shortrange.domain", 10.0, 10.5, rank=1001)
-            assert reg.section_seconds("shortrange.domain") == (
-                pytest.approx(0.5)
-            )
-            with pytest.raises(ValueError):
-                reg.record_external("x", 2.0, 1.0)
-        finally:
-            disable_registry()
 
 
 # ----------------------------------------------------------------------

@@ -434,6 +434,37 @@ class TestWiring:
         assert steps[-1]["perf"]["gflops"] > 0
         assert steps[-1]["perf"]["pair_ns"] > 0
 
+    def test_stream_with_retired_overlap_perf_still_renders(
+        self, tmp_path, capsys
+    ):
+        """Streams ledgered while overlapped execution existed carry an
+        ``overlap`` efficiency in each step's perf block; monitor and
+        report still read them."""
+        from repro.__main__ import main
+
+        path = tmp_path / "run.jsonl"
+        reg = Registry()
+        sim = tiny_sim()
+        with RunStream(path) as stream, use(reg), use_telemetry(
+            Telemetry(stream=stream)
+        ):
+            sim.run()
+        lines = []
+        for line in path.read_text().splitlines():
+            rec = json.loads(line)
+            if rec.get("kind") == "telemetry":
+                rec["perf"]["overlap"] = 0.42
+            lines.append(json.dumps(rec))
+        path.write_text("\n".join(lines) + "\n")
+
+        assert main(["monitor", str(path)]) == 0
+        assert "0.42" not in capsys.readouterr().out
+        assert main(["monitor", str(path), str(path)]) == 0
+        dashboard = capsys.readouterr().out
+        assert "ns/pair" in dashboard and "ovl" not in dashboard
+        assert main(["report", str(path)]) == 0
+        assert capsys.readouterr().out.strip()
+
     def test_dashboard_kernel_and_pair_ns_columns(self):
         data = {
             "manifest": {

@@ -176,10 +176,12 @@ class TestTraceRoundTrip:
     def test_reparsed_trace_matches_registry_phase_totals(self, tmp_path):
         reg, clock = synthetic_registry()
         # add a per-rank lane and an executor worker lane
-        reg.record_external("pencil", 0.0, 1.5, rank=2)
-        reg.record_external("pp.batch", 0.0, 2.5,
-                            rank=WORKER_LANE_BASE + 1,
-                            path="shortrange.domain/pp.batch")
+        with reg.span("pencil", rank=2):
+            clock.advance(1.5)
+        worker = WORKER_LANE_BASE + 1
+        with reg.span("shortrange.domain", rank=worker):
+            with reg.span("pp.batch", rank=worker):
+                clock.advance(2.5)
         dest = tmp_path / "trace.json"
         write_chrome_trace(reg, dest)
         spans = load_chrome_trace(dest)["spans"]
