@@ -1,13 +1,12 @@
 #!/usr/bin/env python
-"""Halo assembly history: mergers, accretion, and density profiles.
+"""Halo assembly history: mergers and accretion.
 
 Section V: clusters "form very late and are hence sensitive probes of the
 late-time acceleration", and the simulations let "the statistics of halo
 mergers and halo build-up through sub-halo accretion be studied with
 excellent statistics".  This example runs a small box with intermediate
 snapshots (checkpointing along the way, as a production campaign would),
-builds the ID-based merger history of the final halos, and fits an NFW
-profile to the most massive one.
+and builds the ID-based merger history of the final halos.
 
 Run:  python examples/cluster_assembly.py [n_per_dim]
 """
@@ -20,9 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from repro import HACCSimulation, SimulationConfig
-from repro.analysis import build_merger_history, fit_nfw, fof_halos, radial_profile
-from repro.constants import particle_mass
-from repro.cosmology import WMAP7
+from repro.analysis import build_merger_history, fof_halos
 from repro.io import load_checkpoint, save_checkpoint
 
 SNAPSHOT_REDSHIFTS = (1.0, 0.5, 0.0)
@@ -90,26 +87,6 @@ def main() -> None:
                    + (", merger!" if n_prog >= 2 else ""))
             gtxt = f", x{growth:.2f} mass growth" if growth else ""
             print(f"   halo {h} ({final.sizes[h]} particles): {tag}{gtxt}")
-
-    # --- NFW profile of the most massive halo --------------------------
-    final = catalogs[-1]
-    if final.n_halos:
-        _, pos0, _ = snapshots[-1]
-        center = final.centers[0]
-        prof = radial_profile(
-            pos0, center, box_size=config.box_size,
-            r_min=0.15, r_max=3.0, n_bins=10,
-        )
-        mp = particle_mass(WMAP7.omega_m, config.box_size, config.n_particles)
-        try:
-            fit = fit_nfw(prof, r_vir=2.0, min_count=3)
-            print(f"\nNFW fit of the most massive halo "
-                  f"({final.sizes[0] * mp:.2e} Msun/h):")
-            print(f"   r_s = {fit.r_s:.2f} Mpc/h, concentration "
-                  f"c = {fit.concentration:.1f}, rms log residual "
-                  f"{fit.rms_log_residual:.2f}")
-        except ValueError as exc:
-            print(f"\nNFW fit skipped ({exc}); increase n_per_dim")
 
 
 if __name__ == "__main__":

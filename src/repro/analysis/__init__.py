@@ -1,10 +1,11 @@
 """Analysis chain for simulation outputs.
 
 Implements the measurements behind the paper's science figures: the
-matter fluctuation power spectrum (Fig. 10), friends-of-friends halos and
-sub-halos (Fig. 11), halo mass functions with Press-Schechter /
-Sheth-Tormen analytic references (Section V), and density projections /
-zoom series for the dynamic-range visualizations (Figs. 2 and 9).
+matter fluctuation power spectrum (Fig. 10), friends-of-friends halos,
+sub-halos and merger histories (Fig. 11), halo mass functions with
+Press-Schechter / Sheth-Tormen analytic references (Section V), and
+density projections, zoom series and renders for the dynamic-range
+visualizations (Figs. 2 and 9).
 """
 
 from repro.analysis.power import PowerSpectrum, matter_power_spectrum
@@ -20,22 +21,8 @@ from repro.analysis.density import (
     density_contrast_statistics,
     zoom_series,
 )
-from repro.analysis.correlation import pair_correlation, xi_from_power
-from repro.analysis.lensing import convergence_power, lensing_efficiency
-from repro.analysis.profiles import fit_nfw, nfw_density, radial_profile, sample_nfw
 from repro.analysis.mergers import build_merger_history, match_halos
 from repro.analysis.render import render_density, write_ppm, read_ppm
-from repro.analysis.velocity import (
-    bulk_flow,
-    pairwise_velocity,
-    velocity_divergence_spectrum,
-)
-from repro.analysis.redshift_space import (
-    kaiser_monopole_boost,
-    kaiser_quadrupole_ratio,
-    power_multipoles,
-    redshift_space_positions,
-)
 
 __all__ = [
     "PowerSpectrum",
@@ -49,24 +36,9 @@ __all__ = [
     "density_projection",
     "density_contrast_statistics",
     "zoom_series",
-    "xi_from_power",
-    "pair_correlation",
-    "convergence_power",
-    "lensing_efficiency",
-    "radial_profile",
-    "nfw_density",
-    "fit_nfw",
-    "sample_nfw",
     "match_halos",
     "build_merger_history",
     "render_density",
     "write_ppm",
     "read_ppm",
-    "velocity_divergence_spectrum",
-    "pairwise_velocity",
-    "bulk_flow",
-    "redshift_space_positions",
-    "power_multipoles",
-    "kaiser_monopole_boost",
-    "kaiser_quadrupole_ratio",
 ]

@@ -38,7 +38,6 @@ __all__ = [
     "MSUN_IN_KG",
     "RHO_CRIT_MSUN_H2_MPC3",
     "DELTA_C",
-    "SPEED_OF_LIGHT_KM_S",
     "particle_mass",
 ]
 
@@ -64,9 +63,6 @@ RHO_CRIT_MSUN_H2_MPC3 = 2.77536627e11
 #: Linear-theory collapse threshold for spherical collapse (EdS value);
 #: used by the Press-Schechter / Sheth-Tormen mass functions.
 DELTA_C = 1.686
-
-#: Speed of light, km/s (distance-redshift conversions).
-SPEED_OF_LIGHT_KM_S = 299792.458
 
 
 def particle_mass(omega_m: float, box_size: float, n_particles: int) -> float:

@@ -8,7 +8,6 @@ from repro.core.timestepper import (
 )
 from repro.core.simulation import HACCSimulation
 from repro.core.diagnostics import EnergyState, LayzerIrvineMonitor
-from repro.core.pipeline import ProductSchedule, SimulationPipeline
 
 __all__ = [
     "Particles",
@@ -18,6 +17,4 @@ __all__ = [
     "HACCSimulation",
     "EnergyState",
     "LayzerIrvineMonitor",
-    "ProductSchedule",
-    "SimulationPipeline",
 ]

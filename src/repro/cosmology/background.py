@@ -18,15 +18,14 @@ property the test suite checks exactly.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.integrate import quad, solve_ivp
+from scipy.integrate import solve_ivp
 
-from repro.constants import RHO_CRIT_MSUN_H2_MPC3, SPEED_OF_LIGHT_KM_S
+from repro.constants import RHO_CRIT_MSUN_H2_MPC3
 
-__all__ = ["Cosmology", "WMAP7", "WCDM_EXAMPLE"]
+__all__ = ["Cosmology", "WMAP7"]
 
 
 @dataclass(frozen=True)
@@ -227,27 +226,6 @@ class Cosmology:
         return d, dp
 
     # ------------------------------------------------------------------
-    # distances and times
-    # ------------------------------------------------------------------
-    def comoving_distance(self, z: float) -> float:
-        """Line-of-sight comoving distance to redshift ``z`` in Mpc/h."""
-        if z < 0:
-            raise ValueError(f"redshift must be non-negative: {z}")
-        if z == 0:
-            return 0.0
-        dh = SPEED_OF_LIGHT_KM_S / 100.0  # Hubble distance in Mpc/h
-        val, _ = quad(lambda zz: 1.0 / float(self.efunc(1.0 / (1.0 + zz))), 0.0, z)
-        return dh * val
-
-    def lookback_time(self, z: float) -> float:
-        """Lookback time to redshift ``z`` in units of the Hubble time 1/H0."""
-        if z < 0:
-            raise ValueError(f"redshift must be non-negative: {z}")
-        a_lo = 1.0 / (1.0 + z)
-        val, _ = quad(lambda a: 1.0 / (a * float(self.efunc(a))), a_lo, 1.0)
-        return val
-
-    # ------------------------------------------------------------------
     # convenience
     # ------------------------------------------------------------------
     def with_(self, **kwargs) -> "Cosmology":
@@ -269,7 +247,3 @@ class Cosmology:
 
 #: WMAP7-like parameters, matching the era of the paper's science runs.
 WMAP7 = Cosmology()
-
-#: An example evolving dark-energy model (the paper's target science is
-#: surveying dark-energy model space).
-WCDM_EXAMPLE = Cosmology(w0=-0.9, wa=0.2)

@@ -1,99 +1,10 @@
-"""Tests for halo profiles/NFW fitting and merger histories."""
+"""Tests for halo merger histories."""
 
 import numpy as np
 import pytest
 
 from repro.analysis.halos import fof_halos
 from repro.analysis.mergers import build_merger_history, match_halos
-from repro.analysis.profiles import (
-    fit_nfw,
-    nfw_density,
-    radial_profile,
-    sample_nfw,
-)
-
-
-class TestRadialProfile:
-    def test_uniform_density_flat(self, rng):
-        pos = rng.uniform(-10, 10, (200000, 3))
-        prof = radial_profile(
-            pos, np.zeros(3), r_min=2.0, r_max=8.0, n_bins=6
-        )
-        expected = 200000 / 20.0**3
-        assert np.allclose(prof.density, expected, rtol=0.1)
-
-    def test_periodic_center(self, rng):
-        """A clump at the box corner is profiled correctly with wrapping."""
-        pos = np.mod(0.5 * rng.standard_normal((2000, 3)), 20.0)
-        prof = radial_profile(
-            pos, np.zeros(3), box_size=20.0, r_min=0.1, r_max=3.0
-        )
-        assert prof.counts.sum() > 1900
-        assert prof.density[0] > prof.density[-1]
-
-    def test_weights(self, rng):
-        pos = rng.uniform(-2, 2, (1000, 3))
-        p1 = radial_profile(pos, np.zeros(3), r_min=0.5, r_max=2.0)
-        p2 = radial_profile(
-            pos, np.zeros(3), r_min=0.5, r_max=2.0,
-            weights=2.0 * np.ones(1000),
-        )
-        assert np.allclose(p2.density, 2 * p1.density)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            radial_profile(np.zeros((5, 3)), np.zeros(3), r_min=2.0, r_max=1.0)
-
-
-class TestNFW:
-    def test_density_form(self):
-        # at r = r_s: rho = rho_s / (1 * 4)
-        assert float(nfw_density(2.0, 8.0, 2.0)) == pytest.approx(2.0)
-
-    def test_density_validation(self):
-        with pytest.raises(ValueError):
-            nfw_density(1.0, 0.0, 1.0)
-
-    def test_sampler_radial_distribution(self):
-        """Sampled enclosed mass follows ln(1+x) - x/(1+x)."""
-        r_s, r_max = 0.5, 5.0
-        pts = sample_nfw(40000, 1.0, r_s, r_max, seed=1)
-        r = np.linalg.norm(pts, axis=1)
-
-        def m_of(x):
-            return np.log1p(x) - x / (1 + x)
-
-        for r_test in (0.5, 1.0, 2.5):
-            frac = np.mean(r < r_test)
-            expected = m_of(r_test / r_s) / m_of(r_max / r_s)
-            assert frac == pytest.approx(expected, abs=0.02)
-
-    def test_fit_recovers_truth(self):
-        """Round trip: sample NFW -> profile -> fit recovers r_s, rho_s."""
-        rho_s, r_s = 50.0, 0.8
-        pts = sample_nfw(60000, rho_s, r_s, 6.0, seed=3)
-        prof = radial_profile(
-            pts, np.zeros(3), r_min=0.08, r_max=5.0, n_bins=20
-        )
-        # normalize the measured density to the analytic rho_s: the
-        # sampler draws shapes, so fit and compare r_s (scale) plus the
-        # quality of the fit
-        fit = fit_nfw(prof, r_vir=5.0)
-        assert fit.r_s == pytest.approx(r_s, rel=0.15)
-        assert fit.rms_log_residual < 0.15
-        assert fit.concentration == pytest.approx(5.0 / r_s, rel=0.15)
-
-    def test_fit_requires_enough_bins(self, rng):
-        pos = rng.uniform(-1, 1, (20, 3))
-        prof = radial_profile(pos, np.zeros(3), r_min=0.1, r_max=1.0, n_bins=4)
-        with pytest.raises(ValueError):
-            fit_nfw(prof, r_vir=1.0, min_count=50)
-
-    def test_fit_validation(self, rng):
-        pos = rng.uniform(-1, 1, (5000, 3))
-        prof = radial_profile(pos, np.zeros(3), r_min=0.1, r_max=1.0)
-        with pytest.raises(ValueError):
-            fit_nfw(prof, r_vir=0.0)
 
 
 def _two_snapshot_system(rng, box=60.0):

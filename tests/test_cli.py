@@ -44,6 +44,29 @@ class TestMain:
         assert result.returncode == 0
         assert "reproduction" in result.stdout
 
+    def test_import_leaves_analysis_unloaded(self):
+        """``import repro`` and the CLI module load only what a run
+        needs: no analysis package, HALOFIT, emulator or spline code."""
+        absent = [
+            "repro.analysis",
+            "repro.core.pipeline",
+            "repro.cosmology.halofit",
+            "repro.cosmology.emulator",
+            "scipy.interpolate",
+        ]
+        code = (
+            "import sys, repro, repro.__main__\n"
+            f"print([m for m in {absent!r} if m in sys.modules])"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "[]"
+
 
 class TestRunCommand:
     """The checkpointed fault-tolerant ``run`` command."""

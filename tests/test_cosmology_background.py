@@ -132,33 +132,6 @@ class TestGrowth:
         )
 
 
-class TestDistances:
-    def test_comoving_distance_zero(self):
-        assert WMAP7.comoving_distance(0.0) == 0.0
-
-    def test_comoving_distance_small_z_hubble_law(self):
-        z = 0.01
-        dh = 2997.92458  # c/H0 in Mpc/h
-        assert WMAP7.comoving_distance(z) == pytest.approx(dh * z, rel=0.01)
-
-    def test_comoving_distance_monotone(self):
-        d1 = WMAP7.comoving_distance(0.5)
-        d2 = WMAP7.comoving_distance(1.0)
-        assert d2 > d1 > 0
-
-    def test_survey_depth_is_gpc_scale(self):
-        # Section I: survey depths are of order a few Gpc
-        assert 2000.0 < WMAP7.comoving_distance(1.0) < 4000.0
-
-    def test_negative_redshift_rejected(self):
-        with pytest.raises(ValueError):
-            WMAP7.comoving_distance(-0.1)
-
-    def test_lookback_time_bounds(self):
-        t = WMAP7.lookback_time(1.0)
-        assert 0 < t < 1.0  # less than a Hubble time
-
-
 class TestScaleFactorHelpers:
     def test_a_of_z_roundtrip(self):
         z = np.array([0.0, 0.5, 24.0])

@@ -62,12 +62,6 @@ class TestExamples:
         assert "13.94" in result.stdout  # paper headline appears
         assert "Table I" in result.stdout
 
-    def test_dark_energy_signatures(self):
-        result = run_example("dark_energy_signatures.py", "12")
-        assert result.returncode == 0, result.stderr
-        assert "wCDM" in result.stdout
-        assert "lensing" in result.stdout.lower()
-
     def test_cluster_assembly(self):
         result = run_example("cluster_assembly.py", "16")
         assert result.returncode == 0, result.stderr

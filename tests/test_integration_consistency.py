@@ -1,10 +1,9 @@
 """Cross-module consistency checks: independent code paths that must
-agree with each other (Fourier pairs, estimator duals, model overlaps)."""
+agree with each other (Fourier pairs, model overlaps, determinism)."""
 
 import numpy as np
 import pytest
 
-from repro.analysis.correlation import pair_correlation, xi_from_power
 from repro.analysis.power import matter_power_spectrum, power_from_delta
 from repro.cosmology import WMAP7, LinearPower
 from repro.cosmology.gaussian_field import GaussianRandomField
@@ -14,50 +13,6 @@ from repro.machine.paper_data import FULLCODE_TIME_SPLIT
 
 
 class TestFourierPair:
-    @pytest.mark.slow
-    def test_pair_counts_dual_to_power_estimator(self, rng):
-        """Estimator duality: xi(r) measured by pair counting equals the
-        Hankel transform of the *measured* P(k) of the same particle
-        sample — two completely independent estimator code paths, with
-        cosmic variance cancelling because both see one realization."""
-        n, box = 32, 400.0
-        pk = LinearPower(WMAP7)
-        grf = GaussianRandomField(n, box, lambda k: pk(k), seed=8)
-        delta = grf.realize()
-        # Poisson-sample the density field (mean 6 particles per cell)
-        rate = np.clip(1.0 + delta, 0.0, None)
-        lam = rate / rate.mean() * 6.0
-        counts = rng.poisson(lam)
-        cell = box / n
-        pos = []
-        for (i, j, k_), c in np.ndenumerate(counts):
-            if c:
-                pos.append(
-                    (np.array([i, j, k_]) + rng.uniform(0, 1, (c, 3)))
-                    * cell
-                )
-        pos = np.concatenate(pos)
-
-        ps = matter_power_spectrum(pos, box, 64, subtract_shot_noise=True)
-        lk = np.log(ps.k)
-        lp = np.log(np.maximum(ps.power, 1e-3))
-
-        def p_measured(k, a=1.0):
-            k = np.atleast_1d(k)
-            out = np.exp(np.interp(np.log(k), lk, lp))
-            out[(k < ps.k[0]) | (k > ps.k[-1])] = 0.0
-            return out
-
-        cf = pair_correlation(pos, box, r_min=20.0, r_max=45.0, n_bins=3)
-        expected = xi_from_power(
-            p_measured, cf.r, k_max=float(ps.k[-1])
-        )
-        sel = expected > 0.01  # above the noise floor of this sample
-        assert sel.any()
-        ratio = cf.xi[sel] / expected[sel]
-        assert np.all(ratio > 0.7)
-        assert np.all(ratio < 1.4)
-
     def test_power_estimator_inverts_generator(self):
         """Generator conventions and estimator conventions are exact
         inverses (tight version of the round-trip property)."""

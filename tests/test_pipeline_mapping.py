@@ -1,117 +1,9 @@
-"""Tests for the production pipeline driver and the torus mapping
-analysis."""
+"""Tests for the torus mapping analysis."""
 
-import numpy as np
 import pytest
 
-from repro import HACCSimulation, SimulationConfig
-from repro.core.pipeline import ProductSchedule, SimulationPipeline
-from repro.io.snapshots import load_power_history, load_snapshot
 from repro.machine.mapping import MappingAnalysis
 from repro.parallel.topology import TorusTopology
-
-
-def small_sim(**kwargs):
-    base = dict(
-        box_size=64.0,
-        n_per_dim=8,
-        z_initial=25.0,
-        z_final=1.0,
-        n_steps=6,
-        backend="pm",
-        seed=3,
-        step_spacing="loga",
-    )
-    base.update(kwargs)
-    return HACCSimulation(SimulationConfig(**base))
-
-
-class TestProductSchedule:
-    def test_defaults_empty(self):
-        s = ProductSchedule()
-        assert s.power_redshifts == ()
-        assert not s.track_energy
-
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            dict(snapshot_subsample=0),
-            dict(power_grid_factor=0),
-            dict(power_redshifts=(-1.0,)),
-        ],
-    )
-    def test_validation(self, kwargs):
-        with pytest.raises(ValueError):
-            ProductSchedule(**kwargs)
-
-
-class TestSimulationPipeline:
-    def test_power_spectra_produced_and_saved(self, tmp_path):
-        pipe = SimulationPipeline(
-            small_sim(),
-            ProductSchedule(power_redshifts=(5.0, 2.0, 1.0)),
-            tmp_path,
-        )
-        pipe.run()
-        assert len(pipe.power_spectra) == 3
-        # capture redshifts are at-or-below the labels, in order
-        assert all(
-            a >= b for a, b in zip(pipe.power_redshifts, pipe.power_redshifts[1:])
-        )
-        z, records = load_power_history(tmp_path / "power_history.npz")
-        assert len(records) == 3
-        assert np.allclose(z, pipe.power_redshifts)
-
-    def test_snapshots_written(self, tmp_path):
-        pipe = SimulationPipeline(
-            small_sim(),
-            ProductSchedule(
-                snapshot_redshifts=(3.0,), snapshot_subsample=2
-            ),
-            tmp_path,
-        )
-        pipe.run()
-        assert len(pipe.snapshot_paths) == 1
-        parts, a, meta = load_snapshot(pipe.snapshot_paths[0])
-        assert parts.n == 8**3 // 2
-        assert meta["z_label"] == 3.0
-        assert 0 < a <= 1.0
-
-    def test_energy_tracking(self, tmp_path):
-        pipe = SimulationPipeline(
-            small_sim(n_per_dim=12),
-            ProductSchedule(track_energy=True),
-            tmp_path,
-        )
-        pipe.run()
-        summary = pipe.summary()
-        assert "energy_residual" in summary
-        assert abs(summary["energy_residual"]) < 0.25
-
-    def test_summary_contents(self, tmp_path):
-        pipe = SimulationPipeline(
-            small_sim(), ProductSchedule(power_redshifts=(1.0,)), tmp_path
-        )
-        pipe.run()
-        s = pipe.summary()
-        assert s["final_redshift"] == pytest.approx(1.0, abs=1e-9)
-        assert s["n_power_spectra"] == 1
-        assert s["n_snapshots"] == 0
-
-    def test_no_products_no_files(self, tmp_path):
-        pipe = SimulationPipeline(small_sim(), ProductSchedule(), tmp_path)
-        pipe.run()
-        assert list(tmp_path.iterdir()) == []
-
-    def test_oversampled_power_grid(self, tmp_path):
-        pipe = SimulationPipeline(
-            small_sim(),
-            ProductSchedule(power_redshifts=(1.0,), power_grid_factor=2),
-            tmp_path,
-        )
-        pipe.run()
-        # 2x grid -> twice as many k bins as the force grid would give
-        assert len(pipe.power_spectra[0].k) == 8  # (2*8)//2
 
 
 class TestMappingAnalysis:

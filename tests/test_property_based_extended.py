@@ -1,6 +1,5 @@
 """Property-based tests for the extension modules: rendering, emulation
-design, Vlasov conservation, correlation estimator bookkeeping, torus
-mapping and the threaded CIC."""
+design, Vlasov conservation, the threaded CIC and RCB blocking."""
 
 import numpy as np
 import pytest
@@ -8,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from repro.analysis.correlation import pair_correlation
 from repro.analysis.render import apply_colormap, log_stretch, read_ppm, write_ppm
 from repro.cosmology.emulator import ParameterBox, latin_hypercube
 from repro.grid.cic import cic_deposit
@@ -110,20 +108,6 @@ class TestVlasovProperties:
     def test_sheet_lattice_equilibrium(self, n):
         sm = SheetModel.cold_perturbation(n, 1.0, 0.0)
         assert np.abs(sm.acceleration()).max() < 1e-10
-
-
-class TestCorrelationProperties:
-    @given(
-        n=st.integers(min_value=10, max_value=80),
-        seed=st.integers(min_value=0, max_value=50),
-    )
-    @settings(max_examples=15, deadline=None)
-    def test_pair_counts_bounded(self, n, seed):
-        rng = np.random.default_rng(seed)
-        pos = rng.uniform(0, 10.0, (n, 3))
-        cf = pair_correlation(pos, 10.0, r_min=0.5, r_max=4.0, n_bins=4)
-        assert cf.pair_counts.sum() <= n * (n - 1) // 2
-        assert np.all(cf.pair_counts >= 0)
 
 
 class TestThreadedCICProperties:
