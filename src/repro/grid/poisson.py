@@ -71,9 +71,8 @@ class SpectralPoissonSolver:
     dtype:
         Grid precision.  ``None`` (default) keeps the historical float64
         spectral path untouched; ``np.float32`` runs the whole PM force
-        — deposit, FFTs (complex64 via ``scipy.fft`` when present),
-        k-space kernels, gathers — in single precision with no silent
-        upcasts.
+        — deposit, FFTs (complex64), k-space kernels, gathers — in
+        single precision with no silent upcasts.
     kernel_backend:
         Kernel backend *name* for the CIC scatter/gather passes
         (``None`` = ``auto``: c, else numpy).
@@ -206,20 +205,6 @@ class SpectralPoissonSolver:
     # ------------------------------------------------------------------
     # instrumented transforms
     # ------------------------------------------------------------------
-    def _fft_module(self):
-        """``scipy.fft`` for the float32 path (it preserves single
-        precision: float32 -> complex64), ``numpy.fft`` for float64
-        (the historical, bitwise-stable default).  Falls back to
-        ``numpy.fft`` + an explicit downcast when scipy is absent."""
-        if self._dtype == np.float32:
-            try:
-                import scipy.fft as sfft
-
-                return sfft
-            except ImportError:  # pragma: no cover - scipy is baked in
-                pass
-        return np.fft
-
     def _complex_itemsize(self) -> int:
         """Bytes per spectral element: complex64 on the f32 path."""
         return 8 if self._dtype == np.float32 else 16
@@ -242,20 +227,19 @@ class SpectralPoissonSolver:
 
     def _forward(self, delta: np.ndarray) -> np.ndarray:
         reg = get_registry()
-        fft = self._fft_module()
         with reg.span("fft.forward"):
-            out = fft.rfftn(delta.astype(self._dtype, copy=False))
+            # numpy >= 2 keeps float32 -> complex64; 1.x needs the cast
+            out = np.fft.rfftn(delta.astype(self._dtype, copy=False))
             if self._dtype == np.float32 and out.dtype != np.complex64:
-                out = out.astype(np.complex64)  # numpy.fft fallback
+                out = out.astype(np.complex64)
         reg.count("fft.forward_points", delta.size)
         self._count_fft_work(reg, delta.size)
         return out
 
     def _inverse(self, field_k: np.ndarray) -> np.ndarray:
         reg = get_registry()
-        fft = self._fft_module()
         with reg.span("fft.inverse"):
-            out = fft.irfftn(field_k, s=(self.n,) * 3, axes=(0, 1, 2))
+            out = np.fft.irfftn(field_k, s=(self.n,) * 3, axes=(0, 1, 2))
             out = out.astype(self._dtype, copy=False)
         reg.count("fft.inverse_points", out.size)
         self._count_fft_work(reg, out.size)

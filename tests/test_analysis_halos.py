@@ -185,7 +185,6 @@ class TestMassFunction:
         mf = sheth_tormen(linear_power, np.array([1e13]))[0]
         assert 1e-5 < mf < 1e-2
 
-    @pytest.mark.slow
     def test_evolution_suppresses_high_mass(self, linear_power):
         """Halos are rarer at z=1 than today."""
         m = np.array([1e14])

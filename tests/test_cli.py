@@ -67,6 +67,37 @@ class TestMain:
         assert result.returncode == 0, result.stderr
         assert result.stdout.strip() == "[]"
 
+    @staticmethod
+    def _loaded_scipy(code):
+        """Run ``code`` in a fresh interpreter, then list the ``scipy``
+        modules it left loaded."""
+        code += "\nprint(sorted(m for m in sys.modules if m.startswith('scipy')))"
+        result = subprocess.run(
+            [sys.executable, "-c", "import sys\n" + code],
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+        return result.stdout.strip().splitlines()[-1]
+
+    def test_import_loads_no_scipy(self):
+        """``import repro`` and the CLI module load no scipy module."""
+        assert self._loaded_scipy("import repro, repro.__main__") == "[]"
+
+    def test_run_leaves_scipy_solvers_unloaded(self, tmp_path):
+        """An f64 and an f32 PM run integrate their cosmology and FFT
+        their grids without scipy's integrators, FFTs or root finders."""
+        code = "from repro.__main__ import main\n" + "".join(
+            f"assert main(['-q', 'run', '--steps', '1', '--n-per-dim', '8', "
+            f"'--backend', 'pm', '--precision', '{prec}', "
+            f"'--outdir', {str(tmp_path / prec)!r}]) == 0\n"
+            for prec in ("f64", "f32")
+        )
+        loaded = self._loaded_scipy(code)
+        for module in ("scipy.integrate", "scipy.fft", "scipy.optimize"):
+            assert f"'{module}'" not in loaded
+
 
 class TestRunCommand:
     """The checkpointed fault-tolerant ``run`` command."""

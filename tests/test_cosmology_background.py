@@ -132,6 +132,46 @@ class TestGrowth:
         )
 
 
+def reference_growth(cosmology, a):
+    """Normalised D and f at sorted ``a`` (ending at 1) from a tight
+    integration of the growth ODE, started in the matter era."""
+    from scipy.integrate import solve_ivp
+
+    def rhs(x, y):
+        e = float(cosmology.efunc(x))
+        dlne = float(cosmology.dlnE_dlna(x))
+        return [y[1], 1.5 * cosmology.omega_m / (x**5 * e * e) * y[0]
+                - (3.0 + dlne) / x * y[1]]
+
+    sol = solve_ivp(rhs, (1e-5, a[-1]), [1e-5, 1.0], t_eval=a,
+                    method="DOP853", rtol=1e-12, atol=1e-20)
+    d, dp = sol.y
+    return d / d[-1], a * dp / d
+
+
+class TestGrowthAccuracy:
+    """Pins of the growth factor against an ODE reference."""
+
+    A = np.array([1 / 26, 0.05, 0.1, 0.3, 0.5, 0.8, 1.0])
+
+    @pytest.mark.parametrize("omega_k", [0.0, 0.05, -0.05])
+    def test_lambda_growth_matches_ode(self, omega_k):
+        """Heath's integral agrees with the ODE to 1e-9, flat and
+        curved."""
+        c = WMAP7.with_(omega_k=omega_k)
+        d_ref, f_ref = reference_growth(c, self.A)
+        np.testing.assert_allclose(c.growth_factor(self.A), d_ref, rtol=1e-9)
+        np.testing.assert_allclose(c.growth_rate(self.A), f_ref, rtol=1e-9)
+
+    def test_wcdm_growth_still_integrates_the_ode(self):
+        """A dynamical dark energy keeps the ODE path, which is solved at
+        rtol 1e-10 and so agrees to 1e-8."""
+        c = Cosmology(w0=-0.9, wa=0.2)
+        d_ref, f_ref = reference_growth(c, self.A)
+        np.testing.assert_allclose(c.growth_factor(self.A), d_ref, rtol=1e-8)
+        np.testing.assert_allclose(c.growth_rate(self.A), f_ref, rtol=1e-8)
+
+
 class TestScaleFactorHelpers:
     def test_a_of_z_roundtrip(self):
         z = np.array([0.0, 0.5, 24.0])

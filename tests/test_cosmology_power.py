@@ -1,5 +1,7 @@
 """Tests for transfer functions and the linear power spectrum."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -122,6 +124,38 @@ class TestLinearPower:
         k, p = linear_power.table(n=64)
         assert k.shape == p.shape == (64,)
         assert np.all(np.diff(k) > 0)
+
+    @pytest.mark.parametrize("cosmology, transfer", [
+        (WMAP7, "eisenstein_hu"),
+        (WMAP7.with_(omega_m=0.3, sigma8=0.9, n_s=1.0), "bbks"),
+    ], ids=["wmap7", "bbks"])
+    def test_sigma8_normalization_is_exact(self, cosmology, transfer):
+        """sigma(8 Mpc/h) reproduces the sigma8 that normalised it."""
+        p = LinearPower(cosmology, transfer)
+        assert p.sigma_r(8.0) == pytest.approx(cosmology.sigma8, rel=1e-10)
+
+    def test_sigma_r_matches_adaptive_quadrature(self, linear_power):
+        """The composite rule settles sigma^2(R) to 1e-10 of a tight
+        adaptive reference, top-hat ringing included."""
+        from scipy.integrate import quad
+
+        r = 8.0
+
+        def integrand(lnk):
+            k = math.exp(lnk)
+            x = k * r
+            w = 3.0 * (math.sin(x) - x * math.cos(x)) / x**3
+            return float(linear_power(k)) * (k * w) ** 2 * k / (2 * math.pi**2)
+
+        ref, _ = quad(integrand, math.log(1e-5), math.log(1e3 / r),
+                      limit=2000, epsabs=0.0, epsrel=1e-12)
+        assert linear_power.sigma_r(r) ** 2 == pytest.approx(ref, rel=1e-10)
+
+    def test_sigma_r_scales_with_growth(self, linear_power):
+        a = 0.5
+        assert linear_power.sigma_r(8.0, a) == pytest.approx(
+            WMAP7.growth_factor(a) * linear_power.sigma_r(8.0), rel=1e-14
+        )
 
     def test_bbks_normalization_also_holds(self):
         p = LinearPower(WMAP7, transfer="bbks")
