@@ -1,24 +1,14 @@
-"""Ablation — the Section VI optimization roadmap, quantified.
+"""Ablation — the Section VI multi-tree load-balance roadmap item (R2).
 
-Two of the paper's named future optimizations are implemented and
-measured here:
-
-* **multiple trees per rank** ("improve (nodal) load balancing by using
-  multiple trees at each rank, enabling an improved threading of the
-  tree-build"): max-block particle count shrinks ~1/n_trees even on
-  clustered data, bounding the longest single-thread build;
-* **threaded forward CIC** ("fully thread all the components of the
-  long-range solver, in particular the forward CIC algorithm"):
-  privatization gives perfect worker balance at n_workers x grid memory;
-  slab ownership gives shared-grid memory but inherits the particle
-  distribution's imbalance.
+**Multiple trees per rank** ("improve (nodal) load balancing by using
+multiple trees at each rank, enabling an improved threading of the
+tree-build"): max-block particle count shrinks ~1/n_trees even on
+clustered data, bounding the longest single-thread build.
 """
 
 import numpy as np
 import pytest
 
-from repro.grid.cic import cic_deposit
-from repro.grid.threaded_cic import ThreadedCIC
 from repro.shortrange.grid_force import default_grid_force_fit
 from repro.shortrange.kernel import ShortRangeKernel
 from repro.shortrange.multitree import MultiTreeShortRange
@@ -88,44 +78,3 @@ class TestMultiTreeLoadBalance:
         print(f"\nmax deviation 1 vs 8 trees: {dev:.2e}")
         assert dev < 1e-11
 
-
-class TestThreadedCICAblation:
-    def test_strategy_tradeoffs(self, benchmark, rng):
-        pos = rng.uniform(0, 32.0, (20000, 3))
-        pos[:10000, 0] *= 0.25  # half the particles crowd low-x slabs
-        n = 32
-
-        def sweep():
-            out = {}
-            for strategy in ThreadedCIC.STRATEGIES:
-                t = ThreadedCIC(8, strategy)
-                grid = t.deposit(pos, n, 32.0)
-                out[strategy] = (t.last_report, grid)
-            return out
-
-        results = benchmark.pedantic(sweep, rounds=1, iterations=1)
-        serial = cic_deposit(pos, n, 32.0)
-        rows = []
-        for strategy, (report, grid) in results.items():
-            rows.append([
-                strategy,
-                f"{report.load_imbalance:.2f}",
-                f"{report.private_grid_bytes / 1024:.0f} KiB",
-                f"{np.abs(grid - serial).max():.1e}",
-            ])
-        print_table(
-            "threaded forward-CIC strategies (8 workers, skewed input)",
-            ["strategy", "load imbalance", "grid memory", "max dev"],
-            rows,
-        )
-        priv, _ = results["privatize"]
-        slab, _ = results["slab"]
-        # privatization: balanced but n_workers x memory
-        assert priv.load_imbalance < 1.01
-        assert priv.private_grid_bytes == 8 * n**3 * 8
-        # slab: shared memory but inherits the skew
-        assert slab.private_grid_bytes == n**3 * 8
-        assert slab.load_imbalance > 1.5
-        # both exact
-        for _, (_, grid) in results.items():
-            assert np.allclose(grid, serial, atol=1e-12)

@@ -3,10 +3,12 @@
 #
 # Usage: scripts/ci_check.sh
 #
-# Runs the fast ("not slow") test suite, a parallel-executor smoke run
-# (the demo CLI under --workers 2), a serial/thread twin (the same
-# decomposed run CLI at 2 workers on each executor backend; the final
-# checkpoints' positions and momenta must be byte-identical), the
+# Runs the fast ("not slow") test suite, a demo smoke run (the demo CLI
+# under --workers 2; demo has no decomposition, so nothing reaches the
+# workers), an executor triplet (the same decomposed run CLI at
+# serial@1, serial@2 and thread@2; the final checkpoints' positions and
+# momenta must be byte-identical, since workers never change a result),
+# the
 # deterministic chaos lane twice
 # (fault-injection tests under a fixed seed, REPRO_CHAOS_SEED — once on
 # the default serial fleet, once dispatched over REPRO_CHAOS_WORKERS
@@ -51,30 +53,34 @@ export REPRO_CHAOS_WORKERS="${REPRO_CHAOS_WORKERS:-2}"
 echo "== 1/12 smoke tests (pytest -m 'not slow') =="
 PYTHONPATH=src "$PYTHON" -m pytest tests -q -m "not slow"
 
-echo "== 2/12 parallel smoke (demo --workers 2) =="
+echo "== 2/12 demo smoke (demo --workers 2) =="
 PYTHONPATH=src "$PYTHON" -m repro demo --steps 2 --n-per-dim 12 --workers 2
 
-echo "== 3/12 executor twin (run, 2 workers, serial vs thread, bitwise) =="
+echo "== 3/12 executor triplet (run, serial@1 vs serial@2 vs thread@2, bitwise) =="
 # 24^3 with the default overload depth (rcut + one cell = 10.7 Mpc/h):
 # rcut = 8 <= depth < 16 = half the domain width, the only valid order
 CI_OBS_DIR="$(mktemp -d)"
 trap 'rm -rf "$CI_OBS_DIR"' EXIT
-for backend in serial thread; do
+for lane in serial:1 serial:2 thread:2; do
     PYTHONPATH=src "$PYTHON" -m repro -q run --steps 1 --n-per-dim 24 \
-        --workers 2 --decomposition 2,1,1 --executor "$backend" \
-        --outdir "$CI_OBS_DIR/twin-$backend"
+        --workers "${lane#*:}" --decomposition 2,1,1 \
+        --executor "${lane%:*}" --outdir "$CI_OBS_DIR/run-${lane/:/@}"
 done
 PYTHONPATH=src "$PYTHON" - "$CI_OBS_DIR" <<'PYEOF'
 import pathlib, sys
 from repro.io import find_latest_valid, load_checkpoint
 root = pathlib.Path(sys.argv[1])
-state = {b: load_checkpoint(find_latest_valid(root / f"twin-{b}")).particles
-         for b in ("serial", "thread")}
-for field in ("positions", "momenta"):
-    a, b = getattr(state["serial"], field), getattr(state["thread"], field)
-    assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), \
-        f"executor twin: {field} differ between serial@2 and thread@2"
-print("executor twin: serial@2 and thread@2 final states bitwise equal")
+lanes = ("serial@1", "serial@2", "thread@2")
+state = {l: load_checkpoint(find_latest_valid(root / f"run-{l}")).particles
+         for l in lanes}
+ref = state["serial@1"]
+for lane in lanes[1:]:
+    for field in ("positions", "momenta"):
+        a, b = getattr(ref, field), getattr(state[lane], field)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), \
+            f"executor triplet: {field} differ between serial@1 and {lane}"
+print("executor triplet: serial@1, serial@2 and thread@2 final states "
+      "bitwise equal")
 PYEOF
 
 echo "== 4/12 chaos lane (pytest -m chaos, seed $REPRO_CHAOS_SEED) =="

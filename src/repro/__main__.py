@@ -31,7 +31,7 @@ Commands
     run-ledger recording; resumable after any supervisor death.
 ``monitor``
     Tail a run's telemetry JSONL (written via ``--telemetry PATH`` on
-    ``demo``/``profile``), rendering progress, ETA, imbalance sparklines
+    ``demo``/``profile``/``run``), rendering progress, ETA, imbalance sparklines
     and active health alerts; exits 2 if the run went CRIT.  Given
     several streams (or ``--ledger``), renders the multi-run fleet
     dashboard instead.
@@ -93,7 +93,8 @@ def _cmd_info(args: argparse.Namespace) -> int:
     )
     logger.info(
         "\nsubpackages: cosmology, fft, parallel, grid, shortrange, "
-        "core, analysis, machine, vlasov, io, instrument, resilience"
+        "core, analysis, machine, vlasov, io, instrument, resilience, "
+        "campaign"
     )
     logger.info("docs: README.md, DESIGN.md, EXPERIMENTS.md")
     return 0

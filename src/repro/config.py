@@ -26,7 +26,7 @@ _PRECISIONS = ("f32", "f64")
 
 _PROCESS_RETIRED = (
     "the process executor and its rank groups were removed; use "
-    "executor 'thread', which runs the same work partition bit-identically"
+    "executor 'thread', which gives the bits of serial at any worker count"
 )
 
 
@@ -79,9 +79,10 @@ class SimulationConfig:
     workers:
         Worker count for the rank executor (the node-level concurrency
         of the paper's hybrid MPI+OpenMP model; see
-        :mod:`repro.parallel.executor`).  The work *partitioning* is
-        keyed on this value alone, so runs at equal ``workers`` are
-        bit-identical across executor backends.
+        :mod:`repro.parallel.executor`).  It decides only where the
+        per-domain short-range solves of a decomposed run execute: every
+        ``(executor, workers)`` pair gives the bits of serial at
+        ``workers=1``.
     executor:
         Rank-executor backend: ``"serial"`` (default) or ``"thread"``
         (a thread pool; the compiled kernels release the GIL).

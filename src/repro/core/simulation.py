@@ -202,11 +202,9 @@ class HACCSimulation:
                 kernel_backend=self.kernel_backend,
             )
 
-        #: rank executor running the bulk-synchronous parallel sections
-        #: (see :mod:`repro.parallel.executor`); the Poisson solver
-        #: shares it for the CIC deposit, gathers and gradient FFTs
+        #: rank executor running the per-domain short-range solves
+        #: (see :mod:`repro.parallel.executor`); the PM solve is serial
         self.executor = RankExecutor.from_config(config)
-        self.poisson.executor = self.executor
         self._worker_local = threading.local()
 
         self.exchange: OverloadExchange | None = None

@@ -19,7 +19,6 @@ from repro.grid.filters import (
     super_lanczos_gradient,
 )
 from repro.grid.poisson import SpectralPoissonSolver
-from repro.grid.threaded_cic import ThreadedCIC
 
 __all__ = [
     "ParticleGridCoords",
@@ -30,5 +29,4 @@ __all__ = [
     "influence_function",
     "super_lanczos_gradient",
     "SpectralPoissonSolver",
-    "ThreadedCIC",
 ]

@@ -22,7 +22,7 @@ the time stepper, keeping this layer free of unit conventions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -58,16 +58,6 @@ class SpectralPoissonSolver:
         Influence-function accuracy order (2, 4 or 6).
     gradient_order:
         Super-Lanczos differencing order (2 or 4).
-    executor:
-        Optional :class:`repro.parallel.executor.RankExecutor`.  With
-        more than one worker, the CIC deposit runs privatized over
-        worker chunks (:class:`repro.grid.threaded_cic.ThreadedCIC`),
-        the three gradient inverse FFTs run concurrently ("each
-        component of the potential field gradient then requires an
-        independent FFT" — a free 3-way section), and so do the three
-        CIC force gathers.  Partitioning depends only on the worker
-        *count*, so equal-``workers`` runs agree bitwise across
-        backends.
     dtype:
         Grid precision.  ``None`` (default) keeps the historical float64
         spectral path untouched; ``np.float32`` runs the whole PM force
@@ -98,7 +88,6 @@ class SpectralPoissonSolver:
     ns: int = NOMINAL_NS
     laplacian_order: int = 6
     gradient_order: int = 4
-    executor: object | None = field(default=None, repr=False, compare=False)
     dtype: object = None
     kernel_backend: str | None = None
 
@@ -134,17 +123,12 @@ class SpectralPoissonSolver:
             )).astype(cplx, copy=False)
             for kc in (kx, ky, kz)
         )
-        self._threaded_cic = None
         # lazily imported: repro.shortrange imports this module
         from repro.shortrange.backends import Workspace
 
-        #: grow-only CIC scratch of the serial path (the backends are
-        #: process-wide singletons, so the solver owns it)
+        #: grow-only CIC deposit scratch (the backends are process-wide
+        #: singletons, so the solver owns it)
         self._cic_workspace = Workspace()
-
-    def _parallel(self) -> bool:
-        ex = self.executor
-        return ex is not None and getattr(ex, "parallel", False)
 
     # ------------------------------------------------------------------
     # grid-level operations
@@ -177,25 +161,13 @@ class SpectralPoissonSolver:
         """
         self._check_grid(delta)
         phi_k = self.potential_k(self._forward(delta))
-        if self._parallel():
-            # the three components are independent inverse transforms;
-            # the thread backend runs them concurrently, the serial one
-            # as the ordered loop
-            return tuple(
-                self.executor.map(
-                    self._grad_component,
-                    [(k, phi_k) for k in self._neg_grad_kernels],
-                    label="fft.gradient",
-                )
-            )
         return tuple(
-            self._grad_component((kernel, phi_k))
+            self._grad_component(kernel, phi_k)
             for kernel in self._neg_grad_kernels
         )
 
-    def _grad_component(self, payload) -> np.ndarray:
+    def _grad_component(self, kernel, phi_k) -> np.ndarray:
         """One gradient component: filter multiply + inverse FFT."""
-        kernel, phi_k = payload
         reg = get_registry()
         with reg.span("poisson.filter"):
             grad_k = kernel * phi_k
@@ -264,72 +236,28 @@ class SpectralPoissonSolver:
         Neither pass builds a per-particle corner table: the backend
         finds each particle's eight corners from its position, the
         deposit's scratch lives in the solver's grow-only workspace, and
-        the serial path gathers all three force components in one pass
-        straight into the returned array.
+        one pass gathers all three force components straight into the
+        returned array.
         """
         dt = self._dtype
-        if self._parallel():
-            counts = self._deposit_parallel(positions, weights)
-        else:
-            counts = cic_deposit(
-                positions, self.n, self.box_size, weights,
-                dtype=dt, backend=self.kernel_backend,
-                workspace=self._cic_workspace,
-            )
+        counts = cic_deposit(
+            positions, self.n, self.box_size, weights,
+            dtype=dt, backend=self.kernel_backend,
+            workspace=self._cic_workspace,
+        )
         # the mean reduces ~n^3 values: accumulate it in float64 even on
         # the float32 path (a scalar, so this is not an array upcast)
         mean = counts.mean(dtype=np.float64)
         if mean <= 0:
             raise ValueError("empty particle distribution")
         delta = counts / counts.dtype.type(mean) - counts.dtype.type(1.0)
-        if not self._parallel():
-            acc = cic_interpolate(
-                list(self.force_grids(delta)), positions, self.box_size,
-                dtype=dt, backend=self.kernel_backend,
-            )
-        else:
-            acc = np.stack(
-                self.executor.map(
-                    self._gather_component,
-                    [(f, positions) for f in self.force_grids(delta)],
-                    label="cic.gather",
-                ),
-                axis=1,
-            )
+        acc = cic_interpolate(
+            list(self.force_grids(delta)), positions, self.box_size,
+            dtype=dt, backend=self.kernel_backend,
+        )
         if return_delta:
             return acc, delta
         return acc
-
-    def _gather_component(self, payload) -> np.ndarray:
-        """One axis's CIC force gather: the same backend primitive as
-        the serial path's three-grid call, with one grid."""
-        force, positions = payload
-        return cic_interpolate(
-            force, positions, self.box_size,
-            dtype=self._dtype, backend=self.kernel_backend,
-        )
-
-    def _deposit_parallel(self, positions, weights) -> np.ndarray:
-        """Privatized worker-chunked CIC deposit through the executor.
-
-        The partition depends only on the worker count and the reduction
-        order is fixed, so the grid is identical across executor
-        backends at equal ``workers`` (and equals the serial deposit to
-        float64 round-off — the reduction reassociates the sums).
-        """
-        from repro.grid.threaded_cic import ThreadedCIC
-
-        tc = self._threaded_cic
-        if tc is None or tc.n_workers != self.executor.n_workers:
-            tc = ThreadedCIC(
-                self.executor.n_workers,
-                strategy="privatize",
-                executor=self.executor,
-                dtype=None if self.dtype is None else self._dtype,
-                kernel_backend=self.kernel_backend,
-            )
-            self._threaded_cic = tc
-        return tc.deposit(positions, self.n, self.box_size, weights)
 
     # ------------------------------------------------------------------
     # distributed path (pencil FFT)

@@ -4,31 +4,28 @@ The paper's evaluation is built on hybrid parallelism — MPI ranks across
 nodes plus OpenMP threads within a node (Section IV, Fig. 5).  In this
 reproduction the ranks are simulated in one process, but the *structure*
 is the same: between bulk-synchronous :class:`~repro.parallel.comm.
-SimulatedComm` collectives, each rank's short-range solve (and each
-gradient component's inverse FFT) is independent work.  The
-:class:`RankExecutor` maps that work onto one of two interchangeable
-backends:
+SimulatedComm` collectives, each rank's short-range solve is independent
+work.  The :class:`RankExecutor` maps that work onto one of two
+interchangeable backends:
 
 ``serial``
-    An ordered in-thread loop over the *same work partition* the thread
-    backend uses.  The default, and the reference the thread backend
-    must match bit-for-bit.
+    An ordered in-thread loop.  The default, and the reference the
+    thread backend must match bit-for-bit.
 ``thread``
     A persistent :class:`~concurrent.futures.ThreadPoolExecutor`.  The
-    compiled pair and CIC kernels and pocketfft release the GIL, so rank
-    solves genuinely overlap (the analogue of the paper's OpenMP threads
-    within a node).
+    compiled pair kernel releases the GIL, so rank solves genuinely
+    overlap (the analogue of the paper's OpenMP threads within a node,
+    which thread the short-range force kernel, Fig. 5).  The long-range
+    PM solve stays serial, as in the paper's measured runs.
 
 Determinism contract: the executor changes **where** tasks run, never
-**what** they compute or the order results are consumed.  Work is
-*partitioned* by the worker count alone — the serial backend at
-``workers=4`` walks the exact 4-way partition the thread backend
-dispatches, just in order.  ``map`` returns results in payload order,
-the caller performs all reductions in that fixed order, and both
-backends run the identical per-task float operations — so trajectories
-are bit-identical across backends (a test pins this).  Collectives stay
-atomic: the executor joins all ranks before any :class:`SimulatedComm`
-call, exactly the bulk-synchronous structure of the paper's code.
+**what** they compute or the order results are consumed.  Each task is
+one rank's whole solve, ``map`` returns results in payload order and
+the caller performs all reductions in that fixed order, so every
+``(backend, workers)`` pair gives the bits of serial at ``workers=1``
+(a test pins this).  Collectives stay atomic: the executor joins all
+ranks before any :class:`SimulatedComm` call, exactly the
+bulk-synchronous structure of the paper's code.
 """
 
 from __future__ import annotations
@@ -80,10 +77,8 @@ class RankExecutor:
     backend:
         ``"serial"`` or ``"thread"``.
     workers:
-        Worker count (must be >= 1).  Sets the work *partition* for
-        both backends; the serial backend runs that same partition as
-        an ordered loop, so ``workers`` alone determines the float
-        reassociation and the backends agree bitwise.
+        Worker count (must be >= 1): how many threads the thread
+        backend runs tasks on.  It never changes a result.
 
     Notes
     -----
@@ -117,14 +112,9 @@ class RankExecutor:
         )
 
     @property
-    def n_workers(self) -> int:
-        """Partition width — identical across backends by design."""
-        return self.workers
-
-    @property
     def parallel(self) -> bool:
         """True when dispatch should fan work out (workers > 1)."""
-        return self.n_workers > 1
+        return self.workers > 1
 
     @property
     def _threaded(self) -> bool:

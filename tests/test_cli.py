@@ -14,6 +14,16 @@ class TestMain:
         out = capsys.readouterr().out
         assert "PFlops" in out
         assert "13.9" in out  # headline
+        # the inventory names every subpackage of src/repro
+        import pathlib
+
+        import repro
+
+        root = pathlib.Path(repro.__file__).parent
+        line = next(l for l in out.splitlines() if l.startswith("subpackages:"))
+        named = {s.strip() for s in line.split(":", 1)[1].split(",")}
+        packages = {p.parent.name for p in root.glob("*/__init__.py")}
+        assert packages <= named, sorted(packages - named)
 
     def test_tables(self, capsys):
         assert main(["tables"]) == 0

@@ -1,5 +1,5 @@
-"""Tests for the Layzer-Irvine monitor, checkpointing, multi-tree solver
-and threaded CIC — the paper's future-work / production features."""
+"""Tests for the Layzer-Irvine monitor, checkpointing and the multi-tree
+solver — the paper's future-work / production features."""
 
 import numpy as np
 import pytest
@@ -7,8 +7,6 @@ import pytest
 from repro import HACCSimulation, SimulationConfig
 from repro.core.diagnostics import LayzerIrvineMonitor
 from repro.core.particles import Particles
-from repro.grid.cic import cic_deposit
-from repro.grid.threaded_cic import ThreadedCIC
 from repro.grid.poisson import SpectralPoissonSolver
 from repro.io.checkpoint import load_checkpoint, save_checkpoint
 from repro.shortrange.kernel import ShortRangeKernel
@@ -252,49 +250,3 @@ class TestMultiTree:
             MultiTreeShortRange(k, n_trees=3)
         with pytest.raises(ValueError):
             MultiTreeShortRange(k, leaf_size=0)
-
-
-class TestThreadedCIC:
-    @pytest.mark.parametrize("strategy", ThreadedCIC.STRATEGIES)
-    @pytest.mark.parametrize("workers", [1, 2, 4, 7])
-    def test_matches_serial(self, rng, strategy, workers):
-        pos = rng.uniform(0, 25.0, (3000, 3))
-        w = rng.uniform(0.5, 2.0, 3000)
-        serial = cic_deposit(pos, 16, 25.0, w)
-        threaded = ThreadedCIC(workers, strategy).deposit(pos, 16, 25.0, w)
-        assert np.allclose(threaded, serial, atol=1e-12)
-
-    def test_privatize_worker_independence(self, rng):
-        """Result identical across worker counts (deterministic
-        reduction order)."""
-        pos = rng.uniform(0, 25.0, (2000, 3))
-        a = ThreadedCIC(2, "privatize").deposit(pos, 8, 25.0)
-        b = ThreadedCIC(8, "privatize").deposit(pos, 8, 25.0)
-        assert np.allclose(a, b, atol=1e-12)
-
-    def test_report_memory_cost(self, rng):
-        pos = rng.uniform(0, 25.0, (100, 3))
-        t = ThreadedCIC(4, "privatize")
-        t.deposit(pos, 8, 25.0)
-        assert t.last_report.private_grid_bytes == 4 * 8**3 * 8
-        slab = ThreadedCIC(4, "slab")
-        slab.deposit(pos, 8, 25.0)
-        assert slab.last_report.private_grid_bytes == 8**3 * 8
-
-    def test_slab_load_tracks_particle_distribution(self, rng):
-        """Slab strategy inherits spatial imbalance — the trade-off vs
-        privatization."""
-        pos = rng.uniform(0, 25.0, (4000, 3))
-        pos[:, 0] = rng.uniform(0, 6.0, 4000)  # everything in low-x slabs
-        t = ThreadedCIC(4, "slab")
-        t.deposit(pos, 16, 25.0)
-        assert t.last_report.load_imbalance > 2.0
-        p = ThreadedCIC(4, "privatize")
-        p.deposit(pos, 16, 25.0)
-        assert p.last_report.load_imbalance < 1.01
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            ThreadedCIC(0)
-        with pytest.raises(ValueError):
-            ThreadedCIC(2, "atomic")

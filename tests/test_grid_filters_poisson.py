@@ -124,6 +124,14 @@ class TestPoissonSolver:
         assert np.abs(fy).max() < 1e-12
         assert np.abs(fz).max() < 1e-12
 
+    def test_negated_gradient_kernels_precomputed(self):
+        from repro.cosmology.gaussian_field import fourier_grid
+
+        s = SpectralPoissonSolver(8, 64.0)
+        kx, _, _ = fourier_grid(8, 64.0)
+        direct = super_lanczos_gradient(kx, s.spacing, s.gradient_order)
+        assert np.array_equal(s._neg_grad_kernels[0], -direct)
+
     def test_mean_mode_ignored(self):
         s = SpectralPoissonSolver(8, 1.0)
         phi = s.potential(np.full((8, 8, 8), 2.0))

@@ -29,8 +29,6 @@ from repro.core.particles import Particles
 from repro.core.simulation import HACCSimulation
 from repro.grid.cic import ParticleGridCoords, cic_deposit, cic_interpolate
 from repro.grid.poisson import SpectralPoissonSolver
-from repro.grid.threaded_cic import ThreadedCIC
-from repro.parallel.executor import RankExecutor
 from repro.shortrange import backends as backends_mod
 from repro.shortrange.backends import (
     BackendUnavailable,
@@ -783,18 +781,6 @@ class TestCICBitwise:
         grid = cic_deposit(pos, 8, BOX)
         cic_interpolate(grid, pos, BOX)
         assert seen == ["cic_deposit", "cic_gather"]
-
-    def test_threaded_cic_on_c_equals_numpy(self, rng):
-        pos = rng.uniform(-BOX, 2 * BOX, (3000, 3))
-        w = rng.uniform(0.5, 1.5, 3000)
-        for dtype in (None, np.float32):
-            grids = {}
-            for backend in ("numpy", "c"):
-                with RankExecutor(backend="thread", workers=2) as ex:
-                    grids[backend] = ThreadedCIC(
-                        2, executor=ex, dtype=dtype, kernel_backend=backend
-                    ).deposit(pos, 16, BOX, w)
-            assert_same_bits(grids["numpy"], grids["c"])
 
     def test_concurrent_deposits_with_own_workspaces(self, cbackend, rng):
         """The calls drop the GIL; two threads, each with its own

@@ -1,11 +1,11 @@
 """Tests for the rank executor (``repro.parallel.executor``).
 
 Covers the executor unit surface (backends, ordered results, failure
-attribution, lifecycle), the wiring into the threaded CIC deposit and
-the Poisson solver, and the executor's headline guarantee:
-**equal-``workers`` runs are bit-identical across the serial and thread
-backends**, because the work partition depends only on the worker count
-and every reduction happens in the caller in fixed order.
+attribution, lifecycle) and the executor's headline guarantee:
+**no ``(backend, workers)`` pair changes a result** — every run is
+bit-identical to serial at ``workers=1``, because each task is one
+domain's whole solve and every reduction happens in the caller in fixed
+order.
 
 Under the ``chaos`` marker the rank-death recovery story is re-run with
 the fleet dispatched on ``REPRO_CHAOS_WORKERS`` workers (default 4),
@@ -22,9 +22,6 @@ import pytest
 
 from repro.config import SimulationConfig
 from repro.core.simulation import HACCSimulation
-from repro.grid.cic import cic_deposit
-from repro.grid.poisson import SpectralPoissonSolver
-from repro.grid.threaded_cic import ThreadedCIC
 from repro.instrument import get_telemetry
 from repro.instrument.registry import disable as disable_registry
 from repro.instrument.registry import enable as enable_registry
@@ -116,11 +113,9 @@ class TestRankExecutor:
             RankExecutor(workers=0)
 
     def test_partition_width_is_backend_independent(self):
-        # the determinism contract hinges on this: the partition (and
-        # hence the float reassociation) is set by `workers` alone
         for backend in EXECUTOR_BACKENDS:
             ex = RankExecutor(backend=backend, workers=3)
-            assert ex.n_workers == 3
+            assert ex.workers == 3
             assert ex.parallel
             ex.close()
         assert not RankExecutor(backend="thread", workers=1).parallel
@@ -181,91 +176,6 @@ class TestRankExecutor:
 
 
 # ----------------------------------------------------------------------
-# threaded CIC through the executor (satellite: Section VI wiring)
-# ----------------------------------------------------------------------
-class TestThreadedCICExecutor:
-    N, GRID = 500, 12
-
-    def _cloud(self):
-        rng = np.random.default_rng(5)
-        pos = rng.uniform(0.0, BOX, (self.N, 3))
-        w = rng.uniform(0.5, 1.5, self.N)
-        return pos, w
-
-    @pytest.mark.parametrize("backend", EXECUTOR_BACKENDS)
-    def test_executor_deposit_matches_sequential_simulation(self, backend):
-        pos, w = self._cloud()
-        expected = ThreadedCIC(3).deposit(pos, self.GRID, BOX, w)
-        with RankExecutor(backend=backend, workers=3) as ex:
-            tc = ThreadedCIC(3, executor=ex)
-            got = tc.deposit(pos, self.GRID, BOX, w)
-        # identical partition + fixed-order reduction => bitwise equal
-        assert np.array_equal(got, expected)
-        assert tc.last_report.n_workers == 3
-
-    def test_deposit_close_to_plain_cic(self):
-        pos, w = self._cloud()
-        plain = cic_deposit(pos, self.GRID, BOX, w)
-        with RankExecutor(backend="thread", workers=4) as ex:
-            got = ThreadedCIC(4, executor=ex).deposit(
-                pos, self.GRID, BOX, w
-            )
-        # reassociated sums: equal to round-off, not bitwise
-        np.testing.assert_allclose(got, plain, rtol=0, atol=1e-12)
-
-
-# ----------------------------------------------------------------------
-# Poisson solver through the executor
-# ----------------------------------------------------------------------
-class TestPoissonParallel:
-    def _cloud(self, n=400):
-        rng = np.random.default_rng(9)
-        return rng.uniform(0.0, BOX, (n, 3))
-
-    def test_force_grids_bitwise_across_backends(self):
-        rng = np.random.default_rng(2)
-        delta = rng.standard_normal((8, 8, 8))
-        plain = SpectralPoissonSolver(8, BOX).force_grids(delta)
-        for backend in EXECUTOR_BACKENDS:
-            with RankExecutor(backend=backend, workers=3) as ex:
-                s = SpectralPoissonSolver(8, BOX, executor=ex)
-                got = s.force_grids(delta)
-            for g, p in zip(got, plain):
-                # the gradient FFTs are independent per component: the
-                # parallel path reorders nothing, so even the serial
-                # no-executor solver matches bitwise
-                assert np.array_equal(g, p)
-
-    def test_accelerations_bitwise_across_backends(self):
-        pos = self._cloud()
-        outs = {}
-        for backend in EXECUTOR_BACKENDS:
-            with RankExecutor(backend=backend, workers=3) as ex:
-                s = SpectralPoissonSolver(8, BOX, executor=ex)
-                outs[backend] = s.accelerations(pos)
-        assert np.array_equal(outs["serial"], outs["thread"])
-
-    def test_accelerations_close_to_unpartitioned(self):
-        pos = self._cloud()
-        plain = SpectralPoissonSolver(8, BOX).accelerations(pos)
-        with RankExecutor(backend="thread", workers=3) as ex:
-            got = SpectralPoissonSolver(8, BOX, executor=ex).accelerations(
-                pos
-            )
-        scale = np.abs(plain).max()
-        np.testing.assert_allclose(got, plain, atol=1e-12 * max(scale, 1))
-
-    def test_negated_gradient_kernels_precomputed(self):
-        from repro.cosmology.gaussian_field import fourier_grid
-        from repro.grid.filters import super_lanczos_gradient
-
-        s = SpectralPoissonSolver(8, BOX)
-        kx, _, _ = fourier_grid(8, BOX)
-        direct = super_lanczos_gradient(kx, s.spacing, s.gradient_order)
-        assert np.array_equal(s._neg_grad_kernels[0], -direct)
-
-
-# ----------------------------------------------------------------------
 # the headline guarantee: bit-identical trajectories across backends
 # ----------------------------------------------------------------------
 class TestSimulationDeterminism:
@@ -276,15 +186,17 @@ class TestSimulationDeterminism:
         assert np.array_equal(mom, ref_mom)
         assert n_int == ref_int
 
-    def test_worker_count_changes_only_roundoff(self):
-        p1, _, i1 = run_sim(1, "serial")
-        p4, _, i4 = run_sim(4, "serial")
-        # the pair lists (hence interaction counts) are partition
-        # independent; positions drift only by CIC-reduction round-off
-        assert i1 == i4
-        diff = np.abs(p4 - p1)
-        diff = np.minimum(diff, BOX - diff)
-        assert np.max(diff) < 1e-9
+    @pytest.mark.parametrize(
+        "executor, workers", [("serial", 4), ("thread", 2), ("thread", 4)]
+    )
+    def test_worker_count_never_changes_result(self, executor, workers):
+        # the PM solve is serial and each task is one whole domain solve,
+        # so no worker count reassociates a sum
+        ref_pos, ref_mom, ref_int = run_sim(1, "serial")
+        pos, mom, n_int = run_sim(workers, executor)
+        assert np.array_equal(pos, ref_pos)
+        assert np.array_equal(mom, ref_mom)
+        assert n_int == ref_int
 
     def test_manifest_records_executor_and_workers(self):
         cfg = tiny_config(workers=4, executor="thread")

@@ -1,5 +1,5 @@
 """Property-based tests for the extension modules: rendering, emulation
-design, Vlasov conservation, the threaded CIC and RCB blocking."""
+design, Vlasov conservation and RCB blocking."""
 
 import numpy as np
 import pytest
@@ -9,8 +9,6 @@ from hypothesis.extra.numpy import arrays
 
 from repro.analysis.render import apply_colormap, log_stretch, read_ppm, write_ppm
 from repro.cosmology.emulator import ParameterBox, latin_hypercube
-from repro.grid.cic import cic_deposit
-from repro.grid.threaded_cic import ThreadedCIC
 from repro.shortrange.multitree import rcb_blocks
 from repro.vlasov import SheetModel
 
@@ -108,20 +106,6 @@ class TestVlasovProperties:
     def test_sheet_lattice_equilibrium(self, n):
         sm = SheetModel.cold_perturbation(n, 1.0, 0.0)
         assert np.abs(sm.acceleration()).max() < 1e-10
-
-
-class TestThreadedCICProperties:
-    @given(
-        workers=st.integers(min_value=1, max_value=9),
-        seed=st.integers(min_value=0, max_value=50),
-    )
-    @settings(max_examples=15, deadline=None)
-    def test_privatize_exactness(self, workers, seed):
-        rng = np.random.default_rng(seed)
-        pos = rng.uniform(0, 8.0, (200, 3))
-        serial = cic_deposit(pos, 8, 8.0)
-        threaded = ThreadedCIC(workers, "privatize").deposit(pos, 8, 8.0)
-        assert np.allclose(threaded, serial, atol=1e-12)
 
 
 class TestRCBBlockProperties:
