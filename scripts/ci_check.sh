@@ -7,9 +7,10 @@
 # under --workers 2; demo has no decomposition, so nothing reaches the
 # workers), an executor triplet (the same decomposed run CLI at
 # serial@1, serial@2 and thread@2; the final checkpoints' positions and
-# momenta must be byte-identical, since workers never change a result),
-# the
-# deterministic chaos lane twice
+# momenta must be byte-identical and their whole verified manifests --
+# the CRC32 of every stored array: positions, momenta, masses, ids and
+# a -- equal, since workers never change a result), the deterministic
+# chaos lane twice
 # (fault-injection tests under a fixed seed, REPRO_CHAOS_SEED — once on
 # the default serial fleet, once dispatched over REPRO_CHAOS_WORKERS
 # thread workers), the gated Fig. 5 kernel benchmarks plus the
@@ -68,19 +69,23 @@ for lane in serial:1 serial:2 thread:2; do
 done
 PYTHONPATH=src "$PYTHON" - "$CI_OBS_DIR" <<'PYEOF'
 import pathlib, sys
-from repro.io import find_latest_valid, load_checkpoint
+from repro.io import find_latest_valid, load_checkpoint, verify_checkpoint
 root = pathlib.Path(sys.argv[1])
 lanes = ("serial@1", "serial@2", "thread@2")
-state = {l: load_checkpoint(find_latest_valid(root / f"run-{l}")).particles
-         for l in lanes}
+final = {l: find_latest_valid(root / f"run-{l}") for l in lanes}
+state = {l: load_checkpoint(final[l]).particles for l in lanes}
+sums = {l: verify_checkpoint(final[l])["checksums"] for l in lanes}
 ref = state["serial@1"]
 for lane in lanes[1:]:
     for field in ("positions", "momenta"):
         a, b = getattr(ref, field), getattr(state[lane], field)
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), \
             f"executor triplet: {field} differ between serial@1 and {lane}"
+    assert sums[lane] == sums["serial@1"], \
+        f"executor triplet: checkpoint manifests differ between serial@1 " \
+        f"and {lane}: {sums['serial@1']} vs {sums[lane]}"
 print("executor triplet: serial@1, serial@2 and thread@2 final states "
-      "bitwise equal")
+      "bitwise equal, manifests equal")
 PYEOF
 
 echo "== 4/12 chaos lane (pytest -m chaos, seed $REPRO_CHAOS_SEED) =="

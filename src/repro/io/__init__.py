@@ -1,4 +1,4 @@
-"""Snapshot and measurement I/O (compressed ``.npz`` containers)."""
+"""Snapshot, measurement and checkpoint I/O (``.npz`` containers)."""
 
 from repro.io.snapshots import (
     load_power_history,

@@ -12,10 +12,13 @@ Hardening (the fault model is a crash or corruption at any byte):
 * **atomic writes** — the state is serialized to a temporary file in the
   destination directory and published with ``os.replace``; a reader
   never observes a half-written checkpoint under the final name;
-* **checksums** — every array is covered by a CRC32C recorded in the
-  metadata manifest and verified on load; silent corruption (bit rot, a
-  torn RAID stripe) surfaces as a typed :class:`CheckpointError` instead
-  of garbage physics;
+* **checksums** — every array is covered by a CRC32 (``zlib.crc32``
+  over its buffer; format 2 files carry CRC32C, still verified) recorded
+  in the metadata manifest and verified on load; silent corruption (bit
+  rot, a torn RAID stripe) surfaces as a typed :class:`CheckpointError`
+  instead of garbage physics.  Members are stored uncompressed (float
+  mantissas barely deflate), so the CRCs, not inflate, catch payload
+  flips;
 * **rotation + fallback** — :class:`Checkpointer` keeps the newest
   ``keep_last`` files of a run directory and
   :func:`find_latest_valid` walks them newest-first, skipping anything
@@ -30,8 +33,8 @@ Hardening (the fault model is a crash or corruption at any byte):
 
 All load-side failures raise :class:`CheckpointError` carrying the
 offending path; foreign ``.npz`` files report the keys they *did*
-contain, and files written by a future format version are rejected
-instead of being misread.
+contain, malformed manifests are rejected, and files written by a
+future format version are rejected instead of being misread.
 """
 
 from __future__ import annotations
@@ -41,6 +44,7 @@ import logging
 import os
 import re
 import time
+import zlib
 from dataclasses import asdict
 from pathlib import Path
 from typing import Callable
@@ -65,9 +69,10 @@ __all__ = [
 
 logger = logging.getLogger(__name__)
 
-_FORMAT_VERSION = 2
-#: versions this reader understands (1 = pre-checksum files)
-_SUPPORTED_VERSIONS = (1, 2)
+_FORMAT_VERSION = 3
+#: versions this reader understands (1 = pre-checksum files, 2 = CRC32C
+#: manifest over deflated members, 3 = zlib CRC32 over stored members)
+_SUPPORTED_VERSIONS = (1, 2, 3)
 
 #: arrays every checkpoint carries
 _ARRAY_KEYS = ("positions", "momenta", "masses", "ids", "a")
@@ -91,8 +96,9 @@ class CheckpointError(Exception):
 
 
 # ----------------------------------------------------------------------
-# CRC32C (Castagnoli): the checksum the paper-era GPFS/burst-buffer
-# stacks use for data integrity; table-driven, reflected poly 0x1EDC6F41
+# checksums: zlib's CRC32 (format 3) runs in C over the array buffer;
+# CRC32C (Castagnoli, table-driven, reflected poly 0x1EDC6F41) verifies
+# format 2 files only
 # ----------------------------------------------------------------------
 def _crc32c_table() -> list[int]:
     poly = 0x82F63B78  # reflected Castagnoli polynomial
@@ -118,6 +124,11 @@ def crc32c(data: bytes | bytearray | memoryview | np.ndarray) -> int:
     for byte in memoryview(data):
         crc = table[(crc ^ byte) & 0xFF] ^ (crc >> 8)
     return crc ^ 0xFFFFFFFF
+
+
+def _crc32(arr: np.ndarray) -> int:
+    """zlib CRC32 of an array's raw bytes, read in place."""
+    return zlib.crc32(memoryview(np.ascontiguousarray(arr)).cast("B"))
 
 
 # ----------------------------------------------------------------------
@@ -186,10 +197,10 @@ def _apply_checkpoint_fault(path: Path, spec: dict) -> None:
 def save_checkpoint(path: str | Path, sim: HACCSimulation) -> Path:
     """Atomically write the simulation's full restartable state.
 
-    The arrays and their CRC32C manifest are serialized to a temporary
-    sibling file which is fsynced and renamed over the destination; a
-    crash at any point leaves either the previous file or none, never a
-    torn one.  Returns the (suffix-normalized) final path.
+    The arrays (stored, not deflated) and their CRC32 manifest are
+    serialized to a temporary sibling file which is fsynced and renamed
+    over the destination; a crash at any point leaves either the previous
+    file or none, never a torn one.  Returns the (suffix-normalized) final path.
     """
     p = _normalize_path(path)
     arrays = {
@@ -200,14 +211,14 @@ def save_checkpoint(path: str | Path, sim: HACCSimulation) -> Path:
         "a": np.float64(sim.a),
     }
     checksums = {
-        name: f"{crc32c(np.asarray(arr)):08x}" for name, arr in arrays.items()
+        name: f"{_crc32(arr):08x}" for name, arr in arrays.items()
     }
     meta = _checkpoint_metadata(sim, checksums)
     p.parent.mkdir(parents=True, exist_ok=True)
     tmp = p.parent / f".{p.name}.tmp-{os.getpid()}.npz"
     try:
         with open(tmp, "wb") as fh:
-            np.savez_compressed(fh, metadata=json.dumps(meta), **arrays)
+            np.savez(fh, metadata=json.dumps(meta), **arrays)
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, p)
@@ -248,6 +259,14 @@ def _read_metadata(path: Path, data) -> dict:
         raise CheckpointError(
             path, f"unsupported checkpoint format_version: {version}"
         )
+    checksums = meta.get("checksums")
+    if checksums is not None and not (
+        isinstance(checksums, dict) and set(checksums) <= set(_ARRAY_KEYS)
+    ):
+        raise CheckpointError(path, f"invalid checksums: {checksums!r}")
+    step = meta.get("step_index")
+    if type(step) is not int or step < 0:
+        raise CheckpointError(path, f"missing/invalid step_index: {step!r}")
     return meta
 
 
@@ -271,7 +290,7 @@ def _load_verified(path: Path) -> tuple[dict, dict]:
                 )
             # materialize inside the context so a truncated member
             # surfaces here, not lazily at first use
-            arrays = {k: np.asarray(data[k]).copy() for k in _ARRAY_KEYS}
+            arrays = {k: data[k] for k in _ARRAY_KEYS}
     except CheckpointError:
         raise
     except FileNotFoundError as exc:
@@ -280,16 +299,15 @@ def _load_verified(path: Path) -> tuple[dict, dict]:
         raise CheckpointError(
             path, f"unreadable ({type(exc).__name__}: {exc})"
         ) from exc
-    checksums = meta.get("checksums")
-    if checksums:
-        for name, expected in checksums.items():
-            actual = f"{crc32c(arrays[name]):08x}"
-            if actual != expected:
-                raise CheckpointError(
-                    path,
-                    f"checksum mismatch on {name!r}: "
-                    f"recorded {expected}, computed {actual}",
-                )
+    checksum = _crc32 if meta["format_version"] >= 3 else crc32c
+    for name, expected in (meta.get("checksums") or {}).items():
+        actual = f"{checksum(arrays[name]):08x}"
+        if actual != expected:
+            raise CheckpointError(
+                path,
+                f"checksum mismatch on {name!r}: "
+                f"recorded {expected}, computed {actual}",
+            )
     return meta, arrays
 
 

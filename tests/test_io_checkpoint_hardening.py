@@ -1,13 +1,20 @@
 """Tests for the hardened checkpoint layer (``repro.io.checkpoint``).
 
-Suffix normalization, CRC32C checksums, typed load errors (foreign
-files, future versions), crash-mid-write torn files, rotation fallback,
-scheduling, and atomic publication.
+Suffix normalization, the format-3 layout (stored members, zlib CRC32
+manifest), format-2 back-compat (CRC32C) on a committed file, typed load
+errors (foreign files, future versions, malformed manifests),
+crash-mid-write torn files, rotation fallback, scheduling, and atomic
+publication.
 """
 
 from __future__ import annotations
 
 import json
+import shutil
+import struct
+import zipfile
+import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,6 +31,25 @@ from repro.io import (
     save_checkpoint,
     verify_checkpoint,
 )
+
+
+#: a format-2 checkpoint of ``tiny_sim()`` after one step, written by the
+#: format-2 writer (CRC32C manifest, deflated members)
+FORMAT2_FIXTURE = Path(__file__).parent / "data" / "ckpt_format2_tiny.npz"
+
+
+def rewrite(src, dst, edit_meta=None, **array_edits):
+    """Copy checkpoint ``src`` to ``dst`` with its manifest passed
+    through ``edit_meta`` and arrays replaced, keeping everything else."""
+    with np.load(src) as data:
+        arrays = {k: np.array(data[k]) for k in data.files
+                  if k != "metadata"}
+        meta = json.loads(str(data["metadata"]))
+    if edit_meta is not None:
+        edit_meta(meta)
+    arrays.update(array_edits)
+    np.savez(dst, metadata=json.dumps(meta), **arrays)
+    return dst
 
 
 def tiny_sim(n_steps: int = 2, **overrides) -> HACCSimulation:
@@ -171,10 +197,169 @@ class TestTypedErrors:
         sim = tiny_sim()
         path = save_checkpoint(tmp_path / "ok", sim)
         meta = verify_checkpoint(path)
-        assert meta["format_version"] == 2
+        assert meta["format_version"] == 3
         assert set(meta["checksums"]) == {
             "positions", "momenta", "masses", "ids", "a",
         }
+
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda m: m["checksums"].update(velocities="00000000"),
+            lambda m: m.update(checksums=["positions"]),
+            lambda m: m.pop("step_index"),
+            lambda m: m.update(step_index=-1),
+            lambda m: m.update(step_index="1"),
+        ],
+        ids=["unknown-array", "list-checksums", "no-step-index",
+             "negative-step-index", "string-step-index"],
+    )
+    def test_malformed_manifest_is_typed(self, tmp_path, edit):
+        path = save_checkpoint(tmp_path / "ok", tiny_sim())
+        bad = rewrite(path, tmp_path / "bad.npz", edit)
+        with pytest.raises(CheckpointError):
+            verify_checkpoint(bad)
+        with pytest.raises(CheckpointError):
+            load_checkpoint(bad)
+
+
+class TestFormat3Layout:
+    """Format 3 stores members uncompressed under a zlib CRC32 manifest;
+    with nothing to fail in inflate, the CRCs alone catch payload
+    flips."""
+
+    def test_members_are_stored(self, tmp_path):
+        path = save_checkpoint(tmp_path / "ok", tiny_sim())
+        with zipfile.ZipFile(path) as zf:
+            infos = zf.infolist()
+        assert {i.filename for i in infos} == {
+            "metadata.npy", "positions.npy", "momenta.npy", "masses.npy",
+            "ids.npy", "a.npy",
+        }
+        assert all(i.compress_type == zipfile.ZIP_STORED for i in infos)
+
+    def test_manifest_is_zlib_crc32(self, tmp_path):
+        sim = tiny_sim()
+        sim.step()
+        meta = verify_checkpoint(save_checkpoint(tmp_path / "ok", sim))
+        positions = sim.particles.positions
+        assert meta["checksums"]["positions"] == (
+            f"{zlib.crc32(positions.tobytes()):08x}"
+        )
+
+    @pytest.mark.parametrize(
+        "member", ["metadata", "positions", "momenta", "masses", "ids", "a"]
+    )
+    def test_payload_byteflip_in_every_member_detected(self, tmp_path,
+                                                       member):
+        path = save_checkpoint(tmp_path / "ok", tiny_sim())
+        with zipfile.ZipFile(path) as zf:
+            info = zf.getinfo(f"{member}.npy")
+        with np.load(path) as data:
+            nbytes = data[member].nbytes
+        raw = bytearray(path.read_bytes())
+        name_len, extra_len = struct.unpack_from(
+            "<HH", raw, info.header_offset + 26
+        )
+        start = info.header_offset + 30 + name_len + extra_len
+        # the middle byte of the array data after the .npy header
+        offset = start + info.compress_size - nbytes + nbytes // 2
+        raw[offset] ^= 0x01
+        path.write_bytes(bytes(raw))
+        with pytest.raises(CheckpointError):
+            verify_checkpoint(path)
+        with pytest.raises(CheckpointError):
+            load_checkpoint(path)
+
+
+class TestFormat2BackCompat:
+    """A committed checkpoint written by the format-2 writer still
+    verifies (CRC32C), loads bit for bit, and resumes."""
+
+    @staticmethod
+    def raw_members():
+        with np.load(FORMAT2_FIXTURE) as data:
+            return {k: np.array(data[k]) for k in data.files
+                    if k != "metadata"}
+
+    def test_verifies_through_crc32c(self, monkeypatch):
+        import repro.io.checkpoint as ckmod
+
+        checked = []
+
+        def spy(arr):
+            checked.append(arr.shape)
+            return crc32c(arr)
+
+        monkeypatch.setattr(ckmod, "crc32c", spy)
+        meta = verify_checkpoint(FORMAT2_FIXTURE)
+        assert meta["format_version"] == 2
+        assert meta["step_index"] == 1
+        assert len(checked) == 5
+        raw = self.raw_members()
+        assert meta["checksums"] == {
+            k: f"{crc32c(v):08x}" for k, v in raw.items()
+        }
+
+    def test_loads_raw_members_bitwise(self):
+        raw = self.raw_members()
+        sim = load_checkpoint(FORMAT2_FIXTURE)
+        for k in ("positions", "momenta", "masses", "ids"):
+            got = getattr(sim.particles, k)
+            assert got.dtype == raw[k].dtype
+            assert np.array_equal(got, raw[k])
+        assert sim.a == float(raw["a"])
+        assert sim._step_index == 1
+
+    def test_format3_roundtrip_steps_bitwise(self, tmp_path):
+        direct = load_checkpoint(FORMAT2_FIXTURE)
+        path = save_checkpoint(tmp_path / "v3", direct)
+        assert verify_checkpoint(path)["format_version"] == 3
+        via_v3 = load_checkpoint(path)
+        direct.step()
+        via_v3.step()
+        for k in ("positions", "momenta"):
+            assert np.array_equal(
+                getattr(via_v3.particles, k), getattr(direct.particles, k)
+            )
+        assert via_v3.a == direct.a
+
+    def test_perturbed_array_fails_checksum(self, tmp_path):
+        raw = self.raw_members()
+        bad = rewrite(FORMAT2_FIXTURE, tmp_path / "rot.npz",
+                      momenta=raw["momenta"] + 1e-8)
+        with pytest.raises(CheckpointError, match="checksum mismatch"):
+            verify_checkpoint(bad)
+
+    def _mixed_rotation(self, tmp_path):
+        """ckpt_000001 is the format-2 fixture, ckpt_000002 a format-3
+        file one step later."""
+        shutil.copyfile(FORMAT2_FIXTURE, tmp_path / "ckpt_000001.npz")
+        sim = load_checkpoint(FORMAT2_FIXTURE)
+        sim.step()
+        newest = Checkpointer(tmp_path).checkpoint(sim)
+        return sim, newest
+
+    def test_mixed_rotation_picks_newest(self, tmp_path):
+        _, newest = self._mixed_rotation(tmp_path)
+        assert newest.name == "ckpt_000002.npz"
+        assert find_latest_valid(tmp_path) == newest
+
+    def test_cli_resume_falls_back_to_format2(self, tmp_path):
+        from repro.__main__ import main
+
+        ref, newest = self._mixed_rotation(tmp_path)
+        with open(newest, "r+b") as fh:
+            fh.truncate(newest.stat().st_size // 2)
+        assert main(["-q", "run", "--resume", str(tmp_path)]) == 0
+        resumed = load_checkpoint(find_latest_valid(tmp_path))
+        assert resumed._step_index == 2
+        for k in ("positions", "momenta"):
+            assert np.array_equal(
+                getattr(resumed.particles, k), getattr(ref.particles, k)
+            )
+        assert resumed.a == ref.a
 
 
 class TestCrashMidWrite:
@@ -253,6 +438,13 @@ class TestRotationFallback:
 
     def test_none_for_missing_directory(self, tmp_path):
         assert find_latest_valid(tmp_path / "absent") is None
+
+    def test_skips_newest_with_malformed_manifest(self, tmp_path):
+        _, paths = self._write_rotation(tmp_path)
+        tmp = rewrite(paths[-1], tmp_path / "malformed.npz",
+                      lambda m: m["checksums"].update(velocities="0"))
+        tmp.replace(paths[-1])
+        assert find_latest_valid(tmp_path) == paths[-2]
 
     def test_foreign_files_ignored(self, tmp_path):
         _, paths = self._write_rotation(tmp_path)
