@@ -9,7 +9,9 @@
 # serial@1, serial@2 and thread@2; the final checkpoints' positions and
 # momenta must be byte-identical and their whole verified manifests --
 # the CRC32 of every stored array: positions, momenta, masses, ids and
-# a -- equal, since workers never change a result), the deterministic
+# a -- equal, since workers never change a result; then an f32 pair,
+# serial@1 vs thread@2, whose final states must be bitwise equal and
+# float32), the deterministic
 # chaos lane twice
 # (fault-injection tests under a fixed seed, REPRO_CHAOS_SEED — once on
 # the default serial fleet, once dispatched over REPRO_CHAOS_WORKERS
@@ -57,7 +59,7 @@ PYTHONPATH=src "$PYTHON" -m pytest tests -q -m "not slow"
 echo "== 2/12 demo smoke (demo --workers 2) =="
 PYTHONPATH=src "$PYTHON" -m repro demo --steps 2 --n-per-dim 12 --workers 2
 
-echo "== 3/12 executor triplet (run, serial@1 vs serial@2 vs thread@2, bitwise) =="
+echo "== 3/12 executor triplet (run, serial@1 vs serial@2 vs thread@2, bitwise) + f32 pair =="
 # 24^3 with the default overload depth (rcut + one cell = 10.7 Mpc/h):
 # rcut = 8 <= depth < 16 = half the domain width, the only valid order
 CI_OBS_DIR="$(mktemp -d)"
@@ -86,6 +88,28 @@ for lane in lanes[1:]:
         f"and {lane}: {sums['serial@1']} vs {sums[lane]}"
 print("executor triplet: serial@1, serial@2 and thread@2 final states "
       "bitwise equal, manifests equal")
+PYEOF
+# the same decomposed run in f32 at serial@1 and thread@2: the overload
+# replicas (and so every domain) must stay float32 on both executors
+for lane in serial:1 thread:2; do
+    PYTHONPATH=src "$PYTHON" -m repro -q run --steps 1 --n-per-dim 24 \
+        --workers "${lane#*:}" --decomposition 2,1,1 --precision f32 \
+        --executor "${lane%:*}" --outdir "$CI_OBS_DIR/f32-${lane/:/@}"
+done
+PYTHONPATH=src "$PYTHON" - "$CI_OBS_DIR" <<'PYEOF'
+import pathlib, sys
+import numpy as np
+from repro.io import find_latest_valid, load_checkpoint
+root = pathlib.Path(sys.argv[1])
+state = {l: load_checkpoint(find_latest_valid(root / f"f32-{l}")).particles
+         for l in ("serial@1", "thread@2")}
+for field in ("positions", "momenta"):
+    a, b = (getattr(state[l], field) for l in ("serial@1", "thread@2"))
+    assert a.dtype == b.dtype == np.float32, \
+        f"f32 pair: {field} dtypes {a.dtype} / {b.dtype}, expected float32"
+    assert a.tobytes() == b.tobytes(), \
+        f"f32 pair: {field} differ between serial@1 and thread@2"
+print("f32 pair: serial@1 and thread@2 final states bitwise equal, float32")
 PYEOF
 
 echo "== 4/12 chaos lane (pytest -m chaos, seed $REPRO_CHAOS_SEED) =="

@@ -105,9 +105,14 @@ class DomainDecomposition:
 
     def rank_of_coords(self, coords) -> int:
         """Linear rank id for block coordinates (periodic wrap applied)."""
-        gx, gy, gz = self.dims
-        ix, iy, iz = (int(c) % d for c, d in zip(coords, self.dims))
-        return (ix * gy + iy) * gz + iz
+        return int(self.rank_of_cells(np.array([[int(c) for c in coords]]))[0])
+
+    def rank_of_cells(self, cells: np.ndarray) -> np.ndarray:
+        """Linear rank ids for an ``(n, 3)`` int array of block coordinates
+        (periodic wrap applied)."""
+        _, gy, gz = self.dims
+        c = np.mod(cells, self.dims)
+        return (c[:, 0] * gy + c[:, 1]) * gz + c[:, 2]
 
     def bounds(self, rank: int) -> tuple[np.ndarray, np.ndarray]:
         """(lo, hi) corner coordinates of a rank's domain, Mpc/h."""
@@ -124,8 +129,7 @@ class DomainDecomposition:
         cell = np.floor(pos / self.box_size * dims).astype(np.int64)
         # guard against pos == box_size after round-off
         np.clip(cell, 0, dims - 1, out=cell)
-        gx, gy, gz = self.dims
-        return (cell[:, 0] * gy + cell[:, 1]) * gz + cell[:, 2]
+        return self.rank_of_cells(cell)
 
     def neighbor_ranks(self, rank: int) -> list[int]:
         """The (up to) 26 distinct periodic neighbors of a rank's block."""

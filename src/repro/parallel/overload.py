@@ -34,6 +34,18 @@ from repro.parallel.decomposition import DomainDecomposition
 
 __all__ = ["OverloadedDomain", "OverloadExchange", "domain_stats"]
 
+# the 26 neighbor offsets, in ``ox, oy, oz`` loop order
+_OFFSETS = np.array(
+    [
+        (ox, oy, oz)
+        for ox in (-1, 0, 1)
+        for oy in (-1, 0, 1)
+        for oz in (-1, 0, 1)
+        if (ox, oy, oz) != (0, 0, 0)
+    ],
+    dtype=np.int64,
+)
+
 
 def domain_stats(domains: list["OverloadedDomain"]) -> dict:
     """Per-rank load summary of a set of overloaded domains.
@@ -191,8 +203,7 @@ class OverloadExchange:
         )
 
         home = self.decomposition.assign(pos)
-        sends = self._route(pos, mom, mas, pid, home)
-        return self._deliver(sends, tag)
+        return self._deliver(self._route(pos, mom, mas, pid, home), tag, dt)
 
     def refresh(
         self,
@@ -222,8 +233,10 @@ class OverloadExchange:
         home = self.decomposition.assign(pos)
         # charge only the particles that actually cross rank boundaries or
         # land in a remote overload shell; _route does exactly that.
-        sends = self._route(pos, mom, mas, pid, home, origin=self._origins(domains))
-        return self._deliver(sends, tag)
+        payloads = self._route(
+            pos, mom, mas, pid, home, origin=self._origins(domains)
+        )
+        return self._deliver(payloads, tag, pos.dtype)
 
     # ------------------------------------------------------------------
     # internals
@@ -242,13 +255,18 @@ class OverloadExchange:
         pid: np.ndarray,
         home: np.ndarray,
         origin: np.ndarray | None = None,
-    ) -> list[list[dict]]:
+    ) -> list[list]:
         """Compute the (src, dst) payloads for distribute/refresh.
 
-        For each of the 26 neighbor offsets, particles within ``depth`` of
-        the corresponding face/edge/corner of their home domain are
-        replicated to that neighbor with appropriately shifted
-        coordinates.  Self-payloads carry the active copies.
+        One table lists every copy: each particle's active copy (bound for
+        its home rank), then, for each of the 26 neighbor offsets in
+        ``ox, oy, oz`` order, every particle within ``depth`` of that
+        face/edge/corner of its home domain as a passive replica, shifted
+        by +-box where the offset crosses the periodic seam.  One stable
+        sort by ``src * n_ranks + dst`` cuts the table into payloads, so
+        each payload holds its actives in index order, then its passives
+        offset by offset, each in index order.  ``None`` marks an empty
+        payload.
         """
         decomp = self.decomposition
         box = decomp.box_size
@@ -256,115 +274,57 @@ class OverloadExchange:
         widths = np.asarray(decomp.widths)
         d = self.depth
         nr = decomp.n_ranks
+        n = len(pos)
 
         cell = np.floor(pos / box * dims).astype(np.int64)
         np.clip(cell, 0, dims - 1, out=cell)
-        lo = cell * widths
-        rel_lo = pos - lo          # distance to low faces
-        rel_hi = widths - rel_lo   # distance to high faces
-
-        src_of = origin if origin is not None else home
-        sends: list[list[dict]] = [
-            [
-                {"pos": [], "mom": [], "mas": [], "pid": [], "act": []}
-                for _ in range(nr)
-            ]
-            for _ in range(nr)
-        ]
-
-        # active copies go to the home rank
-        order = np.argsort(home, kind="stable")
-        sorted_home = home[order]
-        boundaries = np.searchsorted(sorted_home, np.arange(nr + 1))
-        for r in range(nr):
-            sel = order[boundaries[r] : boundaries[r + 1]]
-            if sel.size == 0:
-                continue
-            src = int(src_of[sel[0]]) if origin is not None else r
-            # with mixed origins, group by source rank for correct accounting
-            if origin is not None:
-                for s in np.unique(src_of[sel]):
-                    ss = sel[src_of[sel] == s]
-                    self._append(sends[int(s)][r], pos[ss], mom[ss], mas[ss], pid[ss], True)
-            else:
-                self._append(sends[src][r], pos[sel], mom[sel], mas[sel], pid[sel], True)
-
-        # passive replicas: loop over the 26 neighbor offsets
-        for ox in (-1, 0, 1):
-            near_x = (
-                np.ones(len(pos), dtype=bool)
-                if ox == 0
-                else (rel_lo[:, 0] < d if ox < 0 else rel_hi[:, 0] < d)
-            )
-            for oy in (-1, 0, 1):
-                near_y = (
-                    np.ones(len(pos), dtype=bool)
-                    if oy == 0
-                    else (rel_lo[:, 1] < d if oy < 0 else rel_hi[:, 1] < d)
-                )
-                for oz in (-1, 0, 1):
-                    if ox == oy == oz == 0:
-                        continue
-                    near_z = (
-                        np.ones(len(pos), dtype=bool)
-                        if oz == 0
-                        else (rel_lo[:, 2] < d if oz < 0 else rel_hi[:, 2] < d)
-                    )
-                    sel = np.flatnonzero(near_x & near_y & near_z)
-                    if sel.size == 0:
-                        continue
-                    off = np.array([ox, oy, oz])
-                    nbr_cell = cell[sel] + off
-                    wraps = np.zeros((sel.size, 3))
-                    wraps[nbr_cell < 0] = box
-                    wraps[nbr_cell >= dims] = -box
-                    # replica coordinates in the *neighbor's* frame: shift
-                    # by +-box when the offset crosses the periodic seam.
-                    p_shift = pos[sel] + wraps
-                    dst = np.array(
-                        [
-                            decomp.rank_of_coords(c)
-                            for c in nbr_cell
-                        ],
-                        dtype=np.int64,
-                    )
-                    for r in np.unique(dst):
-                        ss = dst == r
-                        idxs = sel[ss]
-                        srcs = src_of[idxs]
-                        for s in np.unique(srcs):
-                            m2 = srcs == s
-                            ii = idxs[m2]
-                            self._append(
-                                sends[int(s)][int(r)],
-                                p_shift[ss][m2],
-                                mom[ii],
-                                mas[ii],
-                                pid[ii],
-                                False,
-                            )
-        return sends
-
-    @staticmethod
-    def _append(bucket: dict, pos, mom, mas, pid, active: bool) -> None:
-        bucket["pos"].append(np.asarray(pos))
-        bucket["mom"].append(np.asarray(mom))
-        bucket["mas"].append(np.asarray(mas))
-        bucket["pid"].append(np.asarray(pid))
-        bucket["act"].append(
-            np.full(len(pos), active, dtype=bool)
+        rel_lo = pos - cell * widths   # distance to low faces
+        rel_hi = widths - rel_lo       # distance to high faces
+        # near[o + 1, i, axis]: particle i lies in the shell of offset o
+        near = np.stack([rel_lo < d, np.ones((n, 3), dtype=bool), rel_hi < d])
+        k, sel = np.nonzero(
+            near[_OFFSETS[:, 0] + 1, :, 0]
+            & near[_OFFSETS[:, 1] + 1, :, 1]
+            & near[_OFFSETS[:, 2] + 1, :, 2]
         )
+        nbr_cell = cell[sel] + _OFFSETS[k]
+        # replica coordinates in the *neighbor's* frame: shift by +-box
+        # when the offset crosses the periodic seam.
+        wraps = np.zeros(nbr_cell.shape, dtype=pos.dtype)
+        wraps[nbr_cell < 0] = box
+        wraps[nbr_cell >= dims] = -box
 
-    def _deliver(self, sends: list[list[dict]], tag: str) -> list[OverloadedDomain]:
-        nr = self.decomposition.n_ranks
-        payloads = [
-            [self._pack(sends[i][j]) for j in range(nr)] for i in range(nr)
-        ]
+        idx = np.concatenate([np.arange(n), sel])
+        dst = np.concatenate([home, decomp.rank_of_cells(nbr_cell)])
+        key = (origin if origin is not None else home)[idx] * nr + dst
+        # a key narrowed to 8 or 16 bits takes numpy's radix sort
+        order = np.argsort(key.astype(np.min_scalar_type(nr * nr)), kind="stable")
+        cuts = np.searchsorted(key[order], np.arange(nr * nr + 1))
+        gid = idx[order]
+        table = (
+            np.concatenate([pos, pos[sel] + wraps], axis=0)[order],
+            mom[gid],
+            mas[gid],
+            pid[gid],
+            order < n,
+        )
+        payloads: list[list] = [[None] * nr for _ in range(nr)]
+        for b in np.flatnonzero(np.diff(cuts)):
+            lo, hi = cuts[b], cuts[b + 1]
+            payloads[b // nr][b % nr] = tuple(a[lo:hi] for a in table)
+        return payloads
+
+    def _deliver(
+        self, payloads: list[list], tag: str, dtype
+    ) -> list[OverloadedDomain]:
         recv = self.comm.alltoallv(payloads, tag=tag)
-        return [self._assemble(recv[r], r) for r in range(nr)]
+        return [
+            self._assemble(recv[r], r, dtype)
+            for r in range(self.decomposition.n_ranks)
+        ]
 
     @staticmethod
-    def _assemble(received: list, rank: int) -> OverloadedDomain:
+    def _assemble(received: list, rank: int, dtype) -> OverloadedDomain:
         """Concatenate one rank's received fragments, in source order."""
         parts = [p for p in received if p is not None]
         if parts:
@@ -374,9 +334,9 @@ class OverloadExchange:
             pid = np.concatenate([p[3] for p in parts])
             act = np.concatenate([p[4] for p in parts])
         else:
-            pos = np.empty((0, 3))
-            mom = np.empty((0, 3))
-            mas = np.empty(0)
+            pos = np.empty((0, 3), dtype=dtype)
+            mom = np.empty((0, 3), dtype=dtype)
+            mas = np.empty(0, dtype=dtype)
             pid = np.empty(0, dtype=np.int64)
             act = np.empty(0, dtype=bool)
         return OverloadedDomain(
@@ -386,16 +346,4 @@ class OverloadExchange:
             masses=mas,
             ids=pid,
             active=act,
-        )
-
-    @staticmethod
-    def _pack(bucket: dict):
-        if not bucket["pos"]:
-            return None
-        return (
-            np.concatenate(bucket["pos"], axis=0),
-            np.concatenate(bucket["mom"], axis=0),
-            np.concatenate(bucket["mas"]),
-            np.concatenate(bucket["pid"]),
-            np.concatenate(bucket["act"]),
         )

@@ -1,7 +1,13 @@
 """Tests for particle overloading (Fig. 4 of the paper)."""
 
+import functools
+import subprocess
+import sys
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.parallel.comm import SimulatedComm
 from repro.parallel.decomposition import DomainDecomposition
@@ -163,3 +169,251 @@ class TestValidation:
         d = DomainDecomposition(100.0, (2, 2, 2))
         with pytest.raises(ValueError):
             OverloadExchange(d, 5.0, comm=SimulatedComm(3))
+
+
+# ----------------------------------------------------------------------
+# routing against the scalar reference
+# ----------------------------------------------------------------------
+def oracle_route(ex, pos, mom, mas, pid, home, origin=None):
+    """The per-offset, per-destination routing loop the one-pass router
+    replaced, kept as the reference: one scalar ``rank_of_coords`` call
+    per replica and ``np.unique`` grouping by destination and source.
+    Replica shifts are built in the positions' dtype."""
+    decomp = ex.decomposition
+    box = decomp.box_size
+    dims = np.asarray(decomp.dims)
+    widths = np.asarray(decomp.widths)
+    d = ex.depth
+    nr = decomp.n_ranks
+
+    cell = np.floor(pos / box * dims).astype(np.int64)
+    np.clip(cell, 0, dims - 1, out=cell)
+    rel_lo = pos - cell * widths
+    rel_hi = widths - rel_lo
+
+    src_of = origin if origin is not None else home
+    sends = [[[] for _ in range(nr)] for _ in range(nr)]
+
+    def append(s, r, p, ii, active):
+        sends[int(s)][int(r)].append(
+            (p, mom[ii], mas[ii], pid[ii], np.full(len(ii), active, dtype=bool))
+        )
+
+    order = np.argsort(home, kind="stable")
+    bounds = np.searchsorted(home[order], np.arange(nr + 1))
+    for r in range(nr):
+        sel = order[bounds[r] : bounds[r + 1]]
+        for s in np.unique(src_of[sel]):
+            ss = sel[src_of[sel] == s]
+            append(s, r, pos[ss], ss, True)
+
+    for ox in (-1, 0, 1):
+        for oy in (-1, 0, 1):
+            for oz in (-1, 0, 1):
+                if ox == oy == oz == 0:
+                    continue
+                near = np.ones(len(pos), dtype=bool)
+                for axis, o in enumerate((ox, oy, oz)):
+                    if o:
+                        near &= (rel_lo if o < 0 else rel_hi)[:, axis] < d
+                sel = np.flatnonzero(near)
+                if sel.size == 0:
+                    continue
+                nbr_cell = cell[sel] + np.array([ox, oy, oz])
+                wraps = np.zeros((sel.size, 3), dtype=pos.dtype)
+                wraps[nbr_cell < 0] = box
+                wraps[nbr_cell >= dims] = -box
+                p_shift = pos[sel] + wraps
+                dst = np.array(
+                    [decomp.rank_of_coords(c) for c in nbr_cell], dtype=np.int64
+                )
+                for r in np.unique(dst):
+                    ss = dst == r
+                    idxs = sel[ss]
+                    srcs = src_of[idxs]
+                    for s in np.unique(srcs):
+                        m2 = srcs == s
+                        append(s, r, p_shift[ss][m2], idxs[m2], False)
+
+    def pack(frags):
+        if not frags:
+            return None
+        return tuple(
+            np.concatenate([f[k] for f in frags], axis=0) for k in range(5)
+        )
+
+    return [[pack(sends[i][j]) for j in range(nr)] for i in range(nr)]
+
+
+class RecordingComm(SimulatedComm):
+    """Communicator that keeps the send buffers of its last all-to-all."""
+
+    def alltoallv(self, sendbufs, tag="alltoallv"):
+        self.sent = sendbufs
+        return super().alltoallv(sendbufs, tag=tag)
+
+
+def exchange_pair(box, dims, depth):
+    """(one-pass exchange, oracle-routed exchange), each on its own comm."""
+    decomp = DomainDecomposition(box, dims)
+    fast = OverloadExchange(decomp, depth, RecordingComm(decomp.n_ranks))
+    ref = OverloadExchange(decomp, depth, RecordingComm(decomp.n_ranks))
+    ref._route = functools.partial(oracle_route, ref)
+    return fast, ref
+
+
+def assert_payloads_equal(a, b):
+    assert len(a) == len(b)
+    for row_a, row_b in zip(a, b):
+        for pa, pb in zip(row_a, row_b):
+            assert (pa is None) == (pb is None)
+            if pa is not None:
+                for xa, xb in zip(pa, pb):
+                    assert xa.dtype == xb.dtype
+                    assert np.array_equal(xa, xb)
+
+
+def assert_stats_equal(a, b):
+    assert a.messages == b.messages
+    assert a.bytes == b.bytes
+    assert dict(a.by_tag) == dict(b.by_tag)
+    assert np.array_equal(a.msg_matrix, b.msg_matrix)
+    assert np.array_equal(a.byte_matrix, b.byte_matrix)
+
+
+def face_heavy_particles(rng, n, box, dims, dtype):
+    """Uniform particles plus particles on and around block faces and the
+    periodic seam, where the shell tests and wraps are decided."""
+    pos = rng.uniform(0, box, (n, 3))
+    faces = np.array(dims) * rng.integers(0, 4, (n, 3)) // 3 * (box / np.array(dims))
+    jitter = rng.choice([0.0, 1e-6, -1e-6, 0.25, -0.25], (n, 3))
+    on_face = rng.random((n, 3)) < 0.3
+    pos = np.where(on_face, np.mod(faces + jitter, box), pos)
+    mom = rng.standard_normal((n, 3))
+    mas = rng.uniform(0.5, 2.0, n)
+    return pos.astype(dtype), mom.astype(dtype), mas.astype(dtype)
+
+
+def check_against_oracle(dims, depth_frac, dtype, seed, n=150, box=60.0):
+    rng = np.random.default_rng(seed)
+    depth = depth_frac * min(box / g for g in dims)
+    fast, ref = exchange_pair(box, dims, depth)
+    pos, mom, mas = face_heavy_particles(rng, n, box, dims, dtype)
+
+    got = fast.distribute(pos, mom, mas)
+    ref.distribute(pos, mom, mas)
+    assert_payloads_equal(fast.comm.sent, ref.comm.sent)
+    assert_stats_equal(fast.comm.stats, ref.comm.stats)
+
+    # drift the actives up to a shell depth so some change rank, then
+    # refresh the same domains through both routers (mixed origins)
+    for dom in got:
+        kick = rng.uniform(-depth, depth, (dom.n_active, 3)).astype(dtype)
+        dom.positions[dom.active] += kick
+    fast.refresh(got)
+    ref.refresh(got)
+    assert_payloads_equal(fast.comm.sent, ref.comm.sent)
+    assert_stats_equal(fast.comm.stats, ref.comm.stats)
+
+
+class TestRoutingOracle:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        dims=st.tuples(*[st.sampled_from([1, 2, 3])] * 3),
+        depth_frac=st.floats(min_value=0.0, max_value=0.49),
+        dtype=st.sampled_from([np.float32, np.float64]),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_payloads_and_stats_match_oracle(self, dims, depth_frac, dtype, seed):
+        check_against_oracle(dims, depth_frac, dtype, seed)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize(
+        "dims", [(1, 1, 1), (2, 1, 1), (1, 2, 2), (2, 2, 2), (3, 1, 2), (1, 3, 1)]
+    )
+    def test_one_and_two_wide_axes(self, dims, dtype):
+        """With 1 or 2 blocks along an axis, the -1 and +1 offsets land on
+        the same rank (possibly the sender itself)."""
+        check_against_oracle(dims, 0.45, dtype, seed=sum(dims), n=400)
+
+
+class TestPrecision:
+    def test_f32_distribute_stays_f32(self, rng):
+        """Every domain keeps float32 positions, empty ones included."""
+        ex = make_exchange(box=100.0, dims=(2, 2, 2), depth=5.0)
+        # all particles deep inside rank 0: the other seven domains are empty
+        pos = rng.uniform(15.0, 35.0, (50, 3)).astype(np.float32)
+        mom = rng.standard_normal((50, 3)).astype(np.float32)
+        domains = ex.distribute(pos, mom)
+        assert [d.n_total for d in domains[1:]] == [0] * 7
+        for dom in domains:
+            assert dom.positions.dtype == np.float32
+            assert dom.momenta.dtype == np.float32
+            assert dom.masses.dtype == np.float32
+
+    def test_f32_position_traffic_is_half_f64(self, rng):
+        pos, mom = random_particles(rng)
+        sent_pos_bytes, messages = {}, {}
+        for dtype in (np.float32, np.float64):
+            decomp = DomainDecomposition(100.0, (2, 2, 2))
+            ex = OverloadExchange(decomp, 10.0, RecordingComm(decomp.n_ranks))
+            domains = ex.distribute(pos.astype(dtype), mom.astype(dtype))
+            assert all(d.positions.dtype == dtype for d in domains)
+            sent_pos_bytes[dtype] = sum(
+                p[0].nbytes
+                for i, row in enumerate(ex.comm.sent)
+                for j, p in enumerate(row)
+                if i != j and p is not None
+            )
+            messages[dtype] = ex.comm.stats.messages
+        assert sent_pos_bytes[np.float64] > 0
+        assert 2 * sent_pos_bytes[np.float32] == sent_pos_bytes[np.float64]
+        assert messages[np.float32] == messages[np.float64]
+
+
+class TestRefreshCoversDistribute:
+    @pytest.mark.parametrize("dims", [(2, 2, 2), (2, 1, 1), (3, 2, 1)])
+    def test_same_copies_per_rank(self, rng, dims):
+        """``refresh(distribute(x))`` gives every rank the same multiset
+        of (id, active, position) copies as ``distribute(x)``."""
+        ex = make_exchange(dims=dims, depth=10.0)
+        pos, mom = random_particles(rng)
+        first = ex.distribute(pos, mom)
+        second = ex.refresh(first)
+
+        def copies(dom):
+            keys = (
+                dom.positions[:, 2],
+                dom.positions[:, 1],
+                dom.positions[:, 0],
+                dom.active,
+                dom.ids,
+            )
+            o = np.lexsort(keys)
+            return dom.ids[o], dom.active[o], dom.positions[o]
+
+        for a, b in zip(first, second):
+            assert a.rank == b.rank
+            for xa, xb in zip(copies(a), copies(b)):
+                assert np.array_equal(xa, xb)
+
+
+def test_decomposed_run_does_not_import_numpy_ma():
+    """A decomposed run routes its replicas without ``np.unique``, whose
+    first call imports ``numpy.ma`` mid-run."""
+    code = (
+        "import sys\n"
+        "from repro.config import SimulationConfig\n"
+        "from repro.core.simulation import HACCSimulation\n"
+        "cfg = SimulationConfig(box_size=64.0, n_per_dim=16, z_initial=25.0,\n"
+        "                       z_final=10.0, n_steps=1, backend='treepm', seed=5)\n"
+        "sim = HACCSimulation(cfg, decomposition_dims=(2, 1, 1),\n"
+        "                     overload_depth=cfg.rcut() + 0.5)\n"
+        "sim.run()\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=300
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip().splitlines()[-1] == "False"
