@@ -34,7 +34,7 @@ from pathlib import Path
 from repro.config import SimulationConfig
 from repro.core.simulation import HACCSimulation
 from repro.instrument.report import write_bench_record
-from repro.resilience import FaultPlan, use_faults
+from repro.resilience import FaultPlan, NullFaultPlan
 
 from conftest import print_table
 
@@ -64,7 +64,9 @@ GATE_WORKERS, MIN_SPEEDUP = 4, 1.7
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
 
-def _make_sim(workers: int, executor: str) -> HACCSimulation:
+def _make_sim(
+    workers: int, executor: str, faults=NullFaultPlan()
+) -> HACCSimulation:
     cfg = SimulationConfig(
         box_size=BOX,
         n_per_dim=N,
@@ -79,7 +81,8 @@ def _make_sim(workers: int, executor: str) -> HACCSimulation:
         executor=executor,
     )
     return HACCSimulation(
-        cfg, decomposition_dims=DIMS, overload_depth=cfg.rcut() + 0.5
+        cfg, decomposition_dims=DIMS, overload_depth=cfg.rcut() + 0.5,
+        faults=faults,
     )
 
 
@@ -97,16 +100,12 @@ def _time_phase(sim: HACCSimulation, reps: int = REPS, reduce=None) -> float:
     return sum(samples) / len(samples)
 
 
-def _sweep(plan=None, reduce=None) -> list[dict]:
+def _sweep(plan=NullFaultPlan(), reduce=None) -> list[dict]:
     rows = []
     for workers, backend in CONFIGS:
-        sim = _make_sim(workers, backend)
+        sim = _make_sim(workers, backend, faults=plan)
         try:
-            if plan is not None:
-                with use_faults(plan):
-                    t = _time_phase(sim, reduce=reduce)
-            else:
-                t = _time_phase(sim, reduce=reduce)
+            t = _time_phase(sim, reduce=reduce)
         finally:
             sim.close()
         rows.append(

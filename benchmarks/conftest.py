@@ -29,7 +29,6 @@ from repro import HACCSimulation, SimulationConfig
 from repro.instrument import get_registry, get_telemetry
 from repro.instrument.health import worst_severity
 from repro.instrument.report import write_bench_record
-from repro.resilience.faults import get_fault_plan
 
 #: redshift frames of Figs. 9/10
 FRAME_REDSHIFTS = (5.5, 3.0, 1.9, 0.9, 0.4, 0.0)
@@ -119,11 +118,6 @@ def pytest_runtest_makereport(item, call):
                 for al in alerts
             ],
         }
-    # a bench that ran under fault injection records the chaos ledger so
-    # check_regression can assert injected faults were actually survived
-    plan = get_fault_plan()
-    if plan.enabled:
-        payload["faults"] = plan.summary()
     write_bench_record(
         item.name,
         payload,

@@ -19,10 +19,11 @@ Commands
     A checkpointed (optionally decomposed) production-style run:
     rotated, checksummed checkpoints every K steps, ``--resume DIR``
     auto-resume from the latest *valid* checkpoint, deterministic fault
-    injection (``--inject-*``), retrying communication (``--retry``),
-    and overload-replica rank recovery (on by default; ``--no-recovery``
-    turns a rank death into a CRIT verdict instead).  SIGTERM/SIGINT
-    checkpoint the in-flight state and exit 75 (resumable).
+    injection (``--inject-*``: rank death, checkpoint corruption,
+    short-range slow-downs), and overload-replica rank recovery (on by
+    default; ``--no-recovery`` turns a rank death into a CRIT verdict
+    instead).  SIGTERM/SIGINT checkpoint the in-flight state and exit
+    75 (resumable).
 ``campaign``
     Supervise a whole suite from a declarative spec
     (``campaign run|status|resume SPEC.toml``): crash-safe journaled
@@ -404,24 +405,16 @@ def _parse_dims(text: str) -> tuple[int, int, int]:
 
 
 def _build_fault_plan(args: argparse.Namespace):
-    """Assemble a FaultPlan from the --inject-* flags, or None."""
-    from repro.resilience import FaultPlan
+    """Assemble the run's fault plan from the --inject-* flags."""
+    from repro.resilience import FaultPlan, NullFaultPlan
 
-    any_fault = (
-        args.inject_comm_failures is not None
-        or args.inject_rank_death
+    if not (
+        args.inject_rank_death
         or args.inject_checkpoint_corruption
         or args.inject_slowdown
-    )
-    if not any_fault:
-        return None
+    ):
+        return NullFaultPlan()
     plan = FaultPlan(seed=args.fault_seed)
-    if args.inject_comm_failures is not None:
-        plan.with_comm_failures(
-            args.inject_comm_failures,
-            tags=args.inject_comm_tags or None,
-            max_failures=args.inject_comm_max,
-        )
     for spec in args.inject_rank_death or []:
         try:
             step, rank = (int(x) for x in spec.split(":"))
@@ -465,23 +458,22 @@ def _cmd_run(args: argparse.Namespace) -> int:
         find_latest_valid,
         load_checkpoint,
     )
-    from repro.resilience import RetryPolicy
-    from repro.resilience.faults import disable_faults, set_fault_plan
 
-    sim_kwargs: dict = {"recover_on_rank_death": not args.no_recovery}
+    plan = _build_fault_plan(args)
+    sim_kwargs: dict = {
+        "recover_on_rank_death": not args.no_recovery,
+        "faults": plan,
+    }
     if args.decomposition is not None:
         sim_kwargs["decomposition_dims"] = args.decomposition
         if args.overload_depth is not None:
             sim_kwargs["overload_depth"] = args.overload_depth
-        if args.retry:
-            sim_kwargs["retry_policy"] = RetryPolicy(
-                max_attempts=args.retry_max_attempts
-            )
 
     def construct(build):
         """A shape the config or driver rejects (overload depth below
-        the cutoff, zero steps) is a one-line exit before the first
-        step; any other error keeps its traceback."""
+        the cutoff, zero steps, a fault the run cannot have) is a
+        one-line exit before the first step; any other error keeps its
+        traceback."""
         try:
             return build()
         except ConfigError as exc:
@@ -489,7 +481,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
     sim = None
     if args.resume:
-        latest = find_latest_valid(args.resume)
+        latest = find_latest_valid(args.resume, faults=plan)
         if latest is None:
             logger.warning(
                 "no valid checkpoint under %s; starting fresh", args.resume
@@ -532,9 +524,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
     from repro.resilience.signals import ShutdownRequested, graceful_shutdown
 
-    plan = _build_fault_plan(args)
-    if plan is not None:
-        set_fault_plan(plan)
+    if plan.enabled:
         logger.info("fault injection active (seed %d)", args.fault_seed)
     # the export flags imply instrumentation; enabling the registry also
     # feeds per-step perf blocks (ns/pair) into the telemetry stream for
@@ -545,13 +535,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
         registry = enable()
     _setup_observability(sim, args)
-    # route comm give-up / retry events into the health verdict
-    if (
-        sim.health is not None
-        and sim.exchange is not None
-        and hasattr(sim.exchange.comm, "policy")
-    ):
-        sim.exchange.comm.policy.monitor = sim.health.monitor
 
     t0 = time.perf_counter()
     interrupted = None
@@ -562,14 +545,13 @@ def _cmd_run(args: argparse.Namespace) -> int:
         interrupted = exc
     finally:
         sim.close()
-        if plan is not None:
+        if plan.enabled:
             summary = plan.summary()
             logger.info(
                 "faults: %d injected, %d recovered (%s)",
                 summary["faults_injected"], summary["faults_recovered"],
                 summary["injected"] or "none",
             )
-            disable_faults()
     if interrupted is not None:
         return _finish_interrupted(sim, args, interrupted, checkpointer)
     logger.info(
@@ -1112,27 +1094,12 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--overload-depth", type=float, metavar="D",
                      help="overload shell depth in Mpc/h (default: "
                           "rcut + one grid cell)")
-    run.add_argument("--retry", action="store_true",
-                     help="wrap the overload exchange in retrying "
-                          "communication (absorbs injected transient "
-                          "failures)")
-    run.add_argument("--retry-max-attempts", type=int, default=4,
-                     metavar="N",
-                     help="attempts per collective under --retry "
-                          "(default 4)")
     run.add_argument("--no-recovery", action="store_true",
                      help="do not rebuild dead ranks from overload "
                           "replicas; a rank death becomes a CRIT "
                           "rank_died event")
     run.add_argument("--fault-seed", type=int, default=0, metavar="S",
                      help="fault plan RNG seed (default 0)")
-    run.add_argument("--inject-comm-failures", type=float, metavar="RATE",
-                     help="fail collectives with this probability")
-    run.add_argument("--inject-comm-tags", action="append", metavar="PAT",
-                     help="restrict injected comm failures to fnmatch "
-                          "tag patterns (repeatable)")
-    run.add_argument("--inject-comm-max", type=int, metavar="N",
-                     help="cap total injected comm failures")
     run.add_argument("--inject-rank-death", action="append",
                      metavar="STEP:RANK",
                      help="kill RANK at STEP (repeatable)")
@@ -1142,7 +1109,8 @@ def build_parser() -> argparse.ArgumentParser:
                           "truncate (default) or bitflip")
     run.add_argument("--inject-slowdown", action="append",
                      metavar="SECTION:SEC",
-                     help="stall a section (fft, shortrange) per visit")
+                     help="stall a short-range section (shortrange, "
+                          "shortrange.domain) per visit")
     run.set_defaults(func=_cmd_run)
 
     campaign = commands.add_parser(

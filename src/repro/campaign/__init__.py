@@ -17,7 +17,7 @@ package is that layer:
 * :mod:`repro.campaign.supervisor` — per-run subprocess supervision:
   heartbeat-based hang detection fed from the telemetry stream, per-run
   wall-clock timeouts, exponential-backoff retries
-  (:class:`~repro.resilience.retry.RetryPolicy` semantics),
+  (:class:`~repro.campaign.supervisor.RetryPolicy`),
   poison-config quarantine, SIGTERM-safe shutdown that checkpoints
   in-flight runs, and exactly-once run-ledger recording.
 

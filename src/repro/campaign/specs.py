@@ -90,9 +90,8 @@ class SupervisionPolicy:
     poll_interval_s:
         Supervisor poll cadence while a child runs.
     retry_base_delay, retry_multiplier, retry_max_delay:
-        Exponential backoff before re-dispatching a failed run —
-        :class:`repro.resilience.retry.RetryPolicy` semantics, and
-        enforced through that class.
+        Exponential backoff before re-dispatching a failed run,
+        enforced through :class:`repro.campaign.supervisor.RetryPolicy`.
     checkpoint_every:
         ``--checkpoint-every`` passed to each run (steps).
     """

@@ -14,8 +14,8 @@ and telemetry stream.  While an attempt runs it watches three things:
   checkpoints and exits) before SIGKILL;
 * **wall clock** — a per-attempt ``timeout_s`` budget.
 
-Failures retry under the exponential-backoff semantics of
-:class:`repro.resilience.retry.RetryPolicy`; a run that exhausts its
+Failures retry after the seeded exponential backoff of
+:class:`RetryPolicy`; a run that exhausts its
 attempt budget is QUARANTINED (a poison config must not take the
 campaign down with it — the suite completes with a non-zero exit and an
 honest report instead).  Every finished run is recorded in the
@@ -36,15 +36,16 @@ from __future__ import annotations
 import json
 import logging
 import os
+import random
 import subprocess
 import sys
 import time
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
 
 from repro.campaign.queue import CampaignQueue, RunState
 from repro.campaign.specs import CampaignSpec, RunSpec
-from repro.resilience.retry import RetryPolicy
 from repro.resilience.signals import (
     INTERRUPTED_EXIT_CODE,
     ShutdownRequested,
@@ -54,11 +55,46 @@ from repro.resilience.signals import (
 __all__ = [
     "CampaignSupervisor",
     "Heartbeat",
+    "RetryPolicy",
     "campaign_status",
     "campaign_stream_paths",
 ]
 
 logger = logging.getLogger(__name__)
+
+
+@dataclass
+class RetryPolicy:
+    """Exponential backoff with jitter before a failed run's next attempt.
+
+    The ``i``-th retry waits ``min(base_delay * multiplier**i,
+    max_delay)`` seconds, scaled by ``1 + U(0, jitter)`` drawn from the
+    policy's ``random.Random(seed)``, so the delay sequence is
+    deterministic.
+    """
+
+    base_delay: float = 0.005
+    multiplier: float = 2.0
+    max_delay: float = 0.25
+    jitter: float = 0.5
+    seed: int = 0
+    _rng: random.Random = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        if self.base_delay < 0 or self.max_delay < 0:
+            raise ValueError("delays must be >= 0")
+        if self.jitter < 0:
+            raise ValueError(f"jitter must be >= 0: {self.jitter}")
+        self._rng = random.Random(self.seed)
+
+    def delay(self, retry_index: int) -> float:
+        """The jittered backoff before the ``retry_index``-th retry."""
+        raw = min(
+            self.base_delay * self.multiplier**retry_index, self.max_delay
+        )
+        if self.jitter:
+            raw *= 1.0 + self._rng.random() * self.jitter
+        return raw
 
 
 class Heartbeat:
@@ -146,12 +182,9 @@ class CampaignSupervisor:
         self.clock = clock
         self.sleep = sleep
         self._retry = RetryPolicy(
-            max_attempts=max(2, spec.policy.max_attempts),
             base_delay=spec.policy.retry_base_delay,
             multiplier=spec.policy.retry_multiplier,
             max_delay=spec.policy.retry_max_delay,
-            sleep=sleep,
-            clock=clock,
         )
         self._shutdown: int | None = None
 

@@ -37,7 +37,7 @@ from repro.grid.poisson import SpectralPoissonSolver
 from repro.parallel.decomposition import DomainDecomposition
 from repro.parallel.executor import RankExecutor
 from repro.parallel.overload import OverloadExchange
-from repro.resilience.faults import get_fault_plan
+from repro.resilience.faults import FaultPlan, NullFaultPlan
 from repro.shortrange.grid_force import (
     default_grid_force_fit,
     pair_force_normalization,
@@ -55,7 +55,7 @@ __all__ = ["HACCSimulation"]
 logger = logging.getLogger(__name__)
 
 
-def _solve_domain(solver, rank, positions, masses, active):
+def _solve_domain(solver, faults, rank, positions, masses, active):
     """One rank's short-range solve — the task body of every backend.
 
     Mirrors the serial loop exactly (same actives-first stable ordering,
@@ -63,9 +63,10 @@ def _solve_domain(solver, rank, positions, masses, active):
     where it runs.  Returns ``(rank, accelerations, (streamed, inside),
     tree_depth)``; the pair counts are the worker kernel's private
     deltas, charged to the authoritative counters by the driver in rank
-    order.
+    order.  ``faults`` is the run's fault plan (its per-domain
+    straggler hook).
     """
-    get_fault_plan().sleep("shortrange.domain")
+    faults.sleep("shortrange.domain")
     if positions.shape[0] == 0:
         return rank, np.zeros((0, 3), dtype=np.float64), (0, 0), None
     order = np.argsort(~active, kind="stable")  # actives first
@@ -97,11 +98,13 @@ class HACCSimulation:
         plus one grid cell of drift margin.  With a short-range backend
         a depth below the cutoff is a :class:`~repro.config.ConfigError`:
         ghosts inside the cutoff would be missing.
-    retry_policy:
-        Optional :class:`repro.resilience.retry.RetryPolicy`; when given
-        (and the run is decomposed), the overload exchange communicates
-        over a :class:`~repro.resilience.retry.ResilientComm` that
-        absorbs injected transient failures with bounded backoff.
+    faults:
+        The run's :class:`repro.resilience.faults.FaultPlan` (default:
+        the inert :class:`~repro.resilience.faults.NullFaultPlan`).  A
+        fault the run can never have — a rank death on an undecomposed
+        run, a rank it does not have or a step past its last, a
+        slow-down of a section it never visits — is a
+        :class:`~repro.config.ConfigError`.
     recover_on_rank_death:
         When an injected rank death hits a decomposed run, reconstruct
         the lost domain from the neighbors' overload replicas (default).
@@ -125,7 +128,7 @@ class HACCSimulation:
         particles: Particles | None = None,
         decomposition_dims: tuple[int, int, int] | None = None,
         overload_depth: float | None = None,
-        retry_policy=None,
+        faults: FaultPlan | NullFaultPlan = NullFaultPlan(),
         recover_on_rank_death: bool = True,
     ) -> None:
         self.config = config
@@ -224,14 +227,10 @@ class HACCSimulation:
                     f"short-range cutoff rcut = {config.rcut():g} Mpc/h: "
                     f"sources across domain boundaries would be missing"
                 )
-            comm = None
-            if retry_policy is not None:
-                from repro.resilience.retry import ResilientComm
-
-                comm = ResilientComm(
-                    decomp.n_ranks, policy=retry_policy
-                )
-            self.exchange = OverloadExchange(decomp, depth, comm=comm)
+            self.exchange = OverloadExchange(decomp, depth)
+        self.faults = faults
+        if faults.enabled:
+            self._check_faults()
 
         self.stepper = SubcycledStepper(
             cosmology=self.cosmology,
@@ -260,7 +259,7 @@ class HACCSimulation:
         return acc
 
     def _short_range(self, positions: np.ndarray) -> np.ndarray:
-        get_fault_plan().sleep("shortrange")
+        self.faults.sleep("shortrange")
         with get_registry().span("shortrange"):
             scale = self.prefactor * self.pair_norm
             if self.exchange is None:
@@ -281,7 +280,7 @@ class HACCSimulation:
         communication are needed during the force evaluation itself —
         exactly the decoupling the paper's overloading buys.
         """
-        plan = get_fault_plan()
+        plan = self.faults
         tel = get_telemetry()
         domains = self.exchange.distribute(
             positions,
@@ -290,7 +289,7 @@ class HACCSimulation:
             self.particles.ids,
         )
         if plan.enabled:
-            domains = self._handle_rank_death(domains, plan)
+            domains = self._handle_rank_death(domains)
         if self.executor.parallel:
             return self._short_range_parallel(positions, domains, tel)
         acc = np.zeros_like(positions)
@@ -383,7 +382,7 @@ class HACCSimulation:
 
     def _solve_domain_local(self, dom):
         """The per-domain task body of both executor backends."""
-        return _solve_domain(self._local_solver(), dom.rank,
+        return _solve_domain(self._local_solver(), self.faults, dom.rank,
                              dom.positions, dom.masses, dom.active)
 
     def close(self) -> None:
@@ -397,7 +396,20 @@ class HACCSimulation:
         self.close()
         return False
 
-    def _handle_rank_death(self, domains, plan):
+    def _check_faults(self) -> None:
+        """Reject a fault plan this run can never act on."""
+        sections: set[str] = set()
+        n_ranks = 0
+        if self.short_solver is not None:
+            sections.add("shortrange")
+            if self.exchange is not None:
+                sections.add("shortrange.domain")
+                n_ranks = self.exchange.decomposition.n_ranks
+        self.faults.check_run(
+            self.config.n_steps, n_ranks, frozenset(sections)
+        )
+
+    def _handle_rank_death(self, domains):
         """Apply any scheduled rank death to this force evaluation.
 
         With recovery enabled (the default) the dead domains are rebuilt
@@ -408,8 +420,7 @@ class HACCSimulation:
         kick this evaluation — and the loss is a CRIT ``rank_died``
         event that forces the run verdict to CRIT.
         """
-        dead = plan.ranks_to_kill()
-        dead = frozenset(r for r in dead if r < len(domains))
+        dead = self.faults.ranks_to_kill()
         if not dead:
             return domains
         step = self._step_index
@@ -429,7 +440,7 @@ class HACCSimulation:
 
         domains, report = recover_ranks(self.exchange, domains, dead)
         self.recovery_reports.append(report)
-        plan.note_recovery("rank_death", len(dead))
+        self.faults.note_recovery("rank_death", len(dead))
         for r in sorted(dead):
             self._emit_fault_event(
                 "WARN",
@@ -566,9 +577,8 @@ class HACCSimulation:
         a1 = self._edges[self._step_index + 1]
         reg = get_registry()
         tel = get_telemetry()
-        plan = get_fault_plan()
-        if plan.enabled:
-            plan.begin_step(self._step_index)
+        if self.faults.enabled:
+            self.faults.begin_step(self._step_index)
         t0 = time.perf_counter()
         with reg.step(self._step_index), reg.span("step"):
             self.stepper.step(self.particles, a0, a1)

@@ -31,7 +31,6 @@ import numpy as np
 from repro.fft.local import SequentialFFT
 from repro.instrument import get_registry, timed
 from repro.parallel.comm import SimulatedComm
-from repro.resilience.faults import get_fault_plan
 
 __all__ = ["PencilFFT", "PencilLayout"]
 
@@ -356,7 +355,6 @@ class PencilFFT:
     def forward(self, blocks: list[np.ndarray]) -> list[np.ndarray]:
         """Forward 3-D FFT: z-pencil real/complex blocks -> x-pencil spectra."""
         self._check_blocks(blocks, "z-pencil")
-        get_fault_plan().sleep("fft")  # injectable straggler stall
         reg = get_registry()
         with reg.span("fft.pencil.forward"):
             work = self._fft_pass(blocks, axis=2, inverse=False)
@@ -371,7 +369,6 @@ class PencilFFT:
     def inverse(self, blocks: list[np.ndarray]) -> list[np.ndarray]:
         """Inverse 3-D FFT: x-pencil spectra -> z-pencil complex blocks."""
         self._check_blocks(blocks, "x-pencil")
-        get_fault_plan().sleep("fft")  # injectable straggler stall
         reg = get_registry()
         with reg.span("fft.pencil.inverse"):
             work = self._fft_pass(blocks, axis=0, inverse=True)

@@ -196,11 +196,10 @@ class HealthMonitor:
         """Record a discrete event that is not a threshold crossing.
 
         The resilience layer uses this for machine-fault events —
-        ``rank_died`` (CRIT, a domain was lost and not reconstructed),
-        ``rank_recovered`` (WARN, rebuilt from overload replicas),
-        ``comm_retry`` / ``comm_gave_up`` — so machine faults land in
-        the same event log, verdict, and exit status as the physics
-        invariants.
+        ``rank_died`` (CRIT, a domain was lost and not reconstructed)
+        and ``rank_recovered`` (WARN, rebuilt from overload replicas) —
+        so machine faults land in the same event log, verdict, and exit
+        status as the physics invariants.
         """
         if severity not in SEVERITY_ORDER:
             raise ValueError(

@@ -26,10 +26,10 @@ Hardening (the fault model is a crash or corruption at any byte):
   not the run;
 * **scheduling** — :class:`CheckpointSchedule` triggers by step count
   and/or wall-clock interval, driven from ``HACCSimulation.run``;
-* **fault injection** — the writer consults the active
-  :class:`repro.resilience.faults.FaultPlan` after publishing each file,
-  so chaos tests can truncate or bit-flip a scheduled write and assert
-  the fallback path.
+* **fault injection** — the writer consults the simulation's
+  :class:`repro.resilience.faults.FaultPlan` (``sim.faults``) after
+  publishing each file, so chaos tests can truncate or bit-flip a
+  scheduled write and assert the fallback path.
 
 All load-side failures raise :class:`CheckpointError` carrying the
 offending path; foreign ``.npz`` files report the keys they *did*
@@ -54,7 +54,7 @@ import numpy as np
 from repro.config import ConfigError, SimulationConfig
 from repro.core.particles import Particles
 from repro.core.simulation import HACCSimulation
-from repro.resilience.faults import get_fault_plan
+from repro.resilience.faults import FaultPlan, NullFaultPlan
 
 __all__ = [
     "CheckpointError",
@@ -161,9 +161,8 @@ def _checkpoint_metadata(sim: HACCSimulation, checksums: dict) -> dict:
     }
 
 
-def _apply_checkpoint_fault(path: Path, spec: dict) -> None:
+def _apply_checkpoint_fault(path: Path, spec: dict, plan: FaultPlan) -> None:
     """Corrupt a just-written checkpoint per an injected fault spec."""
-    plan = get_fault_plan()
     size = path.stat().st_size
     mode = spec["mode"]
     offset = spec.get("offset")
@@ -225,11 +224,11 @@ def save_checkpoint(path: str | Path, sim: HACCSimulation) -> Path:
     finally:
         if tmp.exists():  # publication failed; leave no litter behind
             tmp.unlink()
-    plan = get_fault_plan()
+    plan = sim.faults
     if plan.enabled:
         spec = plan.checkpoint_fault()
         if spec is not None:
-            _apply_checkpoint_fault(p, spec)
+            _apply_checkpoint_fault(p, spec, plan)
     return p
 
 
@@ -321,9 +320,10 @@ def load_checkpoint(path: str | Path, **sim_kwargs) -> HACCSimulation:
     """Restore a simulation from a verified checkpoint; ``run()``
     resumes where the original left off.
 
-    Extra keyword arguments (``decomposition_dims``, ``retry_policy``,
-    ...) are forwarded to the :class:`HACCSimulation` constructor so a
-    decomposed run resumes with the same parallel structure.
+    Extra keyword arguments (``decomposition_dims``, ``faults``, ...)
+    are forwarded to the :class:`HACCSimulation` constructor so a
+    decomposed run resumes with the same parallel structure and fault
+    plan.
     """
     path = Path(path)
     meta, arrays = _load_verified(path)
@@ -361,13 +361,15 @@ def _rotation_files(directory: Path) -> list[tuple[int, Path]]:
     return sorted(out, reverse=True)
 
 
-def find_latest_valid(directory: str | Path) -> Path | None:
+def find_latest_valid(
+    directory: str | Path, faults: FaultPlan | NullFaultPlan = NullFaultPlan()
+) -> Path | None:
     """The newest checkpoint in a rotation directory that verifies.
 
     Walks ``ckpt_*.npz`` newest-first; anything truncated, corrupt, or
-    foreign is skipped with a warning (and, when fault injection is
-    live, counted as a survived checkpoint fault).  Returns ``None``
-    when nothing valid remains.
+    foreign is skipped with a warning (and counted as a survived
+    ``"checkpoint"`` fault of ``faults``).  Returns ``None`` when
+    nothing valid remains.
     """
     directory = Path(directory)
     if not directory.is_dir():
@@ -381,9 +383,7 @@ def find_latest_valid(directory: str | Path) -> Path | None:
             logger.warning("skipping invalid checkpoint: %s", exc)
             continue
         if skipped:
-            plan = get_fault_plan()
-            if plan.enabled:
-                plan.note_recovery("checkpoint")
+            faults.note_recovery("checkpoint")
         return path
     return None
 

@@ -25,7 +25,6 @@ from typing import Callable, Iterable, Mapping, Sequence
 import numpy as np
 
 from repro.instrument import get_registry
-from repro.resilience.faults import get_fault_plan
 
 __all__ = ["CommStats", "SimulatedComm"]
 
@@ -244,21 +243,6 @@ class SimulatedComm:
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"SimulatedComm(size={self.size})"
 
-    @staticmethod
-    def _maybe_fail(tag: str) -> None:
-        """Fault-injection hook, consulted before any traffic moves.
-
-        Raises :class:`repro.resilience.faults.TransientCommError` when
-        the active fault plan schedules a failure for this collective —
-        *before* :class:`CommStats` records anything, so a failed
-        attempt is never charged to the network and a retrying wrapper
-        (:class:`repro.resilience.retry.ResilientComm`) double-counts
-        nothing.  The default plan is disabled: one attribute test.
-        """
-        plan = get_fault_plan()
-        if plan.enabled:
-            plan.comm_fault(tag)
-
     # ------------------------------------------------------------------
     # collectives
     # ------------------------------------------------------------------
@@ -278,7 +262,6 @@ class SimulatedComm:
             raise ValueError(
                 f"expected {n} send rows, got {len(sendbufs)}"
             )
-        self._maybe_fail(tag)
         msgs = 0
         nbytes = 0
         pairs: list[tuple[int, int, int]] = []
@@ -310,7 +293,6 @@ class SimulatedComm:
         particle-overloading communication pattern: each rank talks only to
         its 26 spatial neighbors.
         """
-        self._maybe_fail(tag)
         msgs = 0
         nbytes = 0
         pairs: list[tuple[int, int, int]] = []
@@ -339,7 +321,6 @@ class SimulatedComm:
             raise ValueError(
                 f"expected {self.size} values, got {len(values)}"
             )
-        self._maybe_fail(tag)
         result = op(list(values))
         per_msg = _nbytes(values[0]) if self.size else 0
         self.stats.record(2 * (self.size - 1), 2 * (self.size - 1) * per_msg, tag)
@@ -355,7 +336,6 @@ class SimulatedComm:
             raise ValueError(
                 f"expected {self.size} values, got {len(values)}"
             )
-        self._maybe_fail(tag)
         nbytes = sum(_nbytes(v) for v in values)
         self.stats.record(
             self.size * (self.size - 1),
@@ -366,7 +346,6 @@ class SimulatedComm:
 
     def barrier(self, tag: str = "barrier") -> None:
         """Synchronization point; charged as a tree barrier."""
-        self._maybe_fail(tag)
         self.stats.record(2 * (self.size - 1), 0, tag)
 
     # ------------------------------------------------------------------
@@ -386,20 +365,13 @@ class SimulatedComm:
         for rank, color in enumerate(colors):
             groups[int(color)].append(rank)
         return [
-            self._child(
+            SimulatedComm(
                 len(ranks),
-                self.stats,
-                tuple(self.members[r] for r in ranks),
+                stats=self.stats,
+                members=tuple(self.members[r] for r in ranks),
             )
             for _, ranks in sorted(groups.items())
         ]
-
-    def _child(
-        self, size: int, stats: CommStats, members: tuple[int, ...]
-    ) -> "SimulatedComm":
-        """Sub-communicator factory; resilient subclasses override it so
-        :meth:`split` children inherit their retry policy."""
-        return SimulatedComm(size, stats=stats, members=members)
 
     def _check_rank(self, rank: int) -> None:
         if not 0 <= rank < self.size:

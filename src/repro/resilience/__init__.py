@@ -1,38 +1,27 @@
-"""Fault tolerance: injection, resilient comm, and rank recovery.
+"""Fault tolerance: injection, rank recovery and graceful shutdown.
 
 Three pieces (see the module docstrings for the design):
 
-* :mod:`repro.resilience.faults` — the process-global, seeded
-  :class:`~repro.resilience.faults.FaultPlan` and the hook API the
-  production paths consult (transient comm failures, rank death,
-  checkpoint corruption, section slow-downs);
-* :mod:`repro.resilience.retry` — :class:`~repro.resilience.retry.
-  ResilientComm`, a drop-in communicator whose collectives retry under
-  an exponential-backoff :class:`~repro.resilience.retry.RetryPolicy`;
+* :mod:`repro.resilience.faults` — the seeded
+  :class:`~repro.resilience.faults.FaultPlan` a run is handed
+  (``HACCSimulation(..., faults=plan)``) and the hooks its production
+  paths consult (rank death, checkpoint corruption, short-range
+  slow-downs);
 * :mod:`repro.resilience.recovery` — reconstruction of a dead rank's
-  domain from the neighbors' particle-overload replicas.
+  domain from the neighbors' particle-overload replicas;
+* :mod:`repro.resilience.signals` — SIGTERM/SIGINT turned into a
+  checkpoint-and-exit.
 
-This ``__init__`` resolves its exports lazily (PEP 562): the fault hooks
-compiled into :mod:`repro.parallel.comm` import
-``repro.resilience.faults`` while ``repro.parallel.comm`` itself is
-being imported, and an eager ``from .retry import ...`` here would close
-that cycle (retry subclasses ``SimulatedComm``).
+This ``__init__`` resolves its exports lazily (PEP 562), so importing
+the package (or one light submodule, such as ``signals`` from the
+campaign supervisor) does not pull in the others.
 """
 
 from __future__ import annotations
 
 _EXPORTS = {
-    "TransientCommError": "repro.resilience.faults",
     "NullFaultPlan": "repro.resilience.faults",
     "FaultPlan": "repro.resilience.faults",
-    "get_fault_plan": "repro.resilience.faults",
-    "set_fault_plan": "repro.resilience.faults",
-    "enable_faults": "repro.resilience.faults",
-    "disable_faults": "repro.resilience.faults",
-    "use_faults": "repro.resilience.faults",
-    "CommGaveUpError": "repro.resilience.retry",
-    "RetryPolicy": "repro.resilience.retry",
-    "ResilientComm": "repro.resilience.retry",
     "RecoveryReport": "repro.resilience.recovery",
     "harvest_replicas": "repro.resilience.recovery",
     "recover_ranks": "repro.resilience.recovery",

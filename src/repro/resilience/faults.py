@@ -1,19 +1,12 @@
 """Deterministic fault injection: the chaos side of the resilience layer.
 
-A 14-hour run on 96 BG/Q racks *will* see transient network errors, dying
-nodes, and torn checkpoint writes; a code that cannot rehearse those
-failures cannot claim to survive them.  This module provides a
-process-global :class:`FaultPlan` (mirroring the instrument registry /
-telemetry singleton pattern) holding *seeded, deterministic* fault
-schedules which the production hot paths consult through cheap hooks:
+A 14-hour run on 96 BG/Q racks *will* see dying nodes, torn checkpoint
+writes and straggling nodes; a code that cannot rehearse those failures
+cannot claim to survive them.  A :class:`FaultPlan` holds *seeded,
+deterministic* fault schedules; it is handed to the run that should
+suffer them (``HACCSimulation(..., faults=plan)``), whose hot paths
+consult it through cheap hooks:
 
-* **transient comm failures** — :meth:`FaultPlan.comm_fault` is called at
-  the top of every :class:`repro.parallel.comm.SimulatedComm` collective
-  and raises :class:`TransientCommError` with a configured probability
-  (optionally capped, optionally restricted to tags), *before* any
-  traffic is recorded — a failed attempt moves no bytes.  The
-  :class:`repro.resilience.retry.ResilientComm` wrapper turns these into
-  bounded retries;
 * **rank death** — :meth:`FaultPlan.ranks_to_kill` reports the ranks
   scheduled to die at the current simulation step (one-shot); the driver
   drops the corresponding overloaded domain and, unless recovery is
@@ -22,10 +15,13 @@ schedules which the production hot paths consult through cheap hooks:
 * **checkpoint corruption** — :meth:`FaultPlan.checkpoint_fault` hands
   the checkpoint writer a one-shot truncation/bit-flip instruction for
   the N-th write, exercising the checksum + rotation fallback path;
-* **slow-downs** — :meth:`FaultPlan.sleep` stalls a named section
-  (``"fft"``, ``"shortrange"``), the straggler-node failure mode the
-  telemetry imbalance gauges are meant to expose.
+* **slow-downs** — :meth:`FaultPlan.sleep` stalls a named short-range
+  section (``"shortrange"``, ``"shortrange.domain"``), the
+  straggler-node failure mode the telemetry imbalance gauges are meant
+  to expose.
 
+The in-process communicator cannot fail on its own, so there is no
+transient-comm fault: the plan injects only failures a run can have.
 The default plan is a :class:`NullFaultPlan` whose ``enabled`` is False:
 every hook site is a single attribute test, so production runs pay
 nothing.  All randomness comes from one ``random.Random(seed)`` owned by
@@ -35,36 +31,16 @@ faults, which is what makes chaos tests assertable.
 
 from __future__ import annotations
 
-import fnmatch
 import random
 import time
-from typing import Iterable
 
+from repro.config import ConfigError
 from repro.instrument.registry import get_registry
 
-__all__ = [
-    "TransientCommError",
-    "NullFaultPlan",
-    "FaultPlan",
-    "get_fault_plan",
-    "set_fault_plan",
-    "enable_faults",
-    "disable_faults",
-    "use_faults",
-]
+__all__ = ["NullFaultPlan", "FaultPlan"]
 
 #: recognized checkpoint corruption modes
 CHECKPOINT_FAULT_MODES = ("truncate", "bitflip")
-
-
-class TransientCommError(RuntimeError):
-    """An injected send/recv failure; retryable by design."""
-
-    def __init__(self, tag: str, attempt_info: str = "") -> None:
-        self.tag = tag
-        super().__init__(
-            f"injected transient comm failure on {tag!r}" + attempt_info
-        )
 
 
 class NullFaultPlan:
@@ -73,9 +49,6 @@ class NullFaultPlan:
     enabled = False
 
     def begin_step(self, index: int) -> None:  # pragma: no cover - trivial
-        pass
-
-    def comm_fault(self, tag: str) -> None:  # pragma: no cover - trivial
         pass
 
     def ranks_to_kill(self) -> frozenset[int]:
@@ -101,16 +74,16 @@ class FaultPlan:
     ----------
     seed:
         Seed of the plan's private RNG; the only source of randomness
-        for probabilistic faults (the comm failure draw and the default
-        bit-flip position).
+        (the default bit-flip position).
 
-    Schedules are added with the chainable ``with_*`` methods::
+    Schedules are added with the chainable ``with_*`` methods, and the
+    plan is handed to the run it should hit::
 
         plan = (FaultPlan(seed=7)
-                .with_comm_failures(0.2, max_failures=3)
                 .with_rank_death(step=4, rank=1)
                 .with_checkpoint_corruption(write_index=1, mode="truncate"))
-        set_fault_plan(plan)
+        sim = HACCSimulation(cfg, decomposition_dims=(2, 1, 1),
+                             faults=plan)
 
     Injection counts are tracked in :attr:`injected` (by kind) and
     recoveries reported back by the resilient layers in
@@ -124,7 +97,6 @@ class FaultPlan:
     def __init__(self, seed: int = 0) -> None:
         self.seed = int(seed)
         self._rng = random.Random(self.seed)
-        self._comm_specs: list[dict] = []
         self._deaths: dict[int, set[int]] = {}
         self._ckpt_faults: dict[int, dict] = {}
         self._slowdowns: dict[str, float] = {}
@@ -136,35 +108,6 @@ class FaultPlan:
     # ------------------------------------------------------------------
     # schedule builders (chainable)
     # ------------------------------------------------------------------
-    def with_comm_failures(
-        self,
-        rate: float,
-        tags: str | Iterable[str] | None = None,
-        max_failures: int | None = None,
-    ) -> "FaultPlan":
-        """Fail matching collectives with probability ``rate`` per call.
-
-        ``tags`` is an fnmatch pattern (or list of patterns) against the
-        collective's tag (``"overload.*"``, ``"fft.transpose.zy"``);
-        ``None`` matches everything.  ``max_failures`` caps the total
-        injections of this spec so a retried operation eventually
-        succeeds even at ``rate=1.0``.
-        """
-        if not 0.0 <= rate <= 1.0:
-            raise ValueError(f"failure rate must be in [0, 1]: {rate}")
-        if isinstance(tags, str):
-            tags = (tags,)
-        self._comm_specs.append(
-            {
-                "rate": float(rate),
-                "tags": tuple(tags) if tags is not None else None,
-                "remaining": (
-                    int(max_failures) if max_failures is not None else None
-                ),
-            }
-        )
-        return self
-
     def with_rank_death(self, step: int, rank: int) -> "FaultPlan":
         """Kill ``rank`` at simulation step ``step`` (one-shot)."""
         if step < 0 or rank < 0:
@@ -199,11 +142,45 @@ class FaultPlan:
         return self
 
     def with_slowdown(self, section: str, seconds: float) -> "FaultPlan":
-        """Stall ``section`` (``"fft"``, ``"shortrange"``) per visit."""
+        """Stall ``section`` (``"shortrange"``, ``"shortrange.domain"``)
+        per visit."""
         if seconds < 0:
             raise ValueError(f"slowdown must be >= 0 s: {seconds}")
         self._slowdowns[str(section)] = float(seconds)
         return self
+
+    def check_run(
+        self, n_steps: int, n_ranks: int, sections: frozenset[str]
+    ) -> None:
+        """Raise :class:`~repro.config.ConfigError` for a fault the run
+        can never have.
+
+        ``n_ranks`` is the number of domains whose death the run
+        handles (0 when it has no decomposed short-range solve) and
+        ``sections`` the slow-down sections its hooks read.
+        """
+        for step, ranks in sorted(self._deaths.items()):
+            if n_ranks == 0:
+                raise ConfigError(
+                    f"rank death at step {step} needs a decomposed "
+                    f"short-range run"
+                )
+            if step >= n_steps:
+                raise ConfigError(
+                    f"rank death at step {step} is past the run's last "
+                    f"step {n_steps - 1}"
+                )
+            if max(ranks) >= n_ranks:
+                raise ConfigError(
+                    f"rank death of rank {max(ranks)} at step {step}: "
+                    f"the run has {n_ranks} ranks"
+                )
+        for section in sorted(set(self._slowdowns) - sections):
+            known = ", ".join(sorted(sections)) or "none"
+            raise ConfigError(
+                f"slowdown section {section!r} is never visited by this "
+                f"run (sections: {known})"
+            )
 
     # ------------------------------------------------------------------
     # hooks (called from the production paths)
@@ -211,22 +188,6 @@ class FaultPlan:
     def begin_step(self, index: int) -> None:
         """Driver hook: the simulation is entering step ``index``."""
         self._step = int(index)
-
-    def comm_fault(self, tag: str) -> None:
-        """Maybe raise a :class:`TransientCommError` for this collective."""
-        for spec in self._comm_specs:
-            if spec["remaining"] is not None and spec["remaining"] <= 0:
-                continue
-            tags = spec["tags"]
-            if tags is not None and not any(
-                fnmatch.fnmatchcase(tag, pat) for pat in tags
-            ):
-                continue
-            if self._rng.random() < spec["rate"]:
-                if spec["remaining"] is not None:
-                    spec["remaining"] -= 1
-                self._note_injection("comm")
-                raise TransientCommError(tag)
 
     def ranks_to_kill(self) -> frozenset[int]:
         """Ranks scheduled to die at the current step; one-shot.
@@ -299,49 +260,3 @@ class FaultPlan:
             "faults_injected": self.faults_injected(),
             "faults_recovered": self.faults_recovered(),
         }
-
-
-# ----------------------------------------------------------------------
-# process-global active plan (mirrors the registry/telemetry pattern)
-# ----------------------------------------------------------------------
-_active: FaultPlan | NullFaultPlan = NullFaultPlan()
-
-
-def get_fault_plan() -> FaultPlan | NullFaultPlan:
-    """The currently active fault plan (the shared no-op by default)."""
-    return _active
-
-
-def set_fault_plan(
-    plan: FaultPlan | NullFaultPlan,
-) -> FaultPlan | NullFaultPlan:
-    """Install ``plan`` as the active one; returns it."""
-    global _active
-    _active = plan
-    return _active
-
-
-def enable_faults(seed: int = 0) -> FaultPlan:
-    """Install and return a fresh empty :class:`FaultPlan`."""
-    return set_fault_plan(FaultPlan(seed=seed))
-
-
-def disable_faults() -> NullFaultPlan:
-    """Restore the no-op plan; returns it."""
-    return set_fault_plan(NullFaultPlan())
-
-
-class use_faults:
-    """Context manager: temporarily install ``plan`` (tests)."""
-
-    def __init__(self, plan: FaultPlan | NullFaultPlan) -> None:
-        self.plan = plan
-        self._previous: FaultPlan | NullFaultPlan | None = None
-
-    def __enter__(self) -> FaultPlan | NullFaultPlan:
-        self._previous = get_fault_plan()
-        return set_fault_plan(self.plan)
-
-    def __exit__(self, *exc) -> None:
-        assert self._previous is not None
-        set_fault_plan(self._previous)

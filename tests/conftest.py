@@ -26,17 +26,6 @@ def grid_force_fit():
     return default_grid_force_fit()
 
 
-@pytest.fixture(autouse=True)
-def _restore_null_fault_plan():
-    """Never let one test's fault plan leak into the next."""
-    from repro.resilience.faults import disable_faults, get_fault_plan
-
-    before = get_fault_plan()
-    yield
-    if get_fault_plan() is not before or before.enabled:
-        disable_faults()
-
-
 @pytest.fixture()
 def rng():
     """Fresh deterministic generator per test."""

@@ -80,9 +80,9 @@ class TestSpecExpansion:
         assert [r.config.cosmology.sigma8 for r in spec.runs] == [0.7, 0.9]
 
     def test_explicit_runs_carry_extra_args(self):
-        spec = _spec(runs=[{"seed": 5, "extra_args": ["--retry"]}])
+        spec = _spec(runs=[{"seed": 5, "extra_args": ["--no-recovery"]}])
         assert spec.runs[0].config.seed == 5
-        assert spec.runs[0].extra_args == ("--retry",)
+        assert spec.runs[0].extra_args == ("--no-recovery",)
 
     def test_bare_base_is_one_run(self):
         assert len(_spec().runs) == 1
@@ -105,7 +105,7 @@ class TestSpecExpansion:
 
     def test_extra_args_cannot_be_an_axis(self):
         with pytest.raises(SpecError, match="extra_args"):
-            _spec(grid={"extra_args": [["--retry"]]})
+            _spec(grid={"extra_args": [["--no-recovery"]]})
 
     def test_invalid_config_is_a_spec_error(self):
         with pytest.raises(SpecError, match="invalid config"):

@@ -170,13 +170,56 @@ class TestRunCommand:
             main(self._base(tmp_path / "out") + ["--executor", "process"])
         assert exc.value.code == 2
 
-    def test_retired_overlap_flag_is_a_usage_error(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "flag",
+        [
+            ["--overlap"],
+            ["--retry"],
+            ["--retry-max-attempts", "4"],
+            ["--inject-comm-failures", "0.5"],
+            ["--inject-comm-tags", "x"],
+            ["--inject-comm-max", "1"],
+        ],
+        ids=lambda flag: flag[0],
+    )
+    def test_retired_flag_is_a_usage_error(self, tmp_path, capsys, flag):
         out = tmp_path / "ovl"
         with pytest.raises(SystemExit) as exc:
-            main(self._base(out) + ["--overlap"])
+            main(self._base(out) + flag)
         assert exc.value.code == 2
         err = capsys.readouterr().err
-        assert "--overlap" in err and "Traceback" not in err
+        assert flag[0] in err and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "fault, expected",
+        [
+            (["--decomposition", "2,1,1", "--inject-rank-death", "0:5"],
+             "the run has 2 ranks"),
+            (["--inject-rank-death", "0:0"], "decomposed"),
+            (["--decomposition", "2,1,1", "--inject-rank-death", "2:0"],
+             "past the run's last step 1"),
+            (["--inject-slowdown", "fft:0.1"], "'fft'"),
+            (["--backend", "pm", "--decomposition", "2,1,1",
+              "--inject-rank-death", "0:0"], "decomposed short-range"),
+            (["--backend", "pm", "--inject-slowdown", "shortrange:0.1"],
+             "sections: none"),
+        ],
+    )
+    def test_fault_the_run_cannot_have_is_a_one_line_exit(
+        self, tmp_path, fault, expected
+    ):
+        """A rank it lacks, an undecomposed or PM-only run, a step past
+        the end or a section no hook reads: rejected before the first
+        step."""
+        out = tmp_path / "bad-fault"
+        with pytest.raises(SystemExit) as exc:
+            main(self._base(out) + [
+                "--n-per-dim", "16", "--overload-depth", "14",
+            ] + fault)
+        message = str(exc.value.code)
+        assert message.startswith("run: ") and expected in message
+        assert "\n" not in message
         assert not out.exists()
 
     def test_internal_value_error_keeps_its_traceback(
@@ -207,10 +250,6 @@ class TestRunCommand:
             "--inject-rank-death", "1:1", "--fault-seed", "2012",
         ]
         assert main(argv) == 0
-        from repro.resilience.faults import get_fault_plan
-
-        # the command restores the null plan on the way out
-        assert not get_fault_plan().enabled
 
     @pytest.mark.chaos
     def test_unrecovered_rank_death_exits_two(self, tmp_path):
@@ -222,14 +261,3 @@ class TestRunCommand:
             "--fault-seed", "2012",
         ]
         assert main(argv) == 2
-
-    @pytest.mark.chaos
-    def test_retry_absorbs_comm_faults(self, tmp_path):
-        out = tmp_path / "chaos3"
-        argv = self._base(out) + [
-            "--n-per-dim", "16", "--decomposition", "2,1,1",
-            "--overload-depth", "14",
-            "--retry", "--inject-comm-failures", "1.0",
-            "--inject-comm-max", "2", "--fault-seed", "2012",
-        ]
-        assert main(argv) == 0

@@ -31,6 +31,7 @@ from repro.io import (
     save_checkpoint,
     verify_checkpoint,
 )
+from repro.resilience import NullFaultPlan
 
 
 #: a format-2 checkpoint of ``tiny_sim()`` after one step, written by the
@@ -52,7 +53,9 @@ def rewrite(src, dst, edit_meta=None, **array_edits):
     return dst
 
 
-def tiny_sim(n_steps: int = 2, **overrides) -> HACCSimulation:
+def tiny_sim(
+    n_steps: int = 2, faults=NullFaultPlan(), **overrides
+) -> HACCSimulation:
     base = dict(
         box_size=64.0,
         n_per_dim=8,
@@ -63,7 +66,7 @@ def tiny_sim(n_steps: int = 2, **overrides) -> HACCSimulation:
         seed=5,
     )
     base.update(overrides)
-    return HACCSimulation(SimulationConfig(**base))
+    return HACCSimulation(SimulationConfig(**base), faults=faults)
 
 
 class TestCRC32C:
@@ -623,32 +626,30 @@ class TestCheckpointerDriver:
 @pytest.mark.chaos
 class TestInjectedCheckpointFaults:
     def test_injected_truncation_forces_fallback(self, tmp_path):
-        from repro.resilience import FaultPlan, use_faults
+        from repro.resilience import FaultPlan
 
         plan = FaultPlan(seed=2012).with_checkpoint_corruption(
             write_index=1, mode="truncate"
         )
-        sim = tiny_sim(n_steps=2)
+        sim = tiny_sim(n_steps=2, faults=plan)
         ck = Checkpointer(tmp_path)
-        with use_faults(plan):
-            sim.step()
-            first = ck.maybe_checkpoint(sim)
-            sim.step()
-            ck.maybe_checkpoint(sim)
-            assert plan.injected["checkpoint"] == 1
-            assert find_latest_valid(tmp_path) == first
-            # falling back across the corrupt file counts as a survived
-            # checkpoint fault
-            assert plan.recovered.get("checkpoint") == 1
+        sim.step()
+        first = ck.maybe_checkpoint(sim)
+        sim.step()
+        ck.maybe_checkpoint(sim)
+        assert plan.injected["checkpoint"] == 1
+        assert find_latest_valid(tmp_path, faults=plan) == first
+        # falling back across the corrupt file counts as a survived
+        # checkpoint fault
+        assert plan.recovered.get("checkpoint") == 1
 
     def test_injected_bitflip_detected(self, tmp_path):
-        from repro.resilience import FaultPlan, use_faults
+        from repro.resilience import FaultPlan
 
         plan = FaultPlan(seed=2012).with_checkpoint_corruption(
             write_index=0, mode="bitflip"
         )
-        sim = tiny_sim()
-        with use_faults(plan):
-            path = save_checkpoint(tmp_path / "flip", sim)
+        sim = tiny_sim(faults=plan)
+        path = save_checkpoint(tmp_path / "flip", sim)
         with pytest.raises(CheckpointError):
             load_checkpoint(path)

@@ -32,7 +32,7 @@ from repro.parallel.executor import (
     RankExecutor,
     WorkerError,
 )
-from repro.resilience import FaultPlan, use_faults
+from repro.resilience import FaultPlan, NullFaultPlan
 
 CHAOS_SEED = int(os.environ.get("REPRO_CHAOS_SEED", "2012"))
 CHAOS_WORKERS = int(os.environ.get("REPRO_CHAOS_WORKERS", "4"))
@@ -63,22 +63,21 @@ def tiny_config(workers: int = 1, executor: str = "serial",
     return SimulationConfig(**base)
 
 
-def make_sim(cfg: SimulationConfig) -> HACCSimulation:
+def make_sim(
+    cfg: SimulationConfig, faults=NullFaultPlan()
+) -> HACCSimulation:
     return HACCSimulation(
-        cfg, decomposition_dims=DIMS, overload_depth=DEPTH
+        cfg, decomposition_dims=DIMS, overload_depth=DEPTH, faults=faults
     )
 
 
-def run_sim(workers: int, executor: str, plan=None, **overrides):
+def run_sim(
+    workers: int, executor: str, plan=NullFaultPlan(), **overrides
+):
     """Run a tiny simulation; return (positions, momenta, interactions)."""
     cfg = tiny_config(workers=workers, executor=executor, **overrides)
-    if plan is not None:
-        with use_faults(plan):
-            sim = make_sim(cfg)
-            sim.run()
-    else:
-        sim = make_sim(cfg)
-        sim.run()
+    sim = make_sim(cfg, faults=plan)
+    sim.run()
     out = (
         sim.particles.positions.copy(),
         sim.particles.momenta.copy(),
@@ -221,10 +220,10 @@ class TestWorkerFailure:
 
         real = simmod._solve_domain
 
-        def poisoned(solver, rank, positions, masses, active):
+        def poisoned(solver, faults, rank, positions, masses, active):
             if rank == 1:
                 raise RuntimeError("domain solver blew up")
-            return real(solver, rank, positions, masses, active)
+            return real(solver, faults, rank, positions, masses, active)
 
         monkeypatch.setattr(simmod, "_solve_domain", poisoned)
         sim = make_sim(tiny_config(workers=CHAOS_WORKERS, executor="thread"))
@@ -277,9 +276,8 @@ class TestChaosParallel:
         cfg = tiny_config(
             workers=CHAOS_WORKERS, executor="thread", n_steps=3
         )
-        with use_faults(plan):
-            sim = make_sim(cfg)
-            sim.run()
+        sim = make_sim(cfg, faults=plan)
+        sim.run()
         try:
             assert plan.injected["rank_death"] == 1
             assert plan.recovered["rank_death"] == 1

@@ -1,11 +1,11 @@
 """Tests for the fault-tolerance subsystem (``repro.resilience``).
 
-Covers the fault-injection plan, the retrying communicator, replica-based
-rank recovery, and — under the ``chaos`` marker — the driver-level
-failure scenarios: rank death mid-run (recovered and not), transient
-comm failures absorbed by retries, and the full kill-a-rank /
-corrupt-a-checkpoint / auto-resume story with a power-spectrum closeness
-assertion against a fault-free run.
+Covers the fault-injection plan, the campaign backoff policy,
+replica-based rank recovery, the plan handed to each run, and — under
+the ``chaos`` marker — the driver-level failure scenarios: rank death
+mid-run (recovered and not), short-range stragglers, and the full
+kill-a-rank / corrupt-a-checkpoint / auto-resume story with a
+power-spectrum closeness assertion against a fault-free run.
 
 The chaos lane runs with a fixed seed (``REPRO_CHAOS_SEED``, default
 2012) so every injected failure is replayable.
@@ -18,28 +18,18 @@ import os
 import numpy as np
 import pytest
 
+from repro.campaign.supervisor import RetryPolicy
 from repro.config import SimulationConfig
 from repro.core.simulation import HACCSimulation
-from repro.instrument import HealthMonitor
 from repro.instrument.registry import disable as disable_registry
 from repro.instrument.registry import enable as enable_registry
-from repro.parallel.comm import SimulatedComm
 from repro.parallel.decomposition import DomainDecomposition
 from repro.parallel.overload import OverloadExchange
 from repro.resilience import (
-    CommGaveUpError,
     FaultPlan,
     NullFaultPlan,
-    ResilientComm,
-    RetryPolicy,
-    TransientCommError,
-    disable_faults,
-    enable_faults,
-    get_fault_plan,
     harvest_replicas,
     recover_ranks,
-    set_fault_plan,
-    use_faults,
 )
 
 CHAOS_SEED = int(os.environ.get("REPRO_CHAOS_SEED", "2012"))
@@ -74,60 +64,13 @@ class TestFaultPlan:
     def test_null_plan_is_inert(self):
         plan = NullFaultPlan()
         assert not plan.enabled
-        plan.comm_fault("anything")  # never raises
         assert plan.ranks_to_kill() == frozenset()
         assert plan.checkpoint_fault() is None
         assert plan.summary()["enabled"] is False
 
     def test_default_active_plan_is_null(self):
-        assert isinstance(get_fault_plan(), NullFaultPlan)
-
-    def test_enable_disable_roundtrip(self):
-        plan = enable_faults(seed=3)
-        assert get_fault_plan() is plan
-        assert plan.enabled
-        disable_faults()
-        assert isinstance(get_fault_plan(), NullFaultPlan)
-
-    def test_use_faults_restores_previous(self):
-        inner = FaultPlan(seed=1)
-        before = get_fault_plan()
-        with use_faults(inner) as active:
-            assert active is inner
-            assert get_fault_plan() is inner
-        assert get_fault_plan() is before
-
-    def test_comm_failures_are_deterministic(self):
-        def injections(seed):
-            plan = FaultPlan(seed=seed).with_comm_failures(0.5)
-            hits = []
-            for i in range(50):
-                try:
-                    plan.comm_fault("t")
-                except TransientCommError:
-                    hits.append(i)
-            return hits
-
-        assert injections(7) == injections(7)
-        assert injections(7) != injections(8)
-
-    def test_comm_failure_rate_validation(self):
-        with pytest.raises(ValueError, match="rate"):
-            FaultPlan().with_comm_failures(1.5)
-
-    def test_comm_failure_tag_patterns(self):
-        plan = FaultPlan(seed=0).with_comm_failures(1.0, tags="overload.*")
-        plan.comm_fault("fft.transpose.zy")  # no match, no raise
-        with pytest.raises(TransientCommError):
-            plan.comm_fault("overload.distribute")
-
-    def test_comm_failure_cap(self):
-        plan = FaultPlan(seed=0).with_comm_failures(1.0, max_failures=2)
-        for _ in range(2):
-            with pytest.raises(TransientCommError):
-                plan.comm_fault("x")
-        plan.comm_fault("x")  # budget exhausted: healthy again
-        assert plan.injected["comm"] == 2
+        sim = HACCSimulation(tiny_config(n_steps=1, backend="pm"))
+        assert isinstance(sim.faults, NullFaultPlan)
 
     def test_rank_death_is_one_shot_per_step(self):
         plan = FaultPlan().with_rank_death(step=3, rank=1)
@@ -152,31 +95,31 @@ class TestFaultPlan:
             FaultPlan().with_checkpoint_corruption(mode="melt")
 
     def test_summary_folds_injected_and_recovered(self):
-        plan = FaultPlan(seed=9).with_comm_failures(1.0, max_failures=1)
-        with pytest.raises(TransientCommError):
-            plan.comm_fault("x")
-        plan.note_recovery("comm")
+        plan = FaultPlan(seed=9).with_rank_death(step=0, rank=1)
+        plan.begin_step(0)
+        assert plan.ranks_to_kill() == frozenset({1})
+        plan.note_recovery("rank_death")
         s = plan.summary()
         assert s["faults_injected"] == 1
         assert s["faults_recovered"] == 1
-        assert s["injected"] == {"comm": 1}
-        assert s["recovered"] == {"comm": 1}
+        assert s["injected"] == {"rank_death": 1}
+        assert s["recovered"] == {"rank_death": 1}
 
     def test_injections_counted_in_registry(self):
         reg = enable_registry()
         try:
-            plan = FaultPlan(seed=0).with_comm_failures(1.0, max_failures=1)
-            with pytest.raises(TransientCommError):
-                plan.comm_fault("x")
-            plan.note_recovery("comm")
-            assert reg.counter("faults.comm") == 1
-            assert reg.counter("faults.recovered.comm") == 1
+            plan = FaultPlan(seed=0).with_rank_death(step=0, rank=1)
+            plan.begin_step(0)
+            assert plan.ranks_to_kill() == frozenset({1})
+            plan.note_recovery("rank_death")
+            assert reg.counter("faults.rank_death") == 1
+            assert reg.counter("faults.recovered.rank_death") == 1
         finally:
             disable_registry()
 
 
 # ----------------------------------------------------------------------
-# RetryPolicy / ResilientComm
+# RetryPolicy (the campaign supervisor's backoff)
 # ----------------------------------------------------------------------
 class TestRetryPolicy:
     def test_delay_sequence_is_deterministic(self):
@@ -194,157 +137,6 @@ class TestRetryPolicy:
         assert p.delay(1) == pytest.approx(0.02)
         assert p.delay(2) == pytest.approx(0.03)  # capped
         assert p.delay(5) == pytest.approx(0.03)
-
-    def test_succeeds_after_transient_failures(self):
-        sleeps: list[float] = []
-        policy = RetryPolicy(
-            max_attempts=4, jitter=0.0, sleep=sleeps.append
-        )
-        calls = {"n": 0}
-
-        def flaky():
-            calls["n"] += 1
-            if calls["n"] < 3:
-                raise TransientCommError("t")
-            return "ok"
-
-        plan = enable_faults()
-        try:
-            assert policy.run(flaky, "t") == "ok"
-            assert calls["n"] == 3
-            assert len(sleeps) == 2
-            assert plan.recovered.get("comm") == 1
-        finally:
-            disable_faults()
-
-    def test_gives_up_after_max_attempts(self):
-        policy = RetryPolicy(max_attempts=2, jitter=0.0, sleep=lambda s: None)
-
-        def always():
-            raise TransientCommError("t")
-
-        with pytest.raises(CommGaveUpError) as exc:
-            policy.run(always, "doomed")
-        assert exc.value.attempts == 2
-        assert exc.value.tag == "doomed"
-
-    def test_deadline_bounds_retries(self):
-        t = {"now": 0.0}
-
-        def clock():
-            t["now"] += 10.0
-            return t["now"]
-
-        policy = RetryPolicy(
-            max_attempts=100, deadline=5.0, jitter=0.0,
-            sleep=lambda s: None, clock=clock,
-        )
-        with pytest.raises(CommGaveUpError) as exc:
-            policy.run(lambda: (_ for _ in ()).throw(
-                TransientCommError("t")), "t")
-        assert exc.value.attempts == 1  # first check already past deadline
-
-    def test_events_reach_the_health_monitor(self):
-        monitor = HealthMonitor()
-        policy = RetryPolicy(
-            max_attempts=2, jitter=0.0, sleep=lambda s: None,
-            monitor=monitor,
-        )
-        calls = {"n": 0}
-
-        def flaky():
-            calls["n"] += 1
-            if calls["n"] == 1:
-                raise TransientCommError("t")
-            return 1
-
-        policy.run(flaky, "t")
-        assert [e.check for e in monitor.events] == ["comm_retry"]
-        with pytest.raises(CommGaveUpError):
-            policy.run(lambda: (_ for _ in ()).throw(
-                TransientCommError("t")), "t")
-        assert monitor.events[-1].check == "comm_gave_up"
-        assert monitor.events[-1].severity == "CRIT"
-        assert monitor.verdict() == "CRIT"
-
-    def test_retry_counters(self):
-        reg = enable_registry()
-        try:
-            policy = RetryPolicy(
-                max_attempts=2, jitter=0.0, sleep=lambda s: None
-            )
-            calls = {"n": 0}
-
-            def flaky():
-                calls["n"] += 1
-                if calls["n"] == 1:
-                    raise TransientCommError("t")
-                return 1
-
-            policy.run(flaky, "t")
-            assert reg.counter("comm.retries") == 1
-            with pytest.raises(CommGaveUpError):
-                policy.run(lambda: (_ for _ in ()).throw(
-                    TransientCommError("t")), "t")
-            assert reg.counter("comm.gave_up") == 1
-        finally:
-            disable_registry()
-
-
-class TestResilientComm:
-    def _policy(self):
-        return RetryPolicy(max_attempts=5, jitter=0.0, sleep=lambda s: None)
-
-    def test_absorbs_injected_failures(self):
-        comm = ResilientComm(2, policy=self._policy())
-        plan = FaultPlan(seed=CHAOS_SEED).with_comm_failures(
-            1.0, max_failures=3
-        )
-        payload = [[np.arange(3), None], [None, np.arange(2)]]
-        with use_faults(plan):
-            out = comm.alltoallv(payload, tag="t")
-        assert np.array_equal(out[0][0], np.arange(3))
-        assert plan.injected["comm"] == 3
-        assert plan.recovered["comm"] == 1
-
-    def test_failed_attempts_charge_no_traffic(self):
-        clean = ResilientComm(2, policy=self._policy())
-        clean.allgather([1, 2], tag="t")
-        baseline = (clean.stats.messages, clean.stats.bytes)
-
-        comm = ResilientComm(2, policy=self._policy())
-        plan = FaultPlan(seed=0).with_comm_failures(1.0, max_failures=2)
-        with use_faults(plan):
-            comm.allgather([1, 2], tag="t")
-        # one successful delivery's traffic despite three attempts
-        assert (comm.stats.messages, comm.stats.bytes) == baseline
-
-    def test_gave_up_propagates(self):
-        comm = ResilientComm(
-            2,
-            policy=RetryPolicy(
-                max_attempts=2, jitter=0.0, sleep=lambda s: None
-            ),
-        )
-        plan = FaultPlan(seed=0).with_comm_failures(1.0)
-        with use_faults(plan), pytest.raises(CommGaveUpError):
-            comm.barrier(tag="t")
-
-    def test_split_children_share_the_policy(self):
-        comm = ResilientComm(4, policy=self._policy())
-        children = comm.split([0, 0, 1, 1])
-        assert len(children) == 2
-        for child in children:
-            assert isinstance(child, ResilientComm)
-            assert child.policy is comm.policy
-            assert child.stats is comm.stats
-
-    def test_matches_plain_comm_without_faults(self):
-        plain = SimulatedComm(3)
-        res = ResilientComm(3, policy=self._policy())
-        vals = [10, 20, 30]
-        assert res.allreduce(vals) == plain.allreduce(vals)
-        assert res.allgather(vals) == plain.allgather(vals)
 
 
 # ----------------------------------------------------------------------
@@ -436,11 +228,10 @@ class TestDriverChaos:
     def test_rank_death_is_recovered_mid_run(self):
         cfg = tiny_config()
         plan = FaultPlan(seed=CHAOS_SEED).with_rank_death(step=2, rank=1)
-        with use_faults(plan):
-            sim = HACCSimulation(
-                cfg, decomposition_dims=DIMS, overload_depth=DEPTH
-            )
-            sim.run()
+        sim = HACCSimulation(
+            cfg, decomposition_dims=DIMS, overload_depth=DEPTH, faults=plan
+        )
+        sim.run()
         assert plan.injected["rank_death"] == 1
         assert plan.recovered["rank_death"] == 1
         assert len(sim.recovery_reports) == 1
@@ -455,11 +246,10 @@ class TestDriverChaos:
         )
         ref.run()
         plan = FaultPlan(seed=CHAOS_SEED).with_rank_death(step=2, rank=1)
-        with use_faults(plan):
-            sim = HACCSimulation(
-                cfg, decomposition_dims=DIMS, overload_depth=DEPTH
-            )
-            sim.run()
+        sim = HACCSimulation(
+            cfg, decomposition_dims=DIMS, overload_depth=DEPTH, faults=plan
+        )
+        sim.run()
         # the lost deep-interior particles miss one short-range kick;
         # displacements stay far below the grid spacing (8 Mpc/h)
         diff = np.abs(sim.particles.positions - ref.particles.positions)
@@ -469,15 +259,15 @@ class TestDriverChaos:
     def test_unrecovered_death_goes_crit(self):
         cfg = tiny_config(n_steps=3)
         plan = FaultPlan(seed=CHAOS_SEED).with_rank_death(step=1, rank=0)
-        with use_faults(plan):
-            sim = HACCSimulation(
-                cfg,
-                decomposition_dims=DIMS,
-                overload_depth=DEPTH,
-                recover_on_rank_death=False,
-            )
-            sim.attach_health()
-            sim.run()
+        sim = HACCSimulation(
+            cfg,
+            decomposition_dims=DIMS,
+            overload_depth=DEPTH,
+            faults=plan,
+            recover_on_rank_death=False,
+        )
+        sim.attach_health()
+        sim.run()
         checks = [e.check for e in sim.health.monitor.events]
         assert "rank_died" in checks
         assert sim.health.verdict() == "CRIT"
@@ -490,66 +280,72 @@ class TestDriverChaos:
         plan = FaultPlan(seed=CHAOS_SEED).with_rank_death(step=1, rank=1)
         # thresholds wide open: only the discrete fault events matter
         wide = {"energy_residual": (1e9, 1e9)}
-        with use_faults(plan):
-            sim = HACCSimulation(
-                cfg, decomposition_dims=DIMS, overload_depth=DEPTH
-            )
-            from repro.instrument import HealthThresholds
+        sim = HACCSimulation(
+            cfg, decomposition_dims=DIMS, overload_depth=DEPTH, faults=plan
+        )
+        from repro.instrument import HealthThresholds
 
-            sim.attach_health(
-                thresholds=HealthThresholds().with_(
-                    momentum_drift=(1e9, 2e9),
-                    energy_residual=(1e9, 2e9),
-                    mass_error=(1e9, 2e9),
-                )
+        sim.attach_health(
+            thresholds=HealthThresholds().with_(
+                momentum_drift=(1e9, 2e9),
+                energy_residual=(1e9, 2e9),
+                mass_error=(1e9, 2e9),
             )
-            sim.run()
+        )
+        sim.run()
         checks = [e.check for e in sim.health.monitor.events]
         assert "rank_recovered" in checks
         assert "rank_died" not in checks
         assert sim.health.verdict() == "WARN"
         assert sim.health.exit_status() == 0
 
-    def test_transient_comm_failures_absorbed_by_retry(self):
-        cfg = tiny_config(n_steps=2)
-        plan = FaultPlan(seed=CHAOS_SEED).with_comm_failures(
-            1.0, tags="overload.*", max_failures=2
-        )
-        policy = RetryPolicy(
-            max_attempts=4, jitter=0.0, sleep=lambda s: None
-        )
-        with use_faults(plan):
-            sim = HACCSimulation(
-                cfg,
-                decomposition_dims=DIMS,
-                overload_depth=DEPTH,
-                retry_policy=policy,
-            )
-            sim.run()
-        assert abs(sim.a - cfg.a_final) < 1e-12
-        assert plan.injected["comm"] == 2
-        assert plan.recovered["comm"] >= 1
-
     def test_shortrange_slowdown_is_injected(self):
         cfg = tiny_config(n_steps=1)
         plan = FaultPlan(seed=CHAOS_SEED).with_slowdown(
             "shortrange", 0.001
         )
-        with use_faults(plan):
-            sim = HACCSimulation(cfg)
-            sim.run()
+        sim = HACCSimulation(cfg, faults=plan)
+        sim.run()
         assert plan.injected["slowdown"] >= 1
 
-    def test_fft_slowdown_hooks_the_pencil_transform(self):
-        from repro.fft.pencil import PencilFFT
 
-        plan = FaultPlan(seed=CHAOS_SEED).with_slowdown("fft", 0.001)
-        p = PencilFFT(8, 2, 2)
-        x = np.random.default_rng(0).standard_normal((8, 8, 8))
-        with use_faults(plan):
-            k = p.gather(p.forward(p.scatter(x)), "x-pencil")
-        assert np.allclose(k, np.fft.fftn(x))
-        assert plan.injected["slowdown"] >= 1
+class TestPlanPerRun:
+    """The fault plan is an argument of the run it hits, not process
+    state: two runs in one process see only their own plans."""
+
+    def test_two_plans_one_process(self):
+        import repro.resilience.faults as faults_mod
+
+        cfg = tiny_config(n_steps=3)
+        solo = HACCSimulation(
+            cfg, decomposition_dims=DIMS, overload_depth=DEPTH
+        )
+        solo.run()
+
+        plan = FaultPlan(seed=CHAOS_SEED).with_rank_death(step=1, rank=1)
+        chaotic = HACCSimulation(
+            cfg, decomposition_dims=DIMS, overload_depth=DEPTH, faults=plan
+        )
+        healthy = HACCSimulation(
+            cfg, decomposition_dims=DIMS, overload_depth=DEPTH
+        )
+        for _ in range(cfg.n_steps):
+            chaotic.step()
+            healthy.step()
+        assert np.array_equal(
+            healthy.particles.positions, solo.particles.positions
+        )
+        assert np.array_equal(
+            healthy.particles.momenta, solo.particles.momenta
+        )
+        assert plan.injected == {"rank_death": 1}
+        assert healthy.faults.summary()["injected"] == {}
+        assert not healthy.recovery_reports
+        assert len(chaotic.recovery_reports) == 1
+        assert not [
+            name for name, value in vars(faults_mod).items()
+            if isinstance(value, (FaultPlan, NullFaultPlan))
+        ]
 
 
 class TestRegressionGate:
@@ -700,17 +496,16 @@ class TestChaosEndToEnd:
             .with_checkpoint_corruption(write_index=3, mode="truncate")
         )
         ckdir = tmp_path / "ckpts"
-        with use_faults(plan):
-            sim = HACCSimulation(
-                cfg, decomposition_dims=DIMS, overload_depth=DEPTH
-            )
-            ck = Checkpointer(
-                ckdir, keep_last=3,
-                schedule=CheckpointSchedule(every_steps=1),
-            )
-            while sim._step_index < 4:
-                sim.step()
-                ck.maybe_checkpoint(sim)
+        sim = HACCSimulation(
+            cfg, decomposition_dims=DIMS, overload_depth=DEPTH, faults=plan
+        )
+        ck = Checkpointer(
+            ckdir, keep_last=3,
+            schedule=CheckpointSchedule(every_steps=1),
+        )
+        while sim._step_index < 4:
+            sim.step()
+            ck.maybe_checkpoint(sim)
         assert plan.injected == {"rank_death": 1, "checkpoint": 1}
         assert plan.recovered["rank_death"] == 1
 
