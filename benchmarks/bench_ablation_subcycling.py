@@ -69,6 +69,10 @@ class TestSubcyclingAblation:
             iterations=1,
         )
         s1, s4 = sims[1].stepper, sims[4].stepper
+        # the closing half-kick's force opens the next step: n + 1
+        # solves for n steps, at every nc
+        for st in (s1, s4):
+            assert st.n_long_range_evals == sims[1].config.n_steps + 1
         print(f"\nnc=1: {s1.n_long_range_evals} PM solves, "
               f"{s1.n_short_range_evals} SR kicks; nc=4: "
               f"{s4.n_long_range_evals} PM solves, "

@@ -33,10 +33,12 @@
 # every measured backend x precision must cost no more ns per streamed
 # pair than check_regression.py's KERNEL_NS_PER_PAIR_CEILINGS; then it
 # forces the numpy fallback (CC=/bin/false, empty kernel cache): the
-# kernel-backend tests and three 16^3 runs (treepm f64, treepm f32, pm)
-# must pass on numpy, each manifest must say so, and each final state
-# must equal its C twin's bit for bit -- so the pair kernel and both
-# precisions of the C CIC loops are checked against numpy on every run.
+# kernel-backend tests and three 16^3 runs (treepm f64 and treepm f32
+# for 1 step, pm for 3) must pass on numpy, each manifest must say so,
+# and each final state must equal its C twin's bit for bit -- so the
+# pair kernel, both precisions of the C CIC loops and the stepper's
+# reused closing long-range force (only a run of >= 2 steps reaches
+# it) are checked against numpy on every run.
 # Lane 10 gates the measured roofline: 'report --roofline'
 # on a ledgered run must place the shortrange/cic/fft phases against
 # the calibrated host peak, and check_regression.py --check-roofline
@@ -161,15 +163,15 @@ CC=/bin/false XDG_CACHE_HOME="$FB_DIR/cache" PYTHONPATH=src \
 fallback_twin() {  # NAME RUN-FLAGS...: the same run on C and on numpy
     local name=$1
     shift
-    PYTHONPATH=src "$PYTHON" -m repro -q run --steps 1 --n-per-dim 16 "$@" \
+    PYTHONPATH=src "$PYTHON" -m repro -q run --n-per-dim 16 "$@" \
         --outdir "$FB_DIR/$name-c" --telemetry "$FB_DIR/$name-c.jsonl"
     CC=/bin/false XDG_CACHE_HOME="$FB_DIR/cache" PYTHONPATH=src \
-        "$PYTHON" -m repro -q run --steps 1 --n-per-dim 16 "$@" \
+        "$PYTHON" -m repro -q run --n-per-dim 16 "$@" \
         --outdir "$FB_DIR/$name-numpy" --telemetry "$FB_DIR/$name-numpy.jsonl"
 }
-fallback_twin treepm-f64
-fallback_twin treepm-f32 --precision f32
-fallback_twin pm-f64 --backend pm
+fallback_twin treepm-f64 --steps 1
+fallback_twin treepm-f32 --steps 1 --precision f32
+fallback_twin pm-f64 --steps 3 --backend pm
 PYTHONPATH=src "$PYTHON" - "$FB_DIR" <<'PYEOF'
 import json, pathlib, sys
 from repro.io import find_latest_valid, load_checkpoint

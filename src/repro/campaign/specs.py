@@ -47,7 +47,9 @@ Example::
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
 import itertools
 import json
 from dataclasses import dataclass, field
@@ -249,6 +251,20 @@ def _build_config(base: dict, overrides: dict, where: str):
         raise SpecError(f"{where}: invalid config ({exc})") from exc
 
 
+def _check_run_args(args: tuple, where: str) -> None:
+    """Raise :class:`SpecError` unless ``python -m repro run`` takes args."""
+    from repro.__main__ import build_parser
+
+    err = io.StringIO()
+    try:
+        with contextlib.redirect_stderr(err):
+            build_parser().parse_args(["run", *args])
+    except SystemExit:
+        reason = err.getvalue().partition("error: ")[2].strip()
+        raise SpecError(f"{where}: 'python -m repro run' rejects "
+                        f"extra_args {list(args)}: {reason}") from None
+
+
 def expand_spec(data: dict, name: str | None = None) -> CampaignSpec:
     """Expand a parsed spec document into a :class:`CampaignSpec`."""
     if not isinstance(data, dict):
@@ -316,6 +332,8 @@ def expand_spec(data: dict, name: str | None = None) -> CampaignSpec:
     runs: list[RunSpec] = []
     for index, overrides in enumerate(overrides_list):
         extra = tuple(str(a) for a in overrides.pop("extra_args", []))
+        if shared_extra or extra:
+            _check_run_args(shared_extra + extra, f"run {index}")
         config = _build_config(base, overrides, f"run {index}")
         runs.append(
             RunSpec(

@@ -9,7 +9,7 @@ choice natural: each field is one contiguous array.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -35,6 +35,9 @@ class Particles:
         (N,) stable global identifiers.
     box_size:
         Periodic box side, Mpc/h.
+    version:
+        Mutation counter, bumped by :meth:`wrap`: code that writes
+        ``positions`` in place must call it (as it must to stay in the box).
     """
 
     positions: np.ndarray
@@ -42,6 +45,7 @@ class Particles:
     masses: np.ndarray
     ids: np.ndarray
     box_size: float
+    version: int = field(default=0, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         n = self.positions.shape[0]
@@ -106,6 +110,7 @@ class Particles:
         np.logical_not(outside, out=outside)
         if outside.any():
             x[outside] = np.mod(x[outside], self.box_size)
+        self.version += 1
 
     def kinetic_energy(self, a: float) -> float:
         """Total peculiar kinetic energy ``sum m v^2 / 2`` with

@@ -8,8 +8,8 @@ The long-range map is a *kick* (velocities updated from the PM force,
 positions frozen); each short-range sub-cycle is itself a symmetric
 stream-kick-stream composition.  The slowly varying long-range force is
 frozen across the ``n_c`` sub-cycles, which is what makes the scheme
-cheap: the expensive global Poisson solve happens twice per full step
-while the local short-range force is evaluated ``n_c`` times.
+cheap: ``n`` steps pay ``n + 1`` global Poisson solves (a step's closing
+half-kick and the next one's opening share one) and ``n n_c`` local ones.
 
 Drift and kick weights are exact integrals over the expansion history
 (momentum convention ``p = a^2 dx/dt``, units ``H0 = 1``):
@@ -81,7 +81,8 @@ class SubcycledStepper:
     cosmology:
         Supplies the expansion history for the drift/kick integrals.
     long_range:
-        Callback ``positions -> (N, 3)`` long-range (PM) acceleration.
+        Callback ``positions ->`` a fresh ``(N, 3)`` long-range (PM)
+        acceleration, which :meth:`step` keeps for the next step.
     short_range:
         Callback ``positions -> (N, 3)`` short-range acceleration, or
         None for a PM-only run (in which case sub-cycling degenerates to
@@ -109,6 +110,8 @@ class SubcycledStepper:
     _block: np.ndarray | None = field(
         default=None, init=False, repr=False, compare=False
     )
+    #: ``(particles, positions, version, force)`` of the last closing kick
+    _closing: tuple = field(default=(), init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.n_subcycles < 1:
@@ -133,13 +136,17 @@ class SubcycledStepper:
             prod = np.multiply(rows, coeff, out=buf[:len(rows)])
             y[start:start + _BLOCK_ROWS] += prod
 
-    def kick_long(self, particles: Particles, a0: float, a1: float) -> None:
-        """Long-range kick map M_lr over [a0, a1]: velocities only."""
-        acc = self.long_range(particles.positions)
-        self.n_long_range_evals += 1
+    def kick_long(self, particles: Particles, a0: float, a1: float,
+                  acc: np.ndarray | None = None) -> np.ndarray:
+        """Long-range kick map M_lr over [a0, a1]: velocities only; solves
+        for the force ``acc`` unless it is given, and returns it."""
+        if acc is None:
+            acc = self.long_range(particles.positions)
+            self.n_long_range_evals += 1
         with get_registry().span("sks.kick"):
             kick = kick_coefficient(self.cosmology, a0, a1)
             self._add_scaled(particles.momenta, acc, kick)
+        return acc
 
     def stream(self, particles: Particles, a0: float, a1: float) -> None:
         """Stream map: positions advance, velocities fixed."""
@@ -160,12 +167,20 @@ class SubcycledStepper:
 
     # ------------------------------------------------------------------
     def step(self, particles: Particles, a0: float, a1: float) -> None:
-        """One full map  M_lr(1/2) (M_sr(1/nc))^nc M_lr(1/2)  over [a0, a1]."""
+        """One full map  M_lr(1/2) (M_sr(1/nc))^nc M_lr(1/2)  over [a0, a1].
+
+        ``n`` steps pay ``n + 1`` long-range solves: the closing force opens
+        the next step if ``particles``, ``positions`` and ``version`` hold."""
         if not 0 < a0 < a1:
             raise ValueError(f"need 0 < a0 < a1, got a0={a0}, a1={a1}")
         reg = get_registry()
         a_mid = 0.5 * (a0 + a1)
-        self.kick_long(particles, a0, a_mid)
+        owner, x, version, acc = self._closing or (None,) * 4
+        self._closing = ()
+        same = owner is particles and x is particles.positions
+        self.kick_long(particles, a0, a_mid,
+                       acc if same and version == particles.version else None)
+        del owner, x, acc  # not alive through the closing solve
         edges = np.linspace(a0, a1, self.n_subcycles + 1)
         for b0, b1 in zip(edges[:-1], edges[1:]):
             b_mid = 0.5 * (b0 + b1)
@@ -175,4 +190,5 @@ class SubcycledStepper:
                 self.stream(particles, b_mid, b1)
             self.n_substeps += 1
             reg.count("sks.substeps", 1)
-        self.kick_long(particles, a_mid, a1)
+        acc = self.kick_long(particles, a_mid, a1)
+        self._closing = particles, particles.positions, particles.version, acc

@@ -84,6 +84,26 @@ class TestSpecExpansion:
         assert spec.runs[0].config.seed == 5
         assert spec.runs[0].extra_args == ("--no-recovery",)
 
+    @pytest.mark.parametrize("flag", ["--retry", "--overlap"])
+    def test_retired_run_flag_in_campaign_extra_args(self, flag):
+        with pytest.raises(SpecError, match=rf"run 0.*{flag}"):
+            _spec(campaign={"extra_args": [flag]})
+
+    @pytest.mark.parametrize("flag", ["--retry", "--overlap"])
+    def test_retired_run_flag_in_run_extra_args(self, flag):
+        with pytest.raises(SpecError, match=rf"run 1.*{flag}"):
+            _spec(runs=[{"seed": 1}, {"seed": 2, "extra_args": [flag]}])
+
+    def test_valid_extra_args_parse(self):
+        spec = _spec(
+            campaign={"extra_args": ["--inject-slowdown", "shortrange:0.3"]},
+            runs=[{"n_per_dim": 16, "extra_args": [
+                "--decomposition", "2,1,1", "--overload-depth", "14"]}],
+        )
+        assert spec.extra_args == ("--inject-slowdown", "shortrange:0.3")
+        assert spec.runs[0].extra_args == (
+            "--decomposition", "2,1,1", "--overload-depth", "14")
+
     def test_bare_base_is_one_run(self):
         assert len(_spec().runs) == 1
 

@@ -168,6 +168,90 @@ class TestStepperMaps:
             SubcycledStepper(WMAP7, lambda x: x, None, 0)
 
 
+def smooth_force(pos):
+    """A deterministic force that varies with every coordinate."""
+    return np.sin(0.07 * pos) - 0.3 * np.cos(0.11 * pos[:, ::-1])
+
+
+def moved(p):
+    """Write one coordinate in place, then wrap as the contract asks."""
+    p.positions[0, 0] += 1.0
+    p.wrap()
+    return p
+
+
+def twin(p):
+    """Another object on the same arrays at the same ``version``."""
+    q = Particles(p.positions, p.momenta, p.masses, p.ids, p.box_size)
+    q.version = p.version
+    return q
+
+
+def rebound(p):
+    """The same object and ``version`` with a new ``positions`` array."""
+    p.positions = p.positions.copy()
+    return p
+
+
+class CountingForce:
+    def __init__(self):
+        self.calls = 0
+
+    def __call__(self, pos):
+        self.calls += 1
+        return smooth_force(pos)
+
+
+class TestLongRangeReuse:
+    """The closing half-kick's long-range force opens the next step."""
+
+    @pytest.mark.parametrize("n_steps", [1, 2, 3, 4])
+    def test_one_solve_per_step_plus_one(self, n_steps):
+        p = free_particles()
+        st = SubcycledStepper(WMAP7, smooth_force, smooth_force, 2)
+        edges = np.linspace(0.5, 0.7, n_steps + 1)
+        for a0, a1 in zip(edges[:-1], edges[1:]):
+            st.step(p, a0, a1)
+        assert st.n_long_range_evals == n_steps + 1
+
+    def test_bitwise_the_uncached_composition(self):
+        p = free_particles()
+        q = p.copy()
+        st = SubcycledStepper(WMAP7, smooth_force, smooth_force, 2)
+        ref = SubcycledStepper(WMAP7, smooth_force, smooth_force, 2)
+        edges = np.linspace(0.5, 0.7, 4)
+        for a0, a1 in zip(edges[:-1], edges[1:]):
+            st.step(p, a0, a1)
+            a_mid = 0.5 * (a0 + a1)
+            ref.kick_long(q, a0, a_mid)
+            sub = np.linspace(a0, a1, 3)
+            for b0, b1 in zip(sub[:-1], sub[1:]):
+                b_mid = 0.5 * (b0 + b1)
+                ref.stream(q, b0, b_mid)
+                ref.kick_short(q, b0, b1)
+                ref.stream(q, b_mid, b1)
+            ref.kick_long(q, a_mid, a1)
+        assert st.n_long_range_evals == 4
+        assert ref.n_long_range_evals == 6
+        assert np.array_equal(p.positions, q.positions)
+        assert np.array_equal(p.momenta, q.momenta)
+
+    @pytest.mark.parametrize("between, solves", [
+        (lambda p: p, 3),
+        (moved, 4),
+        (twin, 4),
+        (rebound, 4),
+        (lambda p: p.astype(np.float64), 4),
+    ], ids=["unchanged", "moved+wrap", "twin", "new-array", "astype"])
+    def test_changed_particles_solve_afresh(self, between, solves):
+        force = CountingForce()
+        st = SubcycledStepper(WMAP7, force, None, 2)
+        p = free_particles()
+        st.step(p, 0.5, 0.6)
+        st.step(between(p), 0.6, 0.7)
+        assert force.calls == st.n_long_range_evals == solves
+
+
 class TestSymplecticProperties:
     def _harmonic_stepper(self, nc=1):
         """Central force toward the box center (non-periodic test setup)."""

@@ -542,6 +542,40 @@ class TestCheckpointerDriver:
         )
         assert resumed.a == ref.a
 
+    def test_resume_solves_afresh_and_stays_bitwise(self, tmp_path):
+        """A resumed run cannot inherit the closing half-kick's force
+        (it is never checkpointed): its first step pays two long-range
+        solves, and the result is still the uninterrupted run's bits."""
+        ref = tiny_sim(n_steps=3, n_per_dim=16)
+        ref.run()
+        assert ref.stepper.n_long_range_evals == 4
+
+        sim = tiny_sim(n_steps=3, n_per_dim=16)
+        sim.step()
+        Checkpointer(tmp_path).maybe_checkpoint(sim)
+
+        resumed = load_checkpoint(find_latest_valid(tmp_path))
+        resumed.step()
+        assert resumed.stepper.n_long_range_evals == 2
+        resumed.run()
+        assert resumed.stepper.n_long_range_evals == 3
+        assert np.array_equal(
+            resumed.particles.positions, ref.particles.positions
+        )
+        assert np.array_equal(
+            resumed.particles.momenta, ref.particles.momenta
+        )
+
+    def test_checkpoint_write_keeps_the_reused_force(self, tmp_path):
+        plain = tiny_sim(n_steps=3)
+        plain.run()
+        ckpt = tiny_sim(n_steps=3)
+        ckpt.run(checkpointer=Checkpointer(
+            tmp_path, schedule=CheckpointSchedule(every_steps=1)
+        ))
+        assert ckpt.stepper.n_long_range_evals == 4
+        assert plain.stepper.n_long_range_evals == 4
+
     def _write_with_config(self, tmp_path, monkeypatch, sim, **fields):
         """Checkpoint ``sim`` with extra keys in its stored config, the
         way files written before a field was retired look."""
