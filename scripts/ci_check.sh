@@ -3,9 +3,9 @@
 #
 # Usage: scripts/ci_check.sh
 #
-# Runs the fast ("not slow") test suite, a demo smoke run (the demo CLI
-# under --workers 2; demo has no decomposition, so nothing reaches the
-# workers), an executor triplet (the same decomposed run CLI at
+# Runs the fast ("not slow") test suite, a run smoke test ('run
+# --summary' under --workers 2; the run has no decomposition, so nothing
+# reaches the workers), an executor triplet (the same decomposed run CLI at
 # serial@1, serial@2 and thread@2; the final checkpoints' positions and
 # momenta must be byte-identical and their whole verified manifests --
 # the CRC32 of every stored array: positions, momenta, masses, ids and
@@ -25,10 +25,10 @@
 # an unrecovered rank death exits 2).  Lane 11 kills a
 # live campaign supervisor and its child mid-run (SIGKILL, a simulated
 # node death) and requires 'campaign resume' to finish the suite with
-# exactly-once ledger entries and correct attempt counts.  Exercises
-# the observability stack end to end: two small ledgered runs, then
-# 'python -m repro report --compare' must produce a machine-readable
-# JSON comparison with a verdict.  Lane 9 gates the kernel-backend
+# exactly-once ledger entries and correct attempt counts.  Lane 8
+# exercises the observability stack end to end: two small ledgered
+# 'run --profile' runs, then 'python -m repro report --compare' must
+# produce a machine-readable JSON comparison with a verdict.  Lane 9 gates the kernel-backend
 # sweep (BENCH_kernels.json from the fig5 bench) on absolute ceilings:
 # every measured backend x precision must cost no more ns per streamed
 # pair than check_regression.py's KERNEL_NS_PER_PAIR_CEILINGS; then it
@@ -40,7 +40,7 @@
 # reused closing long-range force (only a run of >= 2 steps reaches
 # it) are checked against numpy on every run.
 # Lane 10 gates the measured roofline: 'report --roofline'
-# on a ledgered run must place the shortrange/cic/fft phases against
+# on lane 8's ledgered run must place the shortrange/cic/fft phases against
 # the calibrated host peak, and check_regression.py --check-roofline
 # holds the counters wired, %peak sane, and f32 pair AI >= f64.  Lane 12
 # runs the end-to-end benchmark's traced treepm-f64-32 workload
@@ -58,8 +58,9 @@ export REPRO_CHAOS_WORKERS="${REPRO_CHAOS_WORKERS:-2}"
 echo "== 1/12 smoke tests (pytest -m 'not slow') =="
 PYTHONPATH=src "$PYTHON" -m pytest tests -q -m "not slow"
 
-echo "== 2/12 demo smoke (demo --workers 2) =="
-PYTHONPATH=src "$PYTHON" -m repro demo --steps 2 --n-per-dim 12 --workers 2
+echo "== 2/12 run smoke (run --summary --workers 2) =="
+PYTHONPATH=src "$PYTHON" -m repro run --steps 2 --n-per-dim 12 --workers 2 \
+    --summary
 
 echo "== 3/12 executor triplet (run, serial@1 vs serial@2 vs thread@2, bitwise) + f32 pair =="
 # 24^3 with the default overload depth (rcut + one cell = 10.7 Mpc/h):
@@ -132,10 +133,10 @@ fi
 "$PYTHON" benchmarks/check_regression.py --check-health --check-speedup
 
 echo "== 8/12 run ledger + critical-path report lane =="
-PYTHONPATH=src "$PYTHON" -m repro profile --steps 2 --n-per-dim 8 \
+PYTHONPATH=src "$PYTHON" -m repro run --profile --steps 2 --n-per-dim 8 \
     --telemetry "$CI_OBS_DIR/a.jsonl" --ledger "$CI_OBS_DIR/ledger" \
     > /dev/null
-PYTHONPATH=src "$PYTHON" -m repro profile --steps 2 --n-per-dim 8 \
+PYTHONPATH=src "$PYTHON" -m repro run --profile --steps 2 --n-per-dim 8 \
     --workers 2 --executor thread \
     --telemetry "$CI_OBS_DIR/b.jsonl" --ledger "$CI_OBS_DIR/ledger" \
     > /dev/null
@@ -194,7 +195,7 @@ for twin in ("treepm-f64", "treepm-f32", "pm-f64"):
 PYEOF
 
 echo "== 10/12 measured roofline gate =="
-# the ledgered run from lane 7 already carries a registry.json; place
+# the ledgered 'run --profile' from lane 8 carries a registry.json; place
 # it on the calibrated host roofline (calibration caches in the ledger)
 PYTHONPATH=src "$PYTHON" -m repro report \
     --roofline --ledger "$CI_OBS_DIR/ledger" --json \

@@ -5,25 +5,23 @@ Commands
 ``info``
     Version, subsystem inventory, and the paper's headline numbers as
     regenerated by the calibrated machine model.
-``demo``
-    A ~30-second end-to-end demonstration run (ICs -> TreePM evolution
-    -> power spectrum -> halos), printing the products.  Pass
-    ``--profile`` to print the measured-vs-model section table.
-``profile``
-    An instrumented run that reproduces the paper's Table II per-section
-    attribution from live measurement, with optional trace exports.
 ``tables``
     Regenerate the paper's performance tables (I, II, III) from the
     machine models, paper-vs-model side by side.
 ``run``
-    A checkpointed (optionally decomposed) production-style run:
-    rotated, checksummed checkpoints every K steps, ``--resume DIR``
-    auto-resume from the latest *valid* checkpoint, deterministic fault
-    injection (``--inject-*``: rank death, checkpoint corruption,
-    short-range slow-downs), and overload-replica rank recovery (on by
-    default; ``--no-recovery`` turns a rank death into a CRIT verdict
-    instead).  SIGTERM/SIGINT checkpoint the in-flight state and exit
-    75 (resumable).
+    The run driver: a checkpointed (optionally decomposed)
+    production-style run with rotated, checksummed checkpoints every K
+    steps, ``--resume DIR`` auto-resume from the latest *valid*
+    checkpoint, deterministic fault injection (``--inject-*``: rank
+    death, checkpoint corruption, short-range slow-downs), and
+    overload-replica rank recovery (on by default; ``--no-recovery``
+    turns a rank death into a CRIT verdict instead).  SIGTERM/SIGINT
+    checkpoint the in-flight state and exit 75 (resumable).
+    ``--summary`` prints the final power spectrum and FOF halo count;
+    ``--profile`` the measured-vs-model section table (the paper's
+    Table II attribution); ``--bench-record NAME`` writes a
+    ``BENCH_<NAME>.json`` record; ``--trace``/``--jsonl``/``--csv``
+    export the span log.
 ``campaign``
     Supervise a whole suite from a declarative spec
     (``campaign run|status|resume SPEC.toml``): crash-safe journaled
@@ -31,19 +29,19 @@ Commands
     with exponential backoff, poison-config quarantine, exactly-once
     run-ledger recording; resumable after any supervisor death.
 ``monitor``
-    Tail a run's telemetry JSONL (written via ``--telemetry PATH`` on
-    ``demo``/``profile``/``run``), rendering progress, ETA, imbalance sparklines
-    and active health alerts; exits 2 if the run went CRIT.  Given
-    several streams (or ``--ledger``), renders the multi-run fleet
-    dashboard instead.
+    Tail a run's telemetry JSONL (written via ``run --telemetry PATH``),
+    rendering progress, ETA, imbalance sparklines and active health
+    alerts; exits 2 if the run went CRIT.  Given several streams (or
+    ``--ledger``), renders the multi-run fleet dashboard instead.
 ``runs``
     Query the run ledger (``--ledger DIR``, default ``.repro/ledger``):
-    ``list`` the recorded runs with filters, ``show`` one run's
-    critical-path analysis, ``gc`` old entries.
+    ``list`` the recorded runs with filters, ``gc`` old entries.
 ``report``
-    Critical-path report of a ledgered run, or ``--compare RUN_A RUN_B``
-    for per-phase deltas with a regression verdict; ``--json`` emits the
-    machine-readable summary the CI report lane gates.
+    Critical-path report of a ledgered run (or a telemetry/trace file),
+    ``--compare RUN_A RUN_B`` for per-phase deltas with a regression
+    verdict, or ``--roofline`` for the measured roofline placement;
+    ``--json`` emits the machine-readable summary the CI report lane
+    gates.
 
 Verbosity: ``-v`` (debug) and ``-q`` (warnings only) control the
 ``repro`` logger via :func:`repro.instrument.logging_setup`.
@@ -62,13 +60,12 @@ logger = logging.getLogger("repro.cli")
 #: static banner (``__doc__`` is stripped under ``python -OO``, so the
 #: info command must not parse it)
 _BANNER = (
-    "Commands: info (inventory + headline numbers), demo (end-to-end "
-    "run), profile (instrumented per-section measurement), run "
-    "(checkpointed fault-tolerant run with --resume), campaign "
-    "(supervised crash-safe suite of runs from a spec), tables "
+    "Commands: info (inventory + headline numbers), run (checkpointed "
+    "fault-tolerant run with --resume, --summary and --profile), "
+    "campaign (supervised crash-safe suite of runs from a spec), tables "
     "(paper tables I-III from the machine model), monitor (tail one "
-    "run or dashboard a fleet), runs (query the run ledger), report "
-    "(critical-path analysis and cross-run comparison)."
+    "run or dashboard a fleet), runs (list or gc the run ledger), "
+    "report (critical-path analysis, cross-run comparison, roofline)."
 )
 
 
@@ -101,25 +98,23 @@ def _cmd_info(args: argparse.Namespace) -> int:
     return 0
 
 
-def _demo_config(args: argparse.Namespace):
+def _run_config(args: argparse.Namespace):
     from repro import SimulationConfig
 
-    config_path = getattr(args, "config", None)
-    if config_path:
+    if args.config:
         # full-fidelity config from a JSON file (the campaign
         # supervisor's dispatch path); the shape flags are ignored
         import json
 
         try:
-            with open(config_path, "r", encoding="utf-8") as fh:
+            with open(args.config, "r", encoding="utf-8") as fh:
                 data = json.load(fh)
             return SimulationConfig.from_dict(data)
         except (OSError, ValueError, TypeError) as exc:
-            raise SystemExit(f"--config {config_path}: {exc}")
-    workers = getattr(args, "workers", 1)
-    executor = getattr(args, "executor", None)
+            raise SystemExit(f"--config {args.config}: {exc}")
+    executor = args.executor
     if executor is None:
-        executor = "thread" if workers > 1 else "serial"
+        executor = "thread" if args.workers > 1 else "serial"
     return SimulationConfig(
         box_size=64.0,
         n_per_dim=args.n_per_dim,
@@ -129,62 +124,12 @@ def _demo_config(args: argparse.Namespace):
         n_subcycles=args.subcycles,
         backend=args.backend,
         step_spacing="loga",
-        workers=workers,
+        workers=args.workers,
         executor=executor,
-        kernel_backend=getattr(args, "kernel_backend", "auto"),
-        dtype=getattr(args, "precision", "f64"),
+        kernel_backend=args.kernel_backend,
+        dtype=args.precision,
         seed=1,
     )
-
-
-def _run_demo(args: argparse.Namespace) -> int:
-    from repro import HACCSimulation
-    from repro.analysis import fof_halos, matter_power_spectrum
-    from repro.instrument.report import render_profile
-
-    config = _demo_config(args)
-    logger.info(
-        "demo: %d particles, %s Mpc/h box, backend=%s",
-        config.n_particles, config.box_size, config.backend,
-    )
-    from repro.resilience.signals import ShutdownRequested, graceful_shutdown
-
-    registry = _maybe_enable_profile(args)
-    t0 = time.perf_counter()
-    sim = HACCSimulation(config)
-    _setup_observability(sim, args)
-    try:
-        with graceful_shutdown():
-            sim.run(
-                callback=lambda s: logger.info("  z = %5.2f", s.redshift)
-            )
-    except ShutdownRequested as exc:
-        return _finish_interrupted(sim, args, exc)
-    finally:
-        sim.close()
-    logger.info(
-        "evolved in %.1f s (%.1e pair interactions)",
-        time.perf_counter() - t0, sim.interaction_count(),
-    )
-    ps = matter_power_spectrum(
-        sim.particles.positions, config.box_size, config.grid(),
-        subtract_shot_noise=False,
-    )
-    logger.info(
-        "P(k) at k=%.2f h/Mpc: %.0f (Mpc/h)^3", ps.k[0], ps.power[0]
-    )
-    cat = fof_halos(sim.particles.positions, config.box_size, b=0.2,
-                    min_members=8)
-    logger.info("FOF halos (>= 8 particles): %d", cat.n_halos)
-    if registry is not None:
-        print()
-        print(render_profile(registry))
-        _export_traces(registry, args)
-    return _finish_observability(sim, args, registry)
-
-
-def _cmd_demo(args: argparse.Namespace) -> int:
-    return _run_demo(args)
 
 
 def _setup_observability(sim, args: argparse.Namespace) -> None:
@@ -204,16 +149,15 @@ def _setup_observability(sim, args: argparse.Namespace) -> None:
         run_manifest,
     )
 
-    if getattr(args, "telemetry", None):
-        # record the *resolved* kernel backend, not "auto"
+    if args.telemetry:
         stream = RunStream(args.telemetry, manifest=run_manifest(
-            sim.config, extra=_kernel_extra(sim)
+            sim.config, extra=_manifest_extra(sim)
         ))
         enable_telemetry(stream)
         logger.info("telemetry stream: %s", args.telemetry)
-    warn = getattr(args, "health_energy_warn", None)
-    crit = getattr(args, "health_energy_crit", None)
-    if getattr(args, "health", False) or warn is not None or crit is not None:
+    warn = args.health_energy_warn
+    crit = args.health_energy_crit
+    if args.health or warn is not None or crit is not None:
         thresholds = HealthThresholds()
         if warn is not None or crit is not None:
             base = thresholds.energy_residual
@@ -226,23 +170,24 @@ def _setup_observability(sim, args: argparse.Namespace) -> None:
         sim.attach_health(thresholds=thresholds)
 
 
-def _kernel_extra(sim) -> dict:
-    """Manifest extras naming the *resolved* kernel backend (never
-    ``"auto"``), so ledger queries filter on what actually ran, plus
-    how a compiled kernel was built."""
+def _manifest_extra(sim) -> dict:
+    """Manifest extras the config does not carry: the *resolved* kernel
+    backend (never ``"auto"``), so ledger queries filter on what
+    actually ran, how a compiled kernel was built, and a decomposed
+    run's domain dims and overload depth."""
     from repro.shortrange.backends import get_backend
 
-    resolved = getattr(sim, "kernel_backend", None)
-    if resolved is None:
-        return {}
-    extra = {"kernel_backend": resolved}
-    build = get_backend(resolved).build_info
+    extra = {"kernel_backend": sim.kernel_backend}
+    build = get_backend(sim.kernel_backend).build_info
     if build:
         extra["kernel_build"] = dict(build)
+    if sim.exchange is not None:
+        extra["decomposition"] = list(sim.exchange.decomposition.dims)
+        extra["overload_depth"] = sim.exchange.depth
     return extra
 
 
-def _finish_observability(sim, args=None, registry=None) -> int:
+def _finish_observability(sim, args, registry, bench_records=None) -> int:
     """Close the telemetry stream, ledger the run, reduce to exit status."""
     from repro.instrument import disable_telemetry, get_telemetry
 
@@ -260,8 +205,8 @@ def _finish_observability(sim, args=None, registry=None) -> int:
     if tel.enabled:
         tel.finish(verdict=verdict)
         disable_telemetry()
-    if args is not None and getattr(args, "ledger", None) is not None:
-        _ledger_run(sim, args, registry, verdict)
+    if args.ledger is not None:
+        _ledger_run(sim, args, registry, verdict, bench_records)
     return status
 
 
@@ -292,7 +237,7 @@ def _finish_interrupted(sim, args, exc, checkpointer=None) -> int:
     if tel.enabled:
         tel.finish(verdict="INTERRUPTED")
         disable_telemetry()
-    if getattr(args, "ledger", None) is not None:
+    if args.ledger is not None:
         _ledger_run(sim, args, None, "INTERRUPTED")
     logger.warning(
         "run interrupted by %s at step %d; resume with --resume",
@@ -308,88 +253,79 @@ def _resolve_ledger_root(value: str):
     return default_ledger_root() if value in (None, "") else value
 
 
-def _ledger_run(sim, args, registry, verdict) -> None:
+def _ledger_run(sim, args, registry, verdict, bench_records=None) -> None:
     """Record a finished run's artifacts into the run ledger."""
     from repro.instrument import RunLedger, run_manifest
 
     ledger = RunLedger(_resolve_ledger_root(args.ledger))
     entry = ledger.record(
-        manifest=run_manifest(sim.config, extra=_kernel_extra(sim)),
-        stream_path=getattr(args, "telemetry", None),
+        manifest=run_manifest(sim.config, extra=_manifest_extra(sim)),
+        stream_path=args.telemetry,
         registry=registry,
-        bench_records=getattr(args, "_bench_records", None),
+        bench_records=bench_records,
         verdict=verdict,
-        extra={"command": getattr(args, "command", None)},
+        extra={"command": args.command},
     )
     logger.info(
         "ledgered run %s -> %s", entry.run_id, ledger.run_dir(entry)
     )
 
 
-def _cmd_profile(args: argparse.Namespace) -> int:
-    """Instrumented run; prints the measured-vs-model section table."""
-    from repro import HACCSimulation
-    from repro.instrument import enable
+def _log_summary(sim) -> None:
+    """``--summary``: the final power spectrum and FOF halo count."""
+    from repro.analysis import fof_halos, matter_power_spectrum
+
+    config = sim.config
+    ps = matter_power_spectrum(
+        sim.particles.positions, config.box_size, config.grid(),
+        subtract_shot_noise=False,
+    )
+    logger.info(
+        "P(k) at k=%.2f h/Mpc: %.0f (Mpc/h)^3", ps.k[0], ps.power[0]
+    )
+    cat = fof_halos(sim.particles.positions, config.box_size, b=0.2,
+                    min_members=8)
+    logger.info("FOF halos (>= 8 particles): %d", cat.n_halos)
+
+
+def _report_instrumentation(sim, args, registry) -> dict | None:
+    """Print ``--profile``, write ``--bench-record`` and the trace
+    exports; returns the bench records to ledger."""
+    import json
+
+    from repro.instrument import exporters
     from repro.instrument.report import render_profile, write_bench_record
 
-    config = _demo_config(args)
-    registry = enable()
-    logger.info(
-        "profiling %d particles, %d steps x %d subcycles, backend=%s",
-        config.n_particles, args.steps, args.subcycles, args.backend,
-    )
-    sim = HACCSimulation(config)
-    _setup_observability(sim, args)
-    try:
-        sim.run()
-    finally:
-        sim.close()
-    print(render_profile(registry))
+    if args.profile:
+        print(render_profile(registry))
+    bench_records = None
     if args.bench_record:
+        config = sim.config
         path = write_bench_record(
             args.bench_record,
             {
                 "n_particles": config.n_particles,
-                "n_steps": args.steps,
-                "n_subcycles": args.subcycles,
-                "backend": args.backend,
+                "n_steps": config.n_steps,
+                "n_subcycles": config.n_subcycles,
+                "backend": config.backend,
                 "interactions": sim.interaction_count(),
             },
             registry=registry,
         )
         logger.info("bench record: %s", path)
-        import json as _json
-        from pathlib import Path as _Path
-
-        # flows into the ledger entry's bench/ directory, so the run
-        # can serve as a check_regression.py --baseline-ledger baseline
-        args._bench_records = {
-            args.bench_record: _json.loads(_Path(path).read_text())
-        }
-    _export_traces(registry, args)
-    return _finish_observability(sim, args, registry)
-
-
-def _maybe_enable_profile(args: argparse.Namespace):
-    if getattr(args, "profile", False):
-        from repro.instrument import enable
-
-        return enable()
-    return None
-
-
-def _export_traces(registry, args: argparse.Namespace) -> None:
-    from repro.instrument import exporters
-
+        # stored in the ledger entry's bench/ directory, so the run can
+        # serve as a check_regression.py --baseline-ledger baseline
+        bench_records = {args.bench_record: json.loads(path.read_text())}
     for attr, writer in (
         ("trace", exporters.write_chrome_trace),
         ("jsonl", exporters.write_jsonl),
         ("csv", exporters.write_csv),
     ):
-        dest = getattr(args, attr, None)
+        dest = getattr(args, attr)
         if dest:
             writer(registry, dest)
             logger.info("%s export: %s", attr, dest)
+    return bench_records
 
 
 def _parse_dims(text: str) -> tuple[int, int, int]:
@@ -449,7 +385,8 @@ def _build_fault_plan(args: argparse.Namespace):
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    """Checkpointed, fault-tolerant run with auto-resume."""
+    """The run driver: checkpointed, fault-tolerant, auto-resuming,
+    optionally instrumented."""
     from repro import HACCSimulation
     from repro.config import ConfigError
     from repro.io import (
@@ -461,19 +398,17 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
     plan = _build_fault_plan(args)
     sim_kwargs: dict = {
+        "decomposition_dims": args.decomposition,
+        "overload_depth": args.overload_depth,
         "recover_on_rank_death": not args.no_recovery,
         "faults": plan,
     }
-    if args.decomposition is not None:
-        sim_kwargs["decomposition_dims"] = args.decomposition
-        if args.overload_depth is not None:
-            sim_kwargs["overload_depth"] = args.overload_depth
 
     def construct(build):
         """A shape the config or driver rejects (overload depth below
-        the cutoff, zero steps, a fault the run cannot have) is a
-        one-line exit before the first step; any other error keeps its
-        traceback."""
+        the cutoff or without a decomposition, zero steps, a fault the
+        run cannot have) is a one-line exit before the first step; any
+        other error keeps its traceback."""
         try:
             return build()
         except ConfigError as exc:
@@ -503,7 +438,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
                 args.health_energy_crit = None
     if sim is None:
         sim = construct(
-            lambda: HACCSimulation(_demo_config(args), **sim_kwargs)
+            lambda: HACCSimulation(_run_config(args), **sim_kwargs)
         )
 
     outdir = args.outdir or args.resume
@@ -526,11 +461,12 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
     if plan.enabled:
         logger.info("fault injection active (seed %d)", args.fault_seed)
-    # the export flags imply instrumentation; enabling the registry also
+    # any flag that reads the registry turns instrumentation on; it also
     # feeds per-step perf blocks (ns/pair) into the telemetry stream for
     # the monitor dashboard
     registry = None
-    if any(getattr(args, a, None) for a in ("trace", "jsonl", "csv")):
+    if (args.profile or args.bench_record or args.trace or args.jsonl
+            or args.csv):
         from repro.instrument import enable
 
         registry = enable()
@@ -566,9 +502,12 @@ def _cmd_run(args: argparse.Namespace) -> int:
         )
     if checkpointer is not None and checkpointer.last_path is not None:
         logger.info("final checkpoint: %s", checkpointer.last_path)
+    if args.summary:
+        _log_summary(sim)
+    bench_records = None
     if registry is not None:
-        _export_traces(registry, args)
-    return _finish_observability(sim, args, registry)
+        bench_records = _report_instrumentation(sim, args, registry)
+    return _finish_observability(sim, args, registry, bench_records)
 
 
 def _default_campaign_dir(spec) -> str:
@@ -752,10 +691,10 @@ def _cmd_monitor(args: argparse.Namespace) -> int:
 
 
 def _cmd_runs(args: argparse.Namespace) -> int:
-    """Query the run ledger: list, show one run, or gc old entries."""
+    """Query the run ledger: list runs or gc old entries."""
     import json
 
-    from repro.instrument import RunLedger, render_analysis
+    from repro.instrument import RunLedger
 
     ledger = RunLedger(_resolve_ledger_root(args.ledger))
     if args.action == "gc":
@@ -764,19 +703,6 @@ def _cmd_runs(args: argparse.Namespace) -> int:
             f"removed {len(removed)} run(s)"
             + (f": {', '.join(removed)}" if removed else "")
         )
-        return 0
-    if args.action == "show":
-        if not args.run:
-            raise SystemExit("runs show: RUN token required")
-        try:
-            entry = ledger.get(args.run)
-        except KeyError as exc:
-            raise SystemExit(f"runs show: {exc}")
-        analysis = ledger.analyze(entry)
-        if args.json:
-            print(json.dumps(analysis.to_dict(), indent=2, sort_keys=True))
-        else:
-            print(render_analysis(analysis))
         return 0
     # list
     entries = ledger.query(
@@ -883,7 +809,7 @@ def _report_roofline(args: argparse.Namespace, ledger) -> int:
     if summary is None:
         raise SystemExit(
             f"report: run {entry.run_id} has no stored registry summary "
-            "— record it with 'python -m repro profile ... --ledger'"
+            "— record it with 'python -m repro run --profile ... --ledger'"
         )
     phases = work_summary(summary)
     if not phases:
@@ -972,66 +898,6 @@ def _cmd_tables(args: argparse.Namespace) -> int:
     return 0
 
 
-def _add_run_options(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--config", metavar="JSON",
-                     help="load the full SimulationConfig from a JSON "
-                          "file (as written by SimulationConfig."
-                          "to_dict); overrides the shape flags below — "
-                          "the campaign supervisor's dispatch path")
-    sub.add_argument("--steps", type=int, default=10,
-                     help="long-range steps (default 10)")
-    sub.add_argument("--subcycles", type=int, default=2,
-                     help="short-range sub-cycles per step (default 2)")
-    sub.add_argument("--n-per-dim", type=int, default=12,
-                     help="particles per dimension (default 12)")
-    sub.add_argument("--backend", default="treepm",
-                     choices=("treepm", "p3m", "direct", "pm"),
-                     help="short-range backend (default treepm)")
-    sub.add_argument("--workers", type=int, default=1, metavar="N",
-                     help="rank-executor workers (default 1: serial; "
-                          "see README 'Running in parallel')")
-    sub.add_argument("--executor", default=None,
-                     choices=("serial", "thread"),
-                     help="rank-executor backend (default: thread when "
-                          "--workers > 1, else serial)")
-    sub.add_argument("--kernel-backend", default="auto",
-                     choices=("auto", "numpy", "c"),
-                     help="short-range kernel implementation (default "
-                          "auto: the compiled C kernel, else numpy "
-                          "when it cannot be built; an explicit c "
-                          "that cannot be built fails loudly)")
-    sub.add_argument("--precision", default="f64",
-                     choices=("f32", "f64"),
-                     help="particle/kernel floating-point precision "
-                          "(default f64; f32 is the paper's "
-                          "mixed-precision mode)")
-    sub.add_argument("--trace", metavar="PATH",
-                     help="write a Chrome trace_event JSON trace")
-    sub.add_argument("--jsonl", metavar="PATH",
-                     help="write the span/counter log as JSON lines")
-    sub.add_argument("--csv", metavar="PATH",
-                     help="write the span log as CSV")
-    sub.add_argument("--telemetry", metavar="PATH",
-                     help="stream per-step telemetry JSONL to PATH "
-                          "(follow it with 'python -m repro monitor')")
-    sub.add_argument("--ledger", metavar="DIR", nargs="?", const="",
-                     default=None,
-                     help="index the finished run into the run ledger "
-                          "at DIR (bare flag: $REPRO_LEDGER_DIR or "
-                          ".repro/ledger); query with 'python -m repro "
-                          "runs' / 'report'")
-    sub.add_argument("--health", action="store_true",
-                     help="monitor physics invariants (energy residual, "
-                          "momentum drift, mass conservation, FFT round "
-                          "trip); exit 2 if any goes CRIT")
-    sub.add_argument("--health-energy-warn", type=float, metavar="X",
-                     help="override the energy-residual WARN level "
-                          "(implies --health)")
-    sub.add_argument("--health-energy-crit", type=float, metavar="X",
-                     help="override the energy-residual CRIT level "
-                          "(implies --health)")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro",
@@ -1043,36 +909,83 @@ def build_parser() -> argparse.ArgumentParser:
                         help="decrease verbosity (-q: warnings only)")
     commands = parser.add_subparsers(
         dest="command", required=True,
-        metavar="{info,demo,profile,run,campaign,tables,monitor,runs,"
-                "report}",
+        metavar="{info,run,campaign,tables,monitor,runs,report}",
     )
 
     info = commands.add_parser("info", help="inventory + headline numbers")
     info.set_defaults(func=_cmd_info)
 
-    demo = commands.add_parser("demo", help="end-to-end demonstration run")
-    demo.add_argument("--profile", action="store_true",
-                      help="instrument the run and print the "
-                           "measured-vs-model section table")
-    _add_run_options(demo)
-    demo.set_defaults(func=_cmd_demo)
-
-    profile = commands.add_parser(
-        "profile",
-        help="instrumented run reproducing the Table II attribution",
-    )
-    profile.add_argument("--bench-record", metavar="NAME",
-                         help="also write BENCH_<NAME>.json via "
-                              "repro.instrument.report")
-    _add_run_options(profile)
-    profile.set_defaults(func=_cmd_profile)
-
     run = commands.add_parser(
         "run",
         help="checkpointed fault-tolerant run (rotation, --resume, "
-             "fault injection, rank recovery)",
+             "fault injection, rank recovery), optionally profiled",
     )
-    _add_run_options(run)
+    run.add_argument("--config", metavar="JSON",
+                     help="load the full SimulationConfig from a JSON "
+                          "file (as written by SimulationConfig."
+                          "to_dict); overrides the shape flags below — "
+                          "the campaign supervisor's dispatch path")
+    run.add_argument("--steps", type=int, default=10,
+                     help="long-range steps (default 10)")
+    run.add_argument("--subcycles", type=int, default=2,
+                     help="short-range sub-cycles per step (default 2)")
+    run.add_argument("--n-per-dim", type=int, default=12,
+                     help="particles per dimension (default 12)")
+    run.add_argument("--backend", default="treepm",
+                     choices=("treepm", "p3m", "direct", "pm"),
+                     help="short-range backend (default treepm)")
+    run.add_argument("--workers", type=int, default=1, metavar="N",
+                     help="rank-executor workers (default 1: serial; "
+                          "see README 'Running in parallel')")
+    run.add_argument("--executor", default=None,
+                     choices=("serial", "thread"),
+                     help="rank-executor backend (default: thread when "
+                          "--workers > 1, else serial)")
+    run.add_argument("--kernel-backend", default="auto",
+                     choices=("auto", "numpy", "c"),
+                     help="short-range kernel implementation (default "
+                          "auto: the compiled C kernel, else numpy "
+                          "when it cannot be built; an explicit c "
+                          "that cannot be built fails loudly)")
+    run.add_argument("--precision", default="f64",
+                     choices=("f32", "f64"),
+                     help="particle/kernel floating-point precision "
+                          "(default f64; f32 is the paper's "
+                          "mixed-precision mode)")
+    run.add_argument("--summary", action="store_true",
+                     help="print the final power spectrum and FOF halo "
+                          "count")
+    run.add_argument("--profile", action="store_true",
+                     help="instrument the run and print the "
+                          "measured-vs-model section table")
+    run.add_argument("--bench-record", metavar="NAME",
+                     help="instrument the run and write BENCH_<NAME>.json "
+                          "(stored with the run under --ledger)")
+    run.add_argument("--trace", metavar="PATH",
+                     help="write a Chrome trace_event JSON trace")
+    run.add_argument("--jsonl", metavar="PATH",
+                     help="write the span/counter log as JSON lines")
+    run.add_argument("--csv", metavar="PATH",
+                     help="write the span log as CSV")
+    run.add_argument("--telemetry", metavar="PATH",
+                     help="stream per-step telemetry JSONL to PATH "
+                          "(follow it with 'python -m repro monitor')")
+    run.add_argument("--ledger", metavar="DIR", nargs="?", const="",
+                     default=None,
+                     help="index the finished run into the run ledger "
+                          "at DIR (bare flag: $REPRO_LEDGER_DIR or "
+                          ".repro/ledger); query with 'python -m repro "
+                          "runs' / 'report'")
+    run.add_argument("--health", action="store_true",
+                     help="monitor physics invariants (energy residual, "
+                          "momentum drift, mass conservation, FFT round "
+                          "trip); exit 2 if any goes CRIT")
+    run.add_argument("--health-energy-warn", type=float, metavar="X",
+                     help="override the energy-residual WARN level "
+                          "(implies --health)")
+    run.add_argument("--health-energy-crit", type=float, metavar="X",
+                     help="override the energy-residual CRIT level "
+                          "(implies --health)")
     run.add_argument("--outdir", metavar="DIR",
                      help="checkpoint rotation directory "
                           "(ckpt_<step>.npz files)")
@@ -1174,15 +1087,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     runs = commands.add_parser(
         "runs",
-        help="query the run ledger (list, show, gc)",
+        help="query the run ledger (list, gc); 'report RUN' analyzes "
+             "one run",
     )
     runs.add_argument("action", nargs="?", default="list",
-                      choices=("list", "show", "gc"),
-                      help="list ledgered runs (default), show one "
-                           "run's critical-path report, or gc old runs")
-    runs.add_argument("run", nargs="?", metavar="RUN",
-                      help="for 'show': run id, unique prefix, "
-                           "'latest', or 'latest~N'")
+                      choices=("list", "gc"),
+                      help="list ledgered runs (default) or gc old runs")
     runs.add_argument("--ledger", metavar="DIR", default="",
                       help="ledger root (default: $REPRO_LEDGER_DIR or "
                            ".repro/ledger)")
@@ -1223,7 +1133,7 @@ def build_parser() -> argparse.ArgumentParser:
                              "intensity and fraction of the calibrated "
                              "host peak, next to the paper's model "
                              "numbers (needs a run recorded with "
-                             "'profile ... --ledger')")
+                             "'run --profile ... --ledger')")
     report.add_argument("--ledger", metavar="DIR", default="",
                         help="ledger root (default: $REPRO_LEDGER_DIR "
                              "or .repro/ledger)")

@@ -97,7 +97,9 @@ class HACCSimulation:
         Overload shell depth in Mpc/h; defaults to the short-range cutoff
         plus one grid cell of drift margin.  With a short-range backend
         a depth below the cutoff is a :class:`~repro.config.ConfigError`:
-        ghosts inside the cutoff would be missing.
+        ghosts inside the cutoff would be missing.  A depth without
+        ``decomposition_dims`` is one too: an undecomposed run has no
+        overload shell to size.
     faults:
         The run's :class:`repro.resilience.faults.FaultPlan` (default:
         the inert :class:`~repro.resilience.faults.NullFaultPlan`).  A
@@ -131,6 +133,12 @@ class HACCSimulation:
         faults: FaultPlan | NullFaultPlan = NullFaultPlan(),
         recover_on_rank_death: bool = True,
     ) -> None:
+        if overload_depth is not None and decomposition_dims is None:
+            raise ConfigError(
+                f"overload depth {overload_depth:g} Mpc/h given without "
+                f"a decomposition: an undecomposed run has no overload "
+                f"shell"
+            )
         self.config = config
         self.cosmology = config.cosmology
         self.prefactor = 1.5 * self.cosmology.omega_m

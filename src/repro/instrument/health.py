@@ -82,7 +82,7 @@ class HealthThresholds:
     bookkeeping has a known spectral-vs-CIC discretization floor of
     ~10-15% of the integrated energy flux (the integration suite accepts
     0.15), so the energy WARN sits just above it — a WARN honestly flags
-    runs stepped too coarsely for energy conservation (the default demo
+    runs stepped too coarsely for energy conservation (the default ``run``
     config transiently reaches ~3) while CRIT means the residual
     genuinely blew up.  Momentum drift, CIC mass defect and the FFT
     round trip are machine-precision quantities in a healthy run, so

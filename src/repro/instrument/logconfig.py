@@ -26,7 +26,7 @@ def logging_setup(verbosity: int = 0, stream=None) -> logging.Logger:
         ``-1`` (or lower) → WARNING (``-q``), ``0`` → INFO,
         ``1`` (or higher) → DEBUG (``-v``).
     stream:
-        Destination stream; defaults to ``sys.stdout`` so demo products
+        Destination stream; defaults to ``sys.stdout`` so run products
         and progress lines interleave in order.
 
     Returns the configured ``"repro"`` logger.  Idempotent: calling it

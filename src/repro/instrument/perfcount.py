@@ -279,7 +279,8 @@ def list_efficiency(counters: dict) -> float | None:
 
 
 def list_efficiency_line(counters: dict) -> str | None:
-    """The ``list efficiency`` line of ``report --roofline`` / ``profile``."""
+    """The ``list efficiency`` line of ``report --roofline`` and
+    ``run --profile``."""
     efficiency = list_efficiency(counters)
     if efficiency is None:
         return None

@@ -316,6 +316,7 @@ def run_manifest(config=None, extra: Mapping | None = None) -> dict:
     and the RNG seed, so a telemetry file identifies the run it came
     from without any side channel.
     """
+    import importlib.metadata
     import platform
 
     import numpy
@@ -328,11 +329,11 @@ def run_manifest(config=None, extra: Mapping | None = None) -> dict:
         "numpy": numpy.__version__,
         "created_unix": time.time(),
     }
+    # the installed version from package metadata: importing scipy
+    # would load its modules into every run that writes a manifest
     try:
-        import scipy
-
-        manifest["scipy"] = scipy.__version__
-    except ImportError:  # pragma: no cover - scipy is a hard dependency
+        manifest["scipy"] = importlib.metadata.version("scipy")
+    except importlib.metadata.PackageNotFoundError:
         manifest["scipy"] = None
     from repro.instrument.store import git_revision
 

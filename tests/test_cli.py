@@ -36,12 +36,24 @@ class TestMain:
         with pytest.raises(SystemExit):
             main(["fly"])
 
-    @pytest.mark.slow
-    def test_demo_runs(self, capsys):
-        assert main(["demo"]) == 0
+    def test_run_summary(self, capsys):
+        assert main(["run", "--steps", "2", "--n-per-dim", "8",
+                     "--backend", "pm", "--summary"]) == 0
         out = capsys.readouterr().out
         assert "FOF halos" in out
         assert "P(k)" in out
+
+    @pytest.mark.parametrize(
+        "argv", [["demo"], ["profile"], ["runs", "show", "latest"]],
+        ids=lambda argv: " ".join(argv[:2]),
+    )
+    def test_retired_command_is_a_usage_error(self, capsys, argv):
+        """``run`` is the one driver and ``report`` the one reader."""
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "invalid choice" in err and "Traceback" not in err
 
     def test_module_invocation(self):
         """The documented entry point works as a subprocess."""
@@ -91,6 +103,26 @@ class TestMain:
         assert result.returncode == 0, result.stderr
         return result.stdout.strip().splitlines()[-1]
 
+    def test_plain_run_leaves_analysis_and_report_unloaded(self):
+        """Without ``--summary`` / ``--profile`` a run imports neither
+        the analysis package nor the profile-table renderer."""
+        absent = ["repro.analysis", "repro.instrument.report"]
+        code = (
+            "import sys\n"
+            "from repro.__main__ import main\n"
+            "assert main(['-q', 'run', '--steps', '1', '--n-per-dim', "
+            "'8', '--backend', 'pm']) == 0\n"
+            f"print([m for m in {absent!r} if m in sys.modules])"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "[]"
+
     def test_import_loads_no_scipy(self):
         """``import repro`` and the CLI module load no scipy module."""
         assert self._loaded_scipy("import repro, repro.__main__") == "[]"
@@ -107,6 +139,18 @@ class TestMain:
         loaded = self._loaded_scipy(code)
         for module in ("scipy.integrate", "scipy.fft", "scipy.optimize"):
             assert f"'{module}'" not in loaded
+
+    def test_ledgered_run_loads_no_scipy(self, tmp_path):
+        """Writing the manifest (telemetry header and ledger entry)
+        records scipy's version without importing scipy."""
+        code = (
+            "from repro.__main__ import main\n"
+            "assert main(['-q', 'run', '--steps', '1', '--n-per-dim', "
+            "'8', '--backend', 'pm', "
+            f"'--telemetry', {str(tmp_path / 'run.jsonl')!r}, "
+            f"'--ledger', {str(tmp_path / 'ledger')!r}]) == 0\n"
+        )
+        assert self._loaded_scipy(code) == "[]"
 
 
 class TestRunCommand:
@@ -146,6 +190,56 @@ class TestRunCommand:
         assert "0.5" in message and "24" in message and "rcut" in message
         assert "\n" not in message
         assert not out.exists()
+
+    def test_overload_depth_without_decomposition_rejected(
+        self, tmp_path
+    ):
+        """An undecomposed run has no overload shell: the depth flag is
+        a one-line exit, not silently dropped."""
+        out = tmp_path / "undecomposed"
+        with pytest.raises(SystemExit) as exc:
+            main(self._base(out) + ["--overload-depth", "0.1"])
+        message = str(exc.value.code)
+        assert message.startswith("run: ") and "decomposition" in message
+        assert "\n" not in message
+        assert not out.exists()
+
+    @pytest.mark.parametrize("decomposed", [True, False])
+    def test_manifest_records_the_decomposition(self, tmp_path, decomposed):
+        import json
+
+        stream = tmp_path / "run.jsonl"
+        argv = ["-q", "run", "--steps", "1", "--n-per-dim", "8",
+                "--backend", "pm", "--telemetry", str(stream)]
+        if decomposed:
+            argv += ["--decomposition", "2,1,1", "--overload-depth", "14"]
+        assert main(argv) == 0
+        with open(stream, encoding="utf-8") as fh:
+            manifest = json.loads(fh.readline())
+        if decomposed:
+            assert manifest["decomposition"] == [2, 1, 1]
+            assert manifest["overload_depth"] == 14.0
+        else:
+            assert "decomposition" not in manifest
+            assert "overload_depth" not in manifest
+
+    def test_profile_bench_record_is_ledgered(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        from repro.instrument import NullRegistry, RunLedger, use
+
+        monkeypatch.setenv("REPRO_BENCH_DIR", str(tmp_path / "records"))
+        root = tmp_path / "ledger"
+        with use(NullRegistry()):  # the run's live registry ends here
+            assert main(["-q", "run", "--steps", "1", "--n-per-dim", "8",
+                         "--backend", "pm", "--profile", "--bench-record",
+                         "nightly", "--ledger", str(root)]) == 0
+        assert "% of step" in capsys.readouterr().out
+        assert (tmp_path / "records" / "BENCH_nightly.json").is_file()
+        ledger = RunLedger(root)
+        record = ledger.load_bench(ledger.get("latest"))["nightly"]
+        assert record["payload"]["n_steps"] == 1
+        assert record["instrument"]["counters"]
 
     @pytest.mark.parametrize(
         "retired", [{"worker_groups": 2}, {"executor": "process"}]
@@ -194,14 +288,15 @@ class TestRunCommand:
     @pytest.mark.parametrize(
         "fault, expected",
         [
-            (["--decomposition", "2,1,1", "--inject-rank-death", "0:5"],
-             "the run has 2 ranks"),
+            (["--decomposition", "2,1,1", "--overload-depth", "14",
+              "--inject-rank-death", "0:5"], "the run has 2 ranks"),
             (["--inject-rank-death", "0:0"], "decomposed"),
-            (["--decomposition", "2,1,1", "--inject-rank-death", "2:0"],
-             "past the run's last step 1"),
+            (["--decomposition", "2,1,1", "--overload-depth", "14",
+              "--inject-rank-death", "2:0"], "past the run's last step 1"),
             (["--inject-slowdown", "fft:0.1"], "'fft'"),
             (["--backend", "pm", "--decomposition", "2,1,1",
-              "--inject-rank-death", "0:0"], "decomposed short-range"),
+              "--overload-depth", "14", "--inject-rank-death", "0:0"],
+             "decomposed short-range"),
             (["--backend", "pm", "--inject-slowdown", "shortrange:0.1"],
              "sections: none"),
         ],
@@ -214,9 +309,7 @@ class TestRunCommand:
         step."""
         out = tmp_path / "bad-fault"
         with pytest.raises(SystemExit) as exc:
-            main(self._base(out) + [
-                "--n-per-dim", "16", "--overload-depth", "14",
-            ] + fault)
+            main(self._base(out) + ["--n-per-dim", "16"] + fault)
         message = str(exc.value.code)
         assert message.startswith("run: ") and expected in message
         assert "\n" not in message

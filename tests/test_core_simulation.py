@@ -4,7 +4,7 @@ the physics lives in the integration tests)."""
 import numpy as np
 import pytest
 
-from repro.config import SimulationConfig
+from repro.config import ConfigError, SimulationConfig
 from repro.core.particles import Particles
 from repro.core.simulation import HACCSimulation
 
@@ -139,6 +139,13 @@ class TestOverloadedShortRange:
         a1 = single._short_range(pos)
         a2 = multi._short_range(pos)
         assert np.allclose(a1, a2, atol=1e-10)
+
+    def test_overload_depth_without_decomposition_rejected(self):
+        """An undecomposed run has no overload shell to size: the depth
+        is a ConfigError, not silently dropped."""
+        cfg = small_config(backend="treepm", n_per_dim=16)
+        with pytest.raises(ConfigError, match="without a decomposition"):
+            HACCSimulation(cfg, overload_depth=cfg.rcut() + 0.5)
 
     def test_overload_refresh_traffic_recorded(self):
         cfg = small_config(backend="treepm", n_per_dim=16)

@@ -992,18 +992,18 @@ class TestManifestAndLedger:
         assert m["kernel_backend"] == "numpy"
 
     def test_manifest_records_how_the_kernel_was_built(self):
-        from repro.__main__ import _kernel_extra
+        from repro.__main__ import _manifest_extra
         from repro.instrument.telemetry import run_manifest
 
         sim = HACCSimulation(tiny_config())
-        m = run_manifest(sim.config, extra=_kernel_extra(sim))
+        m = run_manifest(sim.config, extra=_manifest_extra(sim))
         assert m["kernel_backend"] == sim.kernel_backend != "auto"
         if sim.kernel_backend == "c":
             assert set(m["kernel_build"]) == {
                 "compiler", "flags", "source_sha256"
             }
         numpy_sim = HACCSimulation(tiny_config(kernel_backend="numpy"))
-        assert "kernel_build" not in _kernel_extra(numpy_sim)
+        assert "kernel_build" not in _manifest_extra(numpy_sim)
 
     def test_ledger_records_and_filters(self, tmp_path):
         from repro.instrument.store import RunLedger

@@ -505,15 +505,15 @@ class TestCLI:
         root = tmp_path / "ledger"
         for seed in (1, 2):
             assert main([
-                "-q", "profile", "--steps", "1", "--n-per-dim", "8",
+                "-q", "run", "--profile", "--steps", "1",
+                "--n-per-dim", "8",
                 "--backend", "pm", "--subcycles", "1",
                 "--telemetry", str(tmp_path / f"r{seed}.jsonl"),
                 "--ledger", str(root),
             ]) == 0
         return root
 
-    def test_profile_ledger_runs_report(self, tmp_path, monkeypatch,
-                                        capsys):
+    def test_run_ledger_runs_report(self, tmp_path, monkeypatch, capsys):
         from repro.__main__ import main
 
         root = self._ledgered_pair(tmp_path, monkeypatch)
@@ -524,8 +524,7 @@ class TestCLI:
         assert len(entries) == 2
         assert all(e["git_rev"] == "feedbee" for e in entries)
 
-        assert main(["runs", "show", "latest", "--ledger",
-                     str(root)]) == 0
+        assert main(["report", "latest", "--ledger", str(root)]) == 0
         assert "phase" in capsys.readouterr().out
 
         assert main(["report", "--compare", "latest~1", "latest",
@@ -533,6 +532,27 @@ class TestCLI:
         rep = json.loads(capsys.readouterr().out)
         assert rep["verdict"] in ("OK", "IMPROVED", "REGRESSION")
         assert rep["phases"]
+
+    def test_report_prints_the_ledgered_analysis(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        """``report RUN [--json]`` is the one reader of a ledgered run:
+        it prints the stored run's critical-path analysis, as the
+        retired ``runs show RUN [--json]`` did."""
+        from repro.__main__ import main
+        from repro.instrument import RunLedger, render_analysis
+
+        root = self._ledgered_pair(tmp_path, monkeypatch)
+        ledger = RunLedger(root)
+        analysis = ledger.analyze(ledger.get("latest~1"))
+        capsys.readouterr()
+        assert main(["report", "latest~1", "--ledger", str(root)]) == 0
+        assert capsys.readouterr().out == render_analysis(analysis) + "\n"
+        assert main(["report", "latest~1", "--ledger", str(root),
+                     "--json"]) == 0
+        assert capsys.readouterr().out == json.dumps(
+            analysis.to_dict(), indent=2, sort_keys=True
+        ) + "\n"
 
     def test_runs_gc_cli(self, tmp_path, monkeypatch, capsys):
         from repro.__main__ import main

@@ -539,13 +539,13 @@ class TestCLI:
         assert main(["monitor", str(path)]) == 2
 
     @pytest.mark.slow
-    def test_demo_telemetry_health_end_to_end(self, tmp_path, capsys):
-        """demo --telemetry --health-energy-crit: stream + exit status."""
+    def test_run_telemetry_health_end_to_end(self, tmp_path, capsys):
+        """run --telemetry --health-energy-crit: stream + exit status."""
         from repro.__main__ import main
 
         path = tmp_path / "run.jsonl"
         rc = main([
-            "-q", "demo", "--steps", "2", "--n-per-dim", "8",
+            "-q", "run", "--steps", "2", "--n-per-dim", "8",
             "--backend", "pm", "--telemetry", str(path),
             "--health-energy-crit", "1e-9",
         ])
