@@ -94,37 +94,6 @@ def is_gated(rec: dict, name: str, pattern: str) -> bool:
     return pattern in name or pattern in nodeid
 
 
-def health_verdict_of(rec: dict) -> str | None:
-    """The health verdict a telemetry-enabled bench attached, if any."""
-    tel = rec.get("payload", {}).get("telemetry")
-    if not isinstance(tel, dict):
-        return None
-    verdict = tel.get("health_verdict")
-    return str(verdict) if verdict is not None else None
-
-
-def health_events_of(rec: dict) -> list[dict]:
-    """Discrete health events ({check, severity, step}) of a record."""
-    tel = rec.get("payload", {}).get("telemetry")
-    if isinstance(tel, dict) and isinstance(tel.get("health_events"), list):
-        return [e for e in tel["health_events"] if isinstance(e, dict)]
-    return []
-
-
-def faults_of(rec: dict) -> tuple[int, int] | None:
-    """(faults_injected, faults_recovered) of a chaos record, if any."""
-    faults = rec.get("payload", {}).get("faults")
-    if not isinstance(faults, dict):
-        return None
-    try:
-        return (
-            int(faults.get("faults_injected", 0)),
-            int(faults.get("faults_recovered", 0)),
-        )
-    except (TypeError, ValueError):
-        return None
-
-
 def speedup_of(rec: dict) -> dict | None:
     """The executor-scaling speedup block of a record, if present."""
     sp = rec.get("payload", {}).get("speedup")
@@ -514,13 +483,6 @@ def main(argv: list[str] | None = None) -> int:
         default=DEFAULT_ROOFLINE_RECORD,
         help="fallback location of the measured-roofline record",
     )
-    ap.add_argument(
-        "--check-health",
-        action="store_true",
-        help="also fail on records whose attached physics health "
-             "verdict is CRIT (benches run with telemetry enabled); "
-             "an unrecovered rank_died event exits 2",
-    )
     args = ap.parse_args(argv)
 
     # the default baseline is a subdirectory of records/; the non-recursive
@@ -562,36 +524,12 @@ def main(argv: list[str] | None = None) -> int:
     print(f"baseline: {baseline_desc}")
 
     failures: list[str] = []
-    rank_deaths: list[str] = []
     rows: list[tuple[str, str, str, str, str]] = []
     for name, rec in sorted(fresh.items()):
         cur = duration_of(rec)
         base_rec = baseline.get(name)
         gated = is_gated(rec, name, args.pattern)
         tag = "gate" if gated else "info"
-        verdict = health_verdict_of(rec)
-        if args.check_health and verdict == "CRIT":
-            failures.append(f"{name}: physics health verdict CRIT")
-            rows.append((name, "health", "-", "-", "CRIT"))
-        if args.check_health:
-            died = [
-                e for e in health_events_of(rec)
-                if e.get("check") == "rank_died"
-            ]
-            if died:
-                steps = sorted({e.get("step") for e in died})
-                rank_deaths.append(
-                    f"{name}: {len(died)} unrecovered rank_died "
-                    f"event(s) at step(s) {steps}"
-                )
-                rows.append((name, "health", "-", "-", "rank_died"))
-        counts = faults_of(rec)
-        if counts is not None:
-            injected, recovered = counts
-            rows.append(
-                (name, "chaos", "-", "-",
-                 f"faults {recovered}/{injected} recovered")
-            )
         if cur is None:
             rows.append((name, tag, "-", "-", "no duration"))
             continue
@@ -637,17 +575,8 @@ def main(argv: list[str] | None = None) -> int:
     for r in rows:
         print("  ".join(c.ljust(w) for c, w in zip(r, widths)))
 
-    if rank_deaths:
-        # losing a rank without recovering it is worse than a slowdown:
-        # the run's physics is wrong, not just late — distinct exit code
-        print("\nFAIL: unrecovered rank death(s):")
-        for f in rank_deaths:
-            print(f"  {f}")
-        for f in failures:
-            print(f"  {f}")
-        return 2
     if failures:
-        print("\nFAIL: benchmark regression(s) or health failure(s):")
+        print("\nFAIL: benchmark regression(s):")
         for f in failures:
             print(f"  {f}")
         return 1

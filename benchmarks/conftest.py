@@ -26,8 +26,7 @@ import numpy as np
 import pytest
 
 from repro import HACCSimulation, SimulationConfig
-from repro.instrument import get_registry, get_telemetry
-from repro.instrument.health import worst_severity
+from repro.instrument import get_registry
 from repro.instrument.report import write_bench_record
 
 #: redshift frames of Figs. 9/10
@@ -96,28 +95,6 @@ def pytest_runtest_makereport(item, call):
         "outcome": report.outcome,
         "duration_s": report.duration,
     }
-    # when a bench ran with live telemetry, fold the load-balance and
-    # health picture into the record so check_regression can gate on it
-    tel = get_telemetry()
-    if tel.enabled and tel.steps:
-        steps = tel.steps
-        alerts = [al for s in steps for al in s.alerts]
-        payload["telemetry"] = {
-            "steps": len(steps),
-            "max_imbalance": tel.max_imbalance(),
-            "alerts": len(alerts),
-            "health_verdict": worst_severity(
-                [al["severity"] for al in alerts]
-            ),
-            "health_events": [
-                {
-                    "check": al["check"],
-                    "severity": al["severity"],
-                    "step": al["step"],
-                }
-                for al in alerts
-            ],
-        }
     write_bench_record(
         item.name,
         payload,

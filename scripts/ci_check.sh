@@ -17,12 +17,11 @@
 # the default serial fleet, once dispatched over REPRO_CHAOS_WORKERS
 # thread workers), the gated Fig. 5 kernel benchmarks plus the
 # executor-scaling bench, and checks the records against the stored
-# baseline with benchmarks/check_regression.py --check-health
-# --check-speedup (fails on >20% slowdown of a gated bench, a CRIT
-# physics-health verdict, a short-range executor speedup below 1.7x
-# at 4 workers, or any failing speedup_gates entry — the compute-only
-# thread @ 4 workers dispatch-overhead gate self-skips below 4 cores;
-# an unrecovered rank death exits 2).  Lane 11 kills a
+# baseline with benchmarks/check_regression.py --check-speedup (fails
+# on >20% slowdown of a gated bench, a short-range executor speedup
+# below 1.7x at 4 workers, or any failing speedup_gates entry — the
+# compute-only thread @ 4 workers dispatch-overhead gate self-skips
+# below 4 cores; rank deaths are the chaos lanes' check).  Lane 11 kills a
 # live campaign supervisor and its child mid-run (SIGKILL, a simulated
 # node death) and requires 'campaign resume' to finish the suite with
 # exactly-once ledger entries and correct attempt counts.  Lane 8
@@ -124,13 +123,13 @@ PYTHONPATH=src "$PYTHON" -m pytest tests/test_parallel_executor.py -q -m chaos
 echo "== 6/12 fig5 kernel + executor scaling benchmarks =="
 (cd benchmarks && PYTHONPATH=../src "$PYTHON" -m pytest bench_fig5_kernel_threading.py bench_executor_scaling.py -q)
 
-echo "== 7/12 regression + health + speedup gate =="
+echo "== 7/12 regression + speedup gate =="
 if [ ! -d benchmarks/records/baseline ] || \
    ! ls benchmarks/records/baseline/BENCH_*.json >/dev/null 2>&1; then
     echo "no baseline found -- bootstrapping from this run"
     "$PYTHON" benchmarks/check_regression.py --update-baseline
 fi
-"$PYTHON" benchmarks/check_regression.py --check-health --check-speedup
+"$PYTHON" benchmarks/check_regression.py --check-speedup
 
 echo "== 8/12 run ledger + critical-path report lane =="
 PYTHONPATH=src "$PYTHON" -m repro run --profile --steps 2 --n-per-dim 8 \

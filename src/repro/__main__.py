@@ -20,8 +20,8 @@ Commands
     ``--summary`` prints the final power spectrum and FOF halo count;
     ``--profile`` the measured-vs-model section table (the paper's
     Table II attribution); ``--bench-record NAME`` writes a
-    ``BENCH_<NAME>.json`` record; ``--trace``/``--jsonl``/``--csv``
-    export the span log.
+    ``BENCH_<NAME>.json`` record; ``--trace`` exports the span log as
+    a Chrome trace.
 ``campaign``
     Supervise a whole suite from a declarative spec
     (``campaign run|status|resume SPEC.toml``): crash-safe journaled
@@ -144,16 +144,15 @@ def _setup_observability(sim, args: argparse.Namespace) -> None:
     from repro.instrument import (
         HealthThresholds,
         RunStream,
+        Telemetry,
         Threshold,
-        enable_telemetry,
         run_manifest,
     )
 
     if args.telemetry:
-        stream = RunStream(args.telemetry, manifest=run_manifest(
-            sim.config, extra=_manifest_extra(sim)
-        ))
-        enable_telemetry(stream)
+        sim.telemetry = Telemetry(RunStream(args.telemetry, manifest=(
+            run_manifest(sim.config, extra=_manifest_extra(sim))
+        )))
         logger.info("telemetry stream: %s", args.telemetry)
     warn = args.health_energy_warn
     crit = args.health_energy_crit
@@ -189,8 +188,6 @@ def _manifest_extra(sim) -> dict:
 
 def _finish_observability(sim, args, registry, bench_records=None) -> int:
     """Close the telemetry stream, ledger the run, reduce to exit status."""
-    from repro.instrument import disable_telemetry, get_telemetry
-
     status = 0
     verdict = "OK"
     if sim.health is not None:
@@ -201,10 +198,8 @@ def _finish_observability(sim, args, registry, bench_records=None) -> int:
             "health verdict: %s (%d WARN, %d CRIT)",
             verdict, summary["warnings"], summary["criticals"],
         )
-    tel = get_telemetry()
-    if tel.enabled:
-        tel.finish(verdict=verdict)
-        disable_telemetry()
+    if sim.telemetry is not None:
+        sim.telemetry.finish(verdict=verdict)
     if args.ledger is not None:
         _ledger_run(sim, args, registry, verdict, bench_records)
     return status
@@ -221,7 +216,6 @@ def _finish_interrupted(sim, args, exc, checkpointer=None) -> int:
     and the distinct exit code (75, ``EX_TEMPFAIL``) tells a supervisor
     this run is resumable rather than broken.
     """
-    from repro.instrument import disable_telemetry, get_telemetry
     from repro.resilience.signals import INTERRUPTED_EXIT_CODE
 
     if checkpointer is not None:
@@ -233,10 +227,8 @@ def _finish_interrupted(sim, args, exc, checkpointer=None) -> int:
                 "shutdown checkpoint: %s (already current)",
                 checkpointer.last_path,
             )
-    tel = get_telemetry()
-    if tel.enabled:
-        tel.finish(verdict="INTERRUPTED")
-        disable_telemetry()
+    if sim.telemetry is not None:
+        sim.telemetry.finish(verdict="INTERRUPTED")
     if args.ledger is not None:
         _ledger_run(sim, args, None, "INTERRUPTED")
     logger.warning(
@@ -293,7 +285,7 @@ def _report_instrumentation(sim, args, registry) -> dict | None:
     exports; returns the bench records to ledger."""
     import json
 
-    from repro.instrument import exporters
+    from repro.instrument.exporters import write_chrome_trace
     from repro.instrument.report import render_profile, write_bench_record
 
     if args.profile:
@@ -316,15 +308,9 @@ def _report_instrumentation(sim, args, registry) -> dict | None:
         # stored in the ledger entry's bench/ directory, so the run can
         # serve as a check_regression.py --baseline-ledger baseline
         bench_records = {args.bench_record: json.loads(path.read_text())}
-    for attr, writer in (
-        ("trace", exporters.write_chrome_trace),
-        ("jsonl", exporters.write_jsonl),
-        ("csv", exporters.write_csv),
-    ):
-        dest = getattr(args, attr)
-        if dest:
-            writer(registry, dest)
-            logger.info("%s export: %s", attr, dest)
+    if args.trace:
+        write_chrome_trace(registry, args.trace)
+        logger.info("trace export: %s", args.trace)
     return bench_records
 
 
@@ -465,8 +451,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     # feeds per-step perf blocks (ns/pair) into the telemetry stream for
     # the monitor dashboard
     registry = None
-    if (args.profile or args.bench_record or args.trace or args.jsonl
-            or args.csv):
+    if args.profile or args.bench_record or args.trace:
         from repro.instrument import enable
 
         registry = enable()
@@ -963,10 +948,6 @@ def build_parser() -> argparse.ArgumentParser:
                           "(stored with the run under --ledger)")
     run.add_argument("--trace", metavar="PATH",
                      help="write a Chrome trace_event JSON trace")
-    run.add_argument("--jsonl", metavar="PATH",
-                     help="write the span/counter log as JSON lines")
-    run.add_argument("--csv", metavar="PATH",
-                     help="write the span log as CSV")
     run.add_argument("--telemetry", metavar="PATH",
                      help="stream per-step telemetry JSONL to PATH "
                           "(follow it with 'python -m repro monitor')")

@@ -29,7 +29,7 @@ from typing import Callable
 import numpy as np
 
 from repro.config import ConfigError, SimulationConfig
-from repro.instrument import get_registry, get_telemetry
+from repro.instrument import get_registry
 from repro.core.particles import Particles
 from repro.core.timestepper import SubcycledStepper
 from repro.cosmology.initial_conditions import make_initial_conditions
@@ -56,13 +56,14 @@ logger = logging.getLogger(__name__)
 
 
 def _solve_domain(solver, faults, rank, positions, masses, active):
-    """One rank's short-range solve — the task body of every backend.
+    """One rank's short-range solve — the task body of every dispatch.
 
-    Mirrors the serial loop exactly (same actives-first stable ordering,
-    same float operations) so results are bit-identical regardless of
-    where it runs.  Returns ``(rank, accelerations, (streamed, inside),
-    tree_depth)``; the pair counts are the worker kernel's private
-    deltas, charged to the authoritative counters by the driver in rank
+    The driver's serial loop and both executor backends run this same
+    body (actives-first stable ordering, same float operations), so
+    results are bit-identical regardless of where it runs.  Returns
+    ``(rank, accelerations, (streamed, inside), tree_depth)``; the pair
+    counts are the solving kernel's deltas, which a worker kernel keeps
+    private and the driver charges to the authoritative counters in rank
     order.  ``faults`` is the run's fault plan (its per-domain
     straggler hook).
     """
@@ -77,6 +78,24 @@ def _solve_domain(solver, faults, rank, positions, masses, active):
     pairs = (int(kern.interaction_count - k0), int(kern.inside_count - i0))
     depth = getattr(solver, "last_tree_depth", None)
     return rank, local, pairs, depth
+
+
+def _charge_domain_gauges(tel, dom, pairs, depth) -> None:
+    """One domain's per-rank gauges, whichever dispatcher solved it.
+
+    Every domain charges ``particles``, ``ghosts`` and ``interactions``
+    (zero for an empty one), so the imbalance factors never depend on
+    the executor; ``ghost_fraction`` is passive/active and undefined
+    without actives, and ``tree_depth`` exists only where a tree was
+    built.
+    """
+    tel.gauge("particles", dom.rank, dom.n_active)
+    tel.gauge("ghosts", dom.rank, dom.n_passive)
+    if dom.n_active:
+        tel.gauge("ghost_fraction", dom.rank, dom.overload_fraction())
+    tel.add_gauge("interactions", dom.rank, pairs)
+    if depth is not None:
+        tel.gauge("tree_depth", dom.rank, depth)
 
 
 class HACCSimulation:
@@ -253,6 +272,9 @@ class HACCSimulation:
         self._step_index = 0
         #: optional physics health monitor (see :meth:`attach_health`)
         self.health = None
+        #: optional per-rank telemetry collector of this run
+        #: (:class:`repro.instrument.Telemetry`); ``None`` records nothing
+        self.telemetry = None
         self._comm_bytes_prev: np.ndarray | None = None
 
     # ------------------------------------------------------------------
@@ -287,52 +309,54 @@ class HACCSimulation:
         passive replicas supply the boundary sources, so no ghosts and no
         communication are needed during the force evaluation itself —
         exactly the decoupling the paper's overloading buys.
+
+        The per-domain solves run on the rank executor when it is
+        parallel, else in rank order on the driver's own solver; all
+        reductions (acceleration scatter, counter charging, telemetry
+        gauges) happen here in rank order either way, which is what
+        makes the result bit-identical for every backend.  Collectives
+        already happened (``distribute``) and the next one waits for
+        ``map`` to join all ranks, so the bulk-synchronous structure is
+        preserved.
         """
-        plan = self.faults
-        tel = get_telemetry()
         domains = self.exchange.distribute(
             positions,
             self.particles.momenta,
             self.particles.masses,
             self.particles.ids,
         )
-        if plan.enabled:
+        if self.faults.enabled:
             domains = self._handle_rank_death(domains)
-        if self.executor.parallel:
-            return self._short_range_parallel(positions, domains, tel)
+        parallel = self.executor.parallel
+        if parallel:
+            results = self.executor.map(
+                self._solve_domain_local,
+                domains,
+                ranks=[dom.rank for dom in domains],
+                label="shortrange.domain",
+            )
+        else:
+            results = [
+                _solve_domain(self.short_solver, self.faults, dom.rank,
+                              dom.positions, dom.masses, dom.active)
+                for dom in domains
+            ]
+        tel = self.telemetry
         acc = np.zeros_like(positions)
-        for dom in domains:
-            if tel.enabled:
-                tel.gauge("particles", dom.rank, dom.n_active)
-                tel.gauge("ghosts", dom.rank, dom.n_passive)
-                tel.gauge(
-                    "ghost_fraction", dom.rank, dom.overload_fraction()
-                )
-            plan.sleep("shortrange.domain")
+        for dom, (_, local, (pairs, inside), depth) in zip(domains, results):
+            if parallel and pairs:
+                # charge the authoritative counters here, in rank order:
+                # worker kernels tally privately (mirror_counters=False)
+                self.kernel.record_interactions(pairs, inside)
+            if tel is not None:
+                _charge_domain_gauges(tel, dom, pairs, depth)
             if dom.n_total == 0:
                 continue
-            order = np.argsort(~dom.active, kind="stable")  # actives first
-            pos = dom.positions[order]
-            mas = dom.masses[order]
-            ids = dom.ids[order]
-            n_act = dom.n_active
-            k0 = self.kernel.interaction_count if tel.enabled else 0
-            local = self.short_solver.accelerations_cloud(pos, mas, n_act)
-            if tel.enabled:
-                tel.add_gauge(
-                    "interactions",
-                    dom.rank,
-                    self.kernel.interaction_count - k0,
-                )
-                depth = getattr(self.short_solver, "last_tree_depth", None)
-                if depth is not None:
-                    tel.gauge("tree_depth", dom.rank, depth)
-            acc[ids[:n_act]] = local
+            # boolean selection preserves order, so these ids match the
+            # actives-first rows the task computed
+            acc[dom.ids[dom.active]] = local
         return acc
 
-    # ------------------------------------------------------------------
-    # parallel short-range dispatch
-    # ------------------------------------------------------------------
     def _local_solver(self):
         """Per-thread worker clone of the short-range solver.
 
@@ -346,47 +370,6 @@ class HACCSimulation:
             solver = solver_from_spec(self._solver_spec)
             self._worker_local.solver = solver
         return solver
-
-    def _short_range_parallel(self, positions, domains, tel):
-        """Fan the per-domain solves out over the rank executor.
-
-        Work is *partitioned* per domain regardless of backend, and all
-        reductions (acceleration scatter, counter charging, telemetry
-        gauges) happen here in rank order — which is what makes the
-        result bit-identical to the serial loop for every backend.
-        Collectives already happened (``distribute``) and the next one
-        waits for ``map`` to join all ranks, so the bulk-synchronous
-        structure is preserved.
-        """
-        results = self.executor.map(
-            self._solve_domain_local,
-            domains,
-            ranks=[dom.rank for dom in domains],
-            label="shortrange.domain",
-        )
-        acc = np.zeros_like(positions)
-        for dom, res in zip(domains, results):
-            rank, local, (pairs, inside), depth = res
-            if tel.enabled:
-                tel.gauge("particles", dom.rank, dom.n_active)
-                tel.gauge("ghosts", dom.rank, dom.n_passive)
-                tel.gauge(
-                    "ghost_fraction", dom.rank, dom.overload_fraction()
-                )
-            if pairs:
-                # charge the authoritative counters here, in rank order:
-                # worker kernels tally privately (mirror_counters=False)
-                self.kernel.record_interactions(pairs, inside)
-            if tel.enabled:
-                tel.add_gauge("interactions", dom.rank, pairs)
-                if depth is not None:
-                    tel.gauge("tree_depth", dom.rank, depth)
-            if dom.n_total == 0:
-                continue
-            # boolean selection preserves order, so these ids match the
-            # actives-first rows the task computed
-            acc[dom.ids[dom.active]] = local
-        return acc
 
     def _solve_domain_local(self, dom):
         """The per-domain task body of both executor backends."""
@@ -515,7 +498,7 @@ class HACCSimulation:
         )
         return self.health
 
-    def _record_telemetry(self, tel, wall: float) -> None:
+    def _record_telemetry(self, wall: float) -> None:
         """Close out one step's telemetry: comm gauges, health, record.
 
         Runs only when telemetry or health monitoring is enabled, after
@@ -524,7 +507,8 @@ class HACCSimulation:
         ``_step_index - 1`` (0-based).
         """
         step_index = self._step_index - 1
-        if tel.enabled and self.exchange is not None:
+        tel = self.telemetry
+        if tel is not None and self.exchange is not None:
             stats = self.exchange.comm.stats
             if stats.matrix_enabled:
                 sent = stats.rank_send_bytes()
@@ -538,7 +522,7 @@ class HACCSimulation:
         if self.health is not None:
             values = self.health.values()
             residuals = dict(values)
-            if tel.enabled:
+            if tel is not None:
                 imb = tel.peek_imbalance()
                 if imb:
                     values["imbalance"] = max(imb.values())
@@ -550,7 +534,7 @@ class HACCSimulation:
                 e.to_dict() for e in self._fault_events
             ) + alerts
             self._fault_events.clear()
-        if tel.enabled:
+        if tel is not None:
             # achieved-throughput summary of the step just closed: the
             # registry's StepRecord carries the per-step counter deltas
             # the perfcount work model converts to GFLOP/s and ns/pair
@@ -584,7 +568,6 @@ class HACCSimulation:
         a0 = self._edges[self._step_index]
         a1 = self._edges[self._step_index + 1]
         reg = get_registry()
-        tel = get_telemetry()
         if self.faults.enabled:
             self.faults.begin_step(self._step_index)
         t0 = time.perf_counter()
@@ -593,8 +576,8 @@ class HACCSimulation:
         wall = time.perf_counter() - t0
         self.a = a1
         self._step_index += 1
-        if tel.enabled or self.health is not None:
-            self._record_telemetry(tel, wall)
+        if self.telemetry is not None or self.health is not None:
+            self._record_telemetry(wall)
         elif self._fault_events:
             self._fault_events.clear()
         logger.debug(
@@ -652,10 +635,8 @@ class HACCSimulation:
                 if isinstance(exc, ShutdownRequested)
                 else "CRASHED"
             )
-            tel = get_telemetry()
-            if tel.enabled and tel.stream is not None \
-                    and not tel.stream.closed:
-                tel.finish(
+            if self.telemetry is not None:
+                self.telemetry.finish(
                     verdict=verdict,
                     error=f"{type(exc).__name__}: {exc}",
                     crashed_at_step=self._step_index,

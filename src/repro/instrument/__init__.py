@@ -24,10 +24,12 @@ profiling disabled the hot paths take **no locks and perform no
 allocations** (a test pins this down).  Call :func:`enable` to install a
 live :class:`Registry`, :func:`disable` to go back to the no-op.
 
-Exporters (:mod:`repro.instrument.exporters`) serialize a registry to
-JSON-lines, CSV, and Chrome ``trace_event`` JSON; the reporting surface
+The exporter (:mod:`repro.instrument.exporters`) serializes a registry
+to Chrome ``trace_event`` JSON; the reporting surface
 (:mod:`repro.instrument.report`) renders the measured-vs-model table and
-machine-readable ``BENCH_*.json`` records.
+machine-readable ``BENCH_*.json`` records.  Per-rank telemetry
+(:mod:`repro.instrument.telemetry`) is no global: it is off unless a
+run sets ``sim.telemetry``.
 """
 
 from repro.instrument.registry import (
@@ -48,19 +50,14 @@ from repro.instrument.registry import (
 )
 from repro.instrument.logconfig import logging_setup
 from repro.instrument.telemetry import (
-    NullTelemetry,
     RunStream,
     StepTelemetry,
+    StreamFollower,
     Telemetry,
-    disable_telemetry,
-    enable_telemetry,
-    get_telemetry,
     imbalance_factor,
     read_stream,
     run_manifest,
-    set_telemetry,
     sparkline,
-    use_telemetry,
 )
 from repro.instrument.health import (
     HealthEvent,
@@ -69,7 +66,6 @@ from repro.instrument.health import (
     SimulationHealth,
     Threshold,
 )
-from repro.instrument.telemetry import StreamFollower
 from repro.instrument.store import (
     RunEntry,
     RunLedger,
@@ -100,7 +96,6 @@ __all__ = [
     "HealthMonitor",
     "HealthThresholds",
     "NullRegistry",
-    "NullTelemetry",
     "PhaseWork",
     "Registry",
     "RunAnalysis",
@@ -124,11 +119,8 @@ __all__ = [
     "render_comparison",
     "count",
     "disable",
-    "disable_telemetry",
     "enable",
-    "enable_telemetry",
     "get_registry",
-    "get_telemetry",
     "imbalance_factor",
     "logging_setup",
     "read_stream",
@@ -136,12 +128,10 @@ __all__ = [
     "roofline_table",
     "run_manifest",
     "set_registry",
-    "set_telemetry",
     "span",
     "sparkline",
     "step_perf",
     "timed",
     "use",
-    "use_telemetry",
     "work_summary",
 ]

@@ -1,16 +1,14 @@
-"""Serialize a registry to JSON-lines, CSV, and Chrome ``trace_event``.
+"""Serialize a registry to Chrome ``trace_event`` JSON and back.
 
-All writers accept either a filesystem path or an open text file and all
-have a matching loader, so the round trip is testable without touching
-external tooling.  The Chrome format follows the ``trace_event`` spec's
+The writer accepts either a filesystem path or an open text file and
+has a matching loader, so the round trip is testable without touching
+external tooling.  The format follows the ``trace_event`` spec's
 complete-event (``"ph": "X"``) form: load the file at ``chrome://tracing``
 or https://ui.perfetto.dev to see the span hierarchy of a run.
 """
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 from contextlib import contextmanager
 from pathlib import Path
@@ -19,114 +17,20 @@ from typing import Iterator
 from repro.instrument.registry import NullRegistry, Registry, SpanEvent
 
 __all__ = [
-    "write_jsonl",
-    "load_jsonl",
-    "write_csv",
-    "load_csv",
     "write_chrome_trace",
     "load_chrome_trace",
     "spans_nest",
-    "to_jsonl_string",
 ]
-
-_CSV_FIELDS = ("name", "path", "start", "end", "duration", "thread", "rank")
 
 
 @contextmanager
 def _open_text(dest, mode: str) -> Iterator:
     """Yield a text file for a path-or-file destination."""
     if isinstance(dest, (str, Path)):
-        with open(dest, mode, encoding="utf-8", newline="") as fh:
+        with open(dest, mode, encoding="utf-8") as fh:
             yield fh
     else:
         yield dest
-
-
-# ----------------------------------------------------------------------
-# JSON lines
-# ----------------------------------------------------------------------
-def write_jsonl(registry: Registry | NullRegistry, dest) -> int:
-    """One JSON object per line: span events, then counters, then steps.
-
-    Returns the number of lines written.  Record kinds are tagged with a
-    ``"kind"`` field so a stream parser needs no lookahead.
-    """
-    lines = 0
-    with _open_text(dest, "w") as fh:
-        for ev in registry.events:
-            fh.write(json.dumps({"kind": "span", **ev.to_dict()}) + "\n")
-            lines += 1
-        for name, value in sorted(registry.counters.items()):
-            fh.write(
-                json.dumps({"kind": "counter", "name": name, "value": value})
-                + "\n"
-            )
-            lines += 1
-        for step in registry.steps:
-            fh.write(json.dumps({"kind": "step", **step.to_dict()}) + "\n")
-            lines += 1
-    return lines
-
-
-def load_jsonl(src) -> dict:
-    """Inverse of :func:`write_jsonl`.
-
-    Returns ``{"spans": [SpanEvent...], "counters": {...}, "steps": [...]}``
-    (steps as plain dicts).
-    """
-    spans: list[SpanEvent] = []
-    counters: dict[str, float] = {}
-    steps: list[dict] = []
-    with _open_text(src, "r") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            rec = json.loads(line)
-            kind = rec.pop("kind")
-            if kind == "span":
-                spans.append(SpanEvent(**rec))
-            elif kind == "counter":
-                counters[rec["name"]] = rec["value"]
-            elif kind == "step":
-                steps.append(rec)
-            else:
-                raise ValueError(f"unknown record kind {kind!r}")
-    return {"spans": spans, "counters": counters, "steps": steps}
-
-
-# ----------------------------------------------------------------------
-# CSV (span events only — the spreadsheet-friendly view)
-# ----------------------------------------------------------------------
-def write_csv(registry: Registry | NullRegistry, dest) -> int:
-    """Span events as CSV with a header row; returns the event count."""
-    events = registry.events
-    with _open_text(dest, "w") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_CSV_FIELDS)
-        for ev in events:
-            writer.writerow(
-                [ev.name, ev.path, repr(ev.start), repr(ev.end),
-                 repr(ev.duration), ev.thread, ev.rank]
-            )
-    return len(events)
-
-
-def load_csv(src) -> list[SpanEvent]:
-    """Inverse of :func:`write_csv` (durations are recomputed)."""
-    with _open_text(src, "r") as fh:
-        reader = csv.DictReader(fh)
-        return [
-            SpanEvent(
-                name=row["name"],
-                path=row["path"],
-                start=float(row["start"]),
-                end=float(row["end"]),
-                thread=int(row["thread"]),
-                rank=int(row.get("rank") or 0),
-            )
-            for row in reader
-        ]
 
 
 # ----------------------------------------------------------------------
@@ -243,10 +147,3 @@ def spans_nest(spans: list[SpanEvent]) -> bool:
         ):
             return False
     return True
-
-
-def to_jsonl_string(registry: Registry | NullRegistry) -> str:
-    """Convenience: the JSON-lines export as an in-memory string."""
-    buf = io.StringIO()
-    write_jsonl(registry, buf)
-    return buf.getvalue()

@@ -224,10 +224,7 @@ class HealthMonitor:
     # ------------------------------------------------------------------
     def verdict(self) -> str:
         """Worst severity seen over the whole run."""
-        worst = 0
-        for ev in self.events:
-            worst = max(worst, SEVERITY_ORDER.index(ev.severity))
-        return SEVERITY_ORDER[worst]
+        return worst_severity(ev.severity for ev in self.events)
 
     def exit_status(self) -> int:
         """Shell status: 0 for OK/WARN, 2 for CRIT."""

@@ -19,9 +19,10 @@ message volume bounded).  Three pieces:
   monitor`` can tail a *live* run, and an end line with the final health
   verdict.
 
-Like the registry, the process-global default is a no-op
-(:class:`NullTelemetry`): the driver's hook is a single attribute test,
-so disabled telemetry adds no allocations to the stepping hot path.
+A collector belongs to one run: the driver reads its own
+``sim.telemetry`` (``None`` unless the run sets one), so disabled
+telemetry costs a single attribute test and no allocations on the
+stepping hot path, and two simulations in one process never share one.
 """
 
 from __future__ import annotations
@@ -35,15 +36,9 @@ from typing import Iterable, Iterator, Mapping
 
 __all__ = [
     "StepTelemetry",
-    "NullTelemetry",
     "Telemetry",
     "RunStream",
     "StreamFollower",
-    "get_telemetry",
-    "set_telemetry",
-    "enable_telemetry",
-    "disable_telemetry",
-    "use_telemetry",
     "read_stream",
     "iter_stream",
     "imbalance_factor",
@@ -356,48 +351,6 @@ def run_manifest(config=None, extra: Mapping | None = None) -> dict:
     return manifest
 
 
-class NullTelemetry:
-    """Disabled telemetry: every operation is a no-op.
-
-    Mirrors :class:`repro.instrument.NullRegistry` — the driver's
-    per-step hook reduces to one attribute test, no allocations.
-    """
-
-    enabled = False
-    stream = None
-
-    def gauge(self, name: str, rank: int, value: float) -> None:
-        return None
-
-    def add_gauge(self, name: str, rank: int, value: float) -> None:
-        return None
-
-    def record_step(
-        self, index, a, wall_time, residuals=None, alerts=None, perf=None
-    ):
-        return None
-
-    @property
-    def steps(self) -> list[StepTelemetry]:
-        return []
-
-    @property
-    def last(self) -> StepTelemetry | None:
-        return None
-
-    def imbalance(self, name: str) -> float:
-        return 0.0
-
-    def peek_imbalance(self) -> dict:
-        return {}
-
-    def finish(self, **extra) -> None:
-        return None
-
-    def summary(self) -> dict:
-        return {"enabled": False, "steps": 0, "alerts": 0}
-
-
 class Telemetry:
     """Live per-rank telemetry collector.
 
@@ -416,8 +369,6 @@ class Telemetry:
     ``max/mean`` imbalance factor per gauge, and clears the slate for the
     next step.
     """
-
-    enabled = True
 
     def __init__(self, stream: RunStream | None = None) -> None:
         self.stream = stream
@@ -495,19 +446,6 @@ class Telemetry:
         with self._lock:
             return list(self._steps)
 
-    @property
-    def last(self) -> StepTelemetry | None:
-        with self._lock:
-            return self._steps[-1] if self._steps else None
-
-    def imbalance(self, name: str) -> float:
-        """Latest imbalance factor for gauge ``name`` (0.0 if unseen)."""
-        with self._lock:
-            for step in reversed(self._steps):
-                if name in step.imbalance:
-                    return step.imbalance[name]
-        return 0.0
-
     def peek_imbalance(self) -> dict[str, float]:
         """Imbalance factors of the gauges pending in the current step.
 
@@ -519,68 +457,3 @@ class Telemetry:
                 name: imbalance_factor(ranks.values())
                 for name, ranks in self._pending.items()
             }
-
-    def max_imbalance(self) -> dict[str, float]:
-        """Per-gauge maximum imbalance factor over all recorded steps."""
-        out: dict[str, float] = {}
-        for step in self.steps:
-            for name, factor in step.imbalance.items():
-                out[name] = max(out.get(name, 0.0), factor)
-        return out
-
-    def summary(self) -> dict:
-        steps = self.steps
-        return {
-            "enabled": True,
-            "steps": len(steps),
-            "alerts": sum(len(s.alerts) for s in steps),
-            "max_imbalance": self.max_imbalance(),
-            "wall_time": sum(s.wall_time for s in steps),
-        }
-
-
-# ----------------------------------------------------------------------
-# process-global active telemetry (mirrors the registry pattern)
-# ----------------------------------------------------------------------
-_active: Telemetry | NullTelemetry = NullTelemetry()
-
-
-def get_telemetry() -> Telemetry | NullTelemetry:
-    """The currently active telemetry (the shared no-op by default)."""
-    return _active
-
-
-def set_telemetry(
-    telemetry: Telemetry | NullTelemetry,
-) -> Telemetry | NullTelemetry:
-    """Install ``telemetry`` as the active one; returns it."""
-    global _active
-    _active = telemetry
-    return _active
-
-
-def enable_telemetry(stream: RunStream | None = None) -> Telemetry:
-    """Install and return a fresh live :class:`Telemetry`."""
-    return set_telemetry(Telemetry(stream=stream))
-
-
-def disable_telemetry() -> NullTelemetry:
-    """Restore the no-op telemetry; returns it."""
-    return set_telemetry(NullTelemetry())
-
-
-class use_telemetry:
-    """Context manager: temporarily install ``telemetry`` (tests)."""
-
-    def __init__(self, telemetry: Telemetry | NullTelemetry) -> None:
-        self.telemetry = telemetry
-        self._previous: Telemetry | NullTelemetry | None = None
-
-    def __enter__(self) -> Telemetry | NullTelemetry:
-        self._previous = _active
-        set_telemetry(self.telemetry)
-        return self.telemetry
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        set_telemetry(self._previous)
-        return False

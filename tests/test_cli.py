@@ -241,6 +241,20 @@ class TestRunCommand:
         assert record["payload"]["n_steps"] == 1
         assert record["instrument"]["counters"]
 
+    def test_trace_is_the_span_export(self, tmp_path):
+        """``--trace`` alone turns the registry on and writes the run's
+        spans and counters as a Chrome trace."""
+        from repro.instrument import NullRegistry, use
+        from repro.instrument.exporters import load_chrome_trace
+
+        path = tmp_path / "run.json"
+        with use(NullRegistry()):
+            assert main(["-q", "run", "--steps", "2", "--n-per-dim", "8",
+                         "--backend", "pm", "--trace", str(path)]) == 0
+        trace = load_chrome_trace(path)
+        assert [s.path for s in trace["spans"]].count("step") == 2
+        assert trace["counters"]
+
     @pytest.mark.parametrize(
         "retired", [{"worker_groups": 2}, {"executor": "process"}]
     )
@@ -273,6 +287,8 @@ class TestRunCommand:
             ["--inject-comm-failures", "0.5"],
             ["--inject-comm-tags", "x"],
             ["--inject-comm-max", "1"],
+            ["--jsonl", "spans.jsonl"],
+            ["--csv", "spans.csv"],
         ],
         ids=lambda flag: flag[0],
     )

@@ -217,24 +217,6 @@ def populated(registry, clock):
 
 
 class TestExporters:
-    def test_jsonl_round_trip(self, populated, tmp_path):
-        path = tmp_path / "trace.jsonl"
-        n = exporters.write_jsonl(populated, path)
-        loaded = exporters.load_jsonl(path)
-        assert n == len(loaded["spans"]) + len(loaded["counters"]) + len(
-            loaded["steps"]
-        )
-        assert loaded["spans"] == populated.events
-        assert loaded["counters"] == {"pp.interactions": 1234}
-        assert loaded["steps"][0]["index"] == 0
-
-    def test_csv_round_trip(self, populated, tmp_path):
-        path = tmp_path / "trace.csv"
-        n = exporters.write_csv(populated, path)
-        loaded = exporters.load_csv(path)
-        assert n == len(loaded)
-        assert loaded == populated.events
-
     def test_chrome_trace_round_trip_and_nesting(self, populated, tmp_path):
         path = tmp_path / "trace.json"
         exporters.write_chrome_trace(populated, path)
@@ -263,9 +245,12 @@ class TestExporters:
 
     def test_file_object_destinations(self, populated):
         buf = io.StringIO()
-        exporters.write_jsonl(populated, buf)
+        exporters.write_chrome_trace(populated, buf)
         buf.seek(0)
-        assert exporters.load_jsonl(buf)["spans"] == populated.events
+        loaded = exporters.load_chrome_trace(buf)
+        assert [(s.name, s.path) for s in loaded["spans"]] == [
+            (e.name, e.path) for e in populated.events
+        ]
 
 
 class TestRankLanes:
@@ -305,21 +290,6 @@ class TestRankLanes:
         exporters.write_chrome_trace(multi_rank, path)
         loaded = exporters.load_chrome_trace(path)
         assert sorted(s.rank for s in loaded["spans"]) == [0, 0, 1, 2]
-
-    def test_csv_round_trip_preserves_rank(self, multi_rank, tmp_path):
-        path = tmp_path / "trace.csv"
-        exporters.write_csv(multi_rank, path)
-        loaded = exporters.load_csv(path)
-        assert loaded == multi_rank.events
-
-    def test_legacy_csv_without_rank_column_loads(self, tmp_path):
-        path = tmp_path / "old.csv"
-        path.write_text(
-            "name,path,start,end,duration,thread\n"
-            "work,work,0.0,1.0,1.0,1\n"
-        )
-        (ev,) = exporters.load_csv(path)
-        assert ev.rank == 0
 
     def test_pencil_fft_records_per_rank_spans(self, registry):
         from repro.fft.pencil import PencilFFT

@@ -22,7 +22,6 @@ import pytest
 
 from repro.config import SimulationConfig
 from repro.core.simulation import HACCSimulation
-from repro.instrument import get_telemetry
 from repro.instrument.registry import disable as disable_registry
 from repro.instrument.registry import enable as enable_registry
 from repro.instrument.telemetry import run_manifest

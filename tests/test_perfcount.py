@@ -36,12 +36,7 @@ from repro.instrument.monitor import render_dashboard
 from repro.instrument.registry import StepRecord
 from repro.instrument.report import bench_provenance_notes
 from repro.instrument.store import RunEntry
-from repro.instrument.telemetry import (
-    RunStream,
-    StepTelemetry,
-    Telemetry,
-    use_telemetry,
-)
+from repro.instrument.telemetry import RunStream, StepTelemetry, Telemetry
 from repro.machine.calibrate import (
     HostCalibration,
     calibrate,
@@ -420,9 +415,8 @@ class TestWiring:
         path = tmp_path / "run.jsonl"
         reg = Registry()
         sim = tiny_sim()
-        with RunStream(path) as stream, use(reg), use_telemetry(
-            Telemetry(stream=stream)
-        ):
+        with RunStream(path) as stream, use(reg):
+            sim.telemetry = Telemetry(stream=stream)
             sim.run()
         steps = [
             rec
@@ -445,9 +439,8 @@ class TestWiring:
         path = tmp_path / "run.jsonl"
         reg = Registry()
         sim = tiny_sim()
-        with RunStream(path) as stream, use(reg), use_telemetry(
-            Telemetry(stream=stream)
-        ):
+        with RunStream(path) as stream, use(reg):
+            sim.telemetry = Telemetry(stream=stream)
             sim.run()
         lines = []
         for line in path.read_text().splitlines():

@@ -27,7 +27,6 @@ from repro.instrument import (
     Telemetry,
     read_stream,
     run_manifest,
-    use_telemetry,
 )
 from repro.instrument.analysis import (
     WORKER_LANE_BASE,
@@ -53,7 +52,6 @@ from repro.instrument.store import git_revision
 def _restore_nulls():
     yield
     instrument.disable()
-    instrument.disable_telemetry()
 
 
 def tiny_config(**kwargs):
@@ -330,10 +328,17 @@ class TestCrashFlush:
             real_step()
 
         sim.step = boom
-        tel = Telemetry(stream=RunStream(stream_path))
-        with use_telemetry(tel):
-            with pytest.raises(RuntimeError, match="kaboom"):
-                sim.run()
+        sim.telemetry = Telemetry(stream=RunStream(stream_path))
+        other_path = tmp_path / "other.jsonl"
+        other = HACCSimulation(tiny_config(n_steps=1))
+        other.telemetry = Telemetry(stream=RunStream(other_path))
+        with pytest.raises(RuntimeError, match="kaboom"):
+            sim.run()
+        # the crash closes the crashed run's stream, no other run's
+        assert not other.telemetry.stream.closed
+        other.run()
+        other.telemetry.finish(verdict="OK")
+        assert read_stream(other_path)["end"]["verdict"] == "OK"
         data = read_stream(stream_path)
         assert data["end"] is not None
         assert data["end"]["verdict"] == "CRASHED"

@@ -14,23 +14,18 @@ import json
 import numpy as np
 import pytest
 
-from repro import instrument
 from repro.config import SimulationConfig
 from repro.core.simulation import HACCSimulation
 from repro.instrument import (
     HealthMonitor,
     HealthThresholds,
-    NullTelemetry,
     RunStream,
     Telemetry,
     Threshold,
-    enable_telemetry,
-    get_telemetry,
     imbalance_factor,
     read_stream,
     run_manifest,
     sparkline,
-    use_telemetry,
 )
 from repro.instrument.health import worst_severity
 from repro.instrument.monitor import (
@@ -39,13 +34,6 @@ from repro.instrument.monitor import (
     render_monitor,
 )
 from repro.instrument.telemetry import iter_stream
-
-
-@pytest.fixture(autouse=True)
-def _restore_null_telemetry():
-    """Never leak an enabled telemetry into other tests."""
-    yield
-    instrument.disable_telemetry()
 
 
 def tiny_config(**kwargs):
@@ -127,8 +115,7 @@ class TestTelemetry:
         assert tel.peek_imbalance() == {"particles": 1.5}
         step = tel.record_step(0, 0.5, 1.0)
         assert step.imbalance["particles"] == 1.5
-        assert tel.imbalance("particles") == 1.5
-        assert tel.max_imbalance() == {"particles": 1.5}
+        assert tel.steps == [step]
 
     def test_step_redshift(self):
         tel = Telemetry()
@@ -147,40 +134,64 @@ class TestTelemetry:
         assert d["residuals"]["energy_residual"] == 0.01
         assert d["alerts"][0]["severity"] == "WARN"
 
-    def test_summary(self):
-        tel = Telemetry()
+    def test_summary(self, tmp_path):
+        """The run summary is the stream's ``end`` record."""
+        path = tmp_path / "run.jsonl"
+        tel = Telemetry(RunStream(path))
         tel.gauge("particles", 0, 2)
         tel.record_step(0, 0.5, 1.5, alerts=[{"severity": "WARN"}])
-        s = tel.summary()
-        assert s["steps"] == 1
-        assert s["alerts"] == 1
-        assert s["wall_time"] == 1.5
+        tel.finish(verdict="OK")
+        end = read_stream(path)["end"]
+        assert end["steps"] == 1
+        assert end["alerts"] == 1
+        assert end["wall_time"] == 1.5
+        assert end["verdict"] == "OK"
 
 
 class TestNullTelemetry:
+    """No telemetry unless the run sets ``sim.telemetry``."""
+
     def test_disabled_is_default(self):
-        assert get_telemetry().enabled is False
+        assert HACCSimulation(tiny_config(n_steps=1)).telemetry is None
 
-    def test_all_operations_are_noops(self):
-        tel = NullTelemetry()
-        assert tel.gauge("x", 0, 1) is None
-        assert tel.add_gauge("x", 0, 1) is None
-        assert tel.record_step(0, 0.5, 1.0) is None
-        assert tel.steps == []
-        assert tel.last is None
-        assert tel.peek_imbalance() == {}
-        assert tel.summary()["enabled"] is False
+    def test_disabled_sim_records_nothing(self, monkeypatch):
+        def record_step(*args, **kwargs):
+            raise AssertionError("a sim without telemetry recorded a step")
 
-    def test_use_telemetry_restores(self):
-        live = Telemetry()
-        with use_telemetry(live) as tel:
-            assert get_telemetry() is tel
-        assert get_telemetry().enabled is False
-
-    def test_disabled_sim_records_nothing(self):
+        monkeypatch.setattr(Telemetry, "record_step", record_step)
         sim = HACCSimulation(tiny_config(n_steps=1))
         sim.run()
-        assert get_telemetry().steps == []
+        assert sim.telemetry is None
+
+    def test_two_sims_keep_separate_telemetry(self, tmp_path):
+        """Interleave the steps of sim A (stream, 2 ranks) and sim B (no
+        telemetry, 4 ranks): A's stream holds exactly A's steps and
+        A's gauges, and B records nothing."""
+        cfg = tiny_config(
+            backend="treepm", n_steps=2, leaf_size=16, grid_size=16,
+        )
+        path = tmp_path / "a.jsonl"
+        sim_a = HACCSimulation(
+            cfg, decomposition_dims=(2, 1, 1), overload_depth=14.0
+        )
+        sim_a.telemetry = Telemetry(RunStream(path))
+        sim_b = HACCSimulation(
+            cfg, decomposition_dims=(2, 2, 1), overload_depth=14.0
+        )
+        for _ in range(cfg.n_steps):
+            sim_b.step()
+            sim_a.step()
+        sim_a.telemetry.finish(verdict="OK")
+        assert sim_b.telemetry is None
+        data = read_stream(path)
+        assert [s["step"] for s in data["steps"]] == [0, 1]
+        assert data["end"]["steps"] == 2
+        for rec in data["steps"]:
+            for gauge in ("particles", "ghosts", "interactions"):
+                assert set(rec["gauges"][gauge]) == {"0", "1"}, gauge
+            assert sum(rec["gauges"]["particles"].values()) == (
+                sim_a.particles.n
+            )
 
 
 # ----------------------------------------------------------------------
@@ -356,7 +367,7 @@ class TestSimulationHealth:
         sim = HACCSimulation(tiny_config(n_steps=1))
         sim.attach_health()
         sim.run()
-        assert get_telemetry().enabled is False
+        assert sim.telemetry is None
         assert len(sim.health.monitor.last_values) == 4
 
 
@@ -370,7 +381,7 @@ class TestDriverTelemetry:
         sim = HACCSimulation(
             cfg, decomposition_dims=(2, 1, 1), overload_depth=14.0
         )
-        tel = enable_telemetry(stream)
+        sim.telemetry = tel = Telemetry(stream)
         sim.attach_health()
         sim.run()
         return sim, tel
@@ -409,13 +420,86 @@ class TestDriverTelemetry:
         cfg = tiny_config(n_steps=2)
         stream = RunStream(path, manifest=run_manifest(cfg))
         sim = HACCSimulation(cfg)
-        enable_telemetry(stream)
+        sim.telemetry = Telemetry(stream)
         sim.run()
-        get_telemetry().finish(verdict="OK")
+        sim.telemetry.finish(verdict="OK")
         data = read_stream(path)
         assert data["manifest"]["config_hash"] == cfg.config_hash()
         assert len(data["steps"]) == 2
         assert data["end"]["verdict"] == "OK"
+
+
+def _corner_cluster_sim(box, n, grid, scale, dims, tmp_path=None, **kw):
+    """A decomposed treepm sim whose particles all sit in one corner
+    (positions scaled by ``scale``): ranks far from the corner hold no
+    actives, some hold no particles at all."""
+    from repro.core.particles import Particles
+    from repro.cosmology.initial_conditions import make_initial_conditions
+
+    cfg = tiny_config(
+        box_size=box, n_per_dim=n, grid_size=grid, backend="treepm",
+        n_steps=1, **kw,
+    )
+    ics = make_initial_conditions(
+        cfg.cosmology, n_per_dim=n, box_size=box, z_init=cfg.z_initial,
+        seed=cfg.seed,
+    )
+    particles = Particles.from_ics(ics)
+    particles.positions *= scale
+    particles.wrap()
+    sim = HACCSimulation(cfg, particles=particles, decomposition_dims=dims)
+    stream = None if tmp_path is None else RunStream(tmp_path / "c.jsonl")
+    sim.telemetry = Telemetry(stream)
+    return sim
+
+
+class TestEmptyDomains:
+    """Domains without actives (or without any particle) still give a
+    strict-JSON stream and executor-independent gauges."""
+
+    def test_stream_is_strict_json_without_actives(self, tmp_path):
+        sim = _corner_cluster_sim(100.0, 8, 24, 0.3, (2, 2, 2), tmp_path)
+        sim._short_range(sim.particles.positions)
+        domains = sim.exchange.distribute(
+            sim.particles.positions, sim.particles.momenta,
+            sim.particles.masses, sim.particles.ids,
+        )
+        assert any(d.n_active == 0 and d.n_total > 0 for d in domains)
+        sim.telemetry.record_step(0, sim.a, 0.0)
+        sim.telemetry.finish(verdict="OK")
+
+        def reject(token):
+            raise ValueError(f"non-JSON constant {token}")
+
+        lines = (tmp_path / "c.jsonl").read_text().splitlines()
+        records = [json.loads(line, parse_constant=reject) for line in lines]
+        (step,) = [r for r in records if r["kind"] == "telemetry"]
+        assert step["imbalance"]
+        assert all(np.isfinite(v) for v in step["imbalance"].values())
+        ranks = {str(d.rank) for d in domains if d.n_active}
+        assert set(step["gauges"]["ghost_fraction"]) == ranks
+
+    def test_serial_and_threaded_gauges_agree(self):
+        gauges = {}
+        for workers, executor in ((1, "serial"), (2, "thread")):
+            sim = _corner_cluster_sim(
+                200.0, 8, 32, 0.1, (3, 3, 1),
+                workers=workers, executor=executor,
+            )
+            with sim:
+                sim._short_range(sim.particles.positions)
+            step = sim.telemetry.record_step(0, sim.a, 0.0)
+            gauges[executor] = (step.gauges, step.imbalance)
+        serial, threaded = gauges["serial"], gauges["thread"]
+        # five of the nine domains hold no particle at all
+        g = serial[0]
+        empty = [
+            r for r in g["particles"]
+            if g["particles"][r] + g["ghosts"][r] == 0
+        ]
+        assert len(empty) == 5
+        assert set(g["interactions"]) == set(range(9))
+        assert serial == threaded
 
 
 # ----------------------------------------------------------------------
