@@ -17,7 +17,7 @@ import pytest
 
 from repro.instrument.report import write_bench_record
 from repro.machine.kernel_model import FIG5_CONFIGS, ForceKernelModel
-from repro.shortrange.backends import available_backends
+from repro.shortrange.backends import available_backends, get_backend
 from repro.shortrange.grid_force import default_grid_force_fit
 from repro.shortrange.kernel import ShortRangeKernel
 from repro.shortrange.solvers import TreePMShortRange
@@ -119,19 +119,22 @@ class TestKernelBackendSweep:
     behind ``check_regression.py --check-kernel-speedup``.
 
     Times the same end-to-end TreePM evaluation (tree + lists + kernel)
-    through every available kernel backend at both precisions, asserts
-    the seam's correctness contract (identical pair counts everywhere;
-    the C backend bitwise equal to numpy at each precision; f32 within
-    1e-4 of f64), and leaves a repo-root ``BENCH_kernels.json`` with the
+    through every available kernel backend at both precisions, and
+    inside it the time spent in ``pair_accumulate`` alone, asserts the
+    seam's correctness contract (identical pair counts everywhere; the C
+    backend bitwise equal to numpy at each precision; f32 within 1e-4 of
+    f64), and leaves a repo-root ``BENCH_kernels.json`` with the
     backends that ran and, per configuration, seconds and ns per
-    streamed pair — the numbers the gate holds under absolute ceilings.
+    streamed pair end to end and kernel-only, plus the pair path the
+    backend ran (``kernel_simd``) — the numbers the gate holds under
+    absolute ceilings.
     """
 
     N = 20000
     BOX = 32.0
     REPS = 3
 
-    def test_backend_precision_sweep(self, benchmark, rng):
+    def test_backend_precision_sweep(self, benchmark, rng, monkeypatch):
         fit = default_grid_force_fit()
         backends = list(available_backends())
         pos = rng.uniform(0, self.BOX, (self.N, 3))
@@ -140,6 +143,17 @@ class TestKernelBackendSweep:
         def measure() -> list[dict]:
             entries = []
             for backend in backends:
+                be = get_backend(backend)
+                inside = []  # seconds of each pair_accumulate call
+
+                def timed(*args, _call=be.pair_accumulate):
+                    t0 = time.perf_counter()
+                    try:
+                        return _call(*args)
+                    finally:
+                        inside.append(time.perf_counter() - t0)
+
+                monkeypatch.setattr(be, "pair_accumulate", timed)
                 for precision, dtype in (
                     ("f64", np.float64), ("f32", np.float32)
                 ):
@@ -151,14 +165,16 @@ class TestKernelBackendSweep:
                     )
                     # warm-up: numpy grows its workspace buffers
                     solver.accelerations(pos, masses, box_size=self.BOX)
-                    best = np.inf
+                    best = best_kernel = np.inf
                     for _ in range(self.REPS):
                         kernel.reset_counters()
+                        inside.clear()
                         t0 = time.perf_counter()
                         acc = solver.accelerations(
                             pos, masses, box_size=self.BOX
                         )
                         best = min(best, time.perf_counter() - t0)
+                        best_kernel = min(best_kernel, sum(inside))
                     pairs = kernel.interaction_count
                     entries.append(
                         {
@@ -167,6 +183,10 @@ class TestKernelBackendSweep:
                             "seconds": best,
                             "interactions": pairs,
                             "ns_per_pair": 1e9 * best / max(pairs, 1),
+                            "kernel_seconds": best_kernel,
+                            "kernel_ns_per_pair":
+                                1e9 * best_kernel / max(pairs, 1),
+                            "kernel_simd": be.simd,
                             "acc": acc,
                         }
                     )
@@ -204,13 +224,16 @@ class TestKernelBackendSweep:
                     f"{e['backend']}/{e['precision']}",
                     f"{e['seconds']:.3f}",
                     f"{e['ns_per_pair']:.1f}",
+                    f"{e['kernel_ns_per_pair']:.2f}",
+                    e["kernel_simd"] or "-",
                     f"{ref['seconds'] / e['seconds']:.2f}x",
                 ]
             )
         print_table(
             f"Kernel backends: end-to-end short-range force "
             f"(N={self.N}, {ref['interactions']} pairs)",
-            ["config", "seconds", "ns/pair", "vs numpy/f64"],
+            ["config", "seconds", "ns/pair", "kernel ns/pair", "simd",
+             "vs numpy/f64"],
             table,
         )
 

@@ -218,6 +218,20 @@ KERNEL_NS_PER_PAIR_CEILINGS = {
     ("c", "f32"): 12.0,
 }
 
+#: ceilings on ``pair_accumulate`` alone, ns per streamed pair, in the
+#: same sweep, for the C kernel's AVX2 target lanes (end to end, tree
+#: and lists hide most of the kernel).  Measured over both core speeds:
+#: f64 2.2-3.4, f32 1.7-2.4; each ceiling is ~1.5x a typical slow-speed
+#: reading (f64 2.85-3.1, f32 1.9-2.2).  A record whose C kernel ran the
+#: scalar loop (no AVX2) is reported and not held to these.
+KERNEL_ONLY_NS_PER_PAIR_CEILINGS = {
+    ("c", "f64"): 4.5,
+    ("c", "f32"): 3.0,
+}
+#: on the AVX2 lanes, c/f32 kernel-only <= this x c/f64 (measured
+#: 0.64-0.77): 8 lanes in f32 against 4 in f64 must pay
+KERNEL_F32_OVER_F64_MAX = 0.8
+
 
 def check_kernel_speedup(
     fresh: dict[str, dict], record_path: Path
@@ -229,7 +243,11 @@ def check_kernel_speedup(
     ``KERNEL_NS_PER_PAIR_CEILINGS`` entry, and a measured configuration
     without a ceiling fails (a new backend must bring its bar).  A
     ceiling whose backend the record lacks was measured on a host that
-    could not build it; that is said loudly and not gated.
+    could not build it; that is said loudly and not gated.  When the C
+    kernel ran its AVX2 lanes (``kernel_simd``), its kernel-only cost
+    must stay under ``KERNEL_ONLY_NS_PER_PAIR_CEILINGS`` and c/f32 at or
+    below ``KERNEL_F32_OVER_F64_MAX`` x c/f64; on the scalar loop both
+    are reported and skipped.
     """
     rec = fresh.get("kernels")
     if rec is None and record_path.is_file():
@@ -286,6 +304,41 @@ def check_kernel_speedup(
                 failures.append(
                     f"kernels: {label} costs {ns:.1f} ns per streamed "
                     f"pair > ceiling {ceiling:.1f}"
+                )
+    paths = {e.get("kernel_simd") for e in entries if e.get("backend") == "c"}
+    if paths and paths != {"avx2"}:
+        path = "/".join(map(str, sorted(paths, key=str)))
+        print(f"KERNEL PATH [SKIPPED]: the C kernel ran {path}, not the "
+              f"AVX2 lanes — kernel-only ceilings and the f32/f64 ratio "
+              f"are not checked.")
+        rows.append(("kernels", "c kernel-only", path, "-",
+                     "not the avx2 lanes (skipped)"))
+    elif paths:
+        kernel_only = {
+            (e.get("backend"), e.get("precision")): e.get("kernel_ns_per_pair")
+            for e in entries
+        }
+        for key, ceiling in sorted(KERNEL_ONLY_NS_PER_PAIR_CEILINGS.items()):
+            label = f"{key[0]}/{key[1]} kernel-only"
+            ns = kernel_only.get(key)
+            ok = isinstance(ns, (int, float)) and ns <= ceiling
+            rows.append(("kernels", label, "-" if ns is None else f"{ns:.2f}",
+                         f"<={ceiling:.1f}",
+                         f"ns/pair {'ok' if ok else 'ABOVE or missing'}"))
+            if not ok:
+                failures.append(f"kernels: {label} costs {ns} ns per "
+                                f"streamed pair, ceiling {ceiling:.1f}")
+        f64, f32 = kernel_only.get(("c", "f64")), kernel_only.get(("c", "f32"))
+        if isinstance(f64, (int, float)) and isinstance(f32, (int, float)):
+            ratio = f32 / f64
+            ok = ratio <= KERNEL_F32_OVER_F64_MAX
+            rows.append(("kernels", "c f32/f64 kernel-only", f"{ratio:.2f}",
+                         f"<={KERNEL_F32_OVER_F64_MAX:.2f}",
+                         f"ratio {'ok' if ok else 'ABOVE'}"))
+            if not ok:
+                failures.append(
+                    f"kernels: c/f32 kernel-only is {ratio:.2f}x c/f64 > "
+                    f"{KERNEL_F32_OVER_F64_MAX:.2f} on the avx2 lanes"
                 )
     return failures, rows
 
@@ -460,7 +513,10 @@ def main(argv: list[str] | None = None) -> int:
         help="also gate the kernel-backend sweep record (repo-root "
              "BENCH_kernels.json or the records dir): fail when any "
              "measured backend x precision costs more ns per streamed "
-             "pair than its ceiling (KERNEL_NS_PER_PAIR_CEILINGS)",
+             "pair than its ceiling (KERNEL_NS_PER_PAIR_CEILINGS), or, on "
+             "the C kernel's AVX2 lanes, pair_accumulate alone costs more "
+             "than KERNEL_ONLY_NS_PER_PAIR_CEILINGS or c/f32 is above "
+             "KERNEL_F32_OVER_F64_MAX x c/f64",
     )
     ap.add_argument(
         "--kernel-record",

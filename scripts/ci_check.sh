@@ -30,10 +30,13 @@
 # produce a machine-readable JSON comparison with a verdict.  Lane 9 gates the kernel-backend
 # sweep (BENCH_kernels.json from the fig5 bench) on absolute ceilings:
 # every measured backend x precision must cost no more ns per streamed
-# pair than check_regression.py's KERNEL_NS_PER_PAIR_CEILINGS; then it
+# pair than check_regression.py's KERNEL_NS_PER_PAIR_CEILINGS, and when
+# the C kernel ran its AVX2 lanes, pair_accumulate alone must stay under
+# KERNEL_ONLY_NS_PER_PAIR_CEILINGS with c/f32 <= 0.8 x c/f64; then it
 # forces the numpy fallback (CC=/bin/false, empty kernel cache): the
 # kernel-backend tests and three 16^3 runs (treepm f64 and treepm f32
-# for 1 step, pm for 3) must pass on numpy, each manifest must say so,
+# for 1 step, pm for 3) must pass on numpy, each manifest must say so
+# (and carry no kernel_build or kernel_simd),
 # and each final state must equal its C twin's bit for bit -- so the
 # pair kernel, both precisions of the C CIC loops and the stepper's
 # reused closing long-range force (only a run of >= 2 steps reaches
@@ -185,6 +188,7 @@ for twin in ("treepm-f64", "treepm-f32", "pm-f64"):
             f"{run} recorded kernel backend {manifest['kernel_backend']!r}"
         state[name] = load_checkpoint(find_latest_valid(root / run)).particles
     assert "kernel_build" not in manifest, f"{run} claims a compiled kernel"
+    assert "kernel_simd" not in manifest, f"{run} claims a SIMD pair path"
     for field in ("positions", "momenta"):
         a, b = getattr(state["c"], field), getattr(state["numpy"], field)
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), \

@@ -172,14 +172,16 @@ def _setup_observability(sim, args: argparse.Namespace) -> None:
 def _manifest_extra(sim) -> dict:
     """Manifest extras the config does not carry: the *resolved* kernel
     backend (never ``"auto"``), so ledger queries filter on what
-    actually ran, how a compiled kernel was built, and a decomposed
-    run's domain dims and overload depth."""
+    actually ran, how a compiled kernel was built and which pair path
+    it runs (``kernel_simd``: ``"avx2"`` or ``"scalar"``), and a
+    decomposed run's domain dims and overload depth."""
     from repro.shortrange.backends import get_backend
 
     extra = {"kernel_backend": sim.kernel_backend}
-    build = get_backend(sim.kernel_backend).build_info
-    if build:
-        extra["kernel_build"] = dict(build)
+    backend = get_backend(sim.kernel_backend)
+    if backend.build_info:
+        extra["kernel_build"] = dict(backend.build_info)
+        extra["kernel_simd"] = backend.simd
     if sim.exchange is not None:
         extra["decomposition"] = list(sim.exchange.decomposition.dims)
         extra["overload_depth"] = sim.exchange.depth

@@ -3,8 +3,10 @@
 ``pair_kernel.c`` (``pair_accumulate``) and ``cic_kernel.c``
 (``cic_deposit``, ``cic_gather``) are fused loops, one macro body per
 precision (see each file's header for its bitwise contract with the
-NumPy reference).  Both are compiled into one library per (sources,
-flags, compiler, machine) with ``$CC``, else ``cc``, else ``gcc``,
+NumPy reference); ``pair_accumulate`` also has an AVX2 target-lane
+body, chosen at load time when the CPU has AVX2 (:func:`_pair_path`).
+Both are compiled into one library per (sources, flags, compiler,
+machine) with ``$CC``, else ``cc``, else ``gcc``,
 published atomically into a per-user cache and loaded through
 :class:`ctypes.CDLL`, which releases the GIL for the duration of every
 call.  ``f_sr_pairs`` is inherited from :class:`NumpyBackend`.  No
@@ -38,8 +40,9 @@ _SOURCES = tuple(
     for name in ("pair_kernel.c", "cic_kernel.c")
 )
 #: one flag set for both precisions: strict IEEE, no FMA contraction, no
-#: host-specific code (``-O3 -march=native`` measured no gain on this
-#: scalar-gather loop)
+#: host-specific code; SIMD comes from per-function ``target("avx2")``
+#: with run-time dispatch, so one cached library serves hosts with and
+#: without AVX2
 _FLAGS = ("-O2", "-ffp-contract=off", "-fno-math-errno", "-shared", "-fPIC")
 _SUFFIX = {np.dtype(np.float64): "f64", np.dtype(np.float32): "f32"}
 _I64 = ctypes.c_int64
@@ -121,9 +124,19 @@ def _build(cc: list[str], lib: Path) -> None:
             os.unlink(tmp)
 
 
-def _load(lib: Path) -> dict:
-    """``{dtype: ({entry point: typed function}, pointer type)}``."""
+def _pair_path(dll) -> str:
+    """``"avx2"`` when this CPU runs the target-lane pair kernel, else
+    ``"scalar"``; tests patch it to reach the scalar fallback."""
+    dll.pair_avx2.restype = _I64
+    return "avx2" if dll.pair_avx2() else "scalar"
+
+
+def _load(lib: Path) -> tuple[dict, str]:
+    """``({dtype: ({entry point: typed function}, pointer type)}, pair
+    path)``: ``pair_accumulate`` is bound to the path's C function."""
     dll = ctypes.CDLL(str(lib))
+    path = _pair_path(dll)
+    pair = "pair_lanes" if path == "avx2" else "pair_accumulate"
     fns = {}
     for dt, suffix in _SUFFIX.items():
         real = ctypes.c_double if dt.itemsize == 8 else ctypes.c_float
@@ -138,12 +151,13 @@ def _load(lib: Path) -> dict:
         }
         table = {}
         for name, argtypes in signatures.items():
-            fn = getattr(dll, f"{name}_{suffix}")
+            symbol = pair if name == "pair_accumulate" else name
+            fn = getattr(dll, f"{symbol}_{suffix}")
             fn.restype = _I64
             fn.argtypes = argtypes
             table[name] = fn
         fns[dt] = (table, rp)
-    return fns
+    return fns, path
 
 
 def _checked(a, dtype, name: str, n: int | None = None) -> np.ndarray:
@@ -180,7 +194,7 @@ class CBackend(NumpyBackend):
         if not _intact(lib):
             _build(cc, lib)
         try:
-            self._fns = _load(lib)
+            self._fns, self.simd = _load(lib)
         except (OSError, AttributeError) as exc:
             raise BackendUnavailable(
                 f"kernel backend 'c': cannot load {lib}: {exc}"

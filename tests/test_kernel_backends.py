@@ -18,6 +18,7 @@ import os
 import subprocess
 import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -66,6 +67,18 @@ def _have_c() -> bool:
 
 
 HAVE_C = _have_c()
+
+
+def _cpu_flags() -> set[str] | None:
+    """The CPU feature flags the kernel reports, where it reports them."""
+    try:
+        with open("/proc/cpuinfo") as fh:
+            for line in fh:
+                if line.startswith("flags"):
+                    return set(line.split(":", 1)[1].split())
+    except OSError:
+        pass
+    return None
 needs_c = pytest.mark.skipif(not HAVE_C, reason="no working C compiler")
 
 
@@ -468,6 +481,135 @@ class TestCArgumentGuard:
 
 
 # ----------------------------------------------------------------------
+# the AVX2 target-lane pair kernel against the scalar loop
+# ----------------------------------------------------------------------
+@pytest.fixture()
+def scalar_c(cbackend, monkeypatch):
+    """A second C backend bound to the scalar pair loop through the
+    loader hook, beside ``cbackend`` on the AVX2 lanes."""
+    from repro.shortrange.backends import c_backend
+
+    if cbackend.simd != "avx2":
+        pytest.skip("no AVX2 here: the C backend already runs the scalar "
+                    "loop")
+    monkeypatch.setattr(c_backend, "_pair_path", lambda dll: "scalar")
+    backend = c_backend.CBackend()
+    assert backend.simd == "scalar"
+    return backend
+
+
+@needs_c
+class TestPairLanes:
+    """One target per lane (4 in f64, 8 in f32) gives the scalar loop's
+    bits and pair count, and numpy's: ragged last blocks, zero-separation
+    pairs at ``eps = 0``, sources no lane accepts, lists of several
+    ``chunk_pairs`` chunks, empty groups and batches without targets."""
+
+    @staticmethod
+    def evaluate(fit, backends, batch, pos, dtype, eps=0.01,
+                 chunk_pairs=1 << 18):
+        """``(acc, inside)`` of the lane kernel, after checking that the
+        scalar loop and numpy give the same bytes and count."""
+        kern = ShortRangeKernel(fit, spacing=1.0, eps_cells=eps,
+                                dtype=dtype)
+        masses = np.linspace(0.5, 1.5, pos.shape[0])
+        out = []
+        for backend in ("numpy", *backends):
+            engine = BatchedPairEngine(kern, chunk_pairs=chunk_pairs,
+                                       backend=backend)
+            acc = engine.evaluate(batch, pos, masses)
+            out.append((acc, engine.last_inside_pairs))
+        (ref, n_ref), (scalar, n_scalar), (lanes, n_lanes) = out
+        assert lanes.dtype == dtype
+        assert lanes.tobytes() == scalar.tobytes() == ref.tobytes()
+        assert n_lanes == n_scalar == n_ref
+        return lanes, n_lanes
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("chunk_pairs", [7, 1 << 18])
+    @pytest.mark.parametrize("nt", [1, 3, 4, 5, 7, 8, 9, 127])
+    def test_ragged_target_blocks(self, grid_force_fit, cbackend, scalar_c,
+                                  rng, dtype, chunk_pairs, nt):
+        """A group of ``nt`` targets fills whole blocks and a padded last
+        one; its list (every particle, so each target meets itself) spans
+        many chunks at ``chunk_pairs = 7``."""
+        n = 200
+        pos = clustered_cloud(rng, n)
+        order = rng.permutation(n)
+        batch = InteractionBatch(
+            order[:nt + 5], np.array([0, nt, nt + 5]),
+            np.concatenate([rng.permutation(n), rng.choice(n, 50)]),
+            np.array([0, n, n + 50]),
+        )
+        acc, inside = self.evaluate(grid_force_fit, (scalar_c, cbackend),
+                                    batch, pos, dtype,
+                                    chunk_pairs=chunk_pairs)
+        assert inside > 0 and np.abs(acc[order[:nt]]).max() > 0
+        assert not acc[order[nt + 5:]].any()
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_zero_separation_pairs_at_zero_softening(
+        self, grid_force_fit, cbackend, scalar_c, rng, dtype
+    ):
+        """A target meeting itself or a coincident twin has ``s2 = 0``:
+        rejected by the cutoff test, it would give ``1/0 = inf`` at
+        ``eps = 0``, and ``inf * 0 = NaN`` if a lane mask multiplied."""
+        pos = clustered_cloud(rng, 60)
+        pos[1::2] = pos[0::2]  # every even particle has a coincident twin
+        batch = InteractionBatch(
+            np.arange(11), np.array([0, 11]), np.arange(60),
+            np.array([0, 60]),
+        )
+        acc, inside = self.evaluate(grid_force_fit, (scalar_c, cbackend),
+                                    batch, pos, dtype, eps=0.0)
+        assert inside > 0 and np.isfinite(acc).all()
+        assert np.abs(acc[:11]).min() > 0
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_sources_no_lane_accepts(self, grid_force_fit, cbackend,
+                                     scalar_c, rng, dtype):
+        """Far sources interleaved in the list are skipped whole: the
+        bits and count equal those of the list without them."""
+        near = clustered_cloud(rng, 40)
+        far = rng.uniform(0.0, BOX, (40, 3)) + 10 * BOX
+        pos = np.concatenate([near, far])
+        mixed = np.stack([np.arange(40), np.arange(40, 80)], 1).ravel()
+        results = [
+            self.evaluate(
+                grid_force_fit, (scalar_c, cbackend),
+                InteractionBatch(np.arange(13), np.array([0, 13]), src,
+                                 np.array([0, src.size])),
+                pos, dtype,
+            )
+            for src in (mixed, np.arange(40))
+        ]
+        (with_far, n_with), (without, n_without) = results
+        assert n_with == n_without > 0
+        assert with_far.tobytes() == without.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_empty_groups_and_no_targets(self, grid_force_fit, cbackend,
+                                         scalar_c, rng, dtype):
+        pos = rng.uniform(0.0, 3.0, (12, 3))
+        # {0..4} x 6 sources, {} x 3 sources, {5} x none, {6..10} x 5
+        batch = InteractionBatch(
+            np.arange(11), np.array([0, 5, 5, 6, 11]),
+            np.array([0, 1, 2, 3, 4, 5, 6, 7, 8, 3, 4, 9, 10, 11]),
+            np.array([0, 6, 9, 9, 14]),
+        )
+        acc, _ = self.evaluate(grid_force_fit, (scalar_c, cbackend), batch,
+                               pos, dtype)
+        assert not acc[5].any() and np.abs(acc[:5]).min() > 0
+        no_targets = InteractionBatch(
+            np.zeros(0, dtype=np.int64), np.zeros(3, dtype=np.int64),
+            np.arange(7), np.array([0, 3, 7]),
+        )
+        acc, inside = self.evaluate(grid_force_fit, (scalar_c, cbackend),
+                                    no_targets, pos, dtype)
+        assert inside == 0 and not acc.any()
+
+
+# ----------------------------------------------------------------------
 # the build cache
 # ----------------------------------------------------------------------
 _PROBE = """
@@ -593,16 +735,26 @@ class TestKernelCeilingGate:
         mod = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(mod)
 
-        def run(readings, backends=("numpy", "c")):
+        def run(readings, backends=("numpy", "c"), kernel=None, simd=None):
+            """``kernel``: kernel-only readings; ``simd``: the C path."""
             entries = [
                 {"backend": b, "precision": p, "ns_per_pair": ns}
                 for (b, p), ns in readings.items()
             ]
+            for e in entries:
+                key = (e["backend"], e["precision"])
+                if kernel is not None and key in kernel:
+                    e["kernel_ns_per_pair"] = kernel[key]
+                if simd is not None and e["backend"] == "c":
+                    e["kernel_simd"] = simd
             rec = {"payload": {"backends": list(backends),
                                "entries": entries}}
             return mod.check_kernel_speedup({"kernels": rec}, None)
 
         run.ceilings = mod.KERNEL_NS_PER_PAIR_CEILINGS
+        run.kernel_ceilings = mod.KERNEL_ONLY_NS_PER_PAIR_CEILINGS
+        run.max_ratio = mod.KERNEL_F32_OVER_F64_MAX
+        run.check = mod.check_kernel_speedup
         return run
 
     def test_every_measured_configuration_is_held_to_its_ceiling(self, gate):
@@ -633,6 +785,60 @@ class TestKernelCeilingGate:
             for e in payload["entries"]
         })
         assert failures == []
+
+    def test_committed_record_passes_the_whole_gate(self, gate):
+        """Read from disk as CI lane 9 reads it: the kernel-only ceilings
+        and the f32/f64 ratio hold too when it says ``avx2``."""
+        path = os.path.join(SRC, os.pardir, "BENCH_kernels.json")
+        failures, rows = gate.check({}, Path(path))
+        assert failures == []
+        entries = json.load(open(path))["payload"]["entries"]
+        if {e.get("kernel_simd") for e in entries
+                if e["backend"] == "c"} == {"avx2"}:
+            assert any("ratio ok" in r[-1] for r in rows)
+
+    @staticmethod
+    def avx2_record(gate, f64, f32):
+        under = {k: 0.5 * v for k, v in gate.ceilings.items()}
+        return gate(under, kernel={("c", "f64"): f64, ("c", "f32"): f32},
+                    simd="avx2")
+
+    def test_avx2_kernel_only_ceilings_and_f32_ratio(self, gate):
+        f64_bar = gate.kernel_ceilings[("c", "f64")]
+        f32_bar = gate.kernel_ceilings[("c", "f32")]
+        # 0.5 x the f64 bar against 0.3 x: in both ceilings, ratio 0.6
+        failures, rows = self.avx2_record(gate, 0.5 * f64_bar, 0.3 * f64_bar)
+        assert failures == []
+        assert sum("ns/pair ok" in r[-1] for r in rows) == 6
+        assert any("ratio ok" in r[-1] for r in rows)
+        # under both ceilings, but f32 barely cheaper than f64
+        f64 = 0.9 * f32_bar
+        ratio = 1.01 * gate.max_ratio
+        failures, _ = self.avx2_record(gate, f64, ratio * f64)
+        assert len(failures) == 1 and "c/f32 kernel-only is" in failures[0]
+        # f64 above its kernel-only ceiling; the ratio itself holds
+        failures, _ = self.avx2_record(gate, 1.01 * f64_bar, 0.5 * f32_bar)
+        assert len(failures) == 1 and "c/f64 kernel-only" in failures[0]
+        # an avx2 record must carry its kernel-only readings
+        under = {k: 0.5 * v for k, v in gate.ceilings.items()}
+        failures, _ = gate(under, simd="avx2")
+        assert len(failures) == 2
+
+    def test_scalar_record_skips_the_ratio(self, gate, capsys):
+        """A host without AVX2 runs the scalar loop, where f32 costs what
+        f64 costs: the ratio and kernel-only ceilings are reported, not
+        checked; the end-to-end ceilings still are."""
+        under = {k: 0.5 * v for k, v in gate.ceilings.items()}
+        slow = {("c", "f64"): 6.0, ("c", "f32"): 6.0}
+        failures, rows = gate(under, kernel=slow, simd="scalar")
+        assert failures == []
+        assert any("not the avx2 lanes (skipped)" in r[-1] for r in rows)
+        assert not any("ratio" in r[-1] for r in rows)
+        assert "the C kernel ran scalar" in capsys.readouterr().out
+        over = dict(under)
+        over[("c", "f64")] = 1.01 * gate.ceilings[("c", "f64")]
+        failures, _ = gate(over, kernel=slow, simd="scalar")
+        assert len(failures) == 1 and "c/f64 costs" in failures[0]
 
 
 # ----------------------------------------------------------------------
@@ -1004,6 +1210,29 @@ class TestManifestAndLedger:
             }
         numpy_sim = HACCSimulation(tiny_config(kernel_backend="numpy"))
         assert "kernel_build" not in _manifest_extra(numpy_sim)
+
+    @needs_c
+    def test_manifest_records_which_pair_path_ran(self, monkeypatch):
+        """``kernel_simd`` sits beside ``kernel_build`` (never inside it:
+        ``build_info`` feeds the cache key) and says whether the AVX2
+        lanes or the scalar loop ran; numpy runs carry neither."""
+        from repro.__main__ import _manifest_extra
+        from repro.shortrange.backends import c_backend
+
+        flags = _cpu_flags()
+        extra = _manifest_extra(HACCSimulation(tiny_config(
+            kernel_backend="c")))
+        assert "kernel_simd" not in extra["kernel_build"]
+        if flags is not None:
+            assert extra["kernel_simd"] == (
+                "avx2" if "avx2" in flags else "scalar")
+        monkeypatch.setattr(c_backend, "_pair_path", lambda dll: "scalar")
+        monkeypatch.setattr(backends_mod, "_INSTANCES", {})
+        extra = _manifest_extra(HACCSimulation(tiny_config(
+            kernel_backend="c")))
+        assert extra["kernel_simd"] == "scalar"
+        numpy_sim = HACCSimulation(tiny_config(kernel_backend="numpy"))
+        assert "kernel_simd" not in _manifest_extra(numpy_sim)
 
     def test_ledger_records_and_filters(self, tmp_path):
         from repro.instrument.store import RunLedger
