@@ -116,7 +116,7 @@ class TestMeasuredKernel:
 
 class TestKernelBackendSweep:
     """Backend x precision sweep of the short-range force — the record
-    behind ``check_regression.py --check-kernel-speedup``.
+    behind ``check_regression.py``'s kernel rows.
 
     Times the same end-to-end TreePM evaluation (tree + lists + kernel)
     through every available kernel backend at both precisions, and

@@ -1,14 +1,14 @@
-"""Measured roofline record — the data behind ``--check-roofline``.
+"""Measured roofline record — the data behind the gate's roofline rows.
 
 Runs the same tiny instrumented TreePM demo at both precisions, pairs
 the counted analytic work (:mod:`repro.instrument.perfcount`) with the
 measured span seconds and this host's calibrated peak
 (:mod:`repro.machine.calibrate`), and leaves a repo-root
 ``BENCH_roofline.json`` carrying per-phase achieved GFLOP/s, arithmetic
-intensity, and fraction of calibrated peak.  The CI gate
-(``check_regression.py --check-roofline``) then holds three invariants:
-the shortrange/cic/fft counters are wired (nonzero flops), every
-fraction of peak is sane, and the pair phase's f32 arithmetic intensity
+intensity, and fraction of calibrated peak.  ``check_regression.py``
+then holds three invariants: the ``ROOFLINE_REQUIRED_PHASES`` counters
+are wired (nonzero flops), every fraction of peak is sane (at most
+``ROOFLINE_MAX_FRAC_PEAK``), and the pair phase's f32 arithmetic intensity
 stays at or above f64 — the bandwidth half of the paper's
 mixed-precision argument, reproduced from the byte accounting alone.
 """
@@ -26,12 +26,10 @@ from repro.instrument import Registry, roofline_table, work_summary
 from repro.instrument.report import write_bench_record
 from repro.machine.calibrate import calibrate
 
+from check_regression import ROOFLINE_MAX_FRAC_PEAK, ROOFLINE_REQUIRED_PHASES
 from conftest import print_table
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
-
-#: phases the record must carry with nonzero counted flops
-REQUIRED_PHASES = ("shortrange", "cic", "fft")
 
 
 def _demo_config(precision: str) -> SimulationConfig:
@@ -80,14 +78,14 @@ class TestMeasuredRoofline:
             by_name = {row["name"]: row for row in table["phases"]}
 
             # the counters must be wired for every compute phase
-            for name in REQUIRED_PHASES:
+            for name in ROOFLINE_REQUIRED_PHASES:
                 assert name in by_name, (
                     f"{precision}: phase {name!r} missing from the "
                     f"work summary — its counters never fired"
                 )
                 assert by_name[name]["flops"] > 0
                 frac = by_name[name]["frac_peak"]
-                assert 0.0 < frac <= 1.25, (
+                assert 0.0 < frac <= ROOFLINE_MAX_FRAC_PEAK, (
                     f"{precision}/{name}: fraction of peak {frac:.4f} "
                     f"is not sane"
                 )

@@ -307,8 +307,8 @@ def _report_instrumentation(sim, args, registry) -> dict | None:
             registry=registry,
         )
         logger.info("bench record: %s", path)
-        # stored in the ledger entry's bench/ directory, so the run can
-        # serve as a check_regression.py --baseline-ledger baseline
+        # stored in the ledger entry's bench/ directory, next to the run
+        # it measured
         bench_records = {args.bench_record: json.loads(path.read_text())}
     if args.trace:
         write_chrome_trace(registry, args.trace)

@@ -8,7 +8,7 @@ it with synthetic streams and never touch a terminal or a clock.
 
 from __future__ import annotations
 
-from repro.instrument.telemetry import read_stream, sparkline
+from repro.instrument.telemetry import sparkline
 
 __all__ = [
     "render_monitor",
@@ -269,8 +269,3 @@ def dashboard_exit_status(runs: list[tuple[str, dict]]) -> int:
         (monitor_exit_status(data) for _, data in runs), default=0
     )
 
-
-def monitor_file(path, width: int = 32) -> tuple[str, int]:
-    """Render a stream file once; returns ``(text, exit_status)``."""
-    data = read_stream(path)
-    return render_monitor(data, width=width), monitor_exit_status(data)

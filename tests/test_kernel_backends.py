@@ -721,7 +721,7 @@ class TestCBuildCache:
 
 
 # ----------------------------------------------------------------------
-# CI lane 9: absolute ns-per-streamed-pair ceilings
+# The gate's kernel rows: absolute ns-per-streamed-pair ceilings
 # ----------------------------------------------------------------------
 class TestKernelCeilingGate:
     @pytest.fixture()
@@ -734,9 +734,11 @@ class TestKernelCeilingGate:
                                                       path)
         mod = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(mod)
+        kernel_rows = tuple(b for b in mod.BARS if b.record == "kernels")
 
         def run(readings, backends=("numpy", "c"), kernel=None, simd=None):
-            """``kernel``: kernel-only readings; ``simd``: the C path."""
+            """``kernel``: kernel-only readings; ``simd``: the C path.
+            Returns ``(failures, {label: status})`` of the kernel rows."""
             entries = [
                 {"backend": b, "precision": p, "ns_per_pair": ns}
                 for (b, p), ns in readings.items()
@@ -749,31 +751,36 @@ class TestKernelCeilingGate:
                     e["kernel_simd"] = simd
             rec = {"payload": {"backends": list(backends),
                                "entries": entries}}
-            return mod.check_kernel_speedup({"kernels": rec}, None)
+            failures, rows = mod.judge({"kernels": rec}, kernel_rows)
+            return failures, {r[1]: r[-1] for r in rows}
 
         run.ceilings = mod.KERNEL_NS_PER_PAIR_CEILINGS
         run.kernel_ceilings = mod.KERNEL_ONLY_NS_PER_PAIR_CEILINGS
         run.max_ratio = mod.KERNEL_F32_OVER_F64_MAX
-        run.check = mod.check_kernel_speedup
+        run.mod = mod
         return run
 
     def test_every_measured_configuration_is_held_to_its_ceiling(self, gate):
         under = {k: 0.5 * v for k, v in gate.ceilings.items()}
-        failures, rows = gate(under)
+        failures, status = gate(under)
         assert failures == []
-        assert sum("ns/pair ok" in r[-1] for r in rows) == len(under)
+        assert [status[f"{b}/{p} ns/pair"] for b, p in under] == \
+            ["ok"] * len(under)
         over = dict(under)
         over[("c", "f32")] = 1.01 * gate.ceilings[("c", "f32")]
         failures, _ = gate(over)
-        assert len(failures) == 1 and "c/f32" in failures[0]
+        assert len(failures) == 1 and "c/f32 ns/pair" in failures[0]
 
     def test_unknown_configuration_and_missing_backend(self, gate, capsys):
         failures, _ = gate({("fortran", "f64"): 1.0}, backends=["fortran"])
-        assert any("fortran/f64" in f for f in failures)
+        assert failures == ["kernels: fortran/f64 has no row in BARS"]
         numpy_only = {k: 1.0 for k in gate.ceilings if k[0] == "numpy"}
-        failures, rows = gate(numpy_only, backends=["numpy"])
+        failures, status = gate(numpy_only, backends=["numpy"])
         assert failures == []
-        assert sum("skipped" in r[-1] for r in rows) == 2
+        assert sorted(k for k, v in status.items() if v == "skipped") == [
+            "c f32/f64 kernel-only", "c/f32 kernel-only ns/pair",
+            "c/f32 ns/pair", "c/f64 kernel-only ns/pair", "c/f64 ns/pair",
+        ]
         assert "PROVENANCE MISMATCH" in capsys.readouterr().out
 
     def test_committed_record_passes(self, gate):
@@ -787,15 +794,21 @@ class TestKernelCeilingGate:
         assert failures == []
 
     def test_committed_record_passes_the_whole_gate(self, gate):
-        """Read from disk as CI lane 9 reads it: the kernel-only ceilings
-        and the f32/f64 ratio hold too when it says ``avx2``."""
-        path = os.path.join(SRC, os.pardir, "BENCH_kernels.json")
-        failures, rows = gate.check({}, Path(path))
+        """Every row of the table, each record read from the repo root as
+        the gate reads it, on the core count the executor record was
+        measured with: the kernel-only ceilings and the f32/f64 ratio
+        hold too when the kernels record says ``avx2``."""
+        root = Path(SRC).parent
+        cores = json.load(open(root / "BENCH_executor.json"))[
+            "payload"]["host_cores"]
+        failures, rows = gate.mod.judge({}, cores=cores)
         assert failures == []
-        entries = json.load(open(path))["payload"]["entries"]
+        status = {r[1]: r[-1] for r in rows}
+        entries = json.load(open(root / "BENCH_kernels.json"))[
+            "payload"]["entries"]
         if {e.get("kernel_simd") for e in entries
                 if e["backend"] == "c"} == {"avx2"}:
-            assert any("ratio ok" in r[-1] for r in rows)
+            assert status["c f32/f64 kernel-only"] == "ok"
 
     @staticmethod
     def avx2_record(gate, f64, f32):
@@ -807,22 +820,24 @@ class TestKernelCeilingGate:
         f64_bar = gate.kernel_ceilings[("c", "f64")]
         f32_bar = gate.kernel_ceilings[("c", "f32")]
         # 0.5 x the f64 bar against 0.3 x: in both ceilings, ratio 0.6
-        failures, rows = self.avx2_record(gate, 0.5 * f64_bar, 0.3 * f64_bar)
+        failures, status = self.avx2_record(gate, 0.5 * f64_bar,
+                                            0.3 * f64_bar)
         assert failures == []
-        assert sum("ns/pair ok" in r[-1] for r in rows) == 6
-        assert any("ratio ok" in r[-1] for r in rows)
+        assert list(status.values()) == ["ok"] * 7
         # under both ceilings, but f32 barely cheaper than f64
         f64 = 0.9 * f32_bar
         ratio = 1.01 * gate.max_ratio
         failures, _ = self.avx2_record(gate, f64, ratio * f64)
-        assert len(failures) == 1 and "c/f32 kernel-only is" in failures[0]
+        assert len(failures) == 1 and "c f32/f64 kernel-only" in failures[0]
         # f64 above its kernel-only ceiling; the ratio itself holds
         failures, _ = self.avx2_record(gate, 1.01 * f64_bar, 0.5 * f32_bar)
         assert len(failures) == 1 and "c/f64 kernel-only" in failures[0]
         # an avx2 record must carry its kernel-only readings
         under = {k: 0.5 * v for k, v in gate.ceilings.items()}
-        failures, _ = gate(under, simd="avx2")
-        assert len(failures) == 2
+        failures, status = gate(under, simd="avx2")
+        assert len(failures) == 3
+        assert [v for k, v in status.items() if "kernel-only" in k] == \
+            ["FAIL"] * 3
 
     def test_scalar_record_skips_the_ratio(self, gate, capsys):
         """A host without AVX2 runs the scalar loop, where f32 costs what
@@ -830,15 +845,15 @@ class TestKernelCeilingGate:
         checked; the end-to-end ceilings still are."""
         under = {k: 0.5 * v for k, v in gate.ceilings.items()}
         slow = {("c", "f64"): 6.0, ("c", "f32"): 6.0}
-        failures, rows = gate(under, kernel=slow, simd="scalar")
+        failures, status = gate(under, kernel=slow, simd="scalar")
         assert failures == []
-        assert any("not the avx2 lanes (skipped)" in r[-1] for r in rows)
-        assert not any("ratio" in r[-1] for r in rows)
+        assert [v for k, v in status.items() if "kernel-only" in k] == \
+            ["skipped"] * 3
         assert "the C kernel ran scalar" in capsys.readouterr().out
         over = dict(under)
         over[("c", "f64")] = 1.01 * gate.ceilings[("c", "f64")]
         failures, _ = gate(over, kernel=slow, simd="scalar")
-        assert len(failures) == 1 and "c/f64 costs" in failures[0]
+        assert len(failures) == 1 and "c/f64 ns/pair" in failures[0]
 
 
 # ----------------------------------------------------------------------

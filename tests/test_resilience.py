@@ -348,24 +348,46 @@ class TestPlanPerRun:
         ]
 
 
+def _load_gate():
+    import importlib.util
+    from pathlib import Path
+
+    path = Path(__file__).resolve().parents[1] / "benchmarks" \
+        / "check_regression.py"
+    spec = importlib.util.spec_from_file_location("check_regression", path)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+GATE = _load_gate()
+
+#: the flags the gate retired when every bar moved into its table
+RETIRED_GATE_FLAGS = (
+    "--check-speedup", "--check-kernel-speedup", "--check-roofline",
+    "--min-speedup", "--speedup-record", "--kernel-record",
+    "--roofline-record", "--threshold", "--filter", "--baseline-ledger",
+    "--baseline-run",
+)
+
+
+def _committed(record):
+    import json
+
+    return json.loads((GATE.ROOT / f"BENCH_{record}.json").read_text())
+
+
 class TestRegressionGate:
-    """The benchmark gate compares durations; rank deaths are the chaos
-    lanes' check, not a field of the bench records."""
+    """The benchmark gate: durations against a baseline, and one table of
+    absolute bars; rank deaths are the chaos lanes' check, not a field of
+    the bench records."""
 
-    def _checker(self):
-        import importlib.util
-        from pathlib import Path
-
-        path = (
-            Path(__file__).resolve().parents[1]
-            / "benchmarks" / "check_regression.py"
-        )
-        spec = importlib.util.spec_from_file_location(
-            "check_regression", path
-        )
-        mod = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(mod)
-        return mod
+    @pytest.fixture(autouse=True)
+    def recording_host(self, monkeypatch):
+        """The committed records' bars hold on the core count they were
+        measured with (the compute-only executor row needs 4)."""
+        cores = _committed("executor")["payload"]["host_cores"]
+        monkeypatch.setattr(os, "cpu_count", lambda: cores)
 
     def _write(self, directory, name, duration=1.0, **extra):
         import json
@@ -383,17 +405,27 @@ class TestRegressionGate:
         (directory / f"BENCH_{name}.json").write_text(json.dumps(rec))
 
     def test_healthy_records_pass(self, tmp_path):
-        mod = self._checker()
         fresh, base = tmp_path / "fresh", tmp_path / "base"
         self._write(fresh, "fig5_x")
         self._write(base, "fig5_x")
         argv = ["--records", str(fresh), "--baseline", str(base)]
-        assert mod.main(argv) == 0
+        assert GATE.main(argv) == 0
+
+    def test_a_gated_slowdown_fails(self, tmp_path, capsys):
+        fresh, base = tmp_path / "fresh", tmp_path / "base"
+        slower = 1.01 * (1 + GATE.DURATION_MAX_SLOWDOWN)
+        self._write(fresh, "fig5_x", duration=slower)
+        self._write(fresh, "other", duration=10.0)
+        self._write(base, "fig5_x")
+        self._write(base, "other")
+        argv = ["--records", str(fresh), "--baseline", str(base)]
+        assert GATE.main(argv) == 1
+        out = capsys.readouterr().out
+        assert "fig5_x: 1.000s" in out and "other:" not in out
 
     def test_without_check_health_events_are_ignored(self, tmp_path):
         """A record written before the health gate went carries a
         telemetry block; the duration gate reads past it."""
-        mod = self._checker()
         fresh, base = tmp_path / "fresh", tmp_path / "base"
         self._write(
             fresh, "chaos_q",
@@ -406,13 +438,83 @@ class TestRegressionGate:
         )
         self._write(base, "chaos_q")
         argv = ["--records", str(fresh), "--baseline", str(base)]
-        assert mod.main(argv) == 0
+        assert GATE.main(argv) == 0
 
     def test_check_health_is_a_usage_error(self, tmp_path):
-        mod = self._checker()
         with pytest.raises(SystemExit) as exc:
-            mod.main(["--records", str(tmp_path), "--check-health"])
+            GATE.main(["--records", str(tmp_path), "--check-health"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("flag", RETIRED_GATE_FLAGS)
+    def test_retired_flags_are_usage_errors(self, tmp_path, flag):
+        with pytest.raises(SystemExit) as exc:
+            GATE.main(["--records", str(tmp_path), flag])
+        assert exc.value.code == 2
+
+    def test_help_lists_only_the_three_flags(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            GATE.main(["--help"])
+        assert exc.value.code == 0
+        flags = {w.strip("[],") for w in capsys.readouterr().out.split()
+                 if w.startswith(("--", "[--"))}
+        assert flags == {"--records", "--baseline", "--update-baseline",
+                         "--help"}
+
+    def test_a_record_cannot_lower_its_own_bar(self):
+        """Bars come from the table only: a record's own ``min_required``
+        and ``min_cores`` fields are ignored."""
+        rec = _committed("executor")
+        emulated = GATE.dig(rec["payload"], ("speedup_gates",
+                                              {"curve": "emulated"}))
+        emulated.update(value=1.2, min_required=0.1, min_cores=1)
+        failures, _ = GATE.judge({"executor": rec}, cores=1)
+        assert len(failures) == 1
+        assert "emulated thread@4w speedup reading 1.2 is not >= 1.7" \
+            in failures[0]
+
+    @pytest.mark.parametrize(
+        "row", GATE.BARS, ids=[f"{b.record}:{b.label}" for b in GATE.BARS]
+    )
+    def test_every_row_holds_its_bar(self, row, capsys):
+        """From the committed record: a reading 1% inside the bar passes,
+        1% past it fails and names the row, and a row whose condition is
+        false prints a skip instead."""
+        import copy
+
+        def judged(reading, cores=row.min_cores, falsify=None):
+            payload = copy.deepcopy(_committed(row.record)["payload"])
+            scale = GATE.dig(payload, row.over) if row.over else 1.0
+            GATE.dig(payload, row.path[:-1])[row.path[-1]] = reading * scale
+            if falsify:
+                falsify(payload)
+            return GATE.judge({row.record: {"payload": payload}}, (row,),
+                              cores=cores)
+
+        step = 0.01 * (abs(row.bar) or 1.0)
+        if row.cmp in ("<=", "in (0,]"):
+            step = -step
+        inside, past = row.bar + step, row.bar - step
+        failures, rows = judged(inside)
+        assert failures == [] and rows[0][-1] == "ok"
+        failures, rows = judged(past)
+        assert len(failures) == 1 and rows[0][-1] == "FAIL"
+        assert f"{row.record}: {row.label} reading" in failures[0]
+
+        capsys.readouterr()
+        conditions = [dict(cores=row.min_cores - 1)]
+        if row.when is not None:
+            def falsify(payload):  # no backend measured, no AVX2 lanes
+                payload["backends"] = []
+                for e in payload["entries"]:
+                    e["kernel_simd"] = "scalar"
+
+            assert row.when(_committed(row.record)["payload"]) is None
+            conditions.append(dict(falsify=falsify))
+        for condition in conditions:
+            failures, rows = judged(past, **condition)
+            assert failures == [] and rows[0][-1] == "skipped"
+            assert f"SKIPPED {row.record} {row.label}: " in \
+                capsys.readouterr().out
 
 
 @pytest.mark.chaos
