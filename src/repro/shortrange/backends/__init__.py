@@ -5,7 +5,7 @@ architectural bet: *one* long-range spectral solver shared everywhere,
 plus *swappable, per-architecture short-range kernels* — QPX intrinsics
 on the BG/Q, CUDA on Titan, OpenCL on Roadrunner — all implementing the
 same narrow force-kernel contract.  This package is that seam for the
-reproduction.  A backend supplies four primitives:
+reproduction.  A backend supplies five primitives:
 
 ``f_sr_pairs``
     The 26-instruction-kernel analogue: the short-range force
@@ -19,18 +19,22 @@ reproduction.  A backend supplies four primitives:
     The particle-mesh scatter/gather pair: positions in, grid (or
     per-particle values for one or more grids) out.  How the eight
     corners of each particle are found is the backend's business.
+``rcb_build``
+    The RCB tree build: centre-of-mass bisection of the SOA cloud, the
+    arrays permuted in place, flat node arrays out.
 
 Two implementations ride the seam:
 
 * ``numpy`` — the vectorized reference (always available); the batched
   engine's tiled, workspace-reusing pair evaluation, and CIC through
   :class:`~repro.grid.cic.ParticleGridCoords` corner tables.
-* ``c`` — ``pair_accumulate``, ``cic_deposit`` and ``cic_gather`` as
-  fused, GIL-free C loops (``pair_kernel.c``, ``cic_kernel.c``; CIC
-  computes each particle's corners on the fly, no tables), built on
-  first use with ``$CC``/``cc``/``gcc`` and cached per user;
-  **bitwise identical** to the numpy reference in float64 and float32.
-  ``f_sr_pairs`` is the numpy one.
+* ``c`` — ``pair_accumulate``, ``cic_deposit``, ``cic_gather`` and
+  ``rcb_build`` as fused, GIL-free C loops (``pair_kernel.c``,
+  ``cic_kernel.c``, ``rcb_kernel.c``; CIC computes each particle's
+  corners on the fly, no tables; the tree reproduces numpy's pairwise
+  sum), built on first use with ``$CC``/``cc``/``gcc`` and cached per
+  user; **bitwise identical** to the numpy reference in float64 and
+  float32.  ``f_sr_pairs`` is the numpy one.
 
 Selection goes through :func:`resolve_backend`; ``"auto"`` picks ``c``
 and degrades silently to ``numpy`` when there is no compiler, the build
@@ -195,6 +199,14 @@ class KernelBackend(ABC):
         ``positions``, computed in one pass over the particles.
         Returns an ``(N, k)`` array in the kernel dtype; non-finite
         coordinates raise like :meth:`cic_deposit`."""
+
+    @abstractmethod
+    def rcb_build(self, x, y, z, m, leaf_size: int) -> tuple:
+        """Build an :class:`~repro.shortrange.rcb_tree.RCBTree` over the
+        cloud ``(x, y, z)`` with masses ``m`` (writeable C-contiguous 1-D
+        arrays of one float dtype, finite, ``m > 0``), reordering the
+        four in place.  Returns the tree's ``(perm, node_start,
+        node_count, node_lo, node_hi, node_left, node_right)``."""
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"<KernelBackend {self.name}>"

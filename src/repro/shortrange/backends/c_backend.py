@@ -1,11 +1,13 @@
 """Compiled C kernels, built on first use and loaded with ctypes.
 
-``pair_kernel.c`` (``pair_accumulate``) and ``cic_kernel.c``
-(``cic_deposit``, ``cic_gather``) are fused loops, one macro body per
+``pair_kernel.c`` (``pair_accumulate``), ``cic_kernel.c``
+(``cic_deposit``, ``cic_gather``) and ``rcb_kernel.c`` (``rcb_build``,
+whose node arrays start at ~8 per ``leaf_size`` particles and double
+when a build overflows them) are fused loops, one macro body per
 precision (see each file's header for its bitwise contract with the
 NumPy reference); ``pair_accumulate`` also has an AVX2 target-lane
 body, chosen at load time when the CPU has AVX2 (:func:`_pair_path`).
-Both are compiled into one library per (sources, flags, compiler,
+All are compiled into one library per (sources, flags, compiler,
 machine) with ``$CC``, else ``cc``, else ``gcc``,
 published atomically into a per-user cache and loaded through
 :class:`ctypes.CDLL`, which releases the GIL for the duration of every
@@ -37,7 +39,7 @@ __all__ = ["CBackend"]
 
 _SOURCES = tuple(
     Path(__file__).with_name(name)
-    for name in ("pair_kernel.c", "cic_kernel.c")
+    for name in ("pair_kernel.c", "cic_kernel.c", "rcb_kernel.c")
 )
 #: one flag set for both precisions: strict IEEE, no FMA contraction, no
 #: host-specific code; SIMD comes from per-function ``target("avx2")``
@@ -148,6 +150,8 @@ def _load(lib: Path) -> tuple[dict, str]:
                             _F64P, rp],
             "cic_gather": [rp, _I64, _I64, real, real, ctypes.POINTER(rp),
                            _I64, rp],
+            "rcb_build": [rp] * 4 + [_I64P] + [_I64] * 3 + [_I64P] * 2
+            + [rp] * 2 + [_I64P] * 2,
         }
         table = {}
         for name, argtypes in signatures.items():
@@ -172,8 +176,8 @@ def _checked(a, dtype, name: str, n: int | None = None) -> np.ndarray:
 
 
 class CBackend(NumpyBackend):
-    """``pair_accumulate`` and the CIC pair in compiled C;
-    ``f_sr_pairs`` is numpy."""
+    """``pair_accumulate``, the CIC pair and ``rcb_build`` in compiled
+    C; ``f_sr_pairs`` is numpy."""
 
     name = "c"
 
@@ -254,6 +258,37 @@ class CBackend(NumpyBackend):
             float(eps), float(rc2_cells), float(inv_sp2),
             int(chunk_pairs), acc.ctypes.data_as(rp),
         ))
+
+    def rcb_build(self, x, y, z, m, leaf_size):
+        dt, n = x.dtype, x.size
+        if dt not in self._fns or leaf_size < 1 or any(
+            a.dtype != dt or a.shape != (n,) or not a.flags.c_contiguous
+            or not a.flags.writeable for a in (x, y, z, m)
+        ):
+            raise ValueError(
+                "x, y, z, m must be writeable C-contiguous 1-D float32/"
+                "float64 arrays of one dtype and length, and leaf_size >= 1"
+            )
+        fns, rp = self._fns[dt]
+        perm = np.empty(n, dtype=np.int64)
+        # node room for leaves a quarter full (clouds fill them ~70%); a
+        # build that needs more restores x, y, z, m and reruns with double
+        cap = 8 * (n // leaf_size) + 8
+        while True:
+            nodes = [np.empty(cap, np.int64), np.empty(cap, np.int64),
+                     np.empty((cap, 3), dt), np.empty((cap, 3), dt),
+                     np.empty(cap, np.int64), np.empty(cap, np.int64)]
+            nn = fns["rcb_build"](
+                *(a.ctypes.data_as(rp) for a in (x, y, z, m)),
+                perm.ctypes.data_as(_I64P), n, int(leaf_size), cap,
+                *(a.ctypes.data_as(rp if a.dtype == dt else _I64P)
+                  for a in nodes),
+            )
+            if nn >= 0:
+                return (perm, *(a[:nn] for a in nodes))
+            if nn == -2:
+                raise MemoryError("rcb_build: cannot allocate scratch")
+            cap *= 2
 
     # ------------------------------------------------------------------
     def _cic_positions(self, positions):

@@ -1,18 +1,14 @@
-"""The vectorized NumPy reference backend.
+"""The vectorized NumPy reference backend: the oracle the C backend
+matches bit for bit in float64 and float32.
 
-This is the batched-engine PR's tiled evaluation, moved behind the
-backend seam: fixed-size (targets x sources) tiles bound the temporary
-footprint, out-of-cutoff pairs are compressed away before the expensive
-kernel math, and per-target accumulation goes through ``np.bincount``.
-The C backend is validated against this one, bitwise in float64 and
-float32.
-
-The pair evaluation is deliberately allocation-free in steady state:
-all tile temporaries live in the engine's grow-only
-:class:`~repro.shortrange.backends.Workspace`, which the engine passes
-in.  The CIC pair is not: it materialises
-:class:`~repro.grid.cic.ParticleGridCoords` tables per call, which is
-what makes it the readable oracle of the compiled, table-free loops.
+The pair evaluation runs in fixed-size (targets x sources) tiles whose
+temporaries live in the engine's grow-only
+:class:`~repro.shortrange.backends.Workspace`; out-of-cutoff pairs are
+compressed away before the kernel math, and per-target accumulation goes
+through ``np.bincount``.  CIC materialises
+:class:`~repro.grid.cic.ParticleGridCoords` tables per call, and the RCB
+build is a Python loop of one ``np.average`` split per node: readable
+oracles of the compiled, table-free loops.
 """
 
 from __future__ import annotations
@@ -166,6 +162,54 @@ class NumpyBackend(KernelBackend):
                 row, weights=grab, minlength=ctz
             ).astype(dt, copy=False)
         return k
+
+    # ------------------------------------------------------------------
+    # RCB build: the reference loop, one Python step per split node
+    def rcb_build(self, x, y, z, m, leaf_size):
+        perm = np.arange(x.size, dtype=np.int64)
+        start, count, lo, hi, left, right = ([] for _ in range(6))
+
+        def new_node(s, c):
+            sl = slice(s, s + c)
+            start.append(s)
+            count.append(c)
+            lo.append(np.array([x[sl].min(), y[sl].min(), z[sl].min()]))
+            hi.append(np.array([x[sl].max(), y[sl].max(), z[sl].max()]))
+            left.append(-1)
+            right.append(-1)
+            return len(start) - 1
+
+        stack = [new_node(0, x.size)] if x.size else []
+        while stack:
+            node = stack.pop()
+            s, c = start[node], count[node]
+            if c <= leaf_size:
+                continue
+            axis = int(np.argmax(hi[node] - lo[node]))
+            coord = (x, y, z)[axis]
+            seg = slice(s, s + c)
+            # dividing line: center-of-mass coordinate along the longest side
+            split = float(np.average(coord[seg], weights=m[seg]))
+            mask = coord[seg] <= split
+            n_left = int(np.count_nonzero(mask))
+            if n_left == 0 or n_left == c:
+                # degenerate (all mass on one side): fall back to median
+                local_perm = np.argsort(coord[seg], kind="stable")
+                n_left = c // 2
+            else:
+                # stable two-sided partition: lefts keep order, then rights
+                idx = np.arange(c)
+                local_perm = np.concatenate([idx[mask], idx[~mask]])
+            # three-phase SOA partition: one recorded swap list, many arrays
+            for arr in (x, y, z, m, perm):
+                arr[seg] = arr[seg][local_perm]
+            left[node] = new_node(s, n_left)
+            right[node] = new_node(s + n_left, c - n_left)
+            stack += [left[node], right[node]]
+        start, count, left, right = (np.array(a, dtype=np.int64)
+                                     for a in (start, count, left, right))
+        lo, hi = (np.array(b, dtype=x.dtype).reshape(-1, 3) for b in (lo, hi))
+        return perm, start, count, lo, hi, left, right
 
     # ------------------------------------------------------------------
     # CIC through (8, N) corner tables: one bincount (deposit) or one

@@ -17,16 +17,19 @@ nearby force is summed exactly.
 
 The partitioning step mirrors HACC's three-phase structure-of-arrays
 scheme: phase 1 scans the split coordinate and records the permutation,
-phases 2-3 apply it to the remaining arrays — in NumPy this is one fancy
-index per array, preserving the "record swaps once, apply to all arrays"
-economy.
+phases 2-3 apply it to the remaining arrays.  The build is the kernel
+backends' ``rcb_build``: a C loop (``rcb_kernel.c``, GIL-free) that gives
+the NumPy reference loop's tree bit for bit, numpy's pairwise-summed
+centre of mass included; NumPy runs when there is no compiler.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
+
+from repro.shortrange.backends import resolve_backend
 
 __all__ = ["RCBTree", "RCBNode", "ranges_to_indices"]
 
@@ -78,6 +81,10 @@ class RCBTree:
     leaf_size:
         Maximum particles per leaf ("fat leaf" capacity; the paper uses
         tens to hundreds, with neighbor-list sizes of 500-2500).
+    backend:
+        Kernel backend that builds it, resolved by
+        :func:`~repro.shortrange.backends.resolve_backend` (``None``: C,
+        else numpy); every backend gives the same tree.
 
     Attributes
     ----------
@@ -86,6 +93,8 @@ class RCBTree:
     perm:
         ``positions[i] == original[perm[i]]`` — maps tree order back to
         the caller's order when scattering forces.
+    node_start, node_count, node_lo, node_hi, node_left, node_right:
+        Flat node arrays (root 0, children -1 at leaves).
 
     Examples
     --------
@@ -101,6 +110,7 @@ class RCBTree:
         positions: np.ndarray,
         masses: np.ndarray | None = None,
         leaf_size: int = 128,
+        backend=None,
     ) -> None:
         # preserve float32 inputs (mixed-precision runs); everything else
         # is promoted to float64 as before
@@ -115,137 +125,46 @@ class RCBTree:
         n = pos.shape[0]
         self.leaf_size = int(leaf_size)
         self.n_particles = n
-        m = (
-            np.ones(n, dtype=dt)
-            if masses is None
-            else np.asarray(masses, dtype=dt)
-        )
+        m = np.ones(n, dtype=dt) if masses is None else np.array(masses, dt)
         if m.shape != (n,):
             raise ValueError(f"masses shape {m.shape} != ({n},)")
-
-        # phase-1 arrays: coordinates drive the partition; the permutation
-        # is applied to every other array afterwards (phases 2-3).
-        self.perm = np.arange(n, dtype=np.int64)
-        self._x = pos[:, 0].copy()
-        self._y = pos[:, 1].copy()
-        self._z = pos[:, 2].copy()
-        self._m = m.copy()
-
-        self._start: list[int] = []
-        self._count: list[int] = []
-        self._lo: list[np.ndarray] = []
-        self._hi: list[np.ndarray] = []
-        self._left: list[int] = []
-        self._right: list[int] = []
-        if n:
-            self._build(0, n)
-        self.positions = np.stack([self._x, self._y, self._z], axis=1)
-        self.masses = self._m
-        # flat node arrays: the structure the vectorized (batched) walks
-        # consume — one bounds test over a whole frontier instead of one
-        # ``np.any`` call per visited node
-        nn = len(self._start)
-        self.node_start = np.asarray(self._start, dtype=np.int64)
-        self.node_count = np.asarray(self._count, dtype=np.int64)
-        self.node_left = np.asarray(self._left, dtype=np.int64)
-        self.node_right = np.asarray(self._right, dtype=np.int64)
-        if nn:
-            self.node_lo = np.stack(self._lo, axis=0)
-            self.node_hi = np.stack(self._hi, axis=0)
-        else:
-            self.node_lo = np.empty((0, 3))
-            self.node_hi = np.empty((0, 3))
-
-    # ------------------------------------------------------------------
-    # construction
-    # ------------------------------------------------------------------
-    def _bbox(self, start: int, end: int) -> tuple[np.ndarray, np.ndarray]:
-        sl = slice(start, end)
-        lo = np.array(
-            [self._x[sl].min(), self._y[sl].min(), self._z[sl].min()]
-        )
-        hi = np.array(
-            [self._x[sl].max(), self._y[sl].max(), self._z[sl].max()]
-        )
-        return lo, hi
-
-    def _new_node(self, start, count, lo, hi) -> int:
-        idx = len(self._start)
-        self._start.append(start)
-        self._count.append(count)
-        self._lo.append(lo)
-        self._hi.append(hi)
-        self._left.append(-1)
-        self._right.append(-1)
-        return idx
-
-    def _build(self, start: int, end: int) -> int:
-        """Iterative (explicit stack) recursive bisection of [start, end)."""
-        lo, hi = self._bbox(start, end)
-        root = self._new_node(start, end - start, lo, hi)
-        stack = [root]
-        while stack:
-            node = stack.pop()
-            s = self._start[node]
-            c = self._count[node]
-            if c <= self.leaf_size:
-                continue
-            lo, hi = self._lo[node], self._hi[node]
-            axis = int(np.argmax(hi - lo))
-            coord = (self._x, self._y, self._z)[axis]
-            seg = slice(s, s + c)
-            # dividing line: center-of-mass coordinate along the longest side
-            w = self._m[seg]
-            split = float(np.average(coord[seg], weights=w))
-            mask = coord[seg] <= split
-            n_left = int(np.count_nonzero(mask))
-            if n_left == 0 or n_left == c:
-                # degenerate (all mass on one side): fall back to median
-                order = np.argsort(coord[seg], kind="stable")
-                n_left = c // 2
-                local_perm = order
-            else:
-                # stable two-sided partition: lefts keep order, then rights
-                idx = np.arange(c)
-                local_perm = np.concatenate([idx[mask], idx[~mask]])
-            self._apply_permutation(s, c, local_perm)
-            l_lo, l_hi = self._bbox(s, s + n_left)
-            r_lo, r_hi = self._bbox(s + n_left, s + c)
-            left = self._new_node(s, n_left, l_lo, l_hi)
-            right = self._new_node(s + n_left, c - n_left, r_lo, r_hi)
-            self._left[node] = left
-            self._right[node] = right
-            stack.append(left)
-            stack.append(right)
-        return root
-
-    def _apply_permutation(self, start: int, count: int, local_perm) -> None:
-        """Three-phase SOA partition: one recorded swap list, many arrays."""
-        seg = slice(start, start + count)
-        for arr in (self._x, self._y, self._z, self._m, self.perm):
-            arr[seg] = arr[seg][local_perm]
+        # NaN compares differently in C and numpy, and a zero mass sum has
+        # no centre: neither build may see such a cloud (the flat checks
+        # are cheap; rows are counted only on failure)
+        if not np.isfinite(pos).all():
+            bad = np.count_nonzero(~np.isfinite(pos).all(axis=1))
+            raise ValueError(f"RCBTree: {bad} position(s) are not finite")
+        if not (np.isfinite(m) & (m > 0)).all():
+            bad = np.count_nonzero(~(np.isfinite(m) & (m > 0)))
+            raise ValueError(f"RCBTree: {bad} mass(es) <= 0 or not finite")
+        x, y, z = (pos[:, k].copy() for k in range(3))
+        (self.perm, self.node_start, self.node_count, self.node_lo,
+         self.node_hi, self.node_left, self.node_right) = resolve_backend(
+            backend).rcb_build(x, y, z, m, self.leaf_size)
+        self.positions = np.stack([x, y, z], axis=1)
+        self.masses = m
 
     # ------------------------------------------------------------------
     # queries
     # ------------------------------------------------------------------
     @property
     def n_nodes(self) -> int:
-        return len(self._start)
+        return self.node_start.size
 
     def node(self, index: int) -> RCBNode:
         return RCBNode(
             index=index,
-            start=self._start[index],
-            count=self._count[index],
-            lo=self._lo[index],
-            hi=self._hi[index],
-            left=self._left[index],
-            right=self._right[index],
+            start=int(self.node_start[index]),
+            count=int(self.node_count[index]),
+            lo=self.node_lo[index],
+            hi=self.node_hi[index],
+            left=int(self.node_left[index]),
+            right=int(self.node_right[index]),
         )
 
     def leaves(self) -> list[int]:
         """Indices of all leaf nodes."""
-        return [i for i in range(self.n_nodes) if self._left[i] < 0]
+        return np.flatnonzero(self.node_left < 0).tolist()
 
     def leaf_ids(self) -> np.ndarray:
         """Leaf node indices ordered by their particle-segment start.
@@ -259,17 +178,14 @@ class RCBTree:
 
     def depth(self) -> int:
         """Maximum node depth (root = 0)."""
-        if not self.n_nodes:
-            return 0
-        depth = {0: 0}
-        best = 0
-        for i in range(self.n_nodes):
-            d = depth.get(i, 0)
-            best = max(best, d)
-            if self._left[i] >= 0:
-                depth[self._left[i]] = d + 1
-                depth[self._right[i]] = d + 1
-        return best
+        level = np.zeros(min(self.n_nodes, 1), dtype=np.int64)
+        depth = -1
+        while level.size:
+            depth += 1
+            inner = level[self.node_left[level] >= 0]
+            level = np.concatenate([self.node_left[inner],
+                                    self.node_right[inner]])
+        return max(depth, 0)
 
     # ------------------------------------------------------------------
     def interaction_list(self, leaf: int, rcut: float) -> np.ndarray:
@@ -278,45 +194,28 @@ class RCBTree:
         The walk prunes any node whose bounding box is farther than
         ``rcut`` from the leaf's box; surviving leaves contribute their
         whole contiguous slice.  All particles of the query leaf share
-        the returned list (Section III).
+        the returned list (Section III).  It advances a breadth-first
+        frontier, one vectorized bounds test per level.
         """
         if rcut <= 0:
             raise ValueError(f"rcut must be positive: {rcut}")
-        if self._left[leaf] >= 0:
+        if self.node_left[leaf] >= 0:
             raise ValueError(f"node {leaf} is not a leaf")
-        hits = self.box_query_nodes(
-            self.node_lo[leaf] - rcut, self.node_hi[leaf] + rcut
-        )
-        # hit leaves are disjoint segments; sorting by start and expanding
-        # yields the ascending index list the old sort-and-merge produced
-        hits = hits[np.argsort(self.node_start[hits], kind="stable")]
-        return ranges_to_indices(self.node_start[hits], self.node_count[hits])
-
-    def box_query_nodes(self, qlo: np.ndarray, qhi: np.ndarray) -> np.ndarray:
-        """Leaf-node indices whose bounding boxes intersect ``[qlo, qhi]``.
-
-        A breadth-first frontier walk: each iteration tests the whole
-        frontier against the query box in a handful of vectorized ops,
-        instead of one ``np.any`` pair per visited node.
-        """
-        if not self.n_nodes:
-            return np.empty(0, dtype=np.int64)
-        frontier = np.zeros(1, dtype=np.int64)
-        found: list[np.ndarray] = []
+        qlo, qhi = self.node_lo[leaf] - rcut, self.node_hi[leaf] + rcut
+        frontier, found = np.zeros(1, dtype=np.int64), []
         while frontier.size:
-            alive = ~(
+            frontier = frontier[~(
                 (self.node_lo[frontier] > qhi).any(axis=1)
                 | (self.node_hi[frontier] < qlo).any(axis=1)
-            )
-            frontier = frontier[alive]
-            left = self.node_left[frontier]
-            is_leaf = left < 0
-            if is_leaf.any():
-                found.append(frontier[is_leaf])
-            internal = frontier[~is_leaf]
+            )]
+            at_leaf = self.node_left[frontier] < 0
+            found.append(frontier[at_leaf])
+            inner = frontier[~at_leaf]
             frontier = np.concatenate(
-                [self.node_left[internal], self.node_right[internal]]
+                [self.node_left[inner], self.node_right[inner]]
             )
-        if not found:
-            return np.empty(0, dtype=np.int64)
-        return np.concatenate(found)
+        # hit leaves are disjoint segments; sorting by start and expanding
+        # yields the ascending index list the old sort-and-merge produced
+        hits = np.concatenate(found)
+        hits = hits[np.argsort(self.node_start[hits], kind="stable")]
+        return ranges_to_indices(self.node_start[hits], self.node_count[hits])

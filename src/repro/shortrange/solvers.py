@@ -252,8 +252,8 @@ class TreePMShortRange(ShortRangeSolver):
     chunk_pairs:
         Pair-block size of the batched engine (peak-workspace knob).
     kernel_backend:
-        Inner-loop implementation (numpy/numba/cupy seam); ``None``
-        keeps the deterministic NumPy reference.
+        Backend of the pair loop and the tree build (see
+        :mod:`repro.shortrange.backends`); ``None`` is the NumPy one.
     """
 
     def __init__(
@@ -278,7 +278,8 @@ class TreePMShortRange(ShortRangeSolver):
     def accelerations_cloud(self, positions, masses, n_targets):
         reg = get_registry()
         with reg.span("tree.build"):
-            tree = RCBTree(positions, masses, leaf_size=self.leaf_size)
+            tree = RCBTree(positions, masses, self.leaf_size,
+                           backend=self.engine.backend)
         self.last_tree_depth = tree.depth()
         reg.count("tree.build_particles", positions.shape[0])
         with reg.span("tree.walk"):

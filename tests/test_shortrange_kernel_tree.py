@@ -1,10 +1,34 @@
-"""Tests for the PP force kernel and the RCB tree."""
+"""Tests for the PP force kernel and the RCB tree.
+
+The RCB build runs on either kernel backend; the compiled ``c`` build
+must give the numpy reference loop's tree bit for bit, which needs
+numpy's pairwise summation reproduced exactly (``TestRCBBackends``).
+"""
+
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.shortrange.backends import BackendUnavailable, get_backend
 from repro.shortrange.kernel import ShortRangeKernel
 from repro.shortrange.rcb_tree import RCBTree
+
+
+def _have_c() -> bool:
+    try:
+        get_backend("c")
+    except BackendUnavailable:
+        return False
+    return True
+
+
+needs_c = pytest.mark.skipif(not _have_c(), reason="no working C compiler")
+TREE_FIELDS = ("perm", "positions", "masses", "node_start", "node_count",
+               "node_lo", "node_hi", "node_left", "node_right")
 
 
 @pytest.fixture()
@@ -238,3 +262,139 @@ class TestRCBTree:
         tree = RCBTree(np.zeros((0, 3)))
         assert tree.n_nodes == 0
         assert tree.leaves() == []
+
+
+def assert_same_tree(a, b):
+    for name in TREE_FIELDS:
+        u, v = getattr(a, name), getattr(b, name)
+        assert u.dtype == v.dtype, name
+        assert np.array_equal(u, v), name
+
+
+def cloud(kind, rng, n, dt):
+    """A test cloud: ``uniform``, ``clustered`` (tight Gaussian blobs),
+    ``duplicate`` (snapped to a 3-point grid, so whole nodes share one
+    coordinate and split at the median) or ``heavy`` (cubed normals)."""
+    if kind == "clustered":
+        centers = rng.uniform(0.0, 10.0, (max(n // 50, 2), 3))
+        pos = centers[rng.integers(0, len(centers), n)]
+        pos = pos + rng.normal(0.0, 0.05, (n, 3))
+    elif kind == "duplicate":
+        pos = rng.integers(0, 3, (n, 3)).astype(float)
+    elif kind == "heavy":
+        pos = rng.standard_normal((n, 3)) ** 3
+    else:
+        pos = rng.uniform(0.0, 10.0, (n, 3))
+    return pos.astype(dt)
+
+
+@needs_c
+class TestRCBBackends:
+    """The C build against the numpy reference loop, array for array."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        dt=st.sampled_from([np.float32, np.float64]),
+        unit=st.booleans(),
+        leaf=st.sampled_from([1, 2, 8, 128]),
+        size=st.sampled_from(["0", "1", "leaf", "leaf+1", "many"]),
+        kind=st.sampled_from(["uniform", "clustered", "duplicate", "heavy"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_c_tree_equals_numpy_tree(self, dt, unit, leaf, size, kind, seed):
+        rng = np.random.default_rng(seed)
+        n = {"0": 0, "1": 1, "leaf": leaf, "leaf+1": leaf + 1,
+             "many": int(rng.integers(2, 1500))}[size]
+        pos = cloud(kind, rng, n, dt)
+        m = None if unit else rng.uniform(0.1, 3.0, n)
+        assert_same_tree(RCBTree(pos, m, leaf, backend="c"),
+                         RCBTree(pos, m, leaf, backend="numpy"))
+
+    @pytest.mark.parametrize("dt", [np.float32, np.float64])
+    @pytest.mark.parametrize(
+        "n", [7, 8, 9, 127, 128, 129, 135, 136, 8191, 8193, 70001]
+    )
+    def test_split_plane_is_numpys_pairwise_average(self, n, dt):
+        """One split (``leaf_size = n - 1``) at every edge of numpy's
+        pairwise-sum blocking (8 accumulators, 128-term blocks, halving
+        at multiples of 8).  Two particles straddle the plane one ulp
+        apart, so a plane off by an ulp either way moves one of them and
+        the trees differ: a summation numpy no longer uses fails here."""
+        rng = np.random.default_rng(n)
+        pos = rng.uniform(0.0, 1.0, (n, 3)).astype(dt)
+        pos[:, 0] *= dt(10.0)  # x is the longest side
+        m = rng.uniform(0.5, 2.0, n).astype(dt)
+        plane = dt(5.0)
+        for _ in range(50):  # put pos[0] on the plane, pos[1] just past it
+            pos[0, 0], pos[1, 0] = plane, np.nextafter(plane, dt(np.inf))
+            plane, prev = np.average(pos[:, 0], weights=m), plane
+            if plane == prev:
+                break
+        assert plane == prev, "no fixed point: pick another seed"
+        tree = RCBTree(pos, m, leaf_size=n - 1, backend="c")
+        assert_same_tree(tree, RCBTree(pos, m, n - 1, backend="numpy"))
+        assert tree.node_count[1] == np.count_nonzero(pos[:, 0] <= plane)
+        assert tree.node_hi[1, 0] == plane
+
+    def test_node_room_overflow_rebuilds(self, monkeypatch):
+        """A cloud whose splits peel off one or two particles needs far
+        more nodes than the first allocation; the C loop restores the
+        arrays, the build retries with twice the room, and the tree is
+        still the reference one."""
+        backend = get_backend("c")
+        table = backend._fns[np.dtype(np.float64)][0]
+        calls = []
+
+        def counted(*args):
+            calls.append(args[7])  # node capacity
+            return build(*args)
+
+        build = table["rcb_build"]
+        monkeypatch.setitem(table, "rcb_build", counted)
+        rng = np.random.default_rng(3)
+        pos = 10.0 ** rng.uniform(0.0, 250.0, (400, 3))  # geometric tail
+        tree = RCBTree(pos, leaf_size=16, backend=backend)
+        assert len(calls) >= 2 and calls[1] == 2 * calls[0]
+        assert tree.n_nodes > calls[0]
+        assert_same_tree(tree, RCBTree(pos, leaf_size=16, backend="numpy"))
+
+    def test_concurrent_builds_stay_independent(self):
+        """The C build releases the GIL and keeps its scratch per call:
+        more threads than cores, switching often, each get the
+        reference tree of their own cloud."""
+        rng = np.random.default_rng(5)
+        clouds = [cloud("clustered", rng, 3000, dt)
+                  for dt in (np.float32, np.float64) * 3]
+        want = [RCBTree(p, leaf_size=8, backend="numpy") for p in clouds]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(4) as pool:
+                got = list(pool.map(
+                    lambda p: RCBTree(p, leaf_size=8, backend="c"),
+                    clouds * 4, timeout=120,
+                ))
+        finally:
+            sys.setswitchinterval(interval)
+        for tree, ref in zip(got, want * 4):
+            assert_same_tree(tree, ref)
+
+
+@pytest.mark.parametrize(
+    "backend", ["numpy", pytest.param("c", marks=needs_c)]
+)
+class TestRCBInput:
+    """Bad input fails once, at the tree boundary, on either build."""
+
+    def test_non_finite_position(self, rng, backend):
+        pos = rng.uniform(0, 1, (300, 3))
+        pos[7, 1], pos[9] = np.nan, np.inf
+        with pytest.raises(ValueError, match="2 position"):
+            RCBTree(pos, leaf_size=16, backend=backend)
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, np.inf])
+    def test_mass_not_finite_and_positive(self, rng, backend, bad):
+        m = np.ones(300)
+        m[[3, 4, 5]] = bad
+        with pytest.raises(ValueError, match="3 mass"):
+            RCBTree(rng.uniform(0, 1, (300, 3)), m, 16, backend=backend)
