@@ -53,6 +53,7 @@ class TestLeafSizeAblation:
                 }
                 walk_time = time.perf_counter() - t0
                 t0 = time.perf_counter()
+                pairs = 0  # each leaf's targets x its list length
                 for l in leaves:
                     node = tree.node(l)
                     seg = slice(node.start, node.start + node.count)
@@ -61,12 +62,13 @@ class TestLeafSizeAblation:
                         tree.positions[lists[l]],
                         tree.masses[lists[l]],
                     )
+                    pairs += node.count * lists[l].size
                 kernel_time = time.perf_counter() - t0
                 out[leaf] = {
                     "n_leaves": len(leaves),
                     "walk_s": walk_time,
                     "kernel_s": kernel_time,
-                    "interactions": kernel.interaction_count,
+                    "interactions": pairs,
                     "mean_list": float(
                         np.mean([len(v) for v in lists.values()])
                     ),

@@ -167,7 +167,6 @@ class TestKernelBackendSweep:
                     solver.accelerations(pos, masses, box_size=self.BOX)
                     best = best_kernel = np.inf
                     for _ in range(self.REPS):
-                        kernel.reset_counters()
                         inside.clear()
                         t0 = time.perf_counter()
                         acc = solver.accelerations(
@@ -175,7 +174,7 @@ class TestKernelBackendSweep:
                         )
                         best = min(best, time.perf_counter() - t0)
                         best_kernel = min(best_kernel, sum(inside))
-                    pairs = kernel.interaction_count
+                    pairs = solver.last_pairs[0]
                     entries.append(
                         {
                             "backend": backend,

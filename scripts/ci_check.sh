@@ -2,7 +2,8 @@
 # CI lanes (usage: scripts/ci_check.sh), one line each:
 #  1 fast test suite (pytest -m "not slow")
 #  2 run smoke: 'run --summary' under --workers 2
-#  3 one decomposed run at serial@1, serial@2, thread@2 bitwise; f32 pair
+#  3 one decomposed run at serial@1, serial@2, thread@2 bitwise, equal
+#    pp.*/tree.* counters; f32 pair
 #  4 chaos lane: fault-injection tests under REPRO_CHAOS_SEED
 #  5 executor chaos tests over REPRO_CHAOS_WORKERS thread workers
 #  6 fig5, executor and roofline benches, then check_regression.py once
@@ -27,7 +28,7 @@ echo "== 2/11 run smoke (run --summary --workers 2) =="
 PYTHONPATH=src "$PYTHON" -m repro run --steps 2 --n-per-dim 12 --workers 2 \
     --summary
 
-echo "== 3/11 executor triplet (run, serial@1 vs serial@2 vs thread@2, bitwise) + f32 pair =="
+echo "== 3/11 executor triplet (run, serial@1 vs serial@2 vs thread@2, bitwise, same counts) + f32 pair =="
 # 24^3 with the default overload depth (rcut + one cell = 10.7 Mpc/h):
 # rcut = 8 <= depth < 16 = half the domain width, the only valid order
 CI_OBS_DIR="$(mktemp -d)"
@@ -35,10 +36,12 @@ trap 'rm -rf "$CI_OBS_DIR"' EXIT
 for lane in serial:1 serial:2 thread:2; do
     PYTHONPATH=src "$PYTHON" -m repro -q run --steps 1 --n-per-dim 24 \
         --workers "${lane#*:}" --decomposition 2,1,1 \
-        --executor "${lane%:*}" --outdir "$CI_OBS_DIR/run-${lane/:/@}"
+        --executor "${lane%:*}" --outdir "$CI_OBS_DIR/run-${lane/:/@}" \
+        --trace "$CI_OBS_DIR/trace-${lane/:/@}.json"
 done
 PYTHONPATH=src "$PYTHON" - "$CI_OBS_DIR" <<'PYEOF'
 import pathlib, sys
+from repro.instrument.exporters import load_chrome_trace
 from repro.io import find_latest_valid, load_checkpoint, verify_checkpoint
 root = pathlib.Path(sys.argv[1])
 lanes = ("serial@1", "serial@2", "thread@2")
@@ -54,8 +57,20 @@ for lane in lanes[1:]:
     assert sums[lane] == sums["serial@1"], \
         f"executor triplet: checkpoint manifests differ between serial@1 " \
         f"and {lane}: {sums['serial@1']} vs {sums[lane]}"
+# the work is counted where it runs: every executor charges the same
+counts = {
+    l: {k: v for k, v in load_chrome_trace(root / f"trace-{l}.json")
+        ["counters"].items() if k.startswith(("pp.", "tree."))}
+    for l in lanes
+}
+assert counts["serial@1"].get("pp.interactions", 0) > 0, counts["serial@1"]
+for lane in lanes[1:]:
+    assert counts[lane] == counts["serial@1"], \
+        f"executor triplet: pp.*/tree.* counters differ between serial@1 " \
+        f"and {lane}: {counts['serial@1']} vs {counts[lane]}"
 print("executor triplet: serial@1, serial@2 and thread@2 final states "
-      "bitwise equal, manifests equal")
+      f"bitwise equal, manifests equal, {len(counts['serial@1'])} "
+      "pp.*/tree.* counters equal")
 PYEOF
 # the same decomposed run in f32 at serial@1 and thread@2: the overload
 # replicas (and so every domain) must stay float32 on both executors

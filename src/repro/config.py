@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass, field, replace
+import math
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -130,6 +131,11 @@ class SimulationConfig:
     cosmology: Cosmology = field(default_factory=lambda: WMAP7)
 
     def __post_init__(self) -> None:
+        # first: a NaN passes every comparison below
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigError(f"{f.name} must be finite: {value}")
         if self.box_size <= 0:
             raise ConfigError(f"box_size must be positive: {self.box_size}")
         if self.n_per_dim < 2:
@@ -159,6 +165,10 @@ class SimulationConfig:
             raise ConfigError(
                 f"rcut_cells must be positive: {self.rcut_cells}"
             )
+        if self.leaf_size < 1:
+            raise ConfigError(f"leaf_size must be >= 1: {self.leaf_size}")
+        if self.eps_cells < 0:
+            raise ConfigError(f"eps_cells must be >= 0: {self.eps_cells}")
         if self.chunk_pairs < 1:
             raise ConfigError(
                 f"chunk_pairs must be >= 1: {self.chunk_pairs}"

@@ -44,44 +44,35 @@ from repro.shortrange.grid_force import (
 )
 from repro.shortrange.backends import resolve_backend
 from repro.shortrange.kernel import ShortRangeKernel
-from repro.shortrange.solvers import (
-    build_solver,
-    solver_from_spec,
-    solver_spec,
-)
+from repro.shortrange.solvers import build_solver
 
 __all__ = ["HACCSimulation"]
 
 logger = logging.getLogger(__name__)
 
 
-def _solve_domain(solver, faults, rank, positions, masses, active):
+def _solve_domain(solver, faults, dom):
     """One rank's short-range solve — the task body of every dispatch.
 
-    The driver's serial loop and both executor backends run this same
-    body (actives-first stable ordering, same float operations), so
-    results are bit-identical regardless of where it runs.  Returns
-    ``(rank, accelerations, (streamed, inside), tree_depth)``; the pair
-    counts are the solving kernel's deltas, which a worker kernel keeps
-    private and the driver charges to the authoritative counters in rank
-    order.  ``faults`` is the run's fault plan (its per-domain
-    straggler hook).
+    Every executor runs this same body on the domain (actives-first
+    stable ordering, same float operations), so results are
+    bit-identical wherever it runs.  Returns ``(accelerations,
+    (streamed, inside), tree_depth)``; the pair counts are the solver's
+    ``last_pairs``, already charged to the registry by the solve itself.
+    ``faults`` is the run's fault plan (its per-domain straggler hook).
     """
     faults.sleep("shortrange.domain")
-    if positions.shape[0] == 0:
-        return rank, np.zeros((0, 3), dtype=np.float64), (0, 0), None
-    order = np.argsort(~active, kind="stable")  # actives first
-    n_act = int(np.count_nonzero(active))
-    kern = solver.kernel
-    k0, i0 = kern.interaction_count, kern.inside_count
-    local = solver.accelerations_cloud(positions[order], masses[order], n_act)
-    pairs = (int(kern.interaction_count - k0), int(kern.inside_count - i0))
-    depth = getattr(solver, "last_tree_depth", None)
-    return rank, local, pairs, depth
+    if dom.n_total == 0:
+        return np.zeros((0, 3), dtype=np.float64), (0, 0), None
+    order = np.argsort(~dom.active, kind="stable")  # actives first
+    local = solver.accelerations_cloud(
+        dom.positions[order], dom.masses[order], dom.n_active
+    )
+    return local, solver.last_pairs, getattr(solver, "last_tree_depth", None)
 
 
 def _charge_domain_gauges(tel, dom, pairs, depth) -> None:
-    """One domain's per-rank gauges, whichever dispatcher solved it.
+    """One domain's per-rank gauges, whichever thread solved it.
 
     Every domain charges ``particles``, ``ghosts`` and ``interactions``
     (zero for an empty one), so the imbalance factors never depend on
@@ -165,7 +156,7 @@ class HACCSimulation:
         # resolve the kernel backend ONCE (auto -> c, else numpy when it
         # cannot be built; an explicit unavailable name fails here) and
         # carry the resolved *name* everywhere — including into the solver
-        # spec each worker thread rebuilds its private clone from
+        # each executor thread builds for itself
         self.kernel_backend: str = resolve_backend(config.kernel_backend).name
 
         self.poisson = SpectralPoissonSolver(
@@ -206,7 +197,8 @@ class HACCSimulation:
 
         self.kernel: ShortRangeKernel | None = None
         self.short_solver = None
-        self._solver_spec: dict | None = None
+        #: streamed short-range pairs of the whole run
+        self._interactions = 0
         if config.backend != "pm":
             fit = default_grid_force_fit(
                 config.sigma, config.ns, config.rcut_cells
@@ -217,25 +209,12 @@ class HACCSimulation:
                 eps_cells=config.eps_cells,
                 dtype=config.precision_dtype,
             )
-            self.short_solver = build_solver(
-                config.backend,
-                self.kernel,
-                leaf_size=config.leaf_size,
-                chunk_pairs=config.chunk_pairs,
-                kernel_backend=self.kernel_backend,
-            )
-            self._solver_spec = solver_spec(
-                config.backend,
-                self.kernel,
-                leaf_size=config.leaf_size,
-                chunk_pairs=config.chunk_pairs,
-                kernel_backend=self.kernel_backend,
-            )
+            self.short_solver = self._build_solver()
 
         #: rank executor running the per-domain short-range solves
         #: (see :mod:`repro.parallel.executor`); the PM solve is serial
         self.executor = RankExecutor.from_config(config)
-        self._worker_local = threading.local()
+        self._thread_solver = threading.local()
 
         self.exchange: OverloadExchange | None = None
         self.recover_on_rank_death = bool(recover_on_rank_death)
@@ -298,6 +277,7 @@ class HACCSimulation:
                     self.particles.masses,
                     box_size=self.config.box_size,
                 )
+                self._interactions += self.short_solver.last_pairs[0]
             else:
                 acc = scale * self._short_range_overloaded(positions)
         return acc
@@ -310,14 +290,16 @@ class HACCSimulation:
         communication are needed during the force evaluation itself —
         exactly the decoupling the paper's overloading buys.
 
-        The per-domain solves run on the rank executor when it is
-        parallel, else in rank order on the driver's own solver; all
-        reductions (acceleration scatter, counter charging, telemetry
-        gauges) happen here in rank order either way, which is what
-        makes the result bit-identical for every backend.  Collectives
-        already happened (``distribute``) and the next one waits for
-        ``map`` to join all ranks, so the bulk-synchronous structure is
-        preserved.
+        Every per-domain solve goes through the rank executor, whatever
+        its backend and worker count, so a failing domain is always a
+        :class:`~repro.parallel.executor.WorkerError` naming its rank.
+        Each solve charges its own pair counters where it runs (exact in
+        any order); the acceleration scatter, the run's interaction
+        total and the telemetry gauges reduce here in rank order, which
+        is what makes the result bit-identical for every backend.
+        Collectives already happened (``distribute``) and the next one
+        waits for ``map`` to join all ranks, so the bulk-synchronous
+        structure is preserved.
         """
         domains = self.exchange.distribute(
             positions,
@@ -327,27 +309,18 @@ class HACCSimulation:
         )
         if self.faults.enabled:
             domains = self._handle_rank_death(domains)
-        parallel = self.executor.parallel
-        if parallel:
-            results = self.executor.map(
-                self._solve_domain_local,
-                domains,
-                ranks=[dom.rank for dom in domains],
-                label="shortrange.domain",
-            )
-        else:
-            results = [
-                _solve_domain(self.short_solver, self.faults, dom.rank,
-                              dom.positions, dom.masses, dom.active)
-                for dom in domains
-            ]
+        # the driver's own thread solves with the driver's solver
+        self._thread_solver.solver = self.short_solver
+        results = self.executor.map(
+            lambda dom: _solve_domain(self._local_solver(), self.faults, dom),
+            domains,
+            ranks=[dom.rank for dom in domains],
+            label="shortrange.domain",
+        )
         tel = self.telemetry
         acc = np.zeros_like(positions)
-        for dom, (_, local, (pairs, inside), depth) in zip(domains, results):
-            if parallel and pairs:
-                # charge the authoritative counters here, in rank order:
-                # worker kernels tally privately (mirror_counters=False)
-                self.kernel.record_interactions(pairs, inside)
+        for dom, (local, (pairs, _), depth) in zip(domains, results):
+            self._interactions += pairs
             if tel is not None:
                 _charge_domain_gauges(tel, dom, pairs, depth)
             if dom.n_total == 0:
@@ -357,24 +330,27 @@ class HACCSimulation:
             acc[dom.ids[dom.active]] = local
         return acc
 
+    def _build_solver(self):
+        return build_solver(
+            self.config.backend,
+            self.kernel,
+            leaf_size=self.config.leaf_size,
+            chunk_pairs=self.config.chunk_pairs,
+            kernel_backend=self.kernel_backend,
+        )
+
     def _local_solver(self):
-        """Per-thread worker clone of the short-range solver.
+        """The short-range solver of the calling thread.
 
-        Serial and thread backends run tasks in the driver's threads;
-        each thread gets its own clone so the batched engine's grow-only
-        workspace and the kernel's counters are never shared between
-        concurrent evaluations.
+        The driver's thread has ``self.short_solver``; an executor
+        thread builds its own once, around the shared immutable kernel,
+        because a solver's engine workspace is grow-only and must not be
+        shared between concurrent evaluations.
         """
-        solver = getattr(self._worker_local, "solver", None)
+        solver = getattr(self._thread_solver, "solver", None)
         if solver is None:
-            solver = solver_from_spec(self._solver_spec)
-            self._worker_local.solver = solver
+            solver = self._thread_solver.solver = self._build_solver()
         return solver
-
-    def _solve_domain_local(self, dom):
-        """The per-domain task body of both executor backends."""
-        return _solve_domain(self._local_solver(), self.faults, dom.rank,
-                             dom.positions, dom.masses, dom.active)
 
     def close(self) -> None:
         """Release the executor's thread pool (idempotent)."""
@@ -652,13 +628,13 @@ class HACCSimulation:
         return 1.0 / self.a - 1.0
 
     def interaction_count(self) -> int:
-        """Cumulative short-range pair interactions (perf cross-check).
+        """Cumulative streamed short-range pairs (perf cross-check).
 
-        Backed by the kernel's ``pp.interactions`` instrument counter, so
-        this number, the ablation benchmarks, and a profiled run's
-        counter table all agree by construction.
+        Summed by the driver from each solve's ``last_pairs``, with or
+        without a live registry; a profiled run's ``pp.interactions``
+        counter charges the same solves, so the two agree.
         """
-        return self.kernel.interaction_count if self.kernel else 0
+        return self._interactions
 
     def density_contrast(self, n: int | None = None) -> np.ndarray:
         """Current CIC density contrast on an ``n^3`` grid."""

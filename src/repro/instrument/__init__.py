@@ -33,7 +33,6 @@ run sets ``sim.telemetry``.
 """
 
 from repro.instrument.registry import (
-    Counter,
     FakeClock,
     NullRegistry,
     Registry,
@@ -90,7 +89,6 @@ from repro.instrument.perfcount import (
 )
 
 __all__ = [
-    "Counter",
     "FakeClock",
     "HealthEvent",
     "HealthMonitor",

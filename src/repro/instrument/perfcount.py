@@ -55,12 +55,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from repro.instrument.registry import get_registry
+
 __all__ = [
     "PAIR_FLOPS",
     "PAIR_SEPARATION_FLOPS",
     "PAIR_KERNEL_FLOPS",
     "PAIR_STREAMED_OPERANDS",
     "pair_flops",
+    "charge_pairs",
     "list_efficiency",
     "list_efficiency_line",
     "CIC_FLOPS_PER_PARTICLE",
@@ -82,8 +85,7 @@ __all__ = [
     "render_roofline",
 ]
 
-#: flops per pair interaction (Section III: 168 flops / 8 interactions).
-#: ``repro.shortrange.kernel`` imports this — one constant, two users.
+#: flops per pair interaction (Section III: 168 flops / 8 interactions)
 PAIR_FLOPS = 21.0
 
 #: the part of ``PAIR_FLOPS`` spent on every streamed pair (squared
@@ -121,6 +123,23 @@ def pair_flops(n_streamed: float, n_inside: float) -> float:
 def pair_bytes(n_pairs: float, itemsize: int) -> float:
     """Streamed bytes for ``n_pairs`` interactions at ``itemsize``."""
     return float(n_pairs) * PAIR_STREAMED_OPERANDS * itemsize
+
+
+def charge_pairs(n_streamed: int, n_inside: int, itemsize: int) -> None:
+    """Charge one solve's ``pp.*`` pair work, on the thread that did it.
+
+    ``Registry.count`` holds a lock and every value is an integer far
+    below 2**53, so totals do not depend on the order of the charges.
+    """
+    if not n_streamed:
+        return
+    reg = get_registry()
+    reg.count("pp.interactions", n_streamed)
+    reg.count("pp.batch.inside_pairs", n_inside)
+    reg.count("pp.flops", pair_flops(n_streamed, n_inside))
+    # streamed traffic in the kernel's precision: the f32 path charges
+    # half the bytes of f64 for identical flops
+    reg.count("pp.bytes", pair_bytes(n_streamed, itemsize))
 
 
 def cic_bytes(n_particles: float, itemsize: int) -> float:

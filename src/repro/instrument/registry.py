@@ -19,7 +19,6 @@ __all__ = [
     "SpanEvent",
     "StepRecord",
     "FakeClock",
-    "Counter",
     "Registry",
     "NullRegistry",
     "get_registry",
@@ -489,31 +488,3 @@ def timed(name: str):
 
     return decorator
 
-
-class Counter:
-    """A named always-on accumulator that mirrors into the registry.
-
-    Unlike registry counters (which vanish when instrumentation is
-    disabled), a ``Counter`` instance always holds its own running
-    ``value`` — it is the single source of truth for quantities the
-    science code itself consumes (e.g. the PP interaction count that
-    ``HACCSimulation.interaction_count`` reports).  When a live registry
-    is active, every ``add`` is mirrored there under the same name, so
-    the profiler and the simulation agree on one number.
-    """
-
-    __slots__ = ("name", "value")
-
-    def __init__(self, name: str, value: float = 0) -> None:
-        self.name = name
-        self.value = value
-
-    def add(self, amount: float) -> None:
-        self.value += amount
-        _active.count(self.name, amount)
-
-    def reset(self) -> None:
-        self.value = 0
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"Counter({self.name!r}, value={self.value})"

@@ -20,12 +20,16 @@ interchangeable backends:
 
 Determinism contract: the executor changes **where** tasks run, never
 **what** they compute or the order results are consumed.  Each task is
-one rank's whole solve, ``map`` returns results in payload order and
-the caller performs all reductions in that fixed order, so every
-``(backend, workers)`` pair gives the bits of serial at ``workers=1``
-(a test pins this).  Collectives stay atomic: the executor joins all
-ranks before any :class:`SimulatedComm` call, exactly the
-bulk-synchronous structure of the paper's code.
+one rank's whole solve and ``map`` returns results in payload order:
+the caller reduces the floating-point results (the acceleration
+scatter, telemetry gauges) in that fixed order, while a task charges
+its integer work counters where it runs, exact in any order.  So every
+``(backend, workers)`` pair gives the bits and the counts of serial at
+``workers=1`` (tests pin both), and a failing task is a
+:class:`WorkerError` naming its rank on every backend.  Collectives
+stay atomic: the executor joins all ranks before any
+:class:`SimulatedComm` call, exactly the bulk-synchronous structure of
+the paper's code.
 """
 
 from __future__ import annotations
@@ -110,11 +114,6 @@ class RankExecutor:
             backend=getattr(config, "executor", "serial"),
             workers=getattr(config, "workers", 1),
         )
-
-    @property
-    def parallel(self) -> bool:
-        """True when dispatch should fan work out (workers > 1)."""
-        return self.workers > 1
 
     @property
     def _threaded(self) -> bool:

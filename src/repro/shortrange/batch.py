@@ -47,8 +47,10 @@ The evaluation itself dispatches through the pluggable kernel-backend
 seam (:mod:`repro.shortrange.backends`): the engine prepares the SOA
 coordinate/mass streams once per batch, then hands the CSR arrays to the
 selected backend's ``pair_accumulate`` — the vectorized NumPy reference
-or the fused C loop, both charging the identical ``pp.interactions``
-count: the pairs streamed, ``batch.n_pairs``.
+or the fused C loop, both returning the identical in-cutoff count.  The
+engine charges each evaluation's work once
+(:func:`~repro.instrument.perfcount.charge_pairs`) and keeps its
+``(streamed, inside)`` pair counts as ``last_pairs``.
 """
 
 from __future__ import annotations
@@ -58,6 +60,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.instrument import get_registry
+from repro.instrument.perfcount import charge_pairs
 from repro.shortrange.backends import (
     Workspace,
     get_backend,
@@ -371,8 +374,8 @@ class BatchedPairEngine:
     Parameters
     ----------
     kernel:
-        The fitted short-range kernel; supplies the pair coefficient,
-        the precision (``kernel.dtype``) and the interaction counter.
+        The fitted short-range kernel; supplies the pair coefficient
+        and the precision (``kernel.dtype``).
     chunk_pairs:
         Upper bound on pairs materialized at once.  Each (targets x
         sources) tile is sized so ``tile_targets * tile_sources <=
@@ -394,13 +397,14 @@ class BatchedPairEngine:
     Pair arithmetic *and* accumulation run in ``kernel.dtype`` (the
     paper's mixed-precision option): with ``dtype=np.float32`` the
     returned accelerations are float32, with no silent float64 upcast
-    along the hot path.  ``pp.interactions`` counts every (target,
-    neighbor) pair of the batch — the pairs streamed, ``batch.n_pairs``
-    — identically on every backend, which the backend suite asserts;
-    ``pp.batch.inside_pairs`` counts those of them inside the cutoff.
-    Batches are tight (:meth:`InteractionBatch.tightened`), so every
-    target is a real particle and the inside count is the number of
-    real-target pairs whose force was evaluated.
+    along the hot path.  ``last_pairs`` is ``(streamed, inside)``:
+    every (target, neighbor) pair of the batch, ``batch.n_pairs``,
+    identically on every backend (the backend suite asserts it), and
+    those of them inside the cutoff; each evaluation charges them once
+    as ``pp.interactions`` and ``pp.batch.inside_pairs``.  Batches are
+    tight (:meth:`InteractionBatch.tightened`), so every target is a
+    real particle and the inside count is the number of real-target
+    pairs whose force was evaluated.
     """
 
     def __init__(
@@ -422,10 +426,8 @@ class BatchedPairEngine:
         self._coeffs = np.asarray(
             kernel.fit.coefficients, dtype=kernel.dtype
         )
-        #: pair counts of the most recent :meth:`evaluate` call — the
-        #: per-rank interactions gauge of the telemetry layer reads these
-        self.last_pairs: int = 0
-        self.last_inside_pairs: int = 0
+        #: ``(streamed, inside)`` pairs of the most recent :meth:`evaluate`
+        self.last_pairs: tuple[int, int] = (0, 0)
 
     # ------------------------------------------------------------------
     def evaluate(
@@ -458,8 +460,7 @@ class BatchedPairEngine:
         dt = kern.dtype
         acc = np.zeros((n, 3), dtype=dt)
         total_pairs = batch.n_pairs
-        self.last_pairs = total_pairs
-        self.last_inside_pairs = 0
+        self.last_pairs = (total_pairs, 0)
         if n == 0 or total_pairs == 0:
             return acc
         ws = self.workspace
@@ -494,7 +495,6 @@ class BatchedPairEngine:
                 acc,
                 ws,
             )
-        kern.record_interactions(total_pairs, inside_pairs)
-        reg.count("pp.batch.inside_pairs", inside_pairs)
-        self.last_inside_pairs = inside_pairs
+        self.last_pairs = (total_pairs, inside_pairs)
+        charge_pairs(total_pairs, inside_pairs, np.dtype(dt).itemsize)
         return acc

@@ -14,6 +14,9 @@ mask computed in-register, keeping the inner loop fully vectorized.
 Mixed precision: the paper evaluates the short-range force in single
 precision.  ``dtype=np.float32`` reproduces that; the default is float64
 so accuracy tests are limited by the algorithm, not the arithmetic.
+
+The kernel is a frozen value that counts nothing, so every thread can
+share one; the solver that calls it charges the work.
 """
 
 from __future__ import annotations
@@ -22,14 +25,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.instrument import Counter, get_registry
-from repro.instrument.perfcount import pair_bytes, pair_flops
+from repro.instrument import get_registry
 from repro.shortrange.grid_force import GridForceFit
 
 __all__ = ["ShortRangeKernel"]
 
 
-@dataclass
+@dataclass(frozen=True)
 class ShortRangeKernel:
     """Evaluates short-range pair forces from a fitted grid force.
 
@@ -45,12 +47,6 @@ class ShortRangeKernel:
     dtype:
         np.float64 (default) or np.float32 for the paper's mixed
         precision.
-    mirror_counters:
-        ``True`` (default) mirrors every interaction into the active
-        instrument registry.  Executor *worker clones* set ``False``:
-        ``Counter.add`` and the registry are not safe against concurrent
-        writers, so workers keep a private tally and the driver charges
-        the authoritative counters from the task results, in rank order.
 
     Notes
     -----
@@ -64,20 +60,21 @@ class ShortRangeKernel:
     spacing: float
     eps_cells: float = 0.01
     dtype: type = np.float64
-    mirror_counters: bool = True
 
     def __post_init__(self) -> None:
         if self.spacing <= 0:
             raise ValueError(f"spacing must be positive: {self.spacing}")
         if self.eps_cells < 0:
             raise ValueError(f"eps_cells must be >= 0: {self.eps_cells}")
-        self.rcut = self.fit.rcut_cells * self.spacing
-        self.rcut2 = self.rcut * self.rcut
-        #: cumulative pair evaluations (perf model); an instrument Counter
-        #: so the profiler and the simulation report the same number
-        self._interactions = Counter("pp.interactions")
-        #: how many of those ran the force polynomial (inside the cutoff)
-        self._inside = 0
+
+    @property
+    def rcut(self) -> float:
+        """Physical cutoff radius, Mpc/h."""
+        return self.fit.rcut_cells * self.spacing
+
+    @property
+    def rcut2(self) -> float:
+        return self.rcut * self.rcut
 
     # ------------------------------------------------------------------
     def f_sr_cells(self, s_cells) -> np.ndarray:
@@ -185,46 +182,4 @@ class ShortRangeKernel:
                 s_c = np.einsum("ijk,ijk->ij", d, d) * inv_sp2
                 f = self.f_sr_cells(s_c) * (inv_sp3 * m[None, :])
                 out[lo:hi] = -np.einsum("ij,ijk->ik", f, d)
-        self.record_interactions(nt * nsrc)
         return out
-
-    def record_interactions(self, n: int, inside: int | None = None) -> None:
-        """Charge ``n`` streamed pairs, ``inside`` of them within cutoff.
-
-        ``pp.interactions`` and ``pp.bytes`` count streamed pairs; the
-        separation flops are charged per streamed pair and the force
-        flops per inside pair.  :meth:`accumulate` evaluates the masked
-        force on every pair it is given, so it leaves ``inside`` at
-        ``n``; the batched engine passes the backend's in-cutoff count.
-        """
-        inside = n if inside is None else inside
-        self._inside += inside
-        if not self.mirror_counters:
-            self._interactions.value += n  # private tally, no registry
-            return
-        self._interactions.add(n)
-        reg = get_registry()
-        reg.count("pp.flops", pair_flops(n, inside))
-        # streamed traffic of the same pairs in the kernel's precision —
-        # the f32 path charges half the bytes of f64 for identical flops
-        reg.count("pp.bytes", pair_bytes(n, np.dtype(self.dtype).itemsize))
-
-    # ------------------------------------------------------------------
-    @property
-    def interaction_count(self) -> int:
-        """Cumulative streamed pairs (backed by the ``pp.interactions``
-        instrument counter)."""
-        return self._interactions.value
-
-    @property
-    def inside_count(self) -> int:
-        """Cumulative pairs that ran the force (inside the cutoff)."""
-        return self._inside
-
-    def flops(self) -> float:
-        """Flops represented by the interactions evaluated so far."""
-        return pair_flops(self.interaction_count, self.inside_count)
-
-    def reset_counters(self) -> None:
-        self._interactions.reset()
-        self._inside = 0

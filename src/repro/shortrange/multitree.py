@@ -134,6 +134,7 @@ class MultiTreeShortRange(ShortRangeSolver):
         acc = np.zeros((positions.shape[0], 3), dtype=np.float64)
         self._report = [_BlockReport(0, 0, 0) for _ in blocks]
         if not live:
+            self.engine.last_pairs = (0, 0)
             return acc[:n_targets]
         trees = [t for _, _, t in live]
         cat_pos = np.concatenate([t.positions for t in trees], axis=0)

@@ -13,6 +13,9 @@ replicas provide the boundary sources; in single-rank (whole box) mode
 :func:`periodic_ghosts` appends shifted images of particles near the box
 faces.  In both cases only the first ``n_targets`` particles receive
 forces.
+
+Every solver charges its pair work once, on the thread that did it, and
+keeps the last call's ``(streamed, inside)`` counts as ``last_pairs``.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.instrument import get_registry
+from repro.instrument.perfcount import charge_pairs
 from repro.shortrange.batch import (
     DEFAULT_CHUNK_PAIRS,
     BatchedPairEngine,
@@ -38,8 +42,6 @@ __all__ = [
     "TreePMShortRange",
     "P3MShortRange",
     "build_solver",
-    "solver_spec",
-    "solver_from_spec",
 ]
 
 
@@ -110,10 +112,10 @@ def build_solver(
     """Construct the short-range backend named by ``backend``.
 
     The single construction switch shared by the simulation driver and
-    by executor worker initialization, so both always build the same
-    solver for the same configuration.  ``kernel_backend`` selects the
-    inner-loop implementation (numpy/c seam); ``None`` keeps
-    the deterministic NumPy reference.
+    its executor threads, so every thread builds the same solver for
+    the same configuration around the one shared kernel.
+    ``kernel_backend`` selects the inner-loop implementation (numpy/c
+    seam); ``None`` keeps the deterministic NumPy reference.
     """
     if backend == "treepm":
         return TreePMShortRange(
@@ -133,56 +135,16 @@ def build_solver(
     raise ValueError(f"unknown short-range backend {backend!r}")
 
 
-def solver_spec(backend: str, kernel: ShortRangeKernel, **kwargs) -> dict:
-    """Plain-data recipe for rebuilding a solver in an executor worker.
-
-    Captures the kernel's *parameters* (fit, spacing, softening, dtype)
-    rather than the kernel object, so every worker builds a private
-    kernel — and with it private counters and a private
-    :class:`~repro.shortrange.batch.Workspace`; engine buffers are
-    grow-only and not safe to share between concurrent evaluations.
-    The kernel *backend* travels by name, so every worker clone uses
-    the same numpy/c choice the driver resolved.
-    """
-    return {
-        "backend": backend,
-        "fit": kernel.fit,
-        "spacing": kernel.spacing,
-        "eps_cells": kernel.eps_cells,
-        "dtype": kernel.dtype,
-        **kwargs,
-    }
-
-
-def solver_from_spec(spec: dict) -> "ShortRangeSolver":
-    """Build a *worker clone* solver from a :func:`solver_spec` recipe.
-
-    The clone's kernel has ``mirror_counters=False``: it tallies
-    interactions privately (per-task deltas) and the driver charges the
-    authoritative counters from the results in rank order, keeping the
-    global count identical to a serial run.
-    """
-    kernel = ShortRangeKernel(
-        spec["fit"],
-        spec["spacing"],
-        eps_cells=spec["eps_cells"],
-        dtype=spec["dtype"],
-        mirror_counters=False,
-    )
-    return build_solver(
-        spec["backend"],
-        kernel,
-        leaf_size=spec.get("leaf_size", 128),
-        chunk_pairs=spec.get("chunk_pairs", DEFAULT_CHUNK_PAIRS),
-        kernel_backend=spec.get("kernel_backend"),
-    )
-
-
 class ShortRangeSolver(ABC):
     """Interface: short-range accelerations on the first N particles."""
 
     def __init__(self, kernel: ShortRangeKernel) -> None:
         self.kernel = kernel
+
+    @property
+    def last_pairs(self) -> tuple[int, int]:
+        """``(streamed, inside)`` pairs of the last call, off the engine."""
+        return self.engine.last_pairs
 
     @abstractmethod
     def accelerations_cloud(
@@ -226,13 +188,19 @@ class DirectShortRange(ShortRangeSolver):
     """O(N^2) direct summation — the correctness reference.
 
     Feasible to a few thousand particles; every other backend is tested
-    against it.
+    against it, so it calls the kernel directly rather than the batched
+    engine.  The kernel evaluates the masked force on every pair, so
+    all streamed pairs count as inside.
     """
 
+    last_pairs = (0, 0)  # set per call: no engine to read it from
+
     def accelerations_cloud(self, positions, masses, n_targets):
-        return self.kernel.accumulate(
-            positions[:n_targets], positions, masses
-        )
+        acc = self.kernel.accumulate(positions[:n_targets], positions, masses)
+        n = acc.shape[0] * positions.shape[0]
+        self.last_pairs = (n, n)
+        charge_pairs(n, n, np.dtype(self.kernel.dtype).itemsize)
+        return acc
 
 
 class TreePMShortRange(ShortRangeSolver):
@@ -387,9 +355,8 @@ class P3MShortRange(ShortRangeSolver):
 
     def accelerations_cloud(self, positions, masses, n_targets):
         pos = np.asarray(positions, dtype=self.kernel.dtype)
-        n_cloud = pos.shape[0]
-        if n_cloud == 0:
-            return np.zeros((0, 3), dtype=self.kernel.dtype)
+        if pos.shape[0] == 0:
+            return self.engine.evaluate(InteractionBatch.empty(), pos, masses)
         with get_registry().span("p3m.binning"):
             ncell, uniq, starts, order = self._bin(pos)
         with get_registry().span("p3m.pack"):

@@ -69,6 +69,34 @@ class TestSimulationConfig:
         with pytest.raises(ValueError):
             SimulationConfig(**{**base, **kwargs})
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            dict(box_size=float("nan")),
+            dict(box_size=float("inf")),
+            dict(z_initial=float("nan")),
+            dict(z_final=float("nan")),
+            dict(rcut_cells=float("nan")),
+            dict(eps_cells=float("nan")),
+            dict(eps_cells=float("inf")),
+            dict(eps_cells=-1.0),
+            dict(sigma=float("nan")),
+            dict(leaf_size=0),
+        ],
+        ids=lambda kw: "-".join(f"{k}={v}" for k, v in kw.items()),
+    )
+    def test_bad_value_fails_at_the_boundary(self, kwargs):
+        """Non-finite floats, a negative softening and an empty leaf are
+        a ConfigError at construction and from a saved dict, not a
+        kernel error or NaN forces mid-run."""
+        base = dict(box_size=64.0, n_per_dim=8)
+        name = next(iter(kwargs))
+        with pytest.raises(ConfigError, match=name):
+            SimulationConfig(**{**base, **kwargs})
+        payload = {**SimulationConfig(**base).to_dict(), **kwargs}
+        with pytest.raises(ConfigError, match=name):
+            SimulationConfig.from_dict(payload)
+
     def test_from_dict_accepts_the_retired_naive_switch(self):
         """Checkpoints and --config files written before the per-leaf
         path was retired carry ``shortrange_naive: false``; they load

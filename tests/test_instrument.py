@@ -19,7 +19,6 @@ from repro import instrument
 from repro.config import SimulationConfig
 from repro.core.simulation import HACCSimulation
 from repro.instrument import (
-    Counter,
     FakeClock,
     NullRegistry,
     Registry,
@@ -159,21 +158,6 @@ class TestCounters:
         assert registry.counters == {"x": 5, "y": 2.5}
         assert registry.counter("x") == 5
         assert registry.counter("missing") == 0
-
-    def test_counter_object_mirrors_into_registry(self, registry):
-        c = Counter("pairs")
-        c.add(10)
-        c.add(32)
-        assert c.value == 42
-        assert registry.counter("pairs") == 42
-
-    def test_counter_object_counts_while_disabled(self):
-        c = Counter("pairs")
-        c.add(7)  # no live registry: own value still accumulates
-        assert c.value == 7
-        assert get_registry().counter("pairs") == 0
-        c.reset()
-        assert c.value == 0
 
 
 # ----------------------------------------------------------------------

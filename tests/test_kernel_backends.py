@@ -50,8 +50,6 @@ from repro.shortrange.solvers import (
     TreePMShortRange,
     build_solver,
     periodic_ghosts,
-    solver_from_spec,
-    solver_spec,
 )
 
 BOX = 10.0
@@ -233,12 +231,9 @@ class TestInterpretedNumbaEquivalence:
         pos = clustered_cloud(rng, 120)
         ref_solver = make_solver("treepm", kernel, "numpy")
         c_solver = make_solver("treepm", kernel, cbackend)
-        before = kernel.interaction_count
         ref_solver.accelerations(pos, None, BOX)
-        ref_pairs = kernel.interaction_count - before
-        before = kernel.interaction_count
         c_solver.accelerations(pos, None, BOX)
-        c_pairs = kernel.interaction_count - before
+        ref_pairs, c_pairs = ref_solver.last_pairs[0], c_solver.last_pairs[0]
         assert ref_pairs == c_pairs > 0
         # ... and both are the pairs the packed batch streams
         cloud, cloud_m = periodic_ghosts(pos, np.ones(120), BOX, kernel.rcut)
@@ -246,11 +241,7 @@ class TestInterpretedNumbaEquivalence:
             RCBTree(cloud, cloud_m, leaf_size=16), kernel.rcut, 120
         )
         assert ref_pairs == batch.n_pairs
-        assert (
-            ref_solver.engine.last_inside_pairs
-            == c_solver.engine.last_inside_pairs
-            > 0
-        )
+        assert ref_solver.last_pairs[1] == c_solver.last_pairs[1] > 0
 
     def test_cic_gather_bitwise(self, cbackend, rng):
         n = 8
@@ -308,9 +299,7 @@ class TestCBackendEquivalence:
             built = make_solver(solver, kern, backend,
                                 chunk_pairs=chunk_pairs)
             acc = built.accelerations(pos, masses, BOX)
-            out[backend] = (
-                acc, kern.interaction_count, built.engine.last_inside_pairs
-            )
+            out[backend] = (acc, *built.last_pairs)
         ref, got = out["numpy"], out["c"]
         assert np.abs(ref[0]).max() > 0
         assert got[0].dtype == ref[0].dtype
@@ -337,7 +326,7 @@ class TestCBackendEquivalence:
         ref, got = (e.evaluate(batch, pos, np.ones(12)) for e in engines)
         assert np.abs(ref[[0, 1, 3, 4]]).min() > 0 and not ref[2].any()
         assert np.array_equal(ref, got)
-        assert engines[0].last_inside_pairs == engines[1].last_inside_pairs
+        assert engines[0].last_pairs == engines[1].last_pairs
         for solver in ("treepm", "p3m", "multitree"):
             built = make_solver(solver, kern, "c")
             assert built.accelerations_cloud(pos, np.ones(12), 0).shape \
@@ -518,7 +507,7 @@ class TestPairLanes:
             engine = BatchedPairEngine(kern, chunk_pairs=chunk_pairs,
                                        backend=backend)
             acc = engine.evaluate(batch, pos, masses)
-            out.append((acc, engine.last_inside_pairs))
+            out.append((acc, engine.last_pairs[1]))
         (ref, n_ref), (scalar, n_scalar), (lanes, n_lanes) = out
         assert lanes.dtype == dtype
         assert lanes.tobytes() == scalar.tobytes() == ref.tobytes()
@@ -1169,25 +1158,6 @@ class TestConfigPlumbing:
 
 
 class TestSolverSpecRoundtrip:
-    def test_spec_carries_kernel_backend(self, kernel):
-        spec = solver_spec(
-            "treepm", kernel, leaf_size=16, kernel_backend="numpy"
-        )
-        assert spec["kernel_backend"] == "numpy"
-        clone = solver_from_spec(spec)
-        assert clone.engine.backend.name == "numpy"
-
-    def test_spec_default_backend_is_numpy(self, kernel):
-        clone = solver_from_spec(solver_spec("treepm", kernel, leaf_size=16))
-        assert clone.engine.backend.name == "numpy"
-
-    def test_spec_is_picklable(self, kernel):
-        import pickle
-
-        spec = solver_spec("p3m", kernel, kernel_backend="numpy")
-        clone = solver_from_spec(pickle.loads(pickle.dumps(spec)))
-        assert clone.engine.backend.name == "numpy"
-
     def test_build_solver_passes_backend(self, kernel):
         s = build_solver(
             "treepm", kernel, leaf_size=16, kernel_backend="numpy"

@@ -114,9 +114,7 @@ class TestRankExecutor:
         for backend in EXECUTOR_BACKENDS:
             ex = RankExecutor(backend=backend, workers=3)
             assert ex.workers == 3
-            assert ex.parallel
             ex.close()
-        assert not RankExecutor(backend="thread", workers=1).parallel
 
     def test_from_config(self):
         cfg = tiny_config(workers=2, executor="thread")
@@ -214,18 +212,26 @@ class TestSimulationDeterminism:
 # failure propagation out of the fleet
 # ----------------------------------------------------------------------
 class TestWorkerFailure:
-    def test_worker_exception_names_the_failing_rank(self, monkeypatch):
+    @pytest.mark.parametrize(
+        "executor, workers",
+        [("serial", 1), ("thread", 1), ("serial", 2), ("thread", 2)],
+        ids=["serial@1", "thread@1", "serial@2", "thread@2"],
+    )
+    def test_worker_exception_names_the_failing_rank(
+        self, monkeypatch, executor, workers
+    ):
+        """One failure contract: every executor names the failing rank."""
         import repro.core.simulation as simmod
 
         real = simmod._solve_domain
 
-        def poisoned(solver, faults, rank, positions, masses, active):
-            if rank == 1:
+        def poisoned(solver, faults, dom):
+            if dom.rank == 1:
                 raise RuntimeError("domain solver blew up")
-            return real(solver, faults, rank, positions, masses, active)
+            return real(solver, faults, dom)
 
         monkeypatch.setattr(simmod, "_solve_domain", poisoned)
-        sim = make_sim(tiny_config(workers=CHAOS_WORKERS, executor="thread"))
+        sim = make_sim(tiny_config(workers=workers, executor=executor))
         try:
             with pytest.raises(WorkerError) as err:
                 sim.step()

@@ -10,7 +10,9 @@ what the disabled instrumentation can possibly cost a production run.
 from __future__ import annotations
 
 import json
+import sys
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -45,9 +47,12 @@ from repro.machine.calibrate import (
 from repro.shortrange.backends import available_backends
 from repro.shortrange.grid_force import default_grid_force_fit
 from repro.shortrange.kernel import ShortRangeKernel
+from repro.shortrange.solvers import DirectShortRange
 
 
-def tiny_sim(**kwargs) -> HACCSimulation:
+def tiny_sim(
+    decomposition_dims=None, overload_depth=None, **kwargs
+) -> HACCSimulation:
     base = dict(
         box_size=32.0,
         n_per_dim=8,
@@ -58,7 +63,11 @@ def tiny_sim(**kwargs) -> HACCSimulation:
         seed=7,
     )
     base.update(kwargs)
-    return HACCSimulation(SimulationConfig(**base))
+    return HACCSimulation(
+        SimulationConfig(**base),
+        decomposition_dims=decomposition_dims,
+        overload_depth=overload_depth,
+    )
 
 
 # ----------------------------------------------------------------------
@@ -74,34 +83,45 @@ class TestPairWork:
         kernel = ShortRangeKernel(fit, spacing=1.0, dtype=dtype)
         reg = Registry()
         with use(reg):
-            kernel.accumulate(
-                np.zeros((1, 3)), np.ones((1, 3)), np.ones(1)
+            # a lone particle: the direct sum streams its one pair (with
+            # itself, which the cutoff mask zeroes) and charges it in full
+            DirectShortRange(kernel).accelerations_cloud(
+                np.ones((1, 3)), np.ones(1), 1
             )
         assert reg.counter("pp.interactions") == 1
         assert reg.counter("pp.flops") == perfcount.PAIR_FLOPS == 21.0
         assert reg.counter("pp.bytes") == 4 * itemsize
+
+    def test_concurrent_charges_are_exact(self):
+        """Pool threads charge their solves' work directly into the one
+        registry: under a tiny switch interval no update is lost."""
+        reg = Registry()
+        n_threads, n_iter = 8, 500
+
+        def work():
+            for _ in range(n_iter):
+                perfcount.charge_pairs(3, 1, 8)
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with use(reg), ThreadPoolExecutor(n_threads) as pool:
+                futures = [pool.submit(work) for _ in range(n_threads)]
+                for fut in futures:
+                    fut.result(timeout=60)
+        finally:
+            sys.setswitchinterval(old)
+        n = n_threads * n_iter
+        assert reg.counter("pp.interactions") == 3 * n
+        assert reg.counter("pp.batch.inside_pairs") == n
+        assert reg.counter("pp.flops") == perfcount.pair_flops(3 * n, n)
+        assert reg.counter("pp.bytes") == perfcount.pair_bytes(3 * n, 8)
 
     def test_f32_halves_bytes_for_identical_flops(self):
         """The bandwidth half of mixed precision, from the counters."""
         assert perfcount.pair_bytes(100, 4) == perfcount.pair_bytes(
             100, 8
         ) / 2
-
-    def test_worker_clone_does_not_touch_registry(self):
-        """mirror_counters=False keeps a private tally only — the
-        no-double-count contract the process executor relies on."""
-        fit = default_grid_force_fit()
-        kernel = ShortRangeKernel(
-            fit, spacing=1.0, mirror_counters=False
-        )
-        reg = Registry()
-        with use(reg):
-            kernel.accumulate(
-                np.zeros((2, 3)), np.ones((3, 3)), np.ones(3)
-            )
-        assert kernel.interaction_count == 6
-        assert reg.counter("pp.flops") == 0.0
-        assert reg.counter("pp.bytes") == 0.0
 
 
 class TestCICWork:
@@ -184,7 +204,8 @@ class TestFFTWork:
 # ----------------------------------------------------------------------
 class TestWorkInvariance:
     WORK_COUNTERS = (
-        "pp.interactions", "pp.flops", "pp.bytes",
+        "pp.interactions", "pp.batch.inside_pairs", "pp.flops", "pp.bytes",
+        "tree.build_particles", "tree.list_length",
         "cic.flops", "cic.bytes", "fft.flops", "fft.bytes",
     )
 
@@ -195,15 +216,32 @@ class TestWorkInvariance:
         reg = Registry()
         with use(reg):
             sim.run()
-        return {k: reg.counter(k) for k in self.WORK_COUNTERS}
+        sim.close()
+        counts = {k: reg.counter(k) for k in self.WORK_COUNTERS}
+        counts["interaction_count"] = sim.interaction_count()
+        return counts
 
-    @pytest.mark.parametrize("executor", ["thread"])
-    def test_executors_count_identical_work(self, executor):
-        """Same config, same counted work — serial vs parallel fleets."""
-        serial = self._run_counters()
-        parallel = self._run_counters(executor=executor, workers=2)
+    @pytest.mark.parametrize("backend", ["treepm", "p3m", "direct"])
+    @pytest.mark.parametrize(
+        "executor", ["serial", "thread"], ids=["serial@2", "thread@2"]
+    )
+    def test_executors_count_identical_work(self, executor, backend):
+        """Same decomposed run, same counted work — serial@1 vs fleets."""
+        # a 16^3 grid puts rcut at 6 Mpc/h: rcut <= 7 < 8, half the
+        # (2,1,1) domain width, so the domain solves reach the executor
+        decomposed = dict(
+            backend=backend, grid_size=16,
+            decomposition_dims=(2, 1, 1), overload_depth=7.0,
+        )
+        serial = self._run_counters(**decomposed)
+        parallel = self._run_counters(
+            executor=executor, workers=2, **decomposed
+        )
         assert serial == parallel
         assert serial["pp.flops"] > 0
+        assert serial["interaction_count"] == serial["pp.interactions"]
+        if backend == "treepm":
+            assert serial["tree.list_length"] > 0
 
     @pytest.mark.skipif(
         "c" not in available_backends(), reason="no working C compiler"

@@ -22,6 +22,7 @@ from repro.fft.local import (
 )
 from repro.fft.pencil import PencilFFT
 from repro.grid.cic import ParticleGridCoords, cic_deposit, cic_interpolate
+from repro.instrument import Registry, use
 from repro.shortrange.backends import BackendUnavailable, get_backend
 from repro.shortrange.batch import (
     BatchedPairEngine,
@@ -260,39 +261,45 @@ class TestEquivalence:
         """``pp.interactions`` is the pairs the packed batch streams."""
         pos = clustered_cloud(rng, 400)
         m = np.ones(400)
-        kernel.reset_counters()
         solver = TreePMShortRange(kernel, leaf_size=16)
-        solver.accelerations(pos, m, box_size=BOX)
+        reg = Registry()
+        with use(reg):
+            solver.accelerations(pos, m, box_size=BOX)
         cloud, cloud_m = periodic_ghosts(pos, m, BOX, kernel.rcut)
         batch = pack_tree(
             RCBTree(cloud, cloud_m, leaf_size=16), kernel.rcut, 400
         )
-        assert kernel.interaction_count == batch.n_pairs > 0
-        assert solver.engine.last_pairs == batch.n_pairs
+        assert reg.counter("pp.interactions") == batch.n_pairs > 0
+        assert solver.last_pairs[0] == batch.n_pairs
         assert solver.last_list_sizes.sum() == batch.neighbor_indices.size
         # every in-cutoff pair of a real target, and nothing else
         sep = np.linalg.norm(pos[:, None] - cloud[None], axis=2)
         inside = np.count_nonzero((sep > 0) & (sep < kernel.rcut))
-        assert solver.engine.last_inside_pairs == kernel.inside_count == inside
+        assert (
+            solver.last_pairs[1]
+            == reg.counter("pp.batch.inside_pairs")
+            == inside
+        )
 
     def test_p3m_interaction_counts_identical(self, kernel, rng):
         pos = uniform_cloud(rng, 300)
         m = np.ones(300)
-        kernel.reset_counters()
         solver = P3MShortRange(kernel)
-        solver.accelerations(pos, m, box_size=BOX)
+        reg = Registry()
+        with use(reg):
+            solver.accelerations(pos, m, box_size=BOX)
         cloud, _ = periodic_ghosts(pos, m, BOX, kernel.rcut)
         sep = np.linalg.norm(pos[:, None] - cloud[None], axis=2)
         inside = np.count_nonzero((sep > 0) & (sep < kernel.rcut))
-        assert solver.engine.last_inside_pairs == inside
+        assert solver.last_pairs[1] == inside
         # the cull leaves fewer pairs than whole 27-cell neighborhoods
-        assert inside < kernel.interaction_count < 300 * cloud.shape[0]
-        assert kernel.interaction_count == solver.engine.last_pairs
+        streamed = reg.counter("pp.interactions")
+        assert inside < streamed < 300 * cloud.shape[0]
+        assert streamed == solver.last_pairs[0]
 
     def test_multitree_balance_report_consistent(self, kernel, rng):
         pos = clustered_cloud(rng, 400)
         m = np.ones(400)
-        kernel.reset_counters()
         solver = MultiTreeShortRange(kernel, leaf_size=16, n_trees=4)
         solver.accelerations(pos, m, box_size=BOX)
         report = solver.last_balance_report()
@@ -302,7 +309,7 @@ class TestEquivalence:
         assert report["build_imbalance"] < 1.01
         assert (
             sum(r.interactions for r in solver._report)
-            == kernel.interaction_count
+            == solver.last_pairs[0]
         )
 
     # -------------------------- edge cases --------------------------
@@ -445,10 +452,10 @@ class TestCullNeverChangesABit:
         assert packed.n_pairs < uncut.n_pairs
         engine = BatchedPairEngine(kernel, backend=self.BACKEND)
         a = engine.evaluate(packed, tree.positions, tree.masses)
-        inside = engine.last_inside_pairs
+        inside = engine.last_pairs[1]
         b = engine.evaluate(uncut, tree.positions, tree.masses)
         assert np.array_equal(a, b)
-        assert engine.last_inside_pairs == inside
+        assert engine.last_pairs[1] == inside
         assert np.abs(a[packed.targets]).max() > 0
         assert not a[tree.perm >= 400].any()
 
@@ -524,12 +531,16 @@ class TestTightListEdges:
     def test_no_targets_and_empty_cloud(self, kernel, rng, solver):
         pos = clustered_cloud(rng, 60)
         built = SOLVERS[solver](kernel, 16, self.BACKEND)
-        kernel.reset_counters()
-        assert built.accelerations_cloud(pos, np.ones(60), 0).shape == (0, 3)
-        assert built.accelerations_cloud(
-            np.zeros((0, 3)), np.zeros(0), 0
-        ).shape == (0, 3)
-        assert kernel.interaction_count == 0
+        reg = Registry()
+        with use(reg):
+            assert built.accelerations_cloud(pos, np.ones(60), 0).shape \
+                == (0, 3)
+            assert built.last_pairs == (0, 0)
+            assert built.accelerations_cloud(
+                np.zeros((0, 3)), np.zeros(0), 0
+            ).shape == (0, 3)
+            assert built.last_pairs == (0, 0)
+        assert reg.counter("pp.interactions") == 0
         assert pack_tree(RCBTree(pos, leaf_size=16), 3.0, 0).n_groups == 0
 
     def test_empty_candidate_groups_are_dropped(self):

@@ -13,9 +13,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.instrument import Registry, use
+from repro.instrument.perfcount import pair_flops
 from repro.shortrange.backends import BackendUnavailable, get_backend
 from repro.shortrange.kernel import ShortRangeKernel
 from repro.shortrange.rcb_tree import RCBTree
+from repro.shortrange.solvers import DirectShortRange
 
 
 def _have_c() -> bool:
@@ -119,12 +122,16 @@ class TestAccumulate:
         )
 
     def test_interaction_counter(self, kernel, rng):
-        kernel.reset_counters()
-        tgt = rng.uniform(0, 3.0, (10, 3))
+        """The direct solver counts every kernel pair it evaluates."""
         src = rng.uniform(0, 3.0, (20, 3))
-        kernel.accumulate(tgt, src, np.ones(20))
-        assert kernel.interaction_count == 200
-        assert kernel.flops() == pytest.approx(21.0 * 200)
+        solver = DirectShortRange(kernel)
+        reg = Registry()
+        with use(reg):
+            solver.accelerations_cloud(src, np.ones(20), 10)
+        assert solver.last_pairs == (200, 200)
+        assert reg.counter("pp.interactions") == 200
+        assert pair_flops(*solver.last_pairs) == pytest.approx(21.0 * 200)
+        assert reg.counter("pp.flops") == pytest.approx(21.0 * 200)
 
     def test_empty_inputs(self, kernel):
         out = kernel.accumulate(np.zeros((0, 3)), np.zeros((0, 3)), np.zeros(0))
