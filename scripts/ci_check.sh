@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # CI lanes (usage: scripts/ci_check.sh), one line each:
-#  1 fast test suite (pytest -m "not slow")
+#  1 fast test suite (pytest -m "not slow") + src/repro docstring examples
 #  2 run smoke: 'run --summary' under --workers 2
 #  3 one decomposed run at serial@1, serial@2, thread@2 bitwise, equal
 #    pp.*/tree.* counters; f32 pair
@@ -21,8 +21,8 @@ PYTHON="${PYTHON:-python}"
 export REPRO_CHAOS_SEED="${REPRO_CHAOS_SEED:-2012}"
 export REPRO_CHAOS_WORKERS="${REPRO_CHAOS_WORKERS:-2}"
 
-echo "== 1/11 smoke tests (pytest -m 'not slow') =="
-PYTHONPATH=src "$PYTHON" -m pytest tests -q -m "not slow"
+echo "== 1/11 smoke tests (pytest -m 'not slow') + docstring examples =="
+PYTHONPATH=src "$PYTHON" -m pytest tests src/repro -q -m "not slow"
 
 echo "== 2/11 run smoke (run --summary --workers 2) =="
 PYTHONPATH=src "$PYTHON" -m repro run --steps 2 --n-per-dim 12 --workers 2 \

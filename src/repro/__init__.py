@@ -6,8 +6,8 @@ Layering (bottom-up):
 
 * :mod:`repro.cosmology` — FLRW backgrounds, linear power spectra,
   Gaussian random fields, Zel'dovich/2LPT initial conditions;
-* :mod:`repro.fft` — from-scratch sequential FFT plus the slab- and
-  pencil-decomposed distributed 3-D FFTs;
+* :mod:`repro.fft` — the slab- and pencil-decomposed distributed 3-D
+  FFTs;
 * :mod:`repro.parallel` — simulated MPI ranks, 3-D block decomposition,
   particle overloading, torus topology;
 * :mod:`repro.grid` — CIC and the spectrally filtered Poisson solver;

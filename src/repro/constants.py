@@ -85,9 +85,9 @@ def particle_mass(omega_m: float, box_size: float, n_particles: int) -> float:
     Examples
     --------
     The paper's 10240^3-particle, (9.14 Gpc)^3 science run quotes
-    ``m_p ~= 1.9e10 Msun``:
+    ``m_p ~= 1.9e10 Msun``; with h = 0.71 its box is 9140 h ~= 6489 Mpc/h:
 
-    >>> mp = particle_mass(0.265, 9140.0, 10240**3)
+    >>> mp = particle_mass(0.265, 9140.0 * 0.71, 10240**3)
     >>> 1.0e10 < mp < 3.0e10
     True
     """

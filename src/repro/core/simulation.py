@@ -130,7 +130,7 @@ class HACCSimulation:
     ...                        backend="pm", z_initial=20.0, z_final=10.0)
     >>> sim = HACCSimulation(cfg)
     >>> sim.run()
-    >>> abs(sim.a - cfg.a_final) < 1e-12
+    >>> bool(abs(sim.a - cfg.a_final) < 1e-12)
     True
     """
 

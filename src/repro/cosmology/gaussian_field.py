@@ -83,7 +83,7 @@ class GaussianRandomField:
     >>> delta = grf.realize()
     >>> delta.shape
     (16, 16, 16)
-    >>> abs(delta.mean()) < 1e-12
+    >>> bool(abs(delta.mean()) < 1e-12)
     True
     """
 

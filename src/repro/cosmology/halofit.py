@@ -136,7 +136,8 @@ class HalofitPower:
     # the fit
     # ------------------------------------------------------------------
     def __call__(self, k, a: float = 1.0) -> np.ndarray:
-        """Nonlinear P(k, a), (Mpc/h)^3 for k in h/Mpc."""
+        """Nonlinear P(k, a), (Mpc/h)^3 for k in h/Mpc, shaped like ``k``."""
+        shape = np.shape(k)
         k = np.atleast_1d(np.asarray(k, dtype=np.float64))
         if np.any(k < 0):
             raise ValueError("wavenumbers must be non-negative")
@@ -203,7 +204,7 @@ class HalofitPower:
             )
             d2_nl = two_halo + one_halo
             pk = np.where(k > 0, d2_nl * 2.0 * np.pi**2 / np.maximum(k, 1e-30) ** 3, 0.0)
-        return pk
+        return pk.reshape(shape)
 
     def boost(self, k, a: float = 1.0) -> np.ndarray:
         """Nonlinear boost ``P_NL / P_L`` (>= ~1 in the resolved regime)."""

@@ -1,13 +1,10 @@
 """HACC-style FFT substrate.
 
 The paper stresses that HACC ships "its own scalable, high performance 3-D
-FFT routine implemented using a 2-D pencil decomposition" and depends on no
-vendor library.  Mirroring that:
+FFT routine implemented using a 2-D pencil decomposition".  That claim is
+about the distributed transform; the 1-D transforms along each pencil's
+local axis are ``numpy.fft`` (HACC 2014 likewise hands them to a library).
 
-* :mod:`repro.fft.local` — a from-scratch sequential 1-D FFT (mixed-radix
-  Cooley-Tukey with a Bluestein fallback for large prime lengths, so
-  non-power-of-two sizes such as 6400 or 9216 work), batched over rows and
-  verified against ``numpy.fft`` in the tests.
 * :mod:`repro.fft.pencil` — the 2-D pencil-decomposed distributed 3-D FFT
   (``Nrank < N^2``) built from interleaved transposes and sequential 1-D
   FFT passes over the simulated communicator.
@@ -15,24 +12,7 @@ vendor library.  Mirroring that:
   (``Nrank < N``), kept as the Roadrunner-era baseline for Fig. 6.
 """
 
-from repro.fft.local import (
-    SequentialFFT,
-    clear_plan_caches,
-    factor_chain,
-    fft1d,
-    ifft1d,
-    plan_cache_info,
-)
 from repro.fft.pencil import PencilFFT
 from repro.fft.slab import SlabFFT
 
-__all__ = [
-    "fft1d",
-    "ifft1d",
-    "SequentialFFT",
-    "PencilFFT",
-    "SlabFFT",
-    "factor_chain",
-    "plan_cache_info",
-    "clear_plan_caches",
-]
+__all__ = ["PencilFFT", "SlabFFT"]

@@ -28,7 +28,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.fft.local import SequentialFFT
 from repro.instrument import get_registry, timed
 from repro.parallel.comm import SimulatedComm
 
@@ -70,8 +69,6 @@ class PencilFFT:
         Rank grid dimensions; total ranks ``pr * pc``.
     comm:
         Optional shared :class:`SimulatedComm` of size ``pr * pc``.
-    fft:
-        Sequential 1-D FFT backend (native or numpy).
 
     Notes
     -----
@@ -95,7 +92,6 @@ class PencilFFT:
         pr: int,
         pc: int,
         comm: SimulatedComm | None = None,
-        fft: SequentialFFT | None = None,
     ) -> None:
         if n < 2:
             raise ValueError(f"grid size must be >= 2, got {n}")
@@ -119,7 +115,6 @@ class PencilFFT:
             raise ValueError(
                 f"communicator size {self.comm.size} != pr*pc = {self.size}"
             )
-        self.fft = fft if fft is not None else SequentialFFT()
         # row communicator r_i groups ranks {i*pc + j : j}, column
         # communicator c_j groups {i*pc + j : i}.
         self._row_comms = self.comm.split(
@@ -332,7 +327,7 @@ class PencilFFT:
         the per-rank compute alongside the transpose communication; with
         the no-op registry this is the plain list comprehension.
         """
-        fn = self.fft.ifft if inverse else self.fft.fft
+        fn = np.fft.ifft if inverse else np.fft.fft
         reg = get_registry()
         if not reg.enabled:
             return [fn(b, axis=axis) for b in blocks]

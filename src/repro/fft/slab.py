@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.fft.local import SequentialFFT
 from repro.parallel.comm import SimulatedComm
 
 __all__ = ["SlabFFT"]
@@ -36,7 +35,6 @@ class SlabFFT:
         n: int,
         nranks: int,
         comm: SimulatedComm | None = None,
-        fft: SequentialFFT | None = None,
     ) -> None:
         if n < 2:
             raise ValueError(f"grid size must be >= 2, got {n}")
@@ -57,7 +55,6 @@ class SlabFFT:
             raise ValueError(
                 f"communicator size {self.comm.size} != {self.size}"
             )
-        self.fft = fft if fft is not None else SequentialFFT()
 
     # ------------------------------------------------------------------
     def scatter(self, field: np.ndarray) -> list[np.ndarray]:
@@ -116,16 +113,16 @@ class SlabFFT:
     def forward(self, blocks: list[np.ndarray]) -> list[np.ndarray]:
         """Forward FFT: x-slabs in, y-slabs of the spectrum out."""
         self._check(blocks)
-        work = [self.fft.fft(self.fft.fft(b, axis=2), axis=1) for b in blocks]
+        work = [np.fft.fft(np.fft.fft(b, axis=2), axis=1) for b in blocks]
         work = self._transpose_xy(work)
-        return [self.fft.fft(b, axis=0) for b in work]
+        return [np.fft.fft(b, axis=0) for b in work]
 
     def inverse(self, blocks: list[np.ndarray]) -> list[np.ndarray]:
         """Inverse FFT: y-slab spectra in, x-slab complex field out."""
         self._check(blocks)
-        work = [self.fft.ifft(b, axis=0) for b in blocks]
+        work = [np.fft.ifft(b, axis=0) for b in blocks]
         work = self._transpose_yx(work)
-        return [self.fft.ifft(self.fft.ifft(b, axis=1), axis=2) for b in work]
+        return [np.fft.ifft(np.fft.ifft(b, axis=1), axis=2) for b in work]
 
     def transpose_bytes_per_rank(self) -> int:
         """Bytes each rank ships in the global transpose (complex128)."""

@@ -43,7 +43,6 @@ from repro.shortrange.solvers import (
     TreePMShortRange,
     periodic_ghosts,
 )
-from repro.shortrange.multitree import MultiTreeShortRange, rcb_blocks
 
 __all__ = [
     "GridForceFit",
@@ -56,8 +55,6 @@ __all__ = [
     "P3MShortRange",
     "DirectShortRange",
     "periodic_ghosts",
-    "MultiTreeShortRange",
-    "rcb_blocks",
     "BatchedPairEngine",
     "InteractionBatch",
     "Workspace",

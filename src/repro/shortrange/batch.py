@@ -9,15 +9,14 @@ leaf by leaf inside a ``for`` loop, reallocating every pair temporary —
 is exactly the PM/tree anti-pattern PMFAST and the HACC architecture
 papers identify.  This module is the batch-oriented replacement:
 
-**Packing** (:func:`pack_tree`, :func:`pack_forest`,
-:func:`batch_box_query`) walks the tree once for *all* leaves
-simultaneously — a breadth-first frontier of
+**Packing** (:func:`pack_tree`, :func:`batch_box_query`) walks the tree
+once for *all* leaves simultaneously — a breadth-first frontier of
 (query, node) pairs pruned with whole-array bounds tests — and emits
 flat CSR-style arrays (:class:`InteractionBatch`): ``targets`` +
 ``target_offsets`` and ``neighbor_indices`` + ``neighbor_offsets``.
-Every packer (RCB tree, multi-tree, P3M chaining mesh) then hands its
-candidate groups to :meth:`InteractionBatch.tightened`, the one place
-that decides which pairs are streamed: ghost members stop being targets
+Both packers (RCB tree, P3M chaining mesh) then hand their candidate
+groups to :meth:`InteractionBatch.tightened`, the one place that
+decides which pairs are streamed: ghost members stop being targets
 (they only ever were sources), and each group's source list is culled,
 order preserved, to the sources within ``rcut`` of the bounding box of
 the group's real targets.
@@ -38,10 +37,10 @@ analogue of sizing the working set to cache) through the fitted
    members alike);
 3. in-cutoff forces are scattered back per target with ``bincount``.
 
-The engine is geometry-agnostic: the RCB tree, the multi-tree solver and
-the P3M chaining mesh all reduce their neighborhoods to an
-:class:`InteractionBatch` and share one evaluation loop, the way every
-HACC backend funnels into the same force kernel.
+The engine is geometry-agnostic: the RCB tree and the P3M chaining mesh
+both reduce their neighborhoods to an :class:`InteractionBatch` and
+share one evaluation loop, the way every HACC backend funnels into the
+same force kernel.
 
 The evaluation itself dispatches through the pluggable kernel-backend
 seam (:mod:`repro.shortrange.backends`): the engine prepares the SOA
@@ -74,7 +73,6 @@ __all__ = [
     "InteractionBatch",
     "BatchedPairEngine",
     "batch_box_query",
-    "pack_forest",
     "pack_tree",
     "DEFAULT_CHUNK_PAIRS",
 ]
@@ -303,69 +301,48 @@ def _float_dtype(a: np.ndarray):
     return dt if dt in (np.float32, np.float64) else np.float64
 
 
-def pack_forest(
-    trees: list[RCBTree], real: np.ndarray, positions: np.ndarray, rcut: float
-) -> InteractionBatch:
-    """Pack the per-leaf interaction lists of one or more trees.
-
-    The trees share one combined index space: tree ``k``'s particles sit,
-    in tree order, after those of trees ``0..k-1``; ``real`` and
-    ``positions`` are in that space.  A group is a leaf holding at least
-    one real particle; its candidate sources are the particles of every
-    leaf, of any tree, that its cutoff-expanded box touches, ascending
-    within each source tree; :meth:`InteractionBatch.tightened` then
-    keeps the real targets and the sources that can matter.
-    """
-    if rcut <= 0:
-        raise ValueError(f"rcut must be positive: {rcut}")
-    base = np.cumsum([0] + [t.n_particles for t in trees])
-    queries = []  # (tree, base, query leaves) of every non-empty tree
-    for t, b, e in zip(trees, base[:-1], base[1:]):
-        leaf = t.leaf_ids()
-        if leaf.size:
-            # leaf segments (sorted by start) partition the tree's range,
-            # so reduceat computes "any real target in segment" per leaf
-            any_real = np.logical_or.reduceat(real[b:e], t.node_start[leaf])
-            queries.append((t, b, leaf[any_real]))
-    if not sum(leaf.size for _, _, leaf in queries):
-        return InteractionBatch.empty()
-    qlo = np.concatenate([t.node_lo[leaf] for t, _, leaf in queries]) - rcut
-    qhi = np.concatenate([t.node_hi[leaf] for t, _, leaf in queries]) + rcut
-    mstart = np.concatenate([b + t.node_start[leaf] for t, b, leaf in queries])
-    mcount = np.concatenate([t.node_count[leaf] for t, _, leaf in queries])
-    # one multi-query walk per source tree; concatenating in tree order
-    # then stable-sorting by query lists each group's sources tree by tree
-    hits = [(t, b, *batch_box_query(t, qlo, qhi)) for t, b, _ in queries]
-    hq = np.concatenate([q for _, _, q, _ in hits])
-    hstart = np.concatenate([b + t.node_start[n] for t, b, _, n in hits])
-    hcount = np.concatenate([t.node_count[n] for t, _, _, n in hits])
-    order = np.argsort(hq, kind="stable")
-    neighbor_indices = ranges_to_indices(hstart[order], hcount[order])
-    per_query = np.bincount(
-        hq, weights=hcount.astype(np.float64), minlength=mstart.size
-    ).astype(np.int64)
-    neighbor_offsets = np.zeros(mstart.size + 1, dtype=np.int64)
-    np.cumsum(per_query, out=neighbor_offsets[1:])
-    members = ranges_to_indices(mstart, mcount)
-    member_offsets = np.zeros(mstart.size + 1, dtype=np.int64)
-    np.cumsum(mcount, out=member_offsets[1:])
-    return InteractionBatch(
-        members, member_offsets, neighbor_indices, neighbor_offsets
-    ).tightened(real[members], positions, rcut)
-
-
 def pack_tree(
     tree: RCBTree, rcut: float, n_targets: int | None = None
 ) -> InteractionBatch:
     """Pack a whole tree's per-leaf interaction lists into one batch.
 
-    Targets are the real particles (``tree.perm < n_targets``) of each
-    leaf that holds any (:func:`pack_forest` of one tree).  Indices are
-    in *tree order*; pair the batch with ``tree.positions`` /
-    ``tree.masses`` and scatter results through ``tree.perm``.
+    A group is a leaf holding at least one real particle
+    (``tree.perm < n_targets``); its candidate sources are the
+    particles, ascending, of every leaf its cutoff-expanded box touches;
+    :meth:`InteractionBatch.tightened` then keeps the real targets and
+    the sources that can matter.  Indices are in *tree order*; pair the
+    batch with ``tree.positions`` / ``tree.masses`` and scatter results
+    through ``tree.perm``.
     """
+    if rcut <= 0:
+        raise ValueError(f"rcut must be positive: {rcut}")
     n_real = tree.n_particles if n_targets is None else n_targets
-    return pack_forest([tree], tree.perm < n_real, tree.positions, rcut)
+    real = tree.perm < n_real
+    leaf = tree.leaf_ids()
+    if leaf.size:
+        # leaf segments (sorted by start) partition the tree's range, so
+        # reduceat computes "any real target in segment" per leaf
+        leaf = leaf[np.logical_or.reduceat(real, tree.node_start[leaf])]
+    if not leaf.size:
+        return InteractionBatch.empty()
+    # hits come sorted by query, so each group's sources are contiguous
+    hq, hn = batch_box_query(
+        tree, tree.node_lo[leaf] - rcut, tree.node_hi[leaf] + rcut
+    )
+    hcount = tree.node_count[hn]
+    neighbor_indices = ranges_to_indices(tree.node_start[hn], hcount)
+    per_query = np.bincount(
+        hq, weights=hcount.astype(np.float64), minlength=leaf.size
+    ).astype(np.int64)
+    neighbor_offsets = np.zeros(leaf.size + 1, dtype=np.int64)
+    np.cumsum(per_query, out=neighbor_offsets[1:])
+    mcount = tree.node_count[leaf]
+    members = ranges_to_indices(tree.node_start[leaf], mcount)
+    member_offsets = np.zeros(leaf.size + 1, dtype=np.int64)
+    np.cumsum(mcount, out=member_offsets[1:])
+    return InteractionBatch(
+        members, member_offsets, neighbor_indices, neighbor_offsets
+    ).tightened(real[members], tree.positions, rcut)
 
 
 class BatchedPairEngine:

@@ -70,6 +70,12 @@ class TestNonlinearPower:
         k = np.logspace(-4, 1.5, 80)
         assert np.all(halofit(k) > 0)
 
+    def test_output_is_shaped_like_k(self, halofit):
+        """A scalar k gives a 0-d array, as ``LinearPower`` does."""
+        assert np.shape(halofit(0.01)) == ()
+        assert halofit(np.array([0.01])).shape == (1,)
+        assert float(halofit(0.01)) == halofit(np.array([0.01]))[0]
+
     def test_negative_k_rejected(self, halofit):
         with pytest.raises(ValueError):
             halofit(np.array([-0.1]))

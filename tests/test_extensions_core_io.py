@@ -1,5 +1,5 @@
-"""Tests for the Layzer-Irvine monitor, checkpointing and the multi-tree
-solver — the paper's future-work / production features."""
+"""Tests for the Layzer-Irvine monitor and checkpointing — the paper's
+production features."""
 
 import numpy as np
 import pytest
@@ -9,9 +9,6 @@ from repro.core.diagnostics import LayzerIrvineMonitor
 from repro.core.particles import Particles
 from repro.grid.poisson import SpectralPoissonSolver
 from repro.io.checkpoint import load_checkpoint, save_checkpoint
-from repro.shortrange.kernel import ShortRangeKernel
-from repro.shortrange.multitree import MultiTreeShortRange, rcb_blocks
-from repro.shortrange.solvers import TreePMShortRange
 
 
 class TestLayzerIrvine:
@@ -179,74 +176,3 @@ class TestCheckpoint:
         restored = load_checkpoint(path)
         assert restored._step_index == 1
         assert restored.a == pytest.approx(sim.a)
-
-
-class TestMultiTree:
-    def test_rcb_blocks_partition(self, rng):
-        pos = rng.uniform(0, 10, (1000, 3))
-        blocks = rcb_blocks(pos, np.ones(1000), 8)
-        assert len(blocks) == 8
-        combined = np.concatenate(blocks)
-        assert np.array_equal(np.sort(combined), np.arange(1000))
-
-    def test_rcb_blocks_balanced_even_when_clustered(self, rng):
-        """Median splits equalize counts regardless of clustering —
-        the load-balance motivation."""
-        pos = np.concatenate(
-            [
-                rng.standard_normal((900, 3)) * 0.2 + 2.0,
-                rng.uniform(0, 10, (100, 3)),
-            ]
-        )
-        blocks = rcb_blocks(pos, np.ones(1000), 4)
-        counts = np.array([b.size for b in blocks])
-        assert counts.max() - counts.min() <= 1
-
-    def test_blocks_validation(self, rng):
-        pos = rng.uniform(0, 1, (10, 3))
-        with pytest.raises(ValueError):
-            rcb_blocks(pos, np.ones(10), 3)  # not a power of two
-        with pytest.raises(ValueError):
-            rcb_blocks(pos, np.ones(10), 0)
-
-    @pytest.mark.parametrize("n_trees", [1, 2, 4, 8])
-    def test_matches_single_tree(self, grid_force_fit, rng, n_trees):
-        pos = rng.uniform(0, 12.0, (500, 3))
-        m = rng.uniform(0.5, 1.5, 500)
-        ref = TreePMShortRange(
-            ShortRangeKernel(grid_force_fit, 1.0), leaf_size=24
-        ).accelerations(pos, m, box_size=12.0)
-        multi = MultiTreeShortRange(
-            ShortRangeKernel(grid_force_fit, 1.0),
-            leaf_size=24,
-            n_trees=n_trees,
-        ).accelerations(pos, m, box_size=12.0)
-        assert np.allclose(ref, multi, atol=1e-11)
-
-    def test_balance_report(self, grid_force_fit, rng):
-        solver = MultiTreeShortRange(
-            ShortRangeKernel(grid_force_fit, 1.0), leaf_size=16, n_trees=4
-        )
-        # clustered cloud: single tree would have wildly uneven subtrees
-        pos = np.concatenate(
-            [
-                rng.standard_normal((800, 3)) * 0.4 + 5.0,
-                rng.uniform(0, 12.0, (200, 3)),
-            ]
-        )
-        solver.accelerations(np.mod(pos, 12.0), np.ones(1000), box_size=12.0)
-        report = solver.last_balance_report()
-        assert report["blocks"] == 4
-        assert report["build_imbalance"] < 1.3
-
-    def test_report_requires_evaluation(self, grid_force_fit):
-        solver = MultiTreeShortRange(ShortRangeKernel(grid_force_fit, 1.0))
-        with pytest.raises(RuntimeError):
-            solver.last_balance_report()
-
-    def test_constructor_validation(self, grid_force_fit):
-        k = ShortRangeKernel(grid_force_fit, 1.0)
-        with pytest.raises(ValueError):
-            MultiTreeShortRange(k, n_trees=3)
-        with pytest.raises(ValueError):
-            MultiTreeShortRange(k, leaf_size=0)

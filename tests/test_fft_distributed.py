@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.fft.local import SequentialFFT
 from repro.fft.pencil import PencilFFT, PencilLayout
 from repro.fft.slab import SlabFFT
 from repro.parallel.comm import SimulatedComm
@@ -36,14 +35,6 @@ class TestPencilFFT:
         back = p.gather(p.inverse(p.forward(p.scatter(x))), "z-pencil")
         assert np.allclose(back.real, x, atol=1e-10)
         assert np.max(np.abs(back.imag)) < 1e-10
-
-    def test_native_backend_matches(self, rng):
-        x = rng.standard_normal((12, 12, 12))
-        ref = PencilFFT(12, 2, 2)
-        nat = PencilFFT(12, 2, 2, fft=SequentialFFT("native"))
-        a = ref.gather(ref.forward(ref.scatter(x)), "x-pencil")
-        b = nat.gather(nat.forward(nat.scatter(x)), "x-pencil")
-        assert np.allclose(a, b, atol=1e-8)
 
     def test_scatter_gather_identity(self, rng):
         x = rng.standard_normal((8, 8, 8))

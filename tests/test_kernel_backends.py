@@ -43,7 +43,6 @@ from repro.shortrange.backends import (
 from repro.shortrange.backends.numpy_backend import NumpyBackend
 from repro.shortrange.batch import BatchedPairEngine, InteractionBatch, pack_tree
 from repro.shortrange.kernel import ShortRangeKernel
-from repro.shortrange.multitree import MultiTreeShortRange
 from repro.shortrange.rcb_tree import RCBTree
 from repro.shortrange.solvers import (
     P3MShortRange,
@@ -119,14 +118,8 @@ def make_solver(name, kern, backend, leaf_size=16, chunk_pairs=1 << 18):
         return TreePMShortRange(kern, leaf_size=leaf_size,
                                 chunk_pairs=chunk_pairs,
                                 kernel_backend=backend)
-    if name == "p3m":
-        return P3MShortRange(kern, chunk_pairs=chunk_pairs,
-                             kernel_backend=backend)
-    solver = MultiTreeShortRange(kern, leaf_size=leaf_size, n_trees=2)
-    solver.engine = BatchedPairEngine(
-        kern, chunk_pairs=chunk_pairs, backend=backend
-    )
-    return solver
+    return P3MShortRange(kern, chunk_pairs=chunk_pairs,
+                         kernel_backend=backend)
 
 
 # ----------------------------------------------------------------------
@@ -281,7 +274,7 @@ class TestInterpretedNumbaEquivalence:
 @needs_c
 class TestCBackendEquivalence:
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
-    @pytest.mark.parametrize("solver", ["treepm", "p3m", "multitree"])
+    @pytest.mark.parametrize("solver", ["treepm", "p3m"])
     @pytest.mark.parametrize("chunk_pairs", [1 << 18, 7])
     def test_forces_and_counters_bitwise(
         self, grid_force_fit, rng, solver, dtype, chunk_pairs
@@ -327,7 +320,7 @@ class TestCBackendEquivalence:
         assert np.abs(ref[[0, 1, 3, 4]]).min() > 0 and not ref[2].any()
         assert np.array_equal(ref, got)
         assert engines[0].last_pairs == engines[1].last_pairs
-        for solver in ("treepm", "p3m", "multitree"):
+        for solver in ("treepm", "p3m"):
             built = make_solver(solver, kern, "c")
             assert built.accelerations_cloud(pos, np.ones(12), 0).shape \
                 == (0, 3)

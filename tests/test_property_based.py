@@ -1,7 +1,7 @@
 """Property-based tests (hypothesis) for core data structures and
-invariants: FFT round trips, CIC conservation/adjointness, RCB partition
-invariants, overloading conservation, FOF percolation monotonicity, and
-torus metric axioms.
+invariants: distributed FFT round trips, CIC conservation/adjointness,
+RCB partition invariants, overloading conservation, FOF percolation
+monotonicity, and torus metric axioms.
 """
 
 import numpy as np
@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from repro.fft.local import fft1d, ifft1d
+from repro.fft import PencilFFT, SlabFFT
 from repro.grid.cic import cic_deposit, cic_interpolate
 from repro.parallel.comm import SimulatedComm
 from repro.parallel.decomposition import DomainDecomposition, balanced_dims
@@ -21,19 +21,40 @@ from repro.analysis.halos import fof_halos
 
 # reusable strategies -------------------------------------------------------
 
-finite_floats = st.floats(
-    min_value=-1e3, max_value=1e3, allow_nan=False, allow_infinity=False
-)
+#: odd, prime and composite grid sizes, each with the rank grids dividing it
+FFT_SIZES = (5, 6, 7, 10, 12)
 
 
-def complex_arrays(max_n=96):
-    return st.integers(min_value=1, max_value=max_n).flatmap(
-        lambda n: arrays(
-            np.float64,
-            (2, n),
-            elements=finite_floats,
-        ).map(lambda a: a[0] + 1j * a[1])
+def _divisors(n):
+    return st.sampled_from([d for d in range(1, n + 1) if n % d == 0])
+
+
+@st.composite
+def distributed_ffts(draw):
+    """``(fft, x)``: a pencil or slab FFT on a rank grid dividing ``n``
+    and a complex ``(n, n, n)`` field for it."""
+    n = draw(st.sampled_from(FFT_SIZES))
+    if draw(st.booleans()):
+        fft = PencilFFT(n, draw(_divisors(n)), draw(_divisors(n)))
+    else:
+        fft = SlabFFT(n, draw(_divisors(n)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = draw(st.floats(min_value=1e-3, max_value=1e3))
+    x = scale * (
+        rng.standard_normal((n, n, n)) + 1j * rng.standard_normal((n, n, n))
     )
+    return fft, x
+
+
+def _layouts(fft):
+    """The (real-space, spectrum) layout names of ``fft``'s blocks."""
+    if isinstance(fft, PencilFFT):
+        return "z-pencil", "x-pencil"
+    return "x-slab", "y-slab"
+
+
+def _forward(fft, x):
+    return fft.gather(fft.forward(fft.scatter(x)), _layouts(fft)[1])
 
 
 def positions(max_n=200, box=10.0):
@@ -52,37 +73,48 @@ def positions(max_n=200, box=10.0):
 
 
 class TestFFTProperties:
-    @given(x=complex_arrays())
-    @settings(max_examples=40, deadline=None)
-    def test_roundtrip(self, x):
-        assert np.allclose(
-            ifft1d(fft1d(x)), x, atol=1e-8 * (1 + np.abs(x).max())
-        )
+    """The paper's distributed 3-D FFTs, pencil and slab."""
 
-    @given(x=complex_arrays())
+    @given(case=distributed_ffts())
     @settings(max_examples=40, deadline=None)
-    def test_matches_numpy(self, x):
-        assert np.allclose(
-            fft1d(x), np.fft.fft(x), atol=1e-8 * (1 + np.abs(x).max())
+    def test_roundtrip(self, case):
+        fft, x = case
+        back = fft.gather(
+            fft.inverse(fft.forward(fft.scatter(x))), _layouts(fft)[0]
         )
+        assert np.allclose(back, x, atol=1e-8 * (1 + np.abs(x).max()))
 
-    @given(x=complex_arrays(), shift=st.integers(min_value=0, max_value=50))
+    @given(case=distributed_ffts())
+    @settings(max_examples=40, deadline=None)
+    def test_matches_numpy(self, case):
+        fft, x = case
+        atol = 1e-8 * (1 + np.abs(x).max())
+        assert np.allclose(_forward(fft, x), np.fft.fftn(x), atol=atol)
+
+    @given(
+        case=distributed_ffts(),
+        axis=st.integers(min_value=0, max_value=2),
+        shift=st.integers(min_value=0, max_value=50),
+    )
     @settings(max_examples=25, deadline=None)
-    def test_shift_theorem(self, x, shift):
+    def test_shift_theorem(self, case, axis, shift):
         """Circular shift in real space is a phase ramp in k-space."""
-        n = x.shape[-1]
+        fft, x = case
+        n = x.shape[axis]
         s = shift % n
-        lhs = fft1d(np.roll(x, s, axis=-1))
-        k = np.arange(n)
-        rhs = fft1d(x) * np.exp(-2j * np.pi * k * s / n)
+        lhs = _forward(fft, np.roll(x, s, axis=axis))
+        ramp = np.exp(-2j * np.pi * np.arange(n) * s / n)
+        shape = [1, 1, 1]
+        shape[axis] = n
+        rhs = _forward(fft, x) * ramp.reshape(shape)
         assert np.allclose(lhs, rhs, atol=1e-7 * (1 + np.abs(x).max()))
 
-    @given(x=complex_arrays())
+    @given(case=distributed_ffts())
     @settings(max_examples=25, deadline=None)
-    def test_parseval(self, x):
-        n = x.shape[-1]
+    def test_parseval(self, case):
+        fft, x = case
         lhs = float(np.sum(np.abs(x) ** 2))
-        rhs = float(np.sum(np.abs(fft1d(x)) ** 2)) / n
+        rhs = float(np.sum(np.abs(_forward(fft, x)) ** 2)) / x.size
         assert lhs == pytest.approx(rhs, rel=1e-8, abs=1e-8)
 
 

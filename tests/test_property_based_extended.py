@@ -1,5 +1,5 @@
 """Property-based tests for the extension modules: rendering, emulation
-design, Vlasov conservation and RCB blocking."""
+design and Vlasov conservation."""
 
 import numpy as np
 import pytest
@@ -9,7 +9,6 @@ from hypothesis.extra.numpy import arrays
 
 from repro.analysis.render import apply_colormap, log_stretch, read_ppm, write_ppm
 from repro.cosmology.emulator import ParameterBox, latin_hypercube
-from repro.shortrange.multitree import rcb_blocks
 from repro.vlasov import SheetModel
 
 
@@ -106,22 +105,3 @@ class TestVlasovProperties:
     def test_sheet_lattice_equilibrium(self, n):
         sm = SheetModel.cold_perturbation(n, 1.0, 0.0)
         assert np.abs(sm.acceleration()).max() < 1e-10
-
-
-class TestRCBBlockProperties:
-    @given(
-        n=st.integers(min_value=1, max_value=300),
-        log_blocks=st.integers(min_value=0, max_value=4),
-        seed=st.integers(min_value=0, max_value=50),
-    )
-    @settings(max_examples=25, deadline=None)
-    def test_blocks_partition_and_balance(self, n, log_blocks, seed):
-        rng = np.random.default_rng(seed)
-        pos = rng.uniform(0, 1, (n, 3))
-        n_blocks = 2**log_blocks
-        blocks = rcb_blocks(pos, np.ones(n), n_blocks)
-        combined = np.concatenate(blocks) if blocks else np.empty(0)
-        assert np.array_equal(np.sort(combined), np.arange(n))
-        counts = [b.size for b in blocks]
-        if n >= n_blocks:
-            assert max(counts) - min(counts) <= max(1, n_blocks // 2)

@@ -14,12 +14,6 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.fft.local import (
-    clear_plan_caches,
-    factor_chain,
-    fft1d,
-    plan_cache_info,
-)
 from repro.fft.pencil import PencilFFT
 from repro.grid.cic import ParticleGridCoords, cic_deposit, cic_interpolate
 from repro.instrument import Registry, use
@@ -31,7 +25,6 @@ from repro.shortrange.batch import (
     pack_tree,
 )
 from repro.shortrange.kernel import ShortRangeKernel
-from repro.shortrange.multitree import MultiTreeShortRange
 from repro.shortrange.rcb_tree import RCBTree, ranges_to_indices
 from repro.shortrange.solvers import (
     DirectShortRange,
@@ -248,15 +241,6 @@ class TestEquivalence:
         ref = DirectShortRange(kernel).accelerations(pos, m, box_size=BOX)
         assert_forces_close(batched, ref, 1e-6)
 
-    def test_multitree_batched_vs_naive(self, kernel, rng):
-        pos = clustered_cloud(rng, 500)
-        m = rng.uniform(0.5, 1.5, 500)
-        batched = MultiTreeShortRange(
-            kernel, leaf_size=16, n_trees=4
-        ).accelerations(pos, m, box_size=BOX)
-        ref = DirectShortRange(kernel).accelerations(pos, m, box_size=BOX)
-        assert_forces_close(batched, ref, 1e-6)
-
     def test_interaction_counts_identical(self, kernel, rng):
         """``pp.interactions`` is the pairs the packed batch streams."""
         pos = clustered_cloud(rng, 400)
@@ -296,21 +280,6 @@ class TestEquivalence:
         streamed = reg.counter("pp.interactions")
         assert inside < streamed < 300 * cloud.shape[0]
         assert streamed == solver.last_pairs[0]
-
-    def test_multitree_balance_report_consistent(self, kernel, rng):
-        pos = clustered_cloud(rng, 400)
-        m = np.ones(400)
-        solver = MultiTreeShortRange(kernel, leaf_size=16, n_trees=4)
-        solver.accelerations(pos, m, box_size=BOX)
-        report = solver.last_balance_report()
-        cloud, _ = periodic_ghosts(pos, m, BOX, kernel.rcut)
-        assert report["blocks"] == 4
-        assert sum(report["particles_per_block"]) == cloud.shape[0]
-        assert report["build_imbalance"] < 1.01
-        assert (
-            sum(r.interactions for r in solver._report)
-            == solver.last_pairs[0]
-        )
 
     # -------------------------- edge cases --------------------------
     def test_single_particle(self, kernel):
@@ -366,12 +335,6 @@ class TestEquivalence:
 # ----------------------------------------------------------------------
 # tight lists: real targets, culled sources, unchanged bits
 # ----------------------------------------------------------------------
-def _multitree(kern, leaf, backend):
-    solver = MultiTreeShortRange(kern, leaf_size=leaf, n_trees=2)
-    solver.engine = BatchedPairEngine(kern, backend=backend)
-    return solver
-
-
 #: solver factories ``(kernel, leaf_size, kernel_backend)``
 SOLVERS = {
     "treepm": lambda kern, leaf, backend: TreePMShortRange(
@@ -380,7 +343,6 @@ SOLVERS = {
     "p3m": lambda kern, leaf, backend: P3MShortRange(
         kern, kernel_backend=backend
     ),
-    "multitree": _multitree,
 }
 
 
@@ -458,6 +420,26 @@ class TestCullNeverChangesABit:
         assert engine.last_pairs[1] == inside
         assert np.abs(a[packed.targets]).max() > 0
         assert not a[tree.perm >= 400].any()
+
+    @pytest.mark.parametrize("rcut", [0.5, 2.0, 3.0])
+    @pytest.mark.parametrize("leaf_size", [1, 4, 16, 128])
+    @pytest.mark.parametrize("cloud", sorted(CLOUDS))
+    def test_packed_lists_are_the_tightened_walk_lists(
+        self, rng, cloud, leaf_size, rcut
+    ):
+        """The packer's four CSR arrays are the per-leaf walk lists,
+        tightened: the packed walk changes no list, no order."""
+        pos = CLOUDS[cloud](rng, 400)
+        gpos, gm = periodic_ghosts(pos, np.ones(400), BOX, rcut)
+        tree = RCBTree(gpos, gm, leaf_size=leaf_size)
+        uncut = uncut_batch(tree, rcut, 400)
+        want = uncut.tightened(
+            np.ones(uncut.targets.size, bool), tree.positions, rcut
+        )
+        got = pack_tree(tree, rcut, 400)
+        for name in ("targets", "target_offsets", "neighbor_indices",
+                     "neighbor_offsets"):
+            assert np.array_equal(getattr(got, name), getattr(want, name))
 
 
 class TestTightListEdges:
@@ -649,38 +631,8 @@ class TestGhostDedup:
 
 
 # ----------------------------------------------------------------------
-# FFT plan caches and pencil buffers
+# pencil buffers
 # ----------------------------------------------------------------------
-class TestPlanCaches:
-    def test_factor_chain(self):
-        chain = factor_chain(96)
-        # 96 = 2*48 -> 48 = 2*24 -> 24 (direct cutoff region: 24 <= 31)
-        prod = 1
-        for f in chain:
-            prod *= f
-        assert prod == 96
-        assert chain[-1] <= 31 or len(chain) == 1
-
-    def test_repeat_transform_hits_cache(self):
-        clear_plan_caches()
-        x = np.random.default_rng(0).standard_normal(96)
-        fft1d(x)
-        first = plan_cache_info()
-        fft1d(x)
-        second = plan_cache_info()
-        assert second["split_factor"].hits > first["split_factor"].hits
-        assert second["split_factor"].misses == first["split_factor"].misses
-        assert second["twiddles"].misses == first["twiddles"].misses
-
-    def test_native_backend_still_correct_after_caching(self):
-        rng = np.random.default_rng(1)
-        for n in (37, 64, 96, 100):
-            v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-            np.testing.assert_allclose(
-                fft1d(v), np.fft.fft(v), atol=1e-10
-            )
-
-
 class TestPencilBuffers:
     def test_buffers_reused_across_transforms(self):
         p = PencilFFT(8, 2, 2)
