@@ -141,15 +141,9 @@ def _setup_observability(sim, args: argparse.Namespace) -> None:
     the energy-residual levels optionally overridden (the override flags
     imply ``--health``).
     """
-    from repro.instrument import (
-        HealthThresholds,
-        RunStream,
-        Telemetry,
-        Threshold,
-        run_manifest,
-    )
-
     if args.telemetry:
+        from repro.instrument import RunStream, Telemetry, run_manifest
+
         sim.telemetry = Telemetry(RunStream(args.telemetry, manifest=(
             run_manifest(sim.config, extra=_manifest_extra(sim))
         )))
@@ -157,6 +151,8 @@ def _setup_observability(sim, args: argparse.Namespace) -> None:
     warn = args.health_energy_warn
     crit = args.health_energy_crit
     if args.health or warn is not None or crit is not None:
+        from repro.instrument import HealthThresholds, Threshold
+
         thresholds = HealthThresholds()
         if warn is not None or crit is not None:
             base = thresholds.energy_residual

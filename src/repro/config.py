@@ -21,6 +21,10 @@ __all__ = ["ConfigError", "SimulationConfig"]
 
 _BACKENDS = ("treepm", "p3m", "direct", "pm")
 _EXECUTORS = ("serial", "thread")
+#: the largest handover radius, in cells, the grid-force fit can serve:
+#: ``measure_grid_force`` samples separations only this far, so a larger
+#: cutoff would extrapolate the polynomial
+_MAX_RCUT_CELLS = 4.5
 _KERNEL_BACKENDS = ("auto", "numpy", "c")
 _PRECISIONS = ("f32", "f64")
 
@@ -63,7 +67,8 @@ class SimulationConfig:
     sigma, ns:
         Spectral-filter parameters (Eq. 5; nominal 0.8 / 3).
     rcut_cells:
-        Short/long handover radius in grid cells (nominal 3).
+        Short/long handover radius in grid cells (nominal 3, at most
+        4.5).
     leaf_size:
         RCB fat-leaf capacity (treepm backend).
     chunk_pairs:
@@ -164,6 +169,11 @@ class SimulationConfig:
         if self.rcut_cells <= 0:
             raise ConfigError(
                 f"rcut_cells must be positive: {self.rcut_cells}"
+            )
+        if self.rcut_cells > _MAX_RCUT_CELLS:
+            raise ConfigError(
+                f"rcut_cells must be <= {_MAX_RCUT_CELLS} (the range the "
+                f"grid-force fit samples): {self.rcut_cells}"
             )
         if self.leaf_size < 1:
             raise ConfigError(f"leaf_size must be >= 1: {self.leaf_size}")

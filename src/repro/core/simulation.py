@@ -24,7 +24,7 @@ from __future__ import annotations
 import logging
 import threading
 import time
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
@@ -34,9 +34,7 @@ from repro.core.particles import Particles
 from repro.core.timestepper import SubcycledStepper
 from repro.cosmology.initial_conditions import make_initial_conditions
 from repro.grid.poisson import SpectralPoissonSolver
-from repro.parallel.decomposition import DomainDecomposition
 from repro.parallel.executor import RankExecutor
-from repro.parallel.overload import OverloadExchange
 from repro.resilience.faults import FaultPlan, NullFaultPlan
 from repro.shortrange.grid_force import (
     default_grid_force_fit,
@@ -45,6 +43,9 @@ from repro.shortrange.grid_force import (
 from repro.shortrange.backends import resolve_backend
 from repro.shortrange.kernel import ShortRangeKernel
 from repro.shortrange.solvers import build_solver
+
+if TYPE_CHECKING:  # imported where a decomposed run builds them
+    from repro.parallel.overload import OverloadExchange
 
 __all__ = ["HACCSimulation"]
 
@@ -221,6 +222,9 @@ class HACCSimulation:
         self.recovery_reports: list = []
         self._fault_events: list = []
         if decomposition_dims is not None:
+            from repro.parallel.decomposition import DomainDecomposition
+            from repro.parallel.overload import OverloadExchange
+
             decomp = DomainDecomposition(config.box_size, decomposition_dims)
             depth = (
                 overload_depth

@@ -23,11 +23,11 @@ the time stepper, keeping this layer free of unit conventions.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.cosmology.gaussian_field import fourier_grid
-from repro.fft.pencil import PencilFFT
 from repro.grid.cic import cic_deposit, cic_interpolate
 from repro.instrument import get_registry
 from repro.instrument import perfcount
@@ -38,6 +38,9 @@ from repro.grid.filters import (
     spectral_filter,
     super_lanczos_gradient,
 )
+
+if TYPE_CHECKING:  # the distributed path's caller builds the pencil FFT
+    from repro.fft.pencil import PencilFFT
 
 __all__ = ["SpectralPoissonSolver"]
 

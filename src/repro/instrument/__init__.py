@@ -30,106 +30,37 @@ to Chrome ``trace_event`` JSON; the reporting surface
 machine-readable ``BENCH_*.json`` records.  Per-rank telemetry
 (:mod:`repro.instrument.telemetry`) is no global: it is off unless a
 run sets ``sim.telemetry``.
+
+This ``__init__`` resolves its exports lazily
+(:func:`repro._lazy.lazy_exports`): ``from repro.instrument import
+get_registry`` loads only the registry, so a run that asks for no
+telemetry, health monitor or ledger never imports them.
 """
 
-from repro.instrument.registry import (
-    FakeClock,
-    NullRegistry,
-    Registry,
-    SpanEvent,
-    StepRecord,
-    count,
-    disable,
-    enable,
-    get_registry,
-    set_registry,
-    span,
-    timed,
-    use,
-)
-from repro.instrument.logconfig import logging_setup
-from repro.instrument.telemetry import (
-    RunStream,
-    StepTelemetry,
-    StreamFollower,
-    Telemetry,
-    imbalance_factor,
-    read_stream,
-    run_manifest,
-    sparkline,
-)
-from repro.instrument.health import (
-    HealthEvent,
-    HealthMonitor,
-    HealthThresholds,
-    SimulationHealth,
-    Threshold,
-)
-from repro.instrument.store import (
-    RunEntry,
-    RunLedger,
-    default_ledger_root,
-    git_revision,
-)
-from repro.instrument.analysis import (
-    RunAnalysis,
-    RunComparison,
-    analyze,
-    compare,
-    render_analysis,
-    render_comparison,
-)
-from repro.instrument.perfcount import (
-    PhaseWork,
-    achieved_gflops,
-    render_roofline,
-    roofline_table,
-    step_perf,
-    work_summary,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "FakeClock",
-    "HealthEvent",
-    "HealthMonitor",
-    "HealthThresholds",
-    "NullRegistry",
-    "PhaseWork",
-    "Registry",
-    "RunAnalysis",
-    "RunComparison",
-    "RunEntry",
-    "RunLedger",
-    "RunStream",
-    "SimulationHealth",
-    "SpanEvent",
-    "StepRecord",
-    "StepTelemetry",
-    "StreamFollower",
-    "Telemetry",
-    "Threshold",
-    "achieved_gflops",
-    "analyze",
-    "compare",
-    "default_ledger_root",
-    "git_revision",
-    "render_analysis",
-    "render_comparison",
-    "count",
-    "disable",
-    "enable",
-    "get_registry",
-    "imbalance_factor",
-    "logging_setup",
-    "read_stream",
-    "render_roofline",
-    "roofline_table",
-    "run_manifest",
-    "set_registry",
-    "span",
-    "sparkline",
-    "step_perf",
-    "timed",
-    "use",
-    "work_summary",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "registry": (
+        "FakeClock", "NullRegistry", "Registry", "SpanEvent", "StepRecord",
+        "count", "disable", "enable", "get_registry", "set_registry", "span",
+        "timed", "use",
+    ),
+    "logconfig": ("logging_setup",),
+    "telemetry": (
+        "RunStream", "StepTelemetry", "StreamFollower", "Telemetry",
+        "imbalance_factor", "read_stream", "run_manifest", "sparkline",
+    ),
+    "health": (
+        "HealthEvent", "HealthMonitor", "HealthThresholds", "SimulationHealth",
+        "Threshold",
+    ),
+    "store": ("RunEntry", "RunLedger", "default_ledger_root", "git_revision"),
+    "analysis": (
+        "RunAnalysis", "RunComparison", "analyze", "compare",
+        "render_analysis", "render_comparison",
+    ),
+    "perfcount": (
+        "PhaseWork", "achieved_gflops", "render_roofline", "roofline_table",
+        "step_perf", "work_summary",
+    ),
+})

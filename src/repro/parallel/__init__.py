@@ -8,21 +8,18 @@ every message* (count, bytes, phase tag).  Algorithms written against this
 interface — the pencil-decomposed FFT, the particle-overloading exchange —
 are structurally identical to their MPI versions, and the recorded traffic
 feeds the BG/Q network model in :mod:`repro.machine`.
+
+This ``__init__`` resolves its exports lazily
+(:func:`repro._lazy.lazy_exports`): an undecomposed run imports only the
+executor, never the communicator, decomposition or overload exchange.
 """
 
-from repro.parallel.comm import CommStats, SimulatedComm
-from repro.parallel.decomposition import DomainDecomposition
-from repro.parallel.executor import RankExecutor, WorkerError
-from repro.parallel.overload import OverloadedDomain, OverloadExchange
-from repro.parallel.topology import TorusTopology
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "SimulatedComm",
-    "CommStats",
-    "DomainDecomposition",
-    "OverloadedDomain",
-    "OverloadExchange",
-    "RankExecutor",
-    "WorkerError",
-    "TorusTopology",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "comm": ("CommStats", "SimulatedComm"),
+    "decomposition": ("DomainDecomposition",),
+    "executor": ("RankExecutor", "WorkerError"),
+    "overload": ("OverloadedDomain", "OverloadExchange"),
+    "topology": ("TorusTopology",),
+})

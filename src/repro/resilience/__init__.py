@@ -19,30 +19,12 @@ campaign supervisor) does not pull in the others.
 
 from __future__ import annotations
 
-_EXPORTS = {
-    "NullFaultPlan": "repro.resilience.faults",
-    "FaultPlan": "repro.resilience.faults",
-    "RecoveryReport": "repro.resilience.recovery",
-    "harvest_replicas": "repro.resilience.recovery",
-    "recover_ranks": "repro.resilience.recovery",
-    "INTERRUPTED_EXIT_CODE": "repro.resilience.signals",
-    "ShutdownRequested": "repro.resilience.signals",
-    "graceful_shutdown": "repro.resilience.signals",
-}
+from repro._lazy import lazy_exports
 
-__all__ = sorted(_EXPORTS)
-
-
-def __getattr__(name: str):
-    module = _EXPORTS.get(name)
-    if module is None:
-        raise AttributeError(
-            f"module {__name__!r} has no attribute {name!r}"
-        )
-    import importlib
-
-    return getattr(importlib.import_module(module), name)
-
-
-def __dir__() -> list[str]:
-    return sorted(set(globals()) | set(_EXPORTS))
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "faults": ("NullFaultPlan", "FaultPlan"),
+    "recovery": ("RecoveryReport", "harvest_replicas", "recover_ranks"),
+    "signals": (
+        "INTERRUPTED_EXIT_CODE", "ShutdownRequested", "graceful_shutdown",
+    ),
+})

@@ -104,16 +104,30 @@ class TestMain:
         return result.stdout.strip().splitlines()[-1]
 
     def test_plain_run_leaves_analysis_and_report_unloaded(self):
-        """Without ``--summary`` / ``--profile`` a run imports neither
-        the analysis package nor the profile-table renderer."""
-        absent = ["repro.analysis", "repro.instrument.report"]
-        code = (
-            "import sys\n"
-            "from repro.__main__ import main\n"
+        """A plain undecomposed PM or treepm run imports only what it
+        calls: no analysis package or profile renderer (no
+        ``--summary`` / ``--profile``), no telemetry, health or ledger,
+        no distributed FFT or decomposed-run modules, no
+        ``numpy.polynomial``."""
+        absent = [
+            "repro.analysis",
+            "repro.instrument.report",
+            "repro.instrument.store",
+            "repro.instrument.analysis",
+            "repro.instrument.health",
+            "repro.instrument.telemetry",
+            "repro.fft",
+            "repro.parallel.overload",
+            "repro.parallel.decomposition",
+            "repro.parallel.topology",
+            "repro.parallel.comm",
+            "numpy.polynomial",
+        ]
+        code = "import sys\nfrom repro.__main__ import main\n" + "".join(
             "assert main(['-q', 'run', '--steps', '1', '--n-per-dim', "
-            "'8', '--backend', 'pm']) == 0\n"
-            f"print([m for m in {absent!r} if m in sys.modules])"
-        )
+            f"'8', '--backend', '{backend}']) == 0\n"
+            for backend in ("pm", "treepm")
+        ) + f"print([m for m in {absent!r} if m in sys.modules])"
         result = subprocess.run(
             [sys.executable, "-c", code],
             capture_output=True,

@@ -1,15 +1,27 @@
 """Tests for the grid-force measurement / polynomial-fit pipeline."""
 
+import inspect
+import subprocess
+import sys
+import warnings
+
 import numpy as np
 import pytest
 
+import repro.shortrange.grid_force as grid_force
+from repro.config import ConfigError, SimulationConfig
+from repro.grid.filters import NOMINAL_NS, NOMINAL_SIGMA
 from repro.shortrange.grid_force import (
+    NOMINAL_FITS,
+    NOMINAL_RCUT_CELLS,
     GridForceFit,
     default_grid_force_fit,
     fit_grid_force,
     measure_grid_force,
     pair_force_normalization,
 )
+
+NOMINAL_KEY = (NOMINAL_SIGMA, NOMINAL_NS, NOMINAL_RCUT_CELLS, 32)
 
 
 class TestNormalization:
@@ -128,3 +140,99 @@ class TestFit:
         a = default_grid_force_fit()
         b = default_grid_force_fit()
         assert a is b
+
+    def test_fit_rejects_a_cutoff_beyond_the_samples(self):
+        """A cutoff past the farthest sample would extrapolate the
+        polynomial (at 6 cells it gave a short-range force hundreds of
+        times Newton's near the cut), so the fit refuses it."""
+        s, fr, _ = measure_grid_force(
+            32, n_sources=4, n_samples_per_source=100, seed=5
+        )
+        with pytest.raises(ValueError, match="rcut_cells"):
+            fit_grid_force(s, fr, rcut_cells=6.0)
+
+    def test_config_rejects_a_cutoff_beyond_the_sampled_range(self):
+        """The config bound is the measurement's sampled range."""
+        r_max = inspect.signature(measure_grid_force).parameters[
+            "r_max_cells"
+        ].default
+        base = dict(box_size=256.0, n_per_dim=64)
+        assert SimulationConfig(**base, rcut_cells=r_max).rcut_cells == r_max
+        with pytest.raises(ConfigError, match="rcut_cells"):
+            SimulationConfig(**base, rcut_cells=6.0)
+
+
+class TestNominalTable:
+    """The nominal fit is a committed table, made offline (Sec. II)."""
+
+    def test_table_matches_a_fresh_measurement(self):
+        """Re-measure the nominal fit: within 1e-12 relative on any host,
+        bit for bit where the host reproduces the committed literals.
+        Either way a mismatch prints the fresh literals to paste into
+        ``NOMINAL_FITS`` after a deliberate solver change."""
+        s, fr, _ = measure_grid_force()
+        fresh = fit_grid_force(s, fr)
+        table = NOMINAL_FITS[NOMINAL_KEY]
+        literals = "\n".join(
+            [f'"{c.hex()}",' for c in fresh.coefficients]
+            + [f'rms_residual=float.fromhex("{fresh.rms_residual.hex()}")']
+        )
+        np.testing.assert_allclose(
+            table.coefficients, fresh.coefficients, rtol=1e-12, atol=0,
+            err_msg=f"re-measured nominal fit:\n{literals}",
+        )
+        assert table.rms_residual == pytest.approx(
+            fresh.rms_residual, rel=1e-9
+        ), literals
+        assert (table.rcut_cells, table.sigma, table.ns) == (
+            fresh.rcut_cells, fresh.sigma, fresh.ns,
+        )
+        if table != fresh:
+            warnings.warn(
+                "nominal grid-force fit re-measures within tolerance but "
+                f"not bit for bit on this host:\n{literals}",
+                stacklevel=1,
+            )
+
+    def test_nominal_key_measures_nothing(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the nominal fit must not be measured")
+
+        monkeypatch.setattr(grid_force, "measure_grid_force", refuse)
+        fit = default_grid_force_fit.__wrapped__()
+        assert fit is NOMINAL_FITS[NOMINAL_KEY]
+        assert default_grid_force_fit.__wrapped__(0.8, 3, 3.0) is fit
+
+    def test_other_key_still_measures(self, monkeypatch):
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(kwargs)
+            return measure_grid_force(*args, **kwargs)
+
+        monkeypatch.setattr(grid_force, "measure_grid_force", spy)
+        fit = default_grid_force_fit.__wrapped__(sigma=0.7)
+        assert calls == [{"sigma": 0.7, "ns": NOMINAL_NS}]
+        assert fit.sigma == 0.7
+        nominal = NOMINAL_FITS[NOMINAL_KEY]
+        assert fit.coefficients != nominal.coefficients
+        assert fit.rms_residual < 0.05
+
+    def test_plain_treepm_run_measures_nothing(self, tmp_path):
+        """A plain treepm run at the nominal filter reads the table: it
+        exits 0 with ``measure_grid_force`` made to raise."""
+        code = (
+            "import repro.shortrange.grid_force as g\n"
+            "def refuse(*a, **k):\n"
+            "    raise AssertionError('measured the nominal fit')\n"
+            "g.measure_grid_force = refuse\n"
+            "from repro.__main__ import main\n"
+            "raise SystemExit(main(['-q', 'run', '--steps', '1', "
+            "'--n-per-dim', '8', '--backend', 'treepm', '--outdir', "
+            f"{str(tmp_path)!r}]))\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True, text=True, timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
