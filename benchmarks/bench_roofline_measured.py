@@ -22,7 +22,7 @@ import pytest
 from repro import instrument
 from repro.config import SimulationConfig
 from repro.core.simulation import HACCSimulation
-from repro.instrument import Registry, roofline_table, work_summary
+from repro.instrument import Registry, roofline_table
 from repro.instrument.report import write_bench_record
 from repro.machine.calibrate import calibrate
 
@@ -57,7 +57,8 @@ class TestMeasuredRoofline:
                     sim.run()
                     wall = time.perf_counter() - t0
                 out[precision] = {
-                    "phases": work_summary(reg),
+                    "events": reg.events,
+                    "counters": reg.counters,
                     "wall_s": wall,
                 }
             return out
@@ -73,8 +74,7 @@ class TestMeasuredRoofline:
         pair_ai: dict = {}
         table_rows = []
         for precision, data in runs.items():
-            phases = data["phases"]
-            table = roofline_table(phases, cal)
+            table = roofline_table(data["events"], data["counters"], cal)
             by_name = {row["name"]: row for row in table["phases"]}
 
             # the counters must be wired for every compute phase

@@ -99,7 +99,8 @@ def pytest_runtest_makereport(item, call):
         item.name,
         payload,
         directory=os.environ.get("REPRO_BENCH_DIR") or _RECORD_DIR,
-        registry=registry if registry.enabled else None,
+        events=registry.events if registry.enabled else None,
+        counters=registry.counters if registry.enabled else None,
     )
 
 

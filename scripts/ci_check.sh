@@ -179,7 +179,7 @@ for twin in ("treepm-f64", "treepm-f32", "pm-f64", "decomp-f64"):
 PYEOF
 
 echo "== 9/11 live measured roofline =="
-# the ledgered 'run --profile' from lane 7 carries a registry.json; place
+# the ledgered 'run --profile' from lane 7 carries its trace.json; place
 # it on the calibrated host roofline (calibration caches in the ledger)
 PYTHONPATH=src "$PYTHON" -m repro report \
     --roofline --ledger "$CI_OBS_DIR/ledger" --json \

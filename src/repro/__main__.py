@@ -300,7 +300,8 @@ def _report_instrumentation(sim, args, registry) -> dict | None:
                 "backend": config.backend,
                 "interactions": sim.interaction_count(),
             },
-            registry=registry,
+            events=registry.events,
+            counters=registry.counters,
         )
         logger.info("bench record: %s", path)
         # stored in the ledger entry's bench/ directory, next to the run
@@ -768,19 +769,15 @@ def _analysis_of(token: str, ledger) -> "object":
 def _report_roofline(args: argparse.Namespace, ledger) -> int:
     """Roofline placement of a ledgered run against the calibrated host.
 
-    Loads the run's stored registry summary, converts the charged work
-    counters into per-phase achieved GFLOP/s / arithmetic intensity /
-    fraction of peak (see :mod:`repro.instrument.perfcount`), calibrates
-    the host ceilings (cached under the ledger root), and renders the
-    measured-vs-model table next to the paper's Section IV.B numbers.
+    Reloads the run's stored trace, converts its charged work counters
+    and span times into per-phase achieved GFLOP/s / arithmetic
+    intensity / fraction of peak (see :mod:`repro.instrument.perfcount`),
+    calibrates the host ceilings (cached under the ledger root), and
+    renders the measured table under the paper's Section IV.B model line.
     """
     import json
 
-    from repro.instrument import (
-        render_roofline,
-        roofline_table,
-        work_summary,
-    )
+    from repro.instrument import render_roofline, roofline_table
     from repro.instrument.report import bench_provenance_notes
     from repro.machine.calibrate import calibrate
 
@@ -788,22 +785,19 @@ def _report_roofline(args: argparse.Namespace, ledger) -> int:
         entry = ledger.get(args.run)
     except KeyError as exc:
         raise SystemExit(f"report: {exc}")
-    summary = ledger.load_registry(entry)
-    if summary is None:
+    trace = ledger.load_trace(entry)
+    if trace is None:
         raise SystemExit(
-            f"report: run {entry.run_id} has no stored registry summary "
+            f"report: run {entry.run_id} has no stored trace "
             "— record it with 'python -m repro run --profile ... --ledger'"
         )
-    phases = work_summary(summary)
-    if not phases:
+    table = roofline_table(
+        trace["spans"], trace["counters"], calibrate(root=ledger.root)
+    )
+    if not table["phases"]:
         raise SystemExit(
             f"report: run {entry.run_id} charged no work counters"
         )
-    cal = calibrate(root=ledger.root)
-    counters = (
-        summary.get("counters") if isinstance(summary, dict) else None
-    )
-    table = roofline_table(phases, cal, counters=counters)
     table["run"] = entry.meta()
     notes = bench_provenance_notes(ledger.load_bench(entry))
     if args.json:

@@ -478,13 +478,15 @@ class HACCSimulation:
         )
         return self.health
 
-    def _record_telemetry(self, wall: float) -> None:
+    def _record_telemetry(self, wall: float, window=None) -> None:
         """Close out one step's telemetry: comm gauges, health, record.
 
         Runs only when telemetry or health monitoring is enabled, after
         the step completes; ``self._step_index`` already names the
         *count* of finished steps, so the record carries index
-        ``_step_index - 1`` (0-based).
+        ``_step_index - 1`` (0-based).  ``window`` is the registry's
+        :meth:`~repro.instrument.Registry.mark` taken as the step began
+        (``None`` with the registry off).
         """
         step_index = self._step_index - 1
         tel = self.telemetry
@@ -515,15 +517,14 @@ class HACCSimulation:
             ) + alerts
             self._fault_events.clear()
         if tel is not None:
-            # achieved-throughput summary of the step just closed: the
-            # registry's StepRecord carries the per-step counter deltas
-            # the perfcount work model converts to GFLOP/s and ns/pair
+            # achieved-throughput summary of the step just closed: its
+            # span events and counter deltas, which the perfcount work
+            # model converts to GFLOP/s and ns/pair
             perf = None
-            reg = get_registry()
-            if reg.enabled and reg.steps:
+            if window is not None:
                 from repro.instrument.perfcount import step_perf
 
-                perf = step_perf(reg.steps[-1])
+                perf = step_perf(*get_registry().since(window))
             tel.record_step(
                 step_index,
                 self.a,
@@ -540,8 +541,8 @@ class HACCSimulation:
         """Advance one full long-range step (with sub-cycling).
 
         When instrumentation is enabled the step is bracketed by a
-        ``step`` span and a :class:`repro.instrument.StepRecord`
-        capturing the per-section time and counter deltas.
+        ``step`` span; with telemetry on too, the step's span events and
+        counter deltas become its telemetry ``perf`` block.
         """
         if self._step_index >= self.config.n_steps:
             raise RuntimeError("simulation already at final time")
@@ -550,14 +551,18 @@ class HACCSimulation:
         reg = get_registry()
         if self.faults.enabled:
             self.faults.begin_step(self._step_index)
+        window = (
+            reg.mark() if reg.enabled and self.telemetry is not None
+            else None
+        )
         t0 = time.perf_counter()
-        with reg.step(self._step_index), reg.span("step"):
+        with reg.span("step"):
             self.stepper.step(self.particles, a0, a1)
         wall = time.perf_counter() - t0
         self.a = a1
         self._step_index += 1
         if self.telemetry is not None or self.health is not None:
-            self._record_telemetry(wall)
+            self._record_telemetry(wall, window)
         elif self._fault_events:
             self._fault_events.clear()
         logger.debug(

@@ -1,4 +1,4 @@
-"""Instrumentation: hierarchical span timers, counters, step records.
+"""Instrumentation: hierarchical span timers and counters.
 
 The observability layer that turns the reproduction's hot paths into the
 paper's per-kernel accounting (Table II attributes time and flops to CIC
@@ -7,16 +7,19 @@ itself ships built-in per-section timers, cf. arXiv:1410.2805).
 
 Design
 ------
-A process-global *registry* collects:
+A process-global *registry* holds the run's one timing record:
 
-* **spans** — named, nested wall-clock sections entered via the
+* **span events** — named, nested wall-clock sections entered via the
   :func:`span` context manager or the :func:`timed` decorator.  Nesting
-  is tracked per thread (a thread-local stack), aggregation is protected
+  is tracked per thread (a thread-local stack), recording is protected
   by a single lock, and the clock is injected so tests are deterministic;
 * **counters** — monotonically accumulated quantities (PP interactions,
-  flops, FFT points, communication bytes);
-* **step records** — per-simulation-step snapshots of section times and
-  counter deltas, the unit the paper's scaling tables are built from.
+  flops, FFT points, communication bytes).
+
+Every time figure is a projection of the events, computed when asked
+(:func:`path_self_times`, :func:`name_self_times`): the ``--profile``
+view, the roofline phases, a BENCH record's section totals and a step's
+telemetry ``perf`` block alike, so a reloaded trace reproduces each.
 
 The default registry is a :class:`NullRegistry` whose ``span`` returns a
 shared no-op context manager and whose ``count`` does nothing: with
@@ -41,8 +44,9 @@ from repro._lazy import lazy_exports
 
 __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     "registry": (
-        "FakeClock", "NullRegistry", "Registry", "SpanEvent", "StepRecord",
-        "count", "disable", "enable", "get_registry", "set_registry", "span",
+        "WORKER_LANE_BASE", "FakeClock", "NullRegistry", "Registry",
+        "SpanEvent", "count", "disable", "enable", "get_registry",
+        "name_self_times", "path_self_times", "set_registry", "span",
         "timed", "use",
     ),
     "logconfig": ("logging_setup",),

@@ -5,10 +5,11 @@ phase of the time step ate the wall clock, and which ranks dragged the
 bulk-synchronous barrier.  This module computes that attribution from the
 observability artifacts a run already leaves behind:
 
-* the **span tree** (registry events, or a Chrome trace / JSONL export
-  re-parsed by :mod:`repro.instrument.exporters`) yields per-path *self
-  time* — a span's duration minus its direct children — the honest
-  answer to "which section was the code *in*";
+* the **span tree** (registry events, or a Chrome trace re-parsed by
+  :mod:`repro.instrument.exporters`) yields per-path *self time*
+  (:func:`repro.instrument.registry.path_self_times`) — a span's
+  duration minus its direct children — the honest answer to "which
+  section was the code *in*";
 * the **per-rank / per-worker trace lanes** (``pid = rank`` lanes plus
   executor worker lanes at ``pid >= WORKER_LANE_BASE``) yield parallel
   efficiency and load-imbalance attribution per phase: total busy time
@@ -30,7 +31,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.instrument.registry import SpanEvent
+from repro.instrument.registry import (
+    WORKER_LANE_BASE,
+    SpanEvent,
+    name_self_times,
+    path_self_times,
+)
 
 __all__ = [
     "PhaseStat",
@@ -39,7 +45,6 @@ __all__ = [
     "RunAnalysis",
     "PhaseDelta",
     "RunComparison",
-    "path_self_times",
     "lane_stats",
     "rank_shares",
     "analyze_spans",
@@ -49,11 +54,6 @@ __all__ = [
     "render_analysis",
     "render_comparison",
 ]
-
-#: lanes at or above this pid are executor workers, below are simulated
-#: ranks (mirrors :data:`repro.parallel.executor.WORKER_LANE_BASE`
-#: without importing the executor into a pure-analysis module)
-WORKER_LANE_BASE = 1000
 
 #: phase rows thinner than this fraction of the wall clock are folded
 #: into the report's "other" row
@@ -167,58 +167,6 @@ class RunAnalysis:
             "ranks": [r.to_dict() for r in self.ranks],
             "verdict": self.verdict,
         }
-
-
-# ----------------------------------------------------------------------
-# span-tree self time
-# ----------------------------------------------------------------------
-def path_self_times(spans: list[SpanEvent]) -> dict[str, dict]:
-    """Per-path totals with self time: ``{path: {total_s, self_s, calls}}``.
-
-    Self time is a path's total minus the totals of its *direct* child
-    paths (one more ``/`` segment).  The span stack guarantees children
-    lie inside their parent in time, so the subtraction is exact without
-    interval arithmetic — re-parsed traces preserve paths, so the same
-    computation works on exported artifacts.
-    """
-    totals: dict[str, list] = {}  # path -> [calls, seconds]
-    for ev in spans:
-        entry = totals.get(ev.path)
-        if entry is None:
-            totals[ev.path] = [1, ev.duration]
-        else:
-            entry[0] += 1
-            entry[1] += ev.duration
-    out = {
-        path: {"total_s": sec, "self_s": sec, "calls": calls}
-        for path, (calls, sec) in totals.items()
-    }
-    for path, entry in totals.items():
-        if "/" not in path:
-            continue
-        parent = path.rsplit("/", 1)[0]
-        if parent in out:
-            out[parent]["self_s"] -= entry[1]
-    for entry in out.values():
-        # float cancellation can leave a tiny negative residue
-        if entry["self_s"] < 0 and entry["self_s"] > -1e-9:
-            entry["self_s"] = 0.0
-    return out
-
-
-def name_self_times(spans: list[SpanEvent]) -> dict[str, dict]:
-    """Self/total time aggregated by leaf name across call sites."""
-    by_path = path_self_times(spans)
-    out: dict[str, dict] = {}
-    for path, entry in by_path.items():
-        name = path.rsplit("/", 1)[-1]
-        agg = out.setdefault(
-            name, {"total_s": 0.0, "self_s": 0.0, "calls": 0}
-        )
-        agg["total_s"] += entry["total_s"]
-        agg["self_s"] += entry["self_s"]
-        agg["calls"] += entry["calls"]
-    return out
 
 
 # ----------------------------------------------------------------------
@@ -400,11 +348,6 @@ def analyze(
         )
         end = (stream or {}).get("end") or {}
         analysis.verdict = end.get("verdict", analysis.verdict)
-        if analysis.wall_s <= 0 and stream:
-            analysis.wall_s = sum(
-                float(s.get("wall_time", 0.0))
-                for s in stream.get("steps") or []
-            )
         return analysis
     if stream is not None:
         return analyze_stream(stream, meta=meta)

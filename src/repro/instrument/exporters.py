@@ -14,7 +14,12 @@ from contextlib import contextmanager
 from pathlib import Path
 from typing import Iterator
 
-from repro.instrument.registry import NullRegistry, Registry, SpanEvent
+from repro.instrument.registry import (
+    WORKER_LANE_BASE,
+    NullRegistry,
+    Registry,
+    SpanEvent,
+)
 
 __all__ = [
     "write_chrome_trace",
@@ -74,10 +79,8 @@ def write_chrome_trace(registry: Registry | NullRegistry, dest) -> int:
             }
         )
     n_spans_counters = len(trace)
-    # executor worker lanes live at pid >= WORKER_LANE_BASE (see
-    # repro.parallel.executor) and are labelled as workers, not ranks
-    from repro.parallel.executor import WORKER_LANE_BASE
-
+    # executor worker lanes live at pid >= WORKER_LANE_BASE and are
+    # labelled as workers, not ranks
     for rank in sorted({ev.rank for ev in events}):
         label = (
             f"worker {rank - WORKER_LANE_BASE}"

@@ -48,6 +48,11 @@ filter      6 flops per point (one complex multiply) and 3 complex
             into the fft phase like the Table II bucket.
 comm        0 flops; bytes are the already-counted ``comm.bytes``.
 ========== =============================================================
+
+Every figure here is a projection of one record, a run's span events
+and counters (``(events, counters)``: a live registry's ``events`` and
+``counters``, or the ``spans`` and ``counters`` of a reloaded Chrome
+trace), so the ledger's stored trace reproduces the live numbers.
 """
 
 from __future__ import annotations
@@ -55,7 +60,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from repro.instrument.registry import get_registry
+from repro.instrument.registry import (
+    SpanEvent,
+    get_registry,
+    name_self_times,
+)
 
 __all__ = [
     "PAIR_FLOPS",
@@ -229,8 +238,8 @@ class PhaseWork:
         }
 
 
-#: roofline phases: name -> (span sections, flops counter, bytes counter).
-#: Sections are the spans the simulation already opens; the counters are
+#: roofline phases: name -> (span names, flops counter, bytes counter).
+#: The spans are the ones the simulation already opens; the counters are
 #: charged by the hot paths (kernel seam, CIC, Poisson/pencil FFTs, comm).
 PHASES: tuple[tuple[str, tuple[str, ...], str, str], ...] = (
     ("shortrange", ("pp.kernel", "pp.batch"), "pp.flops", "pp.bytes"),
@@ -243,39 +252,40 @@ PHASES: tuple[tuple[str, tuple[str, ...], str, str], ...] = (
 )
 
 
-def _summary_of(source) -> tuple[dict, dict]:
-    """``(sections, counters)`` from a registry or a registry.json dict."""
-    if isinstance(source, dict):
-        return dict(source.get("sections") or {}), dict(
-            source.get("counters") or {}
-        )
-    return source.section_totals(), dict(source.counters)
+def _total_s(totals: dict[str, dict], names: tuple[str, ...]) -> float:
+    """Summed total time of the spans named ``names``."""
+    return sum(totals[n]["total_s"] for n in names if n in totals)
 
 
-def work_summary(source) -> list[PhaseWork]:
-    """Per-phase :class:`PhaseWork` from a registry or its saved summary.
+def _work(counters: dict) -> tuple[float, float]:
+    """Charged ``(flops, bytes)`` summed over the roofline phases."""
+    return (
+        sum(float(counters.get(c, 0.0)) for _, _, c, _ in PHASES if c),
+        sum(float(counters.get(c, 0.0)) for _, _, _, c in PHASES),
+    )
 
-    ``source`` is a live :class:`~repro.instrument.Registry` or the
-    ``registry.json`` dict the run ledger stores (``{"sections": ...,
-    "counters": ...}``).  Phases with neither time nor work are omitted.
+
+def work_summary(
+    events: list[SpanEvent], counters: dict
+) -> list[PhaseWork]:
+    """Per-phase :class:`PhaseWork` of a run's span events and counters.
+
+    Phases with neither time nor work are omitted.  ``comm`` has no span
+    of its own: its traffic overlaps the exchange inside the stepped
+    time, so its volume is reported against the ``step`` total, and
+    only when the run moved bytes (a decomposed or pencil-FFT run).
     """
-    sections, counters = _summary_of(source)
-
-    def seconds_of(names: tuple[str, ...]) -> float:
-        return sum(
-            float(sections.get(s, {}).get("seconds", 0.0)) for s in names
-        )
-
+    totals = name_self_times(events)
     out = []
     for name, spans, flops_ctr, bytes_ctr in PHASES:
         flops = float(counters.get(flops_ctr, 0.0)) if flops_ctr else 0.0
-        nbytes = float(counters.get(bytes_ctr, 0.0)) if bytes_ctr else 0.0
-        seconds = seconds_of(spans)
-        if name == "comm" and seconds == 0.0:
-            # comm has no dedicated span; its traffic overlaps the
-            # exchange inside the shortrange/step sections, so report
-            # volume against the whole stepped time
-            seconds = float(sections.get("step", {}).get("seconds", 0.0))
+        nbytes = float(counters.get(bytes_ctr, 0.0))
+        if name == "comm":
+            if nbytes <= 0:
+                continue
+            seconds = _total_s(totals, ("step",))
+        else:
+            seconds = _total_s(totals, spans)
         if flops == 0.0 and nbytes == 0.0 and seconds == 0.0:
             continue
         out.append(
@@ -311,50 +321,44 @@ def list_efficiency_line(counters: dict) -> str | None:
     )
 
 
-def achieved_gflops(source) -> float | None:
+def achieved_gflops(
+    events: list[SpanEvent], counters: dict
+) -> float | None:
     """Whole-run achieved GFLOP/s: total charged flops over stepped time.
 
     The denominator is the time under ``step`` spans (the run's
-    instrumented wall); returns ``None`` when the source records no
-    flops or no stepped time — e.g. an un-instrumented run.
+    instrumented wall); returns ``None`` when the record holds no flops
+    or no stepped time — e.g. an un-instrumented run.
     """
-    sections, counters = _summary_of(source)
-    flops = sum(
-        float(counters.get(ctr, 0.0)) for _, _, ctr, _ in PHASES if ctr
-    )
-    seconds = float(sections.get("step", {}).get("seconds", 0.0))
+    flops, _ = _work(counters)
+    seconds = _total_s(name_self_times(events), ("step",))
     if flops <= 0 or seconds <= 0:
         return None
     return flops / seconds / 1e9
 
 
-def step_perf(step_record) -> dict | None:
-    """Per-step achieved-throughput summary from a ``StepRecord``.
+def step_perf(events: list[SpanEvent], counters: dict) -> dict | None:
+    """Achieved-throughput summary of one step's events and counters.
 
-    Returns ``{"gflops", "pair_ns", "ai"}`` — flushed into the telemetry
-    stream each step so the monitor dashboard can show live achieved
-    ns/pair without waiting for the run to finish.  ``None`` when the
-    step charged no work (un-instrumented or kernel-free steps).
+    ``events`` and ``counters`` are the step's window
+    (:meth:`repro.instrument.Registry.since`): the spans it closed,
+    ``step`` among them, and its counter deltas.  Returns ``{"gflops",
+    "pair_ns", "ai"}`` — flushed into the telemetry stream each step so
+    the monitor dashboard can show live achieved ns/pair without
+    waiting for the run to finish.  ``None`` when the step charged no
+    work (un-instrumented or kernel-free steps).
     """
-    counters = step_record.counters
-    sections = step_record.sections
-    flops = sum(
-        float(counters.get(ctr, 0.0)) for _, _, ctr, _ in PHASES if ctr
-    )
-    nbytes = sum(
-        float(counters.get(ctr, 0.0)) for _, _, _, ctr in PHASES if ctr
-    )
+    flops, nbytes = _work(counters)
     if flops <= 0:
         return None
-    wall = float(step_record.wall_time)
+    totals = name_self_times(events)
+    wall = _total_s(totals, ("step",))
     perf: dict = {
         "gflops": flops / wall / 1e9 if wall > 0 else 0.0,
         "ai": flops / nbytes if nbytes > 0 else None,
     }
     pairs = float(counters.get("pp.interactions", 0.0))
-    pair_s = sum(
-        float(sections.get(s, 0.0)) for s in ("pp.kernel", "pp.batch")
-    )
+    pair_s = _total_s(totals, PHASES[0][1])
     if pairs > 0 and pair_s > 0:
         perf["pair_ns"] = 1e9 * pair_s / pairs
     return perf
@@ -364,7 +368,7 @@ def step_perf(step_record) -> dict | None:
 # roofline table (measured vs model)
 # ----------------------------------------------------------------------
 def _model_point() -> dict:
-    """The paper's Section IV.B placement (the "model" column).
+    """The paper's Section IV.B placement (the roofline's model line).
 
     Derived from :class:`repro.machine.roofline.InstructionMixModel`:
     sustained 142.32 GFlops of a 204.8 GFlops node (69.5% of peak) at
@@ -384,17 +388,19 @@ def _model_point() -> dict:
 
 
 def roofline_table(
-    phases: list[PhaseWork], calibration, counters: dict | None = None
+    events: list[SpanEvent], counters: dict, calibration
 ) -> dict:
     """Machine-readable roofline placement of a run's phases.
 
+    The phases are :func:`work_summary` of ``(events, counters)``.
     ``calibration`` is a :class:`repro.machine.calibrate.HostCalibration`
     giving this host's measured peak GFLOP/s and STREAM-triad GB/s; the
     balance point ``peak / bandwidth`` classifies each phase as compute-
-    or memory-bound.  The ``model`` block carries the paper's numbers for
-    the measured-vs-model column.  Pass the run's ``counters`` dict to
-    attach a ``list_efficiency`` block when the run listed pairs.
+    or memory-bound.  The ``model`` block carries the paper's Section
+    IV.B placement, apart from the measured rows.  A ``list_efficiency``
+    block rides along when the run listed pairs.
     """
+    phases = work_summary(events, counters)
     balance = calibration.balance()
     rows = []
     for ph in phases:
@@ -423,14 +429,13 @@ def roofline_table(
         "total": trow,
         "model": _model_point(),
     }
-    if counters:
-        listed = list_efficiency(counters)
-        if listed is not None:
-            table["list_efficiency"] = {
-                "pp.batch.inside_pairs": counters["pp.batch.inside_pairs"],
-                "pp.interactions": counters["pp.interactions"],
-                "efficiency": listed,
-            }
+    listed = list_efficiency(counters)
+    if listed is not None:
+        table["list_efficiency"] = {
+            "pp.batch.inside_pairs": counters["pp.batch.inside_pairs"],
+            "pp.interactions": counters["pp.interactions"],
+            "efficiency": listed,
+        }
     return table
 
 
@@ -461,22 +466,16 @@ def render_roofline(table: dict) -> str:
     ]
     header = (
         f"{'phase':10s} {'seconds':>9s} {'GFLOP/s':>9s} {'GB/s':>8s} "
-        f"{'AI f/B':>8s} {'% peak':>7s} {'bound':>8s} {'model %':>8s}"
+        f"{'AI f/B':>8s} {'% peak':>7s} {'bound':>8s}"
     )
     lines.append(header)
     lines.append("-" * len(header))
     for row in table["phases"] + [table["total"]]:
-        model_pct = (
-            f"{100 * model['frac_peak']:7.1f}%"
-            if row["name"] in ("shortrange", "total")
-            else "       -"
-        )
         lines.append(
             f"{row['name']:10s} {row['seconds']:9.4f} "
             f"{row['gflops']:9.3f} {row['gbytes_per_s']:8.3f} "
             f"{_fmt_ai(row['arithmetic_intensity']):>8s} "
-            f"{100 * row['frac_peak']:6.2f}% {row['bound_by']:>8s} "
-            f"{model_pct}"
+            f"{100 * row['frac_peak']:6.2f}% {row['bound_by']:>8s}"
         )
     if "list_efficiency" in table:
         lines.append(list_efficiency_line(table["list_efficiency"]))

@@ -1,9 +1,14 @@
-"""The span-timer / counter registry.
+"""The span-timer / counter registry: the one timing record of a run.
 
-See :mod:`repro.instrument` for the design overview.  Everything here is
-pure stdlib — the instrumented science modules must be importable without
-dragging in any heavy dependency, and the registry itself must be cheap
-enough to leave compiled into every hot path.
+See :mod:`repro.instrument` for the design overview.  A live registry
+holds exactly two things, its :class:`SpanEvent` list and its counters;
+every time figure (per-path self time, per-name totals, the roofline
+phases, a step's perf block) is a projection of the events computed when
+it is asked for (:func:`path_self_times`, :func:`name_self_times`), so a
+reloaded trace reproduces it.  Everything here is pure stdlib — the
+instrumented science modules must be importable without dragging in any
+heavy dependency, and the registry itself must be cheap enough to leave
+compiled into every hot path.
 """
 
 from __future__ import annotations
@@ -12,15 +17,17 @@ import functools
 import threading
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterator
 
 __all__ = [
     "SpanEvent",
-    "StepRecord",
     "FakeClock",
     "Registry",
     "NullRegistry",
+    "WORKER_LANE_BASE",
+    "path_self_times",
+    "name_self_times",
     "get_registry",
     "set_registry",
     "enable",
@@ -35,8 +42,12 @@ __all__ = [
 #: e.g. ``cic.deposit``, so paths read ``step/longrange/cic.deposit``)
 PATH_SEP = "/"
 
+#: Chrome-trace lane offset: executor worker lanes live at ``pid >= 1000``
+#: so they never collide with simulated-rank lanes (``pid = rank``)
+WORKER_LANE_BASE = 1000
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, slots=True)
 class SpanEvent:
     """One completed timed section.
 
@@ -58,40 +69,6 @@ class SpanEvent:
     def duration(self) -> float:
         return self.end - self.start
 
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "path": self.path,
-            "start": self.start,
-            "end": self.end,
-            "thread": self.thread,
-            "rank": self.rank,
-        }
-
-
-@dataclass(frozen=True)
-class StepRecord:
-    """Per-step aggregation: section times and counter deltas.
-
-    One record per ``HACCSimulation.step`` — the unit from which the
-    paper's time-per-substep-per-particle columns are computed.
-    """
-
-    index: int
-    wall_time: float
-    sections: dict[str, float]
-    calls: dict[str, int]
-    counters: dict[str, float]
-
-    def to_dict(self) -> dict:
-        return {
-            "index": self.index,
-            "wall_time": self.wall_time,
-            "sections": dict(self.sections),
-            "calls": dict(self.calls),
-            "counters": dict(self.counters),
-        }
-
 
 class FakeClock:
     """Deterministic injectable clock for tests and doctests.
@@ -108,8 +85,9 @@ class FakeClock:
     ...     clock.advance(1.5)
     ...     with reg.span("inner"):
     ...         clock.advance(0.5)
-    >>> reg.section_seconds("outer"), reg.section_seconds("inner")
-    (2.0, 0.5)
+    >>> totals = name_self_times(reg.events)
+    >>> totals["outer"]["total_s"], totals["outer"]["self_s"]
+    (2.0, 1.5)
     """
 
     def __init__(self, start: float = 0.0) -> None:
@@ -191,11 +169,6 @@ class NullRegistry:
     def count(self, name: str, value: float = 1) -> None:
         return None
 
-    @contextmanager
-    def step(self, index: int) -> Iterator[None]:
-        yield None
-
-    # -- introspection mirrors of Registry (all empty) -----------------
     @property
     def events(self) -> list[SpanEvent]:
         return []
@@ -204,61 +177,31 @@ class NullRegistry:
     def counters(self) -> dict[str, float]:
         return {}
 
-    @property
-    def steps(self) -> list[StepRecord]:
-        return []
-
-    def section_totals(self) -> dict[str, dict]:
-        return {}
-
-    def section_seconds(self, name: str) -> float:
-        return 0.0
-
-    def counter(self, name: str) -> float:
-        return 0.0
-
-    def reset(self) -> None:
-        return None
-
-    def summary(self) -> dict:
-        return {"enabled": False, "sections": {}, "counters": {}, "steps": []}
-
 
 class Registry:
-    """Live instrumentation registry.
+    """Live instrumentation registry: span events and counters.
+
+    Every completed span is kept; nothing is aggregated on the way in.
+    A profiled step opens a few dozen spans (36 for a 32^3 treepm step,
+    58 for a 24^3 2x2x1 thread@2 one) at about 215 bytes per slotted
+    :class:`SpanEvent` with its path string, so a long profiled run's
+    record stays near 10 KB per step without a cap.
 
     Parameters
     ----------
     clock:
         Zero-argument callable returning monotonically increasing seconds;
         ``time.perf_counter`` by default, a :class:`FakeClock` in tests.
-    max_events:
-        Cap on retained :class:`SpanEvent` objects (aggregation continues
-        past the cap; ``dropped_events`` counts the overflow).  Bounds the
-        memory of long runs with per-leaf PP spans.
     """
 
     enabled = True
 
-    def __init__(
-        self,
-        clock: Callable[[], float] = time.perf_counter,
-        max_events: int = 200_000,
-    ) -> None:
-        if max_events < 0:
-            raise ValueError(f"max_events must be >= 0: {max_events}")
+    def __init__(self, clock: Callable[[], float] = time.perf_counter) -> None:
         self.clock = clock
-        self.max_events = int(max_events)
         self._lock = threading.Lock()
         self._local = threading.local()
         self._events: list[SpanEvent] = []
-        self.dropped_events = 0
-        #: per leaf name: [calls, total seconds]
-        self._sections: dict[str, list] = {}
-        #: per full path: [calls, total seconds]
-        self._paths: dict[str, list] = {}
         self._counters: dict[str, float] = {}
-        self._steps: list[StepRecord] = []
 
     # ------------------------------------------------------------------
     # internals
@@ -271,31 +214,16 @@ class Registry:
         return stack
 
     def _record(self, handle: _SpanHandle, end: float) -> None:
-        duration = end - handle.start
+        event = SpanEvent(
+            name=handle.name,
+            path=handle.path,
+            start=handle.start,
+            end=end,
+            thread=threading.get_ident(),
+            rank=handle.rank,
+        )
         with self._lock:
-            if len(self._events) < self.max_events:
-                self._events.append(
-                    SpanEvent(
-                        name=handle.name,
-                        path=handle.path,
-                        start=handle.start,
-                        end=end,
-                        thread=threading.get_ident(),
-                        rank=handle.rank,
-                    )
-                )
-            else:
-                self.dropped_events += 1
-            for key, table in (
-                (handle.name, self._sections),
-                (handle.path, self._paths),
-            ):
-                entry = table.get(key)
-                if entry is None:
-                    table[key] = [1, duration]
-                else:
-                    entry[0] += 1
-                    entry[1] += duration
+            self._events.append(event)
 
     # ------------------------------------------------------------------
     # recording API
@@ -304,7 +232,7 @@ class Registry:
         """Context manager timing ``name``, nested under the open span.
 
         ``rank`` tags the resulting event with a simulated-rank lane for
-        per-rank trace visualization; aggregation ignores it.
+        per-rank trace visualization.
         """
         return _SpanHandle(self, name, rank)
 
@@ -312,44 +240,6 @@ class Registry:
         """Accumulate ``value`` into counter ``name``."""
         with self._lock:
             self._counters[name] = self._counters.get(name, 0) + value
-
-    @contextmanager
-    def step(self, index: int) -> Iterator[None]:
-        """Bracket one simulation step; appends a :class:`StepRecord`."""
-        with self._lock:
-            sec0 = {k: v[1] for k, v in self._sections.items()}
-            calls0 = {k: v[0] for k, v in self._sections.items()}
-            ctr0 = dict(self._counters)
-        t0 = self.clock()
-        try:
-            yield None
-        finally:
-            wall = self.clock() - t0
-            with self._lock:
-                sections = {
-                    k: v[1] - sec0.get(k, 0.0)
-                    for k, v in self._sections.items()
-                    if v[1] - sec0.get(k, 0.0) > 0.0
-                }
-                calls = {
-                    k: v[0] - calls0.get(k, 0)
-                    for k, v in self._sections.items()
-                    if v[0] - calls0.get(k, 0) > 0
-                }
-                counters = {
-                    k: v - ctr0.get(k, 0)
-                    for k, v in self._counters.items()
-                    if v != ctr0.get(k, 0)
-                }
-                self._steps.append(
-                    StepRecord(
-                        index=index,
-                        wall_time=wall,
-                        sections=sections,
-                        calls=calls,
-                        counters=counters,
-                    )
-                )
 
     # ------------------------------------------------------------------
     # introspection
@@ -364,55 +254,84 @@ class Registry:
         with self._lock:
             return dict(self._counters)
 
-    @property
-    def steps(self) -> list[StepRecord]:
+    def mark(self) -> tuple[int, dict[str, float]]:
+        """Open a window: the event count so far and a counters copy."""
         with self._lock:
-            return list(self._steps)
+            return len(self._events), dict(self._counters)
 
-    def section_totals(self) -> dict[str, dict]:
-        """Aggregates by leaf name: ``{name: {calls, seconds}}``."""
+    def since(
+        self, mark: tuple[int, dict[str, float]]
+    ) -> tuple[list[SpanEvent], dict[str, float]]:
+        """Events recorded and counter deltas charged since ``mark``.
+
+        Costs the window's events, not the run's: one step's record.
+        """
+        n_events, before = mark
         with self._lock:
-            return {
-                k: {"calls": v[0], "seconds": v[1]}
-                for k, v in self._sections.items()
+            events = self._events[n_events:]
+            deltas = {
+                k: v - before.get(k, 0)
+                for k, v in self._counters.items()
+                if v != before.get(k, 0)
             }
-
-    def path_totals(self) -> dict[str, dict]:
-        """Aggregates by full nesting path."""
-        with self._lock:
-            return {
-                k: {"calls": v[0], "seconds": v[1]}
-                for k, v in self._paths.items()
-            }
-
-    def section_seconds(self, name: str) -> float:
-        with self._lock:
-            entry = self._sections.get(name)
-            return entry[1] if entry else 0.0
-
-    def counter(self, name: str) -> float:
-        with self._lock:
-            return self._counters.get(name, 0)
+        return events, deltas
 
     def reset(self) -> None:
-        """Drop all events, aggregates, counters and step records."""
+        """Drop all events and counters."""
         with self._lock:
             self._events.clear()
-            self._sections.clear()
-            self._paths.clear()
             self._counters.clear()
-            self._steps.clear()
-            self.dropped_events = 0
 
-    def summary(self) -> dict:
-        """Plain-dict snapshot for logs and BENCH records."""
-        return {
-            "enabled": True,
-            "sections": self.section_totals(),
-            "counters": self.counters,
-            "steps": [s.to_dict() for s in self.steps],
-            "dropped_events": self.dropped_events,
-        }
+
+# ----------------------------------------------------------------------
+# projections of the event list
+# ----------------------------------------------------------------------
+def path_self_times(spans: list[SpanEvent]) -> dict[str, dict]:
+    """Per-path totals with self time: ``{path: {total_s, self_s, calls}}``.
+
+    Self time is a path's total minus the totals of its *direct* child
+    paths (one more ``/`` segment).  The span stack guarantees children
+    lie inside their parent in time, so the subtraction is exact without
+    interval arithmetic — re-parsed traces preserve paths, so the same
+    computation works on exported artifacts.
+    """
+    totals: dict[str, list] = {}  # path -> [calls, seconds]
+    for ev in spans:
+        entry = totals.get(ev.path)
+        if entry is None:
+            totals[ev.path] = [1, ev.duration]
+        else:
+            entry[0] += 1
+            entry[1] += ev.duration
+    out = {
+        path: {"total_s": sec, "self_s": sec, "calls": calls}
+        for path, (calls, sec) in totals.items()
+    }
+    for path, entry in totals.items():
+        if PATH_SEP not in path:
+            continue
+        parent = path.rsplit(PATH_SEP, 1)[0]
+        if parent in out:
+            out[parent]["self_s"] -= entry[1]
+    for entry in out.values():
+        # float cancellation can leave a tiny negative residue
+        if entry["self_s"] < 0 and entry["self_s"] > -1e-9:
+            entry["self_s"] = 0.0
+    return out
+
+
+def name_self_times(spans: list[SpanEvent]) -> dict[str, dict]:
+    """Self/total time aggregated by leaf name across call sites."""
+    out: dict[str, dict] = {}
+    for path, entry in path_self_times(spans).items():
+        name = path.rsplit(PATH_SEP, 1)[-1]
+        agg = out.setdefault(
+            name, {"total_s": 0.0, "self_s": 0.0, "calls": 0}
+        )
+        agg["total_s"] += entry["total_s"]
+        agg["self_s"] += entry["self_s"]
+        agg["calls"] += entry["calls"]
+    return out
 
 
 # ----------------------------------------------------------------------
@@ -433,12 +352,9 @@ def set_registry(registry: Registry | NullRegistry) -> Registry | NullRegistry:
     return _active
 
 
-def enable(
-    clock: Callable[[], float] = time.perf_counter,
-    max_events: int = 200_000,
-) -> Registry:
+def enable(clock: Callable[[], float] = time.perf_counter) -> Registry:
     """Install and return a fresh live :class:`Registry`."""
-    reg = Registry(clock=clock, max_events=max_events)
+    reg = Registry(clock=clock)
     set_registry(reg)
     return reg
 

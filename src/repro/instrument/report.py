@@ -1,31 +1,35 @@
-"""Reporting surface: measured-vs-model tables and BENCH_*.json records.
+"""Reporting surface: the ``--profile`` view and BENCH_*.json records.
 
-The measured side comes from a live :class:`repro.instrument.Registry`
-populated by an instrumented run; the model side is the calibrated BG/Q
-machine model's time split (Section III of the paper: the 16-ranks /
-4-threads operating point spends 80% in the PP kernel, 10% in the tree
-walk, 5% in the FFT, 5% elsewhere — the attribution behind Table II).
+Both are projections of a run's span events and counters (see
+:mod:`repro.instrument.registry`).  ``run --profile`` prints the same
+critical-path view ``report <run>`` prints from the ledgered trace —
+per-path self time, whose rows plus ``(other)`` sum to the step total —
+followed by the measured-vs-model time split of Section III of the paper
+(the 16-ranks / 4-threads operating point spends 80% in the PP kernel,
+10% in the tree walk, 5% in the FFT, 5% elsewhere — the attribution
+behind Table II) and the pair list efficiency.
 
-Section-name → Table II row mapping
------------------------------------
-========================  ======================  ===============
-span name(s)              profile row             model bucket
-========================  ======================  ===============
-``cic.deposit``           CIC deposit             other
-``fft.forward``           forward FFT             fft
-``poisson.filter``        filter                  fft
-``fft.inverse``           inverse FFT             fft
-``cic.interpolate``       CIC interpolate         other
-``tree.build``            tree build              walk
-``tree.walk``             tree walk               walk
-``pp.kernel, pp.batch``   PP kernel               kernel
-``sks.stream, sks.kick``  stream/kick             other
-========================  ======================  ===============
+Span name → Table II bucket
+---------------------------
+====================================================  ===========
+span name(s)                                          model bucket
+====================================================  ===========
+``pp.kernel``, ``pp.batch``                           kernel
+``tree.build``, ``tree.walk``                         walk
+``fft.forward``, ``fft.inverse``, ``poisson.filter``,  fft
+``fft.pencil.forward``, ``fft.pencil.inverse``
+any other span (CIC, stream/kick, driver self time)   other
+====================================================  ===========
+
+A path's self time goes to the bucket of its nearest named span, itself
+or an ancestor (the pencil FFT's transposes count as ``fft``).  The
+shares are of the summed self time of every path: the step total on a
+serial run; on a threaded run the worker lanes add their busy time.
 
 Python-vs-BG/Q caveat: the *fractions* are comparable in structure, not
 in value — a NumPy PP kernel is far slower relative to FFTW-class FFTs
 than hand-scheduled QPX, so expect the measured kernel share to exceed
-80% at paper-like sub-cycling.  The table exists to make exactly that
+80% at paper-like sub-cycling.  The split exists to make exactly that
 kind of statement quantitative.
 """
 
@@ -33,135 +37,56 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
 from pathlib import Path
 
 from repro.instrument.perfcount import list_efficiency_line
-from repro.instrument.registry import NullRegistry, Registry
+from repro.instrument.registry import (
+    PATH_SEP,
+    NullRegistry,
+    Registry,
+    SpanEvent,
+    name_self_times,
+    path_self_times,
+)
 
 __all__ = [
-    "ProfileRow",
-    "SECTION_ROWS",
-    "section_table",
-    "bucket_table",
+    "TABLE2_BUCKETS",
+    "bucket_seconds",
     "render_profile",
     "write_bench_record",
     "bench_provenance_notes",
 ]
 
-
-@dataclass(frozen=True)
-class ProfileRow:
-    """One row of the profile table: sections, counters, model bucket."""
-
-    label: str
-    sections: tuple[str, ...]
-    bucket: str
-    counters: tuple[str, ...] = ()
-
-
-#: canonical profile rows in paper Table II order
-SECTION_ROWS = (
-    ProfileRow("CIC deposit", ("cic.deposit",), "other",
-               ("cic.deposit_particles",)),
-    ProfileRow("forward FFT", ("fft.forward",), "fft",
-               ("fft.forward_points",)),
-    ProfileRow("filter", ("poisson.filter",), "fft",
-               ("poisson.filter_points",)),
-    ProfileRow("inverse FFT", ("fft.inverse",), "fft",
-               ("fft.inverse_points",)),
-    ProfileRow("CIC interpolate", ("cic.interpolate",), "other",
-               ("cic.interp_particles",)),
-    ProfileRow("tree build", ("tree.build",), "walk",
-               ("tree.build_particles",)),
-    ProfileRow("tree walk", ("tree.walk",), "walk",
-               ("tree.list_length",)),
-    ProfileRow("PP kernel", ("pp.kernel", "pp.batch"), "kernel",
-               ("pp.interactions", "pp.flops")),
-    ProfileRow("stream/kick", ("sks.stream", "sks.kick"), "other",
-               ("sks.substeps",)),
-)
+#: span name -> the paper's Table II bucket (unnamed spans are "other")
+TABLE2_BUCKETS = {
+    "pp.kernel": "kernel",
+    "pp.batch": "kernel",
+    "tree.build": "walk",
+    "tree.walk": "walk",
+    "fft.forward": "fft",
+    "fft.inverse": "fft",
+    "poisson.filter": "fft",
+    "fft.pencil.forward": "fft",
+    "fft.pencil.inverse": "fft",
+}
 
 
-def _model_split() -> dict[str, float]:
-    from repro.machine.paper_data import FULLCODE_TIME_SPLIT
+def bucket_seconds(events: list[SpanEvent]) -> dict[str, float]:
+    """Self time per Table II bucket (``kernel``/``walk``/``fft``/``other``).
 
-    return dict(FULLCODE_TIME_SPLIT)
-
-
-def section_table(
-    registry: Registry | NullRegistry,
-    rows: tuple[ProfileRow, ...] = SECTION_ROWS,
-) -> list[dict]:
-    """Measured seconds/fractions/counters per profile row.
-
-    ``fraction`` is relative to the total time under ``step`` spans when
-    present (otherwise the sum over all rows); ``model_fraction`` is the
-    machine model's share for the row's Table II bucket.
+    Each path's self time goes to the bucket of its nearest span named
+    in :data:`TABLE2_BUCKETS`, itself or an ancestor; so the buckets sum
+    to the self time of every path.
     """
-    totals = registry.section_totals()
-    counters = registry.counters
-    split = _model_split()
-
-    def row_seconds(row: ProfileRow) -> float:
-        return sum(
-            totals.get(s, {}).get("seconds", 0.0) for s in row.sections
+    out = {"kernel": 0.0, "walk": 0.0, "fft": 0.0, "other": 0.0}
+    for path, entry in path_self_times(events).items():
+        bucket = next(
+            (TABLE2_BUCKETS[n] for n in reversed(path.split(PATH_SEP))
+             if n in TABLE2_BUCKETS),
+            "other",
         )
-
-    def row_calls(row: ProfileRow) -> int:
-        return sum(totals.get(s, {}).get("calls", 0) for s in row.sections)
-
-    step_total = totals.get("step", {}).get("seconds", 0.0)
-    if step_total <= 0.0:
-        step_total = sum(row_seconds(r) for r in rows)
-    out = []
-    for row in rows:
-        seconds = row_seconds(row)
-        counter_name, counter_value = "", 0.0
-        for cname in row.counters:
-            if cname in counters:
-                counter_name, counter_value = cname, counters[cname]
-                break
-        out.append(
-            {
-                "label": row.label,
-                "sections": row.sections,
-                "bucket": row.bucket,
-                "seconds": seconds,
-                "calls": row_calls(row),
-                "fraction": seconds / step_total if step_total > 0 else 0.0,
-                "counter": counter_name,
-                "counter_value": counter_value,
-                "model_fraction": split.get(row.bucket, 0.0),
-            }
-        )
+        out[bucket] += entry["self_s"]
     return out
-
-
-def bucket_table(
-    registry: Registry | NullRegistry,
-    rows: tuple[ProfileRow, ...] = SECTION_ROWS,
-) -> list[dict]:
-    """Measured vs model time split aggregated to the paper's buckets."""
-    table = section_table(registry, rows)
-    split = _model_split()
-    measured: dict[str, float] = {k: 0.0 for k in split}
-    for entry in table:
-        measured[entry["bucket"]] = (
-            measured.get(entry["bucket"], 0.0) + entry["seconds"]
-        )
-    total = sum(measured.values())
-    return [
-        {
-            "bucket": bucket,
-            "seconds": measured.get(bucket, 0.0),
-            "measured_fraction": (
-                measured.get(bucket, 0.0) / total if total > 0 else 0.0
-            ),
-            "model_fraction": frac,
-        }
-        for bucket, frac in split.items()
-    ]
 
 
 def _fmt_count(value: float) -> str:
@@ -170,55 +95,31 @@ def _fmt_count(value: float) -> str:
     return f"{value:.3e}"
 
 
-def render_profile(
-    registry: Registry | NullRegistry,
-    rows: tuple[ProfileRow, ...] = SECTION_ROWS,
-) -> str:
-    """Human-readable measured-vs-model profile (the ``--profile`` table)."""
-    table = section_table(registry, rows)
-    buckets = bucket_table(registry, rows)
-    totals = registry.section_totals()
-    lines = []
-    step = totals.get("step")
-    if step:
-        lines.append(
-            f"profiled {step['calls']} step(s), "
-            f"{step['seconds']:.3f} s inside step spans"
-        )
-    header = (
-        f"{'section':16s} {'measured s':>10s} {'% of step':>9s} "
-        f"{'calls':>6s} {'bucket':>7s} {'model %':>8s}  counters"
-    )
-    lines.append(header)
-    lines.append("-" * len(header))
-    for entry in table:
-        counter = (
-            f"{entry['counter']}={_fmt_count(entry['counter_value'])}"
-            if entry["counter"]
-            else "-"
-        )
-        lines.append(
-            f"{entry['label']:16s} {entry['seconds']:10.4f} "
-            f"{100 * entry['fraction']:8.1f}% {entry['calls']:6d} "
-            f"{entry['bucket']:>7s} {100 * entry['model_fraction']:7.1f}%  "
-            f"{counter}"
-        )
-    lines.append("")
+def render_profile(registry: Registry | NullRegistry) -> str:
+    """The ``--profile`` view: the ``report <run>`` self-time table, the
+    measured-vs-model Table II split and the list-efficiency line."""
+    from repro.instrument.analysis import analyze_spans, render_analysis
+    from repro.machine.paper_data import FULLCODE_TIME_SPLIT
+
+    events, counters = registry.events, registry.counters
+    lines = [render_analysis(analyze_spans(events)), ""]
+    buckets = bucket_seconds(events)
+    total = sum(buckets.values())
     lines.append("paper Table II attribution (Section III time split) "
-                 "vs this run:")
-    for entry in buckets:
+                 "vs this run's self time:")
+    for bucket, model in FULLCODE_TIME_SPLIT.items():
+        measured = buckets[bucket] / total if total > 0 else 0.0
         lines.append(
-            f"  {entry['bucket']:7s} measured "
-            f"{100 * entry['measured_fraction']:5.1f}%   "
-            f"model/paper {100 * entry['model_fraction']:5.1f}%"
+            f"  {bucket:7s} measured {100 * measured:5.1f}%   "
+            f"model/paper {100 * model:5.1f}%"
         )
-    comm_bytes = registry.counter("comm.bytes")
+    comm_bytes = counters.get("comm.bytes", 0)
     if comm_bytes:
         lines.append(
             f"  comm    {_fmt_count(comm_bytes)} bytes in "
-            f"{_fmt_count(registry.counter('comm.messages'))} messages"
+            f"{_fmt_count(counters.get('comm.messages', 0))} messages"
         )
-    listed = list_efficiency_line(registry.counters)
+    listed = list_efficiency_line(counters)
     if listed:
         lines.append(f"  {listed}")
     return "\n".join(lines)
@@ -265,7 +166,8 @@ def write_bench_record(
     name: str,
     payload: dict,
     directory: str | Path | None = None,
-    registry: Registry | NullRegistry | None = None,
+    events: list[SpanEvent] | None = None,
+    counters: dict | None = None,
 ) -> Path:
     """Write a ``BENCH_<name>.json`` record and return its path.
 
@@ -279,9 +181,10 @@ def write_bench_record(
         Destination (created if missing); defaults to the
         ``REPRO_BENCH_DIR`` environment variable, then
         ``benchmarks/records``.
-    registry:
-        If given, its :meth:`~repro.instrument.Registry.summary` — the
-        section totals and counters — is embedded under ``"instrument"``.
+    events, counters:
+        If given, a run's span events and counters: the per-name totals
+        (``{name: {calls, seconds}}``) and the counters are embedded
+        under ``"instrument"``.
     """
     if directory is None:
         directory = os.environ.get("REPRO_BENCH_DIR", "benchmarks/records")
@@ -290,11 +193,13 @@ def write_bench_record(
     safe = "".join(c if c.isalnum() or c in "-._" else "_" for c in name)
     path = directory / f"BENCH_{safe}.json"
     record = {"name": name, "payload": payload}
-    if registry is not None:
-        summary = registry.summary()
+    if events is not None or counters is not None:
         record["instrument"] = {
-            "sections": summary["sections"],
-            "counters": summary["counters"],
+            "sections": {
+                k: {"calls": v["calls"], "seconds": v["total_s"]}
+                for k, v in name_self_times(events or []).items()
+            },
+            "counters": dict(counters or {}),
         }
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(record, fh, indent=2, sort_keys=True)

@@ -12,7 +12,8 @@ accumulate:
   ``record`` never poisons the ledger;
 * ``<root>/runs/<run_id>/`` — the run's artifacts, copied in at record
   time: ``entry.json`` (the full entry), ``telemetry.jsonl`` (the
-  RunStream), ``trace.json`` (Chrome trace of the registry), and
+  RunStream), ``trace.json`` (Chrome trace of the registry: its span
+  events and counters, the run's one timing record), and
   ``bench/BENCH_*.json`` records.
 
 Entries are queryable by config hash, seed, executor backend / worker
@@ -180,7 +181,6 @@ class RunLedger:
         manifest: dict | None = None,
         stream_path: str | Path | None = None,
         registry=None,
-        trace_path: str | Path | None = None,
         bench_records: dict[str, dict] | None = None,
         verdict: str | None = None,
         extra: dict | None = None,
@@ -198,9 +198,8 @@ class RunLedger:
             the verdict / wall time / alert count unless given directly.
         registry:
             A live :class:`repro.instrument.Registry`; its Chrome trace
-            (span tree + per-rank/worker lanes) and summary are stored.
-        trace_path:
-            Alternatively, an already-exported Chrome trace to copy in.
+            (span tree + per-rank/worker lanes + counters) is stored,
+            and the entry's ``gflops`` is read back from it.
         bench_records:
             ``{name: record}`` BENCH payloads to store under ``bench/``.
         verdict:
@@ -227,28 +226,16 @@ class RunLedger:
             shutil.copy2(stream_path, run_dir / "telemetry.jsonl")
             artifacts["telemetry"] = "telemetry.jsonl"
         if registry is not None:
-            from repro.instrument.exporters import write_chrome_trace
+            from repro.instrument.exporters import (
+                load_chrome_trace,
+                write_chrome_trace,
+            )
+            from repro.instrument.perfcount import achieved_gflops
 
             write_chrome_trace(registry, run_dir / "trace.json")
             artifacts["trace"] = "trace.json"
-            summary = registry.summary()
-            with open(run_dir / "registry.json", "w",
-                      encoding="utf-8") as fh:
-                json.dump(
-                    {
-                        "sections": summary["sections"],
-                        "counters": summary["counters"],
-                        "steps": summary.get("steps", []),
-                    },
-                    fh,
-                )
-            artifacts["registry"] = "registry.json"
-            from repro.instrument.perfcount import achieved_gflops
-
-            gflops = achieved_gflops(registry)
-        elif trace_path is not None and Path(trace_path).is_file():
-            shutil.copy2(trace_path, run_dir / "trace.json")
-            artifacts["trace"] = "trace.json"
+            trace = load_chrome_trace(run_dir / "trace.json")
+            gflops = achieved_gflops(trace["spans"], trace["counters"])
         if bench_records:
             bench_dir = run_dir / "bench"
             bench_dir.mkdir(exist_ok=True)
@@ -441,24 +428,13 @@ class RunLedger:
         path = self.artifact_path(entry, "telemetry")
         return read_stream(path) if path is not None else None
 
-    def load_spans(self, entry: RunEntry) -> list | None:
-        """Span events re-parsed from the stored Chrome trace, if any."""
+    def load_trace(self, entry: RunEntry) -> dict | None:
+        """The stored Chrome trace re-parsed (``{"spans", "counters"}``),
+        if any."""
         from repro.instrument.exporters import load_chrome_trace
 
         path = self.artifact_path(entry, "trace")
-        if path is None:
-            return None
-        return load_chrome_trace(path)["spans"]
-
-    def load_registry(self, entry: RunEntry) -> dict | None:
-        """Stored registry summary (sections/counters/steps), if any."""
-        path = self.artifact_path(entry, "registry")
-        if path is None:
-            return None
-        try:
-            return json.loads(path.read_text())
-        except (OSError, json.JSONDecodeError):
-            return None
+        return load_chrome_trace(path) if path is not None else None
 
     def load_bench(self, entry: RunEntry) -> dict[str, dict]:
         """Stored BENCH records of an entry: ``{name: record}``."""
@@ -484,7 +460,7 @@ class RunLedger:
             else self.get(token_or_entry)
         )
         analysis = analyze(
-            spans=self.load_spans(entry),
+            spans=(self.load_trace(entry) or {}).get("spans"),
             stream=self.load_stream(entry),
             meta=entry.meta(),
         )

@@ -30,7 +30,7 @@ from __future__ import annotations
 import json
 import threading
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping
 
@@ -77,11 +77,7 @@ class StepTelemetry:
     #: achieved-throughput summary of the step (``gflops``, ``pair_ns``,
     #: ``ai`` — see :func:`repro.instrument.perfcount.step_perf`); empty
     #: when the registry was disabled or the step charged no work
-    perf: dict = None  # type: ignore[assignment]
-
-    def __post_init__(self) -> None:
-        if self.perf is None:
-            object.__setattr__(self, "perf", {})
+    perf: dict = field(default_factory=dict)
 
     @property
     def z(self) -> float:

@@ -39,7 +39,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Sequence
 
-from repro.instrument import get_registry
+from repro.instrument.registry import WORKER_LANE_BASE, get_registry
 
 __all__ = [
     "EXECUTOR_BACKENDS",
@@ -50,10 +50,6 @@ __all__ = [
 
 #: the interchangeable execution backends, in "distance from serial" order
 EXECUTOR_BACKENDS = ("serial", "thread")
-
-#: Chrome-trace lane offset: worker lanes live at ``pid >= 1000`` so they
-#: never collide with simulated-rank lanes (``pid = rank``)
-WORKER_LANE_BASE = 1000
 
 
 class WorkerError(RuntimeError):

@@ -248,7 +248,8 @@ class TestRunCommand:
             assert main(["-q", "run", "--steps", "1", "--n-per-dim", "8",
                          "--backend", "pm", "--profile", "--bench-record",
                          "nightly", "--ledger", str(root)]) == 0
-        assert "% of step" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "self s" in out and "model/paper" in out
         assert (tmp_path / "records" / "BENCH_nightly.json").is_file()
         ledger = RunLedger(root)
         record = ledger.load_bench(ledger.get("latest"))["nightly"]

@@ -24,6 +24,8 @@ from repro.instrument import (
     Registry,
     count,
     get_registry,
+    name_self_times,
+    path_self_times,
     span,
     timed,
     use,
@@ -65,6 +67,11 @@ def tiny_sim(**kwargs):
     return HACCSimulation(SimulationConfig(**base))
 
 
+def totals(reg) -> dict[str, dict]:
+    """Per-name ``{total_s, self_s, calls}`` of a registry's events."""
+    return name_self_times(reg.events)
+
+
 # ----------------------------------------------------------------------
 # spans
 # ----------------------------------------------------------------------
@@ -72,8 +79,8 @@ class TestSpans:
     def test_single_span_duration(self, registry, clock):
         with registry.span("work"):
             clock.advance(2.5)
-        assert registry.section_seconds("work") == 2.5
-        assert registry.section_totals()["work"]["calls"] == 1
+        assert totals(registry)["work"]["total_s"] == 2.5
+        assert totals(registry)["work"]["calls"] == 1
 
     def test_nested_spans_paths_and_totals(self, registry, clock):
         with registry.span("outer"):
@@ -82,10 +89,12 @@ class TestSpans:
                 clock.advance(0.25)
             with registry.span("inner"):
                 clock.advance(0.25)
-        totals = registry.section_totals()
-        assert totals["outer"] == {"calls": 1, "seconds": 1.5}
-        assert totals["inner"] == {"calls": 2, "seconds": 0.5}
-        paths = registry.path_totals()
+        by_name = totals(registry)
+        assert by_name["outer"] == {"calls": 1, "total_s": 1.5,
+                                    "self_s": 1.0}
+        assert by_name["inner"] == {"calls": 2, "total_s": 0.5,
+                                    "self_s": 0.5}
+        paths = path_self_times(registry.events)
         assert paths["outer/inner"]["calls"] == 2
         events = registry.events
         assert {e.path for e in events} == {"outer", "outer/inner"}
@@ -93,19 +102,19 @@ class TestSpans:
     def test_deep_nesting_path(self, registry, clock):
         with registry.span("a"), registry.span("b"), registry.span("c"):
             clock.advance(1.0)
-        assert "a/b/c" in registry.path_totals()
+        assert "a/b/c" in path_self_times(registry.events)
 
     def test_module_level_span_uses_active_registry(self, registry, clock):
         with span("modlevel"):
             clock.advance(0.5)
-        assert registry.section_seconds("modlevel") == 0.5
+        assert totals(registry)["modlevel"]["total_s"] == 0.5
 
     def test_exception_still_closes_span(self, registry, clock):
         with pytest.raises(RuntimeError):
             with registry.span("boom"):
                 clock.advance(1.0)
                 raise RuntimeError("kaput")
-        assert registry.section_seconds("boom") == 1.0
+        assert totals(registry)["boom"]["total_s"] == 1.0
 
     def test_timed_decorator(self, registry, clock):
         @timed("decorated")
@@ -114,7 +123,7 @@ class TestSpans:
             return 2 * x
 
         assert work(21) == 42
-        assert registry.section_seconds("decorated") == 0.75
+        assert totals(registry)["decorated"]["total_s"] == 0.75
 
     def test_timed_decorator_respects_disable(self, clock):
         @timed("decorated")
@@ -125,17 +134,22 @@ class TestSpans:
         with use(reg):
             work()
         work()  # after restore: null registry, not recorded
-        assert reg.section_totals()["decorated"]["calls"] == 1
+        assert totals(reg)["decorated"]["calls"] == 1
 
-    def test_max_events_cap_keeps_aggregates(self, clock):
-        reg = Registry(clock=clock, max_events=3)
+    def test_every_span_is_kept(self, clock):
+        reg = Registry(clock=clock)
         with use(reg):
             for _ in range(10):
                 with reg.span("s"):
                     clock.advance(0.1)
-        assert len(reg.events) == 3
-        assert reg.dropped_events == 7
-        assert reg.section_totals()["s"]["calls"] == 10
+        assert len(reg.events) == 10
+        assert totals(reg)["s"]["calls"] == 10
+
+    def test_span_event_is_slotted(self):
+        ev = exporters.SpanEvent("s", "s", 0.0, 1.0, 1)
+        assert not hasattr(ev, "__dict__")
+        with pytest.raises(AttributeError):
+            ev.name = "t"  # frozen
 
     def test_reset(self, registry, clock):
         with registry.span("s"):
@@ -144,7 +158,6 @@ class TestSpans:
         registry.reset()
         assert registry.events == []
         assert registry.counters == {}
-        assert registry.section_totals() == {}
 
 
 # ----------------------------------------------------------------------
@@ -156,31 +169,31 @@ class TestCounters:
         registry.count("x", 4)
         count("y", 2.5)
         assert registry.counters == {"x": 5, "y": 2.5}
-        assert registry.counter("x") == 5
-        assert registry.counter("missing") == 0
 
 
 # ----------------------------------------------------------------------
-# step records
+# step records: a window of events and counter deltas
 # ----------------------------------------------------------------------
 class TestStepRecords:
     def test_step_deltas(self, registry, clock):
-        with registry.step(0):
-            with registry.span("force"):
-                clock.advance(1.0)
-            registry.count("pairs", 100)
-        with registry.step(1):
-            with registry.span("force"):
-                clock.advance(3.0)
-            registry.count("pairs", 50)
-        steps = registry.steps
-        assert [s.index for s in steps] == [0, 1]
-        assert steps[0].sections["force"] == 1.0
-        assert steps[1].sections["force"] == 3.0
-        assert steps[0].counters["pairs"] == 100
-        assert steps[1].counters["pairs"] == 50
-        assert steps[1].wall_time == 3.0
-        assert steps[1].calls["force"] == 1
+        windows = []
+        for dt, pairs in ((1.0, 100), (3.0, 50)):
+            mark = registry.mark()
+            with registry.span("step"):
+                with registry.span("force"):
+                    clock.advance(dt)
+                registry.count("pairs", pairs)
+            windows.append(registry.since(mark))
+        (ev0, ctr0), (ev1, ctr1) = windows
+        assert [e.path for e in ev1] == ["step/force", "step"]
+        assert name_self_times(ev0)["force"]["total_s"] == 1.0
+        assert name_self_times(ev1)["force"]["total_s"] == 3.0
+        assert ctr0 == {"pairs": 100}
+        assert ctr1 == {"pairs": 50}
+        assert name_self_times(ev1)["step"]["total_s"] == 3.0
+        assert name_self_times(ev1)["force"]["calls"] == 1
+        # the run's record is every window, end to end
+        assert registry.events == ev0 + ev1
 
 
 # ----------------------------------------------------------------------
@@ -188,14 +201,13 @@ class TestStepRecords:
 # ----------------------------------------------------------------------
 @pytest.fixture()
 def populated(registry, clock):
-    with registry.step(0):
-        with registry.span("step"):
-            with registry.span("longrange"):
-                clock.advance(1.0)
-                with registry.span("fft.forward"):
-                    clock.advance(0.5)
-            with registry.span("shortrange"):
-                clock.advance(2.0)
+    with registry.span("step"):
+        with registry.span("longrange"):
+            clock.advance(1.0)
+            with registry.span("fft.forward"):
+                clock.advance(0.5)
+        with registry.span("shortrange"):
+            clock.advance(2.0)
     registry.count("pp.interactions", 1234)
     return registry
 
@@ -303,10 +315,10 @@ class TestThreadSafety:
         with use(reg):
             with ThreadPoolExecutor(max_workers=n_threads) as pool:
                 list(pool.map(work, range(n_threads)))
-        totals = reg.section_totals()
-        assert totals["outer"]["calls"] == n_threads * n_iter
-        assert totals["inner"]["calls"] == n_threads * n_iter
-        assert reg.counter("ticks") == n_threads * n_iter
+        by_name = totals(reg)
+        assert by_name["outer"]["calls"] == n_threads * n_iter
+        assert by_name["inner"]["calls"] == n_threads * n_iter
+        assert reg.counters["ticks"] == n_threads * n_iter
         # per-thread nesting survived concurrency
         assert all(
             e.path in ("outer", "outer/inner") for e in reg.events
@@ -346,12 +358,9 @@ class TestDisabledPath:
         with null.span("a"):
             pass
         null.count("c", 3)
-        with null.step(0):
-            pass
         assert null.events == []
         assert null.counters == {}
-        assert null.steps == []
-        assert null.summary()["enabled"] is False
+        assert not null.enabled
 
     def test_simulation_run_disabled_leaves_no_trace(self):
         sim = tiny_sim()
@@ -375,16 +384,16 @@ class TestSimulationIntegration:
         sim = tiny_sim(backend="treepm", n_per_dim=8, n_steps=2,
                        n_subcycles=2)
         sim.run()
-        totals = reg.section_totals()
+        by_name = totals(reg)
         for name in (
             "step", "longrange", "shortrange",
             "cic.deposit", "fft.forward", "poisson.filter", "fft.inverse",
             "cic.interpolate", "tree.build", "tree.walk", "pp.batch",
             "sks.stream", "sks.kick",
         ):
-            assert totals.get(name, {}).get("seconds", 0) > 0, name
-        assert len(reg.steps) == 2
-        assert reg.counter("sks.substeps") == 4
+            assert by_name.get(name, {}).get("total_s", 0) > 0, name
+        assert by_name["step"]["calls"] == 2
+        assert reg.counters["sks.substeps"] == 4
         assert exporters.spans_nest(reg.events)
 
     def test_interaction_count_agrees_with_counter(self):
@@ -392,11 +401,12 @@ class TestSimulationIntegration:
         sim = tiny_sim(backend="treepm", n_per_dim=8, n_steps=1)
         sim.run()
         assert sim.interaction_count() > 0
-        assert reg.counter("pp.interactions") == sim.interaction_count()
+        counters = reg.counters
+        assert counters["pp.interactions"] == sim.interaction_count()
         # 8 separation flops per streamed pair, 13 more inside the cutoff
-        inside = reg.counter("pp.batch.inside_pairs")
+        inside = counters["pp.batch.inside_pairs"]
         assert 0 < inside < sim.interaction_count()
-        assert reg.counter("pp.flops") == (
+        assert counters["pp.flops"] == (
             8.0 * sim.interaction_count() + 13.0 * inside
         )
 
@@ -404,11 +414,11 @@ class TestSimulationIntegration:
         reg = instrument.enable()
         sim = tiny_sim(backend="pm")
         sim.run()
-        totals = reg.section_totals()
-        assert "pp.kernel" not in totals
-        assert totals["fft.forward"]["seconds"] > 0
+        by_name = totals(reg)
+        assert "pp.kernel" not in by_name
+        assert by_name["fft.forward"]["total_s"] > 0
         # the driver's per-force time is the enabled registry's span
-        assert reg.section_seconds("longrange") > 0
+        assert by_name["longrange"]["total_s"] > 0
 
     def test_pencil_fft_sections_and_comm_counters(self):
         from repro.fft.pencil import PencilFFT
@@ -419,19 +429,20 @@ class TestSimulationIntegration:
         k = fft.gather(fft.forward(fft.scatter(x.astype(complex))),
                        "x-pencil")
         assert np.allclose(k, np.fft.fftn(x))
-        totals = reg.section_totals()
+        by_name = totals(reg)
         for name in (
             "fft.pencil.scatter", "fft.pencil.forward",
             "fft.transpose.zy", "fft.transpose.yx", "fft.pencil.gather",
         ):
-            assert name in totals, name
-        assert reg.counter("comm.bytes") > 0
-        assert reg.counter("comm.bytes[fft.transpose.zy]") > 0
+            assert name in by_name, name
+        counters = reg.counters
+        assert counters["comm.bytes"] > 0
+        assert counters["comm.bytes[fft.transpose.zy]"] > 0
         # recorded transpose traffic matches the analytic per-rank count
         analytic = fft.transpose_bytes_per_rank() * fft.size
-        recorded = reg.counter("comm.bytes[fft.transpose.zy]") + reg.counter(
+        recorded = counters["comm.bytes[fft.transpose.zy]"] + counters[
             "comm.bytes[fft.transpose.yx]"
-        )
+        ]
         assert recorded == analytic
 
 
@@ -446,46 +457,52 @@ class TestReport:
         sim.run()
         return reg, sim
 
-    def test_section_table_rows(self):
-        reg, sim = self._profiled_registry()
-        table = report.section_table(reg)
-        by_label = {r["label"]: r for r in table}
-        assert set(by_label) == {
-            "CIC deposit", "forward FFT", "filter", "inverse FFT",
-            "CIC interpolate", "tree build", "tree walk", "PP kernel",
-            "stream/kick",
-        }
-        for row in table:
-            assert row["seconds"] > 0, row["label"]
-            assert 0 < row["model_fraction"] <= 1
-        pp = by_label["PP kernel"]
-        assert pp["counter"] == "pp.interactions"
-        assert pp["counter_value"] == sim.interaction_count()
-        assert pp["bucket"] == "kernel"
-        assert pp["model_fraction"] == pytest.approx(0.80)
+    def test_profile_rows_close_on_the_step(self):
+        """The --profile rows are self times: with ``(other)`` they sum
+        to the step total, as the report of the ledgered trace does."""
+        from repro.instrument.analysis import analyze_spans
+
+        reg, _ = self._profiled_registry()
+        analysis = analyze_spans(reg.events)
+        step = totals(reg)["step"]["total_s"]
+        assert analysis.wall_s == step
+        assert sum(p.self_s for p in analysis.phases) == pytest.approx(
+            step, abs=1e-9
+        )
+        text = report.render_profile(reg)
+        table = text.split("phase (by path)")[1].split("\n\n")[0]
+        rows = [line for line in table.splitlines()[1:] if line.strip()]
+        assert rows[-1].startswith("(other)")
+        printed = sum(float(line[40:50]) for line in rows)
+        # each printed row is rounded to 0.1 ms
+        assert printed == pytest.approx(step, abs=0.5e-4 * len(rows))
 
     def test_bucket_fractions_sum_to_one(self):
+        from repro.machine.paper_data import FULLCODE_TIME_SPLIT
+
         reg, _ = self._profiled_registry()
-        buckets = report.bucket_table(reg)
-        assert {b["bucket"] for b in buckets} == {
-            "kernel", "walk", "fft", "other"
-        }
-        assert sum(b["measured_fraction"] for b in buckets) == pytest.approx(
-            1.0
+        buckets = report.bucket_seconds(reg.events)
+        assert set(buckets) == {"kernel", "walk", "fft", "other"}
+        # a serial run's buckets hold every self time: the step total
+        assert sum(buckets.values()) == pytest.approx(
+            totals(reg)["step"]["total_s"], abs=1e-9
         )
-        assert sum(b["model_fraction"] for b in buckets) == pytest.approx(1.0)
+        assert all(buckets[b] > 0 for b in buckets)
+        assert sum(FULLCODE_TIME_SPLIT.values()) == pytest.approx(1.0)
 
     def test_render_profile_mentions_every_row(self):
         reg, _ = self._profiled_registry()
         text = report.render_profile(reg)
-        for label in ("CIC deposit", "forward FFT", "filter", "inverse FFT",
-                      "tree build", "PP kernel", "stream/kick", "model"):
-            assert label in text
+        for label in ("cic.deposit", "fft.forward", "tree.walk",
+                      "pp.batch", "sks.stream", "self s", "model/paper",
+                      "kernel", "walk", "list efficiency"):
+            assert label in text, label
 
     def test_write_bench_record(self, tmp_path):
         reg, sim = self._profiled_registry()
         path = report.write_bench_record(
-            "unit/test", {"metric": 1.5}, directory=tmp_path, registry=reg
+            "unit/test", {"metric": 1.5}, directory=tmp_path,
+            events=reg.events, counters=reg.counters,
         )
         assert path.name == "BENCH_unit_test.json"
         with open(path, encoding="utf-8") as fh:

@@ -9,6 +9,7 @@ what the disabled instrumentation can possibly cost a production run.
 
 from __future__ import annotations
 
+import io
 import json
 import sys
 import time
@@ -23,6 +24,7 @@ from repro.core.simulation import HACCSimulation
 from repro.grid.cic import cic_deposit, cic_interpolate
 from repro.grid.poisson import SpectralPoissonSolver
 from repro.instrument import (
+    FakeClock,
     NullRegistry,
     Registry,
     PhaseWork,
@@ -35,7 +37,7 @@ from repro.instrument import (
 )
 from repro.instrument import perfcount
 from repro.instrument.monitor import render_dashboard
-from repro.instrument.registry import StepRecord
+from repro.instrument.exporters import load_chrome_trace, write_chrome_trace
 from repro.instrument.report import bench_provenance_notes
 from repro.instrument.store import RunEntry
 from repro.instrument.telemetry import RunStream, StepTelemetry, Telemetry
@@ -88,9 +90,9 @@ class TestPairWork:
             DirectShortRange(kernel).accelerations_cloud(
                 np.ones((1, 3)), np.ones(1), 1
             )
-        assert reg.counter("pp.interactions") == 1
-        assert reg.counter("pp.flops") == perfcount.PAIR_FLOPS == 21.0
-        assert reg.counter("pp.bytes") == 4 * itemsize
+        assert reg.counters.get("pp.interactions", 0) == 1
+        assert reg.counters.get("pp.flops", 0) == perfcount.PAIR_FLOPS == 21.0
+        assert reg.counters.get("pp.bytes", 0) == 4 * itemsize
 
     def test_concurrent_charges_are_exact(self):
         """Pool threads charge their solves' work directly into the one
@@ -112,10 +114,10 @@ class TestPairWork:
         finally:
             sys.setswitchinterval(old)
         n = n_threads * n_iter
-        assert reg.counter("pp.interactions") == 3 * n
-        assert reg.counter("pp.batch.inside_pairs") == n
-        assert reg.counter("pp.flops") == perfcount.pair_flops(3 * n, n)
-        assert reg.counter("pp.bytes") == perfcount.pair_bytes(3 * n, 8)
+        assert reg.counters.get("pp.interactions", 0) == 3 * n
+        assert reg.counters.get("pp.batch.inside_pairs", 0) == n
+        assert reg.counters.get("pp.flops", 0) == perfcount.pair_flops(3 * n, n)
+        assert reg.counters.get("pp.bytes", 0) == perfcount.pair_bytes(3 * n, 8)
 
     def test_f32_halves_bytes_for_identical_flops(self):
         """The bandwidth half of mixed precision, from the counters."""
@@ -134,8 +136,8 @@ class TestCICWork:
         reg = Registry()
         with use(reg):
             cic_deposit(pos, 8, 10.0, dtype=dtype)
-        assert reg.counter("cic.flops") == 47.0
-        assert reg.counter("cic.bytes") == 8 * (2 * itemsize + 8)
+        assert reg.counters.get("cic.flops", 0) == 47.0
+        assert reg.counters.get("cic.bytes", 0) == 8 * (2 * itemsize + 8)
 
     def test_one_particle_gather(self):
         pos = np.array([[1.2, 3.4, 5.6]])
@@ -143,15 +145,15 @@ class TestCICWork:
         reg = Registry()
         with use(reg):
             cic_interpolate(grid, pos, 10.0)
-        assert reg.counter("cic.flops") == 47.0
-        assert reg.counter("cic.bytes") == 8 * (2 * 8 + 8)
+        assert reg.counters.get("cic.flops", 0) == 47.0
+        assert reg.counters.get("cic.bytes", 0) == 8 * (2 * 8 + 8)
 
     def test_scales_linearly_with_particles(self, rng):
         pos = rng.uniform(0, 10.0, (250, 3))
         reg = Registry()
         with use(reg):
             cic_deposit(pos, 8, 10.0)
-        assert reg.counter("cic.flops") == 47.0 * 250
+        assert reg.counters.get("cic.flops", 0) == 47.0 * 250
 
 
 class TestFFTWork:
@@ -161,25 +163,25 @@ class TestFFTWork:
         reg = Registry()
         with use(reg):
             solver._forward(np.zeros((4, 4, 4)))
-        assert reg.counter("fft.flops") == 5.0 * 64 * 6 == 1920.0
-        assert reg.counter("fft.bytes") == 2 * 16 * 64 * 6
+        assert reg.counters.get("fft.flops", 0) == 5.0 * 64 * 6 == 1920.0
+        assert reg.counters.get("fft.bytes", 0) == 2 * 16 * 64 * 6
 
     def test_f32_path_charges_complex64_traffic(self):
         solver = SpectralPoissonSolver(4, 1.0, dtype=np.float32)
         reg = Registry()
         with use(reg):
             solver._forward(np.zeros((4, 4, 4), dtype=np.float32))
-        assert reg.counter("fft.flops") == 1920.0
-        assert reg.counter("fft.bytes") == 2 * 8 * 64 * 6
+        assert reg.counters.get("fft.flops", 0) == 1920.0
+        assert reg.counters.get("fft.bytes", 0) == 2 * 8 * 64 * 6
 
     def test_filter_work_folds_into_fft_phase(self):
         solver = SpectralPoissonSolver(4, 1.0)
         reg = Registry()
         with use(reg):
             delta_k = solver._forward(np.zeros((4, 4, 4)))
-            before = reg.counter("fft.flops")
+            before = reg.counters.get("fft.flops", 0)
             solver.potential_k(delta_k)
-            after = reg.counter("fft.flops")
+            after = reg.counters.get("fft.flops", 0)
         # rfft layout: 4 * 4 * 3 points, 6 flops each
         assert after - before == 6.0 * delta_k.size
 
@@ -196,7 +198,7 @@ class TestFFTWork:
         with use(reg):
             blocks = pencil.scatter(np.zeros((8, 8, 8), dtype=complex))
             pencil.forward(blocks)
-        assert reg.counter("fft.flops") == perfcount.fft_flops(8**3)
+        assert reg.counters.get("fft.flops", 0) == perfcount.fft_flops(8**3)
 
 
 # ----------------------------------------------------------------------
@@ -217,7 +219,7 @@ class TestWorkInvariance:
         with use(reg):
             sim.run()
         sim.close()
-        counts = {k: reg.counter(k) for k in self.WORK_COUNTERS}
+        counts = {k: reg.counters.get(k, 0) for k in self.WORK_COUNTERS}
         counts["interaction_count"] = sim.interaction_count()
         return counts
 
@@ -275,28 +277,46 @@ def _cal(peak=100.0, stream=10.0) -> HostCalibration:
     )
 
 
+def _saved_trace(clock_phases, counters) -> dict:
+    """A two-step registry record written as a Chrome trace and reloaded:
+    ``{"spans", "counters"}``, the form the run ledger stores."""
+    clock = FakeClock()
+    reg = Registry(clock=clock)
+    for _ in range(2):
+        with reg.span("step"):
+            for name, dt in clock_phases:
+                with reg.span(name):
+                    clock.advance(dt)
+    for name, value in counters.items():
+        reg.count(name, value)
+    buf = io.StringIO()
+    write_chrome_trace(reg, buf)
+    buf.seek(0)
+    return load_chrome_trace(buf)
+
+
 class TestPhaseAggregation:
-    SUMMARY = {
-        "sections": {
-            "step": {"calls": 2, "seconds": 2.0},
-            "pp.kernel": {"calls": 4, "seconds": 1.0},
-            "cic.deposit": {"calls": 2, "seconds": 0.25},
-            "cic.interpolate": {"calls": 6, "seconds": 0.25},
-            "fft.forward": {"calls": 2, "seconds": 0.5},
-        },
-        "counters": {
-            "pp.flops": 21e9,
-            "pp.bytes": 32e9,
-            "cic.flops": 47e8,
-            "cic.bytes": 1e9,
-            "fft.flops": 5e9,
-            "fft.bytes": 2e9,
-            "comm.bytes": 4e9,
-        },
+    #: per step: pp.kernel 0.5 s, cic 0.25 s, fft 0.25 s (2 s in total)
+    PHASES = (
+        ("pp.kernel", 0.25), ("pp.kernel", 0.25), ("cic.deposit", 0.125),
+        ("cic.interpolate", 0.125), ("fft.forward", 0.25),
+    )
+    COUNTERS = {
+        "pp.flops": 21e9,
+        "pp.bytes": 32e9,
+        "cic.flops": 47e8,
+        "cic.bytes": 1e9,
+        "fft.flops": 5e9,
+        "fft.bytes": 2e9,
+        "comm.bytes": 4e9,
     }
 
+    def saved(self) -> tuple[list, dict]:
+        trace = _saved_trace(self.PHASES, self.COUNTERS)
+        return trace["spans"], trace["counters"]
+
     def test_work_summary_from_saved_dict(self):
-        phases = {p.name: p for p in work_summary(self.SUMMARY)}
+        phases = {p.name: p for p in work_summary(*self.saved())}
         assert phases["shortrange"].gflops == pytest.approx(21.0)
         assert phases["shortrange"].arithmetic_intensity == pytest.approx(
             21 / 32
@@ -306,51 +326,55 @@ class TestPhaseAggregation:
         assert phases["comm"].seconds == pytest.approx(2.0)
         assert phases["comm"].flops == 0.0
 
+    def test_undecomposed_run_has_no_comm_phase(self):
+        """A run that moved no bytes gets no ``comm`` row: its step time
+        is not a communication phase."""
+        reg = Registry()
+        with use(reg):
+            tiny_sim().run()
+        assert "comm.bytes" not in reg.counters
+        names = [p.name for p in work_summary(reg.events, reg.counters)]
+        assert names == ["shortrange", "cic", "fft"]
+        table = roofline_table(reg.events, reg.counters, _cal())
+        assert [r["name"] for r in table["phases"]] == names
+
     def test_live_registry_and_dict_agree(self):
         reg = Registry()
         with use(reg):
             tiny_sim().run()
-        live = {p.name: p for p in work_summary(reg)}
-        saved = {
-            p.name: p
-            for p in work_summary(
-                {
-                    "sections": reg.section_totals(),
-                    "counters": reg.counters,
-                }
-            )
-        }
-        assert live == saved
-        assert live["shortrange"].flops > 0
+        buf = io.StringIO()
+        write_chrome_trace(reg, buf)
+        buf.seek(0)
+        trace = load_chrome_trace(buf)
+        live = work_summary(reg.events, reg.counters)
+        saved = work_summary(trace["spans"], trace["counters"])
+        assert [p.name for p in live] == [p.name for p in saved]
+        for a, b in zip(live, saved):
+            assert (a.flops, a.bytes) == (b.flops, b.bytes)
+            # the trace stores microseconds: a float round trip
+            assert a.seconds == pytest.approx(b.seconds, abs=1e-9)
+        assert live[0].name == "shortrange" and live[0].flops > 0
 
     def test_achieved_gflops(self):
-        assert achieved_gflops(self.SUMMARY) == pytest.approx(
+        assert achieved_gflops(*self.saved()) == pytest.approx(
             (21e9 + 47e8 + 5e9) / 2.0 / 1e9
         )
-        assert achieved_gflops({"sections": {}, "counters": {}}) is None
+        assert achieved_gflops([], {}) is None
 
     def test_step_perf(self):
-        rec = StepRecord(
-            index=0,
-            wall_time=0.5,
-            sections={"pp.kernel": 0.25},
-            calls={"pp.kernel": 1},
-            counters={
-                "pp.flops": 21e6,
-                "pp.bytes": 32e6,
-                "pp.interactions": 1e6,
-            },
+        trace = _saved_trace(
+            (("pp.kernel", 0.25), ("cic.deposit", 0.25)),
+            {"pp.flops": 21e6, "pp.bytes": 32e6, "pp.interactions": 1e6},
         )
-        perf = step_perf(rec)
+        one_step = trace["spans"][:3]  # pp.kernel, cic.deposit, step
+        assert [e.name for e in one_step][-1] == "step"
+        perf = step_perf(one_step, trace["counters"])
         assert perf["gflops"] == pytest.approx(0.042)
         assert perf["ai"] == pytest.approx(21 / 32)
         assert perf["pair_ns"] == pytest.approx(250.0)
 
     def test_step_perf_without_work(self):
-        rec = StepRecord(
-            index=0, wall_time=0.5, sections={}, calls={}, counters={}
-        )
-        assert step_perf(rec) is None
+        assert step_perf([], {}) is None
 
     def test_phasework_edge_cases(self):
         pure = PhaseWork(name="x", seconds=1.0, flops=10.0, bytes=0.0)
@@ -361,8 +385,7 @@ class TestPhaseAggregation:
         assert comm.bound_by(1.0) == "comm"
 
     def test_roofline_table_and_render(self):
-        phases = work_summary(self.SUMMARY)
-        table = roofline_table(phases, _cal())
+        table = roofline_table(*self.saved(), _cal())
         rows = {r["name"]: r for r in table["phases"]}
         assert rows["shortrange"]["frac_peak"] == pytest.approx(0.21)
         # AI 21/32 < balance 10 flops/byte: memory-bound on this host
@@ -376,6 +399,17 @@ class TestPhaseAggregation:
         text = render_roofline(table)
         assert "paper model" in text
         assert "shortrange" in text and "% peak" in text
+
+    def test_roofline_rows_carry_no_model_column(self):
+        """The Sec. IV.B model is one header line and the JSON ``model``
+        block, never a column of the measured rows."""
+        table = roofline_table(*self.saved(), _cal())
+        text = render_roofline(table)
+        assert "model %" not in text
+        model_pct = f"{100 * table['model']['frac_peak']:.1f}%"
+        assert [line for line in text.splitlines() if model_pct in line] \
+            == [line for line in text.splitlines()
+                if line.startswith("paper model")]
 
 
 # ----------------------------------------------------------------------
@@ -434,8 +468,14 @@ class TestWiring:
         ledger = RunLedger(tmp_path)
         entry = ledger.record(registry=reg)
         assert entry.gflops is not None and entry.gflops > 0
-        summary = ledger.load_registry(entry)
-        assert achieved_gflops(summary) == pytest.approx(entry.gflops)
+        # the ledger stores the trace only, and the entry reads it
+        assert sorted(entry.artifacts) == ["trace"]
+        trace = ledger.load_trace(entry)
+        assert achieved_gflops(trace["spans"], trace["counters"]) \
+            == entry.gflops
+        assert entry.gflops == pytest.approx(
+            achieved_gflops(reg.events, reg.counters), rel=1e-9
+        )
 
     def test_step_telemetry_perf_serialization(self):
         step = StepTelemetry(

@@ -112,8 +112,8 @@ class TestFaultPlan:
             plan.begin_step(0)
             assert plan.ranks_to_kill() == frozenset({1})
             plan.note_recovery("rank_death")
-            assert reg.counter("faults.rank_death") == 1
-            assert reg.counter("faults.recovered.rank_death") == 1
+            assert reg.counters.get("faults.rank_death", 0) == 1
+            assert reg.counters.get("faults.recovered.rank_death", 0) == 1
         finally:
             disable_registry()
 

@@ -29,17 +29,19 @@ from repro.instrument import (
     run_manifest,
 )
 from repro.instrument.analysis import (
-    WORKER_LANE_BASE,
     analyze,
     analyze_spans,
     compare,
     lane_stats,
-    name_self_times,
-    path_self_times,
     render_analysis,
     render_comparison,
 )
 from repro.instrument.exporters import load_chrome_trace, write_chrome_trace
+from repro.instrument.registry import (
+    WORKER_LANE_BASE,
+    name_self_times,
+    path_self_times,
+)
 from repro.instrument.monitor import (
     dashboard_exit_status,
     monitor_exit_status,
@@ -424,7 +426,7 @@ class TestRunLedger:
         entry = ledger.record(manifest=run_manifest(cfg), stream_path=path,
                               registry=reg, bench_records=bench)
         assert ledger.load_stream(entry)["end"]["verdict"] == "OK"
-        spans = ledger.load_spans(entry)
+        spans = ledger.load_trace(entry)["spans"]
         assert spans and any(ev.path == "step/longrange/fft"
                              for ev in spans)
         assert ledger.load_bench(entry)["smoke"]["payload"][
@@ -558,6 +560,69 @@ class TestCLI:
         assert capsys.readouterr().out == json.dumps(
             analysis.to_dict(), indent=2, sort_keys=True
         ) + "\n"
+
+    def test_reloaded_trace_reproduces_live_figures(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        """One ``run --profile --trace T --ledger L``: the self-time
+        rows, roofline phases and ``gflops`` computed live equal what
+        ``report`` and ``report --roofline`` compute from the ledgered
+        trace, within the microsecond float round trip."""
+        from repro.__main__ import main
+        from repro.instrument import (
+            NullRegistry,
+            achieved_gflops,
+            get_registry,
+            roofline_table,
+            use,
+        )
+        from repro.machine.calibrate import calibrate
+
+        root = tmp_path / "ledger"
+        # a small cached calibration, read back by 'report --roofline'
+        cal = calibrate(root=root, matmul_n=64, stream_n=20000)
+        with use(NullRegistry()):
+            assert main([
+                "-q", "run", "--profile", "--steps", "2",
+                "--n-per-dim", "8", "--backend", "treepm",
+                "--trace", str(tmp_path / "T.json"),
+                "--ledger", str(root),
+            ]) == 0
+            live = get_registry()
+        profile = capsys.readouterr().out
+
+        ledger = RunLedger(root)
+        entry = ledger.get("latest")
+        live_rows = analyze_spans(live.events).phases
+        stored_rows = ledger.analyze(entry).phases
+        assert [p.path for p in live_rows] == [p.path for p in stored_rows]
+        for a, b in zip(live_rows, stored_rows):
+            assert a.calls == b.calls
+            assert a.self_s == pytest.approx(b.self_s, abs=1e-9)
+            assert a.total_s == pytest.approx(b.total_s, abs=1e-9)
+        assert main(["report", "latest", "--ledger", str(root)]) == 0
+        report = capsys.readouterr().out
+
+        def rows(text: str) -> str:
+            return text.split("phase (by path)")[1].split("\n\n")[0].strip()
+
+        assert rows(profile) == rows(report)
+
+        assert main(["report", "--roofline", "--ledger", str(root),
+                     "--json"]) == 0
+        stored = json.loads(capsys.readouterr().out)
+        live_table = roofline_table(live.events, live.counters, cal)
+        assert [r["name"] for r in stored["phases"]] == [
+            r["name"] for r in live_table["phases"]
+        ] == ["shortrange", "cic", "fft"]
+        for a, b in zip(live_table["phases"] + [live_table["total"]],
+                        stored["phases"] + [stored["total"]]):
+            assert (a["flops"], a["bytes"]) == (b["flops"], b["bytes"])
+            assert a["seconds"] == pytest.approx(b["seconds"], abs=1e-9)
+            assert a["gflops"] == pytest.approx(b["gflops"], rel=1e-9)
+        assert entry.gflops == pytest.approx(
+            achieved_gflops(live.events, live.counters), rel=1e-9
+        )
 
     def test_runs_gc_cli(self, tmp_path, monkeypatch, capsys):
         from repro.__main__ import main
