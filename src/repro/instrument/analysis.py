@@ -36,6 +36,7 @@ from repro.instrument.registry import (
     SpanEvent,
     name_self_times,
     path_self_times,
+    without_worker_lanes,
 )
 
 __all__ = [
@@ -280,8 +281,14 @@ def analyze_spans(
     steps: list[dict] | None = None,
     meta: dict | None = None,
 ) -> RunAnalysis:
-    """Analyze a run from its span events (plus optional telemetry steps)."""
-    by_path = path_self_times(spans)
+    """Analyze a run from its span events (plus optional telemetry steps).
+
+    The phase rows and ``by_name`` are the run's own timeline
+    (:func:`~repro.instrument.registry.without_worker_lanes`), so they
+    sum to the wall; executor worker lanes appear only in ``lanes``.
+    """
+    timeline = without_worker_lanes(spans)
+    by_path = path_self_times(timeline)
     wall = _wall_from_spans(by_path)
     if wall <= 0 and steps:
         wall = sum(float(s.get("wall_time", 0.0)) for s in steps)
@@ -304,7 +311,7 @@ def analyze_spans(
             1 for ev in spans if ev.path == "step"
         ),
         phases=phases,
-        by_name=name_self_times(spans),
+        by_name=name_self_times(timeline),
         lanes=lane_stats(spans),
         ranks=rank_shares(steps or []),
     )

@@ -26,6 +26,7 @@ __all__ = [
     "Registry",
     "NullRegistry",
     "WORKER_LANE_BASE",
+    "without_worker_lanes",
     "path_self_times",
     "name_self_times",
     "get_registry",
@@ -318,6 +319,33 @@ def path_self_times(spans: list[SpanEvent]) -> dict[str, dict]:
         if entry["self_s"] < 0 and entry["self_s"] > -1e-9:
             entry["self_s"] = 0.0
     return out
+
+
+def without_worker_lanes(spans: list[SpanEvent]) -> list[SpanEvent]:
+    """The spans of the run's own timeline: a span on an executor worker
+    lane (``rank >= WORKER_LANE_BASE``) and every span nested in one
+    are dropped.
+
+    The span that dispatched the work already holds those seconds as
+    its wait for the workers, so self-time rows that counted the lanes
+    too would count that time twice and no longer sum to ``step``.  The
+    lanes are what :func:`repro.instrument.analysis.lane_stats` reports.
+    """
+    roots = {(ev.thread, ev.path) for ev in spans
+             if ev.rank >= WORKER_LANE_BASE}
+    if not roots:
+        return list(spans)
+
+    def on_lane(ev: SpanEvent) -> bool:
+        path = ev.path
+        while True:
+            if (ev.thread, path) in roots:
+                return True
+            if PATH_SEP not in path:
+                return False
+            path = path.rsplit(PATH_SEP, 1)[0]
+
+    return [ev for ev in spans if not on_lane(ev)]
 
 
 def name_self_times(spans: list[SpanEvent]) -> dict[str, dict]:

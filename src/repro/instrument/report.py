@@ -23,8 +23,10 @@ any other span (CIC, stream/kick, driver self time)   other
 
 A path's self time goes to the bucket of its nearest named span, itself
 or an ancestor (the pencil FFT's transposes count as ``fft``).  The
-shares are of the summed self time of every path: the step total on a
-serial run; on a threaded run the worker lanes add their busy time.
+shares are of the summed self time of every path of the run's own
+timeline, the step total: executor worker lanes are left out (the span
+that dispatched them already holds their time as its wait) and appear
+in the lane table only.
 
 Python-vs-BG/Q caveat: the *fractions* are comparable in structure, not
 in value — a NumPy PP kernel is far slower relative to FFTW-class FFTs
@@ -47,6 +49,7 @@ from repro.instrument.registry import (
     SpanEvent,
     name_self_times,
     path_self_times,
+    without_worker_lanes,
 )
 
 __all__ = [
@@ -76,10 +79,10 @@ def bucket_seconds(events: list[SpanEvent]) -> dict[str, float]:
 
     Each path's self time goes to the bucket of its nearest span named
     in :data:`TABLE2_BUCKETS`, itself or an ancestor; so the buckets sum
-    to the self time of every path.
+    to the self time of every path off the worker lanes.
     """
     out = {"kernel": 0.0, "walk": 0.0, "fft": 0.0, "other": 0.0}
-    for path, entry in path_self_times(events).items():
+    for path, entry in path_self_times(without_worker_lanes(events)).items():
         bucket = next(
             (TABLE2_BUCKETS[n] for n in reversed(path.split(PATH_SEP))
              if n in TABLE2_BUCKETS),

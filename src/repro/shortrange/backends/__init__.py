@@ -5,7 +5,7 @@ architectural bet: *one* long-range spectral solver shared everywhere,
 plus *swappable, per-architecture short-range kernels* — QPX intrinsics
 on the BG/Q, CUDA on Titan, OpenCL on Roadrunner — all implementing the
 same narrow force-kernel contract.  This package is that seam for the
-reproduction.  A backend supplies five primitives:
+reproduction.  A backend supplies six primitives:
 
 ``f_sr_pairs``
     The 26-instruction-kernel analogue: the short-range force
@@ -22,17 +22,23 @@ reproduction.  A backend supplies five primitives:
 ``rcb_build``
     The RCB tree build: centre-of-mass bisection of the SOA cloud, the
     arrays permuted in place, flat node arrays out.
+``tighten``
+    The list build's last pass: candidate CSR lists in, the batch the
+    kernel streams out — ghost targets dropped, each group's real
+    targets split into spatial sub-groups of at most
+    :data:`GROUP_TARGETS`, each sub-group's sources culled to its box.
 
 Two implementations ride the seam:
 
 * ``numpy`` — the vectorized reference (always available); the batched
   engine's tiled, workspace-reusing pair evaluation, and CIC through
   :class:`~repro.grid.cic.ParticleGridCoords` corner tables.
-* ``c`` — ``pair_accumulate``, ``cic_deposit``, ``cic_gather`` and
-  ``rcb_build`` as fused, GIL-free C loops (``pair_kernel.c``,
-  ``cic_kernel.c``, ``rcb_kernel.c``; CIC computes each particle's
-  corners on the fly, no tables; the tree reproduces numpy's pairwise
-  sum), built on first use with ``$CC``/``cc``/``gcc`` and cached per
+* ``c`` — ``pair_accumulate``, ``cic_deposit``, ``cic_gather``,
+  ``rcb_build`` and ``tighten`` as fused, GIL-free C loops
+  (``pair_kernel.c``, ``cic_kernel.c``, ``rcb_kernel.c``,
+  ``tighten_kernel.c``; CIC computes each particle's corners on the
+  fly, no tables; the tree reproduces numpy's pairwise sum), built on
+  first use with ``$CC``/``cc``/``gcc`` and cached per
   user; **bitwise identical** to the numpy reference in float64 and
   float32.  ``f_sr_pairs`` is the numpy one.
 
@@ -49,6 +55,7 @@ from abc import ABC, abstractmethod
 import numpy as np
 
 __all__ = [
+    "GROUP_TARGETS",
     "KernelBackend",
     "Workspace",
     "BackendUnavailable",
@@ -59,6 +66,11 @@ __all__ = [
 ]
 
 _BACKEND_NAMES = ("numpy", "c")
+
+#: most real targets in one kernel group: ``tighten`` splits larger
+#: leaves and cells.  A multiple of both AVX2 lane widths (4 in f64, 8 in
+#: f32); 32 against 16 is measured in EXPERIMENTS.md
+GROUP_TARGETS = 32
 
 
 class BackendUnavailable(RuntimeError):
@@ -207,6 +219,33 @@ class KernelBackend(ABC):
         arrays of one float dtype, finite, ``m > 0``), reordering the
         four in place.  Returns the tree's ``(perm, node_start,
         node_count, node_lo, node_hi, node_left, node_right)``."""
+
+    @abstractmethod
+    def tighten(
+        self,
+        targets: np.ndarray,
+        target_offsets: np.ndarray,
+        neighbor_indices: np.ndarray,
+        neighbor_offsets: np.ndarray,
+        real: np.ndarray,
+        positions: np.ndarray,
+        radius: float,
+        group_targets: int = GROUP_TARGETS,
+    ) -> tuple:
+        """The streamed batch of a candidate CSR batch (int64 arrays).
+
+        ``real`` (bool, one per ``targets`` entry) flags the targets that
+        receive a force; ``positions`` is the ``(N, 3)`` float32/float64
+        cloud the indices address.  Per candidate group with a real
+        target, in order: the real targets split into parts of at most
+        ``group_targets`` by bisection on the longest side of their
+        float32 box (the lower ``n // 2`` by a stable sort on that
+        coordinate, each part in its members' order, lower part first);
+        each part listing, in order, the candidates whose float32
+        squared distance to the part's float32 box is ``<=
+        float32(radius**2)``.  Returns the ``(targets, target_offsets,
+        neighbor_indices, neighbor_offsets)`` of the parts.
+        """
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"<KernelBackend {self.name}>"

@@ -1,9 +1,11 @@
 """Compiled C kernels, built on first use and loaded with ctypes.
 
 ``pair_kernel.c`` (``pair_accumulate``), ``cic_kernel.c``
-(``cic_deposit``, ``cic_gather``) and ``rcb_kernel.c`` (``rcb_build``,
+(``cic_deposit``, ``cic_gather``), ``rcb_kernel.c`` (``rcb_build``,
 whose node arrays start at ~8 per ``leaf_size`` particles and double
-when a build overflows them) are fused loops, one macro body per
+when a build overflows them) and ``tighten_kernel.c`` (``tighten``,
+whose lists start with the candidates' room and grow to what an
+overflowing cull reports it needs) are fused loops, one macro body per
 precision (see each file's header for its bitwise contract with the
 NumPy reference); ``pair_accumulate`` also has an AVX2 target-lane
 body, chosen at load time when the CPU has AVX2 (:func:`_pair_path`).
@@ -32,14 +34,19 @@ from pathlib import Path
 import numpy as np
 
 from repro.grid.cic import non_finite_positions
-from repro.shortrange.backends import BackendUnavailable, Workspace
+from repro.shortrange.backends import (
+    GROUP_TARGETS,
+    BackendUnavailable,
+    Workspace,
+)
 from repro.shortrange.backends.numpy_backend import NumpyBackend
 
 __all__ = ["CBackend"]
 
 _SOURCES = tuple(
     Path(__file__).with_name(name)
-    for name in ("pair_kernel.c", "cic_kernel.c", "rcb_kernel.c")
+    for name in ("pair_kernel.c", "cic_kernel.c", "rcb_kernel.c",
+                 "tighten_kernel.c")
 )
 #: one flag set for both precisions: strict IEEE, no FMA contraction, no
 #: host-specific code; SIMD comes from per-function ``target("avx2")``
@@ -50,6 +57,7 @@ _SUFFIX = {np.dtype(np.float64): "f64", np.dtype(np.float32): "f32"}
 _I64 = ctypes.c_int64
 _I64P = ctypes.POINTER(ctypes.c_int64)
 _I32P = ctypes.POINTER(ctypes.c_int32)
+_U8P = ctypes.POINTER(ctypes.c_uint8)
 _F64P = ctypes.POINTER(ctypes.c_double)
 
 
@@ -152,6 +160,8 @@ def _load(lib: Path) -> tuple[dict, str]:
                            _I64, rp],
             "rcb_build": [rp] * 4 + [_I64P] + [_I64] * 3 + [_I64P] * 2
             + [rp] * 2 + [_I64P] * 2,
+            "tighten": [_I64P] * 4 + [_I64, _U8P, rp,
+                        ctypes.c_float, _I64, _I64] + [_I64P] * 5,
         }
         table = {}
         for name, argtypes in signatures.items():
@@ -176,8 +186,8 @@ def _checked(a, dtype, name: str, n: int | None = None) -> np.ndarray:
 
 
 class CBackend(NumpyBackend):
-    """``pair_accumulate``, the CIC pair and ``rcb_build`` in compiled
-    C; ``f_sr_pairs`` is numpy."""
+    """``pair_accumulate``, the CIC pair, ``rcb_build`` and ``tighten``
+    in compiled C; ``f_sr_pairs`` is numpy."""
 
     name = "c"
 
@@ -289,6 +299,56 @@ class CBackend(NumpyBackend):
             if nn == -2:
                 raise MemoryError("rcb_build: cannot allocate scratch")
             cap *= 2
+
+    def tighten(self, targets, target_offsets, neighbor_indices,
+                neighbor_offsets, real, positions, radius,
+                group_targets=GROUP_TARGETS):
+        pos = np.ascontiguousarray(positions)
+        if pos.dtype not in self._fns or pos.ndim != 2 or pos.shape[1] != 3:
+            raise ValueError(
+                "positions must be an (N, 3) float32/float64 array, got "
+                f"{pos.dtype} {pos.shape}"
+            )
+        if group_targets < 1:
+            raise ValueError(f"group_targets must be >= 1: {group_targets}")
+        fns, rp = self._fns[pos.dtype]
+        to = _checked(target_offsets, np.int64, "target_offsets")
+        no = _checked(neighbor_offsets, np.int64, "neighbor_offsets", to.size)
+        tg = _checked(targets, np.int64, "targets")
+        ni = _checked(neighbor_indices, np.int64, "neighbor_indices")
+        flags = _checked(real, np.bool_, "real", tg.size)
+        n = pos.shape[0]
+        # the C loop trusts the lists: bound them here, once per batch
+        for off, idx, what in ((to, tg, "target"), (no, ni, "neighbor")):
+            if (off[0] != 0 or off[-1] != idx.size
+                    or np.any(off[1:] < off[:-1])):
+                raise ValueError(f"{what} offsets do not index their list")
+            if idx.size and (idx.min() < 0 or idx.max() >= n):
+                raise IndexError(f"{what} index out of range for {n} rows")
+        n_real = int(np.count_nonzero(flags))
+        out_t = np.empty(n_real, dtype=np.int64)
+        out_to = np.empty(n_real + 1, dtype=np.int64)
+        out_no = np.empty(n_real + 1, dtype=np.int64)
+        listed = np.zeros(1, dtype=np.int64)
+        cap = ni.size
+        while True:
+            # one spare slot: the C compaction stores before it counts
+            out_n = np.empty(cap + 1, dtype=np.int64)
+            ng = fns["tighten"](
+                tg.ctypes.data_as(_I64P), to.ctypes.data_as(_I64P),
+                ni.ctypes.data_as(_I64P), no.ctypes.data_as(_I64P),
+                to.size - 1, flags.ctypes.data_as(_U8P),
+                pos.ctypes.data_as(rp), float(np.float32(radius**2)),
+                int(group_targets), cap,
+                *(a.ctypes.data_as(_I64P)
+                  for a in (out_t, out_to, out_n, out_no, listed)),
+            )
+            if ng >= 0:
+                return (out_t, out_to[:ng + 1], out_n[:int(listed[0])],
+                        out_no[:ng + 1])
+            if ng == -2:
+                raise MemoryError("tighten: cannot allocate scratch")
+            cap = int(listed[0])
 
     # ------------------------------------------------------------------
     def _cic_positions(self, positions):

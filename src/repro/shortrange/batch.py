@@ -17,9 +17,13 @@ flat CSR-style arrays (:class:`InteractionBatch`): ``targets`` +
 Both packers (RCB tree, P3M chaining mesh) then hand their candidate
 groups to :meth:`InteractionBatch.tightened`, the one place that
 decides which pairs are streamed: ghost members stop being targets
-(they only ever were sources), and each group's source list is culled,
-order preserved, to the sources within ``rcut`` of the bounding box of
-the group's real targets.
+(they only ever were sources), each group's real targets are split into
+spatial sub-groups of at most
+:data:`~repro.shortrange.backends.GROUP_TARGETS` (fat leaves for the
+walk, small groups for the kernel), and each sub-group's source list is
+culled, order preserved, to the sources within ``rcut`` of the bounding
+box of its targets.  The cull is the kernel backends' ``tighten``
+primitive (C, or the numpy oracle).
 
 **Evaluation** (:class:`BatchedPairEngine`) streams fixed-size pair
 blocks (``chunk_pairs`` bounds the peak temporary footprint, the Python
@@ -32,9 +36,9 @@ analogue of sizing the working set to cache) through the fitted
    kernel math (sqrt, divide, Horner) runs — a list bounds its group's
    neighborhood by the targets' box, so only part of it lies inside
    ``rcut`` of any one target: measured on the clustered z = 0 state of
-   a 32^3 run, 16% of streamed pairs (3.9% before the lists were
-   tightened, when whole hit leaves were listed for ghost and real
-   members alike);
+   a 32^3 run, 27% of streamed pairs (16% with one group per 128-target
+   leaf, 3.9% before the lists were tightened, when whole hit leaves
+   were listed for ghost and real members alike);
 3. in-cutoff forces are scattered back per target with ``bincount``.
 
 The engine is geometry-agnostic: the RCB tree and the P3M chaining mesh
@@ -86,7 +90,10 @@ DEFAULT_CHUNK_PAIRS = 1 << 18
 class InteractionBatch:
     """CSR interaction lists shared by a group of targets.
 
-    Group ``g`` (an RCB leaf, or a P3M cell) applies the neighbor list
+    Group ``g`` (a candidate batch's RCB leaf or P3M cell; in a tightened
+    batch, a spatial sub-group of at most
+    :data:`~repro.shortrange.backends.GROUP_TARGETS` of one leaf's or
+    cell's real targets) applies the neighbor list
     ``neighbor_indices[neighbor_offsets[g]:neighbor_offsets[g+1]]`` to
     every target in ``targets[target_offsets[g]:target_offsets[g+1]]`` —
     the flat-array form of "all particles of a leaf share the leaf's
@@ -94,8 +101,8 @@ class InteractionBatch:
     are later handed to :meth:`BatchedPairEngine.evaluate`.
 
     Within one group the target indices must be unique (they are a leaf
-    / cell membership); distinct groups may not share targets either —
-    both solvers' groups partition the target set.
+    / cell membership, or part of one); distinct groups may not share
+    targets either — both solvers' groups partition the target set.
     """
 
     targets: np.ndarray
@@ -150,64 +157,39 @@ class InteractionBatch:
         return cls(e, zero, e, zero)
 
     def tightened(
-        self, real: np.ndarray, positions: np.ndarray, rcut: float
+        self,
+        real: np.ndarray,
+        positions: np.ndarray,
+        rcut: float,
+        backend=None,
     ) -> "InteractionBatch":
-        """The batch the kernel streams: real targets, culled sources.
+        """The batch the kernel streams: real targets in small groups,
+        culled sources.
 
         ``real`` flags the entries of ``targets`` that receive a force
         (the others are ghosts, present only as sources); groups left
-        without a target are dropped.  Each surviving group keeps, in
-        order, the sources within :func:`cull_radius` of the bounding
-        box of its real targets — a per-source test, so the exact
-        per-pair cutoff test stays with the backend, and no pair that
-        test accepts is removed: every target's sum visits the same
-        in-cutoff sources in the same order as on the candidate batch.
+        without a target are dropped.  Each surviving group's real
+        targets are split into spatial sub-groups of at most
+        :data:`~repro.shortrange.backends.GROUP_TARGETS`, and each
+        sub-group keeps, in order, the sources within
+        :func:`cull_radius` of the bounding box of its targets — a
+        per-source test, so the exact per-pair cutoff test stays with
+        the backend, and no pair that test accepts is removed: every
+        target's sum visits the same in-cutoff sources in the same
+        order as on the candidate batch.  ``backend`` runs the cull
+        (:meth:`~repro.shortrange.backends.KernelBackend.tighten`): a
+        backend or its name, ``None`` meaning c, else numpy.
         """
         real = np.asarray(real, dtype=bool)
-        to, no = self.target_offsets, self.neighbor_offsets
-        # cumsum rather than reduceat: candidate groups may be empty
-        before = np.concatenate(([0], np.cumsum(real)))
-        tcounts = before[to[1:]] - before[to[:-1]]
-        live = np.flatnonzero(tcounts)
-        if live.size == 0:
-            return InteractionBatch.empty()
-        targets = self.targets[real]
-        target_offsets = np.zeros(live.size + 1, dtype=np.int64)
-        np.cumsum(tcounts[live], out=target_offsets[1:])
-
-        # coordinate-major float32 copy: one gather per group, the box
-        # bounds broadcast along the contiguous axis, and half the bytes
-        # of a float64 cloud — this is a bound with a pad sized for
-        # float32 (cull_radius), not a force
-        soa = np.ascontiguousarray(np.asarray(positions, dtype=np.float32).T)
-        tpos = soa[:, targets]
-        lo = np.minimum.reduceat(tpos, target_offsets[:-1], axis=1)
-        hi = np.maximum.reduceat(tpos, target_offsets[:-1], axis=1)
-        lo = np.ascontiguousarray(lo.T)[:, :, None]
-        hi = np.ascontiguousarray(hi.T)[:, :, None]
-        radius2 = cull_radius(rcut, soa) ** 2
-
-        # per group on two reused buffers: one pass over all list entries
-        # at once would first-touch tens of MB of fresh temporaries
-        widest = int((no[live + 1] - no[live]).max())
-        src = np.empty((3, widest), dtype=soa.dtype)
-        gap = np.empty((3, widest), dtype=soa.dtype)
-        kept = []
-        bounds = zip(no[live].tolist(), no[live + 1].tolist())
-        for g, (begin, end) in enumerate(bounds):
-            cand = self.neighbor_indices[begin:end]
-            p, d = src[:, : end - begin], gap[:, : end - begin]
-            np.take(soa, cand, axis=1, out=p)
-            # distance to the box: clamp the source into it, subtract
-            np.maximum(p, lo[g], out=d)
-            np.minimum(d, hi[g], out=d)
-            d -= p
-            kept.append(cand[np.einsum("ij,ij->j", d, d) <= radius2])
-        neighbor_offsets = np.zeros(live.size + 1, dtype=np.int64)
-        np.cumsum([k.size for k in kept], out=neighbor_offsets[1:])
-        return InteractionBatch(
-            targets, target_offsets, np.concatenate(kept), neighbor_offsets
-        )
+        return InteractionBatch(*resolve_backend(backend).tighten(
+            np.asarray(self.targets, dtype=np.int64),
+            self.target_offsets,
+            np.asarray(self.neighbor_indices, dtype=np.int64),
+            self.neighbor_offsets,
+            real,
+            positions,
+            cull_radius(rcut, positions),
+        ))
 
 
 #: relative slack of the source cull, and the float32 epsilon its
@@ -228,9 +210,12 @@ def cull_radius(rcut: float, positions: np.ndarray) -> float:
     covers that for cull and kernel together; the relative term covers
     the rounding of the squared distances and of ``rc^2`` (a few
     float32 epsilons).  One pad for both precisions: at a 64 Mpc/h box
-    and a 6 Mpc/h cutoff it widens the radius by 1.3e-4 Mpc/h.
+    and a 6 Mpc/h cutoff it widens the radius by 1.3e-4 Mpc/h.  The span
+    is that of the positions rounded to float32, the precision of the
+    cull.
     """
-    span = float(np.abs(positions).max()) if positions.size else 0.0
+    p = np.asarray(positions)
+    span = float(np.float32(max(p.max(), -p.min()))) if p.size else 0.0
     return rcut * (1.0 + _CULL_REL_SLACK) + 8.0 * _EPS32 * span
 
 
@@ -302,17 +287,20 @@ def _float_dtype(a: np.ndarray):
 
 
 def pack_tree(
-    tree: RCBTree, rcut: float, n_targets: int | None = None
+    tree: RCBTree,
+    rcut: float,
+    n_targets: int | None = None,
+    backend=None,
 ) -> InteractionBatch:
-    """Pack a whole tree's per-leaf interaction lists into one batch.
+    """Pack a whole tree's interaction lists into one batch.
 
-    A group is a leaf holding at least one real particle
+    A candidate group is a leaf holding at least one real particle
     (``tree.perm < n_targets``); its candidate sources are the
     particles, ascending, of every leaf its cutoff-expanded box touches;
-    :meth:`InteractionBatch.tightened` then keeps the real targets and
-    the sources that can matter.  Indices are in *tree order*; pair the
-    batch with ``tree.positions`` / ``tree.masses`` and scatter results
-    through ``tree.perm``.
+    :meth:`InteractionBatch.tightened` (on ``backend``) then keeps the
+    real targets, in sub-groups, and the sources that can matter.
+    Indices are in *tree order*; pair the batch with ``tree.positions``
+    / ``tree.masses`` and scatter results through ``tree.perm``.
     """
     if rcut <= 0:
         raise ValueError(f"rcut must be positive: {rcut}")
@@ -342,7 +330,7 @@ def pack_tree(
     np.cumsum(mcount, out=member_offsets[1:])
     return InteractionBatch(
         members, member_offsets, neighbor_indices, neighbor_offsets
-    ).tightened(real[members], tree.positions, rcut)
+    ).tightened(real[members], tree.positions, rcut, backend)
 
 
 class BatchedPairEngine:

@@ -207,7 +207,8 @@ class TreePMShortRange(ShortRangeSolver):
     """The BG/Q backend: RCB tree + shared-leaf interaction lists.
 
     Every leaf's list is packed into one
-    :class:`~repro.shortrange.batch.InteractionBatch` and streamed
+    :class:`~repro.shortrange.batch.InteractionBatch`, each leaf's real
+    targets split into sub-groups with lists of their own, and streamed
     through the chunked :class:`~repro.shortrange.batch.BatchedPairEngine`
     — the paper's list-then-stream structure.
 
@@ -216,11 +217,13 @@ class TreePMShortRange(ShortRangeSolver):
     kernel:
         The fitted short-range kernel.
     leaf_size:
-        Fat-leaf capacity (the walk/kernel crossover knob of Section III).
+        Fat-leaf capacity (the walk/kernel crossover knob of Section III);
+        the kernel's groups are at most
+        :data:`~repro.shortrange.backends.GROUP_TARGETS` whatever it is.
     chunk_pairs:
         Pair-block size of the batched engine (peak-workspace knob).
     kernel_backend:
-        Backend of the pair loop and the tree build (see
+        Backend of the pair loop, the tree build and the list cull (see
         :mod:`repro.shortrange.backends`); ``None`` is the NumPy one.
     """
 
@@ -238,7 +241,8 @@ class TreePMShortRange(ShortRangeSolver):
         self.engine = BatchedPairEngine(
             kernel, chunk_pairs=chunk_pairs, backend=kernel_backend
         )
-        #: populated after each evaluation: streamed list size per leaf
+        #: populated after each evaluation: streamed list size per target
+        #: group (a leaf's real targets, split into sub-groups)
         self.last_list_sizes: np.ndarray | None = None
         #: populated after each evaluation: RCB tree depth (telemetry gauge)
         self.last_tree_depth: int = 0
@@ -251,7 +255,8 @@ class TreePMShortRange(ShortRangeSolver):
         self.last_tree_depth = tree.depth()
         reg.count("tree.build_particles", positions.shape[0])
         with reg.span("tree.walk"):
-            batch = pack_tree(tree, self.kernel.rcut, n_targets)
+            batch = pack_tree(tree, self.kernel.rcut, n_targets,
+                              self.engine.backend)
         sizes = batch.group_neighbor_counts()
         reg.count("tree.list_length", int(sizes.sum()))
         self.last_list_sizes = sizes.astype(np.int64)
@@ -361,7 +366,7 @@ class P3MShortRange(ShortRangeSolver):
             ncell, uniq, starts, order = self._bin(pos)
         with get_registry().span("p3m.pack"):
             batch = self._pack_cells(ncell, uniq, starts, order).tightened(
-                order < n_targets, pos, self.kernel.rcut
+                order < n_targets, pos, self.kernel.rcut, self.engine.backend
             )
         acc = self.engine.evaluate(batch, pos, masses)
         return acc[:n_targets]

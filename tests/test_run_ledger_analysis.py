@@ -168,6 +168,35 @@ class TestLaneStats:
         spans = [instrument.SpanEvent("a", "a", 0.0, 1.0, 0, rank=0)]
         assert lane_stats(spans) == []
 
+    def test_worker_lanes_stay_out_of_the_self_time_rows(self):
+        """A threaded decomposed step: the span that dispatched the
+        domains already holds the workers' seconds as its wait, so the
+        rows and the Table II buckets close on ``step``; the worker lanes
+        show in ``lanes`` only."""
+        from repro.instrument.report import bucket_seconds
+
+        cfg = SimulationConfig.from_dict(dict(
+            n_per_dim=24, box_size=64.0, z_initial=25.0, z_final=0.0,
+            n_steps=1, n_subcycles=2, backend="treepm", executor="thread",
+            workers=2, seed=1,
+        ))
+        sim = HACCSimulation(cfg, decomposition_dims=(2, 2, 1))
+        reg = Registry()
+        try:
+            with instrument.use(reg):
+                sim.run()
+        finally:
+            sim.close()
+        assert any(ev.rank >= WORKER_LANE_BASE for ev in reg.events)
+        analysis = analyze_spans(reg.events)
+        step = path_self_times(reg.events)["step"]["total_s"]
+        assert analysis.wall_s == step
+        assert sum(p.self_s for p in analysis.phases) == pytest.approx(
+            step, abs=1e-9)
+        assert sum(bucket_seconds(reg.events).values()) == pytest.approx(
+            step, abs=1e-9)
+        assert "worker" in {ln.kind for ln in analysis.lanes}
+
 
 # ----------------------------------------------------------------------
 # satellite: Chrome-trace round trip feeds the analyzer losslessly
