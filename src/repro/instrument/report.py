@@ -24,9 +24,11 @@ any other span (CIC, stream/kick, driver self time)   other
 A path's self time goes to the bucket of its nearest named span, itself
 or an ancestor (the pencil FFT's transposes count as ``fft``).  The
 shares are of the summed self time of every path of the run's own
-timeline, the step total: executor worker lanes are left out (the span
-that dispatched them already holds their time as its wait) and appear
-in the lane table only.
+timeline, the step total.  On a threaded run the span that dispatched
+executor worker lanes holds their busy time as its wait: its self time
+is shared out over the buckets as the lanes' own self time is, so the
+domain solves' kernel and walk show as such and no second is counted
+twice.
 
 Python-vs-BG/Q caveat: the *fractions* are comparable in structure, not
 in value — a NumPy PP kernel is far slower relative to FFTW-class FFTs
@@ -37,6 +39,7 @@ kind of statement quantitative.
 
 from __future__ import annotations
 
+import bisect
 import json
 import os
 from pathlib import Path
@@ -79,16 +82,58 @@ def bucket_seconds(events: list[SpanEvent]) -> dict[str, float]:
 
     Each path's self time goes to the bucket of its nearest span named
     in :data:`TABLE2_BUCKETS`, itself or an ancestor; so the buckets sum
-    to the self time of every path off the worker lanes.
+    to the self time of every path off the worker lanes.  The self time
+    of a path that dispatched worker lanes (the innermost span enclosing
+    a lane's span) is split over the buckets in the proportions of the
+    lanes' own buckets.
     """
+    timeline = without_worker_lanes(events)
+    selfs = path_self_times(timeline)
+    out = _buckets(selfs)
+    if len(timeline) == len(events):
+        return out
+    on_timeline = set(map(id, timeline))
+    lanes = [ev for ev in events if id(ev) not in on_timeline]
+    share = _buckets(path_self_times(lanes))
+    busy = sum(share.values())
+    if busy <= 0:
+        return out
+    for path in _dispatchers(timeline, lanes):
+        wait = selfs[path]["self_s"]
+        out[_bucket(path)] -= wait
+        for bucket, seconds in share.items():
+            out[bucket] += wait * seconds / busy
+    return out
+
+
+def _bucket(path: str) -> str:
+    return next((TABLE2_BUCKETS[n] for n in reversed(path.split(PATH_SEP))
+                 if n in TABLE2_BUCKETS), "other")
+
+
+def _buckets(selfs: dict[str, dict]) -> dict[str, float]:
     out = {"kernel": 0.0, "walk": 0.0, "fft": 0.0, "other": 0.0}
-    for path, entry in path_self_times(without_worker_lanes(events)).items():
-        bucket = next(
-            (TABLE2_BUCKETS[n] for n in reversed(path.split(PATH_SEP))
-             if n in TABLE2_BUCKETS),
-            "other",
-        )
-        out[bucket] += entry["self_s"]
+    for path, entry in selfs.items():
+        out[_bucket(path)] += entry["self_s"]
+    return out
+
+
+def _dispatchers(timeline: list[SpanEvent],
+                 lanes: list[SpanEvent]) -> set[str]:
+    """Paths of the innermost timeline spans enclosing a lane span.
+
+    Timeline spans nest, so going back from the last one to start before
+    a lane span, the first that ends after it is the innermost."""
+    spans = sorted(timeline, key=lambda ev: ev.start)
+    starts = [ev.start for ev in spans]
+    out = set()
+    for lane in lanes:
+        k = bisect.bisect_right(starts, lane.start)
+        while k > 0:
+            k -= 1
+            if spans[k].end >= lane.end:
+                out.add(spans[k].path)
+                break
     return out
 
 

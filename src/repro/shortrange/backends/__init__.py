@@ -24,9 +24,8 @@ reproduction.  A backend supplies six primitives:
     arrays permuted in place, flat node arrays out.
 ``tighten``
     The list build's last pass: candidate CSR lists in, the batch the
-    kernel streams out — ghost targets dropped, each group's real
-    targets split into spatial sub-groups of at most
-    :data:`GROUP_TARGETS`, each sub-group's sources culled to its box.
+    kernel streams out — ghost targets dropped, each group's sources
+    culled to the box of its real targets.
 
 Two implementations ride the seam:
 
@@ -55,7 +54,6 @@ from abc import ABC, abstractmethod
 import numpy as np
 
 __all__ = [
-    "GROUP_TARGETS",
     "KernelBackend",
     "Workspace",
     "BackendUnavailable",
@@ -66,11 +64,6 @@ __all__ = [
 ]
 
 _BACKEND_NAMES = ("numpy", "c")
-
-#: most real targets in one kernel group: ``tighten`` splits larger
-#: leaves and cells.  A multiple of both AVX2 lane widths (4 in f64, 8 in
-#: f32); 32 against 16 is measured in EXPERIMENTS.md
-GROUP_TARGETS = 32
 
 
 class BackendUnavailable(RuntimeError):
@@ -225,26 +218,29 @@ class KernelBackend(ABC):
         self,
         targets: np.ndarray,
         target_offsets: np.ndarray,
-        neighbor_indices: np.ndarray,
-        neighbor_offsets: np.ndarray,
+        source_starts: np.ndarray,
+        source_counts: np.ndarray,
+        range_offsets: np.ndarray,
         real: np.ndarray,
         positions: np.ndarray,
         radius: float,
-        group_targets: int = GROUP_TARGETS,
     ) -> tuple:
-        """The streamed batch of a candidate CSR batch (int64 arrays).
+        """The streamed batch of a candidate batch (int64 arrays).
 
-        ``real`` (bool, one per ``targets`` entry) flags the targets that
-        receive a force; ``positions`` is the ``(N, 3)`` float32/float64
-        cloud the indices address.  Per candidate group with a real
-        target, in order: the real targets split into parts of at most
-        ``group_targets`` by bisection on the longest side of their
-        float32 box (the lower ``n // 2`` by a stable sort on that
-        coordinate, each part in its members' order, lower part first);
-        each part listing, in order, the candidates whose float32
-        squared distance to the part's float32 box is ``<=
-        float32(radius**2)``.  Returns the ``(targets, target_offsets,
-        neighbor_indices, neighbor_offsets)`` of the parts.
+        Group ``g``'s targets are ``targets[target_offsets[g]:
+        target_offsets[g + 1]]``; its candidate sources are the rows of
+        its ranges ``r`` in ``range_offsets[g]:range_offsets[g + 1]``,
+        ``source_starts[r]`` up to ``source_starts[r] +
+        source_counts[r]``, in order (an RCB leaf's hits are whole
+        leaves; a list of single rows is ranges of one).  ``real`` (bool,
+        one per ``targets`` entry) flags the targets that receive a
+        force; ``positions`` is the ``(N, 3)`` float32/float64 cloud the
+        indices address.  Per group with a real target, in order: its
+        real targets, in order, listing, in order, the candidates whose
+        float32 squared distance to the float32 box of those targets,
+        summed ``(dx**2 + dy**2) + dz**2``, is ``<= float32(radius**2)``.
+        Returns the ``(targets, target_offsets, neighbor_indices,
+        neighbor_offsets)`` of those groups.
         """
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

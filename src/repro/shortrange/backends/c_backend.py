@@ -3,12 +3,11 @@
 ``pair_kernel.c`` (``pair_accumulate``), ``cic_kernel.c``
 (``cic_deposit``, ``cic_gather``), ``rcb_kernel.c`` (``rcb_build``,
 whose node arrays start at ~8 per ``leaf_size`` particles and double
-when a build overflows them) and ``tighten_kernel.c`` (``tighten``,
-whose lists start with the candidates' room and grow to what an
-overflowing cull reports it needs) are fused loops, one macro body per
-precision (see each file's header for its bitwise contract with the
-NumPy reference); ``pair_accumulate`` also has an AVX2 target-lane
-body, chosen at load time when the CPU has AVX2 (:func:`_pair_path`).
+when a build overflows them) and ``tighten_kernel.c`` (``tighten``)
+are fused loops, one macro body per precision (see each file's header
+for its bitwise contract with the NumPy reference); ``pair_accumulate``
+also has an AVX2 target-lane body, chosen at load time when the CPU has
+AVX2 (:func:`_pair_path`).
 All are compiled into one library per (sources, flags, compiler,
 machine) with ``$CC``, else ``cc``, else ``gcc``,
 published atomically into a per-user cache and loaded through
@@ -34,11 +33,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.grid.cic import non_finite_positions
-from repro.shortrange.backends import (
-    GROUP_TARGETS,
-    BackendUnavailable,
-    Workspace,
-)
+from repro.shortrange.backends import BackendUnavailable, Workspace
 from repro.shortrange.backends.numpy_backend import NumpyBackend
 
 __all__ = ["CBackend"]
@@ -160,8 +155,8 @@ def _load(lib: Path) -> tuple[dict, str]:
                            _I64, rp],
             "rcb_build": [rp] * 4 + [_I64P] + [_I64] * 3 + [_I64P] * 2
             + [rp] * 2 + [_I64P] * 2,
-            "tighten": [_I64P] * 4 + [_I64, _U8P, rp,
-                        ctypes.c_float, _I64, _I64] + [_I64P] * 5,
+            "tighten": [_I64P] * 5 + [_I64, _U8P, rp, ctypes.c_float]
+            + [_I64P] * 4,
         }
         table = {}
         for name, argtypes in signatures.items():
@@ -300,55 +295,44 @@ class CBackend(NumpyBackend):
                 raise MemoryError("rcb_build: cannot allocate scratch")
             cap *= 2
 
-    def tighten(self, targets, target_offsets, neighbor_indices,
-                neighbor_offsets, real, positions, radius,
-                group_targets=GROUP_TARGETS):
+    def tighten(self, targets, target_offsets, source_starts,
+                source_counts, range_offsets, real, positions, radius):
         pos = np.ascontiguousarray(positions)
         if pos.dtype not in self._fns or pos.ndim != 2 or pos.shape[1] != 3:
             raise ValueError(
                 "positions must be an (N, 3) float32/float64 array, got "
                 f"{pos.dtype} {pos.shape}"
             )
-        if group_targets < 1:
-            raise ValueError(f"group_targets must be >= 1: {group_targets}")
         fns, rp = self._fns[pos.dtype]
         to = _checked(target_offsets, np.int64, "target_offsets")
-        no = _checked(neighbor_offsets, np.int64, "neighbor_offsets", to.size)
+        ro = _checked(range_offsets, np.int64, "range_offsets", to.size)
         tg = _checked(targets, np.int64, "targets")
-        ni = _checked(neighbor_indices, np.int64, "neighbor_indices")
+        start = _checked(source_starts, np.int64, "source_starts")
+        count = _checked(source_counts, np.int64, "source_counts",
+                         start.size)
         flags = _checked(real, np.bool_, "real", tg.size)
         n = pos.shape[0]
         # the C loop trusts the lists: bound them here, once per batch
-        for off, idx, what in ((to, tg, "target"), (no, ni, "neighbor")):
-            if (off[0] != 0 or off[-1] != idx.size
-                    or np.any(off[1:] < off[:-1])):
+        for off, size, what in ((to, tg.size, "target"),
+                                (ro, start.size, "range")):
+            if off[0] != 0 or off[-1] != size or np.any(off[1:] < off[:-1]):
                 raise ValueError(f"{what} offsets do not index their list")
-            if idx.size and (idx.min() < 0 or idx.max() >= n):
-                raise IndexError(f"{what} index out of range for {n} rows")
-        n_real = int(np.count_nonzero(flags))
-        out_t = np.empty(n_real, dtype=np.int64)
-        out_to = np.empty(n_real + 1, dtype=np.int64)
-        out_no = np.empty(n_real + 1, dtype=np.int64)
-        listed = np.zeros(1, dtype=np.int64)
-        cap = ni.size
-        while True:
-            # one spare slot: the C compaction stores before it counts
-            out_n = np.empty(cap + 1, dtype=np.int64)
-            ng = fns["tighten"](
-                tg.ctypes.data_as(_I64P), to.ctypes.data_as(_I64P),
-                ni.ctypes.data_as(_I64P), no.ctypes.data_as(_I64P),
-                to.size - 1, flags.ctypes.data_as(_U8P),
-                pos.ctypes.data_as(rp), float(np.float32(radius**2)),
-                int(group_targets), cap,
-                *(a.ctypes.data_as(_I64P)
-                  for a in (out_t, out_to, out_n, out_no, listed)),
-            )
-            if ng >= 0:
-                return (out_t, out_to[:ng + 1], out_n[:int(listed[0])],
-                        out_no[:ng + 1])
-            if ng == -2:
-                raise MemoryError("tighten: cannot allocate scratch")
-            cap = int(listed[0])
+        if tg.size and (tg.min() < 0 or tg.max() >= n):
+            raise IndexError(f"target index out of range for {n} rows")
+        if start.size and (count.min() < 0 or start.min() < 0
+                           or (start + count).max() > n):
+            raise IndexError(f"source range out of range for {n} rows")
+        out_t = np.empty(int(np.count_nonzero(flags)), dtype=np.int64)
+        out_to, out_no = (np.empty(to.size, dtype=np.int64) for _ in "tn")
+        # one spare slot: the C compaction stores before it counts
+        out_n = np.empty(int(count.sum()) + 1, dtype=np.int64)
+        ng = fns["tighten"](
+            *(a.ctypes.data_as(_I64P) for a in (tg, to, start, count, ro)),
+            to.size - 1, flags.ctypes.data_as(_U8P),
+            pos.ctypes.data_as(rp), float(np.float32(radius**2)),
+            *(a.ctypes.data_as(_I64P) for a in (out_t, out_to, out_n, out_no)),
+        )
+        return out_t, out_to[:ng + 1], out_n[:out_no[ng]], out_no[:ng + 1]
 
     # ------------------------------------------------------------------
     def _cic_positions(self, positions):

@@ -1,16 +1,15 @@
 """The vectorized NumPy reference backend: the oracle the C backend
 matches bit for bit in float64 and float32.
 
-The pair evaluation forms separations in fixed-size (targets x
-sources) tiles whose temporaries live in the engine's grow-only
+The pair evaluation runs in fixed-size (targets x sources) tiles whose
+temporaries live in the engine's grow-only
 :class:`~repro.shortrange.backends.Workspace`; out-of-cutoff pairs are
-compressed away, and the kernel math and the per-target accumulation
-(``np.bincount``) run on the in-cutoff pairs of many tiles at once.  CIC
-materialises :class:`~repro.grid.cic.ParticleGridCoords` tables per
-call, the RCB build is a Python loop of one ``np.average`` split per
-node, and the list cull one vectorized pass per bisection level plus
-one Python step per group: readable oracles of the compiled, table-free
-loops.
+compressed away before the kernel math, and per-target accumulation goes
+through ``np.bincount``.  CIC materialises
+:class:`~repro.grid.cic.ParticleGridCoords` tables per call, the RCB
+build is a Python loop of one ``np.average`` split per node, and the
+list cull one Python step per group: readable oracles of the compiled,
+table-free loops.
 """
 
 from __future__ import annotations
@@ -18,7 +17,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.grid.cic import ParticleGridCoords
-from repro.shortrange.backends import GROUP_TARGETS, KernelBackend
+from repro.shortrange.backends import KernelBackend
+from repro.shortrange.rcb_tree import ranges_to_indices
 
 __all__ = ["NumpyBackend"]
 
@@ -43,10 +43,6 @@ class NumpyBackend(KernelBackend):
         return out
 
     # ------------------------------------------------------------------
-    # pair loop: a tile of (targets x sources) separations only finds its
-    # in-cutoff pairs; the kernel math and the per-target sums run on
-    # blocks of about chunk_pairs of them from many tiles, so a small
-    # group costs a few numpy calls, not a few dozen
     def pair_accumulate(
         self,
         targets,
@@ -65,48 +61,62 @@ class NumpyBackend(KernelBackend):
         acc,
         workspace,
     ):
-        to, no = target_offsets, neighbor_offsets
-        # per target in the kernel dtype: the f32 path stays f32 end to
-        # end (bincount's float64 partials are explicitly folded back
-        # down — the only remaining interior upcast)
-        gacc = np.zeros((targets.size, 3), dtype=px.dtype)
-        block = _Block()
-        # pending pairs hold ~1.2x the tile workspace's bytes per pair:
-        # a quarter of chunk_pairs of them keeps the footprint bounded
-        flush_at = max(1, chunk_pairs // 4)
+        dt = px.dtype
+        ws = workspace
+        to = target_offsets
+        no = neighbor_offsets
+        tcounts = np.diff(to)
+        ncounts = np.diff(no)
         inside_pairs = 0
         for g in range(to.size - 1):
-            t0, t1 = int(to[g]), int(to[g + 1])
-            nidx = neighbor_indices[no[g]:no[g + 1]]
-            nt, ns = t1 - t0, nidx.size
+            nt, ns = int(tcounts[g]), int(ncounts[g])
             if nt == 0 or ns == 0:
                 continue
-            tidx = targets[t0:t1]
-            tx, ty, tz = (np.take(p, tidx) for p in (px, py, pz))
+            tidx = targets[to[g] : to[g + 1]]
+            nidx = neighbor_indices[no[g] : no[g + 1]]
+            tx = ws.get("tx", nt, dt)
+            ty = ws.get("ty", nt, dt)
+            tz = ws.get("tz", nt, dt)
+            np.take(px, tidx, out=tx)
+            np.take(py, tidx, out=ty)
+            np.take(pz, tidx, out=tz)
+            # group accumulator in the kernel dtype: the f32 path stays
+            # f32 end to end (bincount's float64 partials are explicitly
+            # folded back down — the only remaining interior upcast)
+            gacc = ws.get("gacc", nt * 3, dt).reshape(nt, 3)
+            gacc.fill(0.0)
             cs = min(ns, chunk_pairs)
             ct = min(nt, max(1, chunk_pairs // cs))
             for s0 in range(0, ns, cs):
-                src = nidx[s0:s0 + cs]
-                sx, sy, sz, sm = (np.take(a, src) for a in (px, py, pz, msc))
-                for r0 in range(0, nt, ct):
-                    r1 = min(r0 + ct, nt)
+                s1 = min(s0 + cs, ns)
+                csz = s1 - s0
+                src = nidx[s0:s1]
+                sx = ws.get("sx", csz, dt)
+                sy = ws.get("sy", csz, dt)
+                sz = ws.get("sz", csz, dt)
+                sm = ws.get("sm", csz, dt)
+                np.take(px, src, out=sx)
+                np.take(py, src, out=sy)
+                np.take(pz, src, out=sz)
+                np.take(msc, src, out=sm)
+                for t0 in range(0, nt, ct):
+                    t1 = min(t0 + ct, nt)
                     inside_pairs += self._tile(
-                        ws=workspace, block=block, first=t0 + r0,
-                        tx=tx[r0:r1], ty=ty[r0:r1], tz=tz[r0:r1],
-                        sx=sx, sy=sy, sz=sz, sm=sm,
-                        inv_sp2=inv_sp2, rc2_cells=rc2_cells,
+                        ws,
+                        tx[t0:t1], ty[t0:t1], tz[t0:t1],
+                        sx, sy, sz, sm,
+                        coeffs, eps, inv_sp2, rc2_cells,
+                        gacc[t0:t1],
                     )
-                    if block.pairs >= flush_at:
-                        self._flush(workspace, block, coeffs, eps, gacc)
-        self._flush(workspace, block, coeffs, eps, gacc)
-        acc[targets] += gacc
+            acc[tidx] += gacc
         return inside_pairs
 
-    def _tile(self, ws, block, first, tx, ty, tz, sx, sy, sz, sm,
-              inv_sp2, rc2_cells) -> int:
-        """One (targets x sources) tile, whose rows are ``targets``
-        entries ``first, first + 1, ...``: separations, then the
-        in-cutoff pairs into ``block``.  Returns how many there were."""
+    def _tile(
+        self, ws, tx, ty, tz, sx, sy, sz, sm,
+        coeffs, eps, inv_sp2, rc2_cells, gacc,
+    ) -> int:
+        """One (targets x sources) tile: separations, compress, kernel,
+        scatter.  Returns the number of in-cutoff pairs evaluated."""
         dt = tx.dtype
         ctz, csz = tx.shape[0], sx.shape[0]
         npair = ctz * csz
@@ -124,39 +134,36 @@ class NumpyBackend(KernelBackend):
         np.multiply(dz, dz, out=tmp)
         s2 += tmp
         s2 *= inv_sp2  # squared separations in cell units
-        near = ws.get("near", npair, np.bool_)
-        np.less(s2.ravel(), rc2_cells, out=near)
-        # compress: the expensive kernel math only touches in-cutoff
-        # pairs, 0 < s2 < rc2 (the self pair is the s2 = 0 one)
-        idx = np.flatnonzero(near)
-        idx = idx[s2.ravel()[idx] > 0.0]
-        if idx.size:
-            row = idx // csz
-            block.add(first, ctz, row, s2.ravel()[idx], sm[idx - row * csz],
-                      (d.ravel()[idx] for d in (dx, dy, dz)))
-        return idx.size
-
-    def _flush(self, ws, block, coeffs, eps, gacc) -> None:
-        """The kernel on ``block``'s in-cutoff pairs, and per tile row
-        their sum in list order in a double (``np.bincount``'s
-        partials), cast to the kernel dtype and subtracted from the
-        row's target — the order ``pair_kernel.c`` follows."""
-        if not block.pairs:
-            return
-        dt = gacc.dtype
-        s2 = np.concatenate(block.s2)
-        f = ws.get("f", s2.size, dt)
-        self.f_sr_pairs(s2, coeffs, eps, f, ws.get("scratch", s2.size, dt))
-        f *= np.concatenate(block.m)  # coefficient * m_j / spacing^3
-        slot = np.concatenate(block.slot)
-        owner = np.concatenate(block.owner)
-        for comp, d in enumerate(block.d):
-            w = np.concatenate(d)
-            w *= f
-            sums = np.bincount(slot, weights=w, minlength=owner.size)
-            # in slot order: a target's chunks subtract one after another
-            np.subtract.at(gacc[:, comp], owner, sums.astype(dt, copy=False))
-        block.clear()
+        inside = ws.get("inside", npair, np.bool_).reshape(ctz, csz)
+        mask2 = ws.get("mask2", npair, np.bool_).reshape(ctz, csz)
+        np.greater(s2, 0.0, out=inside)
+        np.less(s2, rc2_cells, out=mask2)
+        inside &= mask2
+        # compress: the expensive kernel math only touches in-cutoff pairs
+        idx = np.flatnonzero(inside.ravel())
+        k = idx.size
+        if k == 0:
+            return 0
+        sc = ws.get("sc", k, dt)
+        np.take(s2.ravel(), idx, out=sc)
+        f = ws.get("f", k, dt)
+        scratch = ws.get("scratch", k, dt)
+        self.f_sr_pairs(sc, coeffs, eps, f, scratch)
+        row = ws.get("row", k, np.int64)
+        col = ws.get("col", k, np.int64)
+        np.floor_divide(idx, csz, out=row)
+        np.multiply(row, csz, out=col)
+        np.subtract(idx, col, out=col)
+        np.take(sm, col, out=scratch)
+        f *= scratch  # coefficient * m_j / spacing^3
+        grab = ws.get("grab", k, dt)
+        for comp, d in enumerate((dx, dy, dz)):
+            np.take(d.ravel(), idx, out=grab)
+            grab *= f
+            gacc[:, comp] -= np.bincount(
+                row, weights=grab, minlength=ctz
+            ).astype(dt, copy=False)
+        return k
 
     # ------------------------------------------------------------------
     # RCB build: the reference loop, one Python step per split node
@@ -207,47 +214,55 @@ class NumpyBackend(KernelBackend):
         return perm, start, count, lo, hi, left, right
 
     # ------------------------------------------------------------------
-    # list cull: the split in one vectorized pass per bisection level,
-    # then one step per group — its box, then all its parts' boxes at once
-    def tighten(self, targets, target_offsets, neighbor_indices,
-                neighbor_offsets, real, positions, radius,
-                group_targets=GROUP_TARGETS):
-        to, no = target_offsets, neighbor_offsets
+    # list cull: one Python step per group on two reused buffers
+    def tighten(self, targets, target_offsets, source_starts,
+                source_counts, range_offsets, real, positions, radius):
+        to = target_offsets
+        # the candidates expanded: group g's are entries no[g]:no[g + 1]
+        neighbor_indices = ranges_to_indices(source_starts, source_counts)
+        no = np.concatenate(([0], np.cumsum(source_counts)))[range_offsets]
         # cumsum rather than reduceat: candidate groups may be empty
         before = np.concatenate(([0], np.cumsum(real)))
         tcounts = before[to[1:]] - before[to[:-1]]
         live = np.flatnonzero(tcounts)
-        if not live.size:
+        if live.size == 0:
             e, zero = np.empty(0, np.int64), np.zeros(1, np.int64)
             return e, zero, e, zero
-        tcounts = tcounts[live]
         members = targets[real]
-        # coordinate-major float32 copy: a bound with a pad sized for
+        member_offsets = np.zeros(live.size + 1, dtype=np.int64)
+        np.cumsum(tcounts[live], out=member_offsets[1:])
+
+        # coordinate-major float32 copy: one gather per group, the box
+        # bounds broadcast along the contiguous axis, and half the bytes
+        # of a float64 cloud — this is a bound with a pad sized for
         # float32 (cull_radius), not a force
         soa = np.ascontiguousarray(np.asarray(positions, dtype=np.float32).T)
-        r2 = np.float32(radius**2)
         tpos = soa[:, members]
-        glo, ghi = _boxes(tpos, _offsets(tcounts))
-        order, first, group = _split(tpos, tcounts, group_targets)
-        lo, hi = (b[:, :, None] for b in _boxes(tpos[:, order], first))
-        parts = np.searchsorted(group, np.arange(live.size + 1))
-        lists, counts = [], []
-        bounds = zip(no[live].tolist(), no[live + 1].tolist(),
-                     parts[:-1].tolist(), parts[1:].tolist())
-        for g, (begin, end, p0, p1) in enumerate(bounds):
+        lo = np.minimum.reduceat(tpos, member_offsets[:-1], axis=1)
+        hi = np.maximum.reduceat(tpos, member_offsets[:-1], axis=1)
+        lo = np.ascontiguousarray(lo.T)[:, :, None]
+        hi = np.ascontiguousarray(hi.T)[:, :, None]
+        radius2 = np.float32(radius**2)
+
+        # per group on two reused buffers: one pass over all list entries
+        # at once would first-touch tens of MB of fresh temporaries
+        widest = int((no[live + 1] - no[live]).max())
+        src = np.empty((3, widest), dtype=soa.dtype)
+        gap = np.empty((3, widest), dtype=soa.dtype)
+        kept = []
+        bounds = zip(no[live].tolist(), no[live + 1].tolist())
+        for g, (begin, end) in enumerate(bounds):
             cand = neighbor_indices[begin:end]
-            pos = soa.take(cand, axis=1)
-            keep = _near(pos, glo[:, g:g + 1], ghi[:, g:g + 1], r2)
-            cand = cand[keep]
-            if p1 - p0 == 1:  # the whole group: its box, its list
-                lists.append(cand)
-                counts.append(cand.size)
-                continue
-            # every part of the group against the group's list: (k, m)
-            ok = _near(pos[:, keep][:, None], lo[:, p0:p1], hi[:, p0:p1], r2)
-            lists.append(np.broadcast_to(cand, ok.shape)[ok])
-            counts.extend(np.count_nonzero(ok, axis=1).tolist())
-        return members[order], first, np.concatenate(lists), _offsets(counts)
+            p, d = src[:, : end - begin], gap[:, : end - begin]
+            np.take(soa, cand, axis=1, out=p)
+            # distance to the box: clamp the source into it, subtract
+            np.maximum(p, lo[g], out=d)
+            np.minimum(d, hi[g], out=d)
+            d -= p
+            kept.append(cand[np.einsum("ij,ij->j", d, d) <= radius2])
+        neighbor_offsets = np.zeros(live.size + 1, dtype=np.int64)
+        np.cumsum([k.size for k in kept], out=neighbor_offsets[1:])
+        return members, member_offsets, np.concatenate(kept), neighbor_offsets
 
     # ------------------------------------------------------------------
     # CIC through (8, N) corner tables: one bincount (deposit) or one
@@ -276,85 +291,3 @@ class NumpyBackend(KernelBackend):
             for c in range(8):
                 out[:, k] += flat[coords.flat[c]] * coords.weights[c]
         return out
-
-
-class _Block:
-    """In-cutoff pairs of many tiles awaiting the kernel: their squared
-    separations, source masses, separations and slot (the tile row
-    they belong to, numbered in order), and each slot's target."""
-
-    def __init__(self) -> None:
-        self.clear()
-
-    def clear(self) -> None:
-        self.s2, self.m, self.slot, self.owner = [], [], [], []
-        self.d = ([], [], [])
-        self.pairs = self.slots = 0
-
-    def add(self, first, rows, row, s2, m, d) -> None:
-        self.s2.append(s2)
-        self.m.append(m)
-        for acc, comp in zip(self.d, d):
-            acc.append(comp)
-        self.slot.append(row + self.slots)
-        self.owner.append(np.arange(first, first + rows))
-        self.pairs += s2.size
-        self.slots += rows
-
-
-def _boxes(pts: np.ndarray, first: np.ndarray):
-    """``(lo, hi)``, ``(3, k)``: the boxes of the ``k`` non-empty column
-    segments ``first[s]:first[s + 1]`` of ``pts``."""
-    return (np.minimum.reduceat(pts, first[:-1], axis=1),
-            np.maximum.reduceat(pts, first[:-1], axis=1))
-
-
-def _near(pos: np.ndarray, lo: np.ndarray, hi: np.ndarray, r2):
-    """Which float32 points ``pos`` (coordinates on axis 0) lie within
-    ``r2`` (squared) of the boxes ``lo``, ``hi`` (broadcast against
-    ``pos``): the clamp into the box minus the point, summed
-    ``(dx^2 + dy^2) + dz^2`` in float32."""
-    d = np.maximum(pos, lo)
-    np.minimum(d, hi, out=d)
-    d -= pos
-    d *= d
-    return d[0] + d[1] + d[2] <= r2
-
-
-def _split(pts: np.ndarray, sizes: np.ndarray, most: int):
-    """Bisect the column segments of ``pts`` (``sizes`` long, in order)
-    until each part has at most ``most`` columns: on the first longest
-    side of a part's box, the lower ``size // 2`` by a stable sort go
-    first, each half in its input order — one level of every part per
-    pass, each split part replaced in place by its halves, so parts come
-    out depth first, lower half first.  Returns ``(order, first,
-    group)``: the columns in part order, the parts' offsets into it and
-    the segment each part came from."""
-    order = np.arange(pts.shape[1])
-    group = np.arange(sizes.size)
-    while (big := sizes > most).any():
-        first = _offsets(sizes)
-        part = np.repeat(np.arange(sizes.size), sizes)
-        p = pts[:, order]
-        lo, hi = _boxes(p, first)
-        axis = np.argmax(hi - lo, axis=0)
-        key = p[axis[part], np.arange(order.size)]
-        # by part, then key: stable sorts, so ties keep their order
-        ranked = np.argsort(key, kind="stable")
-        ranked = ranked[np.argsort(part[ranked], kind="stable")]
-        rank = np.empty(order.size, dtype=np.int64)
-        rank[ranked] = np.arange(order.size) - first[part[ranked]]
-        half = sizes // 2
-        high = big[part] & (rank >= half[part])
-        order = order[np.argsort(2 * part + high, kind="stable")]
-        sizes = np.stack([np.where(big, half, sizes),
-                          np.where(big, sizes - half, 0)], axis=1).ravel()
-        group = np.repeat(group, 2)[sizes > 0]
-        sizes = sizes[sizes > 0]
-    return order, _offsets(sizes), group
-
-
-def _offsets(counts) -> np.ndarray:
-    out = np.zeros(len(counts) + 1, dtype=np.int64)
-    np.cumsum(counts, out=out[1:])
-    return out

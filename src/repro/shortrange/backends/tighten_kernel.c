@@ -1,57 +1,23 @@
-/* The source cull of candidate interaction lists, with sub-leaf target
- * groups (Sec. III of the source paper: fat leaves for the walk, small
- * groups for the kernel).  Per candidate group (an RCB leaf or a P3M
- * cell):
- *
- *  1. leaf cull: drop the ghost targets (real[t] == 0) and a group left
- *     without one; keep, in order, the candidates whose float32 squared
- *     distance to the float32 box of the real targets is <= r2;
- *  2. split: bisect the real targets on the longest side of their
- *     float32 box (first maximum of hi - lo) until a part holds at most
- *     group_targets; the lower part is the n / 2 lowest by a stable sort
- *     on that coordinate, and each part keeps its members' order; parts
- *     are emitted depth first, lower before upper;
- *  3. sub-group cull: each part keeps, in order, the sources of its
- *     group's culled list within r2 of the part's own box.  The part's
- *     box lies inside the group's and float rounding is monotone, so no
- *     source the leaf cull dropped could pass: the part's list is the
- *     cull of the whole candidate list against its box.
+/* The source cull of candidate interaction lists.  Per candidate group
+ * (an RCB leaf or a P3M cell): drop the ghost targets (real[t] == 0) and
+ * a group left without a real one; keep, in order, the candidates whose
+ * float32 squared distance to the float32 box of the real targets is
+ * <= r2.  A group's candidates are its ranges of rows, in order: range
+ * r is rows start[r] .. start[r] + count[r] - 1, and group g's ranges are
+ * roff[g] .. roff[g + 1] - 1 (a tree leaf's hits are whole leaves).
  *
  * Bitwise contract: the four output arrays equal NumpyBackend.tighten,
  * in either position precision.  Coordinates are cast to float on each
  * load (numpy's astype(float32)); the distance is the clamp of the
  * source into the box minus the source, summed (dx*dx + dy*dy) + dz*dz
- * in float, each step rounded (-ffp-contract=off); the sort is a stable
- * merge sort taking the left run on ties, as numpy's stable argsort.
- * Positions are finite.
+ * in float, each step rounded (-ffp-contract=off).  Positions are
+ * finite.
  *
- * The output lists have room for `cap` indices, plus one the branch-free
- * compaction may write past the last kept entry: a cull that needs more
- * writes none past it, keeps counting, stores the count it needed in
- * *listed and returns -1; the caller retries with that much room.  -2
- * means scratch memory could not be had.  Otherwise the return value is
- * the number of output groups and *listed the number of list entries.
+ * The outputs have room for every real target, ngroups + 1 offsets and
+ * every candidate plus one: the branch-free compaction writes one entry
+ * past the last kept one.  Returns the number of output groups.
  */
 #include <stdint.h>
-#include <stdlib.h>
-#include <string.h>
-
-/* float32 box of the points idx[0..n) of (x, y, z) */
-static void sub_box(const float *x, const float *y, const float *z,
-                    const int64_t *idx, int64_t n, float *lo, float *hi)
-{
-    const float *v[3] = {x, y, z};
-    for (int k = 0; k < 3; k++) {
-        float a = v[k][idx[0]], b = a;
-        for (int64_t i = 1; i < n; i++) {
-            const float c = v[k][idx[i]];
-            a = c < a ? c : a;
-            b = c > b ? c : b;
-        }
-        lo[k] = a;
-        hi[k] = b;
-    }
-}
 
 /* squared float32 distance from (x, y, z) to the box [lo, hi] */
 static inline float box_d2(float x, float y, float z, const float *lo,
@@ -71,199 +37,45 @@ static inline float box_d2(float x, float y, float z, const float *lo,
     return s + t;
 }
 
-/* the sources i of (sx, sy, sz)[0..m) within r2 of [lo, hi], in order:
- * their sidx[i] go to out[0..), the count is returned; out == NULL only
- * counts */
-static int64_t cull(const float *sx, const float *sy, const float *sz,
-                    const int64_t *sidx, int64_t m, const float *lo,
-                    const float *hi, float r2, int64_t *out)
-{
-    int64_t k = 0;
-    if (out) {
-        /* branch-free: a list is accepted and rejected in long mixed runs */
-        for (int64_t i = 0; i < m; i++) {
-            out[k] = sidx[i];
-            k += box_d2(sx[i], sy[i], sz[i], lo, hi) <= r2;
-        }
-    } else {
-        for (int64_t i = 0; i < m; i++)
-            k += box_d2(sx[i], sy[i], sz[i], lo, hi) <= r2;
-    }
-    return k;
-}
-
-/* idx[0..c) = stable argsort of v[0..c); tmp is scratch of length c */
-static void argsort(const float *v, int64_t *idx, int64_t *tmp, int64_t c)
-{
-    int64_t *src = idx, *dst = tmp;
-    for (int64_t i = 0; i < c; i++)
-        idx[i] = i;
-    for (int64_t w = 1; w < c; w *= 2) {
-        for (int64_t lo = 0; lo < c; lo += 2 * w) {
-            const int64_t mid = lo + w < c ? lo + w : c;
-            const int64_t hi = lo + 2 * w < c ? lo + 2 * w : c;
-            int64_t i = lo, j = mid, k = lo;
-            while (i < mid && j < hi)
-                dst[k++] = v[src[j]] < v[src[i]] ? src[j++] : src[i++];
-            while (i < mid)
-                dst[k++] = src[i++];
-            while (j < hi)
-                dst[k++] = src[j++];
-        }
-        int64_t *t = src;
-        src = dst;
-        dst = t;
-    }
-    if (src != idx)
-        memcpy(idx, src, (size_t)c * sizeof *idx);
-}
-
-/* split w[0..c) (indices into the group's target coordinates) into its
- * lower c / 2 and the rest along the longest side of their box, each
- * half in its input order; key, order, tmp and low are scratch of c */
-static void bisect(const float *const *t, int64_t *w, int64_t c, float *key,
-                   int64_t *order, int64_t *tmp, unsigned char *low)
-{
-    float lo[3], hi[3];
-    sub_box(t[0], t[1], t[2], w, c, lo, hi);
-    int axis = 0;
-    float ext = hi[0] - lo[0];
-    for (int k = 1; k < 3; k++) {
-        const float e = hi[k] - lo[k];
-        if (e > ext) {
-            ext = e;
-            axis = k;
-        }
-    }
-    for (int64_t i = 0; i < c; i++)
-        key[i] = t[axis][w[i]];
-    argsort(key, order, tmp, c);
-    for (int64_t i = 0; i < c; i++)
-        low[order[i]] = i < c / 2;
-    int64_t a = 0, b = c / 2;
-    for (int64_t i = 0; i < c; i++) {
-        if (low[i])
-            tmp[a++] = w[i];
-        else
-            tmp[b++] = w[i];
-    }
-    memcpy(w, tmp, (size_t)c * sizeof *w);
-}
-
 #define TIGHTEN(SUF, P)                                                     \
 int64_t tighten_##SUF(const int64_t *targets, const int64_t *toff,          \
-                      const int64_t *nidx, const int64_t *noff,             \
-                      int64_t ngroups, const unsigned char *real,           \
-                      const P *pos, float r2, int64_t group_targets,        \
-                      int64_t cap, int64_t *otg, int64_t *otoff,            \
-                      int64_t *onidx, int64_t *onoff, int64_t *listed)      \
+                      const int64_t *start, const int64_t *count,           \
+                      const int64_t *roff, int64_t ngroups,                 \
+                      const unsigned char *real,                            \
+                      const P *pos, float r2, int64_t *otg,                 \
+                      int64_t *otoff, int64_t *onidx, int64_t *onoff)       \
 {                                                                           \
-    int64_t tmax = 1, cmax = 1;                                             \
-    for (int64_t g = 0; g < ngroups; g++) {                                 \
-        const int64_t nt = toff[g + 1] - toff[g];                           \
-        const int64_t ns = noff[g + 1] - noff[g];                           \
-        tmax = nt > tmax ? nt : tmax;                                       \
-        cmax = ns > cmax ? ns : cmax;                                       \
-    }                                                                       \
-    /* targets: ids, coordinates, the working order, sort scratch; a     \
-     * stack of (start, count) parts; the culled list and its coordinates */\
-    int64_t *mem = malloc((size_t)tmax * sizeof *mem);                      \
-    int64_t *w = malloc((size_t)tmax * sizeof *w);                          \
-    int64_t *order = malloc((size_t)tmax * sizeof *order);                  \
-    int64_t *tmp = malloc((size_t)tmax * sizeof *tmp);                      \
-    int64_t *stack = malloc((size_t)(2 * tmax) * sizeof *stack);            \
-    unsigned char *low = malloc((size_t)tmax);                              \
-    float *tf = malloc((size_t)(4 * tmax) * sizeof *tf);                    \
-    int64_t *cidx = malloc((size_t)cmax * sizeof *cidx);                    \
-    float *cf = malloc((size_t)(3 * cmax) * sizeof *cf);                    \
-    int64_t ng = 0, nt = 0, nk = 0, over = 0;                               \
-    if (!mem || !w || !order || !tmp || !stack || !low || !tf || !cidx      \
-        || !cf) {                                                           \
-        ng = -2;                                                            \
-        goto done;                                                          \
-    }                                                                       \
-    const float *t[3] = {tf, tf + tmax, tf + 2 * tmax};                     \
-    float *key = tf + 3 * tmax;                                             \
-    float *cx = cf, *cy = cf + cmax, *cz = cf + 2 * cmax;                   \
+    int64_t ng = 0, nt = 0, nk = 0;                                         \
     otoff[0] = 0;                                                           \
     onoff[0] = 0;                                                           \
     for (int64_t g = 0; g < ngroups; g++) {                                 \
-        /* the real targets, branch-free: ghosts are overwritten */         \
-        int64_t n = 0;                                                      \
-        for (int64_t ti = toff[g]; ti < toff[g + 1]; ti++) {                \
-            const int64_t i = targets[ti];                                  \
-            mem[n] = i;                                                     \
-            tf[n] = (float)pos[3 * i];                                      \
-            tf[tmax + n] = (float)pos[3 * i + 1];                           \
-            tf[2 * tmax + n] = (float)pos[3 * i + 2];                       \
-            n += real[ti] != 0;                                             \
-        }                                                                   \
-        if (n == 0)                                                         \
-            continue;                                                       \
-        for (int64_t i = 0; i < n; i++)                                     \
-            w[i] = i;                                                       \
         float lo[3], hi[3];                                                 \
-        sub_box(t[0], t[1], t[2], w, n, lo, hi);                            \
-        int64_t m = 0;                                                      \
-        for (int64_t si = noff[g]; si < noff[g + 1]; si++) {                \
-            const int64_t j = nidx[si];                                     \
-            const float x = (float)pos[3 * j], y = (float)pos[3 * j + 1];   \
-            const float z = (float)pos[3 * j + 2];                          \
-            cidx[m] = j;                                                    \
-            cx[m] = x;                                                      \
-            cy[m] = y;                                                      \
-            cz[m] = z;                                                      \
-            m += box_d2(x, y, z, lo, hi) <= r2;                             \
-        }                                                                   \
-        int64_t sp = 0;                                                     \
-        stack[sp++] = 0;                                                    \
-        stack[sp++] = n;                                                    \
-        while (sp) {                                                        \
-            const int64_t c = stack[--sp], s = stack[--sp];                 \
-            if (c > group_targets) {                                        \
-                bisect(t, w + s, c, key, order, tmp, low);                  \
-                stack[sp++] = s + c / 2;  /* upper, popped second */        \
-                stack[sp++] = c - c / 2;                                    \
-                stack[sp++] = s;                                            \
-                stack[sp++] = c / 2;                                        \
+        const int64_t first = nt;                                           \
+        for (int64_t ti = toff[g]; ti < toff[g + 1]; ti++) {                \
+            if (!real[ti])                                                  \
                 continue;                                                   \
+            const int64_t i = targets[ti];                                  \
+            const float c[3] = {(float)pos[3 * i], (float)pos[3 * i + 1],   \
+                                (float)pos[3 * i + 2]};                     \
+            for (int k = 0; k < 3; k++) {                                   \
+                lo[k] = nt == first || c[k] < lo[k] ? c[k] : lo[k];         \
+                hi[k] = nt == first || c[k] > hi[k] ? c[k] : hi[k];         \
             }                                                               \
-            for (int64_t k = 0; k < c; k++)                                 \
-                otg[nt++] = mem[w[s + k]];                                  \
-            /* the whole group keeps its culled list; a part culls it */    \
-            const int whole = c == n;                                       \
-            float plo[3], phi[3];                                           \
-            if (!whole)                                                     \
-                sub_box(t[0], t[1], t[2], w + s, c, plo, phi);              \
-            if (!over && nk + m > cap) /* may not fit: count first */       \
-                over = nk + (whole ? m : cull(cx, cy, cz, cidx, m, plo,     \
-                                              phi, r2, NULL)) > cap;        \
-            if (over) /* past the room nothing is written, only counted */  \
-                nk += whole ? m : cull(cx, cy, cz, cidx, m, plo, phi, r2,   \
-                                       NULL);                               \
-            else if (whole) {                                               \
-                memcpy(onidx + nk, cidx, (size_t)m * sizeof *onidx);        \
-                nk += m;                                                    \
-            } else                                                          \
-                nk += cull(cx, cy, cz, cidx, m, plo, phi, r2, onidx + nk);  \
-            ng++;                                                           \
-            otoff[ng] = nt;                                                 \
-            onoff[ng] = nk;                                                 \
+            otg[nt++] = i;                                                  \
         }                                                                   \
+        if (nt == first)                                                    \
+            continue;                                                       \
+        /* branch-free: a list is accepted and rejected in long mixed runs */\
+        for (int64_t r = roff[g]; r < roff[g + 1]; r++)                     \
+            for (int64_t j = start[r]; j < start[r] + count[r]; j++) {      \
+                onidx[nk] = j;                                              \
+                nk += box_d2((float)pos[3 * j], (float)pos[3 * j + 1],      \
+                             (float)pos[3 * j + 2], lo, hi) <= r2;          \
+            }                                                               \
+        ng++;                                                               \
+        otoff[ng] = nt;                                                     \
+        onoff[ng] = nk;                                                     \
     }                                                                       \
-    *listed = nk;                                                           \
-    if (over)                                                               \
-        ng = -1;                                                            \
-done:                                                                       \
-    free(mem);                                                              \
-    free(w);                                                                \
-    free(order);                                                            \
-    free(tmp);                                                              \
-    free(stack);                                                            \
-    free(low);                                                              \
-    free(tf);                                                               \
-    free(cidx);                                                             \
-    free(cf);                                                               \
     return ng;                                                              \
 }
 

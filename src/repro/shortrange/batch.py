@@ -15,15 +15,13 @@ once for *all* leaves simultaneously — a breadth-first frontier of
 flat CSR-style arrays (:class:`InteractionBatch`): ``targets`` +
 ``target_offsets`` and ``neighbor_indices`` + ``neighbor_offsets``.
 Both packers (RCB tree, P3M chaining mesh) then hand their candidate
-groups to :meth:`InteractionBatch.tightened`, the one place that
-decides which pairs are streamed: ghost members stop being targets
-(they only ever were sources), each group's real targets are split into
-spatial sub-groups of at most
-:data:`~repro.shortrange.backends.GROUP_TARGETS` (fat leaves for the
-walk, small groups for the kernel), and each sub-group's source list is
-culled, order preserved, to the sources within ``rcut`` of the bounding
-box of its targets.  The cull is the kernel backends' ``tighten``
-primitive (C, or the numpy oracle).
+groups to :func:`tighten_ranges` (the tree its hit leaves as row
+ranges, P3M its lists through :meth:`InteractionBatch.tightened`), the
+one place that decides which pairs are streamed: ghost members stop
+being targets (they only ever were sources), and each group's source
+list is culled, order preserved, to the sources within ``rcut`` of the
+bounding box of the group's real targets.  The cull is the kernel
+backends' ``tighten`` primitive (C, or the numpy oracle).
 
 **Evaluation** (:class:`BatchedPairEngine`) streams fixed-size pair
 blocks (``chunk_pairs`` bounds the peak temporary footprint, the Python
@@ -36,9 +34,9 @@ analogue of sizing the working set to cache) through the fitted
    kernel math (sqrt, divide, Horner) runs — a list bounds its group's
    neighborhood by the targets' box, so only part of it lies inside
    ``rcut`` of any one target: measured on the clustered z = 0 state of
-   a 32^3 run, 27% of streamed pairs (16% with one group per 128-target
-   leaf, 3.9% before the lists were tightened, when whole hit leaves
-   were listed for ghost and real members alike);
+   a 32^3 run, 16% of streamed pairs (3.9% before the lists were
+   tightened, when whole hit leaves were listed for ghost and real
+   members alike);
 3. in-cutoff forces are scattered back per target with ``bincount``.
 
 The engine is geometry-agnostic: the RCB tree and the P3M chaining mesh
@@ -78,6 +76,7 @@ __all__ = [
     "BatchedPairEngine",
     "batch_box_query",
     "pack_tree",
+    "tighten_ranges",
     "DEFAULT_CHUNK_PAIRS",
 ]
 
@@ -90,10 +89,7 @@ DEFAULT_CHUNK_PAIRS = 1 << 18
 class InteractionBatch:
     """CSR interaction lists shared by a group of targets.
 
-    Group ``g`` (a candidate batch's RCB leaf or P3M cell; in a tightened
-    batch, a spatial sub-group of at most
-    :data:`~repro.shortrange.backends.GROUP_TARGETS` of one leaf's or
-    cell's real targets) applies the neighbor list
+    Group ``g`` (an RCB leaf, or a P3M cell) applies the neighbor list
     ``neighbor_indices[neighbor_offsets[g]:neighbor_offsets[g+1]]`` to
     every target in ``targets[target_offsets[g]:target_offsets[g+1]]`` —
     the flat-array form of "all particles of a leaf share the leaf's
@@ -101,8 +97,8 @@ class InteractionBatch:
     are later handed to :meth:`BatchedPairEngine.evaluate`.
 
     Within one group the target indices must be unique (they are a leaf
-    / cell membership, or part of one); distinct groups may not share
-    targets either — both solvers' groups partition the target set.
+    / cell membership); distinct groups may not share targets either —
+    both solvers' groups partition the target set.
     """
 
     targets: np.ndarray
@@ -163,33 +159,55 @@ class InteractionBatch:
         rcut: float,
         backend=None,
     ) -> "InteractionBatch":
-        """The batch the kernel streams: real targets in small groups,
-        culled sources.
+        """The batch the kernel streams: real targets, culled sources.
 
         ``real`` flags the entries of ``targets`` that receive a force
         (the others are ghosts, present only as sources); groups left
-        without a target are dropped.  Each surviving group's real
-        targets are split into spatial sub-groups of at most
-        :data:`~repro.shortrange.backends.GROUP_TARGETS`, and each
-        sub-group keeps, in order, the sources within
-        :func:`cull_radius` of the bounding box of its targets — a
-        per-source test, so the exact per-pair cutoff test stays with
-        the backend, and no pair that test accepts is removed: every
-        target's sum visits the same in-cutoff sources in the same
-        order as on the candidate batch.  ``backend`` runs the cull
+        without a target are dropped.  Each surviving group keeps, in
+        order, the sources within :func:`cull_radius` of the bounding
+        box of its real targets — a per-source test, so the exact
+        per-pair cutoff test stays with the backend, and no pair that
+        test accepts is removed: every target's sum visits the same
+        in-cutoff sources in the same order as on the candidate batch.
+        ``backend`` runs the cull
         (:meth:`~repro.shortrange.backends.KernelBackend.tighten`): a
         backend or its name, ``None`` meaning c, else numpy.
         """
-        real = np.asarray(real, dtype=bool)
-        return InteractionBatch(*resolve_backend(backend).tighten(
-            np.asarray(self.targets, dtype=np.int64),
-            self.target_offsets,
-            np.asarray(self.neighbor_indices, dtype=np.int64),
-            self.neighbor_offsets,
-            real,
-            positions,
-            cull_radius(rcut, positions),
-        ))
+        sources = np.asarray(self.neighbor_indices, dtype=np.int64)
+        return tighten_ranges(
+            self.targets, self.target_offsets,
+            sources, np.ones_like(sources), self.neighbor_offsets,
+            real, positions, rcut, backend,
+        )
+
+
+def tighten_ranges(
+    targets: np.ndarray,
+    target_offsets: np.ndarray,
+    source_starts: np.ndarray,
+    source_counts: np.ndarray,
+    range_offsets: np.ndarray,
+    real: np.ndarray,
+    positions: np.ndarray,
+    rcut: float,
+    backend=None,
+) -> InteractionBatch:
+    """:meth:`InteractionBatch.tightened` of the candidate batch whose
+    group ``g`` lists the rows of ranges ``range_offsets[g]`` to
+    ``range_offsets[g + 1] - 1``, range ``r`` being ``source_starts[r]``
+    up to ``source_starts[r] + source_counts[r]``: :func:`pack_tree`'s
+    hits are whole leaves, so the cull reads them without an index
+    array (:meth:`~repro.shortrange.backends.KernelBackend.tighten`)."""
+    return InteractionBatch(*resolve_backend(backend).tighten(
+        np.asarray(targets, dtype=np.int64),
+        np.asarray(target_offsets, dtype=np.int64),
+        np.asarray(source_starts, dtype=np.int64),
+        np.asarray(source_counts, dtype=np.int64),
+        np.asarray(range_offsets, dtype=np.int64),
+        np.asarray(real, dtype=bool),
+        positions,
+        cull_radius(rcut, positions),
+    ))
 
 
 #: relative slack of the source cull, and the float32 epsilon its
@@ -292,15 +310,16 @@ def pack_tree(
     n_targets: int | None = None,
     backend=None,
 ) -> InteractionBatch:
-    """Pack a whole tree's interaction lists into one batch.
+    """Pack a whole tree's per-leaf interaction lists into one batch.
 
-    A candidate group is a leaf holding at least one real particle
+    A group is a leaf holding at least one real particle
     (``tree.perm < n_targets``); its candidate sources are the
     particles, ascending, of every leaf its cutoff-expanded box touches;
-    :meth:`InteractionBatch.tightened` (on ``backend``) then keeps the
-    real targets, in sub-groups, and the sources that can matter.
-    Indices are in *tree order*; pair the batch with ``tree.positions``
-    / ``tree.masses`` and scatter results through ``tree.perm``.
+    :func:`tighten_ranges` (on ``backend``, handed those leaves as row
+    ranges) then keeps the real targets and the sources that can
+    matter.  Indices are in *tree order*; pair the batch with
+    ``tree.positions`` / ``tree.masses`` and scatter results through
+    ``tree.perm``.
     """
     if rcut <= 0:
         raise ValueError(f"rcut must be positive: {rcut}")
@@ -317,20 +336,17 @@ def pack_tree(
     hq, hn = batch_box_query(
         tree, tree.node_lo[leaf] - rcut, tree.node_hi[leaf] + rcut
     )
-    hcount = tree.node_count[hn]
-    neighbor_indices = ranges_to_indices(tree.node_start[hn], hcount)
-    per_query = np.bincount(
-        hq, weights=hcount.astype(np.float64), minlength=leaf.size
-    ).astype(np.int64)
-    neighbor_offsets = np.zeros(leaf.size + 1, dtype=np.int64)
-    np.cumsum(per_query, out=neighbor_offsets[1:])
+    hit_offsets = np.zeros(leaf.size + 1, dtype=np.int64)
+    np.cumsum(np.bincount(hq, minlength=leaf.size), out=hit_offsets[1:])
     mcount = tree.node_count[leaf]
     members = ranges_to_indices(tree.node_start[leaf], mcount)
     member_offsets = np.zeros(leaf.size + 1, dtype=np.int64)
     np.cumsum(mcount, out=member_offsets[1:])
-    return InteractionBatch(
-        members, member_offsets, neighbor_indices, neighbor_offsets
-    ).tightened(real[members], tree.positions, rcut, backend)
+    return tighten_ranges(
+        members, member_offsets,
+        tree.node_start[hn], tree.node_count[hn], hit_offsets,
+        real[members], tree.positions, rcut, backend,
+    )
 
 
 class BatchedPairEngine:

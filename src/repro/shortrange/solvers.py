@@ -207,8 +207,7 @@ class TreePMShortRange(ShortRangeSolver):
     """The BG/Q backend: RCB tree + shared-leaf interaction lists.
 
     Every leaf's list is packed into one
-    :class:`~repro.shortrange.batch.InteractionBatch`, each leaf's real
-    targets split into sub-groups with lists of their own, and streamed
+    :class:`~repro.shortrange.batch.InteractionBatch` and streamed
     through the chunked :class:`~repro.shortrange.batch.BatchedPairEngine`
     — the paper's list-then-stream structure.
 
@@ -217,9 +216,7 @@ class TreePMShortRange(ShortRangeSolver):
     kernel:
         The fitted short-range kernel.
     leaf_size:
-        Fat-leaf capacity (the walk/kernel crossover knob of Section III);
-        the kernel's groups are at most
-        :data:`~repro.shortrange.backends.GROUP_TARGETS` whatever it is.
+        Fat-leaf capacity (the walk/kernel crossover knob of Section III).
     chunk_pairs:
         Pair-block size of the batched engine (peak-workspace knob).
     kernel_backend:
@@ -241,8 +238,7 @@ class TreePMShortRange(ShortRangeSolver):
         self.engine = BatchedPairEngine(
             kernel, chunk_pairs=chunk_pairs, backend=kernel_backend
         )
-        #: populated after each evaluation: streamed list size per target
-        #: group (a leaf's real targets, split into sub-groups)
+        #: populated after each evaluation: streamed list size per leaf
         self.last_list_sizes: np.ndarray | None = None
         #: populated after each evaluation: RCB tree depth (telemetry gauge)
         self.last_tree_depth: int = 0

@@ -172,7 +172,8 @@ class TestLaneStats:
         """A threaded decomposed step: the span that dispatched the
         domains already holds the workers' seconds as its wait, so the
         rows and the Table II buckets close on ``step``; the worker lanes
-        show in ``lanes`` only."""
+        show in ``lanes`` only, and the buckets share the wait out as the
+        lanes spent it."""
         from repro.instrument.report import bucket_seconds
 
         cfg = SimulationConfig.from_dict(dict(
@@ -193,8 +194,10 @@ class TestLaneStats:
         assert analysis.wall_s == step
         assert sum(p.self_s for p in analysis.phases) == pytest.approx(
             step, abs=1e-9)
-        assert sum(bucket_seconds(reg.events).values()) == pytest.approx(
-            step, abs=1e-9)
+        buckets = bucket_seconds(reg.events)
+        assert sum(buckets.values()) == pytest.approx(step, abs=1e-9)
+        # the dispatching span's wait is the domain solves' kernel and walk
+        assert buckets["kernel"] > 0 and buckets["walk"] > 0
         assert "worker" in {ln.kind for ln in analysis.lanes}
 
 

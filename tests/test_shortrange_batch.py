@@ -6,9 +6,8 @@ CSR-packed, chunked evaluation must match the naive O(N^2) direct sum
 near-boundary particle sets, and ``pp.interactions`` must be the pairs
 the batch streams.  The tight-list suite pins what
 ``InteractionBatch.tightened`` promises: only real targets, only
-sources that can matter, and never a changed bit; the sub-group suite
-pins the ``tighten`` primitive behind it (C equal to the numpy oracle,
-groups of at most ``GROUP_TARGETS`` that partition the real targets).
+sources that can matter, and never a changed bit, with the ``tighten``
+primitive behind it in C equal to the numpy oracle.
 """
 
 import numpy as np
@@ -19,11 +18,7 @@ from hypothesis import strategies as st
 from repro.fft.pencil import PencilFFT
 from repro.grid.cic import ParticleGridCoords, cic_deposit, cic_interpolate
 from repro.instrument import Registry, use
-from repro.shortrange.backends import (
-    GROUP_TARGETS,
-    BackendUnavailable,
-    get_backend,
-)
+from repro.shortrange.backends import BackendUnavailable, get_backend
 from repro.shortrange.batch import (
     BatchedPairEngine,
     InteractionBatch,
@@ -416,7 +411,7 @@ class TestCullNeverChangesABit:
         m = rng.uniform(0.5, 1.5, 400)
         gpos, gm = periodic_ghosts(pos, m, BOX, kernel.rcut)
         tree = RCBTree(gpos, gm, leaf_size=16)
-        packed = pack_tree(tree, kernel.rcut, 400)
+        packed = pack_tree(tree, kernel.rcut, 400, self.BACKEND)
         uncut = uncut_batch(tree, kernel.rcut, 400)
         np.testing.assert_array_equal(packed.targets, uncut.targets)
         assert packed.n_pairs < uncut.n_pairs
@@ -442,9 +437,10 @@ class TestCullNeverChangesABit:
         tree = RCBTree(gpos, gm, leaf_size=leaf_size)
         uncut = uncut_batch(tree, rcut, 400)
         want = uncut.tightened(
-            np.ones(uncut.targets.size, bool), tree.positions, rcut
+            np.ones(uncut.targets.size, bool), tree.positions, rcut,
+            self.BACKEND,
         )
-        got = pack_tree(tree, rcut, 400)
+        got = pack_tree(tree, rcut, 400, self.BACKEND)
         for name in ("targets", "target_offsets", "neighbor_indices",
                      "neighbor_offsets"):
             assert np.array_equal(getattr(got, name), getattr(want, name))
@@ -571,7 +567,7 @@ class TestTightListEdgesOnC(TestTightListEdges):
 
 
 # ----------------------------------------------------------------------
-# sub-leaf target groups: the tighten primitive, numpy oracle and C
+# the tighten primitive: the C cull against the numpy oracle
 # ----------------------------------------------------------------------
 BATCH_ARRAYS = ("targets", "target_offsets", "neighbor_indices",
                 "neighbor_offsets")
@@ -579,9 +575,10 @@ BATCH_ARRAYS = ("targets", "target_offsets", "neighbor_indices",
 
 @st.composite
 def candidate_batches(draw):
-    """A candidate CSR batch over a clustered cloud with duplicated
-    coordinates: groups of 0 to 4 x GROUP_TARGETS + 20 members, ghost
-    members (some groups all ghosts), empty and unsorted lists."""
+    """Candidate groups over a clustered cloud with duplicated
+    coordinates: 0 to 150 members (ghosts among them, some groups all
+    ghosts), and 0 to 12 source ranges of 0 to 60 rows each, overlapping
+    and out of order, so a list may be empty or repeat rows."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     n = draw(st.integers(1, 400))
     centers = rng.uniform(0.0, BOX, (draw(st.integers(1, 4)), 3))
@@ -591,29 +588,30 @@ def candidate_batches(draw):
     pos = np.round(pos, draw(st.sampled_from([0, 1, 6])))  # duplicates
     sizes = []
     while sum(sizes) < n:
-        sizes.append(int(min(n - sum(sizes), rng.choice(
-            [0, 1, 2, 7, GROUP_TARGETS, 4 * GROUP_TARGETS + 20]))))
+        sizes.append(int(min(n - sum(sizes),
+                             rng.choice([0, 1, 2, 7, 32, 150]))))
     targets = rng.permutation(n)[:sum(sizes)]
     real = rng.uniform(size=targets.size) < draw(
         st.sampled_from([0.0, 0.5, 1.0]))
-    lists = [rng.choice(n, size=rng.integers(0, min(n, 300) + 1),
-                        replace=False) for _ in sizes]
-    if draw(st.booleans()):  # walk-ordered lists, as pack_tree's
-        lists = [np.sort(a) for a in lists]
+    ranges = rng.integers(0, 13, len(sizes))
+    starts = rng.integers(0, n, ranges.sum())
+    counts = np.minimum(rng.integers(0, 61, starts.size), n - starts)
     offsets = lambda parts: np.concatenate(  # noqa: E731
         ([0], np.cumsum(parts))).astype(np.int64)
-    batch = InteractionBatch(
-        targets.astype(np.int64), offsets(sizes),
-        np.concatenate(lists).astype(np.int64),
-        offsets([a.size for a in lists]),
-    )
-    return batch, real, pos, draw(st.sampled_from([0.1, 1.0, 3.0, 30.0]))
+    candidates = (targets, offsets(sizes), starts, counts, offsets(ranges))
+    return candidates, real, pos, draw(st.sampled_from([0.1, 1.0, 3.0, 30.0]))
 
 
-def tighten(backend, batch, real, positions, radius, **kw):
+def as_ranges(batch):
+    """A candidate batch's lists as ranges of one row each."""
+    return (batch.targets, batch.target_offsets, batch.neighbor_indices,
+            np.ones_like(batch.neighbor_indices), batch.neighbor_offsets)
+
+
+def tighten(backend, candidates, real, positions, radius):
     return get_backend(backend).tighten(
-        *(getattr(batch, name) for name in BATCH_ARRAYS),
-        real, positions, radius, **kw,
+        *(np.asarray(a, dtype=np.int64) for a in candidates),
+        real, positions, radius,
     )
 
 
@@ -623,58 +621,48 @@ def assert_same_arrays(got, want):
         assert np.array_equal(a, b), name
 
 
-def p3m_candidates(pos, rcut):
-    """The chaining-mesh candidate batch P3MShortRange tightens."""
-    solver = P3MShortRange(ShortRangeKernel(
-        default_grid_force_fit(), spacing=rcut / 3.0, eps_cells=0.01))
-    return solver._pack_cells(*solver._bin(pos))
-
-
 @pytest.mark.usefixtures("_need_c_backend")
 class TestTightenOracle:
     """``CBackend.tighten`` returns the numpy oracle's four arrays."""
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     @settings(max_examples=60, deadline=None)
-    @given(case=candidate_batches(),
-           group_targets=st.sampled_from([1, 3, 8, GROUP_TARGETS]))
-    def test_c_equals_numpy(self, dtype, case, group_targets):
-        batch, real, pos, radius = case
+    @given(case=candidate_batches())
+    def test_c_equals_numpy(self, dtype, case):
+        candidates, real, pos, radius = case
         pos = pos.astype(dtype)
-        want = tighten("numpy", batch, real, pos, radius,
-                       group_targets=group_targets)
-        assert_same_arrays(tighten("c", batch, real, pos, radius,
-                                   group_targets=group_targets), want)
+        assert_same_arrays(tighten("c", candidates, real, pos, radius),
+                           tighten("numpy", candidates, real, pos, radius))
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     @pytest.mark.parametrize("cloud", sorted(CLOUDS))
     def test_p3m_shaped_groups(self, rng, dtype, cloud):
-        """Chaining-mesh cells: groups of hundreds, ghosts among them."""
+        """Chaining-mesh cells: ghosts among the members, and cells with
+        no real member at all."""
         rcut = 3.0
         pos, _ = periodic_ghosts(CLOUDS[cloud](rng, 2000), np.ones(2000),
                                  BOX, rcut)
         pos = pos.astype(dtype)
-        cand = p3m_candidates(pos, rcut)
-        assert cand.group_target_counts().max() > 2 * GROUP_TARGETS
-        real = cand.targets < 2000
+        solver = P3MShortRange(ShortRangeKernel(
+            default_grid_force_fit(), spacing=rcut / 3.0, eps_cells=0.01))
+        cand = as_ranges(solver._pack_cells(*solver._bin(pos)))
+        real = cand[0] < 2000
+        assert not real.all()
         radius = cull_radius(rcut, pos)
         assert_same_arrays(tighten("c", cand, real, pos, radius),
                            tighten("numpy", cand, real, pos, radius))
 
-    def test_lists_longer_than_the_candidates(self):
-        """Parts of one group can list more entries than the group had
-        candidates: the C output grows and still equals the oracle."""
-        pos = np.random.default_rng(5).uniform(0.0, 1.0, (64, 3))
-        cand = InteractionBatch(np.arange(64), np.array([0, 64]),
-                                np.arange(64), np.array([0, 64]))
-        real = np.ones(64, bool)
-        got = tighten("c", cand, real, pos, 5.0, group_targets=1)
-        assert got[2].size == 64 * 64
-        assert_same_arrays(got, tighten("numpy", cand, real, pos, 5.0,
-                                        group_targets=1))
+    def test_out_of_range_rows_are_refused(self):
+        """The C loop trusts its ranges: the wrapper bounds them."""
+        pos = np.zeros((4, 3))
+        one = np.array([0, 1])
+        for starts, counts in (([3], [2]), ([-1], [1]), ([0], [-1])):
+            cand = ([0], one, starts, counts, one)
+            with pytest.raises(IndexError):
+                tighten("c", cand, np.ones(1, bool), pos, 1.0)
 
 
-class TestSubGroups:
+class TestTightenedGroups:
     """What ``InteractionBatch.tightened`` promises, on either backend."""
 
     @pytest.fixture(params=["numpy", "c"])
@@ -690,10 +678,9 @@ class TestSubGroups:
         rcut = 3.0
         pos, m = periodic_ghosts(clustered_cloud(rng, 800), np.ones(800),
                                  BOX, rcut)
-        tree = RCBTree(pos.astype(dtype), m, leaf_size=4 * GROUP_TARGETS)
+        tree = RCBTree(pos.astype(dtype), m, leaf_size=128)
         batch = pack_tree(tree, rcut, 800, backend)
-        counts = batch.group_target_counts()
-        assert counts.min() >= 1 and counts.max() <= GROUP_TARGETS
+        assert batch.group_target_counts().min() >= 1
         assert np.array_equal(np.sort(batch.targets),
                               np.flatnonzero(tree.perm < 800))
         # every kept source is within cull_radius of its group's box, and
@@ -709,41 +696,6 @@ class TestSubGroups:
             sep = np.linalg.norm(p[tgt][:, None] - p[None], axis=2)
             assert np.isin(np.flatnonzero((sep < rcut).any(axis=0)),
                            src).all()
-
-    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
-    def test_sub_groups_change_no_bit_at_32_cubed(self, rng, grid_force_fit,
-                                                  backend, dtype):
-        """A clustered 32^3 cloud at the default chunk_pairs: the
-        sub-grouped batch streams far fewer pairs than one group per
-        leaf, and gives the same accelerations and inside count."""
-        box, n = 64.0, 32**3
-        centers = rng.uniform(0.0, box, (200, 3))
-        pos = np.mod(centers[rng.integers(0, 200, n)]
-                     + rng.normal(0.0, 1.5, (n, 3)), box)
-        kern = ShortRangeKernel(grid_force_fit, spacing=box / 32,
-                                eps_cells=0.01, dtype=dtype)
-        gpos, gm = periodic_ghosts(pos.astype(dtype),
-                                   rng.uniform(0.5, 1.5, n).astype(dtype),
-                                   box, kern.rcut)
-        tree = RCBTree(gpos, gm, leaf_size=128)
-        grouped = pack_tree(tree, kern.rcut, n, backend)
-        uncut = uncut_batch(tree, kern.rcut, n)
-        # one group per leaf: the same cull with no split
-        whole = InteractionBatch(*get_backend(backend).tighten(
-            *(getattr(uncut, name) for name in BATCH_ARRAYS),
-            np.ones(uncut.targets.size, bool), tree.positions,
-            cull_radius(kern.rcut, tree.positions),
-            group_targets=uncut.targets.size,
-        ))
-        assert whole.n_groups < grouped.n_groups
-        assert grouped.n_pairs < 0.75 * whole.n_pairs
-        engine = BatchedPairEngine(kern, backend=backend)
-        a = engine.evaluate(grouped, tree.positions, tree.masses)
-        inside = engine.last_pairs[1]
-        b = engine.evaluate(whole, tree.positions, tree.masses)
-        assert a.dtype == b.dtype == dtype
-        assert np.array_equal(a, b)
-        assert engine.last_pairs[1] == inside > 0
 
 
 # ----------------------------------------------------------------------
