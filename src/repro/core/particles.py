@@ -36,8 +36,9 @@ class Particles:
     box_size:
         Periodic box side, Mpc/h.
     version:
-        Mutation counter, bumped by :meth:`wrap`: code that writes
-        ``positions`` in place must call it (as it must to stay in the box).
+        Mutation counter, bumped by :meth:`wrap` and by the stepper's
+        stream: code that writes ``positions`` in place must call
+        :meth:`wrap` (as it must to stay in the box).
     """
 
     positions: np.ndarray

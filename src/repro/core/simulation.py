@@ -249,6 +249,7 @@ class HACCSimulation:
                 self._short_range if self.short_solver is not None else None
             ),
             n_subcycles=config.n_subcycles,
+            kernel_backend=self.kernel_backend,
         )
         self.a = config.a_initial
         self._edges = config.step_edges()

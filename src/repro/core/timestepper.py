@@ -34,10 +34,11 @@ from repro.cosmology.background import Cosmology
 from repro.cosmology.quadrature import integrate
 from repro.core.particles import Particles
 from repro.instrument import get_registry
+from repro.shortrange.backends import resolve_backend
 
 __all__ = ["drift_coefficient", "kick_coefficient", "SubcycledStepper"]
 
-#: rows per block of the stepper's ``y += a * coeff`` updates (384 KB of
+#: rows per block of the kicks' ``y += a * coeff`` updates (384 KB of
 #: float64 scratch, cache resident)
 _BLOCK_ROWS = 16384
 
@@ -89,6 +90,9 @@ class SubcycledStepper:
         pure streaming).
     n_subcycles:
         ``n_c`` in Eq. (6); the paper uses 5-10.
+    kernel_backend:
+        Kernel backend (name or instance) running the stream map, one
+        pass per call; ``None`` resolves ``auto`` (c, else numpy).
 
     Notes
     -----
@@ -101,12 +105,13 @@ class SubcycledStepper:
     long_range: Callable[[np.ndarray], np.ndarray]
     short_range: Callable[[np.ndarray], np.ndarray] | None
     n_subcycles: int = 5
+    kernel_backend: object = None
 
     #: cumulative operation counters for the performance cross-check
     n_long_range_evals: int = field(default=0, init=False)
     n_short_range_evals: int = field(default=0, init=False)
     n_substeps: int = field(default=0, init=False)
-    #: one row block of ``a * coeff``, reused by every kick and stream
+    #: one row block of ``a * coeff``, reused by every kick
     _block: np.ndarray | None = field(
         default=None, init=False, repr=False, compare=False
     )
@@ -118,10 +123,12 @@ class SubcycledStepper:
             raise ValueError(
                 f"n_subcycles must be >= 1, got {self.n_subcycles}"
             )
+        self._backend = resolve_backend(self.kernel_backend)
 
     # ------------------------------------------------------------------
     def _add_scaled(self, y: np.ndarray, a: np.ndarray, coeff: float):
-        """``y += a * coeff`` in row blocks through one small buffer.
+        """``y += a * coeff`` (a kick) in row blocks through one small
+        buffer.
 
         The expression's rounding, but no ``(N, 3)`` temporary (and its
         first-touch page faults) per map and no ``(N, 3)`` buffer held
@@ -149,11 +156,13 @@ class SubcycledStepper:
         return acc
 
     def stream(self, particles: Particles, a0: float, a1: float) -> None:
-        """Stream map: positions advance, velocities fixed."""
+        """Stream map: positions advance, velocities fixed; the drift and
+        the fold back into the box are one backend pass."""
         with get_registry().span("sks.stream"):
             drift = drift_coefficient(self.cosmology, a0, a1)
-            self._add_scaled(particles.positions, particles.momenta, drift)
-            particles.wrap()
+            self._backend.stream(particles.positions, particles.momenta,
+                                 drift, particles.box_size)
+            particles.version += 1
 
     def kick_short(self, particles: Particles, a0: float, a1: float) -> None:
         """Short-range kick map within a sub-cycle."""

@@ -3,12 +3,17 @@
 CIC assigns each particle's mass to the 8 grid points surrounding it with
 trilinear weights (Hockney & Eastwood 1988); interpolation is the adjoint
 gather with the same weights — the momentum-conserving pairing HACC uses
-for the PM force.  Both run through the kernel-backend seam: the compiled
-``c`` backend computes each particle's corners on the fly, the ``numpy``
-fallback builds :class:`ParticleGridCoords` tables and scatters them with
-one ``np.bincount`` per corner (~10x faster than ``np.add.at``).  The two
-are bitwise equal; :class:`ParticleGridCoords` is the definition of the
-arithmetic both follow.
+for the PM force.  Both run through the kernel-backend seam in two steps:
+a corners pass finds each particle's base cell and fractional offsets
+(``(N, 3)`` int32 and ``(N, 3)`` floats), then the deposit or the gather
+reads them.  The PM solve runs the corners pass once and hands the
+deposit's corners to its gather, which reads all three force components
+from one interleaved ``(n, n, n, 3)`` grid, so each corner is one cache
+line.  The compiled ``c`` backend works from the corners directly; the
+``numpy`` fallback builds :class:`ParticleGridCoords` tables from them and
+scatters with one ``np.bincount`` per corner (~10x faster than
+``np.add.at``).  The two are bitwise equal; :class:`ParticleGridCoords` is
+the definition of the arithmetic both follow.
 """
 
 from __future__ import annotations
@@ -69,8 +74,9 @@ def _check_grid(n: int, box_size: float) -> None:
         raise ValueError(f"grid size must be >= 2, got {n}")
 
 
-def _corner_data(positions: np.ndarray, n: int, box_size: float, dtype=None):
-    """Base cell indices and fractional offsets for each particle."""
+def corner_data(positions: np.ndarray, n: int, box_size: float, dtype=None):
+    """Base cell indices (int64) and fractional offsets of each particle:
+    the numpy reference of every backend's corners pass."""
     dt = _float_dtype(positions) if dtype is None else np.dtype(dtype)
     pos = _check_positions(positions, dt)
     _check_grid(n, box_size)
@@ -109,9 +115,21 @@ class ParticleGridCoords:
         box_size: float,
         dtype=None,
     ) -> None:
-        base, frac = _corner_data(positions, n, box_size, dtype=dtype)
+        self._tables(*corner_data(positions, n, box_size, dtype=dtype), n)
+
+    @classmethod
+    def from_corners(cls, base, frac, n: int) -> "ParticleGridCoords":
+        """The tables of ``(N, 3)`` base cells and fractions, as a
+        backend's corners pass returns them; a base cell outside the
+        ``n^3`` grid is an :class:`IndexError`."""
+        if base.size and (base.min() < 0 or base.max() >= n):
+            raise IndexError(f"cic: base cells outside the {n}^3 grid")
+        coords = cls.__new__(cls)
+        coords._tables(base.astype(np.int64), frac, n)
+        return coords
+
+    def _tables(self, base: np.ndarray, frac: np.ndarray, n: int) -> None:
         self.n = int(n)
-        self.box_size = float(box_size)
         self.n_particles = base.shape[0]
         one = frac.dtype.type(1.0)
         ip1 = (base + 1) % n
@@ -134,6 +152,14 @@ class ParticleGridCoords:
         self.weights = np.stack(wts, axis=0)
 
 
+def _charge(reg, counter: str, work: int, itemsize: int) -> None:
+    """Count ``work`` particle-grid passes under ``counter`` and into the
+    CIC roofline phase's flops and bytes."""
+    reg.count(counter, work)
+    reg.count("cic.flops", CIC_FLOPS_PER_PARTICLE * work)
+    reg.count("cic.bytes", cic_bytes(work, itemsize))
+
+
 def cic_deposit(
     positions: np.ndarray,
     n: int,
@@ -142,7 +168,9 @@ def cic_deposit(
     dtype=None,
     backend=None,
     workspace=None,
-) -> np.ndarray:
+    *,
+    return_corners: bool = False,
+):
     """Deposit particle mass onto an ``n^3`` periodic grid.
 
     Parameters
@@ -166,31 +194,34 @@ def cic_deposit(
         does.
     workspace:
         Optional :class:`~repro.shortrange.backends.Workspace` holding
-        the backend's scratch across calls (the PM solver passes its
-        own); ``None`` uses a fresh one.
+        the backend's scratch and the corners across calls (the PM
+        solver passes its own); ``None`` uses a fresh one.
+    return_corners:
+        Also return the ``(base, frac)`` corners the deposit read (see
+        :meth:`~repro.shortrange.backends.KernelBackend.cic_corners`;
+        they live in ``workspace``), for a gather at the same positions.
 
     Returns
     -------
     (n, n, n) array in ``dtype`` whose sum equals the total deposited
-    mass (exact mass conservation — a property test pins this down).
-    Non-finite positions raise :class:`ValueError`.
+    mass (exact mass conservation — a property test pins this down);
+    ``(grid, corners)`` with ``return_corners``.  Non-finite positions
+    raise :class:`ValueError`.
     """
     reg = get_registry()
     dt = np.dtype(np.float64) if dtype is None else np.dtype(dtype)
+    be = _cic_backend(backend)
     with reg.span("cic.deposit"):
         pos = _check_positions(positions, dt)
         _check_grid(n, box_size)
+        corners = be.cic_corners(pos, int(n), float(box_size), workspace)
         npart = pos.shape[0]
         w = None if weights is None else np.asarray(weights, dtype=dt)
         if w is not None and w.shape != (npart,):
             raise ValueError(f"weights shape {w.shape} != ({npart},)")
-        grid = _cic_backend(backend).cic_deposit(
-            pos, w, int(n), float(box_size), workspace
-        )
-        reg.count("cic.deposit_particles", npart)
-        reg.count("cic.flops", CIC_FLOPS_PER_PARTICLE * npart)
-        reg.count("cic.bytes", cic_bytes(npart, dt.itemsize))
-    return grid
+        grid = be.cic_deposit(*corners, w, int(n), workspace)
+        _charge(reg, "cic.deposit_particles", npart, dt.itemsize)
+    return (grid, corners) if return_corners else grid
 
 
 def cic_interpolate(
@@ -199,37 +230,52 @@ def cic_interpolate(
     box_size: float,
     dtype=None,
     backend=None,
+    *,
+    corners=None,
 ) -> np.ndarray:
     """Gather grid values at particle positions with CIC weights.
 
     The adjoint of :func:`cic_deposit` — using the identical weights makes
     the PM force momentum conserving (no self-force), which the force
     tests check by measuring the net force on isolated particles.
-    ``grid`` is one ``(n, n, n)`` array (returns ``(N,)``) or a list /
-    tuple of ``k`` of them, gathered in one pass over the particles
-    (returns ``(N, k)``; the PM force's three components).  ``dtype``
-    fixes the output precision (default float64) and ``backend``
-    selects the gather implementation (``None``: ``auto``, as for
-    :func:`cic_deposit`).
+    ``grid`` is one ``(n, n, n)`` array (returns ``(N,)``), an
+    interleaved ``(n, n, n, k)`` array or a list / tuple of ``k``
+    ``(n, n, n)`` arrays (returns ``(N, k)``, gathered in one pass over
+    the particles; the PM force's three components).  A list is
+    interleaved first: the gather reads a corner's ``k`` values side by
+    side.  ``dtype`` fixes the output precision (default float64) and
+    ``backend`` selects the implementation (``None``: ``auto``, as for
+    :func:`cic_deposit`).  ``corners`` are the ``(base, frac)`` a
+    deposit at these same ``positions`` returned; without them the
+    gather runs its own corners pass.
     """
     reg = get_registry()
     dt = np.dtype(np.float64) if dtype is None else np.dtype(dtype)
+    be = _cic_backend(backend)
     with reg.span("cic.interpolate"):
-        single = not isinstance(grid, (list, tuple))
-        grids = [np.asarray(g, dtype=dt) for g in ([grid] if single
-                                                   else grid)]
-        n = grids[0].shape[0] if grids and grids[0].ndim else 0
-        if not grids or any(g.shape != (n, n, n) for g in grids):
+        if isinstance(grid, (list, tuple)):
+            shapes = {np.shape(g) for g in grid}
+            if len(shapes) != 1:
+                raise ValueError("grids must be one or more equal cubic "
+                                 f"arrays, got {sorted(shapes)}")
+            grid = np.stack(grid, axis=-1, dtype=dt)
+        single = np.ndim(grid) == 3
+        g = np.asarray(grid, dtype=dt)
+        if single:
+            g = g[..., None]
+        n = g.shape[0] if g.ndim == 4 else 0
+        if n == 0 or g.shape[:3] != (n, n, n) or g.shape[3] < 1:
             raise ValueError("grids must be one or more equal cubic "
-                             f"arrays, got {[g.shape for g in grids]}")
+                             f"arrays, got {np.shape(grid)}")
         _check_grid(n, box_size)
-        pos = _check_positions(positions, dt)
-        out = _cic_backend(backend).cic_gather(grids, pos, float(box_size))
+        if corners is None:
+            pos = _check_positions(positions, dt)
+            corners = be.cic_corners(pos, n, float(box_size))
+        elif corners[0].shape != np.shape(positions):
+            raise ValueError("corners are not those of the positions")
+        out = be.cic_gather(g, *corners)
         # one gather per grid, as the work model counts it
-        work = pos.shape[0] * len(grids)
-        reg.count("cic.interp_particles", work)
-        reg.count("cic.flops", CIC_FLOPS_PER_PARTICLE * work)
-        reg.count("cic.bytes", cic_bytes(work, dt.itemsize))
+        _charge(reg, "cic.interp_particles", out.size, dt.itemsize)
     return out.reshape(-1) if single else out
 
 

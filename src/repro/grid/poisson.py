@@ -129,8 +129,8 @@ class SpectralPoissonSolver:
         # lazily imported: repro.shortrange imports this module
         from repro.shortrange.backends import Workspace
 
-        #: grow-only CIC deposit scratch (the backends are process-wide
-        #: singletons, so the solver owns it)
+        #: grow-only CIC corners and deposit scratch (the backends are
+        #: process-wide singletons, so the solver owns it)
         self._cic_workspace = Workspace()
 
     # ------------------------------------------------------------------
@@ -156,26 +156,33 @@ class SpectralPoissonSolver:
         phi_k = self.potential_k(self._forward(delta))
         return self._inverse(phi_k)
 
-    def force_grids(self, delta: np.ndarray) -> tuple[np.ndarray, ...]:
-        """Force components ``-d phi / d x_i`` on the grid.
+    def force_grid(self, delta: np.ndarray) -> np.ndarray:
+        """Force ``-grad phi`` on the grid as one interleaved
+        ``(n, n, n, 3)`` array: a point's three components are adjacent.
 
         One forward transform, three independent inverse transforms —
-        exactly the paper's FFT count per long-range force evaluation.
+        exactly the paper's FFT count per long-range force evaluation;
+        each inverse transform writes its component in place.
         """
         self._check_grid(delta)
         phi_k = self.potential_k(self._forward(delta))
-        return tuple(
-            self._grad_component(kernel, phi_k)
-            for kernel in self._neg_grad_kernels
-        )
+        grid = np.empty((self.n,) * 3 + (3,), dtype=self._dtype)
+        for c, kernel in enumerate(self._neg_grad_kernels):
+            self._grad_component(kernel, phi_k, out=grid[..., c])
+        return grid
 
-    def _grad_component(self, kernel, phi_k) -> np.ndarray:
+    def force_grids(self, delta: np.ndarray) -> tuple[np.ndarray, ...]:
+        """Force components ``-d phi / d x_i`` on the grid: the three
+        component views of :meth:`force_grid`."""
+        return tuple(np.moveaxis(self.force_grid(delta), -1, 0))
+
+    def _grad_component(self, kernel, phi_k, out) -> np.ndarray:
         """One gradient component: filter multiply + inverse FFT."""
         reg = get_registry()
         with reg.span("poisson.filter"):
             grad_k = kernel * phi_k
         self._count_filter_work(reg, phi_k.size)
-        return self._inverse(grad_k)
+        return self._inverse(grad_k, out=out)
 
     # ------------------------------------------------------------------
     # instrumented transforms
@@ -211,10 +218,11 @@ class SpectralPoissonSolver:
         self._count_fft_work(reg, delta.size)
         return out
 
-    def _inverse(self, field_k: np.ndarray) -> np.ndarray:
+    def _inverse(self, field_k: np.ndarray, out=None) -> np.ndarray:
         reg = get_registry()
         with reg.span("fft.inverse"):
-            out = np.fft.irfftn(field_k, s=(self.n,) * 3, axes=(0, 1, 2))
+            out = np.fft.irfftn(field_k, s=(self.n,) * 3, axes=(0, 1, 2),
+                                out=out)
             out = out.astype(self._dtype, copy=False)
         reg.count("fft.inverse_points", out.size)
         self._count_fft_work(reg, out.size)
@@ -236,27 +244,32 @@ class SpectralPoissonSolver:
         ``-grad phi`` with ``del^2 phi = delta``; multiply by the
         cosmological prefactor to get physical accelerations.
 
-        Neither pass builds a per-particle corner table: the backend
-        finds each particle's eight corners from its position, the
-        deposit's scratch lives in the solver's grow-only workspace, and
-        one pass gathers all three force components straight into the
-        returned array.
+        Neither pass builds a per-particle corner table: the deposit's
+        corners pass leaves each particle's base cell and fractions in
+        the solver's grow-only workspace, the gather reads them (the
+        positions do not move in between, so no cell is found twice),
+        and one pass gathers all three force components from the
+        interleaved :meth:`force_grid` straight into the returned array.
         """
         dt = self._dtype
-        counts = cic_deposit(
+        counts, corners = cic_deposit(
             positions, self.n, self.box_size, weights,
             dtype=dt, backend=self.kernel_backend,
-            workspace=self._cic_workspace,
+            workspace=self._cic_workspace, return_corners=True,
         )
         # the mean reduces ~n^3 values: accumulate it in float64 even on
         # the float32 path (a scalar, so this is not an array upcast)
         mean = counts.mean(dtype=np.float64)
         if mean <= 0:
             raise ValueError("empty particle distribution")
-        delta = counts / counts.dtype.type(mean) - counts.dtype.type(1.0)
+        # delta = counts / mean - 1 in place (the same two roundings):
+        # no second n^3 grid is alive through the transforms
+        delta = counts
+        delta /= delta.dtype.type(mean)
+        delta -= delta.dtype.type(1.0)
         acc = cic_interpolate(
-            list(self.force_grids(delta)), positions, self.box_size,
-            dtype=dt, backend=self.kernel_backend,
+            self.force_grid(delta), positions, self.box_size,
+            dtype=dt, backend=self.kernel_backend, corners=corners,
         )
         if return_delta:
             return acc, delta

@@ -5,7 +5,7 @@ architectural bet: *one* long-range spectral solver shared everywhere,
 plus *swappable, per-architecture short-range kernels* — QPX intrinsics
 on the BG/Q, CUDA on Titan, OpenCL on Roadrunner — all implementing the
 same narrow force-kernel contract.  This package is that seam for the
-reproduction.  A backend supplies six primitives:
+reproduction.  A backend supplies eight primitives:
 
 ``f_sr_pairs``
     The 26-instruction-kernel analogue: the short-range force
@@ -15,10 +15,14 @@ reproduction.  A backend supplies six primitives:
     The full CSR interaction-batch evaluation — separations, cutoff
     test, coefficient, per-target accumulation — the hot loop of the
     short-range phase.
-``cic_deposit`` / ``cic_gather``
-    The particle-mesh scatter/gather pair: positions in, grid (or
-    per-particle values for one or more grids) out.  How the eight
-    corners of each particle are found is the backend's business.
+``cic_corners`` / ``cic_deposit`` / ``cic_gather``
+    The particle-mesh passes: positions in, each particle's base cell
+    and fractions out; then, from those corners, the scatter onto a grid
+    and the gather from an interleaved ``(n, n, n, k)`` grid.  A PM
+    solve runs the corners pass once for both.
+``stream``
+    The time stepper's stream map: ``x + p * drift`` folded back into
+    the periodic box, in place.
 ``rcb_build``
     The RCB tree build: centre-of-mass bisection of the SOA cloud, the
     arrays permuted in place, flat node arrays out.
@@ -30,14 +34,15 @@ reproduction.  A backend supplies six primitives:
 Two implementations ride the seam:
 
 * ``numpy`` — the vectorized reference (always available); the batched
-  engine's tiled, workspace-reusing pair evaluation, and CIC through
-  :class:`~repro.grid.cic.ParticleGridCoords` corner tables.
-* ``c`` — ``pair_accumulate``, ``cic_deposit``, ``cic_gather``,
+  engine's tiled, workspace-reusing pair evaluation, CIC through
+  :class:`~repro.grid.cic.ParticleGridCoords` corner tables, and the
+  stream's fold through ``np.mod``.
+* ``c`` — ``pair_accumulate``, the three CIC passes, ``stream``,
   ``rcb_build`` and ``tighten`` as fused, GIL-free C loops
   (``pair_kernel.c``, ``cic_kernel.c``, ``rcb_kernel.c``,
-  ``tighten_kernel.c``; CIC computes each particle's corners on the
-  fly, no tables; the tree reproduces numpy's pairwise sum), built on
-  first use with ``$CC``/``cc``/``gcc`` and cached per
+  ``tighten_kernel.c``; CIC keeps no tables, only each particle's base
+  cell and fractions; the tree reproduces numpy's pairwise sum), built
+  on first use with ``$CC``/``cc``/``gcc`` and cached per
   user; **bitwise identical** to the numpy reference in float64 and
   float32.  ``f_sr_pairs`` is the numpy one.
 
@@ -172,38 +177,72 @@ class KernelBackend(ABC):
         """
 
     @abstractmethod
-    def cic_deposit(
+    def cic_corners(
         self,
         positions: np.ndarray,
-        values: np.ndarray | None,
         n: int,
         box_size: float,
         workspace: Workspace | None = None,
-    ) -> np.ndarray:
-        """CIC-deposit ``values`` at ``positions`` onto a periodic ``n^3``
-        grid of side ``box_size``.
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Each particle's CIC base cell and fractional offsets on a
+        periodic ``n^3`` grid of side ``box_size``.
 
         ``positions`` is a C-contiguous ``(N, 3)`` array in the kernel
-        dtype (coordinates outside the box wrap); ``values`` the
-        ``(N,)`` masses in the same dtype, or ``None`` for unit mass.
-        Returns the ``(n, n, n)`` grid in the kernel dtype.  Scratch
-        comes from ``workspace`` (a fresh one when ``None``).  A
-        non-finite coordinate raises :class:`ValueError` naming how many
-        particles have one.
+        dtype (coordinates outside the box wrap).  Returns ``(base,
+        frac)``: ``(N, 3)`` int32 cells in ``[0, n)`` and ``(N, 3)``
+        fractions in the kernel dtype, in buffers of ``workspace`` (fresh
+        ones when ``None``), so a later call with the same workspace
+        overwrites them.  A non-finite coordinate raises
+        :class:`ValueError` naming how many particles have one.
+        """
+
+    @abstractmethod
+    def cic_deposit(
+        self,
+        base: np.ndarray,
+        frac: np.ndarray,
+        values: np.ndarray | None,
+        n: int,
+        workspace: Workspace | None = None,
+    ) -> np.ndarray:
+        """CIC-deposit ``values`` at the corners ``(base, frac)`` of
+        :meth:`cic_corners` onto a periodic ``n^3`` grid.
+
+        ``values`` are the ``(N,)`` masses in the kernel dtype, or
+        ``None`` for unit mass.  Returns the ``(n, n, n)`` grid in the
+        kernel dtype.  Scratch comes from ``workspace`` (a fresh one when
+        ``None``).  A base cell outside the grid raises
+        :class:`IndexError`.
         """
 
     @abstractmethod
     def cic_gather(
         self,
-        grids,
-        positions: np.ndarray,
-        box_size: float,
+        grid: np.ndarray,
+        base: np.ndarray,
+        frac: np.ndarray,
     ) -> np.ndarray:
-        """Adjoint of :meth:`cic_deposit`: the trilinear interpolation
-        of each of the ``k`` ``(n, n, n)`` ``grids`` (kernel dtype) at
-        ``positions``, computed in one pass over the particles.
-        Returns an ``(N, k)`` array in the kernel dtype; non-finite
-        coordinates raise like :meth:`cic_deposit`."""
+        """Adjoint of :meth:`cic_deposit`: the trilinear interpolation of
+        the interleaved ``(n, n, n, k)`` ``grid`` (kernel dtype; a
+        corner's ``k`` values adjacent) at the corners ``(base, frac)``,
+        in one pass over the particles.  Returns an ``(N, k)`` array in
+        the kernel dtype; a base cell outside the grid raises
+        :class:`IndexError`."""
+
+    @abstractmethod
+    def stream(
+        self,
+        positions: np.ndarray,
+        momenta: np.ndarray,
+        drift: float,
+        box_size: float,
+    ) -> None:
+        """The stream map in place: ``positions = positions + momenta *
+        drift`` (the product and the sum each rounded in the positions'
+        dtype), then ``np.mod(positions, box_size)`` for every coordinate
+        not strictly inside ``(0, box_size)``; a non-finite one becomes
+        NaN.  ``positions`` is a writeable C-contiguous ``(N, 3)``
+        float32/float64 array, ``momenta`` the same shape and dtype."""
 
     @abstractmethod
     def rcb_build(self, x, y, z, m, leaf_size: int) -> tuple:

@@ -1,9 +1,11 @@
 """Compiled C kernels, built on first use and loaded with ctypes.
 
 ``pair_kernel.c`` (``pair_accumulate``), ``cic_kernel.c``
-(``cic_deposit``, ``cic_gather``), ``rcb_kernel.c`` (``rcb_build``,
-whose node arrays start at ~8 per ``leaf_size`` particles and double
-when a build overflows them) and ``tighten_kernel.c`` (``tighten``)
+(``cic_corners``, ``cic_deposit``, ``cic_gather`` and the stepper's
+``stream`` pass, which shares the CIC wrap), ``rcb_kernel.c``
+(``rcb_build``, whose node arrays start at ~8 per ``leaf_size``
+particles and double when a build overflows them) and
+``tighten_kernel.c`` (``tighten``)
 are fused loops, one macro body per precision (see each file's header
 for its bitwise contract with the NumPy reference); ``pair_accumulate``
 also has an AVX2 target-lane body, chosen at load time when the CPU has
@@ -149,10 +151,10 @@ def _load(lib: Path) -> tuple[dict, str]:
         signatures = {
             "pair_accumulate": [_I64P] * 4 + [_I64] + [rp] * 5 + [_I64]
             + [real] * 3 + [_I64, rp],
-            "cic_deposit": [rp, rp, _I64, _I64, real, real, _I32P, rp,
-                            _F64P, rp],
-            "cic_gather": [rp, _I64, _I64, real, real, ctypes.POINTER(rp),
-                           _I64, rp],
+            "cic_corners": [rp, _I64, _I64, real, real, _I32P, rp],
+            "cic_deposit": [_I32P, rp, rp, _I64, _I64, _F64P, rp],
+            "cic_gather": [rp, _I64, _I64, _I32P, rp, _I64, rp],
+            "stream": [rp, rp, _I64, real, real],
             "rcb_build": [rp] * 4 + [_I64P] + [_I64] * 3 + [_I64P] * 2
             + [rp] * 2 + [_I64P] * 2,
             "tighten": [_I64P] * 5 + [_I64, _U8P, rp, ctypes.c_float]
@@ -162,7 +164,7 @@ def _load(lib: Path) -> tuple[dict, str]:
         for name, argtypes in signatures.items():
             symbol = pair if name == "pair_accumulate" else name
             fn = getattr(dll, f"{symbol}_{suffix}")
-            fn.restype = _I64
+            fn.restype = None if name == "stream" else _I64
             fn.argtypes = argtypes
             table[name] = fn
         fns[dt] = (table, rp)
@@ -181,8 +183,9 @@ def _checked(a, dtype, name: str, n: int | None = None) -> np.ndarray:
 
 
 class CBackend(NumpyBackend):
-    """``pair_accumulate``, the CIC pair, ``rcb_build`` and ``tighten``
-    in compiled C; ``f_sr_pairs`` is numpy."""
+    """``pair_accumulate``, the three CIC passes, ``stream``,
+    ``rcb_build`` and ``tighten`` in compiled C; ``f_sr_pairs`` is
+    numpy."""
 
     name = "c"
 
@@ -335,59 +338,95 @@ class CBackend(NumpyBackend):
         return out_t, out_to[:ng + 1], out_n[:out_no[ng]], out_no[:ng + 1]
 
     # ------------------------------------------------------------------
-    def _cic_positions(self, positions):
-        """The C-contiguous ``(N, 3)`` positions, their dtype's entry
-        points and pointer type."""
-        pos = np.ascontiguousarray(positions)
-        if pos.dtype not in self._fns or pos.ndim != 2 or pos.shape[1] != 3:
+    def _particle_rows(self, a, name):
+        """``a`` as a C-contiguous ``(N, 3)`` float32/float64 array, its
+        dtype's entry points and pointer type."""
+        a = np.ascontiguousarray(a)
+        if a.dtype not in self._fns or a.ndim != 2 or a.shape[1] != 3:
             raise ValueError(
-                "positions must be an (N, 3) float32/float64 array, got "
-                f"{pos.dtype} {pos.shape}"
+                f"{name} must be an (N, 3) float32/float64 array, got "
+                f"{a.dtype} {a.shape}"
             )
-        return pos, *self._fns[pos.dtype]
+        return a, *self._fns[a.dtype]
 
-    def cic_deposit(self, positions, values, n, box_size, workspace=None):
-        pos, fns, rp = self._cic_positions(positions)
+    def _corners(self, base, frac):
+        """The checked corners arrays, their dtype's entry points and
+        pointer type (the C loops bound the base cells themselves)."""
+        frac, fns, rp = self._particle_rows(frac, "frac")
+        base = np.ascontiguousarray(base, dtype=np.int32)
+        if base.shape != frac.shape:
+            raise ValueError(f"base shape {base.shape} != frac shape "
+                             f"{frac.shape}")
+        return base, frac, fns, rp
+
+    def cic_corners(self, positions, n, box_size, workspace=None):
+        pos, fns, rp = self._particle_rows(positions, "positions")
         dt, npart = pos.dtype, pos.shape[0]
         if n < 1 or box_size <= 0:
             raise ValueError(f"bad grid: n={n}, box_size={box_size}")
+        ws = Workspace() if workspace is None else workspace
+        base = ws.get("cic.base", 3 * npart, np.int32).reshape(npart, 3)
+        frac = ws.get("cic.frac", 3 * npart, dt).reshape(npart, 3)
+        bad = fns["cic_corners"](
+            pos.ctypes.data_as(rp), npart, n, float(dt.type(box_size)),
+            float(dt.type(n / box_size)), base.ctypes.data_as(_I32P),
+            frac.ctypes.data_as(rp),
+        )
+        if bad:
+            raise non_finite_positions(bad)
+        return base, frac
+
+    def cic_deposit(self, base, frac, values, n, workspace=None):
+        base, frac, fns, rp = self._corners(base, frac)
+        dt, npart = frac.dtype, frac.shape[0]
+        if n < 1:
+            raise ValueError(f"bad grid: n={n}")
         mass = None if values is None else _checked(values, dt, "values",
                                                      npart)
         ws = Workspace() if workspace is None else workspace
-        # per-particle corner data and one double corner-pass grid
-        base = ws.get("cic.base", 3 * npart, np.int32)
-        frac = ws.get("cic.frac", 3 * npart, dt)
         scratch = ws.get("cic.scratch", n**3, np.float64)
         grid = np.empty((n, n, n), dtype=dt)
         bad = fns["cic_deposit"](
-            pos.ctypes.data_as(rp),
-            None if mass is None else mass.ctypes.data_as(rp),
-            npart, n, float(dt.type(box_size)), float(dt.type(n / box_size)),
             base.ctypes.data_as(_I32P), frac.ctypes.data_as(rp),
-            scratch.ctypes.data_as(_F64P), grid.ctypes.data_as(rp),
+            None if mass is None else mass.ctypes.data_as(rp),
+            npart, n, scratch.ctypes.data_as(_F64P), grid.ctypes.data_as(rp),
         )
         if bad:
-            raise non_finite_positions(bad)
+            raise IndexError(f"cic: {bad} base cell(s) outside the {n}^3 grid")
         return grid
 
-    def cic_gather(self, grids, positions, box_size):
-        pos, fns, rp = self._cic_positions(positions)
-        dt = pos.dtype
-        grids = [np.ascontiguousarray(g, dtype=dt) for g in grids]
-        n = grids[0].shape[0] if grids and grids[0].ndim == 3 else 0
-        if n < 1 or box_size <= 0 or any(g.shape != (n,) * 3 for g in grids):
+    def cic_gather(self, grid, base, frac):
+        base, frac, fns, rp = self._corners(base, frac)
+        dt = frac.dtype
+        grid = np.ascontiguousarray(grid, dtype=dt)
+        n = grid.shape[0] if grid.ndim == 4 else 0
+        if n < 1 or grid.shape[1:3] != (n, n):
             raise ValueError(
-                "grids must be one or more equal (n, n, n) arrays and "
-                f"box_size positive, got {[g.shape for g in grids]}, "
-                f"{box_size}"
+                f"grid must be an (n, n, n, k) array, got {grid.shape}"
             )
-        out = np.empty((pos.shape[0], len(grids)), dtype=dt)
-        ptrs = (rp * len(grids))(*(g.ctypes.data_as(rp) for g in grids))
+        k = grid.shape[3]
+        out = np.empty((frac.shape[0], k), dtype=dt)
         bad = fns["cic_gather"](
-            pos.ctypes.data_as(rp), pos.shape[0], n,
-            float(dt.type(box_size)), float(dt.type(n / box_size)),
-            ptrs, len(grids), out.ctypes.data_as(rp),
+            grid.ctypes.data_as(rp), n, k, base.ctypes.data_as(_I32P),
+            frac.ctypes.data_as(rp), frac.shape[0], out.ctypes.data_as(rp),
         )
         if bad:
-            raise non_finite_positions(bad)
+            raise IndexError(f"cic: {bad} base cell(s) outside the {n}^3 grid")
         return out
+
+    def stream(self, positions, momenta, drift, box_size):
+        x = positions
+        fns, rp = self._fns.get(x.dtype, (None, None))
+        if (fns is None or x.ndim != 2 or x.shape[1] != 3
+                or not x.flags.c_contiguous or not x.flags.writeable):
+            raise ValueError(
+                "positions must be a writeable C-contiguous (N, 3) float32/"
+                f"float64 array, got {x.dtype} {x.shape}"
+            )
+        p = np.ascontiguousarray(momenta)
+        if p.dtype != x.dtype or p.shape != x.shape:
+            raise ValueError(f"momenta {p.dtype} {p.shape} are not "
+                             f"positions' {x.dtype} {x.shape}")
+        t = x.dtype.type
+        fns["stream"](x.ctypes.data_as(rp), p.ctypes.data_as(rp), x.size,
+                      float(t(drift)), float(t(box_size)))

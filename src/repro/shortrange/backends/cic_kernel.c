@@ -1,92 +1,107 @@
-/* Table-free CIC deposit and gather (Sec. II of the source paper: the
- * long-range solver's particle <-> mesh passes).  The eight corners of
- * each particle are computed from its position on the fly; no (8, N)
- * index/weight table is ever built.
+/* Table-free CIC corners, deposit and gather (Sec. II of the source
+ * paper: the long-range solver's particle <-> mesh passes), and the
+ * stepper's stream pass, which shares the periodic wrap.  One corners
+ * pass stores each particle's base cell and fractions; the deposit and
+ * the gather both read them, so a PM solve finds its particles' cells
+ * once.  No (8, N) index/weight table is ever built.
  *
- * Bitwise contract: the results equal NumpyBackend.cic_deposit /
- * cic_gather (ParticleGridCoords + np.bincount / fancy-index gathers) in
- * float64 AND float32.  Every product and sum is a separate statement
- * rounded in T (build with -ffp-contract=off):
+ * Bitwise contract: the results equal NumpyBackend.cic_corners /
+ * cic_deposit / cic_gather / stream (ParticleGridCoords, np.bincount,
+ * fancy-index gathers, np.mod) in float64 AND float32.  Every product
+ * and sum is a separate statement rounded in T (build with
+ * -ffp-contract=off):
  *   wrap   np.mod semantics: fmod, then +box for a negative remainder and
- *          +0 for a zero one (fast path for 0 < x < box), then * (n/box),
- *          fold a value >= n back by n, floor, clip to [0, n-1], and the
- *          fraction s - floor(s) (exact, so the double detour of numpy's
- *          float - int64 promotion changes nothing);
+ *          +0 for a zero one (fast path for 0 < x < box); NaN stays NaN;
+ *   cell   wrap, then * (n/box), fold a value >= n back by n, floor, clip
+ *          to [0, n-1], and the fraction s - floor(s) (exact, so the
+ *          double detour of numpy's float - int64 promotion changes
+ *          nothing);
  *   weight (wx*wy)*wz per corner, corners in (dx, dy, dz) order, then m*w;
  *   deposit per corner pass, the corner's terms summed in particle order
  *          into a zeroed double grid (bincount's partials), which is then
  *          cast to T and added to the T grid;
- *   gather per particle and grid, acc = acc + g*w over the eight corners.
- * A non-finite coordinate has no cell: the corner pass counts such
- * particles and the callers return that count instead of a result.
+ *   gather per particle and component of the interleaved grid,
+ *          acc = acc + g*w over the eight corners;
+ *   stream x = wrap(x + p*drift).
+ * A non-finite coordinate has no cell: the corners pass counts such
+ * particles and the caller raises instead of using the corners.  The
+ * deposit and gather count base cells outside [0, n) and skip them, so
+ * corners that did not come from the corners pass cannot index outside
+ * the grid.
  */
 #include <math.h>
 #include <stdint.h>
 #include <string.h>
 
-#define CIC_KERNELS(SUF, T, FLOOR, FMOD)                                    \
+#define CIC_KERNELS(SUF, T, FMOD)                                           \
+static inline T wrap_##SUF(T x, T box)                                      \
+{                                                                           \
+    if (x > 0 && x < box)                                                   \
+        return x;                                                           \
+    T r = FMOD(x, box);                                                     \
+    if (r == 0)                                                             \
+        r = 0; /* np.mod gives +0, also for -0.0 */                         \
+    else if (r < 0)                                                         \
+        r = r + box;                                                        \
+    return r;                                                               \
+}                                                                           \
+                                                                            \
 /* cell of one coordinate; 0 when it is not finite */                       \
 static inline int cell_##SUF(T x, T box, T scale, int64_t n,                \
-                             int64_t *base, T *frac)                        \
+                             int32_t *base, T *frac)                        \
 {                                                                           \
     if (!isfinite(x))                                                       \
         return 0;                                                           \
-    T r = x;                                                                \
-    if (!(x > 0 && x < box)) {                                              \
-        r = FMOD(x, box);                                                   \
-        if (r == 0)                                                         \
-            r = 0; /* np.mod gives +0, also for -0.0 */                     \
-        else if (r < 0)                                                     \
-            r = r + box;                                                    \
-    }                                                                       \
-    T s = r * scale;                                                        \
+    T s = wrap_##SUF(x, box) * scale;                                       \
     if (s >= (T)n)                                                          \
         s = s - (T)n;                                                       \
-    int64_t i = (int64_t)FLOOR(s);                                          \
+    int64_t i = (int64_t)s; /* s >= +0, so truncation is floor */           \
     i = i < 0 ? 0 : (i > n - 1 ? n - 1 : i);                                \
-    *base = i;                                                              \
+    *base = (int32_t)i;                                                     \
     *frac = (T)((double)s - (double)i);                                     \
     return 1;                                                               \
 }                                                                           \
                                                                             \
-/* base cells and fractions of np particles; returns the number of          \
- * particles with a non-finite coordinate */                                \
-static int64_t cic_corners_##SUF(const T *pos, int64_t np, int64_t n,       \
-                                 T box, T scale, int32_t *base, T *frac)    \
+/* base cells and fractions of np particles, (np, 3) each; returns the      \
+ * number of particles with a non-finite coordinate */                      \
+int64_t cic_corners_##SUF(const T *pos, int64_t np, int64_t n, T box,       \
+                          T scale, int32_t *base, T *frac)                  \
 {                                                                           \
     int64_t bad = 0;                                                        \
-    for (int64_t i = 0; i < np; i++) {                                      \
+    for (int64_t i = 0; i < 3 * np; i += 3) {                               \
         int ok = 1;                                                         \
         for (int a = 0; a < 3; a++) {                                       \
-            int64_t b = 0;                                                  \
-            T f = 0;                                                        \
-            ok &= cell_##SUF(pos[3 * i + a], box, scale, n, &b, &f);        \
-            base[3 * i + a] = (int32_t)b;                                   \
-            frac[3 * i + a] = f;                                            \
+            base[i + a] = 0;                                                \
+            frac[i + a] = 0;                                                \
+            ok &= cell_##SUF(pos[i + a], box, scale, n, &base[i + a],       \
+                             &frac[i + a]);                                 \
         }                                                                   \
         bad += !ok;                                                         \
     }                                                                       \
     return bad;                                                             \
 }                                                                           \
                                                                             \
-/* grid[n^3] = CIC deposit of mass (unit mass when NULL); scratch holds     \
- * n^3 doubles.  Returns cic_corners' count; the grid is only written       \
- * when it is 0. */                                                         \
-int64_t cic_deposit_##SUF(const T *pos, const T *mass, int64_t np,          \
-                          int64_t n, T box, T scale, int32_t *base,         \
-                          T *frac, double *scratch, T *grid)                \
+/* grid[n^3] = CIC deposit of mass (unit mass when NULL) at the corners;    \
+ * scratch holds n^3 doubles.  Returns the number of particles whose base   \
+ * cell is outside the grid; the grid is only written when it is 0. */      \
+int64_t cic_deposit_##SUF(const int32_t *base, const T *frac,               \
+                          const T *mass, int64_t np, int64_t n,             \
+                          double *scratch, T *grid)                         \
 {                                                                           \
-    const int64_t bad = cic_corners_##SUF(pos, np, n, box, scale, base,     \
-                                          frac);                            \
-    if (bad)                                                                \
-        return bad;                                                         \
     const int64_t nc = n * n * n;                                           \
+    int64_t bad = 0;                                                        \
     memset(scratch, 0, nc * sizeof(double));                                \
     for (int c = 0; c < 8; c++) {                                           \
         const int dx = c >> 2, dy = (c >> 1) & 1, dz = c & 1;               \
         for (int64_t i = 0; i < np; i++) {                                  \
             int64_t ix = base[3 * i], iy = base[3 * i + 1],                 \
                     iz = base[3 * i + 2];                                   \
+            if (c == 0 && ((uint64_t)ix >= (uint64_t)n                      \
+                           || (uint64_t)iy >= (uint64_t)n                   \
+                           || (uint64_t)iz >= (uint64_t)n)) {               \
+                bad++;                                                      \
+                continue;                                                   \
+            }                                                               \
             const T fx = frac[3 * i], fy = frac[3 * i + 1],                 \
                     fz = frac[3 * i + 2];                                   \
             const T wx = dx ? fx : (T)1 - fx;                               \
@@ -104,6 +119,8 @@ int64_t cic_deposit_##SUF(const T *pos, const T *mass, int64_t np,          \
                 iz = iz + 1 == n ? 0 : iz + 1;                              \
             scratch[(ix * n + iy) * n + iz] += (double)w;                   \
         }                                                                   \
+        if (bad)                                                            \
+            return bad;                                                     \
         /* a sum that starts at +0 is never -0, so 0 + x == x: the first    \
          * pass assigns instead of adding into a zeroed grid */             \
         for (int64_t k = 0; k < nc; k++) {                                  \
@@ -114,26 +131,58 @@ int64_t cic_deposit_##SUF(const T *pos, const T *mass, int64_t np,          \
     return 0;                                                               \
 }                                                                           \
                                                                             \
-/* out[np][ngrids] = CIC gather from each of the ngrids n^3 grids.          \
- * Returns the number of particles with a non-finite coordinate. */         \
-int64_t cic_gather_##SUF(const T *pos, int64_t np, int64_t n, T box,        \
-                         T scale, const T *const *grids, int64_t ngrids,    \
+/* one particle's k gathered values, o[g] = sum over the corners c in       \
+ * order of cell[c][g] * w[c], three components at a time in registers */   \
+static inline __attribute__((always_inline)) void                           \
+gather_row_##SUF(const T *const *cell, const T *w, int64_t k, T *o)         \
+{                                                                           \
+    for (int64_t g = 0; g < k; g += 3) {                                    \
+        const int64_t m = k - g;                                            \
+        T a0 = 0, a1 = 0, a2 = 0;                                           \
+        for (int c = 0; c < 8; c++) {                                       \
+            const T *q = cell[c] + g;                                       \
+            T t = q[0] * w[c];                                              \
+            a0 = a0 + t;                                                    \
+            if (m > 1) {                                                    \
+                t = q[1] * w[c];                                            \
+                a1 = a1 + t;                                                \
+            }                                                               \
+            if (m > 2) {                                                    \
+                t = q[2] * w[c];                                            \
+                a2 = a2 + t;                                                \
+            }                                                               \
+        }                                                                   \
+        o[g] = a0;                                                          \
+        if (m > 1)                                                          \
+            o[g + 1] = a1;                                                  \
+        if (m > 2)                                                          \
+            o[g + 2] = a2;                                                  \
+    }                                                                       \
+}                                                                           \
+                                                                            \
+/* out[np][k] = CIC gather at the corners from the interleaved grid         \
+ * [n^3][k]: a corner's k values are adjacent.  Returns the number of       \
+ * particles whose base cell is outside the grid (their rows are left       \
+ * unwritten). */                                                           \
+int64_t cic_gather_##SUF(const T *grid, int64_t n, int64_t k,               \
+                         const int32_t *base, const T *frac, int64_t np,    \
                          T *out)                                            \
 {                                                                           \
     int64_t bad = 0;                                                        \
     for (int64_t i = 0; i < np; i++) {                                      \
-        int64_t ix, iy, iz;                                                 \
-        T fx, fy, fz;                                                       \
-        if (!(cell_##SUF(pos[3 * i], box, scale, n, &ix, &fx)               \
-              && cell_##SUF(pos[3 * i + 1], box, scale, n, &iy, &fy)        \
-              && cell_##SUF(pos[3 * i + 2], box, scale, n, &iz, &fz))) {    \
+        const int64_t ix = base[3 * i], iy = base[3 * i + 1],               \
+                      iz = base[3 * i + 2];                                 \
+        if ((uint64_t)ix >= (uint64_t)n || (uint64_t)iy >= (uint64_t)n      \
+            || (uint64_t)iz >= (uint64_t)n) {                               \
             bad++;                                                          \
             continue;                                                       \
         }                                                                   \
+        const T fx = frac[3 * i], fy = frac[3 * i + 1],                     \
+                fz = frac[3 * i + 2];                                       \
         const int64_t jx = ix + 1 == n ? 0 : ix + 1;                        \
         const int64_t jy = iy + 1 == n ? 0 : iy + 1;                        \
         const int64_t jz = iz + 1 == n ? 0 : iz + 1;                        \
-        int64_t idx[8];                                                     \
+        const T *cell[8];                                                   \
         T w[8];                                                             \
         for (int c = 0; c < 8; c++) {                                       \
             const int dx = c >> 2, dy = (c >> 1) & 1, dz = c & 1;           \
@@ -142,21 +191,29 @@ int64_t cic_gather_##SUF(const T *pos, int64_t np, int64_t n, T box,        \
             const T wz = dz ? fz : (T)1 - fz;                               \
             const T wxy = wx * wy;                                          \
             w[c] = wxy * wz;                                                \
-            idx[c] = ((dx ? jx : ix) * n + (dy ? jy : iy)) * n              \
-                     + (dz ? jz : iz);                                      \
+            cell[c] = grid + (((dx ? jx : ix) * n + (dy ? jy : iy)) * n     \
+                              + (dz ? jz : iz)) * k;                        \
         }                                                                   \
-        for (int64_t g = 0; g < ngrids; g++) {                              \
-            const T *grid = grids[g];                                       \
-            T acc = 0;                                                      \
-            for (int c = 0; c < 8; c++) {                                   \
-                const T t = grid[idx[c]] * w[c];                            \
-                acc = acc + t;                                              \
-            }                                                               \
-            out[i * ngrids + g] = acc;                                      \
-        }                                                                   \
+        /* k is a constant in the PM force's (3) and a single grid's (1)    \
+         * calls, so each gets its own unrolled copy of the row */          \
+        if (k == 3)                                                         \
+            gather_row_##SUF(cell, w, 3, out + 3 * i);                      \
+        else if (k == 1)                                                    \
+            gather_row_##SUF(cell, w, 1, out + i);                          \
+        else                                                                \
+            gather_row_##SUF(cell, w, k, out + k * i);                      \
     }                                                                       \
     return bad;                                                             \
+}                                                                           \
+                                                                            \
+/* the stream map on m coordinates: x = wrap(x + p*drift) */                \
+void stream_##SUF(T *x, const T *p, int64_t m, T drift, T box)              \
+{                                                                           \
+    for (int64_t i = 0; i < m; i++) {                                       \
+        const T t = p[i] * drift;                                           \
+        x[i] = wrap_##SUF(x[i] + t, box);                                   \
+    }                                                                       \
 }
 
-CIC_KERNELS(f64, double, floor, fmod)
-CIC_KERNELS(f32, float, floorf, fmodf)
+CIC_KERNELS(f64, double, fmod)
+CIC_KERNELS(f32, float, fmodf)

@@ -6,7 +6,8 @@ temporaries live in the engine's grow-only
 :class:`~repro.shortrange.backends.Workspace`; out-of-cutoff pairs are
 compressed away before the kernel math, and per-target accumulation goes
 through ``np.bincount``.  CIC materialises
-:class:`~repro.grid.cic.ParticleGridCoords` tables per call, the RCB
+:class:`~repro.grid.cic.ParticleGridCoords` tables from the corners per
+call, the stream folds with ``np.mod``, the RCB
 build is a Python loop of one ``np.average`` split per node, and the
 list cull one Python step per group: readable oracles of the compiled,
 table-free loops.
@@ -16,11 +17,15 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.grid.cic import ParticleGridCoords
+from repro.grid.cic import ParticleGridCoords, corner_data
 from repro.shortrange.backends import KernelBackend
 from repro.shortrange.rcb_tree import ranges_to_indices
 
 __all__ = ["NumpyBackend"]
+
+#: rows per block of the stream's ``x += p * drift`` (its product
+#: temporary stays cache sized)
+_STREAM_ROWS = 16384
 
 
 class NumpyBackend(KernelBackend):
@@ -267,8 +272,12 @@ class NumpyBackend(KernelBackend):
     # ------------------------------------------------------------------
     # CIC through (8, N) corner tables: one bincount (deposit) or one
     # fancy-index gather per corner, in (dx, dy, dz) order
-    def cic_deposit(self, positions, values, n, box_size, workspace=None):
-        coords = ParticleGridCoords(positions, n, box_size)
+    def cic_corners(self, positions, n, box_size, workspace=None):
+        base, frac = corner_data(positions, n, box_size)
+        return base.astype(np.int32), frac
+
+    def cic_deposit(self, base, frac, values, n, workspace=None):
+        coords = ParticleGridCoords.from_corners(base, frac, n)
         dt = coords.weights.dtype
         ncells = n * n * n
         grid = np.zeros(ncells, dtype=dt)
@@ -281,13 +290,24 @@ class NumpyBackend(KernelBackend):
             ).astype(dt, copy=False)
         return grid.reshape(n, n, n)
 
-    def cic_gather(self, grids, positions, box_size):
-        coords = ParticleGridCoords(positions, grids[0].shape[0], box_size)
-        out = np.zeros(
-            (coords.n_particles, len(grids)), dtype=coords.weights.dtype
-        )
-        for k, grid in enumerate(grids):
-            flat = grid.reshape(-1)
+    def cic_gather(self, grid, base, frac):
+        n, k = grid.shape[0], grid.shape[3]
+        coords = ParticleGridCoords.from_corners(base, frac, n)
+        out = np.zeros((coords.n_particles, k), dtype=coords.weights.dtype)
+        flat = grid.reshape(-1, k)
+        for g in range(k):
             for c in range(8):
-                out[:, k] += flat[coords.flat[c]] * coords.weights[c]
+                out[:, g] += flat[coords.flat[c], g] * coords.weights[c]
         return out
+
+    # ------------------------------------------------------------------
+    # stream: the stepper's x += p * drift in row blocks, then np.mod on
+    # the coordinates not strictly inside the box (the identity there)
+    def stream(self, positions, momenta, drift, box_size):
+        for start in range(0, len(positions), _STREAM_ROWS):
+            rows = slice(start, start + _STREAM_ROWS)
+            positions[rows] += momenta[rows] * drift
+        outside = np.greater(positions, 0)
+        outside &= positions < positions.dtype.type(box_size)
+        np.logical_not(outside, out=outside)
+        positions[outside] = np.mod(positions[outside], box_size)

@@ -111,13 +111,13 @@ def measure_grid_force(
     for _ in range(n_sources):
         src = rng.uniform(0.0, box, 3)
         rho = cic_deposit(src[None, :], n_grid, box)
-        fgrids = solver.force_grids(rho)
+        fgrid = solver.force_grid(rho)
 
         radii = rng.uniform(0.05, r_max_cells, n_samples_per_source)
         dirs = rng.standard_normal((n_samples_per_source, 3))
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
         pts = np.mod(src[None, :] + radii[:, None] * dirs, box)
-        fvec = cic_interpolate(list(fgrids), pts, box) / norm
+        fvec = cic_interpolate(fgrid, pts, box) / norm
         # attractive force points along -rhat; f(s) multiplies +r_vec with
         # a minus sign in the solvers, so flip here for a positive profile.
         f_rad = -np.einsum("ij,ij->i", fvec, dirs) / radii

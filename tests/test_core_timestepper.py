@@ -128,6 +128,67 @@ class TestStepperMaps:
         st.stream(p, 0.5, 0.6)
         assert p.positions.tobytes() == pos.tobytes()
 
+    @pytest.mark.parametrize("backend", ["numpy", "c"])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_stream_pass_is_add_scaled_then_wrap(self, backend, dtype):
+        """A backend's one stream pass is the blocked ``_add_scaled`` and
+        then ``Particles.wrap``, byte for byte: faces crossed both ways,
+        exact 0 and box, -0.0, far outside, and NaN/inf (NaN out, as
+        ``np.mod`` gives)."""
+        from repro.shortrange.backends import (
+            BackendUnavailable,
+            get_backend,
+        )
+
+        try:
+            get_backend(backend)
+        except BackendUnavailable:
+            pytest.skip("no working C compiler")
+        box, t = 100.0, np.dtype(dtype).type
+        d = drift_coefficient(WMAP7, 0.5, 0.6)
+        below = np.nextafter(t(box), t(0))
+        rows = [  # (x, p): where x + p*d lands
+            (0.0, 0.0), (box, 0.0), (-0.0, -0.0), (below, 0.0),
+            (0.5, -3.0 / d), (box - 0.5, 3.0 / d), (0.0, -1e-30),
+            (-2.5 * box, 0.0), (3.75 * box, 0.0), (0.5 * box, box / d),
+            (np.nan, 0.0), (np.inf, 0.0), (-np.inf, 0.0), (1.0, np.inf),
+            (1.0, np.nan),
+        ]
+        rng = np.random.default_rng(11)
+        n = 40_000  # three row blocks of the kick's buffer
+        x = rng.uniform(0.0, box, (n, 3)).astype(dtype)
+        p = rng.normal(0.0, 5.0, (n, 3)).astype(dtype)
+        for i, (xi, pi) in enumerate(rows):
+            x[i], p[i] = xi, pi
+            x[-1 - i, i % 3], p[-1 - i, i % 3] = xi, pi
+
+        def particles():
+            return Particles(x.copy(), p.copy(), np.ones(n, dtype),
+                             np.arange(n), box)
+
+        ref = particles()
+        oracle = SubcycledStepper(WMAP7, lambda q: q, None,
+                                  kernel_backend="numpy")
+        got = particles()
+        st = SubcycledStepper(WMAP7, lambda q: q, None,
+                              kernel_backend=backend)
+        with np.errstate(invalid="ignore"):
+            oracle._add_scaled(ref.positions, ref.momenta, d)
+            ref.wrap()
+            st.stream(got, 0.5, 0.6)
+        assert got.positions.tobytes() == ref.positions.tobytes()
+        assert np.isnan(got.positions[10:15]).all()
+        inside = np.isfinite(got.positions)
+        assert (got.positions[inside] >= 0).all()
+        assert (got.positions[inside] <= box).all()
+
+    def test_stream_bumps_version_once(self):
+        p = free_particles()
+        st = SubcycledStepper(WMAP7, lambda x: np.zeros_like(x), None)
+        for calls in (1, 2, 3):
+            st.stream(p, 0.5, 0.6)
+            assert p.version == calls
+
     def test_free_particle_constant_velocity(self):
         """With zero force the full step is exactly ballistic."""
         p = free_particles()

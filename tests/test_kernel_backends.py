@@ -892,20 +892,43 @@ def assert_same_bits(ref, got):
     assert ref.tobytes() == got.tobytes()  # signed zeros included
 
 
+def per_grid_gather(grids, pos, box):
+    """The reference gather: each ``(n, n, n)`` grid on its own through
+    the corner tables, ``acc + g*w`` over the corners in order."""
+    coords = ParticleGridCoords(pos, grids[0].shape[0], box)
+    out = np.zeros((len(pos), len(grids)), dtype=coords.weights.dtype)
+    for k, grid in enumerate(grids):
+        for c in range(8):
+            out[:, k] += grid.reshape(-1)[coords.flat[c]] * coords.weights[c]
+    return out
+
+
+def deposit(backend, pos, masses, n, box, workspace=None):
+    """A backend's corners pass and deposit from those corners."""
+    corners = backend.cic_corners(pos, n, box, workspace)
+    return backend.cic_deposit(*corners, masses, n, workspace)
+
+
 def assert_cic_bitwise(cbackend, pos, masses, n, box, ngrids=3, seed=0):
-    """C deposit and gather are the numpy backend's bits."""
+    """C corners and deposit are the numpy backend's bits, and both
+    backends' gathers from those corners on the interleaved grid are the
+    per-grid reference gather's."""
     ref_backend = get_backend("numpy")
+    corners = ref_backend.cic_corners(pos, n, box)
+    c_corners = cbackend.cic_corners(pos, n, box)
+    for ref, got in zip(corners, c_corners):
+        assert_same_bits(ref, got)
     assert_same_bits(
-        ref_backend.cic_deposit(pos, masses, n, box),
-        cbackend.cic_deposit(pos, masses, n, box),
+        ref_backend.cic_deposit(*corners, masses, n),
+        cbackend.cic_deposit(*c_corners, masses, n),
     )
     rng = np.random.default_rng(seed)
     grids = [rng.normal(size=(n, n, n)).astype(pos.dtype)
              for _ in range(ngrids)]
-    assert_same_bits(
-        ref_backend.cic_gather(grids, pos, box),
-        cbackend.cic_gather(grids, pos, box),
-    )
+    ref = per_grid_gather(grids, pos, box)
+    grid = np.stack(grids, axis=-1)
+    for backend, cs in ((ref_backend, corners), (cbackend, c_corners)):
+        assert_same_bits(ref, backend.cic_gather(grid, *cs))
 
 
 @st.composite
@@ -934,7 +957,10 @@ class TestCICBitwise:
     @given(cloud=cic_clouds())
     def test_property_c_equals_numpy(self, cloud):
         pos, masses, n, box = cloud
-        assert_cic_bitwise(get_backend("c"), pos, masses, n, box)
+        # 1 to 5 interleaved components: every remainder of the kernel's
+        # three-at-a-time rows
+        assert_cic_bitwise(get_backend("c"), pos, masses, n, box,
+                           ngrids=1 + len(pos) % 5)
 
     @pytest.mark.parametrize("dtype,box,n", [
         (np.float64, 25.0, 5),   # nextafter(box, 0) scales to exactly n
@@ -963,17 +989,41 @@ class TestCICBitwise:
         masses = np.ones(len(pos), dtype=dtype)
         assert_cic_bitwise(cbackend, pos, masses, 32, 64.0)
 
+    @pytest.mark.parametrize("bad", [-1, 4])
+    def test_corners_outside_the_grid_are_refused(self, cbackend, bad):
+        """Deposit and gather trust no base cell: one outside ``[0, n)``
+        is an IndexError on both backends, never a read or write outside
+        the grid."""
+        pos = np.random.default_rng(3).uniform(0.0, BOX, (30, 3))
+        grid = np.ones((4, 4, 4, 2))
+        for backend in (get_backend("numpy"), cbackend):
+            base, frac = (a.copy() for a in backend.cic_corners(pos, 4, BOX))
+            base[17, 1] = bad
+            with pytest.raises(IndexError, match="outside the 4"):
+                backend.cic_deposit(base, frac, None, 4)
+            with pytest.raises(IndexError, match="outside the 4"):
+                backend.cic_gather(grid, base, frac)
+        with pytest.raises(ValueError, match="frac shape"):
+            cbackend.cic_gather(grid, base[:-1], frac)
+
+    def test_stream_refuses_what_it_cannot_write(self, cbackend):
+        x = np.zeros((10, 3))
+        with pytest.raises(ValueError, match="writeable C-contiguous"):
+            cbackend.stream(np.zeros((10, 6))[:, ::2], x, 1.0, BOX)
+        with pytest.raises(ValueError, match="momenta"):
+            cbackend.stream(x, np.zeros((10, 3), np.float32), 1.0, BOX)
+
     def test_empty_cloud(self, cbackend):
         for dtype in (np.float64, np.float32):
             pos = np.zeros((0, 3), dtype=dtype)
             assert_cic_bitwise(cbackend, pos, None, 4, 10.0)
-            assert not cbackend.cic_deposit(pos, None, 4, 10.0).any()
+            assert not deposit(cbackend, pos, None, 4, 10.0).any()
 
     def test_public_functions_default_to_auto(self, cbackend, monkeypatch):
         """``backend=None`` resolves ``auto`` as a simulation run does,
         so timing the public functions times the path runs take."""
         seen = []
-        for name in ("cic_deposit", "cic_gather"):
+        for name in ("cic_corners", "cic_deposit", "cic_gather"):
             real = getattr(cbackend, name)
             monkeypatch.setattr(
                 cbackend, name,
@@ -983,20 +1033,21 @@ class TestCICBitwise:
         pos = np.random.default_rng(1).uniform(0.0, BOX, (40, 3))
         grid = cic_deposit(pos, 8, BOX)
         cic_interpolate(grid, pos, BOX)
-        assert seen == ["cic_deposit", "cic_gather"]
+        assert seen == ["cic_corners", "cic_deposit",
+                        "cic_corners", "cic_gather"]
 
     def test_concurrent_deposits_with_own_workspaces(self, cbackend, rng):
         """The calls drop the GIL; two threads, each with its own
         workspace, reproduce the serial grids."""
         clouds = [(rng.uniform(0.0, BOX, (60_000, 3)),
                    rng.uniform(0.5, 1.5, 60_000)) for _ in range(2)]
-        serial = [cbackend.cic_deposit(p, m, 32, BOX) for p, m in clouds]
+        serial = [deposit(cbackend, p, m, 32, BOX) for p, m in clouds]
         got = [None, None]
 
         def work(k):
             ws = Workspace()
             for _ in range(4):
-                got[k] = cbackend.cic_deposit(*clouds[k], 32, BOX, ws)
+                got[k] = deposit(cbackend, *clouds[k], 32, BOX, ws)
 
         threads = [threading.Thread(target=work, args=(k,)) for k in (0, 1)]
         for t in threads:
@@ -1011,7 +1062,9 @@ class TestCICBitwise:
     ):
         """The second 32^3 evaluation's CIC calls allocate nothing above
         1 MB beyond the arrays they return (the corner tables they
-        replaced were 2 MB each at this size)."""
+        replaced were 2 MB each at this size; fresh corners would be
+        1.2 MB), and the interleaved force grid is built in place: its
+        transforms hold their half-spectra and no component copy."""
         import tracemalloc
 
         from repro.grid import poisson as poisson_mod
@@ -1023,29 +1076,62 @@ class TestCICBitwise:
         masses = np.ones(len(pos))
         solver = SpectralPoissonSolver(32, 64.0, kernel_backend="c")
         solver.accelerations(pos, masses)  # grows the workspace
-        extra = {}
+        extra, handed = {}, []
 
-        def measured(fn):
+        def measured(fn, name):
             def call(*args, **kwargs):
                 tracemalloc.reset_peak()
                 before = tracemalloc.get_traced_memory()[0]
                 out = fn(*args, **kwargs)
                 peak = tracemalloc.get_traced_memory()[1]
-                extra[fn.__name__] = peak - before - out.nbytes
+                grid = out[0] if isinstance(out, tuple) else out
+                extra[name] = peak - before - grid.nbytes
+                handed.append(args[0])
                 return out
             return call
 
         for name in ("cic_deposit", "cic_interpolate"):
-            monkeypatch.setattr(
-                poisson_mod, name, measured(getattr(poisson_mod, name))
-            )
+            monkeypatch.setattr(poisson_mod, name,
+                                measured(getattr(poisson_mod, name), name))
+        monkeypatch.setattr(solver, "force_grid",
+                            measured(solver.force_grid, "force_grid"))
         tracemalloc.start()
         try:
             solver.accelerations(pos, masses)
         finally:
             tracemalloc.stop()
-        assert set(extra) == {"cic_deposit", "cic_interpolate"}
-        assert max(extra.values()) < 1 << 20, extra
+        assert set(extra) == {"cic_deposit", "force_grid", "cic_interpolate"}
+        assert extra["cic_deposit"] < 1 << 20, extra
+        assert extra["cic_interpolate"] < 1 << 20, extra
+        # the gather reads the force grid as it was built, no copy between
+        fgrid = handed[-1]
+        assert fgrid.shape == (32, 32, 32, 3) and fgrid.flags.c_contiguous
+        # forward, potential, gradient and irfftn's intermediate half-spectra
+        spectrum = 32 * 32 * 17 * np.dtype(np.complex128).itemsize
+        component = 32**3 * 8
+        assert extra["force_grid"] < 4 * spectrum + component // 4, extra
+
+
+@pytest.mark.parametrize("backend", ["numpy", "c"])
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_pm_force_never_reads_stale_corners(rng, backend, dtype):
+    """Positions mutated in place between two solves (same array, as the
+    stepper's stream leaves them) give the second solve a fresh solver's
+    bits: the gather reads the corners its own deposit just found."""
+    if backend == "c" and not HAVE_C:
+        pytest.skip("no working C compiler")
+    pos = rng.uniform(0.0, BOX, (2000, 3)).astype(dtype)
+    masses = rng.uniform(0.5, 1.5, 2000).astype(dtype)
+    solver = SpectralPoissonSolver(16, BOX, dtype=dtype,
+                                   kernel_backend=backend)
+    first = solver.accelerations(pos, masses)
+    pos += rng.normal(0.0, 2.0, pos.shape).astype(dtype)
+    np.mod(pos, dtype(BOX), out=pos)
+    got = solver.accelerations(pos, masses)
+    fresh = SpectralPoissonSolver(16, BOX, dtype=dtype,
+                                  kernel_backend=backend)
+    assert_same_bits(fresh.accelerations(pos.copy(), masses), got)
+    assert not np.array_equal(first, got)
 
 
 class TestCICNonFinite:
