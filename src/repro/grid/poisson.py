@@ -136,8 +136,9 @@ class SpectralPoissonSolver:
     # ------------------------------------------------------------------
     # grid-level operations
     # ------------------------------------------------------------------
-    def potential_k(self, delta_k: np.ndarray) -> np.ndarray:
-        """Apply ``S(k) G(k)`` to an rfft-layout density spectrum."""
+    def potential_k(self, delta_k: np.ndarray, out=None) -> np.ndarray:
+        """Apply ``S(k) G(k)`` to an rfft-layout density spectrum (into
+        ``out`` when given, which may be ``delta_k`` itself)."""
         if delta_k.shape != self._filter_green.shape:
             raise ValueError(
                 f"delta_k shape {delta_k.shape} != rfft grid "
@@ -145,7 +146,7 @@ class SpectralPoissonSolver:
             )
         reg = get_registry()
         with reg.span("poisson.filter"):
-            out = delta_k * self._filter_green
+            out = np.multiply(delta_k, self._filter_green, out=out)
         reg.count("poisson.filter_points", delta_k.size)
         self._count_filter_work(reg, delta_k.size)
         return out
@@ -153,8 +154,8 @@ class SpectralPoissonSolver:
     def potential(self, delta: np.ndarray) -> np.ndarray:
         """Filtered potential ``phi`` with ``del^2 phi = delta``."""
         self._check_grid(delta)
-        phi_k = self.potential_k(self._forward(delta))
-        return self._inverse(phi_k)
+        field_k = self._forward(delta)
+        return self._inverse(self.potential_k(field_k, out=field_k))
 
     def force_grid(self, delta: np.ndarray) -> np.ndarray:
         """Force ``-grad phi`` on the grid as one interleaved
@@ -162,27 +163,27 @@ class SpectralPoissonSolver:
 
         One forward transform, three independent inverse transforms —
         exactly the paper's FFT count per long-range force evaluation;
-        each inverse transform writes its component in place.
+        each inverse transform writes its component in place.  The
+        spectra live in two half-spectrum buffers, the filtered density
+        and one gradient component at a time.
         """
         self._check_grid(delta)
-        phi_k = self.potential_k(self._forward(delta))
+        phi_k = self._forward(delta)
+        self.potential_k(phi_k, out=phi_k)
+        grad_k = np.empty_like(phi_k)
         grid = np.empty((self.n,) * 3 + (3,), dtype=self._dtype)
+        reg = get_registry()
         for c, kernel in enumerate(self._neg_grad_kernels):
-            self._grad_component(kernel, phi_k, out=grid[..., c])
+            with reg.span("poisson.filter"):
+                np.multiply(kernel, phi_k, out=grad_k)
+            self._count_filter_work(reg, phi_k.size)
+            self._inverse(grad_k, out=grid[..., c])
         return grid
 
     def force_grids(self, delta: np.ndarray) -> tuple[np.ndarray, ...]:
         """Force components ``-d phi / d x_i`` on the grid: the three
         component views of :meth:`force_grid`."""
         return tuple(np.moveaxis(self.force_grid(delta), -1, 0))
-
-    def _grad_component(self, kernel, phi_k, out) -> np.ndarray:
-        """One gradient component: filter multiply + inverse FFT."""
-        reg = get_registry()
-        with reg.span("poisson.filter"):
-            grad_k = kernel * phi_k
-        self._count_filter_work(reg, phi_k.size)
-        return self._inverse(grad_k, out=out)
 
     # ------------------------------------------------------------------
     # instrumented transforms
@@ -208,22 +209,32 @@ class SpectralPoissonSolver:
         )
 
     def _forward(self, delta: np.ndarray) -> np.ndarray:
+        """``rfftn(delta)``, every pass written into one fresh
+        half-spectrum."""
         reg = get_registry()
+        n = self.n
+        cplx = np.complex64 if self._dtype == np.float32 else np.complex128
         with reg.span("fft.forward"):
-            # numpy >= 2 keeps float32 -> complex64; 1.x needs the cast
-            out = np.fft.rfftn(delta.astype(self._dtype, copy=False))
-            if self._dtype == np.float32 and out.dtype != np.complex64:
-                out = out.astype(np.complex64)
+            out = np.fft.rfftn(
+                delta.astype(self._dtype, copy=False), axes=(0, 1, 2),
+                out=np.empty((n, n, n // 2 + 1), dtype=cplx),
+            )
         reg.count("fft.forward_points", delta.size)
         self._count_fft_work(reg, delta.size)
         return out
 
     def _inverse(self, field_k: np.ndarray, out=None) -> np.ndarray:
+        """``irfftn(field_k)`` into ``out`` (a fresh grid when None): the
+        same 1-D passes, the complex ones in place in ``field_k``, which
+        is overwritten."""
         reg = get_registry()
+        n = self.n
+        if out is None:
+            out = np.empty((n,) * 3, dtype=self._dtype)
         with reg.span("fft.inverse"):
-            out = np.fft.irfftn(field_k, s=(self.n,) * 3, axes=(0, 1, 2),
-                                out=out)
-            out = out.astype(self._dtype, copy=False)
+            np.fft.ifft(field_k, n, axis=0, out=field_k)
+            np.fft.ifft(field_k, n, axis=1, out=field_k)
+            np.fft.irfft(field_k, n, axis=2, out=out)
         reg.count("fft.inverse_points", out.size)
         self._count_fft_work(reg, out.size)
         return out
