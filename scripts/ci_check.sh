@@ -141,8 +141,8 @@ mkdir -p "$FB_DIR/cache"
 CC=/bin/false XDG_CACHE_HOME="$FB_DIR/cache" PYTHONPATH=src \
     "$PYTHON" -m pytest tests/test_kernel_backends.py \
     tests/test_shortrange_kernel_tree.py tests/test_shortrange_batch.py \
-    tests/test_grid_cic.py tests/test_grid_filters_poisson.py \
-    tests/test_core_timestepper.py -q
+    tests/test_shortrange_solvers.py tests/test_grid_cic.py \
+    tests/test_grid_filters_poisson.py tests/test_core_timestepper.py -q
 fallback_twin() {  # NAME RUN-FLAGS...: the same run on C and on numpy
     local name=$1
     shift
@@ -155,6 +155,8 @@ fallback_twin() {  # NAME RUN-FLAGS...: the same run on C and on numpy
 fallback_twin treepm-f64 --steps 1
 fallback_twin treepm-f32 --steps 1 --precision f32
 fallback_twin pm-f64 --steps 3 --backend pm
+# P3M's list build is the same tighten primitive on whole-cell ranges
+fallback_twin p3m --steps 1 --backend p3m
 # per-domain trees on both builds; at 16^3 the default overload depth
 # (rcut + one cell = 16) is not below half a domain, so it is rcut = 12
 fallback_twin decomp-f64 --steps 1 --decomposition 2,1,1 --overload-depth 12
@@ -162,7 +164,7 @@ PYTHONPATH=src "$PYTHON" - "$FB_DIR" <<'PYEOF'
 import json, pathlib, sys
 from repro.io import find_latest_valid, load_checkpoint
 root = pathlib.Path(sys.argv[1])
-for twin in ("treepm-f64", "treepm-f32", "pm-f64", "decomp-f64"):
+for twin in ("treepm-f64", "treepm-f32", "pm-f64", "p3m", "decomp-f64"):
     state = {}
     for name in ("c", "numpy"):
         run = f"{twin}-{name}"

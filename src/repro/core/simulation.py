@@ -461,7 +461,7 @@ class HACCSimulation:
             )
         self._fault_events.append(event)
         return event
-    def attach_health(self, thresholds=None, check_fft: bool = True):
+    def attach_health(self, thresholds=None):
         """Enable physics health monitoring (see
         :class:`repro.instrument.SimulationHealth`).
 
@@ -474,9 +474,7 @@ class HACCSimulation:
             raise RuntimeError(
                 "attach_health must be called before the first step"
             )
-        self.health = SimulationHealth(
-            self, thresholds=thresholds, check_fft=check_fft
-        )
+        self.health = SimulationHealth(self, thresholds=thresholds)
         return self.health
 
     def _record_telemetry(self, wall: float, window=None) -> None:
@@ -492,14 +490,12 @@ class HACCSimulation:
         step_index = self._step_index - 1
         tel = self.telemetry
         if tel is not None and self.exchange is not None:
-            stats = self.exchange.comm.stats
-            if stats.matrix_enabled:
-                sent = stats.rank_send_bytes()
-                prev = self._comm_bytes_prev
-                delta = sent if prev is None else sent - prev
-                self._comm_bytes_prev = sent
-                for rank, nbytes in enumerate(delta):
-                    tel.gauge("comm_bytes", rank, float(nbytes))
+            sent = self.exchange.comm.stats.rank_send_bytes()
+            prev = self._comm_bytes_prev
+            delta = sent if prev is None else sent - prev
+            self._comm_bytes_prev = sent
+            for rank, nbytes in enumerate(delta):
+                tel.gauge("comm_bytes", rank, float(nbytes))
         residuals: dict[str, float] = {}
         alerts: tuple = ()
         if self.health is not None:
@@ -510,7 +506,6 @@ class HACCSimulation:
                 if imb:
                     values["imbalance"] = max(imb.values())
             events = self.health.monitor.check(step_index, values)
-            self.health.last_events = events
             alerts = tuple(e.to_dict() for e in events)
         if self._fault_events:
             alerts = tuple(

@@ -244,9 +244,10 @@ class SimulationHealth:
     """Attach physics health monitoring to a :class:`HACCSimulation`.
 
     Construct it right after the simulation (it snapshots the initial
-    energy state and momentum), then call :meth:`observe` after every
-    step — e.g. as the ``run()`` callback, or let the driver's telemetry
-    hook do it when installed as ``sim.health``.
+    energy state and momentum); the driver measures :meth:`values`
+    after every step and classifies them through :attr:`monitor` when
+    it is installed as ``sim.health``
+    (:meth:`~repro.core.simulation.HACCSimulation.attach_health`).
 
     Parameters
     ----------
@@ -254,16 +255,12 @@ class SimulationHealth:
         The simulation to watch.
     thresholds:
         Override the default :class:`HealthThresholds`.
-    check_fft:
-        Include the FFT round-trip probe (costs one transform pair per
-        step on the PM grid).
     """
 
     def __init__(
         self,
         sim,
         thresholds: HealthThresholds | None = None,
-        check_fft: bool = True,
     ) -> None:
         from repro.core.diagnostics import (
             LayzerIrvineMonitor,
@@ -271,17 +268,17 @@ class SimulationHealth:
         )
 
         self.sim = sim
-        self.check_fft = check_fft
         self.monitor = HealthMonitor(thresholds)
         self.energy = LayzerIrvineMonitor(
             sim.poisson, sim.cosmology.omega_m
         )
         self.energy.record(sim.particles, sim.a)
         self._p0 = total_momentum(sim.particles)
-        self.last_events: list[HealthEvent] = []
 
     def values(self) -> dict[str, float]:
-        """Measure the current invariants (records an energy state)."""
+        """Measure the current invariants (records an energy state);
+        the FFT round-trip probe costs one transform pair on the PM
+        grid."""
         from repro.core.diagnostics import (
             cic_mass_error,
             fft_roundtrip_error,
@@ -290,26 +287,12 @@ class SimulationHealth:
 
         sim = self.sim
         self.energy.record(sim.particles, sim.a)
-        out = {
+        return {
             "energy_residual": abs(self.energy.relative_residual()),
             "momentum_drift": momentum_drift(sim.particles, self._p0),
             "mass_error": cic_mass_error(sim.particles, sim.config.grid()),
+            "fft_roundtrip": fft_roundtrip_error(sim.density_contrast()),
         }
-        if self.check_fft:
-            out["fft_roundtrip"] = fft_roundtrip_error(
-                sim.density_contrast()
-            )
-        return out
-
-    def observe(
-        self, extra: Mapping[str, float] | None = None
-    ) -> list[HealthEvent]:
-        """Measure, classify, and return this step's new events."""
-        values = self.values()
-        if extra:
-            values.update({k: float(v) for k, v in extra.items()})
-        self.last_events = self.monitor.check(self.sim._step_index, values)
-        return self.last_events
 
     # convenience forwarders ------------------------------------------------
     def verdict(self) -> str:

@@ -32,7 +32,7 @@ import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Mapping
 
 __all__ = [
     "StepTelemetry",
@@ -40,7 +40,6 @@ __all__ = [
     "RunStream",
     "StreamFollower",
     "read_stream",
-    "iter_stream",
     "imbalance_factor",
     "sparkline",
     "run_manifest",
@@ -148,46 +147,6 @@ class RunStream:
         return False
 
 
-def iter_stream(src) -> Iterator[dict]:
-    """Yield the parsed records of a telemetry JSONL file or open file.
-
-    Unparseable trailing lines (a live writer mid-line) are skipped
-    silently — the next poll will see them completed.
-    """
-    if isinstance(src, (str, Path)):
-        with open(src, "r", encoding="utf-8") as fh:
-            yield from iter_stream(fh)
-        return
-    for line in src:
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            yield json.loads(line)
-        except json.JSONDecodeError:
-            continue
-
-
-def read_stream(src) -> dict:
-    """Parse a whole stream: ``{"manifest": ..., "steps": [...], "end": ...}``.
-
-    ``manifest`` and ``end`` are ``None`` when the stream does not (yet)
-    contain them; ``steps`` holds the telemetry records in order.
-    """
-    manifest = None
-    end = None
-    steps: list[dict] = []
-    for rec in iter_stream(src):
-        kind = rec.get("kind")
-        if kind == "manifest":
-            manifest = rec
-        elif kind == "end":
-            end = rec
-        elif kind == "telemetry":
-            steps.append(rec)
-    return {"manifest": manifest, "steps": steps, "end": end}
-
-
 class StreamFollower:
     """Incremental tail-buffering reader of a *live* telemetry stream.
 
@@ -259,6 +218,19 @@ class StreamFollower:
     def finished(self) -> bool:
         """True once the stream's ``end`` record has been consumed."""
         return self.data["end"] is not None
+
+
+def read_stream(path) -> dict:
+    """Parse a whole stream: ``{"manifest": ..., "steps": [...], "end": ...}``.
+
+    One :meth:`StreamFollower.poll`: ``manifest`` and ``end`` are
+    ``None`` when the stream does not (yet) contain them; ``steps``
+    holds the telemetry records in order; a line still being written
+    is not read.
+    """
+    follower = StreamFollower(path)
+    follower.poll()
+    return follower.data
 
 
 #: unicode block ramp used by :func:`sparkline`

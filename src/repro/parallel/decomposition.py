@@ -3,9 +3,9 @@
 HACC decomposes the periodic box into a ``gx x gy x gz`` grid of
 rectangular rank domains (Section II; Table II lists geometries such as
 ``192x128x64``).  This module provides the geometry: rank <-> block
-mapping, block bounds, particle-to-rank assignment, and a factory that
-picks a balanced factorization for a given rank count the way the paper's
-run configurations do.
+mapping, block bounds, particle-to-rank assignment, and
+:func:`balanced_dims`, which picks a balanced factorization of a rank
+count the way the paper's run configurations do.
 """
 
 from __future__ import annotations
@@ -76,13 +76,6 @@ class DomainDecomposition:
         if len(self.dims) != 3 or any(d < 1 for d in self.dims):
             raise ValueError(f"dims must be three positive ints: {self.dims}")
 
-    @classmethod
-    def from_rank_count(
-        cls, box_size: float, n_ranks: int
-    ) -> "DomainDecomposition":
-        """Decomposition with a balanced (near-cubic) rank grid."""
-        return cls(box_size, balanced_dims(n_ranks))  # type: ignore[arg-type]
-
     # ------------------------------------------------------------------
     @property
     def n_ranks(self) -> int:
@@ -130,20 +123,6 @@ class DomainDecomposition:
         # guard against pos == box_size after round-off
         np.clip(cell, 0, dims - 1, out=cell)
         return self.rank_of_cells(cell)
-
-    def neighbor_ranks(self, rank: int) -> list[int]:
-        """The (up to) 26 distinct periodic neighbors of a rank's block."""
-        ix, iy, iz = self.coords_of_rank(rank)
-        seen = []
-        for ox in (-1, 0, 1):
-            for oy in (-1, 0, 1):
-                for oz in (-1, 0, 1):
-                    if ox == oy == oz == 0:
-                        continue
-                    r = self.rank_of_coords((ix + ox, iy + oy, iz + oz))
-                    if r != rank and r not in seen:
-                        seen.append(r)
-        return seen
 
     # ------------------------------------------------------------------
     def overload_volume_factor(self, depth: float) -> float:

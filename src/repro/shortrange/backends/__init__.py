@@ -5,15 +5,12 @@ architectural bet: *one* long-range spectral solver shared everywhere,
 plus *swappable, per-architecture short-range kernels* — QPX intrinsics
 on the BG/Q, CUDA on Titan, OpenCL on Roadrunner — all implementing the
 same narrow force-kernel contract.  This package is that seam for the
-reproduction.  A backend supplies eight primitives:
+reproduction.  A backend supplies seven primitives:
 
-``f_sr_pairs``
-    The 26-instruction-kernel analogue: the short-range force
-    coefficient ``(s + eps)^{-3/2} - poly_5(s)`` for a pre-compressed
-    array of in-cutoff squared separations.
 ``pair_accumulate``
     The full CSR interaction-batch evaluation — separations, cutoff
-    test, coefficient, per-target accumulation — the hot loop of the
+    test, the 26-instruction-kernel analogue ``(s + eps)^{-3/2} -
+    poly_5(s)``, per-target accumulation — the hot loop of the
     short-range phase.
 ``cic_corners`` / ``cic_deposit`` / ``cic_gather``
     The particle-mesh passes: positions in, each particle's base cell
@@ -44,7 +41,7 @@ Two implementations ride the seam:
   cell and fractions; the tree reproduces numpy's pairwise sum), built
   on first use with ``$CC``/``cc``/``gcc`` and cached per
   user; **bitwise identical** to the numpy reference in float64 and
-  float32.  ``f_sr_pairs`` is the numpy one.
+  float32.
 
 Selection goes through :func:`resolve_backend`; ``"auto"`` picks ``c``
 and degrades silently to ``numpy`` when there is no compiler, the build
@@ -126,24 +123,6 @@ class KernelBackend(ABC):
     simd: str | None = None
 
     # ------------------------------------------------------------------
-    @abstractmethod
-    def f_sr_pairs(
-        self,
-        s_cells: np.ndarray,
-        coeffs: np.ndarray,
-        eps,
-        out: np.ndarray,
-        scratch: np.ndarray,
-    ) -> np.ndarray:
-        """Short-range coefficient for pre-compressed in-cutoff pairs.
-
-        ``s_cells`` are squared separations in cell units, every entry
-        already satisfying ``0 < s < rcut_cells^2``; ``coeffs`` is the
-        grid-force polynomial (ascending order) in the kernel dtype.
-        Writes ``(s+eps)^{-3/2} - poly(s)`` into ``out`` (same shape,
-        kernel dtype), may clobber ``scratch``, returns ``out``.
-        """
-
     @abstractmethod
     def pair_accumulate(
         self,

@@ -14,8 +14,7 @@ All are compiled into one library per (sources, flags, compiler,
 machine) with ``$CC``, else ``cc``, else ``gcc``,
 published atomically into a per-user cache and loaded through
 :class:`ctypes.CDLL`, which releases the GIL for the duration of every
-call.  ``f_sr_pairs`` is inherited from :class:`NumpyBackend`.  No
-compiler, a failed build or an unloadable file raise
+call.  No compiler, a failed build or an unloadable file raise
 :class:`BackendUnavailable` at construction.
 """
 
@@ -184,8 +183,7 @@ def _checked(a, dtype, name: str, n: int | None = None) -> np.ndarray:
 
 class CBackend(NumpyBackend):
     """``pair_accumulate``, the three CIC passes, ``stream``,
-    ``rcb_build`` and ``tighten`` in compiled C; ``f_sr_pairs`` is
-    numpy."""
+    ``rcb_build`` and ``tighten`` in compiled C."""
 
     name = "c"
 

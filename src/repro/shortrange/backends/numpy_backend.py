@@ -28,24 +28,27 @@ __all__ = ["NumpyBackend"]
 _STREAM_ROWS = 16384
 
 
+def _f_sr_pairs(s_cells, coeffs, eps, out, scratch):
+    """The short-range force coefficient ``(s + eps)^{-3/2} - poly(s)``
+    of pre-compressed in-cutoff squared cell separations (every entry
+    ``0 < s < rcut_cells^2``), into ``out``; clobbers ``scratch``."""
+    dt = s_cells.dtype.type
+    np.add(s_cells, eps, out=scratch)  # x = s + eps
+    np.sqrt(scratch, out=out)
+    out *= scratch  # x^{3/2}
+    np.divide(dt(1.0), out, out=out)  # Newtonian branch
+    scratch.fill(coeffs[-1])
+    for c in coeffs[-2::-1]:
+        scratch *= s_cells
+        scratch += c
+    out -= scratch
+    return out
+
+
 class NumpyBackend(KernelBackend):
     """Always-available interpreter-vectorized reference backend."""
 
     name = "numpy"
-
-    # ------------------------------------------------------------------
-    def f_sr_pairs(self, s_cells, coeffs, eps, out, scratch):
-        dt = s_cells.dtype.type
-        np.add(s_cells, eps, out=scratch)  # x = s + eps
-        np.sqrt(scratch, out=out)
-        out *= scratch  # x^{3/2}
-        np.divide(dt(1.0), out, out=out)  # Newtonian branch
-        scratch.fill(coeffs[-1])
-        for c in coeffs[-2::-1]:
-            scratch *= s_cells
-            scratch += c
-        out -= scratch
-        return out
 
     # ------------------------------------------------------------------
     def pair_accumulate(
@@ -153,7 +156,7 @@ class NumpyBackend(KernelBackend):
         np.take(s2.ravel(), idx, out=sc)
         f = ws.get("f", k, dt)
         scratch = ws.get("scratch", k, dt)
-        self.f_sr_pairs(sc, coeffs, eps, f, scratch)
+        _f_sr_pairs(sc, coeffs, eps, f, scratch)
         row = ws.get("row", k, np.int64)
         col = ws.get("col", k, np.int64)
         np.floor_divide(idx, csz, out=row)

@@ -15,13 +15,14 @@ once for *all* leaves simultaneously — a breadth-first frontier of
 flat CSR-style arrays (:class:`InteractionBatch`): ``targets`` +
 ``target_offsets`` and ``neighbor_indices`` + ``neighbor_offsets``.
 Both packers (RCB tree, P3M chaining mesh) then hand their candidate
-groups to :func:`tighten_ranges` (the tree its hit leaves as row
-ranges, P3M its lists through :meth:`InteractionBatch.tightened`), the
-one place that decides which pairs are streamed: ghost members stop
-being targets (they only ever were sources), and each group's source
-list is culled, order preserved, to the sources within ``rcut`` of the
-bounding box of the group's real targets.  The cull is the kernel
-backends' ``tighten`` primitive (C, or the numpy oracle).
+groups to :func:`tighten_ranges` as whole row ranges (the tree its hit
+leaves, P3M the occupied cells of each 27-neighbourhood of its
+cell-sorted cloud), the one place that decides which pairs are
+streamed: ghost members stop being targets (they only ever were
+sources), and each group's source list is culled, order preserved, to
+the sources within ``rcut`` of the bounding box of the group's real
+targets.  The cull is the kernel backends' ``tighten`` primitive (C, or
+the numpy oracle).
 
 **Evaluation** (:class:`BatchedPairEngine`) streams fixed-size pair
 blocks (``chunk_pairs`` bounds the peak temporary footprint, the Python
@@ -152,34 +153,6 @@ class InteractionBatch:
         e = np.empty(0, dtype=np.int64)
         return cls(e, zero, e, zero)
 
-    def tightened(
-        self,
-        real: np.ndarray,
-        positions: np.ndarray,
-        rcut: float,
-        backend=None,
-    ) -> "InteractionBatch":
-        """The batch the kernel streams: real targets, culled sources.
-
-        ``real`` flags the entries of ``targets`` that receive a force
-        (the others are ghosts, present only as sources); groups left
-        without a target are dropped.  Each surviving group keeps, in
-        order, the sources within :func:`cull_radius` of the bounding
-        box of its real targets — a per-source test, so the exact
-        per-pair cutoff test stays with the backend, and no pair that
-        test accepts is removed: every target's sum visits the same
-        in-cutoff sources in the same order as on the candidate batch.
-        ``backend`` runs the cull
-        (:meth:`~repro.shortrange.backends.KernelBackend.tighten`): a
-        backend or its name, ``None`` meaning c, else numpy.
-        """
-        sources = np.asarray(self.neighbor_indices, dtype=np.int64)
-        return tighten_ranges(
-            self.targets, self.target_offsets,
-            sources, np.ones_like(sources), self.neighbor_offsets,
-            real, positions, rcut, backend,
-        )
-
 
 def tighten_ranges(
     targets: np.ndarray,
@@ -192,12 +165,25 @@ def tighten_ranges(
     rcut: float,
     backend=None,
 ) -> InteractionBatch:
-    """:meth:`InteractionBatch.tightened` of the candidate batch whose
-    group ``g`` lists the rows of ranges ``range_offsets[g]`` to
-    ``range_offsets[g + 1] - 1``, range ``r`` being ``source_starts[r]``
-    up to ``source_starts[r] + source_counts[r]``: :func:`pack_tree`'s
-    hits are whole leaves, so the cull reads them without an index
-    array (:meth:`~repro.shortrange.backends.KernelBackend.tighten`)."""
+    """The batch the kernel streams: real targets, culled sources.
+
+    Candidate group ``g`` has the targets ``targets[target_offsets[g]:
+    target_offsets[g + 1]]`` and lists the rows of ranges
+    ``range_offsets[g]`` to ``range_offsets[g + 1] - 1``, range ``r``
+    being ``source_starts[r]`` up to ``source_starts[r] +
+    source_counts[r]``: :func:`pack_tree`'s hits are whole leaves and
+    P3M's whole cells, so the cull reads them without an index array.
+    ``real`` flags the entries of ``targets`` that receive a force (the
+    others are ghosts, present only as sources); groups left without a
+    target are dropped.  Each surviving group keeps, in order, the
+    sources within :func:`cull_radius` of the bounding box of its real
+    targets — a per-source test, so the exact per-pair cutoff test
+    stays with the backend, and no pair that test accepts is removed:
+    every target's sum visits the same in-cutoff sources in the same
+    order as on the candidate batch.  ``backend`` runs the cull
+    (:meth:`~repro.shortrange.backends.KernelBackend.tighten`): a
+    backend or its name, ``None`` meaning c, else numpy.
+    """
     return InteractionBatch(*resolve_backend(backend).tighten(
         np.asarray(targets, dtype=np.int64),
         np.asarray(target_offsets, dtype=np.int64),
@@ -383,7 +369,7 @@ class BatchedPairEngine:
     identically on every backend (the backend suite asserts it), and
     those of them inside the cutoff; each evaluation charges them once
     as ``pp.interactions`` and ``pp.batch.inside_pairs``.  Batches are
-    tight (:meth:`InteractionBatch.tightened`), so every target is a
+    tight (:func:`tighten_ranges`), so every target is a
     real particle and the inside count is the number of real-target
     pairs whose force was evaluated.
     """

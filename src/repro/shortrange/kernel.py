@@ -72,10 +72,6 @@ class ShortRangeKernel:
         """Physical cutoff radius, Mpc/h."""
         return self.fit.rcut_cells * self.spacing
 
-    @property
-    def rcut2(self) -> float:
-        return self.rcut * self.rcut
-
     # ------------------------------------------------------------------
     def f_sr_cells(self, s_cells) -> np.ndarray:
         """Short-range force coefficient at squared cell separations.
@@ -96,32 +92,6 @@ class ShortRangeKernel:
         for c in reversed(self.fit.coefficients):
             poly = poly * s_safe + self.dtype(c)
         return np.where(inside, newton - poly, self.dtype(0.0))
-
-    def pair_coeff_into(
-        self,
-        s_cells: np.ndarray,
-        out: np.ndarray,
-        scratch: np.ndarray,
-    ) -> np.ndarray:
-        """Allocation-free ``f_SR`` for pre-compressed in-cutoff pairs.
-
-        ``s_cells`` must already satisfy ``0 < s < rcut_cells^2`` for
-        every entry (the batch engine compresses with exactly that mask
-        before calling); ``out`` and ``scratch`` are same-shape kernel-dtype
-        workspaces.  ``s_cells`` is left untouched.  Returns ``out``.
-        """
-        dt = self.dtype
-        np.add(s_cells, dt(self.eps_cells), out=scratch)  # x = s + eps
-        np.sqrt(scratch, out=out)
-        out *= scratch  # x^{3/2}
-        np.divide(dt(1.0), out, out=out)  # Newtonian branch
-        coeffs = self.fit.coefficients
-        scratch.fill(dt(coeffs[-1]))
-        for c in reversed(coeffs[:-1]):
-            scratch *= s_cells
-            scratch += dt(c)
-        out -= scratch
-        return out
 
     def f_sr(self, s_phys) -> np.ndarray:
         """Short-range coefficient at squared physical separations."""

@@ -32,9 +32,10 @@ from repro.shortrange.batch import (
     BatchedPairEngine,
     InteractionBatch,
     pack_tree,
+    tighten_ranges,
 )
 from repro.shortrange.kernel import ShortRangeKernel
-from repro.shortrange.rcb_tree import RCBTree, ranges_to_indices
+from repro.shortrange.rcb_tree import RCBTree
 
 __all__ = [
     "periodic_ghosts",
@@ -270,10 +271,13 @@ class P3MShortRange(ShortRangeSolver):
     the "no mediating tree" limit where leaf populations reach ~1e5 on
     accelerated hardware.
 
-    The whole chaining-mesh neighborhood is built as one
-    :class:`~repro.shortrange.batch.InteractionBatch` (a single
-    vectorized 27-offset computation over all occupied cells), tightened
-    like every other packer's, and streamed through the batched engine.
+    The cloud is sorted into cell order once, so every cell is a row
+    range: each occupied cell's 27-neighbourhood goes to
+    :func:`~repro.shortrange.batch.tighten_ranges` as whole-cell ranges
+    (a single vectorized 27-offset computation over all occupied cells),
+    exactly as :func:`~repro.shortrange.batch.pack_tree` hands over
+    whole leaves, and the tight batch streams through the batched
+    engine.
     """
 
     def __init__(
@@ -305,12 +309,15 @@ class P3MShortRange(ShortRangeSolver):
         starts = np.append(starts, pos.shape[0]).astype(np.int64)
         return ncell, uniq, starts, order
 
-    def _pack_cells(self, ncell, uniq, starts, order) -> InteractionBatch:
-        """All 27-neighborhoods of all occupied cells as one CSR batch.
+    def _pack_cells(self, ncell, uniq, starts):
+        """All 27-neighborhoods of all occupied cells as row ranges.
 
-        Offsets enumerate in row-major (ox, oy, oz) order, self cell
-        included; every cell member is a target here, the caller
-        tightens the batch.
+        Returns the ``(source_starts, source_counts, range_offsets)`` of
+        :func:`~repro.shortrange.batch.tighten_ranges` over the
+        cell-sorted cloud: cell ``g``'s targets are its rows
+        ``starts[g]`` to ``starts[g + 1] - 1``, its sources the rows of
+        its occupied neighbour cells, in row-major (ox, oy, oz) order,
+        self cell included.
         """
         n_occ = uniq.size
         czi = uniq % ncell[2]
@@ -338,21 +345,10 @@ class P3MShortRange(ShortRangeSolver):
         j = np.searchsorted(uniq, nb_flat)
         j_cl = np.minimum(j, n_occ - 1)
         found = valid & (uniq[j_cl] == nb_flat)
-        seg_len = starts[j_cl + 1] - starts[j_cl]
-        per_cell = np.where(found, seg_len, 0).sum(axis=1)
-        sel = found.ravel()
-        neighbor_indices = order[
-            ranges_to_indices(
-                starts[j_cl].ravel()[sel], seg_len.ravel()[sel]
-            )
-        ]
-        neighbor_offsets = np.zeros(n_occ + 1, dtype=np.int64)
-        np.cumsum(per_cell, out=neighbor_offsets[1:])
-        # cell membership segments of ``order`` are exactly the target
-        # groups; ``starts`` is already their offsets array
-        return InteractionBatch(
-            order, starts, neighbor_indices, neighbor_offsets
-        )
+        range_offsets = np.zeros(n_occ + 1, dtype=np.int64)
+        np.cumsum(found.sum(axis=1), out=range_offsets[1:])
+        first = starts[j_cl][found]
+        return first, starts[j_cl + 1][found] - first, range_offsets
 
     def accelerations_cloud(self, positions, masses, n_targets):
         pos = np.asarray(positions, dtype=self.kernel.dtype)
@@ -360,9 +356,15 @@ class P3MShortRange(ShortRangeSolver):
             return self.engine.evaluate(InteractionBatch.empty(), pos, masses)
         with get_registry().span("p3m.binning"):
             ncell, uniq, starts, order = self._bin(pos)
+            pos = pos[order]
         with get_registry().span("p3m.pack"):
-            batch = self._pack_cells(ncell, uniq, starts, order).tightened(
-                order < n_targets, pos, self.kernel.rcut, self.engine.backend
+            batch = tighten_ranges(
+                np.arange(pos.shape[0]), starts,
+                *self._pack_cells(ncell, uniq, starts),
+                order < n_targets, pos, self.kernel.rcut,
+                self.engine.backend,
             )
-        acc = self.engine.evaluate(batch, pos, masses)
+        acc_cells = self.engine.evaluate(batch, pos, np.asarray(masses)[order])
+        acc = np.empty_like(acc_cells)
+        acc[order] = acc_cells
         return acc[:n_targets]

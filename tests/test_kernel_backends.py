@@ -195,19 +195,6 @@ class TestInterpretedNumbaEquivalence:
     — the strict-IEEE ordering contract PR 7 set for numba f64, which C
     also keeps in f32."""
 
-    def test_f_sr_pairs_bitwise(self, kernel, cbackend, rng):
-        s = rng.uniform(1e-3, kernel.fit.rcut_cells**2, 512)
-        coeffs = np.ascontiguousarray(
-            kernel.fit.coefficients, dtype=np.float64
-        )
-        eps = np.float64(kernel.eps_cells)
-        ref = np.empty_like(s)
-        got = np.empty_like(s)
-        scratch = np.empty_like(s)
-        get_backend("numpy").f_sr_pairs(s, coeffs, eps, ref, scratch)
-        cbackend.f_sr_pairs(s, coeffs, eps, got, scratch)
-        assert np.array_equal(ref, got)
-
     def test_treepm_forces_bitwise_f64(self, kernel, cbackend, rng):
         pos = clustered_cloud(rng, 160)
         masses = rng.uniform(0.5, 1.5, 160)

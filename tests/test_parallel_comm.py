@@ -3,48 +3,28 @@
 import numpy as np
 import pytest
 
+from repro import HACCSimulation, SimulationConfig
+from repro.fft.pencil import PencilFFT
+from repro.grid.poisson import SpectralPoissonSolver
 from repro.parallel.comm import CommStats, SimulatedComm
+from repro.parallel.decomposition import DomainDecomposition
+from repro.parallel.overload import OverloadExchange
 
 
 class TestCommStats:
     def test_record_and_summary(self):
-        s = CommStats()
-        s.record(2, 100, "a")
-        s.record(1, 50, "b")
-        s.record(1, 25, "a")
+        """Totals and the per-tag ``[messages, bytes]`` summary."""
+        s = CommStats(n_ranks=2)
+        s.record("a", [(0, 1, 60), (1, 0, 40)])
+        s.record("b", [(0, 1, 50)])
+        s.record("a", [(1, 0, 25)])
         assert s.messages == 4
         assert s.bytes == 175
         assert s.tag_bytes("a") == 125
-        assert s.tag_messages("a") == 3
-        summary = s.summary()
-        # per-tag entries carry message counts, not just bytes
-        assert summary["by_tag"]["b"] == {"messages": 1, "bytes": 50}
-        assert summary["by_tag"]["a"] == {"messages": 3, "bytes": 125}
-
-    def test_reset(self):
-        s = CommStats()
-        s.record(1, 10, "x")
-        s.reset()
-        assert s.messages == 0 and s.bytes == 0 and s.tag_bytes("x") == 0
-        assert s.tag_messages("x") == 0
+        assert dict(s.by_tag) == {"a": [3, 125], "b": [1, 50]}
 
     def test_unknown_tag_bytes_zero(self):
-        assert CommStats().tag_bytes("nope") == 0
-        assert CommStats().tag_messages("nope") == 0
-
-    def test_size_histogram(self):
-        s = CommStats()
-        s.record(3, 7 + 64 + 65, "t",
-                 pairs=[(0, 1, 7), (1, 0, 64), (0, 1, 65)])
-        hist = s.tag_histogram("t")
-        assert hist[3] == 1   # 7 bytes -> bucket 3 (sizes in [4, 8))
-        assert hist[7] == 2   # 64 and 65 bytes -> bucket 7 ([64, 128))
-        assert hist.sum() == 3
-        summary = s.summary()
-        assert summary["by_tag"]["t"]["size_histogram"] == {3: 1, 7: 2}
-
-    def test_unknown_tag_histogram_zeros(self):
-        assert CommStats().tag_histogram("nope").sum() == 0
+        assert CommStats(n_ranks=1).tag_bytes("nope") == 0
 
 
 class TestRankMatrix:
@@ -59,15 +39,21 @@ class TestRankMatrix:
         assert m[0, 1] == 1 * 8 and m[0, 2] == 2 * 8
         assert m[1, 2] == 3 * 8 and m[2, 1] == 3 * 8
         assert np.all(np.diag(m) == 0)  # self-sends never charged
-        assert comm.stats.msg_matrix.sum() == comm.stats.messages
+        assert m.sum() == comm.stats.bytes
 
     def test_exchange_matrix(self):
-        comm = SimulatedComm(4)
-        comm.exchange({(0, 3): np.zeros(2), (3, 0): np.zeros(5)})
-        m = comm.stats.byte_matrix
-        assert m[0, 3] == 16 and m[3, 0] == 40
-        assert comm.stats.rank_send_bytes().tolist() == [16, 0, 0, 40]
-        assert comm.stats.rank_recv_bytes().tolist() == [40, 0, 0, 16]
+        """The overload exchange's traffic lands in the byte matrix, and
+        ``rank_send_bytes`` (the driver's ``comm_bytes`` gauge) is its
+        row sums."""
+        decomp = DomainDecomposition(10.0, (2, 1, 1))
+        ex = OverloadExchange(decomp, 1.0)
+        pos = np.array([[4.5, 5.0, 5.0], [5.5, 5.0, 5.0], [2.0, 5.0, 5.0]])
+        ex.distribute(pos, np.zeros_like(pos))
+        m = ex.comm.stats.byte_matrix
+        assert m[0, 1] > 0 and m[1, 0] > 0
+        assert np.all(np.diag(m) == 0)
+        assert ex.comm.stats.rank_send_bytes().tolist() == m.sum(axis=1).tolist()
+        assert m.sum() == ex.comm.stats.bytes
 
     def test_split_attributes_to_global_ranks(self):
         comm = SimulatedComm(4)
@@ -78,32 +64,9 @@ class TestRankMatrix:
         assert m[0, 2] == 8 and m[2, 0] == 8
         assert m.sum() == 16
 
-    def test_matrix_disabled_without_n_ranks(self):
-        s = CommStats()
-        assert not s.matrix_enabled
-        with pytest.raises(RuntimeError):
-            s.rank_send_bytes()
-        # recording per-pair traffic still feeds the histogram
-        s.record(1, 8, "t", pairs=[(0, 1, 8)])
-        assert s.tag_histogram("t").sum() == 1
-
-    def test_reset_clears_matrix(self):
-        comm = SimulatedComm(2)
-        comm.exchange({(0, 1): np.zeros(1)})
-        comm.stats.reset()
-        assert comm.stats.byte_matrix.sum() == 0
-        assert comm.stats.tag_histogram("exchange").sum() == 0
-
     def test_undersized_stats_rejected(self):
         with pytest.raises(ValueError):
             SimulatedComm(4, stats=CommStats(n_ranks=2))
-
-    def test_summary_includes_rank_totals(self):
-        comm = SimulatedComm(2)
-        comm.exchange({(0, 1): np.zeros(3)})
-        summary = comm.stats.summary()
-        assert summary["rank_send_bytes"] == [24, 0]
-        assert summary["rank_recv_bytes"] == [0, 24]
 
 
 class TestAlltoallv:
@@ -147,48 +110,6 @@ class TestAlltoallv:
             comm.alltoallv([[None], [None, None]])
 
 
-class TestExchange:
-    def test_delivery_and_accounting(self):
-        comm = SimulatedComm(4)
-        sends = {(0, 1): np.zeros(3), (2, 3): np.zeros(5), (1, 1): np.zeros(7)}
-        out = comm.exchange(sends)
-        assert set(out) == set(sends)
-        assert comm.stats.messages == 2  # self-send not charged
-        assert comm.stats.bytes == (3 + 5) * 8
-
-    def test_bad_rank_rejected(self):
-        comm = SimulatedComm(2)
-        with pytest.raises(ValueError):
-            comm.exchange({(0, 5): np.zeros(1)})
-
-
-class TestCollectives:
-    def test_allreduce_sum(self):
-        comm = SimulatedComm(4)
-        assert comm.allreduce([1, 2, 3, 4]) == 10
-        assert comm.stats.messages == 2 * 3
-
-    def test_allreduce_custom_op(self):
-        comm = SimulatedComm(3)
-        assert comm.allreduce([5, 1, 9], op=max) == 9
-
-    def test_allreduce_wrong_count(self):
-        with pytest.raises(ValueError):
-            SimulatedComm(3).allreduce([1, 2])
-
-    def test_allgather(self):
-        comm = SimulatedComm(3)
-        vals = comm.allgather([np.array([i]) for i in range(3)])
-        assert [int(v[0]) for v in vals] == [0, 1, 2]
-        assert comm.stats.messages == 3 * 2
-
-    def test_barrier_counts_messages_not_bytes(self):
-        comm = SimulatedComm(8)
-        comm.barrier()
-        assert comm.stats.bytes == 0
-        assert comm.stats.messages == 14
-
-
 class TestSplit:
     def test_groups_and_shared_stats(self):
         comm = SimulatedComm(4)
@@ -218,3 +139,33 @@ class TestConstruction:
     def test_members_mismatch(self):
         with pytest.raises(ValueError):
             SimulatedComm(2, members=(0, 1, 2))
+
+
+class TestRunTraffic:
+    """A run moves particles only through ``alltoallv``: the overload
+    exchange and the pencil-FFT transposes, and the byte matrix accounts
+    for every recorded byte."""
+
+    TAGS = {"overload.distribute", "fft.transpose.zy", "fft.transpose.yx"}
+
+    def assert_alltoallv_only(self, stats):
+        assert stats.by_tag and set(stats.by_tag) <= self.TAGS
+        assert stats.bytes > 0
+        assert stats.bytes == stats.byte_matrix.sum()
+
+    def test_decomposed_step(self):
+        cfg = SimulationConfig(
+            box_size=64.0, n_per_dim=16, z_initial=25.0, z_final=10.0,
+            n_steps=1, backend="treepm", seed=5,
+        )
+        sim = HACCSimulation(
+            cfg, decomposition_dims=(2, 1, 1), overload_depth=cfg.rcut() + 0.5
+        )
+        sim.step()
+        self.assert_alltoallv_only(sim.exchange.comm.stats)
+
+    def test_pencil_force_grids(self, rng):
+        delta = rng.standard_normal((8, 8, 8))
+        pencil = PencilFFT(8, 2, 2)
+        SpectralPoissonSolver(8, 8.0).force_grids_distributed(delta, pencil)
+        self.assert_alltoallv_only(pencil.comm.stats)

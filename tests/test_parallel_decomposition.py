@@ -73,18 +73,6 @@ class TestDomainDecomposition:
         assert out[0] == 0
         assert out[1] == 1  # -0.5 wraps to 9.5, in the upper block
 
-    def test_neighbor_ranks_count(self):
-        d = DomainDecomposition(10.0, (3, 3, 3))
-        assert len(d.neighbor_ranks(13)) == 26
-
-    def test_neighbor_ranks_small_grid_dedup(self):
-        d = DomainDecomposition(10.0, (2, 1, 1))
-        assert d.neighbor_ranks(0) == [1]
-
-    def test_from_rank_count(self):
-        d = DomainDecomposition.from_rank_count(100.0, 32)
-        assert d.n_ranks == 32
-
     def test_overload_volume_factor(self):
         d = DomainDecomposition(100.0, (2, 2, 2))
         # widths 50; depth 5: (60/50)^3 = 1.728

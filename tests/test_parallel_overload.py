@@ -277,7 +277,6 @@ def assert_stats_equal(a, b):
     assert a.messages == b.messages
     assert a.bytes == b.bytes
     assert dict(a.by_tag) == dict(b.by_tag)
-    assert np.array_equal(a.msg_matrix, b.msg_matrix)
     assert np.array_equal(a.byte_matrix, b.byte_matrix)
 
 

@@ -4,10 +4,10 @@ The equivalence suite is the contract of the batched engine: the
 CSR-packed, chunked evaluation must match the naive O(N^2) direct sum
 (``DirectShortRange``, the one oracle) on clustered, uniform and
 near-boundary particle sets, and ``pp.interactions`` must be the pairs
-the batch streams.  The tight-list suite pins what
-``InteractionBatch.tightened`` promises: only real targets, only
-sources that can matter, and never a changed bit, with the ``tighten``
-primitive behind it in C equal to the numpy oracle.
+the batch streams.  The tight-list suite pins what ``tighten_ranges``
+promises: only real targets, only sources that can matter, and never a
+changed bit, with the ``tighten`` primitive behind it in C equal to the
+numpy oracle.
 """
 
 import numpy as np
@@ -19,12 +19,14 @@ from repro.fft.pencil import PencilFFT
 from repro.grid.cic import ParticleGridCoords, cic_deposit, cic_interpolate
 from repro.instrument import Registry, use
 from repro.shortrange.backends import BackendUnavailable, get_backend
+from repro.shortrange.backends.numpy_backend import _f_sr_pairs
 from repro.shortrange.batch import (
     BatchedPairEngine,
     InteractionBatch,
     Workspace,
     cull_radius,
     pack_tree,
+    tighten_ranges,
 )
 from repro.shortrange.grid_force import default_grid_force_fit
 from repro.shortrange.kernel import ShortRangeKernel
@@ -436,8 +438,8 @@ class TestCullNeverChangesABit:
         gpos, gm = periodic_ghosts(pos, np.ones(400), BOX, rcut)
         tree = RCBTree(gpos, gm, leaf_size=leaf_size)
         uncut = uncut_batch(tree, rcut, 400)
-        want = uncut.tightened(
-            np.ones(uncut.targets.size, bool), tree.positions, rcut,
+        want = tightened(
+            uncut, np.ones(uncut.targets.size, bool), tree.positions, rcut,
             self.BACKEND,
         )
         got = pack_tree(tree, rcut, 400, self.BACKEND)
@@ -536,7 +538,7 @@ class TestTightListEdges:
             np.array([0, 1, 2]), np.array([0, 2, 2, 3]),
             np.array([0, 1, 2, 3, 0, 1, 2, 3]), np.array([0, 4, 4, 8]),
         )
-        tight = cand.tightened(np.array([True, False, False]), pos, 3.0)
+        tight = tightened(cand, np.array([True, False, False]), pos, 3.0)
         assert tight.targets.tolist() == [0]
         assert tight.target_offsets.tolist() == [0, 1]
         assert tight.neighbor_indices.tolist() == [0, 1, 2]
@@ -608,6 +610,11 @@ def as_ranges(batch):
             np.ones_like(batch.neighbor_indices), batch.neighbor_offsets)
 
 
+def tightened(batch, real, positions, rcut, backend=None):
+    """``tighten_ranges`` of an index-listed candidate batch."""
+    return tighten_ranges(*as_ranges(batch), real, positions, rcut, backend)
+
+
 def tighten(backend, candidates, real, positions, radius):
     return get_backend(backend).tighten(
         *(np.asarray(a, dtype=np.int64) for a in candidates),
@@ -645,9 +652,12 @@ class TestTightenOracle:
         pos = pos.astype(dtype)
         solver = P3MShortRange(ShortRangeKernel(
             default_grid_force_fit(), spacing=rcut / 3.0, eps_cells=0.01))
-        cand = as_ranges(solver._pack_cells(*solver._bin(pos)))
-        real = cand[0] < 2000
+        ncell, uniq, starts, order = solver._bin(pos)
+        cand = (np.arange(pos.shape[0]), starts,
+                *solver._pack_cells(ncell, uniq, starts))
+        real = order < 2000
         assert not real.all()
+        pos = pos[order]
         radius = cull_radius(rcut, pos)
         assert_same_arrays(tighten("c", cand, real, pos, radius),
                            tighten("numpy", cand, real, pos, radius))
@@ -662,8 +672,88 @@ class TestTightenOracle:
                 tighten("c", cand, np.ones(1, bool), pos, 1.0)
 
 
+def p3m_index_batch(solver, pos, n_targets, backend):
+    """P3M's tight batch built from index lists: each occupied cell's
+    members in ``order`` as targets, the members of its occupied
+    27-neighbourhood, row-major, as sources, in cloud row numbers."""
+    ncell, uniq, starts, order = solver._bin(pos)
+    cells = {int(c): order[starts[g]:starts[g + 1]]
+             for g, c in enumerate(uniq)}
+    sources = []
+    for c in uniq:
+        cx, cy, cz = np.unravel_index(c, ncell)
+        lists = [np.empty(0, np.int64)]
+        for ox in (-1, 0, 1):
+            for oy in (-1, 0, 1):
+                for oz in (-1, 0, 1):
+                    nb = np.array([cx + ox, cy + oy, cz + oz])
+                    if ((nb >= 0) & (nb < ncell)).all():
+                        lists.append(cells.get(
+                            int(np.ravel_multi_index(nb, ncell)),
+                            np.empty(0, np.int64)))
+        sources.append(np.concatenate(lists))
+    offsets = np.concatenate(([0], np.cumsum([a.size for a in sources])))
+    cand = InteractionBatch(order, starts, np.concatenate(sources), offsets)
+    return tightened(cand, order < n_targets, pos, solver.kernel.rcut, backend)
+
+
+class TestP3MWholeCells:
+    """P3M hands the cull whole cells of its cell-sorted cloud: mapped
+    back through the sort, its batch is the index-listed one."""
+
+    @pytest.fixture(params=["numpy", "c"])
+    def backend(self, request):
+        try:
+            get_backend(request.param)
+        except BackendUnavailable as exc:
+            pytest.skip(str(exc))
+        return request.param
+
+    @staticmethod
+    def cloud(rng, dtype):
+        pos, m = periodic_ghosts(clustered_cloud(rng, 600),
+                                 rng.uniform(0.5, 1.5, 600), BOX, 3.0)
+        return pos.astype(dtype), m.astype(dtype)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_range_batch_is_the_index_batch(self, rng, backend, dtype):
+        kern = ShortRangeKernel(default_grid_force_fit(), spacing=1.0,
+                                eps_cells=0.01, dtype=dtype)
+        solver = P3MShortRange(kern, kernel_backend=backend)
+        pos, m = self.cloud(rng, dtype)
+        seen = []
+        evaluate = solver.engine.evaluate
+
+        def capture(batch, positions, masses):
+            seen.append(batch)
+            return evaluate(batch, positions, masses)
+
+        solver.engine.evaluate = capture
+        solver.accelerations_cloud(pos, m, 600)
+        order = solver._bin(pos)[3]
+        got, = seen
+        want = p3m_index_batch(solver, pos, 600, backend)
+        assert want.n_pairs > 0
+        for name in BATCH_ARRAYS:
+            a = getattr(got, name)
+            if name in ("targets", "neighbor_indices"):
+                a = order[a]
+            assert np.array_equal(a, getattr(want, name)), name
+
+    @pytest.mark.usefixtures("_need_c_backend")
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_forces_bitwise_c_numpy(self, rng, dtype):
+        kern = ShortRangeKernel(default_grid_force_fit(), spacing=1.0,
+                                eps_cells=0.01, dtype=dtype)
+        pos, m = self.cloud(rng, dtype)
+        acc = [P3MShortRange(kern, kernel_backend=b).accelerations_cloud(
+            pos, m, 600) for b in ("numpy", "c")]
+        assert acc[0].dtype == dtype and np.abs(acc[0]).max() > 0
+        assert np.array_equal(acc[0], acc[1])
+
+
 class TestTightenedGroups:
-    """What ``InteractionBatch.tightened`` promises, on either backend."""
+    """What ``tighten_ranges`` promises, on either backend."""
 
     @pytest.fixture(params=["numpy", "c"])
     def backend(self, request):
@@ -712,13 +802,16 @@ class TestDtypePropagation:
         s = np.linspace(0.1, 8.0, 64, dtype=np.float32)
         assert kernel32.f_sr_cells(s).dtype == np.float32
 
-    def test_pair_coeff_into_matches_f_sr_cells(self, kernel, kernel32):
+    def test_f_sr_pairs_matches_f_sr_cells(self, kernel, kernel32):
+        """The numpy backend's allocation-free coefficient is the
+        kernel's ``f_sr_cells`` inside the cutoff, in the kernel dtype."""
         for kern in (kernel, kernel32):
             s = np.linspace(0.05, 0.9, 40, dtype=kern.dtype)
             s *= kern.dtype(kern.fit.rcut_cells**2)
             out = np.empty_like(s)
             scratch = np.empty_like(s)
-            kern.pair_coeff_into(s, out, scratch)
+            coeffs = np.asarray(kern.fit.coefficients, dtype=kern.dtype)
+            _f_sr_pairs(s, coeffs, kern.dtype(kern.eps_cells), out, scratch)
             expect = kern.f_sr_cells(s)
             assert out.dtype == kern.dtype
             np.testing.assert_allclose(

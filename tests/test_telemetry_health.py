@@ -33,7 +33,6 @@ from repro.instrument.monitor import (
     pick_imbalance_series,
     render_monitor,
 )
-from repro.instrument.telemetry import iter_stream
 
 
 def tiny_config(**kwargs):
@@ -228,7 +227,7 @@ class TestRunStream:
             json.dumps({"kind": "telemetry", "step": 0}) + "\n"
             + '{"kind": "telem'  # writer mid-line
         )
-        assert len(list(iter_stream(path))) == 1
+        assert len(read_stream(path)["steps"]) == 1
 
     def test_append_after_close_raises(self, tmp_path):
         stream = RunStream(tmp_path / "run.jsonl")
