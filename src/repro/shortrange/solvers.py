@@ -83,7 +83,7 @@ def periodic_ghosts(
             for oz in (-1, 0, 1)
             if (ox, oy, oz) != (0, 0, 0)
         ],
-        dtype=np.float64,
+        dtype=dt,
     )
     # per-axis condition table indexed by offset + 1:
     # shift -1 needs pos near the high face, +1 near the low face
@@ -95,7 +95,8 @@ def periodic_ghosts(
         )
         sel = sel & table[offsets[:, axis].astype(np.int64) + 1]
     oid, pid = np.nonzero(sel)  # offset-major: matches the old loop order
-    ghost_pos = pos[pid] + offsets[oid] * box_size
+    # the shift in the positions' dtype: +-box is exact in float32
+    ghost_pos = pos[pid] + offsets[oid] * dt.type(box_size)
     return (
         np.concatenate([pos, ghost_pos], axis=0),
         np.concatenate([m, m[pid]]),

@@ -46,6 +46,18 @@ class TestPeriodicGhosts:
         gp, _ = periodic_ghosts(pos, np.ones(1), 10.0, 1.0)
         assert gp.shape[0] == 8  # original + 7 images
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_ghosts_keep_the_positions_dtype(self, rng, dtype):
+        """A float32 cloud gets float32 ghosts, each the float64 image
+        rounded to float32 (the box shifts are exact in float32)."""
+        pos = rng.uniform(0, 10.0, (1000, 3)).astype(dtype)
+        gp, gm = periodic_ghosts(pos, np.ones(1000, dtype), 10.0, 2.0)
+        assert gp.dtype == gm.dtype == dtype
+        ref, _ = periodic_ghosts(pos.astype(np.float64), np.ones(1000),
+                                 10.0, 2.0)
+        assert gp.shape == ref.shape and gp.shape[0] > 1000
+        assert np.array_equal(gp, ref.astype(dtype))
+
     def test_rcut_validation(self):
         with pytest.raises(ValueError):
             periodic_ghosts(np.zeros((1, 3)), np.ones(1), 10.0, 6.0)
