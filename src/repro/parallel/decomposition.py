@@ -10,9 +10,7 @@ count the way the paper's run configurations do.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from functools import reduce
 
 import numpy as np
 

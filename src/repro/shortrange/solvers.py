@@ -21,7 +21,6 @@ keeps the last call's ``(streamed, inside)`` counts as ``last_pairs``.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
 
 import numpy as np
 
