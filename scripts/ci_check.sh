@@ -142,7 +142,8 @@ CC=/bin/false XDG_CACHE_HOME="$FB_DIR/cache" PYTHONPATH=src \
     "$PYTHON" -m pytest tests/test_kernel_backends.py \
     tests/test_shortrange_kernel_tree.py tests/test_shortrange_batch.py \
     tests/test_shortrange_solvers.py tests/test_grid_cic.py \
-    tests/test_grid_filters_poisson.py tests/test_core_timestepper.py -q
+    tests/test_grid_filters_poisson.py tests/test_core_timestepper.py \
+    tests/test_cosmology_fields_ics.py -q
 fallback_twin() {  # NAME RUN-FLAGS...: the same run on C and on numpy
     local name=$1
     shift

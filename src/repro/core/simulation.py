@@ -179,6 +179,7 @@ class HACCSimulation:
                 z_init=config.z_initial,
                 seed=config.seed,
                 order=config.lpt_order,
+                kernel_backend=self.kernel_backend,
             )
             particles = Particles.from_ics(ics)
         if particles.box_size != config.box_size:

@@ -22,12 +22,14 @@ spectrum used, a property exploited by the P3M vs PPTreePM comparison.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
-__all__ = ["GaussianRandomField", "fourier_grid"]
+__all__ = ["GaussianRandomField", "fourier_grid", "inverse_passes",
+           "octant_table"]
 
 
 def fourier_grid(n: int, box_size: float, *, rfft: bool = True):
@@ -48,10 +50,7 @@ def fourier_grid(n: int, box_size: float, *, rfft: bool = True):
     (kx, ky, kz):
         Arrays broadcastable to the (r)fft grid shape, in h/Mpc.
     """
-    if n < 2:
-        raise ValueError(f"grid size must be >= 2, got {n}")
-    if box_size <= 0:
-        raise ValueError(f"box_size must be positive, got {box_size}")
+    _check_grid(n, box_size)
     kfun = 2.0 * np.pi / box_size
     k1 = np.fft.fftfreq(n, d=1.0 / n) * kfun
     kz = (np.fft.rfftfreq(n, d=1.0 / n) * kfun) if rfft else k1
@@ -60,6 +59,48 @@ def fourier_grid(n: int, box_size: float, *, rfft: bool = True):
         k1.reshape(1, n, 1),
         kz.reshape(1, 1, -1),
     )
+
+
+def _check_grid(n: int, box_size: float) -> None:
+    if n < 2:
+        raise ValueError(f"grid size must be >= 2, got {n}")
+    if not (math.isfinite(box_size) and box_size > 0):
+        raise ValueError(f"box_size must be finite and positive, got {box_size}")
+
+
+def octant_table(n: int, box_size: float, fn, *, isotropic: bool = False,
+                 rfft: bool = True) -> np.ndarray:
+    """``fn`` on the (r)fft grid, evaluated on the folded octant only.
+
+    ``fn(kx, ky, kz)`` takes broadcastable component arrays and must be
+    even in each component (as ``S(k) G(k)`` is); it sees only the
+    ``(n//2 + 1)^3`` non-negative wavenumbers.  With ``isotropic`` it is
+    ``fn(k2)`` of the squared norm ``(kx^2 + ky^2) + kz^2``, evaluated
+    once per distinct value.  The octant is expanded through the fold
+    index ``min(i, n - i)`` on axes 0 and 1 (and 2 unless ``rfft``);
+    since ``k[-i] == -k[i]`` exactly, the result is byte-identical to
+    ``fn`` evaluated on the whole grid.
+    """
+    k = fourier_grid(n, box_size)[2].ravel()  # the n//2 + 1 folded modes
+    kx, ky, kz = k.reshape(-1, 1, 1), k.reshape(1, -1, 1), k.reshape(1, 1, -1)
+    if isotropic:
+        k2 = (kx * kx + ky * ky + kz * kz).ravel()
+        distinct, inverse = np.unique(k2, return_inverse=True)
+        table = fn(distinct)[inverse.ravel()].reshape((k.size,) * 3)
+    else:
+        table = np.broadcast_to(fn(kx, ky, kz), (k.size,) * 3)
+    i = np.arange(n)
+    fold = np.minimum(i, n - i)
+    return table[np.ix_(*(fold,) * (2 if rfft else 3))]
+
+
+def inverse_passes(field_k: np.ndarray, n: int, out: np.ndarray) -> np.ndarray:
+    """``irfftn(field_k)`` over an ``n^3`` grid into ``out``: the same
+    1-D passes, the complex ones in place in ``field_k``, which is
+    overwritten."""
+    np.fft.ifft(field_k, n, axis=0, out=field_k)
+    np.fft.ifft(field_k, n, axis=1, out=field_k)
+    return np.fft.irfft(field_k, n, axis=2, out=out)
 
 
 @dataclass
@@ -93,17 +134,16 @@ class GaussianRandomField:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.n < 2:
-            raise ValueError(f"grid size must be >= 2, got {self.n}")
-        if self.box_size <= 0:
-            raise ValueError(f"box_size must be positive, got {self.box_size}")
+        _check_grid(self.n, self.box_size)
 
     # ------------------------------------------------------------------
     def white_noise_k(self) -> np.ndarray:
         """rfft of a unit-variance real white-noise field (reproducible)."""
-        rng = np.random.default_rng(self.seed)
-        w = rng.standard_normal((self.n, self.n, self.n))
-        return np.fft.rfftn(w)
+        n = self.n
+        w = np.random.default_rng(self.seed).standard_normal((n, n, n))
+        return np.fft.rfftn(
+            w, out=np.empty((n, n, n // 2 + 1), dtype=np.complex128)
+        )
 
     def amplitude_k(self) -> np.ndarray:
         """Target k-space RMS amplitude ``sqrt(P(k) n^3 / V)`` on the rfft grid.
@@ -111,21 +151,20 @@ class GaussianRandomField:
         The k=0 (mean) mode is always zeroed: simulations evolve the
         density *contrast*.
         """
-        kx, ky, kz = fourier_grid(self.n, self.box_size)
-        kk = np.sqrt(kx * kx + ky * ky + kz * kz)
-        volume = self.box_size**3
         with np.errstate(divide="ignore", invalid="ignore"):
-            amp = np.sqrt(
-                np.maximum(self.power(kk), 0.0) * self.n**3 / volume
-            )
+            amp = octant_table(self.n, self.box_size, lambda k2: np.sqrt(
+                np.maximum(self.power(np.sqrt(k2)), 0.0)
+                * self.n**3 / self.box_size**3
+            ), isotropic=True)
         amp[0, 0, 0] = 0.0
         return amp
 
     def realize_k(self) -> np.ndarray:
         """Realization in k-space (rfft layout), ready for ifft or Zel'dovich."""
-        return self.white_noise_k() * self.amplitude_k()
+        field_k = self.white_noise_k()
+        field_k *= self.amplitude_k()
+        return field_k
 
     def realize(self) -> np.ndarray:
         """Real-space density contrast ``delta(x)`` on the ``n^3`` grid."""
-        delta = np.fft.irfftn(self.realize_k(), s=(self.n, self.n, self.n), axes=(0, 1, 2))
-        return np.ascontiguousarray(delta)
+        return inverse_passes(self.realize_k(), self.n, np.empty((self.n,) * 3))

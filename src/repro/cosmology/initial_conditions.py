@@ -18,12 +18,17 @@ leapfrog equation ``dx/da = p / (a^3 E)`` reproduces linear growth exactly
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.cosmology.background import Cosmology
-from repro.cosmology.gaussian_field import GaussianRandomField, fourier_grid
+from repro.cosmology.gaussian_field import (
+    GaussianRandomField,
+    fourier_grid,
+    inverse_passes,
+)
 from repro.cosmology.power_spectrum import LinearPower
 
 __all__ = ["ZeldovichICs", "make_initial_conditions"]
@@ -32,20 +37,21 @@ __all__ = ["ZeldovichICs", "make_initial_conditions"]
 def _displacement_fields(delta_k: np.ndarray, n: int, box_size: float):
     """Zel'dovich displacement ``psi(k) = i k delta(k) / k^2`` -> real space.
 
-    Returns three real arrays of shape (n, n, n): the displacement
-    components on the grid, for a *unit-growth* density field.
+    Returns the ``(n^3, 3)`` displacements of the lattice points (C
+    order), for a *unit-growth* density field: each inverse transform
+    writes its component into one interleaved ``(n, n, n, 3)`` grid.
     """
     kx, ky, kz = fourier_grid(n, box_size)
     k2 = kx * kx + ky * ky + kz * kz
     with np.errstate(divide="ignore", invalid="ignore"):
         inv_k2 = np.where(k2 > 0, 1.0 / np.where(k2 > 0, k2, 1.0), 0.0)
     base = delta_k * inv_k2
-    shape = (n, n, n)
-    psi = [
-        np.fft.irfftn(1j * kcomp * base, s=shape, axes=(0, 1, 2))
-        for kcomp in (kx, ky, kz)
-    ]
-    return psi
+    spectrum = np.empty_like(base)
+    grid = np.empty((n, n, n, 3))
+    for c, kcomp in enumerate((kx, ky, kz)):
+        np.multiply(1j * kcomp, base, out=spectrum)
+        inverse_passes(spectrum, n, grid[..., c])
+    return grid.reshape(-1, 3)
 
 
 def _second_order_potential(delta_k: np.ndarray, n: int, box_size: float):
@@ -59,22 +65,20 @@ def _second_order_potential(delta_k: np.ndarray, n: int, box_size: float):
     k2 = kx * kx + ky * ky + kz * kz
     with np.errstate(divide="ignore", invalid="ignore"):
         phi_k = np.where(k2 > 0, -delta_k / np.where(k2 > 0, k2, 1.0), 0.0)
-    shape = (n, n, n)
     kvec = (kx, ky, kz)
+    spectrum = np.empty_like(phi_k)
 
-    def dij(i, j):
-        return np.fft.irfftn(-kvec[i] * kvec[j] * phi_k, s=shape, axes=(0, 1, 2))
+    def dij(i, j, out):
+        np.multiply(-kvec[i] * kvec[j], phi_k, out=spectrum)
+        return inverse_passes(spectrum, n, out)
 
-    d00, d11, d22 = dij(0, 0), dij(1, 1), dij(2, 2)
-    d01, d02, d12 = dij(0, 1), dij(0, 2), dij(1, 2)
-    src = (
-        d00 * d11
-        + d00 * d22
-        + d11 * d22
-        - d01 * d01
-        - d02 * d02
-        - d12 * d12
-    )
+    d00, d11, d22 = (dij(i, i, np.empty((n,) * 3)) for i in range(3))
+    src = d00 * d11
+    src += d00 * d22
+    src += d11 * d22
+    for i, j in ((0, 1), (0, 2), (1, 2)):
+        dd = dij(i, j, d00)  # d00 is spent
+        src -= dd * dd
     return np.fft.rfftn(src)
 
 
@@ -113,6 +117,7 @@ def make_initial_conditions(
     seed: int = 0,
     order: int = 1,
     power: LinearPower | None = None,
+    kernel_backend: str | None = None,
 ) -> ZeldovichICs:
     """Generate lattice + LPT initial conditions.
 
@@ -135,6 +140,10 @@ def make_initial_conditions(
         1 for Zel'dovich, 2 to add the 2LPT correction.
     power:
         Optional pre-built :class:`LinearPower` (to reuse normalization).
+    kernel_backend:
+        Kernel backend *name* whose stream pass drifts the lattice and
+        wraps it into the box (``None`` = ``auto``); every backend gives
+        the same bits.
 
     Returns
     -------
@@ -148,8 +157,12 @@ def make_initial_conditions(
     """
     if order not in (1, 2):
         raise ValueError(f"order must be 1 or 2, got {order}")
-    if z_init <= 0:
-        raise ValueError(f"z_init must be positive, got {z_init}")
+    if not (math.isfinite(z_init) and z_init > 0):
+        raise ValueError(f"z_init must be finite and positive, got {z_init}")
+    # lazily imported: repro.shortrange imports repro.cosmology
+    from repro.shortrange.backends import resolve_backend
+
+    backend = resolve_backend(kernel_backend)
     n = int(n_per_dim)
     a_init = 1.0 / (1.0 + z_init)
     pk = power if power is not None else LinearPower(cosmology)
@@ -161,35 +174,34 @@ def make_initial_conditions(
     f1 = float(cosmology.growth_rate(a_init))
     e_a = float(cosmology.efunc(a_init))
 
-    psi = _displacement_fields(delta_k, n, box_size)
+    disp = _displacement_fields(delta_k, n, box_size)
 
     # lattice coordinates (cell centers are not required; grid points align
     # with the displacement mesh so no interpolation is needed)
-    spacing = box_size / n
-    lattice_1d = np.arange(n, dtype=np.float64) * spacing
-    qx, qy, qz = np.meshgrid(lattice_1d, lattice_1d, lattice_1d, indexing="ij")
+    lattice_1d = np.arange(n, dtype=np.float64) * (box_size / n)
+    pos = np.empty((n, n, n, 3))
+    pos[..., 0] = lattice_1d[:, None, None]
+    pos[..., 1] = lattice_1d[:, None]
+    pos[..., 2] = lattice_1d
+    pos = pos.reshape(-1, 3)
 
-    disp = np.stack([p.ravel() for p in psi], axis=1)
-    pos = np.stack([qx.ravel(), qy.ravel(), qz.ravel()], axis=1)
-    pos = pos + d1 * disp
-    mom = (a_init**2 * e_a * f1 * d1) * disp
-
-    if order == 2:
+    if order == 1:
+        backend.stream(pos, disp, d1, box_size)
+    else:
         # 2LPT: D2 ~= -3/7 D1^2 Omega_m(a)^(-1/143), growth rate
         # f2 ~= 2 Omega_m(a)^(6/11).
         om_a = float(cosmology.omega_m_a(a_init))
         d2 = -3.0 / 7.0 * d1 * d1 * om_a ** (-1.0 / 143.0)
         f2 = 2.0 * om_a ** (6.0 / 11.0)
-        src_k = _second_order_potential(delta_k, n, box_size)
-        psi2 = _displacement_fields(src_k, n, box_size)
-        disp2 = np.stack([p.ravel() for p in psi2], axis=1)
-        pos = pos + d2 * disp2
-        mom = mom + (a_init**2 * e_a * f2 * d2) * disp2
-
-    pos = np.mod(pos, box_size)
+        pos += d1 * disp
+        disp2 = _displacement_fields(
+            _second_order_potential(delta_k, n, box_size), n, box_size
+        )
+        backend.stream(pos, disp2, d2, box_size)
+    mom = disp  # the displacements become the momenta in place
+    mom *= a_init**2 * e_a * f1 * d1
+    if order == 2:
+        mom += (a_init**2 * e_a * f2 * d2) * disp2
     return ZeldovichICs(
-        positions=np.ascontiguousarray(pos),
-        momenta=np.ascontiguousarray(mom),
-        a_init=a_init,
-        box_size=box_size,
+        positions=pos, momenta=mom, a_init=a_init, box_size=box_size
     )

@@ -27,7 +27,11 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.cosmology.gaussian_field import fourier_grid
+from repro.cosmology.gaussian_field import (
+    fourier_grid,
+    inverse_passes,
+    octant_table,
+)
 from repro.grid.cic import cic_deposit, cic_interpolate
 from repro.instrument import get_registry
 from repro.instrument import perfcount
@@ -105,15 +109,12 @@ class SpectralPoissonSolver:
             if self.dtype is None
             else np.dtype(self.dtype)
         )
-        kx, ky, kz = fourier_grid(self.n, self.box_size)
         # k-space kernels are *computed* in float64 (they are set-up
         # cost, accuracy is free) and stored in the working precision
-        self._filter_green = (
-            spectral_filter(kx, ky, kz, self.spacing, self.sigma, self.ns)
-            * influence_function(
-                kx, ky, kz, self.spacing, self.laplacian_order
-            )
-        ).astype(self._dtype, copy=False)
+        kx, ky, kz = fourier_grid(self.n, self.box_size)
+        self._filter_green = self._filter_table().astype(
+            self._dtype, copy=False
+        )
         # the force is -grad phi: the gradient kernels are stored
         # pre-negated so each step spends one multiply per component
         # instead of a negate + multiply temporary pair.  They are
@@ -132,6 +133,15 @@ class SpectralPoissonSolver:
         #: grow-only CIC corners and deposit scratch (the backends are
         #: process-wide singletons, so the solver owns it)
         self._cic_workspace = Workspace()
+
+    def _filter_table(self, *, rfft: bool = True) -> np.ndarray:
+        """``S(k) G(k)`` in float64 on the (r)fft grid, evaluated on its
+        folded octant (both factors are even in each component)."""
+        sp = self.spacing
+        return octant_table(self.n, self.box_size, lambda kx, ky, kz: (
+            spectral_filter(kx, ky, kz, sp, self.sigma, self.ns)
+            * influence_function(kx, ky, kz, sp, self.laplacian_order)
+        ), rfft=rfft)
 
     # ------------------------------------------------------------------
     # grid-level operations
@@ -228,13 +238,10 @@ class SpectralPoissonSolver:
         same 1-D passes, the complex ones in place in ``field_k``, which
         is overwritten."""
         reg = get_registry()
-        n = self.n
         if out is None:
-            out = np.empty((n,) * 3, dtype=self._dtype)
+            out = np.empty((self.n,) * 3, dtype=self._dtype)
         with reg.span("fft.inverse"):
-            np.fft.ifft(field_k, n, axis=0, out=field_k)
-            np.fft.ifft(field_k, n, axis=1, out=field_k)
-            np.fft.irfft(field_k, n, axis=2, out=out)
+            inverse_passes(field_k, self.n, out)
         reg.count("fft.inverse_points", out.size)
         self._count_fft_work(reg, out.size)
         return out
@@ -305,9 +312,7 @@ class SpectralPoissonSolver:
                 f"pencil grid {pencil.n} != solver grid {self.n}"
             )
         kx, ky, kz = fourier_grid(self.n, self.box_size, rfft=False)
-        fg = spectral_filter(
-            kx, ky, kz, self.spacing, self.sigma, self.ns
-        ) * influence_function(kx, ky, kz, self.spacing, self.laplacian_order)
+        fg = self._filter_table(rfft=False)
         full = (self.n,) * 3
         grads = tuple(
             np.broadcast_to(

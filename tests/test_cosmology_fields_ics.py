@@ -7,6 +7,8 @@ from repro.analysis.power import power_from_delta, matter_power_spectrum
 from repro.cosmology.background import WMAP7
 from repro.cosmology.gaussian_field import GaussianRandomField, fourier_grid
 from repro.cosmology.initial_conditions import make_initial_conditions
+from repro.cosmology.power_spectrum import LinearPower
+from repro.shortrange.backends import BackendUnavailable, get_backend
 
 
 class TestFourierGrid:
@@ -28,7 +30,9 @@ class TestFourierGrid:
         _, _, kz = fourier_grid(8, 100.0)
         assert kz[0, 0, -1] == pytest.approx(np.pi * 8 / 100.0)
 
-    @pytest.mark.parametrize("bad", [(1, 100.0), (8, 0.0), (8, -5.0)])
+    @pytest.mark.parametrize(
+        "bad", [(1, 100.0), (8, 0.0), (8, -5.0), (8, np.inf), (8, np.nan)]
+    )
     def test_invalid_inputs(self, bad):
         with pytest.raises(ValueError):
             fourier_grid(*bad)
@@ -77,6 +81,32 @@ class TestGaussianRandomField:
     def test_negative_power_clipped(self):
         grf = GaussianRandomField(8, 10.0, lambda k: 0 * k - 1.0, seed=0)
         assert np.all(np.isfinite(grf.realize()))
+
+    @pytest.mark.parametrize(
+        "bad", [(1, 100.0), (8, 0.0), (8, np.inf), (8, np.nan)]
+    )
+    def test_invalid_inputs(self, bad):
+        with pytest.raises(ValueError):
+            GaussianRandomField(*bad, lambda k: 0 * k + 1.0)
+
+    @pytest.mark.parametrize("n", [2, 3, 8, 9, 32])
+    @pytest.mark.parametrize("box", [1.0, 100.0, 333.3])
+    @pytest.mark.parametrize("power", ["linear", "negative", "signed"])
+    def test_amplitude_octant_matches_full_grid(self, n, box, power):
+        """The amplitude from one P(k) per distinct k^2 is byte for byte
+        the full-grid formula, kept here as the oracle; negative powers
+        are clipped to zero on both."""
+        pk = {
+            "linear": LinearPower(WMAP7),
+            "negative": lambda k: 0 * k - 1.0,
+            "signed": lambda k: np.sin(7.0 * k),
+        }[power]
+        kx, ky, kz = fourier_grid(n, box)
+        kk = np.sqrt(kx * kx + ky * ky + kz * kz)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            full = np.sqrt(np.maximum(pk(kk), 0.0) * n**3 / box**3)
+        full[0, 0, 0] = 0.0
+        assert np.array_equal(GaussianRandomField(n, box, pk).amplitude_k(), full)
 
 
 class TestInitialConditions:
@@ -171,8 +201,87 @@ class TestInitialConditions:
         )
         assert not np.allclose(za.positions, two.positions)
 
-    @pytest.mark.parametrize("kwargs", [{"order": 3}, {"z_init": 0.0}, {"z_init": -1.0}])
+    @pytest.mark.parametrize("kwargs", [
+        {"order": 3}, {"z_init": 0.0}, {"z_init": -1.0},
+        {"z_init": np.nan}, {"z_init": np.inf},
+        {"box_size": np.inf}, {"box_size": np.nan},
+    ])
     def test_invalid_inputs(self, kwargs):
         base = dict(n_per_dim=8, box_size=100.0)
         with pytest.raises(ValueError):
             make_initial_conditions(WMAP7, **{**base, **kwargs})
+
+
+def _lattice_ics_oracle(n, box, z_init, seed, order):
+    """Zel'dovich/2LPT ICs by the full-grid formula: allocating
+    ``irfftn``s, a ``meshgrid`` lattice, ``np.stack`` and one
+    ``np.mod`` wrap."""
+    a = 1.0 / (1.0 + z_init)
+    pk = LinearPower(WMAP7)
+    shape = (n, n, n)
+    kx, ky, kz = fourier_grid(n, box)
+    k2 = kx * kx + ky * ky + kz * kz
+    with np.errstate(divide="ignore", invalid="ignore"):
+        amp = np.sqrt(np.maximum(pk(np.sqrt(k2)), 0.0) * n**3 / box**3)
+        inv_k2 = np.where(k2 > 0, 1.0 / np.where(k2 > 0, k2, 1.0), 0.0)
+    amp[0, 0, 0] = 0.0
+    w = np.random.default_rng(seed).standard_normal(shape)
+    delta_k = np.fft.rfftn(w) * amp
+
+    def displacement(field_k):
+        base = field_k * inv_k2
+        return np.stack([
+            np.fft.irfftn(1j * kc * base, s=shape, axes=(0, 1, 2)).ravel()
+            for kc in (kx, ky, kz)
+        ], axis=1)
+
+    d1 = float(WMAP7.growth_factor(a))
+    f1 = float(WMAP7.growth_rate(a))
+    e_a = float(WMAP7.efunc(a))
+    disp = displacement(delta_k)
+    lattice = np.arange(n, dtype=np.float64) * (box / n)
+    q = np.meshgrid(lattice, lattice, lattice, indexing="ij")
+    pos = np.stack([c.ravel() for c in q], axis=1) + d1 * disp
+    mom = (a**2 * e_a * f1 * d1) * disp
+    if order == 2:
+        om_a = float(WMAP7.omega_m_a(a))
+        d2 = -3.0 / 7.0 * d1 * d1 * om_a ** (-1.0 / 143.0)
+        f2 = 2.0 * om_a ** (6.0 / 11.0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            phi_k = np.where(k2 > 0, -delta_k / np.where(k2 > 0, k2, 1.0), 0.0)
+        kv = (kx, ky, kz)
+        d = {
+            (i, j): np.fft.irfftn(-kv[i] * kv[j] * phi_k, s=shape, axes=(0, 1, 2))
+            for i, j in ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2))
+        }
+        src = (
+            d[0, 0] * d[1, 1] + d[0, 0] * d[2, 2] + d[1, 1] * d[2, 2]
+            - d[0, 1] * d[0, 1] - d[0, 2] * d[0, 2] - d[1, 2] * d[1, 2]
+        )
+        disp2 = displacement(np.fft.rfftn(src))
+        pos = pos + d2 * disp2
+        mom = mom + (a**2 * e_a * f2 * d2) * disp2
+    return np.mod(pos, box), mom
+
+
+class TestICOracle:
+    @pytest.mark.parametrize("backend", ["numpy", "c"])
+    @pytest.mark.parametrize("order", [1, 2])
+    @pytest.mark.parametrize("n, box, z_init", [
+        (8, 100.0, 25.0), (9, 64.0, 5.0), (16, 50.0, 1.0), (17, 30.0, 0.5),
+    ])
+    def test_ics_match_lattice_formula(self, backend, order, n, box, z_init):
+        """Positions and momenta are byte for byte the full-grid formula,
+        on either backend's stream pass; the late starts wrap particles
+        across the faces."""
+        try:
+            get_backend(backend)
+        except BackendUnavailable:
+            pytest.skip("no working C compiler")
+        ics = make_initial_conditions(
+            WMAP7, n_per_dim=n, box_size=box, z_init=z_init, seed=5,
+            order=order, kernel_backend=backend,
+        )
+        pos, mom = _lattice_ics_oracle(n, box, z_init, 5, order)
+        assert ics.positions.tobytes() == pos.tobytes()
+        assert ics.momenta.tobytes() == mom.tobytes()

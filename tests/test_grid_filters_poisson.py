@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.cosmology.gaussian_field import fourier_grid
 from repro.fft.pencil import PencilFFT
 from repro.grid.filters import (
     influence_function,
@@ -125,8 +126,6 @@ class TestPoissonSolver:
         assert np.abs(fz).max() < 1e-12
 
     def test_negated_gradient_kernels_precomputed(self):
-        from repro.cosmology.gaussian_field import fourier_grid
-
         s = SpectralPoissonSolver(8, 64.0)
         kx, _, _ = fourier_grid(8, 64.0)
         direct = super_lanczos_gradient(kx, s.spacing, s.gradient_order)
@@ -195,3 +194,26 @@ class TestPoissonSolver:
         s = SpectralPoissonSolver(8, 1.0)
         with pytest.raises(ValueError):
             s.accelerations(np.zeros((1, 3)), weights=np.zeros(1))
+
+
+class TestFilterTables:
+    """The folded-octant ``S(k) G(k)`` tables are byte for byte the
+    full-grid formula, kept here as the oracle."""
+
+    @pytest.mark.parametrize("n", [2, 3, 8, 9, 32])
+    @pytest.mark.parametrize("box", [1.0, 100.0, 333.3])
+    @pytest.mark.parametrize("dtype", [None, np.float32])
+    @pytest.mark.parametrize("order", [2, 4, 6])
+    def test_octant_tables_match_full_grid(self, n, box, dtype, order):
+        s = SpectralPoissonSolver(n, box, laplacian_order=order, dtype=dtype)
+
+        def full_grid(rfft):
+            kx, ky, kz = fourier_grid(n, box, rfft=rfft)
+            return spectral_filter(
+                kx, ky, kz, s.spacing, s.sigma, s.ns
+            ) * influence_function(kx, ky, kz, s.spacing, order)
+
+        green = full_grid(True).astype(dtype or np.float64)
+        assert s._filter_green.dtype == green.dtype
+        assert np.array_equal(s._filter_green, green)
+        assert np.array_equal(s._filter_table(rfft=False), full_grid(False))
