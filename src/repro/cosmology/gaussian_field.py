@@ -167,4 +167,5 @@ class GaussianRandomField:
 
     def realize(self) -> np.ndarray:
         """Real-space density contrast ``delta(x)`` on the ``n^3`` grid."""
-        return inverse_passes(self.realize_k(), self.n, np.empty((self.n,) * 3))
+        n = self.n
+        return inverse_passes(self.realize_k(), n, np.empty((n, n, n)))
