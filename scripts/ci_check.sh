@@ -156,6 +156,7 @@ fallback_twin() {  # NAME RUN-FLAGS...: the same run on C and on numpy
 fallback_twin treepm-f64 --steps 1
 fallback_twin treepm-f32 --steps 1 --precision f32
 fallback_twin pm-f64 --steps 3 --backend pm
+fallback_twin pm-f32 --steps 3 --backend pm --precision f32
 # P3M's list build is the same tighten primitive on whole-cell ranges
 fallback_twin p3m --steps 1 --backend p3m
 # per-domain trees on both builds; at 16^3 the default overload depth
@@ -165,7 +166,8 @@ PYTHONPATH=src "$PYTHON" - "$FB_DIR" <<'PYEOF'
 import json, pathlib, sys
 from repro.io import find_latest_valid, load_checkpoint
 root = pathlib.Path(sys.argv[1])
-for twin in ("treepm-f64", "treepm-f32", "pm-f64", "p3m", "decomp-f64"):
+for twin in ("treepm-f64", "treepm-f32", "pm-f64", "pm-f32", "p3m",
+             "decomp-f64"):
     state = {}
     for name in ("c", "numpy"):
         run = f"{twin}-{name}"

@@ -68,11 +68,17 @@ class Particles:
     # ------------------------------------------------------------------
     @classmethod
     def from_ics(cls, ics: ZeldovichICs) -> "Particles":
-        """Wrap generated initial conditions (unit masses, fresh ids)."""
+        """Wrap generated initial conditions (unit masses, fresh ids).
+
+        The particles take ownership of the IC's ``positions`` and
+        ``momenta`` arrays: they are shared, not copied, so stepping the
+        particles (which updates both in place) changes ``ics`` too.
+        Copy the ICs first to keep them.
+        """
         n = ics.n_particles
         return cls(
-            positions=ics.positions.copy(),
-            momenta=ics.momenta.copy(),
+            positions=ics.positions,
+            momenta=ics.momenta,
             masses=np.ones(n, dtype=np.float64),
             ids=np.arange(n, dtype=np.int64),
             box_size=ics.box_size,

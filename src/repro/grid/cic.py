@@ -9,11 +9,16 @@ a corners pass finds each particle's base cell and fractional offsets
 reads them.  The PM solve runs the corners pass once and hands the
 deposit's corners to its gather, which reads all three force components
 from one interleaved ``(n, n, n, 3)`` grid, so each corner is one cache
-line.  The compiled ``c`` backend works from the corners directly; the
-``numpy`` fallback builds :class:`ParticleGridCoords` tables from them and
-scatters with one ``np.bincount`` per corner (~10x faster than
-``np.add.at``).  The two are bitwise equal; :class:`ParticleGridCoords` is
-the definition of the arithmetic both follow.
+line.  The compiled ``c`` backend works from the corners directly: its
+deposit sums the eight corners' double partials in four ``(dx, dy)``
+passes, a particle's ``dz = 0`` and ``dz = 1`` terms side by side in a
+paired slot of its base cell, and folds them into the grid in corner
+order.  The ``numpy`` fallback builds :class:`ParticleGridCoords` tables
+from the corners and scatters with one ``np.bincount`` per corner (~10x
+faster than ``np.add.at``).  The two are bitwise equal: each corner's
+partial sums the same particles in the same order, and the partials are
+added in the same order.  :class:`ParticleGridCoords` is the definition
+of the arithmetic both follow.
 """
 
 from __future__ import annotations
@@ -246,8 +251,9 @@ def cic_interpolate(
     side.  ``dtype`` fixes the output precision (default float64) and
     ``backend`` selects the implementation (``None``: ``auto``, as for
     :func:`cic_deposit`).  ``corners`` are the ``(base, frac)`` a
-    deposit at these same ``positions`` returned; without them the
-    gather runs its own corners pass.
+    deposit at these same ``positions`` and this ``dtype`` returned
+    (corners of another precision are a :class:`ValueError`, not a
+    silent cast); without them the gather runs its own corners pass.
     """
     reg = get_registry()
     dt = np.dtype(np.float64) if dtype is None else np.dtype(dtype)
@@ -273,6 +279,9 @@ def cic_interpolate(
             corners = be.cic_corners(pos, n, float(box_size))
         elif corners[0].shape != np.shape(positions):
             raise ValueError("corners are not those of the positions")
+        elif corners[1].dtype != dt:
+            raise ValueError(f"corners are {corners[1].dtype}, the gather "
+                             f"is {dt}: deposit at the gather's dtype")
         out = be.cic_gather(g, *corners)
         # one gather per grid, as the work model counts it
         _charge(reg, "cic.interp_particles", out.size, dt.itemsize)

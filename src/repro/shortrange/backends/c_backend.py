@@ -382,7 +382,7 @@ class CBackend(NumpyBackend):
         mass = None if values is None else _checked(values, dt, "values",
                                                      npart)
         ws = Workspace() if workspace is None else workspace
-        scratch = ws.get("cic.scratch", n**3, np.float64)
+        scratch = ws.get("cic.scratch", 2 * n**3, np.float64)
         grid = np.empty((n, n, n), dtype=dt)
         bad = fns["cic_deposit"](
             base.ctypes.data_as(_I32P), frac.ctypes.data_as(rp),

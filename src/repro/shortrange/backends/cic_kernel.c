@@ -17,11 +17,20 @@
  *          double detour of numpy's float - int64 promotion changes
  *          nothing);
  *   weight (wx*wy)*wz per corner, corners in (dx, dy, dz) order, then m*w;
- *   deposit per corner pass, the corner's terms summed in particle order
- *          into a zeroed double grid (bincount's partials), which is then
- *          cast to T and added to the T grid;
+ *   deposit per corner, the corner's terms summed in particle order in
+ *          double (bincount's partials), each partial cast to T and added
+ *          to the T grid in corner order.  Four (dx, dy) passes make the
+ *          eight partials: a pass sums a particle's dz = 0 and dz = 1
+ *          terms into the paired slots 2*b and 2*b + 1 of a zeroed
+ *          2 n^3 double scratch, b the particle's base cell moved by
+ *          (dx, dy) (not by dz).  The fold reads corner 2q from cell k's
+ *          slot 0 and corner 2q + 1 from slot 1 of k's neighbour one
+ *          back in z, so each corner's partial holds the same particles
+ *          in the same order as bincount's, and the folds add them in
+ *          the same order;
  *   gather per particle and component of the interleaved grid,
- *          acc = acc + g*w over the eight corners;
+ *          acc = acc + g*w over the eight corners (both corner loops
+ *          unrolled, so cell[8] and w[8] live in registers);
  *   stream x = wrap(x + p*drift).
  * A non-finite coordinate has no cell: the corners pass counts such
  * particles and the caller raises instead of using the corners.  The
@@ -82,21 +91,21 @@ int64_t cic_corners_##SUF(const T *pos, int64_t np, int64_t n, T box,       \
 }                                                                           \
                                                                             \
 /* grid[n^3] = CIC deposit of mass (unit mass when NULL) at the corners;    \
- * scratch holds n^3 doubles.  Returns the number of particles whose base   \
- * cell is outside the grid; the grid is only written when it is 0. */      \
+ * scratch holds 2 n^3 doubles, the paired dz slots of the header.          \
+ * Returns the number of particles whose base cell is outside the grid;     \
+ * the grid is only written when it is 0. */                                \
 int64_t cic_deposit_##SUF(const int32_t *base, const T *frac,               \
                           const T *mass, int64_t np, int64_t n,             \
                           double *scratch, T *grid)                         \
 {                                                                           \
-    const int64_t nc = n * n * n;                                           \
     int64_t bad = 0;                                                        \
-    memset(scratch, 0, nc * sizeof(double));                                \
-    for (int c = 0; c < 8; c++) {                                           \
-        const int dx = c >> 2, dy = (c >> 1) & 1, dz = c & 1;               \
+    memset(scratch, 0, 2 * n * n * n * sizeof(double));                     \
+    for (int q = 0; q < 4; q++) {                                           \
+        const int dx = q >> 1, dy = q & 1;                                  \
         for (int64_t i = 0; i < np; i++) {                                  \
-            int64_t ix = base[3 * i], iy = base[3 * i + 1],                 \
-                    iz = base[3 * i + 2];                                   \
-            if (c == 0 && ((uint64_t)ix >= (uint64_t)n                      \
+            int64_t ix = base[3 * i], iy = base[3 * i + 1];                 \
+            const int64_t iz = base[3 * i + 2];                             \
+            if (q == 0 && ((uint64_t)ix >= (uint64_t)n                      \
                            || (uint64_t)iy >= (uint64_t)n                   \
                            || (uint64_t)iz >= (uint64_t)n)) {               \
                 bad++;                                                      \
@@ -106,26 +115,37 @@ int64_t cic_deposit_##SUF(const int32_t *base, const T *frac,               \
                     fz = frac[3 * i + 2];                                   \
             const T wx = dx ? fx : (T)1 - fx;                               \
             const T wy = dy ? fy : (T)1 - fy;                               \
-            const T wz = dz ? fz : (T)1 - fz;                               \
-            T w = wx * wy;                                                  \
-            w = w * wz;                                                     \
-            if (mass)                                                       \
-                w = mass[i] * w;                                            \
+            const T wxy = wx * wy;                                          \
+            T w0 = wxy * ((T)1 - fz), w1 = wxy * fz;                        \
+            if (mass) {                                                     \
+                w0 = mass[i] * w0;                                          \
+                w1 = mass[i] * w1;                                          \
+            }                                                               \
             if (dx)                                                         \
                 ix = ix + 1 == n ? 0 : ix + 1;                              \
             if (dy)                                                         \
                 iy = iy + 1 == n ? 0 : iy + 1;                              \
-            if (dz)                                                         \
-                iz = iz + 1 == n ? 0 : iz + 1;                              \
-            scratch[(ix * n + iy) * n + iz] += (double)w;                   \
+            double *s = scratch + 2 * ((ix * n + iy) * n + iz);             \
+            s[0] += (double)w0;                                             \
+            s[1] += (double)w1;                                             \
         }                                                                   \
         if (bad)                                                            \
             return bad;                                                     \
-        /* a sum that starts at +0 is never -0, so 0 + x == x: the first    \
-         * pass assigns instead of adding into a zeroed grid */             \
-        for (int64_t k = 0; k < nc; k++) {                                  \
-            grid[k] = c ? grid[k] + (T)scratch[k] : (T)scratch[k];          \
-            scratch[k] = 0.0;                                               \
+        /* corners 2q (slot 0 of the cell) and 2q + 1 (slot 1 of the cell   \
+         * one back in z), in corner order; a sum that starts at +0 is      \
+         * never -0, so 0 + x == x: the first pass assigns instead of       \
+         * adding into a zeroed grid.  Each slot is read once, then zeroed  \
+         * for the next pass. */                                            \
+        for (int64_t r = 0; r < n * n; r++) {                               \
+            T *g = grid + r * n;                                            \
+            double *s = scratch + 2 * r * n;                                \
+            for (int64_t z = 0; z < n; z++) {                               \
+                double *s1 = s + 2 * (z ? z - 1 : n - 1) + 1;               \
+                T v = q ? g[z] + (T)s[2 * z] : (T)s[2 * z];                 \
+                g[z] = v + (T)*s1;                                          \
+                s[2 * z] = 0.0;                                             \
+                *s1 = 0.0;                                                  \
+            }                                                               \
         }                                                                   \
     }                                                                       \
     return 0;                                                               \
@@ -139,6 +159,7 @@ gather_row_##SUF(const T *const *cell, const T *w, int64_t k, T *o)         \
     for (int64_t g = 0; g < k; g += 3) {                                    \
         const int64_t m = k - g;                                            \
         T a0 = 0, a1 = 0, a2 = 0;                                           \
+        _Pragma("GCC unroll 8")                                             \
         for (int c = 0; c < 8; c++) {                                       \
             const T *q = cell[c] + g;                                       \
             T t = q[0] * w[c];                                              \
@@ -184,6 +205,7 @@ int64_t cic_gather_##SUF(const T *grid, int64_t n, int64_t k,               \
         const int64_t jz = iz + 1 == n ? 0 : iz + 1;                        \
         const T *cell[8];                                                   \
         T w[8];                                                             \
+        _Pragma("GCC unroll 8")                                             \
         for (int c = 0; c < 8; c++) {                                       \
             const int dx = c >> 2, dy = (c >> 1) & 1, dz = c & 1;           \
             const T wx = dx ? fx : (T)1 - fx;                               \

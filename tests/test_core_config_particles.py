@@ -5,6 +5,7 @@ import pytest
 
 from repro.config import ConfigError, SimulationConfig
 from repro.core.particles import Particles
+from repro.core.simulation import HACCSimulation
 from repro.cosmology import WMAP7, make_initial_conditions
 
 
@@ -152,6 +153,32 @@ class TestParticles:
         assert p.n == 64
         assert np.all(p.masses == 1.0)
         assert np.array_equal(p.ids, np.arange(64))
+
+    def test_from_ics_takes_the_ic_arrays(self):
+        """The particles use the IC's arrays themselves, and a run from
+        them ends where a run from copies of the same ICs does."""
+        cfg = SimulationConfig(box_size=64.0, n_per_dim=8, z_initial=25.0,
+                               z_final=10.0, n_steps=2, backend="pm")
+        states = []
+        for share in (True, False):
+            ics = make_initial_conditions(
+                cfg.cosmology, n_per_dim=8, box_size=64.0, z_init=25.0,
+                seed=cfg.seed,
+            )
+            if share:
+                p = Particles.from_ics(ics)
+                assert p.positions is ics.positions
+                assert p.momenta is ics.momenta
+            else:
+                p = Particles(ics.positions.copy(), ics.momenta.copy(),
+                              np.ones(ics.n_particles),
+                              np.arange(ics.n_particles), box_size=64.0)
+            sim = HACCSimulation(cfg, particles=p)
+            sim.run()
+            states.append(sim.particles)
+        for field in ("positions", "momenta"):
+            a, b = (getattr(s, field) for s in states)
+            assert a.tobytes() == b.tobytes()
 
     def test_uniform_random_reproducible(self):
         a = Particles.uniform_random(10, 5.0, seed=1)

@@ -849,6 +849,21 @@ class TestCICDtypes:
         out = cic_interpolate(grid, pos, BOX, dtype=np.float32)
         assert out.dtype == np.float32
 
+    @pytest.mark.parametrize("backend", ["numpy",
+                                         pytest.param("c", marks=needs_c)])
+    def test_interpolate_refuses_corners_of_another_dtype(self, rng,
+                                                          backend):
+        """Corners a float32 deposit returned are not cast for a float64
+        gather (nor the grid down to float32): the call is refused."""
+        pos = rng.uniform(0.0, BOX, (200, 3))
+        grid, corners = cic_deposit(pos, 8, BOX, dtype=np.float32,
+                                    backend=backend, return_corners=True)
+        with pytest.raises(ValueError, match="corners are float32"):
+            cic_interpolate(grid, pos, BOX, backend=backend, corners=corners)
+        out = cic_interpolate(grid, pos, BOX, dtype=np.float32,
+                              backend=backend, corners=corners)
+        assert out.dtype == np.float32
+
     def test_f32_deposit_tracks_f64(self, rng):
         pos = rng.uniform(0.0, BOX, (500, 3))
         w = rng.uniform(0.5, 1.5, 500)
@@ -975,6 +990,41 @@ class TestCICBitwise:
         pos = (pos + rng.normal(0.0, 0.7, pos.shape)).astype(dtype)
         masses = np.ones(len(pos), dtype=dtype)
         assert_cic_bitwise(cbackend, pos, masses, 32, 64.0)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_crowded_cells(self, cbackend, dtype, n):
+        """Thousands of particles on a tiny grid, masses over twelve
+        decades: the C deposit is numpy's bit for bit only if every
+        corner sums the same terms in the same order and the corners
+        fold in the same order.  The data can see both: folding a
+        ``(dx, dy)`` pair's two ``dz`` corners as one double sum (one
+        slot instead of two) changes the grid, and in float64 so does
+        reversing the particles.  (In float32 a corner's double sum of
+        these terms rounds below float32 resolution, so the particle
+        order is invisible there.)"""
+        rng = np.random.default_rng(n)
+        npart = 5000
+        pos = rng.uniform(0.0, BOX, (npart, 3)).astype(dtype)
+        masses = (10.0 ** rng.uniform(-6.0, 6.0, npart)).astype(dtype)
+        ref_backend = get_backend("numpy")
+        ref = deposit(ref_backend, pos, masses, n, BOX)
+        assert_same_bits(ref, deposit(cbackend, pos, masses, n, BOX))
+
+        coords = ParticleGridCoords(pos, n, BOX)
+        terms = masses * coords.weights
+        merged = np.zeros(n**3, dtype=dtype)
+        for q in range(4):
+            pair = slice(2 * q, 2 * q + 2)
+            merged += np.bincount(
+                coords.flat[pair].T.reshape(-1),
+                weights=terms[pair].T.reshape(-1), minlength=n**3,
+            ).astype(dtype)
+        assert merged.tobytes() != ref.tobytes()
+        if dtype == np.float64:
+            rev = deposit(ref_backend, pos[::-1].copy(),
+                          masses[::-1].copy(), n, BOX)
+            assert rev.tobytes() != ref.tobytes()
 
     @pytest.mark.parametrize("bad", [-1, 4])
     def test_corners_outside_the_grid_are_refused(self, cbackend, bad):
