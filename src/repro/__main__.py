@@ -169,7 +169,8 @@ def _manifest_extra(sim) -> dict:
     """Manifest extras the config does not carry: the *resolved* kernel
     backend (never ``"auto"``), so ledger queries filter on what
     actually ran, how a compiled kernel was built and which pair path
-    it runs (``kernel_simd``: ``"avx2"`` or ``"scalar"``), and a
+    it runs (``kernel_simd``: ``"avx512"``, ``"avx2"`` or ``"scalar"``),
+    and a
     decomposed run's domain dims and overload depth."""
     from repro.shortrange.backends import get_backend
 

@@ -118,8 +118,9 @@ class KernelBackend(ABC):
     #: how the kernel was built (compiler, flags, source hash), recorded
     #: in run manifests next to ``name``; empty for interpreted backends
     build_info: dict = {}
-    #: the pair-kernel path a compiled backend runs (``"avx2"`` or
-    #: ``"scalar"``), recorded next to ``build_info``; None otherwise
+    #: the pair-kernel path a compiled backend runs (``"avx512"``,
+    #: ``"avx2"`` or ``"scalar"``), recorded next to ``build_info``; None
+    #: otherwise
     simd: str | None = None
 
     # ------------------------------------------------------------------

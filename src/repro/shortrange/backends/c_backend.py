@@ -7,9 +7,15 @@
 particles and double when a build overflows them) and
 ``tighten_kernel.c`` (``tighten``)
 are fused loops, one macro body per precision (see each file's header
-for its bitwise contract with the NumPy reference); ``pair_accumulate``
-also has an AVX2 target-lane body, chosen at load time when the CPU has
-AVX2 (:func:`_pair_path`).
+for its bitwise contract with the NumPy reference).  ``pair_accumulate``
+also has target-lane bodies, one macro over AVX-512 (8 targets per
+batch in f64 and f32) and AVX2 (4 / 8): the widest the CPU has is chosen
+at load time (:func:`_pair_path`).  They order each group's targets
+into spatially compact batches, and on AVX-512 cull each batch's
+sources against its target box before the lanes run; their per-group
+scratch comes from the caller's
+:class:`~repro.shortrange.backends.Workspace`, so concurrent calls on
+their own workspaces share nothing.
 All are compiled into one library per (sources, flags, compiler,
 machine) with ``$CC``, else ``cc``, else ``gcc``,
 published atomically into a per-user cache and loaded through
@@ -45,9 +51,9 @@ _SOURCES = tuple(
                  "tighten_kernel.c")
 )
 #: one flag set for both precisions: strict IEEE, no FMA contraction, no
-#: host-specific code; SIMD comes from per-function ``target("avx2")``
-#: with run-time dispatch, so one cached library serves hosts with and
-#: without AVX2
+#: host-specific code; SIMD comes from per-function ``target("avx2")`` /
+#: ``target("avx512f,avx512dq,avx512vl")`` with run-time dispatch, so one
+#: cached library serves hosts with and without AVX2 or AVX-512
 _FLAGS = ("-O2", "-ffp-contract=off", "-fno-math-errno", "-shared", "-fPIC")
 _SUFFIX = {np.dtype(np.float64): "f64", np.dtype(np.float32): "f32"}
 _I64 = ctypes.c_int64
@@ -130,26 +136,36 @@ def _build(cc: list[str], lib: Path) -> None:
             os.unlink(tmp)
 
 
+#: ``pair_simd()``'s answer -> path, and each path's C entry point
+_PAIR_PATHS = ("scalar", "avx2", "avx512")
+_PAIR_SYMBOLS = {"scalar": "pair_accumulate", "avx2": "pair_avx2",
+                 "avx512": "pair_avx512"}
+
+
 def _pair_path(dll) -> str:
-    """``"avx2"`` when this CPU runs the target-lane pair kernel, else
-    ``"scalar"``; tests patch it to reach the scalar fallback."""
-    dll.pair_avx2.restype = _I64
-    return "avx2" if dll.pair_avx2() else "scalar"
+    """The widest pair path this CPU runs: ``"avx512"`` or ``"avx2"``
+    target lanes, else ``"scalar"``; tests patch it to pin a narrower
+    one."""
+    dll.pair_simd.restype = _I64
+    return _PAIR_PATHS[dll.pair_simd()]
 
 
-def _load(lib: Path) -> tuple[dict, str]:
-    """``({dtype: ({entry point: typed function}, pointer type)}, pair
-    path)``: ``pair_accumulate`` is bound to the path's C function."""
+def _load(lib: Path) -> tuple[dict, object, str]:
+    """``({dtype: ({entry point: typed function}, pointer type)},
+    pair_scratch, pair path)``: ``pair_accumulate`` is bound to the path's
+    C function, ``pair_scratch(ns, nt, cs)`` sizes its scratch."""
     dll = ctypes.CDLL(str(lib))
     path = _pair_path(dll)
-    pair = "pair_lanes" if path == "avx2" else "pair_accumulate"
+    pair = _PAIR_SYMBOLS[path]
+    dll.pair_scratch.restype = _I64
+    dll.pair_scratch.argtypes = [_I64] * 3
     fns = {}
     for dt, suffix in _SUFFIX.items():
         real = ctypes.c_double if dt.itemsize == 8 else ctypes.c_float
         rp = ctypes.POINTER(real)
         signatures = {
             "pair_accumulate": [_I64P] * 4 + [_I64] + [rp] * 5 + [_I64]
-            + [real] * 3 + [_I64, rp],
+            + [real] * 3 + [_I64, rp, rp, _I64P],
             "cic_corners": [rp, _I64, _I64, real, real, _I32P, rp],
             "cic_deposit": [_I32P, rp, rp, _I64, _I64, _F64P, rp],
             "cic_gather": [rp, _I64, _I64, _I32P, rp, _I64, rp],
@@ -167,7 +183,7 @@ def _load(lib: Path) -> tuple[dict, str]:
             fn.argtypes = argtypes
             table[name] = fn
         fns[dt] = (table, rp)
-    return fns, path
+    return fns, dll.pair_scratch, path
 
 
 def _checked(a, dtype, name: str, n: int | None = None) -> np.ndarray:
@@ -204,7 +220,7 @@ class CBackend(NumpyBackend):
         if not _intact(lib):
             _build(cc, lib)
         try:
-            self._fns, self.simd = _load(lib)
+            self._fns, self._pair_scratch, self.simd = _load(lib)
         except (OSError, AttributeError) as exc:
             raise BackendUnavailable(
                 f"kernel backend 'c': cannot load {lib}: {exc}"
@@ -256,6 +272,12 @@ class CBackend(NumpyBackend):
         co = _checked(coeffs, dt, "coeffs")
         if co.size < 1 or chunk_pairs < 1:
             raise ValueError("coeffs must be non-empty and chunk_pairs >= 1")
+        # the lane bodies' per-group scratch, sized for the largest group
+        nt, ns = int(np.diff(to).max()), int(np.diff(no).max())
+        ws = Workspace() if workspace is None else workspace
+        scratch = ws.get("pair.scratch", self._pair_scratch(
+            ns, nt, min(ns, int(chunk_pairs))), dt)
+        order = ws.get("pair.order", 2 * nt, np.int64)
         return int(fns["pair_accumulate"](
             tg.ctypes.data_as(_I64P), to.ctypes.data_as(_I64P),
             ni.ctypes.data_as(_I64P), no.ctypes.data_as(_I64P), ngroups,
@@ -263,6 +285,7 @@ class CBackend(NumpyBackend):
             co.ctypes.data_as(rp), co.size,
             float(eps), float(rc2_cells), float(inv_sp2),
             int(chunk_pairs), acc.ctypes.data_as(rp),
+            scratch.ctypes.data_as(rp), order.ctypes.data_as(_I64P),
         ))
 
     def rcb_build(self, x, y, z, m, leaf_size):

@@ -11,26 +11,69 @@
  * subtracted into the target's group sum, and the group sum is added to
  * acc once (acc[tidx] += gacc).
  *
- * pair_lanes_* (x86-64 with AVX2, chosen at run time through
- * pair_avx2()) runs the same statements with one target per SIMD lane,
- * 4 in f64 and 8 in f32, each source broadcast to every lane, so each
- * target still sums its own sources in list order.  The cutoff test is
- * a lane mask: f and dx*f are ANDed with it, so a rejected lane adds +0
- * to its sum, which cannot change it (a multiply by the mask would turn
- * the inf of an eps = 0 self pair into NaN).  A source no lane accepts
- * is skipped, and the lanes past a group's last target are masked off
- * and never written.  No FMA: the lane functions target avx2, not fma.
+ * The lane bodies (x86-64, chosen at run time through pair_simd()) run
+ * the same statements with one target per SIMD lane, each source
+ * broadcast to every lane, so each target still sums its own sources in
+ * list order: AVX-512 runs 8 targets per batch in f64 and in f32 (two
+ * sources per zmm there: low half source j, high half j + 1, added in
+ * that order), AVX2 4 in f64 and 8 in f32.  The cutoff test is a lane
+ * mask and every product past it is a masked-zero multiply, so a
+ * rejected lane adds +0 to its sum, which cannot change it (a partial
+ * starts at +0 and a sum of doubles is -0 only when both terms are; a
+ * multiply by the mask would turn the inf of an eps = 0 self pair into
+ * NaN).  A source no lane accepts is skipped, and the lanes past a
+ * group's last target are masked off and never written.  No FMA: the
+ * lane functions target avx2 or avx512f/dq/vl, not fma.
+ *
+ * Which batch a target rides in cannot change a bit of its result: its
+ * sum reads only its own coordinates, the sources and their list order,
+ * and the targets of a group are distinct rows of acc.  So the lane
+ * bodies first order each group's targets by recursive bisection (a
+ * stable sort on the longest side of their box, split into halves of
+ * whole W-target batches) to make every batch spatially compact.
+ *
+ * Each batch then culls each chunk of its sources against the box of
+ * its W targets, in the kernel's own operation order and precision:
+ *   e = max(lo - xj, xj - hi, 0) per axis,
+ *   ((ex*ex + ey*ey) + ez*ez) * inv_sp2,
+ * keeping, in list order, the sources with a value < rc2.  Rounding is
+ * monotone: for a target xi in [lo, hi], lo - xj <= xi - xj gives
+ * fl(lo - xj) <= fl(xi - xj) (and the mirror case above hi), so every
+ * e is <= that lane's |dx|, every square, sum and the product by
+ * inv_sp2 > 0 keeps the order, and the box value is <= every lane's s2.
+ * A culled source therefore has no lane inside: dropping it drops only
+ * +0 terms and no inside count.  A NaN anywhere makes e = 0 (kept).
+ * The scalar loop neither sorts nor culls.
+ *
+ * Scratch (lane bodies only) is the caller's: no static buffers, so
+ * concurrent calls on separate scratch are safe.  For the largest group
+ * of ns sources and nt targets, `scratch` holds pair_scratch(ns, nt,
+ * min(ns, chunk_pairs)) values of T and `order` 2 nt int64.
  */
 #include <math.h>
 #include <stdint.h>
+#include <string.h>
+
+/* slack after each packed or culled source array: vector loads and
+ * full-width stores may run up to one zmm of T past the live entries */
+#define PAD 16
+
+/* packed sources (4 rows of ns + PAD), local target coordinates (3 nt),
+ * culled sources (4 rows of cs + PAD) */
+int64_t pair_scratch(int64_t ns, int64_t nt, int64_t cs)
+{
+    return 4 * (ns + PAD) + 3 * nt + 4 * (cs + PAD);
+}
 
 #define PAIR_ACCUMULATE(NAME, T, SQRT)                                      \
 int64_t NAME(const int64_t *targets, const int64_t *toff,                   \
              const int64_t *nidx, const int64_t *noff, int64_t ngroups,     \
              const T *px, const T *py, const T *pz, const T *msc,           \
              const T *coeffs, int64_t ncoef, T eps, T rc2, T inv_sp2,       \
-             int64_t chunk_pairs, T *acc)                                   \
+             int64_t chunk_pairs, T *acc, T *scratch, int64_t *order)       \
 {                                                                           \
+    (void)scratch;                                                          \
+    (void)order;                                                            \
     int64_t inside = 0;                                                     \
     for (int64_t g = 0; g < ngroups; g++) {                                 \
         const int64_t t0 = toff[g], t1 = toff[g + 1];                       \
@@ -95,109 +138,480 @@ PAIR_ACCUMULATE(pair_accumulate_f32, float, sqrtf)
 #if defined(__x86_64__)
 #include <immintrin.h>
 
+/* Target bisection: order[0..n) (local target numbers) is reordered so
+ * that each run of w is a spatially compact batch.  sort_* is a stable
+ * merge sort of a[0..n) by key[a[i]] through tmp[0..n). */
+#define PAIR_BISECT(S, T)                                                   \
+static void sort_##S(int64_t *a, int64_t *tmp, int64_t n, const T *key)     \
+{                                                                           \
+    if (n <= 16) {                                                          \
+        for (int64_t i = 1; i < n; i++) {                                   \
+            const int64_t v = a[i];                                         \
+            const T kv = key[v];                                            \
+            int64_t j = i;                                                  \
+            for (; j > 0 && key[a[j - 1]] > kv; j--)                        \
+                a[j] = a[j - 1];                                            \
+            a[j] = v;                                                       \
+        }                                                                   \
+        return;                                                             \
+    }                                                                       \
+    const int64_t h = n / 2;                                                \
+    sort_##S(a, tmp, h, key);                                               \
+    sort_##S(a + h, tmp, n - h, key);                                       \
+    int64_t i = 0, j = h, k = 0;                                            \
+    while (i < h && j < n)                                                  \
+        tmp[k++] = key[a[j]] < key[a[i]] ? a[j++] : a[i++];                 \
+    while (i < h)                                                           \
+        tmp[k++] = a[i++];                                                  \
+    memcpy(a, tmp, (size_t)k * sizeof *a);                                  \
+}                                                                           \
+                                                                            \
+static void bisect_##S(int64_t *ord, int64_t *tmp, int64_t n, const T *x,   \
+                       const T *y, const T *z, int64_t w)                   \
+{                                                                           \
+    const T *axis[3] = {x, y, z};                                           \
+    while (n > w) {                                                         \
+        int best = 0;                                                       \
+        T span = -1;                                                        \
+        for (int d = 0; d < 3; d++) {                                       \
+            T lo = axis[d][ord[0]], hi = lo;                                \
+            for (int64_t i = 1; i < n; i++) {                               \
+                const T v = axis[d][ord[i]];                                \
+                lo = v < lo ? v : lo;                                       \
+                hi = v > hi ? v : hi;                                       \
+            }                                                               \
+            if (hi - lo > span) {                                           \
+                span = hi - lo;                                             \
+                best = d;                                                   \
+            }                                                               \
+        }                                                                   \
+        sort_##S(ord, tmp, n, axis[best]);                                  \
+        /* the first ceil(batches / 2) whole batches, then the rest */      \
+        const int64_t h = (n + 2 * w - 1) / (2 * w) * w;                    \
+        bisect_##S(ord, tmp, h, x, y, z, w);                                \
+        ord += h;                                                           \
+        n -= h;                                                             \
+    }                                                                       \
+}
+
+PAIR_BISECT(pd, double)
+PAIR_BISECT(ps, float)
+
 #define AVX2 __attribute__((target("avx2")))
+#define AVX512 __attribute__((target("avx512f,avx512dq,avx512vl")))
 
-/* per-lane double accumulators: lo only for f64, lo and hi for f32 */
-typedef struct { __m256d lo, hi; } dsum;
+/* Per-ISA lane helpers, one set per tag K, each an inline function the
+ * one PAIR_LANES body calls as K##_op:
+ *   V src(p)        the source(s) at p broadcast to their lanes
+ *   V tgt(t)        the batch's W target coordinates t[0..W) in lanes
+ *   M live(nl)      lanes holding one of the first nl targets
+ *   M lt/gt(a, b)   lane compare;  M and(a, b);  bits(m) as an int
+ *   V mzmul(m,a,b)  a * b in the lanes of m, +0 elsewhere
+ *   dsum, dzero(), dadd(&d, w)   per-target double partials, += w
+ *   G gsub(g, d)    g - (T)d per target;  G gzero();  gstore(t, g)
+ *   cull(...)       the box cull: compacts a chunk's sources in order
+ * a2d/a2s: AVX2 f64 x4 and f32 x8; z8d: AVX-512 f64 x8; z8s: AVX-512
+ * f32, 8 targets x 2 sources per zmm. */
 
-static inline AVX2 void dsum_add_pd(dsum *a, __m256d w)
+/* ---- AVX2 -------------------------------------------------------- */
+typedef struct { __m256d lo, hi; } a2sum;
+
+static inline AVX2 __m256d a2d_src(const double *p)
 {
-    a->lo = _mm256_add_pd(a->lo, w);
+    return _mm256_set1_pd(*p);
+}
+static inline AVX2 __m256d a2d_tgt(const double *t)
+{
+    return _mm256_loadu_pd(t);
+}
+static inline AVX2 __m256d a2d_live(int nl)
+{
+    return _mm256_cmp_pd(_mm256_set_pd(3, 2, 1, 0), _mm256_set1_pd(nl),
+                         _CMP_LT_OQ);
+}
+static inline AVX2 __m256d a2d_lt(__m256d a, __m256d b)
+{
+    return _mm256_cmp_pd(a, b, _CMP_LT_OQ);
+}
+static inline AVX2 __m256d a2d_gt(__m256d a, __m256d b)
+{
+    return _mm256_cmp_pd(a, b, _CMP_GT_OQ);
+}
+static inline AVX2 __m256d a2d_and(__m256d a, __m256d b)
+{
+    return _mm256_and_pd(a, b);
+}
+static inline AVX2 int a2d_bits(__m256d m) { return _mm256_movemask_pd(m); }
+static inline AVX2 __m256d a2d_mzmul(__m256d m, __m256d a, __m256d b)
+{
+    return _mm256_and_pd(_mm256_mul_pd(a, b), m);
+}
+static inline AVX2 a2sum a2d_dzero(void)
+{
+    return (a2sum){_mm256_setzero_pd(), _mm256_setzero_pd()};
+}
+static inline AVX2 void a2d_dadd(a2sum *d, __m256d w)
+{
+    d->lo = _mm256_add_pd(d->lo, w);
+}
+static inline AVX2 __m256d a2d_gzero(void) { return _mm256_setzero_pd(); }
+static inline AVX2 __m256d a2d_gsub(__m256d g, a2sum d)
+{
+    return _mm256_sub_pd(g, d.lo);
+}
+static inline AVX2 void a2d_gstore(double *t, __m256d g)
+{
+    _mm256_storeu_pd(t, g);
 }
 
-static inline AVX2 __m256d dsum_cast_pd(dsum a) { return a.lo; }
-
-static inline AVX2 void dsum_add_ps(dsum *a, __m256 w)
+static inline AVX2 __m256 a2s_src(const float *p)
 {
-    a->lo = _mm256_add_pd(a->lo, _mm256_cvtps_pd(_mm256_castps256_ps128(w)));
-    a->hi = _mm256_add_pd(a->hi, _mm256_cvtps_pd(_mm256_extractf128_ps(w, 1)));
+    return _mm256_set1_ps(*p);
+}
+static inline AVX2 __m256 a2s_tgt(const float *t)
+{
+    return _mm256_loadu_ps(t);
+}
+static inline AVX2 __m256 a2s_live(int nl)
+{
+    return _mm256_cmp_ps(_mm256_set_ps(7, 6, 5, 4, 3, 2, 1, 0),
+                         _mm256_set1_ps((float)nl), _CMP_LT_OQ);
+}
+static inline AVX2 __m256 a2s_lt(__m256 a, __m256 b)
+{
+    return _mm256_cmp_ps(a, b, _CMP_LT_OQ);
+}
+static inline AVX2 __m256 a2s_gt(__m256 a, __m256 b)
+{
+    return _mm256_cmp_ps(a, b, _CMP_GT_OQ);
+}
+static inline AVX2 __m256 a2s_and(__m256 a, __m256 b)
+{
+    return _mm256_and_ps(a, b);
+}
+static inline AVX2 int a2s_bits(__m256 m) { return _mm256_movemask_ps(m); }
+static inline AVX2 __m256 a2s_mzmul(__m256 m, __m256 a, __m256 b)
+{
+    return _mm256_and_ps(_mm256_mul_ps(a, b), m);
+}
+static inline AVX2 a2sum a2s_dzero(void) { return a2d_dzero(); }
+static inline AVX2 void a2s_dadd(a2sum *d, __m256 w)
+{
+    d->lo = _mm256_add_pd(d->lo, _mm256_cvtps_pd(_mm256_castps256_ps128(w)));
+    d->hi = _mm256_add_pd(d->hi, _mm256_cvtps_pd(_mm256_extractf128_ps(w, 1)));
+}
+static inline AVX2 __m256 a2s_gzero(void) { return _mm256_setzero_ps(); }
+static inline AVX2 __m256 a2s_gsub(__m256 g, a2sum d)
+{
+    return _mm256_sub_ps(g, _mm256_set_m128(_mm256_cvtpd_ps(d.hi),
+                                            _mm256_cvtpd_ps(d.lo)));
+}
+static inline AVX2 void a2s_gstore(float *t, __m256 g)
+{
+    _mm256_storeu_ps(t, g);
 }
 
-static inline AVX2 __m256 dsum_cast_ps(dsum a)
+/* ---- AVX-512 ----------------------------------------------------- */
+
+static inline AVX512 __m512d z8d_src(const double *p)
 {
-    return _mm256_set_m128(_mm256_cvtpd_ps(a.hi), _mm256_cvtpd_ps(a.lo));
+    return _mm512_set1_pd(*p);
+}
+static inline AVX512 __m512d z8d_tgt(const double *t)
+{
+    return _mm512_loadu_pd(t);
+}
+static inline AVX512 __mmask8 z8d_live(int nl)
+{
+    return (__mmask8)((1u << nl) - 1);
+}
+static inline AVX512 __mmask8 z8d_lt(__m512d a, __m512d b)
+{
+    return _mm512_cmp_pd_mask(a, b, _CMP_LT_OQ);
+}
+static inline AVX512 __mmask8 z8d_gt(__m512d a, __m512d b)
+{
+    return _mm512_cmp_pd_mask(a, b, _CMP_GT_OQ);
+}
+static inline AVX512 __mmask8 z8d_and(__mmask8 a, __mmask8 b)
+{
+    return a & b;
+}
+static inline AVX512 int z8d_bits(__mmask8 m) { return m; }
+static inline AVX512 __m512d z8d_mzmul(__mmask8 m, __m512d a, __m512d b)
+{
+    return _mm512_maskz_mul_pd(m, a, b);
+}
+static inline AVX512 __m512d z8d_dzero(void) { return _mm512_setzero_pd(); }
+static inline AVX512 void z8d_dadd(__m512d *d, __m512d w)
+{
+    *d = _mm512_add_pd(*d, w);
+}
+static inline AVX512 __m512d z8d_gzero(void) { return _mm512_setzero_pd(); }
+static inline AVX512 __m512d z8d_gsub(__m512d g, __m512d d)
+{
+    return _mm512_sub_pd(g, d);
+}
+static inline AVX512 void z8d_gstore(double *t, __m512d g)
+{
+    _mm512_storeu_pd(t, g);
 }
 
-#define OP(op, S) _mm256_##op##_##S
-#define PAIR_LANES(NAME, T, V, W, S)                                        \
-AVX2 int64_t NAME(const int64_t *targets, const int64_t *toff,              \
+/* f32: lanes 0-7 pair the 8 targets with source j, lanes 8-15 with
+ * source j + 1; the low half's terms are added before the high half's */
+static inline AVX512 __m512 z8s_src(const float *p)
+{
+    return _mm512_insertf32x8(_mm512_set1_ps(p[0]), _mm256_set1_ps(p[1]), 1);
+}
+static inline AVX512 __m512 z8s_tgt(const float *t)
+{
+    const __m256 v = _mm256_loadu_ps(t);
+    return _mm512_insertf32x8(_mm512_castps256_ps512(v), v, 1);
+}
+static inline AVX512 __mmask16 z8s_live(int nl)
+{
+    const unsigned half = (1u << nl) - 1;
+    return (__mmask16)(half | half << 8);
+}
+static inline AVX512 __mmask16 z8s_lt(__m512 a, __m512 b)
+{
+    return _mm512_cmp_ps_mask(a, b, _CMP_LT_OQ);
+}
+static inline AVX512 __mmask16 z8s_gt(__m512 a, __m512 b)
+{
+    return _mm512_cmp_ps_mask(a, b, _CMP_GT_OQ);
+}
+static inline AVX512 __mmask16 z8s_and(__mmask16 a, __mmask16 b)
+{
+    return a & b;
+}
+static inline AVX512 int z8s_bits(__mmask16 m) { return m; }
+static inline AVX512 __m512 z8s_mzmul(__mmask16 m, __m512 a, __m512 b)
+{
+    return _mm512_maskz_mul_ps(m, a, b);
+}
+static inline AVX512 __m512d z8s_dzero(void) { return _mm512_setzero_pd(); }
+static inline AVX512 void z8s_dadd(__m512d *d, __m512 w)
+{
+    const __m256 lo = _mm512_castps512_ps256(w);
+    const __m256 hi = _mm512_extractf32x8_ps(w, 1);
+    *d = _mm512_add_pd(*d, _mm512_cvtps_pd(lo));
+    *d = _mm512_add_pd(*d, _mm512_cvtps_pd(hi));
+}
+static inline AVX512 __m256 z8s_gzero(void) { return _mm256_setzero_ps(); }
+static inline AVX512 __m256 z8s_gsub(__m256 g, __m512d d)
+{
+    return _mm256_sub_ps(g, _mm512_cvtpd_ps(d));
+}
+static inline AVX512 void z8s_gstore(float *t, __m256 g)
+{
+    _mm256_storeu_ps(t, g);
+}
+
+/* The box cull of one chunk: sources q[0..n) (x, y, z, m at q, q + ld,
+ * ...) whose box value is < rc2 are stored, in order, to c (stride cld);
+ * returns how many.  L lanes at a time: K##_keep gives the kept lanes
+ * among the first `tail` as bits, K##_compress stores them; the last
+ * vector reads past n into the slack. */
+#define PAIR_CULL(K, ATTR, T, V, L, P, S)                                   \
+static inline ATTR int64_t K##_cull(const T *q, int64_t ld, int64_t n,      \
+                                    const T *lo, const T *hi, T inv,        \
+                                    T rc2, T *c, int64_t cld,               \
+                                    const T **out, int64_t *out_ld)         \
+{                                                                           \
+    const V vlx = P##set1_##S(lo[0]), vly = P##set1_##S(lo[1]);             \
+    const V vlz = P##set1_##S(lo[2]), vhx = P##set1_##S(hi[0]);             \
+    const V vhy = P##set1_##S(hi[1]), vhz = P##set1_##S(hi[2]);             \
+    const V zero = P##setzero_##S(), vinv = P##set1_##S(inv);               \
+    const V vrc2 = P##set1_##S(rc2);                                        \
+    int64_t k = 0;                                                          \
+    for (int64_t i = 0; i < n; i += L) {                                    \
+        const V x = P##loadu_##S(q + i), y = P##loadu_##S(q + ld + i);      \
+        const V z = P##loadu_##S(q + 2 * ld + i);                           \
+        /* max returns its second operand on a NaN (lo and hi are NaN       \
+         * together), so a NaN anywhere ends in e = 0: kept */              \
+        V ex = P##max_##S(P##sub_##S(vlx, x), P##sub_##S(x, vhx));          \
+        V ey = P##max_##S(P##sub_##S(vly, y), P##sub_##S(y, vhy));          \
+        V ez = P##max_##S(P##sub_##S(vlz, z), P##sub_##S(z, vhz));          \
+        ex = P##max_##S(ex, zero);                                          \
+        ey = P##max_##S(ey, zero);                                          \
+        ez = P##max_##S(ez, zero);                                          \
+        V d = P##mul_##S(ex, ex);                                           \
+        V t = P##mul_##S(ey, ey);                                           \
+        d = P##add_##S(d, t);                                               \
+        t = P##mul_##S(ez, ez);                                             \
+        d = P##add_##S(d, t);                                               \
+        d = P##mul_##S(d, vinv);                                            \
+        const int tail = n - i < L ? (int)(n - i) : L;                      \
+        const unsigned keep = K##_keep(d, vrc2, tail);                      \
+        K##_compress(q + i, ld, keep, c + k, cld);                          \
+        k += __builtin_popcount(keep);                                      \
+    }                                                                       \
+    *out = c;                                                               \
+    *out_ld = cld;                                                          \
+    return k;                                                               \
+}
+
+/* compress in register, store the whole vector: the slack after each
+ * culled array takes the lanes past the kept ones */
+static inline AVX512 unsigned z8d_keep(__m512d d, __m512d rc2, int tail)
+{
+    return _mm512_mask_cmp_pd_mask((__mmask8)((1u << tail) - 1), d, rc2,
+                                   _CMP_LT_OQ);
+}
+static inline AVX512 void z8d_compress(const double *q, int64_t ld,
+                                       unsigned keep, double *c, int64_t cld)
+{
+    for (int a = 0; a < 4; a++)
+        _mm512_storeu_pd(c + a * cld, _mm512_maskz_compress_pd(
+            (__mmask8)keep, _mm512_loadu_pd(q + a * ld)));
+}
+static inline AVX512 unsigned z8s_keep(__m512 d, __m512 rc2, int tail)
+{
+    return _mm512_mask_cmp_ps_mask((__mmask16)((1u << tail) - 1), d, rc2,
+                                   _CMP_LT_OQ);
+}
+static inline AVX512 void z8s_compress(const float *q, int64_t ld,
+                                       unsigned keep, float *c, int64_t cld)
+{
+    for (int a = 0; a < 4; a++)
+        _mm512_storeu_ps(c + a * cld, _mm512_maskz_compress_ps(
+            (__mmask16)keep, _mm512_loadu_ps(q + a * ld)));
+}
+
+/* AVX2 culls nothing: its lanes run over the packed chunk (a bit-by-bit
+ * compaction, lacking compress, cost more than the cull saved) */
+#define PAIR_NO_CULL(K, T)                                                  \
+static inline int64_t K##_cull(const T *q, int64_t ld, int64_t n,           \
+                               const T *lo, const T *hi, T inv, T rc2,      \
+                               T *c, int64_t cld, const T **out,            \
+                               int64_t *out_ld)                             \
+{                                                                           \
+    (void)lo, (void)hi, (void)inv, (void)rc2, (void)c, (void)cld;           \
+    *out = q;                                                               \
+    *out_ld = ld;                                                           \
+    return n;                                                               \
+}
+PAIR_NO_CULL(a2d, double)
+PAIR_NO_CULL(a2s, float)
+PAIR_CULL(z8d, AVX512, double, __m512d, 8, _mm512_, pd)
+PAIR_CULL(z8s, AVX512, float, __m512, 16, _mm512_, ps)
+
+/* One lane body for every ISA: K the helper tag, V/M/G the lane, mask
+ * and per-target vector types, W targets per batch, NS sources per
+ * vector (1, or 2 for z8s), P/S the intrinsic prefix and suffix, SORT
+ * the bisection's precision tag. */
+#define PAIR_LANES(NAME, ATTR, K, T, V, M, G, W, NS, P, S, SORT)            \
+ATTR int64_t NAME(const int64_t *targets, const int64_t *toff,              \
                   const int64_t *nidx, const int64_t *noff,                 \
                   int64_t ngroups, const T *px, const T *py, const T *pz,   \
                   const T *msc, const T *coeffs, int64_t ncoef, T eps,      \
-                  T rc2, T inv_sp2, int64_t chunk_pairs, T *acc)            \
+                  T rc2, T inv_sp2, int64_t chunk_pairs, T *acc,            \
+                  T *scratch, int64_t *order)                               \
 {                                                                           \
-    static const T lane[8] = {0, 1, 2, 3, 4, 5, 6, 7};                      \
-    const V zero = OP(setzero, S)(), one = OP(set1, S)((T)1);               \
-    const V veps = OP(set1, S)(eps), vrc2 = OP(set1, S)(rc2);               \
-    const V vinv = OP(set1, S)(inv_sp2);                                    \
+    const V zero = P##setzero_##S(), one = P##set1_##S((T)1);               \
+    const V veps = P##set1_##S(eps), vrc2 = P##set1_##S(rc2);               \
+    const V vinv = P##set1_##S(inv_sp2);                                    \
+    /* the box argument needs inv_sp2 > 0: otherwise cull nothing */        \
+    const T crc2 = inv_sp2 > 0 ? rc2 : (T)INFINITY;                         \
     int64_t inside = 0;                                                     \
     for (int64_t g = 0; g < ngroups; g++) {                                 \
         const int64_t t0 = toff[g], t1 = toff[g + 1];                       \
         const int64_t s0 = noff[g], s1 = noff[g + 1];                       \
         if (t1 <= t0 || s1 <= s0)                                           \
             continue;                                                       \
-        const int64_t cs = s1 - s0 < chunk_pairs ? s1 - s0 : chunk_pairs;   \
-        for (int64_t b = t0; b < t1; b += W) {                              \
-            const int nl = t1 - b < W ? (int)(t1 - b) : W;                  \
-            T tx[W], ty[W], tz[W];                                          \
+        const int64_t nt = t1 - t0, ns = s1 - s0;                           \
+        const int64_t cs = ns < chunk_pairs ? ns : chunk_pairs;             \
+        /* packed sources (x, y, z, m rows of ld), local targets, culled */ \
+        const int64_t ld = ns + PAD, cld = cs + PAD;                        \
+        T *const src = scratch, *const lx = src + 4 * ld;                   \
+        T *const ly = lx + nt, *const lz = ly + nt, *const cul = lz + nt;   \
+        for (int64_t si = 0; si < ns; si++) {                               \
+            const int64_t j = nidx[s0 + si];                                \
+            src[si] = px[j];                                                \
+            src[ld + si] = py[j];                                           \
+            src[2 * ld + si] = pz[j];                                       \
+            src[3 * ld + si] = msc[j];                                      \
+        }                                                                   \
+        for (int64_t l = 0; l < nt; l++) {                                  \
+            const int64_t i = targets[t0 + l];                              \
+            lx[l] = px[i];                                                  \
+            ly[l] = py[i];                                                  \
+            lz[l] = pz[i];                                                  \
+            order[l] = l;                                                   \
+        }                                                                   \
+        bisect_##SORT(order, order + nt, nt, lx, ly, lz, W);                \
+        for (int64_t b = 0; b < nt; b += W) {                               \
+            const int nl = nt - b < W ? (int)(nt - b) : W;                  \
+            T tx[W], ty[W], tz[W], lo[3], hi[3];                            \
             for (int l = 0; l < W; l++) {                                   \
-                const int64_t i = targets[b + (l < nl ? l : 0)];            \
-                tx[l] = px[i];                                              \
-                ty[l] = py[i];                                              \
-                tz[l] = pz[i];                                              \
+                const int64_t o = order[b + (l < nl ? l : 0)];              \
+                tx[l] = lx[o];                                              \
+                ty[l] = ly[o];                                              \
+                tz[l] = lz[o];                                              \
             }                                                               \
-            const V xi = OP(loadu, S)(tx), yi = OP(loadu, S)(ty);           \
-            const V zi = OP(loadu, S)(tz);                                  \
-            const V live = OP(cmp, S)(OP(loadu, S)(lane),                   \
-                                      OP(set1, S)((T)nl), _CMP_LT_OQ);      \
-            V gx = zero, gy = zero, gz = zero;                              \
-            for (int64_t c0 = s0; c0 < s1; c0 += cs) {                      \
-                const int64_t c1 = c0 + cs < s1 ? c0 + cs : s1;             \
-                const __m256d dz0 = _mm256_setzero_pd();                    \
-                dsum ax = {dz0, dz0}, ay = {dz0, dz0}, az = {dz0, dz0};     \
-                for (int64_t si = c0; si < c1; si++) {                      \
-                    const int64_t j = nidx[si];                             \
-                    const V dx = OP(sub, S)(xi, OP(set1, S)(px[j]));        \
-                    const V dy = OP(sub, S)(yi, OP(set1, S)(py[j]));        \
-                    const V dz = OP(sub, S)(zi, OP(set1, S)(pz[j]));        \
-                    V s2 = OP(mul, S)(dx, dx);                              \
-                    V t = OP(mul, S)(dy, dy);                               \
-                    s2 = OP(add, S)(s2, t);                                 \
-                    t = OP(mul, S)(dz, dz);                                 \
-                    s2 = OP(add, S)(s2, t);                                 \
-                    s2 = OP(mul, S)(s2, vinv);                              \
-                    const V m = OP(and, S)(live, OP(and, S)(                \
-                        OP(cmp, S)(s2, zero, _CMP_GT_OQ),                   \
-                        OP(cmp, S)(s2, vrc2, _CMP_LT_OQ)));                 \
-                    const int bits = OP(movemask, S)(m);                    \
+            for (int a = 0; a < 3; a++) {                                   \
+                const T *t = a == 0 ? tx : a == 1 ? ty : tz;                \
+                lo[a] = hi[a] = t[0];                                       \
+                for (int l = 1; l < nl; l++) {                              \
+                    lo[a] = t[l] < lo[a] ? t[l] : lo[a];                    \
+                    hi[a] = t[l] > hi[a] ? t[l] : hi[a];                    \
+                }                                                           \
+            }                                                               \
+            const V xi = K##_tgt(tx), yi = K##_tgt(ty), zi = K##_tgt(tz);   \
+            const M live = K##_live(nl);                                    \
+            G gx = K##_gzero(), gy = K##_gzero(), gz = K##_gzero();         \
+            for (int64_t c0 = 0; c0 < ns; c0 += cs) {                       \
+                const int64_t c1 = c0 + cs < ns ? c0 + cs : ns;             \
+                const T *q;                                                 \
+                int64_t qld;                                                \
+                const int64_t k = K##_cull(src + c0, ld, c1 - c0, lo, hi,   \
+                                           inv_sp2, crc2, cul, cld, &q,     \
+                                           &qld);                           \
+                if (NS == 2) /* an odd last source pairs with a far one */  \
+                    cul[k] = (T)INFINITY;                                   \
+                K##_dsum ax = K##_dzero(), ay = ax, az = ax;                \
+                for (int64_t si = 0; si < k; si += NS) {                    \
+                    const V dx = P##sub_##S(xi, K##_src(q + si));           \
+                    const V dy = P##sub_##S(yi, K##_src(q + qld + si));     \
+                    const V dz = P##sub_##S(zi,                             \
+                                            K##_src(q + 2 * qld + si));     \
+                    V s2 = P##mul_##S(dx, dx);                              \
+                    V t = P##mul_##S(dy, dy);                               \
+                    s2 = P##add_##S(s2, t);                                 \
+                    t = P##mul_##S(dz, dz);                                 \
+                    s2 = P##add_##S(s2, t);                                 \
+                    s2 = P##mul_##S(s2, vinv);                              \
+                    const M m = K##_and(live, K##_and(K##_gt(s2, zero),     \
+                                                      K##_lt(s2, vrc2)));   \
+                    const int bits = K##_bits(m);                           \
                     if (!bits)                                              \
                         continue;                                           \
-                    inside += __builtin_popcount(bits);                     \
-                    const V x = OP(add, S)(s2, veps);                       \
-                    V f = OP(sqrt, S)(x);                                   \
-                    f = OP(mul, S)(f, x);                                   \
-                    f = OP(div, S)(one, f);                                 \
-                    V p = OP(set1, S)(coeffs[ncoef - 1]);                   \
+                    inside += __builtin_popcount((unsigned)bits);           \
+                    const V x = P##add_##S(s2, veps);                       \
+                    V f = P##sqrt_##S(x);                                   \
+                    f = P##mul_##S(f, x);                                   \
+                    f = P##div_##S(one, f);                                 \
+                    V p = P##set1_##S(coeffs[ncoef - 1]);                   \
                     for (int64_t c = ncoef - 2; c >= 0; c--) {              \
-                        p = OP(mul, S)(p, s2);                              \
-                        p = OP(add, S)(p, OP(set1, S)(coeffs[c]));          \
+                        p = P##mul_##S(p, s2);                              \
+                        p = P##add_##S(p, P##set1_##S(coeffs[c]));          \
                     }                                                       \
-                    f = OP(sub, S)(f, p);                                   \
-                    f = OP(mul, S)(f, OP(set1, S)(msc[j]));                 \
-                    f = OP(and, S)(f, m);                                   \
-                    dsum_add_##S(&ax, OP(and, S)(OP(mul, S)(dx, f), m));    \
-                    dsum_add_##S(&ay, OP(and, S)(OP(mul, S)(dy, f), m));    \
-                    dsum_add_##S(&az, OP(and, S)(OP(mul, S)(dz, f), m));    \
+                    f = P##sub_##S(f, p);                                   \
+                    f = K##_mzmul(m, f, K##_src(q + 3 * qld + si));         \
+                    K##_dadd(&ax, K##_mzmul(m, dx, f));                     \
+                    K##_dadd(&ay, K##_mzmul(m, dy, f));                     \
+                    K##_dadd(&az, K##_mzmul(m, dz, f));                     \
                 }                                                           \
-                gx = OP(sub, S)(gx, dsum_cast_##S(ax));                     \
-                gy = OP(sub, S)(gy, dsum_cast_##S(ay));                     \
-                gz = OP(sub, S)(gz, dsum_cast_##S(az));                     \
+                gx = K##_gsub(gx, ax);                                      \
+                gy = K##_gsub(gy, ay);                                      \
+                gz = K##_gsub(gz, az);                                      \
             }                                                               \
-            OP(storeu, S)(tx, gx);                                          \
-            OP(storeu, S)(ty, gy);                                          \
-            OP(storeu, S)(tz, gz);                                          \
+            K##_gstore(tx, gx);                                             \
+            K##_gstore(ty, gy);                                             \
+            K##_gstore(tz, gz);                                             \
             for (int l = 0; l < nl; l++) {                                  \
-                const int64_t i = targets[b + l];                           \
+                const int64_t i = targets[t0 + order[b + l]];               \
                 acc[3 * i] = acc[3 * i] + tx[l];                            \
                 acc[3 * i + 1] = acc[3 * i + 1] + ty[l];                    \
                 acc[3 * i + 2] = acc[3 * i + 2] + tz[l];                    \
@@ -207,14 +621,27 @@ AVX2 int64_t NAME(const int64_t *targets, const int64_t *toff,              \
     return inside;                                                          \
 }
 
-PAIR_LANES(pair_lanes_f64, double, __m256d, 4, pd)
-PAIR_LANES(pair_lanes_f32, float, __m256, 8, ps)
+typedef a2sum a2d_dsum, a2s_dsum;
+typedef __m512d z8d_dsum, z8s_dsum;
 
-int64_t pair_avx2(void)
+PAIR_LANES(pair_avx2_f64, AVX2, a2d, double, __m256d, __m256d, __m256d, 4, 1,
+           _mm256_, pd, pd)
+PAIR_LANES(pair_avx2_f32, AVX2, a2s, float, __m256, __m256, __m256, 8, 1,
+           _mm256_, ps, ps)
+PAIR_LANES(pair_avx512_f64, AVX512, z8d, double, __m512d, __mmask8, __m512d,
+           8, 1, _mm512_, pd, pd)
+PAIR_LANES(pair_avx512_f32, AVX512, z8s, float, __m512, __mmask16, __m256,
+           8, 2, _mm512_, ps, ps)
+
+/* the widest pair path this CPU runs: 2 AVX-512, 1 AVX2, 0 scalar */
+int64_t pair_simd(void)
 {
     __builtin_cpu_init();
+    if (__builtin_cpu_supports("avx512f") && __builtin_cpu_supports("avx512dq")
+        && __builtin_cpu_supports("avx512vl"))
+        return 2;
     return __builtin_cpu_supports("avx2") != 0;
 }
 #else
-int64_t pair_avx2(void) { return 0; }
+int64_t pair_simd(void) { return 0; }
 #endif

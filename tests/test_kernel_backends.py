@@ -450,54 +450,75 @@ class TestCArgumentGuard:
 
 
 # ----------------------------------------------------------------------
-# the AVX2 target-lane pair kernel against the scalar loop
+# every pair path of this host against numpy
 # ----------------------------------------------------------------------
-@pytest.fixture()
-def scalar_c(cbackend, monkeypatch):
-    """A second C backend bound to the scalar pair loop through the
-    loader hook, beside ``cbackend`` on the AVX2 lanes."""
+#: the C pair paths, widest first
+PAIR_PATHS = ("avx512", "avx2", "scalar")
+
+
+@pytest.fixture(scope="module")
+def pair_paths():
+    """``{path: CBackend}`` for every pair path this host runs, from the
+    widest its CPU has down to the scalar loop, each pinned through the
+    loader hook."""
     from repro.shortrange.backends import c_backend
 
-    if cbackend.simd != "avx2":
-        pytest.skip("no AVX2 here: the C backend already runs the scalar "
-                    "loop")
-    monkeypatch.setattr(c_backend, "_pair_path", lambda dll: "scalar")
-    backend = c_backend.CBackend()
-    assert backend.simd == "scalar"
-    return backend
+    if not HAVE_C:
+        pytest.skip("no working C compiler")
+    widest = get_backend("c").simd
+    paths = {}
+    for path in PAIR_PATHS[PAIR_PATHS.index(widest):]:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(c_backend, "_pair_path", lambda dll, p=path: p)
+            paths[path] = c_backend.CBackend()
+        assert paths[path].simd == path
+    return paths
 
 
 @needs_c
 class TestPairLanes:
-    """One target per lane (4 in f64, 8 in f32) gives the scalar loop's
-    bits and pair count, and numpy's: ragged last blocks, zero-separation
-    pairs at ``eps = 0``, sources no lane accepts, lists of several
-    ``chunk_pairs`` chunks, empty groups and batches without targets."""
+    """Every pair path of the host (target lanes of 8 on AVX-512, 4/8 on
+    AVX2, the scalar loop) gives numpy's bits and pair count: ragged last
+    batches, bisection ties, zero-separation pairs at ``eps = 0``,
+    sources no lane accepts or whose box value is exactly ``rc2``, lists
+    of several ``chunk_pairs`` chunks, empty groups, batches without
+    targets, and two threads on one backend."""
 
     @staticmethod
-    def evaluate(fit, backends, batch, pos, dtype, eps=0.01,
+    def evaluate(fit, paths, batch, pos, dtype, eps=0.01,
                  chunk_pairs=1 << 18):
-        """``(acc, inside)`` of the lane kernel, after checking that the
-        scalar loop and numpy give the same bytes and count."""
+        """``(acc, inside)`` of numpy, after checking that every path
+        gives the same bytes and count."""
         kern = ShortRangeKernel(fit, spacing=1.0, eps_cells=eps,
                                 dtype=dtype)
         masses = np.linspace(0.5, 1.5, pos.shape[0])
-        out = []
-        for backend in ("numpy", *backends):
+        out = {}
+        for backend in ("numpy", *paths.values()):
             engine = BatchedPairEngine(kern, chunk_pairs=chunk_pairs,
                                        backend=backend)
             acc = engine.evaluate(batch, pos, masses)
-            out.append((acc, engine.last_pairs[1]))
-        (ref, n_ref), (scalar, n_scalar), (lanes, n_lanes) = out
-        assert lanes.dtype == dtype
-        assert lanes.tobytes() == scalar.tobytes() == ref.tobytes()
-        assert n_lanes == n_scalar == n_ref
-        return lanes, n_lanes
+            out[getattr(backend, "simd", None) or backend] = (
+                acc, engine.last_pairs[1])
+        ref, n_ref = out.pop("numpy")
+        for path, (acc, n) in out.items():
+            assert acc.dtype == dtype
+            assert acc.tobytes() == ref.tobytes(), path
+            assert n == n_ref, path
+        return ref, n_ref
+
+    def test_the_host_runs_its_widest_path(self, pair_paths):
+        flags = _cpu_flags()
+        if flags is None:
+            pytest.skip("no /proc/cpuinfo flags to compare with")
+        widest = ("avx512" if {"avx512f", "avx512dq", "avx512vl"} <= flags
+                  else "avx2" if "avx2" in flags else "scalar")
+        assert list(pair_paths) == list(PAIR_PATHS[
+            PAIR_PATHS.index(widest):])
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     @pytest.mark.parametrize("chunk_pairs", [7, 1 << 18])
-    @pytest.mark.parametrize("nt", [1, 3, 4, 5, 7, 8, 9, 127])
-    def test_ragged_target_blocks(self, grid_force_fit, cbackend, scalar_c,
+    @pytest.mark.parametrize("nt", [1, 3, 4, 5, 7, 8, 9, 15, 16, 17, 33, 127])
+    def test_ragged_target_blocks(self, grid_force_fit, pair_paths,
                                   rng, dtype, chunk_pairs, nt):
         """A group of ``nt`` targets fills whole blocks and a padded last
         one; its list (every particle, so each target meets itself) spans
@@ -510,15 +531,117 @@ class TestPairLanes:
             np.concatenate([rng.permutation(n), rng.choice(n, 50)]),
             np.array([0, n, n + 50]),
         )
-        acc, inside = self.evaluate(grid_force_fit, (scalar_c, cbackend),
+        acc, inside = self.evaluate(grid_force_fit, pair_paths,
                                     batch, pos, dtype,
                                     chunk_pairs=chunk_pairs)
         assert inside > 0 and np.abs(acc[order[:nt]]).max() > 0
         assert not acc[order[nt + 5:]].any()
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_bisection_ties(self, grid_force_fit, pair_paths, rng, dtype):
+        """Groups of many batches whose targets tie on the longest side,
+        or sit on one point, or on a line: the stable sort keeps list
+        order among ties and every target still gets its own sum."""
+        pos = clustered_cloud(rng, 300)
+        pos[:40, 0] = pos[0, 0]          # 40 targets tied in x
+        pos[40:80] = pos[40]             # 40 coincident targets
+        pos[80:120, 1:] = pos[80, 1:]    # 40 on a line along x
+        pos[80:120, 0] = np.round(pos[80:120, 0], 1)  # with ties on it
+        batch = InteractionBatch(
+            np.arange(120), np.array([0, 40, 80, 120]),
+            np.tile(np.arange(300), 3), np.array([0, 300, 600, 900]),
+        )
+        acc, inside = self.evaluate(grid_force_fit, pair_paths, batch,
+                                    pos, dtype)
+        assert inside > 0 and np.isfinite(acc).all()
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("chunk_pairs", [1, 2, 7, 16, 17])
+    def test_cull_runs_per_chunk(self, grid_force_fit, pair_paths, rng,
+                                 dtype, chunk_pairs):
+        """A list of many chunks, near and far sources mixed, culled one
+        chunk at a time: chunks that keep nothing, one source (an odd
+        count, so f32's source pairs end on a far one) or all."""
+        near = clustered_cloud(rng, 60)
+        far = near[:30] + rng.choice([-1.0, 1.0], (30, 3)) * 3 * (
+            grid_force_fit.rcut_cells)
+        pos = np.concatenate([near, far])
+        src = rng.permutation(90)
+        batch = InteractionBatch(
+            np.arange(21), np.array([0, 21]), src, np.array([0, 90]),
+        )
+        acc, inside = self.evaluate(grid_force_fit, pair_paths, batch,
+                                    pos, dtype, chunk_pairs=chunk_pairs)
+        assert inside > 0 and np.abs(acc[:21]).min() > 0
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_box_value_exactly_rc2(self, pair_paths, dtype):
+        """rc2 = 9: 8 targets span x in [0, 1]; a source at x = 4 has box
+        value 9, not < rc2, so it is culled, and no lane is inside (the
+        target at x = 1 has s2 = 9 exactly); one ulp nearer it is kept
+        and the x = 1 lane is inside."""
+        t = np.dtype(dtype).type
+        near = np.nextafter(t(4), t(0))
+        pos = np.zeros((11, 3), dtype=dtype)
+        pos[:8, 0] = np.linspace(0.0, 1.0, 8)
+        pos[8:, 0] = [4.0, near, 4.5]
+        args = dict(
+            targets=np.arange(8), target_offsets=np.array([0, 8]),
+            px=pos[:, 0].copy(), py=pos[:, 1].copy(), pz=pos[:, 2].copy(),
+            msc=np.ones(11, dtype=dtype),
+            coeffs=np.array([0.5, -0.01], dtype=dtype), eps=t(0.01),
+            rc2_cells=t(9.0), inv_sp2=t(1.0), chunk_pairs=1 << 18,
+        )
+        counts = []
+        for sources in ([8], [8, 10], [9], [8, 9, 10]):
+            ref = None
+            for backend in (get_backend("numpy"), *pair_paths.values()):
+                acc = np.zeros((11, 3), dtype=dtype)
+                inside = backend.pair_accumulate(
+                    neighbor_indices=np.array(sources),
+                    neighbor_offsets=np.array([0, len(sources)]),
+                    acc=acc, workspace=Workspace(), **args)
+                got = (acc.tobytes(), inside)
+                assert ref is None or got == ref, (sources, backend.simd)
+                ref = got
+            counts.append(ref[1])
+        assert counts == [0, 0, 1, 1]
+
+    def test_two_threads_on_one_backend(self, grid_force_fit, pair_paths,
+                                        rng):
+        """Each path drops the GIL: two threads, each with its own engine
+        (so its own workspace), evaluate different batches through one
+        backend object and reproduce the serial bits."""
+        kern = ShortRangeKernel(grid_force_fit, spacing=1.0, eps_cells=0.01)
+        trees = [RCBTree(clustered_cloud(rng, 2000), leaf_size=64)
+                 for _ in range(2)]
+        batches = [pack_tree(t, kern.fit.rcut_cells, backend="c")
+                   for t in trees]
+        clouds = [t.positions for t in trees]
+        masses = np.ones(2000)
+        for backend in pair_paths.values():
+            serial = [BatchedPairEngine(kern, backend=backend).evaluate(
+                b, p, masses) for b, p in zip(batches, clouds)]
+            got = [None, None]
+
+            def work(k):
+                engine = BatchedPairEngine(kern, backend=backend)
+                for _ in range(4):
+                    got[k] = engine.evaluate(batches[k], clouds[k], masses)
+
+            threads = [threading.Thread(target=work, args=(k,))
+                       for k in (0, 1)]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=120)
+                assert not th.is_alive()
+            for k in (0, 1):
+                assert got[k].tobytes() == serial[k].tobytes(), backend.simd
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     def test_zero_separation_pairs_at_zero_softening(
-        self, grid_force_fit, cbackend, scalar_c, rng, dtype
+        self, grid_force_fit, pair_paths, rng, dtype
     ):
         """A target meeting itself or a coincident twin has ``s2 = 0``:
         rejected by the cutoff test, it would give ``1/0 = inf`` at
@@ -529,14 +652,14 @@ class TestPairLanes:
             np.arange(11), np.array([0, 11]), np.arange(60),
             np.array([0, 60]),
         )
-        acc, inside = self.evaluate(grid_force_fit, (scalar_c, cbackend),
+        acc, inside = self.evaluate(grid_force_fit, pair_paths,
                                     batch, pos, dtype, eps=0.0)
         assert inside > 0 and np.isfinite(acc).all()
         assert np.abs(acc[:11]).min() > 0
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
-    def test_sources_no_lane_accepts(self, grid_force_fit, cbackend,
-                                     scalar_c, rng, dtype):
+    def test_sources_no_lane_accepts(self, grid_force_fit, pair_paths,
+                                     rng, dtype):
         """Far sources interleaved in the list are skipped whole: the
         bits and count equal those of the list without them."""
         near = clustered_cloud(rng, 40)
@@ -545,7 +668,7 @@ class TestPairLanes:
         mixed = np.stack([np.arange(40), np.arange(40, 80)], 1).ravel()
         results = [
             self.evaluate(
-                grid_force_fit, (scalar_c, cbackend),
+                grid_force_fit, pair_paths,
                 InteractionBatch(np.arange(13), np.array([0, 13]), src,
                                  np.array([0, src.size])),
                 pos, dtype,
@@ -557,8 +680,8 @@ class TestPairLanes:
         assert with_far.tobytes() == without.tobytes()
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
-    def test_empty_groups_and_no_targets(self, grid_force_fit, cbackend,
-                                         scalar_c, rng, dtype):
+    def test_empty_groups_and_no_targets(self, grid_force_fit, pair_paths,
+                                         rng, dtype):
         pos = rng.uniform(0.0, 3.0, (12, 3))
         # {0..4} x 6 sources, {} x 3 sources, {5} x none, {6..10} x 5
         batch = InteractionBatch(
@@ -566,14 +689,14 @@ class TestPairLanes:
             np.array([0, 1, 2, 3, 4, 5, 6, 7, 8, 3, 4, 9, 10, 11]),
             np.array([0, 6, 9, 9, 14]),
         )
-        acc, _ = self.evaluate(grid_force_fit, (scalar_c, cbackend), batch,
+        acc, _ = self.evaluate(grid_force_fit, pair_paths, batch,
                                pos, dtype)
         assert not acc[5].any() and np.abs(acc[:5]).min() > 0
         no_targets = InteractionBatch(
             np.zeros(0, dtype=np.int64), np.zeros(3, dtype=np.int64),
             np.arange(7), np.array([0, 3, 7]),
         )
-        acc, inside = self.evaluate(grid_force_fit, (scalar_c, cbackend),
+        acc, inside = self.evaluate(grid_force_fit, pair_paths,
                                     no_targets, pos, dtype)
         assert inside == 0 and not acc.any()
 
@@ -766,7 +889,7 @@ class TestKernelCeilingGate:
         """Every row of the table, each record read from the repo root as
         the gate reads it, on the core count the executor record was
         measured with: the kernel-only ceilings and the f32/f64 ratio
-        hold too when the kernels record says ``avx2``."""
+        hold too when the kernels record ran target lanes."""
         root = Path(SRC).parent
         cores = json.load(open(root / "BENCH_executor.json"))[
             "payload"]["host_cores"]
@@ -776,34 +899,44 @@ class TestKernelCeilingGate:
         entries = json.load(open(root / "BENCH_kernels.json"))[
             "payload"]["entries"]
         if {e.get("kernel_simd") for e in entries
-                if e["backend"] == "c"} == {"avx2"}:
+                if e["backend"] == "c"} <= {"avx2", "avx512"}:
             assert status["c f32/f64 kernel-only"] == "ok"
 
     @staticmethod
-    def avx2_record(gate, f64, f32):
+    def lanes_record(gate, f64, f32, simd):
         under = {k: 0.5 * v for k, v in gate.ceilings.items()}
         return gate(under, kernel={("c", "f64"): f64, ("c", "f32"): f32},
-                    simd="avx2")
+                    simd=simd)
 
     def test_avx2_kernel_only_ceilings_and_f32_ratio(self, gate):
+        self.check_lanes_bars(gate, "avx2")
+
+    def test_avx512_kernel_only_ceilings_and_f32_ratio(self, gate):
+        """The AVX-512 lanes cannot skip the bars the AVX2 lanes hold."""
+        self.check_lanes_bars(gate, "avx512")
+
+    def check_lanes_bars(self, gate, simd):
+        """A target-lane record is held to the kernel-only ceilings and
+        the f32/f64 bar."""
         f64_bar = gate.kernel_ceilings[("c", "f64")]
         f32_bar = gate.kernel_ceilings[("c", "f32")]
         # 0.5 x the f64 bar against 0.3 x: in both ceilings, ratio 0.6
-        failures, status = self.avx2_record(gate, 0.5 * f64_bar,
-                                            0.3 * f64_bar)
+        failures, status = self.lanes_record(gate, 0.5 * f64_bar,
+                                             0.3 * f64_bar, simd)
         assert failures == []
         assert list(status.values()) == ["ok"] * 7
         # under both ceilings, but f32 barely cheaper than f64
         f64 = 0.9 * f32_bar
         ratio = 1.01 * gate.max_ratio
-        failures, _ = self.avx2_record(gate, f64, ratio * f64)
+        failures, _ = self.lanes_record(gate, f64, ratio * f64, simd)
         assert len(failures) == 1 and "c f32/f64 kernel-only" in failures[0]
         # f64 above its kernel-only ceiling; the ratio itself holds
-        failures, _ = self.avx2_record(gate, 1.01 * f64_bar, 0.5 * f32_bar)
+        failures, _ = self.lanes_record(gate, 1.01 * f64_bar,
+                                        0.5 * f32_bar, simd)
         assert len(failures) == 1 and "c/f64 kernel-only" in failures[0]
-        # an avx2 record must carry its kernel-only readings
+        # a target-lane record must carry its kernel-only readings
         under = {k: 0.5 * v for k, v in gate.ceilings.items()}
-        failures, status = gate(under, simd="avx2")
+        failures, status = gate(under, simd=simd)
         assert len(failures) == 3
         assert [v for k, v in status.items() if "kernel-only" in k] == \
             ["FAIL"] * 3
@@ -1316,8 +1449,8 @@ class TestManifestAndLedger:
     @needs_c
     def test_manifest_records_which_pair_path_ran(self, monkeypatch):
         """``kernel_simd`` sits beside ``kernel_build`` (never inside it:
-        ``build_info`` feeds the cache key) and says whether the AVX2
-        lanes or the scalar loop ran; numpy runs carry neither."""
+        ``build_info`` feeds the cache key) and says whether the AVX-512
+        or AVX2 lanes or the scalar loop ran; numpy runs carry neither."""
         from repro.__main__ import _manifest_extra
         from repro.shortrange.backends import c_backend
 
@@ -1327,7 +1460,8 @@ class TestManifestAndLedger:
         assert "kernel_simd" not in extra["kernel_build"]
         if flags is not None:
             assert extra["kernel_simd"] == (
-                "avx2" if "avx2" in flags else "scalar")
+                "avx512" if {"avx512f", "avx512dq", "avx512vl"} <= flags
+                else "avx2" if "avx2" in flags else "scalar")
         monkeypatch.setattr(c_backend, "_pair_path", lambda dll: "scalar")
         monkeypatch.setattr(backends_mod, "_INSTANCES", {})
         extra = _manifest_extra(HACCSimulation(tiny_config(
