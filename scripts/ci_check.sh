@@ -7,7 +7,8 @@
 #  4 chaos lane: fault-injection tests under REPRO_CHAOS_SEED
 #  5 executor chaos tests over REPRO_CHAOS_WORKERS thread workers
 #  6 fig5, executor and roofline benches, then check_regression.py once
-#  7 two ledgered 'run --profile' runs; 'report --compare' JSON verdict
+#  7 two ledgered 'run --profile' runs; 'runs list --workers 2' selects
+#    the threaded one; 'report --compare' JSON verdict
 #  8 forced numpy fallback: backend tests, 16^3 runs bitwise = C twins
 #  9 'report --roofline' on lane 7's ledger places shortrange/cic/fft
 # 10 SIGKILLed campaign supervisor: 'campaign resume' ends exactly once
@@ -121,6 +122,14 @@ PYTHONPATH=src "$PYTHON" -m repro run --profile --steps 2 --n-per-dim 8 \
     --telemetry "$CI_OBS_DIR/b.jsonl" --ledger "$CI_OBS_DIR/ledger" \
     > /dev/null
 PYTHONPATH=src "$PYTHON" -m repro runs list --ledger "$CI_OBS_DIR/ledger"
+PYTHONPATH=src "$PYTHON" -m repro runs list --ledger "$CI_OBS_DIR/ledger" \
+    --workers 2 --json > "$CI_OBS_DIR/threaded.json"
+"$PYTHON" - "$CI_OBS_DIR/threaded.json" <<'PYEOF'
+import json, sys
+runs = json.load(open(sys.argv[1]))
+assert [(r["executor"], r["workers"]) for r in runs] == [("thread", 2)], runs
+print(f"filter lane: --workers 2 selects {runs[0]['run_id']} alone")
+PYEOF
 PYTHONPATH=src "$PYTHON" -m repro report \
     --compare latest~1 latest --ledger "$CI_OBS_DIR/ledger" --json \
     > "$CI_OBS_DIR/report.json"

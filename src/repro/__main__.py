@@ -19,9 +19,9 @@ Commands
     checkpoint the in-flight state and exit 75 (resumable).
     ``--summary`` prints the final power spectrum and FOF halo count;
     ``--profile`` the measured-vs-model section table (the paper's
-    Table II attribution); ``--bench-record NAME`` writes a
-    ``BENCH_<NAME>.json`` record; ``--trace`` exports the span log as
-    a Chrome trace.
+    Table II attribution); ``--trace`` exports the span log as a Chrome
+    trace; ``--ledger`` indexes the finished run (manifest, telemetry,
+    trace) into the run ledger.
 ``campaign``
     Supervise a whole suite from a declarative spec
     (``campaign run|status|resume SPEC.toml``): crash-safe journaled
@@ -185,7 +185,7 @@ def _manifest_extra(sim) -> dict:
     return extra
 
 
-def _finish_observability(sim, args, registry, bench_records=None) -> int:
+def _finish_observability(sim, args, registry) -> int:
     """Close the telemetry stream, ledger the run, reduce to exit status."""
     status = 0
     verdict = "OK"
@@ -200,7 +200,7 @@ def _finish_observability(sim, args, registry, bench_records=None) -> int:
     if sim.telemetry is not None:
         sim.telemetry.finish(verdict=verdict)
     if args.ledger is not None:
-        _ledger_run(sim, args, registry, verdict, bench_records)
+        _ledger_run(sim, args, registry, verdict)
     return status
 
 
@@ -244,7 +244,7 @@ def _resolve_ledger_root(value: str):
     return default_ledger_root() if value in (None, "") else value
 
 
-def _ledger_run(sim, args, registry, verdict, bench_records=None) -> None:
+def _ledger_run(sim, args, registry, verdict) -> None:
     """Record a finished run's artifacts into the run ledger."""
     from repro.instrument import RunLedger, run_manifest
 
@@ -253,7 +253,6 @@ def _ledger_run(sim, args, registry, verdict, bench_records=None) -> None:
         manifest=run_manifest(sim.config, extra=_manifest_extra(sim)),
         stream_path=args.telemetry,
         registry=registry,
-        bench_records=bench_records,
         verdict=verdict,
         extra={"command": args.command},
     )
@@ -279,39 +278,16 @@ def _log_summary(sim) -> None:
     logger.info("FOF halos (>= 8 particles): %d", cat.n_halos)
 
 
-def _report_instrumentation(sim, args, registry) -> dict | None:
-    """Print ``--profile``, write ``--bench-record`` and the trace
-    exports; returns the bench records to ledger."""
-    import json
-
+def _report_instrumentation(args, registry) -> None:
+    """Print ``--profile`` and write the ``--trace`` export."""
     from repro.instrument.exporters import write_chrome_trace
-    from repro.instrument.report import render_profile, write_bench_record
+    from repro.instrument.report import render_profile
 
     if args.profile:
         print(render_profile(registry))
-    bench_records = None
-    if args.bench_record:
-        config = sim.config
-        path = write_bench_record(
-            args.bench_record,
-            {
-                "n_particles": config.n_particles,
-                "n_steps": config.n_steps,
-                "n_subcycles": config.n_subcycles,
-                "backend": config.backend,
-                "interactions": sim.interaction_count(),
-            },
-            events=registry.events,
-            counters=registry.counters,
-        )
-        logger.info("bench record: %s", path)
-        # stored in the ledger entry's bench/ directory, next to the run
-        # it measured
-        bench_records = {args.bench_record: json.loads(path.read_text())}
     if args.trace:
         write_chrome_trace(registry, args.trace)
         logger.info("trace export: %s", args.trace)
-    return bench_records
 
 
 def _parse_dims(text: str) -> tuple[int, int, int]:
@@ -370,6 +346,22 @@ def _build_fault_plan(args: argparse.Namespace):
     return plan
 
 
+def _check_resumed_config(sim, checkpoint, wanted) -> None:
+    """``--resume`` with ``--config``: the file must ask for the config
+    the checkpoint holds, or the run would silently continue another
+    one; a mismatch is a one-line exit naming the differing fields."""
+    if sim.config.config_hash() == wanted.config_hash():
+        return
+    held, asked = sim.config.to_dict(), wanted.to_dict()
+    differ = sorted(k for k in held.keys() | asked.keys()
+                    if held.get(k) != asked.get(k))
+    sim.close()
+    raise SystemExit(
+        f"run: --config asks for another run than checkpoint "
+        f"{checkpoint} holds (differing fields: {', '.join(differ)})"
+    )
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
     """The run driver: checkpointed, fault-tolerant, auto-resuming,
     optionally instrumented."""
@@ -400,6 +392,26 @@ def _cmd_run(args: argparse.Namespace) -> int:
         except ConfigError as exc:
             raise SystemExit(f"run: {exc}")
 
+    # a rotation depth or schedule the checkpointer rejects (a zero
+    # --checkpoint-every or --checkpoint-seconds included) is a one-line
+    # exit before the initial conditions are built
+    outdir = args.outdir or args.resume
+    checkpointer = None
+    if outdir:
+        try:
+            schedule = None
+            if args.checkpoint_every is not None \
+                    or args.checkpoint_seconds is not None:
+                schedule = CheckpointSchedule(
+                    every_steps=args.checkpoint_every,
+                    every_seconds=args.checkpoint_seconds,
+                )
+            checkpointer = Checkpointer(
+                outdir, keep_last=args.keep_last, schedule=schedule
+            )
+        except ValueError as exc:
+            raise SystemExit(f"run: {exc}")
+
     sim = None
     if args.resume:
         latest = find_latest_valid(args.resume, faults=plan)
@@ -409,6 +421,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
             )
         else:
             sim = construct(lambda: load_checkpoint(latest, **sim_kwargs))
+            if args.config:
+                _check_resumed_config(sim, latest, _run_config(args))
             logger.info(
                 "resuming from %s (step %d/%d, z = %.3f)",
                 latest, sim._step_index, sim.config.n_steps, sim.redshift,
@@ -427,18 +441,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
             lambda: HACCSimulation(_run_config(args), **sim_kwargs)
         )
 
-    outdir = args.outdir or args.resume
-    checkpointer = None
-    if outdir:
-        schedule = None
-        if args.checkpoint_every or args.checkpoint_seconds:
-            schedule = CheckpointSchedule(
-                every_steps=args.checkpoint_every,
-                every_seconds=args.checkpoint_seconds,
-            )
-        checkpointer = Checkpointer(
-            outdir, keep_last=args.keep_last, schedule=schedule
-        )
+    if checkpointer is not None:
         logger.info(
             "checkpointing to %s (keep_last=%d)", outdir, args.keep_last
         )
@@ -451,7 +454,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     # feeds per-step perf blocks (ns/pair) into the telemetry stream for
     # the monitor dashboard
     registry = None
-    if args.profile or args.bench_record or args.trace:
+    if args.profile or args.trace:
         from repro.instrument import enable
 
         registry = enable()
@@ -489,10 +492,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
         logger.info("final checkpoint: %s", checkpointer.last_path)
     if args.summary:
         _log_summary(sim)
-    bench_records = None
     if registry is not None:
-        bench_records = _report_instrumentation(sim, args, registry)
-    return _finish_observability(sim, args, registry, bench_records)
+        _report_instrumentation(args, registry)
+    return _finish_observability(sim, args, registry)
 
 
 def _default_campaign_dir(spec) -> str:
@@ -675,6 +677,20 @@ def _cmd_monitor(args: argparse.Namespace) -> int:
         time.sleep(args.interval)
 
 
+#: ``runs list`` filters: (ledger column, flag type, help)
+_RUN_FILTERS = (
+    ("config_hash", str, "config hash"),
+    ("seed", int, "seed"),
+    ("backend", str, "force backend"),
+    ("executor", str, "executor backend"),
+    ("workers", int, "workers"),
+    ("kernel_backend", str, "short-range kernel backend (numpy/c)"),
+    ("precision", str, "precision (f32/f64)"),
+    ("git_rev", str, "git revision"),
+    ("verdict", str, "health verdict"),
+)
+
+
 def _cmd_runs(args: argparse.Namespace) -> int:
     """Query the run ledger: list runs or gc old entries."""
     import json
@@ -691,15 +707,7 @@ def _cmd_runs(args: argparse.Namespace) -> int:
         return 0
     # list
     entries = ledger.query(
-        config_hash=args.config_hash,
-        seed=args.seed,
-        backend=args.backend,
-        executor=args.executor,
-        workers=args.workers,
-        kernel_backend=args.kernel_backend,
-        precision=args.precision,
-        git_rev=args.git_rev,
-        verdict=args.verdict,
+        **{column: getattr(args, column) for column, _, _ in _RUN_FILTERS}
     )
     if args.json:
         print(json.dumps([e.to_dict() for e in entries], indent=2,
@@ -779,7 +787,6 @@ def _report_roofline(args: argparse.Namespace, ledger) -> int:
     import json
 
     from repro.instrument import render_roofline, roofline_table
-    from repro.instrument.report import bench_provenance_notes
     from repro.machine.calibrate import calibrate
 
     try:
@@ -800,9 +807,7 @@ def _report_roofline(args: argparse.Namespace, ledger) -> int:
             f"report: run {entry.run_id} charged no work counters"
         )
     table["run"] = entry.meta()
-    notes = bench_provenance_notes(ledger.load_bench(entry))
     if args.json:
-        table["provenance_notes"] = notes
         print(json.dumps(table, indent=2, sort_keys=True))
         return 0
     meta = entry.meta()
@@ -813,8 +818,6 @@ def _report_roofline(args: argparse.Namespace, ledger) -> int:
         f"{meta['executor'] or '?'})"
     )
     print(render_roofline(table))
-    for note in notes:
-        print(note)
     return 0
 
 
@@ -936,9 +939,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--profile", action="store_true",
                      help="instrument the run and print the "
                           "measured-vs-model section table")
-    run.add_argument("--bench-record", metavar="NAME",
-                     help="instrument the run and write BENCH_<NAME>.json "
-                          "(stored with the run under --ledger)")
     run.add_argument("--trace", metavar="PATH",
                      help="write a Chrome trace_event JSON trace")
     run.add_argument("--telemetry", metavar="PATH",
@@ -1070,19 +1070,9 @@ def build_parser() -> argparse.ArgumentParser:
     runs.add_argument("--ledger", metavar="DIR", default="",
                       help="ledger root (default: $REPRO_LEDGER_DIR or "
                            ".repro/ledger)")
-    runs.add_argument("--config-hash", metavar="HASH",
-                      help="filter by config hash (prefix ok)")
-    runs.add_argument("--seed", type=int, help="filter by seed")
-    runs.add_argument("--backend", help="filter by force backend")
-    runs.add_argument("--executor", help="filter by executor backend")
-    runs.add_argument("--workers", type=int, help="filter by workers")
-    runs.add_argument("--kernel-backend", dest="kernel_backend",
-                      help="filter by short-range kernel backend "
-                           "(numpy/c)")
-    runs.add_argument("--precision", help="filter by precision (f32/f64)")
-    runs.add_argument("--git-rev", metavar="REV",
-                      help="filter by git revision")
-    runs.add_argument("--verdict", help="filter by health verdict")
+    for column, kind, what in _RUN_FILTERS:
+        runs.add_argument("--" + column.replace("_", "-"), type=kind,
+                          help=f"filter by {what}")
     runs.add_argument("--keep-last", type=int, default=20, metavar="N",
                       help="for 'gc': keep the N newest runs "
                            "(default 20)")

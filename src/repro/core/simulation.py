@@ -102,8 +102,9 @@ class HACCSimulation:
         initial conditions are generated from ``config``.
     decomposition_dims:
         If given (e.g. ``(2, 2, 2)``), the short-range force is evaluated
-        per overloaded rank domain — the paper's parallel structure — with
-        an overload refresh after every full step.
+        per overloaded rank domain — the paper's parallel structure; every
+        short-range evaluation re-``distribute``s the particles over the
+        domains (the driver never calls ``OverloadExchange.refresh``).
     overload_depth:
         Overload shell depth in Mpc/h; defaults to the short-range cutoff
         plus one grid cell of drift margin.  With a short-range backend

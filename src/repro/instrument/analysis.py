@@ -38,6 +38,7 @@ from repro.instrument.registry import (
     path_self_times,
     without_worker_lanes,
 )
+from repro.instrument.store import IDENTITY
 
 __all__ = [
     "PhaseStat",
@@ -330,8 +331,7 @@ def analyze_stream(data: dict, meta: dict | None = None) -> RunAnalysis:
     manifest = data.get("manifest") or {}
     end = data.get("end") or {}
     merged = dict(meta or {})
-    for key in ("config_hash", "seed", "executor", "workers", "backend",
-                "git_rev"):
+    for key in IDENTITY:
         if key in manifest and key not in merged:
             merged[key] = manifest[key]
     return RunAnalysis(

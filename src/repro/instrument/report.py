@@ -60,7 +60,6 @@ __all__ = [
     "bucket_seconds",
     "render_profile",
     "write_bench_record",
-    "bench_provenance_notes",
 ]
 
 #: span name -> the paper's Table II bucket (unnamed spans are "other")
@@ -171,40 +170,6 @@ def render_profile(registry: Registry | NullRegistry) -> str:
     if listed:
         lines.append(f"  {listed}")
     return "\n".join(lines)
-
-
-def bench_provenance_notes(records: dict) -> list[str]:
-    """Loud warnings for bench records measured with a different set of
-    kernel backends than this host can run.
-
-    ``BENCH_kernels.json`` (and any record carrying a ``backends``
-    list) names the kernel backends that existed where it was measured.
-    A record timed without the compiled kernel says nothing about a
-    host that has it, and vice versa.  Every consumer (``report``,
-    ``check_regression.py``) prints these notes instead of silently
-    comparing.
-    """
-    from repro.shortrange.backends import available_backends
-
-    host = None
-    notes = []
-    for name, rec in sorted((records or {}).items()):
-        payload = rec.get("payload", rec) if isinstance(rec, dict) else {}
-        recorded = payload.get("backends") if isinstance(payload, dict) \
-            else None
-        if not isinstance(recorded, list):
-            continue
-        if host is None:
-            host = sorted(available_backends())
-        if sorted(recorded) == host:
-            continue
-        notes.append(
-            f"PROVENANCE MISMATCH [SKIPPED/UNAVAILABLE]: bench record "
-            f"{name!r} was measured with kernel backends "
-            f"{sorted(recorded)} but this host runs {host} — its backend "
-            f"timings are not comparable here."
-        )
-    return notes
 
 
 # ----------------------------------------------------------------------

@@ -1,7 +1,7 @@
 """The run ledger: an append-only index of completed runs.
 
 PRs 1 and 3 gave a *single* run rich observability — span traces,
-telemetry streams, health verdicts, BENCH records — but the paper's
+telemetry streams, health verdicts — but the paper's
 performance story (Sec. IV, Figs. 5-8, Tables I-III) is told across
 *many* runs: scaling sweeps, imbalance histograms, per-phase breakdowns
 compared between configurations.  The ledger is where those runs
@@ -11,14 +11,15 @@ accumulate:
   corrupt or half-written lines are skipped on read, so a crash during
   ``record`` never poisons the ledger;
 * ``<root>/runs/<run_id>/`` — the run's artifacts, copied in at record
-  time: ``entry.json`` (the full entry), ``telemetry.jsonl`` (the
-  RunStream), ``trace.json`` (Chrome trace of the registry: its span
-  events and counters, the run's one timing record), and
-  ``bench/BENCH_*.json`` records.
+  time: ``entry.json`` (the full entry), ``manifest.json``,
+  ``telemetry.jsonl`` (the RunStream) and ``trace.json`` (Chrome trace
+  of the registry: its span events and counters, the run's one timing
+  record).
 
-Entries are queryable by config hash, seed, executor backend / worker
-count, short-range backend, git revision and health verdict — the axes
-the paper's scaling tables vary — and resolve by id, unique id prefix,
+Entries are queryable by any :class:`RunEntry` column — config hash,
+seed, force and kernel backend, precision, executor backend / worker
+count, git revision and health verdict are the axes the paper's scaling
+tables vary — and resolve by id, unique id prefix,
 or the ``latest`` / ``latest~N`` relative tokens the CLI and the CI
 report lane use.
 """
@@ -30,10 +31,11 @@ import os
 import shutil
 import subprocess
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 __all__ = [
+    "IDENTITY",
     "RunEntry",
     "RunLedger",
     "git_revision",
@@ -76,6 +78,12 @@ def git_revision(cwd: str | Path | None = None) -> str | None:
     return rev if out.returncode == 0 and rev else None
 
 
+#: the columns that identify a run, read from its manifest: what
+#: :meth:`RunEntry.meta` leads with and a stream-only report recovers
+IDENTITY = ("config_hash", "seed", "backend", "executor", "workers",
+            "kernel_backend", "precision", "git_rev")
+
+
 @dataclass(frozen=True)
 class RunEntry:
     """One ledgered run: identity, provenance, outcome, artifact names."""
@@ -104,58 +112,24 @@ class RunEntry:
     extra: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "run_id": self.run_id,
-            "created_unix": self.created_unix,
-            "config_hash": self.config_hash,
-            "seed": self.seed,
-            "backend": self.backend,
-            "executor": self.executor,
-            "workers": self.workers,
-            "kernel_backend": self.kernel_backend,
-            "precision": self.precision,
-            "n_steps": self.n_steps,
-            "n_particles": self.n_particles,
-            "git_rev": self.git_rev,
-            "verdict": self.verdict,
-            "wall_s": self.wall_s,
-            "steps_completed": self.steps_completed,
-            "alerts": self.alerts,
-            "gflops": self.gflops,
-            "artifacts": dict(self.artifacts),
-            "extra": dict(self.extra),
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, rec: dict) -> "RunEntry":
-        known = {f: rec.get(f) for f in (
-            "run_id", "created_unix", "config_hash", "seed", "backend",
-            "executor", "workers", "kernel_backend", "precision",
-            "n_steps", "n_particles", "git_rev",
-            "verdict", "wall_s", "steps_completed", "alerts", "gflops",
-        )}
-        known["created_unix"] = float(known.get("created_unix") or 0.0)
-        if not known.get("run_id"):
+        """The entry of an index line; keys that are no field are
+        ignored, so a line of an older or newer shape still reads."""
+        known = {f.name: rec.get(f.name) for f in fields(cls)}
+        if not known["run_id"]:
             raise ValueError(f"ledger record without run_id: {rec!r}")
-        return cls(
-            artifacts=dict(rec.get("artifacts") or {}),
-            extra=dict(rec.get("extra") or {}),
-            **known,
-        )
+        known["created_unix"] = float(known["created_unix"] or 0.0)
+        known["artifacts"] = dict(known["artifacts"] or {})
+        known["extra"] = dict(known["extra"] or {})
+        return cls(**known)
 
     def meta(self) -> dict:
         """The identity block run reports lead with."""
-        out = {
-            "run_id": self.run_id,
-            "config_hash": self.config_hash,
-            "seed": self.seed,
-            "backend": self.backend,
-            "executor": self.executor,
-            "workers": self.workers,
-            "kernel_backend": self.kernel_backend,
-            "precision": self.precision,
-            "git_rev": self.git_rev,
-        }
+        out = {"run_id": self.run_id}
+        out.update((key, getattr(self, key)) for key in IDENTITY)
         # campaign-dispatched runs carry their suite identity so a
         # report ties the artifact back to its campaign + attempt
         for key in ("campaign_id", "campaign_name", "campaign_run",
@@ -181,7 +155,6 @@ class RunLedger:
         manifest: dict | None = None,
         stream_path: str | Path | None = None,
         registry=None,
-        bench_records: dict[str, dict] | None = None,
         verdict: str | None = None,
         extra: dict | None = None,
     ) -> RunEntry:
@@ -200,8 +173,6 @@ class RunLedger:
             A live :class:`repro.instrument.Registry`; its Chrome trace
             (span tree + per-rank/worker lanes + counters) is stored,
             and the entry's ``gflops`` is read back from it.
-        bench_records:
-            ``{name: record}`` BENCH payloads to store under ``bench/``.
         verdict:
             Health verdict override (``OK``/``WARN``/``CRIT``/...).
         """
@@ -236,34 +207,17 @@ class RunLedger:
             artifacts["trace"] = "trace.json"
             trace = load_chrome_trace(run_dir / "trace.json")
             gflops = achieved_gflops(trace["spans"], trace["counters"])
-        if bench_records:
-            bench_dir = run_dir / "bench"
-            bench_dir.mkdir(exist_ok=True)
-            for name, rec in sorted(bench_records.items()):
-                safe = "".join(
-                    c if c.isalnum() or c in "-._" else "_" for c in name
-                )
-                with open(bench_dir / f"BENCH_{safe}.json", "w",
-                          encoding="utf-8") as fh:
-                    json.dump(rec, fh, indent=2, sort_keys=True)
-            artifacts["bench"] = "bench"
-
         wall = end.get("wall_time")
         if wall is None and steps:
             wall = sum(float(s.get("wall_time", 0.0)) for s in steps)
+        columns = {
+            key: manifest.get(key)
+            for key in IDENTITY + ("n_steps", "n_particles")
+        }
+        columns["git_rev"] = columns["git_rev"] or git_revision()
         entry = RunEntry(
             run_id=run_id,
             created_unix=time.time(),
-            config_hash=manifest.get("config_hash"),
-            seed=manifest.get("seed"),
-            backend=manifest.get("backend"),
-            executor=manifest.get("executor"),
-            workers=manifest.get("workers"),
-            kernel_backend=manifest.get("kernel_backend"),
-            precision=manifest.get("precision"),
-            n_steps=manifest.get("n_steps"),
-            n_particles=manifest.get("n_particles"),
-            git_rev=manifest.get("git_rev") or git_revision(),
             verdict=verdict or end.get("verdict"),
             wall_s=float(wall) if wall is not None else None,
             steps_completed=len(steps) if steps else end.get("steps"),
@@ -271,6 +225,7 @@ class RunLedger:
             gflops=gflops,
             artifacts=artifacts,
             extra=dict(extra or {}),
+            **columns,
         )
         with open(run_dir / "entry.json", "w", encoding="utf-8") as fh:
             json.dump(entry.to_dict(), fh, indent=2, sort_keys=True)
@@ -321,47 +276,17 @@ class RunLedger:
                     continue
         return out
 
-    def query(
-        self,
-        config_hash: str | None = None,
-        seed: int | None = None,
-        backend: str | None = None,
-        executor: str | None = None,
-        workers: int | None = None,
-        kernel_backend: str | None = None,
-        precision: str | None = None,
-        git_rev: str | None = None,
-        verdict: str | None = None,
-    ) -> list[RunEntry]:
-        """Entries matching every given filter, oldest first."""
-        out = []
-        for e in self.entries():
-            if config_hash is not None and e.config_hash != config_hash:
-                continue
-            if seed is not None and e.seed != seed:
-                continue
-            if backend is not None and e.backend != backend:
-                continue
-            if executor is not None and e.executor != executor:
-                continue
-            if workers is not None and e.workers != workers:
-                continue
-            if kernel_backend is not None \
-                    and e.kernel_backend != kernel_backend:
-                continue
-            if precision is not None and e.precision != precision:
-                continue
-            if git_rev is not None and e.git_rev != git_rev:
-                continue
-            if verdict is not None and e.verdict != verdict:
-                continue
-            out.append(e)
-        return out
-
-    def latest(self, **filters) -> RunEntry | None:
-        """Most recently recorded entry matching the filters, if any."""
-        matches = self.query(**filters)
-        return matches[-1] if matches else None
+    def query(self, **filters) -> list[RunEntry]:
+        """Entries whose columns equal every given filter, oldest first;
+        a filter of ``None`` matches anything."""
+        unknown = set(filters) - {f.name for f in fields(RunEntry)}
+        if unknown:
+            raise TypeError(f"no ledger column(s) {sorted(unknown)}")
+        return [
+            e for e in self.entries()
+            if all(v is None or getattr(e, k) == v
+                   for k, v in filters.items())
+        ]
 
     def get(self, token: str) -> RunEntry:
         """Resolve ``token`` to exactly one entry.
@@ -435,20 +360,6 @@ class RunLedger:
 
         path = self.artifact_path(entry, "trace")
         return load_chrome_trace(path) if path is not None else None
-
-    def load_bench(self, entry: RunEntry) -> dict[str, dict]:
-        """Stored BENCH records of an entry: ``{name: record}``."""
-        bench_dir = self.artifact_path(entry, "bench")
-        out: dict[str, dict] = {}
-        if bench_dir is None or not bench_dir.is_dir():
-            return out
-        for path in sorted(bench_dir.glob("BENCH_*.json")):
-            try:
-                rec = json.loads(path.read_text())
-            except (OSError, json.JSONDecodeError):
-                continue
-            out[rec.get("name", path.stem)] = rec
-        return out
 
     def analyze(self, token_or_entry) -> "object":
         """Full :class:`repro.instrument.analysis.RunAnalysis` of a run."""

@@ -50,9 +50,11 @@ _OFFSETS = np.array(
 def domain_stats(domains: list["OverloadedDomain"]) -> dict:
     """Per-rank load summary of a set of overloaded domains.
 
-    Feeds the telemetry imbalance gauges: ``active`` / ``passive`` counts
-    and ghost (overload) fraction keyed by rank, plus the paper-style
-    ``max/mean`` imbalance factor of the active counts.
+    ``active`` / ``passive`` counts and ghost (overload) fraction keyed
+    by rank, plus the paper-style ``max/mean`` imbalance factor of the
+    active counts.  The run's telemetry gauges do not come from here
+    (the driver charges them per domain); the end-to-end benchmark's
+    ``parallel.domain_imbalance`` does.
     """
     active = {dom.rank: dom.n_active for dom in domains}
     counts = list(active.values())

@@ -237,24 +237,25 @@ class TestRunCommand:
             assert "decomposition" not in manifest
             assert "overload_depth" not in manifest
 
-    def test_profile_bench_record_is_ledgered(
-        self, tmp_path, monkeypatch, capsys
-    ):
+    def test_profile_run_is_ledgered(self, tmp_path, capsys):
+        """A ledgered ``run --profile`` keeps its spans and counters in
+        the run's trace, once: the run dir holds no other copy."""
         from repro.instrument import NullRegistry, RunLedger, use
 
-        monkeypatch.setenv("REPRO_BENCH_DIR", str(tmp_path / "records"))
         root = tmp_path / "ledger"
         with use(NullRegistry()):  # the run's live registry ends here
             assert main(["-q", "run", "--steps", "1", "--n-per-dim", "8",
-                         "--backend", "pm", "--profile", "--bench-record",
-                         "nightly", "--ledger", str(root)]) == 0
+                         "--backend", "pm", "--profile",
+                         "--ledger", str(root)]) == 0
         out = capsys.readouterr().out
         assert "self s" in out and "model/paper" in out
-        assert (tmp_path / "records" / "BENCH_nightly.json").is_file()
         ledger = RunLedger(root)
-        record = ledger.load_bench(ledger.get("latest"))["nightly"]
-        assert record["payload"]["n_steps"] == 1
-        assert record["instrument"]["counters"]
+        entry = ledger.get("latest")
+        assert entry.n_steps == 1
+        assert ledger.load_trace(entry)["counters"]
+        assert sorted(p.name for p in ledger.run_dir(entry).iterdir()) == [
+            "entry.json", "manifest.json", "trace.json",
+        ]
 
     def test_trace_is_the_span_export(self, tmp_path):
         """``--trace`` alone turns the registry on and writes the run's
@@ -304,6 +305,7 @@ class TestRunCommand:
             ["--inject-comm-max", "1"],
             ["--jsonl", "spans.jsonl"],
             ["--csv", "spans.csv"],
+            ["--bench-record", "nightly"],
         ],
         ids=lambda flag: flag[0],
     )
@@ -315,6 +317,64 @@ class TestRunCommand:
         err = capsys.readouterr().err
         assert flag[0] in err and "Traceback" not in err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flag, expected",
+        [
+            (["--keep-last", "0"], "keep_last must be >= 1"),
+            (["--checkpoint-every", "-1"], "every_steps must be >= 1"),
+            (["--checkpoint-every", "0"], "every_steps must be >= 1"),
+            (["--checkpoint-seconds", "0"], "every_seconds must be > 0"),
+        ],
+        ids=["keep-last 0", "checkpoint-every -1", "checkpoint-every 0",
+             "checkpoint-seconds 0"],
+    )
+    def test_bad_checkpoint_flag_is_a_one_line_exit(
+        self, tmp_path, monkeypatch, flag, expected
+    ):
+        """A rotation depth or schedule the checkpointer rejects exits
+        before the initial conditions are built; a zero interval is
+        rejected, not read as 'every step'."""
+        import repro
+
+        def built(*args, **kwargs):
+            raise AssertionError("the simulation was built")
+
+        monkeypatch.setattr(repro, "HACCSimulation", built)
+        out = tmp_path / "ck"
+        with pytest.raises(SystemExit) as exc:
+            main(self._base(out) + flag)
+        message = str(exc.value.code)
+        assert message.startswith("run: ") and expected in message
+        assert "\n" not in message
+        assert not out.exists()
+
+    def test_resume_under_another_config_is_a_one_line_exit(self, tmp_path):
+        """``--resume DIR --config FILE`` continues only the run FILE
+        asks for; an equal config resumes as before."""
+        import json
+
+        from repro.config import SimulationConfig
+
+        def config_file(name, **fields):
+            cfg = SimulationConfig(box_size=64.0, n_per_dim=8,
+                                   backend="pm", **fields)
+            path = tmp_path / name
+            path.write_text(json.dumps(cfg.to_dict()))
+            return str(path)
+
+        ran = config_file("ran.json", n_steps=2)
+        other = config_file("other.json", n_steps=4, seed=7)
+        out = tmp_path / "ck"
+        assert main(["run", "--config", ran, "--outdir", str(out)]) == 0
+        written = sorted(p.name for p in out.iterdir())
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--config", other, "--resume", str(out)])
+        message = str(exc.value.code)
+        assert message.startswith("run: ") and "\n" not in message
+        assert message.endswith("(differing fields: n_steps, seed)")
+        assert sorted(p.name for p in out.iterdir()) == written
+        assert main(["run", "--config", ran, "--resume", str(out)]) == 0
 
     @pytest.mark.parametrize(
         "fault, expected",

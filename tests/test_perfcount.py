@@ -38,7 +38,6 @@ from repro.instrument import (
 from repro.instrument import perfcount
 from repro.instrument.monitor import render_dashboard
 from repro.instrument.exporters import load_chrome_trace, write_chrome_trace
-from repro.instrument.report import bench_provenance_notes
 from repro.instrument.store import RunEntry
 from repro.instrument.telemetry import RunStream, StepTelemetry, Telemetry
 from repro.machine.calibrate import (
@@ -558,21 +557,6 @@ class TestWiring:
                 "end": None}
         text = render_dashboard([("demo", data)])
         assert "numpy" not in text
-
-    def test_bench_provenance_notes(self):
-        here = list(available_backends())
-        mismatched = {
-            "kernels": {"payload": {"backends": here + ["fortran"]}}
-        }
-        notes = bench_provenance_notes(mismatched)
-        assert len(notes) == 1
-        assert "PROVENANCE MISMATCH" in notes[0]
-        assert "fortran" in notes[0]
-        matched = {
-            "kernels": {"payload": {"backends": here}},
-            "flagless": {"payload": {"duration_s": 1.0}},
-        }
-        assert bench_provenance_notes(matched) == []
 
 
 # ----------------------------------------------------------------------

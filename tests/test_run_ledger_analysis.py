@@ -47,7 +47,7 @@ from repro.instrument.monitor import (
     monitor_exit_status,
     render_dashboard,
 )
-from repro.instrument.store import git_revision
+from repro.instrument.store import RunEntry, git_revision
 
 
 @pytest.fixture(autouse=True)
@@ -454,15 +454,15 @@ class TestRunLedger:
         path = tmp_path / "s.jsonl"
         make_stream(path, cfg)
         reg, _ = synthetic_registry()
-        bench = {"smoke": {"name": "smoke", "payload": {"duration_s": 1.0}}}
         entry = ledger.record(manifest=run_manifest(cfg), stream_path=path,
-                              registry=reg, bench_records=bench)
+                              registry=reg)
         assert ledger.load_stream(entry)["end"]["verdict"] == "OK"
         spans = ledger.load_trace(entry)["spans"]
         assert spans and any(ev.path == "step/longrange/fft"
                              for ev in spans)
-        assert ledger.load_bench(entry)["smoke"]["payload"][
-            "duration_s"] == 1.0
+        assert sorted(p.name for p in ledger.run_dir(entry).iterdir()) == [
+            "entry.json", "manifest.json", "telemetry.jsonl", "trace.json",
+        ]
         analysis = ledger.analyze(entry.run_id)
         assert analysis.by_name["fft"]["self_s"] == pytest.approx(4.0)
         assert analysis.meta["run_id"] == entry.run_id
@@ -495,6 +495,25 @@ class TestRunLedger:
         with open(ledger.root / "index.jsonl", "a") as fh:
             fh.write("{torn line\n")
         assert [e.run_id for e in ledger.entries()] == [entry.run_id]
+
+    def test_entry_dict_keys_and_order(self):
+        """``to_dict`` is the index line's shape; ``from_dict`` reads it
+        back and ignores keys that are no column."""
+        entry = RunEntry(run_id="run-0001-abc", created_unix=1.0, seed=3,
+                         artifacts={"trace": "trace.json"})
+        rec = entry.to_dict()
+        assert list(rec) == [
+            "run_id", "created_unix", "config_hash", "seed", "backend",
+            "executor", "workers", "kernel_backend", "precision",
+            "n_steps", "n_particles", "git_rev", "verdict", "wall_s",
+            "steps_completed", "alerts", "gflops", "artifacts", "extra",
+        ]
+        assert RunEntry.from_dict({**rec, "future": 1}) == entry
+        assert RunEntry.from_dict({"run_id": "r"}).created_unix == 0.0
+        with pytest.raises(ValueError):
+            RunEntry.from_dict({"seed": 3})
+        with pytest.raises(TypeError):
+            RunLedger(".").query(no_such_column=1)
 
     def test_git_revision_env_override(self, monkeypatch):
         monkeypatch.setenv("REPRO_GIT_REV", "cafef00")
@@ -655,6 +674,85 @@ class TestCLI:
         assert entry.gflops == pytest.approx(
             achieved_gflops(live.events, live.counters), rel=1e-9
         )
+
+    #: (column, entry A's value, entry B's value) of every ``runs``
+    #: filter; A and B differ in each
+    FILTERS = [
+        ("config_hash", "aaaa11112222", "bbbb33334444"),
+        ("seed", 1, 2),
+        ("backend", "treepm", "pm"),
+        ("executor", "serial", "thread"),
+        ("workers", 1, 2),
+        ("kernel_backend", "c", "numpy"),
+        ("precision", "f64", "f32"),
+        ("git_rev", "aaaaaaa", "bbbbbbb"),
+        ("verdict", "OK", "WARN"),
+    ]
+
+    def test_runs_keeps_its_nine_filters(self):
+        from repro.__main__ import _RUN_FILTERS
+
+        assert [c for c, _, _ in _RUN_FILTERS] == [
+            c for c, _, _ in self.FILTERS
+        ]
+
+    @pytest.mark.parametrize("column", [c for c, _, _ in FILTERS])
+    def test_runs_filter_selects_the_matching_entry(
+        self, tmp_path, capsys, column
+    ):
+        from repro.__main__ import main
+
+        ledger = RunLedger(tmp_path / "ledger")
+        entries = [
+            RunEntry(run_id=f"run-000{i}-{side}", created_unix=float(i),
+                     **{c: values[i - 1] for c, *values in self.FILTERS})
+            for i, side in ((1, "a"), (2, "b"))
+        ]
+        for entry in entries:
+            ledger._append_index(entry)
+        flag = "--" + column.replace("_", "-")
+        for entry in entries:
+            assert main(["runs", "list", "--ledger", str(ledger.root), flag,
+                         str(getattr(entry, column)), "--json"]) == 0
+            listed = json.loads(capsys.readouterr().out)
+            assert [e["run_id"] for e in listed] == [entry.run_id]
+
+    def test_entry_with_a_bench_dir_still_reads(self, tmp_path, capsys):
+        """An index line written with ``artifacts.bench`` and a run dir
+        holding ``bench/`` lists, filters, reports and is pruned."""
+        from repro.__main__ import main
+
+        ledger = RunLedger(tmp_path / "ledger")
+        cfg = tiny_config(seed=5)
+        make_stream(tmp_path / "old.jsonl", cfg)
+        reg, _ = synthetic_registry()
+        old = ledger.record(manifest=run_manifest(cfg),
+                            stream_path=tmp_path / "old.jsonl",
+                            registry=reg)
+        rec = old.to_dict()
+        rec["artifacts"]["bench"] = "bench"
+        ledger.index_path.write_text(json.dumps(rec) + "\n")
+        bench = ledger.run_dir(old) / "bench"
+        bench.mkdir()
+        (bench / "BENCH_nightly.json").write_text(
+            json.dumps({"name": "nightly", "payload": {"n_steps": 2}})
+        )
+        root = str(ledger.root)
+        for argv in (["runs", "list"], ["runs", "list", "--seed", "5"]):
+            assert main(argv + ["--ledger", root, "--json"]) == 0
+            listed = json.loads(capsys.readouterr().out)
+            assert [e["run_id"] for e in listed] == [old.run_id]
+            assert listed[0]["artifacts"]["bench"] == "bench"
+        assert main(["report", old.run_id, "--ledger", root]) == 0
+        assert "fft" in capsys.readouterr().out
+
+        make_stream(tmp_path / "new.jsonl", tiny_config(seed=6))
+        new = ledger.record(stream_path=tmp_path / "new.jsonl")
+        assert main(["runs", "gc", "--keep-last", "1",
+                     "--ledger", root]) == 0
+        assert old.run_id in capsys.readouterr().out
+        assert not ledger.run_dir(old).exists()
+        assert [e.run_id for e in ledger.entries()] == [new.run_id]
 
     def test_runs_gc_cli(self, tmp_path, monkeypatch, capsys):
         from repro.__main__ import main
