@@ -166,7 +166,7 @@ fallback_twin treepm-f64 --steps 1
 fallback_twin treepm-f32 --steps 1 --precision f32
 fallback_twin pm-f64 --steps 3 --backend pm
 fallback_twin pm-f32 --steps 3 --backend pm --precision f32
-# P3M's list build is the same tighten primitive on whole-cell ranges
+# P3M's list build is the same cull primitive on whole-cell ranges
 fallback_twin p3m --steps 1 --backend p3m
 # per-domain trees on both builds; at 16^3 the default overload depth
 # (rcut + one cell = 16) is not below half a domain, so it is rcut = 12

@@ -370,8 +370,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     from repro.io import (
         Checkpointer,
         CheckpointSchedule,
-        find_latest_valid,
-        load_checkpoint,
+        load_latest_valid,
     )
 
     plan = _build_fault_plan(args)
@@ -414,13 +413,14 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
     sim = None
     if args.resume:
-        latest = find_latest_valid(args.resume, faults=plan)
-        if latest is None:
+        found = construct(
+            lambda: load_latest_valid(args.resume, **sim_kwargs))
+        if found is None:
             logger.warning(
                 "no valid checkpoint under %s; starting fresh", args.resume
             )
         else:
-            sim = construct(lambda: load_checkpoint(latest, **sim_kwargs))
+            latest, sim = found
             if args.config:
                 _check_resumed_config(sim, latest, _run_config(args))
             logger.info(

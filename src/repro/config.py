@@ -235,6 +235,11 @@ class SimulationConfig:
         return self.rcut_cells * self.spacing()
 
     @property
+    def precision(self) -> str:
+        """``dtype`` under its ledger column name (``"f64"`` / ``"f32"``)."""
+        return self.dtype
+
+    @property
     def precision_dtype(self) -> type:
         """The NumPy scalar type named by ``dtype``."""
         return np.float32 if self.dtype == "f32" else np.float64

@@ -298,7 +298,7 @@ def run_manifest(config=None, extra: Mapping | None = None) -> dict:
         manifest["scipy"] = importlib.metadata.version("scipy")
     except importlib.metadata.PackageNotFoundError:
         manifest["scipy"] = None
-    from repro.instrument.store import git_revision
+    from repro.instrument.store import IDENTITY, git_revision
 
     manifest["git_rev"] = git_revision()
     if config is not None:
@@ -307,13 +307,10 @@ def run_manifest(config=None, extra: Mapping | None = None) -> dict:
         manifest["seed"] = config.seed
         manifest["n_steps"] = config.n_steps
         manifest["n_particles"] = config.n_particles
-        manifest["backend"] = config.backend
-        manifest["executor"] = getattr(config, "executor", "serial")
-        manifest["workers"] = getattr(config, "workers", 1)
-        manifest["kernel_backend"] = getattr(
-            config, "kernel_backend", "auto"
-        )
-        manifest["precision"] = getattr(config, "dtype", "f64")
+        # the other ledger identity columns are config attributes of
+        # the same name, in the ledger's column order
+        manifest.update((key, getattr(config, key))
+                        for key in IDENTITY if key not in manifest)
     if extra:
         manifest.update(dict(extra))
     return manifest

@@ -13,6 +13,7 @@ from repro.io.checkpoint import (
     crc32c,
     find_latest_valid,
     load_checkpoint,
+    load_latest_valid,
     save_checkpoint,
     verify_checkpoint,
 )
@@ -26,6 +27,7 @@ __all__ = [
     "load_checkpoint",
     "verify_checkpoint",
     "find_latest_valid",
+    "load_latest_valid",
     "crc32c",
     "CheckpointError",
     "CheckpointSchedule",

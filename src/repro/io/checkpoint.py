@@ -62,6 +62,7 @@ __all__ = [
     "Checkpointer",
     "crc32c",
     "find_latest_valid",
+    "load_latest_valid",
     "load_checkpoint",
     "save_checkpoint",
     "verify_checkpoint",
@@ -326,7 +327,12 @@ def load_checkpoint(path: str | Path, **sim_kwargs) -> HACCSimulation:
     plan.
     """
     path = Path(path)
-    meta, arrays = _load_verified(path)
+    return _restore(path, *_load_verified(path), **sim_kwargs)
+
+
+def _restore(path: Path, meta: dict, arrays: dict,
+             **sim_kwargs) -> HACCSimulation:
+    """The simulation a verified checkpoint's payload holds."""
     try:
         config = SimulationConfig.from_dict(meta["config"])
     except ConfigError:
@@ -371,20 +377,40 @@ def find_latest_valid(
     ``"checkpoint"`` fault of ``faults``).  Returns ``None`` when
     nothing valid remains.
     """
-    directory = Path(directory)
+    found = _latest_verified(Path(directory), faults)
+    return None if found is None else found[0]
+
+
+def load_latest_valid(
+    directory: str | Path, **sim_kwargs
+) -> tuple[Path, HACCSimulation] | None:
+    """:func:`find_latest_valid` then :func:`load_checkpoint`, reading
+    and verifying the restored file once: ``(path, simulation)``, or
+    ``None`` when nothing valid remains.  ``sim_kwargs`` go to the
+    :class:`HACCSimulation` constructor; their ``faults`` plan, if any,
+    counts the skipped files."""
+    found = _latest_verified(Path(directory),
+                             sim_kwargs.get("faults", NullFaultPlan()))
+    return None if found is None else (found[0],
+                                       _restore(*found, **sim_kwargs))
+
+
+def _latest_verified(directory: Path, faults) -> tuple | None:
+    """``(path, metadata, arrays)`` of the newest checkpoint that
+    verifies, skipping (and counting) the others."""
     if not directory.is_dir():
         return None
     skipped = False
     for _, path in _rotation_files(directory):
         try:
-            verify_checkpoint(path)
+            meta, arrays = _load_verified(path)
         except CheckpointError as exc:
             skipped = True
             logger.warning("skipping invalid checkpoint: %s", exc)
             continue
         if skipped:
             faults.note_recovery("checkpoint")
-        return path
+        return path, meta, arrays
     return None
 
 

@@ -26,9 +26,9 @@ from repro.shortrange.batch import (
     BatchedPairEngine,
     InteractionBatch,
     Workspace,
-    batch_box_query,
     pack_tree,
 )
+from repro.shortrange.backends.numpy_backend import batch_box_query
 from repro.shortrange.grid_force import (
     GridForceFit,
     fit_grid_force,

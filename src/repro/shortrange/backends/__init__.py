@@ -5,13 +5,13 @@ architectural bet: *one* long-range spectral solver shared everywhere,
 plus *swappable, per-architecture short-range kernels* — QPX intrinsics
 on the BG/Q, CUDA on Titan, OpenCL on Roadrunner — all implementing the
 same narrow force-kernel contract.  This package is that seam for the
-reproduction.  A backend supplies seven primitives:
+reproduction.  A backend supplies eight primitives:
 
 ``pair_accumulate``
-    The full CSR interaction-batch evaluation — separations, cutoff
-    test, the 26-instruction-kernel analogue ``(s + eps)^{-3/2} -
-    poly_5(s)``, per-target accumulation — the hot loop of the
-    short-range phase.
+    The full interaction-batch evaluation — each group's kept sources
+    read from their row ranges, separations, cutoff test, the
+    26-instruction-kernel analogue ``(s + eps)^{-3/2} - poly_5(s)``,
+    per-target accumulation — the hot loop of the short-range phase.
 ``cic_corners`` / ``cic_deposit`` / ``cic_gather``
     The particle-mesh passes: positions in, each particle's base cell
     and fractions out; then, from those corners, the scatter onto a grid
@@ -23,10 +23,12 @@ reproduction.  A backend supplies seven primitives:
 ``rcb_build``
     The RCB tree build: centre-of-mass bisection of the SOA cloud, the
     arrays permuted in place, flat node arrays out.
-``tighten``
-    The list build's last pass: candidate CSR lists in, the batch the
-    kernel streams out — ghost targets dropped, each group's sources
-    culled to the box of its real targets.
+``walk``
+    The tree walk: each query box's hit leaves, in row order.
+``cull``
+    The list build's last pass: row-range candidate lists in, a keep
+    bitmask and per-group counts out — ghost targets out of every box,
+    each group's sources culled to the box of its real targets.
 
 Two implementations ride the seam:
 
@@ -35,10 +37,10 @@ Two implementations ride the seam:
   :class:`~repro.grid.cic.ParticleGridCoords` corner tables, and the
   stream's fold through ``np.mod``.
 * ``c`` — ``pair_accumulate``, the three CIC passes, ``stream``,
-  ``rcb_build`` and ``tighten`` as fused, GIL-free C loops
-  (``pair_kernel.c``, ``cic_kernel.c``, ``rcb_kernel.c``,
-  ``tighten_kernel.c``; CIC keeps no tables, only each particle's base
-  cell and fractions; the tree reproduces numpy's pairwise sum), built
+  ``rcb_build``, ``walk`` and ``cull`` as fused, GIL-free C loops
+  (``pair_kernel.c`` with the cull, ``cic_kernel.c``, ``rcb_kernel.c``
+  with the walk; CIC keeps no tables, only each particle's base cell
+  and fractions; the tree reproduces numpy's pairwise sum), built
   on first use with ``$CC``/``cc``/``gcc`` and cached per
   user; **bitwise identical** to the numpy reference in float64 and
   float32.
@@ -125,31 +127,18 @@ class KernelBackend(ABC):
 
     # ------------------------------------------------------------------
     @abstractmethod
-    def pair_accumulate(
-        self,
-        targets: np.ndarray,
-        target_offsets: np.ndarray,
-        neighbor_indices: np.ndarray,
-        neighbor_offsets: np.ndarray,
-        px: np.ndarray,
-        py: np.ndarray,
-        pz: np.ndarray,
-        msc: np.ndarray,
-        coeffs: np.ndarray,
-        eps,
-        rc2_cells,
-        inv_sp2,
-        chunk_pairs: int,
-        acc: np.ndarray,
-        workspace,
-    ) -> int:
-        """Evaluate a CSR interaction batch into ``acc``; returns the
-        number of in-cutoff pairs actually evaluated.
+    def pair_accumulate(self, target_starts, target_counts, real,
+                        source_starts, source_counts, range_offsets, keep,
+                        px, py, pz, msc, coeffs, eps, rc2_cells, inv_sp2,
+                        chunk_pairs: int, acc: np.ndarray, workspace) -> int:
+        """Evaluate an interaction batch into ``acc``; returns the number
+        of in-cutoff pairs actually evaluated.
 
-        ``(targets, target_offsets, neighbor_indices, neighbor_offsets)``
-        are the :class:`~repro.shortrange.batch.InteractionBatch` arrays;
-        ``px/py/pz`` the SOA coordinates, ``msc`` the masses already
-        scaled by ``1/spacing^3`` — all in the kernel dtype.  ``acc`` is
+        The first seven arguments are the
+        :class:`~repro.shortrange.batch.InteractionBatch` lists: group
+        ``g`` applies its kept candidates, in order, to each of its real
+        targets.  ``px/py/pz`` are the SOA coordinates, ``msc`` the masses already
+        scaled by ``1/spacing^3`` -- all in the kernel dtype.  ``acc`` is
         an ``(N, 3)`` kernel-dtype array accumulated in place with the
         attractive sign.  ``workspace`` is the engine's grow-only
         :class:`Workspace`; backends that do not tile through scratch
@@ -233,33 +222,31 @@ class KernelBackend(ABC):
         node_count, node_lo, node_hi, node_left, node_right)``."""
 
     @abstractmethod
-    def tighten(
-        self,
-        targets: np.ndarray,
-        target_offsets: np.ndarray,
-        source_starts: np.ndarray,
-        source_counts: np.ndarray,
-        range_offsets: np.ndarray,
-        real: np.ndarray,
-        positions: np.ndarray,
-        radius: float,
-    ) -> tuple:
-        """The streamed batch of a candidate batch (int64 arrays).
+    def walk(self, tree, qlo: np.ndarray, qhi: np.ndarray) -> tuple:
+        """The leaf hits of box queries against an
+        :class:`~repro.shortrange.rcb_tree.RCBTree`.
 
-        Group ``g``'s targets are ``targets[target_offsets[g]:
-        target_offsets[g + 1]]``; its candidate sources are the rows of
-        its ranges ``r`` in ``range_offsets[g]:range_offsets[g + 1]``,
-        ``source_starts[r]`` up to ``source_starts[r] +
-        source_counts[r]``, in order (an RCB leaf's hits are whole
-        leaves; a list of single rows is ranges of one).  ``real`` (bool,
-        one per ``targets`` entry) flags the targets that receive a
-        force; ``positions`` is the ``(N, 3)`` float32/float64 cloud the
-        indices address.  Per group with a real target, in order: its
-        real targets, in order, listing, in order, the candidates whose
-        float32 squared distance to the float32 box of those targets,
-        summed ``(dx**2 + dy**2) + dz**2``, is ``<= float32(radius**2)``.
-        Returns the ``(targets, target_offsets, neighbor_indices,
-        neighbor_offsets)`` of those groups.
+        ``qlo`` / ``qhi`` are ``(Q, 3)`` corners, cast to the tree's
+        dtype.  Returns int64 ``(hit_offsets, hit_nodes)``: query ``q``
+        hits ``hit_nodes[hit_offsets[q]:hit_offsets[q + 1]]``, the leaves
+        whose box meets its closed box (no ``node_lo`` coordinate above
+        ``qhi``, no ``node_hi`` one below ``qlo``), ascending by
+        ``node_start``.
+        """
+
+    @abstractmethod
+    def cull(self, target_starts, target_counts, real, source_starts,
+             source_counts, range_offsets, positions: np.ndarray,
+             radius: float) -> tuple:
+        """The list build's last pass: which candidates each group
+        streams, as ``(keep, n_targets, n_sources)`` of an
+        :class:`~repro.shortrange.batch.InteractionBatch` over the row
+        ranges given (``real`` has one flag per row of the ``(N, 3)``
+        float32/float64 ``positions``).  A candidate is kept when its
+        float32 squared distance to the float32 box of its group's real
+        targets, summed ``(dx**2 + dy**2) + dz**2``, is ``<=
+        float32(radius**2)``; a group without a real target keeps
+        nothing.
         """
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

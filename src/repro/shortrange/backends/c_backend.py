@@ -1,18 +1,19 @@
 """Compiled C kernels, built on first use and loaded with ctypes.
 
-``pair_kernel.c`` (``pair_accumulate``), ``cic_kernel.c``
-(``cic_corners``, ``cic_deposit``, ``cic_gather`` and the stepper's
-``stream`` pass, which shares the CIC wrap), ``rcb_kernel.c``
-(``rcb_build``, whose node arrays start at ~8 per ``leaf_size``
-particles and double when a build overflows them) and
-``tighten_kernel.c`` (``tighten``)
-are fused loops, one macro body per precision (see each file's header
+``pair_kernel.c`` (``pair_accumulate`` and the list ``cull``),
+``cic_kernel.c`` (``cic_corners``, ``cic_deposit``, ``cic_gather`` and
+the stepper's ``stream`` pass, which shares the CIC wrap) and
+``rcb_kernel.c`` (``rcb_build``, whose node arrays start at ~8 per
+``leaf_size`` particles and double when a build overflows them, and the
+tree ``walk``, rerun with room for every hit when they outgrow its
+first buffer) are fused loops, one macro body per precision (see each file's header
 for its bitwise contract with the NumPy reference).  ``pair_accumulate``
 also has target-lane bodies, one macro over AVX-512 (8 targets per
 batch in f64 and f32) and AVX2 (4 / 8): the widest the CPU has is chosen
 at load time (:func:`_pair_path`).  They order each group's targets
 into spatially compact batches, and on AVX-512 cull each batch's
-sources against its target box before the lanes run; their per-group
+sources against its target box before the lanes run (the AVX-512 path
+also runs the list cull 16 candidates per zmm); their per-group
 scratch comes from the caller's
 :class:`~repro.shortrange.backends.Workspace`, so concurrent calls on
 their own workspaces share nothing.
@@ -47,8 +48,7 @@ __all__ = ["CBackend"]
 
 _SOURCES = tuple(
     Path(__file__).with_name(name)
-    for name in ("pair_kernel.c", "cic_kernel.c", "rcb_kernel.c",
-                 "tighten_kernel.c")
+    for name in ("pair_kernel.c", "cic_kernel.c", "rcb_kernel.c")
 )
 #: one flag set for both precisions: strict IEEE, no FMA contraction, no
 #: host-specific code; SIMD comes from per-function ``target("avx2")`` /
@@ -60,6 +60,7 @@ _I64 = ctypes.c_int64
 _I64P = ctypes.POINTER(ctypes.c_int64)
 _I32P = ctypes.POINTER(ctypes.c_int32)
 _U8P = ctypes.POINTER(ctypes.c_uint8)
+_U64P = ctypes.POINTER(ctypes.c_uint64)
 _F64P = ctypes.POINTER(ctypes.c_double)
 
 
@@ -156,7 +157,9 @@ def _load(lib: Path) -> tuple[dict, object, str]:
     C function, ``pair_scratch(ns, nt, cs)`` sizes its scratch."""
     dll = ctypes.CDLL(str(lib))
     path = _pair_path(dll)
-    pair = _PAIR_SYMBOLS[path]
+    # the AVX-512 path also culls 16 candidates per zmm
+    symbols = {"pair_accumulate": _PAIR_SYMBOLS[path],
+               "cull": "cull_avx512" if path == "avx512" else "cull"}
     dll.pair_scratch.restype = _I64
     dll.pair_scratch.argtypes = [_I64] * 3
     fns = {}
@@ -164,20 +167,23 @@ def _load(lib: Path) -> tuple[dict, object, str]:
         real = ctypes.c_double if dt.itemsize == 8 else ctypes.c_float
         rp = ctypes.POINTER(real)
         signatures = {
-            "pair_accumulate": [_I64P] * 4 + [_I64] + [rp] * 5 + [_I64]
-            + [real] * 3 + [_I64, rp, rp, _I64P],
+            "pair_accumulate": [_I64P, _I64P, _U8P] + [_I64P] * 3
+            + [_U64P, _I64] + [rp] * 5 + [_I64] + [real] * 3
+            + [_I64, rp, rp, _I64P],
             "cic_corners": [rp, _I64, _I64, real, real, _I32P, rp],
             "cic_deposit": [_I32P, rp, rp, _I64, _I64, _F64P, rp],
             "cic_gather": [rp, _I64, _I64, _I32P, rp, _I64, rp],
             "stream": [rp, rp, _I64, real, real],
             "rcb_build": [rp] * 4 + [_I64P] + [_I64] * 3 + [_I64P] * 2
             + [rp] * 2 + [_I64P] * 2,
-            "tighten": [_I64P] * 5 + [_I64, _U8P, rp, ctypes.c_float]
-            + [_I64P] * 4,
+            "walk": [rp, rp, _I64P, _I64P, rp, rp, _I64, _I64P, _I64P, _I64,
+                     _I64P],
+            "cull": [_I64P, _I64P, _U8P] + [_I64P] * 3
+            + [_I64, rp, _I64, ctypes.c_float, _U64P, _I64P, _I64P],
         }
         table = {}
         for name, argtypes in signatures.items():
-            symbol = pair if name == "pair_accumulate" else name
+            symbol = symbols.get(name, name)
             fn = getattr(dll, f"{symbol}_{suffix}")
             fn.restype = None if name == "stream" else _I64
             fn.argtypes = argtypes
@@ -197,9 +203,38 @@ def _checked(a, dtype, name: str, n: int | None = None) -> np.ndarray:
     return out
 
 
+def _group_lists(target_starts, target_counts, real, source_starts,
+                 source_counts, range_offsets, n: int):
+    """A batch's row ranges as C arrays ``(target_starts, target_counts,
+    real, source_starts, source_counts, range_offsets)``, and each
+    group's number of candidates: the C loops trust the ranges, so they
+    are bounded here, once per call, against ``n`` rows."""
+    ts = _checked(target_starts, np.int64, "target_starts")
+    tc = _checked(target_counts, np.int64, "target_counts", ts.size)
+    start = _checked(source_starts, np.int64, "source_starts")
+    count = _checked(source_counts, np.int64, "source_counts", start.size)
+    ro = _checked(range_offsets, np.int64, "range_offsets", ts.size + 1)
+    if ro[0] != 0 or ro[-1] != start.size or np.any(ro[1:] < ro[:-1]):
+        raise ValueError("range offsets do not index their ranges")
+    for first, size, what in ((ts, tc, "target"), (start, count, "source")):
+        if first.size and (size.min() < 0 or first.min() < 0
+                           or (first + size).max() > n):
+            raise IndexError(f"{what} range out of range for {n} rows")
+    before = np.zeros(start.size + 1, dtype=np.int64)
+    np.cumsum(count, out=before[1:])
+    flags = _checked(real, np.bool_, "real", n)
+    return (ts, tc, flags, start, count, ro), np.diff(before[ro])
+
+
+def _pointers(lists):
+    """ctypes pointers to :func:`_group_lists`' arrays."""
+    return (a.ctypes.data_as(_U8P if a.dtype == np.bool_ else _I64P)
+            for a in lists)
+
+
 class CBackend(NumpyBackend):
     """``pair_accumulate``, the three CIC passes, ``stream``,
-    ``rcb_build`` and ``tighten`` in compiled C."""
+    ``rcb_build``, ``walk`` and ``cull`` in compiled C."""
 
     name = "c"
 
@@ -226,24 +261,10 @@ class CBackend(NumpyBackend):
                 f"kernel backend 'c': cannot load {lib}: {exc}"
             )
 
-    def pair_accumulate(
-        self,
-        targets,
-        target_offsets,
-        neighbor_indices,
-        neighbor_offsets,
-        px,
-        py,
-        pz,
-        msc,
-        coeffs,
-        eps,
-        rc2_cells,
-        inv_sp2,
-        chunk_pairs,
-        acc,
-        workspace,
-    ):
+    def pair_accumulate(self, target_starts, target_counts, real,
+                        source_starts, source_counts, range_offsets, keep,
+                        px, py, pz, msc, coeffs, eps, rc2_cells, inv_sp2,
+                        chunk_pairs, acc, workspace):
         dt = acc.dtype
         if (dt not in self._fns or acc.ndim != 2 or acc.shape[1] != 3
                 or not acc.flags.c_contiguous or not acc.flags.writeable):
@@ -253,40 +274,80 @@ class CBackend(NumpyBackend):
             )
         n = acc.shape[0]
         fns, rp = self._fns[dt]
-        to = _checked(target_offsets, np.int64, "target_offsets")
-        no = _checked(neighbor_offsets, np.int64, "neighbor_offsets", to.size)
-        tg = _checked(targets, np.int64, "targets")
-        ni = _checked(neighbor_indices, np.int64, "neighbor_indices")
-        ngroups = to.size - 1
-        if ngroups < 1 or n == 0:
+        if n == 0 or np.size(target_starts) == 0:
             return 0
-        # the C loop trusts the lists: bound them here, once per batch
-        for off, idx, what in ((to, tg, "target"), (no, ni, "neighbor")):
-            if off[0] < 0 or off[-1] > idx.size or np.any(off[1:] < off[:-1]):
-                raise ValueError(f"{what} offsets do not index their list")
-            used = idx[off[0]:off[-1]]
-            if used.size and (used.min() < 0 or used.max() >= n):
-                raise IndexError(f"{what} index out of range for {n} rows")
+        lists, ncand = _group_lists(target_starts, target_counts, real,
+                                    source_starts, source_counts,
+                                    range_offsets, n)
+        bits = _checked(keep, np.uint64, "keep")
+        if 64 * bits.size < ncand.sum():
+            raise ValueError(f"keep: {64 * bits.size} bits for "
+                             f"{int(ncand.sum())} candidates")
         soa = [_checked(a, dt, s, n) for a, s in
                ((px, "px"), (py, "py"), (pz, "pz"), (msc, "msc"))]
         co = _checked(coeffs, dt, "coeffs")
         if co.size < 1 or chunk_pairs < 1:
             raise ValueError("coeffs must be non-empty and chunk_pairs >= 1")
-        # the lane bodies' per-group scratch, sized for the largest group
-        nt, ns = int(np.diff(to).max()), int(np.diff(no).max())
+        # per-group scratch, sized for the most targets and candidates
+        nt, ns = int(lists[1].max()), int(ncand.max())
         ws = Workspace() if workspace is None else workspace
         scratch = ws.get("pair.scratch", self._pair_scratch(
             ns, nt, min(ns, int(chunk_pairs))), dt)
-        order = ws.get("pair.order", 2 * nt, np.int64)
+        order = ws.get("pair.order", 3 * nt, np.int64)
         return int(fns["pair_accumulate"](
-            tg.ctypes.data_as(_I64P), to.ctypes.data_as(_I64P),
-            ni.ctypes.data_as(_I64P), no.ctypes.data_as(_I64P), ngroups,
+            *_pointers(lists), bits.ctypes.data_as(_U64P), lists[0].size,
             *(a.ctypes.data_as(rp) for a in soa),
             co.ctypes.data_as(rp), co.size,
             float(eps), float(rc2_cells), float(inv_sp2),
             int(chunk_pairs), acc.ctypes.data_as(rp),
             scratch.ctypes.data_as(rp), order.ctypes.data_as(_I64P),
         ))
+
+    def walk(self, tree, qlo, qhi):
+        dt = tree.node_lo.dtype
+        fns, rp = self._fns[dt]
+        qlo, qhi = (np.ascontiguousarray(q, dtype=dt).reshape(-1, 3)
+                    for q in (qlo, qhi))
+        nq = qlo.shape[0]
+        if qhi.shape != qlo.shape:
+            raise ValueError(f"qlo {qlo.shape} and qhi {qhi.shape} differ")
+        offsets = np.zeros(nq + 1, dtype=np.int64)
+        if nq == 0 or tree.n_nodes == 0:
+            return offsets, np.empty(0, dtype=np.int64)
+        boxes = [np.ascontiguousarray(a) for a in
+                 (tree.node_lo, tree.node_hi, tree.node_left,
+                  tree.node_right, qlo, qhi)]
+        stack = np.empty(tree.n_nodes, dtype=np.int64)
+        cap = 64 * nq
+        while True:  # a second pass only when the hits outgrow the room
+            hits = np.empty(cap, dtype=np.int64)
+            total = fns["walk"](
+                *(a.ctypes.data_as(rp if a.dtype == dt else _I64P)
+                  for a in boxes),
+                nq, offsets.ctypes.data_as(_I64P), hits.ctypes.data_as(_I64P),
+                cap, stack.ctypes.data_as(_I64P),
+            )
+            if total <= cap:
+                return offsets, hits[:total]
+            cap = total
+
+    def cull(self, target_starts, target_counts, real, source_starts,
+             source_counts, range_offsets, positions, radius):
+        pos, fns, rp = self._particle_rows(positions, "positions")
+        lists, ncand = _group_lists(target_starts, target_counts, real,
+                                    source_starts, source_counts,
+                                    range_offsets, pos.shape[0])
+        keep = np.zeros(-(-int(ncand.sum()) // 64), dtype=np.uint64)
+        n_targets, n_sources = (np.empty(lists[0].size, dtype=np.int64)
+                                for _ in "ts")
+        if fns["cull"](
+            *_pointers(lists), lists[0].size, pos.ctypes.data_as(rp),
+            pos.shape[0], float(np.float32(radius**2)),
+            keep.ctypes.data_as(_U64P), n_targets.ctypes.data_as(_I64P),
+            n_sources.ctypes.data_as(_I64P),
+        ):
+            raise MemoryError("cull: cannot allocate scratch")
+        return keep, n_targets, n_sources
 
     def rcb_build(self, x, y, z, m, leaf_size):
         dt, n = x.dtype, x.size
@@ -318,45 +379,6 @@ class CBackend(NumpyBackend):
             if nn == -2:
                 raise MemoryError("rcb_build: cannot allocate scratch")
             cap *= 2
-
-    def tighten(self, targets, target_offsets, source_starts,
-                source_counts, range_offsets, real, positions, radius):
-        pos = np.ascontiguousarray(positions)
-        if pos.dtype not in self._fns or pos.ndim != 2 or pos.shape[1] != 3:
-            raise ValueError(
-                "positions must be an (N, 3) float32/float64 array, got "
-                f"{pos.dtype} {pos.shape}"
-            )
-        fns, rp = self._fns[pos.dtype]
-        to = _checked(target_offsets, np.int64, "target_offsets")
-        ro = _checked(range_offsets, np.int64, "range_offsets", to.size)
-        tg = _checked(targets, np.int64, "targets")
-        start = _checked(source_starts, np.int64, "source_starts")
-        count = _checked(source_counts, np.int64, "source_counts",
-                         start.size)
-        flags = _checked(real, np.bool_, "real", tg.size)
-        n = pos.shape[0]
-        # the C loop trusts the lists: bound them here, once per batch
-        for off, size, what in ((to, tg.size, "target"),
-                                (ro, start.size, "range")):
-            if off[0] != 0 or off[-1] != size or np.any(off[1:] < off[:-1]):
-                raise ValueError(f"{what} offsets do not index their list")
-        if tg.size and (tg.min() < 0 or tg.max() >= n):
-            raise IndexError(f"target index out of range for {n} rows")
-        if start.size and (count.min() < 0 or start.min() < 0
-                           or (start + count).max() > n):
-            raise IndexError(f"source range out of range for {n} rows")
-        out_t = np.empty(int(np.count_nonzero(flags)), dtype=np.int64)
-        out_to, out_no = (np.empty(to.size, dtype=np.int64) for _ in "tn")
-        # one spare slot: the C compaction stores before it counts
-        out_n = np.empty(int(count.sum()) + 1, dtype=np.int64)
-        ng = fns["tighten"](
-            *(a.ctypes.data_as(_I64P) for a in (tg, to, start, count, ro)),
-            to.size - 1, flags.ctypes.data_as(_U8P),
-            pos.ctypes.data_as(rp), float(np.float32(radius**2)),
-            *(a.ctypes.data_as(_I64P) for a in (out_t, out_to, out_n, out_no)),
-        )
-        return out_t, out_to[:ng + 1], out_n[:out_no[ng]], out_no[:ng + 1]
 
     # ------------------------------------------------------------------
     def _particle_rows(self, a, name):

@@ -8,8 +8,10 @@ compressed away before the kernel math, and per-target accumulation goes
 through ``np.bincount``.  CIC materialises
 :class:`~repro.grid.cic.ParticleGridCoords` tables from the corners per
 call, the stream folds with ``np.mod``, the RCB
-build is a Python loop of one ``np.average`` split per node, and the
-list cull one Python step per group: readable oracles of the compiled,
+build is a Python loop of one ``np.average`` split per node, the walk
+a frontier of (query, node) pairs (:func:`batch_box_query`), and the
+list cull one Python step per group; the pair loop expands the row
+ranges and keep mask to index lists: readable oracles of the compiled,
 table-free loops.
 """
 
@@ -21,7 +23,7 @@ from repro.grid.cic import ParticleGridCoords, corner_data
 from repro.shortrange.backends import KernelBackend
 from repro.shortrange.rcb_tree import ranges_to_indices
 
-__all__ = ["NumpyBackend"]
+__all__ = ["NumpyBackend", "batch_box_query"]
 
 #: rows per block of the stream's ``x += p * drift`` (its product
 #: temporary stays cache sized)
@@ -45,34 +47,114 @@ def _f_sr_pairs(s_cells, coeffs, eps, out, scratch):
     return out
 
 
+def _expand(target_starts, target_counts, real, source_starts,
+            source_counts, range_offsets):
+    """A batch's row ranges as index lists: ``(targets, target_offsets,
+    candidates, candidate_offsets)``, group ``g``'s real targets
+    ``targets[target_offsets[g]:target_offsets[g + 1]]`` and its
+    candidates (every row of its ranges, in order) ``candidates[
+    candidate_offsets[g]:candidate_offsets[g + 1]]``."""
+    real = np.asarray(real, dtype=bool)
+    rows = ranges_to_indices(target_starts, target_counts)
+    # the real count of a row range: a difference of the running count
+    before = _offsets(real)
+    starts = np.asarray(target_starts, dtype=np.int64)
+    return (rows[real[rows]],
+            _offsets(before[starts + target_counts] - before[starts]),
+            ranges_to_indices(source_starts, source_counts),
+            _offsets(source_counts)[range_offsets])
+
+
+def _offsets(counts) -> np.ndarray:
+    """CSR offsets of ``counts``: 0, then their running sum."""
+    out = np.zeros(np.size(counts) + 1, dtype=np.int64)
+    np.cumsum(counts, out=out[1:])
+    return out
+
+
+def _pack(kept: np.ndarray) -> np.ndarray:
+    """Keep flags as the batch's bitmask: flag ``c`` is bit ``c % 64`` of
+    word ``c // 64``."""
+    words = np.zeros(-(-kept.size // 64) * 8, dtype=np.uint8)
+    bits = np.packbits(kept, bitorder="little")
+    words[:bits.size] = bits
+    return words.view("<u8").astype(np.uint64, copy=False)
+
+
+def _unpack(keep: np.ndarray, n: int) -> np.ndarray:
+    """The first ``n`` flags of a bitmask, inverse of :func:`_pack`."""
+    octets = np.ascontiguousarray(keep, dtype="<u8").view(np.uint8)
+    return np.unpackbits(octets, count=n, bitorder="little").view(bool)
+
+
+def batch_box_query(tree, qlo, qhi) -> tuple[np.ndarray, np.ndarray]:
+    """Leaf hits of many box queries against one tree, in one walk: the
+    numpy backend's :meth:`~repro.shortrange.backends.KernelBackend.walk`,
+    oracle of the C descent.
+
+    ``qlo`` / ``qhi`` are the (Q, 3) corners of the query boxes (cutoff
+    already applied).  Returns ``(hit_query, hit_node)``, every (query,
+    intersecting leaf) pair, sorted by query then by the leaf's
+    particle-segment start.  The walk advances a frontier of live
+    (query, node) pairs, one vectorized bounds test per level.
+    """
+    box_dt = tree.node_lo.dtype
+    qlo = np.atleast_2d(np.asarray(qlo, dtype=box_dt))
+    qhi = np.atleast_2d(np.asarray(qhi, dtype=box_dt))
+    nq = qlo.shape[0]
+    e = np.empty(0, dtype=np.int64)
+    if nq == 0 or tree.n_nodes == 0:
+        return e, e
+    f_query = np.arange(nq, dtype=np.int64)
+    f_node = np.zeros(nq, dtype=np.int64)
+    hits_q: list[np.ndarray] = []
+    hits_n: list[np.ndarray] = []
+    while f_query.size:
+        alive = ~(
+            (tree.node_lo[f_node] > qhi[f_query]).any(axis=1)
+            | (tree.node_hi[f_node] < qlo[f_query]).any(axis=1)
+        )
+        f_query = f_query[alive]
+        f_node = f_node[alive]
+        at_leaf = tree.node_left[f_node] < 0
+        if at_leaf.any():
+            hits_q.append(f_query[at_leaf])
+            hits_n.append(f_node[at_leaf])
+        iq = f_query[~at_leaf]
+        inode = f_node[~at_leaf]
+        f_query = np.concatenate([iq, iq])
+        f_node = np.concatenate(
+            [tree.node_left[inode], tree.node_right[inode]]
+        )
+    if not hits_q:
+        return e, e
+    hq = np.concatenate(hits_q)
+    hn = np.concatenate(hits_n)
+    order = np.lexsort((tree.node_start[hn], hq))
+    return hq[order], hn[order]
+
+
 class NumpyBackend(KernelBackend):
     """Always-available interpreter-vectorized reference backend."""
 
     name = "numpy"
 
     # ------------------------------------------------------------------
-    def pair_accumulate(
-        self,
-        targets,
-        target_offsets,
-        neighbor_indices,
-        neighbor_offsets,
-        px,
-        py,
-        pz,
-        msc,
-        coeffs,
-        eps,
-        rc2_cells,
-        inv_sp2,
-        chunk_pairs,
-        acc,
-        workspace,
-    ):
+    def pair_accumulate(self, target_starts, target_counts, real,
+                        source_starts, source_counts, range_offsets, keep,
+                        px, py, pz, msc, coeffs, eps, rc2_cells, inv_sp2,
+                        chunk_pairs, acc, workspace):
+        # the lists as index CSR: group g's real targets are targets[
+        # to[g]:to[g + 1]], its kept sources neighbor_indices[no[g]:
+        # no[g + 1]]
+        targets, to, cand, cand_offsets = _expand(
+            target_starts, target_counts, real, source_starts,
+            source_counts, range_offsets)
+        kept = _unpack(keep, cand.size)
+        neighbor_indices = cand[kept]
+        no = _offsets(kept)[cand_offsets]
         dt = px.dtype
         ws = workspace
-        to = target_offsets
-        no = neighbor_offsets
         tcounts = np.diff(to)
         ncounts = np.diff(no)
         inside_pairs = 0
@@ -222,55 +304,55 @@ class NumpyBackend(KernelBackend):
         return perm, start, count, lo, hi, left, right
 
     # ------------------------------------------------------------------
-    # list cull: one Python step per group on two reused buffers
-    def tighten(self, targets, target_offsets, source_starts,
-                source_counts, range_offsets, real, positions, radius):
-        to = target_offsets
-        # the candidates expanded: group g's are entries no[g]:no[g + 1]
-        neighbor_indices = ranges_to_indices(source_starts, source_counts)
-        no = np.concatenate(([0], np.cumsum(source_counts)))[range_offsets]
-        # cumsum rather than reduceat: candidate groups may be empty
-        before = np.concatenate(([0], np.cumsum(real)))
-        tcounts = before[to[1:]] - before[to[:-1]]
-        live = np.flatnonzero(tcounts)
-        if live.size == 0:
-            e, zero = np.empty(0, np.int64), np.zeros(1, np.int64)
-            return e, zero, e, zero
-        members = targets[real]
-        member_offsets = np.zeros(live.size + 1, dtype=np.int64)
-        np.cumsum(tcounts[live], out=member_offsets[1:])
+    # list build: the frontier walk, and the cull one Python step per
+    # group on two reused buffers
+    def walk(self, tree, qlo, qhi):
+        hq, hn = batch_box_query(tree, qlo, qhi)
+        nq = np.atleast_2d(qlo).shape[0]
+        return _offsets(np.bincount(hq, minlength=nq)), hn
 
+    def cull(self, target_starts, target_counts, real, source_starts,
+             source_counts, range_offsets, positions, radius):
+        targets, to, cand, cand_offsets = _expand(
+            target_starts, target_counts, real, source_starts,
+            source_counts, range_offsets)
+        n_targets = np.diff(to)
+        n_sources = np.zeros(n_targets.size, dtype=np.int64)
+        kept = np.zeros(cand.size, dtype=bool)
+        live = np.flatnonzero(n_targets)
+        if not live.size:
+            return _pack(kept), n_targets, n_sources
         # coordinate-major float32 copy: one gather per group, the box
         # bounds broadcast along the contiguous axis, and half the bytes
-        # of a float64 cloud — this is a bound with a pad sized for
-        # float32 (cull_radius), not a force
+        # of a float64 cloud -- this is a bound with a pad sized for
+        # float32 (cull_radius), not a force; groups without a target
+        # are empty segments, so the live ones reduce over their own
         soa = np.ascontiguousarray(np.asarray(positions, dtype=np.float32).T)
-        tpos = soa[:, members]
-        lo = np.minimum.reduceat(tpos, member_offsets[:-1], axis=1)
-        hi = np.maximum.reduceat(tpos, member_offsets[:-1], axis=1)
+        tpos = soa[:, targets]
+        lo = np.minimum.reduceat(tpos, to[live], axis=1)
+        hi = np.maximum.reduceat(tpos, to[live], axis=1)
         lo = np.ascontiguousarray(lo.T)[:, :, None]
         hi = np.ascontiguousarray(hi.T)[:, :, None]
         radius2 = np.float32(radius**2)
 
-        # per group on two reused buffers: one pass over all list entries
+        # per group on two reused buffers: one pass over all candidates
         # at once would first-touch tens of MB of fresh temporaries
-        widest = int((no[live + 1] - no[live]).max())
+        widest = int((cand_offsets[live + 1] - cand_offsets[live]).max())
         src = np.empty((3, widest), dtype=soa.dtype)
         gap = np.empty((3, widest), dtype=soa.dtype)
-        kept = []
-        bounds = zip(no[live].tolist(), no[live + 1].tolist())
+        bounds = zip(cand_offsets[live].tolist(),
+                     cand_offsets[live + 1].tolist())
         for g, (begin, end) in enumerate(bounds):
-            cand = neighbor_indices[begin:end]
             p, d = src[:, : end - begin], gap[:, : end - begin]
-            np.take(soa, cand, axis=1, out=p)
+            np.take(soa, cand[begin:end], axis=1, out=p)
             # distance to the box: clamp the source into it, subtract
             np.maximum(p, lo[g], out=d)
             np.minimum(d, hi[g], out=d)
             d -= p
-            kept.append(cand[np.einsum("ij,ij->j", d, d) <= radius2])
-        neighbor_offsets = np.zeros(live.size + 1, dtype=np.int64)
-        np.cumsum([k.size for k in kept], out=neighbor_offsets[1:])
-        return members, member_offsets, np.concatenate(kept), neighbor_offsets
+            ok = np.einsum("ij,ij->j", d, d) <= radius2
+            kept[begin:end] = ok
+            n_sources[live[g]] = np.count_nonzero(ok)
+        return _pack(kept), n_targets, n_sources
 
     # ------------------------------------------------------------------
     # CIC through (8, N) corner tables: one bincount (deposit) or one

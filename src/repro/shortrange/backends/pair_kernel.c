@@ -2,6 +2,13 @@
  * separation -> cutoff select -> (s+eps)^{-3/2} - poly(s) -> accumulate,
  * one pass, no intermediate arrays.
  *
+ * Lists are row ranges, never index lists: a group is a range of rows of
+ * which the `real` ones are its targets, and its sources are the rows of
+ * its ranges (a tree leaf's hit leaves, a P3M cell's neighbour cells)
+ * whose bit in the keep mask of the cull below is set.  Each group packs
+ * those rows, in list order, into its scratch: the same sources in the
+ * same order as an index list of them, so every sum is unchanged.
+ *
  * Bitwise contract: the result equals NumpyBackend.pair_accumulate in
  * float64 AND float32.  Every product, sum and Horner step below is a
  * separate statement rounded in T (build with -ffp-contract=off), and
@@ -45,13 +52,14 @@
  * +0 terms and no inside count.  A NaN anywhere makes e = 0 (kept).
  * The scalar loop neither sorts nor culls.
  *
- * Scratch (lane bodies only) is the caller's: no static buffers, so
- * concurrent calls on separate scratch are safe.  For the largest group
- * of ns sources and nt targets, `scratch` holds pair_scratch(ns, nt,
- * min(ns, chunk_pairs)) values of T and `order` 2 nt int64.
+ * Scratch is the caller's: no static buffers, so concurrent calls on
+ * separate scratch are safe.  For the most candidates ns and rows nt of
+ * any group, `scratch` holds pair_scratch(ns, nt, min(ns, chunk_pairs))
+ * values of T and `order` 3 nt int64.
  */
 #include <math.h>
 #include <stdint.h>
+#include <stdlib.h>
 #include <string.h>
 
 /* slack after each packed or culled source array: vector loads and
@@ -65,34 +73,159 @@ int64_t pair_scratch(int64_t ns, int64_t nt, int64_t cs)
     return 4 * (ns + PAD) + 3 * nt + 4 * (cs + PAD);
 }
 
-#define PAIR_ACCUMULATE(NAME, T, SQRT)                                      \
-int64_t NAME(const int64_t *targets, const int64_t *toff,                   \
-             const int64_t *nidx, const int64_t *noff, int64_t ngroups,     \
-             const T *px, const T *py, const T *pz, const T *msc,           \
-             const T *coeffs, int64_t ncoef, T eps, T rc2, T inv_sp2,       \
-             int64_t chunk_pairs, T *acc, T *scratch, int64_t *order)       \
+/* The list cull: group g's real targets are rows ts[g] .. ts[g] + tc[g]
+ * - 1 whose real[row] is set; its candidates are the rows of its ranges
+ * roff[g] .. roff[g + 1] - 1, in order, range r being rows start[r] ..
+ * start[r] + count[r] - 1.  Candidate c of the batch (groups, ranges,
+ * rows, in order) is bit c % 64 of keep[c / 64] (zeroed by the caller);
+ * it is set when the float32 squared distance from the candidate to the
+ * float32 box of its group's real targets, the clamp of the candidate
+ * into the box minus the candidate summed (dx*dx + dy*dy) + dz*dz, is
+ * <= r2.  ntg / nkept count each group's real targets and set bits.
+ * Bitwise NumpyBackend.cull: the coordinates are cast to float once,
+ * into an SOA copy; each step is rounded in float.  -2: no memory.
+ * cull_block gives the bits of n candidates from row j of that copy. */
+static inline uint64_t cull_block(const float *const *p, int64_t j,
+                                  int64_t n, const float *lo,
+                                  const float *hi, float r2)
+{
+    uint64_t m = 0;
+    for (int64_t i = 0; i < n; i++) {
+        float s = 0;
+        for (int k = 0; k < 3; k++) {
+            const float v = p[k][j + i];
+            const float e = (v < lo[k] ? lo[k] : v > hi[k] ? hi[k] : v) - v;
+            s = k ? s + e * e : e * e;
+        }
+        m |= (uint64_t)(s <= r2) << i;
+    }
+    return m;
+}
+
+#define CULL(NAME, ATTR, BLOCK, P)                                          \
+ATTR int64_t NAME(const int64_t *ts, const int64_t *tc,                     \
+                  const unsigned char *real, const int64_t *start,          \
+                  const int64_t *count, const int64_t *roff,                \
+                  int64_t ngroups, const P *pos, int64_t npos, float r2,    \
+                  uint64_t *keep, int64_t *ntg, int64_t *nkept)             \
 {                                                                           \
-    (void)scratch;                                                          \
-    (void)order;                                                            \
-    int64_t inside = 0;                                                     \
+    float *const f = malloc((size_t)(3 * npos + 1) * sizeof *f);            \
+    const float *const p[3] = {f, f + npos, f + 2 * npos};                  \
+    if (!f)                                                                 \
+        return -2;                                                          \
+    for (int64_t i = 0; i < 3 * npos; i++)                                  \
+        f[i % 3 * npos + i / 3] = (float)pos[i];                            \
+    for (int64_t g = 0, b = 0; g < ngroups; g++) {                          \
+        float lo[3], hi[3];                                                 \
+        int64_t nt = 0, nk = 0;                                             \
+        for (int64_t i = ts[g]; i < ts[g] + tc[g]; nt += real[i++])         \
+            for (int k = 0; real[i] && k < 3; k++) {                        \
+                lo[k] = nt == 0 || p[k][i] < lo[k] ? p[k][i] : lo[k];       \
+                hi[k] = nt == 0 || p[k][i] > hi[k] ? p[k][i] : hi[k];       \
+            }                                                               \
+        for (int64_t r = roff[g]; r < roff[g + 1]; b += count[r++])         \
+            for (int64_t j = 0; nt && j < count[r]; j += 64) {              \
+                const int64_t n = count[r] - j < 64 ? count[r] - j : 64;    \
+                const int64_t c = b + j, s = c & 63;                        \
+                const uint64_t m = BLOCK(p, start[r] + j, n, lo, hi, r2);   \
+                keep[c >> 6] |= m << s;                                     \
+                if (s + n > 64)                                             \
+                    keep[(c >> 6) + 1] |= m >> (64 - s);                    \
+                nk += __builtin_popcountll(m);                              \
+            }                                                               \
+        ntg[g] = nt;                                                        \
+        nkept[g] = nk;                                                      \
+    }                                                                       \
+    free(f);                                                                \
+    return 0;                                                               \
+}
+
+CULL(cull_f64, , cull_block, double)
+CULL(cull_f32, , cull_block, float)
+
+/* Group g's list, from bit *b of keep on (*b moves past its
+ * candidates): its real target rows to rows[] (returns how many) and,
+ * when it has one, its kept sources, in list order, to the x, y, z, m
+ * rows of src, *ns of them, stride *ld (its candidates + PAD). */
+#define PAIR_PACK(S, T)                                                     \
+static int64_t pack_##S(const int64_t *ts, const int64_t *tc,               \
+                        const unsigned char *real, const int64_t *start,    \
+                        const int64_t *count, const int64_t *roff,          \
+                        const uint64_t *keep, int64_t g, int64_t *b,        \
+                        const T *px, const T *py, const T *pz,              \
+                        const T *msc, int64_t *rows, T *src, int64_t *ns,   \
+                        int64_t *ld)                                        \
+{                                                                           \
+    int64_t nt = 0, k = 0, c = *b, n = PAD;                                 \
+    for (int64_t i = ts[g]; i < ts[g] + tc[g]; i++)                         \
+        if (real[i])                                                        \
+            rows[nt++] = i;                                                 \
+    /* count, then pack at stride n = count + PAD: the rows stay close */   \
+    for (int pass = 0; pass < 2; pass++) {                                  \
+        if (pass) {                                                         \
+            n += k;                                                         \
+            k = 0;                                                          \
+            c = *b;                                                         \
+        }                                                                   \
+        for (int64_t r = roff[g]; r < roff[g + 1]; r++) {                   \
+            const int64_t e = c + count[r], d = start[r] - c;               \
+            for (; nt && c < e; c += 64 - (c & 63)) {                       \
+                uint64_t w = keep[c >> 6] >> (c & 63);                      \
+                if (e - c < 64)                                             \
+                    w &= ((uint64_t)1 << (e - c)) - 1;                      \
+                for (; pass && w; w &= w - 1, k++) {                        \
+                    const int64_t j = c + __builtin_ctzll(w) + d;           \
+                    src[k] = px[j];                                         \
+                    src[n + k] = py[j];                                     \
+                    src[2 * n + k] = pz[j];                                 \
+                    src[3 * n + k] = msc[j];                                \
+                }                                                           \
+                k += __builtin_popcountll(w);                               \
+            }                                                               \
+            c = e;                                                          \
+        }                                                                   \
+    }                                                                       \
+    *b = c;                                                                 \
+    *ns = k;                                                                \
+    *ld = n;                                                                \
+    return nt;                                                              \
+}
+
+PAIR_PACK(pd, double)
+PAIR_PACK(ps, float)
+
+/* the arguments of every pair entry point */
+#define PAIR_ARGS(T)                                                        \
+    const int64_t *ts, const int64_t *tc, const unsigned char *real,        \
+    const int64_t *start, const int64_t *count, const int64_t *roff,        \
+    const uint64_t *keep, int64_t ngroups, const T *px, const T *py,        \
+    const T *pz, const T *msc, const T *coeffs, int64_t ncoef, T eps,       \
+    T rc2, T inv_sp2, int64_t chunk_pairs, T *acc, T *scratch,              \
+    int64_t *order
+
+#define PAIR_ACCUMULATE(NAME, T, SQRT, S)                                   \
+int64_t NAME(PAIR_ARGS(T))                                                  \
+{                                                                           \
+    int64_t inside = 0, b = 0;                                              \
     for (int64_t g = 0; g < ngroups; g++) {                                 \
-        const int64_t t0 = toff[g], t1 = toff[g + 1];                       \
-        const int64_t s0 = noff[g], s1 = noff[g + 1];                       \
-        if (t1 <= t0 || s1 <= s0)                                           \
-            continue;                                                       \
-        const int64_t cs = s1 - s0 < chunk_pairs ? s1 - s0 : chunk_pairs;   \
-        for (int64_t ti = t0; ti < t1; ti++) {                              \
-            const int64_t i = targets[ti];                                  \
+        int64_t ns, ld;                                                     \
+        const int64_t nt = pack_##S(ts, tc, real, start, count, roff, keep, \
+                                    g, &b, px, py, pz, msc, order, scratch, \
+                                    &ns, &ld);                              \
+        const T *const sx = scratch, *const sy = sx + ld;                   \
+        const T *const sz = sy + ld, *const sm = sz + ld;                   \
+        const int64_t cs = ns < chunk_pairs ? ns : chunk_pairs;             \
+        for (int64_t l = 0; ns && l < nt; l++) {                            \
+            const int64_t i = order[l];                                     \
             const T xi = px[i], yi = py[i], zi = pz[i];                     \
             T gx = 0, gy = 0, gz = 0;                                       \
-            for (int64_t c0 = s0; c0 < s1; c0 += cs) {                      \
-                const int64_t c1 = c0 + cs < s1 ? c0 + cs : s1;             \
+            for (int64_t c0 = 0; c0 < ns; c0 += cs) {                       \
+                const int64_t c1 = c0 + cs < ns ? c0 + cs : ns;             \
                 double ax = 0.0, ay = 0.0, az = 0.0;                        \
-                for (int64_t si = c0; si < c1; si++) {                      \
-                    const int64_t j = nidx[si];                             \
-                    const T dx = xi - px[j];                                \
-                    const T dy = yi - py[j];                                \
-                    const T dz = zi - pz[j];                                \
+                for (int64_t j = c0; j < c1; j++) {                         \
+                    const T dx = xi - sx[j];                                \
+                    const T dy = yi - sy[j];                                \
+                    const T dz = zi - sz[j];                                \
                     T s2 = dx * dx;                                         \
                     T t = dy * dy;                                          \
                     s2 = s2 + t;                                            \
@@ -110,7 +243,7 @@ int64_t NAME(const int64_t *targets, const int64_t *toff,                   \
                             p = p + coeffs[c];                              \
                         }                                                   \
                         f = f - p;                                          \
-                        f = f * msc[j];                                     \
+                        f = f * sm[j];                                      \
                         const T wx = dx * f;                                \
                         const T wy = dy * f;                                \
                         const T wz = dz * f;                                \
@@ -132,8 +265,8 @@ int64_t NAME(const int64_t *targets, const int64_t *toff,                   \
     return inside;                                                          \
 }
 
-PAIR_ACCUMULATE(pair_accumulate_f64, double, sqrt)
-PAIR_ACCUMULATE(pair_accumulate_f32, float, sqrtf)
+PAIR_ACCUMULATE(pair_accumulate_f64, double, sqrt, pd)
+PAIR_ACCUMULATE(pair_accumulate_f32, float, sqrtf, ps)
 
 #if defined(__x86_64__)
 #include <immintrin.h>
@@ -497,55 +630,70 @@ PAIR_NO_CULL(a2s, float)
 PAIR_CULL(z8d, AVX512, double, __m512d, 8, _mm512_, pd)
 PAIR_CULL(z8s, AVX512, float, __m512, 16, _mm512_, ps)
 
+/* cull_block, 16 candidates per zmm: the clamp is max then min (lo <=
+ * hi, so the same value; the sign of a zero difference is squared away) */
+static inline AVX512 uint64_t z16_block(const float *const *p, int64_t j,
+                                        int64_t n, const float *lo,
+                                        const float *hi, float r2)
+{
+    uint64_t m = 0;
+    for (int64_t i = 0; i < n; i += 16) {
+        const __mmask16 t = (__mmask16)(n - i < 16 ? (1u << (n - i)) - 1
+                                                   : 0xffff);
+        __m512 s = _mm512_setzero_ps();
+        for (int k = 0; k < 3; k++) {
+            const __m512 v = _mm512_maskz_loadu_ps(t, p[k] + j + i);
+            const __m512 e = _mm512_sub_ps(_mm512_min_ps(_mm512_max_ps(
+                v, _mm512_set1_ps(lo[k])), _mm512_set1_ps(hi[k])), v);
+            s = k ? _mm512_add_ps(s, _mm512_mul_ps(e, e)) : _mm512_mul_ps(e, e);
+        }
+        m |= (uint64_t)_mm512_mask_cmp_ps_mask(t, s, _mm512_set1_ps(r2),
+                                               _CMP_LE_OQ) << i;
+    }
+    return m;
+}
+CULL(cull_avx512_f64, AVX512, z16_block, double)
+CULL(cull_avx512_f32, AVX512, z16_block, float)
+
 /* One lane body for every ISA: K the helper tag, V/M/G the lane, mask
  * and per-target vector types, W targets per batch, NS sources per
  * vector (1, or 2 for z8s), P/S the intrinsic prefix and suffix, SORT
  * the bisection's precision tag. */
 #define PAIR_LANES(NAME, ATTR, K, T, V, M, G, W, NS, P, S, SORT)            \
-ATTR int64_t NAME(const int64_t *targets, const int64_t *toff,              \
-                  const int64_t *nidx, const int64_t *noff,                 \
-                  int64_t ngroups, const T *px, const T *py, const T *pz,   \
-                  const T *msc, const T *coeffs, int64_t ncoef, T eps,      \
-                  T rc2, T inv_sp2, int64_t chunk_pairs, T *acc,            \
-                  T *scratch, int64_t *order)                               \
+ATTR int64_t NAME(PAIR_ARGS(T))                                             \
 {                                                                           \
     const V zero = P##setzero_##S(), one = P##set1_##S((T)1);               \
     const V veps = P##set1_##S(eps), vrc2 = P##set1_##S(rc2);               \
     const V vinv = P##set1_##S(inv_sp2);                                    \
     /* the box argument needs inv_sp2 > 0: otherwise cull nothing */        \
     const T crc2 = inv_sp2 > 0 ? rc2 : (T)INFINITY;                         \
-    int64_t inside = 0;                                                     \
+    int64_t inside = 0, bit = 0;                                            \
     for (int64_t g = 0; g < ngroups; g++) {                                 \
-        const int64_t t0 = toff[g], t1 = toff[g + 1];                       \
-        const int64_t s0 = noff[g], s1 = noff[g + 1];                       \
-        if (t1 <= t0 || s1 <= s0)                                           \
-            continue;                                                       \
-        const int64_t nt = t1 - t0, ns = s1 - s0;                           \
-        const int64_t cs = ns < chunk_pairs ? ns : chunk_pairs;             \
         /* packed sources (x, y, z, m rows of ld), local targets, culled */ \
-        const int64_t ld = ns + PAD, cld = cs + PAD;                        \
-        T *const src = scratch, *const lx = src + 4 * ld;                   \
-        T *const ly = lx + nt, *const lz = ly + nt, *const cul = lz + nt;   \
-        for (int64_t si = 0; si < ns; si++) {                               \
-            const int64_t j = nidx[s0 + si];                                \
-            src[si] = px[j];                                                \
-            src[ld + si] = py[j];                                           \
-            src[2 * ld + si] = pz[j];                                       \
-            src[3 * ld + si] = msc[j];                                      \
-        }                                                                   \
+        int64_t ns, ld, *const rows = order;                                \
+        T *const src = scratch;                                             \
+        const int64_t nt = pack_##SORT(ts, tc, real, start, count, roff,    \
+                                       keep, g, &bit, px, py, pz, msc,      \
+                                       rows, src, &ns, &ld);                \
+        if (!nt || !ns)                                                     \
+            continue;                                                       \
+        const int64_t cs = ns < chunk_pairs ? ns : chunk_pairs;             \
+        const int64_t cld = cs + PAD;                                       \
+        int64_t *const ord = rows + nt;                                     \
+        T *const lx = src + 4 * ld, *const ly = lx + nt, *const lz = ly + nt;\
+        T *const cul = lz + nt;                                             \
         for (int64_t l = 0; l < nt; l++) {                                  \
-            const int64_t i = targets[t0 + l];                              \
-            lx[l] = px[i];                                                  \
-            ly[l] = py[i];                                                  \
-            lz[l] = pz[i];                                                  \
-            order[l] = l;                                                   \
+            lx[l] = px[rows[l]];                                            \
+            ly[l] = py[rows[l]];                                            \
+            lz[l] = pz[rows[l]];                                            \
+            ord[l] = l;                                                     \
         }                                                                   \
-        bisect_##SORT(order, order + nt, nt, lx, ly, lz, W);                \
+        bisect_##SORT(ord, ord + nt, nt, lx, ly, lz, W);                    \
         for (int64_t b = 0; b < nt; b += W) {                               \
             const int nl = nt - b < W ? (int)(nt - b) : W;                  \
             T tx[W], ty[W], tz[W], lo[3], hi[3];                            \
             for (int l = 0; l < W; l++) {                                   \
-                const int64_t o = order[b + (l < nl ? l : 0)];              \
+                const int64_t o = ord[b + (l < nl ? l : 0)];                \
                 tx[l] = lx[o];                                              \
                 ty[l] = ly[o];                                              \
                 tz[l] = lz[o];                                              \
@@ -611,7 +759,7 @@ ATTR int64_t NAME(const int64_t *targets, const int64_t *toff,              \
             K##_gstore(ty, gy);                                             \
             K##_gstore(tz, gz);                                             \
             for (int l = 0; l < nl; l++) {                                  \
-                const int64_t i = targets[t0 + order[b + l]];               \
+                const int64_t i = rows[ord[b + l]];                         \
                 acc[3 * i] = acc[3 * i] + tx[l];                            \
                 acc[3 * i + 1] = acc[3 * i + 1] + ty[l];                    \
                 acc[3 * i + 2] = acc[3 * i + 2] + tz[l];                    \

@@ -30,6 +30,14 @@
  * Node arrays have room for `cap` nodes: a build that needs more scatters
  * x, y, z, m back to their input order and returns -1, and the caller
  * retries with more room.  -2 means scratch memory could not be had.
+ *
+ * The walk: query q's hits are the leaves whose box meets the closed box
+ * [qlo[q], qhi[q]] (no lo coordinate above qhi, no hi one below qlo, in
+ * T), depth first, left child first: the left child holds the lower
+ * rows, so hits come in ascending row order, batch_box_query's order.
+ * It writes hoff[0..nq] and the first `cap` hits and returns how many
+ * there are (the caller retries with room for them all); `stack` holds
+ * as many entries as there are nodes.
  */
 #include <stdint.h>
 #include <stdlib.h>
@@ -241,5 +249,36 @@ done:                                                                       \
     return nn;                                                              \
 }
 
+#define WALK(SUF, T)                                                        \
+int64_t walk_##SUF(const T *lo, const T *hi, const int64_t *left,           \
+                   const int64_t *right, const T *qlo, const T *qhi,        \
+                   int64_t nq, int64_t *hoff, int64_t *hits, int64_t cap,   \
+                   int64_t *stack)                                          \
+{                                                                           \
+    int64_t nh = 0;                                                         \
+    hoff[0] = 0;                                                            \
+    for (int64_t q = 0; q < nq; hoff[++q] = nh) {                           \
+        const T *a = qlo + 3 * q, *b = qhi + 3 * q;                         \
+        int64_t sp = 0;                                                     \
+        stack[sp++] = 0;                                                    \
+        while (sp) {                                                        \
+            const int64_t node = stack[--sp];                               \
+            const T *l = lo + 3 * node, *h = hi + 3 * node;                 \
+            if (l[0] > b[0] || l[1] > b[1] || l[2] > b[2] || h[0] < a[0]    \
+                || h[1] < a[1] || h[2] < a[2])                              \
+                continue;                                                   \
+            if (left[node] >= 0) {                                          \
+                stack[sp++] = right[node];                                  \
+                stack[sp++] = left[node];                                   \
+            } else if (nh++ < cap) {                                        \
+                hits[nh - 1] = node;                                        \
+            }                                                               \
+        }                                                                   \
+    }                                                                       \
+    return nh;                                                              \
+}
+
 RCB_BUILD(f64, double)
 RCB_BUILD(f32, float)
+WALK(f64, double)
+WALK(f32, float)

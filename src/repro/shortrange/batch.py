@@ -9,20 +9,21 @@ leaf by leaf inside a ``for`` loop, reallocating every pair temporary —
 is exactly the PM/tree anti-pattern PMFAST and the HACC architecture
 papers identify.  This module is the batch-oriented replacement:
 
-**Packing** (:func:`pack_tree`, :func:`batch_box_query`) walks the tree
-once for *all* leaves simultaneously — a breadth-first frontier of
-(query, node) pairs pruned with whole-array bounds tests — and emits
-flat CSR-style arrays (:class:`InteractionBatch`): ``targets`` +
-``target_offsets`` and ``neighbor_indices`` + ``neighbor_offsets``.
-Both packers (RCB tree, P3M chaining mesh) then hand their candidate
-groups to :func:`tighten_ranges` as whole row ranges (the tree its hit
-leaves, P3M the occupied cells of each 27-neighbourhood of its
-cell-sorted cloud), the one place that decides which pairs are
-streamed: ghost members stop being targets (they only ever were
-sources), and each group's source list is culled, order preserved, to
-the sources within ``rcut`` of the bounding box of the group's real
-targets.  The cull is the kernel backends' ``tighten`` primitive (C, or
-the numpy oracle).
+**Packing** (:func:`pack_tree`) walks the tree once for *all* leaves
+with the kernel backends' ``walk`` (a depth-first C descent, or the
+numpy frontier of :func:`~repro.shortrange.backends.numpy_backend.batch_box_query`).
+Lists stay row ranges of the tree-ordered cloud, never index lists
+(:class:`InteractionBatch`): a group is a leaf's rows (a P3M cell's
+rows of its cell-sorted cloud), its candidates the rows of its hit
+leaves (the occupied cells of its 27-neighbourhood).  Both packers hand
+them to :func:`tighten_ranges`, the one place that decides which pairs
+are streamed: ghost rows are not targets (they only ever were
+sources), and each group keeps, order preserved, the sources within
+``rcut`` of the bounding box of its real targets.  The cull is the
+backends' ``cull`` primitive (C, or the numpy oracle); it marks the kept
+candidates in a bitmask and counts them per group, so the streamed pair
+count is known at pack time, and ``pair_accumulate`` packs each group's
+sources straight from the ranges through the mask.
 
 **Evaluation** (:class:`BatchedPairEngine`) streams fixed-size pair
 blocks (``chunk_pairs`` bounds the peak temporary footprint, the Python
@@ -47,8 +48,8 @@ same force kernel.
 
 The evaluation itself dispatches through the pluggable kernel-backend
 seam (:mod:`repro.shortrange.backends`): the engine prepares the SOA
-coordinate/mass streams once per batch, then hands the CSR arrays to the
-selected backend's ``pair_accumulate`` — the vectorized NumPy reference
+coordinate/mass streams once per batch, then hands the batch's lists to
+the selected backend's ``pair_accumulate`` — the vectorized NumPy reference
 or the fused C loop, both returning the identical in-cutoff count.  The
 engine charges each evaluation's work once
 (:func:`~repro.instrument.perfcount.charge_pairs`) and keeps its
@@ -69,13 +70,12 @@ from repro.shortrange.backends import (
     resolve_backend,
 )
 from repro.shortrange.kernel import ShortRangeKernel
-from repro.shortrange.rcb_tree import RCBTree, ranges_to_indices
+from repro.shortrange.rcb_tree import RCBTree
 
 __all__ = [
     "Workspace",
     "InteractionBatch",
     "BatchedPairEngine",
-    "batch_box_query",
     "pack_tree",
     "tighten_ranges",
     "DEFAULT_CHUNK_PAIRS",
@@ -88,59 +88,61 @@ DEFAULT_CHUNK_PAIRS = 1 << 18
 
 @dataclass(frozen=True)
 class InteractionBatch:
-    """CSR interaction lists shared by a group of targets.
+    """Row-range interaction lists shared by a group of targets.
 
-    Group ``g`` (an RCB leaf, or a P3M cell) applies the neighbor list
-    ``neighbor_indices[neighbor_offsets[g]:neighbor_offsets[g+1]]`` to
-    every target in ``targets[target_offsets[g]:target_offsets[g+1]]`` —
-    the flat-array form of "all particles of a leaf share the leaf's
-    interaction list".  Indices refer to whatever position/mass arrays
-    are later handed to :meth:`BatchedPairEngine.evaluate`.
-
-    Within one group the target indices must be unique (they are a leaf
-    / cell membership); distinct groups may not share targets either —
-    both solvers' groups partition the target set.
+    Group ``g`` (an RCB leaf, or a P3M cell) is the rows
+    ``target_starts[g]`` up to ``+ target_counts[g]`` of the position /
+    mass arrays later handed to :meth:`BatchedPairEngine.evaluate`; its
+    targets are those of them whose ``real`` flag is set.  Its
+    candidate sources are the rows of its ranges ``range_offsets[g]``
+    to ``range_offsets[g + 1] - 1``, range ``r`` being
+    ``source_starts[r]`` up to ``+ source_counts[r]``; it streams, in
+    order, those whose bit in the ``keep`` mask is set (candidate ``c``
+    of the batch -- groups, ranges, rows, in order -- is bit ``c % 64``
+    of ``keep[c // 64]``) to every target: the flat-array form of "all
+    particles of a leaf share the leaf's interaction list".
+    ``n_targets`` / ``n_sources`` count each group's targets and kept
+    sources.  Groups do not share targets: both solvers' groups
+    partition the rows.
     """
 
-    targets: np.ndarray
-    target_offsets: np.ndarray
-    neighbor_indices: np.ndarray
-    neighbor_offsets: np.ndarray
+    target_starts: np.ndarray
+    target_counts: np.ndarray
+    real: np.ndarray
+    source_starts: np.ndarray
+    source_counts: np.ndarray
+    range_offsets: np.ndarray
+    keep: np.ndarray
+    n_targets: np.ndarray
+    n_sources: np.ndarray
 
     def __post_init__(self) -> None:
-        to, no = self.target_offsets, self.neighbor_offsets
-        if to.ndim != 1 or no.ndim != 1 or to.shape != no.shape:
+        g = self.target_starts.shape
+        if any(a.shape != g for a in (self.target_counts, self.n_targets,
+                                       self.n_sources)):
+            raise ValueError("per-group arrays must have one length")
+        ro = self.range_offsets
+        if ro.shape != (g[0] + 1,) or ro[0] != 0 or np.any(np.diff(ro) < 0):
+            raise ValueError("range_offsets must rise from 0, one more "
+                             "entry than groups")
+        if int(ro[-1]) != self.source_starts.shape[0]:
             raise ValueError(
-                f"offset arrays must be 1-D and equal length: "
-                f"{to.shape} vs {no.shape}"
-            )
-        if to.size == 0:
-            raise ValueError("offset arrays must have at least one entry")
-        if np.any(np.diff(to) < 0) or np.any(np.diff(no) < 0):
-            raise ValueError("offsets must be non-decreasing")
-        if int(to[-1]) != self.targets.shape[0]:
-            raise ValueError(
-                f"target_offsets end {int(to[-1])} != "
-                f"targets length {self.targets.shape[0]}"
-            )
-        if int(no[-1]) != self.neighbor_indices.shape[0]:
-            raise ValueError(
-                f"neighbor_offsets end {int(no[-1])} != "
-                f"neighbor_indices length {self.neighbor_indices.shape[0]}"
+                f"range_offsets end {int(ro[-1])} != "
+                f"{self.source_starts.shape[0]} source ranges"
             )
 
     @property
     def n_groups(self) -> int:
-        return self.target_offsets.size - 1
+        return self.target_starts.size
 
     def group_target_counts(self) -> np.ndarray:
-        return np.diff(self.target_offsets)
+        return self.n_targets
 
     def group_neighbor_counts(self) -> np.ndarray:
-        return np.diff(self.neighbor_offsets)
+        return self.n_sources
 
     def group_pair_counts(self) -> np.ndarray:
-        return self.group_target_counts() * self.group_neighbor_counts()
+        return self.n_targets * self.n_sources
 
     @property
     def n_pairs(self) -> int:
@@ -149,14 +151,14 @@ class InteractionBatch:
 
     @classmethod
     def empty(cls) -> "InteractionBatch":
-        zero = np.zeros(1, dtype=np.int64)
         e = np.empty(0, dtype=np.int64)
-        return cls(e, zero, e, zero)
+        return cls(e, e, np.empty(0, dtype=bool), e, e,
+                   np.zeros(1, dtype=np.int64), np.empty(0, np.uint64), e, e)
 
 
 def tighten_ranges(
-    targets: np.ndarray,
-    target_offsets: np.ndarray,
+    target_starts: np.ndarray,
+    target_counts: np.ndarray,
     source_starts: np.ndarray,
     source_counts: np.ndarray,
     range_offsets: np.ndarray,
@@ -167,33 +169,32 @@ def tighten_ranges(
 ) -> InteractionBatch:
     """The batch the kernel streams: real targets, culled sources.
 
-    Candidate group ``g`` has the targets ``targets[target_offsets[g]:
-    target_offsets[g + 1]]`` and lists the rows of ranges
-    ``range_offsets[g]`` to ``range_offsets[g + 1] - 1``, range ``r``
-    being ``source_starts[r]`` up to ``source_starts[r] +
-    source_counts[r]``: :func:`pack_tree`'s hits are whole leaves and
-    P3M's whole cells, so the cull reads them without an index array.
-    ``real`` flags the entries of ``targets`` that receive a force (the
-    others are ghosts, present only as sources); groups left without a
-    target are dropped.  Each surviving group keeps, in order, the
-    sources within :func:`cull_radius` of the bounding box of its real
-    targets — a per-source test, so the exact per-pair cutoff test
-    stays with the backend, and no pair that test accepts is removed:
-    every target's sum visits the same in-cutoff sources in the same
-    order as on the candidate batch.  ``backend`` runs the cull
-    (:meth:`~repro.shortrange.backends.KernelBackend.tighten`): a
-    backend or its name, ``None`` meaning c, else numpy.
+    Candidate group ``g`` is the rows ``target_starts[g]`` up to ``+
+    target_counts[g]`` and lists the rows of ranges ``range_offsets[g]``
+    to ``range_offsets[g + 1] - 1``, range ``r`` being
+    ``source_starts[r]`` up to ``+ source_counts[r]``:
+    :func:`pack_tree`'s groups and hits are whole leaves, P3M's whole
+    cells.  ``real`` flags the rows that receive a force (the others
+    are ghosts, present only as sources); a group without one streams
+    nothing.  Each group keeps, in order, the sources within
+    :func:`cull_radius` of the bounding box of its real targets -- a
+    per-source test, so the exact per-pair cutoff test stays with the
+    backend, and no pair that test accepts is removed: every target's
+    sum visits the same in-cutoff sources in the same order as on the
+    whole candidate lists.  ``backend`` runs the cull
+    (:meth:`~repro.shortrange.backends.KernelBackend.cull`), which marks
+    the kept candidates in a bitmask rather than listing them: a backend
+    or its name, ``None`` meaning c, else numpy.
     """
-    return InteractionBatch(*resolve_backend(backend).tighten(
-        np.asarray(targets, dtype=np.int64),
-        np.asarray(target_offsets, dtype=np.int64),
-        np.asarray(source_starts, dtype=np.int64),
-        np.asarray(source_counts, dtype=np.int64),
-        np.asarray(range_offsets, dtype=np.int64),
-        np.asarray(real, dtype=bool),
-        positions,
-        cull_radius(rcut, positions),
-    ))
+    lists = (np.asarray(target_starts, dtype=np.int64),
+             np.asarray(target_counts, dtype=np.int64),
+             np.asarray(real, dtype=bool),
+             np.asarray(source_starts, dtype=np.int64),
+             np.asarray(source_counts, dtype=np.int64),
+             np.asarray(range_offsets, dtype=np.int64))
+    keep, n_targets, n_sources = resolve_backend(backend).cull(
+        *lists, positions, cull_radius(rcut, positions))
+    return InteractionBatch(*lists, keep, n_targets, n_sources)
 
 
 #: relative slack of the source cull, and the float32 epsilon its
@@ -223,73 +224,6 @@ def cull_radius(rcut: float, positions: np.ndarray) -> float:
     return rcut * (1.0 + _CULL_REL_SLACK) + 8.0 * _EPS32 * span
 
 
-def batch_box_query(
-    tree: RCBTree, qlo: np.ndarray, qhi: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Leaf hits of many box queries against one tree, in one walk.
-
-    Parameters
-    ----------
-    tree:
-        The RCB tree to query.
-    qlo, qhi:
-        (Q, 3) lower/upper corners of the query boxes (cutoff already
-        applied by the caller).
-
-    Returns
-    -------
-    ``(hit_query, hit_node)`` — parallel arrays naming every (query box,
-    intersecting tree leaf) pair, sorted by query then by the leaf's
-    particle-segment start (so per-query expansion yields ascending
-    particle indices, matching ``RCBTree.interaction_list``).
-
-    The walk advances a frontier of live (query, node) pairs: one
-    vectorized bounds test per level replaces the per-node ``np.any``
-    calls of the scalar walk — the packing pass's whole cost is a few
-    dozen array operations regardless of leaf count.
-    """
-    box_dt = _float_dtype(tree.node_lo)
-    qlo = np.atleast_2d(np.asarray(qlo, dtype=box_dt))
-    qhi = np.atleast_2d(np.asarray(qhi, dtype=box_dt))
-    nq = qlo.shape[0]
-    e = np.empty(0, dtype=np.int64)
-    if nq == 0 or tree.n_nodes == 0:
-        return e, e
-    f_query = np.arange(nq, dtype=np.int64)
-    f_node = np.zeros(nq, dtype=np.int64)
-    hits_q: list[np.ndarray] = []
-    hits_n: list[np.ndarray] = []
-    while f_query.size:
-        alive = ~(
-            (tree.node_lo[f_node] > qhi[f_query]).any(axis=1)
-            | (tree.node_hi[f_node] < qlo[f_query]).any(axis=1)
-        )
-        f_query = f_query[alive]
-        f_node = f_node[alive]
-        at_leaf = tree.node_left[f_node] < 0
-        if at_leaf.any():
-            hits_q.append(f_query[at_leaf])
-            hits_n.append(f_node[at_leaf])
-        iq = f_query[~at_leaf]
-        inode = f_node[~at_leaf]
-        f_query = np.concatenate([iq, iq])
-        f_node = np.concatenate(
-            [tree.node_left[inode], tree.node_right[inode]]
-        )
-    if not hits_q:
-        return e, e
-    hq = np.concatenate(hits_q)
-    hn = np.concatenate(hits_n)
-    order = np.lexsort((tree.node_start[hn], hq))
-    return hq[order], hn[order]
-
-
-def _float_dtype(a: np.ndarray):
-    """Preserve float32/float64; anything else becomes float64."""
-    dt = np.asarray(a).dtype
-    return dt if dt in (np.float32, np.float64) else np.float64
-
-
 def pack_tree(
     tree: RCBTree,
     rcut: float,
@@ -300,12 +234,12 @@ def pack_tree(
 
     A group is a leaf holding at least one real particle
     (``tree.perm < n_targets``); its candidate sources are the
-    particles, ascending, of every leaf its cutoff-expanded box touches;
-    :func:`tighten_ranges` (on ``backend``, handed those leaves as row
-    ranges) then keeps the real targets and the sources that can
-    matter.  Indices are in *tree order*; pair the batch with
-    ``tree.positions`` / ``tree.masses`` and scatter results through
-    ``tree.perm``.
+    particles, ascending, of every leaf its cutoff-expanded box touches
+    (the ``walk`` of ``backend``); :func:`tighten_ranges` (on
+    ``backend``, handed the leaves as row ranges) then keeps the real
+    targets and the sources that can matter.  Rows are in *tree order*;
+    pair the batch with ``tree.positions`` / ``tree.masses`` and scatter
+    results through ``tree.perm``.
     """
     if rcut <= 0:
         raise ValueError(f"rcut must be positive: {rcut}")
@@ -318,20 +252,14 @@ def pack_tree(
         leaf = leaf[np.logical_or.reduceat(real, tree.node_start[leaf])]
     if not leaf.size:
         return InteractionBatch.empty()
-    # hits come sorted by query, so each group's sources are contiguous
-    hq, hn = batch_box_query(
+    backend = resolve_backend(backend)
+    hit_offsets, hits = backend.walk(
         tree, tree.node_lo[leaf] - rcut, tree.node_hi[leaf] + rcut
     )
-    hit_offsets = np.zeros(leaf.size + 1, dtype=np.int64)
-    np.cumsum(np.bincount(hq, minlength=leaf.size), out=hit_offsets[1:])
-    mcount = tree.node_count[leaf]
-    members = ranges_to_indices(tree.node_start[leaf], mcount)
-    member_offsets = np.zeros(leaf.size + 1, dtype=np.int64)
-    np.cumsum(mcount, out=member_offsets[1:])
     return tighten_ranges(
-        members, member_offsets,
-        tree.node_start[hn], tree.node_count[hn], hit_offsets,
-        real[members], tree.positions, rcut, backend,
+        tree.node_start[leaf], tree.node_count[leaf],
+        tree.node_start[hits], tree.node_count[hits], hit_offsets,
+        real, tree.positions, rcut, backend,
     )
 
 
@@ -449,10 +377,13 @@ class BatchedPairEngine:
 
         with reg.span("pp.batch"):
             inside_pairs = self.backend.pair_accumulate(
-                batch.targets,
-                batch.target_offsets,
-                batch.neighbor_indices,
-                batch.neighbor_offsets,
+                batch.target_starts,
+                batch.target_counts,
+                batch.real,
+                batch.source_starts,
+                batch.source_counts,
+                batch.range_offsets,
+                batch.keep,
                 px, py, pz, msc,
                 self._coeffs,
                 dt(kern.eps_cells),

@@ -272,7 +272,8 @@ class P3MShortRange(ShortRangeSolver):
     accelerated hardware.
 
     The cloud is sorted into cell order once, so every cell is a row
-    range: each occupied cell's 27-neighbourhood goes to
+    range: each occupied cell (a group of target rows) and its
+    27-neighbourhood go to
     :func:`~repro.shortrange.batch.tighten_ranges` as whole-cell ranges
     (a single vectorized 27-offset computation over all occupied cells),
     exactly as :func:`~repro.shortrange.batch.pack_tree` hands over
@@ -359,7 +360,7 @@ class P3MShortRange(ShortRangeSolver):
             pos = pos[order]
         with get_registry().span("p3m.pack"):
             batch = tighten_ranges(
-                np.arange(pos.shape[0]), starts,
+                starts[:-1], np.diff(starts),
                 *self._pack_cells(ncell, uniq, starts),
                 order < n_targets, pos, self.kernel.rcut,
                 self.engine.backend,

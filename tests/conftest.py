@@ -26,6 +26,31 @@ def grid_force_fit():
     return default_grid_force_fit()
 
 
+def _listed_batch(target_starts, target_counts, sources, positions,
+                  real=None):
+    """An interaction batch that streams given source lists whole: group
+    ``g`` is rows ``target_starts[g]`` up to ``+ target_counts[g]``
+    (the rows ``real`` flags, all by default) and lists ``sources[g]``,
+    in order, as ranges of one row, kept at an infinite cull radius."""
+    from repro.shortrange.batch import tighten_ranges
+
+    n = np.asarray(positions).shape[0]
+    offsets = np.concatenate(([0], np.cumsum([len(s) for s in sources])))
+    flat = np.concatenate([np.asarray(s, dtype=np.int64) for s in sources]
+                          + [np.empty(0, dtype=np.int64)])
+    return tighten_ranges(
+        target_starts, target_counts, flat, np.ones_like(flat), offsets,
+        np.ones(n, dtype=bool) if real is None else real, positions,
+        np.inf, "numpy",
+    )
+
+
+@pytest.fixture(scope="session")
+def listed_batch():
+    """:func:`_listed_batch`: a batch built from explicit source lists."""
+    return _listed_batch
+
+
 @pytest.fixture()
 def rng():
     """Fresh deterministic generator per test."""

@@ -365,6 +365,34 @@ class TestFormat2BackCompat:
         assert resumed.a == ref.a
 
 
+    def test_cli_resume_verifies_each_file_once(self, tmp_path, monkeypatch):
+        """A resume reads and verifies the file it restores once; a torn
+        newest file costs one more (failed) read and is counted as a
+        survived checkpoint fault."""
+        from repro.__main__ import main
+        from repro.io import checkpoint
+
+        _, newest = self._mixed_rotation(tmp_path)
+        reads = []
+        load = checkpoint._load_verified
+
+        def counted(path):
+            reads.append(Path(path).name)
+            return load(path)
+
+        monkeypatch.setattr(checkpoint, "_load_verified", counted)
+        assert main(["-q", "run", "--resume", str(tmp_path)]) == 0
+        assert reads == ["ckpt_000002.npz"]
+        with open(newest, "r+b") as fh:
+            fh.truncate(newest.stat().st_size // 2)
+        reads.clear()
+        plan = checkpoint.FaultPlan(seed=0)
+        found = checkpoint.load_latest_valid(tmp_path, faults=plan)
+        assert found[0].name == "ckpt_000001.npz"
+        assert found[1]._step_index == 1
+        assert reads == ["ckpt_000002.npz", "ckpt_000001.npz"]
+        assert plan.recovered == {"checkpoint": 1}
+
 class TestCrashMidWrite:
     """A crash can tear the file at any byte: every truncation point
     must surface as CheckpointError, never as garbage physics."""

@@ -15,6 +15,7 @@ config, solver specs, run manifests, the ledger and the CLI.
 
 import json
 import os
+import shlex
 import subprocess
 import sys
 import threading
@@ -290,17 +291,17 @@ class TestCBackendEquivalence:
             assert ref[1] > 7 * 240  # lists really are several chunks
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
-    def test_empty_groups_and_no_targets(self, grid_force_fit, rng, dtype):
+    def test_empty_groups_and_no_targets(self, grid_force_fit, rng, dtype,
+                                         listed_batch):
         kern = ShortRangeKernel(
             grid_force_fit, spacing=1.0, eps_cells=0.01, dtype=dtype
         )
         pos = rng.uniform(0.0, 3.0, (12, 3))
         # groups: {0,1} x 6 sources, {} x 3 sources, {2} x no sources,
         # {3,4} x 5 sources
-        batch = InteractionBatch(
-            np.array([0, 1, 2, 3, 4]), np.array([0, 2, 2, 3, 5]),
-            np.array([0, 1, 2, 3, 4, 5, 6, 7, 8, 3, 4, 9, 10, 11]),
-            np.array([0, 6, 9, 9, 14]),
+        batch = listed_batch(
+            [0, 2, 2, 3], [2, 0, 1, 2],
+            [range(6), range(6, 9), [], [3, 4, 9, 10, 11]], pos,
         )
         engines = [BatchedPairEngine(kern, backend=b) for b in ("numpy", "c")]
         ref, got = (e.evaluate(batch, pos, np.ones(12)) for e in engines)
@@ -371,15 +372,19 @@ class TestCArgumentGuard:
     @pytest.fixture()
     def call(self, kernel, rng):
         """``call(**overrides)`` runs one raw ``pair_accumulate`` on a
-        small packed batch and returns ``(acc, inside)``."""
+        small packed batch (some rows ghosts) and returns ``(acc,
+        inside)``."""
         pos = clustered_cloud(rng, 90)
         tree = RCBTree(pos, rng.uniform(0.5, 1.5, 90), leaf_size=16)
-        batch = pack_tree(tree, kernel.rcut)
+        batch = pack_tree(tree, kernel.rcut, 70)
         base = dict(
-            targets=batch.targets,
-            target_offsets=batch.target_offsets,
-            neighbor_indices=batch.neighbor_indices,
-            neighbor_offsets=batch.neighbor_offsets,
+            target_starts=batch.target_starts,
+            target_counts=batch.target_counts,
+            real=batch.real,
+            source_starts=batch.source_starts,
+            source_counts=batch.source_counts,
+            range_offsets=batch.range_offsets,
+            keep=batch.keep,
             px=np.ascontiguousarray(tree.positions[:, 0]),
             py=np.ascontiguousarray(tree.positions[:, 1]),
             pz=np.ascontiguousarray(tree.positions[:, 2]),
@@ -412,8 +417,9 @@ class TestCArgumentGuard:
             {},
             {"px": strided[:, 0]},                        # non-contiguous
             {"msc": call.base["msc"][::-1].copy()[::-1]},  # negative stride
-            {"targets": call.base["targets"].astype(np.int32)},
-            {"neighbor_indices": list(call.base["neighbor_indices"])},
+            {"target_starts": call.base["target_starts"].astype(np.int32)},
+            {"source_starts": list(call.base["source_starts"])},
+            {"real": call.base["real"].astype(np.int64)},
             {"coeffs": list(call.base["coeffs"])},
         ):
             got, inside = call(**overrides)
@@ -428,7 +434,6 @@ class TestCArgumentGuard:
         assert np.array_equal(got, ref32)
 
     def test_rejects_what_it_cannot_write_or_trust(self, call):
-        n = call.base["targets"].size
         with pytest.raises(ValueError, match="acc"):
             call(acc=np.zeros((90, 6))[:, ::2])            # non-contiguous
         with pytest.raises(ValueError, match="acc"):
@@ -438,15 +443,21 @@ class TestCArgumentGuard:
         with pytest.raises(ValueError, match="px"):
             call(px=call.base["px"][:50])                  # too short
         with pytest.raises(IndexError):
-            call(neighbor_indices=call.base["neighbor_indices"] + 90)
+            call(source_starts=call.base["source_starts"] + 90)
         with pytest.raises(IndexError):
-            call(targets=call.base["targets"] - 1)
+            call(target_starts=call.base["target_starts"] - 1)
+        with pytest.raises(IndexError):
+            call(source_counts=-call.base["source_counts"])
         with pytest.raises(ValueError, match="offsets"):
-            call(target_offsets=call.base["target_offsets"] + n)
+            call(range_offsets=call.base["range_offsets"] + 1)
         with pytest.raises(ValueError, match="offsets"):
-            call(neighbor_offsets=call.base["neighbor_offsets"][::-1])
-        with pytest.raises(ValueError, match="neighbor_offsets"):
-            call(neighbor_offsets=call.base["neighbor_offsets"][:-1])
+            call(range_offsets=call.base["range_offsets"][::-1])
+        with pytest.raises(ValueError, match="range_offsets"):
+            call(range_offsets=call.base["range_offsets"][:-1])
+        with pytest.raises(ValueError, match="real"):
+            call(real=call.base["real"][:50])
+        with pytest.raises(ValueError, match="keep"):
+            call(keep=call.base["keep"][:1])
 
 
 # ----------------------------------------------------------------------
@@ -482,7 +493,9 @@ class TestPairLanes:
     batches, bisection ties, zero-separation pairs at ``eps = 0``,
     sources no lane accepts or whose box value is exactly ``rc2``, lists
     of several ``chunk_pairs`` chunks, empty groups, batches without
-    targets, and two threads on one backend."""
+    targets, sources packed from row ranges through a culled keep mask
+    with ghost rows among the targets, and two threads on one
+    backend."""
 
     @staticmethod
     def evaluate(fit, paths, batch, pos, dtype, eps=0.01,
@@ -500,6 +513,7 @@ class TestPairLanes:
             out[getattr(backend, "simd", None) or backend] = (
                 acc, engine.last_pairs[1])
         ref, n_ref = out.pop("numpy")
+        assert engine.last_pairs[0] == batch.n_pairs
         for path, (acc, n) in out.items():
             assert acc.dtype == dtype
             assert acc.tobytes() == ref.tobytes(), path
@@ -519,26 +533,24 @@ class TestPairLanes:
     @pytest.mark.parametrize("chunk_pairs", [7, 1 << 18])
     @pytest.mark.parametrize("nt", [1, 3, 4, 5, 7, 8, 9, 15, 16, 17, 33, 127])
     def test_ragged_target_blocks(self, grid_force_fit, pair_paths,
-                                  rng, dtype, chunk_pairs, nt):
+                                  rng, dtype, chunk_pairs, nt,
+                                  listed_batch):
         """A group of ``nt`` targets fills whole blocks and a padded last
         one; its list (every particle, so each target meets itself) spans
         many chunks at ``chunk_pairs = 7``."""
         n = 200
         pos = clustered_cloud(rng, n)
-        order = rng.permutation(n)
-        batch = InteractionBatch(
-            order[:nt + 5], np.array([0, nt, nt + 5]),
-            np.concatenate([rng.permutation(n), rng.choice(n, 50)]),
-            np.array([0, n, n + 50]),
-        )
+        batch = listed_batch([0, nt], [nt, 5],
+                             [rng.permutation(n), rng.choice(n, 50)], pos)
         acc, inside = self.evaluate(grid_force_fit, pair_paths,
                                     batch, pos, dtype,
                                     chunk_pairs=chunk_pairs)
-        assert inside > 0 and np.abs(acc[order[:nt]]).max() > 0
-        assert not acc[order[nt + 5:]].any()
+        assert inside > 0 and np.abs(acc[:nt]).max() > 0
+        assert not acc[nt + 5:].any()
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
-    def test_bisection_ties(self, grid_force_fit, pair_paths, rng, dtype):
+    def test_bisection_ties(self, grid_force_fit, pair_paths, rng, dtype,
+                            listed_batch):
         """Groups of many batches whose targets tie on the longest side,
         or sit on one point, or on a line: the stable sort keeps list
         order among ties and every target still gets its own sum."""
@@ -547,10 +559,8 @@ class TestPairLanes:
         pos[40:80] = pos[40]             # 40 coincident targets
         pos[80:120, 1:] = pos[80, 1:]    # 40 on a line along x
         pos[80:120, 0] = np.round(pos[80:120, 0], 1)  # with ties on it
-        batch = InteractionBatch(
-            np.arange(120), np.array([0, 40, 80, 120]),
-            np.tile(np.arange(300), 3), np.array([0, 300, 600, 900]),
-        )
+        batch = listed_batch([0, 40, 80], [40, 40, 40], [range(300)] * 3,
+                             pos)
         acc, inside = self.evaluate(grid_force_fit, pair_paths, batch,
                                     pos, dtype)
         assert inside > 0 and np.isfinite(acc).all()
@@ -558,7 +568,7 @@ class TestPairLanes:
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     @pytest.mark.parametrize("chunk_pairs", [1, 2, 7, 16, 17])
     def test_cull_runs_per_chunk(self, grid_force_fit, pair_paths, rng,
-                                 dtype, chunk_pairs):
+                                 dtype, chunk_pairs, listed_batch):
         """A list of many chunks, near and far sources mixed, culled one
         chunk at a time: chunks that keep nothing, one source (an odd
         count, so f32's source pairs end on a far one) or all."""
@@ -567,9 +577,7 @@ class TestPairLanes:
             grid_force_fit.rcut_cells)
         pos = np.concatenate([near, far])
         src = rng.permutation(90)
-        batch = InteractionBatch(
-            np.arange(21), np.array([0, 21]), src, np.array([0, 90]),
-        )
+        batch = listed_batch([0], [21], [src], pos)
         acc, inside = self.evaluate(grid_force_fit, pair_paths, batch,
                                     pos, dtype, chunk_pairs=chunk_pairs)
         assert inside > 0 and np.abs(acc[:21]).min() > 0
@@ -586,8 +594,8 @@ class TestPairLanes:
         pos[:8, 0] = np.linspace(0.0, 1.0, 8)
         pos[8:, 0] = [4.0, near, 4.5]
         args = dict(
-            targets=np.arange(8), target_offsets=np.array([0, 8]),
-            px=pos[:, 0].copy(), py=pos[:, 1].copy(), pz=pos[:, 2].copy(),
+            target_starts=np.array([0]), target_counts=np.array([8]),
+            real=np.ones(11, dtype=bool), px=pos[:, 0].copy(), py=pos[:, 1].copy(), pz=pos[:, 2].copy(),
             msc=np.ones(11, dtype=dtype),
             coeffs=np.array([0.5, -0.01], dtype=dtype), eps=t(0.01),
             rc2_cells=t(9.0), inv_sp2=t(1.0), chunk_pairs=1 << 18,
@@ -598,8 +606,10 @@ class TestPairLanes:
             for backend in (get_backend("numpy"), *pair_paths.values()):
                 acc = np.zeros((11, 3), dtype=dtype)
                 inside = backend.pair_accumulate(
-                    neighbor_indices=np.array(sources),
-                    neighbor_offsets=np.array([0, len(sources)]),
+                    source_starts=np.array(sources),
+                    source_counts=np.ones(len(sources), dtype=np.int64),
+                    range_offsets=np.array([0, len(sources)]),
+                    keep=np.full(1, 2**64 - 1, dtype=np.uint64),
                     acc=acc, workspace=Workspace(), **args)
                 got = (acc.tobytes(), inside)
                 assert ref is None or got == ref, (sources, backend.simd)
@@ -641,17 +651,14 @@ class TestPairLanes:
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     def test_zero_separation_pairs_at_zero_softening(
-        self, grid_force_fit, pair_paths, rng, dtype
+        self, grid_force_fit, pair_paths, rng, dtype, listed_batch
     ):
         """A target meeting itself or a coincident twin has ``s2 = 0``:
         rejected by the cutoff test, it would give ``1/0 = inf`` at
         ``eps = 0``, and ``inf * 0 = NaN`` if a lane mask multiplied."""
         pos = clustered_cloud(rng, 60)
         pos[1::2] = pos[0::2]  # every even particle has a coincident twin
-        batch = InteractionBatch(
-            np.arange(11), np.array([0, 11]), np.arange(60),
-            np.array([0, 60]),
-        )
+        batch = listed_batch([0], [11], [range(60)], pos)
         acc, inside = self.evaluate(grid_force_fit, pair_paths,
                                     batch, pos, dtype, eps=0.0)
         assert inside > 0 and np.isfinite(acc).all()
@@ -659,7 +666,7 @@ class TestPairLanes:
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     def test_sources_no_lane_accepts(self, grid_force_fit, pair_paths,
-                                     rng, dtype):
+                                     rng, dtype, listed_batch):
         """Far sources interleaved in the list are skipped whole: the
         bits and count equal those of the list without them."""
         near = clustered_cloud(rng, 40)
@@ -669,8 +676,7 @@ class TestPairLanes:
         results = [
             self.evaluate(
                 grid_force_fit, pair_paths,
-                InteractionBatch(np.arange(13), np.array([0, 13]), src,
-                                 np.array([0, src.size])),
+                listed_batch([0], [13], [src], pos),
                 pos, dtype,
             )
             for src in (mixed, np.arange(40))
@@ -681,24 +687,41 @@ class TestPairLanes:
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     def test_empty_groups_and_no_targets(self, grid_force_fit, pair_paths,
-                                         rng, dtype):
+                                         rng, dtype, listed_batch):
         pos = rng.uniform(0.0, 3.0, (12, 3))
         # {0..4} x 6 sources, {} x 3 sources, {5} x none, {6..10} x 5
-        batch = InteractionBatch(
-            np.arange(11), np.array([0, 5, 5, 6, 11]),
-            np.array([0, 1, 2, 3, 4, 5, 6, 7, 8, 3, 4, 9, 10, 11]),
-            np.array([0, 6, 9, 9, 14]),
+        batch = listed_batch(
+            [0, 5, 5, 6], [5, 0, 1, 5],
+            [range(6), range(6, 9), [], [3, 4, 9, 10, 11]], pos,
         )
         acc, _ = self.evaluate(grid_force_fit, pair_paths, batch,
                                pos, dtype)
         assert not acc[5].any() and np.abs(acc[:5]).min() > 0
-        no_targets = InteractionBatch(
-            np.zeros(0, dtype=np.int64), np.zeros(3, dtype=np.int64),
-            np.arange(7), np.array([0, 3, 7]),
-        )
+        # groups whose rows are all ghosts, and a group of no rows
+        no_targets = listed_batch([0, 3, 3], [3, 4, 0],
+                                  [range(3), range(7), range(4)], pos,
+                                  np.arange(12) >= 7)
         acc, inside = self.evaluate(grid_force_fit, pair_paths,
                                     no_targets, pos, dtype)
         assert inside == 0 and not acc.any()
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("chunk_pairs", [7, 1 << 18])
+    def test_range_and_mask_batches(self, grid_force_fit, pair_paths, rng,
+                                    dtype, chunk_pairs):
+        """Packed trees with ghost rows: each group's sources are packed
+        from its hit leaves' row ranges through the culled keep mask, on
+        every path."""
+        pos, m = periodic_ghosts(clustered_cloud(rng, 600), np.ones(600),
+                                 BOX, 3.0)
+        tree = RCBTree(pos.astype(dtype), m, leaf_size=32)
+        batch = pack_tree(tree, 3.0, 600)
+        candidates = int(batch.source_counts.sum())
+        assert 0 < batch.n_sources.sum() < candidates
+        acc, inside = self.evaluate(grid_force_fit, pair_paths, batch,
+                                    tree.positions, dtype,
+                                    chunk_pairs=chunk_pairs)
+        assert inside > 0 and not acc[tree.perm >= 600].any()
 
 
 # ----------------------------------------------------------------------
@@ -719,8 +742,42 @@ print(get_backend("c").name, hashlib.sha256(acc.tobytes()).hexdigest())
 """
 
 
+@pytest.fixture(scope="session")
+def cold_cache(tmp_path_factory):
+    """The build-cache suite's one real cold build: a cache root the C
+    library was compiled into, and a stand-in compiler that answers
+    ``--version`` like the real one (so cache keys agree) and "builds" by
+    copying that library, unsealed, to its ``-o`` path -- the rebuilds
+    below then run every step of the build but the compile."""
+    from repro.shortrange.backends import c_backend
+
+    if not HAVE_C:
+        pytest.skip("no working C compiler")
+    root = tmp_path_factory.mktemp("c-cold")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("XDG_CACHE_HOME", str(root / "cache"))
+        c_backend.CBackend()
+    (lib,) = (root / "cache" / "repro" / "kernels").iterdir()
+    (root / "unsealed.so").write_bytes(lib.read_bytes()[:-32])
+    fake = root / "cc"
+    fake.write_text(
+        "#!/bin/sh\n"
+        'case " $* " in *" --version "*) exec '
+        f'{shlex.join(c_backend._compiler()[0])} "$@";; esac\n'
+        'while [ $# -gt 1 ]; do [ "$1" = -o ] && exec cp '
+        f'{shlex.quote(str(root / "unsealed.so"))} "$2"; shift; done\n'
+        "exit 1\n"
+    )
+    fake.chmod(0o755)
+    return root
+
+
 @needs_c
 class TestCBuildCache:
+    """The per-user library cache.  One cold build (``cold_cache``)
+    serves the suite; the rebuilds, the fallback directory and the
+    racing processes compile with its stand-in compiler."""
+
     @staticmethod
     def fresh(monkeypatch, cache):
         """A new CBackend whose cache root is ``cache``."""
@@ -737,12 +794,12 @@ class TestCBuildCache:
         )
 
     def test_cold_build_publishes_one_library(
-        self, monkeypatch, tmp_path, kernel
+        self, monkeypatch, cold_cache, kernel
     ):
-        backend = self.fresh(monkeypatch, tmp_path)
-        libs = list((tmp_path / "repro" / "kernels").iterdir())
+        libs = list((cold_cache / "cache" / "repro" / "kernels").iterdir())
         assert [p.suffix for p in libs] == [".so"]  # no temp file left
         assert len(libs[0].stem) == 64
+        backend = self.fresh(monkeypatch, cold_cache / "cache")
         assert set(backend.build_info) == {
             "compiler", "flags", "source_sha256"
         }
@@ -752,11 +809,9 @@ class TestCBuildCache:
 
     @pytest.mark.parametrize("damage", ["garbage", "truncated", "empty"])
     def test_damaged_cache_entry_is_rebuilt(
-        self, monkeypatch, tmp_path, kernel, damage
+        self, monkeypatch, tmp_path, kernel, damage, cold_cache
     ):
-        good = tmp_path / "good"
-        self.fresh(monkeypatch, good)
-        (lib,) = (good / "repro" / "kernels").iterdir()
+        (lib,) = (cold_cache / "cache" / "repro" / "kernels").iterdir()
         # the damaged copy lives in a cache nothing has loaded from
         bad_dir = tmp_path / "bad" / "repro" / "kernels"
         bad_dir.mkdir(parents=True)
@@ -766,16 +821,18 @@ class TestCBuildCache:
              "truncated": blob[: len(blob) // 2],
              "empty": b""}[damage]
         )
+        monkeypatch.setenv("CC", str(cold_cache / "cc"))
         backend = self.fresh(monkeypatch, tmp_path / "bad")
         assert (bad_dir / lib.name).stat().st_size > len(blob) // 2
         ref = self.forces("numpy", kernel)
         assert np.array_equal(self.forces(backend, kernel), ref)
 
     def test_unwritable_cache_dir_falls_back_to_a_temp_dir(
-        self, monkeypatch, tmp_path, kernel
+        self, monkeypatch, tmp_path, kernel, cold_cache
     ):
         blocker = tmp_path / "file"
         blocker.write_text("not a directory")
+        monkeypatch.setenv("CC", str(cold_cache / "cc"))
         backend = self.fresh(monkeypatch, blocker / "cache")
         assert blocker.read_text() == "not a directory"
         ref = self.forces("numpy", kernel)
@@ -793,9 +850,10 @@ class TestCBuildCache:
             self.fresh(monkeypatch, tmp_path)
         assert not list((tmp_path / "repro" / "kernels").iterdir())
 
-    def test_two_processes_racing_a_cold_cache(self, tmp_path):
+    def test_two_processes_racing_a_cold_cache(self, tmp_path, cold_cache):
         env = {**os.environ, "PYTHONPATH": os.path.abspath(SRC),
-               "XDG_CACHE_HOME": str(tmp_path)}
+               "XDG_CACHE_HOME": str(tmp_path),
+               "CC": str(cold_cache / "cc")}
         procs = [
             subprocess.Popen(
                 [sys.executable, "-c", _PROBE], env=env,

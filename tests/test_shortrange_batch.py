@@ -6,8 +6,9 @@ CSR-packed, chunked evaluation must match the naive O(N^2) direct sum
 near-boundary particle sets, and ``pp.interactions`` must be the pairs
 the batch streams.  The tight-list suite pins what ``tighten_ranges``
 promises: only real targets, only sources that can matter, and never a
-changed bit, with the ``tighten`` primitive behind it in C equal to the
-numpy oracle.
+changed bit, with the ``cull`` primitive behind it (the keep mask and
+per-group counts) in C equal to the numpy oracle.  The walk suite pins the C tree descent to the numpy
+frontier walk, hit for hit.
 """
 
 import numpy as np
@@ -19,7 +20,12 @@ from repro.fft.pencil import PencilFFT
 from repro.grid.cic import ParticleGridCoords, cic_deposit, cic_interpolate
 from repro.instrument import Registry, use
 from repro.shortrange.backends import BackendUnavailable, get_backend
-from repro.shortrange.backends.numpy_backend import _f_sr_pairs
+from repro.shortrange.backends.numpy_backend import (
+    _expand,
+    _f_sr_pairs,
+    _unpack,
+    batch_box_query,
+)
 from repro.shortrange.batch import (
     BatchedPairEngine,
     InteractionBatch,
@@ -99,56 +105,58 @@ class TestRangesToIndices:
 
 class TestInteractionBatch:
     def test_validation(self):
-        z = np.zeros(1, dtype=np.int64)
-        e = np.empty(0, dtype=np.int64)
-        with pytest.raises(ValueError):
-            InteractionBatch(e, np.array([0, 1]), e, z)  # length mismatch
-        with pytest.raises(ValueError):
-            InteractionBatch(e, np.array([1, 0]), e, np.array([0, 0]))
+        one, e = np.zeros(1, dtype=np.int64), np.empty(0, dtype=np.int64)
+        flags, bits = np.ones(1, dtype=bool), np.zeros(1, dtype=np.uint64)
+        with pytest.raises(ValueError):  # per-group length mismatch
+            InteractionBatch(one, e, flags, e, e, np.zeros(2, np.int64),
+                             bits, one, one)
+        with pytest.raises(ValueError):  # falling range offsets
+            InteractionBatch(one, one, flags, one, one, np.array([1, 0]),
+                             bits, one, one)
+        with pytest.raises(ValueError):  # offsets past the ranges
+            InteractionBatch(one, one, flags, e, e, np.array([0, 1]),
+                             bits, one, one)
 
     def test_empty_counts(self):
         b = InteractionBatch.empty()
         assert b.n_groups == 0
         assert b.n_pairs == 0
 
-    def test_pair_counts(self):
-        b = InteractionBatch(
-            targets=np.array([0, 1, 2]),
-            target_offsets=np.array([0, 2, 3]),
-            neighbor_indices=np.array([0, 1, 2, 3, 4]),
-            neighbor_offsets=np.array([0, 3, 5]),
-        )
+    def test_pair_counts(self, listed_batch):
+        b = listed_batch([0, 2], [2, 1], [[0, 1, 2], [3, 4]],
+                         np.zeros((5, 3)))
         assert b.group_pair_counts().tolist() == [6, 2]
         assert b.n_pairs == 8
 
 
+def index_lists(batch):
+    """``(targets, target_offsets, sources, source_offsets)``: a batch's
+    streamed lists as index CSR, each group's real targets and kept
+    sources in order."""
+    targets, to, cand, cand_offsets = _expand(
+        batch.target_starts, batch.target_counts, batch.real,
+        batch.source_starts, batch.source_counts, batch.range_offsets)
+    kept = _unpack(batch.keep, cand.size)
+    so = np.concatenate(([0], np.cumsum(kept)))[cand_offsets]
+    return targets, to, cand[kept], so
+
+
 def group_slices(batch, g):
     """``(targets, sources)`` index arrays of group ``g``."""
-    return (
-        batch.targets[batch.target_offsets[g] : batch.target_offsets[g + 1]],
-        batch.neighbor_indices[
-            batch.neighbor_offsets[g] : batch.neighbor_offsets[g + 1]
-        ],
-    )
+    targets, to, sources, so = index_lists(batch)
+    return targets[to[g]:to[g + 1]], sources[so[g]:so[g + 1]]
 
 
-def uncut_batch(tree, rcut, n_targets):
+def uncut_batch(tree, rcut, n_targets, listed_batch):
     """Hand-built reference: real targets only, whole hit leaves listed."""
     real = tree.perm < n_targets
-    targets, sources = [], []
-    for leaf in tree.leaf_ids():
-        node = tree.node(int(leaf))
-        members = np.arange(node.start, node.start + node.count)
-        members = members[real[members]]
-        if members.size:
-            targets.append(members)
-            sources.append(tree.interaction_list(int(leaf), rcut))
-    offsets = lambda parts: np.concatenate(  # noqa: E731
-        ([0], np.cumsum([p.size for p in parts]))
-    ).astype(np.int64)
-    return InteractionBatch(
-        np.concatenate(targets), offsets(targets),
-        np.concatenate(sources), offsets(sources),
+    leaves = [tree.node(int(leaf)) for leaf in tree.leaf_ids()]
+    leaves = [node for node in leaves
+              if real[node.start:node.start + node.count].any()]
+    return listed_batch(
+        [node.start for node in leaves], [node.count for node in leaves],
+        [tree.interaction_list(node.index, rcut) for node in leaves],
+        tree.positions, real,
     )
 
 
@@ -179,7 +187,7 @@ class TestPackTree:
         pos = uniform_cloud(rng, 300)
         tree = RCBTree(pos, leaf_size=32)
         batch = pack_tree(tree, rcut=3.0)
-        assert np.sort(batch.targets).tolist() == list(range(300))
+        assert np.sort(index_lists(batch)[0]).tolist() == list(range(300))
 
     def test_ghost_only_leaves_skipped(self, rng):
         # real cluster + far-away ghost cluster: ghost-only leaves must
@@ -189,7 +197,7 @@ class TestPackTree:
         pos = np.concatenate([real, ghosts])
         tree = RCBTree(pos, leaf_size=8)
         batch = pack_tree(tree, rcut=3.0, n_targets=64)
-        orig = tree.perm[batch.targets]
+        orig = tree.perm[index_lists(batch)[0]]
         assert np.all(orig < 64)
 
 
@@ -260,7 +268,7 @@ class TestEquivalence:
         )
         assert reg.counters.get("pp.interactions", 0) == batch.n_pairs > 0
         assert solver.last_pairs[0] == batch.n_pairs
-        assert solver.last_list_sizes.sum() == batch.neighbor_indices.size
+        assert solver.last_list_sizes.sum() == batch.n_sources.sum()
         # every in-cutoff pair of a real target, and nothing else
         sep = np.linalg.norm(pos[:, None] - cloud[None], axis=2)
         inside = np.count_nonzero((sep > 0) & (sep < kernel.rcut))
@@ -408,14 +416,16 @@ class TestCullNeverChangesABit:
     BACKEND = "numpy"
 
     @pytest.mark.parametrize("cloud", sorted(CLOUDS))
-    def test_packed_equals_uncut_batch_bitwise(self, kernel, rng, cloud):
+    def test_packed_equals_uncut_batch_bitwise(self, kernel, rng, cloud,
+                                               listed_batch):
         pos = CLOUDS[cloud](rng, 400)
         m = rng.uniform(0.5, 1.5, 400)
         gpos, gm = periodic_ghosts(pos, m, BOX, kernel.rcut)
         tree = RCBTree(gpos, gm, leaf_size=16)
         packed = pack_tree(tree, kernel.rcut, 400, self.BACKEND)
-        uncut = uncut_batch(tree, kernel.rcut, 400)
-        np.testing.assert_array_equal(packed.targets, uncut.targets)
+        uncut = uncut_batch(tree, kernel.rcut, 400, listed_batch)
+        np.testing.assert_array_equal(index_lists(packed)[0],
+                                      index_lists(uncut)[0])
         assert packed.n_pairs < uncut.n_pairs
         engine = BatchedPairEngine(kernel, backend=self.BACKEND)
         a = engine.evaluate(packed, tree.positions, tree.masses)
@@ -423,29 +433,26 @@ class TestCullNeverChangesABit:
         b = engine.evaluate(uncut, tree.positions, tree.masses)
         assert np.array_equal(a, b)
         assert engine.last_pairs[1] == inside
-        assert np.abs(a[packed.targets]).max() > 0
+        assert np.abs(a[index_lists(packed)[0]]).max() > 0
         assert not a[tree.perm >= 400].any()
 
     @pytest.mark.parametrize("rcut", [0.5, 2.0, 3.0])
     @pytest.mark.parametrize("leaf_size", [1, 4, 16, 128])
     @pytest.mark.parametrize("cloud", sorted(CLOUDS))
     def test_packed_lists_are_the_tightened_walk_lists(
-        self, rng, cloud, leaf_size, rcut
+        self, rng, cloud, leaf_size, rcut, listed_batch
     ):
-        """The packer's four CSR arrays are the per-leaf walk lists,
+        """The packer's streamed lists are the per-leaf walk lists,
         tightened: the packed walk changes no list, no order."""
         pos = CLOUDS[cloud](rng, 400)
         gpos, gm = periodic_ghosts(pos, np.ones(400), BOX, rcut)
         tree = RCBTree(gpos, gm, leaf_size=leaf_size)
-        uncut = uncut_batch(tree, rcut, 400)
-        want = tightened(
-            uncut, np.ones(uncut.targets.size, bool), tree.positions, rcut,
-            self.BACKEND,
-        )
+        uncut = uncut_batch(tree, rcut, 400, listed_batch)
+        want = tightened(uncut, tree.positions, rcut, self.BACKEND)
         got = pack_tree(tree, rcut, 400, self.BACKEND)
-        for name in ("targets", "target_offsets", "neighbor_indices",
-                     "neighbor_offsets"):
-            assert np.array_equal(getattr(got, name), getattr(want, name))
+        assert got.n_pairs == want.n_pairs
+        for a, b in zip(index_lists(got), index_lists(want)):
+            assert np.array_equal(a, b)
 
 
 class TestTightListEdges:
@@ -496,8 +503,9 @@ class TestTightListEdges:
         masses = rng.uniform(0.5, 1.5, cloud.shape[0])
         tree = RCBTree(cloud, masses, leaf_size=128)
         batch = pack_tree(tree, kernel.rcut, n_targets=1)
-        assert tree.perm[batch.targets].tolist() == [0]
-        src = tree.perm[batch.neighbor_indices]
+        targets, _, sources, _ = index_lists(batch)
+        assert tree.perm[targets].tolist() == [0]
+        src = tree.perm[sources]
         assert np.isin(np.arange(51), src).all()
         assert src.max() <= 50
         got = TreePMShortRange(
@@ -510,9 +518,8 @@ class TestTightListEdges:
         tree = RCBTree(clustered_cloud(rng, 300), leaf_size=16)
         a = pack_tree(tree, self.RCUT, n_targets=300)
         b = pack_tree(tree, self.RCUT)
-        np.testing.assert_array_equal(a.targets, np.arange(300))
-        for name in ("targets", "target_offsets", "neighbor_indices",
-                     "neighbor_offsets"):
+        np.testing.assert_array_equal(index_lists(a)[0], np.arange(300))
+        for name in BATCH_ARRAYS:
             np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
 
     @pytest.mark.parametrize("solver", sorted(SOLVERS))
@@ -531,17 +538,18 @@ class TestTightListEdges:
         assert reg.counters.get("pp.interactions", 0) == 0
         assert pack_tree(RCBTree(pos, leaf_size=16), 3.0, 0).n_groups == 0
 
-    def test_empty_candidate_groups_are_dropped(self):
-        # groups: {0 real, 1 ghost}, {} (no members), {2 ghost}
+    def test_empty_candidate_groups_are_dropped(self, listed_batch):
+        """Groups without a real target stream nothing: {0 real, 1
+        ghost}, {} (no members), {2 ghost}, each listing every row."""
         pos = np.array([[0.0, 0, 0], [1.0, 0, 0], [2.0, 0, 0], [9.0, 0, 0]])
-        cand = InteractionBatch(
-            np.array([0, 1, 2]), np.array([0, 2, 2, 3]),
-            np.array([0, 1, 2, 3, 0, 1, 2, 3]), np.array([0, 4, 4, 8]),
-        )
-        tight = tightened(cand, np.array([True, False, False]), pos, 3.0)
-        assert tight.targets.tolist() == [0]
-        assert tight.target_offsets.tolist() == [0, 1]
-        assert tight.neighbor_indices.tolist() == [0, 1, 2]
+        cand = listed_batch([0, 2, 2], [2, 0, 1], [range(4)] * 3, pos,
+                            np.array([True, False, False, False]))
+        tight = tightened(cand, pos, 3.0, self.BACKEND)
+        assert tight.n_targets.tolist() == [1, 0, 0]
+        assert tight.n_sources.tolist() == [3, 0, 0]
+        targets, to, sources, so = index_lists(tight)
+        assert targets.tolist() == [0] and to.tolist() == [0, 1, 1, 1]
+        assert sources.tolist() == [0, 1, 2]
         assert tight.n_pairs == 3
 
 
@@ -569,18 +577,20 @@ class TestTightListEdgesOnC(TestTightListEdges):
 
 
 # ----------------------------------------------------------------------
-# the tighten primitive: the C cull against the numpy oracle
+# the cull primitive: the C keep mask against the numpy oracle
 # ----------------------------------------------------------------------
-BATCH_ARRAYS = ("targets", "target_offsets", "neighbor_indices",
-                "neighbor_offsets")
+BATCH_ARRAYS = ("target_starts", "target_counts", "real", "source_starts",
+                "source_counts", "range_offsets", "keep", "n_targets",
+                "n_sources")
 
 
 @st.composite
 def candidate_batches(draw):
     """Candidate groups over a clustered cloud with duplicated
-    coordinates: 0 to 150 members (ghosts among them, some groups all
-    ghosts), and 0 to 12 source ranges of 0 to 60 rows each, overlapping
-    and out of order, so a list may be empty or repeat rows."""
+    coordinates: consecutive row ranges of 0 to 150 members (ghosts
+    among them, some groups all ghosts, some of one target), and 0 to 12
+    source ranges of 0 to 60 rows each, overlapping and out of order, so
+    a list may be empty or repeat rows."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     n = draw(st.integers(1, 400))
     centers = rng.uniform(0.0, BOX, (draw(st.integers(1, 4)), 3))
@@ -592,58 +602,75 @@ def candidate_batches(draw):
     while sum(sizes) < n:
         sizes.append(int(min(n - sum(sizes),
                              rng.choice([0, 1, 2, 7, 32, 150]))))
-    targets = rng.permutation(n)[:sum(sizes)]
-    real = rng.uniform(size=targets.size) < draw(
-        st.sampled_from([0.0, 0.5, 1.0]))
+    real = rng.uniform(size=n) < draw(st.sampled_from([0.0, 0.5, 1.0]))
     ranges = rng.integers(0, 13, len(sizes))
     starts = rng.integers(0, n, ranges.sum())
     counts = np.minimum(rng.integers(0, 61, starts.size), n - starts)
     offsets = lambda parts: np.concatenate(  # noqa: E731
         ([0], np.cumsum(parts))).astype(np.int64)
-    candidates = (targets, offsets(sizes), starts, counts, offsets(ranges))
+    candidates = (offsets(sizes)[:-1], sizes, starts, counts, offsets(ranges))
     return candidates, real, pos, draw(st.sampled_from([0.1, 1.0, 3.0, 30.0]))
 
 
-def as_ranges(batch):
-    """A candidate batch's lists as ranges of one row each."""
-    return (batch.targets, batch.target_offsets, batch.neighbor_indices,
-            np.ones_like(batch.neighbor_indices), batch.neighbor_offsets)
-
-
-def tightened(batch, real, positions, rcut, backend=None):
-    """``tighten_ranges`` of an index-listed candidate batch."""
-    return tighten_ranges(*as_ranges(batch), real, positions, rcut, backend)
-
-
-def tighten(backend, candidates, real, positions, radius):
-    return get_backend(backend).tighten(
-        *(np.asarray(a, dtype=np.int64) for a in candidates),
-        real, positions, radius,
+def tightened(batch, positions, rcut, backend=None):
+    """``tighten_ranges`` re-run on a batch's groups and candidates."""
+    return tighten_ranges(
+        batch.target_starts, batch.target_counts, batch.source_starts,
+        batch.source_counts, batch.range_offsets, batch.real, positions,
+        rcut, backend,
     )
 
 
+def cull(backend, candidates, real, positions, radius):
+    ts, tc, start, count, ro = (np.asarray(a, dtype=np.int64)
+                                for a in candidates)
+    return backend.cull(ts, tc, real, start, count, ro, positions, radius)
+
+
 def assert_same_arrays(got, want):
-    for name, a, b in zip(BATCH_ARRAYS, got, want):
-        assert a.dtype == b.dtype == np.int64, name
+    for name, a, b in zip(("keep", "n_targets", "n_sources"), got, want):
+        assert a.dtype == b.dtype, name
         assert np.array_equal(a, b), name
 
 
-@pytest.mark.usefixtures("_need_c_backend")
+@pytest.fixture(scope="module")
+def c_paths():
+    """``[CBackend]`` for every cull path this host runs: the AVX-512
+    block cull where the CPU has it, and the scalar loop."""
+    from repro.shortrange.backends import c_backend
+
+    try:
+        widest = get_backend("c")
+    except BackendUnavailable as exc:
+        pytest.skip(str(exc))
+    paths = [widest]
+    if widest.simd != "scalar":
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(c_backend, "_pair_path", lambda dll: "scalar")
+            paths.append(c_backend.CBackend())
+    return paths
+
+
 class TestTightenOracle:
-    """``CBackend.tighten`` returns the numpy oracle's four arrays."""
+    """``CBackend.cull`` returns the numpy oracle's keep mask and
+    per-group counts, on every path of the host."""
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(case=candidate_batches())
-    def test_c_equals_numpy(self, dtype, case):
+    def test_c_equals_numpy(self, c_paths, dtype, case):
         candidates, real, pos, radius = case
         pos = pos.astype(dtype)
-        assert_same_arrays(tighten("c", candidates, real, pos, radius),
-                           tighten("numpy", candidates, real, pos, radius))
+        want = cull(get_backend("numpy"), candidates, real, pos, radius)
+        assert want[0].size == -(-int(np.sum(candidates[3])) // 64)
+        for backend in c_paths:
+            assert_same_arrays(cull(backend, candidates, real, pos, radius),
+                               want)
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     @pytest.mark.parametrize("cloud", sorted(CLOUDS))
-    def test_p3m_shaped_groups(self, rng, dtype, cloud):
+    def test_p3m_shaped_groups(self, c_paths, rng, dtype, cloud):
         """Chaining-mesh cells: ghosts among the members, and cells with
         no real member at all."""
         rcut = 3.0
@@ -653,34 +680,93 @@ class TestTightenOracle:
         solver = P3MShortRange(ShortRangeKernel(
             default_grid_force_fit(), spacing=rcut / 3.0, eps_cells=0.01))
         ncell, uniq, starts, order = solver._bin(pos)
-        cand = (np.arange(pos.shape[0]), starts,
+        cand = (starts[:-1], np.diff(starts),
                 *solver._pack_cells(ncell, uniq, starts))
         real = order < 2000
-        assert not real.all()
         pos = pos[order]
         radius = cull_radius(rcut, pos)
-        assert_same_arrays(tighten("c", cand, real, pos, radius),
-                           tighten("numpy", cand, real, pos, radius))
+        want = cull(get_backend("numpy"), cand, real, pos, radius)
+        assert (want[1] == 0).any() and (want[1] > 0).any()
+        for backend in c_paths:
+            assert_same_arrays(cull(backend, cand, real, pos, radius), want)
 
-    def test_out_of_range_rows_are_refused(self):
+    def test_out_of_range_rows_are_refused(self, c_paths):
         """The C loop trusts its ranges: the wrapper bounds them."""
         pos = np.zeros((4, 3))
-        one = np.array([0, 1])
+        one, flags = np.array([0, 1]), np.ones(4, bool)
         for starts, counts in (([3], [2]), ([-1], [1]), ([0], [-1])):
-            cand = ([0], one, starts, counts, one)
-            with pytest.raises(IndexError):
-                tighten("c", cand, np.ones(1, bool), pos, 1.0)
+            for cand in (([0], [1], starts, counts, one),
+                         (starts, counts, [0], [1], one)):
+                with pytest.raises(IndexError):
+                    cull(c_paths[0], cand, flags, pos, 1.0)
+        with pytest.raises(ValueError, match="real"):
+            cull(c_paths[0], ([0], [1], [0], [1], one), flags[:3], pos, 1.0)
 
 
-def p3m_index_batch(solver, pos, n_targets, backend):
-    """P3M's tight batch built from index lists: each occupied cell's
-    members in ``order`` as targets, the members of its occupied
-    27-neighbourhood, row-major, as sources, in cloud row numbers."""
+@st.composite
+def walked_trees(draw):
+    """A tree over a clustered cloud with duplicated coordinates (one
+    leaf, or none, among them) and box queries around some of its
+    leaves, others anywhere."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(0, 300))
+    centers = rng.uniform(0.0, BOX, (draw(st.integers(1, 4)), 3))
+    pos = centers[rng.integers(0, centers.shape[0], n)] + rng.normal(
+        0.0, draw(st.sampled_from([0.0, 0.05, 1.0])), (n, 3))
+    pos = np.round(pos, draw(st.sampled_from([0, 1, 6])))
+    tree = RCBTree(pos.astype(draw(st.sampled_from([np.float32,
+                                                    np.float64]))),
+                   leaf_size=draw(st.sampled_from([1, 4, 16, 1000])))
+    pad = draw(st.sampled_from([0.0, 0.5, 3.0]))
+    leaf = tree.leaf_ids()
+    lo = np.concatenate([tree.node_lo[leaf] - pad,
+                         rng.uniform(-2.0, BOX, (5, 3))])
+    return tree, lo, np.concatenate([tree.node_hi[leaf] + pad,
+                                     lo[leaf.size:] + rng.uniform(0, 4, 3)])
+
+
+@pytest.mark.usefixtures("_need_c_backend")
+class TestWalkOracle:
+    """``CBackend.walk`` descends to numpy's frontier-walk hits, in its
+    order."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=walked_trees())
+    def test_c_equals_batch_box_query(self, case):
+        tree, qlo, qhi = case
+        hq, hn = batch_box_query(tree, qlo, qhi)
+        for backend in ("c", "numpy"):
+            offsets, hits = get_backend(backend).walk(tree, qlo, qhi)
+            assert offsets.dtype == hits.dtype == np.int64
+            assert np.array_equal(hits, hn), backend
+            assert np.array_equal(np.diff(offsets),
+                                  np.bincount(hq, minlength=qlo.shape[0]))
+
+    def test_more_hits_than_first_room(self, rng):
+        """Every query meets every leaf: the hits outgrow the first
+        buffer, and the walk reruns with room for them all."""
+        tree = RCBTree(rng.uniform(0, 1, (4000, 3)), leaf_size=4)
+        box = np.array([[-1.0, -1.0, -1.0]]), np.array([[2.0, 2.0, 2.0]])
+        offsets, hits = get_backend("c").walk(tree, *box)
+        assert np.array_equal(hits, batch_box_query(tree, *box)[1])
+        assert offsets.tolist() == [0, tree.leaf_ids().size]
+
+
+def p3m_index_lists(solver, pos, n_targets):
+    """P3M's streamed lists from index lists, in cloud row numbers: each
+    occupied cell's real members in ``order`` as targets, and the members
+    of its occupied 27-neighbourhood, row-major, as candidates, kept
+    when their float32 squared distance to the float32 box of the
+    targets is within the cull radius."""
     ncell, uniq, starts, order = solver._bin(pos)
     cells = {int(c): order[starts[g]:starts[g + 1]]
              for g, c in enumerate(uniq)}
-    sources = []
-    for c in uniq:
+    p32 = pos.astype(np.float32)
+    radius2 = np.float32(cull_radius(solver.kernel.rcut, pos) ** 2)
+    targets, sources = [], []
+    for g, c in enumerate(uniq):
+        members = cells[int(c)]
+        members = members[members < n_targets]
         cx, cy, cz = np.unravel_index(c, ncell)
         lists = [np.empty(0, np.int64)]
         for ox in (-1, 0, 1):
@@ -691,15 +777,24 @@ def p3m_index_batch(solver, pos, n_targets, backend):
                         lists.append(cells.get(
                             int(np.ravel_multi_index(nb, ncell)),
                             np.empty(0, np.int64)))
-        sources.append(np.concatenate(lists))
-    offsets = np.concatenate(([0], np.cumsum([a.size for a in sources])))
-    cand = InteractionBatch(order, starts, np.concatenate(sources), offsets)
-    return tightened(cand, order < n_targets, pos, solver.kernel.rcut, backend)
+        cand = np.concatenate(lists)
+        targets.append(members)
+        if not members.size:
+            sources.append(cand[:0])
+            continue
+        lo, hi = p32[members].min(axis=0), p32[members].max(axis=0)
+        d = np.clip(p32[cand], lo, hi) - p32[cand]
+        d2 = (d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1]) + d[:, 2] * d[:, 2]
+        sources.append(cand[d2 <= radius2])
+    offsets = lambda parts: np.concatenate(  # noqa: E731
+        ([0], np.cumsum([a.size for a in parts])))
+    return (np.concatenate(targets), offsets(targets),
+            np.concatenate(sources), offsets(sources))
 
 
 class TestP3MWholeCells:
     """P3M hands the cull whole cells of its cell-sorted cloud: mapped
-    back through the sort, its batch is the index-listed one."""
+    back through the sort, its lists are the index-listed ones."""
 
     @pytest.fixture(params=["numpy", "c"])
     def backend(self, request):
@@ -732,13 +827,10 @@ class TestP3MWholeCells:
         solver.accelerations_cloud(pos, m, 600)
         order = solver._bin(pos)[3]
         got, = seen
-        want = p3m_index_batch(solver, pos, 600, backend)
-        assert want.n_pairs > 0
-        for name in BATCH_ARRAYS:
-            a = getattr(got, name)
-            if name in ("targets", "neighbor_indices"):
-                a = order[a]
-            assert np.array_equal(a, getattr(want, name)), name
+        want = p3m_index_lists(solver, pos, 600)
+        assert got.n_pairs > 0
+        for k, (a, b) in enumerate(zip(index_lists(got), want)):
+            assert np.array_equal(order[a] if k % 2 == 0 else a, b), k
 
     @pytest.mark.usefixtures("_need_c_backend")
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
@@ -771,7 +863,7 @@ class TestTightenedGroups:
         tree = RCBTree(pos.astype(dtype), m, leaf_size=128)
         batch = pack_tree(tree, rcut, 800, backend)
         assert batch.group_target_counts().min() >= 1
-        assert np.array_equal(np.sort(batch.targets),
+        assert np.array_equal(np.sort(index_lists(batch)[0]),
                               np.flatnonzero(tree.perm < 800))
         # every kept source is within cull_radius of its group's box, and
         # every source within rcut of a target is in that target's list

@@ -244,6 +244,30 @@ class TestRunStream:
         assert man["numpy"] == np.__version__
         assert man["config"]["box_size"] == cfg.box_size
 
+    @pytest.mark.parametrize("kwargs,tail", [
+        ({}, '{"config_hash": "fc894ea70755", "seed": 5, "n_steps": 2, '
+             '"n_particles": 512, "backend": "pm", "executor": "serial", '
+             '"workers": 1, "kernel_backend": "auto", "precision": "f64"}'),
+        ({"backend": "treepm", "dtype": "f32", "kernel_backend": "numpy",
+          "executor": "thread", "workers": 2},
+         '{"config_hash": "3535c15201a2", "seed": 5, "n_steps": 2, '
+         '"n_particles": 512, "backend": "treepm", "executor": "thread", '
+         '"workers": 2, "kernel_backend": "numpy", "precision": "f32"}'),
+    ])
+    def test_manifest_identity_bytes_are_pinned(self, kwargs, tail):
+        """The ledger identity columns come from ``store.IDENTITY`` and
+        the config attributes of the same names; the manifest's keys,
+        their order and the identity values (so its JSON bytes, and the
+        run id drawn from the hash) are those the hand mapping wrote."""
+        from repro.instrument.store import IDENTITY
+
+        man = run_manifest(tiny_config(**kwargs))
+        keys = list(man)
+        assert keys == ["repro_version", "python", "numpy", "created_unix",
+                        "scipy", "git_rev", "config", *json.loads(tail)]
+        assert json.dumps({k: man[k] for k in keys[7:]}) == tail
+        assert set(IDENTITY) <= set(keys)
+
     def test_config_hash_stable_and_sensitive(self):
         cfg = tiny_config()
         assert cfg.config_hash() == tiny_config().config_hash()
