@@ -12,8 +12,7 @@ also has target-lane bodies, one macro over AVX-512 (8 targets per
 batch in f64 and f32) and AVX2 (4 / 8): the widest the CPU has is chosen
 at load time (:func:`_pair_path`).  They order each group's targets
 into spatially compact batches, and on AVX-512 cull each batch's
-sources against its target box before the lanes run (the AVX-512 path
-also runs the list cull 16 candidates per zmm); their per-group
+sources against its target box before the lanes run; their per-group
 scratch comes from the caller's
 :class:`~repro.shortrange.backends.Workspace`, so concurrent calls on
 their own workspaces share nothing.
@@ -157,9 +156,7 @@ def _load(lib: Path) -> tuple[dict, object, str]:
     C function, ``pair_scratch(ns, nt, cs)`` sizes its scratch."""
     dll = ctypes.CDLL(str(lib))
     path = _pair_path(dll)
-    # the AVX-512 path also culls 16 candidates per zmm
-    symbols = {"pair_accumulate": _PAIR_SYMBOLS[path],
-               "cull": "cull_avx512" if path == "avx512" else "cull"}
+    pair = _PAIR_SYMBOLS[path]
     dll.pair_scratch.restype = _I64
     dll.pair_scratch.argtypes = [_I64] * 3
     fns = {}
@@ -183,7 +180,7 @@ def _load(lib: Path) -> tuple[dict, object, str]:
         }
         table = {}
         for name, argtypes in signatures.items():
-            symbol = symbols.get(name, name)
+            symbol = pair if name == "pair_accumulate" else name
             fn = getattr(dll, f"{symbol}_{suffix}")
             fn.restype = None if name == "stream" else _I64
             fn.argtypes = argtypes

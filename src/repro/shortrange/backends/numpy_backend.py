@@ -47,22 +47,16 @@ def _f_sr_pairs(s_cells, coeffs, eps, out, scratch):
     return out
 
 
-def _expand(target_starts, target_counts, real, source_starts,
-            source_counts, range_offsets):
-    """A batch's row ranges as index lists: ``(targets, target_offsets,
-    candidates, candidate_offsets)``, group ``g``'s real targets
-    ``targets[target_offsets[g]:target_offsets[g + 1]]`` and its
-    candidates (every row of its ranges, in order) ``candidates[
-    candidate_offsets[g]:candidate_offsets[g + 1]]``."""
+def _targets(target_starts, target_counts, real):
+    """Group ``g``'s real target rows, ``targets[offsets[g]:offsets[g +
+    1]]``, as ``(targets, offsets)``."""
     real = np.asarray(real, dtype=bool)
     rows = ranges_to_indices(target_starts, target_counts)
     # the real count of a row range: a difference of the running count
     before = _offsets(real)
     starts = np.asarray(target_starts, dtype=np.int64)
     return (rows[real[rows]],
-            _offsets(before[starts + target_counts] - before[starts]),
-            ranges_to_indices(source_starts, source_counts),
-            _offsets(source_counts)[range_offsets])
+            _offsets(before[starts + target_counts] - before[starts]))
 
 
 def _offsets(counts) -> np.ndarray:
@@ -146,13 +140,16 @@ class NumpyBackend(KernelBackend):
                         chunk_pairs, acc, workspace):
         # the lists as index CSR: group g's real targets are targets[
         # to[g]:to[g + 1]], its kept sources neighbor_indices[no[g]:
-        # no[g + 1]]
-        targets, to, cand, cand_offsets = _expand(
-            target_starts, target_counts, real, source_starts,
-            source_counts, range_offsets)
-        kept = _unpack(keep, cand.size)
-        neighbor_indices = cand[kept]
-        no = _offsets(kept)[cand_offsets]
+        # no[g + 1]], each kept candidate's row its range's start plus
+        # its place in the range
+        targets, to = _targets(target_starts, target_counts, real)
+        first = _offsets(source_counts)
+        kept = _unpack(keep, int(first[-1]))
+        before = _offsets(kept)[first]
+        neighbor_indices = np.repeat(
+            np.asarray(source_starts, dtype=np.int64) - first[:-1],
+            np.diff(before)) + np.flatnonzero(kept)
+        no = before[range_offsets]
         dt = px.dtype
         ws = workspace
         tcounts = np.diff(to)
@@ -313,9 +310,9 @@ class NumpyBackend(KernelBackend):
 
     def cull(self, target_starts, target_counts, real, source_starts,
              source_counts, range_offsets, positions, radius):
-        targets, to, cand, cand_offsets = _expand(
-            target_starts, target_counts, real, source_starts,
-            source_counts, range_offsets)
+        targets, to = _targets(target_starts, target_counts, real)
+        cand = ranges_to_indices(source_starts, source_counts)
+        cand_offsets = _offsets(source_counts)[range_offsets]
         n_targets = np.diff(to)
         n_sources = np.zeros(n_targets.size, dtype=np.int64)
         kept = np.zeros(cand.size, dtype=bool)

@@ -102,12 +102,12 @@ static inline uint64_t cull_block(const float *const *p, int64_t j,
     return m;
 }
 
-#define CULL(NAME, ATTR, BLOCK, P)                                          \
-ATTR int64_t NAME(const int64_t *ts, const int64_t *tc,                     \
-                  const unsigned char *real, const int64_t *start,          \
-                  const int64_t *count, const int64_t *roff,                \
-                  int64_t ngroups, const P *pos, int64_t npos, float r2,    \
-                  uint64_t *keep, int64_t *ntg, int64_t *nkept)             \
+#define CULL(NAME, P)                                                       \
+int64_t NAME(const int64_t *ts, const int64_t *tc,                          \
+             const unsigned char *real, const int64_t *start,               \
+             const int64_t *count, const int64_t *roff, int64_t ngroups,    \
+             const P *pos, int64_t npos, float r2, uint64_t *keep,          \
+             int64_t *ntg, int64_t *nkept)                                  \
 {                                                                           \
     float *const f = malloc((size_t)(3 * npos + 1) * sizeof *f);            \
     const float *const p[3] = {f, f + npos, f + 2 * npos};                  \
@@ -127,7 +127,8 @@ ATTR int64_t NAME(const int64_t *ts, const int64_t *tc,                     \
             for (int64_t j = 0; nt && j < count[r]; j += 64) {              \
                 const int64_t n = count[r] - j < 64 ? count[r] - j : 64;    \
                 const int64_t c = b + j, s = c & 63;                        \
-                const uint64_t m = BLOCK(p, start[r] + j, n, lo, hi, r2);   \
+                const uint64_t m =                                          \
+                    cull_block(p, start[r] + j, n, lo, hi, r2);             \
                 keep[c >> 6] |= m << s;                                     \
                 if (s + n > 64)                                             \
                     keep[(c >> 6) + 1] |= m >> (64 - s);                    \
@@ -140,8 +141,8 @@ ATTR int64_t NAME(const int64_t *ts, const int64_t *tc,                     \
     return 0;                                                               \
 }
 
-CULL(cull_f64, , cull_block, double)
-CULL(cull_f32, , cull_block, float)
+CULL(cull_f64, double)
+CULL(cull_f32, float)
 
 /* Group g's list, from bit *b of keep on (*b moves past its
  * candidates): its real target rows to rows[] (returns how many) and,
@@ -629,31 +630,6 @@ PAIR_NO_CULL(a2d, double)
 PAIR_NO_CULL(a2s, float)
 PAIR_CULL(z8d, AVX512, double, __m512d, 8, _mm512_, pd)
 PAIR_CULL(z8s, AVX512, float, __m512, 16, _mm512_, ps)
-
-/* cull_block, 16 candidates per zmm: the clamp is max then min (lo <=
- * hi, so the same value; the sign of a zero difference is squared away) */
-static inline AVX512 uint64_t z16_block(const float *const *p, int64_t j,
-                                        int64_t n, const float *lo,
-                                        const float *hi, float r2)
-{
-    uint64_t m = 0;
-    for (int64_t i = 0; i < n; i += 16) {
-        const __mmask16 t = (__mmask16)(n - i < 16 ? (1u << (n - i)) - 1
-                                                   : 0xffff);
-        __m512 s = _mm512_setzero_ps();
-        for (int k = 0; k < 3; k++) {
-            const __m512 v = _mm512_maskz_loadu_ps(t, p[k] + j + i);
-            const __m512 e = _mm512_sub_ps(_mm512_min_ps(_mm512_max_ps(
-                v, _mm512_set1_ps(lo[k])), _mm512_set1_ps(hi[k])), v);
-            s = k ? _mm512_add_ps(s, _mm512_mul_ps(e, e)) : _mm512_mul_ps(e, e);
-        }
-        m |= (uint64_t)_mm512_mask_cmp_ps_mask(t, s, _mm512_set1_ps(r2),
-                                               _CMP_LE_OQ) << i;
-    }
-    return m;
-}
-CULL(cull_avx512_f64, AVX512, z16_block, double)
-CULL(cull_avx512_f32, AVX512, z16_block, float)
 
 /* One lane body for every ISA: K the helper tag, V/M/G the lane, mask
  * and per-target vector types, W targets per batch, NS sources per

@@ -336,7 +336,8 @@ class BatchedPairEngine:
         Parameters
         ----------
         batch:
-            Packed interaction lists; indices address ``positions`` rows.
+            Packed interaction lists; their ranges address rows of
+            ``positions``.
         positions:
             (N, 3) particle positions.
         masses:
@@ -344,8 +345,8 @@ class BatchedPairEngine:
 
         Returns
         -------
-        (N, 3) array in the kernel precision; rows not named by
-        ``batch.targets`` are 0.
+        (N, 3) array in the kernel precision; rows that are not a real
+        row of some group's target range are 0.
         """
         pos = np.asarray(positions)
         n = pos.shape[0]

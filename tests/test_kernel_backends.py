@@ -15,7 +15,6 @@ config, solver specs, run manifests, the ledger and the CLI.
 
 import json
 import os
-import shlex
 import subprocess
 import sys
 import threading
@@ -744,39 +743,24 @@ print(get_backend("c").name, hashlib.sha256(acc.tobytes()).hexdigest())
 
 @pytest.fixture(scope="session")
 def cold_cache(tmp_path_factory):
-    """The build-cache suite's one real cold build: a cache root the C
-    library was compiled into, and a stand-in compiler that answers
-    ``--version`` like the real one (so cache keys agree) and "builds" by
-    copying that library, unsealed, to its ``-o`` path -- the rebuilds
-    below then run every step of the build but the compile."""
+    """A cache root the C library was built into cold, once for the
+    suite: the tests that do not rebuild read it."""
     from repro.shortrange.backends import c_backend
 
     if not HAVE_C:
         pytest.skip("no working C compiler")
     root = tmp_path_factory.mktemp("c-cold")
     with pytest.MonkeyPatch.context() as mp:
-        mp.setenv("XDG_CACHE_HOME", str(root / "cache"))
+        mp.setenv("XDG_CACHE_HOME", str(root))
         c_backend.CBackend()
-    (lib,) = (root / "cache" / "repro" / "kernels").iterdir()
-    (root / "unsealed.so").write_bytes(lib.read_bytes()[:-32])
-    fake = root / "cc"
-    fake.write_text(
-        "#!/bin/sh\n"
-        'case " $* " in *" --version "*) exec '
-        f'{shlex.join(c_backend._compiler()[0])} "$@";; esac\n'
-        'while [ $# -gt 1 ]; do [ "$1" = -o ] && exec cp '
-        f'{shlex.quote(str(root / "unsealed.so"))} "$2"; shift; done\n'
-        "exit 1\n"
-    )
-    fake.chmod(0o755)
     return root
 
 
 @needs_c
 class TestCBuildCache:
     """The per-user library cache.  One cold build (``cold_cache``)
-    serves the suite; the rebuilds, the fallback directory and the
-    racing processes compile with its stand-in compiler."""
+    serves the tests that check a build; the rebuilds, the fallback
+    directory and the racing processes compile for real."""
 
     @staticmethod
     def fresh(monkeypatch, cache):
@@ -796,10 +780,10 @@ class TestCBuildCache:
     def test_cold_build_publishes_one_library(
         self, monkeypatch, cold_cache, kernel
     ):
-        libs = list((cold_cache / "cache" / "repro" / "kernels").iterdir())
+        libs = list((cold_cache / "repro" / "kernels").iterdir())
         assert [p.suffix for p in libs] == [".so"]  # no temp file left
         assert len(libs[0].stem) == 64
-        backend = self.fresh(monkeypatch, cold_cache / "cache")
+        backend = self.fresh(monkeypatch, cold_cache)
         assert set(backend.build_info) == {
             "compiler", "flags", "source_sha256"
         }
@@ -811,7 +795,7 @@ class TestCBuildCache:
     def test_damaged_cache_entry_is_rebuilt(
         self, monkeypatch, tmp_path, kernel, damage, cold_cache
     ):
-        (lib,) = (cold_cache / "cache" / "repro" / "kernels").iterdir()
+        (lib,) = (cold_cache / "repro" / "kernels").iterdir()
         # the damaged copy lives in a cache nothing has loaded from
         bad_dir = tmp_path / "bad" / "repro" / "kernels"
         bad_dir.mkdir(parents=True)
@@ -821,18 +805,16 @@ class TestCBuildCache:
              "truncated": blob[: len(blob) // 2],
              "empty": b""}[damage]
         )
-        monkeypatch.setenv("CC", str(cold_cache / "cc"))
         backend = self.fresh(monkeypatch, tmp_path / "bad")
         assert (bad_dir / lib.name).stat().st_size > len(blob) // 2
         ref = self.forces("numpy", kernel)
         assert np.array_equal(self.forces(backend, kernel), ref)
 
     def test_unwritable_cache_dir_falls_back_to_a_temp_dir(
-        self, monkeypatch, tmp_path, kernel, cold_cache
+        self, monkeypatch, tmp_path, kernel
     ):
         blocker = tmp_path / "file"
         blocker.write_text("not a directory")
-        monkeypatch.setenv("CC", str(cold_cache / "cc"))
         backend = self.fresh(monkeypatch, blocker / "cache")
         assert blocker.read_text() == "not a directory"
         ref = self.forces("numpy", kernel)
@@ -850,10 +832,9 @@ class TestCBuildCache:
             self.fresh(monkeypatch, tmp_path)
         assert not list((tmp_path / "repro" / "kernels").iterdir())
 
-    def test_two_processes_racing_a_cold_cache(self, tmp_path, cold_cache):
+    def test_two_processes_racing_a_cold_cache(self, tmp_path):
         env = {**os.environ, "PYTHONPATH": os.path.abspath(SRC),
-               "XDG_CACHE_HOME": str(tmp_path),
-               "CC": str(cold_cache / "cc")}
+               "XDG_CACHE_HOME": str(tmp_path)}
         procs = [
             subprocess.Popen(
                 [sys.executable, "-c", _PROBE], env=env,
