@@ -85,19 +85,23 @@ int64_t pair_scratch(int64_t ns, int64_t nt, int64_t cs)
  * Bitwise NumpyBackend.cull: the coordinates are cast to float once,
  * into an SOA copy; each step is rounded in float.  -2: no memory.
  * cull_block gives the bits of n candidates from row j of that copy. */
+static inline float gap(float v, float lo, float hi)
+{
+    const float c = v < lo ? lo : v; /* maxss, then minss: no branch */
+    return (c > hi ? hi : c) - v;
+}
 static inline uint64_t cull_block(const float *const *p, int64_t j,
                                   int64_t n, const float *lo,
                                   const float *hi, float r2)
 {
+    const float *x = p[0] + j, *y = p[1] + j, *z = p[2] + j;
     uint64_t m = 0;
     for (int64_t i = 0; i < n; i++) {
-        float s = 0;
-        for (int k = 0; k < 3; k++) {
-            const float v = p[k][j + i];
-            const float e = (v < lo[k] ? lo[k] : v > hi[k] ? hi[k] : v) - v;
-            s = k ? s + e * e : e * e;
-        }
-        m |= (uint64_t)(s <= r2) << i;
+        const float ex = gap(x[i], lo[0], hi[0]);
+        const float ey = gap(y[i], lo[1], hi[1]);
+        const float ez = gap(z[i], lo[2], hi[2]);
+        const float s = ex * ex + ey * ey;
+        m |= (uint64_t)(s + ez * ez <= r2) << i;
     }
     return m;
 }
