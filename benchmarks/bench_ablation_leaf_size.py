@@ -7,9 +7,10 @@ time spent in the force kernel goes up but the walk time decreases
 faster."
 
 This bench sweeps the leaf capacity on a clustered particle set, timing
-tree build + walk separately from kernel work, and verifies (a) walk
-work falls steeply with leaf size, (b) kernel work (pair interactions)
-grows, and (c) the answer never changes.
+tree build + list packing (:func:`~repro.shortrange.batch.pack_tree`)
+separately from kernel work, and verifies (a) walk work falls steeply
+with leaf size, (b) kernel work (pair interactions) grows, and (c) the
+answer never changes.
 """
 
 import time
@@ -17,6 +18,7 @@ import time
 import numpy as np
 import pytest
 
+from repro.shortrange.batch import BatchedPairEngine, pack_tree
 from repro.shortrange.grid_force import default_grid_force_fit
 from repro.shortrange.kernel import ShortRangeKernel
 from repro.shortrange.rcb_tree import RCBTree
@@ -41,37 +43,34 @@ class TestLeafSizeAblation:
         pos, masses = clustered_cloud()
         fit = default_grid_force_fit()
 
+        def build(leaf, rcut):
+            """Best of three tree + list builds: each is under a few
+            ms, so one timing would be mostly noise."""
+            times = []
+            for _ in range(3):
+                t0 = time.perf_counter()
+                tree = RCBTree(pos, masses, leaf_size=leaf)
+                batch = pack_tree(tree, rcut)
+                times.append(time.perf_counter() - t0)
+            return tree, batch, min(times)
+
         def sweep():
             out = {}
             for leaf in LEAF_SIZES:
                 kernel = ShortRangeKernel(fit, spacing=1.0)
+                tree, batch, walk_time = build(leaf, kernel.rcut)
                 t0 = time.perf_counter()
-                tree = RCBTree(pos, masses, leaf_size=leaf)
-                leaves = tree.leaves()
-                lists = {
-                    l: tree.interaction_list(l, kernel.rcut) for l in leaves
-                }
-                walk_time = time.perf_counter() - t0
-                t0 = time.perf_counter()
-                pairs = 0  # each leaf's targets x its list length
-                for l in leaves:
-                    node = tree.node(l)
-                    seg = slice(node.start, node.start + node.count)
-                    kernel.accumulate(
-                        tree.positions[seg],
-                        tree.positions[lists[l]],
-                        tree.masses[lists[l]],
-                    )
-                    pairs += node.count * lists[l].size
+                BatchedPairEngine(kernel).evaluate(
+                    batch, tree.positions, tree.masses
+                )
                 kernel_time = time.perf_counter() - t0
                 out[leaf] = {
-                    "n_leaves": len(leaves),
+                    "n_leaves": batch.n_groups,
                     "walk_s": walk_time,
                     "kernel_s": kernel_time,
-                    "interactions": pairs,
-                    "mean_list": float(
-                        np.mean([len(v) for v in lists.values()])
-                    ),
+                    # each leaf's targets x its list length
+                    "interactions": batch.n_pairs,
+                    "mean_list": float(batch.n_sources.mean()),
                 }
             return out
 

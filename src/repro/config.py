@@ -33,6 +33,8 @@ _PROCESS_RETIRED = (
     "the process executor and its rank groups were removed; use "
     "executor 'thread', which gives the bits of serial at any worker count"
 )
+#: the one ``chunk_pairs`` value configurations ever held
+_CHUNK_PAIRS_RETIRED = 1 << 18
 
 
 class ConfigError(ValueError):
@@ -71,10 +73,6 @@ class SimulationConfig:
         4.5).
     leaf_size:
         RCB fat-leaf capacity (treepm backend).
-    chunk_pairs:
-        Pair-block size of the batched short-range engine (bounds peak
-        workspace memory; the batch analogue of sizing the working set
-        to cache).
     eps_cells:
         Short-range force softening (cells^2).
     lpt_order:
@@ -122,7 +120,6 @@ class SimulationConfig:
     ns: int = 3
     rcut_cells: float = 3.0
     leaf_size: int = 128
-    chunk_pairs: int = 1 << 18
     eps_cells: float = 0.0
     laplacian_order: int = 6
     gradient_order: int = 4
@@ -179,10 +176,6 @@ class SimulationConfig:
             raise ConfigError(f"leaf_size must be >= 1: {self.leaf_size}")
         if self.eps_cells < 0:
             raise ConfigError(f"eps_cells must be >= 0: {self.eps_cells}")
-        if self.chunk_pairs < 1:
-            raise ConfigError(
-                f"chunk_pairs must be >= 1: {self.chunk_pairs}"
-            )
         if self.rcut() >= self.box_size / 2:
             raise ConfigError(
                 "short-range cutoff exceeds half the box; increase the "
@@ -284,12 +277,14 @@ class SimulationConfig:
         raise ``TypeError`` so a stale or foreign payload fails loudly
         instead of silently dropping a knob.  The exceptions are retired
         fields that every earlier checkpoint and ``--config`` file
-        carries: ``shortrange_naive: false`` and ``worker_groups: 1``
-        asked for what is now the only path, so they are dropped;
-        ``shortrange_naive: true`` still fails, and any other
-        ``worker_groups`` is a :class:`ConfigError` naming ``thread``.
-        ``overlap`` is dropped whatever its value: the overlapped
-        schedule produced the synchronous trajectory bit for bit.
+        carries: ``shortrange_naive: false``, ``worker_groups: 1`` and
+        ``chunk_pairs: 262144`` asked for what is now the only path, so
+        they are dropped; ``shortrange_naive: true`` still fails, any
+        other ``worker_groups`` is a :class:`ConfigError` naming
+        ``thread``, and any other ``chunk_pairs`` one naming its
+        retirement.  ``overlap`` is dropped whatever its value: the
+        overlapped schedule produced the synchronous trajectory bit for
+        bit.
         """
         payload = dict(data)
         payload.pop("overlap", None)
@@ -297,6 +292,13 @@ class SimulationConfig:
             del payload["shortrange_naive"]
         if payload.pop("worker_groups", 1) != 1:
             raise ConfigError(_PROCESS_RETIRED)
+        chunk = payload.pop("chunk_pairs", _CHUNK_PAIRS_RETIRED)
+        if chunk != _CHUNK_PAIRS_RETIRED:
+            raise ConfigError(
+                f"chunk_pairs was removed: every group now sums its whole "
+                f"source list in one partial; only the former default "
+                f"{_CHUNK_PAIRS_RETIRED} still loads, got {chunk!r}"
+            )
         cosmo = payload.get("cosmology")
         if isinstance(cosmo, dict):
             payload["cosmology"] = Cosmology(**cosmo)

@@ -239,7 +239,10 @@ class HACCSimulation:
                     f"short-range cutoff rcut = {config.rcut():g} Mpc/h: "
                     f"sources across domain boundaries would be missing"
                 )
-            self.exchange = OverloadExchange(decomp, depth)
+            try:
+                self.exchange = OverloadExchange(decomp, depth)
+            except ValueError as exc:  # a shell half a domain deep
+                raise ConfigError(str(exc)) from None
         self.faults = faults
         if faults.enabled:
             self._check_faults()
@@ -306,13 +309,12 @@ class HACCSimulation:
         is what makes the result bit-identical for every backend.
         Collectives already happened (``distribute``) and the next one
         waits for ``map`` to join all ranks, so the bulk-synchronous
-        structure is preserved.
+        structure is preserved.  The domains carry row numbers of
+        ``positions`` as their ids, so the scatter needs no id lookup
+        and holds for any particle ids.
         """
         domains = self.exchange.distribute(
-            positions,
-            self.particles.momenta,
-            self.particles.masses,
-            self.particles.ids,
+            positions, self.particles.momenta, self.particles.masses
         )
         if self.faults.enabled:
             domains = self._handle_rank_death(domains)
@@ -332,7 +334,7 @@ class HACCSimulation:
                 _charge_domain_gauges(tel, dom, pairs, depth)
             if dom.n_total == 0:
                 continue
-            # boolean selection preserves order, so these ids match the
+            # boolean selection preserves order, so these rows match the
             # actives-first rows the task computed
             acc[dom.ids[dom.active]] = local
         return acc
@@ -342,7 +344,6 @@ class HACCSimulation:
             self.config.backend,
             self.kernel,
             leaf_size=self.config.leaf_size,
-            chunk_pairs=self.config.chunk_pairs,
             kernel_backend=self.kernel_backend,
         )
 
@@ -413,6 +414,8 @@ class HACCSimulation:
         from repro.resilience.recovery import recover_ranks
 
         domains, report = recover_ranks(self.exchange, domains, dead)
+        # the domains' ids are rows: report the particles' own ids
+        report.lost_ids = np.sort(self.particles.ids[report.lost_ids])
         self.recovery_reports.append(report)
         self.faults.note_recovery("rank_death", len(dead))
         for r in sorted(dead):

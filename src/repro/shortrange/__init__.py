@@ -22,7 +22,6 @@ power spectrum at the sub-percent level (the paper quotes 0.1%).
 """
 
 from repro.shortrange.batch import (
-    DEFAULT_CHUNK_PAIRS,
     BatchedPairEngine,
     InteractionBatch,
     Workspace,
@@ -61,5 +60,4 @@ __all__ = [
     "batch_box_query",
     "pack_tree",
     "ranges_to_indices",
-    "DEFAULT_CHUNK_PAIRS",
 ]

@@ -130,7 +130,7 @@ class KernelBackend(ABC):
     def pair_accumulate(self, target_starts, target_counts, real,
                         source_starts, source_counts, range_offsets, keep,
                         px, py, pz, msc, coeffs, eps, rc2_cells, inv_sp2,
-                        chunk_pairs: int, acc: np.ndarray, workspace) -> int:
+                        acc: np.ndarray, workspace) -> int:
         """Evaluate an interaction batch into ``acc``; returns the number
         of in-cutoff pairs actually evaluated.
 

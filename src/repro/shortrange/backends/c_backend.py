@@ -153,12 +153,12 @@ def _pair_path(dll) -> str:
 def _load(lib: Path) -> tuple[dict, object, str]:
     """``({dtype: ({entry point: typed function}, pointer type)},
     pair_scratch, pair path)``: ``pair_accumulate`` is bound to the path's
-    C function, ``pair_scratch(ns, nt, cs)`` sizes its scratch."""
+    C function, ``pair_scratch(ns, nt)`` sizes its scratch."""
     dll = ctypes.CDLL(str(lib))
     path = _pair_path(dll)
     pair = _PAIR_SYMBOLS[path]
     dll.pair_scratch.restype = _I64
-    dll.pair_scratch.argtypes = [_I64] * 3
+    dll.pair_scratch.argtypes = [_I64] * 2
     fns = {}
     for dt, suffix in _SUFFIX.items():
         real = ctypes.c_double if dt.itemsize == 8 else ctypes.c_float
@@ -166,7 +166,7 @@ def _load(lib: Path) -> tuple[dict, object, str]:
         signatures = {
             "pair_accumulate": [_I64P, _I64P, _U8P] + [_I64P] * 3
             + [_U64P, _I64] + [rp] * 5 + [_I64] + [real] * 3
-            + [_I64, rp, rp, _I64P],
+            + [rp, rp, _I64P],
             "cic_corners": [rp, _I64, _I64, real, real, _I32P, rp],
             "cic_deposit": [_I32P, rp, rp, _I64, _I64, _F64P, rp],
             "cic_gather": [rp, _I64, _I64, _I32P, rp, _I64, rp],
@@ -261,7 +261,7 @@ class CBackend(NumpyBackend):
     def pair_accumulate(self, target_starts, target_counts, real,
                         source_starts, source_counts, range_offsets, keep,
                         px, py, pz, msc, coeffs, eps, rc2_cells, inv_sp2,
-                        chunk_pairs, acc, workspace):
+                        acc, workspace):
         dt = acc.dtype
         if (dt not in self._fns or acc.ndim != 2 or acc.shape[1] != 3
                 or not acc.flags.c_contiguous or not acc.flags.writeable):
@@ -283,21 +283,20 @@ class CBackend(NumpyBackend):
         soa = [_checked(a, dt, s, n) for a, s in
                ((px, "px"), (py, "py"), (pz, "pz"), (msc, "msc"))]
         co = _checked(coeffs, dt, "coeffs")
-        if co.size < 1 or chunk_pairs < 1:
-            raise ValueError("coeffs must be non-empty and chunk_pairs >= 1")
+        if co.size < 1:
+            raise ValueError("coeffs must be non-empty")
         # per-group scratch, sized for the most targets and candidates
         nt, ns = int(lists[1].max()), int(ncand.max())
         ws = Workspace() if workspace is None else workspace
-        scratch = ws.get("pair.scratch", self._pair_scratch(
-            ns, nt, min(ns, int(chunk_pairs))), dt)
+        scratch = ws.get("pair.scratch", self._pair_scratch(ns, nt), dt)
         order = ws.get("pair.order", 3 * nt, np.int64)
         return int(fns["pair_accumulate"](
             *_pointers(lists), bits.ctypes.data_as(_U64P), lists[0].size,
             *(a.ctypes.data_as(rp) for a in soa),
             co.ctypes.data_as(rp), co.size,
             float(eps), float(rc2_cells), float(inv_sp2),
-            int(chunk_pairs), acc.ctypes.data_as(rp),
-            scratch.ctypes.data_as(rp), order.ctypes.data_as(_I64P),
+            acc.ctypes.data_as(rp), scratch.ctypes.data_as(rp),
+            order.ctypes.data_as(_I64P),
         ))
 
     def walk(self, tree, qlo, qhi):

@@ -1,8 +1,8 @@
 """The vectorized NumPy reference backend: the oracle the C backend
 matches bit for bit in float64 and float32.
 
-The pair evaluation runs in fixed-size (targets x sources) tiles whose
-temporaries live in the engine's grow-only
+The pair evaluation runs in (targets x whole source list) tiles of about
+2^18 pairs whose temporaries live in the engine's grow-only
 :class:`~repro.shortrange.backends.Workspace`; out-of-cutoff pairs are
 compressed away before the kernel math, and per-target accumulation goes
 through ``np.bincount``.  CIC materialises
@@ -28,6 +28,9 @@ __all__ = ["NumpyBackend", "batch_box_query"]
 #: rows per block of the stream's ``x += p * drift`` (its product
 #: temporary stays cache sized)
 _STREAM_ROWS = 16384
+#: pairs per tile of the pair loop: 2^18 keep each float64 temporary at
+#: 2 MiB; a group whose list is longer runs one target per tile
+_TILE_PAIRS = 1 << 18
 
 
 def _f_sr_pairs(s_cells, coeffs, eps, out, scratch):
@@ -137,7 +140,7 @@ class NumpyBackend(KernelBackend):
     def pair_accumulate(self, target_starts, target_counts, real,
                         source_starts, source_counts, range_offsets, keep,
                         px, py, pz, msc, coeffs, eps, rc2_cells, inv_sp2,
-                        chunk_pairs, acc, workspace):
+                        acc, workspace):
         # the lists as index CSR: group g's real targets are targets[
         # to[g]:to[g + 1]], its kept sources neighbor_indices[no[g]:
         # no[g + 1]], each kept candidate's row its range's start plus
@@ -167,34 +170,31 @@ class NumpyBackend(KernelBackend):
             np.take(px, tidx, out=tx)
             np.take(py, tidx, out=ty)
             np.take(pz, tidx, out=tz)
+            sx = ws.get("sx", ns, dt)
+            sy = ws.get("sy", ns, dt)
+            sz = ws.get("sz", ns, dt)
+            sm = ws.get("sm", ns, dt)
+            np.take(px, nidx, out=sx)
+            np.take(py, nidx, out=sy)
+            np.take(pz, nidx, out=sz)
+            np.take(msc, nidx, out=sm)
             # group accumulator in the kernel dtype: the f32 path stays
             # f32 end to end (bincount's float64 partials are explicitly
             # folded back down — the only remaining interior upcast)
             gacc = ws.get("gacc", nt * 3, dt).reshape(nt, 3)
             gacc.fill(0.0)
-            cs = min(ns, chunk_pairs)
-            ct = min(nt, max(1, chunk_pairs // cs))
-            for s0 in range(0, ns, cs):
-                s1 = min(s0 + cs, ns)
-                csz = s1 - s0
-                src = nidx[s0:s1]
-                sx = ws.get("sx", csz, dt)
-                sy = ws.get("sy", csz, dt)
-                sz = ws.get("sz", csz, dt)
-                sm = ws.get("sm", csz, dt)
-                np.take(px, src, out=sx)
-                np.take(py, src, out=sy)
-                np.take(pz, src, out=sz)
-                np.take(msc, src, out=sm)
-                for t0 in range(0, nt, ct):
-                    t1 = min(t0 + ct, nt)
-                    inside_pairs += self._tile(
-                        ws,
-                        tx[t0:t1], ty[t0:t1], tz[t0:t1],
-                        sx, sy, sz, sm,
-                        coeffs, eps, inv_sp2, rc2_cells,
-                        gacc[t0:t1],
-                    )
+            # tiles of whole source lists: a target's sum never spans two
+            # tiles, so the tile size cannot change a bit
+            ct = max(1, _TILE_PAIRS // ns)
+            for t0 in range(0, nt, ct):
+                t1 = min(t0 + ct, nt)
+                inside_pairs += self._tile(
+                    ws,
+                    tx[t0:t1], ty[t0:t1], tz[t0:t1],
+                    sx, sy, sz, sm,
+                    coeffs, eps, inv_sp2, rc2_cells,
+                    gacc[t0:t1],
+                )
             acc[tidx] += gacc
         return inside_pairs
 

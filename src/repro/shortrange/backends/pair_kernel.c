@@ -12,11 +12,10 @@
  * Bitwise contract: the result equals NumpyBackend.pair_accumulate in
  * float64 AND float32.  Every product, sum and Horner step below is a
  * separate statement rounded in T (build with -ffp-contract=off), and
- * the accumulation reproduces numpy's order: per target and per source
- * chunk of min(ns, chunk_pairs), the in-cutoff dx*f terms are summed in
- * list order in a double (np.bincount's partials), cast to T,
- * subtracted into the target's group sum, and the group sum is added to
- * acc once (acc[tidx] += gacc).
+ * the accumulation reproduces numpy's order: per target, the in-cutoff
+ * dx*f terms of the group's whole list are summed in list order in one
+ * double (np.bincount's partial), cast to T, subtracted from a +0 group
+ * sum, and the group sum is added to acc once (acc[tidx] += gacc).
  *
  * The lane bodies (x86-64, chosen at run time through pair_simd()) run
  * the same statements with one target per SIMD lane, each source
@@ -39,8 +38,8 @@
  * stable sort on the longest side of their box, split into halves of
  * whole W-target batches) to make every batch spatially compact.
  *
- * Each batch then culls each chunk of its sources against the box of
- * its W targets, in the kernel's own operation order and precision:
+ * Each batch then culls its group's sources against the box of its W
+ * targets, in the kernel's own operation order and precision:
  *   e = max(lo - xj, xj - hi, 0) per axis,
  *   ((ex*ex + ey*ey) + ez*ez) * inv_sp2,
  * keeping, in list order, the sources with a value < rc2.  Rounding is
@@ -54,8 +53,8 @@
  *
  * Scratch is the caller's: no static buffers, so concurrent calls on
  * separate scratch are safe.  For the most candidates ns and rows nt of
- * any group, `scratch` holds pair_scratch(ns, nt, min(ns, chunk_pairs))
- * values of T and `order` 3 nt int64.
+ * any group, `scratch` holds pair_scratch(ns, nt) values of T and
+ * `order` 3 nt int64.
  */
 #include <math.h>
 #include <stdint.h>
@@ -66,11 +65,11 @@
  * full-width stores may run up to one zmm of T past the live entries */
 #define PAD 16
 
-/* packed sources (4 rows of ns + PAD), local target coordinates (3 nt),
- * culled sources (4 rows of cs + PAD) */
-int64_t pair_scratch(int64_t ns, int64_t nt, int64_t cs)
+/* packed sources and culled sources (4 rows of ns + PAD each), local
+ * target coordinates (3 nt) */
+int64_t pair_scratch(int64_t ns, int64_t nt)
 {
-    return 4 * (ns + PAD) + 3 * nt + 4 * (cs + PAD);
+    return 8 * (ns + PAD) + 3 * nt;
 }
 
 /* The list cull: group g's real targets are rows ts[g] .. ts[g] + tc[g]
@@ -205,8 +204,7 @@ PAIR_PACK(ps, float)
     const int64_t *start, const int64_t *count, const int64_t *roff,        \
     const uint64_t *keep, int64_t ngroups, const T *px, const T *py,        \
     const T *pz, const T *msc, const T *coeffs, int64_t ncoef, T eps,       \
-    T rc2, T inv_sp2, int64_t chunk_pairs, T *acc, T *scratch,              \
-    int64_t *order
+    T rc2, T inv_sp2, T *acc, T *scratch, int64_t *order
 
 #define PAIR_ACCUMULATE(NAME, T, SQRT, S)                                   \
 int64_t NAME(PAIR_ARGS(T))                                                  \
@@ -219,52 +217,44 @@ int64_t NAME(PAIR_ARGS(T))                                                  \
                                     &ns, &ld);                              \
         const T *const sx = scratch, *const sy = sx + ld;                   \
         const T *const sz = sy + ld, *const sm = sz + ld;                   \
-        const int64_t cs = ns < chunk_pairs ? ns : chunk_pairs;             \
         for (int64_t l = 0; ns && l < nt; l++) {                            \
             const int64_t i = order[l];                                     \
             const T xi = px[i], yi = py[i], zi = pz[i];                     \
-            T gx = 0, gy = 0, gz = 0;                                       \
-            for (int64_t c0 = 0; c0 < ns; c0 += cs) {                       \
-                const int64_t c1 = c0 + cs < ns ? c0 + cs : ns;             \
-                double ax = 0.0, ay = 0.0, az = 0.0;                        \
-                for (int64_t j = c0; j < c1; j++) {                         \
-                    const T dx = xi - sx[j];                                \
-                    const T dy = yi - sy[j];                                \
-                    const T dz = zi - sz[j];                                \
-                    T s2 = dx * dx;                                         \
-                    T t = dy * dy;                                          \
-                    s2 = s2 + t;                                            \
-                    t = dz * dz;                                            \
-                    s2 = s2 + t;                                            \
-                    s2 = s2 * inv_sp2;                                      \
-                    if (s2 > 0 && s2 < rc2) {                               \
-                        const T x = s2 + eps;                               \
-                        T f = SQRT(x);                                      \
-                        f = f * x;                                          \
-                        f = (T)1 / f;                                       \
-                        T p = coeffs[ncoef - 1];                            \
-                        for (int64_t c = ncoef - 2; c >= 0; c--) {          \
-                            p = p * s2;                                     \
-                            p = p + coeffs[c];                              \
-                        }                                                   \
-                        f = f - p;                                          \
-                        f = f * sm[j];                                      \
-                        const T wx = dx * f;                                \
-                        const T wy = dy * f;                                \
-                        const T wz = dz * f;                                \
-                        ax += (double)wx;                                   \
-                        ay += (double)wy;                                   \
-                        az += (double)wz;                                   \
-                        inside++;                                           \
+            double ax = 0.0, ay = 0.0, az = 0.0;                            \
+            for (int64_t j = 0; j < ns; j++) {                              \
+                const T dx = xi - sx[j];                                    \
+                const T dy = yi - sy[j];                                    \
+                const T dz = zi - sz[j];                                    \
+                T s2 = dx * dx;                                             \
+                T t = dy * dy;                                              \
+                s2 = s2 + t;                                                \
+                t = dz * dz;                                                \
+                s2 = s2 + t;                                                \
+                s2 = s2 * inv_sp2;                                          \
+                if (s2 > 0 && s2 < rc2) {                                   \
+                    const T x = s2 + eps;                                   \
+                    T f = SQRT(x);                                          \
+                    f = f * x;                                              \
+                    f = (T)1 / f;                                           \
+                    T p = coeffs[ncoef - 1];                                \
+                    for (int64_t c = ncoef - 2; c >= 0; c--) {              \
+                        p = p * s2;                                         \
+                        p = p + coeffs[c];                                  \
                     }                                                       \
+                    f = f - p;                                              \
+                    f = f * sm[j];                                          \
+                    const T wx = dx * f;                                    \
+                    const T wy = dy * f;                                    \
+                    const T wz = dz * f;                                    \
+                    ax += (double)wx;                                       \
+                    ay += (double)wy;                                       \
+                    az += (double)wz;                                       \
+                    inside++;                                               \
                 }                                                           \
-                gx = gx - (T)ax;                                            \
-                gy = gy - (T)ay;                                            \
-                gz = gz - (T)az;                                            \
             }                                                               \
-            acc[3 * i] = acc[3 * i] + gx;                                   \
-            acc[3 * i + 1] = acc[3 * i + 1] + gy;                           \
-            acc[3 * i + 2] = acc[3 * i + 2] + gz;                           \
+            acc[3 * i] = acc[3 * i] + ((T)0 - (T)ax);                       \
+            acc[3 * i + 1] = acc[3 * i + 1] + ((T)0 - (T)ay);               \
+            acc[3 * i + 2] = acc[3 * i + 2] + ((T)0 - (T)az);               \
         }                                                                   \
     }                                                                       \
     return inside;                                                          \
@@ -347,7 +337,7 @@ PAIR_BISECT(ps, float)
  *   V mzmul(m,a,b)  a * b in the lanes of m, +0 elsewhere
  *   dsum, dzero(), dadd(&d, w)   per-target double partials, += w
  *   G gsub(g, d)    g - (T)d per target;  G gzero();  gstore(t, g)
- *   cull(...)       the box cull: compacts a chunk's sources in order
+ *   cull(...)       the box cull: compacts a group's sources in order
  * a2d/a2s: AVX2 f64 x4 and f32 x8; z8d: AVX-512 f64 x8; z8s: AVX-512
  * f32, 8 targets x 2 sources per zmm. */
 
@@ -546,16 +536,16 @@ static inline AVX512 void z8s_gstore(float *t, __m256 g)
     _mm256_storeu_ps(t, g);
 }
 
-/* The box cull of one chunk: sources q[0..n) (x, y, z, m at q, q + ld,
- * ...) whose box value is < rc2 are stored, in order, to c (stride cld);
- * returns how many.  L lanes at a time: K##_keep gives the kept lanes
+/* The box cull of a group's list: sources q[0..n) (x, y, z, m at q,
+ * q + ld, ...) whose box value is < rc2 are stored, in order, to c (same
+ * stride); *out is the array the lanes then read, and it returns how
+ * many.  L lanes at a time: K##_keep gives the kept lanes
  * among the first `tail` as bits, K##_compress stores them; the last
  * vector reads past n into the slack. */
 #define PAIR_CULL(K, ATTR, T, V, L, P, S)                                   \
 static inline ATTR int64_t K##_cull(const T *q, int64_t ld, int64_t n,      \
                                     const T *lo, const T *hi, T inv,        \
-                                    T rc2, T *c, int64_t cld,               \
-                                    const T **out, int64_t *out_ld)         \
+                                    T rc2, T *c, const T **out)             \
 {                                                                           \
     const V vlx = P##set1_##S(lo[0]), vly = P##set1_##S(lo[1]);             \
     const V vlz = P##set1_##S(lo[2]), vhx = P##set1_##S(hi[0]);             \
@@ -582,11 +572,10 @@ static inline ATTR int64_t K##_cull(const T *q, int64_t ld, int64_t n,      \
         d = P##mul_##S(d, vinv);                                            \
         const int tail = n - i < L ? (int)(n - i) : L;                      \
         const unsigned keep = K##_keep(d, vrc2, tail);                      \
-        K##_compress(q + i, ld, keep, c + k, cld);                          \
+        K##_compress(q + i, ld, keep, c + k);                               \
         k += __builtin_popcount(keep);                                      \
     }                                                                       \
     *out = c;                                                               \
-    *out_ld = cld;                                                          \
     return k;                                                               \
 }
 
@@ -598,10 +587,10 @@ static inline AVX512 unsigned z8d_keep(__m512d d, __m512d rc2, int tail)
                                    _CMP_LT_OQ);
 }
 static inline AVX512 void z8d_compress(const double *q, int64_t ld,
-                                       unsigned keep, double *c, int64_t cld)
+                                       unsigned keep, double *c)
 {
     for (int a = 0; a < 4; a++)
-        _mm512_storeu_pd(c + a * cld, _mm512_maskz_compress_pd(
+        _mm512_storeu_pd(c + a * ld, _mm512_maskz_compress_pd(
             (__mmask8)keep, _mm512_loadu_pd(q + a * ld)));
 }
 static inline AVX512 unsigned z8s_keep(__m512 d, __m512 rc2, int tail)
@@ -610,24 +599,22 @@ static inline AVX512 unsigned z8s_keep(__m512 d, __m512 rc2, int tail)
                                    _CMP_LT_OQ);
 }
 static inline AVX512 void z8s_compress(const float *q, int64_t ld,
-                                       unsigned keep, float *c, int64_t cld)
+                                       unsigned keep, float *c)
 {
     for (int a = 0; a < 4; a++)
-        _mm512_storeu_ps(c + a * cld, _mm512_maskz_compress_ps(
+        _mm512_storeu_ps(c + a * ld, _mm512_maskz_compress_ps(
             (__mmask16)keep, _mm512_loadu_ps(q + a * ld)));
 }
 
-/* AVX2 culls nothing: its lanes run over the packed chunk (a bit-by-bit
+/* AVX2 culls nothing: its lanes run over the packed list (a bit-by-bit
  * compaction, lacking compress, cost more than the cull saved) */
 #define PAIR_NO_CULL(K, T)                                                  \
 static inline int64_t K##_cull(const T *q, int64_t ld, int64_t n,           \
                                const T *lo, const T *hi, T inv, T rc2,      \
-                               T *c, int64_t cld, const T **out,            \
-                               int64_t *out_ld)                             \
+                               T *c, const T **out)                         \
 {                                                                           \
-    (void)lo, (void)hi, (void)inv, (void)rc2, (void)c, (void)cld;           \
+    (void)ld, (void)lo, (void)hi, (void)inv, (void)rc2, (void)c;            \
     *out = q;                                                               \
-    *out_ld = ld;                                                           \
     return n;                                                               \
 }
 PAIR_NO_CULL(a2d, double)
@@ -635,11 +622,11 @@ PAIR_NO_CULL(a2s, float)
 PAIR_CULL(z8d, AVX512, double, __m512d, 8, _mm512_, pd)
 PAIR_CULL(z8s, AVX512, float, __m512, 16, _mm512_, ps)
 
-/* One lane body for every ISA: K the helper tag, V/M/G the lane, mask
- * and per-target vector types, W targets per batch, NS sources per
+/* One lane body for every ISA: K the helper tag, V/M the lane and mask
+ * vector types, W targets per batch, NS sources per
  * vector (1, or 2 for z8s), P/S the intrinsic prefix and suffix, SORT
  * the bisection's precision tag. */
-#define PAIR_LANES(NAME, ATTR, K, T, V, M, G, W, NS, P, S, SORT)            \
+#define PAIR_LANES(NAME, ATTR, K, T, V, M, W, NS, P, S, SORT)               \
 ATTR int64_t NAME(PAIR_ARGS(T))                                             \
 {                                                                           \
     const V zero = P##setzero_##S(), one = P##set1_##S((T)1);               \
@@ -657,8 +644,6 @@ ATTR int64_t NAME(PAIR_ARGS(T))                                             \
                                        rows, src, &ns, &ld);                \
         if (!nt || !ns)                                                     \
             continue;                                                       \
-        const int64_t cs = ns < chunk_pairs ? ns : chunk_pairs;             \
-        const int64_t cld = cs + PAD;                                       \
         int64_t *const ord = rows + nt;                                     \
         T *const lx = src + 4 * ld, *const ly = lx + nt, *const lz = ly + nt;\
         T *const cul = lz + nt;                                             \
@@ -688,56 +673,46 @@ ATTR int64_t NAME(PAIR_ARGS(T))                                             \
             }                                                               \
             const V xi = K##_tgt(tx), yi = K##_tgt(ty), zi = K##_tgt(tz);   \
             const M live = K##_live(nl);                                    \
-            G gx = K##_gzero(), gy = K##_gzero(), gz = K##_gzero();         \
-            for (int64_t c0 = 0; c0 < ns; c0 += cs) {                       \
-                const int64_t c1 = c0 + cs < ns ? c0 + cs : ns;             \
-                const T *q;                                                 \
-                int64_t qld;                                                \
-                const int64_t k = K##_cull(src + c0, ld, c1 - c0, lo, hi,   \
-                                           inv_sp2, crc2, cul, cld, &q,     \
-                                           &qld);                           \
-                if (NS == 2) /* an odd last source pairs with a far one */  \
-                    cul[k] = (T)INFINITY;                                   \
-                K##_dsum ax = K##_dzero(), ay = ax, az = ax;                \
-                for (int64_t si = 0; si < k; si += NS) {                    \
-                    const V dx = P##sub_##S(xi, K##_src(q + si));           \
-                    const V dy = P##sub_##S(yi, K##_src(q + qld + si));     \
-                    const V dz = P##sub_##S(zi,                             \
-                                            K##_src(q + 2 * qld + si));     \
-                    V s2 = P##mul_##S(dx, dx);                              \
-                    V t = P##mul_##S(dy, dy);                               \
-                    s2 = P##add_##S(s2, t);                                 \
-                    t = P##mul_##S(dz, dz);                                 \
-                    s2 = P##add_##S(s2, t);                                 \
-                    s2 = P##mul_##S(s2, vinv);                              \
-                    const M m = K##_and(live, K##_and(K##_gt(s2, zero),     \
-                                                      K##_lt(s2, vrc2)));   \
-                    const int bits = K##_bits(m);                           \
-                    if (!bits)                                              \
-                        continue;                                           \
-                    inside += __builtin_popcount((unsigned)bits);           \
-                    const V x = P##add_##S(s2, veps);                       \
-                    V f = P##sqrt_##S(x);                                   \
-                    f = P##mul_##S(f, x);                                   \
-                    f = P##div_##S(one, f);                                 \
-                    V p = P##set1_##S(coeffs[ncoef - 1]);                   \
-                    for (int64_t c = ncoef - 2; c >= 0; c--) {              \
-                        p = P##mul_##S(p, s2);                              \
-                        p = P##add_##S(p, P##set1_##S(coeffs[c]));          \
-                    }                                                       \
-                    f = P##sub_##S(f, p);                                   \
-                    f = K##_mzmul(m, f, K##_src(q + 3 * qld + si));         \
-                    K##_dadd(&ax, K##_mzmul(m, dx, f));                     \
-                    K##_dadd(&ay, K##_mzmul(m, dy, f));                     \
-                    K##_dadd(&az, K##_mzmul(m, dz, f));                     \
+            const T *q;                                                     \
+            const int64_t k = K##_cull(src, ld, ns, lo, hi, inv_sp2, crc2,  \
+                                       cul, &q);                            \
+            if (NS == 2) /* an odd last source pairs with a far one */      \
+                cul[k] = (T)INFINITY;                                       \
+            K##_dsum ax = K##_dzero(), ay = ax, az = ax;                    \
+            for (int64_t si = 0; si < k; si += NS) {                        \
+                const V dx = P##sub_##S(xi, K##_src(q + si));               \
+                const V dy = P##sub_##S(yi, K##_src(q + ld + si));          \
+                const V dz = P##sub_##S(zi, K##_src(q + 2 * ld + si));      \
+                V s2 = P##mul_##S(dx, dx);                                  \
+                V t = P##mul_##S(dy, dy);                                   \
+                s2 = P##add_##S(s2, t);                                     \
+                t = P##mul_##S(dz, dz);                                     \
+                s2 = P##add_##S(s2, t);                                     \
+                s2 = P##mul_##S(s2, vinv);                                  \
+                const M m = K##_and(live, K##_and(K##_gt(s2, zero),         \
+                                                  K##_lt(s2, vrc2)));       \
+                const int bits = K##_bits(m);                               \
+                if (!bits)                                                  \
+                    continue;                                               \
+                inside += __builtin_popcount((unsigned)bits);               \
+                const V x = P##add_##S(s2, veps);                           \
+                V f = P##sqrt_##S(x);                                       \
+                f = P##mul_##S(f, x);                                       \
+                f = P##div_##S(one, f);                                     \
+                V p = P##set1_##S(coeffs[ncoef - 1]);                       \
+                for (int64_t c = ncoef - 2; c >= 0; c--) {                  \
+                    p = P##mul_##S(p, s2);                                  \
+                    p = P##add_##S(p, P##set1_##S(coeffs[c]));              \
                 }                                                           \
-                gx = K##_gsub(gx, ax);                                      \
-                gy = K##_gsub(gy, ay);                                      \
-                gz = K##_gsub(gz, az);                                      \
+                f = P##sub_##S(f, p);                                       \
+                f = K##_mzmul(m, f, K##_src(q + 3 * ld + si));              \
+                K##_dadd(&ax, K##_mzmul(m, dx, f));                         \
+                K##_dadd(&ay, K##_mzmul(m, dy, f));                         \
+                K##_dadd(&az, K##_mzmul(m, dz, f));                         \
             }                                                               \
-            K##_gstore(tx, gx);                                             \
-            K##_gstore(ty, gy);                                             \
-            K##_gstore(tz, gz);                                             \
+            K##_gstore(tx, K##_gsub(K##_gzero(), ax));                      \
+            K##_gstore(ty, K##_gsub(K##_gzero(), ay));                      \
+            K##_gstore(tz, K##_gsub(K##_gzero(), az));                      \
             for (int l = 0; l < nl; l++) {                                  \
                 const int64_t i = rows[ord[b + l]];                         \
                 acc[3 * i] = acc[3 * i] + tx[l];                            \
@@ -752,14 +727,14 @@ ATTR int64_t NAME(PAIR_ARGS(T))                                             \
 typedef a2sum a2d_dsum, a2s_dsum;
 typedef __m512d z8d_dsum, z8s_dsum;
 
-PAIR_LANES(pair_avx2_f64, AVX2, a2d, double, __m256d, __m256d, __m256d, 4, 1,
-           _mm256_, pd, pd)
-PAIR_LANES(pair_avx2_f32, AVX2, a2s, float, __m256, __m256, __m256, 8, 1,
-           _mm256_, ps, ps)
-PAIR_LANES(pair_avx512_f64, AVX512, z8d, double, __m512d, __mmask8, __m512d,
-           8, 1, _mm512_, pd, pd)
-PAIR_LANES(pair_avx512_f32, AVX512, z8s, float, __m512, __mmask16, __m256,
-           8, 2, _mm512_, ps, ps)
+PAIR_LANES(pair_avx2_f64, AVX2, a2d, double, __m256d, __m256d, 4, 1, _mm256_,
+           pd, pd)
+PAIR_LANES(pair_avx2_f32, AVX2, a2s, float, __m256, __m256, 8, 1, _mm256_, ps,
+           ps)
+PAIR_LANES(pair_avx512_f64, AVX512, z8d, double, __m512d, __mmask8, 8, 1,
+           _mm512_, pd, pd)
+PAIR_LANES(pair_avx512_f32, AVX512, z8s, float, __m512, __mmask16, 8, 2,
+           _mm512_, ps, ps)
 
 /* the widest pair path this CPU runs: 2 AVX-512, 1 AVX2, 0 scalar */
 int64_t pair_simd(void)

@@ -25,10 +25,11 @@ candidates in a bitmask and counts them per group, so the streamed pair
 count is known at pack time, and ``pair_accumulate`` packs each group's
 sources straight from the ranges through the mask.
 
-**Evaluation** (:class:`BatchedPairEngine`) streams fixed-size pair
-blocks (``chunk_pairs`` bounds the peak temporary footprint, the Python
-analogue of sizing the working set to cache) through the fitted
-:class:`~repro.shortrange.kernel.ShortRangeKernel`:
+**Evaluation** (:class:`BatchedPairEngine`) streams each group's whole
+list, in order, through the fitted
+:class:`~repro.shortrange.kernel.ShortRangeKernel`, one partial sum per
+target (the paper's one register-resident loop per fat leaf); the numpy
+backend runs it in (targets x whole list) tiles of about 2^18 pairs:
 
 1. separations are formed SOA-style (``dx``, ``dy``, ``dz``) in
    preallocated workspaces — no per-leaf allocation;
@@ -78,12 +79,7 @@ __all__ = [
     "BatchedPairEngine",
     "pack_tree",
     "tighten_ranges",
-    "DEFAULT_CHUNK_PAIRS",
 ]
-
-#: default pair-block size: 2^18 pairs keep every float64 workspace at
-#: 2 MiB — resident in L2/L3 across the whole evaluation loop
-DEFAULT_CHUNK_PAIRS = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -135,19 +131,10 @@ class InteractionBatch:
     def n_groups(self) -> int:
         return self.target_starts.size
 
-    def group_target_counts(self) -> np.ndarray:
-        return self.n_targets
-
-    def group_neighbor_counts(self) -> np.ndarray:
-        return self.n_sources
-
-    def group_pair_counts(self) -> np.ndarray:
-        return self.n_targets * self.n_sources
-
     @property
     def n_pairs(self) -> int:
         """Total (target, neighbor) pair evaluations the batch encodes."""
-        return int(self.group_pair_counts().sum())
+        return int((self.n_targets * self.n_sources).sum())
 
     @classmethod
     def empty(cls) -> "InteractionBatch":
@@ -264,19 +251,13 @@ def pack_tree(
 
 
 class BatchedPairEngine:
-    """Chunked, workspace-reusing evaluator for an :class:`InteractionBatch`.
+    """Workspace-reusing evaluator for an :class:`InteractionBatch`.
 
     Parameters
     ----------
     kernel:
         The fitted short-range kernel; supplies the pair coefficient
         and the precision (``kernel.dtype``).
-    chunk_pairs:
-        Upper bound on pairs materialized at once.  Each (targets x
-        sources) tile is sized so ``tile_targets * tile_sources <=
-        chunk_pairs``; all tile temporaries live in reused workspaces.
-        (The C loop materializes nothing; it uses ``chunk_pairs`` only
-        to reproduce the numpy path's per-chunk summation order.)
     backend:
         Kernel backend executing the pair loop: a
         :class:`~repro.shortrange.backends.KernelBackend` instance, a
@@ -302,16 +283,8 @@ class BatchedPairEngine:
     pairs whose force was evaluated.
     """
 
-    def __init__(
-        self,
-        kernel: ShortRangeKernel,
-        chunk_pairs: int = DEFAULT_CHUNK_PAIRS,
-        backend=None,
-    ) -> None:
-        if chunk_pairs < 1:
-            raise ValueError(f"chunk_pairs must be >= 1: {chunk_pairs}")
+    def __init__(self, kernel: ShortRangeKernel, backend=None) -> None:
         self.kernel = kernel
-        self.chunk_pairs = int(chunk_pairs)
         self.backend = (
             get_backend("numpy") if backend is None
             else resolve_backend(backend)
@@ -390,7 +363,6 @@ class BatchedPairEngine:
                 dt(kern.eps_cells),
                 rc2_cells,
                 inv_sp2,
-                self.chunk_pairs,
                 acc,
                 ws,
             )

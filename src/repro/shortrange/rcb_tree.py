@@ -186,36 +186,3 @@ class RCBTree:
             level = np.concatenate([self.node_left[inner],
                                     self.node_right[inner]])
         return max(depth, 0)
-
-    # ------------------------------------------------------------------
-    def interaction_list(self, leaf: int, rcut: float) -> np.ndarray:
-        """Particle indices (tree order) within ``rcut`` of a leaf's bbox.
-
-        The walk prunes any node whose bounding box is farther than
-        ``rcut`` from the leaf's box; surviving leaves contribute their
-        whole contiguous slice.  All particles of the query leaf share
-        the returned list (Section III).  It advances a breadth-first
-        frontier, one vectorized bounds test per level.
-        """
-        if rcut <= 0:
-            raise ValueError(f"rcut must be positive: {rcut}")
-        if self.node_left[leaf] >= 0:
-            raise ValueError(f"node {leaf} is not a leaf")
-        qlo, qhi = self.node_lo[leaf] - rcut, self.node_hi[leaf] + rcut
-        frontier, found = np.zeros(1, dtype=np.int64), []
-        while frontier.size:
-            frontier = frontier[~(
-                (self.node_lo[frontier] > qhi).any(axis=1)
-                | (self.node_hi[frontier] < qlo).any(axis=1)
-            )]
-            at_leaf = self.node_left[frontier] < 0
-            found.append(frontier[at_leaf])
-            inner = frontier[~at_leaf]
-            frontier = np.concatenate(
-                [self.node_left[inner], self.node_right[inner]]
-            )
-        # hit leaves are disjoint segments; sorting by start and expanding
-        # yields the ascending index list the old sort-and-merge produced
-        hits = np.concatenate(found)
-        hits = hits[np.argsort(self.node_start[hits], kind="stable")]
-        return ranges_to_indices(self.node_start[hits], self.node_count[hits])

@@ -27,7 +27,6 @@ import numpy as np
 from repro.instrument import get_registry
 from repro.instrument.perfcount import charge_pairs
 from repro.shortrange.batch import (
-    DEFAULT_CHUNK_PAIRS,
     BatchedPairEngine,
     InteractionBatch,
     pack_tree,
@@ -107,7 +106,6 @@ def build_solver(
     kernel: ShortRangeKernel,
     *,
     leaf_size: int = 128,
-    chunk_pairs: int = DEFAULT_CHUNK_PAIRS,
     kernel_backend: str | None = None,
 ) -> "ShortRangeSolver":
     """Construct the short-range backend named by ``backend``.
@@ -120,17 +118,10 @@ def build_solver(
     """
     if backend == "treepm":
         return TreePMShortRange(
-            kernel,
-            leaf_size=leaf_size,
-            chunk_pairs=chunk_pairs,
-            kernel_backend=kernel_backend,
+            kernel, leaf_size=leaf_size, kernel_backend=kernel_backend
         )
     if backend == "p3m":
-        return P3MShortRange(
-            kernel,
-            chunk_pairs=chunk_pairs,
-            kernel_backend=kernel_backend,
-        )
+        return P3MShortRange(kernel, kernel_backend=kernel_backend)
     if backend == "direct":
         return DirectShortRange(kernel)
     raise ValueError(f"unknown short-range backend {backend!r}")
@@ -209,7 +200,7 @@ class TreePMShortRange(ShortRangeSolver):
 
     Every leaf's list is packed into one
     :class:`~repro.shortrange.batch.InteractionBatch` and streamed
-    through the chunked :class:`~repro.shortrange.batch.BatchedPairEngine`
+    through the :class:`~repro.shortrange.batch.BatchedPairEngine`
     — the paper's list-then-stream structure.
 
     Parameters
@@ -218,8 +209,6 @@ class TreePMShortRange(ShortRangeSolver):
         The fitted short-range kernel.
     leaf_size:
         Fat-leaf capacity (the walk/kernel crossover knob of Section III).
-    chunk_pairs:
-        Pair-block size of the batched engine (peak-workspace knob).
     kernel_backend:
         Backend of the pair loop, the tree build and the list cull (see
         :mod:`repro.shortrange.backends`); ``None`` is the NumPy one.
@@ -229,16 +218,13 @@ class TreePMShortRange(ShortRangeSolver):
         self,
         kernel: ShortRangeKernel,
         leaf_size: int = 128,
-        chunk_pairs: int = DEFAULT_CHUNK_PAIRS,
         kernel_backend: str | None = None,
     ) -> None:
         super().__init__(kernel)
         if leaf_size < 1:
             raise ValueError(f"leaf_size must be >= 1: {leaf_size}")
         self.leaf_size = int(leaf_size)
-        self.engine = BatchedPairEngine(
-            kernel, chunk_pairs=chunk_pairs, backend=kernel_backend
-        )
+        self.engine = BatchedPairEngine(kernel, backend=kernel_backend)
         #: populated after each evaluation: streamed list size per leaf
         self.last_list_sizes: np.ndarray | None = None
         #: populated after each evaluation: RCB tree depth (telemetry gauge)
@@ -254,9 +240,8 @@ class TreePMShortRange(ShortRangeSolver):
         with reg.span("tree.walk"):
             batch = pack_tree(tree, self.kernel.rcut, n_targets,
                               self.engine.backend)
-        sizes = batch.group_neighbor_counts()
-        reg.count("tree.list_length", int(sizes.sum()))
-        self.last_list_sizes = sizes.astype(np.int64)
+        reg.count("tree.list_length", int(batch.n_sources.sum()))
+        self.last_list_sizes = batch.n_sources
         acc_tree = self.engine.evaluate(batch, tree.positions, tree.masses)
         acc = np.zeros((positions.shape[0], 3), dtype=acc_tree.dtype)
         acc[tree.perm] = acc_tree
@@ -284,13 +269,10 @@ class P3MShortRange(ShortRangeSolver):
     def __init__(
         self,
         kernel: ShortRangeKernel,
-        chunk_pairs: int = DEFAULT_CHUNK_PAIRS,
         kernel_backend: str | None = None,
     ) -> None:
         super().__init__(kernel)
-        self.engine = BatchedPairEngine(
-            kernel, chunk_pairs=chunk_pairs, backend=kernel_backend
-        )
+        self.engine = BatchedPairEngine(kernel, backend=kernel_backend)
 
     def _bin(self, pos: np.ndarray):
         """Chaining-mesh binning: cell geometry + cell-sorted particles."""

@@ -45,6 +45,25 @@ def _listed_batch(target_starts, target_counts, sources, positions,
     )
 
 
+def _walk_list(tree, leaf, rcut):
+    """Leaf ``leaf``'s interaction list: the rows, ascending, of every
+    leaf its ``rcut``-expanded box touches, as the numpy walk oracle
+    :func:`~repro.shortrange.backends.numpy_backend.batch_box_query`
+    finds them."""
+    from repro.shortrange.backends.numpy_backend import batch_box_query
+    from repro.shortrange.rcb_tree import ranges_to_indices
+
+    _, hits = batch_box_query(tree, tree.node_lo[leaf] - rcut,
+                              tree.node_hi[leaf] + rcut)
+    return ranges_to_indices(tree.node_start[hits], tree.node_count[hits])
+
+
+@pytest.fixture(scope="session")
+def walk_list():
+    """:func:`_walk_list`: one leaf's walk list, tree order."""
+    return _walk_list
+
+
 @pytest.fixture(scope="session")
 def listed_batch():
     """:func:`_listed_batch`: a batch built from explicit source lists."""

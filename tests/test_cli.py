@@ -205,6 +205,23 @@ class TestRunCommand:
         assert "\n" not in message
         assert not out.exists()
 
+    def test_overload_depth_past_half_a_domain_rejected(self, tmp_path):
+        """At 16^3 the default depth (rcut plus one cell, 16 Mpc/h) is
+        half of a 32 Mpc/h domain: one ``run:`` line naming the depth
+        and the width, exit 1, no traceback, nothing written."""
+        out = tmp_path / "deep"
+        result = subprocess.run(
+            [sys.executable, "-m", "repro", "run", "--n-per-dim", "16",
+             "--steps", "1", "--decomposition", "2,1,1",
+             "--outdir", str(out)],
+            capture_output=True, text=True, timeout=120,
+        )
+        assert result.returncode == 1
+        lines = result.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("run: "), lines
+        assert "16" in lines[0] and "32" in lines[0]
+        assert not out.exists()
+
     def test_overload_depth_without_decomposition_rejected(
         self, tmp_path
     ):

@@ -133,6 +133,22 @@ class TestSimulationConfig:
         assert old.config_hash() == cfg.config_hash()
         assert "overlap" not in cfg.to_dict()
 
+    def test_from_dict_accepts_the_retired_chunk_pairs(self):
+        """Every checkpoint and --config file written while the pair
+        loop had source chunks carries ``chunk_pairs: 262144``, the only
+        value ever written; it loads as the same config."""
+        cfg = SimulationConfig(box_size=100.0, n_per_dim=16)
+        old = {**cfg.to_dict(), "chunk_pairs": 1 << 18}
+        assert SimulationConfig.from_dict(old) == cfg
+        assert "chunk_pairs" not in cfg.to_dict()
+
+    @pytest.mark.parametrize("value", [1, 7, (1 << 18) + 1, None])
+    def test_other_chunk_pairs_name_the_retirement(self, value):
+        cfg = SimulationConfig(box_size=100.0, n_per_dim=16)
+        with pytest.raises(ConfigError, match="chunk_pairs was removed"):
+            SimulationConfig.from_dict({**cfg.to_dict(),
+                                        "chunk_pairs": value})
+
     @pytest.mark.parametrize(
         "retired", [{"worker_groups": 2}, {"executor": "process"}]
     )

@@ -206,3 +206,30 @@ class TestBackendCrossValidation:
         d = single.particles.positions - multi.particles.positions
         d -= 64.0 * np.round(d / 64.0)
         assert np.abs(d).max() < 1e-8
+
+    @pytest.mark.parametrize("relabel", ["reversed", "offset"])
+    def test_overloaded_run_ignores_particle_ids(self, relabel):
+        """The overloaded short-range forces land on the rows that
+        own them whatever the particles' ids: reversed ids, or ids that
+        are not row numbers at all, give the single-rank run too."""
+        cfg = SimulationConfig(
+            box_size=64.0, n_per_dim=16, z_initial=25.0, z_final=10.0,
+            n_steps=1, n_subcycles=2, backend="treepm", seed=21,
+        )
+        single = HACCSimulation(cfg)
+        ics = single.particles
+        ids = (np.arange(ics.n)[::-1] if relabel == "reversed"
+               else np.arange(ics.n) + 10**6)
+        multi = HACCSimulation(
+            cfg,
+            particles=Particles(ics.positions.copy(), ics.momenta.copy(),
+                                ics.masses.copy(), ids, cfg.box_size),
+            decomposition_dims=(2, 1, 1),
+            overload_depth=cfg.rcut() + 0.5,
+        )
+        single.run()
+        multi.run()
+        d = single.particles.positions - multi.particles.positions
+        d -= 64.0 * np.round(d / 64.0)
+        assert np.abs(d).max() < 1e-8
+        assert np.array_equal(multi.particles.ids, ids)

@@ -4,8 +4,9 @@ Covers the registry contract (resolution, auto fallback to numpy when
 the C kernel cannot be built, loud failure for an explicit request), the
 equivalence the seam promises — the compiled C ``pair_accumulate`` is
 **bitwise identical** to the numpy reference in float64 *and* float32,
-whatever ``chunk_pairs``, and so are the table-free C ``cic_deposit`` /
-``cic_gather`` to the numpy corner tables, edge positions included — the
+lists longer than a numpy tile included, and so are the table-free C
+``cic_deposit`` / ``cic_gather`` to the numpy corner tables, edge
+positions included — the
 build cache (garbage or truncated entry,
 unwritable directory, two processes racing a cold cache), the argument
 guard in front of the raw pointers, thread safety of the GIL-free call,
@@ -41,7 +42,12 @@ from repro.shortrange.backends import (
     resolve_backend,
 )
 from repro.shortrange.backends.numpy_backend import NumpyBackend
-from repro.shortrange.batch import BatchedPairEngine, InteractionBatch, pack_tree
+from repro.shortrange.batch import (
+    BatchedPairEngine,
+    InteractionBatch,
+    pack_tree,
+    tighten_ranges,
+)
 from repro.shortrange.kernel import ShortRangeKernel
 from repro.shortrange.rcb_tree import RCBTree
 from repro.shortrange.solvers import (
@@ -113,13 +119,11 @@ def no_compiler(monkeypatch, tmp_path):
     monkeypatch.setattr(backends_mod, "_INSTANCES", {})
 
 
-def make_solver(name, kern, backend, leaf_size=16, chunk_pairs=1 << 18):
+def make_solver(name, kern, backend, leaf_size=16):
     if name == "treepm":
         return TreePMShortRange(kern, leaf_size=leaf_size,
-                                chunk_pairs=chunk_pairs,
                                 kernel_backend=backend)
-    return P3MShortRange(kern, chunk_pairs=chunk_pairs,
-                         kernel_backend=backend)
+    return P3MShortRange(kern, kernel_backend=backend)
 
 
 # ----------------------------------------------------------------------
@@ -262,13 +266,10 @@ class TestInterpretedNumbaEquivalence:
 class TestCBackendEquivalence:
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     @pytest.mark.parametrize("solver", ["treepm", "p3m"])
-    @pytest.mark.parametrize("chunk_pairs", [1 << 18, 7])
     def test_forces_and_counters_bitwise(
-        self, grid_force_fit, rng, solver, dtype, chunk_pairs
+        self, grid_force_fit, rng, solver, dtype
     ):
-        """Same bits and same counters in both precisions — also when
-        ``chunk_pairs`` is far below a group's source list, so every
-        group sums several source chunks."""
+        """Same bits and same counters in both precisions."""
         pos = clustered_cloud(rng, 240)
         masses = rng.uniform(0.5, 1.5, 240)
         out = {}
@@ -276,8 +277,7 @@ class TestCBackendEquivalence:
             kern = ShortRangeKernel(
                 grid_force_fit, spacing=1.0, eps_cells=0.01, dtype=dtype
             )
-            built = make_solver(solver, kern, backend,
-                                chunk_pairs=chunk_pairs)
+            built = make_solver(solver, kern, backend)
             acc = built.accelerations(pos, masses, BOX)
             out[backend] = (acc, *built.last_pairs)
         ref, got = out["numpy"], out["c"]
@@ -286,8 +286,6 @@ class TestCBackendEquivalence:
         assert np.array_equal(ref[0], got[0])
         assert ref[1] == got[1] > 0
         assert ref[2] == got[2] > 0
-        if chunk_pairs == 7:
-            assert ref[1] > 7 * 240  # lists really are several chunks
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     def test_empty_groups_and_no_targets(self, grid_force_fit, rng, dtype,
@@ -392,7 +390,6 @@ class TestCArgumentGuard:
             eps=np.float64(kernel.eps_cells),
             rc2_cells=np.float64(kernel.fit.rcut_cells**2),
             inv_sp2=np.float64(1.0),
-            chunk_pairs=1 << 18,
             workspace=None,
         )
 
@@ -491,14 +488,13 @@ class TestPairLanes:
     AVX2, the scalar loop) gives numpy's bits and pair count: ragged last
     batches, bisection ties, zero-separation pairs at ``eps = 0``,
     sources no lane accepts or whose box value is exactly ``rc2``, lists
-    of several ``chunk_pairs`` chunks, empty groups, batches without
+    longer than a numpy tile, empty groups, batches without
     targets, sources packed from row ranges through a culled keep mask
     with ghost rows among the targets, and two threads on one
     backend."""
 
     @staticmethod
-    def evaluate(fit, paths, batch, pos, dtype, eps=0.01,
-                 chunk_pairs=1 << 18):
+    def evaluate(fit, paths, batch, pos, dtype, eps=0.01):
         """``(acc, inside)`` of numpy, after checking that every path
         gives the same bytes and count."""
         kern = ShortRangeKernel(fit, spacing=1.0, eps_cells=eps,
@@ -506,8 +502,7 @@ class TestPairLanes:
         masses = np.linspace(0.5, 1.5, pos.shape[0])
         out = {}
         for backend in ("numpy", *paths.values()):
-            engine = BatchedPairEngine(kern, chunk_pairs=chunk_pairs,
-                                       backend=backend)
+            engine = BatchedPairEngine(kern, backend=backend)
             acc = engine.evaluate(batch, pos, masses)
             out[getattr(backend, "simd", None) or backend] = (
                 acc, engine.last_pairs[1])
@@ -529,21 +524,17 @@ class TestPairLanes:
             PAIR_PATHS.index(widest):])
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
-    @pytest.mark.parametrize("chunk_pairs", [7, 1 << 18])
     @pytest.mark.parametrize("nt", [1, 3, 4, 5, 7, 8, 9, 15, 16, 17, 33, 127])
     def test_ragged_target_blocks(self, grid_force_fit, pair_paths,
-                                  rng, dtype, chunk_pairs, nt,
-                                  listed_batch):
+                                  rng, dtype, nt, listed_batch):
         """A group of ``nt`` targets fills whole blocks and a padded last
-        one; its list (every particle, so each target meets itself) spans
-        many chunks at ``chunk_pairs = 7``."""
+        one; its list is every particle, so each target meets itself."""
         n = 200
         pos = clustered_cloud(rng, n)
         batch = listed_batch([0, nt], [nt, 5],
                              [rng.permutation(n), rng.choice(n, 50)], pos)
         acc, inside = self.evaluate(grid_force_fit, pair_paths,
-                                    batch, pos, dtype,
-                                    chunk_pairs=chunk_pairs)
+                                    batch, pos, dtype)
         assert inside > 0 and np.abs(acc[:nt]).max() > 0
         assert not acc[nt + 5:].any()
 
@@ -565,21 +556,41 @@ class TestPairLanes:
         assert inside > 0 and np.isfinite(acc).all()
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
-    @pytest.mark.parametrize("chunk_pairs", [1, 2, 7, 16, 17])
+    @pytest.mark.parametrize("n_sources", [1, 2, 7, 16, 17])
     def test_cull_runs_per_chunk(self, grid_force_fit, pair_paths, rng,
-                                 dtype, chunk_pairs, listed_batch):
-        """A list of many chunks, near and far sources mixed, culled one
-        chunk at a time: chunks that keep nothing, one source (an odd
-        count, so f32's source pairs end on a far one) or all."""
-        near = clustered_cloud(rng, 60)
-        far = near[:30] + rng.choice([-1.0, 1.0], (30, 3)) * 3 * (
+                                 dtype, n_sources, listed_batch):
+        """The AVX-512 cull reads a group's list one vector chunk of
+        sources at a time (8 in f64, 16 in f32): lists of 1, 2, 7, 16 and
+        17 sources, near and far alternating, end in a partial chunk,
+        fill one, or spill one source into the next, and an odd count
+        ends f32's source pairs on the padding."""
+        near = 5.0 + rng.normal(0.0, 0.2, (50, 3))  # one tight cluster
+        far = near[:25] + rng.choice([-1.0, 1.0], (25, 3)) * 3 * (
             grid_force_fit.rcut_cells)
         pos = np.concatenate([near, far])
-        src = rng.permutation(90)
-        batch = listed_batch([0], [21], [src], pos)
+        # near sources that are not targets, each followed by a far one
+        src = np.stack([np.arange(21, 46), np.arange(50, 75)], 1).ravel()
+        batch = listed_batch([0], [21], [src[:n_sources]], pos)
         acc, inside = self.evaluate(grid_force_fit, pair_paths, batch,
-                                    pos, dtype, chunk_pairs=chunk_pairs)
+                                    pos, dtype)
         assert inside > 0 and np.abs(acc[:21]).min() > 0
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_list_longer_than_a_tile(self, grid_force_fit, pair_paths, rng,
+                                     dtype):
+        """One target against one range of more than 2^18 kept sources:
+        numpy tiles it one target at a time, and every path sums the
+        whole list in one partial, so all give the same bits and count."""
+        n = 3 << 17  # a split into 2^18-source partials changes both dtypes
+        rc = grid_force_fit.rcut_cells
+        pos = rng.uniform(0.0, 2.0 * rc, (n, 3))
+        pos[0] = rc  # the target, at the centre of the cloud
+        batch = tighten_ranges([0], [1], [0], [n], [0, 1],
+                               np.arange(n) == 0, pos, np.inf, "numpy")
+        assert batch.n_sources[0] == n > 1 << 18
+        acc, inside = self.evaluate(grid_force_fit, pair_paths, batch,
+                                    pos, dtype)
+        assert inside > 1 << 17 and np.abs(acc[0]).min() > 0
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     def test_box_value_exactly_rc2(self, pair_paths, dtype):
@@ -597,7 +608,7 @@ class TestPairLanes:
             real=np.ones(11, dtype=bool), px=pos[:, 0].copy(), py=pos[:, 1].copy(), pz=pos[:, 2].copy(),
             msc=np.ones(11, dtype=dtype),
             coeffs=np.array([0.5, -0.01], dtype=dtype), eps=t(0.01),
-            rc2_cells=t(9.0), inv_sp2=t(1.0), chunk_pairs=1 << 18,
+            rc2_cells=t(9.0), inv_sp2=t(1.0),
         )
         counts = []
         for sources in ([8], [8, 10], [9], [8, 9, 10]):
@@ -705,9 +716,8 @@ class TestPairLanes:
         assert inside == 0 and not acc.any()
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
-    @pytest.mark.parametrize("chunk_pairs", [7, 1 << 18])
     def test_range_and_mask_batches(self, grid_force_fit, pair_paths, rng,
-                                    dtype, chunk_pairs):
+                                    dtype):
         """Packed trees with ghost rows: each group's sources are packed
         from its hit leaves' row ranges through the culled keep mask, on
         every path."""
@@ -718,8 +728,7 @@ class TestPairLanes:
         candidates = int(batch.source_counts.sum())
         assert 0 < batch.n_sources.sum() < candidates
         acc, inside = self.evaluate(grid_force_fit, pair_paths, batch,
-                                    tree.positions, dtype,
-                                    chunk_pairs=chunk_pairs)
+                                    tree.positions, dtype)
         assert inside > 0 and not acc[tree.perm >= 600].any()
 
 

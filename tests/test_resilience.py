@@ -239,6 +239,32 @@ class TestDriverChaos:
         assert report.dead_ranks == (1,)
         assert report.coverage() > 0.5
 
+    def test_recovery_reports_the_particles_own_ids(self):
+        """Domains carry row numbers; the report maps the lost rows
+        back to the particles' ids, whatever they are, and relabelling
+        changes no bit of the run."""
+        cfg = tiny_config()
+        runs = []
+        for offset in (None, 10**6):
+            plan = FaultPlan(seed=CHAOS_SEED).with_rank_death(step=2, rank=1)
+            sim = HACCSimulation(
+                cfg, decomposition_dims=DIMS, overload_depth=DEPTH,
+                faults=plan,
+            )
+            if offset is not None:  # reversed ids that are not rows
+                sim.particles.ids[:] = offset + np.arange(sim.particles.n)[::-1]
+            sim.run()
+            runs.append(sim)
+        plain, relabelled = runs
+        lost = plain.recovery_reports[0].lost_ids
+        assert lost.size > 0
+        n = plain.particles.n
+        assert np.array_equal(relabelled.recovery_reports[0].lost_ids,
+                              np.sort(10**6 + n - 1 - lost))
+        for field in ("positions", "momenta"):
+            assert (getattr(plain.particles, field).tobytes()
+                    == getattr(relabelled.particles, field).tobytes())
+
     def test_recovered_run_stays_close_to_fault_free(self):
         cfg = tiny_config()
         ref = HACCSimulation(

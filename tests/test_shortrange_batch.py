@@ -1,7 +1,7 @@
 """Tests for the batched pair engine, packing, and hot-path caches.
 
 The equivalence suite is the contract of the batched engine: the
-CSR-packed, chunked evaluation must match the naive O(N^2) direct sum
+CSR-packed, tiled evaluation must match the naive O(N^2) direct sum
 (``DirectShortRange``, the one oracle) on clustered, uniform and
 near-boundary particle sets, and ``pp.interactions`` must be the pairs
 the batch streams.  The tight-list suite pins what ``tighten_ranges``
@@ -124,7 +124,7 @@ class TestInteractionBatch:
     def test_pair_counts(self, listed_batch):
         b = listed_batch([0, 2], [2, 1], [[0, 1, 2], [3, 4]],
                          np.zeros((5, 3)))
-        assert b.group_pair_counts().tolist() == [6, 2]
+        assert (b.n_targets * b.n_sources).tolist() == [6, 2]
         assert b.n_pairs == 8
 
 
@@ -149,7 +149,7 @@ def group_slices(batch, g):
     return targets[to[g]:to[g + 1]], sources[so[g]:so[g + 1]]
 
 
-def uncut_batch(tree, rcut, n_targets, listed_batch):
+def uncut_batch(tree, rcut, n_targets, listed_batch, walk_list):
     """Hand-built reference: real targets only, whole hit leaves listed."""
     real = tree.perm < n_targets
     leaves = [tree.node(int(leaf)) for leaf in tree.leaf_ids()]
@@ -157,13 +157,13 @@ def uncut_batch(tree, rcut, n_targets, listed_batch):
               if real[node.start:node.start + node.count].any()]
     return listed_batch(
         [node.start for node in leaves], [node.count for node in leaves],
-        [tree.interaction_list(node.index, rcut) for node in leaves],
+        [walk_list(tree, node.index, rcut) for node in leaves],
         tree.positions, real,
     )
 
 
 class TestPackTree:
-    def test_matches_per_leaf_interaction_lists(self, rng):
+    def test_matches_per_leaf_interaction_lists(self, rng, walk_list):
         """Each list is the leaf's walk list, in order, less the sources
         farther than rcut from every target of the leaf."""
         pos = clustered_cloud(rng, 400)
@@ -173,7 +173,7 @@ class TestPackTree:
         assert batch.n_groups == leaf_ids.size
         culled = 0
         for g, leaf in enumerate(leaf_ids):
-            walk = tree.interaction_list(int(leaf), 3.0)
+            walk = walk_list(tree, int(leaf), 3.0)
             tgt, got = group_slices(batch, g)
             np.testing.assert_array_equal(got, walk[np.isin(walk, got)])
             sep = np.linalg.norm(
@@ -334,18 +334,6 @@ class TestEquivalence:
         assert acc.shape == (40, 3)
         assert_forces_close(acc, ref, 1e-12)
 
-    def test_chunking_invariance(self, kernel, rng):
-        """Tiny chunk_pairs exercises the tiling without changing results."""
-        pos = clustered_cloud(rng, 200)
-        m = np.ones(200)
-        big = TreePMShortRange(kernel, leaf_size=16).accelerations(
-            pos, m, box_size=BOX
-        )
-        tiny = TreePMShortRange(
-            kernel, leaf_size=16, chunk_pairs=64
-        ).accelerations(pos, m, box_size=BOX)
-        assert_forces_close(tiny, big, 1e-12)
-
 
 # ----------------------------------------------------------------------
 # tight lists: real targets, culled sources, unchanged bits
@@ -419,13 +407,13 @@ class TestCullNeverChangesABit:
 
     @pytest.mark.parametrize("cloud", sorted(CLOUDS))
     def test_packed_equals_uncut_batch_bitwise(self, kernel, rng, cloud,
-                                               listed_batch):
+                                               listed_batch, walk_list):
         pos = CLOUDS[cloud](rng, 400)
         m = rng.uniform(0.5, 1.5, 400)
         gpos, gm = periodic_ghosts(pos, m, BOX, kernel.rcut)
         tree = RCBTree(gpos, gm, leaf_size=16)
         packed = pack_tree(tree, kernel.rcut, 400, self.BACKEND)
-        uncut = uncut_batch(tree, kernel.rcut, 400, listed_batch)
+        uncut = uncut_batch(tree, kernel.rcut, 400, listed_batch, walk_list)
         np.testing.assert_array_equal(index_lists(packed)[0],
                                       index_lists(uncut)[0])
         assert packed.n_pairs < uncut.n_pairs
@@ -442,14 +430,14 @@ class TestCullNeverChangesABit:
     @pytest.mark.parametrize("leaf_size", [1, 4, 16, 128])
     @pytest.mark.parametrize("cloud", sorted(CLOUDS))
     def test_packed_lists_are_the_tightened_walk_lists(
-        self, rng, cloud, leaf_size, rcut, listed_batch
+        self, rng, cloud, leaf_size, rcut, listed_batch, walk_list
     ):
         """The packer's streamed lists are the per-leaf walk lists,
         tightened: the packed walk changes no list, no order."""
         pos = CLOUDS[cloud](rng, 400)
         gpos, gm = periodic_ghosts(pos, np.ones(400), BOX, rcut)
         tree = RCBTree(gpos, gm, leaf_size=leaf_size)
-        uncut = uncut_batch(tree, rcut, 400, listed_batch)
+        uncut = uncut_batch(tree, rcut, 400, listed_batch, walk_list)
         want = tightened(uncut, tree.positions, rcut, self.BACKEND)
         got = pack_tree(tree, rcut, 400, self.BACKEND)
         assert got.n_pairs == want.n_pairs
@@ -852,7 +840,7 @@ class TestTightenedGroups:
                                  BOX, rcut)
         tree = RCBTree(pos.astype(dtype), m, leaf_size=128)
         batch = pack_tree(tree, rcut, 800, backend)
-        assert batch.group_target_counts().min() >= 1
+        assert batch.n_targets.min() >= 1
         assert np.array_equal(np.sort(index_lists(batch)[0]),
                               np.flatnonzero(tree.perm < 800))
         # every kept source is within cull_radius of its group's box, and

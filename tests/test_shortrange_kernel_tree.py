@@ -224,38 +224,31 @@ class TestRCBTree:
         # perfect bisection would need log2(1024/16) = 6 levels
         assert 6 <= tree.depth() <= 14
 
-    def test_interaction_list_complete(self, rng):
-        """The shared leaf list contains every particle within rcut of any
-        leaf member (it may legitimately contain more)."""
+    def test_interaction_list_complete(self, rng, walk_list):
+        """The shared leaf list of the walk contains every particle
+        within rcut of any leaf member (it may legitimately contain
+        more)."""
         pos = rng.uniform(0, 4.0, (300, 3))
         tree = RCBTree(pos, leaf_size=16)
         rcut = 0.8
         for lidx in tree.leaves()[:5]:
             node = tree.node(lidx)
-            ilist = set(tree.interaction_list(lidx, rcut).tolist())
+            ilist = set(walk_list(tree, lidx, rcut).tolist())
             seg = tree.positions[node.start : node.start + node.count]
             d2 = ((tree.positions[:, None, :] - seg[None, :, :]) ** 2).sum(-1)
             required = set(np.flatnonzero((d2 < rcut**2).any(axis=1)).tolist())
             assert required <= ilist
 
-    def test_interaction_list_prunes_far_nodes(self, rng):
+    def test_interaction_list_prunes_far_nodes(self, rng, walk_list):
         """Two distant clusters don't appear on each other's lists."""
         a = rng.uniform(0, 1, (100, 3))
         b = rng.uniform(9, 10, (100, 3))
         tree = RCBTree(np.vstack([a, b]), leaf_size=16)
         for lidx in tree.leaves():
-            node = tree.node(lidx)
-            ilist = tree.interaction_list(lidx, 0.5)
+            ilist = walk_list(tree, lidx, 0.5)
             pts = tree.positions[ilist]
             span = pts.max(axis=0) - pts.min(axis=0)
             assert np.all(span < 3.0)  # never spans both clusters
-
-    def test_interaction_list_on_internal_node_rejected(self, rng):
-        tree = RCBTree(rng.uniform(0, 1, (100, 3)), leaf_size=8)
-        root = tree.node(0)
-        assert not root.is_leaf
-        with pytest.raises(ValueError):
-            tree.interaction_list(0, 0.1)
 
     def test_validation(self, rng):
         with pytest.raises(ValueError):

@@ -245,12 +245,12 @@ class TestRunStream:
         assert man["config"]["box_size"] == cfg.box_size
 
     @pytest.mark.parametrize("kwargs,tail", [
-        ({}, '{"config_hash": "fc894ea70755", "seed": 5, "n_steps": 2, '
+        ({}, '{"config_hash": "9719ee55672c", "seed": 5, "n_steps": 2, '
              '"n_particles": 512, "backend": "pm", "executor": "serial", '
              '"workers": 1, "kernel_backend": "auto", "precision": "f64"}'),
         ({"backend": "treepm", "dtype": "f32", "kernel_backend": "numpy",
           "executor": "thread", "workers": 2},
-         '{"config_hash": "3535c15201a2", "seed": 5, "n_steps": 2, '
+         '{"config_hash": "e8d3a3d84d93", "seed": 5, "n_steps": 2, '
          '"n_particles": 512, "backend": "treepm", "executor": "thread", '
          '"workers": 2, "kernel_backend": "numpy", "precision": "f32"}'),
     ])
