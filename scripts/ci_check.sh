@@ -152,7 +152,7 @@ CC=/bin/false XDG_CACHE_HOME="$FB_DIR/cache" PYTHONPATH=src \
     tests/test_shortrange_kernel_tree.py tests/test_shortrange_batch.py \
     tests/test_shortrange_solvers.py tests/test_grid_cic.py \
     tests/test_grid_filters_poisson.py tests/test_core_timestepper.py \
-    tests/test_cosmology_fields_ics.py -q
+    tests/test_cosmology_fields_ics.py tests/test_parallel_overload.py -q
 fallback_twin() {  # NAME RUN-FLAGS...: the same run on C and on numpy
     local name=$1
     shift
@@ -171,12 +171,15 @@ fallback_twin p3m --steps 1 --backend p3m
 # per-domain trees on both builds; at 16^3 the default overload depth
 # (rcut + one cell = 16) is not below half a domain, so it is rcut = 12
 fallback_twin decomp-f64 --steps 1 --decomposition 2,1,1 --overload-depth 12
+# the overload route on both builds in f32: one float64 cell per particle
+fallback_twin decomp-f32 --steps 1 --precision f32 --decomposition 2,1,1 \
+    --overload-depth 12
 PYTHONPATH=src "$PYTHON" - "$FB_DIR" <<'PYEOF'
 import json, pathlib, sys
 from repro.io import load_latest_valid
 root = pathlib.Path(sys.argv[1])
 for twin in ("treepm-f64", "treepm-f32", "pm-f64", "pm-f32", "p3m",
-             "decomp-f64"):
+             "decomp-f64", "decomp-f32"):
     state = {}
     for name in ("c", "numpy"):
         run = f"{twin}-{name}"

@@ -240,7 +240,9 @@ class HACCSimulation:
                     f"sources across domain boundaries would be missing"
                 )
             try:
-                self.exchange = OverloadExchange(decomp, depth)
+                self.exchange = OverloadExchange(
+                    decomp, depth, backend=self.kernel_backend
+                )
             except ValueError as exc:  # a shell half a domain deep
                 raise ConfigError(str(exc)) from None
         self.faults = faults

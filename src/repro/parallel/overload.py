@@ -31,21 +31,9 @@ import numpy as np
 
 from repro.parallel.comm import SimulatedComm
 from repro.parallel.decomposition import DomainDecomposition
+from repro.shortrange.backends import resolve_backend
 
 __all__ = ["OverloadedDomain", "OverloadExchange", "domain_stats"]
-
-# the 26 neighbor offsets, in ``ox, oy, oz`` loop order
-_OFFSETS = np.array(
-    [
-        (ox, oy, oz)
-        for ox in (-1, 0, 1)
-        for oy in (-1, 0, 1)
-        for oz in (-1, 0, 1)
-        if (ox, oy, oz) != (0, 0, 0)
-    ],
-    dtype=np.int64,
-)
-
 
 def domain_stats(domains: list["OverloadedDomain"]) -> dict:
     """Per-rank load summary of a set of overloaded domains.
@@ -138,6 +126,9 @@ class OverloadExchange:
     comm:
         Shared communicator; all particle traffic is recorded under the
         tags ``"overload.distribute"`` / ``"overload.refresh"``.
+    backend:
+        Kernel backend whose ``route`` cuts the payloads, resolved by
+        ``resolve_backend`` (``None``: C, else numpy); all send the same.
     """
 
     def __init__(
@@ -145,6 +136,7 @@ class OverloadExchange:
         decomposition: DomainDecomposition,
         depth: float,
         comm: SimulatedComm | None = None,
+        backend=None,
     ) -> None:
         if depth < 0:
             raise ValueError(f"overload depth must be >= 0, got {depth}")
@@ -163,6 +155,7 @@ class OverloadExchange:
                 f"communicator size {self.comm.size} != "
                 f"{decomposition.n_ranks} ranks"
             )
+        self.backend = resolve_backend(backend)
 
     # ------------------------------------------------------------------
     def distribute(
@@ -204,8 +197,7 @@ class OverloadExchange:
             else np.asarray(ids, dtype=np.int64)
         )
 
-        home = self.decomposition.assign(pos)
-        return self._deliver(self._route(pos, mom, mas, pid, home), tag, dt)
+        return self._deliver(self._route(pos, mom, mas, pid), tag, dt)
 
     def refresh(
         self,
@@ -232,12 +224,9 @@ class OverloadExchange:
         mom = np.concatenate(mom_parts, axis=0)
         mas = np.concatenate(mas_parts)
         pid = np.concatenate(id_parts)
-        home = self.decomposition.assign(pos)
         # charge only the particles that actually cross rank boundaries or
         # land in a remote overload shell; _route does exactly that.
-        payloads = self._route(
-            pos, mom, mas, pid, home, origin=self._origins(domains)
-        )
+        payloads = self._route(pos, mom, mas, pid, self._origins(domains))
         return self._deliver(payloads, tag, pos.dtype)
 
     # ------------------------------------------------------------------
@@ -245,9 +234,8 @@ class OverloadExchange:
     # ------------------------------------------------------------------
     def _origins(self, domains: list[OverloadedDomain]) -> np.ndarray:
         """Rank that currently owns each active particle, in refresh order."""
-        return np.concatenate(
-            [np.full(dom.n_active, dom.rank, dtype=np.int64) for dom in domains]
-        )
+        return np.repeat([d.rank for d in domains],
+                         [d.n_active for d in domains]).astype(np.int64)
 
     def _route(
         self,
@@ -255,60 +243,15 @@ class OverloadExchange:
         mom: np.ndarray,
         mas: np.ndarray,
         pid: np.ndarray,
-        home: np.ndarray,
         origin: np.ndarray | None = None,
     ) -> list[list]:
-        """Compute the (src, dst) payloads for distribute/refresh.
-
-        One table lists every copy: each particle's active copy (bound for
-        its home rank), then, for each of the 26 neighbor offsets in
-        ``ox, oy, oz`` order, every particle within ``depth`` of that
-        face/edge/corner of its home domain as a passive replica, shifted
-        by +-box where the offset crosses the periodic seam.  One stable
-        sort by ``src * n_ranks + dst`` cuts the table into payloads, so
-        each payload holds its actives in index order, then its passives
-        offset by offset, each in index order.  ``None`` marks an empty
-        payload.
-        """
+        """The (src, dst) payloads for distribute/refresh: slices of the
+        backend's routed table (``None`` where empty)."""
         decomp = self.decomposition
-        box = decomp.box_size
-        dims = np.asarray(decomp.dims)
-        widths = np.asarray(decomp.widths)
-        d = self.depth
         nr = decomp.n_ranks
-        n = len(pos)
-
-        cell = np.floor(pos / box * dims).astype(np.int64)
-        np.clip(cell, 0, dims - 1, out=cell)
-        rel_lo = pos - cell * widths   # distance to low faces
-        rel_hi = widths - rel_lo       # distance to high faces
-        # near[o + 1, i, axis]: particle i lies in the shell of offset o
-        near = np.stack([rel_lo < d, np.ones((n, 3), dtype=bool), rel_hi < d])
-        k, sel = np.nonzero(
-            near[_OFFSETS[:, 0] + 1, :, 0]
-            & near[_OFFSETS[:, 1] + 1, :, 1]
-            & near[_OFFSETS[:, 2] + 1, :, 2]
-        )
-        nbr_cell = cell[sel] + _OFFSETS[k]
-        # replica coordinates in the *neighbor's* frame: shift by +-box
-        # when the offset crosses the periodic seam.
-        wraps = np.zeros(nbr_cell.shape, dtype=pos.dtype)
-        wraps[nbr_cell < 0] = box
-        wraps[nbr_cell >= dims] = -box
-
-        idx = np.concatenate([np.arange(n), sel])
-        dst = np.concatenate([home, decomp.rank_of_cells(nbr_cell)])
-        key = (origin if origin is not None else home)[idx] * nr + dst
-        # a key narrowed to 8 or 16 bits takes numpy's radix sort
-        order = np.argsort(key.astype(np.min_scalar_type(nr * nr)), kind="stable")
-        cuts = np.searchsorted(key[order], np.arange(nr * nr + 1))
-        gid = idx[order]
-        table = (
-            np.concatenate([pos, pos[sel] + wraps], axis=0)[order],
-            mom[gid],
-            mas[gid],
-            pid[gid],
-            order < n,
+        table, cuts = self.backend.route(
+            pos, mom, mas, pid, origin, decomp.box_size, decomp.dims,
+            self.depth,
         )
         payloads: list[list] = [[None] * nr for _ in range(nr)]
         for b in np.flatnonzero(np.diff(cuts)):

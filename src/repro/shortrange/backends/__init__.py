@@ -5,7 +5,7 @@ architectural bet: *one* long-range spectral solver shared everywhere,
 plus *swappable, per-architecture short-range kernels* — QPX intrinsics
 on the BG/Q, CUDA on Titan, OpenCL on Roadrunner — all implementing the
 same narrow force-kernel contract.  This package is that seam for the
-reproduction.  A backend supplies eight primitives:
+reproduction.  A backend supplies nine primitives:
 
 ``pair_accumulate``
     The full interaction-batch evaluation — each group's kept sources
@@ -29,18 +29,23 @@ reproduction.  A backend supplies eight primitives:
     The list build's last pass: row-range candidate lists in, a keep
     bitmask and per-group counts out — ghost targets out of every box,
     each group's sources culled to the box of its real targets.
+``route``
+    The overload exchange: each particle's active copy and shell
+    replicas (Sec. II) in one table, cut into (src, dst) payloads.
 
 Two implementations ride the seam:
 
 * ``numpy`` — the vectorized reference (always available); the batched
   engine's tiled, workspace-reusing pair evaluation, CIC through
-  :class:`~repro.grid.cic.ParticleGridCoords` corner tables, and the
-  stream's fold through ``np.mod``.
+  :class:`~repro.grid.cic.ParticleGridCoords` corner tables, the
+  stream's fold through ``np.mod``, the route's one stable sort.
 * ``c`` — ``pair_accumulate``, the three CIC passes, ``stream``,
-  ``rcb_build``, ``walk`` and ``cull`` as fused, GIL-free C loops
-  (``pair_kernel.c`` with the cull, ``cic_kernel.c``, ``rcb_kernel.c``
-  with the walk; CIC keeps no tables, only each particle's base cell
-  and fractions; the tree reproduces numpy's pairwise sum), built
+  ``rcb_build``, ``walk``, ``cull`` and ``route`` as fused, GIL-free C
+  loops (``pair_kernel.c`` with the cull, ``cic_kernel.c``,
+  ``rcb_kernel.c`` with the walk, ``route_kernel.c``; CIC keeps no
+  tables, only each particle's base cell and fractions; the tree
+  reproduces numpy's pairwise sum; the route counts, then writes each
+  copy into its payload), built
   on first use with ``$CC``/``cc``/``gcc`` and cached per
   user; **bitwise identical** to the numpy reference in float64 and
   float32.
@@ -247,6 +252,24 @@ class KernelBackend(ABC):
         targets, summed ``(dx**2 + dy**2) + dz**2``, is ``<=
         float32(radius**2)``; a group without a real target keeps
         nothing.
+        """
+
+    @abstractmethod
+    def route(self, positions, momenta, masses, ids, origin,
+              box_size: float, dims, depth: float) -> tuple:
+        """The overload exchange's copies, cut into (src, dst) payloads.
+
+        ``(N, 3)`` ``positions`` (wrapped into the box) and ``momenta``,
+        ``(N,)`` ``masses`` of one float dtype; int64 ``ids``; ``origin``
+        the source ranks (``None``: home ranks).  A particle's one block
+        of the ``dims`` grid, from ``DomainDecomposition.assign``'s
+        arithmetic, is its home and decides its shell: a replica for
+        each neighbor offset (``ox, oy, oz`` order) within ``depth`` of
+        whose faces it lies, shifted by ``+-box`` across the seam.
+        Returns ``((positions, momenta, masses, ids, active), cuts)``:
+        payload ``b = src * n_ranks + dst`` is rows ``cuts[b]:cuts[b +
+        1]``, its actives, then its replicas offset by offset, each in
+        particle order.
         """
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

@@ -47,7 +47,8 @@ __all__ = ["CBackend"]
 
 _SOURCES = tuple(
     Path(__file__).with_name(name)
-    for name in ("pair_kernel.c", "cic_kernel.c", "rcb_kernel.c")
+    for name in ("pair_kernel.c", "cic_kernel.c", "rcb_kernel.c",
+                 "route_kernel.c")
 )
 #: one flag set for both precisions: strict IEEE, no FMA contraction, no
 #: host-specific code; SIMD comes from per-function ``target("avx2")`` /
@@ -177,12 +178,14 @@ def _load(lib: Path) -> tuple[dict, object, str]:
                      _I64P],
             "cull": [_I64P, _I64P, _U8P] + [_I64P] * 3
             + [_I64, rp, _I64, ctypes.c_float, _U64P, _I64P, _I64P],
+            "route": [rp] * 3 + [_I64P] * 2 + [_I64, ctypes.c_double, _I64P,
+                      ctypes.c_double, _I64P] + [rp] * 3 + [_I64P, _U8P],
         }
         table = {}
         for name, argtypes in signatures.items():
             symbol = pair if name == "pair_accumulate" else name
             fn = getattr(dll, f"{symbol}_{suffix}")
-            fn.restype = None if name == "stream" else _I64
+            fn.restype = None if name in ("stream", "route") else _I64
             fn.argtypes = argtypes
             table[name] = fn
         fns[dt] = (table, rp)
@@ -231,7 +234,7 @@ def _pointers(lists):
 
 class CBackend(NumpyBackend):
     """``pair_accumulate``, the three CIC passes, ``stream``,
-    ``rcb_build``, ``walk`` and ``cull`` in compiled C."""
+    ``rcb_build``, ``walk``, ``cull`` and ``route`` in compiled C."""
 
     name = "c"
 
@@ -375,6 +378,38 @@ class CBackend(NumpyBackend):
             if nn == -2:
                 raise MemoryError("rcb_build: cannot allocate scratch")
             cap *= 2
+
+    def route(self, positions, momenta, masses, ids, origin, box_size, dims,
+              depth):
+        pos, fns, rp = self._particle_rows(positions, "positions")
+        dt, n = pos.dtype, pos.shape[0]
+        mom = np.ascontiguousarray(momenta, dtype=dt)
+        dims = np.array(dims, dtype=np.int64)
+        nr = int(dims.prod())
+        org = None if origin is None else _checked(origin, np.int64,
+                                                   "origin", n)
+        if mom.shape != pos.shape or dims.shape != (3,) or dims.min() < 1 or (
+                n and org is not None and not 0 <= org.min() <= org.max() < nr):
+            raise ValueError("route: momenta must match positions, dims be "
+                             "three positive ints and origin ranks of them")
+        rows = (pos, mom, _checked(masses, dt, "masses", n),
+                _checked(ids, np.int64, "ids", n), org)
+        args = [None if a is None else a.ctypes.data_as(
+            _I64P if a.dtype == np.int64 else rp) for a in rows]
+        args += [n, float(box_size), dims.ctypes.data_as(_I64P), float(depth)]
+        # one slot per (src * nr + dst) * 27 + s: count, then first row
+        counts = np.zeros(27 * nr * nr, dtype=np.int64)
+        fns["route"](*args, counts.ctypes.data_as(_I64P), *[None] * 5)
+        starts = np.zeros(counts.size + 1, dtype=np.int64)
+        np.cumsum(counts, out=starts[1:])
+        m = int(starts[-1])
+        table = (np.empty((m, 3), dt), np.empty((m, 3), dt), np.empty(m, dt),
+                 np.empty(m, np.int64), np.empty(m, np.bool_))
+        fns["route"](*args, starts[:-1].copy().ctypes.data_as(_I64P),
+                     *(a.ctypes.data_as(_U8P if a.dtype == np.bool_ else
+                                        _I64P if a.dtype == np.int64 else rp)
+                       for a in table))
+        return table, starts[::27]
 
     # ------------------------------------------------------------------
     def _particle_rows(self, a, name):

@@ -31,6 +31,8 @@ _STREAM_ROWS = 16384
 #: pairs per tile of the pair loop: 2^18 keep each float64 temporary at
 #: 2 MiB; a group whose list is longer runs one target per tile
 _TILE_PAIRS = 1 << 18
+#: the route's 26 neighbor offsets, in ``ox, oy, oz`` loop order
+_OFFSETS = np.array([o for o in np.ndindex(3, 3, 3) if o != (1, 1, 1)]) - 1
 
 
 def _f_sr_pairs(s_cells, coeffs, eps, out, scratch):
@@ -393,3 +395,39 @@ class NumpyBackend(KernelBackend):
         outside &= positions < positions.dtype.type(box_size)
         np.logical_not(outside, out=outside)
         positions[outside] = np.mod(positions[outside], box_size)
+
+    # ------------------------------------------------------------------
+    # route: one table of every copy, stable-sorted once by (src, dst)
+    def route(self, positions, momenta, masses, ids, origin, box_size, dims,
+              depth):
+        pos, n = positions, len(positions)
+        dims = np.asarray(dims, dtype=np.int64)
+        widths, nr = box_size / dims, int(dims.prod())
+        # one cell per particle, in DomainDecomposition.assign's float64
+        # arithmetic: it gives the home rank and the shell tests
+        cell = np.floor(np.mod(np.asarray(pos, dtype=np.float64), box_size)
+                        / box_size * dims).astype(np.int64)
+        np.clip(cell, 0, dims - 1, out=cell)
+        rel_lo = pos - cell * widths   # distance to low faces
+        # near[o + 1, i, axis]: particle i lies in the shell of offset o
+        near = np.stack([rel_lo < depth, np.ones((n, 3), dtype=bool),
+                         widths - rel_lo < depth])
+        k, sel = np.nonzero(near[_OFFSETS[:, 0] + 1, :, 0]
+                            & near[_OFFSETS[:, 1] + 1, :, 1]
+                            & near[_OFFSETS[:, 2] + 1, :, 2])
+        nbr_cell = cell[sel] + _OFFSETS[k]
+        # replicas in the neighbor's frame: +-box across the periodic seam
+        wraps = np.zeros(nbr_cell.shape, dtype=pos.dtype)
+        wraps[nbr_cell < 0] = box_size
+        wraps[nbr_cell >= dims] = -box_size
+        c = np.mod(np.concatenate([cell, nbr_cell]), dims)
+        dst = (c[:, 0] * dims[1] + c[:, 1]) * dims[2] + c[:, 2]
+        idx = np.concatenate([np.arange(n), sel])
+        key = (dst[:n] if origin is None else origin)[idx] * nr + dst
+        # a key narrowed to 8 or 16 bits takes numpy's radix sort
+        order = np.argsort(key.astype(np.min_scalar_type(nr * nr)),
+                           kind="stable")
+        gid = idx[order]
+        return ((np.concatenate([pos, pos[sel] + wraps])[order],
+                 momenta[gid], masses[gid], ids[gid], order < n),
+                np.searchsorted(key[order], np.arange(nr * nr + 1)))

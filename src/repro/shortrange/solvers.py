@@ -20,6 +20,7 @@ keeps the last call's ``(streamed, inside)`` counts as ``last_pairs``.
 
 from __future__ import annotations
 
+import functools
 from abc import ABC, abstractmethod
 
 import numpy as np
@@ -65,40 +66,26 @@ def periodic_ghosts(
     # preserve the caller's precision: an f32 run keeps f32 ghosts
     dt = np.asarray(positions).dtype
     if dt not in (np.float32, np.float64):
-        dt = np.float64
+        dt = np.dtype(np.float64)
     pos = np.mod(np.asarray(positions, dtype=dt), dt.type(box_size))
     m = np.asarray(masses, dtype=dt)
-    n = pos.shape[0]
-    # one stacked 26-offset computation instead of a triple Python loop;
-    # selecting per (particle, shift) pair also guarantees corner images
-    # are emitted exactly once (sequential per-axis shifting would
-    # duplicate them)
-    offsets = np.array(
-        [
-            (ox, oy, oz)
-            for ox in (-1, 0, 1)
-            for oy in (-1, 0, 1)
-            for oz in (-1, 0, 1)
-            if (ox, oy, oz) != (0, 0, 0)
-        ],
-        dtype=dt,
-    )
-    # per-axis condition table indexed by offset + 1:
-    # shift -1 needs pos near the high face, +1 near the low face
-    always = np.ones(n, dtype=bool)
-    sel = always
-    for axis in range(3):
-        table = np.stack(
-            [pos[:, axis] >= box_size - rcut, always, pos[:, axis] < rcut]
-        )
-        sel = sel & table[offsets[:, axis].astype(np.int64) + 1]
-    oid, pid = np.nonzero(sel)  # offset-major: matches the old loop order
-    # the shift in the positions' dtype: +-box is exact in float32
-    ghost_pos = pos[pid] + offsets[oid] * dt.type(box_size)
-    return (
-        np.concatenate([pos, ghost_pos], axis=0),
-        np.concatenate([m, m[pid]]),
-    )
+    # shift -1 needs pos near the high face, +1 near the low face; each
+    # offset's rows are the AND of its one to three face masks, offset
+    # by offset (``ox, oy, oz`` order) and ascending within one, so a
+    # corner image is emitted exactly once
+    faces = [(pos[:, a] >= box_size - rcut, None, pos[:, a] < rcut)
+             for a in range(3)]
+    shift = dt.type(box_size)
+    pos_parts, m_parts = [pos], [m]
+    for off in np.ndindex(3, 3, 3):
+        masks = [faces[a][o] for a, o in enumerate(off) if o != 1]
+        if not masks:
+            continue
+        rows = np.flatnonzero(functools.reduce(np.logical_and, masks))
+        # the shift in the positions' dtype: +-box is exact in float32
+        pos_parts.append(pos[rows] + (np.array(off, dtype=dt) - 1) * shift)
+        m_parts.append(m[rows])
+    return np.concatenate(pos_parts, axis=0), np.concatenate(m_parts)
 
 
 def build_solver(

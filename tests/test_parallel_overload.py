@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from repro.parallel.comm import SimulatedComm
 from repro.parallel.decomposition import DomainDecomposition
 from repro.parallel.overload import OverloadExchange
+from repro.shortrange.backends import available_backends, get_backend
 
 
 def make_exchange(box=100.0, dims=(2, 2, 2), depth=10.0):
@@ -174,11 +175,13 @@ class TestValidation:
 # ----------------------------------------------------------------------
 # routing against the scalar reference
 # ----------------------------------------------------------------------
-def oracle_route(ex, pos, mom, mas, pid, home, origin=None):
+def oracle_route(ex, pos, mom, mas, pid, origin=None):
     """The per-offset, per-destination routing loop the one-pass router
     replaced, kept as the reference: one scalar ``rank_of_coords`` call
     per replica and ``np.unique`` grouping by destination and source.
-    Replica shifts are built in the positions' dtype."""
+    Each particle's one cell is ``DomainDecomposition.assign``'s (float64
+    arithmetic); it gives the home rank and the shell tests.  Replica
+    shifts are built in the positions' dtype."""
     decomp = ex.decomposition
     box = decomp.box_size
     dims = np.asarray(decomp.dims)
@@ -186,8 +189,12 @@ def oracle_route(ex, pos, mom, mas, pid, home, origin=None):
     d = ex.depth
     nr = decomp.n_ranks
 
-    cell = np.floor(pos / box * dims).astype(np.int64)
+    cell = np.floor(
+        np.mod(pos.astype(np.float64), box) / box * dims
+    ).astype(np.int64)
     np.clip(cell, 0, dims - 1, out=cell)
+    home = decomp.rank_of_cells(cell)
+    assert np.array_equal(home, decomp.assign(pos))
     rel_lo = pos - cell * widths
     rel_hi = widths - rel_lo
 
@@ -253,10 +260,13 @@ class RecordingComm(SimulatedComm):
         return super().alltoallv(sendbufs, tag=tag)
 
 
-def exchange_pair(box, dims, depth):
-    """(one-pass exchange, oracle-routed exchange), each on its own comm."""
+def exchange_pair(box, dims, depth, backend="numpy"):
+    """(exchange routed on ``backend``, oracle-routed exchange), each on
+    its own comm."""
     decomp = DomainDecomposition(box, dims)
-    fast = OverloadExchange(decomp, depth, RecordingComm(decomp.n_ranks))
+    fast = OverloadExchange(
+        decomp, depth, RecordingComm(decomp.n_ranks), backend=backend
+    )
     ref = OverloadExchange(decomp, depth, RecordingComm(decomp.n_ranks))
     ref._route = functools.partial(oracle_route, ref)
     return fast, ref
@@ -293,10 +303,11 @@ def face_heavy_particles(rng, n, box, dims, dtype):
     return pos.astype(dtype), mom.astype(dtype), mas.astype(dtype)
 
 
-def check_against_oracle(dims, depth_frac, dtype, seed, n=150, box=60.0):
+def check_against_oracle(dims, depth_frac, dtype, seed, n=150, box=60.0,
+                         backend="numpy"):
     rng = np.random.default_rng(seed)
     depth = depth_frac * min(box / g for g in dims)
-    fast, ref = exchange_pair(box, dims, depth)
+    fast, ref = exchange_pair(box, dims, depth, backend)
     pos, mom, mas = face_heavy_particles(rng, n, box, dims, dtype)
 
     got = fast.distribute(pos, mom, mas)
@@ -324,7 +335,9 @@ class TestRoutingOracle:
         seed=st.integers(min_value=0, max_value=2**32 - 1),
     )
     def test_payloads_and_stats_match_oracle(self, dims, depth_frac, dtype, seed):
-        check_against_oracle(dims, depth_frac, dtype, seed)
+        for backend in available_backends():
+            check_against_oracle(dims, depth_frac, dtype, seed,
+                                 backend=backend)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize(
@@ -333,7 +346,90 @@ class TestRoutingOracle:
     def test_one_and_two_wide_axes(self, dims, dtype):
         """With 1 or 2 blocks along an axis, the -1 and +1 offsets land on
         the same rank (possibly the sender itself)."""
-        check_against_oracle(dims, 0.45, dtype, seed=sum(dims), n=400)
+        for backend in available_backends():
+            check_against_oracle(dims, 0.45, dtype, seed=sum(dims), n=400,
+                                 backend=backend)
+
+
+class TestFaceCell:
+    """One cell per particle: the home rank and the shell agree."""
+
+    @pytest.mark.parametrize("backend", available_backends())
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_particle_on_a_face_reaches_its_neighbour(self, backend, dtype):
+        # 32.142857 rounds below the face at 3 * 75 / 7 in float32, but
+        # 32.142857 / 75 rounds up to a quotient whose floor is the next
+        # cell: a separate float32 shell cell put id 0 on rank 2 twice
+        # and nowhere on rank 3
+        ex = OverloadExchange(DomainDecomposition(75.0, (7, 1, 1)), 3.0,
+                              backend=backend)
+        pos = np.array([[32.142857, 10, 10], [33, 10, 10], [31, 10, 10]],
+                       dtype=dtype)
+        home = ex.decomposition.assign(pos)
+        domains = ex.distribute(pos, np.zeros_like(pos))
+        active = np.concatenate([d.ids[d.active] for d in domains])
+        assert np.array_equal(np.sort(active), [0, 1, 2])
+        for dom in domains:
+            passive = dom.ids[~dom.active]
+            assert len(np.unique(dom.ids)) == dom.n_total
+            assert not np.any(home[passive] == dom.rank)
+        assert home[0] == 2 and home[1] == 3
+        assert 0 in domains[3].ids[~domains[3].active]
+
+
+@pytest.mark.skipif("c" not in available_backends(), reason="no C compiler")
+class TestRouteBackends:
+    """The C ``route`` is the numpy one, array for array."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        dims=st.tuples(*[st.sampled_from([1, 2, 3])] * 3),
+        depth_frac=st.floats(min_value=0.0, max_value=0.49),
+        dtype=st.sampled_from([np.float32, np.float64]),
+        n=st.sampled_from([0, 1, 60, 200]),
+        mixed_origin=st.booleans(),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_c_route_is_numpy_route(self, dims, depth_frac, dtype, n,
+                                    mixed_origin, seed):
+        rng = np.random.default_rng(seed)
+        box = 60.0
+        depth = depth_frac * min(box / g for g in dims)
+        pos, mom, mas = face_heavy_particles(rng, n, box, dims, dtype)
+        pos = np.mod(pos, dtype(box))
+        pid = rng.permutation(n).astype(np.int64)
+        nr = int(np.prod(dims))
+        origin = rng.integers(0, nr, n) if mixed_origin else None
+        args = (pos, mom, mas, pid, origin, box, dims, depth)
+        (ta, ca), (tb, cb) = (get_backend(b).route(*args)
+                              for b in ("numpy", "c"))
+        assert np.array_equal(ca, cb) and ca.size == nr * nr + 1
+        for xa, xb in zip(ta, tb):
+            assert xa.dtype == xb.dtype and xa.shape == xb.shape
+            assert xa.tobytes() == xb.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_refresh_on_either_backend(self, rng, dtype):
+        """A refresh through either backend gives equal domains and
+        ``CommStats``."""
+        decomp = DomainDecomposition(64.0, (3, 2, 1))
+        pos, mom, mas = face_heavy_particles(rng, 600, 64.0, decomp.dims,
+                                             dtype)
+        out = {}
+        for name in ("numpy", "c"):
+            ex = OverloadExchange(decomp, 6.0, backend=name)
+            domains = ex.distribute(pos, mom, mas)
+            for dom in domains:
+                dom.positions[dom.active] += dtype(2.5)
+            out[name] = (ex.refresh(domains), ex.comm.stats)
+        (da, sa), (db, sb) = out["numpy"], out["c"]
+        assert_stats_equal(sa, sb)
+        for a, b in zip(da, db):
+            assert a.rank == b.rank
+            for f in ("positions", "momenta", "masses", "ids", "active"):
+                xa, xb = getattr(a, f), getattr(b, f)
+                assert xa.dtype == xb.dtype
+                assert np.array_equal(xa, xb)
 
 
 class TestPrecision:
