@@ -234,8 +234,9 @@ class OverloadExchange:
     # ------------------------------------------------------------------
     def _origins(self, domains: list[OverloadedDomain]) -> np.ndarray:
         """Rank that currently owns each active particle, in refresh order."""
-        return np.repeat([d.rank for d in domains],
-                         [d.n_active for d in domains]).astype(np.int64)
+        return np.concatenate(
+            [np.full(dom.n_active, dom.rank, dtype=np.int64) for dom in domains]
+        )
 
     def _route(
         self,
