@@ -174,12 +174,15 @@ fallback_twin decomp-f64 --steps 1 --decomposition 2,1,1 --overload-depth 12
 # the overload route on both builds in f32: one float64 cell per particle
 fallback_twin decomp-f32 --steps 1 --precision f32 --decomposition 2,1,1 \
     --overload-depth 12
+# replica recovery on both builds: it reads each domain's rows as routed
+fallback_twin decomp-death --steps 1 --decomposition 2,1,1 \
+    --overload-depth 12 --inject-rank-death 0:1
 PYTHONPATH=src "$PYTHON" - "$FB_DIR" <<'PYEOF'
 import json, pathlib, sys
 from repro.io import load_latest_valid
 root = pathlib.Path(sys.argv[1])
 for twin in ("treepm-f64", "treepm-f32", "pm-f64", "pm-f32", "p3m",
-             "decomp-f64", "decomp-f32"):
+             "decomp-f64", "decomp-f32", "decomp-death"):
     state = {}
     for name in ("c", "numpy"):
         run = f"{twin}-{name}"

@@ -55,8 +55,8 @@ logger = logging.getLogger(__name__)
 def _solve_domain(solver, faults, dom):
     """One rank's short-range solve — the task body of every dispatch.
 
-    Every executor runs this same body on the domain (actives-first
-    stable ordering, same float operations), so results are
+    Every executor runs this same body on the domain (its rows as
+    routed, actives first; same float operations), so results are
     bit-identical wherever it runs.  Returns ``(accelerations,
     (streamed, inside), tree_depth)``; the pair counts are the solver's
     ``last_pairs``, already charged to the registry by the solve itself.
@@ -65,9 +65,8 @@ def _solve_domain(solver, faults, dom):
     faults.sleep("shortrange.domain")
     if dom.n_total == 0:
         return np.zeros((0, 3), dtype=np.float64), (0, 0), None
-    order = np.argsort(~dom.active, kind="stable")  # actives first
     local = solver.accelerations_cloud(
-        dom.positions[order], dom.masses[order], dom.n_active
+        dom.positions, dom.masses, dom.n_active
     )
     return local, solver.last_pairs, getattr(solver, "last_tree_depth", None)
 
@@ -336,9 +335,7 @@ class HACCSimulation:
                 _charge_domain_gauges(tel, dom, pairs, depth)
             if dom.n_total == 0:
                 continue
-            # boolean selection preserves order, so these rows match the
-            # actives-first rows the task computed
-            acc[dom.ids[dom.active]] = local
+            acc[dom.ids[:dom.n_active]] = local
         return acc
 
     def _build_solver(self):

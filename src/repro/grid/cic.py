@@ -35,7 +35,17 @@ __all__ = [
     "cic_window",
     "ParticleGridCoords",
     "non_finite_positions",
+    "periodic_wrap",
 ]
+
+
+def periodic_wrap(x: np.ndarray, box_size) -> np.ndarray:
+    """``np.mod(x, box_size)``, except that the ``box_size`` it returns
+    for a tiny negative ``x`` (``-1e-7`` in float32 at box 64) is folded
+    to +0: every periodic fold of positions lands in ``[0, box_size)``."""
+    r = np.mod(x, box_size)
+    r[r == box_size] = 0
+    return r
 
 
 def _float_dtype(a) -> np.dtype:
@@ -88,8 +98,8 @@ def corner_data(positions: np.ndarray, n: int, box_size: float, dtype=None):
     bad = pos.shape[0] - int(np.count_nonzero(np.isfinite(pos).all(axis=1)))
     if bad:
         raise non_finite_positions(bad)
-    scaled = np.mod(pos, dt.type(box_size)) * dt.type(n / box_size)
-    # mod can return box_size for inputs just below it after scaling
+    scaled = periodic_wrap(pos, dt.type(box_size)) * dt.type(n / box_size)
+    # a coordinate just below box_size can scale up to n
     scaled = np.where(scaled >= n, scaled - dt.type(n), scaled)
     base = np.floor(scaled).astype(np.int64)
     np.clip(base, 0, n - 1, out=base)

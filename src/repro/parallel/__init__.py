@@ -2,9 +2,10 @@
 
 The paper runs HACC on up to 1,572,864 MPI ranks.  This subpackage provides
 an **in-process rank virtual machine**: rank-local data lives in separate
-NumPy arrays, all communication goes through :class:`SimulatedComm`
-collectives that move bytes between rank-local buffers and *account for
-every message* (count, bytes, phase tag).  Algorithms written against this
+NumPy arrays, and :class:`SimulatedComm` *accounts for every message*
+(count, bytes, phase tag): its collectives move bytes between rank-local
+buffers, and the overload exchange's route fills every rank's receive
+buffer itself and charges the messages there.  Algorithms written against this
 interface — the pencil-decomposed FFT, the particle-overloading exchange —
 are structurally identical to their MPI versions, and the recorded traffic
 feeds the BG/Q network model in :mod:`repro.machine`.

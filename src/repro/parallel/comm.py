@@ -2,11 +2,12 @@
 
 Design
 ------
-Rank-local state is held by the *caller* (one NumPy array per rank);
-:class:`SimulatedComm` implements the one collective a run issues,
-``alltoallv``, operating on *lists indexed by rank*: overloading keeps
-the short-range solve rank-local, so a run's only particle traffic is
-the overload exchange and the FFT transposes.  Because every rank's
+Rank-local state is held by the *caller* (one NumPy array per rank).
+Overloading keeps the short-range solve rank-local, so a run's only
+particle traffic is the FFT transposes, through ``alltoallv`` over
+*lists indexed by rank*, and the overload exchange, whose route writes
+every rank's receive buffer in place and which records its messages
+with ``charge``, as ``alltoallv`` does.  Because every rank's
 contribution is passed in a single call, the collective is executed
 atomically and deterministically; there is no interleaving to get
 wrong, yet the data movement (who sends how many bytes to whom) is
@@ -160,8 +161,7 @@ class SimulatedComm:
             raise ValueError(
                 f"expected {n} send rows, got {len(sendbufs)}"
             )
-        pairs: list[tuple[int, int, int]] = []
-        members = self.members
+        sizes = np.zeros((n, n), dtype=np.int64)
         recv: list[list] = [[None] * n for _ in range(n)]
         for i, row in enumerate(sendbufs):
             if len(row) != n:
@@ -170,12 +170,20 @@ class SimulatedComm:
                 )
             for j, payload in enumerate(row):
                 recv[j][i] = payload
-                if i != j and payload is not None:
-                    size = _nbytes(payload)
-                    if size:
-                        pairs.append((members[i], members[j], size))
-        self.stats.record(tag, pairs)
+                if payload is not None:
+                    sizes[i, j] = _nbytes(payload)
+        self.charge(sizes, tag)
         return recv
+
+    def charge(self, sizes: np.ndarray, tag: str) -> None:
+        """Record an all-to-all of ``sizes[i, j]`` bytes from member
+        ``i`` to member ``j``; self-messages and empty ones are free."""
+        members = self.members
+        self.stats.record(tag, [
+            (members[i], members[j], int(sizes[i, j]))
+            for i in range(self.size) for j in range(self.size)
+            if i != j and sizes[i, j]
+        ])
 
     def split(self, colors: Sequence[int]) -> list["SimulatedComm"]:
         """Partition ranks into sub-communicators by color (MPI_Comm_split).

@@ -29,6 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.grid.cic import periodic_wrap
 from repro.parallel.comm import SimulatedComm
 from repro.parallel.decomposition import DomainDecomposition
 from repro.shortrange.backends import resolve_backend
@@ -61,6 +62,10 @@ def domain_stats(domains: list["OverloadedDomain"]) -> dict:
 class OverloadedDomain:
     """Per-rank particle storage in structure-of-arrays layout.
 
+    A domain is its rank's receive buffer: a row range of the one table
+    the exchange routes, actives first (rows ``[:n_active]``), then the
+    replicas.
+
     Attributes
     ----------
     rank:
@@ -75,7 +80,10 @@ class OverloadedDomain:
         (N,) global particle ids (replicas share the id of their active
         original).
     active:
-        (N,) boolean mask; True for the authoritative copies.
+        (N,) boolean mask; True for the authoritative copies, which are
+        the first ``n_active`` rows.
+    n_active:
+        Number of active copies.
     """
 
     rank: int
@@ -84,14 +92,11 @@ class OverloadedDomain:
     masses: np.ndarray
     ids: np.ndarray
     active: np.ndarray
+    n_active: int
 
     @property
     def n_total(self) -> int:
         return self.positions.shape[0]
-
-    @property
-    def n_active(self) -> int:
-        return int(np.count_nonzero(self.active))
 
     @property
     def n_passive(self) -> int:
@@ -103,14 +108,10 @@ class OverloadedDomain:
         return self.n_passive / act if act else float("inf")
 
     def active_view(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """(positions, momenta, masses, ids) of active particles only."""
-        m = self.active
-        return (
-            self.positions[m],
-            self.momenta[m],
-            self.masses[m],
-            self.ids[m],
-        )
+        """(positions, momenta, masses, ids) of active particles only:
+        views of the first ``n_active`` rows."""
+        a = slice(self.n_active)
+        return self.positions[a], self.momenta[a], self.masses[a], self.ids[a]
 
 
 class OverloadExchange:
@@ -127,8 +128,9 @@ class OverloadExchange:
         Shared communicator; all particle traffic is recorded under the
         tags ``"overload.distribute"`` / ``"overload.refresh"``.
     backend:
-        Kernel backend whose ``route`` cuts the payloads, resolved by
-        ``resolve_backend`` (``None``: C, else numpy); all send the same.
+        Kernel backend whose ``route`` builds the receive buffers,
+        resolved by ``resolve_backend`` (``None``: C, else numpy); all
+        build the same.
     """
 
     def __init__(
@@ -176,7 +178,7 @@ class OverloadExchange:
         dt = np.asarray(positions).dtype
         if dt not in (np.float32, np.float64):
             dt = np.dtype(np.float64)
-        pos = np.mod(
+        pos = periodic_wrap(
             np.asarray(positions, dtype=dt),
             dt.type(self.decomposition.box_size),
         )
@@ -196,8 +198,7 @@ class OverloadExchange:
             if ids is None
             else np.asarray(ids, dtype=np.int64)
         )
-
-        return self._deliver(self._route(pos, mom, mas, pid), tag, dt)
+        return self._exchange(pos, mom, mas, pid, None, tag)
 
     def refresh(
         self,
@@ -212,84 +213,40 @@ class OverloadExchange:
         passive replicas are discarded and regenerated.  Between refreshes
         no particle communication happens at all.
         """
-        box = self.decomposition.box_size
-        pos_parts, mom_parts, mas_parts, id_parts = [], [], [], []
-        for dom in domains:
-            p, v, m, i = dom.active_view()
-            pos_parts.append(np.mod(p, box))
-            mom_parts.append(v)
-            mas_parts.append(m)
-            id_parts.append(i)
-        pos = np.concatenate(pos_parts, axis=0)
-        mom = np.concatenate(mom_parts, axis=0)
-        mas = np.concatenate(mas_parts)
-        pid = np.concatenate(id_parts)
-        # charge only the particles that actually cross rank boundaries or
-        # land in a remote overload shell; _route does exactly that.
-        payloads = self._route(pos, mom, mas, pid, self._origins(domains))
-        return self._deliver(payloads, tag, pos.dtype)
-
-    # ------------------------------------------------------------------
-    # internals
-    # ------------------------------------------------------------------
-    def _origins(self, domains: list[OverloadedDomain]) -> np.ndarray:
-        """Rank that currently owns each active particle, in refresh order."""
-        return np.concatenate(
-            [np.full(dom.n_active, dom.rank, dtype=np.int64) for dom in domains]
+        pos, mom, mas, pid = (
+            np.concatenate(parts)
+            for parts in zip(*(dom.active_view() for dom in domains))
         )
+        # sent by the rank that holds it: only crossings are charged
+        origin = np.repeat(
+            np.array([dom.rank for dom in domains], dtype=np.int64),
+            [dom.n_active for dom in domains],
+        )
+        box = self.decomposition.box_size
+        return self._exchange(periodic_wrap(pos, pos.dtype.type(box)), mom,
+                              mas, pid, origin, tag)
 
-    def _route(
-        self,
-        pos: np.ndarray,
-        mom: np.ndarray,
-        mas: np.ndarray,
-        pid: np.ndarray,
-        origin: np.ndarray | None = None,
-    ) -> list[list]:
-        """The (src, dst) payloads for distribute/refresh: slices of the
-        backend's routed table (``None`` where empty)."""
+    # ------------------------------------------------------------------
+    def _exchange(self, pos, mom, mas, pid, origin, tag):
+        """The all-to-all: the backend routes every copy into one
+        destination-major table, its (src, dst) row counts are charged
+        as the messages, and each rank's domain is a view of its rows."""
         decomp = self.decomposition
         nr = decomp.n_ranks
         table, cuts = self.backend.route(
             pos, mom, mas, pid, origin, decomp.box_size, decomp.dims,
             self.depth,
         )
-        payloads: list[list] = [[None] * nr for _ in range(nr)]
-        for b in np.flatnonzero(np.diff(cuts)):
-            lo, hi = cuts[b], cuts[b + 1]
-            payloads[b // nr][b % nr] = tuple(a[lo:hi] for a in table)
-        return payloads
-
-    def _deliver(
-        self, payloads: list[list], tag: str, dtype
-    ) -> list[OverloadedDomain]:
-        recv = self.comm.alltoallv(payloads, tag=tag)
+        # rows[dst, passive, src]; a message's bytes are its rows' bytes
+        rows = np.diff(cuts).reshape(nr, 2, nr)
+        row_bytes = sum(a.itemsize * int(np.prod(a.shape[1:])) for a in table)
+        self.comm.charge(rows.sum(axis=1).T * row_bytes, tag)
+        # each rank's first row, first replica row, and so on
+        cuts = cuts[::nr]
         return [
-            self._assemble(recv[r], r, dtype)
-            for r in range(self.decomposition.n_ranks)
+            OverloadedDomain(
+                r, *(a[cuts[2 * r]:cuts[2 * r + 2]] for a in table),
+                n_active=int(cuts[2 * r + 1] - cuts[2 * r]),
+            )
+            for r in range(nr)
         ]
-
-    @staticmethod
-    def _assemble(received: list, rank: int, dtype) -> OverloadedDomain:
-        """Concatenate one rank's received fragments, in source order."""
-        parts = [p for p in received if p is not None]
-        if parts:
-            pos = np.concatenate([p[0] for p in parts], axis=0)
-            mom = np.concatenate([p[1] for p in parts], axis=0)
-            mas = np.concatenate([p[2] for p in parts])
-            pid = np.concatenate([p[3] for p in parts])
-            act = np.concatenate([p[4] for p in parts])
-        else:
-            pos = np.empty((0, 3), dtype=dtype)
-            mom = np.empty((0, 3), dtype=dtype)
-            mas = np.empty(0, dtype=dtype)
-            pid = np.empty(0, dtype=np.int64)
-            act = np.empty(0, dtype=bool)
-        return OverloadedDomain(
-            rank=rank,
-            positions=pos,
-            momenta=mom,
-            masses=mas,
-            ids=pid,
-            active=act,
-        )

@@ -34,6 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.grid.cic import periodic_wrap
 from repro.parallel.overload import OverloadedDomain, OverloadExchange
 
 __all__ = ["RecoveryReport", "harvest_replicas", "recover_ranks"]
@@ -92,10 +93,8 @@ def harvest_replicas(
     box = decomp.box_size
     pos_parts, mom_parts, mas_parts, id_parts = [], [], [], []
     for dom in survivors:
-        passive = ~dom.active
-        if not passive.any():
-            continue
-        pos = np.mod(dom.positions[passive], box)
+        passive = slice(dom.n_active, None)
+        pos = periodic_wrap(dom.positions[passive], box)
         home = decomp.assign(pos)
         take = np.isin(home, list(dead_ranks))
         if not take.any():
@@ -156,7 +155,7 @@ def recover_ranks(
 
     # what the dead ranks owned, for loss accounting only
     expected_ids = (
-        np.concatenate([d.ids[d.active] for d in dead_doms])
+        np.concatenate([d.ids[:d.n_active] for d in dead_doms])
         if dead_doms
         else np.empty(0, dtype=np.int64)
     )
@@ -165,15 +164,11 @@ def recover_ranks(
         int(r): int(np.count_nonzero(r_home == r)) for r in sorted(dead_ranks)
     }
 
-    parts_pos = [r_pos] + [d.positions[d.active] for d in survivors]
-    parts_mom = [r_mom] + [d.momenta[d.active] for d in survivors]
-    parts_mas = [r_mas] + [d.masses[d.active] for d in survivors]
-    parts_pid = [r_pid] + [d.ids[d.active] for d in survivors]
     new_domains = exchange.distribute(
-        np.concatenate(parts_pos, axis=0),
-        np.concatenate(parts_mom, axis=0),
-        np.concatenate(parts_mas),
-        np.concatenate(parts_pid),
+        *(np.concatenate(parts) for parts in zip(
+            (r_pos, r_mom, r_mas, r_pid),
+            *(d.active_view() for d in survivors),
+        )),
         tag=tag,
     )
     report = RecoveryReport(

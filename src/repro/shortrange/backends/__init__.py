@@ -31,7 +31,8 @@ reproduction.  A backend supplies nine primitives:
     each group's sources culled to the box of its real targets.
 ``route``
     The overload exchange: each particle's active copy and shell
-    replicas (Sec. II) in one table, cut into (src, dst) payloads.
+    replicas (Sec. II) in one table, each rank's receive buffer a row
+    range of it.
 
 Two implementations ride the seam:
 
@@ -45,7 +46,7 @@ Two implementations ride the seam:
   ``rcb_kernel.c`` with the walk, ``route_kernel.c``; CIC keeps no
   tables, only each particle's base cell and fractions; the tree
   reproduces numpy's pairwise sum; the route counts, then writes each
-  copy into its payload), built
+  copy into its rank's rows), built
   on first use with ``$CC``/``cc``/``gcc`` and cached per
   user; **bitwise identical** to the numpy reference in float64 and
   float32.
@@ -214,8 +215,10 @@ class KernelBackend(ABC):
         """The stream map in place: ``positions = positions + momenta *
         drift`` (the product and the sum each rounded in the positions'
         dtype), then ``np.mod(positions, box_size)`` for every coordinate
-        not strictly inside ``(0, box_size)``; a non-finite one becomes
-        NaN.  ``positions`` is a writeable C-contiguous ``(N, 3)``
+        not strictly inside ``(0, box_size)``, a result of exactly
+        ``box_size`` (from a tiny negative coordinate) folded to +0, so
+        every finite coordinate lands in ``[0, box_size)``; a non-finite
+        one becomes NaN.  ``positions`` is a writeable C-contiguous ``(N, 3)``
         float32/float64 array, ``momenta`` the same shape and dtype."""
 
     @abstractmethod
@@ -257,7 +260,7 @@ class KernelBackend(ABC):
     @abstractmethod
     def route(self, positions, momenta, masses, ids, origin,
               box_size: float, dims, depth: float) -> tuple:
-        """The overload exchange's copies, cut into (src, dst) payloads.
+        """The overload exchange's copies, one receive buffer per rank.
 
         ``(N, 3)`` ``positions`` (wrapped into the box) and ``momenta``,
         ``(N,)`` ``masses`` of one float dtype; int64 ``ids``; ``origin``
@@ -266,10 +269,13 @@ class KernelBackend(ABC):
         arithmetic, is its home and decides its shell: a replica for
         each neighbor offset (``ox, oy, oz`` order) within ``depth`` of
         whose faces it lies, shifted by ``+-box`` across the seam.
-        Returns ``((positions, momenta, masses, ids, active), cuts)``:
-        payload ``b = src * n_ranks + dst`` is rows ``cuts[b]:cuts[b +
-        1]``, its actives, then its replicas offset by offset, each in
-        particle order.
+        Returns ``((positions, momenta, masses, ids, active), cuts)``, the
+        table destination-major: the copies ``src`` sends ``dst`` as
+        actives (``passive`` 0) or replicas (1) are rows ``cuts[b]:cuts[b
+        + 1]``, ``b = (dst * 2 + passive) * n_ranks + src``, replicas
+        offset by offset, each run in particle order.  So rank ``dst``'s
+        rows are ``cuts[2 * n_ranks * dst]:cuts[2 * n_ranks * (dst +
+        1)]``, its actives first.
         """
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

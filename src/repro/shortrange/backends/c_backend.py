@@ -397,8 +397,9 @@ class CBackend(NumpyBackend):
         args = [None if a is None else a.ctypes.data_as(
             _I64P if a.dtype == np.int64 else rp) for a in rows]
         args += [n, float(box_size), dims.ctypes.data_as(_I64P), float(depth)]
-        # one slot per (src * nr + dst) * 27 + s: count, then first row
-        counts = np.zeros(27 * nr * nr, dtype=np.int64)
+        # one slot per ((dst * 2 + passive) * nr + src) * 26 + k: count,
+        # then first row
+        counts = np.zeros(52 * nr * nr, dtype=np.int64)
         fns["route"](*args, counts.ctypes.data_as(_I64P), *[None] * 5)
         starts = np.zeros(counts.size + 1, dtype=np.int64)
         np.cumsum(counts, out=starts[1:])
@@ -409,7 +410,7 @@ class CBackend(NumpyBackend):
                      *(a.ctypes.data_as(_U8P if a.dtype == np.bool_ else
                                         _I64P if a.dtype == np.int64 else rp)
                        for a in table))
-        return table, starts[::27]
+        return table, starts[::26]
 
     # ------------------------------------------------------------------
     def _particle_rows(self, a, name):

@@ -11,7 +11,8 @@
  * and sum is a separate statement rounded in T (build with
  * -ffp-contract=off):
  *   wrap   np.mod semantics: fmod, then +box for a negative remainder and
- *          +0 for a zero one (fast path for 0 < x < box); NaN stays NaN;
+ *          +0 for a zero one or one that rounded up to box (fast path for
+ *          0 < x < box); NaN stays NaN;
  *   cell   wrap, then * (n/box), fold a value >= n back by n, floor, clip
  *          to [0, n-1], and the fraction s - floor(s) (exact, so the
  *          double detour of numpy's float - int64 promotion changes
@@ -48,10 +49,10 @@ static inline T wrap_##SUF(T x, T box)                                      \
     if (x > 0 && x < box)                                                   \
         return x;                                                           \
     T r = FMOD(x, box);                                                     \
-    if (r == 0)                                                             \
-        r = 0; /* np.mod gives +0, also for -0.0 */                         \
-    else if (r < 0)                                                         \
+    if (r < 0)                                                              \
         r = r + box;                                                        \
+    if (r == 0 || r == box)                                                 \
+        r = 0; /* +0, also for -0.0 and a tiny -x that rounds up to box */  \
     return r;                                                               \
 }                                                                           \
                                                                             \

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.grid.cic import ParticleGridCoords, corner_data
+from repro.grid.cic import ParticleGridCoords, corner_data, periodic_wrap
 from repro.shortrange.backends import KernelBackend
 from repro.shortrange.rcb_tree import ranges_to_indices
 
@@ -385,8 +385,9 @@ class NumpyBackend(KernelBackend):
         return out
 
     # ------------------------------------------------------------------
-    # stream: the stepper's x += p * drift in row blocks, then np.mod on
-    # the coordinates not strictly inside the box (the identity there)
+    # stream: the stepper's x += p * drift in row blocks, then the
+    # periodic wrap of the coordinates not strictly inside the box (the
+    # identity there)
     def stream(self, positions, momenta, drift, box_size):
         for start in range(0, len(positions), _STREAM_ROWS):
             rows = slice(start, start + _STREAM_ROWS)
@@ -394,10 +395,11 @@ class NumpyBackend(KernelBackend):
         outside = np.greater(positions, 0)
         outside &= positions < positions.dtype.type(box_size)
         np.logical_not(outside, out=outside)
-        positions[outside] = np.mod(positions[outside], box_size)
+        positions[outside] = periodic_wrap(positions[outside], box_size)
 
     # ------------------------------------------------------------------
-    # route: one table of every copy, stable-sorted once by (src, dst)
+    # route: one table of every copy, stable-sorted once by (dst, passive,
+    # src)
     def route(self, positions, momenta, masses, ids, origin, box_size, dims,
               depth):
         pos, n = positions, len(positions)
@@ -423,11 +425,12 @@ class NumpyBackend(KernelBackend):
         c = np.mod(np.concatenate([cell, nbr_cell]), dims)
         dst = (c[:, 0] * dims[1] + c[:, 1]) * dims[2] + c[:, 2]
         idx = np.concatenate([np.arange(n), sel])
-        key = (dst[:n] if origin is None else origin)[idx] * nr + dst
+        key = dst * (2 * nr) + (dst[:n] if origin is None else origin)[idx]
+        key[n:] += nr  # a destination's replicas follow all its actives
         # a key narrowed to 8 or 16 bits takes numpy's radix sort
-        order = np.argsort(key.astype(np.min_scalar_type(nr * nr)),
+        order = np.argsort(key.astype(np.min_scalar_type(2 * nr * nr)),
                            kind="stable")
         gid = idx[order]
         return ((np.concatenate([pos, pos[sel] + wraps])[order],
                  momenta[gid], masses[gid], ids[gid], order < n),
-                np.searchsorted(key[order], np.arange(nr * nr + 1)))
+                np.searchsorted(key[order], np.arange(2 * nr * nr + 1)))

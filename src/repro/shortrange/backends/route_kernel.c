@@ -1,7 +1,7 @@
 /* The overload exchange's routing (Sec. II of the source paper): each
  * particle's active copy, bound for its home rank, and a passive replica
  * for every neighbour offset whose shell of depth `depth` holds it,
- * written straight into the (src, dst) payloads of one table.
+ * written into one destination-major table (each rank's receive buffer).
  *
  * Bitwise contract: the table and its cuts equal NumpyBackend.route in
  * float64 AND float32.  Statement by statement:
@@ -14,16 +14,16 @@
  *  - an offset crossing the periodic seam shifts the replica by
  *    +-(T)box, any other by +0 (so -0.0 becomes +0.0, as numpy's sum
  *    does); the active copy keeps its coordinates;
- *  - slot 0 of a (src, dst) payload holds its actives, slot 1 + k the
- *    replicas of offset k (the 26 offsets in ox, oy, oz loop order),
- *    each slot in particle order: the order of numpy's stable sort by
- *    src * n_ranks + dst.
+ *  - a destination's rows hold every source's actives, source by
+ *    source, then every source's replicas, source by source and offset
+ *    by offset (the 26 offsets in ox, oy, oz loop order), each run in
+ *    particle order: numpy's stable sort by (dst*2 + passive)*nr + src.
  *
- * route_* runs twice.  With opos NULL it counts each (src, dst, slot)
- * into cursor[(src * n_ranks + dst) * 27 + slot]; the caller turns the
- * counts into each slot's first row, and the second run writes every
- * copy at its slot's cursor.  src is origin[i], or the home rank when
- * origin is NULL; the caller checks origin against n_ranks.
+ * route_* runs twice.  With opos NULL it counts each copy into slot
+ * ((dst * 2 + passive) * n_ranks + src) * 26 + k of cursor (k: 0, or the
+ * replica's offset index); the caller makes the counts first rows, and
+ * the second run writes every copy at its slot's cursor.  src is
+ * origin[i], or the home rank when origin is NULL (checked by the caller).
  */
 #include <math.h>
 #include <stdint.h>
@@ -80,8 +80,8 @@ void route_##SUF(const T *pos, const T *mom, const T *mas,                  \
             const int t = 9 * ox + 3 * oy + oz;                             \
             const int64_t dst = (nb[0][ox] * dims[1] + nb[1][oy]) * dims[2] \
                 + nb[2][oz];                                                \
-            const int64_t r = cursor[(src * nr + dst) * 27                  \
-                                     + (t < 13 ? t + 1 : t == 13 ? 0 : t)]++;\
+            const int64_t r = cursor[((dst * 2 + (t != 13)) * nr + src) * 26 \
+                                     + (t < 13 ? t : t == 13 ? 0 : t - 1)]++;\
             if (!opos)                                                      \
                 continue;                                                   \
             T *q = opos + 3 * r;                                            \

@@ -211,7 +211,9 @@ class TestParticles:
     @pytest.mark.parametrize("box", [10.0, 0.3, 25.0])
     def test_wrap_is_bitwise_np_mod(self, dtype, box):
         """Only coordinates outside (0, box) take the remainder; the
-        result is np.mod's bits, signed zeros and NaN/inf included."""
+        result is np.mod's bits, signed zeros and NaN/inf included,
+        except that a remainder of exactly ``box`` (``-1e-30`` here) is
+        folded to +0."""
         t = np.dtype(dtype).type
         b = t(box)
         edges = np.array(
@@ -228,7 +230,12 @@ class TestParticles:
             p = Particles(x, np.zeros_like(x), np.ones(400, dtype),
                           np.arange(400), box)
             p.wrap()
+        assert ref[6, 0] == b  # np.mod(-1e-30, box)
+        ref[ref == b] = 0
         assert p.positions.tobytes() == ref.tobytes()
+        finite = np.isfinite(p.positions)
+        assert (p.positions[finite] >= 0).all()
+        assert (p.positions[finite] < b).all()
 
     def test_kinetic_energy_scaling(self):
         p = Particles.uniform_random(10, 5.0, seed=0)

@@ -180,7 +180,27 @@ class TestStepperMaps:
         assert np.isnan(got.positions[10:15]).all()
         inside = np.isfinite(got.positions)
         assert (got.positions[inside] >= 0).all()
-        assert (got.positions[inside] <= box).all()
+        assert (got.positions[inside] < box).all()
+
+    @pytest.mark.parametrize("backend", ["numpy", "c"])
+    @pytest.mark.parametrize("dtype, x", [(np.float32, -1e-7),
+                                          (np.float64, -1e-15)])
+    def test_stream_never_returns_box(self, backend, dtype, x):
+        """``np.mod`` rounds a coordinate this close below 0 up to the box
+        itself; the stream folds that to +0, inside ``[0, box)``."""
+        from repro.shortrange.backends import (
+            BackendUnavailable,
+            get_backend,
+        )
+
+        try:
+            b = get_backend(backend)
+        except BackendUnavailable:
+            pytest.skip("no working C compiler")
+        pos = np.full((1, 3), x, dtype=dtype)
+        assert np.mod(pos, dtype(64.0)).tolist() == [[64.0] * 3]
+        b.stream(pos, np.zeros_like(pos), 0.5, 64.0)
+        assert pos.tobytes() == np.zeros_like(pos).tobytes()  # +0.0
 
     def test_stream_bumps_version_once(self):
         p = free_particles()

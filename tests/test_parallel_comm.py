@@ -41,6 +41,17 @@ class TestRankMatrix:
         assert np.all(np.diag(m) == 0)  # self-sends never charged
         assert m.sum() == comm.stats.bytes
 
+    def test_charge_maps_members_to_global_ranks(self):
+        """``charge`` is the accounting ``alltoallv`` takes: bytes land at
+        the members' global ranks, self and empty messages are free."""
+        comm = SimulatedComm(4)
+        _, odd = comm.split([0, 1, 0, 1])  # members (1, 3)
+        odd.charge(np.array([[5, 7], [0, 9]]), tag="t")
+        m = comm.stats.byte_matrix
+        assert m[1, 3] == 7 and m.sum() == 7
+        assert comm.stats.messages == 1
+        assert dict(comm.stats.by_tag) == {"t": [1, 7]}
+
     def test_exchange_matrix(self):
         """The overload exchange's traffic lands in the byte matrix, and
         ``rank_send_bytes`` (the driver's ``comm_bytes`` gauge) is its
@@ -142,13 +153,14 @@ class TestConstruction:
 
 
 class TestRunTraffic:
-    """A run moves particles only through ``alltoallv``: the overload
-    exchange and the pencil-FFT transposes, and the byte matrix accounts
-    for every recorded byte."""
+    """A run's only traffic is the overload exchange (its route's row
+    counts) and the pencil-FFT transposes (``alltoallv``), both recorded
+    through ``SimulatedComm.charge``, and the byte matrix accounts for
+    every recorded byte."""
 
     TAGS = {"overload.distribute", "fft.transpose.zy", "fft.transpose.yx"}
 
-    def assert_alltoallv_only(self, stats):
+    def assert_exchange_and_transposes_only(self, stats):
         assert stats.by_tag and set(stats.by_tag) <= self.TAGS
         assert stats.bytes > 0
         assert stats.bytes == stats.byte_matrix.sum()
@@ -162,10 +174,10 @@ class TestRunTraffic:
             cfg, decomposition_dims=(2, 1, 1), overload_depth=cfg.rcut() + 0.5
         )
         sim.step()
-        self.assert_alltoallv_only(sim.exchange.comm.stats)
+        self.assert_exchange_and_transposes_only(sim.exchange.comm.stats)
 
     def test_pencil_force_grids(self, rng):
         delta = rng.standard_normal((8, 8, 8))
         pencil = PencilFFT(8, 2, 2)
         SpectralPoissonSolver(8, 8.0).force_grids_distributed(delta, pencil)
-        self.assert_alltoallv_only(pencil.comm.stats)
+        self.assert_exchange_and_transposes_only(pencil.comm.stats)

@@ -1,8 +1,9 @@
 """Tests for particle overloading (Fig. 4 of the paper)."""
 
-import functools
 import subprocess
 import sys
+from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -104,6 +105,27 @@ class TestDistribute:
         domains = ex.distribute(pos, mom)
         assert all(np.all(d.masses == 1.0) for d in domains)
 
+    @pytest.mark.parametrize("backend", available_backends())
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_tiny_negative_coordinate_folds_to_zero(self, backend, dtype):
+        """``np.mod(-1e-20, 64)`` is exactly 64: the exchange's fold takes
+        it to +0, so the active copy is rank 0's at x = 0, its replica
+        rank 3's across the seam at x = 64, and no other rank has one;
+        in ``distribute`` and in ``refresh`` alike."""
+        ex = OverloadExchange(DomainDecomposition(64.0, (4, 1, 1)), 3.0,
+                              backend=backend)
+        pos = np.array([[-1e-20, 10.0, 10.0]], dtype=dtype)
+        assert np.mod(pos, dtype(64.0))[0, 0] == 64.0
+        domains = ex.distribute(pos, np.zeros_like(pos))
+        for doms in (domains, ex.refresh(
+                [d if d.rank else replace(d, positions=pos)
+                 for d in domains])):
+            assert [d.n_active for d in doms] == [1, 0, 0, 0]
+            assert [d.n_passive for d in doms] == [0, 0, 0, 1]
+            assert doms[0].positions[0].tobytes() == np.array(
+                [0.0, 10.0, 10.0], dtype=dtype).tobytes()
+            assert doms[3].positions[0, 0] == 64.0
+
     def test_momenta_shape_mismatch_rejected(self, rng):
         ex = make_exchange()
         with pytest.raises(ValueError):
@@ -157,6 +179,39 @@ class TestRefresh:
         assert np.mean(fracs) == pytest.approx(factor - 1.0, rel=0.25)
 
 
+class TestReceiveBuffers:
+    """A domain is its rank's rows of the one routed table, actives
+    first."""
+
+    @pytest.mark.parametrize("backend", available_backends())
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_domains_are_slices_of_one_table(self, rng, backend, dtype):
+        decomp = DomainDecomposition(60.0, (3, 2, 1))
+        ex = OverloadExchange(decomp, 6.0, backend=backend)
+        pos, mom, mas = face_heavy_particles(rng, 500, 60.0, decomp.dims,
+                                             dtype)
+        first = ex.distribute(pos, mom, mas)
+        for dom in first:
+            dom.positions[:dom.n_active] += dtype(2.5)
+        for domains in (first, ex.refresh(first)):
+            for f in ("positions", "momenta", "masses", "ids", "active"):
+                table = getattr(domains[0], f).base
+                assert table is not None
+                row = table.strides[0]
+                start = table.__array_interface__["data"][0]
+                for dom in domains:  # rank after rank, no gap
+                    a = getattr(dom, f)
+                    assert a.base is table
+                    assert a.__array_interface__["data"][0] == start
+                    start += len(a) * row
+                assert start == table.__array_interface__["data"][0] + (
+                    len(table) * row)
+            for dom in domains:
+                assert dom.active[:dom.n_active].all()
+                assert not dom.active[dom.n_active:].any()
+                assert dom.n_active == np.count_nonzero(dom.active)
+
+
 class TestValidation:
     def test_depth_must_fit_domain(self):
         with pytest.raises(ValueError):
@@ -181,7 +236,10 @@ def oracle_route(ex, pos, mom, mas, pid, origin=None):
     per replica and ``np.unique`` grouping by destination and source.
     Each particle's one cell is ``DomainDecomposition.assign``'s (float64
     arithmetic); it gives the home rank and the shell tests.  Replica
-    shifts are built in the positions' dtype."""
+    shifts are built in the positions' dtype.  Returns the route's
+    ``(table, cuts)``, laid out as MPI_Alltoallv receive buffers: per
+    destination, every source's actives, then every source's replicas
+    (the runs ``(dst * 2 + passive) * n_ranks + src``)."""
     decomp = ex.decomposition
     box = decomp.box_size
     dims = np.asarray(decomp.dims)
@@ -199,10 +257,11 @@ def oracle_route(ex, pos, mom, mas, pid, origin=None):
     rel_hi = widths - rel_lo
 
     src_of = origin if origin is not None else home
-    sends = [[[] for _ in range(nr)] for _ in range(nr)]
+    # runs[dst][passive][src]: the fragments src sends dst
+    runs = [[[[] for _ in range(nr)] for _ in range(2)] for _ in range(nr)]
 
     def append(s, r, p, ii, active):
-        sends[int(s)][int(r)].append(
+        runs[int(r)][0 if active else 1][int(s)].append(
             (p, mom[ii], mas[ii], pid[ii], np.full(len(ii), active, dtype=bool))
         )
 
@@ -242,45 +301,40 @@ def oracle_route(ex, pos, mom, mas, pid, origin=None):
                         m2 = srcs == s
                         append(s, r, p_shift[ss][m2], idxs[m2], False)
 
-    def pack(frags):
-        if not frags:
-            return None
-        return tuple(
-            np.concatenate([f[k] for f in frags], axis=0) for k in range(5)
-        )
-
-    return [[pack(sends[i][j]) for j in range(nr)] for i in range(nr)]
-
-
-class RecordingComm(SimulatedComm):
-    """Communicator that keeps the send buffers of its last all-to-all."""
-
-    def alltoallv(self, sendbufs, tag="alltoallv"):
-        self.sent = sendbufs
-        return super().alltoallv(sendbufs, tag=tag)
+    frags = [f for by_dst in runs for by_kind in by_dst for run in by_kind
+             for f in run]
+    empty = (pos[:0], mom[:0], mas[:0], pid[:0], np.zeros(0, dtype=bool))
+    table = tuple(
+        np.concatenate([empty[k]] + [f[k] for f in frags], axis=0)
+        for k in range(5)
+    )
+    counts = [sum(len(f[3]) for f in run) for by_dst in runs
+              for by_kind in by_dst for run in by_kind]
+    return table, np.concatenate([[0], np.cumsum(counts)])
 
 
 def exchange_pair(box, dims, depth, backend="numpy"):
-    """(exchange routed on ``backend``, oracle-routed exchange), each on
-    its own comm."""
+    """(exchange routed on ``backend``, oracle-routed exchange)."""
     decomp = DomainDecomposition(box, dims)
-    fast = OverloadExchange(
-        decomp, depth, RecordingComm(decomp.n_ranks), backend=backend
+    fast = OverloadExchange(decomp, depth, backend=backend)
+    ref = OverloadExchange(decomp, depth)
+    ref.backend = SimpleNamespace(
+        route=lambda pos, mom, mas, pid, origin, *_: oracle_route(
+            ref, pos, mom, mas, pid, origin
+        )
     )
-    ref = OverloadExchange(decomp, depth, RecordingComm(decomp.n_ranks))
-    ref._route = functools.partial(oracle_route, ref)
     return fast, ref
 
 
-def assert_payloads_equal(a, b):
+def assert_domains_equal(a, b):
+    """Two domain lists hold the same rows, dtypes and active counts."""
     assert len(a) == len(b)
-    for row_a, row_b in zip(a, b):
-        for pa, pb in zip(row_a, row_b):
-            assert (pa is None) == (pb is None)
-            if pa is not None:
-                for xa, xb in zip(pa, pb):
-                    assert xa.dtype == xb.dtype
-                    assert np.array_equal(xa, xb)
+    for da, db in zip(a, b):
+        assert da.rank == db.rank and da.n_active == db.n_active
+        for f in ("positions", "momenta", "masses", "ids", "active"):
+            xa, xb = getattr(da, f), getattr(db, f)
+            assert xa.dtype == xb.dtype
+            assert np.array_equal(xa, xb)
 
 
 def assert_stats_equal(a, b):
@@ -311,18 +365,15 @@ def check_against_oracle(dims, depth_frac, dtype, seed, n=150, box=60.0,
     pos, mom, mas = face_heavy_particles(rng, n, box, dims, dtype)
 
     got = fast.distribute(pos, mom, mas)
-    ref.distribute(pos, mom, mas)
-    assert_payloads_equal(fast.comm.sent, ref.comm.sent)
+    assert_domains_equal(got, ref.distribute(pos, mom, mas))
     assert_stats_equal(fast.comm.stats, ref.comm.stats)
 
     # drift the actives up to a shell depth so some change rank, then
     # refresh the same domains through both routers (mixed origins)
     for dom in got:
         kick = rng.uniform(-depth, depth, (dom.n_active, 3)).astype(dtype)
-        dom.positions[dom.active] += kick
-    fast.refresh(got)
-    ref.refresh(got)
-    assert_payloads_equal(fast.comm.sent, ref.comm.sent)
+        dom.positions[:dom.n_active] += kick
+    assert_domains_equal(fast.refresh(got), ref.refresh(got))
     assert_stats_equal(fast.comm.stats, ref.comm.stats)
 
 
@@ -403,10 +454,22 @@ class TestRouteBackends:
         args = (pos, mom, mas, pid, origin, box, dims, depth)
         (ta, ca), (tb, cb) = (get_backend(b).route(*args)
                               for b in ("numpy", "c"))
-        assert np.array_equal(ca, cb) and ca.size == nr * nr + 1
+        assert np.array_equal(ca, cb) and ca.size == 2 * nr * nr + 1
         for xa, xb in zip(ta, tb):
             assert xa.dtype == xb.dtype and xa.shape == xb.shape
             assert xa.tobytes() == xb.tobytes()
+        # the runs (dst, passive, src): each rank's actives, then its
+        # replicas; one active copy per particle, sent by its origin
+        counts = np.diff(ca).reshape(nr, 2, nr)
+        assert ca[-1] == len(ta[0])
+        passive = np.repeat(np.tile(np.repeat([False, True], nr), nr),
+                            np.diff(ca))
+        assert np.array_equal(ta[4], ~passive)
+        if mixed_origin:
+            assert np.array_equal(counts[:, 0].sum(axis=0),
+                                  np.bincount(origin, minlength=nr))
+        else:
+            assert counts[:, 0].sum() == n
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_refresh_on_either_backend(self, rng, dtype):
@@ -448,49 +511,39 @@ class TestPrecision:
 
     def test_f32_position_traffic_is_half_f64(self, rng):
         pos, mom = random_particles(rng)
-        sent_pos_bytes, messages = {}, {}
+        sent_pos_bytes, sent_rows, messages = {}, {}, {}
         for dtype in (np.float32, np.float64):
-            decomp = DomainDecomposition(100.0, (2, 2, 2))
-            ex = OverloadExchange(decomp, 10.0, RecordingComm(decomp.n_ranks))
+            ex = make_exchange(box=100.0, dims=(2, 2, 2), depth=10.0)
             domains = ex.distribute(pos.astype(dtype), mom.astype(dtype))
             assert all(d.positions.dtype == dtype for d in domains)
+            # no rank replicates into itself on a 2x2x2 split at this
+            # depth, so every passive row came from another rank
             sent_pos_bytes[dtype] = sum(
-                p[0].nbytes
-                for i, row in enumerate(ex.comm.sent)
-                for j, p in enumerate(row)
-                if i != j and p is not None
+                d.positions[d.n_active:].nbytes for d in domains
             )
+            # a row: positions, momenta, mass, int64 id, bool flag
+            row = 7 * np.dtype(dtype).itemsize + 9
+            assert ex.comm.stats.bytes % row == 0
+            sent_rows[dtype] = ex.comm.stats.bytes // row
             messages[dtype] = ex.comm.stats.messages
         assert sent_pos_bytes[np.float64] > 0
         assert 2 * sent_pos_bytes[np.float32] == sent_pos_bytes[np.float64]
+        assert sent_rows[np.float32] == sent_rows[np.float64]
+        assert 24 * sent_rows[np.float64] == sent_pos_bytes[np.float64]
         assert messages[np.float32] == messages[np.float64]
 
 
 class TestRefreshCoversDistribute:
     @pytest.mark.parametrize("dims", [(2, 2, 2), (2, 1, 1), (3, 2, 1)])
     def test_same_copies_per_rank(self, rng, dims):
-        """``refresh(distribute(x))`` gives every rank the same multiset
-        of (id, active, position) copies as ``distribute(x)``."""
+        """``refresh(distribute(x))`` gives every rank the same copies as
+        ``distribute(x)``, in the same rows."""
         ex = make_exchange(dims=dims, depth=10.0)
         pos, mom = random_particles(rng)
         first = ex.distribute(pos, mom)
-        second = ex.refresh(first)
-
-        def copies(dom):
-            keys = (
-                dom.positions[:, 2],
-                dom.positions[:, 1],
-                dom.positions[:, 0],
-                dom.active,
-                dom.ids,
-            )
-            o = np.lexsort(keys)
-            return dom.ids[o], dom.active[o], dom.positions[o]
-
-        for a, b in zip(first, second):
-            assert a.rank == b.rank
-            for xa, xb in zip(copies(a), copies(b)):
-                assert np.array_equal(xa, xb)
+        # each rank sends its actives in the order it holds them, so the
+        # receive buffers come back row for row
+        assert_domains_equal(first, ex.refresh(first))
 
 
 def test_decomposed_run_does_not_import_numpy_ma():
