@@ -152,7 +152,8 @@ CC=/bin/false XDG_CACHE_HOME="$FB_DIR/cache" PYTHONPATH=src \
     tests/test_shortrange_kernel_tree.py tests/test_shortrange_batch.py \
     tests/test_shortrange_solvers.py tests/test_grid_cic.py \
     tests/test_grid_filters_poisson.py tests/test_core_timestepper.py \
-    tests/test_cosmology_fields_ics.py tests/test_parallel_overload.py -q
+    tests/test_cosmology_fields_ics.py tests/test_parallel_overload.py \
+    tests/test_shortrange_solve.py -q
 fallback_twin() {  # NAME RUN-FLAGS...: the same run on C and on numpy
     local name=$1
     shift
@@ -177,12 +178,15 @@ fallback_twin decomp-f32 --steps 1 --precision f32 --decomposition 2,1,1 \
 # replica recovery on both builds: it reads each domain's rows as routed
 fallback_twin decomp-death --steps 1 --decomposition 2,1,1 \
     --overload-depth 12 --inject-rank-death 0:1
+# ... and in f32: the recovered domains must stay float32
+fallback_twin decomp-death-f32 --steps 1 --precision f32 \
+    --decomposition 2,1,1 --overload-depth 12 --inject-rank-death 0:1
 PYTHONPATH=src "$PYTHON" - "$FB_DIR" <<'PYEOF'
 import json, pathlib, sys
 from repro.io import load_latest_valid
 root = pathlib.Path(sys.argv[1])
 for twin in ("treepm-f64", "treepm-f32", "pm-f64", "pm-f32", "p3m",
-             "decomp-f64", "decomp-f32", "decomp-death"):
+             "decomp-f64", "decomp-f32", "decomp-death", "decomp-death-f32"):
     state = {}
     for name in ("c", "numpy"):
         run = f"{twin}-{name}"
@@ -196,6 +200,8 @@ for twin in ("treepm-f64", "treepm-f32", "pm-f64", "pm-f32", "p3m",
         a, b = getattr(state["c"], field), getattr(state["numpy"], field)
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), \
             f"{twin}: {field} differ between the C and numpy runs"
+        if twin.endswith("f32"):
+            assert a.dtype == "float32", f"{twin}: {field} are {a.dtype}"
     print(f"fallback lane: {twin} ran on numpy under CC=/bin/false, final "
           f"state bitwise equal to the C run ({state['c'].positions.dtype})")
 PYEOF

@@ -237,6 +237,15 @@ class Registry:
         """
         return _SpanHandle(self, name, rank)
 
+    def record(self, name: str, start: float, end: float) -> None:
+        """A finished span ``name``, ``start`` to ``end`` on this clock,
+        under the thread's open span: phases a compiled call timed."""
+        handle = _SpanHandle(self, name)
+        stack = self._stack()
+        handle.path = stack[-1].path + PATH_SEP + name if stack else name
+        handle.start = start
+        self._record(handle, end)
+
     def count(self, name: str, value: float = 1) -> None:
         """Accumulate ``value`` into counter ``name``."""
         with self._lock:

@@ -96,9 +96,8 @@ def harvest_replicas(
         passive = slice(dom.n_active, None)
         pos = periodic_wrap(dom.positions[passive], box)
         home = decomp.assign(pos)
+        # an empty take still adds a part: it carries the rows' dtypes
         take = np.isin(home, list(dead_ranks))
-        if not take.any():
-            continue
         pos_parts.append(pos[take])
         mom_parts.append(dom.momenta[passive][take])
         mas_parts.append(dom.masses[passive][take])

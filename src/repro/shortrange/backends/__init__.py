@@ -5,7 +5,7 @@ architectural bet: *one* long-range spectral solver shared everywhere,
 plus *swappable, per-architecture short-range kernels* — QPX intrinsics
 on the BG/Q, CUDA on Titan, OpenCL on Roadrunner — all implementing the
 same narrow force-kernel contract.  This package is that seam for the
-reproduction.  A backend supplies nine primitives:
+reproduction.  A backend supplies ten primitives:
 
 ``pair_accumulate``
     The full interaction-batch evaluation — each group's kept sources
@@ -33,17 +33,22 @@ reproduction.  A backend supplies nine primitives:
     The overload exchange: each particle's active copy and shell
     replicas (Sec. II) in one table, each rank's receive buffer a row
     range of it.
+``solve``
+    One whole tree solve: ``rcb_build``, the walk, the cull and the
+    pair loop in turn, the forces back in input order.
 
 Two implementations ride the seam:
 
 * ``numpy`` — the vectorized reference (always available); the batched
-  engine's tiled, workspace-reusing pair evaluation, CIC through
+  engine's tiled, workspace-reusing pair evaluation, ``solve`` as the
+  other primitives in turn, CIC through
   :class:`~repro.grid.cic.ParticleGridCoords` corner tables, the
   stream's fold through ``np.mod``, the route's one stable sort.
 * ``c`` — ``pair_accumulate``, the three CIC passes, ``stream``,
-  ``rcb_build``, ``walk``, ``cull`` and ``route`` as fused, GIL-free C
-  loops (``pair_kernel.c`` with the cull, ``cic_kernel.c``,
-  ``rcb_kernel.c`` with the walk, ``route_kernel.c``; CIC keeps no
+  ``rcb_build``, ``walk``, ``cull``, ``route`` and ``solve`` as fused,
+  GIL-free C loops (``pair_kernel.c`` with the cull, ``cic_kernel.c``,
+  ``rcb_kernel.c`` with the walk and the solve, ``route_kernel.c``;
+  ``solve`` chains the others in one call; CIC keeps no
   tables, only each particle's base cell and fractions; the tree
   reproduces numpy's pairwise sum; the route counts, then writes each
   copy into its rank's rows), built
@@ -59,6 +64,7 @@ cannot run raises :class:`BackendUnavailable` instead.
 
 from __future__ import annotations
 
+import time
 from abc import ABC, abstractmethod
 
 import numpy as np
@@ -96,11 +102,15 @@ class Workspace:
         self._bufs: dict[str, np.ndarray] = {}
 
     def get(self, name: str, size: int, dtype) -> np.ndarray:
+        return self.room(name, size, dtype)[:size]
+
+    def room(self, name: str, size: int, dtype) -> np.ndarray:
+        """The whole buffer behind :meth:`get`, at least ``size`` long."""
         buf = self._bufs.get(name)
         if buf is None or buf.size < size or buf.dtype != np.dtype(dtype):
             buf = np.empty(max(int(size), 1), dtype=dtype)
             self._bufs[name] = buf
-        return buf[:size]
+        return buf
 
     @property
     def nbytes(self) -> int:
@@ -277,6 +287,37 @@ class KernelBackend(ABC):
         rows are ``cuts[2 * n_ranks * dst]:cuts[2 * n_ranks * (dst +
         1)]``, its actives first.
         """
+
+    def solve(self, positions, masses, n_targets: int, leaf_size: int,
+              rcut: float, coeffs, eps, rc2_cells, inv_sp2, mass_scale,
+              workspace: Workspace) -> tuple:
+        """The short-range accelerations of ``positions[:n_targets]``
+        from the whole ``(N, 3)`` cloud with ``(N,)`` ``masses``: an
+        :class:`~repro.shortrange.rcb_tree.RCBTree` of ``leaf_size`` (its
+        input errors too), :func:`~repro.shortrange.batch.pack_tree` at
+        cutoff ``rcut`` and :meth:`pair_accumulate` on the tree's rows, the
+        masses times ``mass_scale``; ``coeffs`` and the scalars are in the
+        kernel dtype.  Returns ``(acc, (streamed, inside), tree depth,
+        kept sources per group, marks)``, ``marks`` the
+        :func:`time.perf_counter` seconds at the start and after the
+        build, the lists and the pairs.  This composition, one call each,
+        is the oracle of a fused form."""
+        from repro.shortrange.batch import pack_tree, stream_batch
+        from repro.shortrange.rcb_tree import RCBTree
+
+        marks = [time.perf_counter()]
+        tree = RCBTree(positions, masses, leaf_size, backend=self)
+        marks.append(time.perf_counter())
+        batch = pack_tree(tree, rcut, n_targets, self)
+        marks.append(time.perf_counter())
+        acc_tree, inside = stream_batch(
+            self, batch, tree.positions, tree.masses, coeffs,
+            (eps, rc2_cells, inv_sp2, mass_scale), workspace)
+        marks.append(time.perf_counter())
+        acc = np.zeros_like(acc_tree)
+        acc[tree.perm] = acc_tree
+        return (acc[:n_targets], (batch.n_pairs, inside), tree.depth(),
+                batch.n_sources, marks)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"<KernelBackend {self.name}>"

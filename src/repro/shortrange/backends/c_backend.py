@@ -16,12 +16,16 @@ sources against its target box before the lanes run; their per-group
 scratch comes from the caller's
 :class:`~repro.shortrange.backends.Workspace`, so concurrent calls on
 their own workspaces share nothing.
-All are compiled into one library per (sources, flags, compiler,
+``solve`` (``rcb_kernel.c``) chains the tree build, the walk, the cull
+and the pair path in one call on scratch from the caller's workspace.
+All are compiled into one library per (sources, flags, ``$CC``,
 machine) with ``$CC``, else ``cc``, else ``gcc``,
 published atomically into a per-user cache and loaded through
 :class:`ctypes.CDLL`, which releases the GIL for the duration of every
-call.  No compiler, a failed build or an unloadable file raise
-:class:`BackendUnavailable` at construction.
+call.  Only a build starts a process: the compiler's ``--version`` line
+is compiled into the library, and read back from it.  No compiler, a
+failed build or an unloadable file raise :class:`BackendUnavailable` at
+construction.
 """
 
 from __future__ import annotations
@@ -33,7 +37,6 @@ import os
 import platform
 import shlex
 import shutil
-import subprocess
 import tempfile
 from pathlib import Path
 
@@ -42,6 +45,7 @@ import numpy as np
 from repro.grid.cic import non_finite_positions
 from repro.shortrange.backends import BackendUnavailable, Workspace
 from repro.shortrange.backends.numpy_backend import NumpyBackend
+from repro.shortrange.batch import cull_radius
 
 __all__ = ["CBackend"]
 
@@ -61,11 +65,14 @@ _I64P = ctypes.POINTER(ctypes.c_int64)
 _I32P = ctypes.POINTER(ctypes.c_int32)
 _U8P = ctypes.POINTER(ctypes.c_uint8)
 _U64P = ctypes.POINTER(ctypes.c_uint64)
+_F32P = ctypes.POINTER(ctypes.c_float)
 _F64P = ctypes.POINTER(ctypes.c_double)
 
 
 def _compiler() -> tuple[list[str], str]:
     """``(argv prefix, first line of --version)`` of the C compiler."""
+    import subprocess
+
     env = os.environ.get("CC")
     for cand in ([env] if env else ["cc", "gcc"]):
         argv = shlex.split(cand)
@@ -110,15 +117,20 @@ def _intact(lib: Path) -> bool:
     return len(blob) > 32 and hashlib.sha256(blob[:-32]).digest() == blob[-32:]
 
 
-def _build(cc: list[str], lib: Path) -> None:
+def _build(lib: Path) -> None:
     """Compile into a unique temp file beside ``lib``, seal it, then
     publish it with one atomic rename — racing builders each install a
     whole file."""
+    import subprocess
+
+    cc, version = _compiler()
+    quoted = version.replace("\\", "\\\\").replace('"', '\\"')
     fd, tmp = tempfile.mkstemp(dir=lib.parent, suffix=".so.tmp")
     os.close(fd)
     try:
         proc = subprocess.run(
-            cc + list(_FLAGS) + ["-o", tmp, *map(str, _SOURCES), "-lm"],
+            cc + list(_FLAGS) + [f'-DREPRO_COMPILER="{quoted}"', "-o", tmp,
+                                 *map(str, _SOURCES), "-lm"],
             capture_output=True, text=True, timeout=300,
         )
         if proc.returncode != 0:
@@ -151,10 +163,11 @@ def _pair_path(dll) -> str:
     return _PAIR_PATHS[dll.pair_simd()]
 
 
-def _load(lib: Path) -> tuple[dict, object, str]:
+def _load(lib: Path) -> tuple[dict, object, str, str]:
     """``({dtype: ({entry point: typed function}, pointer type)},
-    pair_scratch, pair path)``: ``pair_accumulate`` is bound to the path's
-    C function, ``pair_scratch(ns, nt)`` sizes its scratch."""
+    pair_scratch, pair path, compiler)``: ``pair_accumulate`` is bound to
+    the path's C function (``pair_fn`` is its address, for ``solve``),
+    ``pair_scratch(ns, nt)`` sizes its scratch."""
     dll = ctypes.CDLL(str(lib))
     path = _pair_path(dll)
     pair = _PAIR_SYMBOLS[path]
@@ -176,20 +189,28 @@ def _load(lib: Path) -> tuple[dict, object, str]:
             + [rp] * 2 + [_I64P] * 2,
             "walk": [rp, rp, _I64P, _I64P, rp, rp, _I64, _I64P, _I64P, _I64,
                      _I64P],
-            "cull": [_I64P, _I64P, _U8P] + [_I64P] * 3
-            + [_I64, rp, _I64, ctypes.c_float, _U64P, _I64P, _I64P],
+            "cull": [_I64P, _I64P, _U8P] + [_I64P] * 3 + [_I64]
+            + [_F32P] * 3 + [ctypes.c_float, _U64P, _I64P, _I64P],
             "route": [rp] * 3 + [_I64P] * 2 + [_I64, ctypes.c_double, _I64P,
                       ctypes.c_double, _I64P] + [rp] * 3 + [_I64P, _U8P],
+            "solve": [rp, rp] + [_I64] * 3 + [real, ctypes.c_float, rp, _I64]
+            + [real] * 4 + [ctypes.c_void_p, rp, _I64] + [_I64P, _I64] * 2
+            + [rp, _I64P, _F64P],
         }
         table = {}
         for name, argtypes in signatures.items():
             symbol = pair if name == "pair_accumulate" else name
-            fn = getattr(dll, f"{symbol}_{suffix}")
-            fn.restype = None if name in ("stream", "route") else _I64
+            # one cull serves both dtypes: it reads the rows in float
+            fn = getattr(dll, symbol if name == "cull"
+                         else f"{symbol}_{suffix}")
+            fn.restype = None if name in ("stream", "route", "cull") else _I64
             fn.argtypes = argtypes
             table[name] = fn
+        table["pair_fn"] = ctypes.cast(table["pair_accumulate"],
+                                       ctypes.c_void_p)
         fns[dt] = (table, rp)
-    return fns, dll.pair_scratch, path
+    compiler = ctypes.c_char_p.in_dll(dll, "repro_compiler").value.decode()
+    return fns, dll.pair_scratch, path, compiler
 
 
 def _checked(a, dtype, name: str, n: int | None = None) -> np.ndarray:
@@ -234,32 +255,31 @@ def _pointers(lists):
 
 class CBackend(NumpyBackend):
     """``pair_accumulate``, the three CIC passes, ``stream``,
-    ``rcb_build``, ``walk``, ``cull`` and ``route`` in compiled C."""
+    ``rcb_build``, ``walk``, ``cull``, ``route`` and ``solve`` in
+    compiled C."""
 
     name = "c"
 
     def __init__(self) -> None:
-        cc, version = _compiler()
-        #: what the run manifest records about the compiled kernel
-        self.build_info = {
-            "compiler": version,
-            "flags": " ".join(_FLAGS),
-            "source_sha256": hashlib.sha256(b"\0".join(
-                p.name.encode() + b"\0" + p.read_bytes() for p in _SOURCES
-            )).hexdigest(),
-        }
+        flags = " ".join(_FLAGS)
+        sources = hashlib.sha256(b"\0".join(
+            p.name.encode() + b"\0" + p.read_bytes() for p in _SOURCES
+        )).hexdigest()
         key = hashlib.sha256("\0".join(
-            [*self.build_info.values(), platform.machine()]
+            [flags, sources, os.environ.get("CC", ""), platform.machine()]
         ).encode()).hexdigest()
         lib = _cache_dir() / f"{key}.so"
         if not _intact(lib):
-            _build(cc, lib)
+            _build(lib)
         try:
-            self._fns, self._pair_scratch, self.simd = _load(lib)
-        except (OSError, AttributeError) as exc:
+            self._fns, self._pair_scratch, self.simd, compiler = _load(lib)
+        except (OSError, AttributeError, ValueError) as exc:
             raise BackendUnavailable(
                 f"kernel backend 'c': cannot load {lib}: {exc}"
             )
+        #: what the run manifest records about the compiled kernel
+        self.build_info = {"compiler": compiler, "flags": flags,
+                           "source_sha256": sources}
 
     def pair_accumulate(self, target_starts, target_counts, real,
                         source_starts, source_counts, range_offsets, keep,
@@ -292,7 +312,7 @@ class CBackend(NumpyBackend):
         nt, ns = int(lists[1].max()), int(ncand.max())
         ws = Workspace() if workspace is None else workspace
         scratch = ws.get("pair.scratch", self._pair_scratch(ns, nt), dt)
-        order = ws.get("pair.order", 3 * nt, np.int64)
+        order = ws.get("pair.order", 2 * nt, np.int64)
         return int(fns["pair_accumulate"](
             *_pointers(lists), bits.ctypes.data_as(_U64P), lists[0].size,
             *(a.ctypes.data_as(rp) for a in soa),
@@ -301,6 +321,44 @@ class CBackend(NumpyBackend):
             acc.ctypes.data_as(rp), scratch.ctypes.data_as(rp),
             order.ctypes.data_as(_I64P),
         ))
+
+    def solve(self, positions, masses, n_targets, leaf_size, rcut, coeffs,
+              eps, rc2_cells, inv_sp2, mass_scale, workspace):
+        args = (positions, masses, n_targets, leaf_size, rcut, coeffs, eps,
+                rc2_cells, inv_sp2, mass_scale, workspace)
+        pos, dt = np.ascontiguousarray(positions), coeffs.dtype
+        n = len(pos) if pos.ndim else 0
+        if (pos.dtype != dt or pos.shape != (n, 3) or np.shape(masses) != (n,)
+                or leaf_size < 1):
+            return super().solve(*args)  # RCBTree's errors, or mixed dtypes
+        (fns, rp), co = self._fns[dt], np.ascontiguousarray(coeffs)
+        out = np.empty((min(n_targets, n), 3), dt)
+        info, marks = np.empty(4, np.int64), np.empty(4)
+        head = (pos.ctypes.data_as(rp),
+                _checked(masses, dt, "masses", n).ctypes.data_as(rp), n,
+                n_targets, leaf_size, float(dt.type(rcut)),
+                float(np.float32(cull_radius(rcut, pos) ** 2)),
+                co.ctypes.data_as(rp), co.size, float(eps), float(rc2_cells),
+                float(inv_sp2), float(mass_scale), fns["pair_fn"])
+        need = [0, 0, 0]
+        while True:  # again only when the workspace lacks room
+            room = [workspace.room(f"solve.{k}", v, t) for k, v, t in
+                    zip("til", need, (dt, np.int64, np.int64))]
+            inside = fns["solve"](
+                *head, *(x for a in room for x in (a.ctypes.data_as(
+                    rp if a.dtype == dt else _I64P), a.size)),
+                out.ctypes.data_as(rp), info.ctypes.data_as(_I64P),
+                marks.ctypes.data_as(_F64P))
+            if inside != -1:
+                break
+            need = [v + v // 8 for v in info[:3].tolist()]  # and to grow
+        if inside == -3:  # RCBTree names the position or mass it refuses
+            return super().solve(*args)
+        if inside < 0:
+            raise MemoryError("solve: cannot allocate scratch")
+        streamed, depth, groups, at = info.tolist()
+        return (out, (streamed, inside), depth,
+                room[1][at:at + groups].copy(), marks.tolist())
 
     def walk(self, tree, qlo, qhi):
         dt = tree.node_lo.dtype
@@ -332,20 +390,20 @@ class CBackend(NumpyBackend):
 
     def cull(self, target_starts, target_counts, real, source_starts,
              source_counts, range_offsets, positions, radius):
-        pos, fns, rp = self._particle_rows(positions, "positions")
+        pos, fns, _ = self._particle_rows(positions, "positions")
         lists, ncand = _group_lists(target_starts, target_counts, real,
                                     source_starts, source_counts,
                                     range_offsets, pos.shape[0])
         keep = np.zeros(-(-int(ncand.sum()) // 64), dtype=np.uint64)
         n_targets, n_sources = (np.empty(lists[0].size, dtype=np.int64)
                                 for _ in "ts")
-        if fns["cull"](
-            *_pointers(lists), lists[0].size, pos.ctypes.data_as(rp),
-            pos.shape[0], float(np.float32(radius**2)),
-            keep.ctypes.data_as(_U64P), n_targets.ctypes.data_as(_I64P),
-            n_sources.ctypes.data_as(_I64P),
-        ):
-            raise MemoryError("cull: cannot allocate scratch")
+        rows = np.ascontiguousarray(pos.T, dtype=np.float32)
+        fns["cull"](
+            *_pointers(lists), lists[0].size,
+            *(r.ctypes.data_as(_F32P) for r in rows),
+            float(np.float32(radius**2)), keep.ctypes.data_as(_U64P),
+            n_targets.ctypes.data_as(_I64P), n_sources.ctypes.data_as(_I64P),
+        )
         return keep, n_targets, n_sources
 
     def rcb_build(self, x, y, z, m, leaf_size):

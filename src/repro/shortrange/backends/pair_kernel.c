@@ -35,8 +35,8 @@
  * sum reads only its own coordinates, the sources and their list order,
  * and the targets of a group are distinct rows of acc.  So the lane
  * bodies first order each group's targets by recursive bisection (a
- * stable sort on the longest side of their box, split into halves of
- * whole W-target batches) to make every batch spatially compact.
+ * quickselect on the longest side of their box splits them into halves
+ * of whole W-target batches) to make every batch spatially compact.
  *
  * Each batch then culls its group's sources against the box of its W
  * targets, in the kernel's own operation order and precision:
@@ -54,12 +54,10 @@
  * Scratch is the caller's: no static buffers, so concurrent calls on
  * separate scratch are safe.  For the most candidates ns and rows nt of
  * any group, `scratch` holds pair_scratch(ns, nt) values of T and
- * `order` 3 nt int64.
+ * `order` 2 nt int64.
  */
 #include <math.h>
 #include <stdint.h>
-#include <stdlib.h>
-#include <string.h>
 
 /* slack after each packed or culled source array: vector loads and
  * full-width stores may run up to one zmm of T past the live entries */
@@ -81,9 +79,9 @@ int64_t pair_scratch(int64_t ns, int64_t nt)
  * float32 box of its group's real targets, the clamp of the candidate
  * into the box minus the candidate summed (dx*dx + dy*dy) + dz*dz, is
  * <= r2.  ntg / nkept count each group's real targets and set bits.
- * Bitwise NumpyBackend.cull: the coordinates are cast to float once,
- * into an SOA copy; each step is rounded in float.  -2: no memory.
- * cull_block gives the bits of n candidates from row j of that copy. */
+ * Bitwise NumpyBackend.cull: x, y, z are the rows' coordinates cast to
+ * float, and each step is rounded in float.  cull_block gives the bits
+ * of n candidates from row j. */
 static inline float gap(float v, float lo, float hi)
 {
     const float c = v < lo ? lo : v; /* maxss, then minss: no branch */
@@ -105,47 +103,34 @@ static inline uint64_t cull_block(const float *const *p, int64_t j,
     return m;
 }
 
-#define CULL(NAME, P)                                                       \
-int64_t NAME(const int64_t *ts, const int64_t *tc,                          \
-             const unsigned char *real, const int64_t *start,               \
-             const int64_t *count, const int64_t *roff, int64_t ngroups,    \
-             const P *pos, int64_t npos, float r2, uint64_t *keep,          \
-             int64_t *ntg, int64_t *nkept)                                  \
-{                                                                           \
-    float *const f = malloc((size_t)(3 * npos + 1) * sizeof *f);            \
-    const float *const p[3] = {f, f + npos, f + 2 * npos};                  \
-    if (!f)                                                                 \
-        return -2;                                                          \
-    for (int64_t i = 0; i < 3 * npos; i++)                                  \
-        f[i % 3 * npos + i / 3] = (float)pos[i];                            \
-    for (int64_t g = 0, b = 0; g < ngroups; g++) {                          \
-        float lo[3], hi[3];                                                 \
-        int64_t nt = 0, nk = 0;                                             \
-        for (int64_t i = ts[g]; i < ts[g] + tc[g]; nt += real[i++])         \
-            for (int k = 0; real[i] && k < 3; k++) {                        \
-                lo[k] = nt == 0 || p[k][i] < lo[k] ? p[k][i] : lo[k];       \
-                hi[k] = nt == 0 || p[k][i] > hi[k] ? p[k][i] : hi[k];       \
-            }                                                               \
-        for (int64_t r = roff[g]; r < roff[g + 1]; b += count[r++])         \
-            for (int64_t j = 0; nt && j < count[r]; j += 64) {              \
-                const int64_t n = count[r] - j < 64 ? count[r] - j : 64;    \
-                const int64_t c = b + j, s = c & 63;                        \
-                const uint64_t m =                                          \
-                    cull_block(p, start[r] + j, n, lo, hi, r2);             \
-                keep[c >> 6] |= m << s;                                     \
-                if (s + n > 64)                                             \
-                    keep[(c >> 6) + 1] |= m >> (64 - s);                    \
-                nk += __builtin_popcountll(m);                              \
-            }                                                               \
-        ntg[g] = nt;                                                        \
-        nkept[g] = nk;                                                      \
-    }                                                                       \
-    free(f);                                                                \
-    return 0;                                                               \
+void cull(const int64_t *ts, const int64_t *tc, const unsigned char *real,
+          const int64_t *start, const int64_t *count, const int64_t *roff,
+          int64_t ngroups, const float *x, const float *y, const float *z,
+          float r2, uint64_t *keep, int64_t *ntg, int64_t *nkept)
+{
+    const float *const p[3] = {x, y, z};
+    for (int64_t g = 0, b = 0; g < ngroups; g++) {
+        float lo[3], hi[3];
+        int64_t nt = 0, nk = 0;
+        for (int64_t i = ts[g]; i < ts[g] + tc[g]; nt += real[i++])
+            for (int k = 0; real[i] && k < 3; k++) {
+                lo[k] = nt == 0 || p[k][i] < lo[k] ? p[k][i] : lo[k];
+                hi[k] = nt == 0 || p[k][i] > hi[k] ? p[k][i] : hi[k];
+            }
+        for (int64_t r = roff[g]; r < roff[g + 1]; b += count[r++])
+            for (int64_t j = 0; nt && j < count[r]; j += 64) {
+                const int64_t n = count[r] - j < 64 ? count[r] - j : 64;
+                const int64_t c = b + j, s = c & 63;
+                const uint64_t m = cull_block(p, start[r] + j, n, lo, hi, r2);
+                keep[c >> 6] |= m << s;
+                if (s + n > 64)
+                    keep[(c >> 6) + 1] |= m >> (64 - s);
+                nk += __builtin_popcountll(m);
+            }
+        ntg[g] = nt;
+        nkept[g] = nk;
+    }
 }
-
-CULL(cull_f64, double)
-CULL(cull_f32, float)
 
 /* Group g's list, from bit *b of keep on (*b moves past its
  * candidates): its real target rows to rows[] (returns how many) and,
@@ -266,57 +251,53 @@ PAIR_ACCUMULATE(pair_accumulate_f32, float, sqrtf, ps)
 #if defined(__x86_64__)
 #include <immintrin.h>
 
-/* Target bisection: order[0..n) (local target numbers) is reordered so
- * that each run of w is a spatially compact batch.  sort_* is a stable
- * merge sort of a[0..n) by key[a[i]] through tmp[0..n). */
+/* Target bisection: ord[0..n) (local target numbers) is reordered so
+ * that each run of w is a spatially compact batch.  select_* is a
+ * quickselect (Hoare partitions): key[a[i]] <= key[a[k]] <= key[a[j]] for
+ * every i < k < j, in time linear in n; a NaN stops both scans, so every
+ * scan stays inside [lo, hi]. */
 #define PAIR_BISECT(S, T)                                                   \
-static void sort_##S(int64_t *a, int64_t *tmp, int64_t n, const T *key)     \
+static void select_##S(int64_t *a, int64_t n, int64_t k, const T *key)      \
 {                                                                           \
-    if (n <= 16) {                                                          \
-        for (int64_t i = 1; i < n; i++) {                                   \
-            const int64_t v = a[i];                                         \
-            const T kv = key[v];                                            \
-            int64_t j = i;                                                  \
-            for (; j > 0 && key[a[j - 1]] > kv; j--)                        \
-                a[j] = a[j - 1];                                            \
-            a[j] = v;                                                       \
+    for (int64_t lo = 0, hi = n - 1; lo < hi;) {                            \
+        const T p = key[a[k]];                                              \
+        int64_t i = lo, j = hi;                                             \
+        while (i <= j) {                                                    \
+            while (key[a[i]] < p)                                           \
+                i++;                                                        \
+            while (p < key[a[j]])                                           \
+                j--;                                                        \
+            if (i <= j) {                                                   \
+                const int64_t t = a[i];                                     \
+                a[i++] = a[j];                                              \
+                a[j--] = t;                                                 \
+            }                                                               \
         }                                                                   \
-        return;                                                             \
+        lo = j < k ? i : lo;                                                \
+        hi = k < i ? j : hi;                                                \
     }                                                                       \
-    const int64_t h = n / 2;                                                \
-    sort_##S(a, tmp, h, key);                                               \
-    sort_##S(a + h, tmp, n - h, key);                                       \
-    int64_t i = 0, j = h, k = 0;                                            \
-    while (i < h && j < n)                                                  \
-        tmp[k++] = key[a[j]] < key[a[i]] ? a[j++] : a[i++];                 \
-    while (i < h)                                                           \
-        tmp[k++] = a[i++];                                                  \
-    memcpy(a, tmp, (size_t)k * sizeof *a);                                  \
 }                                                                           \
                                                                             \
-static void bisect_##S(int64_t *ord, int64_t *tmp, int64_t n, const T *x,   \
-                       const T *y, const T *z, int64_t w)                   \
+static void bisect_##S(int64_t *ord, int64_t n, const T *x, const T *y,     \
+                       const T *z, int64_t w)                               \
 {                                                                           \
     const T *axis[3] = {x, y, z};                                           \
     while (n > w) {                                                         \
-        int best = 0;                                                       \
-        T span = -1;                                                        \
-        for (int d = 0; d < 3; d++) {                                       \
-            T lo = axis[d][ord[0]], hi = lo;                                \
-            for (int64_t i = 1; i < n; i++) {                               \
+        T lo[3] = {x[ord[0]], y[ord[0]], z[ord[0]]};                        \
+        T hi[3] = {lo[0], lo[1], lo[2]};                                    \
+        for (int64_t i = 1; i < n; i++) /* one pass: the three spans */     \
+            for (int d = 0; d < 3; d++) {                                   \
                 const T v = axis[d][ord[i]];                                \
-                lo = v < lo ? v : lo;                                       \
-                hi = v > hi ? v : hi;                                       \
+                lo[d] = v < lo[d] ? v : lo[d];                              \
+                hi[d] = v > hi[d] ? v : hi[d];                              \
             }                                                               \
-            if (hi - lo > span) {                                           \
-                span = hi - lo;                                             \
-                best = d;                                                   \
-            }                                                               \
-        }                                                                   \
-        sort_##S(ord, tmp, n, axis[best]);                                  \
+        int best = 0;                                                       \
+        for (int d = 1; d < 3; d++)                                         \
+            best = hi[d] - lo[d] > hi[best] - lo[best] ? d : best;          \
         /* the first ceil(batches / 2) whole batches, then the rest */      \
         const int64_t h = (n + 2 * w - 1) / (2 * w) * w;                    \
-        bisect_##S(ord, tmp, h, x, y, z, w);                                \
+        select_##S(ord, n, h, axis[best]);                                  \
+        bisect_##S(ord, h, x, y, z, w);                                     \
         ord += h;                                                           \
         n -= h;                                                             \
     }                                                                       \
@@ -653,7 +634,7 @@ ATTR int64_t NAME(PAIR_ARGS(T))                                             \
             lz[l] = pz[rows[l]];                                            \
             ord[l] = l;                                                     \
         }                                                                   \
-        bisect_##SORT(ord, ord + nt, nt, lx, ly, lz, W);                    \
+        bisect_##SORT(ord, nt, lx, ly, lz, W);                    \
         for (int64_t b = 0; b < nt; b += W) {                               \
             const int nl = nt - b < W ? (int)(nt - b) : W;                  \
             T tx[W], ty[W], tz[W], lo[3], hi[3];                            \

@@ -38,10 +38,24 @@
  * It writes hoff[0..nq] and the first `cap` hits and returns how many
  * there are (the caller retries with room for them all); `stack` holds
  * as many entries as there are nodes.
+ *
+ * The solve: the first ntgt rows' forces by the calls TreePMShortRange
+ * made one at a time, in order, on their inputs (so bitwise theirs): the
+ * SOA copy (-3: a position or mass RCBTree refuses), rcb_build, the
+ * leaves holding a target in row order (the walk of an unbounded box),
+ * the walk of their boxes padded by rcut, cull (on the rows in float),
+ * `pair` (the caller's path) on masses times mscale, then out[perm[i]] =
+ * acc[i] for perm[i] < ntgt.  All scratch is the caller's tw, iw and lw
+ * (tn, in, ln values); short of room it returns -1 and the room needed
+ * in info[0..2].  Else it returns the in-cutoff pairs, info[0..3] the
+ * streamed pairs, the depth, the groups and where in iw their kept-source
+ * counts start, and clock[0..3] the phases' bounds (CLOCK_MONOTONIC s).
  */
+#include <math.h>
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
+#include <time.h>
 
 #define RCB_BUILD(SUF, T)                                                   \
 /* numpy's pairwise sums of a[i] * w[i] and of w[i], in one pass */      \
@@ -282,3 +296,137 @@ RCB_BUILD(f64, double)
 RCB_BUILD(f32, float)
 WALK(f64, double)
 WALK(f32, float)
+
+/* the compiler that built this library: its --version line */
+const char *const repro_compiler = REPRO_COMPILER;
+
+void cull(const int64_t *, const int64_t *, const unsigned char *,
+          const int64_t *, const int64_t *, const int64_t *, int64_t,
+          const float *, const float *, const float *, float, uint64_t *,
+          int64_t *, int64_t *);
+
+static double now(void)
+{
+    struct timespec t;
+    clock_gettime(CLOCK_MONOTONIC, &t);
+    return (double)t.tv_sec + 1e-9 * (double)t.tv_nsec;
+}
+
+#define SOLVE(SUF, T)                                                       \
+typedef int64_t (*pair_##SUF)(const int64_t *, const int64_t *,             \
+    const unsigned char *, const int64_t *, const int64_t *,                \
+    const int64_t *, const uint64_t *, int64_t, const T *, const T *,       \
+    const T *, const T *, const T *, int64_t, T, T, T, T *, T *, int64_t *);\
+int64_t pair_scratch(int64_t ns, int64_t nt);                               \
+int64_t solve_##SUF(const T *pos, const T *mass, int64_t n, int64_t ntgt,   \
+                    int64_t leaf, T rcut, float r2, const T *coeffs,        \
+                    int64_t ncoef, T eps, T rc2, T inv_sp2, T mscale,       \
+                    pair_##SUF pair, T *tw, int64_t tn, int64_t *iw,        \
+                    int64_t in, int64_t *lw, int64_t ln, T *out,            \
+                    int64_t *info, double *clock)                           \
+{                                                                           \
+    /* node room: what tw and iw hold past their per-row arrays */          \
+    const int64_t fixed = n + 2 * leaf + n / 8 + 1, least = 8 * (n / leaf) + 8;\
+    int64_t cap = (tn - 7 * n) / 12, nn = 0, depth = 0, nq = 0, bad = 0;    \
+    int64_t nh = 0, ncand = 0, maxc = 0;                                    \
+    cap = (in - fixed) / 10 < cap ? (in - fixed) / 10 : cap;                \
+    info[2] = ln < 4 * n + 8192 ? 4 * n + 8192 : ln; /* a first guess */     \
+    if (cap < least || ln < info[2]) {                                      \
+        cap = cap < least ? least : cap;                                    \
+        goto room;                                                          \
+    }                                                                       \
+    T *x = tw, *y = x + n, *z = y + n, *m = z + n, *acc = m + n;            \
+    T *lo = acc + 3 * n, *hi = lo + 3 * cap;                                \
+    T *qlo = hi + 3 * cap, *qhi = qlo + 3 * cap;                            \
+    int64_t *perm = iw, *order = perm + n, *start = order + 2 * leaf;       \
+    int64_t *count = start + cap, *left = count + cap, *right = left + cap; \
+    int64_t *stack = right + cap, *leaves = stack + cap, *roff = leaves + cap;\
+    int64_t *ts = roff + cap, *tc = ts + cap, *nkept = tc + cap;            \
+    unsigned char *real = (unsigned char *)(nkept + cap);                   \
+    clock[0] = now();                                                       \
+    for (int64_t i = 0; i < n; i++) {                                       \
+        x[i] = pos[3 * i], y[i] = pos[3 * i + 1], z[i] = pos[3 * i + 2];    \
+        m[i] = mass[i];                                                     \
+        bad += !(isfinite(x[i]) && isfinite(y[i]) && isfinite(z[i])         \
+                 && m[i] > 0 && m[i] < (T)INFINITY);                        \
+    }                                                                       \
+    if (bad)                                                                \
+        return -3;                                                          \
+    if (n && (nn = rcb_build_##SUF(x, y, z, m, perm, n, leaf, cap, start,   \
+                                   count, lo, hi, left, right)) < 0) {      \
+        cap *= 2;                                                           \
+        if (nn == -2)                                                       \
+            return -2;                                                      \
+        goto room;                                                          \
+    }                                                                       \
+    for (int64_t k = 0; k < nn; k++) { /* children follow their parent */  \
+        const int64_t d = k ? stack[k] : 0;                                 \
+        depth = d > depth ? d : depth;                                      \
+        if (left[k] >= 0)                                                   \
+            stack[left[k]] = stack[right[k]] = d + 1;                       \
+    }                                                                       \
+    clock[1] = now();                                                       \
+    for (int a = 0; a < 3; a++) /* a box every leaf meets */                \
+        qlo[a] = -(qhi[a] = (T)INFINITY);                                   \
+    const int64_t nleaf = nn ? walk_##SUF(lo, hi, left, right, qlo, qhi, 1, \
+                                          roff, leaves, cap, stack) : 0;    \
+    float *const f = (float *)acc; /* the rows in float, for the cull */   \
+    for (int64_t i = 0; i < n; i++) {                                       \
+        real[i] = perm[i] < ntgt;                                           \
+        f[i] = (float)x[i], f[n + i] = (float)y[i], f[2 * n + i] = (float)z[i];\
+        m[i] = m[i] * mscale;                                               \
+    }                                                                       \
+    for (int64_t k = 0; k < nleaf; k++) {                                   \
+        const int64_t l = leaves[k];                                        \
+        unsigned char any = 0;                                              \
+        for (int64_t i = start[l]; i < start[l] + count[l]; i++)            \
+            any |= real[i];                                                 \
+        for (int a = 0; any && a < 3; a++) {                                \
+            qlo[3 * nq + a] = lo[3 * l + a] - rcut;                         \
+            qhi[3 * nq + a] = hi[3 * l + a] + rcut;                         \
+        }                                                                   \
+        ts[nq] = start[l], tc[nq] = count[l];                               \
+        nq += any;                                                          \
+    }                                                                       \
+    nh = walk_##SUF(lo, hi, left, right, qlo, qhi, nq, roff, lw, ln, stack);\
+    for (int64_t k = 0; k < nq && 3 * nh <= ln; k++) {                      \
+        int64_t c = 0;                                                      \
+        for (int64_t h = roff[k]; h < roff[k + 1]; h++) {                   \
+            lw[nh + h] = start[lw[h]];                                      \
+            c += lw[2 * nh + h] = count[lw[h]];                             \
+        }                                                                   \
+        ncand += c;                                                         \
+        maxc = c > maxc ? c : maxc;                                         \
+    }                                                                       \
+    /* lw: hits, their rows, the keep mask, then the pair path's scratch */ \
+    const int64_t kw = (3 * nh > ln ? nh * leaf : ncand) / 64 + 1;          \
+    info[2] = 3 * nh + kw + (pair_scratch(3 * nh > ln ? n : maxc, leaf)     \
+                             * (int64_t)sizeof(T) + 7) / 8;                 \
+    if (info[2] > ln)                                                       \
+        goto room;                                                          \
+    uint64_t *keep = (uint64_t *)(lw + 3 * nh);                             \
+    memset(keep, 0, (size_t)kw * sizeof *keep);                             \
+    cull(ts, tc, real, lw + nh, lw + 2 * nh, roff, nq, f, f + n, f + 2 * n, \
+         r2, keep, leaves, nkept);                                          \
+    int64_t streamed = 0; /* leaves now hold each group's target count */  \
+    for (int64_t k = 0; k < nq; k++)                                        \
+        streamed += leaves[k] * nkept[k];                                   \
+    clock[2] = now();                                                       \
+    memset(acc, 0, (size_t)(3 * n) * sizeof *acc);                          \
+    const int64_t inside = streamed ? pair(ts, tc, real, lw + nh,           \
+        lw + 2 * nh, roff, keep, nq, x, y, z, m, coeffs, ncoef, eps, rc2,   \
+        inv_sp2, acc, (T *)(keep + kw), order) : 0;                         \
+    clock[3] = now();                                                       \
+    for (int64_t i = 0; i < n; i++)                                         \
+        for (int a = 0; perm[i] < ntgt && a < 3; a++)                       \
+            out[3 * perm[i] + a] = acc[3 * i + a];                          \
+    info[0] = streamed, info[1] = depth, info[2] = nq, info[3] = nkept - iw;\
+    return inside;                                                          \
+room:                                                                       \
+    info[0] = 7 * n + 12 * cap;                                             \
+    info[1] = fixed + 10 * cap;                                             \
+    return -1;                                                              \
+}
+
+SOLVE(f64, double)
+SOLVE(f32, float)

@@ -78,6 +78,7 @@ __all__ = [
     "InteractionBatch",
     "BatchedPairEngine",
     "pack_tree",
+    "stream_batch",
     "tighten_ranges",
 ]
 
@@ -290,10 +291,13 @@ class BatchedPairEngine:
             else resolve_backend(backend)
         )
         self.workspace = Workspace()
+        dt = kernel.dtype
         #: polynomial coefficients in the kernel precision, cast once
-        self._coeffs = np.asarray(
-            kernel.fit.coefficients, dtype=kernel.dtype
-        )
+        self._coeffs = np.asarray(kernel.fit.coefficients, dtype=dt)
+        #: ``(eps, rc2_cells, inv_sp2, mass_scale)`` in the kernel precision
+        self.scalars = tuple(dt(v) for v in (
+            kernel.eps_cells, kernel.fit.rcut_cells**2,
+            1.0 / kernel.spacing**2, 1.0 / kernel.spacing**3))
         #: ``(streamed, inside)`` pairs of the most recent :meth:`evaluate`
         self.last_pairs: tuple[int, int] = (0, 0)
 
@@ -322,50 +326,47 @@ class BatchedPairEngine:
         row of some group's target range are 0.
         """
         pos = np.asarray(positions)
-        n = pos.shape[0]
         if pos.ndim != 2 or pos.shape[1] != 3:
             raise ValueError(f"positions must be (N, 3), got {pos.shape}")
-        kern = self.kernel
-        dt = kern.dtype
-        acc = np.zeros((n, 3), dtype=dt)
         total_pairs = batch.n_pairs
         self.last_pairs = (total_pairs, 0)
-        if n == 0 or total_pairs == 0:
-            return acc
-        ws = self.workspace
-        reg = get_registry()
-
-        # SOA coordinate / scaled-mass copies in the kernel precision —
-        # one cast for the whole batch instead of one per leaf
-        px = ws.get("px", n, dt)
-        py = ws.get("py", n, dt)
-        pz = ws.get("pz", n, dt)
-        px[:] = pos[:, 0]
-        py[:] = pos[:, 1]
-        pz[:] = pos[:, 2]
-        msc = ws.get("m", n, dt)
-        msc[:] = masses
-        msc *= dt(1.0 / kern.spacing**3)
-        inv_sp2 = dt(1.0 / kern.spacing**2)
-        rc2_cells = dt(kern.fit.rcut_cells**2)
-
-        with reg.span("pp.batch"):
-            inside_pairs = self.backend.pair_accumulate(
-                batch.target_starts,
-                batch.target_counts,
-                batch.real,
-                batch.source_starts,
-                batch.source_counts,
-                batch.range_offsets,
-                batch.keep,
-                px, py, pz, msc,
-                self._coeffs,
-                dt(kern.eps_cells),
-                rc2_cells,
-                inv_sp2,
-                acc,
-                ws,
+        if pos.shape[0] == 0 or total_pairs == 0:
+            return np.zeros((pos.shape[0], 3), dtype=self.kernel.dtype)
+        with get_registry().span("pp.batch"):
+            acc, inside_pairs = stream_batch(
+                self.backend, batch, pos, masses, self._coeffs, self.scalars,
+                self.workspace,
             )
         self.last_pairs = (total_pairs, inside_pairs)
-        charge_pairs(total_pairs, inside_pairs, np.dtype(dt).itemsize)
+        charge_pairs(total_pairs, inside_pairs,
+                     np.dtype(self.kernel.dtype).itemsize)
         return acc
+
+
+def stream_batch(backend, batch: InteractionBatch, positions, masses,
+                 coeffs: np.ndarray, scalars: tuple, workspace: Workspace):
+    """``(acc, inside)``: ``batch`` on ``backend`` over the rows of the
+    ``(N, 3)`` ``positions`` and ``(N,)`` ``masses``, ``acc`` ``(N, 3)``
+    in the kernel precision (``coeffs``' dtype), ``scalars`` a
+    :class:`BatchedPairEngine`'s."""
+    dt = coeffs.dtype.type
+    n = len(positions)
+    acc = np.zeros((n, 3), dtype=dt)
+    if n == 0 or batch.n_pairs == 0:
+        return acc, 0
+    ws = workspace
+    # SOA coordinate / scaled-mass copies in the kernel precision — one
+    # cast for the whole batch instead of one per leaf
+    px, py, pz, msc = (ws.get(name, n, dt) for name in ("px", "py", "pz",
+                                                         "m"))
+    px[:] = positions[:, 0]
+    py[:] = positions[:, 1]
+    pz[:] = positions[:, 2]
+    msc[:] = masses
+    msc *= scalars[3]
+    inside = backend.pair_accumulate(
+        batch.target_starts, batch.target_counts, batch.real,
+        batch.source_starts, batch.source_counts, batch.range_offsets,
+        batch.keep, px, py, pz, msc, coeffs, *scalars[:3], acc, ws,
+    )
+    return acc, inside

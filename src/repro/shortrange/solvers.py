@@ -30,11 +30,9 @@ from repro.instrument.perfcount import charge_pairs
 from repro.shortrange.batch import (
     BatchedPairEngine,
     InteractionBatch,
-    pack_tree,
     tighten_ranges,
 )
 from repro.shortrange.kernel import ShortRangeKernel
-from repro.shortrange.rcb_tree import RCBTree
 
 __all__ = [
     "periodic_ghosts",
@@ -187,8 +185,11 @@ class TreePMShortRange(ShortRangeSolver):
 
     Every leaf's list is packed into one
     :class:`~repro.shortrange.batch.InteractionBatch` and streamed
-    through the :class:`~repro.shortrange.batch.BatchedPairEngine`
-    — the paper's list-then-stream structure.
+    through the pair loop — the paper's list-then-stream structure — in
+    one :meth:`~repro.shortrange.backends.KernelBackend.solve` call of
+    the engine's backend (on C, one GIL-free call), which returns the
+    phase boundaries recorded as the ``tree.build``, ``tree.walk`` and
+    ``pp.batch`` spans.
 
     Parameters
     ----------
@@ -218,21 +219,25 @@ class TreePMShortRange(ShortRangeSolver):
         self.last_tree_depth: int = 0
 
     def accelerations_cloud(self, positions, masses, n_targets):
-        reg = get_registry()
-        with reg.span("tree.build"):
-            tree = RCBTree(positions, masses, self.leaf_size,
-                           backend=self.engine.backend)
-        self.last_tree_depth = tree.depth()
-        reg.count("tree.build_particles", positions.shape[0])
-        with reg.span("tree.walk"):
-            batch = pack_tree(tree, self.kernel.rcut, n_targets,
-                              self.engine.backend)
-        reg.count("tree.list_length", int(batch.n_sources.sum()))
-        self.last_list_sizes = batch.n_sources
-        acc_tree = self.engine.evaluate(batch, tree.positions, tree.masses)
-        acc = np.zeros((positions.shape[0], 3), dtype=acc_tree.dtype)
-        acc[tree.perm] = acc_tree
-        return acc[:n_targets]
+        reg, eng = get_registry(), self.engine
+        begin = reg.clock() if reg.enabled else 0.0
+        acc, pairs, self.last_tree_depth, sizes, marks = eng.backend.solve(
+            positions, masses, n_targets, self.leaf_size, self.kernel.rcut,
+            eng._coeffs, *eng.scalars, eng.workspace,
+        )
+        if reg.enabled:  # the solve's phases, on the registry's clock
+            end = reg.clock()
+            at = [min(max(t - marks[-1] + end, begin), end) for t in marks]
+            for name, a, b in zip(("tree.build", "tree.walk", "pp.batch")[
+                    :2 + bool(pairs[0])], at, at[1:]):
+                reg.record(name, a, b)
+        reg.count("tree.build_particles", len(positions))
+        reg.count("tree.list_length", int(sizes.sum()))
+        self.last_list_sizes = sizes
+        eng.last_pairs = pairs
+        if pairs[0]:
+            charge_pairs(*pairs, np.dtype(self.kernel.dtype).itemsize)
+        return acc
 
 
 class P3MShortRange(ShortRangeSolver):

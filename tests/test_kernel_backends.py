@@ -860,6 +860,29 @@ class TestCBuildCache:
         assert [p.suffix for p in libs] == [".so"]
 
 
+@needs_c
+def test_a_warm_load_starts_no_process(cold_cache):
+    """Only a build asks the compiler for its version: a load from a warm
+    cache imports no ``subprocess`` and reads the compiler line the
+    build compiled into the library."""
+    code = ("import sys\nfrom repro.shortrange.backends import get_backend\n"
+            "info = get_backend('c').build_info\n"
+            "print('subprocess' in sys.modules)\nprint(info['compiler'])")
+    env = {**os.environ, "PYTHONPATH": os.path.abspath(SRC),
+           "XDG_CACHE_HOME": str(cold_cache)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout.splitlines()
+    env_cc = os.environ.get("CC")
+    for cc in ([env_cc] if env_cc else ["cc", "gcc"]):
+        try:  # the compiler the build found first
+            version = subprocess.run(cc.split() + ["--version"], check=True,
+                                     capture_output=True, text=True).stdout
+            break
+        except (OSError, subprocess.CalledProcessError):
+            continue
+    assert out == ["False", version.splitlines()[0].strip()]
+
+
 # ----------------------------------------------------------------------
 # The gate's kernel rows: absolute ns-per-streamed-pair ceilings
 # ----------------------------------------------------------------------

@@ -204,6 +204,25 @@ class TestRecovery:
         dist = np.minimum(x - lo, hi - x)
         assert np.all(dist > DEPTH)
 
+    def test_recovered_domains_keep_float32(self):
+        """No survivor holds a replica of the dead rank: the empty
+        harvest still carries the particles' dtypes, so no recovered
+        domain turns float64."""
+        ex = OverloadExchange(DomainDecomposition(BOX, (2, 1, 1)), 1.0)
+        pos, mom, mas, ids = self._cloud(n=200)
+        home1 = pos[:, 0] >= BOX / 2
+        # rank 1's particles lie deeper than the depth: no replicas
+        pos[home1, 0] = np.random.default_rng(2).uniform(
+            BOX / 2 + 2, BOX - 2, home1.sum())
+        domains = ex.distribute(pos.astype(np.float32),
+                                mom.astype(np.float32),
+                                mas.astype(np.float32), ids)
+        new_domains, report = recover_ranks(ex, domains, {1})
+        assert report.n_recovered == 0 and report.n_lost == home1.sum()
+        for dom in new_domains:
+            for name in ("positions", "momenta", "masses"):
+                assert getattr(dom, name).dtype == np.float32, name
+
     def test_empty_death_set_is_identity(self):
         ex = self._exchange()
         pos, mom, mas, ids = self._cloud(n=50)
