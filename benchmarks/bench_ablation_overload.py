@@ -16,7 +16,7 @@ from repro.parallel.decomposition import DomainDecomposition
 from repro.parallel.overload import OverloadExchange
 from repro.shortrange.grid_force import default_grid_force_fit
 from repro.shortrange.kernel import ShortRangeKernel
-from repro.shortrange.solvers import TreePMShortRange
+from repro.shortrange.solvers import TreePMShortRange, periodic_ghosts
 
 from conftest import print_table
 
@@ -76,7 +76,9 @@ class TestOverloadAblation:
         fit = default_grid_force_fit()
         kernel = ShortRangeKernel(fit, spacing=box / 16)  # rcut = 12
         solver = TreePMShortRange(kernel, leaf_size=32)
-        reference = solver.accelerations(pos, masses, box_size=box)
+        reference = solver.accelerations_cloud(
+            *periodic_ghosts(pos, masses, box, kernel.rcut), len(pos)
+        )
         decomp = DomainDecomposition(box, (2, 1, 1))
 
         def worst_error(depth):

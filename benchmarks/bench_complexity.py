@@ -17,7 +17,11 @@ import pytest
 from repro.grid.poisson import SpectralPoissonSolver
 from repro.shortrange.grid_force import default_grid_force_fit
 from repro.shortrange.kernel import ShortRangeKernel
-from repro.shortrange.solvers import DirectShortRange, TreePMShortRange
+from repro.shortrange.solvers import (
+    DirectShortRange,
+    TreePMShortRange,
+    periodic_ghosts,
+)
 
 from conftest import print_table
 
@@ -76,8 +80,8 @@ class TestComplexity:
                 pos = rng.uniform(0, box, (npart, 3))
                 m = np.ones(npart)
                 out[npart] = _time(
-                    lambda s=solver, p=pos, mm=m, b=box: s.accelerations(
-                        p, mm, box_size=b
+                    lambda s=solver, p=pos, mm=m, b=box: s.accelerations_cloud(
+                        *periodic_ghosts(p, mm, b, s.kernel.rcut), len(p)
                     ),
                     repeats=2,
                 )

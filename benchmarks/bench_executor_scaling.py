@@ -80,11 +80,11 @@ def _make_sim(
 def _time_phase(sim: HACCSimulation, reps: int = REPS, reduce=None) -> float:
     """Wall-clock of the overloaded short-range phase (mean by default)."""
     pos = sim.particles.positions
-    sim._short_range_overloaded(pos)  # warm pools, workspaces, trees
+    sim._short_range(pos)  # warm pools, workspaces, trees
     samples = []
     for _ in range(reps):
         t0 = time.perf_counter()
-        sim._short_range_overloaded(pos)
+        sim._short_range(pos)
         samples.append(time.perf_counter() - t0)
     if reduce is min:
         return min(samples)

@@ -15,12 +15,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro.instrument.registry import Registry, use
 from repro.instrument.report import write_bench_record
 from repro.machine.kernel_model import FIG5_CONFIGS, ForceKernelModel
 from repro.shortrange.backends import available_backends, get_backend
 from repro.shortrange.grid_force import default_grid_force_fit
 from repro.shortrange.kernel import ShortRangeKernel
-from repro.shortrange.solvers import TreePMShortRange
+from repro.shortrange.solvers import TreePMShortRange, periodic_ghosts
 
 from conftest import print_table
 
@@ -118,10 +119,12 @@ class TestKernelBackendSweep:
     """Backend x precision sweep of the short-range force — the record
     behind ``check_regression.py``'s kernel rows.
 
-    Times the same end-to-end TreePM evaluation (tree + lists + kernel)
+    Times the same end-to-end TreePM solve (tree + lists + kernel) of
+    one periodic cloud (``periodic_ghosts``, the 1x1x1 overload route)
     through every available kernel backend at both precisions, and
-    inside it the time spent in ``pair_accumulate`` alone, asserts the
-    seam's correctness contract (identical pair counts everywhere; the C
+    inside it the pair loop alone (the solve's ``pp.batch`` span),
+    asserts the seam's correctness contract (identical pair counts
+    everywhere; the C
     backend bitwise equal to numpy at each precision; f32 within 1e-4 of
     f64), and leaves a repo-root ``BENCH_kernels.json`` with the
     backends that ran and, per configuration, seconds and ns per
@@ -135,7 +138,7 @@ class TestKernelBackendSweep:
     BOX = 32.0
     REPS = 3
 
-    def test_backend_precision_sweep(self, benchmark, rng, monkeypatch):
+    def test_backend_precision_sweep(self, benchmark, rng):
         fit = default_grid_force_fit()
         backends = list(available_backends())
         pos = rng.uniform(0, self.BOX, (self.N, 3))
@@ -145,16 +148,6 @@ class TestKernelBackendSweep:
             entries = []
             for backend in backends:
                 be = get_backend(backend)
-                inside = []  # seconds of each pair_accumulate call
-
-                def timed(*args, _call=be.pair_accumulate):
-                    t0 = time.perf_counter()
-                    try:
-                        return _call(*args)
-                    finally:
-                        inside.append(time.perf_counter() - t0)
-
-                monkeypatch.setattr(be, "pair_accumulate", timed)
                 for precision, dtype in (
                     ("f64", np.float64), ("f32", np.float32)
                 ):
@@ -164,17 +157,25 @@ class TestKernelBackendSweep:
                     solver = TreePMShortRange(
                         kernel, leaf_size=128, kernel_backend=backend
                     )
+                    cloud, cloud_m = periodic_ghosts(
+                        pos.astype(dtype), masses.astype(dtype), self.BOX,
+                        kernel.rcut,
+                    )
                     # warm-up: numpy grows its workspace buffers
-                    solver.accelerations(pos, masses, box_size=self.BOX)
+                    solver.accelerations_cloud(cloud, cloud_m, self.N)
                     best = best_kernel = np.inf
                     for _ in range(self.REPS):
-                        inside.clear()
-                        t0 = time.perf_counter()
-                        acc = solver.accelerations(
-                            pos, masses, box_size=self.BOX
-                        )
-                        best = min(best, time.perf_counter() - t0)
-                        best_kernel = min(best_kernel, sum(inside))
+                        reg = Registry()
+                        with use(reg):
+                            t0 = time.perf_counter()
+                            acc = solver.accelerations_cloud(
+                                cloud, cloud_m, self.N
+                            )
+                            best = min(best, time.perf_counter() - t0)
+                        best_kernel = min(best_kernel, sum(
+                            e.duration for e in reg.events
+                            if e.name == "pp.batch"
+                        ))
                     pairs, inside_pairs = solver.last_pairs
                     entries.append(
                         {

@@ -30,8 +30,8 @@ PYTHONPATH=src "$PYTHON" -m repro run --steps 2 --n-per-dim 12 --workers 2 \
     --summary
 
 echo "== 3/11 executor triplet (run, serial@1 vs serial@2 vs thread@2, bitwise, same counts) + f32 pair =="
-# 24^3 with the default overload depth (rcut + one cell = 10.7 Mpc/h):
-# rcut = 8 <= depth < 16 = half the domain width, the only valid order
+# 24^3 with the default overload depth, rcut = 8 Mpc/h, under half the
+# 32 Mpc/h domain width
 CI_OBS_DIR="$(mktemp -d)"
 trap 'rm -rf "$CI_OBS_DIR"' EXIT
 for lane in serial:1 serial:2 thread:2; do
@@ -153,7 +153,7 @@ CC=/bin/false XDG_CACHE_HOME="$FB_DIR/cache" PYTHONPATH=src \
     tests/test_shortrange_solvers.py tests/test_grid_cic.py \
     tests/test_grid_filters_poisson.py tests/test_core_timestepper.py \
     tests/test_cosmology_fields_ics.py tests/test_parallel_overload.py \
-    tests/test_shortrange_solve.py -q
+    tests/test_shortrange_solve.py tests/test_decomposition_rung.py -q
 fallback_twin() {  # NAME RUN-FLAGS...: the same run on C and on numpy
     local name=$1
     shift
@@ -169,18 +169,19 @@ fallback_twin pm-f64 --steps 3 --backend pm
 fallback_twin pm-f32 --steps 3 --backend pm --precision f32
 # P3M's list build is the same cull primitive on whole-cell ranges
 fallback_twin p3m --steps 1 --backend p3m
-# per-domain trees on both builds; at 16^3 the default overload depth
-# (rcut + one cell = 16) is not below half a domain, so it is rcut = 12
-fallback_twin decomp-f64 --steps 1 --decomposition 2,1,1 --overload-depth 12
+# per-domain trees on both builds, at the default overload depth rcut = 12
+fallback_twin decomp-f64 --steps 1 --decomposition 2,1,1
 # the overload route on both builds in f32: one float64 cell per particle
-fallback_twin decomp-f32 --steps 1 --precision f32 --decomposition 2,1,1 \
-    --overload-depth 12
+fallback_twin decomp-f32 --steps 1 --precision f32 --decomposition 2,1,1
 # replica recovery on both builds: it reads each domain's rows as routed
 fallback_twin decomp-death --steps 1 --decomposition 2,1,1 \
-    --overload-depth 12 --inject-rank-death 0:1
+    --inject-rank-death 0:1
 # ... and in f32: the recovered domains must stay float32
 fallback_twin decomp-death-f32 --steps 1 --precision f32 \
-    --decomposition 2,1,1 --overload-depth 12 --inject-rank-death 0:1
+    --decomposition 2,1,1 --inject-rank-death 0:1
+# an undecomposed run is the one-domain decomposition: the same bits
+PYTHONPATH=src "$PYTHON" -m repro -q run --n-per-dim 16 --steps 1 \
+    --decomposition 1,1,1 --outdir "$FB_DIR/one-domain-c"
 PYTHONPATH=src "$PYTHON" - "$FB_DIR" <<'PYEOF'
 import json, pathlib, sys
 from repro.io import load_latest_valid
@@ -204,6 +205,12 @@ for twin in ("treepm-f64", "treepm-f32", "pm-f64", "pm-f32", "p3m",
             assert a.dtype == "float32", f"{twin}: {field} are {a.dtype}"
     print(f"fallback lane: {twin} ran on numpy under CC=/bin/false, final "
           f"state bitwise equal to the C run ({state['c'].positions.dtype})")
+plain, one = (load_latest_valid(root / run)[1].particles
+              for run in ("treepm-f64-c", "one-domain-c"))
+for field in ("positions", "momenta"):
+    assert getattr(plain, field).tobytes() == getattr(one, field).tobytes(), \
+        f"one-domain: {field} differ from the undecomposed C run"
+print("fallback lane: --decomposition 1,1,1 is bitwise the undecomposed run")
 PYEOF
 
 echo "== 9/11 live measured roofline =="

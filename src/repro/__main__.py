@@ -179,7 +179,7 @@ def _manifest_extra(sim) -> dict:
     if backend.build_info:
         extra["kernel_build"] = dict(backend.build_info)
         extra["kernel_simd"] = backend.simd
-    if sim.exchange is not None:
+    if sim.decomposition_dims is not None:
         extra["decomposition"] = list(sim.exchange.decomposition.dims)
         extra["overload_depth"] = sim.exchange.depth
     return extra
@@ -383,7 +383,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
     def construct(build):
         """A shape the config or driver rejects (overload depth below
-        the cutoff or without a decomposition, zero steps, a fault the
+        the cutoff or of half a domain, zero steps, a fault the
         run cannot have) is a one-line exit before the first step; any
         other error keeps its traceback."""
         try:
@@ -980,7 +980,7 @@ def build_parser() -> argparse.ArgumentParser:
                           "overloaded rank domains (e.g. 2,1,1)")
     run.add_argument("--overload-depth", type=float, metavar="D",
                      help="overload shell depth in Mpc/h (default: "
-                          "rcut + one grid cell)")
+                          "rcut)")
     run.add_argument("--no-recovery", action="store_true",
                      help="do not rebuild dead ranks from overload "
                           "replicas; a rank death becomes a CRIT "

@@ -84,7 +84,8 @@ class SimulationConfig:
         Worker count for the rank executor (the node-level concurrency
         of the paper's hybrid MPI+OpenMP model; see
         :mod:`repro.parallel.executor`).  It decides only where the
-        per-domain short-range solves of a decomposed run execute: every
+        per-domain short-range solves execute (an undecomposed run has
+        one domain): every
         ``(executor, workers)`` pair gives the bits of serial at
         ``workers=1``.
     executor:

@@ -3,10 +3,10 @@
 Wires together everything below it: Zel'dovich/2LPT initial conditions,
 the spectrally filtered PM Poisson solver (long/medium range), a
 rank-local short-range backend (RCB TreePM, P3M, direct, or none), and
-the sub-cycled SKS symplectic stepper.  Optionally the short-range force
-is evaluated over *overloaded domains* (the paper's multi-rank
-configuration) instead of single-rank periodic ghosts — the two paths
-agree to machine precision, which is an integration test.
+the sub-cycled SKS symplectic stepper.  The short-range force is always
+evaluated over *overloaded domains* (the paper's multi-rank
+configuration); an undecomposed run is the one-domain (1, 1, 1) case,
+whose replicas are the box's periodic images.
 
 Force normalization
 -------------------
@@ -44,7 +44,7 @@ from repro.shortrange.backends import resolve_backend
 from repro.shortrange.kernel import ShortRangeKernel
 from repro.shortrange.solvers import build_solver
 
-if TYPE_CHECKING:  # imported where a decomposed run builds them
+if TYPE_CHECKING:  # imported where a run with a short range builds one
     from repro.parallel.overload import OverloadExchange
 
 __all__ = ["HACCSimulation"]
@@ -100,23 +100,26 @@ class HACCSimulation:
         Optional pre-built particle state; by default Zel'dovich/2LPT
         initial conditions are generated from ``config``.
     decomposition_dims:
-        If given (e.g. ``(2, 2, 2)``), the short-range force is evaluated
-        per overloaded rank domain — the paper's parallel structure; every
-        short-range evaluation re-``distribute``s the particles over the
-        domains (the driver never calls ``OverloadExchange.refresh``).
+        Rank domains of the short-range solve (e.g. ``(2, 2, 2)``), the
+        paper's parallel structure.  ``None`` is one domain,
+        ``(1, 1, 1)``: every short-range evaluation (treepm, p3m,
+        direct) re-``distribute``s the particles over the domains and
+        solves each one (the driver never calls
+        ``OverloadExchange.refresh``), so an undecomposed run differs
+        from a decomposed one only in the domain count.
     overload_depth:
-        Overload shell depth in Mpc/h; defaults to the short-range cutoff
-        plus one grid cell of drift margin.  With a short-range backend
-        a depth below the cutoff is a :class:`~repro.config.ConfigError`:
-        ghosts inside the cutoff would be missing.  A depth without
-        ``decomposition_dims`` is one too: an undecomposed run has no
-        overload shell to size.
+        Overload shell depth in Mpc/h, decomposed or not; defaults to
+        the short-range cutoff (the driver redistributes at every
+        evaluation, so nothing drifts between refreshes).  With a
+        short-range backend a depth below the cutoff is a
+        :class:`~repro.config.ConfigError`: sources inside the cutoff
+        would be missing; so is a depth of half a domain width or more.
     faults:
         The run's :class:`repro.resilience.faults.FaultPlan` (default:
         the inert :class:`~repro.resilience.faults.NullFaultPlan`).  A
-        fault the run can never have — a rank death on an undecomposed
-        run, a rank it does not have or a step past its last, a
-        slow-down of a section it never visits — is a
+        fault the run can never have — a rank death on a run without
+        ``decomposition_dims``, a rank it does not have or a step past
+        its last, a slow-down of a section it never visits — is a
         :class:`~repro.config.ConfigError`.
     recover_on_rank_death:
         When an injected rank death hits a decomposed run, reconstruct
@@ -144,12 +147,6 @@ class HACCSimulation:
         faults: FaultPlan | NullFaultPlan = NullFaultPlan(),
         recover_on_rank_death: bool = True,
     ) -> None:
-        if overload_depth is not None and decomposition_dims is None:
-            raise ConfigError(
-                f"overload depth {overload_depth:g} Mpc/h given without "
-                f"a decomposition: an undecomposed run has no overload "
-                f"shell"
-            )
         self.config = config
         self.cosmology = config.cosmology
         self.prefactor = 1.5 * self.cosmology.omega_m
@@ -218,20 +215,22 @@ class HACCSimulation:
         self.executor = RankExecutor.from_config(config)
         self._thread_solver = threading.local()
 
+        #: the user's rank domains; ``None`` runs on one, (1, 1, 1)
+        self.decomposition_dims = decomposition_dims
         self.exchange: OverloadExchange | None = None
         self.recover_on_rank_death = bool(recover_on_rank_death)
         self.recovery_reports: list = []
         self._fault_events: list = []
-        if decomposition_dims is not None:
+        # a PM-only run has a shell only if given domains or a depth
+        if (self.short_solver is not None or decomposition_dims is not None
+                or overload_depth is not None):
             from repro.parallel.decomposition import DomainDecomposition
             from repro.parallel.overload import OverloadExchange
 
-            decomp = DomainDecomposition(config.box_size, decomposition_dims)
-            depth = (
-                overload_depth
-                if overload_depth is not None
-                else config.rcut() + config.spacing()
+            decomp = DomainDecomposition(
+                config.box_size, decomposition_dims or (1, 1, 1)
             )
+            depth = config.rcut() if overload_depth is None else overload_depth
             if self.short_solver is not None and depth < config.rcut():
                 raise ConfigError(
                     f"overload depth {depth:g} Mpc/h is below the "
@@ -279,27 +278,13 @@ class HACCSimulation:
         return acc
 
     def _short_range(self, positions: np.ndarray) -> np.ndarray:
-        self.faults.sleep("shortrange")
-        with get_registry().span("shortrange"):
-            scale = self.prefactor * self.pair_norm
-            if self.exchange is None:
-                acc = scale * self.short_solver.accelerations(
-                    positions,
-                    self.particles.masses,
-                    box_size=self.config.box_size,
-                )
-                self._interactions += self.short_solver.last_pairs[0]
-            else:
-                acc = scale * self._short_range_overloaded(positions)
-        return acc
-
-    def _short_range_overloaded(self, positions: np.ndarray) -> np.ndarray:
         """Per-domain rank-local short-range force via overloading.
 
         Active particles of each domain are the targets; the domain's
         passive replicas supply the boundary sources, so no ghosts and no
         communication are needed during the force evaluation itself —
-        exactly the decoupling the paper's overloading buys.
+        exactly the decoupling the paper's overloading buys.  An
+        undecomposed run takes this same path over its one domain.
 
         Every per-domain solve goes through the rank executor, whatever
         its backend and worker count, so a failing domain is always a
@@ -314,28 +299,33 @@ class HACCSimulation:
         ``positions`` as their ids, so the scatter needs no id lookup
         and holds for any particle ids.
         """
-        domains = self.exchange.distribute(
-            positions, self.particles.momenta, self.particles.masses
-        )
-        if self.faults.enabled:
-            domains = self._handle_rank_death(domains)
-        # the driver's own thread solves with the driver's solver
-        self._thread_solver.solver = self.short_solver
-        results = self.executor.map(
-            lambda dom: _solve_domain(self._local_solver(), self.faults, dom),
-            domains,
-            ranks=[dom.rank for dom in domains],
-            label="shortrange.domain",
-        )
-        tel = self.telemetry
-        acc = np.zeros_like(positions)
-        for dom, (local, (pairs, _), depth) in zip(domains, results):
-            self._interactions += pairs
-            if tel is not None:
-                _charge_domain_gauges(tel, dom, pairs, depth)
-            if dom.n_total == 0:
-                continue
-            acc[dom.ids[:dom.n_active]] = local
+        self.faults.sleep("shortrange")
+        with get_registry().span("shortrange"):
+            domains = self.exchange.distribute(
+                positions, self.particles.momenta, self.particles.masses
+            )
+            if self.faults.enabled:
+                domains = self._handle_rank_death(domains)
+            # the driver's own thread solves with the driver's solver
+            self._thread_solver.solver = self.short_solver
+            results = self.executor.map(
+                lambda dom: _solve_domain(
+                    self._local_solver(), self.faults, dom
+                ),
+                domains,
+                ranks=[dom.rank for dom in domains],
+                label="shortrange.domain",
+            )
+            tel = self.telemetry
+            acc = np.zeros_like(positions)
+            for dom, (local, (pairs, _), depth) in zip(domains, results):
+                self._interactions += pairs
+                if tel is not None:
+                    _charge_domain_gauges(tel, dom, pairs, depth)
+                if dom.n_total == 0:
+                    continue
+                acc[dom.ids[:dom.n_active]] = local
+            acc *= self.prefactor * self.pair_norm
         return acc
 
     def _build_solver(self):
@@ -375,9 +365,9 @@ class HACCSimulation:
         sections: set[str] = set()
         n_ranks = 0
         if self.short_solver is not None:
-            sections.add("shortrange")
-            if self.exchange is not None:
-                sections.add("shortrange.domain")
+            sections |= {"shortrange", "shortrange.domain"}
+            # a rank death needs domains the user asked for
+            if self.decomposition_dims is not None:
                 n_ranks = self.exchange.decomposition.n_ranks
         self.faults.check_run(
             self.config.n_steps, n_ranks, frozenset(sections)
@@ -493,7 +483,7 @@ class HACCSimulation:
         """
         step_index = self._step_index - 1
         tel = self.telemetry
-        if tel is not None and self.exchange is not None:
+        if tel is not None and self.decomposition_dims is not None:
             sent = self.exchange.comm.stats.rank_send_bytes()
             prev = self._comm_bytes_prev
             delta = sent if prev is None else sent - prev

@@ -11,8 +11,10 @@ are structurally identical to their MPI versions, and the recorded traffic
 feeds the BG/Q network model in :mod:`repro.machine`.
 
 This ``__init__`` resolves its exports lazily
-(:func:`repro._lazy.lazy_exports`): an undecomposed run imports only the
-executor, never the communicator, decomposition or overload exchange.
+(:func:`repro._lazy.lazy_exports`): a PM-only run imports only the
+executor; a run with a short range also imports the overload exchange
+(its communicator and decomposition), undecomposed or not, but never
+the torus topology.
 """
 
 from repro._lazy import lazy_exports

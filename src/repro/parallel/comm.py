@@ -63,7 +63,8 @@ class CommStats:
         by default) as ``comm.messages`` / ``comm.bytes`` totals plus a
         per-tag ``comm.bytes[<tag>]`` breakdown, so profiled runs report
         message volume — notably the FFT transpose volume — alongside
-        the section timers.
+        the section timers; a record of no messages leaves the registry
+        alone.
         """
         n_bytes = 0
         for src, dst, size in pairs:
@@ -75,7 +76,7 @@ class CommStats:
         entry[0] += len(pairs)
         entry[1] += n_bytes
         reg = get_registry()
-        if reg.enabled:
+        if reg.enabled and pairs:
             reg.count("comm.messages", len(pairs))
             reg.count("comm.bytes", n_bytes)
             reg.count(f"comm.bytes[{tag}]", n_bytes)

@@ -122,8 +122,10 @@ class OverloadExchange:
     decomposition:
         Block geometry of the ranks.
     depth:
-        Overload shell depth (Mpc/h); must exceed the short-range force
-        cutoff plus the distance particles can drift between refreshes.
+        Overload shell depth (Mpc/h); must reach the short-range force
+        cutoff.  Once ``refresh`` runs on the driver path, it must also
+        cover the distance particles drift between refreshes; while the
+        driver redistributes at every evaluation, nothing drifts.
     comm:
         Shared communicator; all particle traffic is recorded under the
         tags ``"overload.distribute"`` / ``"overload.refresh"``.

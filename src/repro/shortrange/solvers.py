@@ -7,12 +7,12 @@ paper's cross-validation strategy ("the availability of multiple
 algorithms within the HACC framework allows us to carry out careful error
 analyses").
 
-Backends operate on a *particle cloud without periodicity*: in the
-multi-rank configuration the cloud is an overloaded domain whose passive
-replicas provide the boundary sources; in single-rank (whole box) mode
-:func:`periodic_ghosts` appends shifted images of particles near the box
-faces.  In both cases only the first ``n_targets`` particles receive
-forces.
+Backends operate on a *particle cloud without periodicity*: an
+overloaded domain whose passive replicas provide the boundary sources
+(:class:`repro.parallel.overload.OverloadExchange`; an undecomposed run
+is its one (1, 1, 1) domain, whose replicas are the periodic images of
+the particles near the box faces).  Only the first ``n_targets``
+particles receive forces.
 
 Every solver charges its pair work once, on the thread that did it, and
 keeps the last call's ``(streamed, inside)`` counts as ``last_pairs``.
@@ -20,7 +20,6 @@ keeps the last call's ``(streamed, inside)`` counts as ``last_pairs``.
 
 from __future__ import annotations
 
-import functools
 from abc import ABC, abstractmethod
 
 import numpy as np
@@ -51,39 +50,23 @@ def periodic_ghosts(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Append periodic image particles within ``rcut`` of the box faces.
 
-    Returns the augmented ``(positions, masses)``; the originals occupy
-    the first N rows.  This plays the role particle overloading plays
-    across rank boundaries, for the single-rank whole-box configuration.
+    Returns the augmented ``(positions, masses)`` of the 1x1x1 overload
+    exchange's one domain at depth ``rcut``: the originals, wrapped into
+    the box and in the caller's precision, occupy the first N rows, then
+    the images in the route's replica-offset order.
     """
-    if box_size <= 0:
-        raise ValueError(f"box_size must be positive: {box_size}")
+    from repro.parallel.decomposition import DomainDecomposition
+    from repro.parallel.overload import OverloadExchange
+
     if not 0 < rcut < box_size / 2:
         raise ValueError(
             f"rcut must lie in (0, box/2): rcut={rcut}, box={box_size}"
         )
-    # preserve the caller's precision: an f32 run keeps f32 ghosts
-    dt = np.asarray(positions).dtype
-    if dt not in (np.float32, np.float64):
-        dt = np.dtype(np.float64)
-    pos = np.mod(np.asarray(positions, dtype=dt), dt.type(box_size))
-    m = np.asarray(masses, dtype=dt)
-    # shift -1 needs pos near the high face, +1 near the low face; each
-    # offset's rows are the AND of its one to three face masks, offset
-    # by offset (``ox, oy, oz`` order) and ascending within one, so a
-    # corner image is emitted exactly once
-    faces = [(pos[:, a] >= box_size - rcut, None, pos[:, a] < rcut)
-             for a in range(3)]
-    shift = dt.type(box_size)
-    pos_parts, m_parts = [pos], [m]
-    for off in np.ndindex(3, 3, 3):
-        masks = [faces[a][o] for a, o in enumerate(off) if o != 1]
-        if not masks:
-            continue
-        rows = np.flatnonzero(functools.reduce(np.logical_and, masks))
-        # the shift in the positions' dtype: +-box is exact in float32
-        pos_parts.append(pos[rows] + (np.array(off, dtype=dt) - 1) * shift)
-        m_parts.append(m[rows])
-    return np.concatenate(pos_parts, axis=0), np.concatenate(m_parts)
+    pos = np.asarray(positions)
+    (dom,) = OverloadExchange(
+        DomainDecomposition(box_size, (1, 1, 1)), rcut
+    ).distribute(pos, np.zeros(pos.shape), masses)
+    return dom.positions, dom.masses
 
 
 def build_solver(
@@ -136,9 +119,8 @@ class ShortRangeSolver(ABC):
         self,
         positions: np.ndarray,
         masses: np.ndarray | None = None,
-        box_size: float | None = None,
     ) -> np.ndarray:
-        """Short-range accelerations, periodic if ``box_size`` is given.
+        """Short-range accelerations of an open cloud (no periodicity).
 
         Unit normalization: returns
         ``-sum_j m_j f_SR(s_ij) (x_i - x_j)``; the driver scales by
@@ -152,13 +134,7 @@ class ShortRangeSolver(ABC):
             if masses is None
             else np.asarray(masses, dtype=dt)
         )
-        if box_size is not None:
-            cloud_pos, cloud_m = periodic_ghosts(
-                pos, m, box_size, self.kernel.rcut
-            )
-        else:
-            cloud_pos, cloud_m = pos, m
-        return self.accelerations_cloud(cloud_pos, cloud_m, n)
+        return self.accelerations_cloud(pos, m, n)
 
 
 class DirectShortRange(ShortRangeSolver):

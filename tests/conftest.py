@@ -70,6 +70,26 @@ def listed_batch():
     return _listed_batch
 
 
+def _periodic_accelerations(solver, positions, masses, box_size):
+    """``solver``'s accelerations on ``positions`` in a periodic box: the
+    particles in the kernel's precision (unit masses for ``None``), their
+    images from ``periodic_ghosts`` (the 1x1x1 overload route at depth
+    rcut), one ``accelerations_cloud`` call over the originals."""
+    from repro.shortrange.solvers import periodic_ghosts
+
+    dt = np.dtype(solver.kernel.dtype)
+    pos = np.asarray(positions, dtype=dt)
+    m = np.ones(len(pos), dt) if masses is None else np.asarray(masses, dt)
+    cloud, cloud_m = periodic_ghosts(pos, m, box_size, solver.kernel.rcut)
+    return solver.accelerations_cloud(cloud, cloud_m, len(pos))
+
+
+@pytest.fixture(scope="session")
+def periodic_accelerations():
+    """:func:`_periodic_accelerations`: a solve over a periodic box."""
+    return _periodic_accelerations
+
+
 @pytest.fixture()
 def rng():
     """Fresh deterministic generator per test."""

@@ -107,8 +107,14 @@ class TestMain:
         """A plain undecomposed PM or treepm run imports only what it
         calls: no analysis package or profile renderer (no
         ``--summary`` / ``--profile``), no telemetry, health or ledger,
-        no distributed FFT or decomposed-run modules, no
-        ``numpy.polynomial``."""
+        no distributed FFT or torus topology, no ``numpy.polynomial``;
+        a PM run builds no overload exchange either (it solves no short
+        range), while a treepm run routes its one domain through it."""
+        exchange = [
+            "repro.parallel.overload",
+            "repro.parallel.decomposition",
+            "repro.parallel.comm",
+        ]
         absent = [
             "repro.analysis",
             "repro.instrument.report",
@@ -117,17 +123,17 @@ class TestMain:
             "repro.instrument.health",
             "repro.instrument.telemetry",
             "repro.fft",
-            "repro.parallel.overload",
-            "repro.parallel.decomposition",
             "repro.parallel.topology",
-            "repro.parallel.comm",
             "numpy.polynomial",
         ]
         code = "import sys\nfrom repro.__main__ import main\n" + "".join(
             "assert main(['-q', 'run', '--steps', '1', '--n-per-dim', "
             f"'8', '--backend', '{backend}']) == 0\n"
-            for backend in ("pm", "treepm")
-        ) + f"print([m for m in {absent!r} if m in sys.modules])"
+            f"print([m for m in {names!r} if m in sys.modules])\n"
+            for backend, names in (
+                ("pm", absent + exchange), ("treepm", absent)
+            )
+        )
         result = subprocess.run(
             [sys.executable, "-c", code],
             capture_output=True,
@@ -135,7 +141,7 @@ class TestMain:
             timeout=120,
         )
         assert result.returncode == 0, result.stderr
-        assert result.stdout.strip() == "[]"
+        assert result.stdout.split() == ["[]", "[]"]
 
     def test_import_loads_no_scipy(self):
         """``import repro`` and the CLI module load no scipy module."""
@@ -206,14 +212,14 @@ class TestRunCommand:
         assert not out.exists()
 
     def test_overload_depth_past_half_a_domain_rejected(self, tmp_path):
-        """At 16^3 the default depth (rcut plus one cell, 16 Mpc/h) is
-        half of a 32 Mpc/h domain: one ``run:`` line naming the depth
-        and the width, exit 1, no traceback, nothing written."""
+        """At 16^3 a depth of rcut plus one cell, 16 Mpc/h, is half of a
+        32 Mpc/h domain: one ``run:`` line naming the depth and the
+        width, exit 1, no traceback, nothing written."""
         out = tmp_path / "deep"
         result = subprocess.run(
             [sys.executable, "-m", "repro", "run", "--n-per-dim", "16",
              "--steps", "1", "--decomposition", "2,1,1",
-             "--outdir", str(out)],
+             "--overload-depth", "16", "--outdir", str(out)],
             capture_output=True, text=True, timeout=120,
         )
         assert result.returncode == 1
@@ -222,16 +228,17 @@ class TestRunCommand:
         assert "16" in lines[0] and "32" in lines[0]
         assert not out.exists()
 
-    def test_overload_depth_without_decomposition_rejected(
+    def test_overload_depth_without_decomposition_sizes_one_domain(
         self, tmp_path
     ):
-        """An undecomposed run has no overload shell: the depth flag is
-        a one-line exit, not silently dropped."""
+        """An undecomposed run is one overloaded domain: the depth flag
+        sizes its shell, so a depth below the cutoff is the same
+        one-line exit as on a decomposition, not silently dropped."""
         out = tmp_path / "undecomposed"
         with pytest.raises(SystemExit) as exc:
             main(self._base(out) + ["--overload-depth", "0.1"])
         message = str(exc.value.code)
-        assert message.startswith("run: ") and "decomposition" in message
+        assert message.startswith("run: ") and "rcut" in message
         assert "\n" not in message
         assert not out.exists()
 

@@ -140,12 +140,18 @@ class TestOverloadedShortRange:
         a2 = multi._short_range(pos)
         assert np.allclose(a1, a2, atol=1e-10)
 
-    def test_overload_depth_without_decomposition_rejected(self):
-        """An undecomposed run has no overload shell to size: the depth
-        is a ConfigError, not silently dropped."""
+    def test_overload_depth_without_decomposition_sizes_one_domain(self):
+        """An undecomposed run is one (1, 1, 1) domain at depth rcut: a
+        depth sizes its shell, and one below the cutoff is rejected as
+        on any decomposition."""
         cfg = small_config(backend="treepm", n_per_dim=16)
-        with pytest.raises(ConfigError, match="without a decomposition"):
-            HACCSimulation(cfg, overload_depth=cfg.rcut() + 0.5)
+        with HACCSimulation(cfg) as sim:
+            assert sim.exchange.decomposition.dims == (1, 1, 1)
+            assert sim.exchange.depth == cfg.rcut()
+        with HACCSimulation(cfg, overload_depth=cfg.rcut() + 0.5) as sim:
+            assert sim.exchange.depth == cfg.rcut() + 0.5
+        with pytest.raises(ConfigError, match="rcut"):
+            HACCSimulation(cfg, overload_depth=cfg.rcut() - 0.5)
 
     def test_overload_refresh_traffic_recorded(self):
         cfg = small_config(backend="treepm", n_per_dim=16)
@@ -166,3 +172,56 @@ class TestOverloadedShortRange:
         )
         sim.run()
         assert sim.a == pytest.approx(1 / 11)
+
+
+def _have_c() -> bool:
+    from repro.shortrange.backends import BackendUnavailable, get_backend
+
+    try:
+        get_backend("c")
+    except BackendUnavailable:
+        return False
+    return True
+
+
+class TestOneShortRangePath:
+    """An undecomposed run is the (1, 1, 1) decomposition, bit for bit:
+    both distribute over one domain at depth rcut and solve it on the
+    executor."""
+
+    @pytest.mark.parametrize("kernel_backend", [
+        pytest.param("c", marks=pytest.mark.skipif(
+            not _have_c(), reason="C backend unavailable")),
+        "numpy",
+    ])
+    @pytest.mark.parametrize("dtype", ["f64", "f32"])
+    @pytest.mark.parametrize("backend", ["treepm", "p3m"])
+    def test_undecomposed_equals_one_domain(
+        self, backend, dtype, kernel_backend
+    ):
+        cfg = small_config(backend=backend, n_per_dim=16, n_steps=1,
+                           dtype=dtype, kernel_backend=kernel_backend)
+        with HACCSimulation(cfg) as plain, HACCSimulation(
+            cfg, decomposition_dims=(1, 1, 1)
+        ) as one:
+            plain.run()
+            one.run()
+            for name in ("positions", "momenta"):
+                assert np.array_equal(getattr(plain.particles, name),
+                                      getattr(one.particles, name)), name
+            assert plain.interaction_count() == one.interaction_count() > 0
+
+    def test_rank_death_without_user_domains_rejected(self):
+        """The one domain of an undecomposed run is not a rank the user
+        asked for: a rank death on it is a ConfigError before any step,
+        as it was before that run had a domain."""
+        from repro.resilience.faults import FaultPlan
+
+        cfg = small_config(backend="treepm", n_per_dim=16, n_steps=1)
+        plan = FaultPlan().with_rank_death(step=0, rank=0)
+        with pytest.raises(ConfigError, match="decomposed"):
+            HACCSimulation(cfg, faults=plan)
+        with HACCSimulation(
+            cfg, decomposition_dims=(1, 1, 1), faults=plan
+        ) as sim:
+            assert sim.exchange.decomposition.n_ranks == 1

@@ -199,24 +199,28 @@ class TestInterpretedNumbaEquivalence:
     — the strict-IEEE ordering contract PR 7 set for numba f64, which C
     also keeps in f32."""
 
-    def test_treepm_forces_bitwise_f64(self, kernel, cbackend, rng):
+    def test_treepm_forces_bitwise_f64(
+        self, kernel, cbackend, rng, periodic_accelerations
+    ):
         pos = clustered_cloud(rng, 160)
         masses = rng.uniform(0.5, 1.5, 160)
-        ref = make_solver("treepm", kernel, "numpy").accelerations(
-            pos, masses, BOX
+        ref = periodic_accelerations(
+            make_solver("treepm", kernel, "numpy"), pos, masses, BOX
         )
-        got = make_solver("treepm", kernel, cbackend).accelerations(
-            pos, masses, BOX
+        got = periodic_accelerations(
+            make_solver("treepm", kernel, cbackend), pos, masses, BOX
         )
         assert np.abs(ref).max() > 0
         assert np.array_equal(ref, got)
 
-    def test_interaction_counts_match(self, kernel, cbackend, rng):
+    def test_interaction_counts_match(
+        self, kernel, cbackend, rng, periodic_accelerations
+    ):
         pos = clustered_cloud(rng, 120)
         ref_solver = make_solver("treepm", kernel, "numpy")
         c_solver = make_solver("treepm", kernel, cbackend)
-        ref_solver.accelerations(pos, None, BOX)
-        c_solver.accelerations(pos, None, BOX)
+        periodic_accelerations(ref_solver, pos, None, BOX)
+        periodic_accelerations(c_solver, pos, None, BOX)
         ref_pairs, c_pairs = ref_solver.last_pairs[0], c_solver.last_pairs[0]
         assert ref_pairs == c_pairs > 0
         # ... and both are the pairs the packed batch streams
@@ -245,14 +249,16 @@ class TestInterpretedNumbaEquivalence:
         assert np.array_equal(ref, got)
         assert got.dtype == ref.dtype == np.float64
 
-    def test_f32_tracks_f64(self, kernel, kernel32, cbackend, rng):
+    def test_f32_tracks_f64(
+        self, kernel, kernel32, cbackend, rng, periodic_accelerations
+    ):
         pos = clustered_cloud(rng, 160)
         masses = rng.uniform(0.5, 1.5, 160)
-        ref = make_solver("treepm", kernel, "numpy").accelerations(
-            pos, masses, BOX
+        ref = periodic_accelerations(
+            make_solver("treepm", kernel, "numpy"), pos, masses, BOX
         )
-        got = make_solver("treepm", kernel32, cbackend).accelerations(
-            pos, masses, BOX
+        got = periodic_accelerations(
+            make_solver("treepm", kernel32, cbackend), pos, masses, BOX
         )
         assert got.dtype == np.float32
         scale = np.abs(ref).max()
@@ -267,7 +273,7 @@ class TestCBackendEquivalence:
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     @pytest.mark.parametrize("solver", ["treepm", "p3m"])
     def test_forces_and_counters_bitwise(
-        self, grid_force_fit, rng, solver, dtype
+        self, grid_force_fit, rng, solver, dtype, periodic_accelerations
     ):
         """Same bits and same counters in both precisions."""
         pos = clustered_cloud(rng, 240)
@@ -278,7 +284,7 @@ class TestCBackendEquivalence:
                 grid_force_fit, spacing=1.0, eps_cells=0.01, dtype=dtype
             )
             built = make_solver(solver, kern, backend)
-            acc = built.accelerations(pos, masses, BOX)
+            acc = periodic_accelerations(built, pos, masses, BOX)
             out[backend] = (acc, *built.last_pairs)
         ref, got = out["numpy"], out["c"]
         assert np.abs(ref[0]).max() > 0
@@ -333,7 +339,7 @@ class TestCBackendEquivalence:
         assert np.array_equal(sim.particles.momenta, ref.particles.momenta)
 
     def test_two_threads_on_disjoint_domains_match_serial(
-        self, kernel, rng
+        self, kernel, rng, periodic_accelerations
     ):
         """The call drops the GIL; two domains evaluated concurrently,
         each by its own solver, reproduce the serial bits."""
@@ -342,7 +348,9 @@ class TestCBackendEquivalence:
             for _ in range(2)
         ]
         serial = [
-            make_solver("treepm", kernel, "c").accelerations(p, m, BOX)
+            periodic_accelerations(
+                make_solver("treepm", kernel, "c"), p, m, BOX
+            )
             for p, m in domains
         ]
         got = [None, None]
@@ -350,7 +358,7 @@ class TestCBackendEquivalence:
         def work(k):
             solver = make_solver("treepm", kernel, "c")
             for _ in range(5):
-                got[k] = solver.accelerations(*domains[k], BOX)
+                got[k] = periodic_accelerations(solver, *domains[k], BOX)
 
         threads = [threading.Thread(target=work, args=(k,)) for k in (0, 1)]
         for t in threads:
@@ -740,12 +748,13 @@ import hashlib, numpy as np
 from repro.shortrange.backends import get_backend
 from repro.shortrange.grid_force import default_grid_force_fit
 from repro.shortrange.kernel import ShortRangeKernel
-from repro.shortrange.solvers import TreePMShortRange
+from repro.shortrange.solvers import TreePMShortRange, periodic_ghosts
 rng = np.random.default_rng(5)
 pos = rng.uniform(0.0, 10.0, (300, 3))
 kern = ShortRangeKernel(default_grid_force_fit(), spacing=1.0)
-acc = TreePMShortRange(kern, leaf_size=16, kernel_backend="c").accelerations(
-    pos, np.ones(300), 10.0)
+cloud, m = periodic_ghosts(pos, np.ones(300), 10.0, kern.rcut)
+acc = TreePMShortRange(kern, leaf_size=16,
+                       kernel_backend="c").accelerations_cloud(cloud, m, 300)
 print(get_backend("c").name, hashlib.sha256(acc.tobytes()).hexdigest())
 """
 
@@ -782,8 +791,9 @@ class TestCBuildCache:
     @staticmethod
     def forces(backend, kernel):
         pos = clustered_cloud(np.random.default_rng(3), 200)
-        return make_solver("treepm", kernel, backend).accelerations(
-            pos, np.ones(200), BOX
+        cloud, m = periodic_ghosts(pos, np.ones(200), BOX, kernel.rcut)
+        return make_solver("treepm", kernel, backend).accelerations_cloud(
+            cloud, m, 200
         )
 
     def test_cold_build_publishes_one_library(
@@ -1011,6 +1021,14 @@ class TestKernelCeilingGate:
         assert len(failures) == 3
         assert [v for k, v in status.items() if "kernel-only" in k] == \
             ["FAIL"] * 3
+        # a kernel the sweep did not time reads 0: under every ceiling,
+        # and still a failure, on its own row and on the ratio's
+        failures, _ = self.lanes_record(gate, 0.5 * f64_bar, 0.0, simd)
+        assert len(failures) == 2
+        assert "c/f32 kernel-only" in failures[0]
+        assert "c f32/f64 kernel-only" in failures[1]
+        failures, _ = self.lanes_record(gate, 0.0, 0.0, simd)
+        assert len(failures) == 3
 
     def test_scalar_record_skips_the_ratio(self, gate, capsys):
         """A host without AVX2 runs the scalar loop, where f32 costs what

@@ -227,43 +227,49 @@ class TestEquivalence:
 
     @pytest.mark.parametrize("cloud", sorted(CLOUDS))
     def test_treepm_batched_vs_direct_and_naive_f64(
-        self, kernel, rng, cloud
+        self, kernel, rng, cloud, periodic_accelerations
     ):
         pos = CLOUDS[cloud](rng, 500)
         m = rng.uniform(0.5, 1.5, 500)
-        ref = DirectShortRange(kernel).accelerations(pos, m, box_size=BOX)
-        batched = TreePMShortRange(kernel, leaf_size=16).accelerations(
-            pos, m, box_size=BOX
+        ref = periodic_accelerations(DirectShortRange(kernel), pos, m, BOX)
+        batched = periodic_accelerations(
+            TreePMShortRange(kernel, leaf_size=16), pos, m, BOX
         )
         assert_forces_close(batched, ref, 1e-6)
 
     @pytest.mark.parametrize("cloud", sorted(CLOUDS))
-    def test_treepm_batched_vs_naive_f32(self, kernel32, rng, cloud):
+    def test_treepm_batched_vs_naive_f32(
+        self, kernel32, rng, cloud, periodic_accelerations
+    ):
         pos = CLOUDS[cloud](rng, 400)
         m = rng.uniform(0.5, 1.5, 400)
-        batched = TreePMShortRange(kernel32, leaf_size=16).accelerations(
-            pos, m, box_size=BOX
+        batched = periodic_accelerations(
+            TreePMShortRange(kernel32, leaf_size=16), pos, m, BOX
         )
-        ref = DirectShortRange(kernel32).accelerations(pos, m, box_size=BOX)
+        ref = periodic_accelerations(DirectShortRange(kernel32), pos, m, BOX)
         assert batched.dtype == np.float32
         assert_forces_close(batched, ref, 1e-4)
 
     @pytest.mark.parametrize("cloud", sorted(CLOUDS))
-    def test_p3m_batched_vs_naive(self, kernel, rng, cloud):
+    def test_p3m_batched_vs_naive(
+        self, kernel, rng, cloud, periodic_accelerations
+    ):
         pos = CLOUDS[cloud](rng, 500)
         m = rng.uniform(0.5, 1.5, 500)
-        batched = P3MShortRange(kernel).accelerations(pos, m, box_size=BOX)
-        ref = DirectShortRange(kernel).accelerations(pos, m, box_size=BOX)
+        batched = periodic_accelerations(P3MShortRange(kernel), pos, m, BOX)
+        ref = periodic_accelerations(DirectShortRange(kernel), pos, m, BOX)
         assert_forces_close(batched, ref, 1e-6)
 
-    def test_interaction_counts_identical(self, kernel, rng):
+    def test_interaction_counts_identical(
+        self, kernel, rng, periodic_accelerations
+    ):
         """``pp.interactions`` is the pairs the packed batch streams."""
         pos = clustered_cloud(rng, 400)
         m = np.ones(400)
         solver = TreePMShortRange(kernel, leaf_size=16)
         reg = Registry()
         with use(reg):
-            solver.accelerations(pos, m, box_size=BOX)
+            periodic_accelerations(solver, pos, m, BOX)
         cloud, cloud_m = periodic_ghosts(pos, m, BOX, kernel.rcut)
         batch = pack_tree(
             RCBTree(cloud, cloud_m, leaf_size=16), kernel.rcut, 400
@@ -280,13 +286,15 @@ class TestEquivalence:
             == inside
         )
 
-    def test_p3m_interaction_counts_identical(self, kernel, rng):
+    def test_p3m_interaction_counts_identical(
+        self, kernel, rng, periodic_accelerations
+    ):
         pos = uniform_cloud(rng, 300)
         m = np.ones(300)
         solver = P3MShortRange(kernel)
         reg = Registry()
         with use(reg):
-            solver.accelerations(pos, m, box_size=BOX)
+            periodic_accelerations(solver, pos, m, BOX)
         cloud, _ = periodic_ghosts(pos, m, BOX, kernel.rcut)
         sep = np.linalg.norm(pos[:, None] - cloud[None], axis=2)
         inside = np.count_nonzero((sep > 0) & (sep < kernel.rcut))
@@ -297,19 +305,19 @@ class TestEquivalence:
         assert streamed == solver.last_pairs[0]
 
     # -------------------------- edge cases --------------------------
-    def test_single_particle(self, kernel):
+    def test_single_particle(self, kernel, periodic_accelerations):
         pos = np.array([[5.0, 5.0, 5.0]])
-        acc = TreePMShortRange(kernel).accelerations(
-            pos, np.ones(1), box_size=BOX
+        acc = periodic_accelerations(
+            TreePMShortRange(kernel), pos, np.ones(1), BOX
         )
         np.testing.assert_array_equal(acc, 0.0)
 
-    def test_two_particles_match_direct(self, kernel):
+    def test_two_particles_match_direct(self, kernel, periodic_accelerations):
         pos = np.array([[4.0, 5.0, 5.0], [6.0, 5.0, 5.0]])
         m = np.array([1.0, 2.0])
-        ref = DirectShortRange(kernel).accelerations(pos, m, box_size=BOX)
-        got = TreePMShortRange(kernel, leaf_size=1).accelerations(
-            pos, m, box_size=BOX
+        ref = periodic_accelerations(DirectShortRange(kernel), pos, m, BOX)
+        got = periodic_accelerations(
+            TreePMShortRange(kernel, leaf_size=1), pos, m, BOX
         )
         assert_forces_close(got, ref, 1e-12)
 
@@ -888,22 +896,26 @@ class TestDtypePropagation:
                 out, expect, rtol=5e-6 if kern.dtype == np.float32 else 1e-12
             )
 
-    def test_engine_workspaces_are_float32(self, kernel32, rng):
+    def test_engine_workspaces_are_float32(
+        self, kernel32, rng, periodic_accelerations
+    ):
         pos = clustered_cloud(rng, 200)
         solver = TreePMShortRange(kernel32, leaf_size=16)
-        solver.accelerations(pos, np.ones(200), box_size=BOX)
+        periodic_accelerations(solver, pos, np.ones(200), BOX)
         ws = solver.engine.workspace
         for name in ("dx", "dy", "dz", "s2", "f"):
             assert ws._bufs[name].dtype == np.float32, name
 
-    def test_float32_tracks_float64(self, kernel, kernel32, rng):
+    def test_float32_tracks_float64(
+        self, kernel, kernel32, rng, periodic_accelerations
+    ):
         pos = uniform_cloud(rng, 300)
         m = np.ones(300)
-        a64 = TreePMShortRange(kernel, leaf_size=16).accelerations(
-            pos, m, box_size=BOX
+        a64 = periodic_accelerations(
+            TreePMShortRange(kernel, leaf_size=16), pos, m, BOX
         )
-        a32 = TreePMShortRange(kernel32, leaf_size=16).accelerations(
-            pos, m, box_size=BOX
+        a32 = periodic_accelerations(
+            TreePMShortRange(kernel32, leaf_size=16), pos, m, BOX
         )
         assert_forces_close(a32, a64, 1e-4)
 

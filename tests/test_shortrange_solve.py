@@ -183,8 +183,9 @@ class TestSolveIsTheComposition:
         for backend in backends.values():
             assert_same(solved(backend, kern, pos, m, 400, 16), ref)
 
-    def test_solver_keeps_its_spans_and_counters(self, grid_force_fit,
-                                                 backends, rng):
+    def test_solver_keeps_its_spans_and_counters(
+        self, grid_force_fit, backends, rng, periodic_accelerations
+    ):
         kern = kernel_of(grid_force_fit, np.float64)
         pos = clustered(rng, 600)
         for backend in backends.values():
@@ -192,7 +193,7 @@ class TestSolveIsTheComposition:
                                       kernel_backend=backend)
             reg = Registry()
             with use(reg), reg.span("shortrange"):
-                solver.accelerations(pos, np.ones(600), box_size=BOX)
+                periodic_accelerations(solver, pos, np.ones(600), BOX)
             cloud, cloud_m = periodic_ghosts(pos, np.ones(600), BOX,
                                              kern.rcut)
             ref = composed(backend, kern, cloud, cloud_m, 600, 16)

@@ -87,18 +87,22 @@ class TestBackendAgreement:
         b = P3MShortRange(kernel).accelerations(pos, m)
         assert np.allclose(a, b, atol=1e-11)
 
-    def test_tree_matches_direct_periodic(self, kernel, system):
+    def test_tree_matches_direct_periodic(
+        self, kernel, system, periodic_accelerations
+    ):
         pos, m = system
-        a = DirectShortRange(kernel).accelerations(pos, m, box_size=12.0)
-        b = TreePMShortRange(kernel, leaf_size=24).accelerations(
-            pos, m, box_size=12.0
+        a = periodic_accelerations(DirectShortRange(kernel), pos, m, 12.0)
+        b = periodic_accelerations(
+            TreePMShortRange(kernel, leaf_size=24), pos, m, 12.0
         )
         assert np.allclose(a, b, atol=1e-11)
 
-    def test_p3m_matches_direct_periodic(self, kernel, system):
+    def test_p3m_matches_direct_periodic(
+        self, kernel, system, periodic_accelerations
+    ):
         pos, m = system
-        a = DirectShortRange(kernel).accelerations(pos, m, box_size=12.0)
-        b = P3MShortRange(kernel).accelerations(pos, m, box_size=12.0)
+        a = periodic_accelerations(DirectShortRange(kernel), pos, m, 12.0)
+        b = periodic_accelerations(P3MShortRange(kernel), pos, m, 12.0)
         assert np.allclose(a, b, atol=1e-11)
 
     @pytest.mark.parametrize("leaf_size", [1, 8, 64, 512])
@@ -134,20 +138,22 @@ class TestPhysicalProperties:
         net = (m[:, None] * acc).sum(axis=0)
         assert np.abs(net).max() < 1e-10
 
-    def test_periodic_translation_invariance(self, kernel, rng):
+    def test_periodic_translation_invariance(
+        self, kernel, rng, periodic_accelerations
+    ):
         pos = rng.uniform(0, 8.0, (100, 3))
         m = np.ones(100)
         solver = TreePMShortRange(kernel, leaf_size=16)
-        a = solver.accelerations(pos, m, box_size=8.0)
+        a = periodic_accelerations(solver, pos, m, 8.0)
         shifted = np.mod(pos + np.array([3.0, 0.0, 0.0]), 8.0)
-        b = solver.accelerations(shifted, m, box_size=8.0)
+        b = periodic_accelerations(solver, shifted, m, 8.0)
         assert np.allclose(a, b, atol=1e-10)
 
-    def test_force_across_periodic_seam(self, kernel):
+    def test_force_across_periodic_seam(self, kernel, periodic_accelerations):
         """Two particles separated only through the boundary attract."""
         pos = np.array([[0.2, 4.0, 4.0], [7.8, 4.0, 4.0]])  # 0.4 apart
         m = np.ones(2)
-        acc = DirectShortRange(kernel).accelerations(pos, m, box_size=8.0)
+        acc = periodic_accelerations(DirectShortRange(kernel), pos, m, 8.0)
         assert acc[0, 0] < 0  # pulled across the low face
         assert acc[1, 0] > 0
 
