@@ -108,9 +108,10 @@ class HACCSimulation:
         ``OverloadExchange.refresh``), so an undecomposed run differs
         from a decomposed one only in the domain count.
     overload_depth:
-        Overload shell depth in Mpc/h, decomposed or not; defaults to
-        the short-range cutoff (the driver redistributes at every
-        evaluation, so nothing drifts between refreshes).  With a
+        Overload shell depth in Mpc/h, decomposed or not (a PM-only run
+        without domains has no shell); defaults to the short-range
+        cutoff (the driver redistributes at every evaluation, so nothing
+        drifts between refreshes).  With a
         short-range backend a depth below the cutoff is a
         :class:`~repro.config.ConfigError`: sources inside the cutoff
         would be missing; so is a depth of half a domain width or more.
@@ -221,9 +222,8 @@ class HACCSimulation:
         self.recover_on_rank_death = bool(recover_on_rank_death)
         self.recovery_reports: list = []
         self._fault_events: list = []
-        # a PM-only run has a shell only if given domains or a depth
-        if (self.short_solver is not None or decomposition_dims is not None
-                or overload_depth is not None):
+        # a PM-only run without domains solves no short range: no shell
+        if self.short_solver is not None or decomposition_dims is not None:
             from repro.parallel.decomposition import DomainDecomposition
             from repro.parallel.overload import OverloadExchange
 
